@@ -5,6 +5,11 @@ use gsgcn_graph::StoreCacheStats;
 use gsgcn_metrics::convergence::Curve;
 use gsgcn_metrics::timing::Breakdown;
 
+/// Work and phase times of one stored (out-of-core) evaluation: frontier
+/// tiles and rows computed per layer, feature rows gathered, and
+/// frontier / gather / infer seconds.
+pub use gsgcn_nn::model::LevelStats as EvalStats;
+
 /// Statistics of one training epoch.
 #[derive(Clone, Debug)]
 pub struct EpochStats {
@@ -40,6 +45,9 @@ pub struct TrainReport {
     /// Shard-cache counters of the training store at the end of the run
     /// (`None` when training read a fully-resident store).
     pub shard_cache: Option<StoreCacheStats>,
+    /// Work of the run's last stored evaluation — the final test pass
+    /// (`None` when evaluation ran on a resident dataset).
+    pub eval: Option<EvalStats>,
 }
 
 impl TrainReport {
@@ -80,6 +88,9 @@ impl TrainReport {
         if let Some(cache) = &self.shard_cache {
             s.push_str(&format!(" [shard cache: {}]", cache.summary()));
         }
+        if let Some(eval) = &self.eval {
+            s.push_str(&format!(" [last eval: {}]", eval.summary()));
+        }
         s
     }
 }
@@ -115,6 +126,7 @@ mod tests {
             breakdown: Breakdown::default(),
             total_train_secs: 4.0,
             shard_cache: None,
+            eval: None,
         }
     }
 
@@ -155,6 +167,7 @@ mod tests {
             breakdown: Breakdown::default(),
             total_train_secs: 0.0,
             shard_cache: None,
+            eval: None,
         };
         assert_eq!(r.secs_per_iteration(), 0.0);
         assert!(r.final_loss().is_nan());

@@ -30,10 +30,10 @@
 //! [`Breakdown::sampling_hidden_secs`].
 
 use crate::config::TrainerConfig;
-use crate::report::{EpochStats, TrainReport};
+use crate::report::{EpochStats, EvalStats, TrainReport};
 use gsgcn_data::dataset::{Dataset, Split, TaskKind};
 use gsgcn_data::store_dataset::StoreDataset;
-use gsgcn_graph::{l_hop_ball, l_hop_subgraph, GraphStore, Topology};
+use gsgcn_graph::{GraphStore, Topology};
 use gsgcn_metrics::convergence::Curve;
 use gsgcn_metrics::f1;
 use gsgcn_metrics::timing::{Breakdown, Phase};
@@ -85,18 +85,13 @@ impl EvalSource<'_> {
     }
 }
 
-/// Roots per chunk for the out-of-core (stored) evaluation path —
-/// an upper bound; the chunk size adapts downward (see
-/// [`EVAL_MAX_BALL_ROWS`]) when L-hop balls grow dense.
-const EVAL_CHUNK_ROOTS: usize = 256;
-
-/// Cap on one eval chunk's L-hop ball, in vertices. The ball of `c`
-/// roots grows like `c · d̄^L`, so on dense graphs a fixed root count
-/// would materialise feature buffers proportional to the *graph*, not
-/// the chunk — exactly the resident-set blowup the stored path exists
-/// to avoid. Chunks halve until the ball fits (single-root overshoot is
-/// accepted: one root's ball is irreducible). 32 Ki rows ≈ 38 MiB of
-/// 300-dim f32 features.
+/// Rows per level buffer of the stored evaluation path: the cap on one
+/// frontier tile (a tile's roots plus their one-hop frontier) in
+/// [`GcnModel::infer_probs_by_level`]. Stored eval holds one such buffer
+/// per level, so its memory is `levels × cap rows × width` however large
+/// the graph or the split — 32 Ki rows ≈ 38 MiB of 300-dim f32 features
+/// at level 0. A single root whose own frontier exceeds the cap still
+/// gets a (larger) tile: one root's frontier is irreducible.
 const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 
 /// Trainer state: dataset view, model, sampler pool/pipeline, timers.
@@ -127,17 +122,18 @@ pub struct GsGcnTrainer<'a> {
     x_buf: gsgcn_tensor::DMatrix,
     y_buf: gsgcn_tensor::DMatrix,
     /// Persistent evaluation state: the inference workspace (activation
-    /// ping-pong buffers) plus full-graph probability and per-split
-    /// gather buffers. Validation runs every `eval_every` epochs over the
-    /// whole graph, so without reuse it dominated the allocation churn of
-    /// a training run; with it, [`GsGcnTrainer::evaluate`] performs zero
-    /// matrix allocations once warm (pinned by `tests/eval_alloc.rs`).
+    /// ping-pong buffers, stored-path level buffers) plus full-graph
+    /// probability and per-split gather buffers. Validation runs every
+    /// `eval_every` epochs over the whole graph, so without reuse it
+    /// dominated the allocation churn of a training run; with it,
+    /// [`GsGcnTrainer::evaluate`] performs zero matrix allocations once
+    /// warm on either arm (pinned by `tests/eval_alloc.rs`).
     eval_ws: InferenceWorkspace,
     eval_probs: gsgcn_tensor::DMatrix,
     eval_probs_split: gsgcn_tensor::DMatrix,
     eval_labels_split: gsgcn_tensor::DMatrix,
-    /// Ball-feature gather buffer for the stored (out-of-core) eval path.
-    eval_x: gsgcn_tensor::DMatrix,
+    /// Work and phase times of the last stored evaluation.
+    eval_stats: Option<EvalStats>,
 }
 
 impl<'a> GsGcnTrainer<'a> {
@@ -165,9 +161,10 @@ impl<'a> GsGcnTrainer<'a> {
 
     /// Build a trainer over a sharded on-disk [`StoreDataset`] (see
     /// `gsgcn shard`). Training samples from the store's training
-    /// subgraph; evaluation streams L-hop balls of the eval roots
+    /// subgraph; evaluation runs layer at a time over frontier tiles read
     /// through the shard cache instead of materialising the full graph,
-    /// so peak RSS stays bounded by the cache budget plus one ball.
+    /// so peak RSS stays bounded by the cache budget plus the level
+    /// buffers (see [`Self::try_evaluate`]).
     pub fn from_store(sd: &'a StoreDataset, cfg: TrainerConfig) -> Result<Self, String> {
         cfg.validate()?;
         if sd.full.feature_dim() == 0 {
@@ -325,7 +322,7 @@ impl<'a> GsGcnTrainer<'a> {
             eval_probs: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
-            eval_x: gsgcn_tensor::DMatrix::zeros(0, 0),
+            eval_stats: None,
         };
         trainer.wire_prefetch_hook();
         Ok(trainer)
@@ -359,6 +356,13 @@ impl<'a> GsGcnTrainer<'a> {
     /// (`sampler_threads > 0`). Exposes stall/overlap counters.
     pub fn sampler_pipeline(&self) -> Option<&SamplerPipeline> {
         self.pipeline.as_ref()
+    }
+
+    /// Tiles, rows computed per layer, feature rows gathered and phase
+    /// seconds of the last evaluation that ran on the stored path
+    /// (`None` before one has, and on resident datasets).
+    pub fn last_eval_stats(&self) -> Option<&EvalStats> {
+        self.eval_stats.as_ref()
     }
 
     /// Cumulative training seconds.
@@ -482,19 +486,32 @@ impl<'a> GsGcnTrainer<'a> {
         Ok(stats)
     }
 
+    /// [`Self::try_evaluate`], panicking when the stored path cannot read
+    /// the graph store.
+    pub fn evaluate(&mut self, split: EvalSplit) -> f64 {
+        self.try_evaluate(split).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Inference + F1-micro on the chosen split.
     ///
     /// * Resident datasets: one full-graph forward on the trainer's
-    ///   persistent [`InferenceWorkspace`] and gather buffers — after
-    ///   the first call everything (forward, row gathers, streaming F1)
-    ///   is allocation-free.
-    /// * Stored datasets: the full graph may not fit in RAM, so eval
-    ///   streams the split in chunks of [`EVAL_CHUNK_ROOTS`] roots.
-    ///   Each chunk extracts the L-hop ball of its roots through the
-    ///   shard cache, runs L layers on the ball (exact at the roots),
-    ///   and feeds root rows into a chunk-order-free
-    ///   [`f1::F1Accumulator`].
-    pub fn evaluate(&mut self, split: EvalSplit) -> f64 {
+    ///   persistent [`InferenceWorkspace`] and gather buffers.
+    /// * Stored datasets: the full graph may not fit in RAM, so the
+    ///   forward runs **layer at a time over one-hop frontier tiles**
+    ///   ([`GcnModel::infer_probs_by_level`]) of at most
+    ///   [`EVAL_MAX_BALL_ROWS`] rows, read through the shard cache in
+    ///   placement order; each tile's root rows feed a tile-order-free
+    ///   [`f1::F1Accumulator`]. No vertex's layer output is computed
+    ///   twice while a level's needed set fits the cap (beyond it only
+    ///   one-hop tile overlap is), memory is `levels × cap rows × width`,
+    ///   and because a tile keeps every root's full neighbor list in
+    ///   full-graph order the F1 **equals** the resident arm's on the
+    ///   same data, bit for bit. [`Self::last_eval_stats`] reports the
+    ///   work done.
+    ///
+    /// Either arm is allocation-free once warm. Fails only when the
+    /// stored path cannot gather rows from the graph store.
+    pub fn try_evaluate(&mut self, split: EvalSplit) -> Result<f64, String> {
         let s = self.source.split();
         let idx: &[u32] = match split {
             EvalSplit::Train => &s.train,
@@ -502,7 +519,7 @@ impl<'a> GsGcnTrainer<'a> {
             EvalSplit::Test => &s.test,
         };
         if idx.is_empty() {
-            return 0.0;
+            return Ok(0.0);
         }
         let single = self.source.task() == TaskKind::SingleLabel;
         let model = &self.model;
@@ -510,60 +527,34 @@ impl<'a> GsGcnTrainer<'a> {
         let eval_probs = &mut self.eval_probs;
         let eval_probs_split = &mut self.eval_probs_split;
         let eval_labels_split = &mut self.eval_labels_split;
-        let eval_x = &mut self.eval_x;
         match self.source {
-            EvalSource::Resident(dataset) => self.thread_pool.install(|| {
+            EvalSource::Resident(dataset) => Ok(self.thread_pool.install(|| {
                 model.infer_probs_into(&dataset.graph, &dataset.features, eval_ws, eval_probs);
                 eval_probs.gather_rows_into(idx, eval_probs_split);
                 dataset.labels.gather_rows_into(idx, eval_labels_split);
                 f1::f1_micro_from_probs(eval_probs_split, eval_labels_split, single)
-            }),
+            })),
             EvalSource::Stored(sd) => {
-                let full = &sd.full;
-                let hops = model.num_layers();
-                self.thread_pool.install(|| {
-                    let mut acc = f1::F1Accumulator::new(single);
-                    let mut start = 0usize;
-                    let mut chunk = EVAL_CHUNK_ROOTS;
-                    while start < idx.len() {
-                        let roots = &idx[start..(start + chunk).min(idx.len())];
-                        // Probe the ball first: halve the chunk until
-                        // its ball respects the row cap, so eval memory
-                        // is bounded by the cap — not the graph.
-                        let ball_rows = l_hop_ball(&**full, roots, hops).len();
-                        if ball_rows > EVAL_MAX_BALL_ROWS && roots.len() > 1 {
-                            chunk = (chunk / 2).max(1);
-                            continue;
-                        }
-                        // Hint chunk c+1's roots while chunk c computes:
-                        // their shards page in behind this chunk's forward.
-                        let next_start = start + roots.len();
-                        if full.prefetch_enabled() && next_start < idx.len() {
-                            full.prefetch_nodes(
-                                &idx[next_start..(next_start + chunk).min(idx.len())],
-                            );
-                        }
-                        let batch = l_hop_subgraph(&**full, roots, hops);
-                        full.gather_features_into(&batch.sub.origin, eval_x)
-                            .unwrap_or_else(|e| panic!("eval feature gather failed: {e}"));
-                        full.gather_labels_into(roots, eval_labels_split)
-                            .unwrap_or_else(|e| panic!("eval label gather failed: {e}"));
-                        // L layers on the L-hop ball are exact at the
-                        // roots (hop distance 0) — same invariant the
-                        // serving engine relies on.
-                        model.infer_probs_into(&batch.sub.graph, eval_x, eval_ws, eval_probs);
-                        for (i, &local) in batch.root_locals.iter().enumerate() {
-                            acc.push_row(eval_probs.row(local as usize), eval_labels_split.row(i));
-                        }
-                        start += roots.len();
-                        // Sparse region: let the chunk re-grow so the
-                        // per-chunk extraction cost stays amortised.
-                        if ball_rows * 2 <= EVAL_MAX_BALL_ROWS {
-                            chunk = (chunk * 2).min(EVAL_CHUNK_ROOTS);
-                        }
+                let full = &*sd.full;
+                let mut acc = f1::F1Accumulator::new(single);
+                let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
+                    full.gather_labels_into(roots, eval_labels_split)?;
+                    for i in 0..roots.len() {
+                        acc.push_row(probs.row(i), eval_labels_split.row(i));
                     }
-                    acc.f1()
-                })
+                    Ok(())
+                };
+                let stats = self
+                    .thread_pool
+                    .install(|| {
+                        let cap = EVAL_MAX_BALL_ROWS;
+                        model.infer_probs_by_level(full, idx, cap, eval_ws, &mut score_tile)
+                    })
+                    .map_err(|e| {
+                        format!("stored evaluation could not read the graph store: {e}")
+                    })?;
+                self.eval_stats = Some(stats);
+                Ok(acc.f1())
             }
         }
     }
@@ -576,12 +567,15 @@ impl<'a> GsGcnTrainer<'a> {
         let mut curve = Curve::new(format!("gsgcn-{}", self.source.name()));
         let mut best_f1 = f64::NEG_INFINITY;
         let mut evals_since_best = 0usize;
+        // (model step count, val F1) of the latest in-loop validation.
+        let mut last_val = None;
         for e in 0..self.cfg.epochs {
             let stats = self.train_epoch()?;
             epochs.push(stats);
             let do_eval = self.cfg.eval_every > 0 && (e + 1) % self.cfg.eval_every == 0;
             if do_eval {
-                let f1 = self.evaluate(EvalSplit::Val);
+                let f1 = self.try_evaluate(EvalSplit::Val)?;
+                last_val = Some((self.model.steps(), f1));
                 curve.push(self.train_secs, f1);
                 if f1 > best_f1 {
                     best_f1 = f1;
@@ -596,11 +590,16 @@ impl<'a> GsGcnTrainer<'a> {
                 }
             }
         }
-        let final_val_f1 = self.evaluate(EvalSplit::Val);
+        // A validation the last epoch already ran is still current: no
+        // step has moved the weights since.
+        let final_val_f1 = match last_val {
+            Some((steps, f1)) if steps == self.model.steps() => f1,
+            _ => self.try_evaluate(EvalSplit::Val)?,
+        };
         if curve.points.is_empty() || self.cfg.eval_every == 0 {
             curve.push(self.train_secs, final_val_f1);
         }
-        let test_f1 = self.evaluate(EvalSplit::Test);
+        let test_f1 = self.try_evaluate(EvalSplit::Test)?;
         Ok(TrainReport {
             epochs,
             final_val_f1,
@@ -609,6 +608,7 @@ impl<'a> GsGcnTrainer<'a> {
             breakdown: self.breakdown,
             total_train_secs: self.train_secs,
             shard_cache: self.train_store.cache_stats(),
+            eval: self.eval_stats.clone(),
         })
     }
 }
@@ -742,26 +742,75 @@ mod tests {
 
         let mut cfg = TrainerConfig::quick_test();
         cfg.epochs = 2;
+        let splits = [EvalSplit::Train, EvalSplit::Val, EvalSplit::Test];
         let run = |mut t: GsGcnTrainer<'_>| {
             let mut losses = Vec::new();
             for _ in 0..2 {
                 losses.push(t.train_epoch().unwrap().mean_loss);
             }
-            (losses, t.evaluate(EvalSplit::Val))
+            let f1s = splits.map(|s| t.evaluate(s));
+            (losses, f1s, t.last_eval_stats().cloned())
         };
-        let (loss_res, f1_res) = run(GsGcnTrainer::new(&d, cfg.clone()).unwrap());
-        let (loss_st, f1_st) = run(GsGcnTrainer::from_store(&sd, cfg).unwrap());
+        let (loss_res, f1_res, stats_res) = run(GsGcnTrainer::new(&d, cfg.clone()).unwrap());
+        let (loss_st, f1_st, stats_st) = run(GsGcnTrainer::from_store(&sd, cfg).unwrap());
 
         // The train store holds the same induced topology and gathered
         // rows as the resident TrainView, and sampling is seeded — so
         // the loss trajectory is bit-identical.
         assert_eq!(loss_res, loss_st);
-        // Stored eval runs L layers on L-hop balls, exact at the roots;
-        // allow a whisker of float slack for the different code path.
-        assert!(
-            (f1_res - f1_st).abs() < 1e-6,
-            "resident {f1_res} vs stored {f1_st}"
-        );
+        // Stored eval runs layer at a time over frontier tiles whose
+        // root rows repeat the full-graph float operations exactly.
+        assert_eq!(f1_res, f1_st);
+        // Only the stored arm reports tile work; the graph fits one tile
+        // per level, so the last layer ran once per test vertex.
+        assert!(stats_res.is_none());
+        let stats = stats_st.expect("stored evaluation records its work");
+        assert_eq!(stats.tiles, vec![1, 1]);
+        assert_eq!(stats.rows_computed[1], d.split.test.len());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn try_evaluate_reports_unreadable_rows_as_an_error() {
+        use gsgcn_graph::store::shard::shard_file_name;
+        let d = quick_dataset();
+        let dir = std::env::temp_dir().join(format!(
+            "gsgcn-trainer-lost-shard-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        d.spill_to_dir(&dir, 4).unwrap();
+        let open = || {
+            gsgcn_data::StoreDataset::open_with(&dir, gsgcn_graph::StoreBackend::Mmap, 1 << 20)
+                .unwrap()
+        };
+        // Lose the shard of vertex 0, then validate only on vertices of
+        // other shards with a neighbor in it: a one-layer model reads
+        // their neighbor lists fine and fails gathering the lost rows.
+        let probe = open();
+        let lost = probe.full.shard_of(0).unwrap();
+        let in_lost = |v: u32| probe.full.shard_of(v) == Some(lost);
+        let val: Vec<u32> = (0..d.graph.num_vertices() as u32)
+            .filter(|&v| !in_lost(v) && d.graph.neighbors(v).iter().any(|&u| in_lost(u)))
+            .collect();
+        assert!(!val.is_empty(), "fixture has no edge into the lost shard");
+        drop(probe);
+        let lost_file = shard_file_name(lost as usize);
+        std::fs::remove_file(
+            dir.join(gsgcn_data::store_dataset::FULL_SUBDIR)
+                .join(lost_file),
+        )
+        .unwrap();
+        let mut sd = open();
+        sd.split.val = val;
+
+        let mut cfg = TrainerConfig::quick_test();
+        cfg.hidden_dims = vec![16];
+        let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
+        let err = t.try_evaluate(EvalSplit::Val).unwrap_err();
+        assert!(err.contains("could not read the graph store"), "{err}");
+        drop(t);
+        drop(sd);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,8 @@
 //! buffers with a streaming F1, so once warm it must perform **zero**
 //! matrix allocations — measured with the thread-local counter in
 //! `gsgcn_tensor::alloc`, on a 1-thread trainer so every allocation is
-//! attributed to the measuring thread.
+//! attributed to the measuring thread. The same holds for the stored
+//! (out-of-core) arm and its level buffers.
 
 use gsgcn_core::trainer::EvalSplit;
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
@@ -39,6 +40,38 @@ fn evaluate_is_allocation_free_after_warmup() {
         steady, 0,
         "evaluate allocated {steady} matrices after warm-up"
     );
+}
+
+/// The stored arm — layer-at-a-time inference over frontier tiles read
+/// through mmap shards — runs on the same workspace (its level buffers
+/// included): zero matrix allocations once every split has sized them.
+#[test]
+fn stored_evaluate_is_allocation_free_after_warmup() {
+    let d = presets::scale_spec(&presets::ppi_spec(), 600).generate(11);
+    let dir = std::env::temp_dir().join(format!("gsgcn-eval-alloc-{}", std::process::id()));
+    d.spill_to_dir(&dir, 4).unwrap();
+    let sd = gsgcn_data::StoreDataset::open_with(&dir, gsgcn_graph::StoreBackend::Mmap, 1 << 20)
+        .unwrap();
+    let mut cfg = TrainerConfig::quick_test().serial();
+    cfg.epochs = 1;
+    let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
+    t.train_epoch().unwrap();
+
+    let splits = [EvalSplit::Train, EvalSplit::Val, EvalSplit::Test];
+    let warm: Vec<f64> = splits.iter().map(|&s| t.evaluate(s)).collect();
+    let before = alloc::matrix_allocations();
+    for _ in 0..3 {
+        let again: Vec<f64> = splits.iter().map(|&s| t.evaluate(s)).collect();
+        assert_eq!(again, warm);
+    }
+    let steady = alloc::matrix_allocations() - before;
+    assert_eq!(
+        steady, 0,
+        "stored evaluate allocated {steady} matrices after warm-up"
+    );
+    drop(t);
+    drop(sd);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Routing evaluate through the workspace must not change its result:

@@ -13,7 +13,9 @@
 //! * [`neighborhood`] — L-hop ball extraction around a query node set,
 //!   the inference-side counterpart of subgraph sampling: a K-node batch
 //!   runs forward on its K-rooted L-hop induced subgraph instead of the
-//!   full graph (exact at the roots — see the module docs).
+//!   full graph (exact at the roots — see the module docs); and one-hop
+//!   [`FrontierBall`]s, cut to a row cap by [`capped_one_hop_frontier`],
+//!   the tiles of layer-at-a-time inference over a store.
 //! * [`stats`] — degree/connectivity statistics used to verify that sampled
 //!   subgraphs preserve the connectivity characteristics of the training
 //!   graph (Sec. III-C requirement 1).
@@ -59,7 +61,8 @@ pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use neighborhood::{
-    l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall, NeighborhoodBatch,
+    capped_one_hop_frontier, l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall,
+    NeighborhoodBatch,
 };
 pub use store::{GraphStore, NeighborsRef, StoreBackend, StoreCacheStats, StoreOrder, Topology};
 pub use subgraph::{induced_subgraph, InducedSubgraph};

@@ -86,9 +86,10 @@ impl NeighborhoodBatch {
 
 /// The closed 1-hop ball of a root set, laid out for the serving-side
 /// **final hop**: unique roots occupy local rows `0..num_roots` (in
-/// first-appearance order), frontier-only vertices follow, and the ball
-/// graph keeps adjacency *only on the root rows* (frontier rows are
-/// isolated — their aggregates are never consumed).
+/// first-appearance order), frontier-only vertices follow (grouped by
+/// [`Topology::locality_group`], discovery order within a group), and
+/// the ball graph keeps adjacency *only on the root rows* (frontier rows
+/// are isolated — their aggregates are never consumed).
 ///
 /// This is the activation-cache counterpart of
 /// [`NeighborhoodBatch::layer_graphs`]: when the inputs to the last GCN
@@ -100,7 +101,7 @@ impl NeighborhoodBatch {
 /// `D⁻¹` exactness condition), so the fused last layer over
 /// [`FrontierBall::graph`] is bit-identical at the root rows to the same
 /// layer run over any larger exact graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrontierBall {
     /// Input-graph id of each local row; the first
     /// [`FrontierBall::num_roots`] entries are the unique roots.
@@ -120,46 +121,122 @@ pub struct FrontierBall {
 /// # Panics
 /// Panics if any root id is out of range for `g`.
 pub fn one_hop_frontier<T: Topology + ?Sized>(g: &T, roots: &[u32]) -> FrontierBall {
+    capped_one_hop_frontier(g, roots, usize::MAX).0
+}
+
+/// The [`FrontierBall`] of the longest prefix of `roots` whose closed
+/// one-hop frontier stays within `max_rows` rows, and the length of that
+/// prefix — the tile cutter of layer-at-a-time inference: walk a target
+/// list by calling this on the remaining suffix until nothing is left.
+///
+/// The ball is grown root by root in a single pass over the neighbor
+/// lists (no size probe): a root whose frontier would push the ball past
+/// the cap is rolled back and left for the next tile. The first root is
+/// always taken, so a hub whose own frontier exceeds `max_rows` yields a
+/// one-root tile larger than the cap rather than no progress; duplicates
+/// of an already-taken root add no rows and are always consumed.
+///
+/// # Panics
+/// Panics if a visited root id is out of range for `g`.
+pub fn capped_one_hop_frontier<T: Topology + ?Sized>(
+    g: &T,
+    roots: &[u32],
+    max_rows: usize,
+) -> (FrontierBall, usize) {
+    const NOT_ROOT: u32 = u32::MAX;
     let n = g.num_vertices();
-    let mut local_of: std::collections::HashMap<u32, u32> =
-        std::collections::HashMap::with_capacity(roots.len() * 4);
-    let mut origin: Vec<u32> = Vec::with_capacity(roots.len());
-    let mut root_locals = Vec::with_capacity(roots.len());
+    // Vertices get provisional ids in discovery order (a root, then its
+    // neighbors, then the next root …); `rank[id]` is the root's position
+    // among the unique roots, or `NOT_ROOT`. The roots-first layout is a
+    // relabelling at the end, so the topology is read exactly once.
+    let mut disc = Discovery {
+        ids: std::collections::HashMap::with_capacity(roots.len().saturating_mul(4).min(max_rows)),
+        origin: Vec::with_capacity(roots.len().min(max_rows)),
+    };
+    let mut rank: Vec<u32> = Vec::new();
+    let mut num_roots = 0usize;
+    let mut root_locals = Vec::new();
+    let mut offsets = vec![0usize];
+    let mut adj: Vec<u32> = Vec::new();
     for &r in roots {
         assert!(
             (r as usize) < n,
             "root vertex {r} out of range for a {n}-vertex graph"
         );
-        let next = origin.len() as u32;
-        let id = *local_of.entry(r).or_insert(next);
-        if id == next {
-            origin.push(r);
-        }
-        root_locals.push(id);
-    }
-    let num_roots = origin.len();
-    let mut offsets = Vec::with_capacity(num_roots + 1);
-    offsets.push(0usize);
-    let mut adj = Vec::new();
-    for k in 0..num_roots {
-        let orig = origin[k];
-        for &u in g.neighbors_ref(orig).iter() {
-            let next = origin.len() as u32;
-            let id = *local_of.entry(u).or_insert(next);
-            if id == next {
-                origin.push(u);
+        let (origin_mark, adj_mark) = (disc.origin.len(), adj.len());
+        let id = disc.intern(r) as usize;
+        rank.resize(disc.origin.len(), NOT_ROOT);
+        if rank[id] == NOT_ROOT {
+            adj.extend(g.neighbors_ref(r).iter().map(|&u| disc.intern(u)));
+            if disc.origin.len() > max_rows && num_roots > 0 {
+                disc.truncate(origin_mark);
+                rank.truncate(origin_mark);
+                adj.truncate(adj_mark);
+                break;
             }
-            adj.push(id);
+            rank.resize(disc.origin.len(), NOT_ROOT);
+            rank[id] = num_roots as u32;
+            num_roots += 1;
+            offsets.push(adj.len());
         }
-        offsets.push(adj.len());
+        root_locals.push(rank[id]);
+    }
+    // Relabel: roots keep their rank; frontier-only vertices follow,
+    // grouped by locality group (discovery order within one), so whoever
+    // reads the ball's rows next walks each shard once. `rank` becomes
+    // the provisional → final id map.
+    let mut frontier: Vec<u32> = (0..rank.len() as u32)
+        .filter(|&id| rank[id as usize] == NOT_ROOT)
+        .collect();
+    if g.num_locality_groups() > 1 {
+        frontier.sort_by_cached_key(|&id| g.locality_group(disc.origin[id as usize]));
+    }
+    for (k, &id) in frontier.iter().enumerate() {
+        rank[id as usize] = (num_roots + k) as u32;
+    }
+    let mut origin = vec![0u32; disc.origin.len()];
+    for (&v, &local) in disc.origin.iter().zip(&rank) {
+        origin[local as usize] = v;
+    }
+    for a in &mut adj {
+        *a = rank[*a as usize];
     }
     // Frontier rows are isolated: empty adjacency, same offset.
     offsets.resize(origin.len() + 1, adj.len());
-    FrontierBall {
+    let used = root_locals.len();
+    let ball = FrontierBall {
         graph: CsrGraph::from_raw(offsets, adj),
         num_roots,
         root_locals,
         origin,
+    };
+    (ball, used)
+}
+
+/// Provisional (discovery-order) vertex ids of a frontier ball under
+/// construction.
+struct Discovery {
+    ids: std::collections::HashMap<u32, u32>,
+    /// Input-graph id of each provisional id.
+    origin: Vec<u32>,
+}
+
+impl Discovery {
+    /// Provisional id of `v`, assigning the next one on first sight.
+    fn intern(&mut self, v: u32) -> u32 {
+        let next = self.origin.len() as u32;
+        let id = *self.ids.entry(v).or_insert(next);
+        if id == next {
+            self.origin.push(v);
+        }
+        id
+    }
+
+    /// Forget every vertex discovered after the first `len`.
+    fn truncate(&mut self, len: usize) {
+        for v in self.origin.drain(len..) {
+            self.ids.remove(&v);
+        }
     }
 }
 
@@ -440,6 +517,56 @@ mod tests {
     fn frontier_ball_rejects_out_of_range_roots() {
         let g = path_graph();
         one_hop_frontier(&g, &[0, 99]);
+    }
+
+    /// Star 0–{1..5} plus the path 5-6-7 and an isolated vertex 8.
+    fn star_graph() -> CsrGraph {
+        from_edges(9, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7)])
+    }
+
+    #[test]
+    fn capped_frontier_cuts_before_the_root_that_overflows() {
+        let g = path_graph();
+        // Roots 0, 1, 2 grow the ball {0,1} → {0,1,2} → {0,1,2,3}: a cap
+        // of 3 rows takes two roots and leaves the third for the next tile.
+        let (fb, used) = capped_one_hop_frontier(&g, &[0, 1, 2, 5], 3);
+        assert_eq!(used, 2);
+        assert_eq!(fb, one_hop_frontier(&g, &[0, 1]));
+        // The rolled-back root left nothing behind: the next tile starts
+        // clean and is again a plain frontier ball of its prefix.
+        let (fb, used) = capped_one_hop_frontier(&g, &[2, 5], 3);
+        assert_eq!(used, 1);
+        assert_eq!(fb, one_hop_frontier(&g, &[2]));
+    }
+
+    #[test]
+    fn capped_frontier_always_takes_one_root() {
+        let g = star_graph();
+        // The hub's own frontier (6 rows) exceeds the cap: a one-root
+        // tile larger than the cap, not an empty one.
+        let (fb, used) = capped_one_hop_frontier(&g, &[0, 6], 2);
+        assert_eq!((used, fb.num_roots, fb.origin.len()), (1, 1, 6));
+        // A degree-0 root is a one-row tile.
+        let (fb, used) = capped_one_hop_frontier(&g, &[8], 1);
+        assert_eq!((used, fb.origin.as_slice()), (1, &[8u32][..]));
+        assert_eq!(fb.graph.num_edges(), 0);
+    }
+
+    #[test]
+    fn capped_frontier_consumes_duplicates_and_promotes_frontier_roots() {
+        let g = star_graph();
+        // 5 is first seen as a neighbor of 0, then becomes a root; the
+        // duplicate 0 costs no rows. Ball = {0..=6}: exactly the cap.
+        let (fb, used) = capped_one_hop_frontier(&g, &[0, 5, 0, 7], 7);
+        assert_eq!(used, 3);
+        assert_eq!(fb.num_roots, 2);
+        assert_eq!(&fb.origin[..2], &[0, 5]);
+        assert_eq!(fb.root_locals, vec![0, 1, 0]);
+        assert_eq!(fb, one_hop_frontier(&g, &[0, 5, 0]));
+        // An uncapped call is the plain frontier ball of every root.
+        let (all, used) = capped_one_hop_frontier(&g, &[0, 5, 0, 7], usize::MAX);
+        assert_eq!(used, 4);
+        assert_eq!(all, one_hop_frontier(&g, &[0, 5, 0, 7]));
     }
 
     #[test]

@@ -51,28 +51,6 @@ impl DenseLayer {
         }
     }
 
-    /// Row-range-limited forward: `out = H[lo..hi]·W + b` (`out` gets
-    /// `hi-lo` rows). The serving path reads only the root rows of the
-    /// final activation, so the head's GEMM need not touch the frontier
-    /// rows; per-row results are bit-identical to [`forward_into`]
-    /// (the packed GEMM accumulates each row independently of the row
-    /// count).
-    ///
-    /// [`forward_into`]: DenseLayer::forward_into
-    pub fn forward_range_into(&self, h: &DMatrix, lo: usize, hi: usize, out: &mut DMatrix) {
-        assert!(lo <= hi && hi <= h.rows(), "row range out of bounds");
-        let cols = h.cols();
-        out.ensure_shape(hi - lo, self.w.value.cols());
-        let view = gsgcn_tensor::MatRef::new(&h.data()[lo * cols..hi * cols], hi - lo, cols, cols);
-        gemm::gemm_nn_v(1.0, view, self.w.value.view(), 0.0, out.view_mut());
-        let b = self.b.value.row(0);
-        for i in 0..out.rows() {
-            for (o, &bv) in out.row_mut(i).iter_mut().zip(b) {
-                *o += bv;
-            }
-        }
-    }
-
     /// Forward pass; caches the input for the standalone backward pass.
     pub fn forward(&mut self, h: &DMatrix) -> DMatrix {
         let mut out = DMatrix::zeros(0, 0);
@@ -172,26 +150,6 @@ mod tests {
         let a = l.forward(&h);
         let b = l.infer(&h);
         assert!(a.max_abs_diff(&b) < 1e-7);
-    }
-
-    #[test]
-    fn forward_range_is_bit_identical_to_full_rows() {
-        let l = DenseLayer::new(6, 4, 11);
-        let h = DMatrix::from_fn(9, 6, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.17 - 0.8);
-        let mut full = DMatrix::zeros(0, 0);
-        l.forward_into(&h, &mut full);
-        for (lo, hi) in [(0, 9), (0, 3), (2, 7), (4, 4)] {
-            let mut part = DMatrix::zeros(0, 0);
-            l.forward_range_into(&h, lo, hi, &mut part);
-            assert_eq!(part.shape(), (hi - lo, 4));
-            for r in lo..hi {
-                assert_eq!(
-                    part.row(r - lo),
-                    full.row(r),
-                    "rows {lo}..{hi}: row {r} diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -36,7 +36,9 @@
 use crate::adam::{AdamHyper, AdamParam};
 use gsgcn_graph::CsrGraph;
 use gsgcn_prop::propagator::FeaturePropagator;
-use gsgcn_tensor::{bf16, gemm, init, ops, precision, scratch, Bf16MatRef, DMatrix, Precision};
+use gsgcn_tensor::{
+    bf16, gemm, init, ops, precision, scratch, Bf16MatRef, DMatrix, MatMut, MatRef, Precision,
+};
 use std::time::Instant;
 
 /// Wall-clock seconds spent in the two kernel classes of one pass.
@@ -177,46 +179,48 @@ impl GcnLayer {
     /// Weight application shared by training forward and inference:
     /// `out = σ?( [Â·H · W_neigh ‖ H · W_self] )`, writing each GEMM
     /// straight into its column half of `out` through strided views — the
-    /// concat never exists as a copy. `out` must be pre-shaped
-    /// `h.rows() × 2·half`.
-    fn apply_weights(&self, aggregated: &DMatrix, h: &DMatrix, out: &mut DMatrix) {
+    /// concat never exists as a copy. `out` is `h.rows() × 2·half`.
+    fn apply_weights(&self, aggregated: MatRef<'_>, h: MatRef<'_>, mut out: MatMut<'_>) {
         let half = self.w_neigh.value.cols();
         debug_assert_eq!(out.shape(), (h.rows(), 2 * half));
         gemm::gemm_nn_v(
             1.0,
-            aggregated.view(),
+            aggregated,
             self.w_neigh.value.view(),
             0.0,
-            out.view_cols_mut(0, half),
+            out.col_range_mut(0, half),
         );
         gemm::gemm_nn_v(
             1.0,
-            h.view(),
+            h,
             self.w_self.value.view(),
             0.0,
-            out.view_cols_mut(half, 2 * half),
+            out.col_range_mut(half, 2 * half),
         );
         if self.activation {
-            ops::relu_inplace(out);
+            ops::relu_inplace_v(out);
         }
     }
 
     /// The fused forward computation shared by training
-    /// ([`GcnLayer::forward_into`]) and inference ([`GcnLayer::infer`]):
+    /// ([`GcnLayer::forward_into`]) and inference
+    /// ([`GcnLayer::infer_rows_into`]):
     /// `out = σ?( [(Â·H)·W_neigh ‖ H·W_self] )` with the neighbor half
     /// fused (aggregation inside the GEMM pack). Returns the timing
     /// split; see [`KernelTimings`] for what each bucket means in fused
-    /// mode. `out` must be pre-shaped `h.rows() × 2·half`.
+    /// mode. `out` is `rows × 2·half` with `rows ≤ h.rows()`: both halves
+    /// are computed for the leading `rows` vertices only (all of them in
+    /// training; the root rows of a frontier ball in inference).
     fn apply_fused(
         &self,
         g: &CsrGraph,
         h: &DMatrix,
-        out: &mut DMatrix,
+        mut out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
         let mut t = KernelTimings::default();
         let half = self.w_neigh.value.cols();
-        debug_assert_eq!(out.shape(), (h.rows(), 2 * half));
+        debug_assert!(out.rows() <= h.rows() && out.cols() == 2 * half);
 
         if precision::current() == Precision::Bf16 {
             return self.apply_fused_bf16(g, h, out, prop, half);
@@ -228,20 +232,20 @@ impl GcnLayer {
             h,
             self.w_neigh.value.view(),
             0.0,
-            out.view_cols_mut(0, half),
+            out.col_range_mut(0, half),
         );
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
         gemm::gemm_nn_v(
             1.0,
-            h.view(),
+            h.view_rows(0, out.rows()),
             self.w_self.value.view(),
             0.0,
-            out.view_cols_mut(half, 2 * half),
+            out.col_range_mut(half, 2 * half),
         );
         if self.activation {
-            ops::relu_inplace(out);
+            ops::relu_inplace_v(out);
         }
         t.weight_app_secs += t0.elapsed().as_secs_f64();
         t
@@ -260,7 +264,7 @@ impl GcnLayer {
         &self,
         g: &CsrGraph,
         h: &DMatrix,
-        out: &mut DMatrix,
+        mut out: MatMut<'_>,
         prop: &FeaturePropagator,
         half: usize,
     ) -> KernelTimings {
@@ -276,20 +280,21 @@ impl GcnLayer {
                 qh,
                 self.w_neigh.value.view(),
                 0.0,
-                out.view_cols_mut(0, half),
+                out.col_range_mut(0, half),
             );
             t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
             let t0 = Instant::now();
+            let rows = out.rows();
             gemm::gemm_bf16_nn_v(
                 1.0,
-                qh,
+                Bf16MatRef::new(&qh.data()[..rows * h.cols()], rows, h.cols()),
                 self.w_self.value.view(),
                 0.0,
-                out.view_cols_mut(half, 2 * half),
+                out.col_range_mut(half, 2 * half),
             );
             if self.activation {
-                ops::relu_inplace(out);
+                ops::relu_inplace_v(out);
             }
             t.weight_app_secs += t0.elapsed().as_secs_f64();
         });
@@ -312,7 +317,7 @@ impl GcnLayer {
         out.ensure_shape(h.rows(), 2 * half);
 
         if self.fused {
-            let t2 = self.apply_fused(g, h, out, prop);
+            let t2 = self.apply_fused(g, h, out.view_mut(), prop);
             self.fwd_pending = true;
             t.add(t2);
             return t;
@@ -323,7 +328,7 @@ impl GcnLayer {
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        self.apply_weights(&self.aggregated, h, out);
+        self.apply_weights(self.aggregated.view(), h.view(), out.view_mut());
         self.fwd_pending = true;
         t.weight_app_secs += t0.elapsed().as_secs_f64();
         t
@@ -364,12 +369,36 @@ impl GcnLayer {
         agg: &mut DMatrix,
         prop: &FeaturePropagator,
     ) {
-        out.ensure_shape(h.rows(), 2 * self.w_neigh.value.cols());
+        out.ensure_shape(h.rows(), self.out_dim());
+        self.infer_rows_into(g, h, out.view_mut(), agg, prop);
+    }
+
+    /// [`GcnLayer::infer_into`] for the leading `out.rows()` vertices of
+    /// `g` only, written into the caller's view (`out.cols()` must be the
+    /// layer's output width). `h` still holds a row for every vertex —
+    /// the aggregation gathers any of them — but neither the fused
+    /// neighbor half nor the self-half GEMM computes a row past
+    /// `out.rows()`. This is the step of frontier-ball inference
+    /// (`gsgcn_graph::FrontierBall`: roots first, frontier rows
+    /// isolated), where only root rows are ever consumed. Every GEMM row
+    /// is accumulated independently of the row count, so the rows
+    /// produced are bit-identical to the same rows of `infer_into`.
+    pub fn infer_rows_into(
+        &self,
+        g: &CsrGraph,
+        h: &DMatrix,
+        out: MatMut<'_>,
+        agg: &mut DMatrix,
+        prop: &FeaturePropagator,
+    ) {
+        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
+        assert!(out.rows() <= h.rows(), "more output rows than vertices");
         if self.fused {
             self.apply_fused(g, h, out, prop);
         } else {
             prop.forward_into(g, h, agg);
-            self.apply_weights(agg, h, out);
+            let rows = out.rows();
+            self.apply_weights(agg.view_rows(0, rows), h.view_rows(0, rows), out);
         }
     }
 

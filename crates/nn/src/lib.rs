@@ -14,7 +14,10 @@
 //! * [`workspace`] — the caller-owned [`workspace::InferenceWorkspace`]:
 //!   activation ping-pong buffers for the `&self` inference path, so one
 //!   immutable model serves many threads allocation-free
-//!   (`GcnModel::{infer_logits_into, infer_probs_into}`).
+//!   (`GcnModel::{infer_logits_into, infer_probs_into}`); it also holds
+//!   the level buffers of `GcnModel::infer_probs_by_level`, the
+//!   work-efficient layer-at-a-time forward over a `GraphStore` that
+//!   does not fit in memory.
 //!
 //! Everything is deterministic given the seeds in [`model::GcnConfig`].
 //!

@@ -12,9 +12,11 @@ use crate::dense::DenseLayer;
 use crate::gcn_layer::{GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
-use gsgcn_graph::CsrGraph;
+use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
 use gsgcn_prop::propagator::FeaturePropagator;
-use gsgcn_tensor::{ops, DMatrix};
+use gsgcn_tensor::{ops, DMatrix, MatMut};
+use std::io;
+use std::time::Instant;
 
 /// Which loss (and implied output activation) the task uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,6 +94,44 @@ pub struct StepResult {
     pub loss: f32,
     /// Kernel timing split of this step (forward + backward).
     pub timings: KernelTimings,
+}
+
+/// Work and time of one [`GcnModel::infer_probs_by_level`] sweep. Index
+/// `ℓ-1` of the per-layer vectors is GCN layer `ℓ`. The counts are exact
+/// and repeat across runs; when every level's needed set fits the row cap
+/// they are the work-efficient minimum — `rows_computed[ℓ-1] =
+/// |N_{L-ℓ}[roots]|` and `rows_gathered = |N_L[roots]|`, each (vertex,
+/// layer) pair computed once.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct LevelStats {
+    /// Frontier tiles cut per layer.
+    pub tiles: Vec<usize>,
+    /// Output rows computed per layer.
+    pub rows_computed: Vec<usize>,
+    /// Feature rows gathered from the store.
+    pub rows_gathered: usize,
+    /// Seconds ordering targets and extracting frontier tiles.
+    pub frontier_secs: f64,
+    /// Seconds gathering feature rows.
+    pub gather_secs: f64,
+    /// Seconds in the GCN layers, the head and the output activation.
+    pub infer_secs: f64,
+}
+
+impl LevelStats {
+    /// One-line human summary.
+    pub fn summary(&self) -> String {
+        format!(
+            "tiles/layer {:?}, rows computed/layer {:?}, {} feature rows gathered, \
+             frontier {:.3}s gather {:.3}s infer {:.3}s",
+            self.tiles,
+            self.rows_computed,
+            self.rows_gathered,
+            self.frontier_secs,
+            self.gather_secs,
+            self.infer_secs
+        )
+    }
 }
 
 /// The L-layer GCN plus classifier head.
@@ -345,7 +385,9 @@ impl GcnModel {
             graph_for(0).num_vertices(),
             "feature/vertex mismatch"
         );
-        let InferenceWorkspace { ping, pong, agg } = ws;
+        let InferenceWorkspace {
+            ping, pong, agg, ..
+        } = ws;
         // Layer 0 reads `x` directly; afterwards activations ping-pong
         // between the two workspace buffers (layer i reads one, writes
         // the other), so depth costs no extra buffers.
@@ -390,17 +432,18 @@ impl GcnModel {
         self.run_gcn_layers(&mut |i| &layer_graphs[i], layer_graphs.len(), x, ws)
     }
 
-    /// The serving **final hop**: one fused last-GCN-layer pass over a
-    /// frontier-ball graph plus a root-row-limited classifier head and
-    /// the output activation.
+    /// The serving **final hop**: the last GCN layer on the root rows of
+    /// a frontier-ball graph, the classifier head and the output
+    /// activation.
     ///
     /// `hidden` holds `acts^{L-1}` for every vertex of `g`
     /// (`gsgcn_graph::neighborhood::FrontierBall` layout: the roots are
     /// rows `0..num_roots`, frontier rows follow and are isolated in
-    /// `g`). Writes `num_roots` probability rows into `out`. Because the
-    /// fused layer and the packed GEMM accumulate each row
-    /// independently, the root rows are bit-identical to a full forward
-    /// whenever `hidden`'s rows are.
+    /// `g`). Writes `num_roots` probability rows into `out`; frontier
+    /// rows are gathered from, never computed
+    /// ([`GcnLayer::infer_rows_into`]). Because the fused layer and the
+    /// packed GEMM accumulate each row independently, the root rows are
+    /// bit-identical to a full forward whenever `hidden`'s rows are.
     pub fn infer_probs_final_hop_into(
         &self,
         g: &CsrGraph,
@@ -410,12 +453,177 @@ impl GcnModel {
         out: &mut DMatrix,
     ) {
         assert_eq!(hidden.rows(), g.num_vertices(), "hidden/vertex mismatch");
-        assert!(num_roots <= hidden.rows(), "more roots than ball rows");
         let last = self.layers.last().expect("validated: ≥ 1 layer");
-        let InferenceWorkspace { ping, pong: _, agg } = ws;
-        last.infer_into(g, hidden, ping, agg, &self.prop);
-        self.head.forward_range_into(ping, 0, num_roots, out);
+        let InferenceWorkspace { ping, agg, .. } = ws;
+        ping.ensure_shape(num_roots, last.out_dim());
+        last.infer_rows_into(g, hidden, ping.view_mut(), agg, &self.prop);
+        self.head.forward_into(ping, out);
         self.apply_output_activation(out);
+    }
+
+    /// **Layer-at-a-time inference over a store**: probabilities for
+    /// `roots` without materialising the graph, any n-row matrix, or an
+    /// L-hop ball.
+    ///
+    /// `H^ℓ` on a target list is computed one **tile** at a time: a tile
+    /// is the longest run of targets whose closed one-hop frontier stays
+    /// within `max_rows` rows ([`capped_one_hop_frontier`]); `H^{ℓ-1}` on
+    /// the tile's frontier comes from the same procedure one level down
+    /// (level 0 is [`GraphStore::gather_features_into`]), and layer `ℓ`
+    /// then runs for the tile's root rows only. Targets are walked in
+    /// placement order — the roots sorted by internal id, every tile's
+    /// frontier grouped by shard — so reads are shard-sequential and the
+    /// next tile's roots are hinted to the prefetcher. The top level
+    /// streams each tile through the head into `sink(roots, probs)`:
+    /// external ids of the tile's roots and their probability rows,
+    /// every distinct root exactly once, in placement order.
+    ///
+    /// * **Work**: when a level's needed set fits `max_rows` it is one
+    ///   tile, so every (vertex, layer) pair is computed once and every
+    ///   feature row gathered once ([`LevelStats`]); otherwise only the
+    ///   one-hop overlap between neighbouring tiles is recomputed, per
+    ///   level — never an L-hop ball per root chunk.
+    /// * **Memory**: one buffer per level of at most `max_rows` rows (a
+    ///   single root whose own frontier is larger overshoots — it is
+    ///   irreducible), i.e. `≤ L · max_rows · max width` floats, held in
+    ///   `ws` and reused by the next call.
+    /// * **Exactness**: a frontier tile keeps each root's full neighbor
+    ///   list in full-graph order, so a root row's aggregate, `D⁻¹`
+    ///   scale and GEMM row are the same float operations in the same
+    ///   order as in [`GcnModel::infer_probs_into`] on the whole graph;
+    ///   by induction over the levels the output is **bit-identical**,
+    ///   for any tiling, store order, backend and [`Precision`] storage.
+    ///
+    /// Fails only on a store gather error or a `sink` error.
+    ///
+    /// [`Precision`]: gsgcn_tensor::Precision
+    pub fn infer_probs_by_level(
+        &self,
+        store: &GraphStore,
+        roots: &[u32],
+        max_rows: usize,
+        ws: &mut InferenceWorkspace,
+        sink: &mut dyn FnMut(&[u32], &DMatrix) -> io::Result<()>,
+    ) -> io::Result<LevelStats> {
+        let depth = self.layers.len();
+        let mut stats = LevelStats {
+            tiles: vec![0; depth],
+            rows_computed: vec![0; depth],
+            ..LevelStats::default()
+        };
+        let InferenceWorkspace {
+            ping,
+            pong,
+            agg,
+            levels,
+        } = ws;
+        if levels.len() < depth {
+            levels.resize_with(depth, || DMatrix::zeros(0, 0));
+        }
+        let t0 = Instant::now();
+        let mut sorted = roots.to_vec();
+        sorted.sort_by_cached_key(|&v| store.to_internal(v));
+        sorted.dedup();
+        stats.frontier_secs += t0.elapsed().as_secs_f64();
+
+        let mut rest = &sorted[..];
+        while !rest.is_empty() {
+            let ball = self.next_tile(store, depth, rest, max_rows, levels, agg, &mut stats)?;
+            let t0 = Instant::now();
+            ping.ensure_shape(ball.num_roots, self.layers[depth - 1].out_dim());
+            self.run_layer(depth, &ball, levels, ping.view_mut(), agg, &mut stats);
+            self.head.forward_into(ping, pong);
+            self.apply_output_activation(pong);
+            stats.infer_secs += t0.elapsed().as_secs_f64();
+            sink(&ball.origin[..ball.num_roots], pong)?;
+            rest = &rest[ball.num_roots..];
+        }
+        Ok(stats)
+    }
+
+    /// Cut the next frontier tile of GCN layer `level` (1-based) off the
+    /// front of `targets` (distinct, placement-ordered) and fill
+    /// `levels[level-1]` with `H^{level-1}` on its `origin`. The tile
+    /// consumes `targets[..ball.num_roots]`.
+    #[allow(clippy::too_many_arguments)]
+    fn next_tile(
+        &self,
+        store: &GraphStore,
+        level: usize,
+        targets: &[u32],
+        max_rows: usize,
+        levels: &mut [DMatrix],
+        agg: &mut DMatrix,
+        stats: &mut LevelStats,
+    ) -> io::Result<FrontierBall> {
+        let t0 = Instant::now();
+        let (ball, used) = capped_one_hop_frontier(store, targets, max_rows);
+        assert_eq!(used, ball.num_roots, "tile targets must be distinct");
+        // The next tile's roots are the next topology read at this
+        // level: their shards page in behind this tile's work.
+        store.prefetch_nodes(&targets[used..(2 * used).min(targets.len())]);
+        stats.frontier_secs += t0.elapsed().as_secs_f64();
+        stats.tiles[level - 1] += 1;
+        self.fill_level(store, level - 1, &ball.origin, max_rows, levels, agg, stats)?;
+        Ok(ball)
+    }
+
+    /// GCN layer `level` for the root rows of `ball`, reading
+    /// `levels[level-1]` (filled by [`Self::next_tile`]) into `out`.
+    fn run_layer(
+        &self,
+        level: usize,
+        ball: &FrontierBall,
+        levels: &[DMatrix],
+        out: MatMut<'_>,
+        agg: &mut DMatrix,
+        stats: &mut LevelStats,
+    ) {
+        stats.rows_computed[level - 1] += out.rows();
+        self.layers[level - 1].infer_rows_into(
+            &ball.graph,
+            &levels[level - 1],
+            out,
+            agg,
+            &self.prop,
+        );
+    }
+
+    /// Fill `levels[level]` with `H^level`, rows aligned with `targets`
+    /// (distinct, placement-ordered): a feature gather at level 0, above
+    /// it one tile after another, each writing its roots' run of rows.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_level(
+        &self,
+        store: &GraphStore,
+        level: usize,
+        targets: &[u32],
+        max_rows: usize,
+        levels: &mut [DMatrix],
+        agg: &mut DMatrix,
+        stats: &mut LevelStats,
+    ) -> io::Result<()> {
+        let (lower, out) = levels.split_at_mut(level);
+        let out = &mut out[0];
+        if level == 0 {
+            let t0 = Instant::now();
+            store.gather_features_into(targets, out)?;
+            stats.gather_secs += t0.elapsed().as_secs_f64();
+            stats.rows_gathered += targets.len();
+            return Ok(());
+        }
+        out.ensure_shape(targets.len(), self.layers[level - 1].out_dim());
+        let mut pos = 0;
+        while pos < targets.len() {
+            let ball =
+                self.next_tile(store, level, &targets[pos..], max_rows, lower, agg, stats)?;
+            let t0 = Instant::now();
+            let rows = out.view_rows_mut(pos, pos + ball.num_roots);
+            self.run_layer(level, &ball, lower, rows, agg, stats);
+            stats.infer_secs += t0.elapsed().as_secs_f64();
+            pos += ball.num_roots;
+        }
+        Ok(())
     }
 
     /// Input width of the last GCN layer (= `acts^{L-1}` row width): the

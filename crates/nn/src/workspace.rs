@@ -11,7 +11,8 @@
 //! The workspace holds the activation **ping-pong pair** — layer `i`
 //! reads one buffer and writes the other, so an L-layer forward needs
 //! two buffers regardless of depth — plus the unfused path's aggregate
-//! scratch. Buffers are sized lazily by the first forward and reused
+//! scratch and the per-level tile buffers of layer-at-a-time inference
+//! over a store. Buffers are sized lazily by the first forward and reused
 //! afterwards; as long as input shapes stay bounded (batched inference
 //! caps the subgraph size by construction), every warm call performs
 //! **zero matrix allocations** (pinned by `tests/alloc_regression.rs`).
@@ -32,6 +33,10 @@ pub struct InferenceWorkspace {
     /// Unfused path only: the materialised aggregate `Â·H` of the
     /// current layer (the fused path streams it through pack scratch).
     pub(crate) agg: DMatrix,
+    /// Layer-at-a-time inference only
+    /// ([`crate::model::GcnModel::infer_probs_by_level`]): `levels[ℓ]`
+    /// holds `H^ℓ` on the frontier tile that layer `ℓ+1` is reading.
+    pub(crate) levels: Vec<DMatrix>,
 }
 
 impl Default for InferenceWorkspace {
@@ -47,13 +52,15 @@ impl InferenceWorkspace {
             ping: DMatrix::zeros(0, 0),
             pong: DMatrix::zeros(0, 0),
             agg: DMatrix::zeros(0, 0),
+            levels: Vec::new(),
         }
     }
 
     /// Bytes currently held across the scratch buffers (capacity probe
     /// for dashboards/tests).
     pub fn scratch_bytes(&self) -> usize {
-        (self.ping.data().len() + self.pong.data().len() + self.agg.data().len())
+        let level_floats: usize = self.levels.iter().map(|m| m.data().len()).sum();
+        (self.ping.data().len() + self.pong.data().len() + self.agg.data().len() + level_floats)
             * std::mem::size_of::<f32>()
     }
 }

@@ -39,6 +39,9 @@ unsafe impl Sync for Spill {}
 pub struct AggregatedRows<'a> {
     g: &'a CsrGraph,
     h: MatRef<'a>,
+    /// Logical row count: the leading `rows` vertices are produced
+    /// (all of them unless [`AggregatedRows::first_rows`] narrowed it).
+    rows: usize,
     /// Mean-normalise each *output* row by `1/deg(v)` (the `D⁻¹` of
     /// `Â = D⁻¹A` acting on the destination).
     mean: bool,
@@ -59,6 +62,7 @@ impl<'a> AggregatedRows<'a> {
         AggregatedRows {
             g,
             h,
+            rows: g.num_vertices(),
             mean: true,
             src_inv_deg: false,
             spill: None,
@@ -75,6 +79,7 @@ impl<'a> AggregatedRows<'a> {
         AggregatedRows {
             g,
             h,
+            rows: g.num_vertices(),
             mean: false,
             src_inv_deg: false,
             spill: None,
@@ -95,10 +100,21 @@ impl<'a> AggregatedRows<'a> {
         AggregatedRows {
             g,
             h,
+            rows: g.num_vertices(),
             mean: false,
             src_inv_deg: true,
             spill: None,
         }
+    }
+
+    /// Produce only the leading `rows` vertices' aggregates (the logical A
+    /// operand becomes `rows × h.cols()`); gathers still read any row of
+    /// `H`. This is the root-row restriction of frontier-ball inference,
+    /// where rows past the roots are isolated and never consumed.
+    pub fn first_rows(mut self, rows: usize) -> Self {
+        assert!(rows <= self.rows, "row limit exceeds the vertex count");
+        self.rows = rows;
+        self
     }
 
     /// Also write every aggregated row into `out` (shaped `n × h.cols()`)
@@ -117,7 +133,7 @@ impl<'a> AggregatedRows<'a> {
 
 impl PackSource for AggregatedRows<'_> {
     fn shape(&self) -> (usize, usize) {
-        (self.g.num_vertices(), self.h.cols())
+        (self.rows, self.h.cols())
     }
 
     fn pack_a(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
@@ -200,6 +216,8 @@ impl PackSource for AggregatedRows<'_> {
 pub struct AggregatedRowsBf16<'a> {
     g: &'a CsrGraph,
     h: Bf16MatRef<'a>,
+    /// Logical row count; see [`AggregatedRows::first_rows`].
+    rows: usize,
     mean: bool,
 }
 
@@ -211,7 +229,12 @@ impl<'a> AggregatedRowsBf16<'a> {
             g.num_vertices(),
             "feature rows must match vertex count"
         );
-        AggregatedRowsBf16 { g, h, mean: true }
+        AggregatedRowsBf16 {
+            g,
+            h,
+            rows: g.num_vertices(),
+            mean: true,
+        }
     }
 
     /// Unnormalised neighbor sums over bf16 storage: `A = A_adj·H`.
@@ -221,13 +244,26 @@ impl<'a> AggregatedRowsBf16<'a> {
             g.num_vertices(),
             "feature rows must match vertex count"
         );
-        AggregatedRowsBf16 { g, h, mean: false }
+        AggregatedRowsBf16 {
+            g,
+            h,
+            rows: g.num_vertices(),
+            mean: false,
+        }
+    }
+
+    /// Produce only the leading `rows` vertices' aggregates; see
+    /// [`AggregatedRows::first_rows`].
+    pub fn first_rows(mut self, rows: usize) -> Self {
+        assert!(rows <= self.rows, "row limit exceeds the vertex count");
+        self.rows = rows;
+        self
     }
 }
 
 impl PackSourceBf16 for AggregatedRowsBf16<'_> {
     fn shape(&self) -> (usize, usize) {
-        (self.g.num_vertices(), self.h.cols())
+        (self.rows, self.h.cols())
     }
 
     fn pack_a_bf16(

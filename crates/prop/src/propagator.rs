@@ -158,6 +158,11 @@ impl FeaturePropagator {
     /// GEMM ([`crate::fused`]) and never written to memory. The fused
     /// path has its own blocking (`MC×KC` vertex×feature tiles), so the
     /// configured [`PropMode`] does not apply to it.
+    ///
+    /// `c` may have fewer rows than `g` has vertices: only its leading
+    /// `c.rows()` vertices are then aggregated and multiplied (the
+    /// root-row restriction of frontier-ball inference), each row
+    /// bit-identical to what the full-height call produces for it.
     pub fn forward_gemm_into(
         &self,
         g: &CsrGraph,
@@ -166,14 +171,16 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        gemm::gemm_source_nn_v(1.0, &AggregatedRows::mean(g, h.view()), w, beta, c);
+        let src = AggregatedRows::mean(g, h.view()).first_rows(c.rows());
+        gemm::gemm_source_nn_v(1.0, &src, w, beta, c);
     }
 
     /// [`Self::forward_gemm_into`] over **bf16-stored** activations:
     /// `C = β·C + (Â·H)·W` where `H` is quantised storage, aggregation
     /// accumulates f32, and panels carry bf16 (see
-    /// [`crate::fused::AggregatedRowsBf16`]). Forward/serving only — the
-    /// backward pass always runs the f32 master path.
+    /// [`crate::fused::AggregatedRowsBf16`]); a shorter `c` restricts the
+    /// rows as there. Forward/serving only — the backward pass always
+    /// runs the f32 master path.
     pub fn forward_gemm_bf16_into(
         &self,
         g: &CsrGraph,
@@ -182,7 +189,8 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        gemm::gemm_source_nn_bf16_v(1.0, &AggregatedRowsBf16::mean(g, h), w, beta, c);
+        let src = AggregatedRowsBf16::mean(g, h).first_rows(c.rows());
+        gemm::gemm_source_nn_bf16_v(1.0, &src, w, beta, c);
     }
 
     /// Fused backward: `d_in += (Âᵀ·dY)·Wᵀ`, with the intermediate

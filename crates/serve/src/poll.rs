@@ -436,8 +436,10 @@ fn sweep_loop<C: BatchClassify>(
                 Ok((stream, _)) => {
                     progress = true;
                     if conns.len() >= cfg.max_conns {
-                        refuse(stream, cfg.protocol);
+                        // Count first: a client that has read the refusal
+                        // must find it counted.
                         stats.refused.fetch_add(1, Ordering::Relaxed);
+                        refuse(stream, cfg.protocol);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {

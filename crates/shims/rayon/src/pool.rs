@@ -126,7 +126,13 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
+        // Raise the flag under the queue lock. A worker that has just seen
+        // an empty queue and a clear flag keeps that lock until `wait`
+        // parks it, so the notification cannot fall between its check and
+        // its sleep — which would leave the join below waiting forever.
+        let queue = self.shared.queue.lock(); // held even if poisoned
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.available.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

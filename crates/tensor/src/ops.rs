@@ -4,11 +4,18 @@
 //! callers that need single-threaded execution install a 1-thread pool.
 
 use crate::matrix::DMatrix;
+use crate::view::MatMut;
 use rayon::prelude::*;
 
 /// In-place ReLU: `x = max(x, 0)`.
 pub fn relu_inplace(m: &mut DMatrix) {
-    m.data_mut().par_iter_mut().for_each(|x| {
+    relu_inplace_v(m.view_mut());
+}
+
+/// In-place ReLU over a full-width view (a whole matrix or a row range
+/// of one).
+pub fn relu_inplace_v(m: MatMut<'_>) {
+    m.into_contiguous().par_iter_mut().for_each(|x| {
         if *x < 0.0 {
             *x = 0.0;
         }

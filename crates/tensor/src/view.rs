@@ -140,6 +140,19 @@ impl<'a> MatMut<'a> {
         }
     }
 
+    /// The viewed elements as one slice.
+    ///
+    /// # Panics
+    /// Panics if the view is column-strided (its rows are not adjacent
+    /// in memory).
+    pub fn into_contiguous(self) -> &'a mut [f32] {
+        assert!(
+            self.rows <= 1 || self.row_stride == self.cols,
+            "view is column-strided"
+        );
+        &mut self.data[..self.rows * self.cols]
+    }
+
     /// Base pointer (row `i`, column `j` lives at `i*row_stride + j`).
     /// Used by the GEMM driver to hand disjoint row blocks to parallel
     /// tasks.
@@ -175,12 +188,36 @@ impl DMatrix {
         self.view().col_range(lo, hi)
     }
 
+    /// Immutable view of rows `lo..hi`.
+    pub fn view_rows(&self, lo: usize, hi: usize) -> MatRef<'_> {
+        assert!(lo <= hi && hi <= self.rows(), "row range out of bounds");
+        let cols = self.cols();
+        MatRef {
+            data: &self.data()[lo * cols..hi * cols],
+            rows: hi - lo,
+            cols,
+            row_stride: cols,
+        }
+    }
+
     /// Whole-matrix mutable view.
     pub fn view_mut(&mut self) -> MatMut<'_> {
         let (rows, cols) = self.shape();
         MatMut {
             data: self.data_mut(),
             rows,
+            cols,
+            row_stride: cols,
+        }
+    }
+
+    /// Mutable view of rows `lo..hi`.
+    pub fn view_rows_mut(&mut self, lo: usize, hi: usize) -> MatMut<'_> {
+        assert!(lo <= hi && hi <= self.rows(), "row range out of bounds");
+        let cols = self.cols();
+        MatMut {
+            data: &mut self.data_mut()[lo * cols..hi * cols],
+            rows: hi - lo,
             cols,
             row_stride: cols,
         }

@@ -22,8 +22,11 @@
 //! backend with flag > `GSGCN_GRAPH_STORE` env > default (`mem`)
 //! precedence: `mmap` keeps the resident set bounded by the
 //! `GSGCN_SHARD_CACHE` budget, `mem` materialises everything (the
-//! negative control for the RSS-capped CI smoke test). `train` and
-//! `predict` report the kernel-measured peak RSS on exit.
+//! negative control for the RSS-capped CI smoke test). `train`,
+//! `predict` and `eval --shards` report the kernel-measured peak RSS on
+//! exit; `eval --shards` and the `train --shards` summary also print the
+//! work of the stored evaluation (tiles and rows computed per layer,
+//! feature rows gathered, phase seconds).
 //!
 //! `eval`, `predict` and `serve` default the dataset, seed, scale and
 //! hidden dims to the values stored in the checkpoint (v2 provenance), so
@@ -578,10 +581,14 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
         ("val", EvalSplit::Val),
         ("test", EvalSplit::Test),
     ] {
-        println!("{name:<6} F1-micro {:.4}", trainer.evaluate(split));
+        println!("{name:<6} F1-micro {:.4}", trainer.try_evaluate(split)?);
+        if let Some(stats) = trainer.last_eval_stats() {
+            println!("       {}", stats.summary());
+        }
     }
     if let Some(sd) = &sd {
         print_cache_stats(&sd.full);
+        print_peak_rss();
     }
     Ok(())
 }
