@@ -10,7 +10,8 @@
 //! * `fused`   — the aggregation runs as the GEMM's A-panel producer and
 //!   the aggregated matrix never leaves L2.
 //!
-//! A third contender, `fused_bf16`, is the same fused pipeline reading
+//! A third contender, `fused_bf16`, is the same fused pipeline — same
+//! producer, same driver, monomorphised for the other element — reading
 //! bf16 storage (features quantised once up front, the way a bf16 shard
 //! store or activation cache hands them over): the aggregation re-reads
 //! each feature row `deg(u)` times at half the bytes, so on the
@@ -24,7 +25,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gsgcn_data::generators::{community_powerlaw, CommunityGraphSpec};
-use gsgcn_prop::fused::{AggregatedRows, AggregatedRowsBf16};
+use gsgcn_prop::fused::AggregatedRows;
 use gsgcn_prop::kernels;
 use gsgcn_prop::propagator::scale_rows_by_inv_degree;
 use gsgcn_tensor::{bf16, gemm, Bf16MatRef, DMatrix};
@@ -97,9 +98,9 @@ fn bench_aggregate_gemm(c: &mut Criterion) {
             &n,
             |bch, _| {
                 bch.iter(|| {
-                    gemm::gemm_source_nn_bf16_v(
+                    gemm::gemm_source_nn_v(
                         1.0,
-                        &AggregatedRowsBf16::mean(g, qh),
+                        &AggregatedRows::mean(g, qh),
                         w.view(),
                         0.0,
                         c_out.view_mut(),

@@ -19,7 +19,7 @@
 //! each record is tagged with the kernel tier that produced it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gsgcn_tensor::{gemm, DMatrix};
+use gsgcn_tensor::{bf16, gemm, Bf16MatRef, DMatrix};
 use std::hint::black_box;
 
 fn bench_gemm(c: &mut Criterion) {
@@ -95,6 +95,27 @@ fn bench_gemm_gcn_shapes(c: &mut Criterion) {
                 },
             );
         }
+        // The same forward shape from bf16-stored activations (bf16
+        // panels, f32 accumulate), tagged with the engine that ran it.
+        let mut qbits = vec![0u16; n * f];
+        bf16::quantize_slice(act.data(), bf16::from_bits_slice_mut(&mut qbits));
+        let qact = Bf16MatRef::new(bf16::from_bits_slice(&qbits), n, f);
+        let mut c_out = DMatrix::zeros(n, h);
+        criterion::set_json_tags([
+            ("kernel", gemm::selected_tier().name()),
+            ("precision", "bf16"),
+            ("bf16_engine", gemm::bf16_engine(gemm::selected_tier())),
+        ]);
+        group.bench_with_input(
+            BenchmarkId::new("packed_bf16", format!("{n}x{f}x{h}")),
+            &n,
+            |bch, _| {
+                bch.iter(|| {
+                    gemm::gemm_bf16_nn_v(1.0, qact, w.view(), 0.0, c_out.view_mut());
+                    black_box(c_out.get(0, 0))
+                });
+            },
+        );
         criterion::set_json_tags([("kernel", gemm::selected_tier().name())]);
         group.bench_with_input(
             BenchmarkId::new("seed_unpacked", format!("{n}x{f}x{h}")),

@@ -24,9 +24,9 @@
 //! * `serving/overload_2x_served` — served-request latency distribution
 //!   (p99 bound) under 2× measured capacity with shed admission, plus
 //!   the shed fraction (tags `admission=shed`, `load=2x`).
-//! * `serving/frontend_{event_binary,threaded_line}` — socket-level
-//!   nodes/s over 8 closed-loop connections through each front-end (tag
-//!   `frontend=`).
+//! * `serving/frontend_event_binary` — socket-level nodes/s over 8
+//!   closed-loop connections through the event front-end (binary
+//!   protocol).
 //!
 //! **Depth note, measured honestly:** at reddit density (avg degree
 //! ≈ 100) the raw 2-hop ball of ≥ 64 roots is essentially the whole
@@ -516,13 +516,11 @@ fn bench_overload_shed(c: &mut Criterion) {
     set_tags(&[]);
 }
 
-/// Front-end comparison over real sockets: 8 closed-loop connections,
-/// batch-64 requests, event front-end (binary protocol) vs the original
-/// thread-per-connection front-end (line protocol). Tagged `frontend=`.
+/// The front door over real sockets: 8 closed-loop connections sending
+/// batch-64 requests through the event front-end (binary protocol).
 fn bench_frontends(c: &mut Criterion) {
     use gsgcn_serve::poll::{wire, EventFrontend, FrontendConfig, Protocol};
-    use gsgcn_serve::tcp::{TcpConfig, TcpFrontend};
-    use std::io::{BufRead, BufReader, Read, Write};
+    use std::io::{Read, Write};
 
     let _ = c;
     let classifier = serving_classifier(1);
@@ -538,7 +536,7 @@ fn bench_frontends(c: &mut Criterion) {
         admission: AdmissionControl::Block,
     };
 
-    let run_clients = |addr: std::net::SocketAddr, binary: bool| -> Vec<f64> {
+    let run_clients = |addr: std::net::SocketAddr| -> Vec<f64> {
         let deadline = Instant::now() + dur;
         std::thread::scope(|s| {
             (0..conns)
@@ -548,50 +546,28 @@ fn bench_frontends(c: &mut Criterion) {
                         stream.set_nodelay(true).ok();
                         let mut lat = Vec::new();
                         let mut i = t * 1000;
-                        if binary {
-                            let mut buf = Vec::new();
-                            let mut chunk = [0u8; 16384];
-                            while Instant::now() < deadline {
-                                let nodes = window_roots(i, batch, n);
-                                i += 1;
-                                let mut req = Vec::new();
-                                wire::encode_request(i as u64, &nodes, &mut req);
-                                let t0 = Instant::now();
-                                stream.write_all(&req).expect("write");
-                                loop {
-                                    if let Some((used, _, resp)) =
-                                        wire::try_decode_response(&buf).expect("frame")
-                                    {
-                                        buf.drain(..used);
-                                        assert!(matches!(resp, wire::WireResponse::Ok(_)));
-                                        break;
-                                    }
-                                    let got = stream.read(&mut chunk).expect("read");
-                                    assert!(got > 0, "server closed");
-                                    buf.extend_from_slice(&chunk[..got]);
+                        let mut buf = Vec::new();
+                        let mut chunk = [0u8; 16384];
+                        while Instant::now() < deadline {
+                            let nodes = window_roots(i, batch, n);
+                            i += 1;
+                            let mut req = Vec::new();
+                            wire::encode_request(i as u64, &nodes, &mut req);
+                            let t0 = Instant::now();
+                            stream.write_all(&req).expect("write");
+                            loop {
+                                if let Some((used, _, resp)) =
+                                    wire::try_decode_response(&buf).expect("frame")
+                                {
+                                    buf.drain(..used);
+                                    assert!(matches!(resp, wire::WireResponse::Ok(_)));
+                                    break;
                                 }
-                                lat.push(t0.elapsed().as_secs_f64());
+                                let got = stream.read(&mut chunk).expect("read");
+                                assert!(got > 0, "server closed");
+                                buf.extend_from_slice(&chunk[..got]);
                             }
-                        } else {
-                            let mut writer = stream.try_clone().expect("clone");
-                            let mut reader = BufReader::new(stream);
-                            let mut line = String::new();
-                            while Instant::now() < deadline {
-                                let nodes = window_roots(i, batch, n);
-                                i += 1;
-                                let req = nodes
-                                    .iter()
-                                    .map(u32::to_string)
-                                    .collect::<Vec<_>>()
-                                    .join(" ");
-                                let t0 = Instant::now();
-                                writer.write_all(req.as_bytes()).expect("write");
-                                writer.write_all(b"\n").expect("write");
-                                line.clear();
-                                reader.read_line(&mut line).expect("read");
-                                assert!(line.starts_with("ok "), "{line}");
-                                lat.push(t0.elapsed().as_secs_f64());
-                            }
+                            lat.push(t0.elapsed().as_secs_f64());
                         }
                         lat
                     })
@@ -603,47 +579,22 @@ fn bench_frontends(c: &mut Criterion) {
         })
     };
 
-    // Event front-end, binary protocol.
-    {
-        let engine =
-            Arc::new(BatchEngine::spawn(Arc::clone(&classifier), engine_cfg).expect("engine"));
-        let fe = EventFrontend::spawn(
-            engine,
-            "127.0.0.1:0",
-            FrontendConfig {
-                protocol: Protocol::Binary,
-                ..FrontendConfig::default()
-            },
-        )
-        .expect("frontend");
-        set_tags(&[
-            ("layers", "1".to_string()),
-            ("batch", batch.to_string()),
-            ("frontend", "event-binary".to_string()),
-        ]);
-        let lat = run_clients(fe.local_addr(), true);
-        let rate = lat.len() as f64 * batch as f64 / dur.as_secs_f64();
-        criterion::record_latency_distribution("serving/frontend_event_binary", &lat, Some(rate));
-        println!("  event/binary front-end: {rate:.0} nodes/s over {conns} connections");
-        fe.shutdown();
-    }
-
-    // Thread-per-connection front-end, line protocol.
-    {
-        let engine =
-            Arc::new(BatchEngine::spawn(Arc::clone(&classifier), engine_cfg).expect("engine"));
-        let fe = TcpFrontend::spawn(engine, "127.0.0.1:0", TcpConfig::default()).expect("frontend");
-        set_tags(&[
-            ("layers", "1".to_string()),
-            ("batch", batch.to_string()),
-            ("frontend", "threaded-line".to_string()),
-        ]);
-        let lat = run_clients(fe.local_addr(), false);
-        let rate = lat.len() as f64 * batch as f64 / dur.as_secs_f64();
-        criterion::record_latency_distribution("serving/frontend_threaded_line", &lat, Some(rate));
-        println!("  threaded/line front-end: {rate:.0} nodes/s over {conns} connections");
-        fe.shutdown();
-    }
+    let engine = Arc::new(BatchEngine::spawn(Arc::clone(&classifier), engine_cfg).expect("engine"));
+    let fe = EventFrontend::spawn(
+        engine,
+        "127.0.0.1:0",
+        FrontendConfig {
+            protocol: Protocol::Binary,
+            ..FrontendConfig::default()
+        },
+    )
+    .expect("frontend");
+    set_tags(&[("layers", "1".to_string()), ("batch", batch.to_string())]);
+    let lat = run_clients(fe.local_addr());
+    let rate = lat.len() as f64 * batch as f64 / dur.as_secs_f64();
+    criterion::record_latency_distribution("serving/frontend_event_binary", &lat, Some(rate));
+    println!("  event/binary front-end: {rate:.0} nodes/s over {conns} connections");
+    fe.shutdown();
     set_tags(&[]);
 }
 

@@ -36,8 +36,9 @@
 use crate::adam::{AdamHyper, AdamParam};
 use gsgcn_graph::CsrGraph;
 use gsgcn_prop::propagator::FeaturePropagator;
+use gsgcn_tensor::gemm::{self, DensePack, Element};
 use gsgcn_tensor::{
-    bf16, gemm, init, ops, precision, scratch, Bf16MatRef, DMatrix, MatMut, MatRef, Precision,
+    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, MatMut, MatRef, Precision, Rows,
 };
 use std::time::Instant;
 
@@ -211,23 +212,48 @@ impl GcnLayer {
     /// mode. `out` is `rows × 2·half` with `rows ≤ h.rows()`: both halves
     /// are computed for the leading `rows` vertices only (all of them in
     /// training; the root rows of a frontier ball in inference).
+    ///
+    /// Under [`Precision::Bf16`] the layer input is quantised **once**
+    /// into a thread-local bf16 shadow (pooled scratch — no API churn,
+    /// warm calls allocate nothing) and both GEMMs read the half-width
+    /// rows through the same body. The aggregation re-reads each feature
+    /// row `deg(u)` times, so the one-off quantise pass is repaid
+    /// immediately in row bandwidth; accumulation stays f32 throughout.
+    /// Training's backward pass keeps reading the caller's original f32
+    /// activations (the standard mixed-precision gradient inconsistency,
+    /// bounded by the storage rounding).
     fn apply_fused(
         &self,
         g: &CsrGraph,
         h: &DMatrix,
+        out: MatMut<'_>,
+        prop: &FeaturePropagator,
+    ) -> KernelTimings {
+        debug_assert!(out.rows() <= h.rows() && out.cols() == self.out_dim());
+        if precision::current() == Precision::Bf16 {
+            Bf16::with_scratch(h.rows() * h.cols(), |qh| {
+                bf16::quantize_slice(h.data(), qh);
+                self.fused_halves(g, Bf16MatRef::new(qh, h.rows(), h.cols()), out, prop)
+            })
+        } else {
+            self.fused_halves(g, h.view(), out, prop)
+        }
+    }
+
+    /// Both halves of [`GcnLayer::apply_fused`] over the stored input
+    /// `h`, whichever element it is stored in.
+    fn fused_halves<H: Rows>(
+        &self,
+        g: &CsrGraph,
+        h: H,
         mut out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
         let mut t = KernelTimings::default();
         let half = self.w_neigh.value.cols();
-        debug_assert!(out.rows() <= h.rows() && out.cols() == 2 * half);
-
-        if precision::current() == Precision::Bf16 {
-            return self.apply_fused_bf16(g, h, out, prop, half);
-        }
 
         let t0 = Instant::now();
-        prop.forward_gemm_into(
+        prop.forward_gemm_rows(
             g,
             h,
             self.w_neigh.value.view(),
@@ -237,9 +263,9 @@ impl GcnLayer {
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        gemm::gemm_nn_v(
+        gemm::gemm_source_nn_v(
             1.0,
-            h.view_rows(0, out.rows()),
+            &DensePack::new(h.first_rows(out.rows())),
             self.w_self.value.view(),
             0.0,
             out.col_range_mut(half, 2 * half),
@@ -248,56 +274,6 @@ impl GcnLayer {
             ops::relu_inplace_v(out);
         }
         t.weight_app_secs += t0.elapsed().as_secs_f64();
-        t
-    }
-
-    /// [`GcnLayer::apply_fused`] under [`Precision::Bf16`]: the layer
-    /// input is quantised **once** into a thread-local bf16 shadow
-    /// (`scratch` u16 pool — no API churn, warm calls allocate nothing),
-    /// and both GEMMs read the half-width rows. The aggregation re-reads
-    /// each feature row `deg(u)` times, so the one-off quantise pass is
-    /// repaid immediately in row bandwidth; accumulation stays f32
-    /// throughout. Training's backward pass keeps reading the caller's
-    /// original f32 activations (the standard mixed-precision gradient
-    /// inconsistency, bounded by the storage rounding).
-    fn apply_fused_bf16(
-        &self,
-        g: &CsrGraph,
-        h: &DMatrix,
-        mut out: MatMut<'_>,
-        prop: &FeaturePropagator,
-        half: usize,
-    ) -> KernelTimings {
-        let mut t = KernelTimings::default();
-        scratch::with_buf_u16(h.rows() * h.cols(), |bits| {
-            let qh = bf16::from_bits_slice_mut(bits);
-            bf16::quantize_slice(h.data(), qh);
-            let qh = Bf16MatRef::new(&*qh, h.rows(), h.cols());
-
-            let t0 = Instant::now();
-            prop.forward_gemm_bf16_into(
-                g,
-                qh,
-                self.w_neigh.value.view(),
-                0.0,
-                out.col_range_mut(0, half),
-            );
-            t.feature_prop_secs += t0.elapsed().as_secs_f64();
-
-            let t0 = Instant::now();
-            let rows = out.rows();
-            gemm::gemm_bf16_nn_v(
-                1.0,
-                Bf16MatRef::new(&qh.data()[..rows * h.cols()], rows, h.cols()),
-                self.w_self.value.view(),
-                0.0,
-                out.col_range_mut(half, 2 * half),
-            );
-            if self.activation {
-                ops::relu_inplace_v(out);
-            }
-            t.weight_app_secs += t0.elapsed().as_secs_f64();
-        });
         t
     }
 

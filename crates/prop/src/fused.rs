@@ -9,36 +9,52 @@
 //! production and its consumption by the microkernel. See the crate docs
 //! for the traffic model.
 //!
+//! The producer is generic over the feature storage ([`Rows`]): f32
+//! activations pack f32 panels, bf16 storage (quantised activations,
+//! shard feature rows) packs bf16 panels. Either way the neighbor sum
+//! accumulates in one contiguous **f32** scratch row (each gathered bf16
+//! element widens exactly, so the aggregation adds no rounding beyond
+//! f32), `α` and the mean's `1/deg` are folded in, and the row is rounded
+//! **once** as the driver's panel layout places it.
+//!
 //! An optional *spill* target captures the aggregated rows as a side
 //! effect of packing: the GCN backward pass needs `Z = Âᵀ·dY` twice
 //! (input gradient `Z·Wᵀ` and weight gradient `Hᵀ·Z`), so the fused
 //! `Z·Wᵀ` GEMM writes `Z` once on the way through instead of running a
 //! second aggregation pass.
+//!
+//! [`gemm::PackSource`]: gsgcn_tensor::gemm::PackSource
 
 use gsgcn_graph::CsrGraph;
-use gsgcn_tensor::gemm::{PackSource, PackSourceBf16, MR};
-use gsgcn_tensor::{scratch, Bf16, Bf16MatRef, DMatrix, MatRef};
+use gsgcn_tensor::gemm::{APanel, Element, PackSource};
+use gsgcn_tensor::{scratch, DMatrix, MatRef, Rows};
 
 /// Raw spill target; tasks write disjoint row ranges (see SAFETY notes).
 struct Spill {
     ptr: *mut f32,
     cols: usize,
+    len: usize,
 }
 
-// SAFETY: the GEMM driver hands disjoint `[ic, ic+mc)` row blocks to its
-// parallel tasks within one column strip, and strips run sequentially, so
-// no two concurrent `pack_a` calls touch overlapping spill rows. Repeat
-// packs of the same block (one per strip) rewrite identical values.
+// SAFETY: `ptr` points into the `DMatrix` that `with_spill` borrowed
+// mutably for the producer's whole lifetime, so nothing else touches it.
+// The GEMM driver hands disjoint `[ic, ic+mc)` row blocks to its parallel
+// tasks within one column strip, and strips run sequentially, so no two
+// concurrent `pack_a` calls touch overlapping spill rows. Repeat packs of
+// the same block (one per strip) rewrite identical values.
 unsafe impl Send for Spill {}
+// SAFETY: as above — a shared `Spill` only lets each task write the rows
+// of the block it owns.
 unsafe impl Sync for Spill {}
 
 /// A [`PackSource`] whose logical A operand is the aggregated feature
 /// matrix: row `v` is `dst_scale(v) · Σ_{u∈N(v)} src_scale(u) · H[u]`.
-/// `H` is a (possibly strided) view, so e.g. the neighbor half of a
-/// concatenated gradient feeds the producer without a copy.
-pub struct AggregatedRows<'a> {
+/// `H` is any [`Rows`] storage — a (possibly strided) f32 view, so e.g.
+/// the neighbor half of a concatenated gradient feeds the producer
+/// without a copy, or a bf16 matrix — and the panels take its element.
+pub struct AggregatedRows<'a, H = MatRef<'a>> {
     g: &'a CsrGraph,
-    h: MatRef<'a>,
+    h: H,
     /// Logical row count: the leading `rows` vertices are produced
     /// (all of them unless [`AggregatedRows::first_rows`] narrowed it).
     rows: usize,
@@ -51,9 +67,8 @@ pub struct AggregatedRows<'a> {
     spill: Option<Spill>,
 }
 
-impl<'a> AggregatedRows<'a> {
-    /// Mean-aggregated rows: `A = Â·H` with `Â = D⁻¹A` (forward pass).
-    pub fn mean(g: &'a CsrGraph, h: MatRef<'a>) -> Self {
+impl<'a, H: Rows> AggregatedRows<'a, H> {
+    fn new(g: &'a CsrGraph, h: H, mean: bool, src_inv_deg: bool) -> Self {
         assert_eq!(
             h.rows(),
             g.num_vertices(),
@@ -63,27 +78,20 @@ impl<'a> AggregatedRows<'a> {
             g,
             h,
             rows: g.num_vertices(),
-            mean: true,
-            src_inv_deg: false,
+            mean,
+            src_inv_deg,
             spill: None,
         }
     }
 
+    /// Mean-aggregated rows: `A = Â·H` with `Â = D⁻¹A` (forward pass).
+    pub fn mean(g: &'a CsrGraph, h: H) -> Self {
+        Self::new(g, h, true, false)
+    }
+
     /// Unnormalised neighbor sums: `A = A_adj·H`.
-    pub fn sum(g: &'a CsrGraph, h: MatRef<'a>) -> Self {
-        assert_eq!(
-            h.rows(),
-            g.num_vertices(),
-            "feature rows must match vertex count"
-        );
-        AggregatedRows {
-            g,
-            h,
-            rows: g.num_vertices(),
-            mean: false,
-            src_inv_deg: false,
-            spill: None,
-        }
+    pub fn sum(g: &'a CsrGraph, h: H) -> Self {
+        Self::new(g, h, false, false)
     }
 
     /// The propagation adjoint: `A = Âᵀ·H = A_adj·D⁻¹·H` (backward pass).
@@ -91,20 +99,8 @@ impl<'a> AggregatedRows<'a> {
     /// term is `fl(H[u][c] · 1/deg(u))` exactly as the unfused path's
     /// pre-scaled copy produces, so results match it bit-for-bit while
     /// the scaled matrix never materialises.
-    pub fn adjoint_mean(g: &'a CsrGraph, h: MatRef<'a>) -> Self {
-        assert_eq!(
-            h.rows(),
-            g.num_vertices(),
-            "feature rows must match vertex count"
-        );
-        AggregatedRows {
-            g,
-            h,
-            rows: g.num_vertices(),
-            mean: false,
-            src_inv_deg: true,
-            spill: None,
-        }
+    pub fn adjoint_mean(g: &'a CsrGraph, h: H) -> Self {
+        Self::new(g, h, false, true)
     }
 
     /// Produce only the leading `rows` vertices' aggregates (the logical A
@@ -117,239 +113,86 @@ impl<'a> AggregatedRows<'a> {
         self
     }
 
-    /// Also write every aggregated row into `out` (shaped `n × h.cols()`)
-    /// as panels are packed. `out` is borrowed for the producer's lifetime,
-    /// so it becomes readable once the producer is dropped — after the
-    /// GEMM call, every row has been written at least once.
+    /// Also write every aggregated row (f32, before `α` and the panel
+    /// rounding) into `out` (shaped `n × h.cols()`) as panels are packed.
+    /// `out` is borrowed for the producer's lifetime, so it becomes
+    /// readable once the producer is dropped — after the GEMM call, every
+    /// row has been written at least once.
     pub fn with_spill(mut self, out: &'a mut DMatrix) -> Self {
         out.ensure_shape(self.g.num_vertices(), self.h.cols());
         self.spill = Some(Spill {
             ptr: out.data_mut().as_mut_ptr(),
             cols: out.cols(),
+            len: out.data().len(),
         });
         self
     }
 }
 
-impl PackSource for AggregatedRows<'_> {
+impl<H: Rows> PackSource<H::Elem> for AggregatedRows<'_, H> {
     fn shape(&self) -> (usize, usize) {
         (self.rows, self.h.cols())
     }
 
-    fn pack_a(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
-        let panels = mc.div_ceil(MR);
-        debug_assert_eq!(out.len(), panels * kc * MR);
-        // One contiguous accumulator row, scattered into the interleaved
-        // panel once per row: the per-neighbor inner loop is then a
-        // unit-stride add over `kc` floats the vectoriser handles.
-        scratch::with_buf(kc, |acc| {
-            for (p, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
-                let r0 = p * MR;
-                let rows_here = MR.min(mc - r0);
-                for r in 0..rows_here {
-                    let v = ic + r0 + r;
-                    acc.fill(0.0);
-                    if self.src_inv_deg {
-                        for &u in self.g.neighbors(v as u32) {
-                            // `u` has `v` as a neighbor, so deg(u) ≥ 1.
-                            let su = 1.0 / self.g.degree(u) as f32;
-                            let src = &self.h.row(u as usize)[pc..pc + kc];
-                            for (a, &s) in acc.iter_mut().zip(src) {
-                                *a += s * su;
-                            }
-                        }
-                    } else {
-                        for &u in self.g.neighbors(v as u32) {
-                            let src = &self.h.row(u as usize)[pc..pc + kc];
-                            for (a, &s) in acc.iter_mut().zip(src) {
-                                *a += s;
-                            }
-                        }
-                    }
-                    // Same operation order as the unfused path (sum, then
-                    // one multiply by 1/deg, then the pack's α fold), so
-                    // fused results match the materialised composition
-                    // bit-for-bit at α = 1.
-                    let deg = self.g.degree(v as u32);
-                    let inv = if self.mean && deg > 0 {
-                        1.0 / deg as f32
-                    } else {
-                        1.0
-                    };
-                    if let Some(spill) = &self.spill {
-                        // SAFETY: row `v` is exclusively owned by this
-                        // task's block within the current strip (see the
-                        // `Spill` safety note); `pc + kc ≤ cols` by the
-                        // pack contract.
-                        let dst: &mut [f32] = unsafe {
-                            std::slice::from_raw_parts_mut(spill.ptr.add(v * spill.cols + pc), kc)
-                        };
-                        for (d, &a) in dst.iter_mut().zip(acc.iter()) {
-                            *d = a * inv;
-                        }
-                    }
-                    let scale = alpha * inv;
-                    for (kk, &a) in acc.iter().enumerate() {
-                        panel[kk * MR + r] = a * scale;
-                    }
-                }
-                if rows_here < MR {
-                    for kk in 0..kc {
-                        panel[kk * MR + rows_here..(kk + 1) * MR].fill(0.0);
-                    }
-                }
-            }
-        });
-    }
-}
-
-/// The bf16-storage twin of [`AggregatedRows`] for the forward pass:
-/// `H` is stored bf16 (quantised activations or shard feature rows); the
-/// neighbor sum still accumulates in a **f32** scratch row (each gathered
-/// element widens exactly, so the aggregation itself adds no rounding
-/// beyond f32), and the result is rounded **once** on the scatter into
-/// the bf16 panel — α and the mean's `1/deg` are folded in before that
-/// single quantisation, per the [`PackSourceBf16`] contract.
-///
-/// Forward-only: no spill, no adjoint — the backward pass stays on the
-/// f32 master path.
-pub struct AggregatedRowsBf16<'a> {
-    g: &'a CsrGraph,
-    h: Bf16MatRef<'a>,
-    /// Logical row count; see [`AggregatedRows::first_rows`].
-    rows: usize,
-    mean: bool,
-}
-
-impl<'a> AggregatedRowsBf16<'a> {
-    /// Mean-aggregated rows over bf16 storage: `A = Â·H`.
-    pub fn mean(g: &'a CsrGraph, h: Bf16MatRef<'a>) -> Self {
-        assert_eq!(
-            h.rows(),
-            g.num_vertices(),
-            "feature rows must match vertex count"
-        );
-        AggregatedRowsBf16 {
-            g,
-            h,
-            rows: g.num_vertices(),
-            mean: true,
-        }
-    }
-
-    /// Unnormalised neighbor sums over bf16 storage: `A = A_adj·H`.
-    pub fn sum(g: &'a CsrGraph, h: Bf16MatRef<'a>) -> Self {
-        assert_eq!(
-            h.rows(),
-            g.num_vertices(),
-            "feature rows must match vertex count"
-        );
-        AggregatedRowsBf16 {
-            g,
-            h,
-            rows: g.num_vertices(),
-            mean: false,
-        }
-    }
-
-    /// Produce only the leading `rows` vertices' aggregates; see
-    /// [`AggregatedRows::first_rows`].
-    pub fn first_rows(mut self, rows: usize) -> Self {
-        assert!(rows <= self.rows, "row limit exceeds the vertex count");
-        self.rows = rows;
-        self
-    }
-}
-
-impl PackSourceBf16 for AggregatedRowsBf16<'_> {
-    fn shape(&self) -> (usize, usize) {
-        (self.rows, self.h.cols())
-    }
-
-    fn pack_a_bf16(
+    fn pack_a(
         &self,
         alpha: f32,
         ic: usize,
         mc: usize,
         pc: usize,
         kc: usize,
-        out: &mut [Bf16],
+        out: &mut APanel<'_, H::Elem>,
     ) {
-        let panels = mc.div_ceil(MR);
-        debug_assert_eq!(out.len(), panels * kc * MR);
+        // One contiguous accumulator row, handed to the panel layout once
+        // per vertex: the per-neighbor inner loop is then a unit-stride
+        // add over `kc` floats the vectoriser handles.
         scratch::with_buf(kc, |acc| {
-            for (p, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
-                let r0 = p * MR;
-                let rows_here = MR.min(mc - r0);
-                for r in 0..rows_here {
-                    let v = ic + r0 + r;
-                    acc.fill(0.0);
+            for r in 0..mc {
+                let v = ic + r;
+                acc.fill(0.0);
+                if self.src_inv_deg {
+                    for &u in self.g.neighbors(v as u32) {
+                        // `u` has `v` as a neighbor, so deg(u) ≥ 1.
+                        let su = 1.0 / self.g.degree(u) as f32;
+                        let src = &self.h.row(u as usize)[pc..pc + kc];
+                        for (a, &s) in acc.iter_mut().zip(src) {
+                            *a += s.to_f32() * su;
+                        }
+                    }
+                } else {
                     for &u in self.g.neighbors(v as u32) {
                         let src = &self.h.row(u as usize)[pc..pc + kc];
                         for (a, &s) in acc.iter_mut().zip(src) {
                             *a += s.to_f32();
                         }
                     }
-                    let deg = self.g.degree(v as u32);
-                    let inv = if self.mean && deg > 0 {
-                        1.0 / deg as f32
-                    } else {
-                        1.0
-                    };
-                    let scale = alpha * inv;
-                    for (kk, &a) in acc.iter().enumerate() {
-                        panel[kk * MR + r] = Bf16::from_f32(a * scale);
-                    }
                 }
-                if rows_here < MR {
-                    for kk in 0..kc {
-                        panel[kk * MR + rows_here..(kk + 1) * MR].fill(Bf16::ZERO);
-                    }
-                }
-            }
-        });
-    }
-
-    fn pack_a_bf16_rowmajor(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        kc_pad: usize,
-        out: &mut [Bf16],
-    ) {
-        // The accumulator row is already contiguous — quantise it straight
-        // into the row-major block the AMX tile driver strides over,
-        // skipping the MR scatter + de-interleave of the default path.
-        // Same operation order as `pack_a_bf16` (f32 sum, one 1/deg·α
-        // fold, single rounding), so the two layouts hold identical bits.
-        scratch::with_buf(kc, |acc| {
-            for (r, dst) in out.chunks_exact_mut(kc_pad).enumerate() {
-                if r >= mc {
-                    dst.fill(Bf16::ZERO);
-                    continue;
-                }
-                let v = ic + r;
-                acc.fill(0.0);
-                for &u in self.g.neighbors(v as u32) {
-                    let src = &self.h.row(u as usize)[pc..pc + kc];
-                    for (a, &s) in acc.iter_mut().zip(src) {
-                        *a += s.to_f32();
-                    }
-                }
+                // Same operation order as the unfused path (sum, then
+                // one multiply by 1/deg, then the pack's α fold), so
+                // fused f32 results match the materialised composition
+                // bit-for-bit at α = 1.
                 let deg = self.g.degree(v as u32);
                 let inv = if self.mean && deg > 0 {
                     1.0 / deg as f32
                 } else {
                     1.0
                 };
-                let scale = alpha * inv;
-                for (d, &a) in dst[..kc].iter_mut().zip(acc.iter()) {
-                    *d = Bf16::from_f32(a * scale);
+                if let Some(spill) = &self.spill {
+                    debug_assert!(v * spill.cols + pc + kc <= spill.len);
+                    // SAFETY: row `v` is exclusively owned by this
+                    // task's block within the current strip (see the
+                    // `Spill` safety note), and the range ends inside
+                    // the spill matrix: `v < n` and `pc + kc ≤ cols` by
+                    // the pack contract (debug-asserted above).
+                    let dst: &mut [f32] = unsafe {
+                        std::slice::from_raw_parts_mut(spill.ptr.add(v * spill.cols + pc), kc)
+                    };
+                    for (d, &a) in dst.iter_mut().zip(acc.iter()) {
+                        *d = a * inv;
+                    }
                 }
-                dst[kc..].fill(Bf16::ZERO);
+                let scale = alpha * inv;
+                out.fill_row(r, acc, |a| H::Elem::from_f32(a * scale));
             }
         });
     }
@@ -361,7 +204,7 @@ mod tests {
     use crate::kernels;
     use crate::propagator::scale_rows_by_inv_degree;
     use gsgcn_graph::GraphBuilder;
-    use gsgcn_tensor::gemm;
+    use gsgcn_tensor::{gemm, Bf16, Bf16MatRef};
 
     fn rand_graph(n: usize, extra: usize, seed: u64) -> CsrGraph {
         let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
@@ -386,77 +229,108 @@ mod tests {
         DMatrix::from_fn(n, f, |i, j| ((i * 31 + j * 7) % 13) as f32 * 0.25 - 1.0)
     }
 
-    #[test]
-    fn fused_nn_matches_aggregate_then_matmul() {
-        // Shapes straddling MR/MC/KC boundaries.
-        for &(n, f, h) in &[(5usize, 3usize, 2usize), (33, 9, 7), (70, 40, 17)] {
-            let g = rand_graph(n, 2 * n, n as u64);
-            let hm = features(n, f);
-            let w = features(f, h);
-            let mut c = DMatrix::filled(n, h, f32::NAN);
-            gemm::gemm_source_nn_v(
-                1.0,
-                &AggregatedRows::mean(&g, hm.view()),
-                w.view(),
-                0.0,
-                c.view_mut(),
-            );
-            let mut agg = kernels::aggregate_reference(&g, &hm);
-            scale_rows_by_inv_degree(&g, &mut agg);
-            let r = gemm::matmul(&agg, &w);
-            assert!(c.max_abs_diff(&r) < 1e-4, "n={n} f={f} h={h}");
+    /// Storage of element `E` viewed as the [`Rows`] operand it packs from.
+    trait Stored: Element {
+        type View<'a>: Rows<Elem = Self>;
+        fn view(data: &[Self], rows: usize, cols: usize) -> Self::View<'_>;
+    }
+
+    impl Stored for f32 {
+        type View<'a> = MatRef<'a>;
+        fn view(data: &[f32], rows: usize, cols: usize) -> MatRef<'_> {
+            MatRef::new(data, rows, cols, cols)
         }
     }
 
-    #[test]
-    fn fused_nt_spills_aggregated_rows() {
-        let (n, f, h) = (40usize, 12usize, 6usize);
-        let g = rand_graph(n, 60, 3);
-        let dy = features(n, h);
-        let w = features(f, h); // stored f×h, consumed as Wᵀ
-        let mut z = DMatrix::zeros(0, 0);
-        let mut c = DMatrix::filled(n, f, 0.25);
-        {
-            let src = AggregatedRows::sum(&g, dy.view()).with_spill(&mut z);
-            gemm::gemm_source_nt_v(1.0, &src, w.view(), 1.0, c.view_mut());
+    impl Stored for Bf16 {
+        type View<'a> = Bf16MatRef<'a>;
+        fn view(data: &[Bf16], rows: usize, cols: usize) -> Bf16MatRef<'_> {
+            Bf16MatRef::new(data, rows, cols)
         }
-        let agg = kernels::aggregate_reference(&g, &dy);
-        assert!(z.max_abs_diff(&agg) < 1e-5, "spill must equal aggregate");
-        let mut r = DMatrix::filled(n, f, 0.25);
-        gemm::gemm_nt(1.0, &agg, &w, 1.0, &mut r);
-        assert!(c.max_abs_diff(&r) < 1e-4);
     }
 
-    #[test]
-    fn fused_bf16_nn_within_tolerance_of_f32() {
-        use gsgcn_tensor::precision::{rel_tolerance, Precision};
-        for &(n, f, h) in &[(33usize, 9usize, 7usize), (70, 40, 17)] {
+    fn stored<E: Element>(m: &DMatrix) -> Vec<E> {
+        m.data().iter().map(|&x| E::from_f32(x)).collect()
+    }
+
+    /// The single driver fed by the aggregation producer, over one
+    /// storage element: every tier × shapes straddling MR / MC / KC and
+    /// the AMX tile grid × {mean, sum} (nn) and adjoint + spill (nt,
+    /// accumulating). The fused result must equal — **bit for bit**, in
+    /// either element and on every engine — the dense GEMM of the
+    /// materialised aggregate stored in the same element: the producer
+    /// fills the very panels the dense source would.
+    fn check_fused<E: Stored>() {
+        for &(n, f, h) in &[
+            (5usize, 3usize, 2usize),
+            (33, 9, 7),
+            (70, 40, 17),
+            (65, 257, 49),
+            (130, 33, 33),
+        ] {
             let g = rand_graph(n, 2 * n, n as u64);
-            let hm = features(n, f);
+            let q = stored::<E>(&features(n, f));
+            let hw = DMatrix::from_fn(n, f, |i, j| q[i * f + j].to_f32());
             let w = features(f, h);
-            let q: Vec<Bf16> = hm.data().iter().map(|&x| Bf16::from_f32(x)).collect();
-            let mut c = DMatrix::filled(n, h, f32::NAN);
-            gemm::gemm_source_nn_bf16_v(
-                1.0,
-                &AggregatedRowsBf16::mean(&g, Bf16MatRef::new(&q, n, f)),
-                w.view(),
-                0.0,
-                c.view_mut(),
-            );
-            // f32 reference on the unquantised operands: the bf16 result
-            // must stay inside the depth-1 tolerance band.
-            let mut agg = kernels::aggregate_reference(&g, &hm);
-            scale_rows_by_inv_degree(&g, &mut agg);
-            let r = gemm::matmul(&agg, &w);
-            let tol = rel_tolerance(Precision::Bf16, 1, f);
-            let scale = r.data().iter().fold(0f32, |s, &x| s.max(x.abs()));
-            for (cv, rv) in c.data().iter().zip(r.data()) {
-                assert!(
-                    (cv - rv).abs() <= tol * scale,
-                    "n={n} f={f} h={h}: bf16 {cv} vs f32 {rv}"
-                );
+            let dense = |agg: &DMatrix, b: &DMatrix, nt: bool, c0: &DMatrix| {
+                let qa = stored::<E>(agg);
+                let src = gemm::DensePack::new(E::view(&qa, agg.rows(), agg.cols()));
+                let mut c = c0.clone();
+                if nt {
+                    gemm::gemm_source_nt_v(1.0, &src, b.view(), 1.0, c.view_mut());
+                } else {
+                    gemm::gemm_source_nn_v(1.0, &src, b.view(), 0.0, c.view_mut());
+                }
+                c
+            };
+            for tier in gemm::available_tiers() {
+                gemm::with_tier(tier, || {
+                    let at = format!("{} n={n} f={f} h={h}", tier.name());
+                    let nan = DMatrix::filled(n, h, f32::NAN);
+                    for mean in [true, false] {
+                        let hv = E::view(&q, n, f);
+                        let src = if mean {
+                            AggregatedRows::mean(&g, hv)
+                        } else {
+                            AggregatedRows::sum(&g, hv)
+                        };
+                        let mut c = nan.clone();
+                        gemm::gemm_source_nn_v(1.0, &src, w.view(), 0.0, c.view_mut());
+                        let mut agg = kernels::aggregate_reference(&g, &hw);
+                        if mean {
+                            scale_rows_by_inv_degree(&g, &mut agg);
+                        }
+                        assert_eq!(c, dense(&agg, &w, false, &nan), "{at} mean={mean}");
+                    }
+                    // Backward shape: Z = Âᵀ·H spilled while C += Z·Wᵀ
+                    // (here H plays dY: n×f, W stored h×f, C n×h).
+                    let wt = features(h, f);
+                    let c0 = DMatrix::filled(n, h, 0.25);
+                    let mut z = DMatrix::zeros(0, 0);
+                    let mut c = c0.clone();
+                    {
+                        let src =
+                            AggregatedRows::adjoint_mean(&g, E::view(&q, n, f)).with_spill(&mut z);
+                        gemm::gemm_source_nt_v(1.0, &src, wt.view(), 1.0, c.view_mut());
+                    }
+                    let mut scaled = hw.clone();
+                    scale_rows_by_inv_degree(&g, &mut scaled);
+                    let z_ref = kernels::aggregate_reference(&g, &scaled);
+                    assert_eq!(z, z_ref, "{at}: spill must equal the aggregate");
+                    assert_eq!(c, dense(&z_ref, &wt, true, &c0), "{at} adjoint");
+                });
             }
         }
+    }
+
+    #[test]
+    fn driver_matches_materialised_across_elements_sources_shapes_f32() {
+        check_fused::<f32>();
+    }
+
+    #[test]
+    fn driver_matches_materialised_across_elements_sources_shapes_bf16() {
+        check_fused::<Bf16>();
     }
 
     #[test]

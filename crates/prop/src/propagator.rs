@@ -8,12 +8,12 @@
 //! is implemented by pre-scaling `dY` rows by `1/deg` and running the same
 //! aggregation kernel — one kernel, both directions.
 
-use crate::fused::{AggregatedRows, AggregatedRowsBf16};
+use crate::fused::AggregatedRows;
 use crate::kernels;
 use gsgcn_graph::partition::{range_partition, VertexPartition};
 use gsgcn_graph::CsrGraph;
 use gsgcn_tensor::view::{MatMut, MatRef};
-use gsgcn_tensor::{gemm, scratch, DMatrix};
+use gsgcn_tensor::{gemm, scratch, DMatrix, Rows};
 use rayon::prelude::*;
 
 /// Kernel selection for the propagation step.
@@ -159,10 +159,28 @@ impl FeaturePropagator {
     /// path has its own blocking (`MC×KC` vertex×feature tiles), so the
     /// configured [`PropMode`] does not apply to it.
     ///
+    /// `h` is any [`Rows`] storage: f32 activations run f32 panels,
+    /// bf16-stored activations run bf16 panels (aggregation accumulates
+    /// f32 either way). The bf16 form is forward/serving only — the
+    /// backward pass always runs the f32 master path.
+    ///
     /// `c` may have fewer rows than `g` has vertices: only its leading
     /// `c.rows()` vertices are then aggregated and multiplied (the
     /// root-row restriction of frontier-ball inference), each row
     /// bit-identical to what the full-height call produces for it.
+    pub fn forward_gemm_rows<H: Rows>(
+        &self,
+        g: &CsrGraph,
+        h: H,
+        w: MatRef<'_>,
+        beta: f32,
+        c: MatMut<'_>,
+    ) {
+        let src = AggregatedRows::mean(g, h).first_rows(c.rows());
+        gemm::gemm_source_nn_v(1.0, &src, w, beta, c);
+    }
+
+    /// [`Self::forward_gemm_rows`] over an f32 activation matrix.
     pub fn forward_gemm_into(
         &self,
         g: &CsrGraph,
@@ -171,16 +189,10 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        let src = AggregatedRows::mean(g, h.view()).first_rows(c.rows());
-        gemm::gemm_source_nn_v(1.0, &src, w, beta, c);
+        self.forward_gemm_rows(g, h.view(), w, beta, c);
     }
 
-    /// [`Self::forward_gemm_into`] over **bf16-stored** activations:
-    /// `C = β·C + (Â·H)·W` where `H` is quantised storage, aggregation
-    /// accumulates f32, and panels carry bf16 (see
-    /// [`crate::fused::AggregatedRowsBf16`]); a shorter `c` restricts the
-    /// rows as there. Forward/serving only — the backward pass always
-    /// runs the f32 master path.
+    /// [`Self::forward_gemm_rows`] over **bf16-stored** activations.
     pub fn forward_gemm_bf16_into(
         &self,
         g: &CsrGraph,
@@ -189,8 +201,7 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        let src = AggregatedRowsBf16::mean(g, h).first_rows(c.rows());
-        gemm::gemm_source_nn_bf16_v(1.0, &src, w, beta, c);
+        self.forward_gemm_rows(g, h, w, beta, c);
     }
 
     /// Fused backward: `d_in += (Âᵀ·dY)·Wᵀ`, with the intermediate

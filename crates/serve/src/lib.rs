@@ -54,14 +54,13 @@
 //!
 //! # Wire protocols
 //!
-//! Both front-ends ([`poll`], the event-driven default, and [`tcp`],
-//! the thread-per-connection original — both `std::net` only) speak the
+//! The front-end ([`poll`], `std::net` only) speaks the
 //! newline-delimited **line protocol**: `"12 55 103\n"` in,
 //! `"ok 12:7:0.9312 55:3:0.5127 103:7:0.8809\n"` out,
 //! `"err <message>\n"` on failure and `"overloaded\n"` when admission
 //! control sheds the request.
 //!
-//! [`poll`] additionally speaks a pipelined **binary protocol**
+//! It additionally speaks a pipelined **binary protocol**
 //! (little-endian, length-prefixed; `len` counts the bytes after the
 //! length field):
 //!
@@ -112,7 +111,6 @@ pub mod cache;
 pub mod classifier;
 pub mod engine;
 pub mod poll;
-pub mod tcp;
 
 pub use admission::AdmissionControl;
 pub use cache::{ActivationCache, CacheStats};

@@ -1,5 +1,5 @@
 //! Event-driven TCP front-end: one thread sweeping N nonblocking
-//! connections, replacing the thread-per-connection model of [`crate::tcp`].
+//! connections.
 //!
 //! The workspace is `std`-only (no epoll/kqueue binding to link), so
 //! readiness is discovered by a **sweep poller**: every connection is
@@ -19,17 +19,37 @@
 //! **in request order** → write. Clients may pipeline arbitrarily many
 //! requests up to `max_pipeline`.
 //!
-//! Connection hygiene (the PR-6 leak fix, shared with [`crate::tcp`]):
-//! connections idle longer than `idle_timeout` with nothing in flight
+//! # Line protocol
+//!
+//! One request per line; ids separated by spaces and/or commas:
+//!
+//! ```text
+//! → 12 55 103\n
+//! ← ok 12:7:0.9312 55:3:0.5127 103:7:0.8809\n
+//! ```
+//!
+//! Each `node:labels:prob` triple reports the queried node, its decided
+//! labels (comma-separated; argmax for single-label models, the
+//! ≥ 0.5-probability classes — possibly `-` for none — for multi-label)
+//! and the highest class probability. Failures answer
+//! `err <message>\n` and keep the connection open; admission shedding
+//! answers `overloaded\n`; an empty line or `quit` closes it.
+//!
+//! # Connection hygiene
+//!
+//! Connections idle longer than `idle_timeout` with nothing in flight
 //! are evicted; `max_conns` bounds acceptance (excess connections get
-//! one `overloaded` reply and close); EOF mid-line or mid-frame just
-//! drops the connection after flushing pending replies — state lives in
-//! the `Conn` struct, not in a blocked reader thread, so there is no
-//! thread to leak. Shutdown joins the single loop thread.
+//! one `overloaded` reply and close). A peer that stops sending
+//! (half-close, or a plain close after its last request) still gets an
+//! answer to everything it sent: every complete request already
+//! buffered — in line mode also a final unterminated line — is parsed,
+//! answered in order and flushed before the connection is dropped; only
+//! an incomplete binary frame is discarded. State lives in the `Conn`
+//! struct, not in a blocked reader thread, so there is no thread to
+//! leak. Shutdown joins the single loop thread.
 
 use crate::classifier::BatchClassify;
 use crate::engine::{BatchEngine, ResponseHandle, ServeError, TrySubmitError};
-use crate::tcp::{format_prediction, parse_request};
 use crate::Prediction;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -41,8 +61,7 @@ use std::time::{Duration, Instant};
 /// Which framing a [`EventFrontend`] speaks (see the crate docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Protocol {
-    /// Newline-delimited text (interoperates with `nc`/telnet and the
-    /// original [`crate::tcp`] front-end).
+    /// Newline-delimited text (interoperates with `nc`/telnet).
     #[default]
     Line,
     /// Length-prefixed binary frames with client request ids.
@@ -59,6 +78,25 @@ impl std::str::FromStr for Protocol {
             other => Err(format!("bad protocol {other:?}: expected line|binary")),
         }
     }
+}
+
+/// Parse a request line into node ids.
+pub fn parse_request(line: &str) -> Result<Vec<u32>, String> {
+    let ids: Result<Vec<u32>, _> = line
+        .split([' ', ',', '\t'])
+        .filter(|t| !t.is_empty())
+        .map(|t| t.parse::<u32>().map_err(|_| format!("bad node id {t:?}")))
+        .collect();
+    let ids = ids?;
+    if ids.is_empty() {
+        return Err("empty request".into());
+    }
+    Ok(ids)
+}
+
+/// Format one prediction as the wire triple `node:labels:prob`.
+fn format_prediction(p: &Prediction) -> String {
+    format!("{}:{}:{:.4}", p.node, p.labels_display(), p.max_prob())
 }
 
 /// Front-end tuning knobs.
@@ -309,7 +347,11 @@ struct Conn {
     /// is preserved and the socket backpressures.
     deferred: Option<(u64, Vec<u32>)>,
     last_activity: Instant,
-    /// Peer closed its read side (or asked to quit): flush, then drop.
+    /// The peer stopped sending (`read → Ok(0)`): nothing more will
+    /// arrive, but what is already buffered is still parsed and answered.
+    read_eof: bool,
+    /// Stop parsing — `quit`, an empty line, a protocol error, or EOF
+    /// with the buffer drained: flush pending replies, then drop.
     closing: bool,
     /// Unrecoverable I/O or protocol error: drop without flushing.
     dead: bool,
@@ -325,6 +367,7 @@ impl Conn {
             pending: VecDeque::new(),
             deferred: None,
             last_activity: Instant::now(),
+            read_eof: false,
             closing: false,
             dead: false,
         }
@@ -497,7 +540,7 @@ fn step_conn<C: BatchClassify>(
     let mut progress = false;
 
     // --- Read phase (bounded per sweep for fairness) ---
-    if !conn.closing {
+    if !conn.closing && !conn.read_eof {
         for _ in 0..8 {
             if conn.rbuf.len() >= MAX_RBUF {
                 protocol_error(conn, cfg.protocol, "input buffer overflow", stats);
@@ -505,7 +548,8 @@ fn step_conn<C: BatchClassify>(
             }
             match conn.stream.read(chunk) {
                 Ok(0) => {
-                    conn.closing = true;
+                    conn.read_eof = true;
+                    progress = true;
                     break;
                 }
                 Ok(n) => {
@@ -584,7 +628,10 @@ fn step_conn<C: BatchClassify>(
     progress
 }
 
-/// Parse as many complete requests as the pipeline bound allows.
+/// Parse as many complete requests as the pipeline bound allows. Once
+/// the peer has stopped sending and nothing complete is left, the
+/// connection starts closing (a final unterminated line is served first;
+/// an incomplete binary frame is discarded).
 fn parse_input<C: BatchClassify>(
     conn: &mut Conn,
     engine: &BatchEngine<C>,
@@ -593,24 +640,31 @@ fn parse_input<C: BatchClassify>(
 ) -> bool {
     let mut progress = false;
     let mut consumed = 0usize;
+    // Whether parsing stopped because no complete request is buffered
+    // (as opposed to a full pipeline or a deferred submit).
+    let mut drained = false;
     while !conn.closing && conn.deferred.is_none() && conn.pending.len() < cfg.max_pipeline {
         match cfg.protocol {
             Protocol::Line => {
-                let Some(nl) = conn.rbuf[consumed..].iter().position(|&b| b == b'\n') else {
-                    break;
+                let rest = &conn.rbuf[consumed..];
+                let (end, used) = match rest.iter().position(|&b| b == b'\n') {
+                    Some(nl) => (nl, nl + 1),
+                    None if conn.read_eof && !rest.is_empty() => (rest.len(), rest.len()),
+                    None => {
+                        drained = true;
+                        break;
+                    }
                 };
-                let line = &conn.rbuf[consumed..consumed + nl];
-                let line = std::str::from_utf8(line).unwrap_or("\u{FFFD}").trim();
-                let request = if line.is_empty() || line == "quit" {
+                let line = std::str::from_utf8(&rest[..end])
+                    .unwrap_or("\u{FFFD}")
+                    .trim();
+                consumed += used;
+                if line.is_empty() || line == "quit" {
                     conn.closing = true;
-                    consumed += nl + 1;
                     break;
-                } else {
-                    parse_request(line)
-                };
-                consumed += nl + 1;
+                }
                 progress = true;
-                match request {
+                match parse_request(line) {
                     Ok(nodes) => {
                         stats.requests.fetch_add(1, Ordering::Relaxed);
                         submit(conn, engine, 0, nodes, stats);
@@ -622,7 +676,10 @@ fn parse_input<C: BatchClassify>(
                 }
             }
             Protocol::Binary => match wire::try_decode_request(&conn.rbuf[consumed..]) {
-                Ok(None) => break,
+                Ok(None) => {
+                    drained = true;
+                    break;
+                }
                 Ok(Some((used, id, nodes))) => {
                     consumed += used;
                     progress = true;
@@ -638,6 +695,11 @@ fn parse_input<C: BatchClassify>(
     }
     if consumed > 0 {
         conn.rbuf.drain(..consumed);
+    }
+    if drained && conn.read_eof {
+        conn.rbuf.clear();
+        conn.closing = true;
+        progress = true;
     }
     progress
 }
@@ -729,6 +791,29 @@ fn refuse(stream: TcpStream, protocol: Protocol) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_accepts_mixed_separators() {
+        assert_eq!(parse_request("1 2,3\t4").unwrap(), vec![1, 2, 3, 4]);
+        assert!(parse_request("1 x").is_err());
+        assert!(parse_request("   ").is_err());
+    }
+
+    #[test]
+    fn prediction_wire_format() {
+        let p = Prediction {
+            node: 9,
+            labels: vec![2, 5],
+            probs: vec![0.1, 0.2, 0.7],
+        };
+        assert_eq!(format_prediction(&p), "9:2,5:0.7000");
+        let none = Prediction {
+            node: 1,
+            labels: vec![],
+            probs: vec![0.3],
+        };
+        assert_eq!(format_prediction(&none), "1:-:0.3000");
+    }
 
     #[test]
     fn protocol_parses() {

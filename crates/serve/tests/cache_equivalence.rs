@@ -79,8 +79,8 @@ proptest! {
     /// kernel tier — and the warm pass must actually hit the cache. The
     /// uncached baseline is computed **per tier**: the contract is that
     /// attaching a cache never changes that tier's answer, not that
-    /// tiers agree with each other (under bf16 storage the top tier's
-    /// native dot-product kernel is tolerance-banded, not bit-identical,
+    /// tiers agree with each other (under bf16 storage a top tier that
+    /// runs on the AMX tile unit is tolerance-banded, not bit-identical,
     /// against the widen tiers).
     #[test]
     fn cached_matches_uncached_across_tiers(

@@ -441,50 +441,3 @@ fn response_handle_try_take_polls() {
         std::thread::sleep(Duration::from_millis(2));
     }
 }
-
-/// Full TCP round-trip over the newline-delimited protocol.
-#[test]
-fn tcp_round_trip() {
-    use std::io::{BufRead, BufReader, Write};
-
-    let c = classifier();
-    let engine = Arc::new(BatchEngine::spawn(Arc::clone(&c), cfg()).unwrap());
-    let addr = gsgcn_serve::tcp::spawn(engine, "127.0.0.1:0").unwrap();
-
-    let stream = std::net::TcpStream::connect(addr).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = BufReader::new(stream);
-
-    writer.write_all(b"3, 11 20\n").unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok "), "{line}");
-    let triples: Vec<&str> = line.trim()[3..].split(' ').collect();
-    assert_eq!(triples.len(), 3);
-    let direct = c.classify(&[3, 11, 20]).unwrap();
-    for (t, p) in triples.iter().zip(&direct) {
-        let mut parts = t.split(':');
-        assert_eq!(parts.next().unwrap(), p.node.to_string());
-        assert_eq!(parts.next().unwrap(), p.labels[0].to_string());
-    }
-
-    // Bad id: error, connection stays usable.
-    writer.write_all(b"999999\n").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("err "), "{line}");
-    assert!(line.contains("out of range"), "{line}");
-
-    writer.write_all(b"0\n").unwrap();
-    line.clear();
-    reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok 0:"), "{line}");
-
-    writer.write_all(b"quit\n").unwrap();
-    line.clear();
-    assert_eq!(
-        reader.read_line(&mut line).unwrap(),
-        0,
-        "connection should close"
-    );
-}

@@ -1,13 +1,11 @@
-//! Front-end integration tests: the event-driven poller (line + binary
-//! protocols, pipelining, idle eviction, max-conns) and the fixed
-//! thread-per-connection front-end (EOF-mid-line, idle eviction,
-//! shutdown joins — the PR-6 leak fix).
+//! Front-end integration tests for the event-driven poller: line +
+//! binary protocols, pipelining, idle eviction, max-conns, shed
+//! admission, and the peer-stopped-sending (EOF) path.
 
 use gsgcn_graph::GraphBuilder;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::classifier::BatchClassify;
 use gsgcn_serve::poll::{wire, EventFrontend, FrontendConfig, Protocol};
-use gsgcn_serve::tcp::{TcpConfig, TcpFrontend};
 use gsgcn_serve::{
     AdmissionControl, BatchEngine, ClassifyWorkspace, EngineConfig, NodeClassifier, Prediction,
 };
@@ -84,11 +82,12 @@ fn poll_line_protocol_round_trip() {
     assert!(line.starts_with("ok "), "{line}");
     assert_eq!(line.trim()[3..].split(' ').count(), 3);
     let direct = c.classify(&[3, 11, 20]).unwrap();
-    let first = line.trim()[3..].split(' ').next().unwrap();
-    assert!(
-        first.starts_with(&format!("3:{}", direct[0].labels[0])),
-        "{first}"
-    );
+    for (triple, p) in line.trim()[3..].split(' ').zip(&direct) {
+        assert!(
+            triple.starts_with(&format!("{}:{}:", p.node, p.labels[0])),
+            "{triple}"
+        );
+    }
 
     // Bad id: error reply, connection stays usable.
     writer.write_all(b"999999\n").unwrap();
@@ -285,78 +284,90 @@ fn poll_shed_overload_replies_overloaded() {
     fe.shutdown();
 }
 
+/// A peer that sends its last request without a newline and half-closes
+/// still gets its answer: the unterminated final line is served, the
+/// reply flushed, then the connection closed. (Shutdown joining proves
+/// the loop thread exited.)
 #[test]
-fn tcp_serves_final_partial_line_on_eof() {
+fn poll_serves_final_partial_line_on_eof() {
     let eng = engine(classifier());
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", TcpConfig::default()).unwrap();
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
 
     let stream = TcpStream::connect(fe.local_addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    // EOF mid-line: no trailing newline, then close the write half. The
-    // old front-end parked its handler thread forever here.
     writer.write_all(b"0 5").unwrap();
     writer.shutdown(std::net::Shutdown::Write).unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok 0:"), "{line}");
+    assert!(line.starts_with("ok 0:"), "{line:?}");
     line.clear();
     assert_eq!(reader.read_line(&mut line).unwrap(), 0, "should close");
-    // Shutdown joining proves the handler thread exited (a leaked
-    // parked thread would hang the join and time the test out).
+    assert_eq!(fe.stats().replies.load(Ordering::Relaxed), 1);
     fe.shutdown();
 }
 
+/// Line mode, terminated lines: two pipelined requests followed at once
+/// by a plain half-close are both answered, in order, before the close.
 #[test]
-fn tcp_evicts_idle_connections_and_joins() {
+fn poll_answers_pipelined_lines_before_closing_on_eof() {
     let eng = engine(classifier());
-    let cfg = TcpConfig {
-        idle_timeout: Duration::from_millis(150),
-        ..TcpConfig::default()
-    };
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
 
     let stream = TcpStream::connect(fe.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
+    writer.write_all(b"3\n17 4\n").unwrap();
+    writer.shutdown(std::net::Shutdown::Write).unwrap();
     let mut line = String::new();
-    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "not evicted");
-    assert_eq!(fe.evicted_idle(), 1);
-    let t0 = Instant::now();
-    while fe.live_conns() > 0 {
-        assert!(t0.elapsed() < Duration::from_secs(5), "gauge never dropped");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ok 3:"), "{line:?}");
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("ok 17:") && line.contains(" 4:"),
+        "{line:?}"
+    );
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "should close");
     fe.shutdown();
 }
 
+/// Requests that arrive together with the peer's FIN are not dropped:
+/// three pipelined binary frames and the half-close go out back to back,
+/// and all three replies come back in order before the close.
 #[test]
-fn tcp_refuses_connections_past_max_conns() {
-    let eng = engine(classifier());
-    let cfg = TcpConfig {
-        max_conns: 1,
-        ..TcpConfig::default()
+fn poll_answers_requests_that_arrive_with_the_fin() {
+    let c = classifier();
+    let eng = engine(Arc::clone(&c));
+    let cfg = FrontendConfig {
+        protocol: Protocol::Binary,
+        ..FrontendConfig::default()
     };
-    let fe = TcpFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
 
-    let keeper = TcpStream::connect(fe.local_addr()).unwrap();
-    let mut kw = keeper.try_clone().unwrap();
-    let mut kr = BufReader::new(keeper);
-    let mut line = String::new();
-    kw.write_all(b"1\n").unwrap();
-    kr.read_line(&mut line).unwrap();
-    assert!(line.starts_with("ok "), "{line}");
+    let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
+    let mut out = Vec::new();
+    for i in 0..3u64 {
+        wire::encode_request(7 + i, &[i as u32, 23 - i as u32], &mut out);
+    }
+    stream.write_all(&out).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
 
-    let extra = TcpStream::connect(fe.local_addr()).unwrap();
-    extra
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    let mut er = BufReader::new(extra);
-    line.clear();
-    er.read_line(&mut line).unwrap();
-    assert_eq!(line.trim(), "overloaded", "{line}");
-    assert!(fe.refused() >= 1);
+    let mut buf = Vec::new();
+    for i in 0..3u64 {
+        let (id, resp) = read_frame(&mut stream, &mut buf);
+        assert_eq!(id, 7 + i, "replies must come back in request order");
+        let wire::WireResponse::Ok(preds) = resp else {
+            panic!("unexpected response for id {id}: {resp:?}");
+        };
+        let want = c.classify(&[i as u32, 23 - i as u32]).unwrap();
+        assert_eq!(preds.len(), 2);
+        for (p, w) in preds.iter().zip(&want) {
+            assert_eq!((p.node, &p.labels), (w.node, &w.labels));
+        }
+    }
+    assert!(buf.is_empty(), "bytes after the last reply: {buf:?}");
+    assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "should close");
     fe.shutdown();
 }

@@ -1,13 +1,19 @@
-//! AMX-BF16 tile kernel for the bf16 GEMM path.
+//! AMX-BF16 tile kernel: the micro-tile of the bf16 GEMM's tile strategy.
 //!
 //! Sapphire-Rapids-class Xeons expose a matrix unit (AMX) whose
 //! `tdpbf16ps` instruction multiplies a 16×32 bf16 tile by a 16×32 bf16
 //! tile (VNNI pair layout) into a 16×16 f32 accumulator tile — 8192 MACs
 //! per instruction, an order of magnitude past the AVX-512 FMA peak and
 //! the only unit on these parts where bf16 storage buys *compute*
-//! throughput rather than just bandwidth (`vdpbf16ps` issues on a single
-//! port, so its 2-per-issue dot product only matches the two-port f32 FMA
-//! peak).
+//! throughput rather than just bandwidth.
+//!
+//! This module is not a GEMM driver. The blocked driver in
+//! [`crate::gemm`] is one loop nest; when `Bf16::tiles` observes the
+//! avx512 tier with [`bf16_ready`], it picks the strategy this module
+//! serves — A blocks packed **row-major** (what `tileloadd` strides
+//! over), B packed in [`VNNI_W`]-column k-pair-interleaved panels, depth
+//! zero-padded to [`TILE_K`] — and calls [`tile_kernel_32x32`] per
+//! 32×32 block of C in place of a vector microkernel.
 //!
 //! The stable toolchain has no AMX intrinsics, so the tile configuration
 //! and the microkernel are inline assembly (the mnemonics are plain
@@ -20,15 +26,15 @@
 //! * **Tile palette** — `ldtilecfg` is per thread; every rayon worker
 //!   that runs the microkernel calls [`ensure_thread_configured`] first.
 //!   All eight tiles are configured 16 rows × 64 bytes.
-//! * **Kill switch** — `GSGCN_AMX=0` disables the unit (falls back to
-//!   the AVX-512 bf16 kernel), for A/B measurement and for debugging.
+//! * **Kill switch** — `GSGCN_AMX=0` disables the unit (bf16 panels stay
+//!   on the tier's widen kernel), for A/B measurement and for debugging.
 //!
-//! The microkernel ([`tile_kernel_32x32`]) computes a 32×32 f32 block of
-//! `C += A·B` from a row-major bf16 A block and VNNI pair-interleaved
-//! bf16 B panels, accumulating entirely in tile registers across the
+//! The microkernel accumulates entirely in tile registers across the
 //! whole `kc` depth. `tdpbf16ps` sums each 32-product group in its own
-//! order, so results are tolerance-banded against the widen kernels —
-//! the same contract as the `vdpbf16ps` kernel (`bf16_dot_native`).
+//! order, so AMX results are tolerance-banded (`1e-5·scale`) against the
+//! widen kernels, which are bit-identical to each other — see the
+//! determinism table in `gemm.rs`; `ukernel::bf16_dot_native` is the
+//! predicate tests band on.
 
 /// Rows of C per tile-kernel call (two 16-row tiles).
 pub const TILE_M: usize = 32;
@@ -37,6 +43,9 @@ pub const TILE_N: usize = 32;
 /// Reduction depth per `tdpbf16ps` step; packed panels are zero-padded
 /// to a multiple of this.
 pub const TILE_K: usize = 32;
+/// Columns per packed VNNI B panel: one tile's 16 columns, so a 32-wide
+/// micro-tile reads two consecutive panels.
+pub const VNNI_W: usize = 16;
 
 /// Whether the AMX-BF16 unit is present, permitted and not disabled.
 ///
@@ -85,8 +94,9 @@ fn request_tiledata_permission() -> bool {
     const ARCH_REQ_XCOMP_PERM: i64 = 0x1023;
     const XFEATURE_XTILEDATA: i64 = 18;
     let ret: i64;
-    // SAFETY: plain syscall; arch_prctl with these arguments only flips
-    // the per-process XSTATE permission bit and touches no memory.
+    // SAFETY: a raw `syscall` clobbers exactly rax, rcx and r11, all
+    // declared; arch_prctl with these arguments only flips the
+    // per-process XSTATE permission bit and touches no memory.
     unsafe {
         std::arch::asm!(
             "syscall",
@@ -123,9 +133,11 @@ pub fn ensure_thread_configured() {
                     cfg.0[16 + 2 * t] = 64;
                     cfg.0[48 + t] = 16;
                 }
-                // SAFETY: `bf16_ready()` gated callers — the unit exists
-                // and the process holds tile-data permission. The config
-                // block is a valid palette-1 layout.
+                // SAFETY: callers are gated on `bf16_ready()` — the unit
+                // exists and the process holds tile-data permission, so
+                // `ldtilecfg` cannot fault. `cfg` is a live, 64-byte
+                // aligned, valid palette-1 block the instruction only
+                // reads.
                 unsafe {
                     std::arch::asm!(
                         "ldtilecfg [{cfg}]",
@@ -163,6 +175,10 @@ pub unsafe fn tile_kernel_32x32(
     out: *mut f32,
 ) {
     debug_assert!(kpads > 0);
+    // SAFETY (whole body): the caller's contract above covers every
+    // address the tile loads/stores touch — rows 0..32 of `a` at stride
+    // `lda`, `kpads · 1024` bytes of each B panel, and 4 KiB at `out`;
+    // the asm clobbers only the tile registers and its declared operands.
     let a1 = a.byte_add(16 * lda);
     // Accumulators: tmm0 = C[0..16, 0..16], tmm1 = C[0..16, 16..32],
     // tmm2 = C[16..32, 0..16], tmm3 = C[16..32, 16..32]. Per step the
@@ -247,6 +263,9 @@ mod tests {
             }
         }
         let mut out = vec![0f32; TILE_M * TILE_N];
+        // SAFETY: `bf16_ready()` held and this thread was configured
+        // above; `a` is 32 rows of `kc_pad` elements, `b` two VNNI
+        // panels of `kc_pad/2` pair rows, `out` 32×32 f32.
         unsafe {
             tile_kernel_32x32(
                 kc_pad / TILE_K,

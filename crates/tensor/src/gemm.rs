@@ -13,40 +13,38 @@
 //!
 //! # Kernel design
 //!
-//! This is a BLIS-style packed kernel:
+//! This is a BLIS-style packed kernel with **one** blocked driver:
 //!
 //! ```text
 //! for jc in 0..n step NC:                    (column strip of C)
 //!   for pc in 0..k step KC:                  (reduction panel)
-//!     pack B[pc.., jc..]  →  b_pack          (NR-wide column panels)
+//!     pack B[pc.., jc..]  →  b_pack          (tn-wide column panels)
 //!     par for ic in 0..m step MC:            (row block — rayon task)
-//!       pack α·A[ic.., pc..]  →  a_pack      (MR-tall row panels)
-//!       for jr, ir tiles:  microkernel MR×NR over KC
+//!       source.pack_a(α, ic, pc) →  a_pack   (tm-tall row panels)
+//!       for jr, ir tiles:  micro-tile tm×tn over KC
 //! ```
 //!
 //! * **Packing** copies each operand panel once into contiguous,
-//!   panel-interleaved, 64-byte-aligned scratch (from [`crate::scratch`],
-//!   reused across calls), so the microkernel's loads are unit-stride
-//!   vector loads regardless of the operand layout — this is what makes
-//!   the `tn`/`nt` transpose variants and strided views run at `nn` speed,
-//!   and it bounds cache/TLB traffic to one streaming pass per panel. `α`
-//!   is folded into the A-pack. The A-panel interleave ([`MR`] = 8 rows)
-//!   is **tier-invariant**; the B-panel width `NR` belongs to the selected
-//!   microkernel.
-//! * **The microkernel** is an explicit SIMD register-tile kernel selected
-//!   at runtime from the tiers in [`crate::ukernel`]: hand-written
-//!   AVX-512F (`8×48`, `_mm512_fmadd_ps`) and AVX2+FMA (`8×16`,
-//!   `_mm256_fmadd_ps`) kernels, with the portable autovectorised
-//!   virtual-vector kernel (`8×32`) as the fallback. Dispatch is resolved
-//!   once per process (`is_x86_feature_detected!`, overridable with the
-//!   `GSGCN_KERNEL` env var — `scalar`/`avx2`/`avx512`/`auto`) into a
-//!   cached kernel table; [`with_tier`] forces a tier per thread for
-//!   tests/benches. All tiers compute each C element as the same FMA
-//!   chain, so tier choice never changes results. There is **no**
-//!   zero-skip branch: the seed kernel's `if aik == 0.0 { continue; }`
-//!   stalled the pipeline on every dense activation element to optimise a
-//!   case (exact zeros) that occurs only for ReLU-sparse inputs, and even
-//!   then saves nothing once the loop is memory-bound.
+//!   64-byte-aligned scratch (from [`crate::scratch`], reused across
+//!   calls), so the microkernel's loads are unit-stride vector loads
+//!   regardless of the operand layout — this is what makes the `tn`/`nt`
+//!   transpose variants and strided views run at `nn` speed, and it
+//!   bounds cache/TLB traffic to one streaming pass per panel. `α` is
+//!   folded into the A-pack.
+//! * **The micro-tile** is whatever [`Tiles`] strategy the panel
+//!   [`Element`] resolves for the dispatched kernel tier
+//!   ([`crate::ukernel`]): an explicit SIMD register tile (`8×48`
+//!   AVX-512F, `8×16` AVX2+FMA, `8×32` portable autovectorised) over
+//!   `MR`-interleaved panels, or — for bf16 panels at the avx512 tier
+//!   when the AMX unit is ready — a `32×32` `tdpbf16ps` tile over
+//!   row-major A and VNNI B panels ([`crate::amx`]). The tier is
+//!   resolved once per process (`is_x86_feature_detected!`, overridable
+//!   with `GSGCN_KERNEL`); [`with_tier`] forces a tier per thread for
+//!   tests/benches. There is **no** zero-skip branch: the seed kernel's
+//!   `if aik == 0.0 { continue; }` stalled the pipeline on every dense
+//!   activation element to optimise a case (exact zeros) that occurs
+//!   only for ReLU-sparse inputs, and even then saves nothing once the
+//!   loop is memory-bound.
 //! * **Parallelism** is over `MC`-row blocks of `C` on the current rayon
 //!   pool. Tasks own disjoint C rows and the block structure is a function
 //!   of the shape alone, so results are bit-identical for any thread
@@ -56,61 +54,50 @@
 //! * Accumulation order per C element is fixed (pc-major, then kk), so the
 //!   kernel is deterministic; tests pin it against [`matmul_reference`].
 //!
-//! Edge tiles run the same microkernel against zero-padded panels and clip
+//! Edge tiles run the same micro-tile against zero-padded panels and clip
 //! on the C store, so odd shapes take the fast path too.
 //!
-//! # Fusion: producer-packed A panels
+//! # One pack-source trait, two panel elements
 //!
-//! A-panel packing is driven by the [`PackSource`] trait rather than a
-//! matrix view: the driver asks the source for each `MC×KC` panel, and the
-//! dense entry points above are just the [`DensePack`] implementation. A
-//! producer implementation can instead *compute* its rows directly into
-//! the thread-local pack scratch — `gsgcn-prop` uses this to fuse the
-//! sparse aggregation `Â·H` of a GCN layer with the weight GEMM
-//! ([`gemm_source_nn_v`] / [`gemm_source_nt_v`]), so the aggregated matrix
-//! never materialises in DRAM.
+//! The driver never reads the A operand: it asks a [`PackSource`] to
+//! place each `MC×KC` block into an [`APanel`], which owns the layout
+//! (`MR`-interleaved for the vector kernels, row-major for AMX) — the
+//! source only hands over contiguous rows. The dense entry points are
+//! the [`DensePack`] implementation; `gsgcn-prop` implements the trait
+//! by *computing* the sparse aggregation `Â·H` of a GCN layer straight
+//! into the panel, so the aggregated matrix never materialises in DRAM
+//! ([`gemm_source_nn_v`] / [`gemm_source_nt_v`]).
 //!
-//! # Precision: bf16 panels, f32 accumulate
+//! Driver and trait are generic over the panel [`Element`], `f32` or
+//! [`crate::Bf16`]: the element supplies its scratch pool, its rounding
+//! ([`Element::from_f32`], identity / round-to-nearest-even) and its
+//! micro-tile entry, so the f32 and bf16 paths are the same loop nest
+//! monomorphised twice. With bf16 panels both packed operands halve in
+//! width (packed B is re-read for every `MC`-row block, packed A re-swept
+//! per tile column — the bandwidth the fused layer is bound by) while C
+//! and every accumulation stay f32. Conversions happen **at pack time
+//! inside the L2-resident panel**, never as a separate DRAM pass, and
+//! `α` (and the aggregation's `1/deg`) is applied *before* the rounding,
+//! so a stored panel element carries exactly one quantisation. A bf16
+//! operand (quantised activations, bf16 shard rows) packs into bf16
+//! panels; an f32 operand into f32 panels — [`Rows::Elem`] decides.
 //!
-//! The fused layer is memory-bandwidth-bound at the GCN shapes, so the
-//! driver has a second panel pipeline where both packed operands hold
-//! **bf16** (u16) elements: [`gemm_source_nn_bf16_v`] packs B by rounding
-//! once ([`Bf16::from_f32`], round-to-nearest-even) and asks a
-//! [`PackSourceBf16`] for bf16 A panels, and the microkernel widens both
-//! in registers (a 16-bit shift) while accumulating in f32 — see
-//! [`crate::ukernel`]'s precision section. Panel indices and the `MR`
-//! interleave are identical to the f32 path, only the element width
-//! halves, which halves the panel bytes re-streamed per block (packed B
-//! is re-read for every `MC`-row block — ~1 MiB/strip in f32 — and
-//! packed A is re-swept per `NR` tile column). Conversions happen **at
-//! pack time inside the L2-resident panel**, never as a separate DRAM
-//! pass: a bf16 producer (quantised activations, bf16 shard rows)
-//! aggregates/copies straight into the panel, and any f32
-//! [`PackSource`] rides along via [`QuantizePack`] with exactly one
-//! rounding per element. α is folded into the A-pack *before* that
-//! rounding, so the stored panel carries a single quantisation. The
-//! result differs from the f32 path only by the per-element input
-//! rounding (≤ 2⁻⁸ relative); equivalence tests are therefore
-//! tolerance-banded via [`crate::precision::rel_tolerance`], while the
-//! f32 path itself stays bit-identical. On CPUs with AVX512-BF16 the
-//! avx512 row swaps its widen kernel for a native `vdpbf16ps`
-//! dot-product over pair-interleaved panels (two k-steps per FMA-port
-//! issue — see [`crate::ukernel`]'s native-dot section and
-//! [`bf16_dot_native`]); its pairwise accumulation stays inside the same
-//! tolerance bands. When the **AMX tile unit** is present
-//! ([`crate::amx`]), the bf16 driver escalates past the vector kernels
-//! altogether: A packs **row-major** (what `tileloadd` strides over,
-//! via [`PackSourceBf16::pack_a_bf16_rowmajor`]) and B packs 16-column
-//! VNNI panels, and each `tdpbf16ps` call covers a 32×32×32 brick —
-//! measured ~5× over the f32 GEMM on the GCN layer shape, where the
-//! widen kernels only break even. [`bf16_engine`] reports the path;
-//! `GSGCN_AMX=0` falls back to the vector kernels.
+//! # Determinism contract (GEMM rows)
+//!
+//! | comparison | guarantee | pinned by |
+//! |---|---|---|
+//! | f32, any tier vs any tier | bit-identical | `tiers_are_bit_identical` |
+//! | f32, any thread count | bit-identical | `thread_count_invariance` (`tests/proptest_packed_gemm.rs`) |
+//! | bf16, vector tier vs vector tier (`GSGCN_AMX=0`, or below avx512) | bit-identical | `bf16_tiers_are_bit_identical` |
+//! | bf16, AMX vs widen | within `1e-5 · scale` (`scale` = largest entry of C; accumulation order only) | `bf16_tiers_are_bit_identical` (AMX arm, gated on [`bf16_dot_native`]) |
+//! | bf16 vs f32 on unquantised operands | [`crate::precision::rel_tolerance`] | `bf16_result_within_tolerance_of_f32_path` |
+//! | producer-packed vs materialised A stored in the same element | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` in `gsgcn-prop` `fused.rs` |
+//! | transposed-A / transposed-B packs vs the plain orientation | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` here |
 
-use crate::bf16::{self, Bf16, Bf16MatRef};
+use crate::bf16::Bf16MatRef;
 use crate::matrix::DMatrix;
-use crate::scratch;
-use crate::ukernel::{self, Kernel, NR_MAX};
-use crate::view::{MatMut, MatRef};
+use crate::ukernel::{self, Kernel, ACC_LEN};
+use crate::view::{MatMut, MatRef, Rows};
 use rayon::prelude::*;
 
 // Microkernel tiers and their dispatch live in `crate::ukernel`; the tier
@@ -118,18 +105,18 @@ use rayon::prelude::*;
 // callers already import for everything GEMM.
 pub use crate::ukernel::{
     available_tiers, best_available_tier, bf16_dot_native, bf16_engine, selected_tier, with_tier,
-    Tier, ALL_TIERS,
+    Element, Tier, Tiles, ALL_TIERS,
 };
 
-/// Microkernel tile height (rows of C per register tile), identical for
-/// every tier. Public because [`PackSource`] implementors must produce
-/// panels in the MR-interleaved pack layout (see [`PackSource::pack_a`]).
+/// Vector-kernel tile height (rows of C per register tile), identical
+/// for every tier: the interleave of the vector strategies' A panels.
 pub use crate::ukernel::MR;
 
 /// Reduction-dimension block: one packed A panel column-block (`MC×KC`)
 /// plus the B panel rows stay L2-resident.
 const KC: usize = 256;
-/// Rows of C per parallel task / packed A block.
+/// Rows of C per parallel task / packed A block (a multiple of every
+/// strategy's `tm`).
 const MC: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -162,78 +149,65 @@ pub fn matmul_nt(a: &DMatrix, b: &DMatrix) -> DMatrix {
 
 /// `C = α·A·B + β·C`.
 pub fn gemm_nn(alpha: f32, a: &DMatrix, b: &DMatrix, beta: f32, c: &mut DMatrix) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: A is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     gemm_nn_v(alpha, a.view(), b.view(), beta, c.view_mut());
 }
 
 /// `C = α·Aᵀ·B + β·C` where A is `k × m` (so `Aᵀ` is `m × k`), B is `k × n`.
 pub fn gemm_tn(alpha: f32, a: &DMatrix, b: &DMatrix, beta: f32, c: &mut DMatrix) {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: Aᵀ is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     gemm_tn_v(alpha, a.view(), b.view(), beta, c.view_mut());
 }
 
 /// `C = α·A·Bᵀ + β·C` where A is `m × k`, B is `n × k`.
 pub fn gemm_nt(alpha: f32, a: &DMatrix, b: &DMatrix, beta: f32, c: &mut DMatrix) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: A is {m}x{k}, Bᵀ is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     gemm_nt_v(alpha, a.view(), b.view(), beta, c.view_mut());
 }
 
 // ---------------------------------------------------------------------------
-// View-based entry points
+// View-based entry points — thin fronts over the one driver
 // ---------------------------------------------------------------------------
 
 /// `C = α·A·B + β·C` over strided views.
 pub fn gemm_nn_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    let (m, k) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: A is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     driver(alpha, &DensePack::new(a), b, false, beta, c);
 }
 
 /// `C = α·Aᵀ·B + β·C` over strided views (A stored `k × m`).
 pub fn gemm_tn_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    let (k, m) = a.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: Aᵀ is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     driver(alpha, &DensePack::transposed(a), b, false, beta, c);
 }
 
 /// `C = α·A·Bᵀ + β·C` over strided views (B stored `n × k`).
 pub fn gemm_nt_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    let (m, k) = a.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: A is {m}x{k}, Bᵀ is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
     driver(alpha, &DensePack::new(a), b, true, beta, c);
+}
+
+/// `C = α·A·B + β·C` with a bf16-stored A on **bf16 panels with f32
+/// accumulate**: B is rounded to bf16 at pack time, C stays f32.
+pub fn gemm_bf16_nn_v(alpha: f32, a: Bf16MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
+    driver(alpha, &DensePack::new(a), b, false, beta, c);
+}
+
+/// `C = α·S·B + β·C`, with the A operand produced by a [`PackSource`]
+/// into panels of its element `E` (inferred from the source).
+pub fn gemm_source_nn_v<E: Element, S: PackSource<E> + ?Sized>(
+    alpha: f32,
+    src: &S,
+    b: MatRef<'_>,
+    beta: f32,
+    c: MatMut<'_>,
+) {
+    driver(alpha, src, b, false, beta, c);
+}
+
+/// `C = α·S·Bᵀ + β·C` (B stored `n × k`), A produced by a [`PackSource`].
+pub fn gemm_source_nt_v<E: Element, S: PackSource<E> + ?Sized>(
+    alpha: f32,
+    src: &S,
+    b: MatRef<'_>,
+    beta: f32,
+    c: MatMut<'_>,
+) {
+    driver(alpha, src, b, true, beta, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,293 +217,184 @@ pub fn gemm_nt_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<
 /// A source of packed A panels for the GEMM driver.
 ///
 /// The driver never reads the A operand directly — it asks the source to
-/// pack `α·A[ic..ic+mc, pc..pc+kc]` into the microkernel's panel layout,
-/// one `MC×KC` block at a time, inside each parallel row-block task. This
-/// is the hook that makes **operator fusion** possible: a producer can
+/// place `α·A[ic..ic+mc, pc..pc+kc]` into an [`APanel`], one `MC×KC`
+/// block at a time, inside each parallel row-block task. This is the
+/// hook that makes **operator fusion** possible: a producer can
 /// *compute* its rows (e.g. the sparse aggregation `Σ_{u∈N(v)} H[u]` of a
 /// GCN layer, see `gsgcn-prop`) straight into the thread-local pack
 /// scratch, so the logical A matrix only ever exists as an L2-resident
 /// panel and never round-trips through DRAM. The dense paths ([`matmul`]
 /// and friends) go through the same trait via [`DensePack`].
 ///
+/// `E` is the panel element. `α` (and any normalisation the producer
+/// folds in) must be applied *before* [`Element::from_f32`], so a bf16
+/// panel carries exactly one quantisation; producers that accumulate do
+/// so in f32 and round once on the final placement.
+///
 /// `pack_a` may be called for the same `(ic, pc)` block more than once
-/// (once per `NC`-column strip of C), from different threads across calls
+/// (once per column strip of C), from different threads across calls
 /// but never concurrently for overlapping row ranges within one strip.
-pub trait PackSource: Sync {
+pub trait PackSource<E: Element = f32>: Sync {
     /// Logical shape `(m, k)` of the A operand.
     fn shape(&self) -> (usize, usize);
 
-    /// Pack `α·A[ic..ic+mc, pc..pc+kc]` into MR-tall row panels:
-    /// `out[p·kc·MR + kk·MR + r] = α·A[ic + p·MR + r, pc + kk]`,
-    /// zero-padding rows past `mc`. `out.len()` is
-    /// `mc.div_ceil(MR) · kc · MR`.
-    fn pack_a(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]);
+    /// Place every element of `α·A[ic..ic+mc, pc..pc+kc]` into `out`
+    /// (`mc` rows × `kc` depth) with [`APanel::fill_row`] /
+    /// [`APanel::fill_col`]. The layout and the zero padding are the
+    /// panel's business, not the source's.
+    fn pack_a(
+        &self,
+        alpha: f32,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        out: &mut APanel<'_, E>,
+    );
 }
 
-/// The dense [`PackSource`]: an A operand stored as a (possibly strided,
-/// possibly transposed) matrix view.
-pub struct DensePack<'a> {
-    a: MatRef<'a>,
+/// The destination of one packed A block, in whichever layout the
+/// resolved [`Tiles`] strategy reads: `MR`-interleaved row panels
+/// (`buf[p·kc·MR + kk·MR + r]` holds row `p·MR + r`, depth `kk`) for the
+/// vector kernels, or row-major with leading dimension `ld` for AMX.
+/// Sources hand over contiguous runs; the panel places them.
+pub struct APanel<'a, E> {
+    buf: &'a mut [E],
+    mc: usize,
+    kc: usize,
+    /// Packed depth (`kc` rounded up to the strategy's `k_align`): the
+    /// row-major leading dimension.
+    ld: usize,
+    row_major: bool,
+}
+
+impl<E: Element> APanel<'_, E> {
+    /// Place logical row `r` of the block: depth `kk` gets `f(src[kk])`
+    /// (`src.len() == kc`).
+    #[inline]
+    pub fn fill_row<T: Copy>(&mut self, r: usize, src: &[T], f: impl Fn(T) -> E) {
+        debug_assert!(r < self.mc && src.len() == self.kc);
+        if self.row_major {
+            for (d, &s) in self.buf[r * self.ld..][..self.kc].iter_mut().zip(src) {
+                *d = f(s);
+            }
+        } else {
+            let panel = &mut self.buf[(r / MR) * self.kc * MR..][..self.kc * MR];
+            for (d, &s) in panel.chunks_exact_mut(MR).zip(src) {
+                d[r % MR] = f(s);
+            }
+        }
+    }
+
+    /// Place depth step `kk` of every logical row: row `r` gets
+    /// `f(src[r])` (`src.len() == mc`) — the unit-stride direction of a
+    /// transposed operand.
+    #[inline]
+    pub fn fill_col<T: Copy>(&mut self, kk: usize, src: &[T], f: impl Fn(T) -> E) {
+        debug_assert!(kk < self.kc && src.len() == self.mc);
+        if self.row_major {
+            for (row, &s) in self.buf.chunks_exact_mut(self.ld).zip(src) {
+                row[kk] = f(s);
+            }
+        } else {
+            let panels = self.buf.chunks_exact_mut(self.kc * MR);
+            for (panel, s) in panels.zip(src.chunks(MR)) {
+                for (d, &x) in panel[kk * MR..][..MR].iter_mut().zip(s) {
+                    *d = f(x);
+                }
+            }
+        }
+    }
+
+    /// Zero what the source did not place: rows `mc..` of the last tile
+    /// and (row-major) depth `kc..ld`, so edge tiles multiply zeros.
+    fn zero_padding(&mut self) {
+        if self.row_major {
+            let (real, pad) = self.buf.split_at_mut(self.mc * self.ld);
+            for row in real.chunks_exact_mut(self.ld) {
+                row[self.kc..].fill(E::ZERO);
+            }
+            pad.fill(E::ZERO);
+        } else if !self.mc.is_multiple_of(MR) {
+            let last = self.mc / MR * self.kc * MR;
+            for d in self.buf[last..].chunks_exact_mut(MR) {
+                d[self.mc % MR..].fill(E::ZERO);
+            }
+        }
+    }
+}
+
+/// The dense [`PackSource`]: an A operand stored as a (possibly
+/// transposed) row-major matrix — a strided f32 [`MatRef`] or a bf16
+/// [`Bf16MatRef`] — packing into panels of its own element.
+pub struct DensePack<H> {
+    a: H,
     trans: bool,
 }
 
-impl<'a> DensePack<'a> {
+impl<H: Rows> DensePack<H> {
     /// Source reading `A` in its logical orientation.
-    pub fn new(a: MatRef<'a>) -> Self {
+    pub fn new(a: H) -> Self {
         DensePack { a, trans: false }
     }
 
     /// Source reading `Aᵀ` (the view stores `k × m`).
-    pub fn transposed(a: MatRef<'a>) -> Self {
+    pub fn transposed(a: H) -> Self {
         DensePack { a, trans: true }
+    }
+
+    fn pack_with(
+        &self,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        out: &mut APanel<'_, H::Elem>,
+        f: impl Fn(H::Elem) -> H::Elem,
+    ) {
+        if self.trans {
+            // A stored k×m: for fixed kk the logical rows are contiguous.
+            for kk in 0..kc {
+                out.fill_col(kk, &self.a.row(pc + kk)[ic..ic + mc], &f);
+            }
+        } else {
+            // A stored m×k: walk each logical row once (contiguous in kk).
+            for r in 0..mc {
+                out.fill_row(r, &self.a.row(ic + r)[pc..pc + kc], &f);
+            }
+        }
     }
 }
 
-impl PackSource for DensePack<'_> {
+impl<H: Rows> PackSource<H::Elem> for DensePack<H> {
     fn shape(&self) -> (usize, usize) {
         if self.trans {
             (self.a.cols(), self.a.rows())
         } else {
-            self.a.shape()
+            (self.a.rows(), self.a.cols())
         }
     }
 
-    fn pack_a(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
-        pack_a_dense(self.a, self.trans, alpha, ic, mc, pc, kc, out);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused entry points
-// ---------------------------------------------------------------------------
-
-/// `C = α·S·B + β·C`, with the A operand produced by a [`PackSource`].
-pub fn gemm_source_nn_v<S: PackSource + ?Sized>(
-    alpha: f32,
-    src: &S,
-    b: MatRef<'_>,
-    beta: f32,
-    c: MatMut<'_>,
-) {
-    let (m, k) = src.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: source is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
-    driver(alpha, src, b, false, beta, c);
-}
-
-/// `C = α·S·Bᵀ + β·C` (B stored `n × k`), A produced by a [`PackSource`].
-pub fn gemm_source_nt_v<S: PackSource + ?Sized>(
-    alpha: f32,
-    src: &S,
-    b: MatRef<'_>,
-    beta: f32,
-    c: MatMut<'_>,
-) {
-    let (m, k) = src.shape();
-    let (n, kb) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: source is {m}x{k}, Bᵀ is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
-    driver(alpha, src, b, true, beta, c);
-}
-
-// ---------------------------------------------------------------------------
-// bf16 A-panel sources and entry points
-// ---------------------------------------------------------------------------
-
-/// A source of packed **bf16** A panels — the half-width twin of
-/// [`PackSource`] (same `(ic, mc, pc, kc)` protocol, same MR
-/// interleave, same zero padding).
-///
-/// `α` must be applied *before* the bf16 rounding so the stored panel
-/// carries exactly one quantisation; producers that accumulate (the
-/// fused aggregation) do so in f32 and round once on the final scatter.
-pub trait PackSourceBf16: Sync {
-    /// Logical shape `(m, k)` of the A operand.
-    fn shape(&self) -> (usize, usize);
-
-    /// Pack `bf16(α·A[ic..ic+mc, pc..pc+kc])` into MR-tall row panels
-    /// (layout as [`PackSource::pack_a`], u16-width elements).
-    fn pack_a_bf16(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [Bf16]);
-
-    /// Pack the same block **row-major** for the AMX tile driver:
-    /// `out[r·kc_pad + kk] = bf16(α·A[ic+r, pc+kk])`, rows past `mc` and
-    /// depth past `kc` zero-filled. `out.len()` is `mc_pad · kc_pad`
-    /// with both dimensions padded to the tile grid.
-    ///
-    /// The default goes through [`Self::pack_a_bf16`] and de-interleaves
-    /// — correct for any source; producers whose natural output is a
-    /// contiguous row (the dense and fused-aggregation sources) override
-    /// it to skip the intermediate scatter.
-    #[allow(clippy::too_many_arguments)]
-    fn pack_a_bf16_rowmajor(
+    fn pack_a(
         &self,
         alpha: f32,
         ic: usize,
         mc: usize,
         pc: usize,
         kc: usize,
-        kc_pad: usize,
-        out: &mut [Bf16],
+        out: &mut APanel<'_, H::Elem>,
     ) {
-        let panels = mc.div_ceil(MR);
-        scratch::with_buf_u16(panels * kc * MR, |lin| {
-            self.pack_a_bf16(alpha, ic, mc, pc, kc, bf16::from_bits_slice_mut(lin));
-            out.fill(Bf16::ZERO);
-            for r in 0..mc {
-                let panel = &lin[(r / MR) * kc * MR..];
-                let dst = &mut out[r * kc_pad..][..kc];
-                for (kk, d) in dst.iter_mut().enumerate() {
-                    *d = Bf16(panel[kk * MR + r % MR]);
-                }
-            }
-        });
-    }
-}
-
-/// The dense [`PackSourceBf16`]: an A operand already stored bf16
-/// (quantised activations, bf16 shard feature rows). With `α = 1` the
-/// pack is a pure u16 interleave — no conversion at all; other `α`
-/// widen, scale and re-round (documented single extra rounding).
-pub struct DensePackBf16<'a> {
-    a: Bf16MatRef<'a>,
-}
-
-impl<'a> DensePackBf16<'a> {
-    pub fn new(a: Bf16MatRef<'a>) -> Self {
-        DensePackBf16 { a }
-    }
-}
-
-impl PackSourceBf16 for DensePackBf16<'_> {
-    fn shape(&self) -> (usize, usize) {
-        (self.a.rows(), self.a.cols())
-    }
-
-    fn pack_a_bf16(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut [Bf16],
-    ) {
-        let panels = mc.div_ceil(MR);
-        debug_assert_eq!(out.len(), panels * kc * MR);
-        for (p, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
-            let r0 = p * MR;
-            let rows_here = MR.min(mc - r0);
-            for r in 0..rows_here {
-                let src = &self.a.row(ic + r0 + r)[pc..pc + kc];
-                if alpha == 1.0 {
-                    for (kk, &s) in src.iter().enumerate() {
-                        panel[kk * MR + r] = s;
-                    }
-                } else {
-                    for (kk, &s) in src.iter().enumerate() {
-                        panel[kk * MR + r] = Bf16::from_f32(alpha * s.to_f32());
-                    }
-                }
-            }
-            if rows_here < MR {
-                for kk in 0..kc {
-                    panel[kk * MR + rows_here..(kk + 1) * MR].fill(Bf16::ZERO);
-                }
-            }
+        // α = 1 moves the stored elements unchanged (`1·x` is `x` in f32,
+        // and for bf16 a pure u16 copy — no conversion at all); any other
+        // α scales in f32 and rounds once.
+        if alpha == 1.0 {
+            self.pack_with(ic, mc, pc, kc, out, |x| x);
+        } else {
+            self.pack_with(ic, mc, pc, kc, out, |x| {
+                H::Elem::from_f32(alpha * x.to_f32())
+            });
         }
     }
-
-    fn pack_a_bf16_rowmajor(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        kc_pad: usize,
-        out: &mut [Bf16],
-    ) {
-        // Already row-major bf16 storage: at α = 1 the pack is a straight
-        // row copy; other α widen, scale and re-round.
-        for (r, dst) in out.chunks_exact_mut(kc_pad).enumerate() {
-            if r < mc {
-                let src = &self.a.row(ic + r)[pc..pc + kc];
-                if alpha == 1.0 {
-                    dst[..kc].copy_from_slice(src);
-                } else {
-                    for (d, &s) in dst[..kc].iter_mut().zip(src) {
-                        *d = Bf16::from_f32(alpha * s.to_f32());
-                    }
-                }
-                dst[kc..].fill(Bf16::ZERO);
-            } else {
-                dst.fill(Bf16::ZERO);
-            }
-        }
-    }
-}
-
-/// Adapter giving every existing f32 [`PackSource`] a bf16 panel path:
-/// the wrapped source packs `α·A` into f32 scratch (one L2-resident
-/// panel), which is rounded once into the bf16 panel. This is how
-/// producers "ride along" without a bf16-native implementation.
-pub struct QuantizePack<'a, S: PackSource + ?Sized>(pub &'a S);
-
-impl<S: PackSource + ?Sized> PackSourceBf16 for QuantizePack<'_, S> {
-    fn shape(&self) -> (usize, usize) {
-        self.0.shape()
-    }
-
-    fn pack_a_bf16(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut [Bf16],
-    ) {
-        scratch::with_buf(out.len(), |tmp| {
-            self.0.pack_a(alpha, ic, mc, pc, kc, tmp);
-            for (d, &s) in out.iter_mut().zip(tmp.iter()) {
-                *d = Bf16::from_f32(s);
-            }
-        });
-    }
-}
-
-/// `C = α·S·B + β·C` on **bf16 panels with f32 accumulate**: A panels
-/// come from a [`PackSourceBf16`], B is rounded to bf16 at pack time,
-/// and the selected tier's bf16 microkernel widens both in registers.
-/// C and the accumulation stay f32.
-pub fn gemm_source_nn_bf16_v<S: PackSourceBf16 + ?Sized>(
-    alpha: f32,
-    src: &S,
-    b: MatRef<'_>,
-    beta: f32,
-    c: MatMut<'_>,
-) {
-    let (m, k) = src.shape();
-    let (kb, n) = b.shape();
-    assert_eq!(
-        k, kb,
-        "inner dimensions must match: source is {m}x{k}, B is {kb}x{n}"
-    );
-    assert_eq!(c.shape(), (m, n), "C shape mismatch");
-    driver_bf16(alpha, src, b, beta, c);
-}
-
-/// `C = α·A·B + β·C` with a bf16-stored A (convenience wrapper over
-/// [`DensePackBf16`]).
-pub fn gemm_bf16_nn_v(alpha: f32, a: Bf16MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    gemm_source_nn_bf16_v(alpha, &DensePackBf16::new(a), b, beta, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,14 +406,26 @@ pub fn gemm_bf16_nn_v(alpha: f32, a: Bf16MatRef<'_>, b: MatRef<'_>, beta: f32, c
 struct CPtr {
     ptr: *mut f32,
     row_stride: usize,
+    rows: usize,
+    cols: usize,
 }
 
-// SAFETY: tasks write disjoint row ranges of C (each `ic` block is owned
-// by exactly one task) and never read rows they do not own.
+// SAFETY: `ptr` comes from the exclusive `MatMut` the driver holds for
+// the whole call, so nothing else aliases C while tasks run; tasks write
+// disjoint row ranges of it (each `ic` block is owned by exactly one
+// task) and never read rows they do not own. The other fields are plain
+// integers.
 unsafe impl Send for CPtr {}
+// SAFETY: as above — sharing the wrapper only shares the right to write
+// one's own row block.
 unsafe impl Sync for CPtr {}
 
-fn driver<S: PackSource + ?Sized>(
+/// The blocked driver: `C = α·op(A)·op(B) + β·C` with A from a
+/// [`PackSource`] and B a view stored `k × n` (or `n × k` with
+/// `b_trans`). Generic over the panel element; the tiling strategy
+/// (vector kernel or AMX) is resolved from the element and the
+/// dispatched kernel and only changes panel layouts and the micro-tile.
+fn driver<E: Element, S: PackSource<E> + ?Sized>(
     alpha: f32,
     a: &S,
     b: MatRef<'_>,
@@ -557,8 +434,17 @@ fn driver<S: PackSource + ?Sized>(
     mut c: MatMut<'_>,
 ) {
     // Logical dimensions: C is m×n, reduction length k.
-    let (m, n) = c.shape();
-    let k = a.shape().1;
+    let (m, k) = a.shape();
+    let (kb, n) = if b_trans {
+        (b.cols(), b.rows())
+    } else {
+        b.shape()
+    };
+    assert_eq!(
+        k, kb,
+        "inner dimensions must match: op(A) is {m}x{k}, op(B) is {kb}x{n}"
+    );
+    assert_eq!(c.shape(), (m, n), "C shape mismatch");
 
     if m == 0 || n == 0 {
         return;
@@ -571,195 +457,38 @@ fn driver<S: PackSource + ?Sized>(
     let c_base = CPtr {
         ptr: c.as_mut_ptr(),
         row_stride: c.row_stride(),
+        rows: m,
+        cols: n,
     };
 
     // Resolve the microkernel once, on the calling thread (honouring any
     // `with_tier` override there), and carry it into the parallel tasks.
     let kern = ukernel::current_kernel();
-    let nr = kern.nr;
+    let tiles = E::tiles(kern);
 
     let ic_blocks = m.div_ceil(MC);
-    for jc in (0..n).step_by(kern.nc) {
-        let nc = kern.nc.min(n - jc);
-        let b_panels = nc.div_ceil(nr);
+    for jc in (0..n).step_by(tiles.nc) {
+        let nc = tiles.nc.min(n - jc);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            scratch::with_buf(b_panels * kc * nr, |b_pack| {
-                pack_b(b, b_trans, pc, kc, jc, nc, nr, b_pack);
+            let kd = kc.next_multiple_of(tiles.k_align);
+            E::with_scratch(nc.div_ceil(tiles.tn) * tiles.tn * kd, |b_pack| {
+                pack_b(&tiles, b, b_trans, pc, kc, kd, jc, nc, b_pack);
                 let b_pack = &*b_pack;
                 (0..ic_blocks).into_par_iter().for_each(|blk| {
                     let ic = blk * MC;
                     let mc = MC.min(m - ic);
-                    let a_panels = mc.div_ceil(MR);
-                    scratch::with_buf(a_panels * kc * MR, |a_pack| {
-                        a.pack_a(alpha, ic, mc, pc, kc, a_pack);
-                        multiply_block(kern, a_pack, b_pack, c_base, ic, mc, jc, nc, kc);
-                    });
-                });
-            });
-        }
-    }
-}
-
-/// The bf16-panel driver: [`driver`]'s blocking with u16 panel scratch
-/// and the tier's bf16 microkernel. Only the `nn` orientation exists —
-/// the backward GEMMs (`tn`/`nt`) stay on the f32 master path.
-fn driver_bf16<S: PackSourceBf16 + ?Sized>(
-    alpha: f32,
-    a: &S,
-    b: MatRef<'_>,
-    beta: f32,
-    mut c: MatMut<'_>,
-) {
-    let (m, n) = c.shape();
-    let k = a.shape().1;
-
-    if m == 0 || n == 0 {
-        return;
-    }
-    scale_c(&mut c, beta);
-    if k == 0 || alpha == 0.0 {
-        return;
-    }
-
-    let c_base = CPtr {
-        ptr: c.as_mut_ptr(),
-        row_stride: c.row_stride(),
-    };
-
-    let kern = ukernel::current_kernel();
-
-    // At the top tier, hand the whole block schedule to the AMX tile
-    // driver when the unit is present — the only path on these parts
-    // where bf16 buys compute throughput, not just bandwidth.
-    #[cfg(target_arch = "x86_64")]
-    {
-        if kern.tier == Tier::Avx512 && crate::amx::bf16_ready() {
-            driver_bf16_amx(alpha, a, b, c_base, m, n, k);
-            return;
-        }
-    }
-
-    let nr = kern.nr;
-
-    let ic_blocks = m.div_ceil(MC);
-    // A paired (native-dot) kernel reads pair-interleaved panels of
-    // `next_even(kc)` rows; panels are packed in the standard layout and
-    // interleaved once per pack, amortised over every tile re-read.
-    let kc_rows = |kc: usize| kern.bf16_panel_rows(kc);
-    for jc in (0..n).step_by(kern.nc) {
-        let nc = kern.nc.min(n - jc);
-        let b_panels = nc.div_ceil(nr);
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            scratch::with_buf_u16(b_panels * kc_rows(kc) * nr, |b_bits| {
-                if kern.bf16_paired() {
-                    scratch::with_buf_u16(b_panels * kc * nr, |lin| {
-                        pack_b_bf16(b, pc, kc, jc, nc, nr, bf16::from_bits_slice_mut(lin));
-                        ukernel::pair_interleave_bf16_panels(lin, b_bits, kc, nr, kc_rows(kc));
-                    });
-                } else {
-                    pack_b_bf16(b, pc, kc, jc, nc, nr, bf16::from_bits_slice_mut(b_bits));
-                }
-                let b_pack = bf16::from_bits_slice(b_bits);
-                (0..ic_blocks).into_par_iter().for_each(|blk| {
-                    let ic = blk * MC;
-                    let mc = MC.min(m - ic);
-                    let a_panels = mc.div_ceil(MR);
-                    scratch::with_buf_u16(a_panels * kc_rows(kc) * MR, |a_bits| {
-                        if kern.bf16_paired() {
-                            scratch::with_buf_u16(a_panels * kc * MR, |lin| {
-                                a.pack_a_bf16(
-                                    alpha,
-                                    ic,
-                                    mc,
-                                    pc,
-                                    kc,
-                                    bf16::from_bits_slice_mut(lin),
-                                );
-                                ukernel::pair_interleave_bf16_panels(
-                                    lin,
-                                    a_bits,
-                                    kc,
-                                    MR,
-                                    kc_rows(kc),
-                                );
-                            });
-                        } else {
-                            a.pack_a_bf16(alpha, ic, mc, pc, kc, bf16::from_bits_slice_mut(a_bits));
-                        }
-                        let a_pack = bf16::from_bits_slice(a_bits);
-                        multiply_block_bf16(kern, a_pack, b_pack, c_base, ic, mc, jc, nc, kc);
-                    });
-                });
-            });
-        }
-    }
-}
-
-/// The AMX tile driver: same `MC×KC` block schedule as [`driver_bf16`],
-/// but panels are laid out for the tile unit — A blocks **row-major**
-/// (what `tileloadd` strides over; produced directly by
-/// [`PackSourceBf16::pack_a_bf16_rowmajor`], no MR interleave), B in
-/// 16-column VNNI pair-interleaved panels, both zero-padded to the
-/// 32×32×32 tile grid. Each microkernel call covers a 32×32 block of C
-/// with the accumulation held in tile registers across the whole `kc`.
-#[cfg(target_arch = "x86_64")]
-fn driver_bf16_amx<S: PackSourceBf16 + ?Sized>(
-    alpha: f32,
-    a: &S,
-    b: MatRef<'_>,
-    c_base: CPtr,
-    m: usize,
-    n: usize,
-    k: usize,
-) {
-    use crate::amx::{self, TILE_K, TILE_M, TILE_N};
-    /// B VNNI panel width: half a C-tile column block.
-    const NR_AMX: usize = 16;
-    /// C column strip per packed-B round (panel bytes stay L2-resident:
-    /// `512 · KC · 2` = 256 KiB).
-    const NC_AMX: usize = 512;
-
-    let ic_blocks = m.div_ceil(MC);
-    for jc in (0..n).step_by(NC_AMX) {
-        let nc = NC_AMX.min(n - jc);
-        let b_panels = nc.div_ceil(NR_AMX);
-        // Pad the panel count to the 2-panel C-tile grid; a dangling
-        // half tile (nc % 32 ≤ 16) reads an all-zero right panel.
-        let panels_pad = nc.div_ceil(TILE_N) * 2;
-        for pc in (0..k).step_by(KC) {
-            let kc = KC.min(k - pc);
-            let kc_pad = kc.next_multiple_of(TILE_K);
-            scratch::with_buf_u16(panels_pad * kc_pad * NR_AMX, |b_vnni| {
-                scratch::with_buf_u16(b_panels * kc * NR_AMX, |lin| {
-                    pack_b_bf16(b, pc, kc, jc, nc, NR_AMX, bf16::from_bits_slice_mut(lin));
-                    b_vnni[b_panels * kc_pad * NR_AMX..].fill(0);
-                    ukernel::pair_interleave_bf16_panels(
-                        lin,
-                        &mut b_vnni[..b_panels * kc_pad * NR_AMX],
-                        kc,
-                        NR_AMX,
-                        kc_pad,
-                    );
-                });
-                let b_vnni = &*b_vnni;
-                (0..ic_blocks).into_par_iter().for_each(|blk| {
-                    amx::ensure_thread_configured();
-                    let ic = blk * MC;
-                    let mc = MC.min(m - ic);
-                    let mc_pad = mc.next_multiple_of(TILE_M);
-                    scratch::with_buf_u16(mc_pad * kc_pad, |a_bits| {
-                        a.pack_a_bf16_rowmajor(
-                            alpha,
-                            ic,
+                    E::with_scratch(mc.div_ceil(tiles.tm) * tiles.tm * kd, |a_pack| {
+                        let mut panel = APanel {
+                            buf: &mut *a_pack,
                             mc,
-                            pc,
                             kc,
-                            kc_pad,
-                            bf16::from_bits_slice_mut(a_bits),
-                        );
-                        multiply_block_amx(a_bits, b_vnni, c_base, ic, mc, mc_pad, jc, nc, kc_pad);
+                            ld: kd,
+                            row_major: tiles.amx,
+                        };
+                        a.pack_a(alpha, ic, mc, pc, kc, &mut panel);
+                        panel.zero_padding();
+                        multiply_block(kern, &tiles, a_pack, b_pack, c_base, ic, mc, jc, nc, kd);
                     });
                 });
             });
@@ -767,106 +496,47 @@ fn driver_bf16_amx<S: PackSourceBf16 + ?Sized>(
     }
 }
 
-/// 32×32 f32 tile buffer the AMX kernel `tilestored`s into.
-#[cfg(target_arch = "x86_64")]
-#[repr(align(64))]
-struct AccTile32([f32; 32 * 32]);
-
-/// `C[ic..ic+mc, jc..jc+nc] += rowmajor_A · vnni_B` for one row block on
-/// the tile unit: the store loop mirrors [`multiply_block`], clipped to
-/// the block edge.
-#[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-fn multiply_block_amx(
-    a_bits: &[u16],
-    b_vnni: &[u16],
-    c_base: CPtr,
-    ic: usize,
-    mc: usize,
-    mc_pad: usize,
-    jc: usize,
-    nc: usize,
-    kc_pad: usize,
-) {
-    use crate::amx::{self, TILE_K, TILE_M, TILE_N};
-    let kpads = kc_pad / TILE_K;
-    // One 16-column VNNI panel: `kc_pad/2` pair rows × 32 elements.
-    let panel_len = kc_pad * 16;
-    let mut acc = AccTile32([0.0f32; 32 * 32]);
-    for jt in 0..nc.div_ceil(TILE_N) {
-        let jr = jt * TILE_N;
-        let tile_cols = TILE_N.min(nc - jr);
-        let b0 = b_vnni[2 * jt * panel_len..].as_ptr();
-        let b1 = b_vnni[(2 * jt + 1) * panel_len..].as_ptr();
-        for it in 0..mc_pad / TILE_M {
-            let ir = it * TILE_M;
-            let tile_rows = TILE_M.min(mc - ir);
-            // SAFETY: the packed A block holds `mc_pad ≥ ir+32` rows of
-            // `kc_pad` elements, `b0`/`b1` each cover one full padded
-            // panel (`panels_pad` is even), and `acc` is 32×32. The
-            // driver gated on `amx::bf16_ready()` and configured this
-            // thread's tile palette.
-            unsafe {
-                amx::tile_kernel_32x32(
-                    kpads,
-                    a_bits.as_ptr().add(ir * kc_pad),
-                    kc_pad * 2,
-                    b0,
-                    b1,
-                    acc.0.as_mut_ptr(),
-                );
-            }
-            for (r, acc_row) in acc.0.chunks_exact(TILE_N).enumerate().take(tile_rows) {
-                // SAFETY: this task owns rows [ic, ic+mc) of C, and
-                // jc+jr+tile_cols ≤ n by construction.
-                let c_row: &mut [f32] = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        c_base.ptr.add((ic + ir + r) * c_base.row_stride + jc + jr),
-                        tile_cols,
-                    )
-                };
-                for (cv, av) in c_row.iter_mut().zip(acc_row.iter()) {
-                    *cv += *av;
-                }
-            }
-        }
-    }
-}
-
-/// Stack tile buffer for the microkernel output, 64-byte aligned so the
+/// Stack tile buffer for the micro-tile output, 64-byte aligned so the
 /// widest tier's stores stay within cache lines.
 #[repr(align(64))]
-struct AccTile([f32; MR * NR_MAX]);
+struct AccTile([f32; ACC_LEN]);
 
-/// `C[ic..ic+mc, jc..jc+nc] += packed_A · packed_B` for one row block.
+/// `C[ic..ic+mc, jc..jc+nc] += packed_A · packed_B` for one row block:
+/// both packs are sequences of `tm`- / `tn`-wide sub-panels of depth
+/// `kd`, whatever their inner layout.
 #[allow(clippy::too_many_arguments)]
-fn multiply_block(
+fn multiply_block<E: Element>(
     kern: &Kernel,
-    a_pack: &[f32],
-    b_pack: &[f32],
+    tiles: &Tiles,
+    a_pack: &[E],
+    b_pack: &[E],
     c_base: CPtr,
     ic: usize,
     mc: usize,
     jc: usize,
     nc: usize,
-    kc: usize,
+    kd: usize,
 ) {
-    let nr = kern.nr;
-    // Tile buffer the microkernel overwrites per call (row-major MR×nr).
-    let mut acc = AccTile([0.0f32; MR * NR_MAX]);
-    let acc = &mut acc.0[..MR * nr];
-    for (jp, b_panel) in b_pack.chunks_exact(kc * nr).enumerate() {
-        let jr = jp * nr;
-        let tile_cols = nr.min(nc - jr);
-        for (ip, a_panel) in a_pack.chunks_exact(kc * MR).enumerate() {
-            let ir = ip * MR;
-            let tile_rows = MR.min(mc - ir);
-            kern.run(kc, a_panel, b_panel, acc);
+    debug_assert!(ic + mc <= c_base.rows && jc + nc <= c_base.cols);
+    let (tm, tn) = (tiles.tm, tiles.tn);
+    // Tile buffer the micro-tile overwrites per call (row-major tm×tn).
+    let mut acc = AccTile([0.0f32; ACC_LEN]);
+    let acc = &mut acc.0[..tm * tn];
+    for (jt, b_tile) in b_pack.chunks_exact(kd * tn).enumerate() {
+        let jr = jt * tn;
+        let tile_cols = tn.min(nc - jr);
+        for (it, a_tile) in a_pack.chunks_exact(kd * tm).enumerate() {
+            let ir = it * tm;
+            let tile_rows = tm.min(mc - ir);
+            E::micro_tile(kern, tiles, kd, a_tile, b_tile, acc);
             // (acc now holds the full tile product for this pc panel.)
             // Store: C[ic+ir .., jc+jr ..] += acc (clipped to the edge).
-            for (r, acc_row) in acc.chunks_exact(nr).enumerate().take(tile_rows) {
-                // SAFETY: this task owns rows [ic, ic+mc) of C, and
-                // jc+jr+tile_cols ≤ n by construction.
+            for (r, acc_row) in acc.chunks_exact(tn).enumerate().take(tile_rows) {
+                // SAFETY: `ir + r < mc` and `jr + tile_cols ≤ nc`, so with
+                // the block bounds asserted above the slice lies inside
+                // rows [ic, ic+mc) × columns [jc, jc+nc) of C — rows this
+                // task alone owns (see `CPtr`), within the view the
+                // pointer was taken from.
                 let c_row: &mut [f32] = unsafe {
                     std::slice::from_raw_parts_mut(
                         c_base.ptr.add((ic + ir + r) * c_base.row_stride + jc + jr),
@@ -881,169 +551,78 @@ fn multiply_block(
     }
 }
 
-/// [`multiply_block`] over bf16 panels: identical tiling and store loop,
-/// but the tier's bf16 microkernel widens panel elements in registers
-/// (or consumes pair-interleaved panels when the kernel is the native
-/// dot-product — panel strides follow [`Kernel::bf16_panel_rows`]).
+/// Pack `B[pc..pc+kc, jc..jc+nc]` (logical orientation) for `tiles`,
+/// rounding each element once ([`Element::from_f32`]) as it enters the
+/// L2-resident panel. Vector strategies take `tn`-wide column panels;
+/// AMX takes [`crate::amx::VNNI_W`]-column panels with k-row pairs
+/// merged and depth zero-padded to `kd`, plus an all-zero panel when the
+/// strip ends on a dangling half tile.
 #[allow(clippy::too_many_arguments)]
-fn multiply_block_bf16(
-    kern: &Kernel,
-    a_pack: &[Bf16],
-    b_pack: &[Bf16],
-    c_base: CPtr,
-    ic: usize,
-    mc: usize,
-    jc: usize,
-    nc: usize,
-    kc: usize,
-) {
-    let nr = kern.nr;
-    let rows = kern.bf16_panel_rows(kc);
-    let mut acc = AccTile([0.0f32; MR * NR_MAX]);
-    let acc = &mut acc.0[..MR * nr];
-    for (jp, b_panel) in b_pack.chunks_exact(rows * nr).enumerate() {
-        let jr = jp * nr;
-        let tile_cols = nr.min(nc - jr);
-        for (ip, a_panel) in a_pack.chunks_exact(rows * MR).enumerate() {
-            let ir = ip * MR;
-            let tile_rows = MR.min(mc - ir);
-            kern.run_bf16(
-                kc,
-                bf16::to_bits_slice(a_panel),
-                bf16::to_bits_slice(b_panel),
-                acc,
-            );
-            for (r, acc_row) in acc.chunks_exact(nr).enumerate().take(tile_rows) {
-                // SAFETY: this task owns rows [ic, ic+mc) of C, and
-                // jc+jr+tile_cols ≤ n by construction.
-                let c_row: &mut [f32] = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        c_base.ptr.add((ic + ir + r) * c_base.row_stride + jc + jr),
-                        tile_cols,
-                    )
-                };
-                for (cv, av) in c_row.iter_mut().zip(acc_row.iter()) {
-                    *cv += *av;
-                }
-            }
-        }
-    }
-}
-
-/// Pack `α·A[ic..ic+mc, pc..pc+kc]` (logical orientation) into MR-tall row
-/// panels: `out[p*kc*MR + kk*MR + r] = α·A[ic+p·MR+r, pc+kk]`, zero-padding
-/// rows past `mc`.
-#[allow(clippy::too_many_arguments)]
-fn pack_a_dense(
-    a: MatRef<'_>,
-    a_trans: bool,
-    alpha: f32,
-    ic: usize,
-    mc: usize,
+fn pack_b<E: Element>(
+    tiles: &Tiles,
+    b: MatRef<'_>,
+    b_trans: bool,
     pc: usize,
     kc: usize,
-    out: &mut [f32],
+    kd: usize,
+    jc: usize,
+    nc: usize,
+    out: &mut [E],
 ) {
-    let panels = mc.div_ceil(MR);
-    debug_assert_eq!(out.len(), panels * kc * MR);
-    for (p, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
-        let r0 = p * MR;
-        let rows_here = MR.min(mc - r0);
-        if a_trans {
-            // A stored k×m: for fixed kk the MR logical rows are contiguous.
-            for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
-                let src = &a.row(pc + kk)[ic + r0..ic + r0 + rows_here];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = alpha * s;
-                }
-                dst[rows_here..].fill(0.0);
-            }
-        } else {
-            // A stored m×k: walk each logical row once (contiguous in kk).
-            for r in 0..rows_here {
-                let src = &a.row(ic + r0 + r)[pc..pc + kc];
-                for (kk, &s) in src.iter().enumerate() {
-                    panel[kk * MR + r] = alpha * s;
-                }
-            }
-            if rows_here < MR {
-                for kk in 0..kc {
-                    panel[kk * MR + rows_here..(kk + 1) * MR].fill(0.0);
-                }
-            }
-        }
+    if !tiles.amx {
+        return pack_b_panels(b, b_trans, pc, kc, jc, nc, tiles.tn, out);
     }
+    let w = crate::amx::VNNI_W;
+    let panels = nc.div_ceil(w);
+    let (vnni, dangling) = out.split_at_mut(panels * kd * w);
+    E::with_scratch(panels * kc * w, |lin| {
+        pack_b_panels(b, b_trans, pc, kc, jc, nc, w, lin);
+        ukernel::pair_interleave_bf16_panels(lin, vnni, kc, w, kd);
+    });
+    dangling.fill(E::ZERO);
 }
 
-/// Pack `B[pc..pc+kc, jc..jc+nc]` (logical orientation) into `nr`-wide
-/// column panels: `out[p*kc*nr + kk*nr + j] = B[pc+kk, jc+p·nr+j]`,
-/// zero-padding columns past `nc`. `nr` is the selected microkernel's
-/// tile width — the one pack-layout parameter that varies per tier.
+/// Pack `B[pc..pc+kc, jc..jc+nc]` into `w`-wide column panels:
+/// `out[p*kc*w + kk*w + j] = B[pc+kk, jc+p·w+j]`, zero-padding columns
+/// past `nc`.
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b_panels<E: Element>(
     b: MatRef<'_>,
     b_trans: bool,
     pc: usize,
     kc: usize,
     jc: usize,
     nc: usize,
-    nr: usize,
-    out: &mut [f32],
+    w: usize,
+    out: &mut [E],
 ) {
-    let panels = nc.div_ceil(nr);
-    debug_assert_eq!(out.len(), panels * kc * nr);
-    for (p, panel) in out.chunks_exact_mut(kc * nr).enumerate() {
-        let c0 = p * nr;
-        let cols_here = nr.min(nc - c0);
+    let panels = nc.div_ceil(w);
+    debug_assert_eq!(out.len(), panels * kc * w);
+    for (p, panel) in out.chunks_exact_mut(kc * w).enumerate() {
+        let c0 = p * w;
+        let cols_here = w.min(nc - c0);
         if b_trans {
             // B stored n×k: each logical column is a contiguous stored row.
             for j in 0..cols_here {
                 let src = &b.row(jc + c0 + j)[pc..pc + kc];
                 for (kk, &s) in src.iter().enumerate() {
-                    panel[kk * nr + j] = s;
+                    panel[kk * w + j] = E::from_f32(s);
                 }
             }
-            if cols_here < nr {
+            if cols_here < w {
                 for kk in 0..kc {
-                    panel[kk * nr + cols_here..(kk + 1) * nr].fill(0.0);
+                    panel[kk * w + cols_here..(kk + 1) * w].fill(E::ZERO);
                 }
             }
         } else {
-            // B stored k×n: one contiguous copy per kk.
-            for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
+            // B stored k×n: one contiguous run per kk.
+            for (kk, dst) in panel.chunks_exact_mut(w).enumerate() {
                 let src = &b.row(pc + kk)[jc + c0..jc + c0 + cols_here];
-                dst[..cols_here].copy_from_slice(src);
-                dst[cols_here..].fill(0.0);
+                for (d, &s) in dst[..cols_here].iter_mut().zip(src) {
+                    *d = E::from_f32(s);
+                }
+                dst[cols_here..].fill(E::ZERO);
             }
-        }
-    }
-}
-
-/// [`pack_b`] into bf16 panels: same `nr`-wide layout, each element
-/// rounded once (RNE) as it enters the L2-resident panel — this is the
-/// pack-time dequantisation boundary; the microkernel widens in
-/// registers. Only the `k×n` orientation exists (forward path).
-#[allow(clippy::too_many_arguments)]
-fn pack_b_bf16(
-    b: MatRef<'_>,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-    nr: usize,
-    out: &mut [Bf16],
-) {
-    let panels = nc.div_ceil(nr);
-    debug_assert_eq!(out.len(), panels * kc * nr);
-    for (p, panel) in out.chunks_exact_mut(kc * nr).enumerate() {
-        let c0 = p * nr;
-        let cols_here = nr.min(nc - c0);
-        for (kk, dst) in panel.chunks_exact_mut(nr).enumerate() {
-            let src = &b.row(pc + kk)[jc + c0..jc + c0 + cols_here];
-            for (d, &s) in dst[..cols_here].iter_mut().zip(src) {
-                *d = Bf16::from_f32(s);
-            }
-            dst[cols_here..].fill(Bf16::ZERO);
         }
     }
 }
@@ -1134,6 +713,7 @@ pub fn matmul_unpacked(a: &DMatrix, b: &DMatrix) -> DMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bf16;
 
     fn seq(rows: usize, cols: usize, scale: f32) -> DMatrix {
         // Bounded values keep f32 accumulation error well below tolerances.
@@ -1356,19 +936,18 @@ mod tests {
             (self.m, self.k)
         }
 
-        fn pack_a(&self, alpha: f32, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f32]) {
-            for (p, panel) in out.chunks_exact_mut(kc * MR).enumerate() {
-                let r0 = p * MR;
-                let rows_here = MR.min(mc - r0);
-                for kk in 0..kc {
-                    for r in 0..MR {
-                        panel[kk * MR + r] = if r < rows_here {
-                            alpha * self.at(ic + r0 + r, pc + kk)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
+        fn pack_a(
+            &self,
+            alpha: f32,
+            ic: usize,
+            mc: usize,
+            pc: usize,
+            kc: usize,
+            out: &mut APanel<'_, f32>,
+        ) {
+            for r in 0..mc {
+                let row: Vec<f32> = (0..kc).map(|kk| self.at(ic + r, pc + kk)).collect();
+                out.fill_row(r, &row, |x| alpha * x);
             }
         }
     }
@@ -1428,38 +1007,186 @@ mod tests {
         DMatrix::from_fn(rows, cols, |i, j| vals[i * cols + j].to_f32())
     }
 
-    #[test]
-    fn bf16_matches_widened_reference() {
-        // The bf16 path's only deviation from an f32 GEMM over the
-        // *widened* operands is accumulation order — panels store the
-        // exact quantised values. Shapes straddle MR/NR/KC/MC edges.
-        for &(m, k, n) in &[
+    /// Storage of element `E` viewed as the [`Rows`] operand it packs from.
+    trait Stored: Element {
+        type View<'a>: Rows<Elem = Self>;
+        fn view(data: &[Self], rows: usize, cols: usize) -> Self::View<'_>;
+    }
+
+    impl Stored for f32 {
+        type View<'a> = MatRef<'a>;
+        fn view(data: &[f32], rows: usize, cols: usize) -> MatRef<'_> {
+            MatRef::new(data, rows, cols, cols)
+        }
+    }
+
+    impl Stored for Bf16 {
+        type View<'a> = Bf16MatRef<'a>;
+        fn view(data: &[Bf16], rows: usize, cols: usize) -> Bf16MatRef<'_> {
+            Bf16MatRef::new(data, rows, cols)
+        }
+    }
+
+    fn stored<E: Element>(m: &DMatrix) -> Vec<E> {
+        m.data().iter().map(|&x| E::from_f32(x)).collect()
+    }
+
+    /// `β·C₀ + α·S·op(B)` through the one driver.
+    fn drive<E: Element, S: PackSource<E>>(
+        alpha: f32,
+        src: &S,
+        b: &DMatrix,
+        b_trans: bool,
+        beta: f32,
+        c0: &DMatrix,
+    ) -> DMatrix {
+        let mut c = c0.clone();
+        driver(alpha, src, b.view(), b_trans, beta, c.view_mut());
+        c
+    }
+
+    /// The single driver over one element: every tier × shapes
+    /// straddling MR / MC / KC / every strategy's NC (1024, 1008, 512)
+    /// and the AMX 32×32×32 tile grid. The dense source must match the
+    /// f64 reference on the *stored* operands (storage rounding applied,
+    /// so only accumulation order remains); the transposed-A source and
+    /// the transposed-B pack must reproduce the dense result bit for bit
+    /// (same panels, other fill direction); tiers must agree bit for bit
+    /// unless the tier runs this element on the AMX unit.
+    fn check_driver<E: Stored>() {
+        let shapes = [
             (1usize, 1usize, 1usize),
-            (9, 7, 33),
+            (7, 3, 5),
+            (9, 33, 17),
+            (31, 31, 31),
+            (33, 65, 33),
+            (63, 255, 47),
+            (64, 256, 48),
             (65, 257, 49),
-            (70, 300, 17),
-        ] {
+            (130, 300, 20),
+            (33, 40, 1030),
+            (70, 260, 513),
+            (8, 32, 1009),
+        ];
+        for &(m, k, n) in &shapes {
             let a = seq(m, k, 0.8);
             let b = seq(k, n, 1.2);
-            let qa = quantize_mat(&a);
-            let qb = quantize_mat(&b);
-            let r = matmul_reference(&widen_mat(&qa, m, k), &widen_mat(&qb, k, n));
-            let mut c = DMatrix::filled(m, n, f32::NAN);
-            gemm_bf16_nn_v(1.0, Bf16MatRef::new(&qa, m, k), b.view(), 0.0, c.view_mut());
-            assert!(c.max_abs_diff(&r) < 5e-3, "m={m} k={k} n={n}");
+            let (at, bt) = (a.transpose(), b.transpose());
+            let (qa, qat) = (stored::<E>(&a), stored::<E>(&at));
+            let aw = DMatrix::from_fn(m, k, |i, j| qa[i * k + j].to_f32());
+            let bw = DMatrix::from_fn(k, n, |i, j| E::from_f32(b.get(i, j)).to_f32());
+            let r = matmul_reference(&aw, &bw);
+            let scale = r.data().iter().fold(1f32, |s, &x| s.max(x.abs()));
+            let nan = DMatrix::filled(m, n, f32::NAN);
+            let c0 = seq(m, n, 0.3);
+
+            let dense_on = |tier| {
+                with_tier(tier, || {
+                    drive(
+                        1.0,
+                        &DensePack::new(E::view(&qa, m, k)),
+                        &b,
+                        false,
+                        0.0,
+                        &nan,
+                    )
+                })
+            };
+            let scalar = dense_on(Tier::Scalar);
+            for tier in available_tiers() {
+                let at_tier = format!("{} m={m} k={k} n={n}", tier.name());
+                let dense = dense_on(tier);
+                assert!(dense.max_abs_diff(&r) < 5e-3, "{at_tier}");
+                if E::tiles(ukernel::kernel_for(tier)).amx {
+                    assert!(dense.max_abs_diff(&scalar) <= 1e-5 * scale, "{at_tier}");
+                } else {
+                    assert_eq!(dense, scalar, "{at_tier}");
+                }
+                with_tier(tier, || {
+                    let a_t = DensePack::transposed(E::view(&qat, k, m));
+                    assert_eq!(drive(1.0, &a_t, &b, false, 0.0, &nan), dense, "{at_tier}");
+                    let a_n = DensePack::new(E::view(&qa, m, k));
+                    assert_eq!(drive(1.0, &a_n, &bt, true, 0.0, &nan), dense, "{at_tier}");
+                    // α = 2 is exact in either element; β scales C first.
+                    let got = drive(2.0, &a_n, &b, false, 0.5, &c0);
+                    for ((g, rv), c) in got.data().iter().zip(r.data()).zip(c0.data()) {
+                        assert!((g - (2.0 * rv + 0.5 * c)).abs() < 1e-2, "{at_tier}");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn driver_matches_materialised_across_elements_sources_shapes_f32() {
+        check_driver::<f32>();
+    }
+
+    #[test]
+    fn driver_matches_materialised_across_elements_sources_shapes_bf16() {
+        check_driver::<Bf16>();
+    }
+
+    /// Both panel layouts place `(row, depth)` where their micro-tile
+    /// reads it, whichever direction the source fills in, and
+    /// `zero_padding` clears exactly what was not placed.
+    #[test]
+    fn apanel_layouts_place_rows_cols_and_padding() {
+        let (mc, kc, ld) = (11usize, 5usize, 8usize);
+        let val = |r: usize, kk: usize| (r * 100 + kk + 1) as f32;
+        for row_major in [false, true] {
+            for by_col in [false, true] {
+                let len = if row_major {
+                    mc.next_multiple_of(32) * ld
+                } else {
+                    mc.div_ceil(MR) * MR * kc
+                };
+                let mut buf = vec![f32::NAN; len];
+                let mut panel = APanel {
+                    buf: &mut buf,
+                    mc,
+                    kc,
+                    ld: if row_major { ld } else { kc },
+                    row_major,
+                };
+                if by_col {
+                    for kk in 0..kc {
+                        let col: Vec<f32> = (0..mc).map(|r| val(r, kk)).collect();
+                        panel.fill_col(kk, &col, |x| x);
+                    }
+                } else {
+                    for r in 0..mc {
+                        let row: Vec<f32> = (0..kc).map(|kk| val(r, kk)).collect();
+                        panel.fill_row(r, &row, |x| x);
+                    }
+                }
+                panel.zero_padding();
+                let mut want = vec![0.0f32; len];
+                for r in 0..mc {
+                    for kk in 0..kc {
+                        let at = if row_major {
+                            r * ld + kk
+                        } else {
+                            (r / MR) * kc * MR + kk * MR + r % MR
+                        };
+                        want[at] = val(r, kk);
+                    }
+                }
+                assert_eq!(buf, want, "row_major={row_major} by_col={by_col}");
+            }
         }
     }
 
     #[test]
     fn bf16_tiers_are_bit_identical() {
-        // The widen-based bf16 microkernels run the same FMA chain per C
-        // element as each other, so tier choice must not change bf16
-        // results at all (mirrors `tiers_are_bit_identical`). A tier
-        // whose bf16 kernel is the native `vdpbf16ps` dot-product sums
-        // each k pair before joining the chain, so it is banded against
-        // the widen result instead of bit-compared — the deviation is
-        // pure f32 accumulation-order noise, orders of magnitude below
-        // the bf16 input rounding.
+        // Every vector tier's bf16 microkernel runs the same f32 FMA
+        // chain per C element over the same bf16 panels, so tier choice
+        // must not change bf16 results at all (mirrors
+        // `tiers_are_bit_identical`). Only a tier running bf16 on the AMX
+        // tile unit — which sums each 32-product group before joining
+        // the chain — is banded against the widen result instead: pure
+        // f32 accumulation-order noise, orders of magnitude below the
+        // bf16 input rounding.
         let a = seq(70, 260, 0.9);
         let b = seq(260, 50, 1.1);
         let qa = quantize_mat(&a);
@@ -1483,40 +1210,13 @@ mod tests {
             if bf16_dot_native(tier) {
                 assert!(
                     got.max_abs_diff(&reference) <= 1e-5 * scale.max(1.0),
-                    "native-dot tier {} outside accumulation band",
+                    "AMX tier {} outside accumulation band",
                     tier.name()
                 );
             } else {
                 assert_eq!(got, reference, "tier {}", tier.name());
             }
         }
-    }
-
-    #[test]
-    fn quantize_pack_rides_along_bit_exact() {
-        // QuantizePack rounds the wrapped f32 source's panel once, so at
-        // α = 1 it must equal packing the pre-quantised matrix directly.
-        let (m, k, n) = (65usize, 257usize, 40usize);
-        let src = FnSource { m, k };
-        let b = seq(k, n, 1.1);
-        let mut via_adapter = DMatrix::filled(m, n, f32::NAN);
-        gemm_source_nn_bf16_v(
-            1.0,
-            &QuantizePack(&src),
-            b.view(),
-            0.0,
-            via_adapter.view_mut(),
-        );
-        let qa = quantize_mat(&src.materialise());
-        let mut direct = DMatrix::filled(m, n, f32::NAN);
-        gemm_bf16_nn_v(
-            1.0,
-            Bf16MatRef::new(&qa, m, k),
-            b.view(),
-            0.0,
-            direct.view_mut(),
-        );
-        assert_eq!(via_adapter, direct);
     }
 
     #[test]

@@ -51,41 +51,40 @@
 //! `_mm256_slli_epi32` after a zero-extending `cvtepu16` load; the
 //! scalar tier shifts in plain code) and accumulates in f32. Panels stay
 //! `MR`-interleaved with identical indices, only the element width
-//! halves — so the blocked driver, the [`crate::gemm::PackSource`]
-//! protocol and the tile geometry are shared across precisions, and the
-//! bandwidth-bound panel traffic (packed B re-streamed per row block,
-//! packed A re-swept per column strip) halves. Accumulation never
-//! narrows: each C element is still one f32 FMA chain over `kc`, so the
-//! only error source is the input rounding — |q(x)−x| ≤ 2⁻⁸·|x| per
-//! element, which is what makes the precision-equivalence tests
-//! tolerance-banded rather than bit-identical (see `gemm.rs`).
-//! Within one precision, the widen-based tiers agree bit-for-bit.
+//! halves — which is why the blocked driver in [`crate::gemm`] is one
+//! loop nest generic over the panel [`Element`]: the element supplies
+//! its scratch pool, its rounding and its microkernel entry
+//! ([`Kernel::run`] / [`Kernel::run_bf16`]), everything else is shared.
+//! Accumulation never narrows: each C element is one f32 FMA chain over
+//! `kc` in every tier, so within one precision **all vector tiers agree
+//! bit for bit**, and bf16 differs from f32 only by the input rounding —
+//! |q(x)−x| ≤ 2⁻⁸·|x| per element (see the determinism table in
+//! `gemm.rs`).
 //!
-//! ## Native bf16 dot-product (AVX512-BF16)
+//! ## The AMX tile strategy
 //!
-//! On CPUs with `avx512bf16` (+`avx512bw`), the avx512 row's bf16 entry
-//! upgrades to a `vdpbf16ps` kernel: each instruction multiplies 32 bf16
-//! pairs and accumulates 16 f32 lanes — **two** k-steps per FMA-port
-//! issue, doubling the peak MAC rate over the widen kernels. It consumes
-//! **pair-interleaved** panels ([`Kernel::bf16_paired`]): consecutive
-//! k-rows are merged so element pairs `(kk, kk+1)` sit adjacently, and an
-//! odd `kc` tail is padded with a zero row (a zero pair contributes
-//! nothing). The GEMM driver performs that interleave once per packed
-//! panel ([`pair_interleave_bf16_panels`]), amortised across every tile
-//! that re-reads the panel. `vdpbf16ps` sums each pair before joining the
-//! f32 chain (and flushes denormals), so this kernel is tolerance-banded
-//! against the widen tiers rather than bit-identical — well inside the
-//! bf16 storage-rounding band the precision tests already allow.
+//! The widen kernels only halve panel *bytes*; they issue the same FMAs
+//! as f32. The one unit on current parts where bf16 buys compute is the
+//! AMX tile multiplier ([`crate::amx`]), so at the top tier
+//! [`Element::tiles`] hands the driver a different [`Tiles`] strategy
+//! for bf16 panels when it observes `tier == Avx512 &&
+//! amx::bf16_ready()`: row-major A blocks, 16-column k-pair-interleaved
+//! (VNNI) B panels ([`pair_interleave_bf16_panels`]), depth padded to 32
+//! and a 32×32 micro-tile run by `tdpbf16ps`. It is a layout + micro-tile
+//! choice of the same driver, not another loop nest. `tdpbf16ps` sums
+//! each 32-product group before joining the f32 chain, so AMX results
+//! are tolerance-banded against the widen kernels ([`bf16_dot_native`]);
+//! [`bf16_engine`] names the unit a tier's bf16 panels run on (`amx` or
+//! `widen`), and `GSGCN_AMX=0` keeps them on the vector kernels.
 //!
-//! In practice `vdpbf16ps` only *matches* the f32 peak on current parts
-//! (it issues on one port; the f32 FMA on two), so above it the GEMM
-//! driver escalates once more: when the **AMX** tile unit is present
-//! ([`crate::amx`]), the bf16 driver bypasses the vector kernels
-//! entirely for a `tdpbf16ps` tile schedule — that is where bf16
-//! storage buys real compute throughput (measured ~5× over the f32
-//! path on the GCN layer shape). [`bf16_engine`] reports which path a
-//! tier takes; `GSGCN_AMX=0` forces the vector kernels.
+//! There is deliberately no AVX512-BF16 `vdpbf16ps` vector kernel: it
+//! issues on one port where the f32 FMA issues on two (measured slower
+//! than both the f32 and the widen kernel on the GCN layer shape), and
+//! its pairwise accumulation would break the cross-tier bit-identity
+//! above.
 
+use crate::bf16::{self, Bf16};
+use crate::{amx, scratch};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -95,8 +94,9 @@ use std::sync::OnceLock;
 /// of `MR`.
 pub const MR: usize = 8;
 
-/// Upper bound on any tier's `NR` — sizes the driver's stack accumulator.
-pub const NR_MAX: usize = 64;
+/// Upper bound on `tm·tn` over every [`Tiles`] strategy — sizes the
+/// driver's stack accumulator (the AMX 32×32 micro-tile is the largest).
+pub const ACC_LEN: usize = amx::TILE_M * amx::TILE_N;
 
 const NR_SCALAR: usize = 32;
 #[cfg(target_arch = "x86_64")]
@@ -110,7 +110,8 @@ const NR_AVX512: usize = 48;
 /// a footprint for the L2 streamer to reliably run ahead of the FMA
 /// chain, so the kernel issues the touch itself. Prefetching past the
 /// panel's end is benign (`prefetch` never faults), so the loop needs no
-/// tail guard.
+/// tail guard — but the address is formed with `wrapping_add`, because
+/// `add` may not leave the panel's allocation even without a dereference.
 #[cfg(target_arch = "x86_64")]
 const A_PF_DIST: usize = 8;
 
@@ -198,9 +199,6 @@ pub struct Kernel {
     pub nc: usize,
     ukr: MicroKernelFn,
     ukr_bf16: MicroKernelBf16Fn,
-    /// Whether `ukr_bf16` consumes pair-interleaved panels (the native
-    /// `vdpbf16ps` kernel; see the module docs' native-dot section).
-    paired_bf16: bool,
 }
 
 impl Kernel {
@@ -218,49 +216,205 @@ impl Kernel {
     }
 
     /// Run the bf16-panel microkernel (f32 accumulate): same contract as
-    /// [`Kernel::run`] with `u16` bf16 bit-pattern panels. A paired
-    /// kernel ([`Kernel::bf16_paired`]) reads pair-interleaved panels of
-    /// [`Kernel::bf16_panel_rows`] rows instead of the linear `kc`.
+    /// [`Kernel::run`] with `u16` bf16 bit-pattern panels.
     #[inline]
     pub(crate) fn run_bf16(&self, kc: usize, a_panel: &[u16], b_panel: &[u16], acc: &mut [f32]) {
-        let rows = self.bf16_panel_rows(kc);
-        assert_eq!(a_panel.len(), rows * MR);
-        assert_eq!(b_panel.len(), rows * self.nr);
+        assert_eq!(a_panel.len(), kc * MR);
+        assert_eq!(b_panel.len(), kc * self.nr);
         assert!(acc.len() >= MR * self.nr);
         // SAFETY: as in `run` — bounds checked, ISA availability
         // guaranteed by the dispatch table.
         unsafe { (self.ukr_bf16)(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
     }
+}
 
-    /// Whether the bf16 microkernel consumes pair-interleaved panels
-    /// (prepared with [`pair_interleave_bf16_panels`]).
-    pub(crate) fn bf16_paired(&self) -> bool {
-        self.paired_bf16
-    }
+/// How the blocked driver tiles one packed block for a panel element on
+/// a kernel tier: the micro-tile extent, the C strip width, the depth
+/// padding, and which unit runs the micro-tile. Resolved once per GEMM
+/// by [`Element::tiles`] from what the process observes (tier, AMX
+/// readiness) — never from an option.
+#[derive(Clone, Copy, Debug)]
+pub struct Tiles {
+    /// Rows of C per micro-tile — the height of one packed A sub-panel.
+    pub tm: usize,
+    /// Columns of C per micro-tile — the width of one packed B sub-panel.
+    pub tn: usize,
+    /// Columns of C per packed-B strip (a multiple of `tn`, sized so the
+    /// strip's panels stay L2-resident).
+    pub nc: usize,
+    /// Packed panels are zero-padded in depth to a multiple of this.
+    pub k_align: usize,
+    /// The AMX tile strategy: A blocks are packed row-major and B in
+    /// [`amx::VNNI_W`]-column k-pair-interleaved panels, and the
+    /// micro-tile is [`amx::tile_kernel_32x32`]. Otherwise both operands
+    /// are packed `tm`/`tn`-interleaved for the tier's vector kernel.
+    pub amx: bool,
+}
 
-    /// Panel rows the bf16 microkernel reads for a logical depth `kc`:
-    /// `kc` for the widen kernels, `kc` rounded up to even (zero-padded
-    /// tail row) for the paired native-dot kernel.
-    pub(crate) fn bf16_panel_rows(&self, kc: usize) -> usize {
-        if self.paired_bf16 {
-            kc.next_multiple_of(2)
-        } else {
-            kc
+impl Tiles {
+    /// The vector-kernel strategy of `kern`: `MR × nr` register tiles
+    /// over interleaved panels, no depth padding.
+    fn vector(kern: &Kernel) -> Tiles {
+        Tiles {
+            tm: MR,
+            tn: kern.nr,
+            nc: kern.nc,
+            k_align: 1,
+            amx: false,
         }
     }
 }
 
-/// Pair-interleave bf16 panels for the native-dot kernels: `src` holds
-/// panels of `kc` rows × `w` interleaved elements (the standard pack
-/// layout, `w` = [`MR`] for A panels or the tier `nr` for B panels);
-/// `dst` receives the same panels with consecutive row pairs merged —
+/// The AMX strategy: 32×32×32 bricks; a 512-column strip keeps the
+/// packed B panels (`512 · KC · 2` B = 256 KiB) L2-resident.
+const AMX_TILES: Tiles = Tiles {
+    tm: amx::TILE_M,
+    tn: amx::TILE_N,
+    nc: 512,
+    k_align: amx::TILE_K,
+    amx: true,
+};
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for f32 {}
+    impl Sealed for crate::bf16::Bf16 {}
+}
+
+/// A packed-panel element: `f32` or [`Bf16`]. The blocked driver in
+/// [`crate::gemm`] is one loop nest generic over this trait — the
+/// element supplies its scratch pool, its rounding from the f32 values a
+/// producer computes, and its micro-tile entry; accumulation and C are
+/// f32 for both.
+pub trait Element:
+    Copy + PartialEq + std::fmt::Debug + Send + Sync + sealed::Sealed + 'static
+{
+    /// Positive zero (panel padding).
+    const ZERO: Self;
+
+    /// Round an f32 into the panel (identity for `f32`, round-to-nearest-
+    /// even for bf16). Producers apply `α` and any normalisation *before*
+    /// this, so a stored panel element carries exactly one rounding.
+    fn from_f32(x: f32) -> Self;
+
+    /// Exact widening to f32.
+    fn to_f32(self) -> f32;
+
+    /// Run `f` with this thread's pooled scratch of `len` elements
+    /// (unspecified contents, 64-byte aligned — see [`crate::scratch`]).
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Self]) -> R) -> R;
+
+    /// The tiling strategy panels of this element take under `kern`.
+    fn tiles(kern: &Kernel) -> Tiles;
+
+    /// Overwrite `acc[r·tn + j]` (`tm × tn`, row-major) with the product
+    /// of one packed A sub-panel and one packed B sub-panel of depth
+    /// `kd` (the padded `kc`), both laid out as `tiles` prescribes.
+    fn micro_tile(kern: &Kernel, tiles: &Tiles, kd: usize, a: &[Self], b: &[Self], acc: &mut [f32]);
+}
+
+impl Element for f32 {
+    const ZERO: f32 = 0.0;
+
+    #[inline(always)]
+    fn from_f32(x: f32) -> f32 {
+        x
+    }
+
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        self
+    }
+
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        scratch::with_buf(len, f)
+    }
+
+    fn tiles(kern: &Kernel) -> Tiles {
+        Tiles::vector(kern)
+    }
+
+    #[inline]
+    fn micro_tile(kern: &Kernel, _: &Tiles, kd: usize, a: &[f32], b: &[f32], acc: &mut [f32]) {
+        kern.run(kd, a, b, acc);
+    }
+}
+
+impl Element for Bf16 {
+    const ZERO: Bf16 = Bf16::ZERO;
+
+    #[inline(always)]
+    fn from_f32(x: f32) -> Bf16 {
+        Bf16::from_f32(x)
+    }
+
+    #[inline(always)]
+    fn to_f32(self) -> f32 {
+        Bf16::to_f32(self)
+    }
+
+    fn with_scratch<R>(len: usize, f: impl FnOnce(&mut [Bf16]) -> R) -> R {
+        scratch::with_buf_u16(len, |bits| f(bf16::from_bits_slice_mut(bits)))
+    }
+
+    fn tiles(kern: &Kernel) -> Tiles {
+        if bf16_dot_native(kern.tier) {
+            AMX_TILES
+        } else {
+            Tiles::vector(kern)
+        }
+    }
+
+    #[inline]
+    fn micro_tile(
+        kern: &Kernel,
+        tiles: &Tiles,
+        kd: usize,
+        a: &[Bf16],
+        b: &[Bf16],
+        acc: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if tiles.amx {
+            assert!(kd > 0 && kd.is_multiple_of(amx::TILE_K));
+            assert_eq!(a.len(), amx::TILE_M * kd);
+            assert_eq!(b.len(), amx::TILE_N * kd);
+            assert!(acc.len() >= amx::TILE_M * amx::TILE_N);
+            amx::ensure_thread_configured();
+            let (a, b) = (bf16::to_bits_slice(a), bf16::to_bits_slice(b));
+            // SAFETY: `tiles.amx` is only ever set by `Bf16::tiles` after
+            // `amx::bf16_ready()`, and this thread's palette was loaded
+            // just above. `a` is 32 rows of `kd` elements (row stride
+            // `2·kd` bytes), `b` is two consecutive VNNI panels of
+            // `kd·VNNI_W` elements each, `acc` holds 32×32 f32 — all
+            // checked above.
+            unsafe {
+                amx::tile_kernel_32x32(
+                    kd / amx::TILE_K,
+                    a.as_ptr(),
+                    kd * 2,
+                    b.as_ptr(),
+                    b[kd * amx::VNNI_W..].as_ptr(),
+                    acc.as_mut_ptr(),
+                );
+            }
+            return;
+        }
+        let _ = tiles;
+        kern.run_bf16(kd, bf16::to_bits_slice(a), bf16::to_bits_slice(b), acc);
+    }
+}
+
+/// Merge consecutive k-rows of packed panels into adjacent pairs — the
+/// VNNI layout `tdpbf16ps` reads its B operand in. `src` holds panels of
+/// `kc` rows × `w` interleaved elements (the standard pack layout);
+/// `dst` receives the same panels with row pairs merged —
 /// `dst[t·2w + 2j + s] = src[(2t+s)·w + j]` — zero-padded to `rows`
-/// logical rows (`rows` is the kernel's padded depth: `next_even(kc)`
-/// for `vdpbf16ps`, a multiple of the tile depth for AMX; `rows ≥ kc`
-/// and even). `dst` must hold `panels · rows · w` elements.
-pub(crate) fn pair_interleave_bf16_panels(
-    src: &[u16],
-    dst: &mut [u16],
+/// logical rows (`rows ≥ kc`, even). `dst` must hold `panels · rows · w`
+/// elements.
+pub(crate) fn pair_interleave_bf16_panels<E: Element>(
+    src: &[E],
+    dst: &mut [E],
     kc: usize,
     w: usize,
     rows: usize,
@@ -284,57 +438,31 @@ pub(crate) fn pair_interleave_bf16_panels(
             let out = &mut d[(kc - 1) * w..][..2 * w];
             for j in 0..w {
                 out[2 * j] = r0[j];
-                out[2 * j + 1] = 0;
+                out[2 * j + 1] = E::ZERO;
             }
         }
-        d[kc.next_multiple_of(2) * w..].fill(0);
+        d[kc.next_multiple_of(2) * w..].fill(E::ZERO);
     }
 }
 
-/// Whether `tier` runs bf16 panels through native dot-product hardware
-/// on this CPU — the `vdpbf16ps` vector kernel or, above it, the AMX
-/// tile unit (`tdpbf16ps`). Native paths accumulate each input pair (or
-/// 32-deep tile group) before joining the f32 chain, so their results
-/// are tolerance-banded against the widen kernels rather than
-/// bit-identical. Attribution for probes, banners, bench records and
-/// test bands.
+/// Whether `tier` runs bf16 panels through the AMX tile unit
+/// (`tdpbf16ps`) on this CPU. The tile unit sums each 32-product group
+/// before joining the f32 chain, so its results are tolerance-banded
+/// against the widen kernels rather than bit-identical — this is the
+/// predicate tests band on.
 pub fn bf16_dot_native(tier: Tier) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        tier == Tier::Avx512 && (vdpbf16_available() || crate::amx::bf16_ready())
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = tier;
-        false
-    }
+    tier == Tier::Avx512 && amx::bf16_ready()
 }
 
-#[cfg(target_arch = "x86_64")]
-fn vdpbf16_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx512f")
-        && std::arch::is_x86_feature_detected!("avx512bw")
-        && std::arch::is_x86_feature_detected!("avx512bf16")
-}
-
-/// Short name of the hardware path `tier`'s bf16 kernel takes on this
-/// CPU: the AMX tile unit (`tdpbf16ps`, engaged above the avx512 tier),
-/// the `vdpbf16ps` vector dot product, or register widening over the
-/// f32 FMA pipe. For probes, banners and bench attributions.
+/// Short name of the unit `tier`'s bf16 panels run on: `amx` (the tile
+/// unit, engaged at the avx512 tier) or `widen` (register widening over
+/// the f32 FMA pipe). For probes, banners and bench attributions.
 pub fn bf16_engine(tier: Tier) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if tier == Tier::Avx512 {
-            if crate::amx::bf16_ready() {
-                return "amx";
-            }
-            if vdpbf16_available() {
-                return "vdpbf16ps";
-            }
-        }
+    if bf16_dot_native(tier) {
+        "amx"
+    } else {
+        "widen"
     }
-    let _ = tier;
-    "widen"
 }
 
 static SCALAR_KERNEL: Kernel = Kernel {
@@ -343,7 +471,6 @@ static SCALAR_KERNEL: Kernel = Kernel {
     nc: 1024,
     ukr: ukr_scalar,
     ukr_bf16: ukr_scalar_bf16,
-    paired_bf16: false,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -353,7 +480,6 @@ static AVX2_KERNEL: Kernel = Kernel {
     nc: 1024,
     ukr: ukr_avx2,
     ukr_bf16: ukr_avx2_bf16,
-    paired_bf16: false,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -363,20 +489,6 @@ static AVX512_KERNEL: Kernel = Kernel {
     nc: 1008, // 21 × NR — keeps strips NR-aligned, ≈1 MiB packed B
     ukr: ukr_avx512,
     ukr_bf16: ukr_avx512_bf16,
-    paired_bf16: false,
-};
-
-/// The avx512 row with the native `vdpbf16ps` bf16 kernel — selected in
-/// place of [`AVX512_KERNEL`] when the CPU has AVX512-BF16. Same f32
-/// entry and blocking; only the bf16 path differs.
-#[cfg(target_arch = "x86_64")]
-static AVX512_BFDOT_KERNEL: Kernel = Kernel {
-    tier: Tier::Avx512,
-    nr: NR_AVX512,
-    nc: 1008,
-    ukr: ukr_avx512,
-    ukr_bf16: ukr_avx512_bfdot,
-    paired_bf16: true,
 };
 
 /// The dispatch table row for `tier`.
@@ -396,13 +508,7 @@ pub(crate) fn kernel_for(tier: Tier) -> &'static Kernel {
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => &AVX2_KERNEL,
         #[cfg(target_arch = "x86_64")]
-        Tier::Avx512 => {
-            if bf16_dot_native(Tier::Avx512) {
-                &AVX512_BFDOT_KERNEL
-            } else {
-                &AVX512_KERNEL
-            }
-        }
+        Tier::Avx512 => &AVX512_KERNEL,
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar tier on non-x86_64"),
     }
@@ -561,6 +667,8 @@ macro_rules! unroll_mr {
 /// `a` must be valid for `kc·MR` reads, `b` for `kc·NR_SCALAR` reads and
 /// `acc` for `MR·NR_SCALAR` writes ([`Kernel::run`] checks this).
 unsafe fn ukr_scalar(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
+    // SAFETY: exactly the three extents of the contract above; `acc` is
+    // the caller's unique tile buffer, disjoint from both panels.
     let a_panel = std::slice::from_raw_parts(a, kc * MR);
     let b_panel = std::slice::from_raw_parts(b, kc * NR_SCALAR);
     let acc = std::slice::from_raw_parts_mut(acc, MR * NR_SCALAR);
@@ -599,6 +707,8 @@ fn widen_bf16(u: u16) -> f32 {
 /// # Safety
 /// Same panel bounds as [`ukr_scalar`] ([`Kernel::run_bf16`] checks).
 unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
+    // SAFETY: exactly the three extents of the contract above; `acc` is
+    // the caller's unique tile buffer, disjoint from both panels.
     let a_panel = std::slice::from_raw_parts(a, kc * MR);
     let b_panel = std::slice::from_raw_parts(b, kc * NR_SCALAR);
     let acc = std::slice::from_raw_parts_mut(acc, MR * NR_SCALAR);
@@ -653,12 +763,16 @@ unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
 #[target_feature(enable = "avx2,fma")]
 unsafe fn ukr_avx2(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
     use std::arch::x86_64::*;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
+    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
+    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    // intrinsics themselves need only the ISA the caller vouched for.
     for half in 0..2 {
         let mut c: [[__m256; 2]; 4] = [[_mm256_setzero_ps(); 2]; 4];
         macro_rules! step {
             ($kk:expr) => {{
                 let kk = $kk;
-                _mm_prefetch::<_MM_HINT_T0>(a.add((kk + A_PF_DIST) * MR) as *const i8);
+                _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
                 let bp = b.add(kk * NR_AVX2);
                 let b0 = _mm256_loadu_ps(bp);
                 let b1 = _mm256_loadu_ps(bp.add(8));
@@ -701,12 +815,16 @@ unsafe fn ukr_avx2(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
 #[target_feature(enable = "avx2,fma")]
 unsafe fn ukr_avx2_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
     use std::arch::x86_64::*;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
+    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
+    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    // intrinsics themselves need only the ISA the caller vouched for.
     for half in 0..2 {
         let mut c: [[__m256; 2]; 4] = [[_mm256_setzero_ps(); 2]; 4];
         for kk in 0..kc {
             // bf16 A rows are 16 B, so the same row distance covers half
             // the bytes — still ≥ one line ahead of the FMA chain.
-            _mm_prefetch::<_MM_HINT_T0>(a.add((kk + A_PF_DIST) * MR) as *const i8);
+            _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
             let bp = b.add(kk * NR_AVX2);
             let b0 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(
                 _mm_loadu_si128(bp as *const __m128i),
@@ -745,9 +863,13 @@ unsafe fn ukr_avx2_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) 
 #[target_feature(enable = "avx512f")]
 unsafe fn ukr_avx512(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
     use std::arch::x86_64::*;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
+    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
+    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    // intrinsics themselves need only the ISA the caller vouched for.
     let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
     for kk in 0..kc {
-        _mm_prefetch::<_MM_HINT_T0>(a.add((kk + A_PF_DIST) * MR) as *const i8);
+        _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
         let bp = b.add(kk * NR_AVX512);
         let b0 = _mm512_loadu_ps(bp);
         let b1 = _mm512_loadu_ps(bp.add(16));
@@ -782,9 +904,13 @@ unsafe fn ukr_avx512(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
 #[target_feature(enable = "avx512f")]
 unsafe fn ukr_avx512_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
     use std::arch::x86_64::*;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
+    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
+    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    // intrinsics themselves need only the ISA the caller vouched for.
     let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
     for kk in 0..kc {
-        _mm_prefetch::<_MM_HINT_T0>(a.add((kk + A_PF_DIST) * MR) as *const i8);
+        _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
         let bp = b.add(kk * NR_AVX512);
         let b0 = _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(
             _mm256_loadu_si256(bp as *const __m256i),
@@ -801,49 +927,6 @@ unsafe fn ukr_avx512_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
             cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
             cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
             cr[2] = _mm512_fmadd_ps(av, b2, cr[2]);
-        }
-    }
-    for (r, cr) in c.iter().enumerate() {
-        let out = acc.add(r * NR_AVX512);
-        _mm512_storeu_ps(out, cr[0]);
-        _mm512_storeu_ps(out.add(16), cr[1]);
-        _mm512_storeu_ps(out.add(32), cr[2]);
-    }
-}
-
-/// The AVX512-BF16 MR×48 tile kernel: `vdpbf16ps` over pair-interleaved
-/// panels ([`pair_interleave_bf16_panels`]). Per pair-step the 24 dot
-/// instructions retire **two** k-steps of the whole tile — half the
-/// FMA-port issues of the widen kernel — while the A pair broadcast is a
-/// single 32-bit memory broadcast (the pair sits adjacent in the panel)
-/// and the three B vectors are plain loads (the interleave happened at
-/// pack time). `vdpbf16ps` widens each bf16 operand exactly, so the pair
-/// products are exact in f32; only the pairwise add order differs from
-/// the widen kernels.
-///
-/// # Safety
-/// Caller must ensure AVX512F/BW/BF16 are available and the **paired**
-/// panel bounds of [`Kernel::run_bf16`] (`next_even(kc)` rows).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512bf16")]
-unsafe fn ukr_avx512_bfdot(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
-    use std::arch::x86_64::*;
-    let npairs = kc.div_ceil(2);
-    let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
-    for kk2 in 0..npairs {
-        // Pair rows are 2·MR u16 = 32 B; the same lookahead distance in
-        // pair rows covers the f32 kernel's byte horizon.
-        _mm_prefetch::<_MM_HINT_T0>(a.add((kk2 + A_PF_DIST) * 2 * MR) as *const i8);
-        let bp = b.add(kk2 * 2 * NR_AVX512);
-        let b0: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp as *const __m512i));
-        let b1: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp.add(32) as *const __m512i));
-        let b2: __m512bh = std::mem::transmute(_mm512_loadu_si512(bp.add(64) as *const __m512i));
-        let ap = (a as *const i32).add(kk2 * MR);
-        for (r, cr) in c.iter_mut().enumerate() {
-            let av: __m512bh = std::mem::transmute(_mm512_set1_epi32(ap.add(r).read_unaligned()));
-            cr[0] = _mm512_dpbf16_ps(cr[0], av, b0);
-            cr[1] = _mm512_dpbf16_ps(cr[1], av, b1);
-            cr[2] = _mm512_dpbf16_ps(cr[2], av, b2);
         }
     }
     for (r, cr) in c.iter().enumerate() {
@@ -898,12 +981,9 @@ mod tests {
 
     /// Every tier's bf16 kernel must agree with the reference product of
     /// the *widened* panels (widening is exact, so the only slack is f32
-    /// accumulation — for the native-dot kernel, pairwise f32
-    /// accumulation). Paired kernels get their panels pair-interleaved
-    /// the way the driver would.
+    /// accumulation).
     #[test]
     fn every_available_tier_bf16_tile_matches_reference() {
-        use crate::bf16::Bf16;
         for tier in available_tiers() {
             let kern = kernel_for(tier);
             for kc in [1usize, 3, 17, 64] {
@@ -914,16 +994,7 @@ mod tests {
                     .map(|i| Bf16::from_f32(((i % 19) as f32) * 0.125 - 1.0).0)
                     .collect();
                 let mut acc = vec![f32::NAN; MR * kern.nr];
-                if kern.bf16_paired() {
-                    let rows = kern.bf16_panel_rows(kc);
-                    let mut ap = vec![0u16; rows * MR];
-                    let mut bp = vec![0u16; rows * kern.nr];
-                    pair_interleave_bf16_panels(&a, &mut ap, kc, MR, rows);
-                    pair_interleave_bf16_panels(&b, &mut bp, kc, kern.nr, rows);
-                    kern.run_bf16(kc, &ap, &bp, &mut acc);
-                } else {
-                    kern.run_bf16(kc, &a, &b, &mut acc);
-                }
+                kern.run_bf16(kc, &a, &b, &mut acc);
                 let aw: Vec<f32> = a.iter().map(|&u| Bf16(u).to_f32()).collect();
                 let bw: Vec<f32> = b.iter().map(|&u| Bf16(u).to_f32()).collect();
                 let r = tile_reference(kc, kern.nr, &aw, &bw);
@@ -945,9 +1016,9 @@ mod tests {
         let w = 4usize;
         for kc in [1usize, 2, 5, 6] {
             let panels = 3usize;
-            let src: Vec<u16> = (0..panels * kc * w).map(|i| i as u16 + 1).collect();
+            let src: Vec<Bf16> = (0..panels * kc * w).map(|i| Bf16(i as u16 + 1)).collect();
             let rows = kc.next_multiple_of(2);
-            let mut dst = vec![0xFFFFu16; panels * rows * w];
+            let mut dst = vec![Bf16(0xFFFF); panels * rows * w];
             pair_interleave_bf16_panels(&src, &mut dst, kc, w, rows);
             for p in 0..panels {
                 for kk in 0..rows {
@@ -956,12 +1027,27 @@ mod tests {
                         let want = if kk < kc {
                             src[p * kc * w + kk * w + j]
                         } else {
-                            0
+                            Bf16::ZERO
                         };
                         assert_eq!(got, want, "panel {p} kk {kk} j {j} (kc {kc})");
                     }
                 }
             }
+        }
+    }
+
+    /// Every strategy's micro-tile fits the driver's stack accumulator,
+    /// and the strip width is a whole number of micro-tiles.
+    #[test]
+    fn every_tiling_fits_the_accumulator() {
+        for tier in available_tiers() {
+            let kern = kernel_for(tier);
+            for t in [f32::tiles(kern), Bf16::tiles(kern)] {
+                assert!(t.tm * t.tn <= ACC_LEN, "tier {}: {t:?}", tier.name());
+                assert_eq!(t.nc % t.tn, 0, "tier {}: {t:?}", tier.name());
+                assert_eq!(t.amx, t.k_align > 1);
+            }
+            assert_eq!(Bf16::tiles(kern).amx, bf16_dot_native(tier));
         }
     }
 
@@ -1006,14 +1092,5 @@ mod tests {
         });
         assert!(result.is_err());
         assert_eq!(selected_tier(), before);
-    }
-
-    #[test]
-    fn nc_is_a_multiple_of_nr_for_every_tier() {
-        for tier in available_tiers() {
-            let k = kernel_for(tier);
-            assert_eq!(k.nc % k.nr, 0, "tier {}", tier.name());
-            assert!(k.nr <= NR_MAX);
-        }
     }
 }

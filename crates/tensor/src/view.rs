@@ -8,7 +8,71 @@
 //! absorbs the stride, so strided operands run at the same speed as dense
 //! ones.
 
+use crate::bf16::Bf16MatRef;
 use crate::matrix::DMatrix;
+use crate::ukernel::Element;
+
+/// A borrowed row-major matrix the GEMM pack sources read rows from:
+/// [`MatRef`] (f32) or [`Bf16MatRef`] (bf16 storage). Its element type
+/// is also the panel element the operand packs into, so code written
+/// against `Rows` runs both storage precisions through one body.
+pub trait Rows: Copy + Sync {
+    /// The stored (and packed) element.
+    type Elem: Element;
+
+    fn rows(&self) -> usize;
+
+    fn cols(&self) -> usize;
+
+    /// Row `i` as a slice.
+    fn row(&self, i: usize) -> &[Self::Elem];
+
+    /// The leading `n` rows.
+    fn first_rows(self, n: usize) -> Self;
+}
+
+impl Rows for MatRef<'_> {
+    type Elem = f32;
+
+    fn rows(&self) -> usize {
+        self.rows
+    }
+
+    fn cols(&self) -> usize {
+        self.cols
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[f32] {
+        MatRef::row(self, i)
+    }
+
+    fn first_rows(self, n: usize) -> Self {
+        assert!(n <= self.rows, "row range out of bounds");
+        MatRef { rows: n, ..self }
+    }
+}
+
+impl Rows for Bf16MatRef<'_> {
+    type Elem = crate::Bf16;
+
+    fn rows(&self) -> usize {
+        Bf16MatRef::rows(self)
+    }
+
+    fn cols(&self) -> usize {
+        Bf16MatRef::cols(self)
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[crate::Bf16] {
+        Bf16MatRef::row(self, i)
+    }
+
+    fn first_rows(self, n: usize) -> Self {
+        Bf16MatRef::new(&self.data()[..n * self.cols()], n, self.cols())
+    }
+}
 
 /// Immutable strided view.
 #[derive(Clone, Copy)]
@@ -275,6 +339,26 @@ mod tests {
         }
         assert_eq!(m.row(0), &[1.0, 1.0, 0.0, 0.0, 0.0]);
         assert_eq!(m.row(1), &[2.0, 2.0, 0.0, 0.0, 9.0]);
+    }
+
+    #[test]
+    fn rows_first_rows_keeps_stride_and_element() {
+        fn leading<H: Rows>(h: H, n: usize) -> (usize, usize, Vec<f32>) {
+            let h = h.first_rows(n);
+            let last = h.row(n - 1).iter().map(|x| x.to_f32()).collect();
+            (h.rows(), h.cols(), last)
+        }
+        let m = DMatrix::from_fn(4, 6, |i, j| (i * 8 + j) as f32);
+        // A column-strided f32 view keeps its row stride.
+        assert_eq!(
+            leading(m.view_cols(2, 5), 3),
+            (3, 3, vec![18.0, 19.0, 20.0])
+        );
+        let q: Vec<crate::Bf16> = m.data().iter().map(|&x| crate::Bf16::from_f32(x)).collect();
+        assert_eq!(
+            leading(Bf16MatRef::new(&q, 4, 6), 2),
+            (2, 6, m.row(1).to_vec())
+        );
     }
 
     #[test]

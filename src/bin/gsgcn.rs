@@ -36,9 +36,9 @@
 //! `serve` keeps the engine running behind an event-driven TCP
 //! front-end speaking the line protocol or a pipelined binary framing,
 //! with weighted admission control and an optional activation cache
-//! (see `gsgcn_serve`); `--frontend threaded` selects the original
-//! thread-per-connection front-end. `kernel` reports the GEMM
-//! microkernel tier dispatch; `--probe T` exits non-zero when the CPU
+//! (see `gsgcn_serve`). `kernel` reports the GEMM microkernel tier
+//! dispatch and, per tier, the unit its bf16 panels run on
+//! (`bf16 via amx|widen`); `--probe T` exits non-zero when the CPU
 //! lacks tier `T` (used by CI to skip unsupported tiers visibly).
 //!
 //! Argument parsing is hand-rolled (the workspace has no CLI dependency);
@@ -93,14 +93,14 @@ const USAGE: &str = "usage:
               through the batch engine; --probs prints full class rows
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--max-wait-us N] [--queue N] [--admission <block|shed>]
-              [--frontend <event|threaded>] [--protocol <line|binary>]
+              [--protocol <line|binary>]
               [--cache-bytes SIZE] [--max-conns N] [--idle-timeout-ms N]
               [dataset overrides as for eval]
               — line protocol: send `3 17 204\\n`, receive
               `ok 3:<labels>:<p> ..\\n` (`err ..\\n` on failure,
               `overloaded\\n` when admission sheds, `quit` to close);
               --protocol binary selects the pipelined length-prefixed
-              framing (event front-end only; see gsgcn_serve docs).
+              framing (see gsgcn_serve docs).
               SIZE accepts 64MiB/1GB/..; --cache-bytes 0 disables the
               activation cache and overrides the GSGCN_ACTIVATION_CACHE
               env default; accepts --shards/--graph-store/--prefetch as
@@ -684,7 +684,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     apply_precision_flag(flags)?;
     apply_graph_store_flag(flags)?;
     // Same id syntax as one TCP request line (commas and/or spaces).
-    let nodes = gsgcn::serve::tcp::parse_request(flags.get("nodes").ok_or("missing --nodes")?)
+    let nodes = gsgcn::serve::poll::parse_request(flags.get("nodes").ok_or("missing --nodes")?)
         .map_err(|e| format!("--nodes: {e}"))?;
     let classifier = Arc::new(build_classifier(flags)?);
     let want_probs = flags.contains_key("probs");
@@ -718,7 +718,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::poll::{EventFrontend, FrontendConfig, Protocol};
-    use gsgcn::serve::{cache, tcp, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
+    use gsgcn::serve::{cache, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
     apply_precision_flag(flags)?;
@@ -768,67 +768,40 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     let idle_timeout = std::time::Duration::from_millis(idle_ms);
     let protocol: Protocol = get(flags, "protocol", Protocol::Line)?;
-    let frontend = flags.get("frontend").map(String::as_str).unwrap_or("event");
     let addr = flags
         .get("addr")
         .cloned()
         .unwrap_or_else(|| "127.0.0.1:7878".to_string());
 
     let engine = Arc::new(BatchEngine::spawn(classifier, cfg)?);
-    let banner = |local: std::net::SocketAddr| {
-        println!(
-            "serving on {local} [{frontend}/{}] — {} worker{}, max batch {} nodes, \
-             max wait {}µs, admission {:?}, {cache_note}, max {max_conns} conns, \
-             idle timeout {idle_ms}ms",
-            match protocol {
-                Protocol::Line => "line",
-                Protocol::Binary => "binary",
-            },
-            cfg.workers,
-            plural(cfg.workers),
-            cfg.max_batch,
-            cfg.max_wait.as_micros(),
-            cfg.admission,
-        );
-    };
-    match frontend {
-        "event" => {
-            let fe = EventFrontend::spawn(
-                engine,
-                &addr,
-                FrontendConfig {
-                    protocol,
-                    max_conns,
-                    idle_timeout,
-                    ..FrontendConfig::default()
-                },
-            )
-            .map_err(|e| format!("binding {addr}: {e}"))?;
-            banner(fe.local_addr());
-            fe.join();
-            Ok(())
-        }
-        "threaded" => {
-            if protocol != Protocol::Line {
-                return Err("--frontend threaded only speaks --protocol line".into());
-            }
-            let fe = tcp::TcpFrontend::spawn(
-                engine,
-                &addr,
-                tcp::TcpConfig {
-                    max_conns,
-                    idle_timeout,
-                },
-            )
-            .map_err(|e| format!("binding {addr}: {e}"))?;
-            banner(fe.local_addr());
-            // Park forever: the operator terminates `gsgcn serve`.
-            loop {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-        }
-        other => Err(format!("bad --frontend {other:?}: expected event|threaded")),
-    }
+    let fe = EventFrontend::spawn(
+        engine,
+        &addr,
+        FrontendConfig {
+            protocol,
+            max_conns,
+            idle_timeout,
+            ..FrontendConfig::default()
+        },
+    )
+    .map_err(|e| format!("binding {addr}: {e}"))?;
+    println!(
+        "serving on {} [{}] — {} worker{}, max batch {} nodes, \
+         max wait {}µs, admission {:?}, {cache_note}, max {max_conns} conns, \
+         idle timeout {idle_ms}ms",
+        fe.local_addr(),
+        match protocol {
+            Protocol::Line => "line",
+            Protocol::Binary => "binary",
+        },
+        cfg.workers,
+        plural(cfg.workers),
+        cfg.max_batch,
+        cfg.max_wait.as_micros(),
+        cfg.admission,
+    );
+    fe.join();
+    Ok(())
 }
 
 /// Exit code for `kernel --probe` on a valid tier the CPU cannot run.
