@@ -33,10 +33,14 @@
 //! median) and the tuned records carry `*_gap_improvement` tags — the
 //! headline "close the out-of-core gap" numbers.
 //!
-//! Records are tagged `backend=`, `order=`, `prefetch=`, `cache=`,
-//! `shards=`; mmap train records additionally carry the shard-cache
-//! hit/miss/eviction and prefetch issued/hit/wasted counts, and each
-//! variant carries `peak_rss` (`VmHWM`). The mmap variants run FIRST so
+//! Records are tagged `backend=`, `order=`, `prefetch=`, `cache=`
+//! (the mapped-bytes budget), `shards=`; mmap train records additionally
+//! carry the **training store's** shard-cache hit/miss/eviction counts,
+//! how many sections of each kind the budget left mapped at the end of
+//! the epochs (`resident_topology` / `resident_features` /
+//! `resident_labels`, out of `shards`), `topology_evictions`, and the
+//! prefetch issued/hit/wasted counts; each variant carries `peak_rss`
+//! (`VmHWM`). The mmap variants run FIRST so
 //! their reported peak RSS is a true bound on the out-of-core working
 //! set — VmHWM is monotone, so once the mem backend materializes the
 //! store the watermark stops being attributable.
@@ -232,11 +236,18 @@ fn bench_variant(v: &Variant) -> Medians {
             t0.elapsed().as_secs_f64()
         })
         .collect();
+    // The epochs read the training store; `full` served the gathers and
+    // balls above.
+    let train_stats = sd.train.cache_stats();
     let mut extra = Vec::new();
-    if let Some(stats) = full.cache_stats() {
+    if let Some(stats) = &train_stats {
         extra.push(("cache_hits", stats.hits.to_string()));
         extra.push(("cache_misses", stats.misses.to_string()));
         extra.push(("cache_evictions", stats.evictions.to_string()));
+        extra.push(("resident_topology", stats.topology.resident.to_string()));
+        extra.push(("resident_features", stats.features.resident.to_string()));
+        extra.push(("resident_labels", stats.labels.resident.to_string()));
+        extra.push(("topology_evictions", stats.topology.evictions.to_string()));
         if stats.prefetch_issued > 0 {
             extra.push(("prefetch_issued", stats.prefetch_issued.to_string()));
             extra.push(("prefetch_hits", stats.prefetch_hits.to_string()));
@@ -252,8 +263,8 @@ fn bench_variant(v: &Variant) -> Medians {
         &epoch_lat,
         None,
     );
-    if let Some(stats) = full.cache_stats() {
-        println!("  {label}: shard cache {}", stats.summary());
+    if let Some(stats) = &train_stats {
+        println!("  {label}: train-store shard cache {}", stats.summary());
     }
     if let Some(rss) = peak_rss_bytes() {
         println!("  {label}: peak RSS so far {}", format_bytes(rss));

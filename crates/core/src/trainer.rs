@@ -230,9 +230,11 @@ impl<'a> GsGcnTrainer<'a> {
 
     /// Feed the shard prefetcher from the sampler pipeline: each
     /// delivered subgraph announces its origin set before the consumer
-    /// can pop it, so the shards a batch will gather from are paging in
-    /// while the previous batch computes. No-op unless both the
-    /// pipelined sampler and the store prefetcher are active.
+    /// can pop it, so the feature and label sections a batch will gather
+    /// from are paging in while the previous batch computes (topology is
+    /// not requested: the sampler that produced the subgraph just read
+    /// it). No-op unless both the pipelined sampler and the store
+    /// prefetcher are active.
     fn wire_prefetch_hook(&self) {
         let Some(pipe) = &self.pipeline else { return };
         if !self.train_store.prefetch_enabled() {
@@ -536,6 +538,11 @@ impl<'a> GsGcnTrainer<'a> {
             })),
             EvalSource::Stored(sd) => {
                 let full = &*sd.full;
+                // The two stores are read in turns, never together: drop
+                // the rows training left mapped before evaluation brings
+                // its own in, and evaluation's after it (a resident peak
+                // of heap + one row budget instead of heap + two).
+                self.train_store.release_rows();
                 let mut acc = f1::F1Accumulator::new(single);
                 let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
                     full.gather_labels_into(roots, eval_labels_split)?;
@@ -553,6 +560,7 @@ impl<'a> GsGcnTrainer<'a> {
                     .map_err(|e| {
                         format!("stored evaluation could not read the graph store: {e}")
                     })?;
+                full.release_rows();
                 self.eval_stats = Some(stats);
                 Ok(acc.f1())
             }

@@ -1,18 +1,58 @@
-//! The memory-mapped shard backend: lazily maps shard files on demand and
-//! bounds the total mapped bytes with a CLOCK (second-chance) cache —
-//! the same eviction discipline as the serving activation cache, applied
-//! to whole shards instead of activation rows.
+//! The memory-mapped shard backend: lazily maps shard files on demand,
+//! one **section** at a time, and bounds the total mapped bytes with a
+//! CLOCK (second-chance) cache — the same eviction discipline as the
+//! serving activation cache.
+//!
+//! # Cache unit
+//!
+//! A cache entry is one [`SectionKind`] of one shard file: its topology
+//! (header, members, CSR offsets, adjacency), its feature rows or its
+//! label rows — the three byte ranges [`ShardLayout`](super::shard::ShardLayout)
+//! cuts a file into. Every reader wants exactly one of them: the sampler,
+//! subgraph induction and the frontier tiler read topology, a gather reads
+//! one kind of row. So a degree probe maps a shard's few-percent topology
+//! range, never its feature payload, and on a feature-dominated store the
+//! whole graph's topology fits a budget a fraction of the store's size.
+//! Nothing maps a whole shard file.
+//!
+//! # Budget accounting
+//!
+//! All entries share **one CLOCK hand and one byte budget**. An entry is
+//! charged its section's byte length, so a fully mapped shard costs
+//! exactly its file length; a zero-width section (a store without labels,
+//! say) maps nothing and costs nothing. Not charged: `mmap` offsets are
+//! page-aligned, so a section that starts mid-page is mapped from the
+//! page boundary below it — under one page of extra address space per
+//! mapped section, backed by a page its neighbour section shares. The
+//! budget is best effort in one direction
+//! only: the entry being loaded is exempt from its own eviction sweep, so
+//! mapped bytes can exceed the budget by the section each concurrent
+//! loader has just mapped — the largest single section per loader —
+//! and otherwise only when pins leave nothing to evict. The sweep takes
+//! row sections before topology sections (see
+//! [`StoreCore::evict_to_budget`]): as long as the store's topology plus
+//! the row sections being loaded fit the budget, topology is never
+//! evicted.
 //!
 //! Why bound *mapped* bytes rather than resident bytes: the out-of-core CI
 //! smoke asserts the RSS cap with `ulimit -v`, which limits the address
 //! space — a mapping counts against it whether or not its pages are
 //! resident. Bounding the mappings therefore bounds both.
 //!
-//! Reader safety: `get()` hands out `Arc<ShardData>`. Eviction only drops
-//! the cache's own `Arc`; the munmap runs when the **last** reader drops
+//! # Reader safety
+//!
+//! `section()` hands out `Arc<ShardSection>`. Eviction only drops the
+//! cache's own `Arc`; the munmap runs when the **last** reader drops
 //! theirs, so a reader never observes a partially unmapped (or remapped)
-//! shard — the same "readers never observe partial state" rule the
-//! activation cache enforces with its all-or-nothing gather.
+//! section — a `NeighborsRef` held across the eviction of its topology
+//! section keeps reading the same bytes. Sections are independent
+//! mappings of disjoint ranges (give or take a shared, read-only lead-in
+//! page), so evicting one kind of a shard never disturbs a reader of
+//! another. Validation is split by what can change: the file's length is
+//! checked against the manifest in front of **every** map (a file that
+//! shrank would otherwise fault inside the mapping), its header against
+//! the manifest's shape once per shard, and the manifest's own arithmetic
+//! once at open.
 //!
 //! # Structure
 //!
@@ -20,30 +60,43 @@
 //! consumer-facing [`MmapStore`] and the optional background
 //! [`Prefetcher`](super::prefetch::Prefetcher) thread
 //! (`GSGCN_SHARD_PREFETCH`, or the CLI's `--prefetch`). The prefetcher
-//! pages shards in *ahead* of the consumer through
+//! pages sections in *ahead* of the consumer through
 //! [`StoreCore::prefetch_load`], whose eviction sweep is **guarded**: it
 //! never clears referenced bits and never evicts pinned or referenced
-//! shards, so speculative page-in cannot push out what the current batch
-//! is reading — at worst it declines and the demand path pays the map
-//! synchronously, exactly as with no prefetcher at all.
+//! entries — nor its own earlier, still unused page-ins — so speculative
+//! page-in cannot push out what the current batch is reading; at worst it
+//! declines and the demand path pays the map synchronously, exactly as
+//! with no prefetcher at all.
 
 use super::prefetch::{prefetch_from_env, Prefetcher};
 use super::shard::{
-    shard_file_name, ShardData, StoreManifest, FORMAT_VERSION, INDEX_FILE, INDEX_HEADER_LEN,
-    INDEX_MAGIC,
+    shard_file_name, SectionKind, ShardSection, ShardShape, StoreManifest, FORMAT_VERSION,
+    INDEX_FILE, INDEX_HEADER_LEN, INDEX_MAGIC,
 };
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A read-only file mapping (unix: `mmap(2)`; elsewhere: a heap copy so
-/// the store still functions, without the memory bound).
+/// A read-only mapping of one byte range of a file (unix: `mmap(2)`;
+/// elsewhere: a heap copy so the store still functions, without the
+/// memory bound).
+///
+/// `mmap` offsets must be page-aligned, so a range starting mid-page is
+/// mapped from the page boundary below it: `base` is what the kernel
+/// returned, `lead` the distance from there to the first requested byte,
+/// and [`Self::bytes`] hides both. The lead-in (less than a page) shares
+/// its page-cache page with the neighbouring range's mapping, so it costs
+/// address space, not memory.
 pub struct Mapping {
     #[cfg(unix)]
-    ptr: *mut u8,
+    base: *mut u8,
+    /// Bytes mapped from `base`: `lead` + the requested length (0 = no
+    /// mapping was made).
     #[cfg(unix)]
-    len: usize,
+    map_len: usize,
+    #[cfg(unix)]
+    lead: usize,
     #[cfg(not(unix))]
     buf: Vec<u8>,
 }
@@ -60,64 +113,115 @@ mod sys {
             offset: i64,
         ) -> *mut u8;
         pub fn munmap(addr: *mut u8, len: usize) -> i32;
+        pub fn getpagesize() -> i32;
     }
     pub const PROT_READ: i32 = 1;
     pub const MAP_SHARED: i32 = 1;
 }
 
-// Safety: the mapping is read-only for its whole lifetime.
+/// The kernel's page size (the granularity of `mmap` offsets).
+#[cfg(unix)]
+fn page_size() -> usize {
+    static PAGE: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *PAGE.get_or_init(|| {
+        // SAFETY: `getpagesize` takes no arguments, touches no memory and
+        // cannot fail.
+        let page = unsafe { sys::getpagesize() } as usize;
+        assert!(page.is_power_of_two(), "page size {page} not a power of 2");
+        page
+    })
+}
+
+/// Distance from the page boundary at or below file offset `offset` to
+/// `offset` (0 where ranges are copied rather than mapped).
+#[cfg(unix)]
+fn lead_of(offset: usize) -> usize {
+    offset % page_size()
+}
+
+#[cfg(not(unix))]
+fn lead_of(_offset: usize) -> usize {
+    0
+}
+
+// SAFETY: the only fields that are not plain integers are `base` (a
+// `PROT_READ` mapping nothing ever writes through or remaps before
+// `Drop`) and `buf` (an owned `Vec`); shared references only read.
 unsafe impl Send for Mapping {}
+// SAFETY: as above — `&Mapping` exposes `bytes()` only.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Map the first `len` bytes of `file` read-only.
-    #[cfg(unix)]
     pub fn map(file: &std::fs::File, len: usize) -> io::Result<Mapping> {
+        Self::map_range(file, 0, len)
+    }
+
+    /// Map bytes `[offset, offset + len)` of `file` read-only. The caller
+    /// has checked the range against the file's length; a range past the
+    /// end of the file would map but fault on access.
+    #[cfg(unix)]
+    pub fn map_range(file: &std::fs::File, offset: usize, len: usize) -> io::Result<Mapping> {
         use std::os::unix::io::AsRawFd;
         if len == 0 {
             return Ok(Mapping {
-                ptr: std::ptr::null_mut(),
-                len: 0,
+                base: std::ptr::null_mut(),
+                map_len: 0,
+                lead: 0,
             });
         }
-        let ptr = unsafe {
+        let lead = lead_of(offset);
+        let floor = offset - lead;
+        let map_len = lead + len;
+        debug_assert_eq!(floor % page_size(), 0, "mmap offset must be page-aligned");
+        let floor = i64::try_from(floor)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "mmap offset overflows"))?;
+        // SAFETY: a fresh (addr = null) read-only shared mapping of an open
+        // descriptor aliases no Rust object; the kernel validates fd,
+        // length and the page-aligned offset and reports failure as -1,
+        // checked below.
+        let base = unsafe {
             sys::mmap(
                 std::ptr::null_mut(),
-                len,
+                map_len,
                 sys::PROT_READ,
                 sys::MAP_SHARED,
                 file.as_raw_fd(),
-                0,
+                floor,
             )
         };
-        if ptr as isize == -1 {
+        if base as isize == -1 {
             return Err(io::Error::last_os_error());
         }
-        Ok(Mapping { ptr, len })
+        debug_assert_eq!(base as usize % page_size(), 0);
+        Ok(Mapping {
+            base,
+            map_len,
+            lead,
+        })
     }
 
     #[cfg(not(unix))]
-    pub fn map(file: &std::fs::File, len: usize) -> io::Result<Mapping> {
-        use std::io::Read;
-        let mut buf = Vec::with_capacity(len);
-        let got = file.take(len as u64).read_to_end(&mut buf)?;
-        if got != len {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("short read: got {got} of {len} bytes"),
-            ));
-        }
+    pub fn map_range(file: &std::fs::File, offset: usize, len: usize) -> io::Result<Mapping> {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut file = file;
+        file.seek(SeekFrom::Start(offset as u64))?;
+        let mut buf = vec![0u8; len];
+        file.read_exact(&mut buf)?;
         Ok(Mapping { buf })
     }
 
-    /// The mapped bytes.
+    /// The requested byte range (without the page lead-in).
     #[cfg(unix)]
     pub fn bytes(&self) -> &[u8] {
-        if self.len == 0 {
+        if self.map_len == 0 {
             return &[];
         }
-        // Safety: ptr/len come from a successful mmap that lives until Drop.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        debug_assert!(self.lead < self.map_len);
+        // SAFETY: `base .. base + map_len` is one live mapping (successful
+        // mmap in `map_range`, unmapped only in `Drop`), `lead < map_len`,
+        // and the pages are never written through this process.
+        unsafe { std::slice::from_raw_parts(self.base.add(self.lead), self.map_len - self.lead) }
     }
 
     #[cfg(not(unix))]
@@ -129,39 +233,63 @@ impl Mapping {
 #[cfg(unix)]
 impl Drop for Mapping {
     fn drop(&mut self) {
-        if self.len > 0 {
-            // Safety: exact pair of the successful mmap in `map`.
+        if self.map_len > 0 {
+            // SAFETY: exactly the `(base, map_len)` the successful mmap in
+            // `map_range` produced; no `bytes()` borrow can outlive `self`.
             unsafe {
-                sys::munmap(self.ptr, self.len);
+                sys::munmap(self.base, self.map_len);
             }
         }
     }
 }
 
-/// Counters exported by [`MmapStore::cache_stats`].
+/// What the cache holds of one [`SectionKind`], inside [`StoreCacheStats`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SectionStats {
+    /// Sections of this kind currently mapped (≤ the shard count).
+    pub resident: usize,
+    /// Bytes they are charged against the budget.
+    pub mapped_bytes: usize,
+    /// Sections of this kind unmapped by the CLOCK hand so far.
+    pub evictions: u64,
+}
+
+/// Counters exported by [`MmapStore::cache_stats`]. A *probe* is one
+/// request for one section of one shard.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCacheStats {
-    /// Shard probes answered from an already-mapped shard.
+    /// Probes answered from an already-mapped section.
     pub hits: u64,
-    /// Shard probes that had to map the file.
+    /// Probes that had to map the section.
     pub misses: u64,
-    /// Shards unmapped by the CLOCK hand to respect the budget.
+    /// Sections unmapped by the CLOCK hand to respect the budget.
     pub evictions: u64,
-    /// Bytes currently charged against the budget (mapped shards).
+    /// Bytes currently charged against the budget (all mapped sections).
     pub mapped_bytes: usize,
-    /// Shards currently mapped.
+    /// Shards with at least one section mapped.
     pub resident_shards: usize,
     /// Prefetch requests accepted into the queue (post-dedup).
     pub prefetch_issued: u64,
-    /// Demand probes served by a shard the prefetcher had mapped.
+    /// Demand probes served by a section the prefetcher had mapped.
     pub prefetch_hits: u64,
-    /// Prefetched shards evicted (or declined for lack of evictable
+    /// Prefetched sections evicted (or declined for lack of evictable
     /// room) without ever serving a demand probe.
     pub prefetch_wasted: u64,
+    /// Sections currently mapped, all kinds.
+    pub resident_sections: usize,
+    /// Per-kind breakdown of `resident_sections`, `mapped_bytes` and
+    /// `evictions`.
+    pub topology: SectionStats,
+    pub features: SectionStats,
+    pub labels: SectionStats,
+    /// Shards in the store (the denominator of each kind's `resident`).
+    pub num_shards: usize,
+    /// The mapped-bytes budget the counters were collected under.
+    pub budget_bytes: usize,
 }
 
 impl StoreCacheStats {
-    /// Hit fraction over all shard probes so far (0 when never probed).
+    /// Hit fraction over all probes so far (0 when never probed).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -171,16 +299,35 @@ impl StoreCacheStats {
         }
     }
 
-    /// One-line human summary for CLI reports and banners.
+    /// The breakdown for one section kind.
+    pub fn of(&self, kind: SectionKind) -> &SectionStats {
+        match kind {
+            SectionKind::Topology => &self.topology,
+            SectionKind::Features => &self.features,
+            SectionKind::Labels => &self.labels,
+        }
+    }
+
+    /// One-line human summary for CLI reports and banners: the counters,
+    /// then what is mapped right now, e.g. `topology 12/12 · features
+    /// 3/12 · labels 4/12, 11.6 MiB of 12.0 MiB`.
     pub fn summary(&self) -> String {
+        const MIB: f64 = (1 << 20) as f64;
+        let mapped: Vec<String> = SectionKind::ALL
+            .iter()
+            .map(|&k| format!("{} {}/{}", k.name(), self.of(k).resident, self.num_shards))
+            .collect();
         let mut s = format!(
-            "hits {} misses {} evictions {} ({:.1}% hit rate, {} shards / {:.1} MiB mapped)",
+            "hits {} misses {} evictions {} ({:.1}% hit rate, topology evictions {}; \
+             {}, {:.1} MiB of {:.1} MiB)",
             self.hits,
             self.misses,
             self.evictions,
             100.0 * self.hit_rate(),
-            self.resident_shards,
-            self.mapped_bytes as f64 / (1 << 20) as f64,
+            self.topology.evictions,
+            mapped.join(" · "),
+            self.mapped_bytes as f64 / MIB,
+            self.budget_bytes as f64 / MIB,
         );
         if self.prefetch_issued > 0 {
             s.push_str(&format!(
@@ -192,18 +339,37 @@ impl StoreCacheStats {
     }
 }
 
-/// One cache slot per shard: the resident mapping (if any) plus the CLOCK
-/// bookkeeping bits. `referenced` is flipped lock-free on every hit;
-/// `pinned` exempts hot shards from eviction entirely; `prefetched`
+/// One cache entry: a shard section's resident mapping (if any) plus the
+/// CLOCK bookkeeping bits. `referenced` is flipped lock-free on every hit;
+/// `pinned` exempts the section from eviction entirely; `prefetched`
 /// marks a mapping the prefetcher brought in that no demand probe has
 /// used yet (for the hit/wasted accounting).
+#[derive(Default)]
 struct Slot {
-    data: Mutex<Option<Arc<ShardData>>>,
+    data: Mutex<Option<Arc<ShardSection>>>,
     referenced: AtomicBool,
     pinned: AtomicBool,
     prefetched: AtomicBool,
+}
+
+impl Slot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<ShardSection>>> {
+        // Every update of the option is a single assignment, so the data
+        // is valid even if a holder panicked.
+        self.data.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// One shard of the store: what its file must look like, and the cache
+/// entries of its three sections.
+struct Shard {
     /// Whether the shard file exists on disk (validated at open).
     present: bool,
+    shape: ShardShape,
+    /// Set once the file's header has passed [`ShardShape::check_header`];
+    /// until then every map of one of its sections repeats the check.
+    header_ok: AtomicBool,
+    sections: [Slot; KINDS],
 }
 
 /// The global → (shard, local) index, itself memory-mapped (it is the one
@@ -277,10 +443,20 @@ impl IndexView {
     }
 }
 
-/// The shared cache state behind an opened store: manifest, index, slots
-/// and every counter. [`MmapStore`] and the prefetch thread each hold an
-/// `Arc<StoreCore>`, so the thread needs no lifetime tie to the store
-/// (drop order is handled by [`MmapStore::drop`] joining the thread
+/// Entries per shard in the cache: one per [`SectionKind`].
+const KINDS: usize = SectionKind::ALL.len();
+
+/// Cache entry id of section `kind` of shard `sid` — the index the CLOCK
+/// hand and the prefetch queue run over.
+#[inline]
+fn entry_of(sid: usize, kind: SectionKind) -> usize {
+    sid * KINDS + kind as usize
+}
+
+/// The shared cache state behind an opened store: manifest, index, cache
+/// entries and every counter. [`MmapStore`] and the prefetch thread each
+/// hold an `Arc<StoreCore>`, so the thread needs no lifetime tie to the
+/// store (drop order is handled by [`MmapStore::drop`] joining the thread
 /// before the core can be orphaned).
 pub(super) struct StoreCore {
     dir: PathBuf,
@@ -289,16 +465,17 @@ pub(super) struct StoreCore {
     /// empty for natural stores (identity).
     unrank: Vec<u32>,
     index: IndexView,
-    slots: Vec<Slot>,
+    shards: Vec<Shard>,
     /// Mapped-bytes budget the CLOCK hand enforces (best effort: a single
-    /// shard larger than the budget still loads — the alternative is
+    /// section larger than the budget still loads — the alternative is
     /// livelock).
     budget: usize,
     mapped: AtomicUsize,
     hand: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Evictions per [`SectionKind`].
+    evictions: [AtomicU64; KINDS],
     prefetch_issued: AtomicU64,
     prefetch_hits: AtomicU64,
     prefetch_wasted: AtomicU64,
@@ -313,8 +490,9 @@ impl StoreCore {
         self.manifest.n as usize
     }
 
-    pub(super) fn num_shards(&self) -> usize {
-        self.slots.len()
+    /// Number of cache entries ([`KINDS`] per shard).
+    pub(super) fn num_entries(&self) -> usize {
+        self.shards.len() * KINDS
     }
 
     #[inline]
@@ -322,16 +500,41 @@ impl StoreCore {
         self.index.part_of(v)
     }
 
-    /// Get shard `sid`, mapping it on demand and evicting others to stay
-    /// under the byte budget.
-    fn get(&self, sid: usize) -> io::Result<Arc<ShardData>> {
-        let slot = self.slots.get(sid).ok_or_else(|| {
+    /// The slot and kind behind entry id `i`.
+    #[inline]
+    fn entry(&self, i: usize) -> (&Slot, SectionKind) {
+        let kind = SectionKind::ALL[i % KINDS];
+        (&self.shards[i / KINDS].sections[kind as usize], kind)
+    }
+
+    /// Map section `kind` of shard `sid` from disk (no cache involvement
+    /// beyond the once-per-shard header check).
+    fn map_section(&self, sid: usize, kind: SectionKind) -> io::Result<ShardSection> {
+        let shard = &self.shards[sid];
+        let check = !shard.header_ok.load(Ordering::Relaxed);
+        let section = ShardSection::map(
+            &self.dir.join(shard_file_name(sid)),
+            sid,
+            &shard.shape,
+            kind,
+            check,
+        )?;
+        // Relaxed: the flag publishes nothing — a racing loader that
+        // still reads `false` merely repeats the check.
+        shard.header_ok.store(true, Ordering::Relaxed);
+        Ok(section)
+    }
+
+    /// Get section `kind` of shard `sid`, mapping it on demand and
+    /// evicting others to stay under the byte budget.
+    fn get(&self, sid: usize, kind: SectionKind) -> io::Result<Arc<ShardSection>> {
+        let shard = self.shards.get(sid).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("shard {sid} out of range ({} shards)", self.slots.len()),
+                format!("shard {sid} out of range ({} shards)", self.shards.len()),
             )
         })?;
-        if !slot.present {
+        if !shard.present {
             return Err(io::Error::new(
                 io::ErrorKind::NotFound,
                 format!(
@@ -340,78 +543,78 @@ impl StoreCore {
                 ),
             ));
         }
-        {
-            let guard = slot.data.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(d) = guard.as_ref() {
-                self.note_demand_hit(slot);
-                return Ok(Arc::clone(d));
-            }
-        }
-        // Miss: load under the slot lock (a racing second loader waits and
-        // then takes the hit path above via the re-check).
-        let mut guard = slot.data.lock().unwrap_or_else(|p| p.into_inner());
+        let slot = &shard.sections[kind as usize];
+        // A racing second loader waits on the slot lock and then takes
+        // the hit path.
+        let mut guard = slot.lock();
         if let Some(d) = guard.as_ref() {
-            self.note_demand_hit(slot);
+            slot.referenced.store(true, Ordering::Relaxed);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            if slot.prefetched.swap(false, Ordering::Relaxed) {
+                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
+            }
             return Ok(Arc::clone(d));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let data = Arc::new(ShardData::load(
-            &self.dir.join(shard_file_name(sid)),
-            sid,
-            Some(&self.manifest.shards[sid]),
-        )?);
+        let data = Arc::new(self.map_section(sid, kind)?);
         self.mapped
             .fetch_add(data.mapped_bytes(), Ordering::Relaxed);
         slot.referenced.store(true, Ordering::Relaxed);
         slot.prefetched.store(false, Ordering::Relaxed);
         *guard = Some(Arc::clone(&data));
+        // Evict with the slot lock released: eviction takes other slots'
+        // locks. (After the map, not before it: room made in advance is
+        // room the prefetch thread fills first — measured on `train_ooc`
+        // as a quarter more page-ins and a 10× longer sampler stall.)
         drop(guard);
-        self.evict_to_budget(sid);
+        self.evict_to_budget(entry_of(sid, kind));
         Ok(data)
     }
 
-    /// Demand-probe hit bookkeeping: flip the CLOCK bit, count the hit,
-    /// and credit the prefetcher when it was the one that mapped this.
-    fn note_demand_hit(&self, slot: &Slot) {
-        slot.referenced.store(true, Ordering::Relaxed);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if slot.prefetched.swap(false, Ordering::Relaxed) {
-            self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// CLOCK sweep: unmap unpinned, unreferenced shards until the mapped
-    /// total fits the budget. `keep` (the shard just loaded) is exempt so
+    /// CLOCK sweep: unmap unpinned, unreferenced sections until the mapped
+    /// total fits the budget. `keep` (the entry just loaded) is exempt so
     /// the caller's handout is never immediately evicted.
+    ///
+    /// Row sections go first: the hand passes over topology entries
+    /// (without touching their referenced bits) for as long as evicting
+    /// rows can still reach the budget. Every reader starts at topology —
+    /// the sampler twice per pop — and it is a few percent of a store's
+    /// bytes, so unmapping it buys almost nothing and puts a re-map on the
+    /// sampler's path; but a gather walks its row sections cyclically,
+    /// which under plain CLOCK sends the hand round the whole table once
+    /// per gather and takes the topology entries with it.
     fn evict_to_budget(&self, keep: usize) {
-        let nslots = self.slots.len();
-        if nslots <= 1 {
-            return;
-        }
-        // Two full sweeps: the first may only clear referenced bits.
-        let mut steps = 2 * nslots;
-        while self.mapped.load(Ordering::Relaxed) > self.budget && steps > 0 {
-            steps -= 1;
-            let i = self.hand.fetch_add(1, Ordering::Relaxed) % nslots;
-            if i == keep || self.slots[i].pinned.load(Ordering::Relaxed) {
-                continue;
+        let n = self.num_entries();
+        for spare_topology in [true, false] {
+            // Two full sweeps: the first may only clear referenced bits.
+            let mut steps = 2 * n;
+            while self.mapped.load(Ordering::Relaxed) > self.budget && steps > 0 {
+                steps -= 1;
+                let i = self.hand.fetch_add(1, Ordering::Relaxed) % n;
+                let (slot, kind) = self.entry(i);
+                if i == keep
+                    || slot.pinned.load(Ordering::Relaxed)
+                    || (spare_topology && kind == SectionKind::Topology)
+                {
+                    continue;
+                }
+                if slot.referenced.swap(false, Ordering::Relaxed) {
+                    continue; // second chance
+                }
+                self.evict_entry(i);
             }
-            if self.slots[i].referenced.swap(false, Ordering::Relaxed) {
-                continue; // second chance
-            }
-            self.evict_slot(i);
         }
     }
 
-    /// Unmap slot `i` if mapped (caller has already decided it is
+    /// Unmap entry `i` if mapped (caller has already decided it is
     /// evictable). A still-prefetched mapping going out unused is counted
     /// wasted.
-    fn evict_slot(&self, i: usize) {
-        let mut guard = self.slots[i].data.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(d) = guard.take() {
+    fn evict_entry(&self, i: usize) {
+        let (slot, kind) = self.entry(i);
+        if let Some(d) = slot.lock().take() {
             self.mapped.fetch_sub(d.mapped_bytes(), Ordering::Relaxed);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if self.slots[i].prefetched.swap(false, Ordering::Relaxed) {
+            self.evictions[kind as usize].fetch_add(1, Ordering::Relaxed);
+            if slot.prefetched.swap(false, Ordering::Relaxed) {
                 self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
             }
             // Dropping `d` here only drops the cache's Arc; readers
@@ -420,60 +623,64 @@ impl StoreCore {
     }
 
     /// Guarded eviction for the prefetch path: one sweep that skips
-    /// pinned **and referenced** slots without clearing any referenced
+    /// pinned **and referenced** entries without clearing any referenced
     /// bit — speculative page-in must never push out what the current
-    /// batch is reading, and must not perturb the demand CLOCK state.
+    /// batch is reading, and must not perturb the demand CLOCK state. It
+    /// also skips entries that were themselves prefetched and not used
+    /// yet: a batch's hint names more sections than a tight budget holds,
+    /// and letting each request evict the one mapped just before it turns
+    /// the whole hint into map/unmap churn with nothing left resident
+    /// (measured on `train_ooc`: the churn alone cost the pipelined
+    /// sampler a fifth of its overlap). The first sections that fit stay,
+    /// the rest are declined.
     /// Returns whether `extra` more bytes now fit the budget.
     fn evict_guarded(&self, extra: usize) -> bool {
-        let nslots = self.slots.len();
-        for i in 0..nslots {
+        for i in 0..self.num_entries() {
             if self.mapped.load(Ordering::Relaxed) + extra <= self.budget {
                 return true;
             }
-            if self.slots[i].pinned.load(Ordering::Relaxed)
-                || self.slots[i].referenced.load(Ordering::Relaxed)
+            let (slot, _) = self.entry(i);
+            if slot.pinned.load(Ordering::Relaxed)
+                || slot.referenced.load(Ordering::Relaxed)
+                || slot.prefetched.load(Ordering::Relaxed)
             {
                 continue;
             }
-            self.evict_slot(i);
+            self.evict_entry(i);
         }
         self.mapped.load(Ordering::Relaxed) + extra <= self.budget
     }
 
-    /// Prefetch-side page-in of shard `sid`: map it if absent, evicting
-    /// only via the guarded sweep. Declines (counting the request wasted)
-    /// when nothing evictable can make room — the demand path then pays
-    /// the map synchronously, exactly as without a prefetcher.
-    pub(super) fn prefetch_load(&self, sid: usize) -> io::Result<()> {
-        let Some(slot) = self.slots.get(sid) else {
+    /// Prefetch-side page-in of cache entry `entry`: map its section if
+    /// absent, evicting only via the guarded sweep. Declines (counting the
+    /// request wasted) when nothing evictable can make room — the demand
+    /// path then pays the map synchronously, exactly as without a
+    /// prefetcher.
+    pub(super) fn prefetch_load(&self, entry: usize) -> io::Result<()> {
+        let Some(shard) = self.shards.get(entry / KINDS) else {
             return Ok(());
         };
-        if !slot.present {
+        if !shard.present {
             return Ok(());
         }
-        {
-            let guard = slot.data.lock().unwrap_or_else(|p| p.into_inner());
-            if guard.is_some() {
-                return Ok(()); // already resident: nothing to do
-            }
+        let (slot, kind) = self.entry(entry);
+        if slot.lock().is_some() {
+            return Ok(()); // already resident: nothing to do
         }
-        let need = self.manifest.shards[sid].file_len as usize;
+        let need = shard.shape.layout.section(kind).1;
         if self.mapped.load(Ordering::Relaxed) + need > self.budget && !self.evict_guarded(need) {
             self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        let mut guard = slot.data.lock().unwrap_or_else(|p| p.into_inner());
+        let mut guard = slot.lock();
         if guard.is_some() {
             return Ok(()); // raced with a demand load
         }
-        let data = Arc::new(ShardData::load(
-            &self.dir.join(shard_file_name(sid)),
-            sid,
-            Some(&self.manifest.shards[sid]),
-        )?);
+        let data = Arc::new(self.map_section(entry / KINDS, kind)?);
+        debug_assert_eq!(data.mapped_bytes(), need);
         self.mapped
             .fetch_add(data.mapped_bytes(), Ordering::Relaxed);
-        // Not referenced yet: a prefetched-but-never-used shard is the
+        // Not referenced yet: a prefetched-but-never-used section is the
         // first thing both sweeps may reclaim.
         slot.referenced.store(false, Ordering::Relaxed);
         slot.prefetched.store(true, Ordering::Relaxed);
@@ -482,26 +689,38 @@ impl StoreCore {
     }
 
     fn cache_stats(&self) -> StoreCacheStats {
+        let mut by_kind = [SectionStats::default(); KINDS];
         let mut resident_shards = 0;
-        for slot in &self.slots {
-            if slot
-                .data
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .is_some()
-            {
-                resident_shards += 1;
+        for shard in &self.shards {
+            let mut any = false;
+            for (slot, stats) in shard.sections.iter().zip(&mut by_kind) {
+                if let Some(d) = slot.lock().as_ref() {
+                    stats.resident += 1;
+                    stats.mapped_bytes += d.mapped_bytes();
+                    any = true;
+                }
             }
+            resident_shards += any as usize;
         }
+        for (stats, evictions) in by_kind.iter_mut().zip(&self.evictions) {
+            stats.evictions = evictions.load(Ordering::Relaxed);
+        }
+        let [topology, features, labels] = by_kind;
         StoreCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: by_kind.iter().map(|s| s.evictions).sum(),
             mapped_bytes: self.mapped.load(Ordering::Relaxed),
             resident_shards,
             prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
             prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
             prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
+            resident_sections: by_kind.iter().map(|s| s.resident).sum(),
+            topology,
+            features,
+            labels,
+            num_shards: self.shards.len(),
+            budget_bytes: self.budget,
         }
     }
 }
@@ -517,10 +736,12 @@ pub struct MmapStore {
 }
 
 impl MmapStore {
-    /// Open the store written under `dir`, bounding mapped shard bytes by
-    /// `budget` (bytes); prefetch follows `GSGCN_SHARD_PREFETCH`. Eagerly
-    /// validates the manifest, the index and every *present* shard file's
-    /// length — truncation fails here, not at first access. Missing shard
+    /// Open the store written under `dir`, bounding mapped section bytes
+    /// by `budget` (bytes); prefetch follows `GSGCN_SHARD_PREFETCH`.
+    /// Eagerly validates the manifest (including that each shard's counts
+    /// add up to its recorded length), the index and every *present* shard
+    /// file's length — truncation fails here, not at first access. Shard
+    /// headers are checked on the first read of each shard. Missing shard
     /// files leave their shard unavailable.
     pub fn open(dir: &Path, budget: usize) -> io::Result<MmapStore> {
         Self::open_with_prefetch(dir, budget, prefetch_from_env())
@@ -532,8 +753,9 @@ impl MmapStore {
         let manifest = StoreManifest::load(dir)?;
         let n = manifest.n as usize;
         let index = IndexView::open(dir, n)?;
-        let mut slots = Vec::with_capacity(manifest.num_shards());
+        let mut shards = Vec::with_capacity(manifest.num_shards());
         for (sid, info) in manifest.shards.iter().enumerate() {
+            let shape = ShardShape::from_manifest(&manifest, sid)?;
             let path = dir.join(shard_file_name(sid));
             let present = match std::fs::metadata(&path) {
                 Ok(meta) => {
@@ -554,12 +776,11 @@ impl MmapStore {
                 Err(e) if e.kind() == io::ErrorKind::NotFound => false,
                 Err(e) => return Err(e),
             };
-            slots.push(Slot {
-                data: Mutex::new(None),
-                referenced: AtomicBool::new(false),
-                pinned: AtomicBool::new(false),
-                prefetched: AtomicBool::new(false),
+            shards.push(Shard {
                 present,
+                shape,
+                header_ok: AtomicBool::new(false),
+                sections: Default::default(),
             });
         }
         let mut unrank = Vec::new();
@@ -574,13 +795,13 @@ impl MmapStore {
             manifest,
             unrank,
             index,
-            slots,
+            shards,
             budget: budget.max(1),
             mapped: AtomicUsize::new(0),
             hand: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            evictions: Default::default(),
             prefetch_issued: AtomicU64::new(0),
             prefetch_hits: AtomicU64::new(0),
             prefetch_wasted: AtomicU64::new(0),
@@ -632,7 +853,7 @@ impl MmapStore {
     }
 
     pub fn num_shards(&self) -> usize {
-        self.core.num_shards()
+        self.core.shards.len()
     }
 
     /// Memoized `d_eff` for `cap`, if a scan already ran on this store.
@@ -691,33 +912,55 @@ impl MmapStore {
     }
 
     /// Hand upcoming vertices to the prefetch thread (advisory, never
-    /// blocks): their shards are paged in ahead of the demand reads.
-    /// Returns how many shard requests were accepted; 0 with prefetch
-    /// off, degraded, or everything already queued.
+    /// blocks): the **row sections** (features, labels — whichever the
+    /// store has) of their shards are paged in ahead of the gathers that
+    /// will read them. Returns how many section requests were accepted; 0
+    /// with prefetch off, degraded, or everything already queued.
     pub fn prefetch_nodes(&self, nodes: &[u32]) -> usize {
+        let mut rows = Vec::with_capacity(2);
+        if self.feature_dim() > 0 {
+            rows.push(SectionKind::Features);
+        }
+        if self.label_dim() > 0 {
+            rows.push(SectionKind::Labels);
+        }
+        self.prefetch_kinds(nodes, &rows)
+    }
+
+    /// As [`Self::prefetch_nodes`] for the **topology sections** of the
+    /// vertices' shards — what `Topology::prefetch_hint` asks for.
+    pub fn prefetch_topology(&self, nodes: &[u32]) -> usize {
+        self.prefetch_kinds(nodes, &[SectionKind::Topology])
+    }
+
+    fn prefetch_kinds(&self, nodes: &[u32], kinds: &[SectionKind]) -> usize {
         if self.prefetcher.is_none() {
             return 0;
         }
         let n = self.num_vertices();
         let mut want = Vec::new();
-        let mut seen = vec![false; self.core.slots.len()];
+        let mut seen = vec![false; self.num_shards()];
         for &v in nodes {
             if (v as usize) >= n {
                 continue;
             }
             let sid = self.core.shard_of(v) as usize;
-            if !seen[sid] && self.core.slots[sid].present {
+            if !seen[sid] && self.core.shards[sid].present {
                 seen[sid] = true;
-                want.push(sid as u32);
+                want.extend(kinds.iter().map(|&k| entry_of(sid, k) as u32));
             }
         }
-        self.prefetch_shards(&want)
+        self.request_prefetch(&want)
     }
 
-    /// As [`Self::prefetch_nodes`] for explicit shard ids.
-    pub fn prefetch_shards(&self, sids: &[u32]) -> usize {
+    /// Request one section of one shard (the grouped gather's look-ahead).
+    pub fn prefetch_section(&self, sid: usize, kind: SectionKind) -> usize {
+        self.request_prefetch(&[entry_of(sid, kind) as u32])
+    }
+
+    fn request_prefetch(&self, entries: &[u32]) -> usize {
         let Some(pf) = &self.prefetcher else { return 0 };
-        let accepted = pf.request(sids);
+        let accepted = pf.request(entries);
         self.core
             .prefetch_issued
             .fetch_add(accepted as u64, Ordering::Relaxed);
@@ -747,30 +990,35 @@ impl MmapStore {
 
     /// Whether `v` is a valid vertex **and** its shard file is present.
     pub fn contains(&self, v: u32) -> bool {
-        (v as usize) < self.num_vertices() && self.core.slots[self.shard_of(v) as usize].present
+        (v as usize) < self.num_vertices() && self.shard_present(self.shard_of(v) as usize)
     }
 
     /// Whether shard `sid`'s file is present on disk.
     pub fn shard_present(&self, sid: usize) -> bool {
-        self.core.slots.get(sid).is_some_and(|s| s.present)
+        self.core.shards.get(sid).is_some_and(|s| s.present)
     }
 
-    /// Get shard `sid`, mapping it on demand and evicting others to stay
-    /// under the byte budget.
-    pub fn get(&self, sid: usize) -> io::Result<Arc<ShardData>> {
-        self.core.get(sid)
+    /// Get section `kind` of shard `sid`, mapping it on demand and
+    /// evicting others to stay under the byte budget.
+    pub fn section(&self, sid: usize, kind: SectionKind) -> io::Result<Arc<ShardSection>> {
+        self.core.get(sid, kind)
     }
 
-    /// The shard holding vertex `v` plus `v`'s local slot in it.
+    /// The topology section of the shard holding vertex `v`, plus `v`'s
+    /// local slot in it.
     #[inline]
-    pub fn shard_for(&self, v: u32) -> io::Result<(Arc<ShardData>, usize)> {
+    pub fn topology_for(&self, v: u32) -> io::Result<(Arc<ShardSection>, usize)> {
         let sid = self.shard_of(v) as usize;
-        Ok((self.core.get(sid)?, self.local_of(v) as usize))
+        Ok((
+            self.core.get(sid, SectionKind::Topology)?,
+            self.local_of(v) as usize,
+        ))
     }
 
-    /// Pin the shards containing `nodes`: map them now and exempt them
-    /// from eviction until [`Self::unpin_all`]. Used by serving to keep
-    /// the hot working set resident across queries.
+    /// Pin the shards containing `nodes`: map **all** their sections now
+    /// and exempt them from eviction until [`Self::unpin_all`]. Used by
+    /// serving to keep the hot working set resident across queries.
+    /// Returns how many shards were newly pinned.
     pub fn pin_nodes(&self, nodes: &[u32]) -> io::Result<usize> {
         let mut pinned = 0;
         for &v in nodes {
@@ -778,24 +1026,46 @@ impl MmapStore {
                 continue;
             }
             let sid = self.shard_of(v) as usize;
-            if !self.core.slots[sid].present {
+            let shard = &self.core.shards[sid];
+            if !shard.present {
                 continue;
             }
-            if !self.core.slots[sid].pinned.swap(true, Ordering::Relaxed) {
-                self.core.get(sid)?;
-                pinned += 1;
+            let mut newly = false;
+            for kind in SectionKind::ALL {
+                if !shard.sections[kind as usize]
+                    .pinned
+                    .swap(true, Ordering::Relaxed)
+                {
+                    self.core.get(sid, kind)?;
+                    newly = true;
+                }
             }
+            pinned += newly as usize;
         }
         Ok(pinned)
     }
 
     /// Release every pin taken by [`Self::pin_nodes`].
     pub fn unpin_all(&self) {
-        for slot in &self.core.slots {
+        for slot in self.core.shards.iter().flat_map(|s| &s.sections) {
             slot.pinned.store(false, Ordering::Relaxed);
         }
-        // Re-apply the budget now that pins no longer shield shards.
+        // Re-apply the budget now that pins no longer shield sections.
         self.core.evict_to_budget(usize::MAX);
+    }
+
+    /// Unmap every unpinned row (feature, label) section now; topology
+    /// stays. For a reader that knows it is about to go idle: its row
+    /// sections would otherwise sit mapped — and, once touched, resident —
+    /// until this store's *own* next loads push them out, however long
+    /// that is.
+    pub fn release_rows(&self) {
+        for i in 0..self.core.num_entries() {
+            let (slot, kind) = self.core.entry(i);
+            if kind != SectionKind::Topology && !slot.pinned.load(Ordering::Relaxed) {
+                self.core.evict_entry(i);
+            }
+        }
     }
 
     /// Counter snapshot.

@@ -11,8 +11,8 @@
 //! * [`MmapStore`] — CSR shards partitioned by the frontier
 //!   ([`bfs_partition`](crate::partition::bfs_partition)) partitioner,
 //!   written in the versioned on-disk format of [`shard`] and memory-mapped
-//!   on demand behind a CLOCK cache with a **mapped-bytes budget**
-//!   ([`mmap`]). Training and serving a graph ≥10× physical RAM becomes a
+//!   on demand, **one section (topology / features / labels) at a time**,
+//!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]). Training and serving a graph ≥10× physical RAM becomes a
 //!   cache-management problem instead of an OOM.
 //!
 //! Consumers read topology through the [`Topology`] trait (object-safe, so
@@ -37,12 +37,12 @@ pub mod prefetch;
 pub mod shard;
 
 pub use mem::MemStore;
-pub use mmap::{MmapStore, StoreCacheStats};
+pub use mmap::{MmapStore, SectionStats, StoreCacheStats};
 pub use order::{order_from_env, StoreOrder};
 pub use prefetch::prefetch_from_env;
 pub use shard::{
-    verify_store, write_store, write_store_ordered, write_store_with_precision, ShardData,
-    StoreManifest,
+    verify_store, write_store, write_store_ordered, write_store_with_precision, SectionKind,
+    ShardSection, StoreManifest,
 };
 
 use crate::csr::CsrGraph;
@@ -118,8 +118,8 @@ pub trait Topology: Sync {
         1
     }
 
-    /// Advise that `nodes` are about to be read (asynchronous page-in
-    /// where supported; default no-op).
+    /// Advise that the topology of `nodes` is about to be read
+    /// (asynchronous page-in where supported; default no-op).
     fn prefetch_hint(&self, nodes: &[u32]) {
         let _ = nodes;
     }
@@ -149,15 +149,16 @@ pub fn scan_capped_mean_degree<T: Topology + ?Sized>(g: &T, cap: u32) -> f64 {
 }
 
 /// A borrowed neighbor list: either a plain slice into a resident CSR or
-/// a slice into a mapped shard, with the `Arc` keeping the mapping alive —
-/// which is exactly why eviction can never pull pages out from under a
-/// reader.
+/// a slice into a shard's mapped topology section, with the `Arc` keeping
+/// the mapping alive — which is exactly why eviction can never pull pages
+/// out from under a reader.
 pub enum NeighborsRef<'a> {
     /// Slice into resident memory.
     Slice(&'a [u32]),
-    /// Slice `start..start+len` of a mapped shard's adjacency section.
+    /// Slice `start..start+len` of the adjacency in a shard's mapped
+    /// topology section.
     Shard {
-        shard: Arc<ShardData>,
+        shard: Arc<ShardSection>,
         start: usize,
         len: usize,
     },
@@ -484,8 +485,8 @@ impl GraphStore {
         }
     }
 
-    /// Pin the shards holding `nodes` into the cache (no-op for mem).
-    /// Returns how many shards were newly pinned.
+    /// Pin every section of the shards holding `nodes` into the cache
+    /// (no-op for mem). Returns how many shards were newly pinned.
     pub fn pin_nodes(&self, nodes: &[u32]) -> io::Result<usize> {
         match self {
             GraphStore::Mem(_) => Ok(0),
@@ -497,6 +498,17 @@ impl GraphStore {
     pub fn unpin_all(&self) {
         if let GraphStore::Mmap(m) = self {
             m.unpin_all();
+        }
+    }
+
+    /// Unmap this store's unpinned feature and label sections now (no-op
+    /// for mem; topology stays mapped). Call when the store's reader goes
+    /// idle while the process keeps running: a dataset's training store
+    /// and full store each own a cache budget, and without this both sit
+    /// at their budgets, mapped and resident, while only one is read.
+    pub fn release_rows(&self) {
+        if let GraphStore::Mmap(m) = self {
+            m.release_rows();
         }
     }
 
@@ -547,10 +559,12 @@ impl GraphStore {
         }
     }
 
-    /// Advise the store that `nodes` are about to be read: their shards
-    /// are paged in asynchronously ahead of the demand reads. Never
-    /// blocks; a no-op for mem / prefetch-off / degraded stores. Returns
-    /// the number of shard requests accepted.
+    /// Advise the store that the **rows** of `nodes` are about to be
+    /// gathered: the feature and label sections of their shards are paged
+    /// in asynchronously ahead of the demand reads (topology readers use
+    /// [`Topology::prefetch_hint`]). Never blocks; a no-op for mem /
+    /// prefetch-off / degraded stores. Returns the number of section
+    /// requests accepted.
     pub fn prefetch_nodes(&self, nodes: &[u32]) -> usize {
         match self {
             GraphStore::Mem(_) => 0,
@@ -567,7 +581,10 @@ impl GraphStore {
                 f.gather_rows_into(nodes, out);
                 Ok(())
             }
-            GraphStore::Mmap(m) => gather_mmap(m, nodes, out, RowKind::Features),
+            GraphStore::Mmap(m) if m.feature_dim() == 0 => Err(no_features()),
+            GraphStore::Mmap(m) => {
+                gather_mmap(m, nodes, out, SectionKind::Features, m.feature_dim())
+            }
         }
     }
 
@@ -580,7 +597,8 @@ impl GraphStore {
                 l.gather_rows_into(nodes, out);
                 Ok(())
             }
-            GraphStore::Mmap(m) => gather_mmap(m, nodes, out, RowKind::Labels),
+            GraphStore::Mmap(m) if m.label_dim() == 0 => Err(no_labels()),
+            GraphStore::Mmap(m) => gather_mmap(m, nodes, out, SectionKind::Labels, m.label_dim()),
         }
     }
 
@@ -615,44 +633,29 @@ fn no_labels() -> io::Error {
     )
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum RowKind {
-    Features,
-    Labels,
-}
-
-fn gather_mmap(m: &MmapStore, nodes: &[u32], out: &mut DMatrix, kind: RowKind) -> io::Result<()> {
-    let width = match kind {
-        RowKind::Features => m.feature_dim(),
-        RowKind::Labels => m.label_dim(),
-    };
-    if width == 0 {
-        return Err(match kind {
-            RowKind::Features => no_features(),
-            RowKind::Labels => no_labels(),
-        });
-    }
+/// Gather `width`-column rows from the `kind` (features or labels)
+/// sections.
+fn gather_mmap(
+    m: &MmapStore,
+    nodes: &[u32],
+    out: &mut DMatrix,
+    kind: SectionKind,
+    width: usize,
+) -> io::Result<()> {
     out.ensure_shape(nodes.len(), width);
     if m.prefetch_enabled() && nodes.len() > 1 {
         return gather_mmap_grouped(m, nodes, out, kind);
     }
     // Batches are usually shard-clustered (BFS partitions follow the same
-    // locality the sampler does), so memoize the last shard handle.
-    let mut cached: Option<(u32, Arc<ShardData>)> = None;
+    // locality the sampler does), so memoize the last section handle.
+    let mut cached: Option<(u32, Arc<ShardSection>)> = None;
     for (i, &v) in nodes.iter().enumerate() {
         let sid = m.shard_of(v);
-        let shard = match &cached {
+        let section = match &cached {
             Some((cur, s)) if *cur == sid => s,
-            _ => {
-                cached = Some((sid, m.get(sid as usize)?));
-                &cached.as_ref().unwrap().1
-            }
+            _ => &cached.insert((sid, m.section(sid as usize, kind)?)).1,
         };
-        let local = m.local_of(v) as usize;
-        match kind {
-            RowKind::Features => shard.copy_feature_row_into(local, out.row_mut(i)),
-            RowKind::Labels => out.row_mut(i).copy_from_slice(shard.label_row(local)),
-        }
+        section.copy_row_into(m.local_of(v) as usize, out.row_mut(i));
     }
     Ok(())
 }
@@ -662,16 +665,17 @@ fn gather_mmap(m: &MmapStore, nodes: &[u32], out: &mut DMatrix, kind: RowKind) -
 const GATHER_PREFETCH_AHEAD: usize = 2;
 
 /// Shard-grouped gather, used when a prefetch thread is available: visit
-/// the rows shard by shard (each shard mapped exactly once per gather, no
-/// matter how scattered `nodes` is) while the prefetcher pages in the
-/// next [`GATHER_PREFETCH_AHEAD`] shards behind the copies. Output rows
-/// land at their original positions, so the result is byte-identical to
-/// the sequential path.
+/// the rows shard by shard (each shard's `kind` section mapped exactly
+/// once per gather, no matter how scattered `nodes` is) while the
+/// prefetcher pages in the same section of the next
+/// [`GATHER_PREFETCH_AHEAD`] shards behind the copies. Output rows land
+/// at their original positions, so the result is byte-identical to the
+/// sequential path.
 fn gather_mmap_grouped(
     m: &MmapStore,
     nodes: &[u32],
     out: &mut DMatrix,
-    kind: RowKind,
+    kind: SectionKind,
 ) -> io::Result<()> {
     // Stable sort of row indices by shard keeps the per-shard copy order
     // deterministic (it does not affect the output, which is indexed).
@@ -694,25 +698,19 @@ fn gather_mmap_grouped(
 
     for (g, (sid, range)) in groups.iter().enumerate() {
         if let Some((ahead_sid, _)) = groups.get(g + GATHER_PREFETCH_AHEAD) {
-            m.prefetch_shards(&[*ahead_sid]);
+            m.prefetch_section(*ahead_sid as usize, kind);
         }
         if g == 0 {
             // Kick the pipeline: the shards after the one we are about to
             // map synchronously.
             for (ahead_sid, _) in groups.iter().skip(1).take(GATHER_PREFETCH_AHEAD - 1) {
-                m.prefetch_shards(&[*ahead_sid]);
+                m.prefetch_section(*ahead_sid as usize, kind);
             }
         }
-        let shard = m.get(*sid as usize)?;
+        let section = m.section(*sid as usize, kind)?;
         for &(_, idx) in &by_shard[range.clone()] {
-            let v = nodes[idx as usize];
-            let local = m.local_of(v) as usize;
-            match kind {
-                RowKind::Features => shard.copy_feature_row_into(local, out.row_mut(idx as usize)),
-                RowKind::Labels => out
-                    .row_mut(idx as usize)
-                    .copy_from_slice(shard.label_row(local)),
-            }
+            let local = m.local_of(nodes[idx as usize]) as usize;
+            section.copy_row_into(local, out.row_mut(idx as usize));
         }
     }
     Ok(())
@@ -726,26 +724,27 @@ fn materialize_mmap(m: &MmapStore) -> io::Result<ResidentParts> {
     let mut adj = Vec::with_capacity(m.num_edges());
     let mut features = (f > 0).then(|| DMatrix::zeros(n, f));
     let mut labels = (l > 0).then(|| DMatrix::zeros(n, l));
-    let mut cached: Option<(u32, Arc<ShardData>)> = None;
+    // The current shard's sections, in `SectionKind` order (a zero-width
+    // row section maps nothing).
+    let mut cached: Option<(u32, [Arc<ShardSection>; 3])> = None;
     offsets.push(0usize);
     for v in 0..n as u32 {
         let sid = m.shard_of(v);
-        let shard = match &cached {
+        let [topology, feature_rows, label_rows] = match &cached {
             Some((cur, s)) if *cur == sid => s,
             _ => {
-                cached = Some((sid, m.get(sid as usize)?));
-                &cached.as_ref().unwrap().1
+                let [t, f, l] = SectionKind::ALL.map(|kind| m.section(sid as usize, kind));
+                &cached.insert((sid, [t?, f?, l?])).1
             }
         };
         let local = m.local_of(v) as usize;
-        adj.extend_from_slice(shard.neighbors(local));
+        adj.extend_from_slice(topology.neighbors(local));
         offsets.push(adj.len());
         if let Some(mat) = &mut features {
-            shard.copy_feature_row_into(local, mat.row_mut(v as usize));
+            feature_rows.copy_row_into(local, mat.row_mut(v as usize));
         }
         if let Some(mat) = &mut labels {
-            mat.row_mut(v as usize)
-                .copy_from_slice(shard.label_row(local));
+            label_rows.copy_row_into(local, mat.row_mut(v as usize));
         }
     }
     Ok((
@@ -774,7 +773,7 @@ impl Topology for GraphStore {
         match self {
             GraphStore::Mem(m) => m.graph().degree(v),
             GraphStore::Mmap(m) => {
-                let (shard, local) = expect_shard(m, v);
+                let (shard, local) = expect_topology(m, v);
                 shard.degree(local)
             }
         }
@@ -784,7 +783,7 @@ impl Topology for GraphStore {
         match self {
             GraphStore::Mem(m) => m.graph().neighbor(v, k),
             GraphStore::Mmap(m) => {
-                let (shard, local) = expect_shard(m, v);
+                let (shard, local) = expect_topology(m, v);
                 shard.neighbor(local, k)
             }
         }
@@ -794,7 +793,7 @@ impl Topology for GraphStore {
         match self {
             GraphStore::Mem(m) => NeighborsRef::Slice(m.graph().neighbors(v)),
             GraphStore::Mmap(m) => {
-                let (shard, local) = expect_shard(m, v);
+                let (shard, local) = expect_topology(m, v);
                 let (start, len) = shard.adj_range(local);
                 NeighborsRef::Shard { shard, start, len }
             }
@@ -832,7 +831,9 @@ impl Topology for GraphStore {
     }
 
     fn prefetch_hint(&self, nodes: &[u32]) {
-        self.prefetch_nodes(nodes);
+        if let GraphStore::Mmap(m) = self {
+            m.prefetch_topology(nodes);
+        }
     }
 
     fn as_csr(&self) -> Option<&CsrGraph> {
@@ -846,8 +847,8 @@ impl Topology for GraphStore {
 /// Topology reads have no error channel; a vertex whose shard cannot be
 /// served is a caller bug (validate with [`GraphStore::contains`] first)
 /// or a vanished/corrupt file — both must be loud, not a wrong answer.
-fn expect_shard(m: &MmapStore, v: u32) -> (Arc<ShardData>, usize) {
-    match m.shard_for(v) {
+fn expect_topology(m: &MmapStore, v: u32) -> (Arc<ShardSection>, usize) {
+    match m.topology_for(v) {
         Ok(pair) => pair,
         Err(e) => panic!(
             "graph store cannot serve vertex {v} (shard {}): {e}",
@@ -939,22 +940,80 @@ mod tests {
         let g = two_communities();
         let (dir, _) = spill(&g, 4);
         let store = GraphStore::open_with_budget(&dir, 1).unwrap();
-        store.pin_nodes(&[0]).unwrap();
-        let sid = store.shard_of(0).unwrap();
-        // Hammer other shards; shard(0) must stay resident.
-        for v in 0..g.num_vertices() as u32 {
+        assert_eq!(store.pin_nodes(&[0]).unwrap(), 1, "one shard newly pinned");
+        assert_eq!(store.pin_nodes(&[0]).unwrap(), 0, "already pinned");
+        let sid = store.shard_of(0).unwrap() as usize;
+        let m = store.as_mmap().unwrap();
+        // A pin maps and holds every section of the shard, not just the
+        // one a topology probe would have touched.
+        let pinned = m.cache_stats();
+        for kind in SectionKind::ALL {
+            assert_eq!(
+                pinned.of(kind).resident,
+                1,
+                "{kind:?} after pin: {pinned:?}"
+            );
+        }
+        // Hammer every other shard's sections; with a 1-byte budget each
+        // load evicts whatever is unpinned.
+        let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
+        let mut rows = DMatrix::zeros(0, 0);
+        for &v in &all {
             let _ = store.neighbors_ref(v);
         }
-        let m = store.as_mmap().unwrap();
-        let before = m.cache_stats();
-        let _ = store.neighbors_ref(0);
-        let after = m.cache_stats();
+        store.gather_features_into(&all, &mut rows).unwrap();
+        store.gather_labels_into(&all, &mut rows).unwrap();
+        // Each pinned section is still the mapping the pin made: reading
+        // it again is a hit, kind by kind.
+        for kind in SectionKind::ALL {
+            let before = m.cache_stats();
+            m.section(sid, kind).unwrap();
+            let after = m.cache_stats();
+            assert_eq!(
+                (after.misses, after.hits),
+                (before.misses, before.hits + 1),
+                "pinned {kind:?} section of shard {sid} was evicted"
+            );
+        }
+        let held = m.cache_stats();
         assert_eq!(
-            after.misses, before.misses,
-            "pinned shard {sid} was evicted"
+            held.evictions,
+            held.features.evictions + held.labels.evictions + held.topology.evictions
         );
         store.unpin_all();
+        // With the pins gone the 1-byte budget applies to them too.
+        assert_eq!(m.cache_stats().resident_sections, 0);
         drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn release_rows_drops_rows_and_keeps_topology_and_pins() {
+        let g = two_communities();
+        let (dir, _) = spill(&g, 4);
+        let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
+        let all: Vec<u32> = (0..16).collect();
+        let mut rows = DMatrix::zeros(0, 0);
+        for &v in &all {
+            let _ = store.neighbors_ref(v);
+        }
+        store.gather_features_into(&all, &mut rows).unwrap();
+        store.gather_labels_into(&all, &mut rows).unwrap();
+        assert_eq!(store.cache_stats().unwrap().resident_sections, 12);
+        store.pin_nodes(&[0]).unwrap();
+        store.release_rows();
+        let after = store.cache_stats().unwrap();
+        assert_eq!(after.topology.resident, 4, "{after:?}");
+        assert_eq!((after.features.resident, after.labels.resident), (1, 1));
+        assert_eq!(after.evictions, 6);
+        assert_eq!(after.mapped_bytes, {
+            let t = after.topology.mapped_bytes;
+            t + after.features.mapped_bytes + after.labels.mapped_bytes
+        });
+        // Released rows read back the same.
+        let mut again = DMatrix::zeros(0, 0);
+        store.gather_labels_into(&all, &mut again).unwrap();
+        assert_eq!(again.data(), rows.data());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -971,7 +1030,10 @@ mod tests {
         let absent: Vec<u32> = (0..16).filter(|&v| !store.contains(v)).collect();
         assert!(!absent.is_empty());
         let m = store.as_mmap().unwrap();
-        assert!(m.get(gone_sid).is_err());
+        for kind in SectionKind::ALL {
+            let err = m.section(gone_sid, kind).err().expect("absent shard");
+            assert_eq!(err.kind(), io::ErrorKind::NotFound, "{kind:?}");
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -987,6 +1049,124 @@ mod tests {
         let err = GraphStore::open_with_budget(&dir, 1 << 20).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("truncated"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_header_fails_the_first_read_of_any_section() {
+        let g = two_communities();
+        for (at, what) in [
+            (0usize, "bad magic"),
+            (8, "header says shard"),
+            (16, "disagrees"),
+        ] {
+            let (dir, _) = spill(&g, 2);
+            // Same length, so open() cannot see it: flip one header byte
+            // (magic / shard id / member count).
+            let path = dir.join(shard::shard_file_name(1));
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[at] ^= 0x01;
+            std::fs::write(&path, &bytes).unwrap();
+            let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
+            let m = store.as_mmap().unwrap();
+            // Whichever section is asked for first, the header is held to
+            // the manifest before anything is mapped — and again on the
+            // next attempt: a failed check is never remembered as passed.
+            for kind in [
+                SectionKind::Labels,
+                SectionKind::Features,
+                SectionKind::Topology,
+            ] {
+                let err = m
+                    .section(1, kind)
+                    .err()
+                    .expect("corrupt header must not map");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?}: {err}");
+                assert!(err.to_string().contains(what), "{kind:?}: {err}");
+            }
+            assert!(
+                m.section(0, SectionKind::Topology).is_ok(),
+                "shard 0 is intact"
+            );
+            assert_eq!(verify_store(&dir).unwrap(), vec![1]);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn shard_truncated_after_open_fails_every_map() {
+        let g = two_communities();
+        let (dir, manifest) = spill(&g, 2);
+        let store = GraphStore::open_with_budget(&dir, 1).unwrap();
+        let m = store.as_mmap().unwrap();
+        // Map (and, budget 1, immediately evict) a section so the header
+        // check has passed: the length check must not depend on it.
+        m.section(0, SectionKind::Topology).unwrap();
+        m.section(1, SectionKind::Topology).unwrap();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join(shard::shard_file_name(0)))
+            .unwrap();
+        file.set_len(manifest.shards[0].file_len - 8).unwrap();
+        drop(file);
+        for kind in SectionKind::ALL {
+            let err = m.section(0, kind).err().expect("short file must not map");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{kind:?}");
+            assert!(err.to_string().contains("truncated"), "{kind:?}: {err}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn self_contradictory_manifest_fails_open() {
+        let g = two_communities();
+        let (dir, mut manifest) = spill(&g, 2);
+        // Counts that no longer add up to the recorded (and actual) file
+        // length must not get as far as sizing a mapping. (Two edges: one
+        // could hide in the adjacency's alignment padding, to be caught
+        // by the header check instead.)
+        manifest.shards[1].edges += 2;
+        manifest.save(&dir).unwrap();
+        let err = GraphStore::open_with_budget(&dir, 1 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("shard 1"), "{err}");
+        manifest.shards[1].edges = u64::MAX / 2;
+        manifest.save(&dir).unwrap();
+        let err = GraphStore::open_with_budget(&dir, 1 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn summary_says_what_is_mapped() {
+        let g = two_communities();
+        let (dir, manifest) = spill(&g, 4);
+        let total: u64 = manifest.shards.iter().map(|s| s.file_len).sum();
+        let store = GraphStore::open_with_budget(&dir, 2 * total as usize).unwrap();
+        for v in 0..16u32 {
+            let _ = store.neighbors_ref(v);
+        }
+        let mut rows = DMatrix::zeros(0, 0);
+        store.gather_features_into(&[0], &mut rows).unwrap();
+        let stats = store.cache_stats().unwrap();
+        assert_eq!(
+            (stats.resident_sections, stats.resident_shards),
+            (5, 4),
+            "{stats:?}"
+        );
+        assert_eq!(
+            stats.mapped_bytes,
+            stats.topology.mapped_bytes + stats.features.mapped_bytes
+        );
+        let line = stats.summary();
+        assert!(
+            line.contains("topology evictions 0; topology 4/4 · features 1/4 · labels 0/4, "),
+            "{line}"
+        );
+        assert!(
+            line.starts_with("hits 12 misses 5 evictions 0 (70.6% hit rate, "),
+            "{line}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1223,28 +1403,37 @@ mod tests {
         std::fs::remove_dir_all(&d16).unwrap();
     }
 
+    /// Spin (bounded) until `done(stats)` holds.
+    fn await_stats(store: &GraphStore, what: &str, done: impl Fn(&StoreCacheStats) -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            let stats = store.cache_stats().unwrap();
+            if done(&stats) {
+                return;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "prefetcher never {what}: {stats:?}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn prefetch_pages_shards_in_and_counts_hits() {
+    fn prefetch_pages_sections_in_and_counts_hits() {
         let g = two_communities();
         let (dir, _) = spill(&g, 4);
         let store = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, 1 << 20, true).unwrap());
         assert!(store.prefetch_enabled());
         let nodes: Vec<u32> = (0..16).collect();
-        let accepted = store.prefetch_nodes(&nodes);
-        assert!(accepted > 0, "no prefetch requests accepted");
-        // Wait (bounded) for the worker to drain the queue.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let stats = store.cache_stats().unwrap();
-            if stats.resident_shards == 4 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "prefetcher never paged the shards in: {stats:?}"
-            );
-            std::thread::yield_now();
-        }
+        // A topology hint pages in topology sections and nothing else.
+        store.prefetch_hint(&nodes);
+        await_stats(&store, "paged the topology in", |s| {
+            s.topology.resident == 4
+        });
+        let stats = store.cache_stats().unwrap();
+        assert_eq!(stats.resident_sections, 4, "{stats:?}");
+        assert_eq!(stats.prefetch_issued, 4);
         // Demand reads now hit without a single demand miss, and the
         // prefetch-hit counter credits the prefetcher.
         for v in 0..16u32 {
@@ -1253,46 +1442,58 @@ mod tests {
         let stats = store.cache_stats().unwrap();
         assert_eq!(stats.misses, 0, "{stats:?}");
         assert_eq!(stats.prefetch_hits, 4, "{stats:?}");
-        assert_eq!(stats.prefetch_issued, accepted as u64);
+        // A row hint pages in both row sections of each shard.
+        assert_eq!(store.prefetch_nodes(&nodes), 8);
+        await_stats(&store, "paged the rows in", |s| s.resident_sections == 12);
+        assert_eq!(store.cache_stats().unwrap().prefetch_issued, 12);
+        let mut rows = DMatrix::zeros(0, 0);
+        store.gather_features_into(&nodes, &mut rows).unwrap();
+        store.gather_labels_into(&nodes, &mut rows).unwrap();
+        let stats = store.cache_stats().unwrap();
+        assert_eq!(stats.misses, 0, "{stats:?}");
+        assert_eq!(stats.prefetch_hits, 12, "{stats:?}");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn prefetch_never_evicts_referenced_shards() {
+    fn prefetch_never_evicts_referenced_sections() {
         let g = two_communities();
-        let (dir, _) = spill(&g, 4);
-        // Budget fits roughly one shard: prefetching all shards must
-        // decline rather than evict what the reader is using.
-        let one_shard = std::fs::metadata(dir.join(shard::shard_file_name(0)))
-            .unwrap()
-            .len() as usize;
+        let (dir, manifest) = spill(&g, 4);
+        // Budget fits roughly one shard's worth of sections: prefetching
+        // every shard's rows must decline rather than evict what the
+        // reader is using.
         let store = GraphStore::Mmap(
-            MmapStore::open_with_prefetch(&dir, one_shard + one_shard / 2, true).unwrap(),
+            MmapStore::open_with_prefetch(&dir, manifest.shards[0].file_len as usize, true)
+                .unwrap(),
         );
-        // Touch vertex 0's shard so its referenced bit is set.
+        // Touch vertex 0's topology and rows so their referenced bits are
+        // set.
         let hot = store.neighbors_ref(0);
+        let mut hot_row = DMatrix::zeros(0, 0);
+        store.gather_features_into(&[0], &mut hot_row).unwrap();
         let hot_sid = store.shard_of(0).unwrap();
-        store.prefetch_nodes(&(0..16).collect::<Vec<u32>>());
-        // Drain the queue.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while store.cache_stats().unwrap().prefetch_issued
-            > store.cache_stats().unwrap().prefetch_hits
-                + store.cache_stats().unwrap().prefetch_wasted
-                + store.cache_stats().unwrap().resident_shards as u64
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // The hot shard was never evicted: re-reading it is a hit, not a
-        // reload (misses for it stay at 1).
+        let cold: Vec<u32> = (0..16)
+            .filter(|&v| store.shard_of(v) != Some(hot_sid))
+            .collect();
+        let issued = store.prefetch_nodes(&cold) as u64;
+        assert_eq!(issued, 6, "both row sections of the three cold shards");
+        // Every request ends up wasted or resident (beside the two hot
+        // sections) and unused.
+        await_stats(&store, "drained its queue", |s| {
+            s.prefetch_wasted + s.resident_sections as u64 - 2 >= issued
+        });
+        // The hot sections were never evicted: re-reading them is a hit,
+        // not a reload.
         let before = store.cache_stats().unwrap();
         assert_eq!(&*store.neighbors_ref(0), &*hot);
+        let mut again = DMatrix::zeros(0, 0);
+        store.gather_features_into(&[0], &mut again).unwrap();
+        assert_eq!(again.data(), hot_row.data());
         let after = store.cache_stats().unwrap();
         assert_eq!(
             after.misses, before.misses,
-            "prefetch evicted referenced shard {hot_sid}"
+            "prefetch evicted a referenced section of shard {hot_sid}"
         );
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();

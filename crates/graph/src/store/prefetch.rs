@@ -1,17 +1,18 @@
-//! Asynchronous shard prefetch: a dedicated thread that pages shards into
-//! the CLOCK cache *ahead* of the demand reads.
+//! Asynchronous shard prefetch: a dedicated thread that pages shard
+//! sections into the CLOCK cache *ahead* of the demand reads.
 //!
 //! The sampler knows the next batch's vertices before the trainer gathers
-//! them, the stored evaluator knows chunk `c+1`'s roots while computing
-//! chunk `c`, and a grouped gather knows every shard it will touch up
-//! front. Feeding those to the prefetcher overlaps the page-in (mmap +
-//! first-touch I/O) with compute, the same way the PR-4 sampler pipeline
-//! overlaps sampling — and with the same shutdown discipline:
+//! them, the stored evaluator knows tile `t+1`'s roots while computing
+//! tile `t`, and a grouped gather knows every shard it will touch up
+//! front. Feeding those to the prefetcher — as the cache entries (shard ×
+//! section kind) the reader is about to want — overlaps the page-in
+//! (mmap + first-touch I/O) with compute, the same way the PR-4 sampler
+//! pipeline overlaps sampling — and with the same shutdown discipline:
 //!
-//! * **Bounded queue.** At most one pending request per shard (dedup by
-//!   id) and never more than the shard count; producers *drop* excess
-//!   requests instead of blocking — prefetch is advisory, a consumer must
-//!   never stall on it.
+//! * **Bounded queue.** At most one pending request per cache entry
+//!   (dedup by id) and never more than the entry count; producers *drop*
+//!   excess requests instead of blocking — prefetch is advisory, a
+//!   consumer must never stall on it.
 //! * **Stop flag + join on drop.** Dropping the [`Prefetcher`] raises
 //!   `stop`, wakes the worker and joins it, so drop mid-epoch or at
 //!   early-stop cannot deadlock and never races a store-directory
@@ -55,9 +56,9 @@ pub fn prefetch_from_env() -> bool {
 
 /// Mutex-guarded request queue (see module docs for the protocol).
 struct State {
-    /// Pending shard ids, FIFO.
+    /// Pending cache entry ids (shard × section kind), FIFO.
     queue: VecDeque<u32>,
-    /// `queued[sid]`: sid is in `queue` (dedup bit, cleared on pop).
+    /// `queued[entry]`: entry is in `queue` (dedup bit, cleared on pop).
     queued: Vec<bool>,
     /// Shutdown flag (drop).
     stop: bool,
@@ -92,7 +93,7 @@ impl Prefetcher {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                queued: vec![false; core.num_shards()],
+                queued: vec![false; core.num_entries()],
                 stop: false,
             }),
             wake: Condvar::new(),
@@ -112,10 +113,10 @@ impl Prefetcher {
         }
     }
 
-    /// Enqueue shard ids for background page-in. Never blocks: duplicates
-    /// of already-queued shards and anything past the queue bound are
-    /// dropped. Returns how many requests were accepted.
-    pub(super) fn request(&self, sids: &[u32]) -> usize {
+    /// Enqueue cache entry ids for background page-in. Never blocks:
+    /// duplicates of already-queued entries and anything past the queue
+    /// bound are dropped. Returns how many requests were accepted.
+    pub(super) fn request(&self, entries: &[u32]) -> usize {
         if self.degraded() {
             return 0;
         }
@@ -123,13 +124,13 @@ impl Prefetcher {
         if st.stop {
             return 0;
         }
-        let cap = st.queued.len(); // ≤ one pending request per shard
+        let cap = st.queued.len(); // ≤ one pending request per entry
         let mut accepted = 0;
-        for &sid in sids {
-            let i = sid as usize;
+        for &entry in entries {
+            let i = entry as usize;
             if i < cap && !st.queued[i] && st.queue.len() < cap {
                 st.queued[i] = true;
-                st.queue.push_back(sid);
+                st.queue.push_back(entry);
                 accepted += 1;
             }
         }
@@ -168,20 +169,20 @@ impl Drop for Prefetcher {
     }
 }
 
-/// Worker loop: pop the next shard id, page it in through the guarded
+/// Worker loop: pop the next entry id, page it in through the guarded
 /// prefetch path, repeat. I/O errors are swallowed (the demand read will
 /// surface them loudly); a panic degrades the prefetcher permanently.
 fn worker_loop(shared: &Shared, core: &StoreCore) {
     loop {
-        let sid = {
+        let entry = {
             let mut st = shared.lock();
             loop {
                 if st.stop {
                     return;
                 }
-                if let Some(sid) = st.queue.pop_front() {
-                    st.queued[sid as usize] = false;
-                    break sid;
+                if let Some(entry) = st.queue.pop_front() {
+                    st.queued[entry as usize] = false;
+                    break entry;
                 }
                 st = shared.wake.wait(st).unwrap_or_else(|p| p.into_inner());
             }
@@ -193,7 +194,7 @@ fn worker_loop(shared: &Shared, core: &StoreCore) {
             // A failed load is not worth degrading over: the shard may
             // have vanished (partial deployment) and the demand path owns
             // the loud error.
-            let _ = core.prefetch_load(sid as usize);
+            let _ = core.prefetch_load(entry as usize);
         }));
         if result.is_err() {
             shared.degraded.store(true, Ordering::Relaxed);

@@ -27,6 +27,11 @@
 //! labels   [f32; k·l]     row-major, aligned with `members`
 //! ```
 //!
+//! Readers never map a whole file: header through `adj` is the *topology
+//! section*, `features` and `labels` are a section each
+//! ([`SectionKind`], cut at [`ShardLayout`]'s `feat_off` / `label_off`),
+//! and each is mapped, cached and evicted on its own ([`ShardSection`]).
+//!
 //! # Feature precision
 //!
 //! Feature rows are stored as f32 (the historical layout) or bf16
@@ -35,7 +40,7 @@
 //! offset 12 that was always-zero padding before, so pre-precision shards
 //! decode as f32 — and, for non-f32 stores, in a trailing manifest
 //! section ([`FEATPREC_MAGIC`]). Readers widen rows back to f32 on copy
-//! ([`ShardData::copy_feature_row_into`]); labels are always f32. f32
+//! ([`ShardSection::copy_row_into`]); labels are always f32. f32
 //! stores remain byte-identical to pre-precision stores.
 //!
 //! # Placement orders and the manifest ordering section
@@ -150,7 +155,7 @@ impl Fnv1a {
 ///
 /// The format is little-endian and the loader maps files back as typed
 /// slices, so writer and reader must agree on host byte order; the
-/// big-endian guard in [`write_store`] / [`ShardData::load`] enforces it.
+/// big-endian guard in [`write_store`] / [`ShardSection::map`] enforces it.
 fn u32s_as_bytes(v: &[u32]) -> &[u8] {
     // Safety: u32 has no invalid byte patterns and the length is exact.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
@@ -412,8 +417,44 @@ pub fn shard_file_name(i: usize) -> String {
     format!("shard_{i:04}.gss")
 }
 
-/// Expected byte offsets of each section for a shard with `k` members,
-/// `e` edges, `f` feature columns and `l` label columns.
+/// The three regions of a shard file that are mapped — and cached, and
+/// evicted — separately. Every reader touches exactly one: the sampler,
+/// induction and the frontier tiler read topology, gathers read one of the
+/// row sections.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SectionKind {
+    /// Header, members, CSR offsets and adjacency.
+    Topology = 0,
+    /// Feature rows.
+    Features = 1,
+    /// Label rows.
+    Labels = 2,
+}
+
+impl SectionKind {
+    /// Every kind, in file order (index = discriminant).
+    pub const ALL: [SectionKind; 3] = [
+        SectionKind::Topology,
+        SectionKind::Features,
+        SectionKind::Labels,
+    ];
+
+    pub fn name(self) -> &'static str {
+        match self {
+            SectionKind::Topology => "topology",
+            SectionKind::Features => "features",
+            SectionKind::Labels => "labels",
+        }
+    }
+}
+
+/// Byte offsets inside a shard file with `k` members, `e` edges, `f`
+/// feature columns and `l` label columns. Every offset is 8-aligned.
+/// `feat_off` and `label_off` are also the cut points between the three
+/// [`SectionKind`]s: topology is `[0, feat_off)` (header at 0, then
+/// `members_off`, `offsets_off`, `adj_off`, then padding), features are
+/// `[feat_off, label_off)` and labels `[label_off, file_len)`. A section
+/// with no columns is an empty range.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardLayout {
     pub members_off: usize,
@@ -446,6 +487,15 @@ impl ShardLayout {
             feat_off,
             label_off,
             file_len,
+        }
+    }
+
+    /// `(file offset, byte length)` of section `kind`.
+    pub fn section(&self, kind: SectionKind) -> (usize, usize) {
+        match kind {
+            SectionKind::Topology => (0, self.feat_off),
+            SectionKind::Features => (self.feat_off, self.label_off - self.feat_off),
+            SectionKind::Labels => (self.label_off, self.file_len - self.label_off),
         }
     }
 }
@@ -824,48 +874,82 @@ pub fn verify_store(dir: &Path) -> io::Result<Vec<usize>> {
     Ok(failed)
 }
 
-/// One loaded (memory-mapped) shard. Readers hold an `Arc<ShardData>`
-/// handed out by the store's cache, so eviction can never unmap pages a
-/// reader is still walking: the munmap happens when the last `Arc` drops.
-pub struct ShardData {
-    map: super::mmap::Mapping,
-    k: usize,
-    e: usize,
-    f: usize,
-    l: usize,
-    fp: Precision,
-    layout: ShardLayout,
+/// What the manifest says one shard file looks like: its counts, its
+/// feature precision and, derived from them, where its sections lie.
+/// Built (and checked for self-consistency) once per shard when a store
+/// opens; [`Self::check_header`] then holds the file itself to it.
+#[derive(Clone, Copy, Debug)]
+pub struct ShardShape {
+    /// Member vertex count.
+    pub k: usize,
+    /// Directed edges stored in the shard.
+    pub e: usize,
+    /// Feature columns per member (0 = none).
+    pub f: usize,
+    /// Label columns per member (0 = none).
+    pub l: usize,
+    /// Element type of the stored feature rows.
+    pub fp: Precision,
+    pub layout: ShardLayout,
 }
 
-impl ShardData {
-    /// Map and validate one shard file. The entire layout is checked
-    /// against the header and `expected` (the manifest entry) before any
-    /// slice is handed out, so truncated or foreign files are loud
-    /// [`InvalidData`](io::ErrorKind::InvalidData) errors here.
-    pub fn load(path: &Path, shard_id: usize, expected: Option<&ShardInfo>) -> io::Result<Self> {
-        endian_guard()?;
-        let file = std::fs::File::open(path).map_err(|e| {
-            io::Error::new(e.kind(), format!("opening shard {}: {e}", path.display()))
-        })?;
-        let file_len = file.metadata()?.len() as usize;
-        let ctx = |msg: String| bad(format!("shard {}: {msg}", path.display()));
-        if file_len < SHARD_HEADER_LEN {
+impl ShardShape {
+    /// The shape of shard `sid` per `manifest`. Fails when the recorded
+    /// counts do not add up to the recorded file length — a manifest that
+    /// contradicts itself must not get as far as sizing a mapping.
+    pub fn from_manifest(manifest: &StoreManifest, sid: usize) -> io::Result<ShardShape> {
+        let info = &manifest.shards[sid];
+        let ctx = |msg: String| bad(format!("manifest entry of shard {sid}: {msg}"));
+        let file_len = usize::try_from(info.file_len)
+            .map_err(|_| ctx(format!("file length {} overflows", info.file_len)))?;
+        let (f, l) = (manifest.feature_dim as usize, manifest.label_dim as usize);
+        let fp = manifest.feature_precision;
+        // Bound the counts by the file length before the layout arithmetic
+        // multiplies them: these are bytes read from disk.
+        let fits = |count: u64, bytes_each: usize| {
+            usize::try_from(count)
+                .ok()
+                .and_then(|c| c.checked_mul(bytes_each))
+                .is_some_and(|b| b <= file_len)
+        };
+        if !fits(info.members, 12 + feature_elem_size(fp) * f + 4 * l) || !fits(info.edges, 4) {
             return Err(ctx(format!(
-                "file is {file_len} bytes, smaller than the {SHARD_HEADER_LEN}-byte header \
-                 (truncated write?)"
+                "k={} e={} cannot fit a {file_len}-byte file",
+                info.members, info.edges
             )));
         }
-        if let Some(info) = expected {
-            if file_len as u64 != info.file_len {
-                return Err(ctx(format!(
-                    "file is {file_len} bytes but the manifest records {} \
-                     (truncated or corrupt — refusing to read)",
-                    info.file_len
-                )));
-            }
+        let (k, e) = (info.members as usize, info.edges as usize);
+        let layout = ShardLayout::with_precision(k, e, f, l, fp);
+        if layout.file_len != file_len {
+            return Err(ctx(format!(
+                "k={k} e={e} f={f} l={l} imply {} bytes but {file_len} are recorded",
+                layout.file_len
+            )));
         }
-        let map = super::mmap::Mapping::map(&file, file_len)?;
-        let mut header = Bytes::from(map.bytes()[..SHARD_HEADER_LEN].to_vec());
+        Ok(ShardShape {
+            k,
+            e,
+            f,
+            l,
+            fp,
+            layout,
+        })
+    }
+
+    /// Read the 40-byte header at the start of `file` and hold it to this
+    /// shape: magic, version, shard id, precision code and all four
+    /// counts. `path` is for the error text.
+    pub fn check_header(
+        &self,
+        mut file: &std::fs::File,
+        path: &Path,
+        shard_id: usize,
+    ) -> io::Result<()> {
+        let ctx = |msg: String| bad(format!("shard {}: {msg}", path.display()));
+        let mut raw = [0u8; SHARD_HEADER_LEN];
+        file.read_exact(&mut raw)
+            .map_err(|e| ctx(format!("reading the header: {e} (truncated write?)")))?;
+        let mut header = Bytes::from(raw.to_vec());
         if header.get_u32_le() != SHARD_MAGIC {
             return Err(ctx("bad magic (not a gsgcn shard file)".into()));
         }
@@ -879,103 +963,169 @@ impl ShardData {
         if id != shard_id {
             return Err(ctx(format!("header says shard {id}, expected {shard_id}")));
         }
-        // The one-time padding slot now carries the feature-precision
-        // code; pre-precision shards wrote 0 there, which decodes to f32.
+        // The one-time padding slot carries the feature-precision code;
+        // pre-precision shards wrote 0 there, which decodes to f32.
         let prec_code = header.get_u32_le();
         let fp = precision_from_code(prec_code).ok_or_else(|| {
             ctx(format!(
                 "unknown feature-precision code {prec_code} (written by a newer build?)"
             ))
         })?;
-        let k = header.get_u64_le() as usize;
-        let e = header.get_u64_le() as usize;
+        let k = header.get_u64_le();
+        let e = header.get_u64_le();
         let f = header.get_u32_le() as usize;
         let l = header.get_u32_le() as usize;
-        let layout = ShardLayout::with_precision(k, e, f, l, fp);
-        if layout.file_len != file_len {
+        if (k, e, f, l, fp) != (self.k as u64, self.e as u64, self.f, self.l, self.fp) {
             return Err(ctx(format!(
-                "header implies {} bytes but the file has {file_len} \
-                 (truncated or corrupt — refusing to read)",
-                layout.file_len
+                "header (k={k}, e={e}, f={f}, l={l}, {fp} features) disagrees with the \
+                 manifest (k={}, e={}, f={}, l={}, {} features) — truncated or corrupt, \
+                 refusing to read",
+                self.k, self.e, self.f, self.l, self.fp
             )));
         }
-        if let Some(info) = expected {
-            if info.members != k as u64 || info.edges != e as u64 {
-                return Err(ctx(format!(
-                    "header (k={k}, e={e}) disagrees with the manifest (k={}, e={})",
-                    info.members, info.edges
-                )));
-            }
+        Ok(())
+    }
+}
+
+/// Element types a mapped section is viewed as.
+///
+/// # Safety
+/// Implementors have no invalid bit patterns and no padding.
+unsafe trait Plain: Copy {}
+// SAFETY: integers and IEEE floats accept every bit pattern.
+unsafe impl Plain for u16 {}
+// SAFETY: as above.
+unsafe impl Plain for u32 {}
+// SAFETY: as above.
+unsafe impl Plain for u64 {}
+// SAFETY: as above.
+unsafe impl Plain for f32 {}
+
+/// One mapped section of one shard file — the unit the store's cache
+/// holds, charges and evicts. Readers hold an `Arc<ShardSection>` handed
+/// out by the cache, so eviction can never unmap pages a reader is still
+/// walking: the munmap happens when the last `Arc` drops.
+///
+/// The accessors belong to one [`SectionKind`] each and panic on a
+/// section of another kind (a bug in the caller, never a data condition).
+pub struct ShardSection {
+    map: super::mmap::Mapping,
+    kind: SectionKind,
+    shape: ShardShape,
+}
+
+impl ShardSection {
+    /// Map section `kind` of the shard file at `path`, which must be
+    /// exactly as long as `shape` says: a file that shrank or grew since
+    /// the store was opened is a loud
+    /// [`InvalidData`](io::ErrorKind::InvalidData) error here, in front of
+    /// every map, never a fault inside one. With `check_header` the
+    /// file's header is held to `shape` first (the cache asks for this
+    /// until one check per shard has passed).
+    pub fn map(
+        path: &Path,
+        shard_id: usize,
+        shape: &ShardShape,
+        kind: SectionKind,
+        check_header: bool,
+    ) -> io::Result<Self> {
+        endian_guard()?;
+        let file = std::fs::File::open(path).map_err(|e| {
+            io::Error::new(e.kind(), format!("opening shard {}: {e}", path.display()))
+        })?;
+        let file_len = file.metadata()?.len();
+        if file_len != shape.layout.file_len as u64 {
+            return Err(bad(format!(
+                "shard {}: file is {file_len} bytes but the manifest records {} \
+                 (truncated or corrupt — refusing to read)",
+                path.display(),
+                shape.layout.file_len
+            )));
         }
-        Ok(ShardData {
+        if check_header {
+            shape.check_header(&file, path, shard_id)?;
+        }
+        let (offset, len) = shape.layout.section(kind);
+        debug_assert_eq!(offset % 8, 0, "section offsets are 8-aligned");
+        debug_assert!(offset + len <= shape.layout.file_len);
+        let map = super::mmap::Mapping::map_range(&file, offset, len)?;
+        debug_assert_eq!(map.bytes().len(), len);
+        // Page-aligned mapping base + 8-aligned lead-in: every typed view
+        // below is aligned if its offset inside the section is.
+        debug_assert!(len == 0 || (map.bytes().as_ptr() as usize).is_multiple_of(8));
+        Ok(ShardSection {
             map,
-            k,
-            e,
-            f,
-            l,
-            fp,
-            layout,
+            kind,
+            shape: *shape,
         })
     }
 
-    fn view_u32(&self, off: usize, count: usize) -> &[u32] {
-        let bytes = &self.map.bytes()[off..off + 4 * count];
-        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
-        // Safety: range-checked above, 4-aligned by the section layout.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u32, count) }
-    }
-
-    fn view_u64(&self, off: usize, count: usize) -> &[u64] {
-        let bytes = &self.map.bytes()[off..off + 8 * count];
-        debug_assert_eq!(bytes.as_ptr() as usize % 8, 0);
-        // Safety: range-checked above, 8-aligned by the section layout.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u64, count) }
-    }
-
-    fn view_f32(&self, off: usize, count: usize) -> &[f32] {
-        let bytes = &self.map.bytes()[off..off + 4 * count];
-        debug_assert_eq!(bytes.as_ptr() as usize % 4, 0);
-        // Safety: range-checked above, 4-aligned; any bit pattern is a
-        // valid f32.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const f32, count) }
-    }
-
-    fn view_u16(&self, off: usize, count: usize) -> &[u16] {
-        let bytes = &self.map.bytes()[off..off + 2 * count];
-        debug_assert_eq!(bytes.as_ptr() as usize % 2, 0);
-        // Safety: range-checked above, 2-aligned by the section layout.
-        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const u16, count) }
-    }
-
-    /// Member vertex count `k`.
-    pub fn num_members(&self) -> usize {
-        self.k
-    }
-
-    /// Directed edges stored in this shard.
-    pub fn num_edges(&self) -> usize {
-        self.e
-    }
-
-    /// Bytes this shard holds mapped (charged against the cache budget).
+    /// Byte length of the section — what it is charged against the cache
+    /// budget while mapped.
     pub fn mapped_bytes(&self) -> usize {
-        self.layout.file_len
+        self.map.bytes().len()
+    }
+
+    #[inline]
+    fn expect_kind(&self, kind: SectionKind) {
+        assert!(
+            self.kind == kind,
+            "{} read from a {} section",
+            kind.name(),
+            self.kind.name()
+        );
+    }
+
+    /// `count` elements of `T` starting `off` bytes into the section.
+    #[inline]
+    fn view<T: Plain>(&self, off: usize, count: usize) -> &[T] {
+        let size = std::mem::size_of::<T>();
+        // Slicing range-checks `[off, off + count·size)` against the
+        // mapped section.
+        let bytes = &self.map.bytes()[off..off + size * count];
+        debug_assert_eq!(
+            off % size,
+            0,
+            "view offset not a multiple of the element size"
+        );
+        debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
+        // SAFETY: `bytes` is an in-bounds subslice of a live read-only
+        // mapping that `self` keeps alive for the returned lifetime; it
+        // is aligned for `T` because the section base is 8-aligned (see
+        // `map`) and `off` is a multiple of `size_of::<T>()` ≤ 8; it is
+        // exactly `count · size_of::<T>()` bytes; and `T: Plain` has no
+        // invalid bit patterns.
+        unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, count) }
+    }
+
+    /// Member vertex count `k` of the shard.
+    pub fn num_members(&self) -> usize {
+        self.shape.k
+    }
+
+    /// Directed edges stored in the shard.
+    pub fn num_edges(&self) -> usize {
+        self.shape.e
     }
 
     /// Global ids of the member vertices, in placement order (ascending
     /// for natural stores, rank order for ordered ones — readers resolve
     /// vertices through the index, never by searching this list).
+    /// Topology sections only.
     pub fn members(&self) -> &[u32] {
-        self.view_u32(self.layout.members_off, self.k)
+        self.expect_kind(SectionKind::Topology);
+        self.view(self.shape.layout.members_off, self.shape.k)
     }
 
     fn offsets(&self) -> &[u64] {
-        self.view_u64(self.layout.offsets_off, self.k + 1)
+        self.expect_kind(SectionKind::Topology);
+        self.view(self.shape.layout.offsets_off, self.shape.k + 1)
     }
 
-    /// Full adjacency section (global ids).
+    /// Full adjacency (global ids). Topology sections only.
     pub fn adj(&self) -> &[u32] {
-        self.view_u32(self.layout.adj_off, self.e)
+        self.expect_kind(SectionKind::Topology);
+        self.view(self.shape.layout.adj_off, self.shape.e)
     }
 
     /// `(start, len)` of member `local`'s neighbor list within [`Self::adj`].
@@ -1003,54 +1153,32 @@ impl ShardData {
         &self.adj()[start..start + len]
     }
 
-    /// Feature columns stored per member (0 = none).
-    pub fn feature_dim(&self) -> usize {
-        self.f
-    }
-
-    /// Label columns stored per member (0 = none).
-    pub fn label_dim(&self) -> usize {
-        self.l
-    }
-
-    /// Element type of the stored feature rows (from the shard header,
-    /// so a shard is self-describing even without its manifest).
-    pub fn feature_precision(&self) -> Precision {
-        self.fp
-    }
-
-    /// Feature row of member `local` as a borrowed `&[f32]` slice.
-    /// Only valid for f32 shards — bf16 rows have no f32 representation
-    /// in the mapping; use [`Self::copy_feature_row_into`] instead.
-    pub fn feature_row(&self, local: usize) -> &[f32] {
-        assert_eq!(
-            self.fp,
-            Precision::F32,
-            "feature_row: shard stores bf16 features; use copy_feature_row_into"
+    /// Copy member `local`'s row into `out` as f32. On a feature section
+    /// that is its feature row, widened from the stored precision (memcpy
+    /// for f32 shards, exact bf16→f32 widen for bf16 shards — widening
+    /// never rounds); on a label section its label row.
+    pub fn copy_row_into(&self, local: usize, out: &mut [f32]) {
+        assert!(
+            local < self.shape.k,
+            "row {local} of a {}-member shard",
+            self.shape.k
         );
-        debug_assert!(local < self.k);
-        self.view_f32(self.layout.feat_off + 4 * local * self.f, self.f)
-    }
-
-    /// Copy member `local`'s feature row into `out` as f32, widening from
-    /// the stored precision (memcpy for f32 shards, exact bf16→f32 widen
-    /// for bf16 shards — widening never rounds).
-    pub fn copy_feature_row_into(&self, local: usize, out: &mut [f32]) {
-        debug_assert!(local < self.k);
-        assert_eq!(out.len(), self.f, "feature row destination length mismatch");
-        match self.fp {
-            Precision::F32 => out
-                .copy_from_slice(self.view_f32(self.layout.feat_off + 4 * local * self.f, self.f)),
-            Precision::Bf16 => {
-                let bits = self.view_u16(self.layout.feat_off + 2 * local * self.f, self.f);
+        match (self.kind, self.shape.fp) {
+            (SectionKind::Features, Precision::F32) => {
+                let f = self.shape.f;
+                out.copy_from_slice(self.view(4 * local * f, f));
+            }
+            (SectionKind::Features, Precision::Bf16) => {
+                let f = self.shape.f;
+                assert_eq!(out.len(), f, "feature row destination length mismatch");
+                let bits: &[u16] = self.view(2 * local * f, f);
                 bf16::widen_slice(bf16::from_bits_slice(bits), out);
             }
+            (SectionKind::Labels, _) => {
+                let l = self.shape.l;
+                out.copy_from_slice(self.view(4 * local * l, l));
+            }
+            (SectionKind::Topology, _) => panic!("row read from a topology section"),
         }
-    }
-
-    /// Label row of member `local`.
-    pub fn label_row(&self, local: usize) -> &[f32] {
-        debug_assert!(local < self.k);
-        self.view_f32(self.layout.label_off + 4 * local * self.l, self.l)
     }
 }

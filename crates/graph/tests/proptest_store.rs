@@ -6,25 +6,73 @@
 
 use gsgcn_graph::builder::from_edges;
 use gsgcn_graph::store::mmap::MmapStore;
-use gsgcn_graph::store::shard::{shard_file_name, verify_store, write_store, write_store_ordered};
+use gsgcn_graph::store::shard::{
+    shard_file_name, verify_store, write_store, write_store_ordered, ShardShape,
+};
+use gsgcn_graph::store::{SectionKind, StoreManifest};
 use gsgcn_graph::{l_hop_ball, CsrGraph, GraphStore, StoreOrder, Topology};
 use gsgcn_tensor::DMatrix;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Where a case's cache budget sits relative to the store's section
+/// sizes — the boundaries at which the section cache changes behaviour.
+#[derive(Clone, Copy, Debug)]
+enum Budget {
+    /// One byte: nothing stays beside the section being read.
+    OneByte,
+    /// Less than the smallest topology section.
+    UnderOneTopology,
+    /// Exactly all topology sections: any row section overflows it.
+    TopologyOnly,
+    /// All topology plus the largest feature section.
+    TopologyPlusOneFeature,
+    /// The whole store: nothing is ever evicted.
+    WholeStore,
+}
+
+const BUDGETS: [Budget; 5] = [
+    Budget::OneByte,
+    Budget::UnderOneTopology,
+    Budget::TopologyOnly,
+    Budget::TopologyPlusOneFeature,
+    Budget::WholeStore,
+];
+
+impl Budget {
+    fn bytes(self, manifest: &StoreManifest) -> usize {
+        let lens = |kind| {
+            (0..manifest.num_shards()).map(move |sid| {
+                let shape = ShardShape::from_manifest(manifest, sid).unwrap();
+                shape.layout.section(kind).1
+            })
+        };
+        let topology: usize = lens(SectionKind::Topology).sum();
+        match self {
+            Budget::OneByte => 1,
+            Budget::UnderOneTopology => lens(SectionKind::Topology).min().unwrap() - 1,
+            Budget::TopologyOnly => topology,
+            Budget::TopologyPlusOneFeature => topology + lens(SectionKind::Features).max().unwrap(),
+            Budget::WholeStore => manifest.shards.iter().map(|s| s.file_len as usize).sum(),
+        }
+    }
+}
+
 /// Strategy: a connected-ish random graph (ring + random chords) so
 /// L-hop balls actually grow, plus a shard count that forces boundary
-/// vertices (down to one-vertex shards) and a deliberately tiny cache
-/// budget so eviction churn is part of every case.
-fn store_case() -> impl Strategy<Value = (CsrGraph, usize, usize)> {
+/// vertices (down to one-vertex shards) and a cache budget placed at one
+/// of the section-size boundaries ([`Budget`]; resolve it against the
+/// written store with [`Budget::bytes`]), so eviction churn of every
+/// flavour is part of the case mix.
+fn store_case() -> impl Strategy<Value = (CsrGraph, usize, Budget)> {
     (
         3usize..48,
         proptest::collection::vec((0u32..48, 0u32..48), 0..96),
         1usize..9,
-        1usize..64,
+        0usize..BUDGETS.len(),
     )
-        .prop_map(|(n, extra, shards, budget_kb)| {
+        .prop_map(|(n, extra, shards, budget)| {
             let mut edges: Vec<(u32, u32)> =
                 (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
             edges.extend(
@@ -32,7 +80,7 @@ fn store_case() -> impl Strategy<Value = (CsrGraph, usize, usize)> {
                     .into_iter()
                     .filter(|&(a, b)| (a as usize) < n && (b as usize) < n && a != b),
             );
-            (from_edges(n, &edges), shards, budget_kb * 1024)
+            (from_edges(n, &edges), shards, BUDGETS[budget])
         })
 }
 
@@ -52,19 +100,31 @@ fn feature_rows(n: usize, dim: usize) -> DMatrix {
     DMatrix::from_fn(n, dim, |i, j| ((i * 31 + j * 7) as f32).sin())
 }
 
+fn label_rows(n: usize, dim: usize) -> DMatrix {
+    DMatrix::from_fn(n, dim, |i, j| ((i * 13 + j * 3) % 2) as f32)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The mmap store answers every topology probe, L-hop ball, and
-    /// feature gather bit-identically to the resident graph it was
-    /// spilled from — across shard boundaries and under eviction.
+    /// row gather bit-identically to the resident graph it was spilled
+    /// from — across shard boundaries, under eviction at every budget
+    /// boundary, and when a row section is zero-width (a store written
+    /// without features or without labels).
     #[test]
-    fn mmap_store_is_observationally_identical((g, shards, budget) in store_case(), root_seed in any::<u64>()) {
+    fn mmap_store_is_observationally_identical(
+        (g, shards, budget) in store_case(),
+        root_seed in any::<u64>(),
+        with_features in any::<bool>(),
+        with_labels in any::<bool>(),
+    ) {
         let n = g.num_vertices();
-        let f = feature_rows(n, 5);
+        let f = with_features.then(|| feature_rows(n, 5));
+        let l = with_labels.then(|| label_rows(n, 2));
         let dir = fresh_dir();
-        write_store(&dir, &g, Some(&f), None, shards).unwrap();
-        let store = GraphStore::open_with_budget(&dir, budget).unwrap();
+        let manifest = write_store(&dir, &g, f.as_ref(), l.as_ref(), shards).unwrap();
+        let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
 
         prop_assert_eq!(Topology::num_vertices(&store), n);
         prop_assert_eq!(Topology::num_edges(&store), g.num_edges());
@@ -85,14 +145,157 @@ proptest! {
             prop_assert_eq!(ball_mem, ball_mmap, "hops {}", hops);
         }
 
-        // Bitwise-equal feature gathers, including duplicate rows.
+        // Bitwise-equal row gathers, including duplicate rows; a section
+        // the store was written without is an error, never empty rows.
         let rows: Vec<u32> = (0..n as u32).chain([0, (n - 1) as u32]).collect();
-        let mut got = DMatrix::zeros(rows.len(), 5);
-        store.gather_features_into(&rows, &mut got).unwrap();
-        for (i, &v) in rows.iter().enumerate() {
-            prop_assert_eq!(got.row(i), f.row(v as usize), "row {}", v);
+        let mut got = DMatrix::zeros(0, 0);
+        match &f {
+            Some(f) => {
+                store.gather_features_into(&rows, &mut got).unwrap();
+                for (i, &v) in rows.iter().enumerate() {
+                    prop_assert_eq!(got.row(i), f.row(v as usize), "feature row {}", v);
+                }
+            }
+            None => prop_assert!(store.gather_features_into(&rows, &mut got).is_err()),
+        }
+        match &l {
+            Some(l) => {
+                store.gather_labels_into(&rows, &mut got).unwrap();
+                for (i, &v) in rows.iter().enumerate() {
+                    prop_assert_eq!(got.row(i), l.row(v as usize), "label row {}", v);
+                }
+            }
+            None => prop_assert!(store.gather_labels_into(&rows, &mut got).is_err()),
         }
 
+        // Pinning maps every section, zero-width ones included, and a
+        // fully materialized copy still round-trips.
+        prop_assert!(store.pin_nodes(&rows).unwrap() > 0);
+        store.unpin_all();
+        let (back, feats, labels) = store.materialize().unwrap();
+        prop_assert_eq!(&*back, &g);
+        prop_assert_eq!(feats.as_deref(), f.as_ref());
+        prop_assert_eq!(labels.as_deref(), l.as_ref());
+
+        let stats = store.cache_stats().unwrap();
+        prop_assert_eq!(
+            stats.evictions,
+            stats.topology.evictions + stats.features.evictions + stats.labels.evictions
+        );
+        if matches!(budget, Budget::WholeStore) {
+            prop_assert_eq!(stats.evictions, 0, "{:?}", stats);
+        }
+
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `NeighborsRef` keeps reading the same bytes after the cache has
+    /// evicted (and unmapped its own handle on) the topology section it
+    /// points into.
+    #[test]
+    fn neighbors_ref_survives_eviction_of_its_section((g, shards, _) in store_case(), pick in any::<u64>()) {
+        prop_assume!(shards >= 2);
+        let n = g.num_vertices();
+        let dir = fresh_dir();
+        write_store(&dir, &g, Some(&feature_rows(n, 5)), None, shards).unwrap();
+        let store = GraphStore::open_with_budget(&dir, 1).unwrap();
+        let v = (pick % n as u64) as u32;
+        let held = store.neighbors_ref(v);
+        // A one-byte budget evicts v's section as soon as any other
+        // section loads; walk every other shard's topology and rows.
+        let before = store.cache_stats().unwrap().topology.evictions;
+        let others: Vec<u32> = (0..n as u32)
+            .filter(|&u| store.shard_of(u) != store.shard_of(v))
+            .collect();
+        prop_assume!(!others.is_empty());
+        for &u in &others {
+            prop_assert_eq!(&*store.neighbors_ref(u), g.neighbors(u));
+        }
+        let mut rows = DMatrix::zeros(0, 0);
+        store.gather_features_into(&others, &mut rows).unwrap();
+        prop_assert!(store.cache_stats().unwrap().topology.evictions > before);
+        prop_assert_eq!(&*held, g.neighbors(v), "held list changed under eviction");
+        drop(held);
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two readers at once — one walking topology the way a sampler does,
+    /// one gathering rows — each see exactly what the resident graph
+    /// would have given them, whatever the budget makes them evict from
+    /// under each other, with and without the prefetch thread as a third
+    /// party.
+    #[test]
+    fn concurrent_walk_and_gather_match_mem(
+        (g, shards, budget) in store_case(),
+        seed in any::<u64>(),
+        prefetch in any::<bool>(),
+    ) {
+        let n = g.num_vertices();
+        let f = feature_rows(n, 5);
+        let l = label_rows(n, 2);
+        let dir = fresh_dir();
+        let manifest =
+            write_store_ordered(&dir, &g, Some(&f), Some(&l), shards, StoreOrder::Bfs).unwrap();
+        let store = GraphStore::Mmap(
+            MmapStore::open_with_prefetch(&dir, budget.bytes(&manifest), prefetch).unwrap(),
+        );
+        let mem = GraphStore::mem(
+            std::sync::Arc::new(g.clone()),
+            Some(std::sync::Arc::new(f)),
+            Some(std::sync::Arc::new(l)),
+        );
+
+        // A degree-then-neighbor random walk: the sampler's access
+        // pattern (the graph is a ring plus chords: no dead ends).
+        let walk = |s: &GraphStore| -> Vec<u32> {
+            let mut x = seed | 1;
+            let mut v = (x % n as u64) as u32;
+            (0..400)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let deg = Topology::degree(s, v);
+                    v = Topology::neighbor(s, v, (x % deg as u64) as usize);
+                    s.prefetch_hint(&[v]);
+                    v
+                })
+                .collect()
+        };
+        let gather = |s: &GraphStore| -> Vec<f32> {
+            let mut out = Vec::new();
+            let (mut x, mut y) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));
+            for round in 0..6u64 {
+                let rows: Vec<u32> = (0..n as u64)
+                    .map(|k| ((seed.wrapping_add(round).wrapping_mul(6364136223846793005).wrapping_add(k * 1442695041)) % n as u64) as u32)
+                    .collect();
+                s.prefetch_nodes(&rows);
+                s.gather_features_into(&rows, &mut x).unwrap();
+                s.gather_labels_into(&rows, &mut y).unwrap();
+                out.extend_from_slice(x.data());
+                out.extend_from_slice(y.data());
+            }
+            out
+        };
+
+        let start = std::sync::Barrier::new(2);
+        let (walked, gathered) = std::thread::scope(|scope| {
+            let walker = scope.spawn(|| {
+                start.wait();
+                walk(&store)
+            });
+            let gatherer = scope.spawn(|| {
+                start.wait();
+                gather(&store)
+            });
+            (walker.join().unwrap(), gatherer.join().unwrap())
+        });
+        prop_assert_eq!(walked, walk(&mem));
+        prop_assert_eq!(gathered, gather(&mem));
+
+        drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -103,8 +306,8 @@ proptest! {
         let n = g.num_vertices();
         let f = feature_rows(n, 3);
         let dir = fresh_dir();
-        write_store(&dir, &g, Some(&f), None, shards).unwrap();
-        let store = GraphStore::open_with_budget(&dir, budget).unwrap();
+        let manifest = write_store(&dir, &g, Some(&f), None, shards).unwrap();
+        let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
         let (graph, feats, labels) = store.materialize().unwrap();
         prop_assert_eq!(&*graph, &g);
         prop_assert_eq!(&**feats.as_ref().unwrap(), &f);
@@ -166,9 +369,9 @@ proptest! {
         let f = feature_rows(n, 5);
         for order in [StoreOrder::Bfs, StoreOrder::Degree] {
             let dir = fresh_dir();
-            write_store_ordered(&dir, &g, Some(&f), None, shards, order).unwrap();
+            let manifest = write_store_ordered(&dir, &g, Some(&f), None, shards, order).unwrap();
             prop_assert!(verify_store(&dir).unwrap().is_empty());
-            let store = GraphStore::open_with_budget(&dir, budget).unwrap();
+            let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
             prop_assert_eq!(store.order(), order);
 
             for v in 0..n as u32 {
@@ -204,7 +407,9 @@ proptest! {
         let n = g.num_vertices();
         let f = feature_rows(n, 5);
         let dir = fresh_dir();
-        write_store_ordered(&dir, &g, Some(&f), None, shards, StoreOrder::Bfs).unwrap();
+        let manifest =
+            write_store_ordered(&dir, &g, Some(&f), None, shards, StoreOrder::Bfs).unwrap();
+        let budget = budget.bytes(&manifest);
         let plain = GraphStore::open_with_budget(&dir, budget).unwrap();
         let pf = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, budget, true).unwrap());
 
@@ -212,9 +417,11 @@ proptest! {
         let rows: Vec<u32> = (0..2 * n as u64)
             .map(|k| ((root_seed.wrapping_mul(6364136223846793005).wrapping_add(k * 1442695041)) % n as u64) as u32)
             .collect();
-        // Hint the prefetcher, then read both stores identically.
+        // Hint the prefetcher (rows and topology), then read both stores
+        // identically.
         prop_assert!(pf.prefetch_enabled());
         pf.prefetch_nodes(&rows);
+        pf.prefetch_hint(&rows);
         let mut want = DMatrix::zeros(0, 0);
         let mut got = DMatrix::zeros(0, 0);
         plain.gather_features_into(&rows, &mut want).unwrap();

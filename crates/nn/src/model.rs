@@ -12,7 +12,7 @@ use crate::dense::DenseLayer;
 use crate::gcn_layer::{GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
-use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
+use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore, Topology};
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::{ops, DMatrix, MatMut};
 use std::io;
@@ -560,8 +560,8 @@ impl GcnModel {
         let (ball, used) = capped_one_hop_frontier(store, targets, max_rows);
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
         // The next tile's roots are the next topology read at this
-        // level: their shards page in behind this tile's work.
-        store.prefetch_nodes(&targets[used..(2 * used).min(targets.len())]);
+        // level: their topology sections page in behind this tile's work.
+        store.prefetch_hint(&targets[used..(2 * used).min(targets.len())]);
         stats.frontier_secs += t0.elapsed().as_secs_f64();
         stats.tiles[level - 1] += 1;
         self.fill_level(store, level - 1, &ball.origin, max_rows, levels, agg, stats)?;

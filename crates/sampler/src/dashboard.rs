@@ -140,6 +140,9 @@ pub struct Dashboard {
     ia_alive: Vec<bool>,
     /// IA: vertex id per entry (needed to re-fill after cleanup).
     ia_vertex: Vec<u32>,
+    /// IA: the `deg` each entry was added with — its true degree, before
+    /// the slot cap — so a pop can hand it back without a topology read.
+    ia_degree: Vec<u32>,
     /// Used prefix of the slot arrays.
     used: usize,
     /// Total slots in live blocks (invariant: ≤ used).
@@ -163,6 +166,7 @@ impl Dashboard {
             ia_len: Vec::with_capacity(m * 2),
             ia_alive: Vec::with_capacity(m * 2),
             ia_vertex: Vec::with_capacity(m * 2),
+            ia_degree: Vec::with_capacity(m * 2),
             used: 0,
             live_slots: 0,
             cap,
@@ -213,6 +217,8 @@ impl Dashboard {
         self.ia_len.push(len as u32);
         self.ia_alive.push(true);
         self.ia_vertex.push(v);
+        debug_assert!(deg <= u32::MAX as usize);
+        self.ia_degree.push(deg as u32);
         // Chunk fills — the memset-like loops the paper vectorises.
         self.vertex[start..start + len].fill(v);
         for (k, o) in self.offset[start..start + len].iter_mut().enumerate() {
@@ -234,6 +240,17 @@ impl Dashboard {
         lane_rng: &mut LaneRng,
         mode: ProbeMode,
     ) -> u32 {
+        self.pop_frontier_entry(scalar_rng, lane_rng, mode).0
+    }
+
+    /// As [`Self::pop_frontier`], also returning the `deg` the popped
+    /// vertex was [added](Self::add_to_frontier) with.
+    pub fn pop_frontier_entry(
+        &mut self,
+        scalar_rng: &mut Xorshift128Plus,
+        lane_rng: &mut LaneRng,
+        mode: ProbeMode,
+    ) -> (u32, usize) {
         assert!(self.live_slots > 0, "pop from empty frontier");
         let idx = match mode {
             ProbeMode::Scalar => loop {
@@ -270,42 +287,46 @@ impl Dashboard {
         self.ia_alive[ia_idx] = false;
         self.live_slots -= len;
         self.stats.pops += 1;
-        v
+        (v, self.ia_degree[ia_idx] as usize)
     }
 
     /// Compact live blocks to the front of the table
-    /// (para_CLEANUP, Alg. 4 lines 18–24).
+    /// (para_CLEANUP, Alg. 4 lines 18–24), in place: blocks and their IA
+    /// entries both move left, so every write lands at or before the read
+    /// position.
     pub fn cleanup(&mut self) {
         self.stats.cleanups += 1;
         let mut write = 0usize;
-        let mut new_start = Vec::with_capacity(self.ia_start.len());
-        let mut new_len = Vec::with_capacity(self.ia_start.len());
-        let mut new_vertex = Vec::with_capacity(self.ia_start.len());
+        let mut live = 0usize;
         for j in 0..self.ia_start.len() {
             if !self.ia_alive[j] {
                 continue;
             }
             let start = self.ia_start[j] as usize;
             let len = self.ia_len[j] as usize;
-            let ia_idx = new_start.len() as u32;
+            debug_assert!(write <= start && live <= j);
             // Left-compaction: destination is always ≤ source, so
             // copy_within over the same buffers is safe.
             self.vertex.copy_within(start..start + len, write);
             for (k, o) in self.offset[write..write + len].iter_mut().enumerate() {
                 *o = k as u32;
             }
-            self.owner[write..write + len].fill(ia_idx);
-            new_start.push(write as u32);
-            new_len.push(len as u32);
-            new_vertex.push(self.ia_vertex[j]);
+            self.owner[write..write + len].fill(live as u32);
+            self.ia_start[live] = write as u32;
+            self.ia_len[live] = len as u32;
+            self.ia_vertex[live] = self.ia_vertex[j];
+            self.ia_degree[live] = self.ia_degree[j];
             write += len;
+            live += 1;
         }
         // Invalidate the tail so stale slots cannot be probed.
         self.vertex[write..self.used].fill(INV);
-        self.ia_start = new_start;
-        self.ia_len = new_len;
-        self.ia_vertex = new_vertex;
-        self.ia_alive = vec![true; self.ia_start.len()];
+        self.ia_start.truncate(live);
+        self.ia_len.truncate(live);
+        self.ia_vertex.truncate(live);
+        self.ia_degree.truncate(live);
+        self.ia_alive.truncate(live);
+        self.ia_alive.fill(true);
         self.used = write;
         debug_assert_eq!(self.live_slots, write);
     }
@@ -330,16 +351,11 @@ impl Dashboard {
             assert!(start + len <= self.used, "block beyond used prefix");
             if self.ia_alive[j] {
                 live += len;
+                assert_eq!(len as u32, self.block_len(self.ia_degree[j] as usize));
                 for k in start..start + len {
                     assert_eq!(self.vertex[k], self.ia_vertex[j]);
                     assert_eq!(self.owner[k] as usize, j);
                     assert_eq!(self.offset[k] as usize, k - start);
-                }
-            } else {
-                for k in start..start + len {
-                    // Dead blocks are invalid unless already overwritten
-                    // by a cleanup-compacted block.
-                    let _ = k;
                 }
             }
         }
@@ -431,17 +447,23 @@ impl DashboardSampler {
                     break; // graph has no edges at all
                 }
             }
-            let vpop = db.pop_frontier(&mut scalar_rng, &mut lane_rng, self.cfg.probe_mode);
-            // Alg. 2 line 5: uniform random neighbor of the popped vertex.
-            let deg = g.degree(vpop);
+            // Two topology reads per pop — `neighbor(vpop, ·)` and
+            // `degree(vnew)`: the popped vertex's own degree comes back
+            // from the Dashboard, which was told it when the vertex was
+            // added.
+            let (vpop, deg) =
+                db.pop_frontier_entry(&mut scalar_rng, &mut lane_rng, self.cfg.probe_mode);
             debug_assert!(deg > 0);
+            // Alg. 2 line 5: uniform random neighbor of the popped vertex.
             let mut vnew = g.neighbor(vpop, scalar_rng.next_range(deg));
+            let mut deg_new = g.degree(vnew);
             // Documented deviation: redraw when the replacement is isolated.
-            if g.degree(vnew) == 0 {
+            if deg_new == 0 {
                 db.stats.isolated_redraws += 1;
                 vnew = frontier_redraw(g, &mut scalar_rng);
+                deg_new = g.degree(vnew);
             }
-            db.add_to_frontier(vnew, g.degree(vnew));
+            db.add_to_frontier(vnew, deg_new);
             if in_vsub.insert(vpop as usize) {
                 vsub.push(vpop);
             }
