@@ -1,13 +1,15 @@
-//! Serving-path benchmark (`BENCH_serving.json` in CI): batched L-hop
-//! inference vs the full-graph forward, and the `BatchEngine`'s
-//! sustained classification throughput, on a reddit-shaped graph.
+//! Serving-path benchmark (`BENCH_serving.json` in CI): batched
+//! layer-at-a-time inference vs the full-graph forward, and the
+//! `BatchEngine`'s sustained classification throughput, on a
+//! reddit-shaped graph.
 //!
 //! Numbers reported per batch size B ∈ {1, 16, 64, 256}:
 //!
 //! * `serving/batch_B` — per-request latency distribution (p50/p99) of a
-//!   B-node query answered on its L-hop induced subgraph (extraction +
-//!   feature gather + fused forward, warm per-thread workspace), plus
-//!   classified-nodes/s at the median. Query batches are drawn as
+//!   B-node query answered by `NodeClassifier::classify_into` (frontier
+//!   extraction + feature gather + fused forward per level, warm
+//!   per-thread workspace), plus classified-nodes/s at the median.
+//!   Query batches are drawn as
 //!   contiguous id windows — correlated queries hitting one or two of
 //!   the generator's (block-contiguous) communities, the serving analogue
 //!   of a community-local traffic burst. `serving/batch_64_scattered`
@@ -30,15 +32,16 @@
 //!
 //! **Depth note, measured honestly:** at reddit density (avg degree
 //! ≈ 100) the raw 2-hop ball of ≥ 64 roots is essentially the whole
-//! graph; what keeps depth-2 batches viable is the classifier's cone
-//! pruning (layer k only aggregates rows still feeding the roots), which
-//! cut `serving/batch_64_depth2` ~3.3× vs the unpruned ball forward.
-//! The headline sweep serves a depth-1 model — 1-hop query balls are the
-//! regime where batching wins an order of magnitude — and deeper serving
-//! at full throughput wants cached intermediate activations (ROADMAP
-//! follow-on). Records are tagged `batch=`, `layers=`, the GEMM kernel
-//! tier and the session storage precision (`precision=` — run under
-//! `GSGCN_PRECISION=bf16` for half-width activation storage).
+//! graph; what keeps depth-2 batches viable is that the classifier runs
+//! layer ℓ only on the rows within L-ℓ hops of the roots, so only the
+//! level-0 feature gather touches the 2-hop ball, and the activation
+//! cache removes whatever part of the 1-hop level is resident (the
+//! `cache_warm_*` sweep: latency follows the miss fraction). The
+//! headline sweep serves a depth-1 model — 1-hop query balls are the
+//! regime where batching wins an order of magnitude. Records are tagged
+//! `batch=`, `layers=`, the GEMM kernel tier and the session storage
+//! precision (`precision=` — run under `GSGCN_PRECISION=bf16` for
+//! half-width activation storage).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gsgcn_data::presets;
@@ -165,7 +168,7 @@ fn bench_batched_vs_full(c: &mut Criterion) {
         b.iter(|| classifier.full_graph_probs_into(&mut full_ws));
     });
 
-    // Batch-size sweep on the L-hop (here 1-hop) subgraph path.
+    // Batch-size sweep at depth 1 (one frontier ball per query).
     let mut batch64_median = f64::NAN;
     for batch in BATCH_SIZES {
         set_tags(&[("layers", "1".to_string()), ("batch", batch.to_string())]);
@@ -205,9 +208,9 @@ fn bench_batched_vs_full(c: &mut Criterion) {
         1e3 * full_median,
     );
 
-    // Depth-2 record: the raw 2-hop ball of 64 reddit-density roots
-    // covers ~the whole graph; cone pruning keeps the sparse work on
-    // the inner cone (see the module docs).
+    // Depth-2 record, no cache: the raw 2-hop ball of 64 reddit-density
+    // roots covers ~the whole graph; only the feature gather touches it
+    // (see the module docs).
     let deep = serving_classifier(2);
     set_tags(&[("layers", "2".to_string()), ("batch", "64".to_string())]);
     let lat = measure_batches(&deep, 64, |i| window_roots(i, 64, n));

@@ -21,11 +21,26 @@
 use std::time::Instant;
 
 /// The JSON tags every bench record should carry: the dispatched GEMM
-/// microkernel tier and the session storage precision. Benches that set
-/// record-specific tags must extend this base (the shim's
-/// `set_json_tags` replaces tags wholesale) so archived numbers stay
-/// attributable to an ISA and a precision.
+/// microkernel tier, the session storage precision, the compute pool's
+/// thread count and the commit the tree was built from (`-dirty` when it
+/// has uncommitted changes). Benches that set record-specific tags must
+/// extend this base (the shim's `set_json_tags` replaces tags wholesale)
+/// so archived numbers stay attributable.
 pub fn base_tags() -> Vec<(String, String)> {
+    // Benches re-tag per record; ask git once.
+    static GIT_SHA: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    let git_sha = GIT_SHA.get_or_init(|| {
+        std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty", "--abbrev=12"])
+            .stderr(std::process::Stdio::null())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map_or_else(
+                || "unknown".to_string(),
+                |o| String::from_utf8_lossy(&o.stdout).trim().to_string(),
+            )
+    });
     vec![
         (
             "kernel".to_string(),
@@ -35,6 +50,11 @@ pub fn base_tags() -> Vec<(String, String)> {
             "precision".to_string(),
             gsgcn_tensor::precision::current().name().to_string(),
         ),
+        (
+            "threads".to_string(),
+            rayon::current_num_threads().to_string(),
+        ),
+        ("git_sha".to_string(), git_sha.clone()),
     ]
 }
 

@@ -10,12 +10,11 @@
 //!   symmetrisation (undirected closure) and self-loop removal.
 //! * [`subgraph`] — parallel extraction of the *induced* subgraph on a
 //!   vertex set, the output side of the frontier sampler (Alg. 2, line 8).
-//! * [`neighborhood`] — L-hop ball extraction around a query node set,
-//!   the inference-side counterpart of subgraph sampling: a K-node batch
-//!   runs forward on its K-rooted L-hop induced subgraph instead of the
-//!   full graph (exact at the roots — see the module docs); and one-hop
-//!   [`FrontierBall`]s, cut to a row cap by [`capped_one_hop_frontier`],
-//!   the tiles of layer-at-a-time inference over a store.
+//! * [`neighborhood`] — one-hop [`FrontierBall`]s, cut to a row cap by
+//!   [`capped_one_hop_frontier`]: the tiles of layer-at-a-time inference
+//!   over a store (serving and stored evaluation); and L-hop ball
+//!   extraction around a query node set, the reference formulation that
+//!   tests check it against (exact at the roots — see the module docs).
 //! * [`stats`] — degree/connectivity statistics used to verify that sampled
 //!   subgraphs preserve the connectivity characteristics of the training
 //!   graph (Sec. III-C requirement 1).

@@ -1,21 +1,29 @@
-//! L-hop neighborhood extraction for batched inference.
+//! Neighborhood extraction for batched inference: one-hop frontier balls
+//! (what serving and stored evaluation run on) and L-hop balls (the
+//! reference they are checked against).
 //!
 //! An L-layer GCN's output at a vertex depends on the input features of
-//! exactly the vertices within L hops: layer `k` activations of a vertex
-//! at distance `d` from the query set are correct on the induced
-//! subgraph of the L-hop ball whenever `d + k ≤ L` (induction on `k` —
-//! every neighbor of such a vertex lies within distance `d + 1 ≤
-//! L - (k-1)`, and its full neighbor list is inside the ball, so both the
-//! aggregate and the `D⁻¹` normalisation match the full graph). Hence a
-//! batch of K query nodes can run forward on its K-rooted L-hop induced
-//! subgraph instead of the full graph and read off *exactly* the
-//! full-graph outputs at the roots — the serving-side counterpart of the
-//! paper's subgraph-minibatch training, and the core of the
-//! `gsgcn-serve` batch engine.
+//! exactly the vertices within L hops. Inference over a store never
+//! materialises that ball: it recurses level by level over closed
+//! **one-hop** [`FrontierBall`]s — layer `ℓ` on a target list reads
+//! `H^{ℓ-1}` on the targets' frontier ball, which the same step one level
+//! down produces (`gsgcn_nn`'s level recursion; [`one_hop_frontier`] and
+//! its row-capped tile cutter [`capped_one_hop_frontier`] are the only
+//! extraction it needs). A ball keeps each root's full neighbor list in
+//! full-graph order, so every computed row matches the full-graph forward
+//! bit for bit.
 //!
-//! Extraction is a plain breadth-first expansion over the CSR adjacency
-//! followed by the same parallel induction used every training iteration
-//! ([`crate::subgraph::induced_subgraph`]).
+//! The L-hop side — [`l_hop_ball`], [`l_hop_subgraph`] and the cone-pruned
+//! [`NeighborhoodBatch::layer_graphs`] — is the older formulation of the
+//! same fact: layer `k` activations of a vertex at distance `d` from the
+//! query set are correct on the induced subgraph of the L-hop ball
+//! whenever `d + k ≤ L` (induction on `k` — every neighbor of such a
+//! vertex lies within distance `d + 1 ≤ L - (k-1)`, and its full neighbor
+//! list is inside the ball, so both the aggregate and the `D⁻¹`
+//! normalisation match the full graph). It pushes every ball row through
+//! every layer, so nothing in production calls it any more; it stays as
+//! the independent oracle of the equivalence and work-bound tests and for
+//! the e2e harness's ladder.
 
 use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
@@ -61,6 +69,9 @@ impl NeighborhoodBatch {
     /// batched-vs-full proptests in `gsgcn-serve`.
     ///
     /// The ball must have been extracted with `hops ≥ layers`.
+    ///
+    /// No production caller — kept for the e2e ladder and as the
+    /// equivalence oracle.
     pub fn layer_graphs(&self, layers: usize) -> Vec<CsrGraph> {
         let n = self.num_vertices();
         let offsets = self.sub.graph.offsets();
@@ -84,23 +95,21 @@ impl NeighborhoodBatch {
     }
 }
 
-/// The closed 1-hop ball of a root set, laid out for the serving-side
-/// **final hop**: unique roots occupy local rows `0..num_roots` (in
+/// The closed 1-hop ball of a root set, laid out for **one GCN layer on
+/// the root rows**: unique roots occupy local rows `0..num_roots` (in
 /// first-appearance order), frontier-only vertices follow (grouped by
 /// [`Topology::locality_group`], discovery order within a group), and
 /// the ball graph keeps adjacency *only on the root rows* (frontier rows
 /// are isolated — their aggregates are never consumed).
 ///
-/// This is the activation-cache counterpart of
-/// [`NeighborhoodBatch::layer_graphs`]: when the inputs to the last GCN
-/// layer (`acts^{L-1}`) are already known at every ball vertex — from a
-/// cache, or from a cone-pruned forward, where they are full-graph-exact
-/// at all rows within distance 1 of the roots — the last layer plus the
-/// classifier head only need this structure, not the L-hop cone. Root
-/// rows keep their full neighbor lists (and hence full degrees, the
-/// `D⁻¹` exactness condition), so the fused last layer over
-/// [`FrontierBall::graph`] is bit-identical at the root rows to the same
-/// layer run over any larger exact graph.
+/// When the layer's inputs are known at every ball vertex — from the
+/// level below, a feature gather, or an activation cache — the layer (and,
+/// at the top, the classifier head) needs only this structure. Root rows
+/// keep their full neighbor lists (and hence full degrees, the `D⁻¹`
+/// exactness condition), so the fused layer over [`FrontierBall::graph`]
+/// is bit-identical at the root rows to the same layer run over any
+/// larger exact graph. This is the tile of layer-at-a-time inference, for
+/// serving (one uncapped ball per level) and stored evaluation alike.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrontierBall {
     /// Input-graph id of each local row; the first
@@ -314,6 +323,8 @@ pub fn l_hop_ball<T: Topology + ?Sized>(g: &T, roots: &[u32], hops: usize) -> Ve
 /// Running an L-layer GCN forward on `sub.graph` (features gathered by
 /// `sub.origin`) yields, at rows `root_locals`, exactly the values the
 /// same forward would produce on the full graph — see the module docs.
+/// No production caller — kept for the e2e ladder and as the equivalence
+/// oracle.
 ///
 /// # Panics
 /// Panics if any root id is out of range for `g`.

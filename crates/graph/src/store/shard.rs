@@ -466,10 +466,6 @@ pub struct ShardLayout {
 }
 
 impl ShardLayout {
-    pub fn new(k: usize, e: usize, f: usize, l: usize) -> Self {
-        Self::with_precision(k, e, f, l, Precision::F32)
-    }
-
     /// Layout for a shard whose feature rows are stored at `fp` element
     /// width (f32 = 4 bytes, bf16 = 2). Labels are always f32; sections
     /// stay 8-byte aligned either way.
@@ -1096,25 +1092,6 @@ impl ShardSection {
         // exactly `count · size_of::<T>()` bytes; and `T: Plain` has no
         // invalid bit patterns.
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, count) }
-    }
-
-    /// Member vertex count `k` of the shard.
-    pub fn num_members(&self) -> usize {
-        self.shape.k
-    }
-
-    /// Directed edges stored in the shard.
-    pub fn num_edges(&self) -> usize {
-        self.shape.e
-    }
-
-    /// Global ids of the member vertices, in placement order (ascending
-    /// for natural stores, rank order for ordered ones — readers resolve
-    /// vertices through the index, never by searching this list).
-    /// Topology sections only.
-    pub fn members(&self) -> &[u32] {
-        self.expect_kind(SectionKind::Topology);
-        self.view(self.shape.layout.members_off, self.shape.k)
     }
 
     fn offsets(&self) -> &[u64] {

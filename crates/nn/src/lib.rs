@@ -17,7 +17,8 @@
 //!   (`GcnModel::{infer_logits_into, infer_probs_into}`); it also holds
 //!   the level buffers of `GcnModel::infer_probs_by_level`, the
 //!   work-efficient layer-at-a-time forward over a `GraphStore` that
-//!   does not fit in memory.
+//!   does not fit in memory, and of `infer_hidden_by_level`, the same
+//!   recursion as `gsgcn-serve` enters it.
 //!
 //! Everything is deterministic given the seeds in [`model::GcnConfig`].
 //!

@@ -96,8 +96,9 @@ pub struct StepResult {
     pub timings: KernelTimings,
 }
 
-/// Work and time of one [`GcnModel::infer_probs_by_level`] sweep. Index
-/// `ℓ-1` of the per-layer vectors is GCN layer `ℓ`. The counts are exact
+/// Work and time of one sweep of the level recursion
+/// ([`GcnModel::infer_probs_by_level`] / [`GcnModel::infer_hidden_by_level`]).
+/// Index `ℓ-1` of the per-layer vectors is GCN layer `ℓ`. The counts are exact
 /// and repeat across runs; when every level's needed set fits the row cap
 /// they are the work-efficient minimum — `rows_computed[ℓ-1] =
 /// |N_{L-ℓ}[roots]|` and `rows_gathered = |N_L[roots]|`, each (vertex,
@@ -131,6 +132,32 @@ impl LevelStats {
             self.gather_secs,
             self.infer_secs
         )
+    }
+}
+
+/// What one sweep of the level recursion threads through every step.
+struct Sweep<'a> {
+    store: &'a GraphStore,
+    /// Row cap of a frontier tile.
+    max_rows: usize,
+    agg: &'a mut DMatrix,
+    stats: LevelStats,
+}
+
+impl<'a> Sweep<'a> {
+    /// A sweep that runs GCN layers `1..=layers`.
+    fn new(store: &'a GraphStore, max_rows: usize, agg: &'a mut DMatrix, layers: usize) -> Self {
+        let stats = LevelStats {
+            tiles: vec![0; layers],
+            rows_computed: vec![0; layers],
+            ..LevelStats::default()
+        };
+        Sweep {
+            store,
+            max_rows,
+            agg,
+            stats,
+        }
     }
 }
 
@@ -328,40 +355,7 @@ impl GcnModel {
         ws: &mut InferenceWorkspace,
         out: &mut DMatrix,
     ) {
-        self.forward_layers_into(&mut |_| g, x, ws, out);
-    }
-
-    /// Inference with a *different graph per layer* over one shared
-    /// vertex set — the cone-pruned batched-serving path
-    /// (`gsgcn_graph::neighborhood::NeighborhoodBatch::layer_graphs`):
-    /// layer `i` aggregates over `layer_graphs[i]`, whose outward rows
-    /// are isolated so their never-consumed aggregates cost nothing.
-    /// All graphs must share `x`'s row count; panics on a layer-count
-    /// mismatch.
-    pub fn infer_logits_pruned_into(
-        &self,
-        layer_graphs: &[CsrGraph],
-        x: &DMatrix,
-        ws: &mut InferenceWorkspace,
-        out: &mut DMatrix,
-    ) {
-        assert_eq!(
-            layer_graphs.len(),
-            self.layers.len(),
-            "need one pruned graph per GCN layer"
-        );
-        self.forward_layers_into(&mut |i| &layer_graphs[i], x, ws, out);
-    }
-
-    /// Shared `&self` forward: layer `i` runs on `graph_for(i)`.
-    fn forward_layers_into<'g>(
-        &self,
-        graph_for: &mut dyn FnMut(usize) -> &'g CsrGraph,
-        x: &DMatrix,
-        ws: &mut InferenceWorkspace,
-        out: &mut DMatrix,
-    ) {
-        let last = self.run_gcn_layers(graph_for, self.layers.len(), x, ws);
+        let last = self.run_gcn_layers(&mut |_| g, self.layers.len(), x, ws);
         self.head.forward_into(last, out);
     }
 
@@ -412,17 +406,15 @@ impl GcnModel {
         }
     }
 
-    /// Run the first `layer_graphs.len()` GCN layers of a cone-pruned
-    /// forward and return the resulting activation — the serving-side
-    /// entry point that harvests `acts^{L-1}` (the last GCN layer's
-    /// *input*) for the activation cache. With the cone pruning of
-    /// [`GcnModel::infer_logits_pruned_into`], the returned rows are
-    /// full-graph-exact at every vertex within distance
-    /// `L - layer_graphs.len()` of the batch roots.
+    /// Run the first `layer_graphs.len()` GCN layers, layer `i` on
+    /// `layer_graphs[i]` (all over `x`'s vertex set), and return the
+    /// resulting activation. With the cone-pruned graphs of
+    /// `gsgcn_graph::NeighborhoodBatch::layer_graphs` the returned rows
+    /// are full-graph-exact at every vertex within distance
+    /// `L - layer_graphs.len()` of the batch roots. No production caller —
+    /// kept for the e2e ladder and as the equivalence oracle.
     ///
-    /// Pass fewer graphs than layers to stop early (e.g. `L-1` graphs
-    /// for the final-hop split); panics if `layer_graphs` is empty or
-    /// longer than the layer stack.
+    /// Panics if `layer_graphs` is empty or longer than the layer stack.
     pub fn infer_hidden_pruned_into<'w>(
         &self,
         layer_graphs: &[CsrGraph],
@@ -506,11 +498,6 @@ impl GcnModel {
         sink: &mut dyn FnMut(&[u32], &DMatrix) -> io::Result<()>,
     ) -> io::Result<LevelStats> {
         let depth = self.layers.len();
-        let mut stats = LevelStats {
-            tiles: vec![0; depth],
-            rows_computed: vec![0; depth],
-            ..LevelStats::default()
-        };
         let InferenceWorkspace {
             ping,
             pong,
@@ -520,51 +507,51 @@ impl GcnModel {
         if levels.len() < depth {
             levels.resize_with(depth, || DMatrix::zeros(0, 0));
         }
+        let mut sweep = Sweep::new(store, max_rows, agg, depth);
         let t0 = Instant::now();
         let mut sorted = roots.to_vec();
         sorted.sort_by_cached_key(|&v| store.to_internal(v));
         sorted.dedup();
-        stats.frontier_secs += t0.elapsed().as_secs_f64();
+        sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
 
         let mut rest = &sorted[..];
         while !rest.is_empty() {
-            let ball = self.next_tile(store, depth, rest, max_rows, levels, agg, &mut stats)?;
+            let ball = self.next_tile(&mut sweep, depth, rest, levels)?;
             let t0 = Instant::now();
             ping.ensure_shape(ball.num_roots, self.layers[depth - 1].out_dim());
-            self.run_layer(depth, &ball, levels, ping.view_mut(), agg, &mut stats);
+            self.run_layer(&mut sweep, depth, &ball, levels, ping.view_mut());
             self.head.forward_into(ping, pong);
             self.apply_output_activation(pong);
-            stats.infer_secs += t0.elapsed().as_secs_f64();
+            sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
             sink(&ball.origin[..ball.num_roots], pong)?;
             rest = &rest[ball.num_roots..];
         }
-        Ok(stats)
+        Ok(sweep.stats)
     }
 
     /// Cut the next frontier tile of GCN layer `level` (1-based) off the
     /// front of `targets` (distinct, placement-ordered) and fill
     /// `levels[level-1]` with `H^{level-1}` on its `origin`. The tile
     /// consumes `targets[..ball.num_roots]`.
-    #[allow(clippy::too_many_arguments)]
     fn next_tile(
         &self,
-        store: &GraphStore,
+        sweep: &mut Sweep<'_>,
         level: usize,
         targets: &[u32],
-        max_rows: usize,
         levels: &mut [DMatrix],
-        agg: &mut DMatrix,
-        stats: &mut LevelStats,
     ) -> io::Result<FrontierBall> {
         let t0 = Instant::now();
-        let (ball, used) = capped_one_hop_frontier(store, targets, max_rows);
+        let (ball, used) = capped_one_hop_frontier(sweep.store, targets, sweep.max_rows);
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
         // The next tile's roots are the next topology read at this
         // level: their topology sections page in behind this tile's work.
-        store.prefetch_hint(&targets[used..(2 * used).min(targets.len())]);
-        stats.frontier_secs += t0.elapsed().as_secs_f64();
-        stats.tiles[level - 1] += 1;
-        self.fill_level(store, level - 1, &ball.origin, max_rows, levels, agg, stats)?;
+        sweep
+            .store
+            .prefetch_hint(&targets[used..(2 * used).min(targets.len())]);
+        sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
+        sweep.stats.tiles[level - 1] += 1;
+        let (lower, out) = levels.split_at_mut(level - 1);
+        self.fill_level(sweep, level - 1, &ball.origin, lower, &mut out[0])?;
         Ok(ball)
     }
 
@@ -572,58 +559,86 @@ impl GcnModel {
     /// `levels[level-1]` (filled by [`Self::next_tile`]) into `out`.
     fn run_layer(
         &self,
+        sweep: &mut Sweep<'_>,
         level: usize,
         ball: &FrontierBall,
         levels: &[DMatrix],
         out: MatMut<'_>,
-        agg: &mut DMatrix,
-        stats: &mut LevelStats,
     ) {
-        stats.rows_computed[level - 1] += out.rows();
+        sweep.stats.rows_computed[level - 1] += out.rows();
         self.layers[level - 1].infer_rows_into(
             &ball.graph,
             &levels[level - 1],
             out,
-            agg,
+            sweep.agg,
             &self.prop,
         );
     }
 
-    /// Fill `levels[level]` with `H^level`, rows aligned with `targets`
-    /// (distinct, placement-ordered): a feature gather at level 0, above
-    /// it one tile after another, each writing its roots' run of rows.
-    #[allow(clippy::too_many_arguments)]
+    /// Fill `out` with `H^level`, rows aligned with `targets` (distinct,
+    /// placement-ordered): a feature gather at level 0, above it one tile
+    /// after another, each writing its roots' run of rows. `lower` is
+    /// `levels[..level]`, the buffers of the levels beneath.
     fn fill_level(
         &self,
-        store: &GraphStore,
+        sweep: &mut Sweep<'_>,
         level: usize,
         targets: &[u32],
-        max_rows: usize,
-        levels: &mut [DMatrix],
-        agg: &mut DMatrix,
-        stats: &mut LevelStats,
+        lower: &mut [DMatrix],
+        out: &mut DMatrix,
     ) -> io::Result<()> {
-        let (lower, out) = levels.split_at_mut(level);
-        let out = &mut out[0];
         if level == 0 {
             let t0 = Instant::now();
-            store.gather_features_into(targets, out)?;
-            stats.gather_secs += t0.elapsed().as_secs_f64();
-            stats.rows_gathered += targets.len();
+            sweep.store.gather_features_into(targets, out)?;
+            sweep.stats.gather_secs += t0.elapsed().as_secs_f64();
+            sweep.stats.rows_gathered += targets.len();
             return Ok(());
         }
         out.ensure_shape(targets.len(), self.layers[level - 1].out_dim());
         let mut pos = 0;
         while pos < targets.len() {
-            let ball =
-                self.next_tile(store, level, &targets[pos..], max_rows, lower, agg, stats)?;
+            let ball = self.next_tile(sweep, level, &targets[pos..], lower)?;
             let t0 = Instant::now();
             let rows = out.view_rows_mut(pos, pos + ball.num_roots);
-            self.run_layer(level, &ball, lower, rows, agg, stats);
-            stats.infer_secs += t0.elapsed().as_secs_f64();
+            self.run_layer(sweep, level, &ball, lower, rows);
+            sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
             pos += ball.num_roots;
         }
         Ok(())
+    }
+
+    /// **The serving entry point of the level recursion**: `H^{L-1}` —
+    /// the last GCN layer's input — on `targets` (distinct store ids),
+    /// written to `out` with rows aligned to `targets`. The caller runs
+    /// layer `L` itself ([`GcnModel::infer_probs_final_hop_into`] over the
+    /// frontier ball whose `origin` the targets come from), so whatever
+    /// rows it already holds — an activation cache — never enter here.
+    ///
+    /// This is [`GcnModel::infer_probs_by_level`] started one level down
+    /// with one uncapped tile per level (a serving batch is bounded by the
+    /// engine's batcher): layer `ℓ < L` runs once on every vertex within
+    /// `L-1-ℓ` hops of `targets` and each feature row within `L-1` hops is
+    /// gathered once — `Σ_ℓ |N_{L-1-ℓ}[targets]|` rows computed,
+    /// `|N_{L-1}[targets]|` rows gathered, over `targets` only, never an
+    /// L-hop ball pushed through every layer. For a 1-layer model it is the
+    /// feature gather. Rows are bit-identical to the full-graph forward's
+    /// (the exactness argument on `infer_probs_by_level`). The returned
+    /// [`LevelStats`] per-layer vectors cover layers `1..L`.
+    pub fn infer_hidden_by_level(
+        &self,
+        store: &GraphStore,
+        targets: &[u32],
+        ws: &mut InferenceWorkspace,
+        out: &mut DMatrix,
+    ) -> io::Result<LevelStats> {
+        let below = self.layers.len() - 1;
+        let InferenceWorkspace { agg, levels, .. } = ws;
+        if levels.len() < below {
+            levels.resize_with(below, || DMatrix::zeros(0, 0));
+        }
+        let mut sweep = Sweep::new(store, usize::MAX, agg, below);
+        self.fill_level(&mut sweep, below, targets, &mut levels[..below], out)?;
+        Ok(sweep.stats)
     }
 
     /// Input width of the last GCN layer (= `acts^{L-1}` row width): the
@@ -647,21 +662,6 @@ impl GcnModel {
         out: &mut DMatrix,
     ) {
         self.infer_logits_into(g, x, ws, out);
-        self.apply_output_activation(out);
-    }
-
-    /// Cone-pruned inference with the task's output activation applied;
-    /// see [`GcnModel::infer_logits_pruned_into`]. Only rows within
-    /// `L-1-i` hops of the batch roots carry full-graph-exact values
-    /// after layer `i`; read the root rows.
-    pub fn infer_probs_pruned_into(
-        &self,
-        layer_graphs: &[CsrGraph],
-        x: &DMatrix,
-        ws: &mut InferenceWorkspace,
-        out: &mut DMatrix,
-    ) {
-        self.infer_logits_pruned_into(layer_graphs, x, ws, out);
         self.apply_output_activation(out);
     }
 

@@ -34,8 +34,9 @@ pub struct InferenceWorkspace {
     /// current layer (the fused path streams it through pack scratch).
     pub(crate) agg: DMatrix,
     /// Layer-at-a-time inference only
-    /// ([`crate::model::GcnModel::infer_probs_by_level`]): `levels[ℓ]`
-    /// holds `H^ℓ` on the frontier tile that layer `ℓ+1` is reading.
+    /// ([`crate::model::GcnModel::infer_probs_by_level`] and the serving
+    /// entry point `infer_hidden_by_level`): `levels[ℓ]` holds `H^ℓ` on
+    /// the frontier tile that layer `ℓ+1` is reading.
     pub(crate) levels: Vec<DMatrix>,
 }
 

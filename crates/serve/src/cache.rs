@@ -3,15 +3,16 @@
 //! redundant neighborhood recomputation.
 //!
 //! A depth-L query's last GCN layer consumes `acts^{L-1}` only at the
-//! closed 1-hop ball of the roots, and the cone-pruned batched forward
-//! (`NeighborhoodBatch::layer_graphs`) makes exactly those rows
-//! full-graph-exact (distance ≤ 1 ⇒ exact after L-1 layers). So every
-//! cold batch computes — for free — cacheable hidden rows keyed by
-//! `(node, model_version)`, and a later query whose whole ball is
-//! resident skips the L-hop cone entirely: gather the rows, run one
-//! fused layer + the root-limited head ([`crate::classifier`]'s "final
-//! hop"). Cold or partially-cold balls fall back to the exact pruned
-//! path, so cached and uncached answers agree at the roots by
+//! closed 1-hop ball of the roots, and every such row is a pure function
+//! of `(node, model_version)` — the level recursion computes it
+//! bit-identically to the full-graph forward whatever else is in the
+//! batch. So rows are cached under that key and probed **row by row**
+//! ([`ActivationCache::probe_rows`]): the rows a request finds are copied
+//! straight into the buffer its final hop reads, and only the rows it does
+//! not find are computed ([`crate::classifier`]) and inserted on the way
+//! out. A request's cost follows its miss count — all resident is one
+//! fused layer + the root-limited head, none resident is the full level
+//! recursion — and cached and uncached answers agree at the roots by
 //! construction.
 //!
 //! Design: N independently locked shards (node id → shard by
@@ -269,33 +270,36 @@ impl ActivationCache {
             .unwrap_or_else(|p| p.into_inner())
     }
 
-    /// All-or-nothing batch probe: if **every** node has a
-    /// current-version row of width `width`, copy them into `out`
-    /// (reshaped to `nodes.len() × width`, rows aligned with `nodes`)
-    /// and return `true`. On the first miss, returns `false` — `out`
-    /// may then hold partially written rows. Serving probes the whole
-    /// frontier ball: a partial hit cannot skip the cone extraction, so
-    /// there is no partial-result API to misuse.
-    pub fn try_gather(&self, nodes: &[u32], width: usize, out: &mut DMatrix) -> bool {
+    /// Row-granular batch probe: reshape `out` to `nodes.len() × width`,
+    /// copy every node's current-version row of width `width` into its
+    /// row of `out`, and return the positions (indices into `nodes`,
+    /// ascending) that have none — absent, stale or of another width.
+    /// Those rows of `out` are left as they were for the caller to fill.
+    /// Every probed row counts as exactly one hit or one miss.
+    pub fn probe_rows(&self, nodes: &[u32], width: usize, out: &mut DMatrix) -> Vec<u32> {
         let version = self.version();
         out.ensure_shape(nodes.len(), width);
+        let mut missing = Vec::new();
         for (i, &node) in nodes.iter().enumerate() {
-            let mut shard = self.lock(node);
-            match shard.map.get_mut(&node) {
+            match self.lock(node).map.get_mut(&node) {
                 Some(e) if e.version == version && e.data.len() == width => {
                     e.referenced = true;
                     e.data.copy_into(out.row_mut(i));
                 }
-                _ => {
-                    drop(shard);
-                    self.hits.fetch_add(i as u64, Ordering::Relaxed);
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
+                _ => missing.push(i as u32),
             }
         }
-        self.hits.fetch_add(nodes.len() as u64, Ordering::Relaxed);
-        true
+        let misses = missing.len() as u64;
+        self.hits
+            .fetch_add(nodes.len() as u64 - misses, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        missing
+    }
+
+    /// [`Self::probe_rows`] found nothing missing: `out` holds every
+    /// node's row.
+    pub fn try_gather(&self, nodes: &[u32], width: usize, out: &mut DMatrix) -> bool {
+        self.probe_rows(nodes, width, out).is_empty()
     }
 
     /// Insert (or refresh) one row per node, `rows` aligned with
@@ -439,16 +443,44 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (3, 0, 3));
     }
 
+    /// The row-granular probe: every probed row is one hit or one miss,
+    /// the missing positions are exactly the rows without a current,
+    /// right-width entry, present rows are copied exactly and absent rows
+    /// of `out` are left alone.
     #[test]
-    fn partial_hit_is_a_miss() {
+    fn probe_counts_every_row_once_and_fills_only_present_rows() {
         let c = ActivationCache::new(1 << 20);
-        let (nodes, rows) = row_matrix(&[(1, 0.0), (2, 1.0)], 3);
-        c.insert_rows(&nodes, &rows);
-        let mut out = DMatrix::zeros(0, 0);
-        assert!(!c.try_gather(&[1, 5, 2], 3, &mut out));
-        assert!(c.stats().misses >= 1);
-        // Width mismatch is also a miss, not corruption.
-        assert!(!c.try_gather(&[1], 2, &mut out));
+        // Node 9 goes stale, node 7 has the wrong width; 1, 2, 3 are good.
+        c.insert_rows(&[9], &DMatrix::filled(1, 3, 9.0));
+        c.bump_version();
+        c.insert_rows(&[7], &DMatrix::filled(1, 2, 7.0));
+        let (good, rows) = row_matrix(&[(1, 0.5), (2, 1.5), (3, 2.5)], 3);
+        c.insert_rows(&good, &rows);
+        let before = c.stats();
+
+        let probe = [1u32, 5, 9, 2, 7, 3, 6];
+        const UNTOUCHED: f32 = -77.0;
+        let mut out = DMatrix::filled(probe.len(), 3, UNTOUCHED);
+        let missing = c.probe_rows(&probe, 3, &mut out);
+        assert_eq!(
+            missing,
+            vec![1, 2, 4, 6],
+            "absent, stale and wrong-width rows"
+        );
+        let s = c.stats();
+        assert_eq!(s.hits - before.hits, 3, "{s:?}");
+        assert_eq!(s.misses - before.misses, 4, "{s:?}");
+        for (at, src) in [(0usize, 0usize), (3, 1), (5, 2)] {
+            assert_eq!(out.row(at), rows.row(src), "present row {at}");
+        }
+        for &at in &missing {
+            assert_eq!(out.row(at as usize), [UNTOUCHED; 3], "absent row {at}");
+        }
+        // `try_gather` is "nothing missing" over the same probe.
+        assert!(!c.try_gather(&probe, 3, &mut out));
+        assert!(c.try_gather(&[3, 1], 3, &mut out));
+        assert_eq!(c.stats().hits - s.hits, 3 + 2);
+        assert_eq!(c.stats().misses - s.misses, 4);
     }
 
     #[test]

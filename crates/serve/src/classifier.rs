@@ -1,41 +1,46 @@
 //! The immutable serving artifact: one trained model + one graph +
 //! features, shared by every worker thread, queried over node batches.
 //!
-//! A query for K nodes does **not** run the full-graph forward: it
-//! extracts the K-rooted L-hop induced subgraph (L = the model's layer
-//! count) via [`gsgcn_graph::neighborhood`], gathers that subgraph's
-//! feature rows, and runs the workspace-driven forward on it — the
-//! inference-side counterpart of the paper's subgraph-minibatch
-//! training. The values read off at the root rows are exactly the
-//! full-graph outputs (see the neighborhood module docs for the
-//! induction argument), and the forward rides the same fused
-//! `PackSource` aggregation pipeline as training.
+//! A query for K nodes does **not** run the full-graph forward, and it
+//! never materialises the K-rooted L-hop ball either: it runs the
+//! layer-at-a-time level recursion of `gsgcn_nn`
+//! (`GcnModel::infer_hidden_by_level`) — layer `ℓ` only on the rows
+//! within `L-ℓ` hops of the roots, every feature row gathered once — the
+//! inference-side counterpart of the paper's work-efficient layer
+//! propagation. Each computed row is the same float operations in the
+//! same order as in the full-graph forward, so the values read off at the
+//! roots are bit-identical to it.
 //!
-//! # The final hop, cold and warm
+//! # One path, at whatever hit rate the cache gives
 //!
-//! Every classification ends the same way: the last GCN layer fused
-//! over the roots' closed 1-hop [`FrontierBall`] followed by a
-//! root-row-limited classifier head (frontier rows never reach the
-//! dense GEMM). What differs is where the ball's `acts^{L-1}` rows come
-//! from:
+//! Every classification is: extract the roots' closed 1-hop
+//! [`FrontierBall`](gsgcn_graph::FrontierBall), make `acts^{L-1}` present
+//! on its rows, then run the last GCN layer fused over the ball followed
+//! by a root-row-limited classifier head (frontier rows never reach the
+//! dense GEMM). The middle step is a row-granular probe of the
+//! [`ActivationCache`] followed by the level recursion **on the rows the
+//! probe did not find**; those rows are inserted under their store ids on
+//! the way out. There is no cold and no warm branch, only three shapes of
+//! the same buffer traffic:
 //!
-//! * **warm** — every ball row is resident in the
-//!   [`ActivationCache`](crate::cache::ActivationCache): gather and run
-//!   the final hop; the L-hop cone is never extracted. A depth-L query
-//!   costs ~1 hop.
-//! * **cold** — run the exact cone-pruned forward for the first `L-1`
-//!   layers. Its hidden rows are full-graph-exact at every vertex
-//!   within distance 1 of the roots (`d + k ≤ L` induction) — exactly
-//!   the ball the final hop needs, and exactly what the cache stores,
-//!   so the cold path both answers the query and warms the cache.
+//! * *everything resident* — the probe filled the buffer the final hop
+//!   reads; the recursion is not entered. A depth-L query costs ~1 hop.
+//! * *nothing resident* (no cache attached, a 1-layer model — whose
+//!   `acts^{L-1}` is the feature matrix, level 0 of the recursion — or a
+//!   cold ball) — the recursion writes the ball's rows directly into that
+//!   buffer; no row is copied.
+//! * *partial hit* — the missing rows are computed compactly and those
+//!   rows alone are copied into place, so the cost follows the miss count.
 //!
-//! Both paths produce bit-identical root rows (the fused layer and the
-//! packed GEMM accumulate per-row), pinned by the cached-vs-uncached
-//! proptests in `tests/cache_equivalence.rs`.
+//! With f32 cache rows all three produce bit-identical root rows (a cached
+//! row *is* a recursion output); bf16 cache rows add one rounding per
+//! cached element, inside the serving tolerance band. Pinned by
+//! `tests/cache_equivalence.rs` and, as exact row counts,
+//! `tests/cold_work_bounds.rs`.
 
 use crate::cache::ActivationCache;
-use gsgcn_graph::{l_hop_subgraph, one_hop_frontier, CsrGraph, GraphStore, Topology};
-use gsgcn_nn::model::{GcnModel, LossKind};
+use gsgcn_graph::{one_hop_frontier, CsrGraph, GraphStore, Topology};
+use gsgcn_nn::model::{GcnModel, LevelStats, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::DMatrix;
 use std::sync::Arc;
@@ -75,17 +80,19 @@ impl Prediction {
 }
 
 /// Reusable per-thread scratch for [`NodeClassifier::classify_into`]:
-/// the inference workspace plus the subgraph feature/probability
-/// buffers. Warm calls with bounded batch sizes allocate no matrices.
+/// the inference workspace plus the hidden-row / probability buffers.
+/// Calls with bounded batch sizes allocate no matrices once warm.
 #[derive(Debug)]
 pub struct ClassifyWorkspace {
     infer: InferenceWorkspace,
-    x: DMatrix,
-    /// `acts^{L-1}` rows of the current frontier ball (gathered from
-    /// the cache on the warm path, harvested from the cone forward on
-    /// the cold path).
+    /// `acts^{L-1}` on the current frontier ball — the buffer the final
+    /// hop reads, filled by the cache probe and / or the level recursion.
     hidden: DMatrix,
+    /// Partial hits only: the missing rows, computed compactly before
+    /// they are copied into `hidden`.
+    computed: DMatrix,
     probs: DMatrix,
+    level_stats: Option<LevelStats>,
 }
 
 impl Default for ClassifyWorkspace {
@@ -99,10 +106,18 @@ impl ClassifyWorkspace {
     pub fn new() -> Self {
         ClassifyWorkspace {
             infer: InferenceWorkspace::new(),
-            x: DMatrix::zeros(0, 0),
             hidden: DMatrix::zeros(0, 0),
+            computed: DMatrix::zeros(0, 0),
             probs: DMatrix::zeros(0, 0),
+            level_stats: None,
         }
+    }
+
+    /// Work counts of the level recursion in the last
+    /// [`NodeClassifier::classify_into`] through this workspace; `None`
+    /// when that call never entered it (every frontier row was cached).
+    pub fn last_level_stats(&self) -> Option<&LevelStats> {
+        self.level_stats.as_ref()
     }
 }
 
@@ -149,10 +164,10 @@ pub trait BatchClassify: Send + Sync + 'static {
 pub struct NodeClassifier {
     model: Arc<GcnModel>,
     store: Arc<GraphStore>,
-    /// Shared `(node, version)` → `acts^{L-1}` row cache; `None` serves
-    /// every query on the exact cone-pruned path. Single-layer models
-    /// never attach one — their "hidden" state is the feature matrix,
-    /// already resident.
+    /// Shared `(node, version)` → `acts^{L-1}` row cache; `None` computes
+    /// every frontier row of every query. Single-layer models never
+    /// attach one — their "hidden" state is the feature matrix, already
+    /// resident.
     cache: Option<Arc<ActivationCache>>,
 }
 
@@ -251,8 +266,8 @@ impl NodeClassifier {
     /// Pin the shards holding `nodes` (plus their one-hop frontiers)
     /// resident, exempt from cache eviction, until
     /// [`GraphStore::unpin_all`]. A no-op returning 0 on the `mem`
-    /// backend. Use for a known-hot working set so cone-pruned serving
-    /// never faults its roots back in.
+    /// backend. Use for a known-hot working set so serving never faults
+    /// its roots back in.
     pub fn pin_hot(&self, nodes: &[u32]) -> std::io::Result<usize> {
         let mut ball: Vec<u32> = Vec::with_capacity(nodes.len() * 4);
         for &v in nodes {
@@ -294,7 +309,7 @@ impl NodeClassifier {
         self.model.config().num_classes
     }
 
-    /// The neighborhood depth a query extracts (= model layer count).
+    /// The neighborhood depth a query depends on (= model layer count).
     pub fn hops(&self) -> usize {
         self.model.num_layers()
     }
@@ -304,9 +319,9 @@ impl NodeClassifier {
     /// Fails — rather than panics — on out-of-range ids, so
     /// network-facing callers can reject bad requests cheaply.
     ///
-    /// See the module docs: a warm activation cache serves the query
-    /// from the roots' 1-hop frontier ball alone; otherwise the exact
-    /// cone-pruned L-hop path runs (and populates the cache).
+    /// See the module docs: `acts^{L-1}` on the roots' 1-hop frontier
+    /// ball comes from the activation cache where it is resident and from
+    /// the level recursion where it is not (those rows are then cached).
     pub fn classify_into(
         &self,
         nodes: &[u32],
@@ -317,64 +332,29 @@ impl NodeClassifier {
             return Ok(());
         }
         self.validate_nodes(nodes)?;
-        let g: &GraphStore = &self.store;
-        let hops = self.model.num_layers();
-        if hops == 1 {
-            // Single layer: acts^{L-1} *is* the feature matrix, so the
-            // final hop over the original-graph frontier ball is the
-            // whole forward (no cache involved).
-            let fb = one_hop_frontier(g, nodes);
-            self.store
-                .gather_features_into(&fb.origin, &mut ws.hidden)
-                .map_err(|e| format!("feature read from graph store failed: {e}"))?;
-            self.model.infer_probs_final_hop_into(
-                &fb.graph,
-                &ws.hidden,
-                fb.num_roots,
-                &mut ws.infer,
-                &mut ws.probs,
-            );
-            self.emit(nodes, &fb.root_locals, ws, out);
-            return Ok(());
-        }
-        if let Some(cache) = &self.cache {
-            let fb = one_hop_frontier(g, nodes);
-            if cache.try_gather(&fb.origin, self.model.hidden_width(), &mut ws.hidden) {
-                // Warm path: every ball row was resident — the L-hop
-                // cone is never touched.
-                self.model.infer_probs_final_hop_into(
-                    &fb.graph,
-                    &ws.hidden,
-                    fb.num_roots,
-                    &mut ws.infer,
-                    &mut ws.probs,
-                );
-                self.emit(nodes, &fb.root_locals, ws, out);
-                return Ok(());
+        let fb = one_hop_frontier(&*self.store, nodes);
+        // Positions in `fb.origin` whose row the cache did not supply.
+        let missing = match &self.cache {
+            Some(cache) => cache.probe_rows(&fb.origin, self.model.hidden_width(), &mut ws.hidden),
+            None => Vec::new(),
+        };
+        ws.level_stats = if self.cache.is_none() || missing.len() == fb.origin.len() {
+            // Nothing resident: the recursion fills the final hop's buffer.
+            Some(self.compute_hidden(&fb.origin, &mut ws.infer, &mut ws.hidden)?)
+        } else if missing.is_empty() {
+            None
+        } else {
+            // Partial hit: the missing rows are computed compactly and
+            // only they move.
+            let targets: Vec<u32> = missing.iter().map(|&i| fb.origin[i as usize]).collect();
+            let stats = self.compute_hidden(&targets, &mut ws.infer, &mut ws.computed)?;
+            for (k, &i) in missing.iter().enumerate() {
+                ws.hidden
+                    .row_mut(i as usize)
+                    .copy_from_slice(ws.computed.row(k));
             }
-        }
-        // Cold path: exact cone-pruned forward for the first L-1
-        // layers. Cone pruning: layer i only aggregates rows still
-        // feeding the roots (dist ≤ L-1-i); outward rows are isolated,
-        // so at reddit densities — where the raw ball saturates the
-        // graph — the sparse work per query stays proportional to the
-        // *inner* cone, not the full ball. Values within dist ≤ 1 of
-        // the roots are exact after L-1 layers — the rows the final hop
-        // consumes and the cache stores.
-        let batch = l_hop_subgraph(g, nodes, hops);
-        let layer_graphs = batch.layer_graphs(hops);
-        self.store
-            .gather_features_into(&batch.sub.origin, &mut ws.x)
-            .map_err(|e| format!("feature read from graph store failed: {e}"))?;
-        let fb = one_hop_frontier(&batch.sub.graph, &batch.root_locals);
-        {
-            let hidden_cone = self.model.infer_hidden_pruned_into(
-                &layer_graphs[..hops - 1],
-                &ws.x,
-                &mut ws.infer,
-            );
-            hidden_cone.gather_rows_into(&fb.origin, &mut ws.hidden);
-        }
+            Some(stats)
+        };
         self.model.infer_probs_final_hop_into(
             &fb.graph,
             &ws.hidden,
@@ -382,19 +362,26 @@ impl NodeClassifier {
             &mut ws.infer,
             &mut ws.probs,
         );
-        if let Some(cache) = &self.cache {
-            // Harvest: map ball-local rows back to original ids. (Vec
-            // allocation, not a matrix — the warm-allocation-free
-            // contract concerns the matrix side.)
-            let orig: Vec<u32> = fb
-                .origin
-                .iter()
-                .map(|&l| batch.sub.origin[l as usize])
-                .collect();
-            cache.insert_rows(&orig, &ws.hidden);
-        }
         self.emit(nodes, &fb.root_locals, ws, out);
         Ok(())
+    }
+
+    /// `acts^{L-1}` on `ids` (distinct) into `rows` through the level
+    /// recursion, inserted into the cache on the way out.
+    fn compute_hidden(
+        &self,
+        ids: &[u32],
+        infer: &mut InferenceWorkspace,
+        rows: &mut DMatrix,
+    ) -> Result<LevelStats, String> {
+        let stats = self
+            .model
+            .infer_hidden_by_level(&self.store, ids, infer, rows)
+            .map_err(|e| format!("feature read from graph store failed: {e}"))?;
+        if let Some(cache) = &self.cache {
+            cache.insert_rows(ids, rows);
+        }
+        Ok(stats)
     }
 
     /// Append one prediction per requested node, reading probability
@@ -480,7 +467,14 @@ mod tests {
     use gsgcn_nn::model::GcnConfig;
 
     fn fixture_parts(loss: LossKind) -> (Arc<GcnModel>, Arc<CsrGraph>, Arc<DMatrix>) {
-        // Ring of 12 with chords, 2-layer model.
+        fixture_parts_depth(loss, 2)
+    }
+
+    fn fixture_parts_depth(
+        loss: LossKind,
+        depth: usize,
+    ) -> (Arc<GcnModel>, Arc<CsrGraph>, Arc<DMatrix>) {
+        // Ring of 12 with chords.
         let n = 12;
         let edges: Vec<(u32, u32)> = (0..n as u32)
             .map(|i| (i, (i + 1) % n as u32))
@@ -490,7 +484,7 @@ mod tests {
         let x = DMatrix::from_fn(n, 5, |i, j| ((i * 3 + j) % 7) as f32 * 0.2 - 0.5);
         let cfg = GcnConfig {
             in_dim: 5,
-            hidden_dims: vec![8, 8],
+            hidden_dims: vec![8; depth],
             num_classes: 3,
             loss,
             ..GcnConfig::default()
@@ -570,20 +564,38 @@ mod tests {
         assert!(NodeClassifier::new(model, g, Arc::new(bad)).is_err());
     }
 
+    /// Once the workspace is warm a repeated batch allocates no matrix —
+    /// at whatever hit rate: the environment's default cache (all
+    /// resident from the second call on), no cache at depth 2 and 3 (the
+    /// whole level recursion every call), and a depth-1 model.
     #[test]
     fn warm_classify_is_allocation_free() {
-        let c = fixture(LossKind::SoftmaxCe);
-        let mut ws = ClassifyWorkspace::new();
-        let mut out = Vec::new();
-        c.classify_into(&[1, 5, 9], &mut ws, &mut out).unwrap();
-        // The matrix side must be quiet once warm (Vec growth in the
-        // response payload is expected and cheap).
-        let before = gsgcn_tensor::alloc::matrix_allocations();
-        for _ in 0..5 {
-            out.clear();
+        let uncached = |depth| {
+            let (model, g, x) = fixture_parts_depth(LossKind::SoftmaxCe, depth);
+            NodeClassifier::new(model, g, x).unwrap().with_cache(None)
+        };
+        let cases = [
+            ("default cache", fixture(LossKind::SoftmaxCe)),
+            ("no cache, depth 2", uncached(2)),
+            ("no cache, depth 3", uncached(3)),
+            ("depth 1", uncached(1)),
+        ];
+        for (what, c) in cases {
+            let mut ws = ClassifyWorkspace::new();
+            let mut out = Vec::new();
             c.classify_into(&[1, 5, 9], &mut ws, &mut out).unwrap();
+            // The matrix side must be quiet once warm (Vec growth in the
+            // response payload is expected and cheap).
+            let before = gsgcn_tensor::alloc::matrix_allocations();
+            for _ in 0..5 {
+                out.clear();
+                c.classify_into(&[1, 5, 9], &mut ws, &mut out).unwrap();
+            }
+            let steady = gsgcn_tensor::alloc::matrix_allocations() - before;
+            assert_eq!(
+                steady, 0,
+                "{what}: classify allocated {steady} matrices when warm"
+            );
         }
-        let steady = gsgcn_tensor::alloc::matrix_allocations() - before;
-        assert_eq!(steady, 0, "classify allocated {steady} matrices when warm");
     }
 }

@@ -15,7 +15,7 @@
 //!   keeps absorbing whole requests until the batch reaches
 //!   `max_batch` query nodes or `max_wait` has elapsed since it started
 //!   assembling, whichever is first. Small concurrent requests therefore
-//!   share one L-hop extraction + forward; a lone request never waits
+//!   share one frontier extraction + forward; a lone request never waits
 //!   longer than `max_wait`. A single request larger than `max_batch` is
 //!   served alone (requests are never split).
 //! * **Workers** — dedicated OS threads (not rayon tasks — same

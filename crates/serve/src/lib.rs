@@ -1,13 +1,15 @@
 //! Batched inference serving for a trained graph-sampling GCN.
 //!
-//! The paper's core claim — subgraph-minibatch execution makes GCN
-//! *training* scale — applies unchanged at inference time: a batch of K
-//! query nodes runs forward on its K-rooted L-hop induced subgraph
-//! instead of the full graph, reading off exactly the full-graph outputs
-//! at the roots ([`gsgcn_graph::neighborhood`]). This crate packages
-//! that into a serving subsystem: one immutable model artifact
-//! (`Arc<GcnModel>` + graph + features) queried by many concurrent
-//! clients over arbitrary node batches.
+//! The paper's core claim — work-efficient propagation, no neighbour
+//! explosion across layers — applies unchanged at inference time: a batch
+//! of K query nodes runs layer `ℓ` only on the rows within `L-ℓ` hops of
+//! its roots (the level recursion of `gsgcn_nn` over one-hop
+//! [`gsgcn_graph::neighborhood`] frontier balls), skips every row an
+//! activation cache already holds, and reads off exactly the full-graph
+//! outputs at the roots. This crate packages that into a serving
+//! subsystem: one immutable model artifact (`Arc<GcnModel>` + graph +
+//! features) queried by many concurrent clients over arbitrary node
+//! batches.
 //!
 //! # Dataflow
 //!
@@ -34,12 +36,12 @@
 //!        │         │ one claimed batch
 //!        │         ▼
 //!        │    worker thread 1..N (each owns a ClassifyWorkspace)
-//!        │      warm: 1-hop FrontierBall of the roots; gather
-//!        │            acts^{L-1} rows from the ActivationCache;
-//!        │            final hop = fused last layer + root-row head
-//!        │      cold: exact cone-pruned L-hop forward (first L-1
-//!        │            layers), final hop over the ball, harvest
-//!        │            the ball's hidden rows into the cache
+//!        │      1-hop FrontierBall of the roots; probe the
+//!        │      ActivationCache row by row for acts^{L-1};
+//!        │      level recursion on the rows it lacks (layer ℓ on
+//!        │      the rows within L-ℓ hops of them), inserted on
+//!        │      the way out; final hop = fused last layer +
+//!        │      root-row head. All resident ⇒ ~1 hop of work.
 //!        │         │                    ▲        │
 //!        │         │              ActivationCache (sharded CLOCK,
 //!        │         │              byte budget, (node, version) keys)

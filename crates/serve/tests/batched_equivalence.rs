@@ -1,8 +1,10 @@
 //! Batched-vs-full inference equivalence: the probabilities a K-node
-//! batch reads off its L-hop induced subgraph must match the full-graph
-//! forward within 1e-4 on random graphs and batches, across GEMM kernel
-//! tiers and thread counts — and be **bit-identical** when the batch is
-//! the whole node set (the extraction is then the identity).
+//! batch gets from the level recursion over its frontier balls must match
+//! the full-graph forward within 1e-4 on random graphs and batches,
+//! across GEMM kernel tiers and thread counts (the reference is computed
+//! once, on the default tier) — and be **bit-identical** when the batch
+//! is the whole node set. Within one tier every batch is bit-identical to
+//! the full forward; `proptest_store_serving.rs` pins that.
 //!
 //! This is the correctness contract of the serving path: the engine may
 //! coalesce, re-batch and parallelise however it likes, but a query's
@@ -113,8 +115,7 @@ proptest! {
     }
 
     /// The identity batch (every node) is bit-identical to the full
-    /// forward: extraction degenerates to a relabel-free copy and the
-    /// kernels see the exact same operands.
+    /// forward: every level's frontier ball is the graph itself.
     #[test]
     fn whole_node_set_is_bit_identical(
         ni in 0..N_DIMS.len(),

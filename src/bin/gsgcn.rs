@@ -32,7 +32,8 @@
 //! hidden dims to the values stored in the checkpoint (v2 provenance), so
 //! a bare `--load` always runs against the dataset the model was trained
 //! on. `predict` answers a one-shot node batch through the batched
-//! inference engine (L-hop subgraph forward, not a full-graph pass);
+//! inference engine (layer-at-a-time over the batch's frontier balls, not a
+//! full-graph pass);
 //! `serve` keeps the engine running behind an event-driven TCP
 //! front-end speaking the line protocol or a pipelined binary framing,
 //! with weighted admission control and an optional activation cache
@@ -89,7 +90,7 @@ const USAGE: &str = "usage:
                values; an explicit flag overrides with a warning)
   gsgcn predict --load PATH --nodes N,N,.. [--probs] [--shards DIR]
               [--graph-store <mem|mmap>] [--prefetch] [dataset overrides as
-              for eval] — classify a node batch on its L-hop subgraph
+              for eval] — classify a node batch layer by layer on its frontier
               through the batch engine; --probs prints full class rows
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--max-wait-us N] [--queue N] [--admission <block|shed>]

@@ -18,7 +18,7 @@
 //! | [`metrics`] | F1 metrics + phase timing |
 //! | [`core`] | the graph-sampling GCN trainer (Alg. 1 + 5) |
 //! | [`baselines`] | GraphSAGE-style, full-batch and FastGCN-style trainers |
-//! | [`serve`] | batched inference engine: L-hop query batches over a trained checkpoint |
+//! | [`serve`] | batched inference engine: work-efficient query batches over a trained checkpoint |
 //!
 //! ## Quickstart
 //!
