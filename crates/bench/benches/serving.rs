@@ -20,6 +20,10 @@
 //!   `BatchEngine` (queue → coalesce → worker) under back-to-back
 //!   1024-node bulk requests, for W ∈ {1, 2, 4} workers (tag
 //!   `workers=`; scaling is meaningful on multi-core CI runners only).
+//! * `serving/engine_lone_request` — submit → wait of one warm 8-root
+//!   request through an otherwise idle one-worker engine: what the engine
+//!   adds to a request nobody else can share a batch with (hand-off and
+//!   wake-ups; a batcher that waits for company shows up here first).
 //! * `serving/cache_warm_{0,50,100}` — depth-2 batch-64 latency with an
 //!   activation cache at 0/50/100% warm rotations (tag `cache=`); the
 //!   uncached baseline is `serving/batch_64_depth2`.
@@ -286,9 +290,9 @@ fn bench_engine_sustained(c: &mut Criterion) {
                 EngineConfig {
                     workers,
                     max_batch: SUSTAINED_BATCH,
-                    max_wait: Duration::from_micros(100),
                     queue_capacity: 64,
                     admission: AdmissionControl::Block,
+                    ..EngineConfig::default()
                 },
             )
             .expect("engine"),
@@ -418,7 +422,55 @@ fn bench_cache_hit_sweep(c: &mut Criterion) {
         "  warm-cache speedup (0% → 100% warm): {:.2}×",
         medians[0] / medians[2],
     );
+    // The rotation is fully resident here: the lone-request record reuses
+    // it instead of generating and warming a second graph.
+    bench_engine_lone_request(&classifier, n);
     set_tags(&[]);
+}
+
+/// Roots per request of the lone-request record (the e2e harness's warm
+/// request size).
+const LONE_ROOTS: usize = 8;
+
+/// One warm request at a time through an idle one-worker engine: submit →
+/// wait latency, so anything the engine adds to the classify itself —
+/// above all a worker that waits for company before it starts — is in the
+/// number. `classifier`'s cache must hold the `window_roots(i, 64, n)`
+/// rotation; each request is the head of one of those windows.
+fn bench_engine_lone_request(classifier: &Arc<NodeClassifier>, n: usize) {
+    let engine =
+        BatchEngine::spawn(Arc::clone(classifier), EngineConfig::default()).expect("engine");
+    let request = |i: usize| window_roots(i % SAMPLES, 64, n)[..LONE_ROOTS].to_vec();
+    // Warm the worker's workspace over the whole rotation.
+    for i in 0..SAMPLES {
+        engine.classify(request(i)).expect("classify");
+    }
+    let lat: Vec<f64> = (0..5 * SAMPLES)
+        .map(|i| {
+            let nodes = request(i);
+            let t0 = Instant::now();
+            engine.classify(nodes).expect("classify");
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    let mut sorted = lat.clone();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[sorted.len() / 2];
+    set_tags(&[
+        ("layers", "2".to_string()),
+        ("batch", LONE_ROOTS.to_string()),
+        ("cache", "100".to_string()),
+        ("workers", "1".to_string()),
+    ]);
+    criterion::record_latency_distribution(
+        "serving/engine_lone_request",
+        &lat,
+        Some(LONE_ROOTS as f64 / median),
+    );
+    println!(
+        "  lone warm {LONE_ROOTS}-root request through the engine: median {:.3} ms",
+        1e3 * median
+    );
 }
 
 /// Overload behavior under shed admission: measure closed-loop capacity,
@@ -435,9 +487,9 @@ fn bench_overload_shed(c: &mut Criterion) {
             EngineConfig {
                 workers: 1,
                 max_batch: batch,
-                max_wait: Duration::from_micros(100),
                 queue_capacity: 16,
                 admission: AdmissionControl::Shed,
+                ..EngineConfig::default()
             },
         )
         .expect("engine"),
@@ -534,9 +586,9 @@ fn bench_frontends(c: &mut Criterion) {
     let engine_cfg = EngineConfig {
         workers: 1,
         max_batch: 1024,
-        max_wait: Duration::from_micros(100),
         queue_capacity: 64,
         admission: AdmissionControl::Block,
+        ..EngineConfig::default()
     };
 
     let run_clients = |addr: std::net::SocketAddr| -> Vec<f64> {

@@ -29,6 +29,8 @@ use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
 use crate::store::Topology;
 use crate::subgraph::{induced_subgraph, InducedSubgraph};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// The induced subgraph of an L-hop ball plus the query-root positions
 /// and per-vertex root distances.
@@ -159,7 +161,10 @@ pub fn capped_one_hop_frontier<T: Topology + ?Sized>(
     // among the unique roots, or `NOT_ROOT`. The roots-first layout is a
     // relabelling at the end, so the topology is read exactly once.
     let mut disc = Discovery {
-        ids: std::collections::HashMap::with_capacity(roots.len().saturating_mul(4).min(max_rows)),
+        ids: HashMap::with_capacity_and_hasher(
+            roots.len().saturating_mul(4).min(max_rows),
+            BuildHasherDefault::default(),
+        ),
         origin: Vec::with_capacity(roots.len().min(max_rows)),
     };
     let mut rank: Vec<u32> = Vec::new();
@@ -222,10 +227,33 @@ pub fn capped_one_hop_frontier<T: Topology + ?Sized>(
     (ball, used)
 }
 
+/// Multiplicative (Fibonacci) hash of one `u32` vertex id. The ids are
+/// the graph's own, not attacker-chosen keys, so SipHash's flood
+/// resistance buys nothing here; the odd multiplier spreads consecutive
+/// ids over the high bits hashbrown takes its control byte from and the
+/// fold brings them down to the bucket-index bits.
+#[derive(Default)]
+struct VertexIdHasher(u64);
+
+impl Hasher for VertexIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are u32 vertex ids");
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Provisional (discovery-order) vertex ids of a frontier ball under
 /// construction.
 struct Discovery {
-    ids: std::collections::HashMap<u32, u32>,
+    ids: HashMap<u32, u32, BuildHasherDefault<VertexIdHasher>>,
     /// Input-graph id of each provisional id.
     origin: Vec<u32>,
 }

@@ -62,16 +62,6 @@ impl std::str::FromStr for AdmissionControl {
 /// and shed it unconditionally).
 const WAIT_FLOOR: Duration = Duration::from_millis(1);
 
-/// Outcome of [`Frontier::claim`].
-pub enum Claim<T> {
-    /// A request was claimed; the `usize` is its node count.
-    Taken(T, usize),
-    /// Requests are queued, but none fits the remaining batch budget.
-    Blocked,
-    /// The queue is empty.
-    Empty,
-}
-
 struct Queued<T> {
     payload: T,
     nodes: usize,
@@ -154,58 +144,55 @@ impl<T> Frontier<T> {
         self.entries.remove(idx).map(|e| e.payload)
     }
 
-    /// Claim one request for a batch with `budget` node slots left.
+    /// Index of the maximum-weight entry of at most `budget` nodes.
+    fn heaviest(&self, now: Instant, budget: usize) -> Option<usize> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.nodes <= budget)
+            .max_by(|(_, a), (_, b)| {
+                let wa = self.weight_of(a.nodes, now.saturating_duration_since(a.enqueued));
+                let wb = self.weight_of(b.nodes, now.saturating_duration_since(b.enqueued));
+                wa.total_cmp(&wb)
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// Claim one request (and its node count) for a batch with `budget`
+    /// node slots left; `None` ends the batch — the queue is empty or
+    /// nothing queued fits, and the engine treats the two alike (it goes
+    /// to work on what it has; whatever stays queued is the next batch).
     ///
     /// FIFO mode (`weighted == false`) preserves the engine's original
-    /// coalescing contract exactly: the head is inspected, taken if it
-    /// fits (or if the batch is still empty — oversized requests are
-    /// served alone), otherwise the claim is [`Claim::Blocked`].
+    /// coalescing contract exactly: the head is inspected and taken if
+    /// it fits (or if the batch is still empty — oversized requests are
+    /// served alone).
     ///
     /// Weighted mode picks the maximum-weight *fitting* request; if
     /// nothing fits and the batch is empty, the maximum-weight request
-    /// overall (served alone); if nothing fits a non-empty batch,
-    /// [`Claim::Blocked`].
-    pub fn claim(&mut self, now: Instant, budget: usize, first: bool, weighted: bool) -> Claim<T> {
-        if self.entries.is_empty() {
-            return Claim::Empty;
-        }
+    /// overall (served alone).
+    pub fn claim(
+        &mut self,
+        now: Instant,
+        budget: usize,
+        first: bool,
+        weighted: bool,
+    ) -> Option<(T, usize)> {
         let idx = if weighted {
-            let best = self
-                .entries
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.nodes <= budget)
-                .max_by(|(_, a), (_, b)| {
-                    let wa = self.weight_of(a.nodes, now.saturating_duration_since(a.enqueued));
-                    let wb = self.weight_of(b.nodes, now.saturating_duration_since(b.enqueued));
-                    wa.total_cmp(&wb)
-                })
-                .map(|(i, _)| i);
-            match best {
+            match self.heaviest(now, budget) {
                 Some(i) => i,
-                None if first => self
-                    .entries
-                    .iter()
-                    .enumerate()
-                    .max_by(|(_, a), (_, b)| {
-                        let wa = self.weight_of(a.nodes, now.saturating_duration_since(a.enqueued));
-                        let wb = self.weight_of(b.nodes, now.saturating_duration_since(b.enqueued));
-                        wa.total_cmp(&wb)
-                    })
-                    .map(|(i, _)| i)
-                    .expect("non-empty"),
-                None => return Claim::Blocked,
+                None if first => self.heaviest(now, usize::MAX)?,
+                None => return None,
             }
         } else {
-            let head = self.entries.front().expect("non-empty");
-            if head.nodes <= budget || first {
-                0
-            } else {
-                return Claim::Blocked;
+            let head = self.entries.front()?;
+            if head.nodes > budget && !first {
+                return None;
             }
+            0
         };
         let e = self.entries.remove(idx).expect("index from scan");
-        Claim::Taken(e.payload, e.nodes)
+        Some((e.payload, e.nodes))
     }
 
     /// Drain everything (shutdown/poison sweep).
@@ -228,23 +215,13 @@ mod tests {
         f.push("a", 3);
         f.push("b", 3);
         // Empty batch: head taken even though budget says otherwise.
-        match f.claim(now(), 4, true, false) {
-            Claim::Taken("a", 3) => {}
-            _ => panic!("head not taken"),
-        }
-        // Non-empty batch (budget 1 left): head no longer fits → Blocked.
-        match f.claim(now(), 1, false, false) {
-            Claim::Blocked => {}
-            _ => panic!("expected blocked head"),
-        }
-        match f.claim(now(), 3, false, false) {
-            Claim::Taken("b", 3) => {}
-            _ => panic!("fitting head not taken"),
-        }
-        match f.claim(now(), 4, true, false) {
-            Claim::Empty => {}
-            _ => panic!("expected empty"),
-        }
+        assert_eq!(f.claim(now(), 4, true, false), Some(("a", 3)));
+        // Non-empty batch (budget 1 left): the head no longer fits, so
+        // the batch ends and the head stays queued.
+        assert_eq!(f.claim(now(), 1, false, false), None);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f.claim(now(), 3, false, false), Some(("b", 3)));
+        assert_eq!(f.claim(now(), 4, true, false), None, "empty queue");
     }
 
     #[test]
@@ -254,37 +231,24 @@ mod tests {
         std::thread::sleep(Duration::from_millis(5));
         f.push("new", 2);
         // Same affinity: the older request has the larger weight.
-        match f.claim(now(), 4, true, true) {
-            Claim::Taken("old", 2) => {}
-            Claim::Taken(x, _) => panic!("claimed {x} before the aged request"),
-            _ => panic!("nothing claimed"),
-        }
+        assert_eq!(f.claim(now(), 4, true, true), Some(("old", 2)));
         // Oversized entry is skipped when something fitting exists…
         f.push("huge", 100);
         std::thread::sleep(Duration::from_millis(5));
         f.push("small", 1);
-        match f.claim(now(), 4, false, true) {
-            Claim::Taken(x, _) => assert_ne!(x, "huge"),
-            _ => panic!("nothing claimed"),
-        }
-        // …and Blocked when the batch is non-empty and nothing fits.
-        for _ in 0..2 {
-            // drain the rest ("new" and whichever of small/huge remains fits when first)
-            match f.claim(now(), 100, true, true) {
-                Claim::Taken(..) => {}
-                _ => break,
-            }
-        }
+        let (x, _) = f.claim(now(), 4, false, true).expect("nothing claimed");
+        assert_ne!(x, "huge");
+        // …and ends a non-empty batch when nothing else fits.
+        while f.claim(now(), 100, true, true).is_some() {}
         f.push("huge2", 100);
-        match f.claim(now(), 4, false, true) {
-            Claim::Blocked => {}
-            _ => panic!("oversized request should block a non-empty batch"),
-        }
+        assert_eq!(
+            f.claim(now(), 4, false, true),
+            None,
+            "an oversized request must not join a non-empty batch"
+        );
+        assert_eq!(f.len(), 1);
         // Empty batch: served alone despite the budget.
-        match f.claim(now(), 4, true, true) {
-            Claim::Taken("huge2", 100) => {}
-            _ => panic!("oversized request must be served alone"),
-        }
+        assert_eq!(f.claim(now(), 4, true, true), Some(("huge2", 100)));
     }
 
     #[test]

@@ -11,13 +11,16 @@
 //!   [`crate::admission`]). Submission to a stopped or poisoned engine
 //!   fails immediately; [`BatchEngine::try_submit`] is the non-blocking
 //!   variant the event front-end uses.
-//! * **Coalescing batcher** — a free worker claims the queue head, then
-//!   keeps absorbing whole requests until the batch reaches
-//!   `max_batch` query nodes or `max_wait` has elapsed since it started
-//!   assembling, whichever is first. Small concurrent requests therefore
-//!   share one frontier extraction + forward; a lone request never waits
-//!   longer than `max_wait`. A single request larger than `max_batch` is
-//!   served alone (requests are never split).
+//! * **Coalescing batcher** — work-conserving ("natural batching"): a
+//!   free worker claims everything queued that fits `max_batch` query
+//!   nodes and goes. Batches form from what arrived while the workers
+//!   were busy, never from time: no worker sleeps on a timer while a
+//!   request is queued, so a lone request is served at once, and under
+//!   load the queue that builds behind a busy worker is the next batch —
+//!   small concurrent requests still share one frontier extraction +
+//!   forward. A single request larger than `max_batch` is served alone
+//!   (requests are never split); a request that no longer fits ends the
+//!   batch and heads the next one.
 //! * **Workers** — dedicated OS threads (not rayon tasks — same
 //!   reasoning as the sampler pipeline: long-lived loops must not sit in
 //!   the compute pool the GEMMs need). Each owns a
@@ -35,7 +38,7 @@
 //!   submit or wait fail with [`ServeError::WorkerPanicked`] instead of
 //!   hanging a client forever.
 
-use crate::admission::{AdmissionControl, Claim, Frontier};
+use crate::admission::{AdmissionControl, Frontier};
 use crate::classifier::{BatchClassify, ClassifyWorkspace, NodeClassifier, Prediction};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,8 +53,9 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Coalescing bound: maximum query nodes per forward batch.
     pub max_batch: usize,
-    /// Coalescing window: a batch is flushed at the latest this long
-    /// after its first request was claimed.
+    /// Ignored since PR 17, kept for source compatibility with the e2e
+    /// harness (which builds this struct as a literal): the batcher is
+    /// work-conserving and has no coalescing window — see the module docs.
     pub max_wait: Duration,
     /// Bound on queued (not yet claimed) requests; what happens beyond
     /// it is `admission`'s call.
@@ -68,7 +72,7 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: 1,
             max_batch: 64,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             queue_capacity: 1024,
             admission: AdmissionControl::Block,
         }
@@ -440,16 +444,17 @@ impl<C: BatchClassify> Drop for BatchEngine<C> {
     }
 }
 
-/// Worker loop: claim the queue head, coalesce up to the batch/wait
-/// bounds, classify outside the lock, fulfill each request.
+/// Worker loop: claim everything queued that fits one batch, classify
+/// outside the lock, fulfill each request.
 fn worker_loop<C: BatchClassify>(shared: &Shared, classifier: &C) {
     let mut ws = ClassifyWorkspace::new();
     let mut batch: Vec<QueuedRequest> = Vec::new();
+    let mut flat: Vec<u32> = Vec::new();
     loop {
-        // --- Claim + coalesce phase (under lock) ---
+        // --- Claim phase (under lock) ---
         {
             let mut st = shared.lock();
-            // Wait for the first request (or shutdown).
+            // Park only while there is nothing to do.
             loop {
                 if st.stop || st.poisoned.is_some() {
                     let err = shared.fail_error(&st);
@@ -463,77 +468,43 @@ fn worker_loop<C: BatchClassify>(shared: &Shared, classifier: &C) {
                 }
                 st = shared.can_work.wait(st).unwrap_or_else(|p| p.into_inner());
             }
-            // Coalesce: absorb whole requests until the node budget or
-            // the wait window runs out. The first claim always takes
-            // something, so an oversized request is served alone. FIFO
-            // order under Block admission; weight order (aged and
-            // batch-friendly requests first) under Shed.
+            // Absorb whole requests until the node budget is spent or
+            // nothing queued fits what is left of it, then go: whatever
+            // arrives from here on is the next batch. The first claim
+            // always takes something, so an oversized request is served
+            // alone. FIFO order under Block admission; weight order (aged
+            // and batch-friendly requests first) under Shed.
             let weighted = shared.cfg.admission == AdmissionControl::Shed;
-            let started = Instant::now();
+            let max_batch = shared.cfg.max_batch;
+            let now = Instant::now();
             let mut nodes_taken = 0usize;
-            loop {
-                let mut head_blocked = false;
-                loop {
-                    let budget = shared.cfg.max_batch.saturating_sub(nodes_taken);
-                    let first = nodes_taken == 0;
-                    match st.queue.claim(Instant::now(), budget, first, weighted) {
-                        Claim::Taken(req, count) => {
-                            nodes_taken += count;
-                            batch.push(req);
-                            if nodes_taken >= shared.cfg.max_batch {
-                                break;
-                            }
-                        }
-                        Claim::Blocked => {
-                            head_blocked = true;
-                            break;
-                        }
-                        Claim::Empty => break,
-                    }
-                }
-                // Flush when the budget is reached — and also when the
-                // FIFO head no longer fits it: the batch can never grow
-                // past a blocked head, so waiting out the window would
-                // only delay both the batch and the head request.
-                if nodes_taken >= shared.cfg.max_batch
-                    || head_blocked
-                    || st.stop
-                    || st.poisoned.is_some()
-                {
+            while nodes_taken < max_batch {
+                let (budget, first) = (max_batch - nodes_taken, nodes_taken == 0);
+                let Some((req, count)) = st.queue.claim(now, budget, first, weighted) else {
                     break;
-                }
-                let elapsed = started.elapsed();
-                if elapsed >= shared.cfg.max_wait {
-                    break;
-                }
-                // Park for the window's remainder; more requests may
-                // arrive and join this batch.
-                let (guard, timeout) = shared
-                    .can_work
-                    .wait_timeout(st, shared.cfg.max_wait - elapsed)
-                    .unwrap_or_else(|p| p.into_inner());
-                st = guard;
-                if timeout.timed_out() {
-                    break;
-                }
+                };
+                nodes_taken += count;
+                batch.push(req);
             }
+            let requests_remain = !st.queue.is_empty();
             drop(st);
-            // Queue space freed: wake parked submitters (and possibly
-            // other workers if requests remain).
+            // Queue space freed: wake parked submitters, and another
+            // worker if requests remain.
             shared.can_submit.notify_all();
-            if !batch.is_empty() {
+            if requests_remain {
                 shared.can_work.notify_one();
             }
         }
 
         // --- Classify phase (no lock held) ---
-        let flat: Vec<u32> = batch.iter().flat_map(|r| r.nodes.iter().copied()).collect();
+        flat.clear();
+        flat.extend(batch.iter().flat_map(|r| r.nodes.iter().copied()));
         let run = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Prediction>, String> {
             let mut preds = Vec::new();
             classifier.classify_into(&flat, &mut ws, &mut preds)?;
             // Enforce the BatchClassify contract *inside* the panic/
-            // error containment: a short list would otherwise panic in
-            // the split below, killing the worker without poisoning.
+            // error containment: a short list would otherwise hand some
+            // request fewer predictions than it asked for.
             if preds.len() != flat.len() {
                 return Err(format!(
                     "classifier returned {} predictions for {} nodes",
@@ -544,15 +515,15 @@ fn worker_loop<C: BatchClassify>(shared: &Shared, classifier: &C) {
             Ok(preds)
         }));
         match run {
-            Ok(Ok(mut preds)) => {
+            Ok(Ok(preds)) => {
                 shared.batches.fetch_add(1, Ordering::Relaxed);
                 shared.nodes.fetch_add(flat.len() as u64, Ordering::Relaxed);
-                // Split the flat prediction list back per request
-                // (front to back, preserving request order).
+                // Hand the flat prediction list back per request (front
+                // to back, preserving request order).
+                let mut preds = preds.into_iter();
                 for req in batch.drain(..) {
-                    let rest = preds.split_off(req.nodes.len());
-                    req.slot.fulfill(Ok(preds));
-                    preds = rest;
+                    let own = preds.by_ref().take(req.nodes.len()).collect();
+                    req.slot.fulfill(Ok(own));
                 }
             }
             Ok(Err(msg)) => {

@@ -30,9 +30,11 @@
 //!        │           an explicit `overloaded` reply
 //!        │         │
 //!        │         ▼
-//!        │    coalescing batcher (≤ max_batch nodes OR max_wait,
-//!        │    whichever first; requests never split; Shed claims
-//!        │    by weight, Block in FIFO order)
+//!        │    coalescing batcher, work-conserving: a free worker
+//!        │    claims all that is queued and fits max_batch nodes,
+//!        │    at once — batches form behind busy workers, never
+//!        │    on a timer (requests never split; Shed claims by
+//!        │    weight, Block in FIFO order)
 //!        │         │ one claimed batch
 //!        │         ▼
 //!        │    worker thread 1..N (each owns a ClassifyWorkspace)

@@ -1,6 +1,7 @@
-//! BatchEngine behaviour tests: coalescing, max-wait flush, backpressure,
-//! shutdown joins and panic poisoning (the PR-4 failure-surface pattern),
-//! plus a full TCP round-trip.
+//! BatchEngine behaviour tests: work-conserving coalescing (batches form
+//! behind a busy worker, never on a timer — pinned with a gated
+//! classifier, not wall-clock windows), backpressure, shed admission,
+//! shutdown joins and panic poisoning (the PR-4 failure-surface pattern).
 
 use gsgcn_graph::GraphBuilder;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
@@ -11,7 +12,7 @@ use gsgcn_serve::{
 };
 use gsgcn_tensor::DMatrix;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn classifier() -> Arc<NodeClassifier> {
@@ -39,9 +40,67 @@ fn cfg() -> EngineConfig {
     EngineConfig {
         workers: 1,
         max_batch: 64,
-        max_wait: Duration::from_millis(20),
         queue_capacity: 64,
         admission: AdmissionControl::Block,
+        ..EngineConfig::default()
+    }
+}
+
+/// A classifier whose every call parks on a gate until the test opens
+/// it, and that reports how many calls have reached the gate — so a test
+/// can know a worker is busy (it has claimed its batch and sits inside
+/// `classify_into`) without sleeping.
+struct GatedClassifier {
+    inner: Arc<NodeClassifier>,
+    /// (calls that have reached the gate, gate is open)
+    gate: Mutex<(usize, bool)>,
+    changed: Condvar,
+}
+
+impl GatedClassifier {
+    fn new() -> Arc<Self> {
+        Arc::new(GatedClassifier {
+            inner: classifier(),
+            gate: Mutex::new((0, false)),
+            changed: Condvar::new(),
+        })
+    }
+
+    /// Wait until `calls` classify calls have reached the gate. The
+    /// deadline only turns a hang into a failure; no assertion depends
+    /// on how long anything takes.
+    fn wait_entered(&self, calls: usize) -> bool {
+        let guard = self.gate.lock().unwrap();
+        let (guard, timeout) = self
+            .changed
+            .wait_timeout_while(guard, Duration::from_secs(20), |g| g.0 < calls)
+            .unwrap();
+        drop(guard);
+        !timeout.timed_out()
+    }
+
+    /// Release every parked call and let future ones straight through.
+    fn open(&self) {
+        self.gate.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl BatchClassify for GatedClassifier {
+    fn classify_into(
+        &self,
+        nodes: &[u32],
+        ws: &mut ClassifyWorkspace,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), String> {
+        let mut guard = self.gate.lock().unwrap();
+        guard.0 += 1;
+        self.changed.notify_all();
+        drop(self.changed.wait_while(guard, |g| !g.1).unwrap());
+        self.inner.classify_into(nodes, ws, out)
+    }
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
     }
 }
 
@@ -54,48 +113,73 @@ fn responses_match_direct_classification() {
     assert_eq!(served, direct);
 }
 
-/// Requests submitted while a worker is assembling a batch must share
-/// one forward: with a generous wait window and a single worker, k
-/// concurrent small requests coalesce into one executed batch.
+/// Requests that arrive while the worker is busy are the next batch:
+/// with the single worker held inside its first forward, k small
+/// requests queue up and share one forward once it is free.
 #[test]
-fn concurrent_requests_coalesce_into_one_batch() {
-    let c = classifier();
-    let mut cfg = cfg();
-    cfg.max_wait = Duration::from_millis(300);
-    let engine = Arc::new(BatchEngine::spawn(c, cfg).unwrap());
+fn requests_queued_behind_a_busy_worker_share_the_next_batch() {
+    let gated = GatedClassifier::new();
+    let engine = BatchEngine::spawn(Arc::clone(&gated), cfg()).unwrap();
 
-    let handles: Vec<_> = (0..4u32)
+    let first = engine.submit(vec![23]).unwrap();
+    assert!(
+        gated.wait_entered(1),
+        "the worker never claimed the request"
+    );
+    let queued: Vec<_> = (0..4u32)
         .map(|i| engine.submit(vec![i, i + 8]).unwrap())
         .collect();
-    for h in handles {
+    gated.open();
+
+    assert_eq!(first.wait().unwrap().len(), 1);
+    for h in queued {
         assert_eq!(h.wait().unwrap().len(), 2);
     }
-    // All 4 requests (8 nodes ≤ max_batch) fit one coalescing window.
-    assert_eq!(engine.requests(), 4);
+    assert_eq!(engine.requests(), 5);
     assert_eq!(
         engine.batches(),
-        1,
-        "4 small concurrent requests should coalesce into one forward"
+        2,
+        "the 4 requests queued behind the busy worker (8 nodes ≤ max_batch) \
+         should share one forward"
     );
-    assert_eq!(engine.nodes_classified(), 8);
+    assert_eq!(engine.nodes_classified(), 9);
 }
 
-/// A lone request must not wait for a batch that never fills: it flushes
-/// within ~max_wait.
+/// A lone request is served at once — the worker never waits for company.
+/// `max_wait` is an hour and the batch can never fill, so this finishes
+/// only if the field is ignored.
 #[test]
-fn lone_request_flushes_at_max_wait() {
-    let c = classifier();
+fn lone_request_is_served_without_waiting() {
     let mut cfg = cfg();
-    cfg.max_batch = 10_000; // can never fill
-    cfg.max_wait = Duration::from_millis(30);
-    let engine = BatchEngine::spawn(c, cfg).unwrap();
-    let t0 = Instant::now();
-    engine.classify(vec![5]).unwrap();
-    let elapsed = t0.elapsed();
+    cfg.max_batch = 10_000;
+    cfg.max_wait = Duration::from_secs(3600);
+    let engine = BatchEngine::spawn(classifier(), cfg).unwrap();
+    assert_eq!(engine.classify(vec![5]).unwrap().len(), 1);
+    assert_eq!(engine.batches(), 1);
+}
+
+/// Work conservation across workers: a request never stays queued while
+/// a worker is idle. With one worker held inside a forward, a second
+/// request must reach the classifier on the other worker — it would wait
+/// forever behind the first if it did not.
+#[test]
+fn idle_worker_takes_what_a_busy_one_left_queued() {
+    let gated = GatedClassifier::new();
+    let mut cfg = cfg();
+    cfg.workers = 2;
+    let engine = BatchEngine::spawn(Arc::clone(&gated), cfg).unwrap();
+
+    let a = engine.submit(vec![1]).unwrap();
+    assert!(gated.wait_entered(1), "no worker claimed the first request");
+    let b = engine.submit(vec![2, 3]).unwrap();
     assert!(
-        elapsed < Duration::from_millis(500),
-        "lone request took {elapsed:?} — max-wait flush broken?"
+        gated.wait_entered(2),
+        "a request stayed queued while the second worker was idle"
     );
+    gated.open();
+    assert_eq!(a.wait().unwrap().len(), 1);
+    assert_eq!(b.wait().unwrap().len(), 2);
+    assert_eq!(engine.batches(), 2);
 }
 
 /// Requests above max_batch are served alone (never split), and the
@@ -105,7 +189,6 @@ fn oversized_request_is_served_alone() {
     let c = classifier();
     let mut cfg = cfg();
     cfg.max_batch = 4;
-    cfg.max_wait = Duration::from_millis(1);
     let engine = BatchEngine::spawn(c, cfg).unwrap();
     let nodes: Vec<u32> = (0..12).collect();
     let preds = engine.classify(nodes).unwrap();
@@ -114,15 +197,19 @@ fn oversized_request_is_served_alone() {
 }
 
 /// When the FIFO head no longer fits the batch being assembled, the
-/// batch must flush immediately — waiting out max_wait could only delay
-/// both the batch and the blocked head.
+/// batch goes as it is and the head starts the next one — nothing waits,
+/// nothing is reordered, nothing is split.
 #[test]
 fn blocked_head_flushes_batch_without_waiting() {
-    let c = classifier();
+    let gated = GatedClassifier::new();
     let mut cfg = cfg();
     cfg.max_batch = 64;
     cfg.max_wait = Duration::from_millis(2000);
-    let engine = Arc::new(BatchEngine::spawn(c, cfg).unwrap());
+    let engine = BatchEngine::spawn(Arc::clone(&gated), cfg).unwrap();
+    // Hold the worker so the four requests below are all queued when it
+    // next claims.
+    let primer = engine.submit(vec![0]).unwrap();
+    assert!(gated.wait_entered(1), "the worker never claimed the primer");
     let t0 = Instant::now();
     // 40 + 40 > 64: B blocks A's batch → A flushes at once; B + C fill
     // the next batch exactly (64 = max_batch) → immediate flush too.
@@ -132,7 +219,8 @@ fn blocked_head_flushes_batch_without_waiting() {
         .unwrap();
     let b = engine.submit((0..40).map(|i| i % 24).collect()).unwrap();
     let c_req = engine.submit((0..24).collect()).unwrap();
-    for h in [a, a2, b, c_req] {
+    gated.open();
+    for h in [primer, a, a2, b, c_req] {
         h.wait().unwrap();
     }
     assert!(
@@ -140,6 +228,8 @@ fn blocked_head_flushes_batch_without_waiting() {
         "blocked-head batch waited out the window: {:?}",
         t0.elapsed()
     );
+    assert_eq!(engine.batches(), 3, "primer | a + a2 | b + c");
+    assert_eq!(engine.nodes_classified(), 1 + 40 + 64);
 }
 
 #[test]
@@ -206,7 +296,6 @@ fn drop_fails_queued_requests_with_shutting_down() {
     });
     let mut cfg = cfg();
     cfg.max_batch = 1; // no coalescing: each request is its own forward
-    cfg.max_wait = Duration::from_millis(1);
     let engine = BatchEngine::spawn(slow, cfg).unwrap();
     // First request occupies the single worker; the rest sit queued.
     let handles: Vec<_> = (0..4u32).map(|i| engine.submit(vec![i]).unwrap()).collect();
@@ -260,7 +349,6 @@ fn panicking_worker_poisons_the_engine() {
     });
     let mut cfg = cfg();
     cfg.max_batch = 1;
-    cfg.max_wait = Duration::from_millis(1);
     let engine = BatchEngine::spawn(panicky, cfg).unwrap();
 
     // Healthy traffic first.
@@ -305,7 +393,6 @@ fn submit_blocks_on_full_queue() {
     });
     let mut cfg = cfg();
     cfg.max_batch = 1;
-    cfg.max_wait = Duration::from_millis(1);
     cfg.queue_capacity = 2;
     let engine = Arc::new(BatchEngine::spawn(slow, cfg).unwrap());
 
@@ -334,7 +421,6 @@ fn shed_admission_returns_overloaded_without_blocking() {
     });
     let mut cfg = cfg();
     cfg.max_batch = 1;
-    cfg.max_wait = Duration::from_millis(1);
     cfg.queue_capacity = 2;
     cfg.admission = AdmissionControl::Shed;
     let engine = Arc::new(BatchEngine::spawn(slow, cfg).unwrap());
@@ -387,7 +473,6 @@ fn try_submit_returns_full_instead_of_blocking() {
     });
     let mut cfg = cfg();
     cfg.max_batch = 1;
-    cfg.max_wait = Duration::from_millis(1);
     cfg.queue_capacity = 1;
     let engine = BatchEngine::spawn(slow, cfg).unwrap();
 
@@ -423,9 +508,7 @@ fn response_handle_try_take_polls() {
         inner: classifier(),
         delay: Duration::from_millis(60),
     });
-    let mut cfg = cfg();
-    cfg.max_wait = Duration::from_millis(1);
-    let engine = BatchEngine::spawn(slow, cfg).unwrap();
+    let engine = BatchEngine::spawn(slow, cfg()).unwrap();
     let h = engine.submit(vec![3]).unwrap();
     assert!(h.try_take().is_none(), "result appeared before the forward");
     let t0 = Instant::now();

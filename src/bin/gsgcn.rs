@@ -93,7 +93,7 @@ const USAGE: &str = "usage:
               for eval] — classify a node batch layer by layer on its frontier
               through the batch engine; --probs prints full class rows
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
-              [--max-wait-us N] [--queue N] [--admission <block|shed>]
+              [--queue N] [--admission <block|shed>]
               [--protocol <line|binary>]
               [--cache-bytes SIZE] [--max-conns N] [--idle-timeout-ms N]
               [dataset overrides as for eval]
@@ -722,6 +722,15 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::{cache, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
+    // The parser keeps flags it does not know; this one used to mean
+    // something, so a leftover is refused rather than silently dropped.
+    if flags.contains_key("max-wait-us") {
+        return Err(
+            "--max-wait-us was removed: the batcher has no coalescing window \
+             (a free worker takes whatever is queued at once)"
+                .into(),
+        );
+    }
     apply_precision_flag(flags)?;
     apply_graph_store_flag(flags)?;
     // Cache budget policy (the GSGCN_KERNEL pattern): an explicit
@@ -752,12 +761,12 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let cfg = EngineConfig {
         workers: get(flags, "workers", 1usize)?,
         max_batch: get(flags, "max-batch", 64usize)?,
-        max_wait: std::time::Duration::from_micros(get(flags, "max-wait-us", 200u64)?),
         queue_capacity: get(flags, "queue", 1024usize)?,
         // Serving default is shed: an overloaded server answers
         // `overloaded` fast instead of letting every client's p99
         // collapse (the library default stays Block).
         admission: get(flags, "admission", AdmissionControl::Shed)?,
+        ..EngineConfig::default()
     };
     let max_conns = get(flags, "max-conns", 1024usize)?;
     if max_conns == 0 {
@@ -788,7 +797,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     .map_err(|e| format!("binding {addr}: {e}"))?;
     println!(
         "serving on {} [{}] — {} worker{}, max batch {} nodes, \
-         max wait {}µs, admission {:?}, {cache_note}, max {max_conns} conns, \
+         admission {:?}, {cache_note}, max {max_conns} conns, \
          idle timeout {idle_ms}ms",
         fe.local_addr(),
         match protocol {
@@ -798,7 +807,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.workers,
         plural(cfg.workers),
         cfg.max_batch,
-        cfg.max_wait.as_micros(),
         cfg.admission,
     );
     fe.join();
