@@ -3,11 +3,10 @@
 //!
 //! Three variants run, each against its own spill of the same graph:
 //!
-//! * `mmap_natural` — mmap backend, natural (identity) shard order, no
-//!   prefetch thread. The out-of-core baseline every PR before the
-//!   locality work shipped.
-//! * `mmap_bfs_pf` — mmap backend, BFS shard order, background prefetch
-//!   thread on. The tuned out-of-core path.
+//! * `mmap_natural` — mmap backend, natural (identity) shard order. The
+//!   out-of-core baseline every PR before the locality work shipped.
+//! * `mmap_bfs` — mmap backend, BFS shard order. The tuned out-of-core
+//!   path.
 //! * `mem` — fully materialized store (order is irrelevant once
 //!   resident). The in-memory floor both gaps are measured against.
 //!
@@ -19,27 +18,25 @@
 //! * `outofcore/gather_V` — scattered 4096-row feature gathers, the
 //!   trainer's per-iteration hot path. Rows are multiplicatively
 //!   scrambled so consecutive rows land in unrelated shards; under the
-//!   deliberately undersized cache (`CACHE_BUDGET` ≪ store size) the
-//!   baseline pays a shard map/unmap per row-group transition while the
-//!   grouped+prefetched path maps each shard once per gather.
+//!   deliberately undersized cache (`CACHE_BUDGET` ≪ store size) a
+//!   gather still maps each shard's feature section once (the gather
+//!   visits its rows shard by shard).
 //! * `outofcore/ball2_V` — 2-hop ball expansion of 64 scattered roots
 //!   through the `Topology` trait (adjacency-only traffic).
 //! * `outofcore/train_epoch_V` — one full `GsGcnTrainer` epoch from the
-//!   sharded store (pipelined sampler, so the ready-hook prefetch of
-//!   upcoming origins is live on the tuned variant).
+//!   sharded store (pipelined sampler).
 //!
 //! After the matrix, `outofcore/gather_gap_V` and `outofcore/epoch_gap_V`
 //! record each mmap variant's out-of-core *penalty* (mmap minus mem
 //! median) and the tuned records carry `*_gap_improvement` tags — the
 //! headline "close the out-of-core gap" numbers.
 //!
-//! Records are tagged `backend=`, `order=`, `prefetch=`, `cache=`
-//! (the mapped-bytes budget), `shards=`; mmap train records additionally
-//! carry the **training store's** shard-cache hit/miss/eviction counts,
-//! how many sections of each kind the budget left mapped at the end of
-//! the epochs (`resident_topology` / `resident_features` /
-//! `resident_labels`, out of `shards`), `topology_evictions`, and the
-//! prefetch issued/hit/wasted counts; each variant carries `peak_rss`
+//! Records are tagged `backend=`, `order=`, `cache=` (the mapped-bytes
+//! budget), `shards=`; mmap train records additionally carry the
+//! **training store's** shard-cache hit/miss/eviction counts, how many
+//! sections of each kind the budget left mapped at the end of the epochs
+//! (`resident_topology` / `resident_features` / `resident_labels`, out of
+//! `shards`) and `topology_evictions`; each variant carries `peak_rss`
 //! (`VmHWM`). The mmap variants run FIRST so
 //! their reported peak RSS is a true bound on the out-of-core working
 //! set — VmHWM is monotone, so once the mem backend materializes the
@@ -69,7 +66,6 @@ const SAMPLES: usize = 30;
 struct Variant {
     backend: StoreBackend,
     order: StoreOrder,
-    prefetch: bool,
     label: &'static str,
 }
 
@@ -139,10 +135,6 @@ fn variant_tags(v: &Variant, extra: &[(&str, String)]) -> Vec<(String, String)> 
             format!("{:?}", v.backend).to_lowercase(),
         ),
         ("order".to_string(), v.order.name().to_string()),
-        (
-            "prefetch".to_string(),
-            if v.prefetch { "on" } else { "off" }.to_string(),
-        ),
         ("cache".to_string(), format_bytes(CACHE_BUDGET)),
         ("shards".to_string(), NUM_SHARDS.to_string()),
     ];
@@ -161,9 +153,6 @@ fn median(samples: &[f64]) -> f64 {
 fn bench_variant(v: &Variant) -> Medians {
     let dir = ensure_spilled(v.order);
     let label = v.label;
-    // The bench matrix is single-threaded, so flipping the process-wide
-    // env between variants is race-free; `bench_outofcore` clears it.
-    std::env::set_var("GSGCN_SHARD_PREFETCH", if v.prefetch { "1" } else { "0" });
 
     // Open / materialization cost.
     let open_lat: Vec<f64> = (0..3)
@@ -212,8 +201,7 @@ fn bench_variant(v: &Variant) -> Medians {
     criterion::record_latency_distribution(&format!("outofcore/ball2_{label}"), &ball_lat, None);
 
     // One full training epoch from the sharded store. A single sampler
-    // worker keeps the pipeline (and the tuned variant's origin-prefetch
-    // ready hook) on the measured path for every variant.
+    // worker keeps the pipeline on the measured path for every variant.
     let cfg = TrainerConfig {
         sampler: FrontierConfig {
             frontier_size: 200,
@@ -248,11 +236,6 @@ fn bench_variant(v: &Variant) -> Medians {
         extra.push(("resident_features", stats.features.resident.to_string()));
         extra.push(("resident_labels", stats.labels.resident.to_string()));
         extra.push(("topology_evictions", stats.topology.evictions.to_string()));
-        if stats.prefetch_issued > 0 {
-            extra.push(("prefetch_issued", stats.prefetch_issued.to_string()));
-            extra.push(("prefetch_hits", stats.prefetch_hits.to_string()));
-            extra.push(("prefetch_wasted", stats.prefetch_wasted.to_string()));
-        }
     }
     if let Some(rss) = peak_rss_bytes() {
         extra.push(("peak_rss", format_bytes(rss)));
@@ -281,19 +264,16 @@ fn bench_outofcore(c: &mut Criterion) {
     let baseline = Variant {
         backend: StoreBackend::Mmap,
         order: StoreOrder::Natural,
-        prefetch: false,
         label: "mmap_natural",
     };
     let tuned = Variant {
         backend: StoreBackend::Mmap,
         order: StoreOrder::Bfs,
-        prefetch: true,
-        label: "mmap_bfs_pf",
+        label: "mmap_bfs",
     };
     let resident = Variant {
         backend: StoreBackend::Mem,
         order: StoreOrder::Natural,
-        prefetch: false,
         label: "mem",
     };
     // mmap variants FIRST: VmHWM is monotone, so the out-of-core phases
@@ -329,28 +309,27 @@ fn bench_outofcore(c: &mut Criterion) {
         ],
     ));
     criterion::record_latency_distribution(
-        "outofcore/gather_gap_mmap_bfs_pf",
+        "outofcore/gather_gap_mmap_bfs",
         &[gather_gap_tuned],
         None,
     );
     criterion::record_latency_distribution(
-        "outofcore/epoch_gap_mmap_bfs_pf",
+        "outofcore/epoch_gap_mmap_bfs",
         &[epoch_gap_tuned],
         None,
     );
     println!(
-        "  gather gap: natural {:.3}ms vs bfs+prefetch {:.3}ms ({gather_improvement:.2}x smaller)",
+        "  gather gap: natural {:.3}ms vs bfs {:.3}ms ({gather_improvement:.2}x smaller)",
         gather_gap * 1e3,
         gather_gap_tuned * 1e3,
     );
     println!(
-        "  epoch gap: natural {:.3}ms vs bfs+prefetch {:.3}ms ({epoch_improvement:.2}x smaller)",
+        "  epoch gap: natural {:.3}ms vs bfs {:.3}ms ({epoch_improvement:.2}x smaller)",
         epoch_gap * 1e3,
         epoch_gap_tuned * 1e3,
     );
 
     criterion::set_json_tags([] as [(&str, &str); 0]);
-    std::env::remove_var("GSGCN_SHARD_PREFETCH");
     std::fs::remove_dir_all(shard_dir(StoreOrder::Natural)).ok();
     std::fs::remove_dir_all(shard_dir(StoreOrder::Bfs)).ok();
 }

@@ -225,25 +225,6 @@ impl<'a> GsGcnTrainer<'a> {
             self.cfg.seed ^ 0x5A4B,
         );
         self.pipeline = Some(pipeline);
-        self.wire_prefetch_hook();
-    }
-
-    /// Feed the shard prefetcher from the sampler pipeline: each
-    /// delivered subgraph announces its origin set before the consumer
-    /// can pop it, so the feature and label sections a batch will gather
-    /// from are paging in while the previous batch computes (topology is
-    /// not requested: the sampler that produced the subgraph just read
-    /// it). No-op unless both the pipelined sampler and the store
-    /// prefetcher are active.
-    fn wire_prefetch_hook(&self) {
-        let Some(pipe) = &self.pipeline else { return };
-        if !self.train_store.prefetch_enabled() {
-            return;
-        }
-        let store = Arc::clone(&self.train_store);
-        pipe.set_on_ready(Some(Arc::new(move |origin: &[u32]| {
-            store.prefetch_nodes(origin);
-        })));
     }
 
     fn build(
@@ -306,7 +287,7 @@ impl<'a> GsGcnTrainer<'a> {
             .build()
             .map_err(|e| format!("failed to build thread pool: {e}"))?;
 
-        let trainer = GsGcnTrainer {
+        Ok(GsGcnTrainer {
             source,
             train_store,
             model,
@@ -325,9 +306,7 @@ impl<'a> GsGcnTrainer<'a> {
             eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_stats: None,
-        };
-        trainer.wire_prefetch_hook();
-        Ok(trainer)
+        })
     }
 
     /// The effective configuration (after dataset-dependent clamping).

@@ -2,7 +2,7 @@
 //! (`GcnModel::infer_probs_by_level`, the stored arm of
 //! `GsGcnTrainer::evaluate`) must reproduce the full-graph forward **bit
 //! for bit** — for every tiling the row cap can force, every store
-//! backend, placement order and prefetch setting, and both activation
+//! backend and placement order, and both activation
 //! precisions — and must do no more work than the needed sets when the
 //! cap covers them.
 
@@ -68,9 +68,9 @@ fn fresh_dir() -> PathBuf {
 }
 
 /// Every store the driver can sit on: resident, whatever the environment
-/// reroutes `from_parts_env` to (CI's mmap and BFS + prefetch legs), and
-/// explicit mmap spills for each placement order × prefetch, behind a
-/// cache small enough that tiles evict each other's shards.
+/// reroutes `from_parts_env` to (CI's mmap and BFS legs), and an explicit
+/// mmap spill for each placement order, behind a cache small enough that
+/// tiles evict each other's shards.
 fn stores(g: &Arc<CsrGraph>, x: &Arc<DMatrix>, shards: usize) -> (Vec<GraphStore>, Vec<PathBuf>) {
     let parts = |backend| {
         GraphStore::from_parts(backend, Arc::clone(g), Some(Arc::clone(x)), None).unwrap()
@@ -83,10 +83,7 @@ fn stores(g: &Arc<CsrGraph>, x: &Arc<DMatrix>, shards: usize) -> (Vec<GraphStore
     for order in [StoreOrder::Natural, StoreOrder::Bfs, StoreOrder::Degree] {
         let dir = fresh_dir();
         write_store_ordered(&dir, g, Some(x), None, shards, order).unwrap();
-        for prefetch in [false, true] {
-            let store = MmapStore::open_with_prefetch(&dir, 4096, prefetch).unwrap();
-            stores.push(GraphStore::Mmap(store));
-        }
+        stores.push(GraphStore::Mmap(MmapStore::open(&dir, 4096).unwrap()));
         dirs.push(dir);
     }
     (stores, dirs)

@@ -56,19 +56,15 @@
 //!
 //! # Structure
 //!
-//! The cache state lives in [`StoreCore`], shared by `Arc` between the
-//! consumer-facing [`MmapStore`] and the optional background
-//! [`Prefetcher`](super::prefetch::Prefetcher) thread
-//! (`GSGCN_SHARD_PREFETCH`, or the CLI's `--prefetch`). The prefetcher
-//! pages sections in *ahead* of the consumer through
-//! [`StoreCore::prefetch_load`], whose eviction sweep is **guarded**: it
-//! never clears referenced bits and never evicts pinned or referenced
-//! entries — nor its own earlier, still unused page-ins — so speculative
-//! page-in cannot push out what the current batch is reading; at worst it
-//! declines and the demand path pays the map synchronously, exactly as
-//! with no prefetcher at all.
+//! One reader path: every section read is [`StoreCore::get`] on the
+//! caller's thread — a hit hands out the mapped section, a miss maps it
+//! there and then and runs the CLOCK sweep — and no thread of the store's
+//! own pages anything in. Page faults land on the reader either way (a
+//! map touches no page), so the cache's job is only to bound mappings and
+//! to keep the ones readers return to. The cache's only exemption from the
+//! hand is the pin: [`MmapStore::pin_nodes`] holds every section of a
+//! shard mapped until [`MmapStore::unpin_all`].
 
-use super::prefetch::{prefetch_from_env, Prefetcher};
 use super::shard::{
     shard_file_name, SectionKind, ShardSection, ShardShape, StoreManifest, FORMAT_VERSION,
     INDEX_FILE, INDEX_HEADER_LEN, INDEX_MAGIC,
@@ -268,12 +264,12 @@ pub struct StoreCacheStats {
     pub mapped_bytes: usize,
     /// Shards with at least one section mapped.
     pub resident_shards: usize,
-    /// Prefetch requests accepted into the queue (post-dedup).
+    /// Always 0: the store has no prefetcher. The three `prefetch_*`
+    /// fields remain only because the e2e harness still reads them.
     pub prefetch_issued: u64,
-    /// Demand probes served by a section the prefetcher had mapped.
+    /// Always 0 (see `prefetch_issued`).
     pub prefetch_hits: u64,
-    /// Prefetched sections evicted (or declined for lack of evictable
-    /// room) without ever serving a demand probe.
+    /// Always 0 (see `prefetch_issued`).
     pub prefetch_wasted: u64,
     /// Sections currently mapped, all kinds.
     pub resident_sections: usize,
@@ -317,7 +313,7 @@ impl StoreCacheStats {
             .iter()
             .map(|&k| format!("{} {}/{}", k.name(), self.of(k).resident, self.num_shards))
             .collect();
-        let mut s = format!(
+        format!(
             "hits {} misses {} evictions {} ({:.1}% hit rate, topology evictions {}; \
              {}, {:.1} MiB of {:.1} MiB)",
             self.hits,
@@ -328,28 +324,18 @@ impl StoreCacheStats {
             mapped.join(" · "),
             self.mapped_bytes as f64 / MIB,
             self.budget_bytes as f64 / MIB,
-        );
-        if self.prefetch_issued > 0 {
-            s.push_str(&format!(
-                "; prefetch issued {} hit {} wasted {}",
-                self.prefetch_issued, self.prefetch_hits, self.prefetch_wasted
-            ));
-        }
-        s
+        )
     }
 }
 
 /// One cache entry: a shard section's resident mapping (if any) plus the
 /// CLOCK bookkeeping bits. `referenced` is flipped lock-free on every hit;
-/// `pinned` exempts the section from eviction entirely; `prefetched`
-/// marks a mapping the prefetcher brought in that no demand probe has
-/// used yet (for the hit/wasted accounting).
+/// `pinned` exempts the section from eviction entirely.
 #[derive(Default)]
 struct Slot {
     data: Mutex<Option<Arc<ShardSection>>>,
     referenced: AtomicBool,
     pinned: AtomicBool,
-    prefetched: AtomicBool,
 }
 
 impl Slot {
@@ -447,18 +433,15 @@ impl IndexView {
 const KINDS: usize = SectionKind::ALL.len();
 
 /// Cache entry id of section `kind` of shard `sid` — the index the CLOCK
-/// hand and the prefetch queue run over.
+/// hand runs over.
 #[inline]
 fn entry_of(sid: usize, kind: SectionKind) -> usize {
     sid * KINDS + kind as usize
 }
 
-/// The shared cache state behind an opened store: manifest, index, cache
-/// entries and every counter. [`MmapStore`] and the prefetch thread each
-/// hold an `Arc<StoreCore>`, so the thread needs no lifetime tie to the
-/// store (drop order is handled by [`MmapStore::drop`] joining the thread
-/// before the core can be orphaned).
-pub(super) struct StoreCore {
+/// The cache state behind an opened store: manifest, index, cache entries
+/// and every counter.
+struct StoreCore {
     dir: PathBuf,
     manifest: StoreManifest,
     /// Inverse of `manifest.rank` (internal id → external vertex);
@@ -476,9 +459,6 @@ pub(super) struct StoreCore {
     misses: AtomicU64,
     /// Evictions per [`SectionKind`].
     evictions: [AtomicU64; KINDS],
-    prefetch_issued: AtomicU64,
-    prefetch_hits: AtomicU64,
-    prefetch_wasted: AtomicU64,
     /// `(cap, d_eff)` memo for `Topology::capped_mean_degree` — the scan
     /// touches every shard, which a bounded cache must never repeat per
     /// sampler batch.
@@ -486,12 +466,12 @@ pub(super) struct StoreCore {
 }
 
 impl StoreCore {
-    pub(super) fn num_vertices(&self) -> usize {
+    fn num_vertices(&self) -> usize {
         self.manifest.n as usize
     }
 
     /// Number of cache entries ([`KINDS`] per shard).
-    pub(super) fn num_entries(&self) -> usize {
+    fn num_entries(&self) -> usize {
         self.shards.len() * KINDS
     }
 
@@ -550,9 +530,6 @@ impl StoreCore {
         if let Some(d) = guard.as_ref() {
             slot.referenced.store(true, Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
-            if slot.prefetched.swap(false, Ordering::Relaxed) {
-                self.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-            }
             return Ok(Arc::clone(d));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -560,12 +537,9 @@ impl StoreCore {
         self.mapped
             .fetch_add(data.mapped_bytes(), Ordering::Relaxed);
         slot.referenced.store(true, Ordering::Relaxed);
-        slot.prefetched.store(false, Ordering::Relaxed);
         *guard = Some(Arc::clone(&data));
         // Evict with the slot lock released: eviction takes other slots'
-        // locks. (After the map, not before it: room made in advance is
-        // room the prefetch thread fills first — measured on `train_ooc`
-        // as a quarter more page-ins and a 10× longer sampler stall.)
+        // locks.
         drop(guard);
         self.evict_to_budget(entry_of(sid, kind));
         Ok(data)
@@ -607,85 +581,15 @@ impl StoreCore {
     }
 
     /// Unmap entry `i` if mapped (caller has already decided it is
-    /// evictable). A still-prefetched mapping going out unused is counted
-    /// wasted.
+    /// evictable).
     fn evict_entry(&self, i: usize) {
         let (slot, kind) = self.entry(i);
         if let Some(d) = slot.lock().take() {
             self.mapped.fetch_sub(d.mapped_bytes(), Ordering::Relaxed);
             self.evictions[kind as usize].fetch_add(1, Ordering::Relaxed);
-            if slot.prefetched.swap(false, Ordering::Relaxed) {
-                self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            }
             // Dropping `d` here only drops the cache's Arc; readers
             // holding clones keep the mapping alive until they finish.
         }
-    }
-
-    /// Guarded eviction for the prefetch path: one sweep that skips
-    /// pinned **and referenced** entries without clearing any referenced
-    /// bit — speculative page-in must never push out what the current
-    /// batch is reading, and must not perturb the demand CLOCK state. It
-    /// also skips entries that were themselves prefetched and not used
-    /// yet: a batch's hint names more sections than a tight budget holds,
-    /// and letting each request evict the one mapped just before it turns
-    /// the whole hint into map/unmap churn with nothing left resident
-    /// (measured on `train_ooc`: the churn alone cost the pipelined
-    /// sampler a fifth of its overlap). The first sections that fit stay,
-    /// the rest are declined.
-    /// Returns whether `extra` more bytes now fit the budget.
-    fn evict_guarded(&self, extra: usize) -> bool {
-        for i in 0..self.num_entries() {
-            if self.mapped.load(Ordering::Relaxed) + extra <= self.budget {
-                return true;
-            }
-            let (slot, _) = self.entry(i);
-            if slot.pinned.load(Ordering::Relaxed)
-                || slot.referenced.load(Ordering::Relaxed)
-                || slot.prefetched.load(Ordering::Relaxed)
-            {
-                continue;
-            }
-            self.evict_entry(i);
-        }
-        self.mapped.load(Ordering::Relaxed) + extra <= self.budget
-    }
-
-    /// Prefetch-side page-in of cache entry `entry`: map its section if
-    /// absent, evicting only via the guarded sweep. Declines (counting the
-    /// request wasted) when nothing evictable can make room — the demand
-    /// path then pays the map synchronously, exactly as without a
-    /// prefetcher.
-    pub(super) fn prefetch_load(&self, entry: usize) -> io::Result<()> {
-        let Some(shard) = self.shards.get(entry / KINDS) else {
-            return Ok(());
-        };
-        if !shard.present {
-            return Ok(());
-        }
-        let (slot, kind) = self.entry(entry);
-        if slot.lock().is_some() {
-            return Ok(()); // already resident: nothing to do
-        }
-        let need = shard.shape.layout.section(kind).1;
-        if self.mapped.load(Ordering::Relaxed) + need > self.budget && !self.evict_guarded(need) {
-            self.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        }
-        let mut guard = slot.lock();
-        if guard.is_some() {
-            return Ok(()); // raced with a demand load
-        }
-        let data = Arc::new(self.map_section(entry / KINDS, kind)?);
-        debug_assert_eq!(data.mapped_bytes(), need);
-        self.mapped
-            .fetch_add(data.mapped_bytes(), Ordering::Relaxed);
-        // Not referenced yet: a prefetched-but-never-used section is the
-        // first thing both sweeps may reclaim.
-        slot.referenced.store(false, Ordering::Relaxed);
-        slot.prefetched.store(true, Ordering::Relaxed);
-        *guard = Some(data);
-        Ok(())
     }
 
     fn cache_stats(&self) -> StoreCacheStats {
@@ -712,9 +616,9 @@ impl StoreCore {
             evictions: by_kind.iter().map(|s| s.evictions).sum(),
             mapped_bytes: self.mapped.load(Ordering::Relaxed),
             resident_shards,
-            prefetch_issued: self.prefetch_issued.load(Ordering::Relaxed),
-            prefetch_hits: self.prefetch_hits.load(Ordering::Relaxed),
-            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
+            prefetch_issued: 0,
+            prefetch_hits: 0,
+            prefetch_wasted: 0,
             resident_sections: by_kind.iter().map(|s| s.resident).sum(),
             topology,
             features,
@@ -727,9 +631,8 @@ impl StoreCore {
 
 /// A shard store opened for memory-mapped access. See the module docs.
 pub struct MmapStore {
-    core: Arc<StoreCore>,
-    /// Background page-in thread, when enabled at open.
-    prefetcher: Option<Prefetcher>,
+    /// Boxed: the core is large and `GraphStore` holds the store inline.
+    core: Box<StoreCore>,
     /// When set, `Drop` removes the whole store directory (used by the
     /// env-rerouted temp spill, so test-suite runs leave no tmp litter).
     remove_on_drop: bool,
@@ -737,19 +640,13 @@ pub struct MmapStore {
 
 impl MmapStore {
     /// Open the store written under `dir`, bounding mapped section bytes
-    /// by `budget` (bytes); prefetch follows `GSGCN_SHARD_PREFETCH`.
+    /// by `budget` (bytes).
     /// Eagerly validates the manifest (including that each shard's counts
     /// add up to its recorded length), the index and every *present* shard
     /// file's length — truncation fails here, not at first access. Shard
     /// headers are checked on the first read of each shard. Missing shard
     /// files leave their shard unavailable.
     pub fn open(dir: &Path, budget: usize) -> io::Result<MmapStore> {
-        Self::open_with_prefetch(dir, budget, prefetch_from_env())
-    }
-
-    /// As [`Self::open`] with an explicit prefetch choice (the CLI flag
-    /// path, and tests that must not depend on the environment).
-    pub fn open_with_prefetch(dir: &Path, budget: usize, prefetch: bool) -> io::Result<MmapStore> {
         let manifest = StoreManifest::load(dir)?;
         let n = manifest.n as usize;
         let index = IndexView::open(dir, n)?;
@@ -790,7 +687,7 @@ impl MmapStore {
                 unrank[r as usize] = v as u32;
             }
         }
-        let core = Arc::new(StoreCore {
+        let core = Box::new(StoreCore {
             dir: dir.to_path_buf(),
             manifest,
             unrank,
@@ -802,17 +699,18 @@ impl MmapStore {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: Default::default(),
-            prefetch_issued: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-            prefetch_wasted: AtomicU64::new(0),
             mean_degree_memo: Mutex::new(Vec::new()),
         });
-        let prefetcher = prefetch.then(|| Prefetcher::spawn(Arc::clone(&core)));
         Ok(MmapStore {
             core,
-            prefetcher,
             remove_on_drop: false,
         })
+    }
+
+    /// [`Self::open`]; the flag is ignored — the store has no prefetcher.
+    /// Kept only because the e2e harness calls it.
+    pub fn open_with_prefetch(dir: &Path, budget: usize, _prefetch: bool) -> io::Result<MmapStore> {
+        Self::open(dir, budget)
     }
 
     /// Mark the store directory for removal when the store drops (the
@@ -903,76 +801,6 @@ impl MmapStore {
             i
         } else {
             self.core.unrank[i as usize]
-        }
-    }
-
-    /// Whether a prefetch thread is serving this store.
-    pub fn prefetch_enabled(&self) -> bool {
-        self.prefetcher.as_ref().is_some_and(|p| !p.degraded())
-    }
-
-    /// Hand upcoming vertices to the prefetch thread (advisory, never
-    /// blocks): the **row sections** (features, labels — whichever the
-    /// store has) of their shards are paged in ahead of the gathers that
-    /// will read them. Returns how many section requests were accepted; 0
-    /// with prefetch off, degraded, or everything already queued.
-    pub fn prefetch_nodes(&self, nodes: &[u32]) -> usize {
-        let mut rows = Vec::with_capacity(2);
-        if self.feature_dim() > 0 {
-            rows.push(SectionKind::Features);
-        }
-        if self.label_dim() > 0 {
-            rows.push(SectionKind::Labels);
-        }
-        self.prefetch_kinds(nodes, &rows)
-    }
-
-    /// As [`Self::prefetch_nodes`] for the **topology sections** of the
-    /// vertices' shards — what `Topology::prefetch_hint` asks for.
-    pub fn prefetch_topology(&self, nodes: &[u32]) -> usize {
-        self.prefetch_kinds(nodes, &[SectionKind::Topology])
-    }
-
-    fn prefetch_kinds(&self, nodes: &[u32], kinds: &[SectionKind]) -> usize {
-        if self.prefetcher.is_none() {
-            return 0;
-        }
-        let n = self.num_vertices();
-        let mut want = Vec::new();
-        let mut seen = vec![false; self.num_shards()];
-        for &v in nodes {
-            if (v as usize) >= n {
-                continue;
-            }
-            let sid = self.core.shard_of(v) as usize;
-            if !seen[sid] && self.core.shards[sid].present {
-                seen[sid] = true;
-                want.extend(kinds.iter().map(|&k| entry_of(sid, k) as u32));
-            }
-        }
-        self.request_prefetch(&want)
-    }
-
-    /// Request one section of one shard (the grouped gather's look-ahead).
-    pub fn prefetch_section(&self, sid: usize, kind: SectionKind) -> usize {
-        self.request_prefetch(&[entry_of(sid, kind) as u32])
-    }
-
-    fn request_prefetch(&self, entries: &[u32]) -> usize {
-        let Some(pf) = &self.prefetcher else { return 0 };
-        let accepted = pf.request(entries);
-        self.core
-            .prefetch_issued
-            .fetch_add(accepted as u64, Ordering::Relaxed);
-        accepted
-    }
-
-    /// Test hook: make the prefetch thread panic on its next request, to
-    /// exercise the degraded (synchronous page-in) path.
-    #[cfg(test)]
-    pub(crate) fn inject_prefetch_panic(&self) {
-        if let Some(pf) = &self.prefetcher {
-            pf.inject_panic();
         }
     }
 
@@ -1076,9 +904,6 @@ impl MmapStore {
 
 impl Drop for MmapStore {
     fn drop(&mut self) {
-        // Join the prefetch thread before any directory teardown: its
-        // in-flight load must not race the removal below.
-        self.prefetcher.take();
         if self.remove_on_drop {
             let _ = std::fs::remove_dir_all(&self.core.dir);
         }
@@ -1093,7 +918,6 @@ impl std::fmt::Debug for MmapStore {
             .field("shards", &self.num_shards())
             .field("budget_bytes", &self.core.budget)
             .field("order", &self.order())
-            .field("prefetch", &self.prefetcher.is_some())
             .field("stats", &self.cache_stats())
             .finish()
     }

@@ -12,13 +12,16 @@
 //!   ([`bfs_partition`](crate::partition::bfs_partition)) partitioner,
 //!   written in the versioned on-disk format of [`shard`] and memory-mapped
 //!   on demand, **one section (topology / features / labels) at a time**,
-//!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]). Training and serving a graph ≥10× physical RAM becomes a
+//!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]).
+//!   Training and serving a graph ≥10× physical RAM becomes a
 //!   cache-management problem instead of an OOM.
 //!
 //! Consumers read topology through the [`Topology`] trait (object-safe, so
 //! `&CsrGraph` coerces to `&dyn Topology` at existing call sites) and bulk
 //! rows through [`GraphStore::gather_features_into`] /
-//! [`GraphStore::gather_labels_into`].
+//! [`GraphStore::gather_labels_into`]. Every read happens on the caller's
+//! thread; an mmap gather visits its rows shard by shard, so each section
+//! it touches is mapped once per call however the rows are ordered.
 //!
 //! Backend selection follows the workspace's flag > env > default policy:
 //! the CLI's `--graph-store mem|mmap` wins, the `GSGCN_GRAPH_STORE`
@@ -33,13 +36,11 @@
 pub mod mem;
 pub mod mmap;
 pub mod order;
-pub mod prefetch;
 pub mod shard;
 
 pub use mem::MemStore;
 pub use mmap::{MmapStore, SectionStats, StoreCacheStats};
 pub use order::{order_from_env, StoreOrder};
-pub use prefetch::prefetch_from_env;
 pub use shard::{
     verify_store, write_store, write_store_ordered, write_store_with_precision, SectionKind,
     ShardSection, StoreManifest,
@@ -104,9 +105,9 @@ pub trait Topology: Sync {
     }
 
     /// Locality group (physical shard) of vertex `v`; `0` everywhere
-    /// when the topology is fully resident. Group-aware consumers batch
-    /// their accesses per group so a bounded shard cache sees one run
-    /// per shard instead of scattered probes.
+    /// when the topology is fully resident. The frontier tiler groups a
+    /// tile's frontier rows by it, so whoever reads them walks each shard
+    /// once.
     fn locality_group(&self, v: u32) -> u32 {
         let _ = v;
         0
@@ -116,12 +117,6 @@ pub trait Topology: Sync {
     /// grouping by).
     fn num_locality_groups(&self) -> usize {
         1
-    }
-
-    /// Advise that the topology of `nodes` is about to be read
-    /// (asynchronous page-in where supported; default no-op).
-    fn prefetch_hint(&self, nodes: &[u32]) {
-        let _ = nodes;
     }
 
     /// Escape hatch: the resident CSR, when this topology has one.
@@ -550,26 +545,16 @@ impl GraphStore {
         }
     }
 
-    /// Whether a background prefetch thread serves this store (and has
-    /// not degraded).
+    /// Always `false`: no store has a prefetcher. Kept only because the
+    /// e2e harness still calls it.
     pub fn prefetch_enabled(&self) -> bool {
-        match self {
-            GraphStore::Mem(_) => false,
-            GraphStore::Mmap(m) => m.prefetch_enabled(),
-        }
+        false
     }
 
-    /// Advise the store that the **rows** of `nodes` are about to be
-    /// gathered: the feature and label sections of their shards are paged
-    /// in asynchronously ahead of the demand reads (topology readers use
-    /// [`Topology::prefetch_hint`]). Never blocks; a no-op for mem /
-    /// prefetch-off / degraded stores. Returns the number of section
-    /// requests accepted.
-    pub fn prefetch_nodes(&self, nodes: &[u32]) -> usize {
-        match self {
-            GraphStore::Mem(_) => 0,
-            GraphStore::Mmap(m) => m.prefetch_nodes(nodes),
-        }
+    /// No-op returning 0: no store has a prefetcher. Kept only because
+    /// the e2e harness still calls it.
+    pub fn prefetch_nodes(&self, _nodes: &[u32]) -> usize {
+        0
     }
 
     /// Gather feature rows for `nodes` into `out` (reshaped to
@@ -634,7 +619,10 @@ fn no_labels() -> io::Error {
 }
 
 /// Gather `width`-column rows from the `kind` (features or labels)
-/// sections.
+/// sections, shard by shard: each shard's section is mapped once per call
+/// however scattered `nodes` is (a scrambled row order read in sequence
+/// would remap a section per shard change), and every row lands at its
+/// own position in `out`.
 fn gather_mmap(
     m: &MmapStore,
     nodes: &[u32],
@@ -643,74 +631,17 @@ fn gather_mmap(
     width: usize,
 ) -> io::Result<()> {
     out.ensure_shape(nodes.len(), width);
-    if m.prefetch_enabled() && nodes.len() > 1 {
-        return gather_mmap_grouped(m, nodes, out, kind);
-    }
-    // Batches are usually shard-clustered (BFS partitions follow the same
-    // locality the sampler does), so memoize the last section handle.
-    let mut cached: Option<(u32, Arc<ShardSection>)> = None;
-    for (i, &v) in nodes.iter().enumerate() {
-        let sid = m.shard_of(v);
-        let section = match &cached {
-            Some((cur, s)) if *cur == sid => s,
-            _ => &cached.insert((sid, m.section(sid as usize, kind)?)).1,
-        };
-        section.copy_row_into(m.local_of(v) as usize, out.row_mut(i));
-    }
-    Ok(())
-}
-
-/// How many shard groups ahead of the copy cursor a grouped gather keeps
-/// requested at the prefetcher.
-const GATHER_PREFETCH_AHEAD: usize = 2;
-
-/// Shard-grouped gather, used when a prefetch thread is available: visit
-/// the rows shard by shard (each shard's `kind` section mapped exactly
-/// once per gather, no matter how scattered `nodes` is) while the
-/// prefetcher pages in the same section of the next
-/// [`GATHER_PREFETCH_AHEAD`] shards behind the copies. Output rows land
-/// at their original positions, so the result is byte-identical to the
-/// sequential path.
-fn gather_mmap_grouped(
-    m: &MmapStore,
-    nodes: &[u32],
-    out: &mut DMatrix,
-    kind: SectionKind,
-) -> io::Result<()> {
-    // Stable sort of row indices by shard keeps the per-shard copy order
-    // deterministic (it does not affect the output, which is indexed).
     let mut by_shard: Vec<(u32, u32)> = nodes
         .iter()
         .enumerate()
         .map(|(i, &v)| (m.shard_of(v), i as u32))
         .collect();
-    by_shard.sort_by_key(|&(sid, _)| sid);
-
-    // Group boundaries + the distinct shard sequence for lookahead.
-    let mut groups: Vec<(u32, std::ops::Range<usize>)> = Vec::new();
-    let mut start = 0;
-    for i in 1..=by_shard.len() {
-        if i == by_shard.len() || by_shard[i].0 != by_shard[start].0 {
-            groups.push((by_shard[start].0, start..i));
-            start = i;
-        }
-    }
-
-    for (g, (sid, range)) in groups.iter().enumerate() {
-        if let Some((ahead_sid, _)) = groups.get(g + GATHER_PREFETCH_AHEAD) {
-            m.prefetch_section(*ahead_sid as usize, kind);
-        }
-        if g == 0 {
-            // Kick the pipeline: the shards after the one we are about to
-            // map synchronously.
-            for (ahead_sid, _) in groups.iter().skip(1).take(GATHER_PREFETCH_AHEAD - 1) {
-                m.prefetch_section(*ahead_sid as usize, kind);
-            }
-        }
-        let section = m.section(*sid as usize, kind)?;
-        for &(_, idx) in &by_shard[range.clone()] {
-            let local = m.local_of(nodes[idx as usize]) as usize;
-            section.copy_row_into(local, out.row_mut(idx as usize));
+    by_shard.sort_unstable();
+    for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+        let section = m.section(group[0].0 as usize, kind)?;
+        for &(_, i) in group {
+            let local = m.local_of(nodes[i as usize]) as usize;
+            section.copy_row_into(local, out.row_mut(i as usize));
         }
     }
     Ok(())
@@ -827,12 +758,6 @@ impl Topology for GraphStore {
         match self {
             GraphStore::Mem(_) => 1,
             GraphStore::Mmap(m) => m.num_shards(),
-        }
-    }
-
-    fn prefetch_hint(&self, nodes: &[u32]) {
-        if let GraphStore::Mmap(m) = self {
-            m.prefetch_topology(nodes);
         }
     }
 
@@ -1403,148 +1328,8 @@ mod tests {
         std::fs::remove_dir_all(&d16).unwrap();
     }
 
-    /// Spin (bounded) until `done(stats)` holds.
-    fn await_stats(store: &GraphStore, what: &str, done: impl Fn(&StoreCacheStats) -> bool) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let stats = store.cache_stats().unwrap();
-            if done(&stats) {
-                return;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "prefetcher never {what}: {stats:?}"
-            );
-            std::thread::yield_now();
-        }
-    }
-
     #[test]
-    fn prefetch_pages_sections_in_and_counts_hits() {
-        let g = two_communities();
-        let (dir, _) = spill(&g, 4);
-        let store = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, 1 << 20, true).unwrap());
-        assert!(store.prefetch_enabled());
-        let nodes: Vec<u32> = (0..16).collect();
-        // A topology hint pages in topology sections and nothing else.
-        store.prefetch_hint(&nodes);
-        await_stats(&store, "paged the topology in", |s| {
-            s.topology.resident == 4
-        });
-        let stats = store.cache_stats().unwrap();
-        assert_eq!(stats.resident_sections, 4, "{stats:?}");
-        assert_eq!(stats.prefetch_issued, 4);
-        // Demand reads now hit without a single demand miss, and the
-        // prefetch-hit counter credits the prefetcher.
-        for v in 0..16u32 {
-            assert_eq!(&*store.neighbors_ref(v), g.neighbors(v));
-        }
-        let stats = store.cache_stats().unwrap();
-        assert_eq!(stats.misses, 0, "{stats:?}");
-        assert_eq!(stats.prefetch_hits, 4, "{stats:?}");
-        // A row hint pages in both row sections of each shard.
-        assert_eq!(store.prefetch_nodes(&nodes), 8);
-        await_stats(&store, "paged the rows in", |s| s.resident_sections == 12);
-        assert_eq!(store.cache_stats().unwrap().prefetch_issued, 12);
-        let mut rows = DMatrix::zeros(0, 0);
-        store.gather_features_into(&nodes, &mut rows).unwrap();
-        store.gather_labels_into(&nodes, &mut rows).unwrap();
-        let stats = store.cache_stats().unwrap();
-        assert_eq!(stats.misses, 0, "{stats:?}");
-        assert_eq!(stats.prefetch_hits, 12, "{stats:?}");
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn prefetch_never_evicts_referenced_sections() {
-        let g = two_communities();
-        let (dir, manifest) = spill(&g, 4);
-        // Budget fits roughly one shard's worth of sections: prefetching
-        // every shard's rows must decline rather than evict what the
-        // reader is using.
-        let store = GraphStore::Mmap(
-            MmapStore::open_with_prefetch(&dir, manifest.shards[0].file_len as usize, true)
-                .unwrap(),
-        );
-        // Touch vertex 0's topology and rows so their referenced bits are
-        // set.
-        let hot = store.neighbors_ref(0);
-        let mut hot_row = DMatrix::zeros(0, 0);
-        store.gather_features_into(&[0], &mut hot_row).unwrap();
-        let hot_sid = store.shard_of(0).unwrap();
-        let cold: Vec<u32> = (0..16)
-            .filter(|&v| store.shard_of(v) != Some(hot_sid))
-            .collect();
-        let issued = store.prefetch_nodes(&cold) as u64;
-        assert_eq!(issued, 6, "both row sections of the three cold shards");
-        // Every request ends up wasted or resident (beside the two hot
-        // sections) and unused.
-        await_stats(&store, "drained its queue", |s| {
-            s.prefetch_wasted + s.resident_sections as u64 - 2 >= issued
-        });
-        // The hot sections were never evicted: re-reading them is a hit,
-        // not a reload.
-        let before = store.cache_stats().unwrap();
-        assert_eq!(&*store.neighbors_ref(0), &*hot);
-        let mut again = DMatrix::zeros(0, 0);
-        store.gather_features_into(&[0], &mut again).unwrap();
-        assert_eq!(again.data(), hot_row.data());
-        let after = store.cache_stats().unwrap();
-        assert_eq!(
-            after.misses, before.misses,
-            "prefetch evicted a referenced section of shard {hot_sid}"
-        );
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn panicked_prefetcher_degrades_to_synchronous_reads() {
-        let g = two_communities();
-        let (dir, _) = spill(&g, 4);
-        let store = MmapStore::open_with_prefetch(&dir, 1 << 20, true).unwrap();
-        store.inject_prefetch_panic();
-        // Trigger the panic with a real request, then wait for degrade.
-        store.prefetch_nodes(&[0]);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while store.prefetch_enabled() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "prefetcher never degraded after injected panic"
-            );
-            std::thread::yield_now();
-        }
-        // Requests are no-ops now; demand reads still answer exactly.
-        assert_eq!(store.prefetch_nodes(&(0..16).collect::<Vec<u32>>()), 0);
-        let store = GraphStore::Mmap(store);
-        for v in 0..16u32 {
-            assert_eq!(&*store.neighbors_ref(v), g.neighbors(v));
-        }
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn grouped_gather_matches_sequential_under_churn() {
-        let g = two_communities();
-        let (dir, _) = spill(&g, 4);
-        let plain = GraphStore::open_with_budget(&dir, 1).unwrap();
-        let pf = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, 1, true).unwrap());
-        // Deliberately scattered and duplicated row set.
-        let nodes: Vec<u32> = (0..64u32).map(|i| (i * 7) % 16).collect();
-        let mut want = DMatrix::zeros(0, 0);
-        let mut got = DMatrix::zeros(0, 0);
-        plain.gather_features_into(&nodes, &mut want).unwrap();
-        pf.gather_features_into(&nodes, &mut got).unwrap();
-        assert_eq!(want.data(), got.data());
-        drop(pf);
-        drop(plain);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn order_and_prefetch_env_parsing() {
+    fn order_parsing() {
         assert_eq!("bfs".parse::<StoreOrder>().unwrap(), StoreOrder::Bfs);
         assert!("zorder".parse::<StoreOrder>().is_err());
     }

@@ -6,10 +6,10 @@
 //! whose two endpoints both lie in the set. Extraction is embarrassingly
 //! parallel over the (sorted) vertex set and runs every training iteration,
 //! so it must be cheap: one bitset build + one counting pass + one fill
-//! pass, all `O(Σ_{v∈V_sub} deg(v))`. Against a shard-backed topology the
-//! two passes instead walk the vertex set grouped by physical shard (with
-//! a prefetch hint one group ahead) — same output, but a bounded shard
-//! cache sees one run per shard rather than `|V_sub|` scattered probes.
+//! pass, all `O(Σ_{v∈V_sub} deg(v))`. The passes are the same for a
+//! resident and a shard-backed topology: a shard store keeps its topology
+//! sections mapped, so scattered probes are hits and need no per-shard
+//! visiting order.
 
 use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
@@ -65,36 +65,16 @@ pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> Induce
         relabel[orig as usize] = local as u32;
     }
 
-    // Shard-backed topology: visit vertices grouped by physical shard.
-    // `origin` is sorted by *external* id, which a locality-aware
-    // placement deliberately scatters across shards — scanned in that
-    // order, a bounded shard cache would see |V_sub| scattered probes
-    // instead of one run per shard. Each output cell is owned by exactly
-    // one vertex, so visit order cannot change the result.
-    let groups = locality_groups(g, &origin);
-
     // Pass 1: count retained neighbors per subgraph vertex.
-    let counts: Vec<usize> = if let Some(groups) = &groups {
-        let mut counts = vec![0usize; origin.len()];
-        for_each_grouped(g, &origin, groups, |i, v| {
-            counts[i] = g
-                .neighbors_ref(v)
+    let counts: Vec<usize> = origin
+        .par_iter()
+        .map(|&v| {
+            g.neighbors_ref(v)
                 .iter()
                 .filter(|&&u| member.contains(u as usize))
-                .count();
-        });
-        counts
-    } else {
-        origin
-            .par_iter()
-            .map(|&v| {
-                g.neighbors_ref(v)
-                    .iter()
-                    .filter(|&&u| member.contains(u as usize))
-                    .count()
-            })
-            .collect()
-    };
+                .count()
+        })
+        .collect();
 
     let mut offsets = vec![0usize; origin.len() + 1];
     for (i, &c) in counts.iter().enumerate() {
@@ -102,8 +82,7 @@ pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> Induce
     }
 
     // Pass 2: fill adjacency — each local vertex owns a disjoint output
-    // range, so the parallel (and the shard-grouped) writes are
-    // race-free.
+    // range, so the parallel writes are race-free.
     let total = offsets[origin.len()];
     let mut adj = vec![0u32; total];
     {
@@ -115,85 +94,24 @@ pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> Induce
             slices.push(head);
             rest = tail;
         }
-        let fill = |out: &mut [u32], v: u32| {
-            let mut k = 0;
-            for &u in g.neighbors_ref(v).iter() {
-                if member.contains(u as usize) {
-                    out[k] = relabel[u as usize];
-                    k += 1;
+        slices
+            .par_iter_mut()
+            .zip(origin.par_iter())
+            .for_each(|(out, &v)| {
+                let mut k = 0;
+                for &u in g.neighbors_ref(v).iter() {
+                    if member.contains(u as usize) {
+                        out[k] = relabel[u as usize];
+                        k += 1;
+                    }
                 }
-            }
-            debug_assert_eq!(k, out.len());
-        };
-        if let Some(groups) = &groups {
-            for_each_grouped(g, &origin, groups, |i, v| fill(slices[i], v));
-        } else {
-            slices
-                .par_iter_mut()
-                .zip(origin.par_iter())
-                .for_each(|(out, &v)| fill(out, v));
-        }
+                debug_assert_eq!(k, out.len());
+            });
     }
 
     InducedSubgraph {
         graph: CsrGraph::from_raw(offsets, adj),
         origin,
-    }
-}
-
-/// Group descriptor for shard-grouped passes: origin indices reordered so
-/// same-shard vertices are contiguous, plus the group boundaries.
-struct LocalityGroups {
-    /// Origin indices, stably sorted by locality group (within a group
-    /// the ascending-id origin order is preserved).
-    visit: Vec<u32>,
-    /// Half-open ranges of `visit`, one per non-empty group.
-    bounds: Vec<std::ops::Range<usize>>,
-}
-
-/// Build the shard grouping for `origin`, or `None` when the topology is
-/// resident (a single group — the existing parallel passes are better).
-fn locality_groups<T: Topology + ?Sized>(g: &T, origin: &[u32]) -> Option<LocalityGroups> {
-    if g.num_locality_groups() <= 1 || origin.len() <= 1 {
-        return None;
-    }
-    let mut keyed: Vec<(u32, u32)> = origin
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (g.locality_group(v), i as u32))
-        .collect();
-    keyed.sort_by_key(|&(grp, _)| grp);
-    let mut bounds = Vec::new();
-    let mut start = 0;
-    for i in 1..=keyed.len() {
-        if i == keyed.len() || keyed[i].0 != keyed[start].0 {
-            bounds.push(start..i);
-            start = i;
-        }
-    }
-    Some(LocalityGroups {
-        visit: keyed.into_iter().map(|(_, i)| i).collect(),
-        bounds,
-    })
-}
-
-/// Run `f(origin_index, vertex)` over every vertex one locality group at
-/// a time, hinting the next group to the prefetcher while the current one
-/// is scanned (one vertex per group is enough — the hint dedups to the
-/// group's shard).
-fn for_each_grouped<T: Topology + ?Sized>(
-    g: &T,
-    origin: &[u32],
-    groups: &LocalityGroups,
-    mut f: impl FnMut(usize, u32),
-) {
-    for (gi, range) in groups.bounds.iter().enumerate() {
-        if let Some(next) = groups.bounds.get(gi + 1) {
-            g.prefetch_hint(&[origin[groups.visit[next.start] as usize]]);
-        }
-        for &i in &groups.visit[range.clone()] {
-            f(i as usize, origin[i as usize]);
-        }
     }
 }
 

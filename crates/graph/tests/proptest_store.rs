@@ -5,7 +5,6 @@
 //! silently different data.
 
 use gsgcn_graph::builder::from_edges;
-use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::{
     shard_file_name, verify_store, write_store, write_store_ordered, ShardShape,
 };
@@ -224,13 +223,11 @@ proptest! {
     /// Two readers at once — one walking topology the way a sampler does,
     /// one gathering rows — each see exactly what the resident graph
     /// would have given them, whatever the budget makes them evict from
-    /// under each other, with and without the prefetch thread as a third
-    /// party.
+    /// under each other.
     #[test]
     fn concurrent_walk_and_gather_match_mem(
         (g, shards, budget) in store_case(),
         seed in any::<u64>(),
-        prefetch in any::<bool>(),
     ) {
         let n = g.num_vertices();
         let f = feature_rows(n, 5);
@@ -238,9 +235,7 @@ proptest! {
         let dir = fresh_dir();
         let manifest =
             write_store_ordered(&dir, &g, Some(&f), Some(&l), shards, StoreOrder::Bfs).unwrap();
-        let store = GraphStore::Mmap(
-            MmapStore::open_with_prefetch(&dir, budget.bytes(&manifest), prefetch).unwrap(),
-        );
+        let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
         let mem = GraphStore::mem(
             std::sync::Arc::new(g.clone()),
             Some(std::sync::Arc::new(f)),
@@ -259,7 +254,6 @@ proptest! {
                     x ^= x << 17;
                     let deg = Topology::degree(s, v);
                     v = Topology::neighbor(s, v, (x % deg as u64) as usize);
-                    s.prefetch_hint(&[v]);
                     v
                 })
                 .collect()
@@ -271,7 +265,6 @@ proptest! {
                 let rows: Vec<u32> = (0..n as u64)
                     .map(|k| ((seed.wrapping_add(round).wrapping_mul(6364136223846793005).wrapping_add(k * 1442695041)) % n as u64) as u32)
                     .collect();
-                s.prefetch_nodes(&rows);
                 s.gather_features_into(&rows, &mut x).unwrap();
                 s.gather_labels_into(&rows, &mut y).unwrap();
                 out.extend_from_slice(x.data());
@@ -397,45 +390,5 @@ proptest! {
             drop(store);
             std::fs::remove_dir_all(&dir).ok();
         }
-    }
-
-    /// Turning the prefetcher on never changes any result, whatever the
-    /// cache budget — eviction churn, guarded eviction declines, and the
-    /// grouped gather path must all be invisible to the reader.
-    #[test]
-    fn prefetch_on_off_is_observationally_identical((g, shards, budget) in store_case(), root_seed in any::<u64>()) {
-        let n = g.num_vertices();
-        let f = feature_rows(n, 5);
-        let dir = fresh_dir();
-        let manifest =
-            write_store_ordered(&dir, &g, Some(&f), None, shards, StoreOrder::Bfs).unwrap();
-        let budget = budget.bytes(&manifest);
-        let plain = GraphStore::open_with_budget(&dir, budget).unwrap();
-        let pf = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, budget, true).unwrap());
-
-        // Scattered, duplicated row set exercises the grouped gather.
-        let rows: Vec<u32> = (0..2 * n as u64)
-            .map(|k| ((root_seed.wrapping_mul(6364136223846793005).wrapping_add(k * 1442695041)) % n as u64) as u32)
-            .collect();
-        // Hint the prefetcher (rows and topology), then read both stores
-        // identically.
-        prop_assert!(pf.prefetch_enabled());
-        pf.prefetch_nodes(&rows);
-        pf.prefetch_hint(&rows);
-        let mut want = DMatrix::zeros(0, 0);
-        let mut got = DMatrix::zeros(0, 0);
-        plain.gather_features_into(&rows, &mut want).unwrap();
-        pf.gather_features_into(&rows, &mut got).unwrap();
-        prop_assert_eq!(want.data(), got.data());
-
-        for v in 0..n as u32 {
-            prop_assert_eq!(&*pf.neighbors_ref(v), g.neighbors(v), "vertex {}", v);
-        }
-        let roots: Vec<u32> = rows.iter().take(4).copied().collect();
-        prop_assert_eq!(l_hop_ball(&plain, &roots, 2), l_hop_ball(&pf, &roots, 2));
-
-        drop(pf);
-        drop(plain);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

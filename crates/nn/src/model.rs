@@ -12,7 +12,7 @@ use crate::dense::DenseLayer;
 use crate::gcn_layer::{GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
-use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore, Topology};
+use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::{ops, DMatrix, MatMut};
 use std::io;
@@ -464,11 +464,10 @@ impl GcnModel {
     /// (level 0 is [`GraphStore::gather_features_into`]), and layer `ℓ`
     /// then runs for the tile's root rows only. Targets are walked in
     /// placement order — the roots sorted by internal id, every tile's
-    /// frontier grouped by shard — so reads are shard-sequential and the
-    /// next tile's roots are hinted to the prefetcher. The top level
-    /// streams each tile through the head into `sink(roots, probs)`:
-    /// external ids of the tile's roots and their probability rows,
-    /// every distinct root exactly once, in placement order.
+    /// frontier grouped by shard — so reads are shard-sequential. The top
+    /// level streams each tile through the head into `sink(roots, probs)`:
+    /// external ids of the tile's roots and their probability rows, every
+    /// distinct root exactly once, in placement order.
     ///
     /// * **Work**: when a level's needed set fits `max_rows` it is one
     ///   tile, so every (vertex, layer) pair is computed once and every
@@ -543,11 +542,6 @@ impl GcnModel {
         let t0 = Instant::now();
         let (ball, used) = capped_one_hop_frontier(sweep.store, targets, sweep.max_rows);
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
-        // The next tile's roots are the next topology read at this
-        // level: their topology sections page in behind this tile's work.
-        sweep
-            .store
-            .prefetch_hint(&targets[used..(2 * used).min(targets.len())]);
         sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
         sweep.stats.tiles[level - 1] += 1;
         let (lower, out) = levels.split_at_mut(level - 1);

@@ -408,21 +408,19 @@ impl DashboardSampler {
         let mut db = Dashboard::new(m, d_eff, self.cfg.eta, cap);
 
         // Alg. 3 lines 4–15: initial frontier, uniform without replacement.
-        // Degrees are prescanned shard-grouped: the loop below must keep
-        // its order (slot assignment feeds the RNG), but the degree
-        // values it consumes are order-insensitive, and m random roots
-        // probed in draw order are a worst-case scatter for a bounded
-        // shard cache.
+        // Degrees are read in draw order: a shard store keeps its topology
+        // sections mapped whenever the budget holds them, so scattered
+        // probes hit.
         let frontier0 = scalar_rng.sample_distinct(n_total, m);
-        let deg0 = grouped_degrees(g, &frontier0);
         let mut in_vsub = BitSet::new(n_total);
         let mut vsub: Vec<u32> = Vec::with_capacity(budget);
-        for (j, &v) in frontier0.iter().enumerate() {
+        for &v in &frontier0 {
             if in_vsub.insert(v as usize) {
                 vsub.push(v);
             }
-            if deg0[j] > 0 {
-                db.add_to_frontier(v, deg0[j]);
+            let deg = g.degree(v);
+            if deg > 0 {
+                db.add_to_frontier(v, deg);
             }
         }
 
@@ -435,11 +433,11 @@ impl DashboardSampler {
             if db.live_slots() == 0 {
                 // Frontier died (all replacements isolated): reseed it.
                 let fresh = scalar_rng.sample_distinct(n_total, m.min(n_total));
-                let fresh_degs = grouped_degrees(g, &fresh);
                 let mut any = false;
-                for (j, &v) in fresh.iter().enumerate() {
-                    if fresh_degs[j] > 0 {
-                        db.add_to_frontier(v, fresh_degs[j]);
+                for v in fresh {
+                    let deg = g.degree(v);
+                    if deg > 0 {
+                        db.add_to_frontier(v, deg);
                         any = true;
                     }
                 }
@@ -472,44 +470,6 @@ impl DashboardSampler {
 
         (vsub, db.stats.clone())
     }
-}
-
-/// Degrees of `vs`, probed one locality group (physical shard) at a time
-/// with a prefetch hint one group ahead. The reads are order-insensitive,
-/// so the scattered probe stream a random vertex set would produce
-/// against a shard-backed topology collapses to one run per shard; for a
-/// resident topology (one group) this is a plain loop.
-fn grouped_degrees(g: &dyn Topology, vs: &[u32]) -> Vec<usize> {
-    let mut degs = vec![0usize; vs.len()];
-    if g.num_locality_groups() <= 1 || vs.len() <= 1 {
-        for (i, &v) in vs.iter().enumerate() {
-            degs[i] = g.degree(v);
-        }
-        return degs;
-    }
-    let mut keyed: Vec<(u32, u32)> = vs
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (g.locality_group(v), i as u32))
-        .collect();
-    keyed.sort_unstable_by_key(|&(grp, _)| grp);
-    let mut start = 0;
-    while start < keyed.len() {
-        let grp = keyed[start].0;
-        let mut end = start;
-        while end < keyed.len() && keyed[end].0 == grp {
-            end += 1;
-        }
-        if end < keyed.len() {
-            // One vertex is enough — the hint dedups to its shard.
-            g.prefetch_hint(&[vs[keyed[end].1 as usize]]);
-        }
-        for &(_, i) in &keyed[start..end] {
-            degs[i as usize] = g.degree(vs[i as usize]);
-        }
-        start = end;
-    }
-    degs
 }
 
 /// Draw a uniform random vertex with degree ≥ 1 (bounded retries, then a

@@ -110,9 +110,9 @@ impl std::error::Error for PipelinePoisoned {}
 
 /// Hook invoked by producer threads right after a subgraph lands in the
 /// reorder buffer — i.e. *ahead* of the consumer popping it. The argument
-/// is the subgraph's origin vertex set. Used to feed the shard
-/// prefetcher with upcoming vertex ranges (advisory: must be cheap and
-/// must not panic).
+/// is the subgraph's origin vertex set (advisory: must be cheap and must
+/// not panic). No production code installs one; the hook stays because
+/// the e2e harness still calls [`SamplerPipeline::set_on_ready`].
 pub type ReadyHook = Arc<dyn Fn(&[u32]) + Send + Sync>;
 
 /// Mutex-guarded pipeline state (see module docs for the protocol).
@@ -269,9 +269,8 @@ impl SamplerPipeline {
     /// Install (or clear) the delivered-subgraph hook for the current
     /// generation. Producers call it with each subgraph's origin set the
     /// moment the subgraph enters the reorder buffer — ahead of the
-    /// consumer — which is exactly when a shard prefetcher wants to hear
-    /// about upcoming vertices. Cleared automatically by
-    /// [`Self::reset_with`].
+    /// consumer. Cleared automatically by [`Self::reset_with`]. Kept for
+    /// the e2e harness; nothing in the library installs a hook.
     pub fn set_on_ready(&self, hook: Option<ReadyHook>) {
         self.shared.lock().on_ready = hook;
     }
@@ -409,8 +408,8 @@ fn worker_loop(shared: &Shared) {
             Ok(sub) => {
                 if st.generation == generation {
                     // Announce before insertion — under the state lock, so
-                    // the prefetcher hears the origin set strictly before
-                    // any pop can release the subgraph. The hook is
+                    // the hook hears the origin set strictly before any
+                    // pop can release the subgraph. The hook is
                     // advisory: a panicking hook is dropped, never allowed
                     // to kill the worker (which would wedge `pop`).
                     if let Some(hook) = st.on_ready.clone() {

@@ -52,6 +52,19 @@ fn section_lens(manifest: &StoreManifest, kind: SectionKind) -> Vec<usize> {
         .collect()
 }
 
+/// `v` in a seeded pseudo-random order (Fisher–Yates over xorshift).
+fn scrambled(v: &[u32], seed: u64) -> Vec<u32> {
+    let mut out = v.to_vec();
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for i in (1..out.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        out.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
 fn sampler() -> DashboardSampler {
     DashboardSampler::new(FrontierConfig {
         frontier_size: 40,
@@ -62,7 +75,8 @@ fn sampler() -> DashboardSampler {
 
 /// Topology fits the budget, rows do not: however many batches are
 /// sampled, induced and gathered, each topology section is mapped exactly
-/// once and never evicted, and a pop costs exactly two store reads.
+/// once and never evicted, a pop costs exactly two store reads, and a
+/// gather maps each row section at most once whatever its row order.
 #[test]
 fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
     let (dir, g, manifest) = spill("resident");
@@ -73,9 +87,7 @@ fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
     // (six feature sections, six label sections) cannot all stay.
     let budget = topology + largest_row + largest_row / 2;
     assert!(budget < topology + features.iter().sum::<usize>() / 2);
-    // Prefetch pinned off: its page-ins are not misses, so the miss counts
-    // below would depend on thread timing.
-    let store = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, budget, false).unwrap());
+    let store = GraphStore::Mmap(MmapStore::open(&dir, budget).unwrap());
     let stats = || store.cache_stats().unwrap();
 
     // The sampler sizes its table from a degree scan the store memoizes;
@@ -111,9 +123,21 @@ fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
             "induction re-mapped topology"
         );
 
-        store.gather_features_into(&sub.origin, &mut x).unwrap();
-        store.gather_labels_into(&sub.origin, &mut y).unwrap();
+        // Gathered in a scrambled order (as `train_ooc`'s relabelled ids
+        // arrive), each call still maps each (shard, kind) section at
+        // most once.
+        let rows = scrambled(&sub.origin, seed);
+        store.gather_features_into(&rows, &mut x).unwrap();
+        store.gather_labels_into(&rows, &mut y).unwrap();
         let gathered = stats();
+        assert!(
+            gathered.misses - induced.misses <= 2 * SHARDS as u64,
+            "seed {seed}: a gather re-mapped a section: {gathered:?}"
+        );
+        for (i, &v) in rows.iter().enumerate() {
+            assert_eq!(x.get(i, 5), (v as usize * 31 + 5) as f32);
+            assert_eq!(y.get(i, 3), (v as usize + 3) as f32);
+        }
         row_misses += gathered.misses - induced.misses;
         assert!(
             gathered.mapped_bytes <= budget + largest_row,
@@ -144,7 +168,7 @@ fn one_byte_budget_stays_exact_and_bounded() {
         .flat_map(|&k| section_lens(&manifest, k))
         .max()
         .unwrap();
-    let store = GraphStore::Mmap(MmapStore::open_with_prefetch(&dir, 1, false).unwrap());
+    let store = GraphStore::Mmap(MmapStore::open(&dir, 1).unwrap());
     let stats = || store.cache_stats().unwrap();
     let s = sampler();
     let (mut x, mut y) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));

@@ -135,7 +135,7 @@ proptest! {
             ));
             std::fs::create_dir_all(&dir).unwrap();
             write_store_ordered(&dir, &g, Some(&x), None, shards, order).unwrap();
-            let store = MmapStore::open_with_prefetch(&dir, 4096, false).unwrap();
+            let store = MmapStore::open(&dir, 4096).unwrap();
             stores.push((name, GraphStore::Mmap(store)));
             dirs.push(dir);
         }

@@ -42,8 +42,9 @@
 //! (`bf16 via amx|widen`); `--probe T` exits non-zero when the CPU
 //! lacks tier `T` (used by CI to skip unsupported tiers visibly).
 //!
-//! Argument parsing is hand-rolled (the workspace has no CLI dependency);
-//! unknown flags are reported with usage help.
+//! Argument parsing is hand-rolled (the workspace has no CLI dependency).
+//! Each subcommand lists the flags it accepts; any other flag is an
+//! `error: unknown flag` exit with usage help.
 
 use gsgcn::core::trainer::EvalSplit;
 use gsgcn::core::{GsGcnTrainer, TrainerConfig};
@@ -70,12 +71,9 @@ const USAGE: &str = "usage:
               [--budget N] [--frontier N] [--lr F] [--threads N]
               [--sampler-threads N|auto] [--patience N] [--seed N] [--full]
               [--save PATH] [--shards DIR] [--graph-store <mem|mmap>]
-              [--prefetch]
               (--shards trains from a pre-sharded store dir instead of
                generating the dataset; --graph-store picks the store
-               backend, flag > GSGCN_GRAPH_STORE env > mem; --prefetch
-               pages upcoming shards in on a background thread, flag >
-               GSGCN_SHARD_PREFETCH env > off)
+               backend, flag > GSGCN_GRAPH_STORE env > mem)
               (--sampler-threads: dedicated sampler workers overlapping
                sampling with compute; default auto = min(2, cores/4),
                0 = synchronous in-loop sampling)
@@ -85,12 +83,12 @@ const USAGE: &str = "usage:
                accumulation — weights and gradients stay f32)
   gsgcn eval  --load PATH [--dataset <name>] [--hidden A,B,..] [--seed N]
               [--full|--scaled] [--shards DIR] [--graph-store <mem|mmap>]
-              [--prefetch]
+              [--threads N]
               (dataset/seed/scale/hidden default to the checkpoint's training
                values; an explicit flag overrides with a warning)
   gsgcn predict --load PATH --nodes N,N,.. [--probs] [--shards DIR]
-              [--graph-store <mem|mmap>] [--prefetch] [dataset overrides as
-              for eval] — classify a node batch layer by layer on its frontier
+              [--graph-store <mem|mmap>] [dataset overrides as for eval]
+              — classify a node batch layer by layer on its frontier
               through the batch engine; --probs prints full class rows
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--queue N] [--admission <block|shed>]
@@ -104,28 +102,69 @@ const USAGE: &str = "usage:
               framing (see gsgcn_serve docs).
               SIZE accepts 64MiB/1GB/..; --cache-bytes 0 disables the
               activation cache and overrides the GSGCN_ACTIVATION_CACHE
-              env default; accepts --shards/--graph-store/--prefetch as
-              for predict
+              env default; accepts --shards/--graph-store as for predict
   gsgcn kernel [--probe <scalar|avx2|avx512>]";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand accepts (`None`: no such subcommand), as
+/// `(flags taking a value, presence-only flags)`. A flag missing from its
+/// command's lists is an error rather than ignored: a stale or misspelt
+/// flag would otherwise run with the default it meant to change — or,
+/// read as taking a value, swallow the next argument.
+fn accepted_flags(cmd: &str) -> Option<(&'static str, &'static str)> {
+    Some(match cmd {
+        "datasets" => ("", ""),
+        "shard" => (
+            "dataset out vertices num-shards order seed features",
+            "full",
+        ),
+        "train" => (
+            "dataset vertices seed hidden epochs budget frontier lr threads sampler-threads \
+             eval-every patience save shards graph-store precision",
+            "full",
+        ),
+        "eval" => (
+            "load dataset vertices seed hidden threads shards graph-store precision",
+            "full scaled",
+        ),
+        "predict" => (
+            "load nodes dataset vertices seed hidden shards graph-store precision",
+            "full scaled probs",
+        ),
+        "serve" => (
+            "load addr workers max-batch queue admission protocol cache-bytes max-conns \
+             idle-timeout-ms dataset vertices seed hidden shards graph-store precision",
+            "full scaled",
+        ),
+        "kernel" => ("probe", ""),
+        _ => return None,
+    })
+}
+
+/// Parse `args` against `cmd`'s accepted flags (see [`accepted_flags`]);
+/// presence-only flags map to `"1"`.
+fn parse_flags(
+    cmd: &str,
+    (valued, presence): (&str, &str),
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
-        if !a.starts_with("--") {
+        let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
-        }
-        let key = a.trim_start_matches("--").to_string();
-        if key == "full" || key == "scaled" || key == "probs" || key == "prefetch" {
-            flags.insert(key, "1".to_string());
+        };
+        if presence.split_whitespace().any(|f| f == key) {
+            flags.insert(key.to_string(), "1".to_string());
             i += 1;
-        } else {
+        } else if valued.split_whitespace().any(|f| f == key) {
             let val = args
                 .get(i + 1)
                 .ok_or_else(|| format!("flag --{key} needs a value"))?;
-            flags.insert(key, val.clone());
+            flags.insert(key.to_string(), val.clone());
             i += 2;
+        } else {
+            return Err(format!("unknown flag --{key} for {cmd}"));
         }
     }
     Ok(flags)
@@ -198,11 +237,6 @@ fn apply_graph_store_flag(flags: &HashMap<String, String>) -> Result<(), String>
             other => return Err(format!("bad --graph-store {other:?}: expected mem|mmap")),
         }
     }
-    // `--prefetch`: enable the async shard prefetcher on every mmap store
-    // this command opens, same flag > GSGCN_SHARD_PREFETCH env precedence.
-    if flags.contains_key("prefetch") {
-        std::env::set_var("GSGCN_SHARD_PREFETCH", "1");
-    }
     Ok(())
 }
 
@@ -226,9 +260,7 @@ fn apply_precision_flag(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// One-line shard-cache report printed by `train`/`eval`/`predict`
-/// whenever the command read through an mmap store — with or without
-/// prefetch (the prefetch counters appear only when requests were
-/// issued).
+/// whenever the command read through an mmap store.
 fn print_cache_stats(store: &gsgcn::graph::GraphStore) {
     if let Some(stats) = store.cache_stats() {
         println!("shard cache: {}", stats.summary());
@@ -429,7 +461,7 @@ fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), S
     let cfg = build_config(flags)?;
     println!(
         "training on sharded {} from {dir} (|V|={}, f={}, classes={}, backend {:?}, \
-         {} shard{}, {} order, prefetch {}) — {} epochs, hidden {:?}",
+         {} shard{}, {} order) — {} epochs, hidden {:?}",
         sd.name,
         sd.num_vertices(),
         sd.feature_dim(),
@@ -438,11 +470,6 @@ fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), S
         sd.full.num_shards(),
         plural(sd.full.num_shards()),
         sd.full.order().name(),
-        if sd.train.prefetch_enabled() {
-            "on"
-        } else {
-            "off"
-        },
         cfg.epochs,
         cfg.hidden_dims
     );
@@ -628,10 +655,15 @@ fn build_classifier(
         cfg.validate()?;
         let mut model = GcnModel::new(cfg, 1);
         model.import_weights(&weights)?;
+        // A `mem` store is resident and has no shard cache.
+        let shard_cache = match sd.full.cache_stats() {
+            Some(stats) => gsgcn::metrics::mem::format_bytes(stats.budget_bytes),
+            None => "none".to_string(),
+        };
         println!(
             "loaded {} parameters from {path} — serving sharded {} from {dir} \
              (|V|={}, {} classes, backend {:?}, {}-hop queries, {} order, \
-             shard cache {}, prefetch {})",
+             shard cache {shard_cache})",
             weights.num_params(),
             sd.name,
             sd.num_vertices(),
@@ -639,12 +671,6 @@ fn build_classifier(
             sd.full.backend(),
             model.num_layers(),
             sd.full.order().name(),
-            gsgcn::metrics::mem::format_bytes(gsgcn::graph::store::shard_cache_budget_from_env()),
-            if sd.full.prefetch_enabled() {
-                "on"
-            } else {
-                "off"
-            },
         );
         return gsgcn::serve::NodeClassifier::from_store(Arc::new(model), Arc::clone(&sd.full));
     }
@@ -722,15 +748,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::{cache, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
-    // The parser keeps flags it does not know; this one used to mean
-    // something, so a leftover is refused rather than silently dropped.
-    if flags.contains_key("max-wait-us") {
-        return Err(
-            "--max-wait-us was removed: the batcher has no coalescing window \
-             (a free worker takes whatever is queued at once)"
-                .into(),
-        );
-    }
     apply_precision_flag(flags)?;
     apply_graph_store_flag(flags)?;
     // Cache budget policy (the GSGCN_KERNEL pattern): an explicit
@@ -864,23 +881,22 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = match cmd.as_str() {
-        "datasets" => cmd_datasets(),
-        "kernel" => match parse_flags(&args[1..]).and_then(|flags| cmd_kernel(&flags)) {
-            Ok(code) => return code,
-            Err(e) => Err(e),
-        },
-        "shard" | "train" | "eval" | "predict" | "serve" => match parse_flags(&args[1..]) {
-            Ok(flags) => match cmd.as_str() {
-                "shard" => cmd_shard(&flags),
-                "train" => cmd_train(&flags),
-                "eval" => cmd_eval(&flags),
-                "predict" => cmd_predict(&flags),
-                _ => cmd_serve(&flags),
+    let cmd = cmd.as_str();
+    let result = match accepted_flags(cmd).map(|accepted| parse_flags(cmd, accepted, &args[1..])) {
+        None => Err(format!("unknown command {cmd:?}")),
+        Some(Err(e)) => Err(e),
+        Some(Ok(flags)) => match cmd {
+            "datasets" => cmd_datasets(),
+            "kernel" => match cmd_kernel(&flags) {
+                Ok(code) => return code,
+                Err(e) => Err(e),
             },
-            Err(e) => Err(e),
+            "shard" => cmd_shard(&flags),
+            "train" => cmd_train(&flags),
+            "eval" => cmd_eval(&flags),
+            "predict" => cmd_predict(&flags),
+            _ => cmd_serve(&flags),
         },
-        other => Err(format!("unknown command {other:?}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
