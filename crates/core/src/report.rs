@@ -5,9 +5,9 @@ use gsgcn_graph::StoreCacheStats;
 use gsgcn_metrics::convergence::Curve;
 use gsgcn_metrics::timing::Breakdown;
 
-/// Work and phase times of one stored (out-of-core) evaluation: frontier
-/// tiles and rows computed per layer, feature rows gathered, and
-/// frontier / gather / infer seconds.
+/// Work and phase times of one evaluation, resident or stored: frontier
+/// tiles and rows computed per layer, feature rows gathered, input rows
+/// aggregated, and frontier / gather / infer seconds.
 pub use gsgcn_nn::model::LevelStats as EvalStats;
 
 /// Statistics of one training epoch.
@@ -45,8 +45,8 @@ pub struct TrainReport {
     /// Shard-cache counters of the training store at the end of the run
     /// (`None` when training read a fully-resident store).
     pub shard_cache: Option<StoreCacheStats>,
-    /// Work of the run's last stored evaluation — the final test pass
-    /// (`None` when evaluation ran on a resident dataset).
+    /// Work of the run's last evaluation — the final test pass, resident
+    /// or stored.
     pub eval: Option<EvalStats>,
 }
 

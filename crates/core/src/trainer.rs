@@ -37,7 +37,7 @@ use gsgcn_graph::{GraphStore, Topology};
 use gsgcn_metrics::convergence::Curve;
 use gsgcn_metrics::f1;
 use gsgcn_metrics::timing::{Breakdown, Phase};
-use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
+use gsgcn_nn::model::{GcnConfig, GcnModel, InputAggregate, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::dashboard::DashboardSampler;
@@ -122,17 +122,23 @@ pub struct GsGcnTrainer<'a> {
     x_buf: gsgcn_tensor::DMatrix,
     y_buf: gsgcn_tensor::DMatrix,
     /// Persistent evaluation state: the inference workspace (activation
-    /// ping-pong buffers, stored-path level buffers) plus full-graph
-    /// probability and per-split gather buffers. Validation runs every
-    /// `eval_every` epochs over the whole graph, so without reuse it
-    /// dominated the allocation churn of a training run; with it,
-    /// [`GsGcnTrainer::evaluate`] performs zero matrix allocations once
-    /// warm on either arm (pinned by `tests/eval_alloc.rs`).
+    /// ping-pong buffers, stored-path level buffers) plus the split's
+    /// probability and label rows. Validation runs every `eval_every`
+    /// epochs, so without reuse it dominated the allocation churn of a
+    /// training run; with it, [`GsGcnTrainer::evaluate`] performs zero
+    /// matrix allocations once warm on either arm (pinned by
+    /// `tests/eval_alloc.rs`).
     eval_ws: InferenceWorkspace,
-    eval_probs: gsgcn_tensor::DMatrix,
     eval_probs_split: gsgcn_tensor::DMatrix,
     eval_labels_split: gsgcn_tensor::DMatrix,
-    /// Work and phase times of the last stored evaluation.
+    /// Resident arm only: `Â·X` of the evaluation graph, at most one per
+    /// layer-1 input precision, each computed by the first resident
+    /// evaluation in that precision. It cannot go stale: `Â·X` does not
+    /// depend on the weights, and the trainer borrows its [`Dataset`]
+    /// immutably for its whole life.
+    eval_inputs: Vec<InputAggregate>,
+    /// Work and phase times of the last evaluation, either arm (zero work
+    /// for an empty split; `None` before the first evaluation).
     eval_stats: Option<EvalStats>,
 }
 
@@ -302,9 +308,9 @@ impl<'a> GsGcnTrainer<'a> {
             x_buf: gsgcn_tensor::DMatrix::zeros(0, 0),
             y_buf: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_ws: InferenceWorkspace::new(),
-            eval_probs: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
+            eval_inputs: Vec::new(),
             eval_stats: None,
         })
     }
@@ -339,9 +345,10 @@ impl<'a> GsGcnTrainer<'a> {
         self.pipeline.as_ref()
     }
 
-    /// Tiles, rows computed per layer, feature rows gathered and phase
-    /// seconds of the last evaluation that ran on the stored path
-    /// (`None` before one has, and on resident datasets).
+    /// Tiles and rows computed per layer, feature rows gathered, input
+    /// rows aggregated and phase seconds of the last evaluation, on
+    /// either arm (see [`Self::try_evaluate`]); all-zero work after an
+    /// empty split, `None` before the first evaluation.
     pub fn last_eval_stats(&self) -> Option<&EvalStats> {
         self.eval_stats.as_ref()
     }
@@ -473,10 +480,21 @@ impl<'a> GsGcnTrainer<'a> {
         self.try_evaluate(split).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Inference + F1-micro on the chosen split.
+    /// Inference + F1-micro on the chosen split. Either arm computes the
+    /// split's probabilities bit-identical to the full-graph forward
+    /// ([`GcnModel::infer_probs_into`]) and records its work in
+    /// [`Self::last_eval_stats`]; an empty split scores 0 and records zero
+    /// work.
     ///
-    /// * Resident datasets: one full-graph forward on the trainer's
-    ///   persistent [`InferenceWorkspace`] and gather buffers.
+    /// * Resident datasets ([`GcnModel::infer_probs_at_into`]): layer 1
+    ///   reads `Â·X` from a per-trainer cache — filled by the first
+    ///   evaluation in each layer-1 input precision with one row-parallel
+    ///   pass (`input_rows_aggregated = n` on that call, 0 after), never
+    ///   stale because `Â·X` does not depend on the weights and the
+    ///   dataset is borrowed immutably — so it is two dense GEMMs with no
+    ///   neighbor gather. Layers `2..L-1` run on all `n` rows and layer
+    ///   `L` plus the head on the split's rows only: `[n, …, n, |split|]`
+    ///   rows, no feature copy, no `n`-row probability matrix.
     /// * Stored datasets: the full graph may not fit in RAM, so the
     ///   forward runs **layer at a time over one-hop frontier tiles**
     ///   ([`GcnModel::infer_probs_by_level`]) of at most
@@ -487,8 +505,7 @@ impl<'a> GsGcnTrainer<'a> {
     ///   one-hop tile overlap is), memory is `levels × cap rows × width`,
     ///   and because a tile keeps every root's full neighbor list in
     ///   full-graph order the F1 **equals** the resident arm's on the
-    ///   same data, bit for bit. [`Self::last_eval_stats`] reports the
-    ///   work done.
+    ///   same data, bit for bit. Nothing is cached across calls.
     ///
     /// Either arm is allocation-free once warm. Fails only when the
     /// stored path cannot gather rows from the graph store.
@@ -500,21 +517,46 @@ impl<'a> GsGcnTrainer<'a> {
             EvalSplit::Test => &s.test,
         };
         if idx.is_empty() {
+            let layers = self.model.num_layers();
+            self.eval_stats = Some(EvalStats {
+                tiles: vec![0; layers],
+                rows_computed: vec![0; layers],
+                ..EvalStats::default()
+            });
             return Ok(0.0);
         }
         let single = self.source.task() == TaskKind::SingleLabel;
         let model = &self.model;
         let eval_ws = &mut self.eval_ws;
-        let eval_probs = &mut self.eval_probs;
         let eval_probs_split = &mut self.eval_probs_split;
         let eval_labels_split = &mut self.eval_labels_split;
         match self.source {
-            EvalSource::Resident(dataset) => Ok(self.thread_pool.install(|| {
-                model.infer_probs_into(&dataset.graph, &dataset.features, eval_ws, eval_probs);
-                eval_probs.gather_rows_into(idx, eval_probs_split);
-                dataset.labels.gather_rows_into(idx, eval_labels_split);
-                f1::f1_micro_from_probs(eval_probs_split, eval_labels_split, single)
-            })),
+            EvalSource::Resident(dataset) => {
+                let (g, x) = (&dataset.graph, &dataset.features);
+                let inputs = &mut self.eval_inputs;
+                let (f1, stats) = self.thread_pool.install(|| {
+                    let t0 = Instant::now();
+                    let precision = model.input_precision();
+                    let (ax, filled) = match inputs.iter().position(|a| a.precision() == precision)
+                    {
+                        Some(i) => (&inputs[i], 0),
+                        None => {
+                            inputs.push(model.aggregate_input(g, x));
+                            (&inputs[inputs.len() - 1], g.num_vertices())
+                        }
+                    };
+                    let fill_secs = t0.elapsed().as_secs_f64();
+                    let mut stats =
+                        model.infer_probs_at_into(g, x, ax, idx, eval_ws, eval_probs_split);
+                    stats.input_rows_aggregated = filled;
+                    stats.infer_secs += fill_secs;
+                    dataset.labels.gather_rows_into(idx, eval_labels_split);
+                    let f1 = f1::f1_micro_from_probs(eval_probs_split, eval_labels_split, single);
+                    (f1, stats)
+                });
+                self.eval_stats = Some(stats);
+                Ok(f1)
+            }
             EvalSource::Stored(sd) => {
                 let full = &*sd.full;
                 // The two stores are read in turns, never together: drop
@@ -748,9 +790,14 @@ mod tests {
         // Stored eval runs layer at a time over frontier tiles whose
         // root rows repeat the full-graph float operations exactly.
         assert_eq!(f1_res, f1_st);
-        // Only the stored arm reports tile work; the graph fits one tile
-        // per level, so the last layer ran once per test vertex.
-        assert!(stats_res.is_none());
+        // Both arms report their work. The resident arm ran layer 1 on
+        // every row and the last layer on the test rows, gathering
+        // nothing; the stored graph fits one tile per level, so its last
+        // layer also ran once per test vertex.
+        let res = stats_res.expect("resident evaluation records its work");
+        let n = d.graph.num_vertices();
+        assert_eq!(res.rows_computed, vec![n, d.split.test.len()]);
+        assert_eq!(res.rows_gathered, 0);
         let stats = stats_st.expect("stored evaluation records its work");
         assert_eq!(stats.tiles, vec![1, 1]);
         assert_eq!(stats.rows_computed[1], d.split.test.len());
@@ -832,6 +879,25 @@ mod tests {
 
         assert_eq!(own_a, shared_a, "sweep leg 1 diverged under pipeline reuse");
         assert_eq!(own_b, shared_b, "sweep leg 2 diverged under pipeline reuse");
+    }
+
+    /// An empty split scores 0 and replaces the previous evaluation's
+    /// work report with zero work, so no caller prints one split's work
+    /// under another.
+    #[test]
+    fn empty_split_resets_the_work_report() {
+        let mut d = quick_dataset();
+        let test = std::mem::take(&mut d.split.test);
+        d.split.val.extend(test);
+        let mut t = GsGcnTrainer::new(&d, TrainerConfig::quick_test()).unwrap();
+        t.evaluate(EvalSplit::Val);
+        let val = t.last_eval_stats().cloned().unwrap();
+        assert_eq!(val.rows_computed.last(), Some(&d.split.val.len()));
+        assert_eq!(t.evaluate(EvalSplit::Test), 0.0);
+        let empty = t.last_eval_stats().unwrap();
+        assert_eq!(empty.rows_computed, vec![0; val.rows_computed.len()]);
+        assert_eq!(empty.tiles, vec![0; val.tiles.len()]);
+        assert_eq!((empty.rows_gathered, empty.input_rows_aggregated), (0, 0));
     }
 
     #[test]

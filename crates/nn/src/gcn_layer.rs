@@ -38,7 +38,7 @@ use gsgcn_graph::CsrGraph;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::gemm::{self, DensePack, Element};
 use gsgcn_tensor::{
-    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, MatMut, MatRef, Precision, Rows,
+    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, Precision, Rows,
 };
 use std::time::Instant;
 
@@ -177,23 +177,65 @@ impl GcnLayer {
         2 * self.w_neigh.value.rows() * self.w_neigh.value.cols()
     }
 
-    /// Weight application shared by training forward and inference:
-    /// `out = σ?( [Â·H · W_neigh ‖ H · W_self] )`, writing each GEMM
-    /// straight into its column half of `out` through strided views — the
-    /// concat never exists as a copy. `out` is `h.rows() × 2·half`.
-    fn apply_weights(&self, aggregated: MatRef<'_>, h: MatRef<'_>, mut out: MatMut<'_>) {
+    /// Weight application over a materialised aggregate, shared by the
+    /// unfused forward and inference from a precomputed `Â·H`:
+    /// `out = σ?( [A · W_neigh ‖ H · W_self] )`, row `r` from row `r` of
+    /// `aggregated` and of `h`, each GEMM written straight into its column
+    /// half of `out` through strided views — the concat never exists as a
+    /// copy. `out` is `h.rows() × 2·half`.
+    fn apply_weights<H: Rows>(&self, aggregated: H, h: H, mut out: MatMut<'_>) {
         let half = self.w_neigh.value.cols();
+        debug_assert_eq!(aggregated.rows(), h.rows());
         debug_assert_eq!(out.shape(), (h.rows(), 2 * half));
-        gemm::gemm_nn_v(
+        gemm::gemm_source_nn_v(
             1.0,
-            aggregated,
+            &DensePack::new(aggregated),
             self.w_neigh.value.view(),
             0.0,
             out.col_range_mut(0, half),
         );
-        gemm::gemm_nn_v(
+        self.self_half(h, out);
+    }
+
+    /// [`GcnLayer::apply_weights`] for the rows `targets` selects (the
+    /// leading `out.rows()` when `None`), packed straight out of
+    /// `aggregated` and `h` ([`IndexedRows`]) — no gather.
+    ///
+    /// Both operands pack in their own element, so with `aggregated` the
+    /// rows of `Â·H` as the fused pack rounds them
+    /// ([`gsgcn_prop::fused::AggregatedRows::materialise_into`]) and `h`
+    /// the layer input as the fused path stores it
+    /// ([`with_bf16_rows`] under bf16), every row is bit-identical to the
+    /// fused forward's row for the same vertex: a dense pack of those
+    /// elements fills the very panels the producer would.
+    pub(crate) fn apply_weights_at<H: Rows>(
+        &self,
+        aggregated: H,
+        h: H,
+        targets: Option<&[u32]>,
+        out: MatMut<'_>,
+    ) {
+        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
+        match targets {
+            Some(ids) => {
+                assert_eq!(out.rows(), ids.len(), "one output row per target");
+                let (a, h) = (IndexedRows::new(aggregated, ids), IndexedRows::new(h, ids));
+                self.apply_weights(a, h, out)
+            }
+            None => {
+                let rows = out.rows();
+                self.apply_weights(aggregated.first_rows(rows), h.first_rows(rows), out)
+            }
+        }
+    }
+
+    /// The self half `H·W_self` into the right column half of `out`, then
+    /// the activation over both halves.
+    fn self_half<H: Rows>(&self, h: H, mut out: MatMut<'_>) {
+        let half = self.w_neigh.value.cols();
+        gemm::gemm_source_nn_v(
             1.0,
-            h,
+            &DensePack::new(h),
             self.w_self.value.view(),
             0.0,
             out.col_range_mut(half, 2 * half),
@@ -211,7 +253,8 @@ impl GcnLayer {
     /// split; see [`KernelTimings`] for what each bucket means in fused
     /// mode. `out` is `rows × 2·half` with `rows ≤ h.rows()`: both halves
     /// are computed for the leading `rows` vertices only (all of them in
-    /// training; the root rows of a frontier ball in inference).
+    /// training; the root rows of a frontier ball in inference), or with
+    /// `targets` for vertices `targets[r]` (an evaluation's split).
     ///
     /// Under [`Precision::Bf16`] the layer input is quantised **once**
     /// into a thread-local bf16 shadow (pooled scratch — no API churn,
@@ -226,17 +269,15 @@ impl GcnLayer {
         &self,
         g: &CsrGraph,
         h: &DMatrix,
+        targets: Option<&[u32]>,
         out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
-        debug_assert!(out.rows() <= h.rows() && out.cols() == self.out_dim());
+        debug_assert_eq!(out.cols(), self.out_dim());
         if precision::current() == Precision::Bf16 {
-            Bf16::with_scratch(h.rows() * h.cols(), |qh| {
-                bf16::quantize_slice(h.data(), qh);
-                self.fused_halves(g, Bf16MatRef::new(qh, h.rows(), h.cols()), out, prop)
-            })
+            with_bf16_rows(h, |qh| self.fused_halves(g, qh, targets, out, prop))
         } else {
-            self.fused_halves(g, h.view(), out, prop)
+            self.fused_halves(g, h.view(), targets, out, prop)
         }
     }
 
@@ -246,6 +287,7 @@ impl GcnLayer {
         &self,
         g: &CsrGraph,
         h: H,
+        targets: Option<&[u32]>,
         mut out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
@@ -256,6 +298,7 @@ impl GcnLayer {
         prop.forward_gemm_rows(
             g,
             h,
+            targets,
             self.w_neigh.value.view(),
             0.0,
             out.col_range_mut(0, half),
@@ -263,15 +306,12 @@ impl GcnLayer {
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        gemm::gemm_source_nn_v(
-            1.0,
-            &DensePack::new(h.first_rows(out.rows())),
-            self.w_self.value.view(),
-            0.0,
-            out.col_range_mut(half, 2 * half),
-        );
-        if self.activation {
-            ops::relu_inplace_v(out);
+        match targets {
+            Some(ids) => self.self_half(IndexedRows::new(h, ids), out),
+            None => {
+                let rows = out.rows();
+                self.self_half(h.first_rows(rows), out)
+            }
         }
         t.weight_app_secs += t0.elapsed().as_secs_f64();
         t
@@ -293,7 +333,7 @@ impl GcnLayer {
         out.ensure_shape(h.rows(), 2 * half);
 
         if self.fused {
-            let t2 = self.apply_fused(g, h, out.view_mut(), prop);
+            let t2 = self.apply_fused(g, h, None, out.view_mut(), prop);
             self.fwd_pending = true;
             t.add(t2);
             return t;
@@ -367,15 +407,35 @@ impl GcnLayer {
         agg: &mut DMatrix,
         prop: &FeaturePropagator,
     ) {
-        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
         assert!(out.rows() <= h.rows(), "more output rows than vertices");
+        self.infer_at_into(g, h, None, out, agg, prop);
+    }
+
+    /// [`GcnLayer::infer_into`] for the vertices `targets` only (the
+    /// leading `out.rows()` when `None`, as in
+    /// [`GcnLayer::infer_rows_into`]): row `r` of `out` is vertex
+    /// `targets[r]`'s row, bit-identical to that row of `infer_into`. The
+    /// fused path aggregates and multiplies the target rows alone and
+    /// packs their self half straight out of `h` ([`IndexedRows`]) — no
+    /// gather of `h`; the unfused reference still materialises `Â·H`
+    /// whole into `agg`. A wrong `out.rows()` fails the GEMM's shape
+    /// check.
+    pub(crate) fn infer_at_into(
+        &self,
+        g: &CsrGraph,
+        h: &DMatrix,
+        targets: Option<&[u32]>,
+        out: MatMut<'_>,
+        agg: &mut DMatrix,
+        prop: &FeaturePropagator,
+    ) {
+        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
         if self.fused {
-            self.apply_fused(g, h, out, prop);
-        } else {
-            prop.forward_into(g, h, agg);
-            let rows = out.rows();
-            self.apply_weights(agg.view_rows(0, rows), h.view_rows(0, rows), out);
+            self.apply_fused(g, h, targets, out, prop);
+            return;
         }
+        prop.forward_into(g, h, agg);
+        self.apply_weights_at(agg.view(), h.view(), targets, out);
     }
 
     /// Inference-only forward (`&self`, no caching). Allocating wrapper
@@ -545,6 +605,15 @@ impl GcnLayer {
         self.w_neigh.step(&grads.d_w_neigh, hyper, t);
         self.w_self.step(&grads.d_w_self, hyper, t);
     }
+}
+
+/// Run `f` over `h` rounded to bf16 in pooled scratch: the fused layer's
+/// bf16 storage of its input (warm calls allocate nothing).
+pub(crate) fn with_bf16_rows<R>(h: &DMatrix, f: impl FnOnce(Bf16MatRef<'_>) -> R) -> R {
+    Bf16::with_scratch(h.rows() * h.cols(), |q| {
+        bf16::quantize_slice(h.data(), q);
+        f(Bf16MatRef::new(q, h.rows(), h.cols()))
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,10 @@
 //!   the level buffers of `GcnModel::infer_probs_by_level`, the
 //!   work-efficient layer-at-a-time forward over a `GraphStore` that
 //!   does not fit in memory, and of `infer_hidden_by_level`, the same
-//!   recursion as `gsgcn-serve` enters it.
+//!   recursion as `gsgcn-serve` enters it. A resident graph scored again
+//!   and again goes through `GcnModel::infer_probs_at_into` instead:
+//!   layer 1 from a precomputed `Â·X` (`GcnModel::aggregate_input`), the
+//!   last layer and the head on the scored rows only.
 //!
 //! Everything is deterministic given the seeds in [`model::GcnConfig`].
 //!

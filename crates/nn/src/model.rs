@@ -9,12 +9,13 @@
 
 use crate::adam::AdamHyper;
 use crate::dense::DenseLayer;
-use crate::gcn_layer::{GcnLayer, KernelTimings};
+use crate::gcn_layer::{with_bf16_rows, GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
 use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
+use gsgcn_prop::fused::AggregatedRows;
 use gsgcn_prop::propagator::FeaturePropagator;
-use gsgcn_tensor::{ops, DMatrix, MatMut};
+use gsgcn_tensor::{ops, precision, Bf16, Bf16MatRef, DMatrix, MatMut, Precision};
 use std::io;
 use std::time::Instant;
 
@@ -96,13 +97,16 @@ pub struct StepResult {
     pub timings: KernelTimings,
 }
 
-/// Work and time of one sweep of the level recursion
-/// ([`GcnModel::infer_probs_by_level`] / [`GcnModel::infer_hidden_by_level`]).
+/// Work and time of one inference sweep: the level recursion
+/// ([`GcnModel::infer_probs_by_level`] / [`GcnModel::infer_hidden_by_level`])
+/// or a resident evaluation's forward ([`GcnModel::infer_probs_at_into`]).
 /// Index `ℓ-1` of the per-layer vectors is GCN layer `ℓ`. The counts are exact
 /// and repeat across runs; when every level's needed set fits the row cap
 /// they are the work-efficient minimum — `rows_computed[ℓ-1] =
 /// |N_{L-ℓ}[roots]|` and `rows_gathered = |N_L[roots]|`, each (vertex,
-/// layer) pair computed once.
+/// layer) pair computed once. A resident forward computes every row of
+/// layers `1..L-1` and the targets' rows of layer `L` (one tile each) and
+/// gathers nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelStats {
     /// Frontier tiles cut per layer.
@@ -111,11 +115,16 @@ pub struct LevelStats {
     pub rows_computed: Vec<usize>,
     /// Feature rows gathered from the store.
     pub rows_gathered: usize,
+    /// Rows of the input aggregate `Â·X` ([`InputAggregate`]) this sweep
+    /// computed: `n` on the resident evaluation that fills a trainer's
+    /// cache, 0 on every later one and on the level recursion.
+    pub input_rows_aggregated: usize,
     /// Seconds ordering targets and extracting frontier tiles.
     pub frontier_secs: f64,
     /// Seconds gathering feature rows.
     pub gather_secs: f64,
-    /// Seconds in the GCN layers, the head and the output activation.
+    /// Seconds in the GCN layers, the head and the output activation
+    /// (with a resident evaluation's `Â·X` fill, which is layer-1 work).
     pub infer_secs: f64,
 }
 
@@ -124,10 +133,11 @@ impl LevelStats {
     pub fn summary(&self) -> String {
         format!(
             "tiles/layer {:?}, rows computed/layer {:?}, {} feature rows gathered, \
-             frontier {:.3}s gather {:.3}s infer {:.3}s",
+             {} input rows aggregated, frontier {:.3}s gather {:.3}s infer {:.3}s",
             self.tiles,
             self.rows_computed,
             self.rows_gathered,
+            self.input_rows_aggregated,
             self.frontier_secs,
             self.gather_secs,
             self.infer_secs
@@ -157,6 +167,38 @@ impl<'a> Sweep<'a> {
             max_rows,
             agg,
             stats,
+        }
+    }
+}
+
+/// `Â·X`: layer 1's neighbor aggregate of one graph and feature matrix,
+/// stored in the element layer 1 packs its input in
+/// ([`GcnModel::input_precision`]) — f32, or under bf16 the values the
+/// fused pack rounds to. It depends on the graph and the features only,
+/// never on the weights, so a caller that scores the same graph again and
+/// again computes it once ([`GcnModel::aggregate_input`]) and every later
+/// forward runs layer 1 as two dense GEMMs
+/// ([`GcnModel::infer_probs_at_into`]) instead of re-gathering `|E|·f`
+/// feature elements.
+#[derive(Clone, Debug)]
+pub struct InputAggregate {
+    rows: usize,
+    cols: usize,
+    data: AggregateData,
+}
+
+#[derive(Clone, Debug)]
+enum AggregateData {
+    F32(DMatrix),
+    Bf16(Vec<Bf16>),
+}
+
+impl InputAggregate {
+    /// The element the aggregate is stored in.
+    pub fn precision(&self) -> Precision {
+        match self.data {
+            AggregateData::F32(_) => Precision::F32,
+            AggregateData::Bf16(_) => Precision::Bf16,
         }
     }
 }
@@ -657,6 +699,124 @@ impl GcnModel {
     ) {
         self.infer_logits_into(g, x, ws, out);
         self.apply_output_activation(out);
+    }
+
+    /// The element layer 1 stores its input in on this thread: bf16 when
+    /// the fused layer runs under [`Precision::Bf16`], f32 otherwise (the
+    /// unfused reference has no bf16 path). The precision an
+    /// [`InputAggregate`] must be stored in, so the key of a cache of them.
+    pub fn input_precision(&self) -> Precision {
+        if self.layers[0].fused() {
+            precision::current()
+        } else {
+            Precision::F32
+        }
+    }
+
+    /// `Â·X` of `(g, x)` in [`Self::input_precision`]: one row-parallel
+    /// pass of layer 1's own aggregation producer
+    /// ([`AggregatedRows::materialise_into`]), so its elements are the
+    /// ones layer 1's pack places. Under bf16 the pass aggregates `x`
+    /// rounded to bf16 (pooled scratch) and writes the bf16 aggregate
+    /// directly: no f32 `n × f` temporary.
+    pub fn aggregate_input(&self, g: &CsrGraph, x: &DMatrix) -> InputAggregate {
+        assert_eq!(x.rows(), g.num_vertices(), "feature/vertex mismatch");
+        let (rows, cols) = x.shape();
+        let data = match self.input_precision() {
+            Precision::F32 => {
+                let mut m = DMatrix::zeros(rows, cols);
+                AggregatedRows::mean(g, x.view()).materialise_into(m.data_mut());
+                AggregateData::F32(m)
+            }
+            Precision::Bf16 => {
+                let mut q = vec![Bf16::ZERO; rows * cols];
+                with_bf16_rows(x, |qx| AggregatedRows::mean(g, qx).materialise_into(&mut q));
+                AggregateData::Bf16(q)
+            }
+        };
+        InputAggregate { rows, cols, data }
+    }
+
+    /// **Resident evaluation**: the probabilities of the full-graph
+    /// forward on `(g, x)` at `targets` (rows aligned with `targets`,
+    /// repeats allowed), given `ax` = [`Self::aggregate_input`]`(g, x)`
+    /// computed in [`Self::input_precision`].
+    ///
+    /// * Layer 1 reads `Â·X` from `ax`: two dense GEMMs
+    ///   `[Â·X·W_neigh ‖ X·W_self]`, no neighbor gather.
+    /// * Layers `2..L-1` run on every row — layer `L` may read any.
+    /// * Layer `L`, the head and the output activation run on the
+    ///   targets' rows only: the fused producer aggregates just those rows
+    ///   and the self half packs them straight out of `H^{L-1}`
+    ///   ([`gsgcn_tensor::IndexedRows`]) — no frontier extraction, no
+    ///   gather of the hidden state, no `n`-row probability matrix.
+    ///
+    /// The rows are **bit-identical** to [`Self::infer_probs_into`]'s rows
+    /// at `targets`: a dense pack of `ax` fills the very panels layer 1's
+    /// producer would, and every GEMM row accumulates independently of
+    /// which other rows are present. The returned [`LevelStats`] counts
+    /// `[n, …, n, |targets|]` rows (one tile per layer) and times the call
+    /// as `infer_secs`. Warm calls perform zero matrix allocations.
+    pub fn infer_probs_at_into(
+        &self,
+        g: &CsrGraph,
+        x: &DMatrix,
+        ax: &InputAggregate,
+        targets: &[u32],
+        ws: &mut InferenceWorkspace,
+        out: &mut DMatrix,
+    ) -> LevelStats {
+        let t0 = Instant::now();
+        let n = g.num_vertices();
+        let depth = self.layers.len();
+        assert_eq!(x.rows(), n, "feature/vertex mismatch");
+        assert_eq!(
+            (ax.rows, ax.cols),
+            x.shape(),
+            "aggregate/feature shape mismatch"
+        );
+        assert_eq!(
+            ax.precision(),
+            self.input_precision(),
+            "aggregate stored in another precision than layer 1 packs"
+        );
+        let InferenceWorkspace {
+            ping, pong, agg, ..
+        } = ws;
+        // Layer 1 from the aggregate — at depth 1 it is the last layer.
+        let first = &self.layers[0];
+        let first_targets = (depth == 1).then_some(targets);
+        ping.ensure_shape(first_targets.map_or(n, <[u32]>::len), first.out_dim());
+        match &ax.data {
+            AggregateData::F32(a) => {
+                first.apply_weights_at(a.view(), x.view(), first_targets, ping.view_mut())
+            }
+            AggregateData::Bf16(a) => with_bf16_rows(x, |qx| {
+                let a = Bf16MatRef::new(a, n, x.cols());
+                first.apply_weights_at(a, qx, first_targets, ping.view_mut())
+            }),
+        }
+        // Layers 2..L-1 on every row, ping-ponging; layer L on the targets.
+        let (mut src, mut dst) = (ping, pong);
+        for (i, layer) in self.layers.iter().enumerate().skip(1) {
+            if i + 1 < depth {
+                layer.infer_into(g, src, dst, agg, &self.prop);
+            } else {
+                dst.ensure_shape(targets.len(), layer.out_dim());
+                layer.infer_at_into(g, src, Some(targets), dst.view_mut(), agg, &self.prop);
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+        self.head.forward_into(src, out);
+        self.apply_output_activation(out);
+        let mut rows_computed = vec![n; depth];
+        rows_computed[depth - 1] = targets.len();
+        LevelStats {
+            tiles: vec![1; depth],
+            rows_computed,
+            infer_secs: t0.elapsed().as_secs_f64(),
+            ..LevelStats::default()
+        }
     }
 
     fn apply_output_activation(&self, out: &mut DMatrix) {

@@ -171,6 +171,53 @@ fn infer_into_is_allocation_free_after_warmup() {
     });
 }
 
+/// Resident evaluation (`infer_probs_at_into` over a precomputed `Â·X`)
+/// is allocation-free once the workspace is warm — in both layer-1
+/// input precisions, fused and unfused, whichever target set (up to the
+/// largest seen) a call scores.
+#[test]
+fn infer_probs_at_is_allocation_free_after_warmup() {
+    use gsgcn_tensor::precision::{with_precision, ALL_PRECISIONS};
+    let n = 64;
+    let g = ring_graph(n);
+    let x = DMatrix::from_fn(n, 8, |i, j| ((i * 7 + j) % 13) as f32 * 0.1 - 0.6);
+    let splits: [Vec<u32>; 2] = [(0..n as u32).step_by(3).collect(), vec![5, 1, 5, 60]];
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        for precision in ALL_PRECISIONS {
+            for fused in [true, false] {
+                let mut c = cfg(8, 0.0);
+                c.fused = fused;
+                let model = GcnModel::new(c, 42);
+                with_precision(precision, || {
+                    let ax = model.aggregate_input(&g, &x);
+                    let mut ws = InferenceWorkspace::new();
+                    let mut probs = DMatrix::zeros(0, 0);
+                    for targets in &splits {
+                        model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
+                    }
+                    let before = alloc::matrix_allocations();
+                    for _ in 0..5 {
+                        for targets in &splits {
+                            model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
+                        }
+                    }
+                    let steady = alloc::matrix_allocations() - before;
+                    assert_eq!(
+                        steady, 0,
+                        "infer_probs_at_into ({precision}, fused={fused}) allocated \
+                         {steady} matrices after warm-up"
+                    );
+                });
+            }
+        }
+    });
+}
+
 /// A warm workspace absorbs *bounded* shape variation — the batched
 /// serving case, where L-hop subgraph sizes vary per request but stay
 /// under a cap.

@@ -23,11 +23,20 @@
 //! `Z·Wᵀ` GEMM writes `Z` once on the way through instead of running a
 //! second aggregation pass.
 //!
+//! The logical rows are every vertex, the leading ones
+//! ([`AggregatedRows::first_rows`], frontier-ball roots) or an explicit
+//! target list (`AggregatedRows::target_rows`, the rows an evaluation
+//! scores); each produced row is the same float operations whichever is
+//! chosen. [`AggregatedRows::materialise_into`] writes the rows the
+//! panels would hold to a dense matrix instead, for an aggregate that is
+//! multiplied again and again (the input layer's `Â·X`).
+//!
 //! [`gemm::PackSource`]: gsgcn_tensor::gemm::PackSource
 
 use gsgcn_graph::CsrGraph;
 use gsgcn_tensor::gemm::{APanel, Element, PackSource};
 use gsgcn_tensor::{scratch, DMatrix, MatRef, Rows};
+use rayon::prelude::*;
 
 /// Raw spill target; tasks write disjoint row ranges (see SAFETY notes).
 struct Spill {
@@ -55,9 +64,11 @@ unsafe impl Sync for Spill {}
 pub struct AggregatedRows<'a, H = MatRef<'a>> {
     g: &'a CsrGraph,
     h: H,
-    /// Logical row count: the leading `rows` vertices are produced
-    /// (all of them unless [`AggregatedRows::first_rows`] narrowed it).
+    /// Logical row count: logical row `r` is vertex `r` — all of them
+    /// unless [`AggregatedRows::first_rows`] narrowed it — or, after
+    /// [`AggregatedRows::target_rows`], vertex `targets[r]`.
     rows: usize,
+    targets: Option<&'a [u32]>,
     /// Mean-normalise each *output* row by `1/deg(v)` (the `D⁻¹` of
     /// `Â = D⁻¹A` acting on the destination).
     mean: bool,
@@ -78,6 +89,7 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
             g,
             h,
             rows: g.num_vertices(),
+            targets: None,
             mean,
             src_inv_deg,
             spill: None,
@@ -113,12 +125,34 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
         self
     }
 
+    /// Produce the aggregates of the vertices `targets`, in that order
+    /// (the logical A operand becomes `targets.len() × h.cols()`): logical
+    /// row `r` is vertex `targets[r]`'s row of the full-height producer,
+    /// the same float operations in the same order. This is the
+    /// restriction of a whole-graph layer to the rows a caller scores.
+    ///
+    /// # Panics
+    /// Panics if a target is not a vertex of the graph.
+    pub(crate) fn target_rows(mut self, targets: &'a [u32]) -> Self {
+        let n = self.g.num_vertices();
+        assert!(
+            targets.iter().all(|&v| (v as usize) < n),
+            "target vertex out of range"
+        );
+        // A repeated target would have two tasks write one spill row.
+        assert!(self.spill.is_none(), "target rows cannot spill");
+        self.rows = targets.len();
+        self.targets = Some(targets);
+        self
+    }
+
     /// Also write every aggregated row (f32, before `α` and the panel
     /// rounding) into `out` (shaped `n × h.cols()`) as panels are packed.
     /// `out` is borrowed for the producer's lifetime, so it becomes
     /// readable once the producer is dropped — after the GEMM call, every
     /// row has been written at least once.
     pub fn with_spill(mut self, out: &'a mut DMatrix) -> Self {
+        assert!(self.targets.is_none(), "target rows cannot spill");
         out.ensure_shape(self.g.num_vertices(), self.h.cols());
         self.spill = Some(Spill {
             ptr: out.data_mut().as_mut_ptr(),
@@ -126,6 +160,72 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
             len: out.data().len(),
         });
         self
+    }
+
+    /// Write every logical row into `out` (row-major, `rows × h.cols()`)
+    /// as a pack at `α = 1` places it: the neighbor sum over full rows,
+    /// one multiply by the destination scale, one rounding into the
+    /// element. A dense GEMM over `out` therefore packs exactly the panels
+    /// this producer would, so it computes the same product bit for bit —
+    /// the form for an aggregate that is multiplied many times. One
+    /// row-parallel pass; the only temporary is an f32 accumulator row
+    /// per task.
+    pub fn materialise_into(&self, out: &mut [H::Elem]) {
+        let cols = self.h.cols();
+        assert_eq!(out.len(), self.rows * cols, "output shape mismatch");
+        if cols == 0 {
+            return;
+        }
+        out.par_chunks_mut(cols).enumerate().for_each(|(r, dst)| {
+            scratch::with_buf(cols, |acc| {
+                let inv = self.sum_row(self.vertex(r), 0, acc);
+                for (d, &a) in dst.iter_mut().zip(acc.iter()) {
+                    *d = H::Elem::from_f32(a * inv);
+                }
+            })
+        });
+    }
+
+    /// The vertex logical row `r` aggregates.
+    #[inline]
+    fn vertex(&self, r: usize) -> usize {
+        match self.targets {
+            Some(t) => t[r] as usize,
+            None => r,
+        }
+    }
+
+    /// Overwrite `acc` with vertex `v`'s neighbor sum over columns
+    /// `pc..pc + acc.len()` (each term source-scaled under
+    /// `src_inv_deg`) and return the destination scale: `1/deg(v)` under
+    /// `mean` (1 for an isolated vertex), else 1.
+    #[inline]
+    fn sum_row(&self, v: usize, pc: usize, acc: &mut [f32]) -> f32 {
+        let kc = acc.len();
+        acc.fill(0.0);
+        if self.src_inv_deg {
+            for &u in self.g.neighbors(v as u32) {
+                // `u` has `v` as a neighbor, so deg(u) ≥ 1.
+                let su = 1.0 / self.g.degree(u) as f32;
+                let src = &self.h.row(u as usize)[pc..pc + kc];
+                for (a, &s) in acc.iter_mut().zip(src) {
+                    *a += s.to_f32() * su;
+                }
+            }
+        } else {
+            for &u in self.g.neighbors(v as u32) {
+                let src = &self.h.row(u as usize)[pc..pc + kc];
+                for (a, &s) in acc.iter_mut().zip(src) {
+                    *a += s.to_f32();
+                }
+            }
+        }
+        let deg = self.g.degree(v as u32);
+        if self.mean && deg > 0 {
+            1.0 / deg as f32
+        } else {
+            1.0
+        }
     }
 }
 
@@ -148,35 +248,12 @@ impl<H: Rows> PackSource<H::Elem> for AggregatedRows<'_, H> {
         // add over `kc` floats the vectoriser handles.
         scratch::with_buf(kc, |acc| {
             for r in 0..mc {
-                let v = ic + r;
-                acc.fill(0.0);
-                if self.src_inv_deg {
-                    for &u in self.g.neighbors(v as u32) {
-                        // `u` has `v` as a neighbor, so deg(u) ≥ 1.
-                        let su = 1.0 / self.g.degree(u) as f32;
-                        let src = &self.h.row(u as usize)[pc..pc + kc];
-                        for (a, &s) in acc.iter_mut().zip(src) {
-                            *a += s.to_f32() * su;
-                        }
-                    }
-                } else {
-                    for &u in self.g.neighbors(v as u32) {
-                        let src = &self.h.row(u as usize)[pc..pc + kc];
-                        for (a, &s) in acc.iter_mut().zip(src) {
-                            *a += s.to_f32();
-                        }
-                    }
-                }
+                let v = self.vertex(ic + r);
                 // Same operation order as the unfused path (sum, then
                 // one multiply by 1/deg, then the pack's α fold), so
                 // fused f32 results match the materialised composition
                 // bit-for-bit at α = 1.
-                let deg = self.g.degree(v as u32);
-                let inv = if self.mean && deg > 0 {
-                    1.0 / deg as f32
-                } else {
-                    1.0
-                };
+                let inv = self.sum_row(v, pc, acc);
                 if let Some(spill) = &self.spill {
                     debug_assert!(v * spill.cols + pc + kc <= spill.len);
                     // SAFETY: row `v` is exclusively owned by this
@@ -255,11 +332,12 @@ mod tests {
 
     /// The single driver fed by the aggregation producer, over one
     /// storage element: every tier × shapes straddling MR / MC / KC and
-    /// the AMX tile grid × {mean, sum} (nn) and adjoint + spill (nt,
-    /// accumulating). The fused result must equal — **bit for bit**, in
-    /// either element and on every engine — the dense GEMM of the
-    /// materialised aggregate stored in the same element: the producer
-    /// fills the very panels the dense source would.
+    /// the AMX tile grid × {mean, sum} (nn, full height and at target
+    /// rows) and adjoint + spill (nt, accumulating). The fused result must
+    /// equal — **bit for bit**, in either element and on every engine —
+    /// the dense GEMM of the materialised aggregate stored in the same
+    /// element: the producer fills the very panels the dense source
+    /// would, and `materialise_into` writes exactly those elements.
     fn check_fused<E: Stored>() {
         for &(n, f, h) in &[
             (5usize, 3usize, 2usize),
@@ -289,18 +367,36 @@ mod tests {
                     let nan = DMatrix::filled(n, h, f32::NAN);
                     for mean in [true, false] {
                         let hv = E::view(&q, n, f);
-                        let src = if mean {
-                            AggregatedRows::mean(&g, hv)
-                        } else {
-                            AggregatedRows::sum(&g, hv)
+                        let src = || {
+                            if mean {
+                                AggregatedRows::mean(&g, hv)
+                            } else {
+                                AggregatedRows::sum(&g, hv)
+                            }
                         };
                         let mut c = nan.clone();
-                        gemm::gemm_source_nn_v(1.0, &src, w.view(), 0.0, c.view_mut());
+                        gemm::gemm_source_nn_v(1.0, &src(), w.view(), 0.0, c.view_mut());
                         let mut agg = kernels::aggregate_reference(&g, &hw);
                         if mean {
                             scale_rows_by_inv_degree(&g, &mut agg);
                         }
                         assert_eq!(c, dense(&agg, &w, false, &nan), "{at} mean={mean}");
+                        // Materialised, the producer writes the elements
+                        // its panels hold: the stored aggregate.
+                        let mut m = vec![E::ZERO; n * f];
+                        src().materialise_into(&mut m);
+                        assert_eq!(m, stored::<E>(&agg), "{at} mean={mean} materialised");
+                        // Target rows — out of order, repeated, a subset —
+                        // are the full-height producer's rows.
+                        let targets: Vec<u32> = (0..n as u32)
+                            .rev()
+                            .step_by(2)
+                            .chain([0, 0, n as u32 - 1])
+                            .collect();
+                        let mut ct = DMatrix::filled(targets.len(), h, f32::NAN);
+                        let at_targets = src().target_rows(&targets);
+                        gemm::gemm_source_nn_v(1.0, &at_targets, w.view(), 0.0, ct.view_mut());
+                        assert_eq!(ct, c.gather_rows(&targets), "{at} mean={mean} targets");
                     }
                     // Backward shape: Z = Âᵀ·H spilled while C += Z·Wᵀ
                     // (here H plays dY: n×f, W stored h×f, C n×h).

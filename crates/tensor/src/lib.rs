@@ -37,4 +37,4 @@ pub mod view;
 pub use bf16::{Bf16, Bf16MatRef};
 pub use matrix::DMatrix;
 pub use precision::Precision;
-pub use view::{MatMut, MatRef, Rows};
+pub use view::{IndexedRows, MatMut, MatRef, Rows};

@@ -74,6 +74,54 @@ impl Rows for Bf16MatRef<'_> {
     }
 }
 
+/// Rows `idx[0], idx[1], …` of `base`, in that order: a gathered operand
+/// without the gather. A GEMM packing it reads each selected row straight
+/// out of `base`, so the selected rows of a product need no copy of the
+/// rows they multiply.
+#[derive(Clone, Copy)]
+pub struct IndexedRows<'a, H> {
+    base: H,
+    idx: &'a [u32],
+}
+
+impl<'a, H: Rows> IndexedRows<'a, H> {
+    /// Select `base`'s rows `idx` (any order, repeats allowed).
+    ///
+    /// # Panics
+    /// Panics if an index is out of range.
+    pub fn new(base: H, idx: &'a [u32]) -> Self {
+        assert!(
+            idx.iter().all(|&i| (i as usize) < base.rows()),
+            "row index out of range"
+        );
+        IndexedRows { base, idx }
+    }
+}
+
+impl<H: Rows> Rows for IndexedRows<'_, H> {
+    type Elem = H::Elem;
+
+    fn rows(&self) -> usize {
+        self.idx.len()
+    }
+
+    fn cols(&self) -> usize {
+        self.base.cols()
+    }
+
+    #[inline]
+    fn row(&self, i: usize) -> &[H::Elem] {
+        self.base.row(self.idx[i] as usize)
+    }
+
+    fn first_rows(self, n: usize) -> Self {
+        IndexedRows {
+            idx: &self.idx[..n],
+            ..self
+        }
+    }
+}
+
 /// Immutable strided view.
 #[derive(Clone, Copy)]
 pub struct MatRef<'a> {
@@ -359,6 +407,35 @@ mod tests {
             leading(Bf16MatRef::new(&q, 4, 6), 2),
             (2, 6, m.row(1).to_vec())
         );
+    }
+
+    #[test]
+    fn indexed_rows_select_in_order_and_pack_like_a_gather() {
+        let m = DMatrix::from_fn(5, 3, |i, j| (i * 10 + j) as f32);
+        let idx = [4u32, 0, 4, 2];
+        let sel = IndexedRows::new(m.view(), &idx);
+        assert_eq!((sel.rows(), sel.cols()), (4, 3));
+        assert_eq!(sel.row(2), m.row(4));
+        assert_eq!(sel.first_rows(2).rows(), 2);
+        // A product of the selected rows is the product of the gathered
+        // matrix, bit for bit.
+        let b = DMatrix::from_fn(3, 2, |i, j| (i + 2 * j) as f32 * 0.3 - 0.2);
+        let mut got = DMatrix::zeros(4, 2);
+        crate::gemm::gemm_source_nn_v(
+            1.0,
+            &crate::gemm::DensePack::new(sel),
+            b.view(),
+            0.0,
+            got.view_mut(),
+        );
+        assert_eq!(got, crate::gemm::matmul(&m.gather_rows(&idx), &b));
+    }
+
+    #[test]
+    #[should_panic(expected = "row index out of range")]
+    fn indexed_rows_reject_out_of_range_indices() {
+        let m = DMatrix::zeros(2, 2);
+        IndexedRows::new(m.view(), &[2]);
     }
 
     #[test]
