@@ -131,12 +131,13 @@ pub struct GsGcnTrainer<'a> {
     eval_ws: InferenceWorkspace,
     eval_probs_split: gsgcn_tensor::DMatrix,
     eval_labels_split: gsgcn_tensor::DMatrix,
-    /// Resident arm only: `Â·X` of the evaluation graph, at most one per
-    /// layer-1 input precision, each computed by the first resident
-    /// evaluation in that precision. It cannot go stale: `Â·X` does not
-    /// depend on the weights, and the trainer borrows its [`Dataset`]
-    /// immutably for its whole life.
-    eval_inputs: Vec<InputAggregate>,
+    /// Resident arm only: the kept rows of `Â·X` of the evaluation graph
+    /// ([`GcnModel::aggregate_input`]), computed by the first resident
+    /// evaluation. It cannot go stale: `Â·X` does not depend on the
+    /// weights, and the trainer borrows its [`Dataset`] immutably for its
+    /// whole life. A trainer evaluates in one precision (the process-wide
+    /// one), and `infer_probs_at_into` asserts the cache matches it.
+    eval_inputs: Option<InputAggregate>,
     /// Work and phase times of the last evaluation, either arm (zero work
     /// for an empty split; `None` before the first evaluation).
     eval_stats: Option<EvalStats>,
@@ -310,7 +311,7 @@ impl<'a> GsGcnTrainer<'a> {
             eval_ws: InferenceWorkspace::new(),
             eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
-            eval_inputs: Vec::new(),
+            eval_inputs: None,
             eval_stats: None,
         })
     }
@@ -486,15 +487,18 @@ impl<'a> GsGcnTrainer<'a> {
     /// [`Self::last_eval_stats`]; an empty split scores 0 and records zero
     /// work.
     ///
-    /// * Resident datasets ([`GcnModel::infer_probs_at_into`]): layer 1
-    ///   reads `Â·X` from a per-trainer cache — filled by the first
-    ///   evaluation in each layer-1 input precision with one row-parallel
-    ///   pass (`input_rows_aggregated = n` on that call, 0 after), never
-    ///   stale because `Â·X` does not depend on the weights and the
-    ///   dataset is borrowed immutably — so it is two dense GEMMs with no
-    ///   neighbor gather. Layers `2..L-1` run on all `n` rows and layer
-    ///   `L` plus the head on the split's rows only: `[n, …, n, |split|]`
-    ///   rows, no feature copy, no `n`-row probability matrix.
+    /// * Resident datasets ([`GcnModel::infer_probs_at_into`]): layer 1's
+    ///   neighbor GEMM packs rows of `Â·X` from a per-trainer cache and
+    ///   aggregates only the rows the cache lacks. The first evaluation
+    ///   fills the cache with one row-parallel pass
+    ///   (`input_rows_aggregated` = the rows kept on that call, 0 after);
+    ///   it never goes stale because `Â·X` does not depend on the weights
+    ///   and the dataset is borrowed immutably. The cache keeps the
+    ///   highest-degree rows, as many as fit the bytes of the `n`-row
+    ///   last-layer output and probability matrix this arm no longer
+    ///   allocates, so it costs no more memory than it frees. Layers
+    ///   `2..L-1` run on all `n` rows and layer `L` plus the head on the
+    ///   split's rows only: `[n, …, n, |split|]` rows, no feature copy.
     /// * Stored datasets: the full graph may not fit in RAM, so the
     ///   forward runs **layer at a time over one-hop frontier tiles**
     ///   ([`GcnModel::infer_probs_by_level`]) of at most
@@ -536,15 +540,9 @@ impl<'a> GsGcnTrainer<'a> {
                 let inputs = &mut self.eval_inputs;
                 let (f1, stats) = self.thread_pool.install(|| {
                     let t0 = Instant::now();
-                    let precision = model.input_precision();
-                    let (ax, filled) = match inputs.iter().position(|a| a.precision() == precision)
-                    {
-                        Some(i) => (&inputs[i], 0),
-                        None => {
-                            inputs.push(model.aggregate_input(g, x));
-                            (&inputs[inputs.len() - 1], g.num_vertices())
-                        }
-                    };
+                    let fills = inputs.is_none();
+                    let ax = inputs.get_or_insert_with(|| model.aggregate_input(g, x));
+                    let filled = if fills { ax.kept_rows() } else { 0 };
                     let fill_secs = t0.elapsed().as_secs_f64();
                     let mut stats =
                         model.infer_probs_at_into(g, x, ax, idx, eval_ws, eval_probs_split);

@@ -35,10 +35,12 @@
 
 use crate::adam::{AdamHyper, AdamParam};
 use gsgcn_graph::CsrGraph;
+use gsgcn_prop::fused::{AggregatedRows, KeptRows};
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::gemm::{self, DensePack, Element};
 use gsgcn_tensor::{
-    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, Precision, Rows,
+    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, MatRef, Precision,
+    Rows,
 };
 use std::time::Instant;
 
@@ -177,65 +179,23 @@ impl GcnLayer {
         2 * self.w_neigh.value.rows() * self.w_neigh.value.cols()
     }
 
-    /// Weight application over a materialised aggregate, shared by the
-    /// unfused forward and inference from a precomputed `Â·H`:
-    /// `out = σ?( [A · W_neigh ‖ H · W_self] )`, row `r` from row `r` of
-    /// `aggregated` and of `h`, each GEMM written straight into its column
-    /// half of `out` through strided views — the concat never exists as a
-    /// copy. `out` is `h.rows() × 2·half`.
-    fn apply_weights<H: Rows>(&self, aggregated: H, h: H, mut out: MatMut<'_>) {
+    /// Weight application shared by training forward and inference:
+    /// `out = σ?( [Â·H · W_neigh ‖ H · W_self] )`, writing each GEMM
+    /// straight into its column half of `out` through strided views — the
+    /// concat never exists as a copy. `out` is `h.rows() × 2·half`.
+    fn apply_weights(&self, aggregated: MatRef<'_>, h: MatRef<'_>, mut out: MatMut<'_>) {
         let half = self.w_neigh.value.cols();
-        debug_assert_eq!(aggregated.rows(), h.rows());
         debug_assert_eq!(out.shape(), (h.rows(), 2 * half));
-        gemm::gemm_source_nn_v(
+        gemm::gemm_nn_v(
             1.0,
-            &DensePack::new(aggregated),
+            aggregated,
             self.w_neigh.value.view(),
             0.0,
             out.col_range_mut(0, half),
         );
-        self.self_half(h, out);
-    }
-
-    /// [`GcnLayer::apply_weights`] for the rows `targets` selects (the
-    /// leading `out.rows()` when `None`), packed straight out of
-    /// `aggregated` and `h` ([`IndexedRows`]) — no gather.
-    ///
-    /// Both operands pack in their own element, so with `aggregated` the
-    /// rows of `Â·H` as the fused pack rounds them
-    /// ([`gsgcn_prop::fused::AggregatedRows::materialise_into`]) and `h`
-    /// the layer input as the fused path stores it
-    /// ([`with_bf16_rows`] under bf16), every row is bit-identical to the
-    /// fused forward's row for the same vertex: a dense pack of those
-    /// elements fills the very panels the producer would.
-    pub(crate) fn apply_weights_at<H: Rows>(
-        &self,
-        aggregated: H,
-        h: H,
-        targets: Option<&[u32]>,
-        out: MatMut<'_>,
-    ) {
-        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
-        match targets {
-            Some(ids) => {
-                assert_eq!(out.rows(), ids.len(), "one output row per target");
-                let (a, h) = (IndexedRows::new(aggregated, ids), IndexedRows::new(h, ids));
-                self.apply_weights(a, h, out)
-            }
-            None => {
-                let rows = out.rows();
-                self.apply_weights(aggregated.first_rows(rows), h.first_rows(rows), out)
-            }
-        }
-    }
-
-    /// The self half `H·W_self` into the right column half of `out`, then
-    /// the activation over both halves.
-    fn self_half<H: Rows>(&self, h: H, mut out: MatMut<'_>) {
-        let half = self.w_neigh.value.cols();
-        gemm::gemm_source_nn_v(
+        gemm::gemm_nn_v(
             1.0,
-            &DensePack::new(h),
+            h,
             self.w_self.value.view(),
             0.0,
             out.col_range_mut(half, 2 * half),
@@ -253,8 +213,7 @@ impl GcnLayer {
     /// split; see [`KernelTimings`] for what each bucket means in fused
     /// mode. `out` is `rows × 2·half` with `rows ≤ h.rows()`: both halves
     /// are computed for the leading `rows` vertices only (all of them in
-    /// training; the root rows of a frontier ball in inference), or with
-    /// `targets` for vertices `targets[r]` (an evaluation's split).
+    /// training; the root rows of a frontier ball in inference).
     ///
     /// Under [`Precision::Bf16`] the layer input is quantised **once**
     /// into a thread-local bf16 shadow (pooled scratch — no API churn,
@@ -269,15 +228,14 @@ impl GcnLayer {
         &self,
         g: &CsrGraph,
         h: &DMatrix,
-        targets: Option<&[u32]>,
         out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
-        debug_assert_eq!(out.cols(), self.out_dim());
+        debug_assert!(out.rows() <= h.rows() && out.cols() == self.out_dim());
         if precision::current() == Precision::Bf16 {
-            with_bf16_rows(h, |qh| self.fused_halves(g, qh, targets, out, prop))
+            with_bf16_rows(h, |qh| self.fused_halves(g, qh, out, prop))
         } else {
-            self.fused_halves(g, h.view(), targets, out, prop)
+            self.fused_halves(g, h.view(), out, prop)
         }
     }
 
@@ -287,7 +245,6 @@ impl GcnLayer {
         &self,
         g: &CsrGraph,
         h: H,
-        targets: Option<&[u32]>,
         mut out: MatMut<'_>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
@@ -298,7 +255,6 @@ impl GcnLayer {
         prop.forward_gemm_rows(
             g,
             h,
-            targets,
             self.w_neigh.value.view(),
             0.0,
             out.col_range_mut(0, half),
@@ -306,15 +262,64 @@ impl GcnLayer {
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
-        match targets {
-            Some(ids) => self.self_half(IndexedRows::new(h, ids), out),
-            None => {
-                let rows = out.rows();
-                self.self_half(h.first_rows(rows), out)
-            }
+        gemm::gemm_source_nn_v(
+            1.0,
+            &DensePack::new(h.first_rows(out.rows())),
+            self.w_self.value.view(),
+            0.0,
+            out.col_range_mut(half, 2 * half),
+        );
+        if self.activation {
+            ops::relu_inplace_v(out);
         }
         t.weight_app_secs += t0.elapsed().as_secs_f64();
         t
+    }
+
+    /// Inference of this layer's rows for the vertices `targets` (every
+    /// vertex when `None`): row `r` of `out` is vertex `targets[r]`'s row
+    /// of [`GcnLayer::infer_into`], bit for bit, fused or not. `h` is the
+    /// layer input as the fused path stores it (f32, or [`with_bf16_rows`]
+    /// under bf16).
+    ///
+    /// The neighbor half runs on the fused producer restricted to the
+    /// targets, packing the rows `kept` holds instead of aggregating them
+    /// (see [`AggregatedRows::with_kept`]); the self half packs the same
+    /// rows straight out of `h` ([`IndexedRows`]) — no gather. Neither
+    /// computes a row it was not asked for, and every GEMM row accumulates
+    /// independently of which other rows are present.
+    pub(crate) fn infer_selected_into<H: Rows>(
+        &self,
+        g: &CsrGraph,
+        h: H,
+        kept: Option<&KeptRows<H::Elem>>,
+        targets: Option<&[u32]>,
+        mut out: MatMut<'_>,
+    ) {
+        assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
+        let half = self.w_neigh.value.cols();
+        let mut neigh = AggregatedRows::mean(g, h);
+        if let Some(kept) = kept {
+            neigh = neigh.with_kept(kept);
+        }
+        let w = self.w_neigh.value.view();
+        let w_self = self.w_self.value.view();
+        match targets {
+            Some(ids) => {
+                let neigh = neigh.target_rows(ids);
+                gemm::gemm_source_nn_v(1.0, &neigh, w, 0.0, out.col_range_mut(0, half));
+                let own = DensePack::new(IndexedRows::new(h, ids));
+                gemm::gemm_source_nn_v(1.0, &own, w_self, 0.0, out.col_range_mut(half, 2 * half));
+            }
+            None => {
+                gemm::gemm_source_nn_v(1.0, &neigh, w, 0.0, out.col_range_mut(0, half));
+                let own = DensePack::new(h);
+                gemm::gemm_source_nn_v(1.0, &own, w_self, 0.0, out.col_range_mut(half, 2 * half));
+            }
+        }
+        if self.activation {
+            ops::relu_inplace_v(out);
+        }
     }
 
     /// In-place forward: write the activations into `out` (buffer reused,
@@ -333,7 +338,7 @@ impl GcnLayer {
         out.ensure_shape(h.rows(), 2 * half);
 
         if self.fused {
-            let t2 = self.apply_fused(g, h, None, out.view_mut(), prop);
+            let t2 = self.apply_fused(g, h, out.view_mut(), prop);
             self.fwd_pending = true;
             t.add(t2);
             return t;
@@ -407,35 +412,15 @@ impl GcnLayer {
         agg: &mut DMatrix,
         prop: &FeaturePropagator,
     ) {
-        assert!(out.rows() <= h.rows(), "more output rows than vertices");
-        self.infer_at_into(g, h, None, out, agg, prop);
-    }
-
-    /// [`GcnLayer::infer_into`] for the vertices `targets` only (the
-    /// leading `out.rows()` when `None`, as in
-    /// [`GcnLayer::infer_rows_into`]): row `r` of `out` is vertex
-    /// `targets[r]`'s row, bit-identical to that row of `infer_into`. The
-    /// fused path aggregates and multiplies the target rows alone and
-    /// packs their self half straight out of `h` ([`IndexedRows`]) — no
-    /// gather of `h`; the unfused reference still materialises `Â·H`
-    /// whole into `agg`. A wrong `out.rows()` fails the GEMM's shape
-    /// check.
-    pub(crate) fn infer_at_into(
-        &self,
-        g: &CsrGraph,
-        h: &DMatrix,
-        targets: Option<&[u32]>,
-        out: MatMut<'_>,
-        agg: &mut DMatrix,
-        prop: &FeaturePropagator,
-    ) {
         assert_eq!(out.cols(), self.out_dim(), "output width mismatch");
+        assert!(out.rows() <= h.rows(), "more output rows than vertices");
         if self.fused {
-            self.apply_fused(g, h, targets, out, prop);
-            return;
+            self.apply_fused(g, h, out, prop);
+        } else {
+            prop.forward_into(g, h, agg);
+            let rows = out.rows();
+            self.apply_weights(agg.view_rows(0, rows), h.view_rows(0, rows), out);
         }
-        prop.forward_into(g, h, agg);
-        self.apply_weights_at(agg.view(), h.view(), targets, out);
     }
 
     /// Inference-only forward (`&self`, no caching). Allocating wrapper

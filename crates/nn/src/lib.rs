@@ -20,7 +20,8 @@
 //!   does not fit in memory, and of `infer_hidden_by_level`, the same
 //!   recursion as `gsgcn-serve` enters it. A resident graph scored again
 //!   and again goes through `GcnModel::infer_probs_at_into` instead:
-//!   layer 1 from a precomputed `Â·X` (`GcnModel::aggregate_input`), the
+//!   layer 1 packing the rows of `Â·X` computed once
+//!   (`GcnModel::aggregate_input`) instead of re-aggregating them, the
 //!   last layer and the head on the scored rows only.
 //!
 //! Everything is deterministic given the seeds in [`model::GcnConfig`].

@@ -13,9 +13,9 @@ use crate::gcn_layer::{with_bf16_rows, GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
 use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
-use gsgcn_prop::fused::AggregatedRows;
+use gsgcn_prop::fused::{AggregatedRows, KeptRows};
 use gsgcn_prop::propagator::FeaturePropagator;
-use gsgcn_tensor::{ops, precision, Bf16, Bf16MatRef, DMatrix, MatMut, Precision};
+use gsgcn_tensor::{ops, precision, Bf16, DMatrix, MatMut, Precision};
 use std::io;
 use std::time::Instant;
 
@@ -115,9 +115,10 @@ pub struct LevelStats {
     pub rows_computed: Vec<usize>,
     /// Feature rows gathered from the store.
     pub rows_gathered: usize,
-    /// Rows of the input aggregate `Â·X` ([`InputAggregate`]) this sweep
-    /// computed: `n` on the resident evaluation that fills a trainer's
-    /// cache, 0 on every later one and on the level recursion.
+    /// Rows of the input aggregate `Â·X` this sweep computed and kept
+    /// ([`InputAggregate::kept_rows`]): all of them on the resident
+    /// evaluation that fills a trainer's cache, 0 on every later one and
+    /// on the level recursion.
     pub input_rows_aggregated: usize,
     /// Seconds ordering targets and extracting frontier tiles.
     pub frontier_secs: f64,
@@ -171,26 +172,30 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// `Â·X`: layer 1's neighbor aggregate of one graph and feature matrix,
-/// stored in the element layer 1 packs its input in
-/// ([`GcnModel::input_precision`]) — f32, or under bf16 the values the
-/// fused pack rounds to. It depends on the graph and the features only,
-/// never on the weights, so a caller that scores the same graph again and
-/// again computes it once ([`GcnModel::aggregate_input`]) and every later
-/// forward runs layer 1 as two dense GEMMs
-/// ([`GcnModel::infer_probs_at_into`]) instead of re-gathering `|E|·f`
-/// feature elements.
+/// Whether `layer` stores its input as bf16 on this thread: a fused layer
+/// under [`Precision::Bf16`] (the unfused reference has no bf16 path).
+fn stores_bf16(layer: &GcnLayer) -> bool {
+    layer.fused() && precision::current() == Precision::Bf16
+}
+
+/// Kept rows of `Â·X`, layer 1's neighbor aggregate of one graph and
+/// feature matrix ([`GcnModel::aggregate_input`]), stored in the element
+/// layer 1 packs its input in ([`GcnModel::input_precision`]) — f32, or
+/// under bf16 the values the fused pack rounds to. `Â·X` depends on the
+/// graph and the features only, never on the weights, so a caller that
+/// scores the same graph again and again computes these rows once and
+/// every later forward ([`GcnModel::infer_probs_at_into`]) packs them into
+/// layer 1's neighbor GEMM instead of re-gathering their neighbors'
+/// feature rows.
 #[derive(Clone, Debug)]
 pub struct InputAggregate {
-    rows: usize,
-    cols: usize,
     data: AggregateData,
 }
 
 #[derive(Clone, Debug)]
 enum AggregateData {
-    F32(DMatrix),
-    Bf16(Vec<Bf16>),
+    F32(KeptRows<f32>),
+    Bf16(KeptRows<Bf16>),
 }
 
 impl InputAggregate {
@@ -199,6 +204,14 @@ impl InputAggregate {
         match self.data {
             AggregateData::F32(_) => Precision::F32,
             AggregateData::Bf16(_) => Precision::Bf16,
+        }
+    }
+
+    /// Number of vertices whose row is kept.
+    pub fn kept_rows(&self) -> usize {
+        match &self.data {
+            AggregateData::F32(k) => k.len(),
+            AggregateData::Bf16(k) => k.len(),
         }
     }
 }
@@ -703,38 +716,56 @@ impl GcnModel {
 
     /// The element layer 1 stores its input in on this thread: bf16 when
     /// the fused layer runs under [`Precision::Bf16`], f32 otherwise (the
-    /// unfused reference has no bf16 path). The precision an
-    /// [`InputAggregate`] must be stored in, so the key of a cache of them.
+    /// unfused reference has no bf16 path): the precision an
+    /// [`InputAggregate`] must be stored in.
     pub fn input_precision(&self) -> Precision {
-        if self.layers[0].fused() {
-            precision::current()
+        if stores_bf16(&self.layers[0]) {
+            Precision::Bf16
         } else {
             Precision::F32
         }
     }
 
-    /// `Â·X` of `(g, x)` in [`Self::input_precision`]: one row-parallel
-    /// pass of layer 1's own aggregation producer
-    /// ([`AggregatedRows::materialise_into`]), so its elements are the
-    /// ones layer 1's pack places. Under bf16 the pass aggregates `x`
-    /// rounded to bf16 (pooled scratch) and writes the bf16 aggregate
-    /// directly: no f32 `n × f` temporary.
+    /// The kept rows of `Â·X` for `(g, x)`, in [`Self::input_precision`],
+    /// for [`Self::infer_probs_at_into`]. Layer 1's own aggregation
+    /// producer computes them in one row-parallel pass
+    /// ([`AggregatedRows::keep`]), so they are exactly the elements layer
+    /// 1's pack places; under bf16 it aggregates `x` rounded to bf16
+    /// (pooled scratch) with no f32 `n × f` temporary.
+    ///
+    /// Which rows: at most the bytes of the `n`-row last-layer activation
+    /// and probability matrix that the full-graph forward allocates and
+    /// `infer_probs_at_into` does not — so a resident evaluation holds no
+    /// more memory than the forward it replaces — taken from the
+    /// highest-degree vertices down, because a row's aggregation gathers
+    /// `deg(v)` feature rows and those rows save the most gathers per
+    /// byte. Features narrower than that budget are kept whole.
     pub fn aggregate_input(&self, g: &CsrGraph, x: &DMatrix) -> InputAggregate {
-        assert_eq!(x.rows(), g.num_vertices(), "feature/vertex mismatch");
-        let (rows, cols) = x.shape();
-        let data = match self.input_precision() {
-            Precision::F32 => {
-                let mut m = DMatrix::zeros(rows, cols);
-                AggregatedRows::mean(g, x.view()).materialise_into(m.data_mut());
-                AggregateData::F32(m)
-            }
-            Precision::Bf16 => {
-                let mut q = vec![Bf16::ZERO; rows * cols];
-                with_bf16_rows(x, |qx| AggregatedRows::mean(g, qx).materialise_into(&mut q));
-                AggregateData::Bf16(q)
-            }
+        let (n, f) = x.shape();
+        assert_eq!(n, g.num_vertices(), "feature/vertex mismatch");
+        let precision = self.input_precision();
+        let elem_bytes = match precision {
+            Precision::F32 => std::mem::size_of::<f32>(),
+            Precision::Bf16 => std::mem::size_of::<Bf16>(),
         };
-        InputAggregate { rows, cols, data }
+        let last_width = self.layers[self.layers.len() - 1].out_dim();
+        let budget = n * (last_width + self.cfg.num_classes) * std::mem::size_of::<f32>();
+        let keep = budget
+            .checked_div(f * elem_bytes)
+            .map_or(n, |rows| rows.min(n));
+        let mut vertices: Vec<u32> = (0..n as u32).collect();
+        // Highest degree first (a stable sort: ties stay in id order), then
+        // back to id order, the order the pack visits vertices in.
+        vertices.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
+        vertices.truncate(keep);
+        vertices.sort_unstable();
+        let data = match precision {
+            Precision::F32 => AggregateData::F32(AggregatedRows::mean(g, x.view()).keep(&vertices)),
+            Precision::Bf16 => AggregateData::Bf16(with_bf16_rows(x, |qx| {
+                AggregatedRows::mean(g, qx).keep(&vertices)
+            })),
+        };
+        InputAggregate { data }
     }
 
     /// **Resident evaluation**: the probabilities of the full-graph
@@ -742,8 +773,8 @@ impl GcnModel {
     /// repeats allowed), given `ax` = [`Self::aggregate_input`]`(g, x)`
     /// computed in [`Self::input_precision`].
     ///
-    /// * Layer 1 reads `Â·X` from `ax`: two dense GEMMs
-    ///   `[Â·X·W_neigh ‖ X·W_self]`, no neighbor gather.
+    /// * Layer 1 runs on every row; its neighbor GEMM packs the rows `ax`
+    ///   keeps and aggregates only the others.
     /// * Layers `2..L-1` run on every row — layer `L` may read any.
     /// * Layer `L`, the head and the output activation run on the
     ///   targets' rows only: the fused producer aggregates just those rows
@@ -752,9 +783,9 @@ impl GcnModel {
     ///   gather of the hidden state, no `n`-row probability matrix.
     ///
     /// The rows are **bit-identical** to [`Self::infer_probs_into`]'s rows
-    /// at `targets`: a dense pack of `ax` fills the very panels layer 1's
-    /// producer would, and every GEMM row accumulates independently of
-    /// which other rows are present. The returned [`LevelStats`] counts
+    /// at `targets`: a kept row is the very panel row layer 1's producer
+    /// would pack, and every GEMM row accumulates independently of which
+    /// other rows are present. The returned [`LevelStats`] counts
     /// `[n, …, n, |targets|]` rows (one tile per layer) and times the call
     /// as `infer_secs`. Warm calls perform zero matrix allocations.
     pub fn infer_probs_at_into(
@@ -768,13 +799,8 @@ impl GcnModel {
     ) -> LevelStats {
         let t0 = Instant::now();
         let n = g.num_vertices();
-        let depth = self.layers.len();
+        let last = self.layers.len() - 1;
         assert_eq!(x.rows(), n, "feature/vertex mismatch");
-        assert_eq!(
-            (ax.rows, ax.cols),
-            x.shape(),
-            "aggregate/feature shape mismatch"
-        );
         assert_eq!(
             ax.precision(),
             self.input_precision(),
@@ -783,36 +809,43 @@ impl GcnModel {
         let InferenceWorkspace {
             ping, pong, agg, ..
         } = ws;
-        // Layer 1 from the aggregate — at depth 1 it is the last layer.
+        // Layer 1 from the kept aggregate — at depth 1 it is the last layer.
         let first = &self.layers[0];
-        let first_targets = (depth == 1).then_some(targets);
+        let first_targets = (last == 0).then_some(targets);
         ping.ensure_shape(first_targets.map_or(n, <[u32]>::len), first.out_dim());
         match &ax.data {
-            AggregateData::F32(a) => {
-                first.apply_weights_at(a.view(), x.view(), first_targets, ping.view_mut())
+            AggregateData::F32(kept) => {
+                first.infer_selected_into(g, x.view(), Some(kept), first_targets, ping.view_mut())
             }
-            AggregateData::Bf16(a) => with_bf16_rows(x, |qx| {
-                let a = Bf16MatRef::new(a, n, x.cols());
-                first.apply_weights_at(a, qx, first_targets, ping.view_mut())
+            AggregateData::Bf16(kept) => with_bf16_rows(x, |qx| {
+                first.infer_selected_into(g, qx, Some(kept), first_targets, ping.view_mut())
             }),
         }
-        // Layers 2..L-1 on every row, ping-ponging; layer L on the targets.
+        // Layers 2..L-1 on every row, ping-ponging.
         let (mut src, mut dst) = (ping, pong);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            if i + 1 < depth {
-                layer.infer_into(g, src, dst, agg, &self.prop);
+        for layer in self.layers.iter().take(last).skip(1) {
+            layer.infer_into(g, src, dst, agg, &self.prop);
+            std::mem::swap(&mut src, &mut dst);
+        }
+        // Layer L on the targets, over its input as the layer stores it.
+        if last > 0 {
+            let layer = &self.layers[last];
+            dst.ensure_shape(targets.len(), layer.out_dim());
+            if stores_bf16(layer) {
+                with_bf16_rows(src, |qh| {
+                    layer.infer_selected_into(g, qh, None, Some(targets), dst.view_mut())
+                });
             } else {
-                dst.ensure_shape(targets.len(), layer.out_dim());
-                layer.infer_at_into(g, src, Some(targets), dst.view_mut(), agg, &self.prop);
+                layer.infer_selected_into(g, src.view(), None, Some(targets), dst.view_mut());
             }
             std::mem::swap(&mut src, &mut dst);
         }
         self.head.forward_into(src, out);
         self.apply_output_activation(out);
-        let mut rows_computed = vec![n; depth];
-        rows_computed[depth - 1] = targets.len();
+        let mut rows_computed = vec![n; last + 1];
+        rows_computed[last] = targets.len();
         LevelStats {
-            tiles: vec![1; depth],
+            tiles: vec![1; last + 1],
             rows_computed,
             infer_secs: t0.elapsed().as_secs_f64(),
             ..LevelStats::default()

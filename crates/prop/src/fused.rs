@@ -25,11 +25,13 @@
 //!
 //! The logical rows are every vertex, the leading ones
 //! ([`AggregatedRows::first_rows`], frontier-ball roots) or an explicit
-//! target list (`AggregatedRows::target_rows`, the rows an evaluation
+//! target list ([`AggregatedRows::target_rows`], the rows an evaluation
 //! scores); each produced row is the same float operations whichever is
-//! chosen. [`AggregatedRows::materialise_into`] writes the rows the
-//! panels would hold to a dense matrix instead, for an aggregate that is
-//! multiplied again and again (the input layer's `Â·X`).
+//! chosen. For an aggregate that is multiplied again and again (the input
+//! layer's `Â·X`), [`AggregatedRows::keep`] computes some vertices' rows
+//! once, as the panels would hold them, and a producer built
+//! [`AggregatedRows::with_kept`] packs those rows instead of re-aggregating
+//! them.
 //!
 //! [`gemm::PackSource`]: gsgcn_tensor::gemm::PackSource
 
@@ -56,12 +58,51 @@ unsafe impl Send for Spill {}
 // of the block it owns.
 unsafe impl Sync for Spill {}
 
+/// Marks a vertex without a row in [`KeptRows`].
+const NOT_KEPT: u32 = u32::MAX;
+
+/// Some vertices' rows of an aggregate, computed once by
+/// [`AggregatedRows::keep`] and stored in the panel element exactly as a
+/// pack at `α = 1` places them: the neighbor sum, one multiply by the
+/// destination scale, one rounding. A producer built
+/// [`AggregatedRows::with_kept`] copies these rows into its panels, so it
+/// computes the same product bit for bit with none of their gathers.
+#[derive(Clone, Debug)]
+pub struct KeptRows<E> {
+    len: usize,
+    cols: usize,
+    /// `slot[v]`: the row of `data` holding vertex `v`, or [`NOT_KEPT`].
+    slot: Vec<u32>,
+    data: Vec<E>,
+}
+
+impl<E: Element> KeptRows<E> {
+    /// Number of vertices whose row is kept.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no row is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Vertex `v`'s kept row, if it has one.
+    #[inline]
+    fn row(&self, v: usize) -> Option<&[E]> {
+        match self.slot[v] {
+            NOT_KEPT => None,
+            s => Some(&self.data[s as usize * self.cols..][..self.cols]),
+        }
+    }
+}
+
 /// A [`PackSource`] whose logical A operand is the aggregated feature
 /// matrix: row `v` is `dst_scale(v) · Σ_{u∈N(v)} src_scale(u) · H[u]`.
 /// `H` is any [`Rows`] storage — a (possibly strided) f32 view, so e.g.
 /// the neighbor half of a concatenated gradient feeds the producer
 /// without a copy, or a bf16 matrix — and the panels take its element.
-pub struct AggregatedRows<'a, H = MatRef<'a>> {
+pub struct AggregatedRows<'a, H: Rows = MatRef<'a>> {
     g: &'a CsrGraph,
     h: H,
     /// Logical row count: logical row `r` is vertex `r` — all of them
@@ -69,6 +110,9 @@ pub struct AggregatedRows<'a, H = MatRef<'a>> {
     /// [`AggregatedRows::target_rows`], vertex `targets[r]`.
     rows: usize,
     targets: Option<&'a [u32]>,
+    /// Rows packed from here instead of aggregated
+    /// ([`AggregatedRows::with_kept`]).
+    kept: Option<&'a KeptRows<H::Elem>>,
     /// Mean-normalise each *output* row by `1/deg(v)` (the `D⁻¹` of
     /// `Â = D⁻¹A` acting on the destination).
     mean: bool,
@@ -90,6 +134,7 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
             h,
             rows: g.num_vertices(),
             targets: None,
+            kept: None,
             mean,
             src_inv_deg,
             spill: None,
@@ -133,7 +178,7 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
     ///
     /// # Panics
     /// Panics if a target is not a vertex of the graph.
-    pub(crate) fn target_rows(mut self, targets: &'a [u32]) -> Self {
+    pub fn target_rows(mut self, targets: &'a [u32]) -> Self {
         let n = self.g.num_vertices();
         assert!(
             targets.iter().all(|&v| (v as usize) < n),
@@ -153,6 +198,7 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
     /// row has been written at least once.
     pub fn with_spill(mut self, out: &'a mut DMatrix) -> Self {
         assert!(self.targets.is_none(), "target rows cannot spill");
+        assert!(self.kept.is_none(), "kept rows cannot spill");
         out.ensure_shape(self.g.num_vertices(), self.h.cols());
         self.spill = Some(Spill {
             ptr: out.data_mut().as_mut_ptr(),
@@ -162,28 +208,56 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
         self
     }
 
-    /// Write every logical row into `out` (row-major, `rows × h.cols()`)
-    /// as a pack at `α = 1` places it: the neighbor sum over full rows,
-    /// one multiply by the destination scale, one rounding into the
-    /// element. A dense GEMM over `out` therefore packs exactly the panels
-    /// this producer would, so it computes the same product bit for bit —
-    /// the form for an aggregate that is multiplied many times. One
-    /// row-parallel pass; the only temporary is an f32 accumulator row
-    /// per task.
-    pub fn materialise_into(&self, out: &mut [H::Elem]) {
+    /// Compute the rows of `vertices` (distinct, any order) once, as a
+    /// pack at `α = 1` places them, for [`AggregatedRows::with_kept`]:
+    /// the neighbor sum over full rows, one multiply by the destination
+    /// scale, one rounding into the element. One row-parallel pass; the
+    /// only temporary is an f32 accumulator row per task.
+    ///
+    /// # Panics
+    /// Panics if a vertex is out of range or listed twice.
+    pub fn keep(&self, vertices: &[u32]) -> KeptRows<H::Elem> {
         let cols = self.h.cols();
-        assert_eq!(out.len(), self.rows * cols, "output shape mismatch");
-        if cols == 0 {
-            return;
+        let mut slot = vec![NOT_KEPT; self.g.num_vertices()];
+        for (i, &v) in vertices.iter().enumerate() {
+            let s = &mut slot[v as usize];
+            assert_eq!(*s, NOT_KEPT, "vertex {v} kept twice");
+            *s = i as u32;
         }
-        out.par_chunks_mut(cols).enumerate().for_each(|(r, dst)| {
-            scratch::with_buf(cols, |acc| {
-                let inv = self.sum_row(self.vertex(r), 0, acc);
-                for (d, &a) in dst.iter_mut().zip(acc.iter()) {
-                    *d = H::Elem::from_f32(a * inv);
-                }
-            })
-        });
+        let mut data = vec![H::Elem::ZERO; vertices.len() * cols];
+        if cols > 0 {
+            data.par_chunks_mut(cols).enumerate().for_each(|(i, dst)| {
+                scratch::with_buf(cols, |acc| {
+                    let inv = self.sum_row(vertices[i] as usize, 0, acc);
+                    for (d, &a) in dst.iter_mut().zip(acc.iter()) {
+                        *d = H::Elem::from_f32(a * inv);
+                    }
+                })
+            });
+        }
+        KeptRows {
+            len: vertices.len(),
+            cols,
+            slot,
+            data,
+        }
+    }
+
+    /// Pack the rows `kept` holds from there instead of aggregating them.
+    /// `kept` must come from [`AggregatedRows::keep`] on a producer of the
+    /// same kind over the same `g` and `H`; the product is then the same
+    /// bit for bit, and only the rows it lacks pay for their gathers. The
+    /// kept rows are the panel elements at `α = 1`, so the GEMM must run
+    /// at `α = 1`.
+    pub fn with_kept(mut self, kept: &'a KeptRows<H::Elem>) -> Self {
+        assert_eq!(
+            (kept.slot.len(), kept.cols),
+            (self.g.num_vertices(), self.h.cols()),
+            "kept rows of another aggregate"
+        );
+        assert!(self.spill.is_none(), "kept rows cannot spill");
+        self.kept = Some(kept);
+        self
     }
 
     /// The vertex logical row `r` aggregates.
@@ -243,12 +317,20 @@ impl<H: Rows> PackSource<H::Elem> for AggregatedRows<'_, H> {
         kc: usize,
         out: &mut APanel<'_, H::Elem>,
     ) {
+        assert!(
+            alpha == 1.0 || self.kept.is_none(),
+            "kept rows pack at α = 1 only"
+        );
         // One contiguous accumulator row, handed to the panel layout once
         // per vertex: the per-neighbor inner loop is then a unit-stride
         // add over `kc` floats the vectoriser handles.
         scratch::with_buf(kc, |acc| {
             for r in 0..mc {
                 let v = self.vertex(ic + r);
+                if let Some(row) = self.kept.and_then(|k| k.row(v)) {
+                    out.fill_row(r, &row[pc..pc + kc], |x| x);
+                    continue;
+                }
                 // Same operation order as the unfused path (sum, then
                 // one multiply by 1/deg, then the pack's α fold), so
                 // fused f32 results match the materialised composition
@@ -332,12 +414,13 @@ mod tests {
 
     /// The single driver fed by the aggregation producer, over one
     /// storage element: every tier × shapes straddling MR / MC / KC and
-    /// the AMX tile grid × {mean, sum} (nn, full height and at target
-    /// rows) and adjoint + spill (nt, accumulating). The fused result must
-    /// equal — **bit for bit**, in either element and on every engine —
-    /// the dense GEMM of the materialised aggregate stored in the same
-    /// element: the producer fills the very panels the dense source
-    /// would, and `materialise_into` writes exactly those elements.
+    /// the AMX tile grid × {mean, sum} (nn: full height and at target
+    /// rows, with and without kept rows) and adjoint + spill (nt,
+    /// accumulating). The fused result must equal — **bit for bit**, in
+    /// either element and on every engine — the dense GEMM of the
+    /// materialised aggregate stored in the same element: the producer
+    /// fills the very panels the dense source would, and `keep` stores
+    /// exactly those elements.
     fn check_fused<E: Stored>() {
         for &(n, f, h) in &[
             (5usize, 3usize, 2usize),
@@ -381,22 +464,43 @@ mod tests {
                             scale_rows_by_inv_degree(&g, &mut agg);
                         }
                         assert_eq!(c, dense(&agg, &w, false, &nan), "{at} mean={mean}");
-                        // Materialised, the producer writes the elements
-                        // its panels hold: the stored aggregate.
-                        let mut m = vec![E::ZERO; n * f];
-                        src().materialise_into(&mut m);
-                        assert_eq!(m, stored::<E>(&agg), "{at} mean={mean} materialised");
-                        // Target rows — out of order, repeated, a subset —
-                        // are the full-height producer's rows.
+                        // Kept, the producer stores the elements its panels
+                        // hold: the rows of the stored aggregate.
+                        let some: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
+                        let stored_agg = stored::<E>(&agg);
+                        for (kept, listed) in
+                            [(src().keep(&some), &some[..]), (src().keep(&[]), &[])]
+                        {
+                            assert_eq!(kept.len(), listed.len());
+                            for v in 0..n {
+                                let row = kept.row(v);
+                                assert_eq!(row.is_some(), listed.contains(&(v as u32)), "{at} {v}");
+                                if let Some(row) = row {
+                                    assert_eq!(row, &stored_agg[v * f..][..f], "{at} kept row {v}");
+                                }
+                            }
+                            // Packing them instead of aggregating them
+                            // changes no bit.
+                            let mut ck = nan.clone();
+                            let with_kept = src().with_kept(&kept);
+                            gemm::gemm_source_nn_v(1.0, &with_kept, w.view(), 0.0, ck.view_mut());
+                            assert_eq!(ck, c, "{at} mean={mean} kept {}", kept.len());
+                        }
+                        // Target rows — out of order, repeated, a subset,
+                        // some of them kept — are the full-height
+                        // producer's rows.
                         let targets: Vec<u32> = (0..n as u32)
                             .rev()
                             .step_by(2)
                             .chain([0, 0, n as u32 - 1])
                             .collect();
-                        let mut ct = DMatrix::filled(targets.len(), h, f32::NAN);
-                        let at_targets = src().target_rows(&targets);
-                        gemm::gemm_source_nn_v(1.0, &at_targets, w.view(), 0.0, ct.view_mut());
-                        assert_eq!(ct, c.gather_rows(&targets), "{at} mean={mean} targets");
+                        let kept = src().keep(&some);
+                        for producer in [src(), src().with_kept(&kept)] {
+                            let mut ct = DMatrix::filled(targets.len(), h, f32::NAN);
+                            let at_targets = producer.target_rows(&targets);
+                            gemm::gemm_source_nn_v(1.0, &at_targets, w.view(), 0.0, ct.view_mut());
+                            assert_eq!(ct, c.gather_rows(&targets), "{at} mean={mean} targets");
+                        }
                     }
                     // Backward shape: Z = Âᵀ·H spilled while C += Z·Wᵀ
                     // (here H plays dY: n×f, W stored h×f, C n×h).

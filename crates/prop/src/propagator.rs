@@ -164,26 +164,19 @@ impl FeaturePropagator {
     /// f32 either way). The bf16 form is forward/serving only — the
     /// backward pass always runs the f32 master path.
     ///
-    /// `c` may have fewer rows than `g` has vertices: with `targets`
-    /// `None` only its leading `c.rows()` vertices are aggregated and
-    /// multiplied (the root-row restriction of frontier-ball inference);
-    /// with `Some(t)` row `r` of `c` is vertex `t[r]` (`t.len() ==
-    /// c.rows()`). Either way each row is bit-identical to what the
-    /// full-height call produces for its vertex.
+    /// `c` may have fewer rows than `g` has vertices: only its leading
+    /// `c.rows()` vertices are then aggregated and multiplied (the
+    /// root-row restriction of frontier-ball inference), each row
+    /// bit-identical to what the full-height call produces for it.
     pub fn forward_gemm_rows<H: Rows>(
         &self,
         g: &CsrGraph,
         h: H,
-        targets: Option<&[u32]>,
         w: MatRef<'_>,
         beta: f32,
         c: MatMut<'_>,
     ) {
-        let src = AggregatedRows::mean(g, h);
-        let src = match targets {
-            Some(t) => src.target_rows(t),
-            None => src.first_rows(c.rows()),
-        };
+        let src = AggregatedRows::mean(g, h).first_rows(c.rows());
         gemm::gemm_source_nn_v(1.0, &src, w, beta, c);
     }
 
@@ -196,7 +189,7 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        self.forward_gemm_rows(g, h.view(), None, w, beta, c);
+        self.forward_gemm_rows(g, h.view(), w, beta, c);
     }
 
     /// [`Self::forward_gemm_rows`] over **bf16-stored** activations.
@@ -208,7 +201,7 @@ impl FeaturePropagator {
         beta: f32,
         c: MatMut<'_>,
     ) {
-        self.forward_gemm_rows(g, h, None, w, beta, c);
+        self.forward_gemm_rows(g, h, w, beta, c);
     }
 
     /// Fused backward: `d_in += (Âᵀ·dY)·Wᵀ`, with the intermediate
