@@ -29,6 +29,20 @@
 //! adjacency), which the fused `Z·W_neighᵀ` GEMM spills as a side effect
 //! of panel packing. See the struct docs.
 //!
+//! The input layer's `dH` has no reader, so a caller may skip it
+//! (`backward_into` with `d_in = None`): neither input-gradient GEMM
+//! runs, and `Z` comes from a spill-only aggregation pass.
+//!
+//! Under [`Precision::Bf16`] a training step is mixed precision end to
+//! end. The forward quantises the layer input once into a layer-owned
+//! bf16 buffer; both forward GEMMs and the weight-gradient GEMMs `Hᵀ·Z`
+//! and `Hᵀ·dH_self` multiply those bf16 panels, so the backward
+//! differentiates the values the forward multiplied. The f32 gradient
+//! operands round to bf16 as they are packed, and `dH_self·W_selfᵀ` runs
+//! on bf16 panels too. Accumulation, the master weights and Adam stay
+//! f32, and so does the fused `Z·W_neighᵀ`, whose spilled `Z` must stay
+//! f32.
+//!
 //! The layer reports the wall-clock split between sparse feature
 //! propagation and dense weight application, feeding the Fig. 3
 //! execution-time breakdown.
@@ -37,7 +51,7 @@ use crate::adam::{AdamHyper, AdamParam};
 use gsgcn_graph::CsrGraph;
 use gsgcn_prop::fused::{AggregatedRows, KeptRows};
 use gsgcn_prop::propagator::FeaturePropagator;
-use gsgcn_tensor::gemm::{self, DensePack, Element};
+use gsgcn_tensor::gemm::{self, DensePack, Element, PackSource};
 use gsgcn_tensor::{
     bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, MatRef, Precision,
     Rows,
@@ -80,12 +94,14 @@ struct ForwardCache {
     input: DMatrix,
     /// Post-activation output (ReLU mask source).
     output: DMatrix,
+    /// The precision the forward stored `input` in.
+    precision: Precision,
 }
 
 /// One graph-convolution layer with `W_self` and `W_neigh`.
 ///
 /// The layer owns persistent work buffers (`aggregated`/`z_neigh`,
-/// `d_agg`, weight gradients): the in-place `forward_into` /
+/// `input_bf16`, `d_agg`, weight gradients): the in-place `forward_into` /
 /// `backward_into` pair reuses them across iterations, so a warm training
 /// loop allocates nothing here.
 ///
@@ -114,12 +130,19 @@ pub struct GcnLayer {
     /// for `dW_neigh`).
     aggregated: DMatrix,
     /// Fused path only: `Z = Âᵀ·dH_neigh` of the current backward,
-    /// spilled by the fused input-gradient GEMM and consumed by the
+    /// spilled by the fused input-gradient GEMM (or the spill-only pass
+    /// when no input gradient is wanted) and consumed by the
     /// weight-gradient GEMM.
     z_neigh: DMatrix,
-    /// True between a `forward_into` and the `backward_into` that
-    /// consumes its forward state — guards against mis-paired calls.
-    fwd_pending: bool,
+    /// Fused path under bf16 only: the input of the last `forward_into`
+    /// as it was quantised, read again by the backward's weight-gradient
+    /// GEMMs.
+    input_bf16: Vec<Bf16>,
+    /// `Some(precision the input was stored in)` between a
+    /// `forward_into` and the `backward_into` that consumes its forward
+    /// state — guards against mis-paired calls, and the backward runs in
+    /// the precision its forward ran in.
+    fwd: Option<Precision>,
     /// Scratch for `dH_neigh·W_neighᵀ` in the unfused backward.
     d_agg: DMatrix,
     /// Persistent weight-gradient buffers (see [`GcnLayer::own_grads`]).
@@ -144,7 +167,8 @@ impl GcnLayer {
             fused: true,
             aggregated: DMatrix::zeros(0, 0),
             z_neigh: DMatrix::zeros(0, 0),
-            fwd_pending: false,
+            input_bf16: Vec::new(),
+            fwd: None,
             d_agg: DMatrix::zeros(0, 0),
             grads: GcnLayerGrads {
                 d_w_neigh: DMatrix::zeros(0, 0),
@@ -205,42 +229,32 @@ impl GcnLayer {
         }
     }
 
-    /// The fused forward computation shared by training
-    /// ([`GcnLayer::forward_into`]) and inference
-    /// ([`GcnLayer::infer_rows_into`]):
-    /// `out = σ?( [(Â·H)·W_neigh ‖ H·W_self] )` with the neighbor half
-    /// fused (aggregation inside the GEMM pack). Returns the timing
-    /// split; see [`KernelTimings`] for what each bucket means in fused
-    /// mode. `out` is `rows × 2·half` with `rows ≤ h.rows()`: both halves
-    /// are computed for the leading `rows` vertices only (all of them in
-    /// training; the root rows of a frontier ball in inference).
-    ///
-    /// Under [`Precision::Bf16`] the layer input is quantised **once**
-    /// into a thread-local bf16 shadow (pooled scratch — no API churn,
-    /// warm calls allocate nothing) and both GEMMs read the half-width
-    /// rows through the same body. The aggregation re-reads each feature
-    /// row `deg(u)` times, so the one-off quantise pass is repaid
-    /// immediately in row bandwidth; accumulation stays f32 throughout.
-    /// Training's backward pass keeps reading the caller's original f32
-    /// activations (the standard mixed-precision gradient inconsistency,
-    /// bounded by the storage rounding).
-    fn apply_fused(
-        &self,
-        g: &CsrGraph,
-        h: &DMatrix,
-        out: MatMut<'_>,
-        prop: &FeaturePropagator,
-    ) -> KernelTimings {
+    /// The fused inference forward ([`GcnLayer::infer_rows_into`]):
+    /// [`GcnLayer::fused_halves`] over `h` as this thread's precision
+    /// stores it. Under [`Precision::Bf16`] the input is quantised
+    /// **once** into pooled scratch ([`with_bf16_rows`]; warm calls
+    /// allocate nothing) and both GEMMs read the half-width rows. The
+    /// aggregation re-reads each feature row `deg(u)` times, so the
+    /// one-off quantise pass is repaid immediately in row bandwidth.
+    fn apply_fused(&self, g: &CsrGraph, h: &DMatrix, out: MatMut<'_>, prop: &FeaturePropagator) {
         debug_assert!(out.rows() <= h.rows() && out.cols() == self.out_dim());
         if precision::current() == Precision::Bf16 {
-            with_bf16_rows(h, |qh| self.fused_halves(g, qh, out, prop))
+            with_bf16_rows(h, |qh| self.fused_halves(g, qh, out, prop));
         } else {
-            self.fused_halves(g, h.view(), out, prop)
+            self.fused_halves(g, h.view(), out, prop);
         }
     }
 
-    /// Both halves of [`GcnLayer::apply_fused`] over the stored input
-    /// `h`, whichever element it is stored in.
+    /// The fused forward computation shared by training
+    /// ([`GcnLayer::forward_into`]) and inference
+    /// ([`GcnLayer::apply_fused`]) over the stored input `h`, whichever
+    /// element it is stored in: `out = σ?( [(Â·H)·W_neigh ‖ H·W_self] )`
+    /// with the neighbor half fused (aggregation inside the GEMM pack).
+    /// Returns the timing split; see [`KernelTimings`] for what each
+    /// bucket means in fused mode. `out` is `rows × 2·half` with
+    /// `rows ≤ h.rows()`: both halves are computed for the leading `rows`
+    /// vertices only (all of them in training; the root rows of a
+    /// frontier ball in inference). Accumulation stays f32 throughout.
     fn fused_halves<H: Rows>(
         &self,
         g: &CsrGraph,
@@ -324,8 +338,11 @@ impl GcnLayer {
 
     /// In-place forward: write the activations into `out` (buffer reused,
     /// reshaped as needed). Fused mode computes the neighbor half
-    /// `(Â·H)·W_neigh` in one pass; unfused mode caches the aggregated
-    /// input `Â·H` in a persistent layer buffer for the backward pass.
+    /// `(Â·H)·W_neigh` in one pass — under [`Precision::Bf16`] over `h`
+    /// quantised once into a layer-owned buffer (allocation-free once
+    /// warm) that the backward reads again; unfused mode caches the
+    /// aggregated input `Â·H` in a persistent layer buffer for the
+    /// backward pass.
     pub fn forward_into(
         &mut self,
         g: &CsrGraph,
@@ -333,24 +350,31 @@ impl GcnLayer {
         out: &mut DMatrix,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
-        let mut t = KernelTimings::default();
         let half = self.w_neigh.value.cols();
         out.ensure_shape(h.rows(), 2 * half);
 
         if self.fused {
-            let t2 = self.apply_fused(g, h, out.view_mut(), prop);
-            self.fwd_pending = true;
-            t.add(t2);
+            let stored = precision::current();
+            let t = match stored {
+                Precision::F32 => self.fused_halves(g, h.view(), out.view_mut(), prop),
+                Precision::Bf16 => {
+                    bf16::quantize_into(h.data(), &mut self.input_bf16);
+                    let qh = Bf16MatRef::new(&self.input_bf16, h.rows(), h.cols());
+                    self.fused_halves(g, qh, out.view_mut(), prop)
+                }
+            };
+            self.fwd = Some(stored);
             return t;
         }
 
+        let mut t = KernelTimings::default();
         let t0 = Instant::now();
         prop.forward_into(g, h, &mut self.aggregated); // Â·H
         t.feature_prop_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
         self.apply_weights(self.aggregated.view(), h.view(), out.view_mut());
-        self.fwd_pending = true;
+        self.fwd = Some(Precision::F32);
         t.weight_app_secs += t0.elapsed().as_secs_f64();
         t
     }
@@ -370,6 +394,7 @@ impl GcnLayer {
         self.cache = Some(ForwardCache {
             input: h.clone(),
             output: out.clone(),
+            precision: self.fwd.expect("forward_into records its precision"),
         });
         (out, t)
     }
@@ -435,10 +460,17 @@ impl GcnLayer {
     /// In-place backward. `input`/`output` are this layer's forward
     /// activations (owned by the caller), `d_out` is the gradient w.r.t.
     /// `output` and is consumed in place (the ReLU mask is applied to it),
-    /// and `d_in` receives the gradient w.r.t. `input` (buffer reused).
-    /// Weight gradients land in the layer's persistent buffers — apply
-    /// them with [`GcnLayer::apply_own_grads`] or read them via
+    /// and `d_in`, when given, receives the gradient w.r.t. `input`
+    /// (buffer reused). With `d_in = None` — the input layer, whose input
+    /// gradient nobody reads — no input-gradient GEMM runs; the weight
+    /// gradients are bit-identical either way. Weight gradients land in
+    /// the layer's persistent buffers — apply them with
+    /// [`GcnLayer::apply_own_grads`] or read them via
     /// [`GcnLayer::own_grads`].
+    ///
+    /// The backward runs in the precision its forward stored the input
+    /// in, whatever [`precision::current`] says now (see the module docs
+    /// for what bf16 means here).
     ///
     /// Everything runs on reused buffers and strided views: the column
     /// split of `d_out` and the transposed operands are views the packed
@@ -449,73 +481,38 @@ impl GcnLayer {
         input: &DMatrix,
         output: &DMatrix,
         d_out: &mut DMatrix,
-        d_in: &mut DMatrix,
+        d_in: Option<&mut DMatrix>,
         prop: &FeaturePropagator,
     ) -> KernelTimings {
-        assert!(
-            self.fwd_pending,
-            "backward_into called before forward_into (or called twice)"
-        );
-        if !self.fused {
-            assert_eq!(
-                self.aggregated.shape(),
-                (input.rows(), self.w_neigh.value.rows()),
-                "activations do not match the cached forward state"
-            );
-        }
-        self.fwd_pending = false;
-        let mut t = KernelTimings::default();
+        let stored = self
+            .fwd
+            .take()
+            .expect("backward_into called before forward_into (or called twice)");
         if self.activation {
             ops::relu_backward_inplace(d_out, output);
         }
-        let half = self.w_neigh.value.cols();
-        let in_dim = self.w_neigh.value.rows();
-        let d_neigh = d_out.view_cols(0, half);
-        let d_self = d_out.view_cols(half, 2 * half);
+        let w = (self.w_neigh.value.view(), self.w_self.value.view());
 
         if self.fused {
-            // Reassociated backward: with Z = Âᵀ·dH_neigh,
-            //   d_in     = dH_self·W_selfᵀ + Z·W_neighᵀ
-            //   dW_neigh = (Â·H)ᵀ·dH_neigh = Hᵀ·Z
-            // so no forward-side aggregate cache is needed, and the only
-            // sparse pass runs at width `half` instead of `in_dim`.
-            let t0 = Instant::now();
-            d_in.ensure_shape(input.rows(), in_dim);
-            gemm::gemm_nt_v(1.0, d_self, self.w_self.value.view(), 0.0, d_in.view_mut());
-            t.weight_app_secs += t0.elapsed().as_secs_f64();
-
-            // Fused: d_in += Z·W_neighᵀ with Z spilled on the way through.
-            let t0 = Instant::now();
-            prop.backward_gemm_into(
-                g,
-                d_neigh,
-                self.w_neigh.value.view(),
-                &mut self.z_neigh,
-                d_in.view_mut(),
-            );
-            t.feature_prop_secs += t0.elapsed().as_secs_f64();
-
-            let t0 = Instant::now();
-            self.grads.d_w_neigh.ensure_shape(in_dim, half);
-            gemm::gemm_tn_v(
-                1.0,
-                input.view(),
-                self.z_neigh.view(),
-                0.0,
-                self.grads.d_w_neigh.view_mut(),
-            );
-            self.grads.d_w_self.ensure_shape(in_dim, half);
-            gemm::gemm_tn_v(
-                1.0,
-                input.view(),
-                d_self,
-                0.0,
-                self.grads.d_w_self.view_mut(),
-            );
-            t.weight_app_secs += t0.elapsed().as_secs_f64();
-            return t;
+            let (z, grads) = (&mut self.z_neigh, &mut self.grads);
+            return match stored {
+                Precision::F32 => fused_backward(g, input.view(), w, d_out, z, grads, d_in, prop),
+                Precision::Bf16 => {
+                    let qh = Bf16MatRef::new(&self.input_bf16, input.rows(), input.cols());
+                    fused_backward(g, qh, w, d_out, z, grads, d_in, prop)
+                }
+            };
         }
-
+        let (w_neigh, w_self) = w;
+        let (in_dim, half) = w_neigh.shape();
+        assert_eq!(
+            self.aggregated.shape(),
+            (input.rows(), in_dim),
+            "activations do not match the cached forward state"
+        );
+        let d_neigh = d_out.view_cols(0, half);
+        let d_self = d_out.view_cols(half, 2 * half);
+        let mut t = KernelTimings::default();
         let t0 = Instant::now();
         self.grads.d_w_neigh.ensure_shape(in_dim, half);
         gemm::gemm_tn_v(
@@ -533,18 +530,16 @@ impl GcnLayer {
             0.0,
             self.grads.d_w_self.view_mut(),
         );
+        let Some(d_in) = d_in else {
+            t.weight_app_secs += t0.elapsed().as_secs_f64();
+            return t;
+        };
         // dH via the two weight paths: d_in = dH_self·W_selfᵀ, then the
         // propagation backward accumulates Âᵀ·(dH_neigh·W_neighᵀ) on top.
         self.d_agg.ensure_shape(input.rows(), in_dim);
-        gemm::gemm_nt_v(
-            1.0,
-            d_neigh,
-            self.w_neigh.value.view(),
-            0.0,
-            self.d_agg.view_mut(),
-        );
+        gemm::gemm_nt_v(1.0, d_neigh, w_neigh, 0.0, self.d_agg.view_mut());
         d_in.ensure_shape(input.rows(), in_dim);
-        gemm::gemm_nt_v(1.0, d_self, self.w_self.value.view(), 0.0, d_in.view_mut());
+        gemm::gemm_nt_v(1.0, d_self, w_self, 0.0, d_in.view_mut());
         t.weight_app_secs += t0.elapsed().as_secs_f64();
 
         let t0 = Instant::now();
@@ -565,10 +560,17 @@ impl GcnLayer {
         let cache = self.cache.take().expect("backward called before forward");
         // The persistent cache keeps the paired activations, so repeated
         // backward calls on one forward stay legal here (seed semantics).
-        self.fwd_pending = true;
+        self.fwd = Some(cache.precision);
         let mut d_pre = d_out.clone();
         let mut d_in = DMatrix::zeros(0, 0);
-        let t = self.backward_into(g, &cache.input, &cache.output, &mut d_pre, &mut d_in, prop);
+        let t = self.backward_into(
+            g,
+            &cache.input,
+            &cache.output,
+            &mut d_pre,
+            Some(&mut d_in),
+            prop,
+        );
         self.cache = Some(cache);
         (d_in, self.grads.clone(), t)
     }
@@ -592,11 +594,71 @@ impl GcnLayer {
     }
 }
 
+/// The fused backward of [`GcnLayer::backward_into`] over the layer input
+/// `h` as its forward stored it; `d_out` already carries the ReLU mask.
+/// Reassociated around `Z = Âᵀ·dH_neigh`:
+///
+/// ```text
+/// d_in     = dH_self·W_selfᵀ + Z·W_neighᵀ
+/// dW_neigh = (Â·H)ᵀ·dH_neigh = Hᵀ·Z
+/// ```
+///
+/// so no forward-side aggregate cache is needed, and the only sparse
+/// pass runs at width `half` instead of `in_dim`. The dense GEMMs pack
+/// panels of `h`'s element, rounding the f32 gradient operands into them;
+/// the fused `Z·W_neighᵀ` stays on f32 panels.
+#[allow(clippy::too_many_arguments)]
+fn fused_backward<H: Rows>(
+    g: &CsrGraph,
+    h: H,
+    (w_neigh, w_self): (MatRef<'_>, MatRef<'_>),
+    d_out: &DMatrix,
+    z: &mut DMatrix,
+    grads: &mut GcnLayerGrads,
+    d_in: Option<&mut DMatrix>,
+    prop: &FeaturePropagator,
+) -> KernelTimings
+where
+    for<'a> DensePack<MatRef<'a>>: PackSource<H::Elem>,
+{
+    let mut t = KernelTimings::default();
+    let (in_dim, half) = w_neigh.shape();
+    let d_neigh = d_out.view_cols(0, half);
+    let d_self = d_out.view_cols(half, 2 * half);
+    let t0 = Instant::now();
+    match d_in {
+        Some(d_in) => {
+            d_in.ensure_shape(h.rows(), in_dim);
+            let own = DensePack::new(d_self);
+            gemm::gemm_source_nt_v::<H::Elem, _>(1.0, &own, w_self, 0.0, d_in.view_mut());
+            t.weight_app_secs += t0.elapsed().as_secs_f64();
+            // Fused: d_in += Z·W_neighᵀ with Z spilled on the way through.
+            let t0 = Instant::now();
+            prop.backward_gemm_into(g, d_neigh, w_neigh, z, d_in.view_mut());
+            t.feature_prop_secs += t0.elapsed().as_secs_f64();
+        }
+        None => {
+            AggregatedRows::adjoint_mean(g, d_neigh).spill_into(z);
+            t.feature_prop_secs += t0.elapsed().as_secs_f64();
+        }
+    }
+
+    let t0 = Instant::now();
+    let h_t = DensePack::transposed(h);
+    grads.d_w_neigh.ensure_shape(in_dim, half);
+    gemm::gemm_source_nn_v(1.0, &h_t, z.view(), 0.0, grads.d_w_neigh.view_mut());
+    grads.d_w_self.ensure_shape(in_dim, half);
+    gemm::gemm_source_nn_v(1.0, &h_t, d_self, 0.0, grads.d_w_self.view_mut());
+    t.weight_app_secs += t0.elapsed().as_secs_f64();
+    t
+}
+
 /// Run `f` over `h` rounded to bf16 in pooled scratch: the fused layer's
-/// bf16 storage of its input (warm calls allocate nothing).
+/// bf16 storage of its input at inference (warm calls allocate nothing;
+/// the quantise runs in parallel on the pool).
 pub(crate) fn with_bf16_rows<R>(h: &DMatrix, f: impl FnOnce(Bf16MatRef<'_>) -> R) -> R {
     Bf16::with_scratch(h.rows() * h.cols(), |q| {
-        bf16::quantize_slice(h.data(), q);
+        bf16::quantize_slice_par(h.data(), q);
         f(Bf16MatRef::new(q, h.rows(), h.cols()))
     })
 }
@@ -772,6 +834,149 @@ mod tests {
                     tier.name()
                 );
             }
+        }
+    }
+
+    /// A ring with chords, sized past the GEMM's MR / MC blocking.
+    fn chorded_ring(n: usize) -> CsrGraph {
+        let edges =
+            (0..n as u32).flat_map(|i| [(i, (i + 1) % n as u32), (i, (i * 7 + 3) % n as u32)]);
+        GraphBuilder::new(n)
+            .add_edges(edges.filter(|&(a, b)| a != b))
+            .build()
+    }
+
+    fn pattern(rows: usize, cols: usize, salt: usize) -> DMatrix {
+        DMatrix::from_fn(rows, cols, |i, j| {
+            ((i * 31 + j * 7 + salt) % 13) as f32 * 0.15 - 0.9
+        })
+    }
+
+    /// Forward then backward of a clone of `layer` (f32 unless the tier
+    /// and precision wrapping the call say otherwise), with or without an
+    /// input gradient: the weight gradients, `Z` and `d_in`.
+    fn step(
+        layer: &GcnLayer,
+        g: &CsrGraph,
+        h: &DMatrix,
+        d_out: &DMatrix,
+        want_d_in: bool,
+    ) -> (GcnLayerGrads, DMatrix, Option<DMatrix>) {
+        let p = FeaturePropagator::default();
+        let mut layer = layer.clone();
+        let mut out = DMatrix::zeros(0, 0);
+        layer.forward_into(g, h, &mut out, &p);
+        let mut d_pre = d_out.clone();
+        let mut d_in = want_d_in.then(|| DMatrix::zeros(0, 0));
+        layer.backward_into(g, h, &out, &mut d_pre, d_in.as_mut(), &p);
+        (layer.own_grads().clone(), layer.z_neigh.clone(), d_in)
+    }
+
+    /// Skipping the input gradient changes no weight gradient and no `Z`
+    /// bit: fused and unfused, every available tier, both precisions.
+    #[test]
+    fn skipped_input_gradient_leaves_weight_gradients_bit_identical() {
+        use gsgcn_tensor::ukernel::{available_tiers, with_tier};
+        let (n, f_in, half) = (70, 40, 17);
+        let g = chorded_ring(n);
+        let h = pattern(n, f_in, 1);
+        let d_out = pattern(n, 2 * half, 5);
+        for fused in [true, false] {
+            let layer = GcnLayer::new(f_in, half, true, 11).with_fused(fused);
+            for tier in available_tiers() {
+                for p in precision::ALL_PRECISIONS {
+                    let at = format!("fused={fused} tier {} {p}", tier.name());
+                    let run = |want_d_in| {
+                        with_tier(tier, || {
+                            precision::with_precision(p, || step(&layer, &g, &h, &d_out, want_d_in))
+                        })
+                    };
+                    let (with, z_with, d_in) = run(true);
+                    let (without, z_without, none) = run(false);
+                    assert!(d_in.is_some_and(|d| d.shape() == (n, f_in)) && none.is_none());
+                    assert_eq!(with.d_w_neigh, without.d_w_neigh, "{at}: dW_neigh");
+                    assert_eq!(with.d_w_self, without.d_w_self, "{at}: dW_self");
+                    assert_eq!(z_with, z_without, "{at}: Z");
+                    if fused {
+                        assert_eq!(z_with.shape(), (n, half), "{at}: Z shape");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bf16 twin of the gradient half of
+    /// `fused_matches_unfused_reference`: a bf16 backward (bf16 panels of
+    /// the stored input, gradient operands rounded at pack time) keeps
+    /// both weight gradients within the depth-1 band of the f32 ones on
+    /// every available tier, the AMX engine included. No ReLU, so the
+    /// mask cannot flip between the precisions.
+    #[test]
+    fn fused_bf16_gradients_within_tolerance() {
+        use gsgcn_tensor::ukernel::{available_tiers, with_tier};
+        let (n, f_in, half) = (70, 40, 17);
+        let g = chorded_ring(n);
+        let h = pattern(n, f_in, 2);
+        let d_out = pattern(n, 2 * half, 3);
+        let layer = GcnLayer::new(f_in, half, false, 12);
+        let (reference, _, _) =
+            precision::with_precision(Precision::F32, || step(&layer, &g, &h, &d_out, true));
+        let tol = precision::rel_tolerance(Precision::Bf16, 1, n);
+        for tier in available_tiers() {
+            let (got, _, _) = with_tier(tier, || {
+                precision::with_precision(Precision::Bf16, || step(&layer, &g, &h, &d_out, true))
+            });
+            for (name, b, r) in [
+                ("dW_neigh", &got.d_w_neigh, &reference.d_w_neigh),
+                ("dW_self", &got.d_w_self, &reference.d_w_self),
+            ] {
+                let scale = r.data().iter().fold(0f32, |s, &x| s.max(x.abs()));
+                assert!(scale > 0.0);
+                assert_ne!(b, r, "tier {}: {name} must run on bf16 panels", tier.name());
+                for (bv, rv) in b.data().iter().zip(r.data()) {
+                    assert!(
+                        (bv - rv).abs() <= tol * scale,
+                        "tier {}: {name} bf16 {bv} vs f32 {rv} outside band {tol}",
+                        tier.name()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The backward runs in the precision its forward recorded, not the
+    /// one current when it is called.
+    #[test]
+    fn backward_follows_its_forward_precision() {
+        let (n, f_in, half) = (40, 24, 9);
+        let g = chorded_ring(n);
+        let h = pattern(n, f_in, 4);
+        let d_out = pattern(n, 2 * half, 6);
+        let p = FeaturePropagator::default();
+        let layer = GcnLayer::new(f_in, half, true, 13);
+        let in_one = |prec| precision::with_precision(prec, || step(&layer, &g, &h, &d_out, true));
+        for (fwd, bwd) in [
+            (Precision::Bf16, Precision::F32),
+            (Precision::F32, Precision::Bf16),
+        ] {
+            let mut l = layer.clone();
+            let mut out = DMatrix::zeros(0, 0);
+            precision::with_precision(fwd, || l.forward_into(&g, &h, &mut out, &p));
+            let mut d_pre = d_out.clone();
+            let mut d_in = DMatrix::zeros(0, 0);
+            precision::with_precision(bwd, || {
+                l.backward_into(&g, &h, &out, &mut d_pre, Some(&mut d_in), &p)
+            });
+            let (want, _, want_d_in) = in_one(fwd);
+            let (other, _, _) = in_one(bwd);
+            assert_eq!(l.own_grads().d_w_neigh, want.d_w_neigh, "{fwd} forward");
+            assert_eq!(l.own_grads().d_w_self, want.d_w_self, "{fwd} forward");
+            assert_eq!(Some(d_in), want_d_in, "{fwd} forward: d_in");
+            assert_ne!(
+                l.own_grads().d_w_self,
+                other.d_w_self,
+                "{bwd} is not what ran"
+            );
         }
     }
 

@@ -233,7 +233,8 @@ pub struct GcnModel {
     t: u64,
     /// RNG stream counter for dropout masks.
     dropout_stream: u64,
-    /// `acts[0]` = (dropout-masked) input copy; `acts[i+1]` = layer `i`
+    /// `acts[0]` = dropout-masked input copy (unused without dropout,
+    /// when layer 1 reads the features directly); `acts[i+1]` = layer `i`
     /// output. Length `L + 1`.
     acts: Vec<DMatrix>,
     /// Classifier logits.
@@ -337,11 +338,15 @@ impl GcnModel {
         let mut timings = KernelTimings::default();
         let num_layers = self.layers.len();
         let hyper = self.cfg.adam;
+        let dropout = self.cfg.dropout > 0.0;
 
         // ---- Forward (Alg. 1 lines 6–9) ----
-        self.acts[0].copy_from(x);
+        // Layer 1 reads `x` itself unless dropout needs a masked copy.
+        if dropout {
+            self.acts[0].copy_from(x);
+        }
         for i in 0..num_layers {
-            if self.cfg.dropout > 0.0 {
+            if dropout {
                 self.dropout_stream = self.dropout_stream.wrapping_add(0x9E3779B97F4A7C15);
                 ops::dropout_inplace_with(
                     &mut self.acts[i],
@@ -352,7 +357,8 @@ impl GcnModel {
             }
             // Split-borrow: `acts[i]` is the input, `acts[i+1]` the output.
             let (lo, hi) = self.acts.split_at_mut(i + 1);
-            let t = self.layers[i].forward_into(g, &lo[i], &mut hi[0], &self.prop);
+            let input = if i == 0 && !dropout { x } else { &lo[i] };
+            let t = self.layers[i].forward_into(g, input, &mut hi[0], &self.prop);
             timings.add(t);
         }
         self.head
@@ -371,20 +377,29 @@ impl GcnModel {
         self.head.apply_own_grads(&hyper, self.t);
         std::mem::swap(&mut self.d_cur, &mut self.d_next);
         for i in (0..num_layers).rev() {
-            // d_cur = dOut for layer i (consumed in place); d_next = dIn.
+            // d_cur = dOut for layer i (consumed in place); d_next = dIn,
+            // which layer 1 does not compute: nothing reads it.
+            let input = if i == 0 && !dropout { x } else { &self.acts[i] };
+            let d_in = (i > 0).then_some(&mut self.d_next);
             let t = self.layers[i].backward_into(
                 g,
-                &self.acts[i],
+                input,
                 &self.acts[i + 1],
                 &mut self.d_cur,
-                &mut self.d_next,
+                d_in,
                 &self.prop,
             );
             timings.add(t);
             self.layers[i].apply_own_grads(&hyper, self.t);
-            std::mem::swap(&mut self.d_cur, &mut self.d_next);
-            if self.cfg.dropout > 0.0 {
-                ops::dropout_backward_inplace(&mut self.d_cur, &self.masks[i], self.cfg.dropout);
+            if i > 0 {
+                std::mem::swap(&mut self.d_cur, &mut self.d_next);
+                if dropout {
+                    ops::dropout_backward_inplace(
+                        &mut self.d_cur,
+                        &self.masks[i],
+                        self.cfg.dropout,
+                    );
+                }
             }
         }
 

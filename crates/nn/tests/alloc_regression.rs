@@ -132,6 +132,38 @@ fn train_step_with_dropout_is_allocation_free_after_first_iteration() {
     });
 }
 
+/// A bf16 train_step — the layer-owned quantised input, bf16 panels in
+/// both passes, the spill-only `Z` of layer 1 — is allocation-free after
+/// warm-up too, with and without dropout.
+#[test]
+fn bf16_train_step_is_allocation_free_after_first_iteration() {
+    use gsgcn_tensor::precision::with_precision;
+    use gsgcn_tensor::Precision;
+    let n = 64;
+    let g = ring_graph(n);
+    let x = DMatrix::from_fn(n, 8, |i, j| ((i * 7 + j) % 13) as f32 * 0.1 - 0.6);
+    let y = DMatrix::from_fn(n, 4, |i, j| ((i + j) % 2) as f32);
+
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        for dropout in [0.0, 0.3] {
+            let mut model = GcnModel::new(cfg(8, dropout), 5);
+            with_precision(Precision::Bf16, || {
+                let warmup = allocs_during(&mut model, &g, &x, &y, 2);
+                assert!(warmup > 0, "warm-up should build the workspace");
+                let steady = allocs_during(&mut model, &g, &x, &y, 10);
+                assert_eq!(
+                    steady, 0,
+                    "bf16 train_step (dropout {dropout}) allocated {steady} matrices after warm-up"
+                );
+            });
+        }
+    });
+}
+
 /// Workspace-driven inference must be allocation-free once the
 /// ping-pong buffers are warm — for the fused default and the unfused
 /// reference, and for both output activations.

@@ -21,7 +21,9 @@
 //! effect of packing: the GCN backward pass needs `Z = Âᵀ·dY` twice
 //! (input gradient `Z·Wᵀ` and weight gradient `Hᵀ·Z`), so the fused
 //! `Z·Wᵀ` GEMM writes `Z` once on the way through instead of running a
-//! second aggregation pass.
+//! second aggregation pass. A backward pass that needs `Z` but not `Z·Wᵀ`
+//! (the input layer, whose input gradient nobody reads) runs
+//! [`AggregatedRows::spill_into`]: the same rows, no GEMM.
 //!
 //! The logical rows are every vertex, the leading ones
 //! ([`AggregatedRows::first_rows`], frontier-ball roots) or an explicit
@@ -241,6 +243,37 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
             slot,
             data,
         }
+    }
+
+    /// Write every logical row into `out` (f32, reshaped to `rows ×
+    /// h.cols()`) exactly as [`AggregatedRows::with_spill`] captures it —
+    /// the neighbor sum times the destination scale, the same float
+    /// operations as the spill — without a GEMM to ride on. One
+    /// row-parallel pass that accumulates straight into `out`. This is
+    /// `Z = Âᵀ·dY` for a backward pass that needs `Z` but not `Z·Wᵀ`.
+    ///
+    /// # Panics
+    /// Panics if the producer was narrowed to target rows or given kept
+    /// rows.
+    pub fn spill_into(&self, out: &mut DMatrix) {
+        assert!(
+            self.targets.is_none() && self.kept.is_none(),
+            "spill every row of a plain producer"
+        );
+        let cols = self.h.cols();
+        out.ensure_shape(self.rows, cols);
+        if cols == 0 {
+            return;
+        }
+        out.data_mut()
+            .par_chunks_mut(cols)
+            .enumerate()
+            .for_each(|(v, dst)| {
+                let inv = self.sum_row(v, 0, dst);
+                for d in dst {
+                    *d *= inv;
+                }
+            });
     }
 
     /// Pack the rows `kept` holds from there instead of aggregating them.
@@ -464,6 +497,10 @@ mod tests {
                             scale_rows_by_inv_degree(&g, &mut agg);
                         }
                         assert_eq!(c, dense(&agg, &w, false, &nan), "{at} mean={mean}");
+                        // The spill-only pass writes the unrounded rows.
+                        let mut spilled = DMatrix::zeros(0, 0);
+                        src().spill_into(&mut spilled);
+                        assert_eq!(spilled, agg, "{at} mean={mean} spill_into");
                         // Kept, the producer stores the elements its panels
                         // hold: the rows of the stored aggregate.
                         let some: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
@@ -517,6 +554,10 @@ mod tests {
                     scale_rows_by_inv_degree(&g, &mut scaled);
                     let z_ref = kernels::aggregate_reference(&g, &scaled);
                     assert_eq!(z, z_ref, "{at}: spill must equal the aggregate");
+                    // Without the GEMM, the spill-only pass writes the same Z.
+                    let mut z_only = DMatrix::filled(1, 1, f32::NAN);
+                    AggregatedRows::adjoint_mean(&g, E::view(&q, n, f)).spill_into(&mut z_only);
+                    assert_eq!(z_only, z, "{at}: spill_into must equal the spill");
                     assert_eq!(c, dense(&z_ref, &wt, true, &c0), "{at} adjoint");
                 });
             }

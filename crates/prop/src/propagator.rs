@@ -161,8 +161,10 @@ impl FeaturePropagator {
     ///
     /// `h` is any [`Rows`] storage: f32 activations run f32 panels,
     /// bf16-stored activations run bf16 panels (aggregation accumulates
-    /// f32 either way). The bf16 form is forward/serving only — the
-    /// backward pass always runs the f32 master path.
+    /// f32 either way). A bf16 training step's backward reads the same
+    /// bf16 rows for its weight gradients; only its fused `Z·Wᵀ`
+    /// ([`Self::backward_gemm_into`]) stays on f32 panels, because the
+    /// `Z` it spills must stay f32.
     ///
     /// `c` may have fewer rows than `g` has vertices: only its leading
     /// `c.rows()` vertices are then aggregated and multiplied (the

@@ -14,6 +14,8 @@
 //! slices can be reinterpreted as `[u16]` for raw I/O (shard files, cache
 //! rows) without copies.
 
+use rayon::prelude::*;
+
 /// One bf16 value: sign, 8 exponent bits, 7 mantissa bits.
 #[repr(transparent)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,6 +57,31 @@ pub fn quantize_slice(src: &[f32], dst: &mut [Bf16]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = Bf16::from_f32(s);
     }
+}
+
+/// Elements per task of [`quantize_slice_par`].
+const QUANTIZE_CHUNK: usize = 1 << 14;
+
+/// [`quantize_slice`] split across the current rayon pool. Each element
+/// rounds on its own, so the result is the same for any thread count.
+/// Panics on length mismatch.
+pub fn quantize_slice_par(src: &[f32], dst: &mut [Bf16]) {
+    assert_eq!(src.len(), dst.len(), "quantize length mismatch");
+    dst.par_chunks_mut(QUANTIZE_CHUNK)
+        .enumerate()
+        .for_each(|(i, d)| quantize_slice(&src[i * QUANTIZE_CHUNK..][..d.len()], d));
+}
+
+/// Quantise `src` into `dst`, resized to `src.len()` ([`quantize_slice_par`]).
+/// Growth past the buffer's capacity counts as a matrix allocation
+/// ([`crate::alloc`]), so a buffer reused across calls allocates nothing
+/// once it has held the largest input.
+pub fn quantize_into(src: &[f32], dst: &mut Vec<Bf16>) {
+    if dst.capacity() < src.len() {
+        crate::alloc::record_alloc();
+    }
+    dst.resize(src.len(), Bf16::ZERO);
+    quantize_slice_par(src, dst);
 }
 
 /// Widen `src` into `dst`. Panics on length mismatch.
@@ -229,6 +256,20 @@ mod tests {
         for (w, s) in wide.iter().zip(&src) {
             assert!(((w - s) / s).abs() <= 1.0 / 256.0);
         }
+        // The parallel forms round exactly as the serial one, across a
+        // ragged last chunk; a reused buffer is allocated once.
+        let long: Vec<f32> = (0..2 * QUANTIZE_CHUNK + 7)
+            .map(|i| i as f32 * 0.013 - 7.0)
+            .collect();
+        let mut serial = vec![Bf16::ZERO; long.len()];
+        quantize_slice(&long, &mut serial);
+        let mut reused = Vec::new();
+        let before = crate::alloc::matrix_allocations();
+        for len in [long.len(), 5, long.len()] {
+            quantize_into(&long[..len], &mut reused);
+            assert_eq!(reused, serial[..len]);
+        }
+        assert_eq!(crate::alloc::matrix_allocations(), before + 1);
     }
 
     #[test]

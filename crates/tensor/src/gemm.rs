@@ -80,7 +80,10 @@
 //! `α` (and the aggregation's `1/deg`) is applied *before* the rounding,
 //! so a stored panel element carries exactly one quantisation. A bf16
 //! operand (quantised activations, bf16 shard rows) packs into bf16
-//! panels; an f32 operand into f32 panels — [`Rows::Elem`] decides.
+//! panels; an f32 operand into f32 panels — [`Rows::Elem`] decides —
+//! unless the caller names bf16 panels for an f32 [`DensePack`] (a
+//! mixed-precision training step's gradient operand), which then rounds
+//! each element as it is packed, the way B always is.
 //!
 //! # Determinism contract (GEMM rows)
 //!
@@ -91,10 +94,12 @@
 //! | bf16, vector tier vs vector tier (`GSGCN_AMX=0`, or below avx512) | bit-identical | `bf16_tiers_are_bit_identical` |
 //! | bf16, AMX vs widen | within `1e-5 · scale` (`scale` = largest entry of C; accumulation order only) | `bf16_tiers_are_bit_identical` (AMX arm, gated on [`bf16_dot_native`]) |
 //! | bf16 vs f32 on unquantised operands | [`crate::precision::rel_tolerance`] | `bf16_result_within_tolerance_of_f32_path` |
+//! | f32 A rounded into bf16 panels vs A quantised first, either orientation | bit-identical, every engine | `f32_operand_on_bf16_panels_matches_its_quantised_copy` |
+//! | bf16 training gradients vs f32 (bf16 panels in forward and backward) | [`crate::precision::rel_tolerance`], depth 1 | `fused_bf16_gradients_within_tolerance` in `gsgcn-nn` `gcn_layer.rs` |
 //! | producer-packed vs materialised A stored in the same element | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` in `gsgcn-prop` `fused.rs` |
 //! | transposed-A / transposed-B packs vs the plain orientation | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` here |
 
-use crate::bf16::Bf16MatRef;
+use crate::bf16::{Bf16, Bf16MatRef};
 use crate::matrix::DMatrix;
 use crate::ukernel::{self, Kernel, ACC_LEN};
 use crate::view::{MatMut, MatRef, Rows};
@@ -168,17 +173,17 @@ pub fn gemm_nt(alpha: f32, a: &DMatrix, b: &DMatrix, beta: f32, c: &mut DMatrix)
 
 /// `C = α·A·B + β·C` over strided views.
 pub fn gemm_nn_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    driver(alpha, &DensePack::new(a), b, false, beta, c);
+    driver::<f32, _>(alpha, &DensePack::new(a), b, false, beta, c);
 }
 
 /// `C = α·Aᵀ·B + β·C` over strided views (A stored `k × m`).
 pub fn gemm_tn_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    driver(alpha, &DensePack::transposed(a), b, false, beta, c);
+    driver::<f32, _>(alpha, &DensePack::transposed(a), b, false, beta, c);
 }
 
 /// `C = α·A·Bᵀ + β·C` over strided views (B stored `n × k`).
 pub fn gemm_nt_v(alpha: f32, a: MatRef<'_>, b: MatRef<'_>, beta: f32, c: MatMut<'_>) {
-    driver(alpha, &DensePack::new(a), b, true, beta, c);
+    driver::<f32, _>(alpha, &DensePack::new(a), b, true, beta, c);
 }
 
 /// `C = α·A·B + β·C` with a bf16-stored A on **bf16 panels with f32
@@ -343,14 +348,22 @@ impl<H: Rows> DensePack<H> {
         DensePack { a, trans: true }
     }
 
-    fn pack_with(
+    fn dims(&self) -> (usize, usize) {
+        if self.trans {
+            (self.a.cols(), self.a.rows())
+        } else {
+            (self.a.rows(), self.a.cols())
+        }
+    }
+
+    fn pack_with<E: Element>(
         &self,
         ic: usize,
         mc: usize,
         pc: usize,
         kc: usize,
-        out: &mut APanel<'_, H::Elem>,
-        f: impl Fn(H::Elem) -> H::Elem,
+        out: &mut APanel<'_, E>,
+        f: impl Fn(H::Elem) -> E,
     ) {
         if self.trans {
             // A stored k×m: for fixed kk the logical rows are contiguous.
@@ -368,11 +381,7 @@ impl<H: Rows> DensePack<H> {
 
 impl<H: Rows> PackSource<H::Elem> for DensePack<H> {
     fn shape(&self) -> (usize, usize) {
-        if self.trans {
-            (self.a.cols(), self.a.rows())
-        } else {
-            (self.a.rows(), self.a.cols())
-        }
+        self.dims()
     }
 
     fn pack_a(
@@ -394,6 +403,30 @@ impl<H: Rows> PackSource<H::Elem> for DensePack<H> {
                 H::Elem::from_f32(alpha * x.to_f32())
             });
         }
+    }
+}
+
+/// An f32 operand packed into **bf16 panels**: each element is scaled by
+/// `α` and rounded once as it enters the panel, the rounding [`pack_b`]
+/// applies to a B operand. A mixed-precision caller multiplies an f32
+/// matrix (a gradient) against bf16 panels without a quantised copy of
+/// it. Calls over an f32 `DensePack` name the panel element
+/// (`gemm_source_nt_v::<Bf16, _>`), since both elements are on offer.
+impl PackSource<Bf16> for DensePack<MatRef<'_>> {
+    fn shape(&self) -> (usize, usize) {
+        self.dims()
+    }
+
+    fn pack_a(
+        &self,
+        alpha: f32,
+        ic: usize,
+        mc: usize,
+        pc: usize,
+        kc: usize,
+        out: &mut APanel<'_, Bf16>,
+    ) {
+        self.pack_with(ic, mc, pc, kc, out, |x| Bf16::from_f32(alpha * x));
     }
 }
 
@@ -1215,6 +1248,59 @@ mod tests {
                 );
             } else {
                 assert_eq!(got, reference, "tier {}", tier.name());
+            }
+        }
+    }
+
+    /// An f32 operand packed into bf16 panels is the operand quantised
+    /// first, bit for bit, in either orientation and at any α that is a
+    /// power of two — one rounding at pack time, on every engine.
+    #[test]
+    fn f32_operand_on_bf16_panels_matches_its_quantised_copy() {
+        for &(m, k, n) in &[(7usize, 3usize, 5usize), (65, 257, 49), (33, 40, 70)] {
+            let a = seq(m, k, 0.8);
+            let at = a.transpose();
+            let b = seq(k, n, 1.2);
+            let (qa, qat) = (quantize_mat(&a), quantize_mat(&at));
+            let nan = DMatrix::filled(m, n, f32::NAN);
+            for tier in available_tiers() {
+                with_tier(tier, || {
+                    let at_tier = format!("{} m={m} k={k} n={n}", tier.name());
+                    let want = drive(
+                        1.0,
+                        &DensePack::new(Bf16MatRef::new(&qa, m, k)),
+                        &b,
+                        false,
+                        0.0,
+                        &nan,
+                    );
+                    let rounded = |src: &DensePack<MatRef<'_>>, alpha| {
+                        let mut c = nan.clone();
+                        driver::<Bf16, _>(alpha, src, b.view(), false, 0.0, c.view_mut());
+                        c
+                    };
+                    assert_eq!(rounded(&DensePack::new(a.view()), 1.0), want, "{at_tier}");
+                    assert_eq!(
+                        rounded(&DensePack::transposed(at.view()), 1.0),
+                        want,
+                        "{at_tier}"
+                    );
+                    let q_t = DensePack::transposed(Bf16MatRef::new(&qat, k, m));
+                    assert_eq!(drive(1.0, &q_t, &b, false, 0.0, &nan), want, "{at_tier}");
+                    let twice = drive(
+                        2.0,
+                        &DensePack::new(Bf16MatRef::new(&qa, m, k)),
+                        &b,
+                        false,
+                        0.0,
+                        &nan,
+                    );
+                    assert_eq!(
+                        rounded(&DensePack::new(a.view()), 2.0),
+                        twice,
+                        "{at_tier} α=2"
+                    );
+                });
             }
         }
     }

@@ -7,6 +7,14 @@
 //! switching to [`Precision::Bf16`] changes only the per-element input
 //! rounding, bounded by 2⁻⁸ relative error.
 //!
+//! A training step under [`Precision::Bf16`] is mixed precision end to
+//! end: a layer quantises its input once, its forward GEMMs and its
+//! weight-gradient GEMMs multiply those bf16 panels, and the f32
+//! gradient operands round to bf16 as they are packed. The master
+//! weights, Adam's moments and every accumulation stay f32. A backward
+//! pass runs in the precision its forward recorded, not the one current
+//! when it is called.
+//!
 //! Resolution order (the established env policy):
 //!
 //! 1. a thread-local override installed by [`with_precision`] (tests);
@@ -86,7 +94,8 @@ thread_local! {
     static FORCED: Cell<Option<Precision>> = const { Cell::new(None) };
 }
 
-/// The precision the current thread's next forward pass will store at.
+/// The precision the current thread's next forward pass will store at
+/// (its backward follows the forward).
 pub fn current() -> Precision {
     FORCED
         .get()

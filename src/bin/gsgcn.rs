@@ -79,8 +79,9 @@ const USAGE: &str = "usage:
                0 = synchronous in-loop sampling)
               (--precision <f32|bf16> on train/eval/predict/serve picks
                the activation storage precision, flag > GSGCN_PRECISION
-               env > f32; bf16 stores activations at half width with f32
-               accumulation — weights and gradients stay f32)
+               env > f32; bf16 stores activations at half width and trains
+               mixed precision — bf16 panels in the forward and backward
+               GEMMs, f32 accumulation, f32 master weights and Adam)
   gsgcn eval  --load PATH [--dataset <name>] [--hidden A,B,..] [--seed N]
               [--full|--scaled] [--shards DIR] [--graph-store <mem|mmap>]
               [--threads N]
