@@ -74,7 +74,9 @@ pub struct KernelTimings {
     /// Sparse feature propagation (`Â·H`, `Âᵀ·dY`), including the fused
     /// GEMMs it is inseparable from (see the struct docs).
     pub feature_prop_secs: f64,
-    /// Dense weight application (all GEMMs outside the fused calls).
+    /// Dense weight application (all GEMMs outside the fused calls; in a
+    /// [`GcnModel::train_step`](crate::model::GcnModel::train_step) also the
+    /// classifier head's forward and backward, bias terms included).
     pub weight_app_secs: f64,
 }
 

@@ -7,6 +7,25 @@
 //! Reduction: mean over rows (vertices), sum over classes within a row —
 //! the convention of the GraphSAGE reference implementation, so learning
 //! rates transfer.
+//!
+//! **One `exp` per logit.** Both losses run on the branch-free
+//! [`ops::exp_nonpos`] / [`ops::log1p_unit`] pair, so the per-element
+//! loops vectorise. The sigmoid loss takes `e = e^{−|x|}` once per
+//! element and derives both the loss term `max(x,0) − x·y + log1p(e)` and
+//! `σ(x)` from it; the softmax loss takes one `exp` per element and one
+//! `ln` per row (log-sum-exp: the term is `y·(lse − x)`).
+//!
+//! **Reduction order and determinism.** A row's terms sum in
+//! [`ops::lane_sum`]'s fixed-width lane accumulators (f32), and the row
+//! sums add up in f64, row by row in order. Nothing here runs on the
+//! thread pool and every operation is correctly rounded, so the loss and
+//! the gradient are bit-identical at any thread count and on any ISA.
+//!
+//! **Non-finite logits.** A NaN logit gives a NaN loss and a NaN
+//! gradient element (a whole NaN gradient row under softmax). An infinite
+//! logit keeps the gradient finite — `(σ(±∞) − y)/n` — but makes the
+//! sigmoid loss non-finite (`max(x,0) − x·y` meets `∞ − ∞` or `∞·0`),
+//! which the training loop's finite-loss checks report.
 
 use gsgcn_tensor::{ops, DMatrix};
 
@@ -33,12 +52,16 @@ pub fn sigmoid_bce_into(logits: &DMatrix, targets: &DMatrix, grad: &mut DMatrix)
     for i in 0..logits.rows() {
         let (xr, yr) = (logits.row(i), targets.row(i));
         let gr = grad.row_mut(i);
-        for ((&x, &y), g) in xr.iter().zip(yr).zip(gr.iter_mut()) {
-            // Numerically stable: log(1+e^{-|x|}) + max(x,0) − x·y.
-            let max_part = x.max(0.0);
-            loss += (max_part - x * y + (1.0 + (-x.abs()).exp()).ln()) as f64;
-            let sig = 1.0 / (1.0 + (-x).exp());
-            *g = (sig - y) / n;
+        // gr holds e = e^{−|x|} until the gradient overwrites it.
+        for (e, &x) in gr.iter_mut().zip(xr) {
+            *e = ops::exp_nonpos(-x.abs());
+        }
+        // Numerically stable: log(1+e^{-|x|}) + max(x,0) − x·y.
+        loss += ops::lane_sum([xr, yr, gr], |[x, y, e]| {
+            x.max(0.0) - x * y + ops::log1p_unit(e)
+        }) as f64;
+        for ((g, &x), &y) in gr.iter_mut().zip(xr).zip(yr) {
+            *g = (ops::sigmoid_given_exp(x, *g) - y) / n;
         }
     }
     (loss / n as f64) as f32
@@ -64,17 +87,15 @@ pub fn softmax_ce_into(logits: &DMatrix, targets: &DMatrix, grad: &mut DMatrix) 
     );
     let n = logits.rows().max(1) as f32;
     grad.copy_from(logits);
-    ops::softmax_rows_inplace(grad);
     let mut loss = 0.0f64;
     for i in 0..logits.rows() {
-        let yr = targets.row(i);
+        let (xr, yr) = (logits.row(i), targets.row(i));
         let gr = grad.row_mut(i);
-        for (&y, g) in yr.iter().zip(gr.iter_mut()) {
-            let p = *g;
-            if y > 0.0 {
-                loss -= (y * p.max(1e-12).ln()) as f64;
-            }
-            *g = (p - y) / n;
+        let lse = ops::softmax_row_inplace(gr);
+        // −y·ln softmax(x) = y·(lse − x); a zero target adds exactly 0.
+        loss += ops::lane_sum([xr, yr], |[x, y]| if y > 0.0 { y * (lse - x) } else { 0.0 }) as f64;
+        for (g, &y) in gr.iter_mut().zip(yr) {
+            *g = (*g - y) / n;
         }
     }
     (loss / n as f64) as f32
@@ -174,6 +195,113 @@ mod tests {
             let s: f32 = g.row(i).iter().sum();
             assert!(s.abs() < 1e-6);
         }
+    }
+
+    /// Logits and multi-label / one-hot targets of a width that leaves a
+    /// short last lane chunk.
+    fn fixture(rows: usize, cols: usize) -> (DMatrix, DMatrix, DMatrix) {
+        let x = DMatrix::from_fn(rows, cols, |i, j| {
+            ((i * 31 + j * 17) % 23) as f32 * 0.9 - 10.0
+        });
+        let multi = DMatrix::from_fn(rows, cols, |i, j| ((i + 2 * j) % 5 == 0) as u8 as f32);
+        let onehot = DMatrix::from_fn(rows, cols, |i, j| (j == i % cols) as u8 as f32);
+        (x, multi, onehot)
+    }
+
+    #[test]
+    fn losses_match_an_f64_reference() {
+        let (x, multi, onehot) = fixture(9, 37);
+        let (mut bce_ref, mut ce_ref) = (0.0f64, 0.0f64);
+        for i in 0..x.rows() {
+            let row: Vec<f64> = x.row(i).iter().map(|&v| v as f64).collect();
+            let lse = row.iter().map(|v| v.exp()).sum::<f64>().ln();
+            for (j, &v) in row.iter().enumerate() {
+                let y = multi.get(i, j) as f64;
+                bce_ref += v.max(0.0) - v * y + (-v.abs()).exp().ln_1p();
+                ce_ref += onehot.get(i, j) as f64 * (lse - v);
+            }
+        }
+        let n = x.rows() as f64;
+        let (bce, g) = sigmoid_bce(&x, &multi);
+        assert!(
+            ((bce as f64) - bce_ref / n).abs() < 1e-6 * bce_ref / n,
+            "{bce} vs {}",
+            bce_ref / n
+        );
+        let (ce, _) = softmax_ce(&x, &onehot);
+        assert!(
+            ((ce as f64) - ce_ref / n).abs() < 1e-6 * ce_ref / n,
+            "{ce} vs {}",
+            ce_ref / n
+        );
+        for i in 0..x.rows() {
+            for j in 0..x.cols() {
+                let sig = 1.0 / (1.0 + (-(x.get(i, j) as f64)).exp());
+                let want = (sig - multi.get(i, j) as f64) / n;
+                assert!(((g.get(i, j) as f64) - want).abs() < 1e-7, "grad[{i},{j}]");
+            }
+        }
+    }
+
+    #[test]
+    fn loss_and_gradient_are_bit_identical_at_any_thread_count() {
+        let (x, multi, onehot) = fixture(67, 41);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool");
+            pool.install(|| (sigmoid_bce(&x, &multi), softmax_ce(&x, &onehot)))
+        };
+        let ((bce1, gb1), (ce1, gc1)) = run(1);
+        for threads in [2, 4] {
+            let ((bce, gb), (ce, gc)) = run(threads);
+            assert_eq!(bce.to_bits(), bce1.to_bits(), "bce at {threads} threads");
+            assert_eq!(ce.to_bits(), ce1.to_bits(), "ce at {threads} threads");
+            let bits = |m: &DMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&gb), bits(&gb1), "bce grad at {threads} threads");
+            assert_eq!(bits(&gc), bits(&gc1), "ce grad at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn nan_logit_gives_nan_loss_and_nan_gradient() {
+        // A clamp such as `x.max(-87.0)` would turn the NaN finite; the
+        // training loop's finite-loss checks rely on it staying NaN.
+        let (mut x, multi, onehot) = fixture(3, 20);
+        x.set(1, 18, f32::NAN);
+        let (loss, g) = sigmoid_bce(&x, &multi);
+        assert!(loss.is_nan());
+        assert!(g.get(1, 18).is_nan());
+        assert_eq!(g.data().iter().filter(|v| v.is_nan()).count(), 1);
+        let (loss, g) = softmax_ce(&x, &onehot);
+        assert!(loss.is_nan());
+        assert!(g.row(1).iter().all(|v| v.is_nan()));
+        assert!(g.row(0).iter().chain(g.row(2)).all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn infinite_logits_keep_the_gradient_finite() {
+        let inf = f32::INFINITY;
+        // Sigmoid: σ(±∞) ∈ {0, 1} gives the limit gradient, while the
+        // loss term meets ∞ − ∞ or ∞·0 whatever the target.
+        for (x, y) in [(inf, 0.0), (inf, 1.0), (-inf, 0.0), (-inf, 1.0)] {
+            let (loss, g) = sigmoid_bce(
+                &DMatrix::from_vec(1, 1, vec![x]),
+                &DMatrix::from_vec(1, 1, vec![y]),
+            );
+            let sig = if x > 0.0 { 1.0 } else { 0.0 };
+            assert_eq!(g.get(0, 0), sig - y, "grad at x = {x}, y = {y}");
+            assert!(!loss.is_finite(), "loss at x = {x}, y = {y}");
+        }
+        // Softmax: −∞ on a zero target is a zero probability and adds
+        // nothing; +∞ makes the row NaN.
+        let y = DMatrix::from_vec(1, 3, vec![0.0, 1.0, 0.0]);
+        let (loss, g) = softmax_ce(&DMatrix::from_vec(1, 3, vec![-inf, 0.0, 0.0]), &y);
+        assert_eq!(loss, std::f32::consts::LN_2);
+        assert_eq!(g.data(), &[0.0, -0.5, 0.5]);
+        let (loss, g) = softmax_ce(&DMatrix::from_vec(1, 3, vec![inf, 0.0, 0.0]), &y);
+        assert!(loss.is_nan() && g.data().iter().all(|v| v.is_nan()));
     }
 
     #[test]

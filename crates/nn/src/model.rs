@@ -361,8 +361,10 @@ impl GcnModel {
             let t = self.layers[i].forward_into(g, input, &mut hi[0], &self.prop);
             timings.add(t);
         }
+        let t0 = Instant::now();
         self.head
             .forward_into(&self.acts[num_layers], &mut self.logits);
+        timings.weight_app_secs += t0.elapsed().as_secs_f64();
 
         // ---- Loss (Alg. 1 lines 11–12); d_cur receives dLogits ----
         let loss_val = match self.cfg.loss {
@@ -372,8 +374,10 @@ impl GcnModel {
 
         // ---- Backward + Adam (Alg. 1 line 13) ----
         self.t += 1;
+        let t0 = Instant::now();
         self.head
             .backward_into(&self.acts[num_layers], &self.d_cur, &mut self.d_next);
+        timings.weight_app_secs += t0.elapsed().as_secs_f64();
         self.head.apply_own_grads(&hyper, self.t);
         std::mem::swap(&mut self.d_cur, &mut self.d_next);
         for i in (0..num_layers).rev() {

@@ -36,26 +36,203 @@ pub fn relu_backward_inplace(grad: &mut DMatrix, act: &DMatrix) {
         });
 }
 
+// ---- Output activations and their transcendental kernels ----
+//
+// The loss and the output activations need `exp` of a non-positive
+// argument and `log1p` on [0, 1] once per logit. libm's `expf` / `logf`
+// are opaque scalar calls that keep these loops serial; the two functions
+// below are straight-line polynomials — no branch, no table, no call — so
+// the `target-cpu=native` build vectorises every loop that calls them.
+// Every operation in them is correctly rounded IEEE arithmetic (`mul_add`
+// is a fused multiply-add on every target), so their bits do not depend
+// on the ISA. Both stay within 2 ulp of the exact result
+// (`tests/elementwise_accuracy.rs` sweeps them against f64).
+
+const LOG2_E: f32 = std::f32::consts::LOG2_E;
+/// ln 2 to 16 significant bits (`n·LN2_HI` is exact for |n| < 2⁸) and
+/// the rest of it.
+const LN2_HI: f32 = 0.693_145_75;
+const LN2_LO: f32 = 1.428_606_8e-6;
+/// 1.5·2²³: adding it rounds a float of magnitude < 2²² to an integer,
+/// which the sum then holds in its low mantissa bits.
+const ROUND_SHIFT: f32 = 12_582_912.0;
+/// `e^x` rounds to 0 below this (e^−104 < 2⁻¹⁵⁰, half the smallest
+/// subnormal), so clamping there changes no result.
+const EXP_MIN_ARG: f32 = -104.0;
+
+/// `e^x` for `x ≤ 0` (and `e^−∞ = 0`, NaN → NaN), subnormal results
+/// included. Positive arguments are outside the contract.
+///
+/// `x = n·ln 2 + r` with `|r| ≤ ln 2 / 2`; `e^r` is Cephes' degree-7
+/// `expf` polynomial, and `2ⁿ` is applied as two normal factors so the
+/// result rounds once even where it is subnormal.
+#[inline]
+pub fn exp_nonpos(x: f32) -> f32 {
+    // Clamp from below; a NaN compares false and passes through.
+    let x = if x < EXP_MIN_ARG { EXP_MIN_ARG } else { x };
+    let shifted = x.mul_add(LOG2_E, ROUND_SHIFT);
+    let nf = shifted - ROUND_SHIFT;
+    let r = nf.mul_add(-LN2_HI, x);
+    let r = nf.mul_add(-LN2_LO, r);
+    let p = 1.987_569_2e-4_f32
+        .mul_add(r, 1.398_199_9e-3)
+        .mul_add(r, 8.333_452e-3)
+        .mul_add(r, 4.166_579_6e-2)
+        .mul_add(r, 0.166_666_65)
+        .mul_add(r, 0.5);
+    let er = p.mul_add(r * r, r) + 1.0;
+    // n ∈ [−150, 0] sits in `shifted`'s low bits (same binade as the
+    // shift, one unit per ulp).
+    let n = (shifted.to_bits() as i32).wrapping_sub(ROUND_SHIFT.to_bits() as i32);
+    let half = n >> 1;
+    er * pow2(half) * pow2(n.wrapping_sub(half))
+}
+
+/// `2ⁿ` for `n ∈ [−126, 127]`, built in the exponent field.
+#[inline]
+fn pow2(n: i32) -> f32 {
+    f32::from_bits((n.wrapping_add(127) as u32) << 23)
+}
+
+/// `ln(1 + x)` for `x ∈ [0, 1]` (NaN → NaN), accurate in relative terms
+/// down to the smallest `x`.
+///
+/// `ln(1 + x) = 2·atanh(s)` with `s = x / (2 + x) ∈ [0, 1/3]`, i.e.
+/// `2s·(1 + s²/3 + s⁴/5 + …)`; the series stops after `s¹²/13`, where
+/// the rest is below 2⁻²⁶ of the sum.
+#[inline]
+pub fn log1p_unit(x: f32) -> f32 {
+    let s = x / (2.0 + x);
+    let z = s * s;
+    let p = (1.0f32 / 13.0)
+        .mul_add(z, 1.0 / 11.0)
+        .mul_add(z, 1.0 / 9.0)
+        .mul_add(z, 1.0 / 7.0)
+        .mul_add(z, 1.0 / 5.0)
+        .mul_add(z, 1.0 / 3.0);
+    let two_s = s + s;
+    (two_s * z).mul_add(p, two_s)
+}
+
+/// `ln x` for `x ≥ 1` (NaN → NaN): the exponent times ln 2 plus
+/// [`log1p_unit`] of the mantissa's fraction.
+fn ln_at_least_one(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    let bits = x.to_bits();
+    let k = ((bits >> 23) as i32 - 127) as f32;
+    let mantissa = f32::from_bits((bits & 0x007f_ffff) | 1.0f32.to_bits());
+    k.mul_add(LN2_HI, log1p_unit(mantissa - 1.0)) + k * LN2_LO
+}
+
+/// Logistic sigmoid `σ(x)`.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    sigmoid_given_exp(x, exp_nonpos(-x.abs()))
+}
+
+/// `σ(x)` from `e = e^{−|x|}`: `1/(1+e)` for `x ≥ 0`, `e/(1+e)` below —
+/// neither can overflow, and the loss reuses the `e` it needs anyway.
+#[inline]
+pub fn sigmoid_given_exp(x: f32, e: f32) -> f32 {
+    let num = if x >= 0.0 { 1.0 } else { e };
+    (num as f64 / (1.0 + e as f64)) as f32
+}
+
+/// Number of accumulators the row reductions below sum into (element `i`
+/// goes to lane `i mod LANES`); the lanes then add pairwise. The order of
+/// every sum is fixed by this, not by the ISA or the thread count.
+const LANES: usize = 16;
+
+/// `Σ_j term([ins[0][j], ins[1][j], …])` over equal-length rows, element
+/// `j` into accumulator `j mod LANES`, the lanes then added pairwise —
+/// the fixed-order sum the softmax and loss rows use.
+///
+/// The rows run as whole `LANES`-wide chunks so the terms vectorise; a
+/// short last chunk is padded with zeros and the padding lanes' terms are
+/// dropped.
+#[inline(always)]
+pub fn lane_sum<const K: usize>(ins: [&[f32]; K], term: impl Fn([f32; K]) -> f32) -> f32 {
+    let len = ins.first().map_or(0, |s| s.len());
+    assert!(ins.iter().all(|s| s.len() == len), "row length mismatch");
+    let chunk_terms = |chunk: [&[f32; LANES]; K]| -> [f32; LANES] {
+        std::array::from_fn(|l| term(chunk.map(|s| s[l])))
+    };
+    let mut acc = [0.0f32; LANES];
+    let full = len - len % LANES;
+    for at in (0..full).step_by(LANES) {
+        let chunk =
+            ins.map(|s| -> &[f32; LANES] { s[at..at + LANES].try_into().expect("whole chunk") });
+        for (a, t) in acc.iter_mut().zip(chunk_terms(chunk)) {
+            *a += t;
+        }
+    }
+    let rest = len - full;
+    if rest > 0 {
+        let padded = ins.map(|s| {
+            let mut p = [0.0f32; LANES];
+            p[..rest].copy_from_slice(&s[full..]);
+            p
+        });
+        for (a, t) in acc.iter_mut().zip(&chunk_terms(padded.each_ref())[..rest]) {
+            *a += t;
+        }
+    }
+    reduce_lanes(acc, |a, b| a + b)
+}
+
+/// The lanes folded pairwise (lane `l` with lane `l + w/2`, halving `w`).
+#[inline(always)]
+fn reduce_lanes(mut acc: [f32; LANES], op: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            acc[l] = op(acc[l], acc[l + width]);
+        }
+    }
+    acc[0]
+}
+
 /// In-place logistic sigmoid.
 pub fn sigmoid_inplace(m: &mut DMatrix) {
-    m.data_mut().par_iter_mut().for_each(|x| {
-        *x = 1.0 / (1.0 + (-*x).exp());
+    m.par_rows_mut().for_each(|row| {
+        for x in row.iter_mut() {
+            *x = sigmoid(*x);
+        }
     });
+}
+
+/// Softmax of one row in place (stabilised by the row max); returns the
+/// row's log-sum-exp `ln Σ_j e^{x_j}`. A NaN anywhere in the row makes
+/// the whole row and the result NaN.
+pub fn softmax_row_inplace(row: &mut [f32]) -> f32 {
+    // Row max in lanes; NaN compares false and is skipped here, then
+    // poisons the sum below.
+    let greater = |a: f32, b: f32| if b > a { b } else { a };
+    let mut lanes = [f32::NEG_INFINITY; LANES];
+    for chunk in row.chunks(LANES) {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = greater(*m, x);
+        }
+    }
+    let max = reduce_lanes(lanes, greater);
+    for x in row.iter_mut() {
+        *x = exp_nonpos(*x - max);
+    }
+    let sum = lane_sum([row], |[e]| e);
+    let inv = 1.0 / sum;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+    max + ln_at_least_one(sum)
 }
 
 /// Row-wise softmax (numerically stabilised by the row max).
 pub fn softmax_rows_inplace(m: &mut DMatrix) {
     m.par_rows_mut().for_each(|row| {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        let inv = 1.0 / sum;
-        for x in row.iter_mut() {
-            *x *= inv;
-        }
+        softmax_row_inplace(row);
     });
 }
 
