@@ -147,5 +147,50 @@ fn bench_gemm_gcn_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gemm, bench_gemm_gcn_shapes);
+/// The yelp-shaped GEMMs of out-of-core training, on one thread: widths
+/// that are not a multiple of the AVX-512 tile (the driver runs each
+/// strip's last panel at its exact width) and a row-major A operand (the
+/// 8-row block pack). `nn` is a forward `H·W`, `tn` a weight gradient
+/// `Hᵀ·dY` with its A stored transposed.
+fn bench_gemm_tails(c: &mut Criterion) {
+    gsgcn_bench::announce_kernel_tier();
+    let mut group = c.benchmark_group("gemm_tail_1t");
+    group.sample_size(20);
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    for &(m, k, n, trans) in &[
+        (1557usize, 602usize, 128usize, false),
+        (1557, 602, 100, false),
+        (1557, 256, 64, false),
+        (300, 1563, 32, true),
+    ] {
+        let a = DMatrix::from_fn(m, k, |i, j| ((i * 5 + j) % 11) as f32 * 0.1 - 0.5);
+        let at = a.transpose();
+        let b = DMatrix::from_fn(k, n, |i, j| ((i * 3 + j) % 7) as f32 * 0.15 - 0.4);
+        let mut out = DMatrix::zeros(m, n);
+        group.throughput(Throughput::Elements((2 * m * k * n) as u64));
+        let layout = if trans { "tn" } else { "nn" };
+        group.bench_with_input(
+            BenchmarkId::new(layout, format!("{m}x{k}x{n}")),
+            &m,
+            |bch, _| {
+                pool.install(|| {
+                    bch.iter(|| {
+                        if trans {
+                            gemm::gemm_tn_v(1.0, at.view(), b.view(), 0.0, out.view_mut());
+                        } else {
+                            gemm::gemm_nn_v(1.0, a.view(), b.view(), 0.0, out.view_mut());
+                        }
+                        black_box(out.get(0, 0))
+                    });
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_gemm, bench_gemm_gcn_shapes, bench_gemm_tails);
 criterion_main!(benches);

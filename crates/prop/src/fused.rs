@@ -38,7 +38,7 @@
 //! [`gemm::PackSource`]: gsgcn_tensor::gemm::PackSource
 
 use gsgcn_graph::CsrGraph;
-use gsgcn_tensor::gemm::{APanel, Element, PackSource};
+use gsgcn_tensor::gemm::{APanel, Element, PackSource, MR};
 use gsgcn_tensor::{scratch, DMatrix, MatRef, Rows};
 use rayon::prelude::*;
 
@@ -341,50 +341,62 @@ impl<H: Rows> PackSource<H::Elem> for AggregatedRows<'_, H> {
         (self.rows, self.h.cols())
     }
 
-    fn pack_a(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut APanel<'_, H::Elem>,
-    ) {
+    fn pack_a(&self, alpha: f32, ic: usize, pc: usize, out: &mut APanel<'_, H::Elem>) {
+        let (mc, kc) = (out.mc(), out.kc());
         assert!(
             alpha == 1.0 || self.kept.is_none(),
             "kept rows pack at α = 1 only"
         );
-        // One contiguous accumulator row, handed to the panel layout once
-        // per vertex: the per-neighbor inner loop is then a unit-stride
-        // add over `kc` floats the vectoriser handles.
-        scratch::with_buf(kc, |acc| {
-            for r in 0..mc {
-                let v = self.vertex(ic + r);
-                if let Some(row) = self.kept.and_then(|k| k.row(v)) {
-                    out.fill_row(r, &row[pc..pc + kc], |x| x);
-                    continue;
+        // One contiguous f32 accumulator row per vertex, so the
+        // per-neighbor inner loop is a unit-stride add over `kc` floats the
+        // vectoriser handles; a group of MR aggregated rows then enters
+        // the panel through one block pack.
+        scratch::with_buf(MR * kc, |acc| {
+            for r0 in (0..mc).step_by(MR) {
+                let rows = MR.min(mc - r0);
+                let mut summed = [false; MR];
+                for (i, acc) in acc.chunks_exact_mut(kc).take(rows).enumerate() {
+                    let v = self.vertex(ic + r0 + i);
+                    if let Some(row) = self.kept.and_then(|k| k.row(v)) {
+                        out.fill_row(r0 + i, &row[pc..pc + kc], |x| x);
+                        continue;
+                    }
+                    // Same operation order as the unfused path (sum, then
+                    // one multiply by 1/deg, then the pack's α fold), so
+                    // fused f32 results match the materialised composition
+                    // bit-for-bit at α = 1.
+                    let inv = self.sum_row(v, pc, acc);
+                    if let Some(spill) = &self.spill {
+                        debug_assert!(v * spill.cols + pc + kc <= spill.len);
+                        // SAFETY: row `v` is exclusively owned by this
+                        // task's block within the current strip (see the
+                        // `Spill` safety note), and the range ends inside
+                        // the spill matrix: `v < n` and `pc + kc ≤ cols` by
+                        // the pack contract (debug-asserted above).
+                        let dst: &mut [f32] = unsafe {
+                            std::slice::from_raw_parts_mut(spill.ptr.add(v * spill.cols + pc), kc)
+                        };
+                        for (d, &a) in dst.iter_mut().zip(acc.iter()) {
+                            *d = a * inv;
+                        }
+                    }
+                    let scale = alpha * inv;
+                    for a in acc.iter_mut() {
+                        *a *= scale;
+                    }
+                    summed[i] = true;
                 }
-                // Same operation order as the unfused path (sum, then
-                // one multiply by 1/deg, then the pack's α fold), so
-                // fused f32 results match the materialised composition
-                // bit-for-bit at α = 1.
-                let inv = self.sum_row(v, pc, acc);
-                if let Some(spill) = &self.spill {
-                    debug_assert!(v * spill.cols + pc + kc <= spill.len);
-                    // SAFETY: row `v` is exclusively owned by this
-                    // task's block within the current strip (see the
-                    // `Spill` safety note), and the range ends inside
-                    // the spill matrix: `v < n` and `pc + kc ≤ cols` by
-                    // the pack contract (debug-asserted above).
-                    let dst: &mut [f32] = unsafe {
-                        std::slice::from_raw_parts_mut(spill.ptr.add(v * spill.cols + pc), kc)
-                    };
-                    for (d, &a) in dst.iter_mut().zip(acc.iter()) {
-                        *d = a * inv;
+                let round = |a: f32| H::Elem::from_f32(a);
+                if summed.iter().all(|&s| s) {
+                    let group = std::array::from_fn(|i| &acc[i * kc..][..kc]);
+                    out.fill_rows(r0, group, round);
+                } else {
+                    for (i, acc) in acc.chunks_exact(kc).take(rows).enumerate() {
+                        if summed[i] {
+                            out.fill_row(r0 + i, acc, round);
+                        }
                     }
                 }
-                let scale = alpha * inv;
-                out.fill_row(r, acc, |a| H::Elem::from_f32(a * scale));
             }
         });
     }

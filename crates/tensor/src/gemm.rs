@@ -21,7 +21,7 @@
 //!     pack B[pc.., jc..]  →  b_pack          (tn-wide column panels)
 //!     par for ic in 0..m step MC:            (row block — rayon task)
 //!       source.pack_a(α, ic, pc) →  a_pack   (tm-tall row panels)
-//!       for jr, ir tiles:  micro-tile tm×tn over KC
+//!       for jr, ir tiles:  micro-tile tm×tn over KC   (last jr: exact width)
 //! ```
 //!
 //! * **Packing** copies each operand panel once into contiguous,
@@ -30,11 +30,19 @@
 //!   regardless of the operand layout — this is what makes the `tn`/`nt`
 //!   transpose variants and strided views run at `nn` speed, and it
 //!   bounds cache/TLB traffic to one streaming pass per panel. `α` is
-//!   folded into the A-pack.
+//!   folded into the A-pack. A row-major A operand enters its
+//!   `MR`-interleaved panel `MR` rows at a time ([`APanel::fill_rows`]):
+//!   each 8-deep step of the group is staged as one 8×8 block and stored
+//!   transposed (AVX shuffles for f32, SSE2 for bf16), so the panel is
+//!   written in whole `MR`-wide runs rather than one element per store
+//!   (f32, one core of a 2-vCPU AVX-512 Xeon: ≈ 2.6 → ≈ 6 Gelem/s). A
+//!   transposed operand is placed one depth step of all rows at a time,
+//!   also in whole `MR`-wide runs ([`APanel::fill_col`], ≈ 2.6 → ≈ 4.2).
 //! * **The micro-tile** is whatever [`Tiles`] strategy the panel
 //!   [`Element`] resolves for the dispatched kernel tier
 //!   ([`crate::ukernel`]): an explicit SIMD register tile (`8×48`
-//!   AVX-512F, `8×16` AVX2+FMA, `8×32` portable autovectorised) over
+//!   AVX-512F, `8×16` AVX2+FMA, `8×32` portable autovectorised, each
+//!   also at its narrower widths for tails — see below) over
 //!   `MR`-interleaved panels, or — for bf16 panels at the avx512 tier
 //!   when the AMX unit is ready — a `32×32` `tdpbf16ps` tile over
 //!   row-major A and VNNI B panels ([`crate::amx`]). The tier is
@@ -54,8 +62,16 @@
 //! * Accumulation order per C element is fixed (pc-major, then kk), so the
 //!   kernel is deterministic; tests pin it against [`matmul_reference`].
 //!
-//! Edge tiles run the same micro-tile against zero-padded panels and clip
-//! on the C store, so odd shapes take the fast path too.
+//! **Exact-width tails.** Every B panel of a column strip is the full
+//! tile width except the last, which is packed and run at the narrowest
+//! width the strategy offers that covers the remaining columns
+//! ([`Tiles::panel_widths`]): the AVX-512 tier runs `n = 32 / 64 / 100 /
+//! 128` as `32`, `48 + 16`, `48 + 48 + 16` and `48 + 48 + 32` columns
+//! instead of padding each to a multiple of 48, so a narrow GEMM no longer
+//! spends up to half its FMAs on zeros. Row edges (`m` not a multiple of
+//! `tm`) and the AMX strategy's single 32-wide tile still multiply
+//! zero-padded panels and clip on the C store. A narrow tile issues the
+//! same FMA chain per C element as the wide one, so tails change no bit.
 //!
 //! # One pack-source trait, two panel elements
 //!
@@ -98,6 +114,7 @@
 //! | bf16 training gradients vs f32 (bf16 panels in forward and backward) | [`crate::precision::rel_tolerance`], depth 1 | `fused_bf16_gradients_within_tolerance` in `gsgcn-nn` `gcn_layer.rs` |
 //! | producer-packed vs materialised A stored in the same element | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` in `gsgcn-prop` `fused.rs` |
 //! | transposed-A / transposed-B packs vs the plain orientation | bit-identical, either element, every engine | `driver_matches_materialised_across_elements_sources_shapes_{f32,bf16}` here |
+//! | `n` columns vs the first `n` of B zero-padded to the full tile width | bit-identical, either element, every engine and layout | `exact_width_tails_match_zero_padded_b_{f32,bf16}` |
 
 use crate::bf16::{Bf16, Bf16MatRef};
 use crate::matrix::DMatrix;
@@ -243,19 +260,12 @@ pub trait PackSource<E: Element = f32>: Sync {
     /// Logical shape `(m, k)` of the A operand.
     fn shape(&self) -> (usize, usize);
 
-    /// Place every element of `α·A[ic..ic+mc, pc..pc+kc]` into `out`
-    /// (`mc` rows × `kc` depth) with [`APanel::fill_row`] /
+    /// Place every element of `α·A[ic..ic+mc, pc..pc+kc]` into `out`,
+    /// whose extent is `mc = out.mc()` rows × `kc = out.kc()` depth, with
+    /// [`APanel::fill_rows`] / [`APanel::fill_row`] /
     /// [`APanel::fill_col`]. The layout and the zero padding are the
     /// panel's business, not the source's.
-    fn pack_a(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut APanel<'_, E>,
-    );
+    fn pack_a(&self, alpha: f32, ic: usize, pc: usize, out: &mut APanel<'_, E>);
 }
 
 /// The destination of one packed A block, in whichever layout the
@@ -274,6 +284,53 @@ pub struct APanel<'a, E> {
 }
 
 impl<E: Element> APanel<'_, E> {
+    /// Rows of the block (`mc`).
+    pub fn mc(&self) -> usize {
+        self.mc
+    }
+
+    /// Depth of the block (`kc`): every placed row or column is this long.
+    pub fn kc(&self) -> usize {
+        self.kc
+    }
+
+    /// Place logical rows `r0..r0 + MR` at once (`r0` a multiple of
+    /// [`MR`]): depth `kk` of row `r0 + i` gets `f(rows[i][kk])` (every
+    /// `rows[i].len() == kc`). In the interleaved layout, every 8-deep
+    /// step of the `MR` rows is staged as one 8×8 block and stored
+    /// transposed, so the panel is written in whole `MR`-wide runs
+    /// instead of one element per store ([`APanel::fill_row`]).
+    #[inline]
+    pub fn fill_rows<T: Copy>(&mut self, r0: usize, rows: [&[T]; MR], f: impl Fn(T) -> E) {
+        debug_assert!(r0.is_multiple_of(MR) && r0 + MR <= self.mc);
+        debug_assert!(rows.iter().all(|row| row.len() == self.kc));
+        if self.row_major {
+            for (i, src) in rows.into_iter().enumerate() {
+                self.fill_row(r0 + i, src, &f);
+            }
+            return;
+        }
+        const KB: usize = 8;
+        let kc = self.kc;
+        let panel = &mut self.buf[r0 / MR * kc * MR..][..kc * MR];
+        let (blocks, tail) = panel.split_at_mut(kc / KB * KB * MR);
+        for (b, out) in blocks.chunks_exact_mut(KB * MR).enumerate() {
+            let mut t = [[E::ZERO; KB]; MR];
+            for (ti, src) in t.iter_mut().zip(&rows) {
+                for (d, &x) in ti.iter_mut().zip(&src[b * KB..][..KB]) {
+                    *d = f(x);
+                }
+            }
+            E::store_transposed(&t, out.try_into().unwrap());
+        }
+        let kk0 = kc / KB * KB;
+        for (j, run) in tail.chunks_exact_mut(MR).enumerate() {
+            for (d, src) in run.iter_mut().zip(&rows) {
+                *d = f(src[kk0 + j]);
+            }
+        }
+    }
+
     /// Place logical row `r` of the block: depth `kk` gets `f(src[kk])`
     /// (`src.len() == kc`).
     #[inline]
@@ -302,9 +359,19 @@ impl<E: Element> APanel<'_, E> {
                 row[kk] = f(s);
             }
         } else {
-            let panels = self.buf.chunks_exact_mut(self.kc * MR);
-            for (panel, s) in panels.zip(src.chunks(MR)) {
-                for (d, &x) in panel[kk * MR..][..MR].iter_mut().zip(s) {
+            let mut panels = self.buf.chunks_exact_mut(self.kc * MR);
+            let groups = src.chunks_exact(MR);
+            let rest = groups.remainder();
+            // `groups` leads the zip, so the panel of a partial last
+            // group is still in `panels` when the full ones run out.
+            for (s, panel) in groups.zip(panels.by_ref()) {
+                let d: &mut [E; MR] = (&mut panel[kk * MR..][..MR]).try_into().unwrap();
+                for (d, &x) in d.iter_mut().zip(s) {
+                    *d = f(x);
+                }
+            }
+            if let Some(panel) = panels.next() {
+                for (d, &x) in panel[kk * MR..][..MR].iter_mut().zip(rest) {
                     *d = f(x);
                 }
             }
@@ -359,21 +426,26 @@ impl<H: Rows> DensePack<H> {
     fn pack_with<E: Element>(
         &self,
         ic: usize,
-        mc: usize,
         pc: usize,
-        kc: usize,
         out: &mut APanel<'_, E>,
         f: impl Fn(H::Elem) -> E,
     ) {
+        let (mc, kc) = (out.mc(), out.kc());
         if self.trans {
             // A stored k×m: for fixed kk the logical rows are contiguous.
             for kk in 0..kc {
                 out.fill_col(kk, &self.a.row(pc + kk)[ic..ic + mc], &f);
             }
         } else {
-            // A stored m×k: walk each logical row once (contiguous in kk).
-            for r in 0..mc {
-                out.fill_row(r, &self.a.row(ic + r)[pc..pc + kc], &f);
+            // A stored m×k: each logical row is contiguous in kk; whole
+            // MR groups are placed together, the last partial one by row.
+            let row = |r: usize| &self.a.row(ic + r)[pc..pc + kc];
+            let full = mc / MR * MR;
+            for r0 in (0..full).step_by(MR) {
+                out.fill_rows(r0, std::array::from_fn(|i| row(r0 + i)), &f);
+            }
+            for r in full..mc {
+                out.fill_row(r, row(r), &f);
             }
         }
     }
@@ -384,24 +456,14 @@ impl<H: Rows> PackSource<H::Elem> for DensePack<H> {
         self.dims()
     }
 
-    fn pack_a(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut APanel<'_, H::Elem>,
-    ) {
+    fn pack_a(&self, alpha: f32, ic: usize, pc: usize, out: &mut APanel<'_, H::Elem>) {
         // α = 1 moves the stored elements unchanged (`1·x` is `x` in f32,
         // and for bf16 a pure u16 copy — no conversion at all); any other
         // α scales in f32 and rounds once.
         if alpha == 1.0 {
-            self.pack_with(ic, mc, pc, kc, out, |x| x);
+            self.pack_with(ic, pc, out, |x| x);
         } else {
-            self.pack_with(ic, mc, pc, kc, out, |x| {
-                H::Elem::from_f32(alpha * x.to_f32())
-            });
+            self.pack_with(ic, pc, out, |x| H::Elem::from_f32(alpha * x.to_f32()));
         }
     }
 }
@@ -417,16 +479,8 @@ impl PackSource<Bf16> for DensePack<MatRef<'_>> {
         self.dims()
     }
 
-    fn pack_a(
-        &self,
-        alpha: f32,
-        ic: usize,
-        mc: usize,
-        pc: usize,
-        kc: usize,
-        out: &mut APanel<'_, Bf16>,
-    ) {
-        self.pack_with(ic, mc, pc, kc, out, |x| Bf16::from_f32(alpha * x));
+    fn pack_a(&self, alpha: f32, ic: usize, pc: usize, out: &mut APanel<'_, Bf16>) {
+        self.pack_with(ic, pc, out, |x| Bf16::from_f32(alpha * x));
     }
 }
 
@@ -505,7 +559,8 @@ fn driver<E: Element, S: PackSource<E> + ?Sized>(
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             let kd = kc.next_multiple_of(tiles.k_align);
-            E::with_scratch(nc.div_ceil(tiles.tn) * tiles.tn * kd, |b_pack| {
+            let packed_cols: usize = tiles.panel_widths(nc).sum();
+            E::with_scratch(packed_cols * kd, |b_pack| {
                 pack_b(&tiles, b, b_trans, pc, kc, kd, jc, nc, b_pack);
                 let b_pack = &*b_pack;
                 (0..ic_blocks).into_par_iter().for_each(|blk| {
@@ -519,7 +574,7 @@ fn driver<E: Element, S: PackSource<E> + ?Sized>(
                             ld: kd,
                             row_major: tiles.amx,
                         };
-                        a.pack_a(alpha, ic, mc, pc, kc, &mut panel);
+                        a.pack_a(alpha, ic, pc, &mut panel);
                         panel.zero_padding();
                         multiply_block(kern, &tiles, a_pack, b_pack, c_base, ic, mc, jc, nc, kd);
                     });
@@ -535,8 +590,9 @@ fn driver<E: Element, S: PackSource<E> + ?Sized>(
 struct AccTile([f32; ACC_LEN]);
 
 /// `C[ic..ic+mc, jc..jc+nc] += packed_A · packed_B` for one row block:
-/// both packs are sequences of `tm`- / `tn`-wide sub-panels of depth
-/// `kd`, whatever their inner layout.
+/// both packs are sequences of sub-panels of depth `kd`, whatever their
+/// inner layout — A's `tm` tall, B's as wide as
+/// [`Tiles::panel_widths`] lists.
 #[allow(clippy::too_many_arguments)]
 fn multiply_block<E: Element>(
     kern: &Kernel,
@@ -551,17 +607,19 @@ fn multiply_block<E: Element>(
     kd: usize,
 ) {
     debug_assert!(ic + mc <= c_base.rows && jc + nc <= c_base.cols);
-    let (tm, tn) = (tiles.tm, tiles.tn);
+    let tm = tiles.tm;
     // Tile buffer the micro-tile overwrites per call (row-major tm×tn).
-    let mut acc = AccTile([0.0f32; ACC_LEN]);
-    let acc = &mut acc.0[..tm * tn];
-    for (jt, b_tile) in b_pack.chunks_exact(kd * tn).enumerate() {
-        let jr = jt * tn;
+    let mut acc_buf = AccTile([0.0f32; ACC_LEN]);
+    let (mut jr, mut b_rest) = (0, b_pack);
+    for tn in tiles.panel_widths(nc) {
+        let (b_tile, rest) = b_rest.split_at(kd * tn);
+        b_rest = rest;
+        let acc = &mut acc_buf.0[..tm * tn];
         let tile_cols = tn.min(nc - jr);
         for (it, a_tile) in a_pack.chunks_exact(kd * tm).enumerate() {
             let ir = it * tm;
             let tile_rows = tm.min(mc - ir);
-            E::micro_tile(kern, tiles, kd, a_tile, b_tile, acc);
+            E::micro_tile(kern, tiles, kd, tn, a_tile, b_tile, acc);
             // (acc now holds the full tile product for this pc panel.)
             // Store: C[ic+ir .., jc+jr ..] += acc (clipped to the edge).
             for (r, acc_row) in acc.chunks_exact(tn).enumerate().take(tile_rows) {
@@ -581,13 +639,15 @@ fn multiply_block<E: Element>(
                 }
             }
         }
+        jr += tn;
     }
 }
 
 /// Pack `B[pc..pc+kc, jc..jc+nc]` (logical orientation) for `tiles`,
 /// rounding each element once ([`Element::from_f32`]) as it enters the
-/// L2-resident panel. Vector strategies take `tn`-wide column panels;
-/// AMX takes [`crate::amx::VNNI_W`]-column panels with k-row pairs
+/// L2-resident panel. Vector strategies take column panels of the widths
+/// [`Tiles::panel_widths`] lists (full tiles, the last exact-width); AMX
+/// takes [`crate::amx::VNNI_W`]-column panels with k-row pairs
 /// merged and depth zero-padded to `kd`, plus an all-zero panel when the
 /// strip ends on a dangling half tile.
 #[allow(clippy::too_many_arguments)]
@@ -603,21 +663,30 @@ fn pack_b<E: Element>(
     out: &mut [E],
 ) {
     if !tiles.amx {
-        return pack_b_panels(b, b_trans, pc, kc, jc, nc, tiles.tn, out);
+        return pack_b_panels(b, b_trans, pc, kc, jc, nc, tiles.panel_widths(nc), out);
     }
     let w = crate::amx::VNNI_W;
     let panels = nc.div_ceil(w);
     let (vnni, dangling) = out.split_at_mut(panels * kd * w);
     E::with_scratch(panels * kc * w, |lin| {
-        pack_b_panels(b, b_trans, pc, kc, jc, nc, w, lin);
+        pack_b_panels(
+            b,
+            b_trans,
+            pc,
+            kc,
+            jc,
+            nc,
+            std::iter::repeat_n(w, panels),
+            lin,
+        );
         ukernel::pair_interleave_bf16_panels(lin, vnni, kc, w, kd);
     });
     dangling.fill(E::ZERO);
 }
 
-/// Pack `B[pc..pc+kc, jc..jc+nc]` into `w`-wide column panels:
-/// `out[p*kc*w + kk*w + j] = B[pc+kk, jc+p·w+j]`, zero-padding columns
-/// past `nc`.
+/// Pack `B[pc..pc+kc, jc..jc+nc]` into consecutive column panels of the
+/// given widths: a `w`-wide panel starting at column `c0` holds
+/// `panel[kk*w + j] = B[pc+kk, jc+c0+j]`, zero-padding columns past `nc`.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_panels<E: Element>(
     b: MatRef<'_>,
@@ -626,13 +695,13 @@ fn pack_b_panels<E: Element>(
     kc: usize,
     jc: usize,
     nc: usize,
-    w: usize,
-    out: &mut [E],
+    widths: impl Iterator<Item = usize>,
+    mut out: &mut [E],
 ) {
-    let panels = nc.div_ceil(w);
-    debug_assert_eq!(out.len(), panels * kc * w);
-    for (p, panel) in out.chunks_exact_mut(kc * w).enumerate() {
-        let c0 = p * w;
+    let mut c0 = 0;
+    for w in widths {
+        let (panel, rest) = std::mem::take(&mut out).split_at_mut(kc * w);
+        out = rest;
         let cols_here = w.min(nc - c0);
         if b_trans {
             // B stored n×k: each logical column is a contiguous stored row.
@@ -657,7 +726,9 @@ fn pack_b_panels<E: Element>(
                 dst[cols_here..].fill(E::ZERO);
             }
         }
+        c0 += w;
     }
+    debug_assert!(out.is_empty() && c0 >= nc);
 }
 
 /// `C = β·C`, with BLAS semantics: `β = 0` overwrites even NaN garbage.
@@ -969,15 +1040,8 @@ mod tests {
             (self.m, self.k)
         }
 
-        fn pack_a(
-            &self,
-            alpha: f32,
-            ic: usize,
-            mc: usize,
-            pc: usize,
-            kc: usize,
-            out: &mut APanel<'_, f32>,
-        ) {
+        fn pack_a(&self, alpha: f32, ic: usize, pc: usize, out: &mut APanel<'_, f32>) {
+            let (mc, kc) = (out.mc(), out.kc());
             for r in 0..mc {
                 let row: Vec<f32> = (0..kc).map(|kk| self.at(ic + r, pc + kk)).collect();
                 out.fill_row(r, &row, |x| alpha * x);
@@ -1161,14 +1225,17 @@ mod tests {
     }
 
     /// Both panel layouts place `(row, depth)` where their micro-tile
-    /// reads it, whichever direction the source fills in, and
-    /// `zero_padding` clears exactly what was not placed.
+    /// reads it, whichever way the source fills — by row, by column, or
+    /// `MR` rows at a time with the rest by row — and `zero_padding`
+    /// clears exactly what was not placed. `mc` is not a multiple of
+    /// `MR` and `kc` not a multiple of the 8-deep transpose block, so
+    /// both the block and the element-wise tail of `fill_rows` run.
     #[test]
     fn apanel_layouts_place_rows_cols_and_padding() {
-        let (mc, kc, ld) = (11usize, 5usize, 8usize);
+        let (mc, kc, ld) = (19usize, 13usize, 16usize);
         let val = |r: usize, kk: usize| (r * 100 + kk + 1) as f32;
         for row_major in [false, true] {
-            for by_col in [false, true] {
+            for fill in ["row", "col", "rows"] {
                 let len = if row_major {
                     mc.next_multiple_of(32) * ld
                 } else {
@@ -1182,15 +1249,30 @@ mod tests {
                     ld: if row_major { ld } else { kc },
                     row_major,
                 };
-                if by_col {
-                    for kk in 0..kc {
-                        let col: Vec<f32> = (0..mc).map(|r| val(r, kk)).collect();
-                        panel.fill_col(kk, &col, |x| x);
+                let rows: Vec<Vec<f32>> = (0..mc)
+                    .map(|r| (0..kc).map(|kk| val(r, kk)).collect())
+                    .collect();
+                match fill {
+                    "col" => {
+                        for kk in 0..kc {
+                            let col: Vec<f32> = (0..mc).map(|r| val(r, kk)).collect();
+                            panel.fill_col(kk, &col, |x| x);
+                        }
                     }
-                } else {
-                    for r in 0..mc {
-                        let row: Vec<f32> = (0..kc).map(|kk| val(r, kk)).collect();
-                        panel.fill_row(r, &row, |x| x);
+                    "rows" => {
+                        let full = mc / MR * MR;
+                        for r0 in (0..full).step_by(MR) {
+                            let group = std::array::from_fn(|i| rows[r0 + i].as_slice());
+                            panel.fill_rows(r0, group, |x| x);
+                        }
+                        for (r, row) in rows.iter().enumerate().skip(full) {
+                            panel.fill_row(r, row, |x| x);
+                        }
+                    }
+                    _ => {
+                        for (r, row) in rows.iter().enumerate() {
+                            panel.fill_row(r, row, |x| x);
+                        }
                     }
                 }
                 panel.zero_padding();
@@ -1205,9 +1287,59 @@ mod tests {
                         want[at] = val(r, kk);
                     }
                 }
-                assert_eq!(buf, want, "row_major={row_major} by_col={by_col}");
+                assert_eq!(buf, want, "row_major={row_major} fill={fill}");
             }
         }
+    }
+
+    /// Exact-width tails: for every tier, both panel elements and all
+    /// three layouts, a GEMM with `n` columns equals, bit for bit, the
+    /// first `n` columns of the same GEMM with B zero-padded to a multiple
+    /// of the tier's full tile width — the narrow last panel runs the
+    /// very FMA chains the padded full-width tile does.
+    fn check_tails<E: Stored>() {
+        let (m, k) = (21usize, 300usize);
+        let a = seq(m, k, 0.8);
+        let (qa, qat) = (stored::<E>(&a), stored::<E>(&a.transpose()));
+        for tier in available_tiers() {
+            let tn = E::tiles(ukernel::kernel_for(tier)).tn();
+            for n in [
+                1usize, 8, 15, 16, 17, 31, 32, 33, 41, 47, 48, 49, 64, 100, 128,
+            ] {
+                let np = n.next_multiple_of(tn);
+                let b = seq(k, n, 1.2);
+                let bp = DMatrix::from_fn(k, np, |i, j| if j < n { b.get(i, j) } else { 0.0 });
+                let clip = |c: DMatrix| DMatrix::from_fn(m, n, |i, j| c.get(i, j));
+                with_tier(tier, || {
+                    let at_tier = format!("{} n={n} (padded {np})", tier.name());
+                    let a_n = DensePack::new(E::view(&qa, m, k));
+                    let a_t = DensePack::transposed(E::view(&qat, k, m));
+                    let (nan, nan_p) = (
+                        DMatrix::filled(m, n, f32::NAN),
+                        DMatrix::filled(m, np, f32::NAN),
+                    );
+                    let run = |layout: &str, b: &DMatrix, c0: &DMatrix| match layout {
+                        "nn" => drive(1.0, &a_n, b, false, 0.0, c0),
+                        "tn" => drive(1.0, &a_t, b, false, 0.0, c0),
+                        _ => drive(1.0, &a_n, &b.transpose(), true, 0.0, c0),
+                    };
+                    for layout in ["nn", "tn", "nt"] {
+                        let (got, padded) = (run(layout, &b, &nan), run(layout, &bp, &nan_p));
+                        assert_eq!(got, clip(padded), "{layout} {at_tier}");
+                    }
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn exact_width_tails_match_zero_padded_b_f32() {
+        check_tails::<f32>();
+    }
+
+    #[test]
+    fn exact_width_tails_match_zero_padded_b_bf16() {
+        check_tails::<Bf16>();
     }
 
     #[test]

@@ -4,18 +4,30 @@
 //! `MR×NR` register-tile microkernel. This module provides that microkernel
 //! at three explicitness tiers and picks one **at runtime**:
 //!
-//! | tier     | NR | ISA            | implementation                         |
-//! |----------|----|----------------|----------------------------------------|
-//! | `avx512` | 48 | AVX-512F       | `_mm512_fmadd_ps`, 8×3 zmm accumulators |
-//! | `avx2`   | 16 | AVX2 + FMA     | `_mm256_fmadd_ps`, two 4×2 ymm half-tiles |
-//! | `scalar` | 32 | any            | virtual-vector form, LLVM autovectorised |
+//! | tier     | widths NR     | ISA            | implementation                          |
+//! |----------|---------------|----------------|-----------------------------------------|
+//! | `avx512` | 16 / 32 / 48  | AVX-512F       | `_mm512_fmadd_ps`, 8×{1,2,3} zmm accumulators |
+//! | `avx2`   | 8 / 16        | AVX2 + FMA     | `_mm256_fmadd_ps`, 8 ymm accumulators per pass (one 8×1 pass, or two 4×2 half-tiles) |
+//! | `scalar` | 8 / 16 / 24 / 32 | any         | virtual-vector form, LLVM autovectorised |
 //!
 //! All tiers share the A-panel layout (`MR`-interleaved, [`MR`] is fixed at
 //! 8 so [`crate::gemm::PackSource`] producers are tier-agnostic), but each
-//! sizes its own B-panel width `NR` to its register file: wide enough that
-//! the FMA ports, not the load ports, are the bottleneck, while the
-//! accumulator tile plus the B vectors still fit the architectural
-//! registers without spills.
+//! sizes its own B-panel width `NR` to its register file: its widest tile
+//! is wide enough that the FMA ports, not the load ports, are the
+//! bottleneck, while the accumulator tile plus the B vectors still fit
+//! the architectural registers without spills.
+//!
+//! # Exact-width tails
+//!
+//! Each tier's kernel is **one body, generic over its width in vectors**
+//! (`NV`), instantiated once per width the table lists; the widest
+//! instance is the full register tile. A GEMM whose `n` is not a multiple
+//! of the full width would otherwise multiply zero padding in its last B
+//! panel of every strip (yelp's 32- / 64- / 100-column layers spend 50 /
+//! 50 / 44 % of the AVX-512 FMAs on it), so the driver packs and runs that
+//! last panel at the **narrowest width that covers it** ([`Tiles::width_for`]).
+//! A narrower instance issues, for every real column, the very FMAs the
+//! wide one does, in the same order.
 //!
 //! # Dispatch
 //!
@@ -38,18 +50,20 @@
 //! # Numerical equivalence
 //!
 //! Every tier computes each C element as the same sequence of fused
-//! multiply-adds over `kc` (one chain per element, `pc`-major), so tiers
-//! agree to the last bit on the same input — pinned (to 1e-4, defensively)
-//! by the tier-equivalence proptests in `tests/proptest_packed_gemm.rs`.
+//! multiply-adds over `kc` (one chain per element, `pc`-major), at every
+//! width, so tiers agree to the last bit on the same input — pinned bit
+//! for bit by `tiers_are_bit_identical` in `gemm.rs` and the
+//! tier-equivalence proptests in `tests/proptest_packed_gemm.rs`.
 //!
 //! # Precision tiers
 //!
-//! Each dispatch-table row carries **two** entry points over the same
-//! `MR×NR` tile geometry: the f32 kernel (`ukr`) and a bf16-panel kernel
-//! (`ukr_bf16`) that reads `u16` A/B panels, widens them in registers
-//! (bf16 → f32 is a 16-bit left shift: `_mm512_slli_epi32` /
-//! `_mm256_slli_epi32` after a zero-extending `cvtepu16` load; the
-//! scalar tier shifts in plain code) and accumulates in f32. Panels stay
+//! Each dispatch-table row carries **two** entry points per width over the
+//! same `MR×NR` tile geometry — the same body instantiated for f32 panels
+//! (`ukr`) and for bf16 panels (`ukr_bf16`), which reads `u16` A/B panels,
+//! widens them in registers (bf16 → f32 is a 16-bit left shift:
+//! `_mm512_slli_epi32` / `_mm256_slli_epi32` after a zero-extending
+//! `cvtepu16` load; the scalar tier shifts in plain code) and accumulates
+//! in f32. Panels stay
 //! `MR`-interleaved with identical indices, only the element width
 //! halves — which is why the blocked driver in [`crate::gemm`] is one
 //! loop nest generic over the panel [`Element`]: the element supplies
@@ -98,11 +112,14 @@ pub const MR: usize = 8;
 /// driver's stack accumulator (the AMX 32×32 micro-tile is the largest).
 pub const ACC_LEN: usize = amx::TILE_M * amx::TILE_N;
 
-const NR_SCALAR: usize = 32;
+/// Micro-tile widths per tier, ascending: one body instantiated at one,
+/// two, … vectors of its lane width (see "Exact-width tails" above). The
+/// last entry is the tier's full register tile.
+const SCALAR_WIDTHS: [usize; 4] = [LANES, 2 * LANES, 3 * LANES, 4 * LANES];
 #[cfg(target_arch = "x86_64")]
-const NR_AVX2: usize = 16;
+const AVX2_WIDTHS: [usize; 2] = [8, 16];
 #[cfg(target_arch = "x86_64")]
-const NR_AVX512: usize = 48;
+const AVX512_WIDTHS: [usize; 3] = [16, 32, 48];
 
 /// How many `kk` iterations ahead the explicit tiers prefetch the A
 /// panel, in rows of `MR` f32 (8 rows × 32 B = two cache lines ahead).
@@ -185,46 +202,76 @@ type MicroKernelFn = unsafe fn(kc: usize, a: *const f32, b: *const f32, acc: *mu
 /// precision section).
 type MicroKernelBf16Fn = unsafe fn(kc: usize, a: *const u16, b: *const u16, acc: *mut f32);
 
-/// A resolved microkernel: the tier's tile geometry plus its entry point.
-/// Obtained from the dispatch table ([`current_kernel`]); never constructed
-/// for a tier the CPU cannot run.
+/// A resolved microkernel: the tier's tile widths plus one entry point
+/// per width and panel element. Obtained from the dispatch table
+/// ([`current_kernel`]); never constructed for a tier the CPU cannot run.
 pub struct Kernel {
     /// Which tier this is.
     pub tier: Tier,
-    /// Microkernel tile width (columns of C per register tile) — the
-    /// B-panel interleave width.
-    pub nr: usize,
-    /// Columns of C per outer GEMM strip: a multiple of `nr` keeping
-    /// `KC×nc` packed B around 1 MiB (L2-resident).
+    /// Micro-tile widths (columns of C per register tile, the B-panel
+    /// interleave width), ascending; the last is the full tile.
+    pub widths: &'static [usize],
+    /// Columns of C per outer GEMM strip: a multiple of the full width
+    /// keeping `KC×nc` packed B around 1 MiB (L2-resident).
     pub nc: usize,
-    ukr: MicroKernelFn,
-    ukr_bf16: MicroKernelBf16Fn,
+    /// `ukr[i]` / `ukr_bf16[i]` run tiles of width `widths[i]`.
+    ukr: &'static [MicroKernelFn],
+    ukr_bf16: &'static [MicroKernelBf16Fn],
 }
 
 impl Kernel {
-    /// Run the microkernel over packed panels: `acc[r·nr+j] += Σ_kk …` is
-    /// **overwritten** (not accumulated) with the `MR×nr` tile product.
+    /// The table slot of width `nr`.
+    ///
+    /// # Panics
+    /// Panics if the tier offers no `nr`-wide tile.
     #[inline]
-    pub(crate) fn run(&self, kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut [f32]) {
-        assert_eq!(a_panel.len(), kc * MR);
-        assert_eq!(b_panel.len(), kc * self.nr);
-        assert!(acc.len() >= MR * self.nr);
-        // SAFETY: panel/acc bounds checked above; the function pointer is
-        // only ever one whose ISA was verified available (`kernel_for`
-        // guards the table, `with_tier`/env parsing assert availability).
-        unsafe { (self.ukr)(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+    fn slot(&self, nr: usize) -> usize {
+        self.widths
+            .iter()
+            .position(|&w| w == nr)
+            .unwrap_or_else(|| panic!("tier `{}` has no {nr}-wide tile", self.tier.name()))
     }
 
-    /// Run the bf16-panel microkernel (f32 accumulate): same contract as
-    /// [`Kernel::run`] with `u16` bf16 bit-pattern panels.
+    /// Run the `nr`-wide microkernel over packed panels: `acc[r·nr+j]` is
+    /// **overwritten** (not accumulated) with the `MR×nr` tile product.
     #[inline]
-    pub(crate) fn run_bf16(&self, kc: usize, a_panel: &[u16], b_panel: &[u16], acc: &mut [f32]) {
+    pub(crate) fn run(
+        &self,
+        kc: usize,
+        nr: usize,
+        a_panel: &[f32],
+        b_panel: &[f32],
+        acc: &mut [f32],
+    ) {
+        let slot = self.slot(nr);
         assert_eq!(a_panel.len(), kc * MR);
-        assert_eq!(b_panel.len(), kc * self.nr);
-        assert!(acc.len() >= MR * self.nr);
+        assert_eq!(b_panel.len(), kc * nr);
+        assert!(acc.len() >= MR * nr);
+        // SAFETY: panel/acc bounds checked above for the slot's width; the
+        // function pointer is only ever one whose ISA was verified
+        // available (`kernel_for` guards the table, `with_tier`/env
+        // parsing assert availability).
+        unsafe { (self.ukr[slot])(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+    }
+
+    /// Run the `nr`-wide bf16-panel microkernel (f32 accumulate): same
+    /// contract as [`Kernel::run`] with `u16` bf16 bit-pattern panels.
+    #[inline]
+    pub(crate) fn run_bf16(
+        &self,
+        kc: usize,
+        nr: usize,
+        a_panel: &[u16],
+        b_panel: &[u16],
+        acc: &mut [f32],
+    ) {
+        let slot = self.slot(nr);
+        assert_eq!(a_panel.len(), kc * MR);
+        assert_eq!(b_panel.len(), kc * nr);
+        assert!(acc.len() >= MR * nr);
         // SAFETY: as in `run` — bounds checked, ISA availability
         // guaranteed by the dispatch table.
-        unsafe { (self.ukr_bf16)(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
+        unsafe { (self.ukr_bf16[slot])(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
     }
 }
 
@@ -237,10 +284,13 @@ impl Kernel {
 pub struct Tiles {
     /// Rows of C per micro-tile — the height of one packed A sub-panel.
     pub tm: usize,
-    /// Columns of C per micro-tile — the width of one packed B sub-panel.
-    pub tn: usize,
-    /// Columns of C per packed-B strip (a multiple of `tn`, sized so the
-    /// strip's panels stay L2-resident).
+    /// Micro-tile widths the strategy offers, ascending: columns of C per
+    /// micro-tile, the width of one packed B sub-panel. The last is the
+    /// full tile ([`Tiles::tn`]); the others only ever run the last panel
+    /// of a strip ([`Tiles::width_for`]).
+    pub widths: &'static [usize],
+    /// Columns of C per packed-B strip (a multiple of the full width,
+    /// sized so the strip's panels stay L2-resident).
     pub nc: usize,
     /// Packed panels are zero-padded in depth to a multiple of this.
     pub k_align: usize,
@@ -252,24 +302,49 @@ pub struct Tiles {
 }
 
 impl Tiles {
-    /// The vector-kernel strategy of `kern`: `MR × nr` register tiles
-    /// over interleaved panels, no depth padding.
+    /// The vector-kernel strategy of `kern`: `MR × nr` register tiles at
+    /// each of the tier's widths over interleaved panels, no depth padding.
     fn vector(kern: &Kernel) -> Tiles {
         Tiles {
             tm: MR,
-            tn: kern.nr,
+            widths: kern.widths,
             nc: kern.nc,
             k_align: 1,
             amx: false,
         }
     }
+
+    /// The full micro-tile width — every packed B panel but a strip's
+    /// last is this wide.
+    pub fn tn(&self) -> usize {
+        self.widths[self.widths.len() - 1]
+    }
+
+    /// The narrowest offered width covering `cols` columns (the full
+    /// width when `cols` exceeds it).
+    pub fn width_for(&self, cols: usize) -> usize {
+        self.widths
+            .iter()
+            .copied()
+            .find(|&w| w >= cols)
+            .unwrap_or_else(|| self.tn())
+    }
+
+    /// Widths of the packed B panels of an `nc`-column strip, left to
+    /// right: full tiles, then the remainder at [`Tiles::width_for`].
+    pub fn panel_widths(&self, nc: usize) -> impl Iterator<Item = usize> {
+        let tn = self.tn();
+        let tail = nc % tn;
+        std::iter::repeat_n(tn, nc / tn).chain((tail > 0).then(|| self.width_for(tail)))
+    }
 }
 
-/// The AMX strategy: 32×32×32 bricks; a 512-column strip keeps the
-/// packed B panels (`512 · KC · 2` B = 256 KiB) L2-resident.
+/// The AMX strategy: 32×32×32 bricks — one width only, the tile unit's;
+/// a 512-column strip keeps the packed B panels (`512 · KC · 2` B =
+/// 256 KiB) L2-resident.
 const AMX_TILES: Tiles = Tiles {
     tm: amx::TILE_M,
-    tn: amx::TILE_N,
+    widths: &[amx::TILE_N],
     nc: 512,
     k_align: amx::TILE_K,
     amx: true,
@@ -307,10 +382,24 @@ pub trait Element:
     /// The tiling strategy panels of this element take under `kern`.
     fn tiles(kern: &Kernel) -> Tiles;
 
+    /// Store an `MR × 8` block transposed: `out[j·MR + r] = block[r][j]` —
+    /// eight consecutive depth steps of `MR` rows in the interleaved panel
+    /// layout, as [`crate::gemm::APanel::fill_rows`] places them.
+    fn store_transposed(block: &[[Self; 8]; MR], out: &mut [Self; 8 * MR]);
+
     /// Overwrite `acc[r·tn + j]` (`tm × tn`, row-major) with the product
-    /// of one packed A sub-panel and one packed B sub-panel of depth
-    /// `kd` (the padded `kc`), both laid out as `tiles` prescribes.
-    fn micro_tile(kern: &Kernel, tiles: &Tiles, kd: usize, a: &[Self], b: &[Self], acc: &mut [f32]);
+    /// of one packed A sub-panel and one `tn`-wide packed B sub-panel
+    /// (`tn` one of `tiles.widths`) of depth `kd` (the padded `kc`), both
+    /// laid out as `tiles` prescribes.
+    fn micro_tile(
+        kern: &Kernel,
+        tiles: &Tiles,
+        kd: usize,
+        tn: usize,
+        a: &[Self],
+        b: &[Self],
+        acc: &mut [f32],
+    );
 }
 
 impl Element for f32 {
@@ -335,8 +424,28 @@ impl Element for f32 {
     }
 
     #[inline]
-    fn micro_tile(kern: &Kernel, _: &Tiles, kd: usize, a: &[f32], b: &[f32], acc: &mut [f32]) {
-        kern.run(kd, a, b, acc);
+    fn store_transposed(block: &[[f32; 8]; MR], out: &mut [f32; 8 * MR]) {
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+        {
+            // SAFETY: the build enables AVX; `block` and `out` are 64
+            // floats each, which is all the transpose touches.
+            unsafe { transpose_8x8_avx(block, out) }
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx")))]
+        transpose_8x8(block, out)
+    }
+
+    #[inline]
+    fn micro_tile(
+        kern: &Kernel,
+        _: &Tiles,
+        kd: usize,
+        tn: usize,
+        a: &[f32],
+        b: &[f32],
+        acc: &mut [f32],
+    ) {
+        kern.run(kd, tn, a, b, acc);
     }
 }
 
@@ -366,10 +475,23 @@ impl Element for Bf16 {
     }
 
     #[inline]
+    fn store_transposed(block: &[[Bf16; 8]; MR], out: &mut [Bf16; 8 * MR]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: SSE2 is part of the x86_64 baseline; `block` and
+            // `out` are 64 bf16 each, which is all the transpose touches.
+            unsafe { transpose_8x8_sse2(block, out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        transpose_8x8(block, out)
+    }
+
+    #[inline]
     fn micro_tile(
         kern: &Kernel,
         tiles: &Tiles,
         kd: usize,
+        tn: usize,
         a: &[Bf16],
         b: &[Bf16],
         acc: &mut [f32],
@@ -377,6 +499,7 @@ impl Element for Bf16 {
         #[cfg(target_arch = "x86_64")]
         if tiles.amx {
             assert!(kd > 0 && kd.is_multiple_of(amx::TILE_K));
+            assert_eq!(tn, amx::TILE_N);
             assert_eq!(a.len(), amx::TILE_M * kd);
             assert_eq!(b.len(), amx::TILE_N * kd);
             assert!(acc.len() >= amx::TILE_M * amx::TILE_N);
@@ -401,7 +524,110 @@ impl Element for Bf16 {
             return;
         }
         let _ = tiles;
-        kern.run_bf16(kd, bf16::to_bits_slice(a), bf16::to_bits_slice(b), acc);
+        kern.run_bf16(kd, tn, bf16::to_bits_slice(a), bf16::to_bits_slice(b), acc);
+    }
+}
+
+/// Portable `out[j·MR + r] = block[r][j]`.
+#[cfg(any(not(target_arch = "x86_64"), not(target_feature = "avx"), test))]
+#[inline]
+fn transpose_8x8<E: Copy>(block: &[[E; 8]; MR], out: &mut [E; 8 * MR]) {
+    for (j, run) in out.chunks_exact_mut(MR).enumerate() {
+        for (d, row) in run.iter_mut().zip(block) {
+            *d = row[j];
+        }
+    }
+}
+
+/// The 8×8 f32 transpose in eight `ymm` registers: two rounds of
+/// in-lane unpack / shuffle and one cross-lane `vperm2f128` round —
+/// 24 shuffles, 8 loads and 8 full-width stores per 64 elements.
+///
+/// # Safety
+/// AVX must be available.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx"))]
+#[inline]
+unsafe fn transpose_8x8_avx(block: &[[f32; 8]; MR], out: &mut [f32; 8 * MR]) {
+    use std::arch::x86_64::*;
+    // SAFETY (whole body): each load reads one 8-float row of `block`,
+    // each store writes one 8-float run of `out`.
+    let r: [__m256; MR] = std::array::from_fn(|i| _mm256_loadu_ps(block[i].as_ptr()));
+    // Row pairs interleaved: t[2i] = (r0_0 r1_0 r0_1 r1_1 | r0_4 r1_4 …).
+    let t: [__m256; MR] = std::array::from_fn(|i| {
+        let (x, y) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+        if i % 2 == 0 {
+            _mm256_unpacklo_ps(x, y)
+        } else {
+            _mm256_unpackhi_ps(x, y)
+        }
+    });
+    // Four rows per column: s[c] (c < 4) holds rows 0–3 of columns c and
+    // c + 4, s[c + 4] rows 4–7.
+    let quad = |x: __m256, y: __m256, hi: bool| {
+        if hi {
+            _mm256_shuffle_ps::<0xEE>(x, y)
+        } else {
+            _mm256_shuffle_ps::<0x44>(x, y)
+        }
+    };
+    let s = [
+        quad(t[0], t[2], false),
+        quad(t[0], t[2], true),
+        quad(t[1], t[3], false),
+        quad(t[1], t[3], true),
+        quad(t[4], t[6], false),
+        quad(t[4], t[6], true),
+        quad(t[5], t[7], false),
+        quad(t[5], t[7], true),
+    ];
+    let p = out.as_mut_ptr();
+    for c in 0..4 {
+        _mm256_storeu_ps(
+            p.add(c * MR),
+            _mm256_permute2f128_ps::<0x20>(s[c], s[c + 4]),
+        );
+        _mm256_storeu_ps(
+            p.add((c + 4) * MR),
+            _mm256_permute2f128_ps::<0x31>(s[c], s[c + 4]),
+        );
+    }
+}
+
+/// The 8×8 16-bit transpose in eight `xmm` registers: unpack rounds at
+/// 16, 32 and 64 bits — 24 shuffles per 64 elements.
+///
+/// # Safety
+/// SSE2 must be available (it is on every x86_64).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+unsafe fn transpose_8x8_sse2(block: &[[Bf16; 8]; MR], out: &mut [Bf16; 8 * MR]) {
+    use std::arch::x86_64::*;
+    // SAFETY (whole body): each load reads one 16-byte row of `block`,
+    // each store writes one 16-byte run of `out`.
+    let r: [__m128i; MR] =
+        std::array::from_fn(|i| _mm_loadu_si128(block[i].as_ptr() as *const __m128i));
+    let a: [__m128i; MR] = std::array::from_fn(|i| {
+        let (x, y) = (r[i / 2 * 2], r[i / 2 * 2 + 1]);
+        if i % 2 == 0 {
+            _mm_unpacklo_epi16(x, y)
+        } else {
+            _mm_unpackhi_epi16(x, y)
+        }
+    });
+    // b[0..4]: rows 0–3 of columns (0,1), (2,3), (4,5), (6,7); b[4..]: rows 4–7.
+    let b: [__m128i; MR] = std::array::from_fn(|i| {
+        let base = i / 4 * 4;
+        let (x, y) = (a[base + (i % 4) / 2], a[base + 2 + (i % 4) / 2]);
+        if i % 2 == 0 {
+            _mm_unpacklo_epi32(x, y)
+        } else {
+            _mm_unpackhi_epi32(x, y)
+        }
+    });
+    let p = out.as_mut_ptr() as *mut __m128i;
+    for c in 0..4 {
+        _mm_storeu_si128(p.add(2 * c), _mm_unpacklo_epi64(b[c], b[c + 4]));
+        _mm_storeu_si128(p.add(2 * c + 1), _mm_unpackhi_epi64(b[c], b[c + 4]));
     }
 }
 
@@ -467,28 +693,46 @@ pub fn bf16_engine(tier: Tier) -> &'static str {
 
 static SCALAR_KERNEL: Kernel = Kernel {
     tier: Tier::Scalar,
-    nr: NR_SCALAR,
+    widths: &SCALAR_WIDTHS,
     nc: 1024,
-    ukr: ukr_scalar,
-    ukr_bf16: ukr_scalar_bf16,
+    ukr: &[
+        ukr_scalar::<f32, 1>,
+        ukr_scalar::<f32, 2>,
+        ukr_scalar::<f32, 3>,
+        ukr_scalar::<f32, 4>,
+    ],
+    ukr_bf16: &[
+        ukr_scalar::<u16, 1>,
+        ukr_scalar::<u16, 2>,
+        ukr_scalar::<u16, 3>,
+        ukr_scalar::<u16, 4>,
+    ],
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX2_KERNEL: Kernel = Kernel {
     tier: Tier::Avx2,
-    nr: NR_AVX2,
+    widths: &AVX2_WIDTHS,
     nc: 1024,
-    ukr: ukr_avx2,
-    ukr_bf16: ukr_avx2_bf16,
+    ukr: &[ukr_avx2::<f32, 1>, ukr_avx2::<f32, 2>],
+    ukr_bf16: &[ukr_avx2::<u16, 1>, ukr_avx2::<u16, 2>],
 };
 
 #[cfg(target_arch = "x86_64")]
 static AVX512_KERNEL: Kernel = Kernel {
     tier: Tier::Avx512,
-    nr: NR_AVX512,
-    nc: 1008, // 21 × NR — keeps strips NR-aligned, ≈1 MiB packed B
-    ukr: ukr_avx512,
-    ukr_bf16: ukr_avx512_bf16,
+    widths: &AVX512_WIDTHS,
+    nc: 1008, // 21 × 48 — keeps strips full-width aligned, ≈1 MiB packed B
+    ukr: &[
+        ukr_avx512::<f32, 1>,
+        ukr_avx512::<f32, 2>,
+        ukr_avx512::<f32, 3>,
+    ],
+    ukr_bf16: &[
+        ukr_avx512::<u16, 1>,
+        ukr_avx512::<u16, 2>,
+        ukr_avx512::<u16, 3>,
+    ],
 };
 
 /// The dispatch table row for `tier`.
@@ -594,6 +838,39 @@ pub(crate) fn current_kernel() -> &'static Kernel {
 }
 
 // ---------------------------------------------------------------------------
+// Panel elements as the kernel bodies read them
+// ---------------------------------------------------------------------------
+
+/// A packed panel element as a kernel body reads it: an f32, or a bf16
+/// bit pattern widened exactly. Each body is written once over this
+/// trait and instantiated for both, so the f32 and the widen kernel of a
+/// tier issue the same FMAs in the same order.
+trait Lane: Copy {
+    /// The element's f32 value.
+    fn widen(self) -> f32;
+}
+
+impl Lane for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+}
+
+impl Lane for u16 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        widen_bf16(self)
+    }
+}
+
+/// Widen one bf16 bit pattern to f32 (a 16-bit shift — exact).
+#[inline(always)]
+fn widen_bf16(u: u16) -> f32 {
+    f32::from_bits((u as u32) << 16)
+}
+
+// ---------------------------------------------------------------------------
 // Scalar tier — virtual-vector form, autovectorised
 // ---------------------------------------------------------------------------
 
@@ -601,8 +878,6 @@ pub(crate) fn current_kernel() -> &'static Kernel {
 /// pairs). The kernel is written against fixed-width lane arrays so the
 /// vectorizer's only option is the contiguous lane dimension.
 const LANES: usize = 8;
-/// Virtual vectors per scalar-tier tile row.
-const NV: usize = NR_SCALAR / LANES;
 
 /// A virtual SIMD vector: every operation on it is a fixed-trip lane loop
 /// that LLVM collapses to one packed instruction.
@@ -661,69 +936,33 @@ macro_rules! unroll_mr {
     }};
 }
 
-/// The portable MR×32 tile kernel (see module docs for the layout).
+/// The portable `MR × (NV·LANES)` tile kernel over panels of `P` (see
+/// module docs for the layout). bf16 panels widen with a shift the
+/// vectorizer folds into the lane loads, so the loop body stays
+/// packed-FMA-shaped either way.
 ///
 /// # Safety
-/// `a` must be valid for `kc·MR` reads, `b` for `kc·NR_SCALAR` reads and
-/// `acc` for `MR·NR_SCALAR` writes ([`Kernel::run`] checks this).
-unsafe fn ukr_scalar(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
+/// `a` must be valid for `kc·MR` reads, `b` for `kc·NV·LANES` reads and
+/// `acc` for `MR·NV·LANES` writes ([`Kernel::run`] checks this).
+unsafe fn ukr_scalar<P: Lane, const NV: usize>(kc: usize, a: *const P, b: *const P, acc: *mut f32) {
+    let nr = NV * LANES;
     // SAFETY: exactly the three extents of the contract above; `acc` is
     // the caller's unique tile buffer, disjoint from both panels.
     let a_panel = std::slice::from_raw_parts(a, kc * MR);
-    let b_panel = std::slice::from_raw_parts(b, kc * NR_SCALAR);
-    let acc = std::slice::from_raw_parts_mut(acc, MR * NR_SCALAR);
+    let b_panel = std::slice::from_raw_parts(b, kc * nr);
+    let acc = std::slice::from_raw_parts_mut(acc, MR * nr);
     let mut tile = [[V([0.0; LANES]); NV]; MR];
     for kk in 0..kc {
-        let a_k: &[f32; MR] = a_panel[kk * MR..kk * MR + MR].try_into().unwrap();
-        let b_k = &b_panel[kk * NR_SCALAR..kk * NR_SCALAR + NR_SCALAR];
-        let mut bv = [V([0.0; LANES]); NV];
-        for (v, bvv) in bv.iter_mut().enumerate() {
-            bvv.0.copy_from_slice(&b_k[v * LANES..(v + 1) * LANES]);
-        }
-        unroll_mr!(R, {
-            let ar = a_k[R];
-            for v in 0..NV {
-                vfma(&mut tile[R][v], ar, bv[v]);
-            }
-        });
-    }
-    for (r, row) in tile.iter().enumerate() {
-        for (v, vec) in row.iter().enumerate() {
-            acc[r * NR_SCALAR + v * LANES..r * NR_SCALAR + (v + 1) * LANES].copy_from_slice(&vec.0);
-        }
-    }
-}
-
-/// Widen one bf16 bit pattern to f32 (a 16-bit shift — exact).
-#[inline(always)]
-fn widen_bf16(u: u16) -> f32 {
-    f32::from_bits((u as u32) << 16)
-}
-
-/// The portable bf16-panel tile kernel: [`ukr_scalar`] with a widening
-/// load. The widen is a shift the vectorizer folds into the lane loads,
-/// so the loop body stays packed-FMA-shaped.
-///
-/// # Safety
-/// Same panel bounds as [`ukr_scalar`] ([`Kernel::run_bf16`] checks).
-unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
-    // SAFETY: exactly the three extents of the contract above; `acc` is
-    // the caller's unique tile buffer, disjoint from both panels.
-    let a_panel = std::slice::from_raw_parts(a, kc * MR);
-    let b_panel = std::slice::from_raw_parts(b, kc * NR_SCALAR);
-    let acc = std::slice::from_raw_parts_mut(acc, MR * NR_SCALAR);
-    let mut tile = [[V([0.0; LANES]); NV]; MR];
-    for kk in 0..kc {
-        let a_k: &[u16; MR] = a_panel[kk * MR..kk * MR + MR].try_into().unwrap();
-        let b_k = &b_panel[kk * NR_SCALAR..kk * NR_SCALAR + NR_SCALAR];
+        let a_k: &[P; MR] = a_panel[kk * MR..kk * MR + MR].try_into().unwrap();
+        let b_k = &b_panel[kk * nr..kk * nr + nr];
         let mut bv = [V([0.0; LANES]); NV];
         for (v, bvv) in bv.iter_mut().enumerate() {
             for l in 0..LANES {
-                bvv.0[l] = widen_bf16(b_k[v * LANES + l]);
+                bvv.0[l] = b_k[v * LANES + l].widen();
             }
         }
         unroll_mr!(R, {
-            let ar = widen_bf16(a_k[R]);
+            let ar = a_k[R].widen();
             for v in 0..NV {
                 vfma(&mut tile[R][v], ar, bv[v]);
             }
@@ -731,7 +970,7 @@ unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
     }
     for (r, row) in tile.iter().enumerate() {
         for (v, vec) in row.iter().enumerate() {
-            acc[r * NR_SCALAR + v * LANES..r * NR_SCALAR + (v + 1) * LANES].copy_from_slice(&vec.0);
+            acc[r * nr + v * LANES..r * nr + (v + 1) * LANES].copy_from_slice(&vec.0);
         }
     }
 }
@@ -740,16 +979,51 @@ unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
 // AVX2+FMA tier
 // ---------------------------------------------------------------------------
 
-/// The AVX2 MR×16 tile kernel, computed as two 4-row half-tiles.
+/// A panel element the AVX2 body can load 8 of into one f32 `ymm`.
+#[cfg(target_arch = "x86_64")]
+trait LaneAvx2: Lane {
+    /// `p[0..8]` as f32 lanes.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `p` valid for 8 reads.
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAvx2 for f32 {
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load8(p: *const f32) -> std::arch::x86_64::__m256 {
+        std::arch::x86_64::_mm256_loadu_ps(p)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAvx2 for u16 {
+    /// `vpmovzxwd` + `vpslld 16`: two cheap shuffle/shift uops per 8
+    /// elements.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load8(p: *const u16) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(
+            _mm_loadu_si128(p as *const __m128i),
+        )))
+    }
+}
+
+/// The AVX2 `MR × 8·NV` tile kernel, computed in `NV` passes of
+/// `MR / NV` rows so that each pass holds exactly `MR` accumulators.
 ///
 /// A full 8×16 tile needs 16 `ymm` accumulators — the whole register file,
-/// so something spills every iteration. Splitting into 4×16 halves uses
+/// so something spills every iteration. Splitting it into 4×16 halves uses
 /// 8 accumulators + 2 B vectors + 1 broadcast = 11 of 16 registers, and
 /// per `kk` issues 8 FMAs against 2 loads + 4 broadcasts — FMA-bound. The
-/// B panel row (one cache line) is re-read from L1 by the second half.
+/// B panel row (one cache line) is re-read from L1 by the second half. An
+/// 8-wide tile is one 8×1 pass.
 ///
 /// The `kk` loop is unrolled by two: with only 8 independent FMA chains
-/// per half-tile, a single-step loop leaves the FMA pipes under-occupied
+/// per pass, a single-step loop leaves the FMA pipes under-occupied
 /// (8 chains × 4-cycle latency vs 2 ports × 4 = 8 in flight is exactly
 /// break-even, so any loop overhead stalls the chain). Two sequential
 /// `kk` steps per iteration halve the loop-carried overhead without
@@ -758,29 +1032,41 @@ unsafe fn ukr_scalar_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32
 ///
 /// # Safety
 /// Caller must ensure AVX2+FMA are available and the panel bounds of
-/// [`Kernel::run`].
+/// [`Kernel::run`] for width `8·NV`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn ukr_avx2(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
+unsafe fn ukr_avx2<P: LaneAvx2, const NV: usize>(
+    kc: usize,
+    a: *const P,
+    b: *const P,
+    acc: *mut f32,
+) {
     use std::arch::x86_64::*;
-    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
-    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
-    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    let nr = 8 * NV;
+    let rows = MR / NV;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·nr + j]`
+    // with `kk < kc`, `r < MR`, `j < nr`, and every store writes
+    // `acc[r·nr + j]` — inside the extents the contract above grants; the
     // intrinsics themselves need only the ISA the caller vouched for.
-    for half in 0..2 {
-        let mut c: [[__m256; 2]; 4] = [[_mm256_setzero_ps(); 2]; 4];
+    for pass in 0..NV {
+        let mut c = [[_mm256_setzero_ps(); NV]; MR];
         macro_rules! step {
             ($kk:expr) => {{
                 let kk = $kk;
+                // A bf16 row is 16 B, so the same row distance covers half
+                // the bytes — still ≥ one line ahead of the FMA chain.
                 _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
-                let bp = b.add(kk * NR_AVX2);
-                let b0 = _mm256_loadu_ps(bp);
-                let b1 = _mm256_loadu_ps(bp.add(8));
-                let ap = a.add(kk * MR + half * 4);
-                for (r, cr) in c.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(r));
-                    cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
-                    cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
+                let bp = b.add(kk * nr);
+                let mut bv = [_mm256_setzero_ps(); NV];
+                for (v, bvv) in bv.iter_mut().enumerate() {
+                    *bvv = P::load8(bp.add(8 * v));
+                }
+                let ap = a.add(kk * MR + pass * rows);
+                for (r, cr) in c.iter_mut().enumerate().take(rows) {
+                    let av = _mm256_set1_ps((*ap.add(r)).widen());
+                    for (cv, &bvv) in cr.iter_mut().zip(&bv) {
+                        *cv = _mm256_fmadd_ps(av, bvv, *cv);
+                    }
                 }
             }};
         }
@@ -793,56 +1079,11 @@ unsafe fn ukr_avx2(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
         if kk < kc {
             step!(kk);
         }
-        for (r, cr) in c.iter().enumerate() {
-            let out = acc.add((half * 4 + r) * NR_AVX2);
-            _mm256_storeu_ps(out, cr[0]);
-            _mm256_storeu_ps(out.add(8), cr[1]);
-        }
-    }
-}
-
-/// The AVX2 bf16-panel MR×16 tile kernel: [`ukr_avx2`]'s geometry with
-/// widening B loads (`vpmovzxwd` + `vpslld 16` — two cheap shuffles/
-/// shifts per 8 elements) and a scalar shift-widen on the A broadcast.
-/// Accumulators are f32 `ymm`; the FMA chain per C element is identical
-/// to the f32 kernel's, so bf16 tiers also agree bit-for-bit with each
-/// other on the same bf16 panels.
-///
-/// # Safety
-/// Caller must ensure AVX2+FMA are available and the panel bounds of
-/// [`Kernel::run_bf16`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn ukr_avx2_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
-    use std::arch::x86_64::*;
-    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
-    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
-    // `acc[r·NR + j]` — inside the extents the contract above grants; the
-    // intrinsics themselves need only the ISA the caller vouched for.
-    for half in 0..2 {
-        let mut c: [[__m256; 2]; 4] = [[_mm256_setzero_ps(); 2]; 4];
-        for kk in 0..kc {
-            // bf16 A rows are 16 B, so the same row distance covers half
-            // the bytes — still ≥ one line ahead of the FMA chain.
-            _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
-            let bp = b.add(kk * NR_AVX2);
-            let b0 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(
-                _mm_loadu_si128(bp as *const __m128i),
-            )));
-            let b1 = _mm256_castsi256_ps(_mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(
-                _mm_loadu_si128(bp.add(8) as *const __m128i),
-            )));
-            let ap = a.add(kk * MR + half * 4);
-            for (r, cr) in c.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(widen_bf16(*ap.add(r)));
-                cr[0] = _mm256_fmadd_ps(av, b0, cr[0]);
-                cr[1] = _mm256_fmadd_ps(av, b1, cr[1]);
+        for (r, cr) in c.iter().enumerate().take(rows) {
+            let out = acc.add((pass * rows + r) * nr);
+            for (v, cv) in cr.iter().enumerate() {
+                _mm256_storeu_ps(out.add(8 * v), *cv);
             }
-        }
-        for (r, cr) in c.iter().enumerate() {
-            let out = acc.add((half * 4 + r) * NR_AVX2);
-            _mm256_storeu_ps(out, cr[0]);
-            _mm256_storeu_ps(out.add(8), cr[1]);
         }
     }
 }
@@ -851,89 +1092,85 @@ unsafe fn ukr_avx2_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) 
 // AVX-512F tier
 // ---------------------------------------------------------------------------
 
-/// The AVX-512 MR×48 tile kernel: 8 rows × 3 `zmm` accumulators (24 of 32
-/// registers) + 3 B vectors + 1 broadcast = 28 — no spills, and per `kk`
-/// the 24 FMAs outnumber the 3 loads + 8 broadcasts, so the two FMA ports
-/// are the bottleneck rather than the load ports.
-///
-/// # Safety
-/// Caller must ensure AVX-512F is available and the panel bounds of
-/// [`Kernel::run`].
+/// A panel element the AVX-512 body can load 16 of into one f32 `zmm`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn ukr_avx512(kc: usize, a: *const f32, b: *const f32, acc: *mut f32) {
-    use std::arch::x86_64::*;
-    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
-    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
-    // `acc[r·NR + j]` — inside the extents the contract above grants; the
-    // intrinsics themselves need only the ISA the caller vouched for.
-    let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
-    for kk in 0..kc {
-        _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
-        let bp = b.add(kk * NR_AVX512);
-        let b0 = _mm512_loadu_ps(bp);
-        let b1 = _mm512_loadu_ps(bp.add(16));
-        let b2 = _mm512_loadu_ps(bp.add(32));
-        let ap = a.add(kk * MR);
-        for (r, cr) in c.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(*ap.add(r));
-            cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
-            cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
-            cr[2] = _mm512_fmadd_ps(av, b2, cr[2]);
-        }
-    }
-    for (r, cr) in c.iter().enumerate() {
-        let out = acc.add(r * NR_AVX512);
-        _mm512_storeu_ps(out, cr[0]);
-        _mm512_storeu_ps(out.add(16), cr[1]);
-        _mm512_storeu_ps(out.add(32), cr[2]);
+trait LaneAvx512: Lane {
+    /// `p[0..16]` as f32 lanes.
+    ///
+    /// # Safety
+    /// AVX-512F must be available and `p` valid for 16 reads.
+    unsafe fn load16(p: *const Self) -> std::arch::x86_64::__m512;
+}
+
+#[cfg(target_arch = "x86_64")]
+impl LaneAvx512 for f32 {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load16(p: *const f32) -> std::arch::x86_64::__m512 {
+        std::arch::x86_64::_mm512_loadu_ps(p)
     }
 }
 
-/// The AVX-512 bf16-panel MR×48 tile kernel: [`ukr_avx512`]'s geometry
-/// with widening B loads — each 16-element group is one `vpmovzxwd`
-/// (`_mm512_cvtepu16_epi32`, AVX-512F) plus one `_mm512_slli_epi32` by
-/// 16 — and a scalar shift-widen on the A broadcast. 24 f32 `zmm`
-/// accumulators as in the f32 kernel; the extra 6 widen uops per `kk`
-/// ride the shift port while the 24 FMAs keep both FMA ports saturated.
+#[cfg(target_arch = "x86_64")]
+impl LaneAvx512 for u16 {
+    /// One `vpmovzxwd` (`_mm512_cvtepu16_epi32`) plus one
+    /// `_mm512_slli_epi32` by 16 per 16 elements; the widen uops ride the
+    /// shift port while the FMAs keep both FMA ports busy.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn load16(p: *const u16) -> std::arch::x86_64::__m512 {
+        use std::arch::x86_64::*;
+        _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(
+            _mm256_loadu_si256(p as *const __m256i),
+        )))
+    }
+}
+
+/// The AVX-512 `MR × 16·NV` tile kernel. At the full width (`NV = 3`):
+/// 8 rows × 3 `zmm` accumulators (24 of 32 registers) + 3 B vectors + 1
+/// broadcast = 28 — no spills, and per `kk` the 24 FMAs outnumber the 3
+/// loads + 8 broadcasts, so the two FMA ports are the bottleneck rather
+/// than the load ports. The narrower instances run only a strip's last
+/// panel, where the wide tile would multiply padding.
 ///
 /// # Safety
 /// Caller must ensure AVX-512F is available and the panel bounds of
-/// [`Kernel::run_bf16`].
+/// [`Kernel::run`] for width `16·NV`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn ukr_avx512_bf16(kc: usize, a: *const u16, b: *const u16, acc: *mut f32) {
+unsafe fn ukr_avx512<P: LaneAvx512, const NV: usize>(
+    kc: usize,
+    a: *const P,
+    b: *const P,
+    acc: *mut f32,
+) {
     use std::arch::x86_64::*;
-    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·NR + j]`
-    // with `kk < kc`, `r < MR`, `j < NR`, and every store writes
-    // `acc[r·NR + j]` — inside the extents the contract above grants; the
+    let nr = 16 * NV;
+    // SAFETY (whole body): every load reads `a[kk·MR + r]` / `b[kk·nr + j]`
+    // with `kk < kc`, `r < MR`, `j < nr`, and every store writes
+    // `acc[r·nr + j]` — inside the extents the contract above grants; the
     // intrinsics themselves need only the ISA the caller vouched for.
-    let mut c: [[__m512; 3]; MR] = [[_mm512_setzero_ps(); 3]; MR];
+    let mut c = [[_mm512_setzero_ps(); NV]; MR];
     for kk in 0..kc {
         _mm_prefetch::<_MM_HINT_T0>(a.wrapping_add((kk + A_PF_DIST) * MR) as *const i8);
-        let bp = b.add(kk * NR_AVX512);
-        let b0 = _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(
-            _mm256_loadu_si256(bp as *const __m256i),
-        )));
-        let b1 = _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(
-            _mm256_loadu_si256(bp.add(16) as *const __m256i),
-        )));
-        let b2 = _mm512_castsi512_ps(_mm512_slli_epi32::<16>(_mm512_cvtepu16_epi32(
-            _mm256_loadu_si256(bp.add(32) as *const __m256i),
-        )));
+        let bp = b.add(kk * nr);
+        let mut bv = [_mm512_setzero_ps(); NV];
+        for (v, bvv) in bv.iter_mut().enumerate() {
+            *bvv = P::load16(bp.add(16 * v));
+        }
         let ap = a.add(kk * MR);
         for (r, cr) in c.iter_mut().enumerate() {
-            let av = _mm512_set1_ps(widen_bf16(*ap.add(r)));
-            cr[0] = _mm512_fmadd_ps(av, b0, cr[0]);
-            cr[1] = _mm512_fmadd_ps(av, b1, cr[1]);
-            cr[2] = _mm512_fmadd_ps(av, b2, cr[2]);
+            let av = _mm512_set1_ps((*ap.add(r)).widen());
+            for (cv, &bvv) in cr.iter_mut().zip(&bv) {
+                *cv = _mm512_fmadd_ps(av, bvv, *cv);
+            }
         }
     }
     for (r, cr) in c.iter().enumerate() {
-        let out = acc.add(r * NR_AVX512);
-        _mm512_storeu_ps(out, cr[0]);
-        _mm512_storeu_ps(out.add(16), cr[1]);
-        _mm512_storeu_ps(out.add(32), cr[2]);
+        let out = acc.add(r * nr);
+        for (v, cv) in cr.iter().enumerate() {
+            _mm512_storeu_ps(out.add(16 * v), *cv);
+        }
     }
 }
 
@@ -958,20 +1195,24 @@ mod tests {
     fn every_available_tier_tile_matches_reference() {
         for tier in available_tiers() {
             let kern = kernel_for(tier);
-            for kc in [1usize, 3, 17, 64] {
+            for (&nr, kc) in kern
+                .widths
+                .iter()
+                .flat_map(|w| [1usize, 3, 17, 64].map(|kc| (w, kc)))
+            {
                 let a: Vec<f32> = (0..kc * MR)
                     .map(|i| ((i % 23) as f32) * 0.25 - 2.0)
                     .collect();
-                let b: Vec<f32> = (0..kc * kern.nr)
+                let b: Vec<f32> = (0..kc * nr)
                     .map(|i| ((i % 19) as f32) * 0.125 - 1.0)
                     .collect();
-                let mut acc = vec![f32::NAN; MR * kern.nr];
-                kern.run(kc, &a, &b, &mut acc);
-                let r = tile_reference(kc, kern.nr, &a, &b);
+                let mut acc = vec![f32::NAN; MR * nr];
+                kern.run(kc, nr, &a, &b, &mut acc);
+                let r = tile_reference(kc, nr, &a, &b);
                 for (i, (&got, &want)) in acc.iter().zip(&r).enumerate() {
                     assert!(
                         (got - want).abs() < 1e-3,
-                        "tier {} kc {kc} elem {i}: {got} vs {want}",
+                        "tier {} nr {nr} kc {kc} elem {i}: {got} vs {want}",
                         tier.name()
                     );
                 }
@@ -986,27 +1227,47 @@ mod tests {
     fn every_available_tier_bf16_tile_matches_reference() {
         for tier in available_tiers() {
             let kern = kernel_for(tier);
-            for kc in [1usize, 3, 17, 64] {
+            for (&nr, kc) in kern
+                .widths
+                .iter()
+                .flat_map(|w| [1usize, 3, 17, 64].map(|kc| (w, kc)))
+            {
                 let a: Vec<u16> = (0..kc * MR)
                     .map(|i| Bf16::from_f32(((i % 23) as f32) * 0.25 - 2.0).0)
                     .collect();
-                let b: Vec<u16> = (0..kc * kern.nr)
+                let b: Vec<u16> = (0..kc * nr)
                     .map(|i| Bf16::from_f32(((i % 19) as f32) * 0.125 - 1.0).0)
                     .collect();
-                let mut acc = vec![f32::NAN; MR * kern.nr];
-                kern.run_bf16(kc, &a, &b, &mut acc);
+                let mut acc = vec![f32::NAN; MR * nr];
+                kern.run_bf16(kc, nr, &a, &b, &mut acc);
                 let aw: Vec<f32> = a.iter().map(|&u| Bf16(u).to_f32()).collect();
                 let bw: Vec<f32> = b.iter().map(|&u| Bf16(u).to_f32()).collect();
-                let r = tile_reference(kc, kern.nr, &aw, &bw);
+                let r = tile_reference(kc, nr, &aw, &bw);
                 for (i, (&got, &want)) in acc.iter().zip(&r).enumerate() {
                     assert!(
                         (got - want).abs() < 1e-3,
-                        "tier {} kc {kc} elem {i}: {got} vs {want}",
+                        "tier {} nr {nr} kc {kc} elem {i}: {got} vs {want}",
                         tier.name()
                     );
                 }
             }
         }
+    }
+
+    /// Each element's block store is the plain transpose.
+    #[test]
+    fn store_transposed_is_the_transpose() {
+        fn check<E: Element>(val: impl Fn(usize) -> E) {
+            let block: [[E; 8]; MR] =
+                std::array::from_fn(|r| std::array::from_fn(|j| val(r * 8 + j)));
+            let (mut got, mut want) = ([E::ZERO; 8 * MR], [E::ZERO; 8 * MR]);
+            E::store_transposed(&block, &mut got);
+            transpose_8x8(&block, &mut want);
+            assert_eq!(got, want);
+            assert_eq!(got[3 * MR + 5], block[5][3]);
+        }
+        check(|i| i as f32 + 0.5);
+        check(|i| Bf16(i as u16 + 1));
     }
 
     /// The pair interleave places `(kk, kk+1)` element pairs adjacently
@@ -1037,17 +1298,61 @@ mod tests {
     }
 
     /// Every strategy's micro-tile fits the driver's stack accumulator,
-    /// and the strip width is a whole number of micro-tiles.
+    /// the strip width is a whole number of full micro-tiles, the widths
+    /// ascend, and AMX offers only its tile.
     #[test]
     fn every_tiling_fits_the_accumulator() {
         for tier in available_tiers() {
             let kern = kernel_for(tier);
+            assert_eq!(kern.widths.len(), kern.ukr.len());
+            assert_eq!(kern.widths.len(), kern.ukr_bf16.len());
             for t in [f32::tiles(kern), Bf16::tiles(kern)] {
-                assert!(t.tm * t.tn <= ACC_LEN, "tier {}: {t:?}", tier.name());
-                assert_eq!(t.nc % t.tn, 0, "tier {}: {t:?}", tier.name());
+                assert!(t.tm * t.tn() <= ACC_LEN, "tier {}: {t:?}", tier.name());
+                assert_eq!(t.nc % t.tn(), 0, "tier {}: {t:?}", tier.name());
+                assert!(t.widths.windows(2).all(|w| w[0] < w[1]), "{t:?}");
                 assert_eq!(t.amx, t.k_align > 1);
+                if t.amx {
+                    assert_eq!(t.widths, &[amx::TILE_N]);
+                }
             }
             assert_eq!(Bf16::tiles(kern).amx, bf16_dot_native(tier));
+        }
+    }
+
+    /// A strip's panels are full tiles plus one exact-width tail: the
+    /// narrowest offered width covering the remainder.
+    #[test]
+    fn panel_widths_cover_the_strip_with_the_narrowest_tail() {
+        for tier in available_tiers() {
+            let t = f32::tiles(kernel_for(tier));
+            let tn = t.tn();
+            for nc in 1..=3 * tn {
+                let widths: Vec<usize> = t.panel_widths(nc).collect();
+                let total: usize = widths.iter().sum();
+                assert!(total >= nc && total - nc < t.widths[0], "{t:?} nc {nc}");
+                assert!(widths[..widths.len() - 1].iter().all(|&w| w == tn));
+                let (last, rem) = (*widths.last().unwrap(), nc - (widths.len() - 1) * tn);
+                assert!(last >= rem, "{t:?} nc {nc}");
+                assert!(
+                    t.widths.iter().all(|&w| w < rem || w >= last),
+                    "{t:?} nc {nc}"
+                );
+            }
+        }
+        let t = Tiles {
+            tm: MR,
+            widths: &[16, 32, 48],
+            nc: 1008,
+            k_align: 1,
+            amx: false,
+        };
+        for (n, want) in [
+            (32, vec![32]),
+            (64, vec![48, 16]),
+            (100, vec![48, 48, 16]),
+            (128, vec![48, 48, 32]),
+        ] {
+            assert_eq!(t.panel_widths(n).collect::<Vec<_>>(), want, "n {n}");
         }
     }
 

@@ -1,18 +1,22 @@
 //! Property tests pinning the packed register-blocked GEMM to the naive
 //! triple-loop reference, for all three layouts, across shapes that
 //! straddle every microkernel/blocking boundary (MR = 8, the per-tier
-//! NR ∈ {16, 32, 48}, MC = 64, KC = 256), plus thread-count invariance
-//! (mirroring `prop/kernels.rs`'s `thread_count_invariance`) and
-//! microkernel-tier equivalence: every tier the CPU can run must agree
-//! with the scalar reference tier on every layout, shape and pool size.
+//! tile widths 8–48 and their exact-width tails, MC = 64, KC = 256), plus
+//! thread-count invariance (mirroring `prop/kernels.rs`'s
+//! `thread_count_invariance`) and microkernel-tier equivalence: every
+//! tier the CPU can run must agree bit for bit with the scalar reference
+//! tier on every layout, shape and pool size.
 
 use gsgcn_tensor::{gemm, DMatrix};
 use proptest::prelude::*;
 
-/// Dimension values straddling the blocking boundaries (every tier's NR
-/// — 16, 32, 48 — plus MR and MC edges), indexed by a proptest-chosen
-/// selector so cases cover edges densely rather than uniformly.
-const EDGE_DIMS: [usize; 14] = [1, 2, 7, 8, 9, 15, 17, 31, 32, 33, 47, 49, 65, 80];
+/// Dimension values straddling the blocking boundaries (every tier's
+/// micro-tile widths — 8 to 48 — and the widths they combine into, plus
+/// MR and MC edges), indexed by a proptest-chosen selector so cases cover
+/// edges densely rather than uniformly.
+const EDGE_DIMS: [usize; 19] = [
+    1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 65, 80, 96, 128,
+];
 
 /// `(A m×k, B k×n)` with every dimension drawn from the edge set.
 fn edge_pair() -> impl Strategy<Value = (DMatrix, DMatrix)> {
@@ -103,9 +107,10 @@ proptest! {
     }
 
     /// Microkernel-tier equivalence: every tier available on this CPU
-    /// produces results within 1e-4 of the scalar reference tier, for all
-    /// three layouts (nn/nt/tn), at blocking-boundary shapes, under
-    /// 1/2/4-thread pools. `GSGCN_KERNEL` CI runs force one process-wide
+    /// produces results bit-identical to the scalar reference tier (the
+    /// same FMA chain per C element at every tile width), for all three
+    /// layouts (nn/nt/tn), at blocking-boundary shapes, under 1/2/4-thread
+    /// pools. `GSGCN_KERNEL` CI runs force one process-wide
     /// tier; this property forces each in turn inside one process.
     #[test]
     fn tier_equivalence_all_layouts((a, b) in edge_pair(), ti in 0..3usize) {
@@ -136,18 +141,18 @@ proptest! {
             .filter(|&t| t != gemm::Tier::Scalar)
         {
             let (c_nn, c_nt, c_tn) = run(tier);
-            prop_assert!(
-                c_nn.max_abs_diff(&r_nn) < 1e-4,
-                "nn: tier {} vs scalar, shape {:?}·{:?}, {threads} threads",
-                tier.name(), a.shape(), b.shape()
+            prop_assert_eq!(
+                &c_nn, &r_nn,
+                "nn: tier {} vs scalar, shape {:?}·{:?}, {} threads",
+                tier.name(), a.shape(), b.shape(), threads
             );
-            prop_assert!(
-                c_nt.max_abs_diff(&r_nt) < 1e-4,
-                "nt: tier {} vs scalar, {threads} threads", tier.name()
+            prop_assert_eq!(
+                &c_nt, &r_nt,
+                "nt: tier {} vs scalar, {} threads", tier.name(), threads
             );
-            prop_assert!(
-                c_tn.max_abs_diff(&r_tn) < 1e-4,
-                "tn: tier {} vs scalar, {threads} threads", tier.name()
+            prop_assert_eq!(
+                &c_tn, &r_tn,
+                "tn: tier {} vs scalar, {} threads", tier.name(), threads
             );
         }
     }
