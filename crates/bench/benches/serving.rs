@@ -91,10 +91,7 @@ fn serving_classifier(depth: usize) -> Arc<NodeClassifier> {
             Arc::new(d.graph.clone()),
             Arc::new(d.features.clone()),
         )
-        .expect("classifier")
-        // Pin: benches control the cache explicitly, regardless of the
-        // GSGCN_ACTIVATION_CACHE default the CI matrix sets.
-        .with_cache(None),
+        .expect("classifier"),
     )
 }
 

@@ -37,9 +37,6 @@ fn measure(d: &Dataset, hidden: usize, cores: usize, epochs: usize) -> Meas {
         // GEMM under weight application (see `KernelTimings` — fused mode
         // folds it into the propagation bucket, skewing this breakdown).
         fused: false,
-        // Per-core scaling measures the synchronous algorithm; don't let
-        // GSGCN_SAMPLER_THREADS leak pipelined sampling into the baseline.
-        sampler_threads: 0,
         ..TrainerConfig::default()
     };
     cfg.sampler.frontier_size = 200;

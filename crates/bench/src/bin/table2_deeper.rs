@@ -25,9 +25,6 @@ fn proposed_epoch_secs(d: &Dataset, layers: usize, cores: usize, epochs: usize) 
         eval_every: 0,
         threads: cores,
         p_inter: cores,
-        // Core-scaling table: keep sampling synchronous regardless of the
-        // GSGCN_SAMPLER_THREADS environment.
-        sampler_threads: 0,
         ..TrainerConfig::default()
     };
     cfg.sampler.frontier_size = 150;

@@ -34,10 +34,6 @@ pub struct TrainerConfig {
     /// reference path). Both paths consume subgraphs in the same
     /// `(batch, instance)` ticket order with the same seeds, so the loss
     /// trajectory is bit-identical for a fixed seed either way.
-    ///
-    /// Overridable at process level via `GSGCN_SAMPLER_THREADS` (a count
-    /// or `auto`), which CI uses to exercise the pipelined path across
-    /// the whole test suite.
     pub sampler_threads: usize,
     /// Evaluate validation F1 every this many epochs (0 = only at end).
     pub eval_every: usize,
@@ -76,7 +72,7 @@ impl Default for TrainerConfig {
             epochs: 20,
             p_inter: num_cpus_estimate(),
             threads: 0,
-            sampler_threads: sampler_threads_from_env().unwrap_or(0),
+            sampler_threads: 0,
             eval_every: 1,
             prop_mode: PropMode::default(),
             fused: true,
@@ -105,7 +101,7 @@ impl TrainerConfig {
             epochs: 15,
             p_inter: 4,
             threads: 0,
-            sampler_threads: sampler_threads_from_env().unwrap_or(0),
+            sampler_threads: 0,
             eval_every: 5,
             prop_mode: PropMode::default(),
             fused: true,
@@ -186,8 +182,8 @@ pub fn auto_sampler_threads() -> usize {
 
 /// Parse a sampler-thread spec: a worker count, `auto`
 /// ([`auto_sampler_threads`]), or `0` for the synchronous in-loop
-/// sampler. Shared by the CLI flag and the `GSGCN_SAMPLER_THREADS`
-/// environment override.
+/// sampler. The `gsgcn` binary parses both `--sampler-threads` and
+/// `GSGCN_SAMPLER_THREADS` with it.
 pub fn parse_sampler_threads(spec: &str) -> Result<usize, String> {
     if spec.eq_ignore_ascii_case("auto") {
         return Ok(auto_sampler_threads());
@@ -198,15 +194,6 @@ pub fn parse_sampler_threads(spec: &str) -> Result<usize, String> {
              `auto`, or `0` for the synchronous in-loop sampler"
         )
     })
-}
-
-/// Process-wide `GSGCN_SAMPLER_THREADS` override (used by CI to run the
-/// whole suite on the pipelined path). Panics loudly on an unparseable
-/// value — a silently ignored misconfiguration would quietly test the
-/// wrong path, the same policy as `GSGCN_KERNEL`.
-fn sampler_threads_from_env() -> Option<usize> {
-    let v = std::env::var("GSGCN_SAMPLER_THREADS").ok()?;
-    Some(parse_sampler_threads(&v).unwrap_or_else(|e| panic!("GSGCN_SAMPLER_THREADS: {e}")))
 }
 
 #[cfg(test)]

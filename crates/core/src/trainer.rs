@@ -97,10 +97,9 @@ const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 /// Trainer state: dataset view, model, sampler pool/pipeline, timers.
 pub struct GsGcnTrainer<'a> {
     source: EvalSource<'a>,
-    /// Store over the training-induced subgraph. On the resident path
-    /// this is built by [`GraphStore::from_parts_env`], so
-    /// `GSGCN_GRAPH_STORE=mmap` makes even `Dataset`-backed training
-    /// exercise the out-of-core read path.
+    /// Store over the training-induced subgraph: a [`GraphStore::mem`]
+    /// aliasing the view's matrices on the resident path, the
+    /// [`StoreDataset`]'s training store on the stored one.
     train_store: Arc<GraphStore>,
     model: GcnModel,
     sampler: Arc<DashboardSampler>,
@@ -152,17 +151,8 @@ impl<'a> GsGcnTrainer<'a> {
         cfg.validate()?;
         dataset.validate()?;
 
-        // Build the training-view store. `from_parts_env` honours
-        // `GSGCN_GRAPH_STORE`: on `mem` it aliases the view's matrices
-        // (zero copy); on `mmap` it spills them to a temporary shard
-        // directory and training reads through the shard cache.
         let tv = dataset.train_view();
-        let train_store = GraphStore::from_parts_env(
-            Arc::clone(&tv.graph),
-            Some(Arc::clone(&tv.features)),
-            Some(Arc::clone(&tv.labels)),
-        )
-        .map_err(|e| format!("failed to build training graph store: {e}"))?;
+        let train_store = GraphStore::mem(tv.graph, Some(tv.features), Some(tv.labels));
         Self::build(EvalSource::Resident(dataset), Arc::new(train_store), cfg)
     }
 
@@ -765,7 +755,12 @@ mod tests {
             std::thread::current().id()
         ));
         d.spill_to_dir(&dir, 4).unwrap();
-        let sd = gsgcn_data::StoreDataset::open(&dir).unwrap();
+        let sd = gsgcn_data::StoreDataset::open_with(
+            &dir,
+            gsgcn_graph::StoreBackend::Mmap,
+            gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES,
+        )
+        .unwrap();
 
         let mut cfg = TrainerConfig::quick_test();
         cfg.epochs = 2;

@@ -8,7 +8,7 @@
 
 use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::write_store_ordered;
-use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreBackend, StoreOrder};
+use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::precision::with_precision;
@@ -67,18 +67,11 @@ fn fresh_dir() -> PathBuf {
     dir
 }
 
-/// Every store the driver can sit on: resident, whatever the environment
-/// reroutes `from_parts_env` to (CI's mmap and BFS legs), and an explicit
-/// mmap spill for each placement order, behind a cache small enough that
-/// tiles evict each other's shards.
+/// Every store the driver can sit on: resident, and an mmap spill for
+/// each placement order, behind a cache small enough that tiles evict
+/// each other's shards.
 fn stores(g: &Arc<CsrGraph>, x: &Arc<DMatrix>, shards: usize) -> (Vec<GraphStore>, Vec<PathBuf>) {
-    let parts = |backend| {
-        GraphStore::from_parts(backend, Arc::clone(g), Some(Arc::clone(x)), None).unwrap()
-    };
-    let mut stores = vec![
-        parts(StoreBackend::Mem),
-        GraphStore::from_parts_env(Arc::clone(g), Some(Arc::clone(x)), None).unwrap(),
-    ];
+    let mut stores = vec![GraphStore::mem(Arc::clone(g), Some(Arc::clone(x)), None)];
     let mut dirs = Vec::new();
     for order in [StoreOrder::Natural, StoreOrder::Bfs, StoreOrder::Degree] {
         let dir = fresh_dir();
@@ -173,29 +166,37 @@ proptest! {
 /// When the cap covers every level's needed set the sweep is
 /// work-efficient: one tile per level, layer `ℓ` computes exactly the
 /// `(L-ℓ)`-hop ball of the roots, and every feature row of the L-hop
-/// ball is gathered once — counts that repeat run to run.
+/// ball is gathered once — counts that repeat run to run, on either
+/// backend and in either placement order.
 #[test]
 fn work_is_the_needed_sets_when_the_cap_covers_them() {
     let n = 600;
     let chords: Vec<(u32, u32)> = (0..900u32).map(|i| (i * 7919, i * 104_729 + 13)).collect();
     let g = Arc::new(graph_with_hub(n, &chords));
     let x = Arc::new(features(n, 3));
-    let store = GraphStore::from_parts_env(Arc::clone(&g), Some(Arc::clone(&x)), None).unwrap();
+    let spill = |order| GraphStore::spill_to_temp(&g, Some(&x), None, order, 1 << 20).unwrap();
+    let stores = [
+        GraphStore::mem(Arc::clone(&g), Some(Arc::clone(&x)), None),
+        spill(StoreOrder::Natural),
+        spill(StoreOrder::Bfs),
+    ];
     let roots: Vec<u32> = (0..40u32).map(|i| i * 11).collect();
     let mut ws = InferenceWorkspace::new();
-    for depth in 1..=3 {
+    for (store, depth) in stores.iter().flat_map(|s| (1..=3).map(move |d| (s, d))) {
         let m = model(depth, LossKind::SigmoidBce, 17);
-        let (_, stats) = by_level(&m, &store, &roots, n, &mut ws);
+        let (_, stats) = by_level(&m, store, &roots, n, &mut ws);
         assert_eq!(stats.tiles, vec![1; depth]);
         for layer in 1..=depth {
             assert_eq!(
                 stats.rows_computed[layer - 1],
                 l_hop_ball(&*g, &roots, depth - layer).len(),
-                "depth {depth} layer {layer}"
+                "{:?}/{:?} depth {depth} layer {layer}",
+                store.backend(),
+                store.order()
             );
         }
         assert_eq!(stats.rows_gathered, l_hop_ball(&*g, &roots, depth).len());
-        let (_, again) = by_level(&m, &store, &roots, n, &mut ws);
+        let (_, again) = by_level(&m, store, &roots, n, &mut ws);
         assert_eq!(
             (again.tiles, again.rows_computed, again.rows_gathered),
             (stats.tiles, stats.rows_computed, stats.rows_gathered)

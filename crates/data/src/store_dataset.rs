@@ -15,13 +15,11 @@
 //! so sampling from it out-of-core is bit-identical to sampling from the
 //! resident `TrainView` for a fixed seed. `dataset.gss` is written last
 //! (via a temp-file rename), so a crash mid-spill leaves a directory that
-//! [`StoreDataset::open`] loudly refuses instead of a silently truncated
+//! [`StoreDataset::open_with`] loudly refuses instead of a silently truncated
 //! dataset.
 
 use crate::dataset::{Dataset, Split, TaskKind};
-use gsgcn_graph::store::{
-    default_num_shards, shard_cache_budget_from_env, write_store_with_precision, StoreBackend,
-};
+use gsgcn_graph::store::{default_num_shards, write_store_with_precision, StoreBackend};
 use gsgcn_graph::{GraphStore, StoreOrder, Topology};
 use gsgcn_tensor::Precision;
 use std::io::{self, Write};
@@ -136,16 +134,6 @@ pub struct StoreDataset {
 }
 
 impl StoreDataset {
-    /// Open a spilled dataset honoring `GSGCN_GRAPH_STORE` and
-    /// `GSGCN_SHARD_CACHE`.
-    pub fn open(dir: &Path) -> io::Result<StoreDataset> {
-        Self::open_with(
-            dir,
-            gsgcn_graph::store::backend_from_env(),
-            shard_cache_budget_from_env(),
-        )
-    }
-
     /// Open with an explicit backend and per-store cache budget.
     ///
     /// The `mem` backend materializes both stores fully resident — the

@@ -25,11 +25,11 @@
 //! * [`store`] — the [`GraphStore`] abstraction over *where the graph
 //!   lives*: fully resident ([`store::MemStore`]) or memory-mapped CSR
 //!   shards behind a CLOCK cache with a bounded mapped-byte budget
-//!   ([`store::MmapStore`]), selected by `--graph-store` /
-//!   `GSGCN_GRAPH_STORE`. Consumers read topology through the object-safe
-//!   [`Topology`] trait, which [`CsrGraph`] also implements — out-of-core
-//!   access is a backend swap, not an API fork. See the `store` module
-//!   docs for the shard format spec, cache policy and consistency rules.
+//!   ([`store::MmapStore`]), chosen by whoever builds the store.
+//!   Consumers read topology through the object-safe [`Topology`] trait,
+//!   which [`CsrGraph`] also implements — out-of-core access is a backend
+//!   swap, not an API fork. See the `store` module docs for the shard
+//!   format spec, cache policy and consistency rules.
 //!
 //! # Example
 //!

@@ -634,7 +634,8 @@ pub struct MmapStore {
     /// Boxed: the core is large and `GraphStore` holds the store inline.
     core: Box<StoreCore>,
     /// When set, `Drop` removes the whole store directory (used by the
-    /// env-rerouted temp spill, so test-suite runs leave no tmp litter).
+    /// temp spill of `GraphStore::spill_to_temp`, so test-suite runs leave
+    /// no tmp litter).
     remove_on_drop: bool,
 }
 
@@ -713,8 +714,9 @@ impl MmapStore {
         Self::open(dir, budget)
     }
 
-    /// Mark the store directory for removal when the store drops (the
-    /// env-rerouted temp spill owns its directory).
+    /// Mark the store directory for removal when the store drops
+    /// ([`GraphStore::spill_to_temp`](super::GraphStore::spill_to_temp)
+    /// owns its directory).
     pub(super) fn set_remove_on_drop(&mut self) {
         self.remove_on_drop = true;
     }

@@ -23,15 +23,13 @@
 //! thread; an mmap gather visits its rows shard by shard, so each section
 //! it touches is mapped once per call however the rows are ordered.
 //!
-//! Backend selection follows the workspace's flag > env > default policy:
-//! the CLI's `--graph-store mem|mmap` wins, the `GSGCN_GRAPH_STORE`
-//! environment variable supplies the default (this is how CI runs the
-//! whole test matrix out-of-core without touching a single test), and the
-//! default is `mem`. [`GraphStore::from_parts_env`] is the reroute point:
-//! under `GSGCN_GRAPH_STORE=mmap` it spills the given parts to a unique
-//! temp directory, reopens them memory-mapped, and removes the directory
-//! when the store drops. The mapped-bytes budget comes from
-//! `GSGCN_SHARD_CACHE` (default 64 MiB).
+//! The backend is a value, never an environment lookup: callers build
+//! [`GraphStore::mem`] over resident parts or open a shard directory
+//! with an explicit mapped-bytes budget
+//! ([`GraphStore::open_with_budget`]). [`GraphStore::spill_to_temp`]
+//! writes resident parts to a temporary shard directory in a given
+//! placement order and reopens them memory-mapped — the fixture tests use
+//! to put one graph behind both backends.
 
 pub mod mem;
 pub mod mmap;
@@ -40,7 +38,7 @@ pub mod shard;
 
 pub use mem::MemStore;
 pub use mmap::{MmapStore, SectionStats, StoreCacheStats};
-pub use order::{order_from_env, StoreOrder};
+pub use order::StoreOrder;
 pub use shard::{
     verify_store, write_store, write_store_ordered, write_store_with_precision, SectionKind,
     ShardSection, StoreManifest,
@@ -234,23 +232,6 @@ impl std::str::FromStr for StoreBackend {
     }
 }
 
-/// The `GSGCN_GRAPH_STORE` env default (flag > env > default; the CLI flag
-/// overrides this). Unset or empty means [`StoreBackend::Mem`].
-///
-/// # Panics
-/// Panics on an unparseable value: a typo silently falling back to the
-/// in-memory backend would invalidate exactly the out-of-core CI runs the
-/// variable exists for.
-pub fn backend_from_env() -> StoreBackend {
-    match std::env::var("GSGCN_GRAPH_STORE") {
-        Err(_) => StoreBackend::Mem,
-        Ok(raw) if raw.trim().is_empty() => StoreBackend::Mem,
-        Ok(raw) => raw
-            .parse()
-            .unwrap_or_else(|e| panic!("GSGCN_GRAPH_STORE: {e}")),
-    }
-}
-
 /// Parse a human byte-size string: a plain byte count (`"1048576"`) or a
 /// binary/decimal suffix (`KiB`/`MiB`/`GiB` = 2^10/20/30,
 /// `KB`/`MB`/`GB` = 10^3/6/9, bare `K`/`M`/`G` = binary),
@@ -279,30 +260,11 @@ pub fn parse_byte_size(s: &str) -> Result<usize, String> {
 /// Default mapped-bytes budget for the shard cache.
 pub const DEFAULT_SHARD_CACHE_BYTES: usize = 64 << 20;
 
-/// The `GSGCN_SHARD_CACHE` env override for the shard-cache budget. A
-/// parse failure warns on stderr and keeps the default (the cache still
-/// bounds memory either way, unlike a backend typo).
-pub fn shard_cache_budget_from_env() -> usize {
-    match std::env::var("GSGCN_SHARD_CACHE") {
-        Err(_) => DEFAULT_SHARD_CACHE_BYTES,
-        Ok(raw) => match parse_byte_size(&raw) {
-            Ok(0) => {
-                eprintln!("warning: GSGCN_SHARD_CACHE=0 is meaningless; keeping the default");
-                DEFAULT_SHARD_CACHE_BYTES
-            }
-            Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!("warning: ignoring GSGCN_SHARD_CACHE: {e}");
-                DEFAULT_SHARD_CACHE_BYTES
-            }
-        },
-    }
-}
-
-/// Shard-count heuristic for env-rerouted temp spills: small graphs still
-/// get ≥2 shards (so cross-shard edges are exercised everywhere), large
-/// graphs get shards of ~4k vertices, capped so the cache always has
-/// slack to evict into.
+/// Shard-count heuristic for spills that do not name a count
+/// ([`GraphStore::spill_to_temp`], `gsgcn shard --num-shards 0`): small
+/// graphs still get ≥2 shards (so cross-shard edges are exercised
+/// everywhere), large graphs get shards of ~4k vertices, capped so the
+/// cache always has slack to evict into.
 pub fn default_num_shards(n: usize) -> usize {
     n.div_ceil(4096).clamp(2, 64)
 }
@@ -364,54 +326,28 @@ impl GraphStore {
         GraphStore::mem(graph, None, None)
     }
 
-    /// Open an on-disk shard store with the env-default cache budget.
-    pub fn open(dir: &Path) -> io::Result<GraphStore> {
-        Self::open_with_budget(dir, shard_cache_budget_from_env())
-    }
-
     /// Open an on-disk shard store with an explicit mapped-bytes budget.
     pub fn open_with_budget(dir: &Path, budget: usize) -> io::Result<GraphStore> {
         Ok(GraphStore::Mmap(MmapStore::open(dir, budget)?))
     }
 
-    /// Build a store over `parts` honoring `GSGCN_GRAPH_STORE`: `mem`
-    /// wraps them as-is; `mmap` spills them to a unique temp directory,
-    /// reopens memory-mapped, and removes the directory on drop. This is
-    /// the single reroute point that lets the whole test suite run
-    /// out-of-core with zero test changes.
-    pub fn from_parts_env(
-        graph: Arc<CsrGraph>,
-        features: Option<Arc<DMatrix>>,
-        labels: Option<Arc<DMatrix>>,
+    /// Spill resident parts to a unique temp directory in `order`, then
+    /// reopen them memory-mapped behind a `budget`-byte shard cache; the
+    /// directory is removed when the store drops. The test fixture for
+    /// running one graph through the `mmap` backend.
+    pub fn spill_to_temp(
+        graph: &CsrGraph,
+        features: Option<&DMatrix>,
+        labels: Option<&DMatrix>,
+        order: StoreOrder,
+        budget: usize,
     ) -> io::Result<GraphStore> {
-        Self::from_parts(backend_from_env(), graph, features, labels)
-    }
-
-    /// As [`Self::from_parts_env`] with an explicit backend choice (the
-    /// CLI flag path).
-    pub fn from_parts(
-        backend: StoreBackend,
-        graph: Arc<CsrGraph>,
-        features: Option<Arc<DMatrix>>,
-        labels: Option<Arc<DMatrix>>,
-    ) -> io::Result<GraphStore> {
-        match backend {
-            StoreBackend::Mem => Ok(GraphStore::mem(graph, features, labels)),
-            StoreBackend::Mmap => {
-                let dir = fresh_temp_dir()?;
-                shard::write_store_ordered(
-                    &dir,
-                    &graph,
-                    features.as_deref(),
-                    labels.as_deref(),
-                    default_num_shards(graph.num_vertices()),
-                    order_from_env(),
-                )?;
-                let mut store = MmapStore::open(&dir, shard_cache_budget_from_env())?;
-                store.set_remove_on_drop();
-                Ok(GraphStore::Mmap(store))
-            }
-        }
+        let dir = fresh_temp_dir()?;
+        let shards = default_num_shards(graph.num_vertices());
+        shard::write_store_ordered(&dir, graph, features, labels, shards, order)?;
+        let mut store = MmapStore::open(&dir, budget)?;
+        store.set_remove_on_drop();
+        Ok(GraphStore::Mmap(store))
     }
 
     /// Backend name for logs/bench tags.
@@ -1339,8 +1275,19 @@ mod tests {
         assert_eq!("mem".parse::<StoreBackend>().unwrap(), StoreBackend::Mem);
         assert_eq!("MMAP".parse::<StoreBackend>().unwrap(), StoreBackend::Mmap);
         assert!("disk".parse::<StoreBackend>().is_err());
+    }
+
+    #[test]
+    fn byte_size_parsing() {
+        assert_eq!(parse_byte_size("0").unwrap(), 0);
+        assert_eq!(parse_byte_size("1234").unwrap(), 1234);
         assert_eq!(parse_byte_size("64MiB").unwrap(), 64 << 20);
+        assert_eq!(parse_byte_size("64 mib").unwrap(), 64 << 20);
+        assert_eq!(parse_byte_size("2g").unwrap(), 2 << 30);
         assert_eq!(parse_byte_size("10KB").unwrap(), 10_000);
+        assert!(parse_byte_size("").is_err());
+        assert!(parse_byte_size("MiB").is_err());
         assert!(parse_byte_size("64XB").is_err());
+        assert!(parse_byte_size("-5").is_err());
     }
 }

@@ -84,23 +84,6 @@ impl std::str::FromStr for StoreOrder {
     }
 }
 
-/// The `GSGCN_SHARD_ORDER` env default for env-rerouted spills (the CLI
-/// `--order` flag wins). Unset or empty means [`StoreOrder::Natural`].
-///
-/// # Panics
-/// Panics on an unparseable value, for the same reason as
-/// [`backend_from_env`](super::backend_from_env): a typo silently writing
-/// natural-order stores would invalidate the locality CI runs.
-pub fn order_from_env() -> StoreOrder {
-    match std::env::var("GSGCN_SHARD_ORDER") {
-        Err(_) => StoreOrder::Natural,
-        Ok(raw) if raw.trim().is_empty() => StoreOrder::Natural,
-        Ok(raw) => raw
-            .parse()
-            .unwrap_or_else(|e| panic!("GSGCN_SHARD_ORDER: {e}")),
-    }
-}
-
 /// `rank[v]` = position of vertex `v` under `order`, or `None` for
 /// [`StoreOrder::Natural`] (identity — the writer takes its historical
 /// path and writes no ordering section).

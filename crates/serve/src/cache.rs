@@ -24,10 +24,9 @@
 //! invalidate lazily: stale entries are treated as misses and reclaimed
 //! by the eviction hand, so invalidation is O(1), not O(entries).
 //!
-//! Budget policy follows the `GSGCN_KERNEL` env-override pattern: the
-//! `GSGCN_ACTIVATION_CACHE` variable (`"64MiB"`, `"0"` to disable)
-//! supplies a default, and the `gsgcn serve --cache-bytes` flag
-//! overrides it (see the CLI).
+//! The budget is an argument: a classifier serves uncached until one is
+//! attached with `NodeClassifier::with_cache`. The `gsgcn` binary
+//! resolves it from `--cache-bytes` or `GSGCN_ACTIVATION_CACHE`.
 //!
 //! # Row storage precision
 //!
@@ -39,7 +38,7 @@
 //! band (`gsgcn_tensor::precision::rel_tolerance`) since the final
 //! fused layer re-accumulates in f32 either way. The precision is fixed
 //! at construction — mixing would make hit bytes depend on insert
-//! history — and the serving engine passes the session's resolved
+//! history — and the `gsgcn` binary passes the session's resolved
 //! precision (`--precision` flag / `GSGCN_PRECISION` env).
 
 use gsgcn_tensor::{bf16, Bf16, DMatrix, Precision};
@@ -393,31 +392,6 @@ impl std::fmt::Debug for ActivationCache {
     }
 }
 
-/// Parse a human byte-size string: a plain byte count (`"1048576"`) or a
-/// binary/decimal suffix (`KiB`/`MiB`/`GiB` = 2^10/20/30,
-/// `KB`/`MB`/`GB` = 10^3/6/9, bare `K`/`M`/`G` = binary), case-insensitive,
-/// optional whitespace before the suffix. `"0"` means *disabled*.
-pub fn parse_cache_budget(s: &str) -> Result<usize, String> {
-    // One byte-size grammar across the workspace: this is the same
-    // parser the graph store uses for GSGCN_SHARD_CACHE.
-    gsgcn_graph::store::parse_byte_size(s)
-}
-
-/// The `GSGCN_ACTIVATION_CACHE` env default (the `GSGCN_KERNEL`
-/// pattern): unset or `"0"` → `None` (disabled); a parse failure warns
-/// loudly on stderr and disables rather than silently serving uncached.
-pub fn budget_from_env() -> Option<usize> {
-    let raw = std::env::var("GSGCN_ACTIVATION_CACHE").ok()?;
-    match parse_cache_budget(&raw) {
-        Ok(0) => None,
-        Ok(bytes) => Some(bytes),
-        Err(e) => {
-            eprintln!("warning: ignoring GSGCN_ACTIVATION_CACHE: {e}");
-            None
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,19 +596,5 @@ mod tests {
         assert_eq!(c16.stats().entries, budget / (width * 2 + ENTRY_OVERHEAD));
         assert!(c16.stats().entries > c32.stats().entries);
         assert!(c16.stats().resident_bytes <= c16.budget_bytes());
-    }
-
-    #[test]
-    fn budget_parsing() {
-        assert_eq!(parse_cache_budget("0").unwrap(), 0);
-        assert_eq!(parse_cache_budget("1234").unwrap(), 1234);
-        assert_eq!(parse_cache_budget("64MiB").unwrap(), 64 << 20);
-        assert_eq!(parse_cache_budget("64 mib").unwrap(), 64 << 20);
-        assert_eq!(parse_cache_budget("2g").unwrap(), 2 << 30);
-        assert_eq!(parse_cache_budget("10KB").unwrap(), 10_000);
-        assert!(parse_cache_budget("").is_err());
-        assert!(parse_cache_budget("MiB").is_err());
-        assert!(parse_cache_budget("64XB").is_err());
-        assert!(parse_cache_budget("-5").is_err());
     }
 }

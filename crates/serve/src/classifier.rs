@@ -172,14 +172,10 @@ pub struct NodeClassifier {
 }
 
 impl NodeClassifier {
-    /// Assemble a classifier. Fails if the feature matrix does not match
-    /// the graph or the model's input width.
-    ///
-    /// The activation cache defaults from the `GSGCN_ACTIVATION_CACHE`
-    /// environment variable (`"64MiB"`-style; unset or `"0"` disables)
-    /// so the whole serve stack — tests included — can be flipped
-    /// between cached and uncached without code changes; override with
-    /// [`NodeClassifier::with_cache`].
+    /// Assemble a classifier over a resident graph ([`GraphStore::mem`]),
+    /// with no activation cache (attach one with
+    /// [`NodeClassifier::with_cache`]). Fails if the feature matrix does
+    /// not match the graph or the model's input width.
     pub fn new(
         model: Arc<GcnModel>,
         graph: Arc<CsrGraph>,
@@ -192,18 +188,15 @@ impl NodeClassifier {
                 graph.num_vertices()
             ));
         }
-        // `from_parts_env` honours GSGCN_GRAPH_STORE, so the whole serve
-        // stack — tests included — flips between resident and
-        // out-of-core without code changes.
-        let store = GraphStore::from_parts_env(graph, Some(features), None)
-            .map_err(|e| format!("failed to build serving graph store: {e}"))?;
+        let store = GraphStore::mem(graph, Some(features), None);
         Self::from_store(model, Arc::new(store))
     }
 
     /// Assemble a classifier over an existing [`GraphStore`] (e.g. a
-    /// pre-sharded on-disk graph opened with `GraphStore::open`). Fails
-    /// if the store has no feature matrix or its width does not match
-    /// the model's input.
+    /// pre-sharded on-disk graph opened with
+    /// `GraphStore::open_with_budget`), with no activation cache. Fails
+    /// if the store has no feature matrix or its width does not match the
+    /// model's input.
     pub fn from_store(model: Arc<GcnModel>, store: Arc<GraphStore>) -> Result<Self, String> {
         if store.feature_dim() == 0 {
             return Err("graph store holds no feature matrix".into());
@@ -215,23 +208,10 @@ impl NodeClassifier {
                 model.config().in_dim
             ));
         }
-        let cache = if model.num_layers() >= 2 {
-            // Cached rows follow the session's resolved activation
-            // precision (--precision flag / GSGCN_PRECISION env): bf16
-            // serving halves cache bytes-per-row too.
-            crate::cache::budget_from_env().map(|bytes| {
-                Arc::new(ActivationCache::with_precision(
-                    bytes,
-                    gsgcn_tensor::precision::current(),
-                ))
-            })
-        } else {
-            None
-        };
         Ok(NodeClassifier {
             model,
             store,
-            cache,
+            cache: None,
         })
     }
 
@@ -565,17 +545,19 @@ mod tests {
     }
 
     /// Once the workspace is warm a repeated batch allocates no matrix —
-    /// at whatever hit rate: the environment's default cache (all
-    /// resident from the second call on), no cache at depth 2 and 3 (the
-    /// whole level recursion every call), and a depth-1 model.
+    /// at whatever hit rate: a roomy cache (all resident from the second
+    /// call on), no cache at depth 2 and 3 (the whole level recursion
+    /// every call), and a depth-1 model.
     #[test]
     fn warm_classify_is_allocation_free() {
         let uncached = |depth| {
             let (model, g, x) = fixture_parts_depth(LossKind::SoftmaxCe, depth);
-            NodeClassifier::new(model, g, x).unwrap().with_cache(None)
+            NodeClassifier::new(model, g, x).unwrap()
         };
+        let cached =
+            fixture(LossKind::SoftmaxCe).with_cache(Some(Arc::new(ActivationCache::new(64 << 20))));
         let cases = [
-            ("default cache", fixture(LossKind::SoftmaxCe)),
+            ("roomy cache", cached),
             ("no cache, depth 2", uncached(2)),
             ("no cache, depth 3", uncached(3)),
             ("depth 1", uncached(1)),

@@ -8,8 +8,12 @@
 //!
 //! This is the correctness contract of the serving path: the engine may
 //! coalesce, re-batch and parallelise however it likes, but a query's
-//! answer never depends on how it was batched.
+//! answer never depends on how it was batched — or on what an activation
+//! cache holds (every property runs on each of `common::CACHE_AXES`).
 
+mod common;
+
+use common::CACHE_AXES;
 use gsgcn_graph::{CsrGraph, GraphBuilder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::NodeClassifier;
@@ -78,7 +82,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random batch on a random graph: batched probs ≈ full-graph probs
-    /// (1e-4), for every available kernel tier and across thread counts.
+    /// (1e-4), for every available kernel tier, across thread counts and
+    /// in every cache regime (each tier's batch runs twice, so a cache is
+    /// probed cold and warm).
     #[test]
     fn batched_matches_full_graph(
         ni in 0..N_DIMS.len(),
@@ -89,33 +95,42 @@ proptest! {
     ) {
         let n = N_DIMS[ni];
         let loss = if single { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
-        let c = classifier_for(n, DEPTHS[di], loss, seed);
         // Batch: a pseudo-random subset (~1/3) of the nodes, never empty.
         let batch: Vec<u32> = (0..n as u32)
             .filter(|v| (v.wrapping_mul(2654435761).wrapping_add(seed as u32)) % 3 == 0)
             .chain([(seed % n as u64) as u32])
             .collect();
 
-        let full = c.full_graph_probs();
-        for tier in gemm::available_tiers() {
-            let preds = gemm::with_tier(tier, || {
-                in_pool(THREADS[ti], || c.classify(&batch).unwrap())
-            });
-            for p in &preds {
-                let want = full.row(p.node as usize);
-                for (k, (a, b)) in p.probs.iter().zip(want).enumerate() {
-                    prop_assert!(
-                        (a - b).abs() < 1e-4,
-                        "tier {} node {} class {k}: batched {a} vs full {b}",
-                        tier.name(), p.node
-                    );
+        for axis in CACHE_AXES {
+            axis.run(|| -> Result<(), String> {
+                let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
+                let full = c.full_graph_probs();
+                for tier in gemm::available_tiers() {
+                    for pass in ["cold", "warm"] {
+                        let preds = gemm::with_tier(tier, || {
+                            in_pool(THREADS[ti], || c.classify(&batch).unwrap())
+                        });
+                        for p in &preds {
+                            let want = full.row(p.node as usize);
+                            for (k, (a, b)) in p.probs.iter().zip(want).enumerate() {
+                                prop_assert!(
+                                    (a - b).abs() < 1e-4,
+                                    "{axis:?} tier {} {pass} node {} class {k}: \
+                                     batched {a} vs full {b}",
+                                    tier.name(), p.node
+                                );
+                            }
+                        }
+                    }
                 }
-            }
+                Ok(())
+            })?;
         }
     }
 
     /// The identity batch (every node) is bit-identical to the full
-    /// forward: every level's frontier ball is the graph itself.
+    /// forward: every level's frontier ball is the graph itself — also
+    /// when it is asked again and a cache answers.
     #[test]
     fn whole_node_set_is_bit_identical(
         ni in 0..N_DIMS.len(),
@@ -125,38 +140,49 @@ proptest! {
     ) {
         let n = N_DIMS[ni];
         let loss = if single { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
-        let c = classifier_for(n, DEPTHS[di], loss, seed);
-        let full = c.full_graph_probs();
         let all: Vec<u32> = (0..n as u32).collect();
-        let preds = c.classify(&all).unwrap();
-        for p in &preds {
-            prop_assert!(
-                p.probs.as_slice() == full.row(p.node as usize),
-                "node {} not bit-identical on the identity batch",
-                p.node
-            );
+        for axis in CACHE_AXES {
+            axis.run(|| -> Result<(), String> {
+                let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
+                let full = c.full_graph_probs();
+                for pass in ["cold", "warm"] {
+                    for p in &c.classify(&all).unwrap() {
+                        prop_assert!(
+                            p.probs.as_slice() == full.row(p.node as usize),
+                            "{axis:?} {pass}: node {} not bit-identical on the identity batch",
+                            p.node
+                        );
+                    }
+                }
+                Ok(())
+            })?;
         }
     }
 
     /// Batching is invisible: splitting a query set across separate
-    /// batches gives the same answers as one batch.
+    /// batches gives the same answers as one batch, in every cache regime.
     #[test]
     fn batch_partitioning_is_invisible(
         ni in 0..N_DIMS.len(),
         seed in any::<u64>(),
     ) {
         let n = N_DIMS[ni];
-        let c = classifier_for(n, 2, LossKind::SoftmaxCe, seed);
         let nodes: Vec<u32> = (0..n as u32).step_by(2).collect();
-        let together = c.classify(&nodes).unwrap();
         let mid = nodes.len() / 2;
-        let mut split = c.classify(&nodes[..mid.max(1)]).unwrap();
-        split.extend(c.classify(&nodes[mid.max(1)..]).unwrap());
-        for (a, b) in together.iter().zip(&split) {
-            prop_assert_eq!(a.node, b.node);
-            for (x, y) in a.probs.iter().zip(&b.probs) {
-                prop_assert!((x - y).abs() < 1e-4, "node {}: {x} vs {y}", a.node);
-            }
+        for axis in CACHE_AXES {
+            axis.run(|| -> Result<(), String> {
+                let c = axis.attach(classifier_for(n, 2, LossKind::SoftmaxCe, seed));
+                let together = c.classify(&nodes).unwrap();
+                let mut split = c.classify(&nodes[..mid.max(1)]).unwrap();
+                split.extend(c.classify(&nodes[mid.max(1)..]).unwrap());
+                for (a, b) in together.iter().zip(&split) {
+                    prop_assert_eq!(a.node, b.node);
+                    for (x, y) in a.probs.iter().zip(&b.probs) {
+                        prop_assert!((x - y).abs() < 1e-4, "{axis:?} node {}: {x} vs {y}", a.node);
+                    }
+                }
+                Ok(())
+            })?;
         }
     }
 }

@@ -10,6 +10,9 @@
 //! tolerance band. (The older cases below still assert the looser 1e-4
 //! they were written with.)
 
+mod common;
+
+use common::CACHE_AXES;
 use gsgcn_graph::{CsrGraph, GraphBuilder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::{ActivationCache, NodeClassifier};
@@ -61,11 +64,7 @@ fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClas
         },
         seed ^ 0xBEEF,
     );
-    NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x))
-        .unwrap()
-        // Pin the baseline regardless of GSGCN_ACTIVATION_CACHE (the CI
-        // matrix sets it); cached variants attach explicitly below.
-        .with_cache(None)
+    NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x)).unwrap()
 }
 
 fn batch_of(n: usize, seed: u64) -> Vec<u32> {
@@ -79,12 +78,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Cold pass bit-identical, warm pass ≤ 1e-4, on every available
-    /// kernel tier — and the warm pass must actually hit the cache. The
-    /// uncached baseline is computed **per tier**: the contract is that
-    /// attaching a cache never changes that tier's answer, not that
-    /// tiers agree with each other (under bf16 storage a top tier that
-    /// runs on the AMX tile unit is tolerance-banded, not bit-identical,
-    /// against the widen tiers).
+    /// kernel tier and in every cache regime of `common::CACHE_AXES` —
+    /// and the warm pass must actually hit the cache. The uncached
+    /// baseline is computed **per tier**, at the regime's precision: the
+    /// contract is that attaching a cache never changes that tier's
+    /// answer, not that tiers agree with each other (under bf16 storage a
+    /// top tier that runs on the AMX tile unit is tolerance-banded, not
+    /// bit-identical, against the widen tiers).
     #[test]
     fn cached_matches_uncached_across_tiers(
         ni in 0..N_DIMS.len(),
@@ -97,28 +97,33 @@ proptest! {
         let uncached = classifier_for(n, DEPTHS[di], loss, seed);
         let batch = batch_of(n, seed);
 
-        for tier in gemm::available_tiers() {
-            let cache = Arc::new(ActivationCache::new(8 << 20));
-            let cached = classifier_for(n, DEPTHS[di], loss, seed)
-                .with_cache(Some(Arc::clone(&cache)));
-            let (baseline, cold, warm) = gemm::with_tier(tier, || {
-                (
-                    uncached.classify(&batch).unwrap(),
-                    cached.classify(&batch).unwrap(),
-                    cached.classify(&batch).unwrap(),
-                )
+        for (axis, tier) in CACHE_AXES
+            .into_iter()
+            .flat_map(|axis| gemm::available_tiers().into_iter().map(move |tier| (axis, tier)))
+        {
+            let cached = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
+            let (baseline, cold, warm) = axis.run(|| {
+                gemm::with_tier(tier, || {
+                    (
+                        uncached.classify(&batch).unwrap(),
+                        cached.classify(&batch).unwrap(),
+                        cached.classify(&batch).unwrap(),
+                    )
+                })
             });
-            let probed = cache.stats();
-            prop_assert!(
-                probed.hits > 0,
-                "tier {}: warm pass never hit the cache ({probed:?})",
-                tier.name()
-            );
+            if let Some(cache) = cached.cache() {
+                let probed = cache.stats();
+                prop_assert!(
+                    probed.hits > 0,
+                    "{axis:?} tier {}: warm pass never hit the cache ({probed:?})",
+                    tier.name()
+                );
+            }
             for (p, b) in cold.iter().zip(&baseline) {
                 prop_assert_eq!(p.node, b.node);
                 prop_assert!(
                     p.probs.as_slice() == b.probs.as_slice(),
-                    "tier {} node {}: cold cache not bit-identical",
+                    "{axis:?} tier {} node {}: cold cache not bit-identical",
                     tier.name(), p.node
                 );
             }
@@ -128,7 +133,7 @@ proptest! {
                 for (k, (a, v)) in p.probs.iter().zip(&b.probs).enumerate() {
                     prop_assert!(
                         (a - v).abs() < 1e-4,
-                        "tier {} node {} class {k}: warm {a} vs uncached {v}",
+                        "{axis:?} tier {} node {} class {k}: warm {a} vs uncached {v}",
                         tier.name(), p.node
                     );
                 }

@@ -7,7 +7,9 @@
 //! `LevelStats` (`ClassifyWorkspace::last_level_stats`) and are compared
 //! with independently extracted `l_hop_ball`s, on both store backends.
 
-use gsgcn_graph::{l_hop_ball, one_hop_frontier, CsrGraph, GraphBuilder, GraphStore, StoreBackend};
+use gsgcn_graph::{
+    l_hop_ball, one_hop_frontier, CsrGraph, GraphBuilder, GraphStore, StoreBackend, StoreOrder,
+};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_serve::{ActivationCache, ClassifyWorkspace, NodeClassifier};
@@ -52,7 +54,13 @@ fn fixture(depth: usize, backend: StoreBackend) -> Fixture {
         },
         29,
     ));
-    let store = GraphStore::from_parts(backend, Arc::clone(&graph), Some(x), None).unwrap();
+    let store = match backend {
+        StoreBackend::Mem => GraphStore::mem(Arc::clone(&graph), Some(x), None),
+        StoreBackend::Mmap => {
+            GraphStore::spill_to_temp(&graph, Some(&x), None, StoreOrder::Natural, 64 << 20)
+                .unwrap()
+        }
+    };
     Fixture {
         graph,
         model,

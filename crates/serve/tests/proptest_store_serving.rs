@@ -13,7 +13,7 @@
 
 use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::write_store_ordered;
-use gsgcn_graph::{CsrGraph, GraphBuilder, GraphStore, StoreBackend, StoreOrder};
+use gsgcn_graph::{CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::{ActivationCache, ClassifyWorkspace, NodeClassifier};
 use gsgcn_tensor::DMatrix;
@@ -64,14 +64,12 @@ fn both_backends(
         },
         seed ^ 0xBEEF,
     ));
-    let mk = |backend| {
-        let store =
-            GraphStore::from_parts(backend, Arc::clone(&g), Some(Arc::clone(&x)), None).unwrap();
-        NodeClassifier::from_store(Arc::clone(&model), Arc::new(store))
-            .unwrap()
-            .with_cache(None)
-    };
-    (mk(StoreBackend::Mem), mk(StoreBackend::Mmap))
+    let mk = |store| NodeClassifier::from_store(Arc::clone(&model), Arc::new(store)).unwrap();
+    let mmap = GraphStore::spill_to_temp(&g, Some(&x), None, StoreOrder::Natural, 64 << 20);
+    (
+        mk(GraphStore::mem(Arc::clone(&g), Some(Arc::clone(&x)), None)),
+        mk(mmap.unwrap()),
+    )
 }
 
 /// Ring + chords over `0..n-2`; vertex `n-2` is isolated (a degree-0
@@ -125,8 +123,7 @@ proptest! {
         let mut roots: Vec<u32> = picks.iter().map(|&p| p % n as u32).collect();
         roots.extend([roots[0], n as u32 - 2, n as u32 - 1]);
 
-        let mem = GraphStore::from_parts(StoreBackend::Mem, Arc::clone(&g), Some(Arc::clone(&x)), None)
-            .unwrap();
+        let mem = GraphStore::mem(Arc::clone(&g), Some(Arc::clone(&x)), None);
         let mut stores = vec![("mem", mem)];
         let mut dirs = Vec::new();
         for (name, order) in [("mmap natural", StoreOrder::Natural), ("mmap bfs", StoreOrder::Bfs)] {
@@ -143,9 +140,7 @@ proptest! {
         let mut full: Option<DMatrix> = None;
         for (name, store) in stores {
             let store = Arc::new(store);
-            let plain = NodeClassifier::from_store(Arc::clone(&model), Arc::clone(&store))
-                .unwrap()
-                .with_cache(None);
+            let plain = NodeClassifier::from_store(Arc::clone(&model), Arc::clone(&store)).unwrap();
             let full = full.get_or_insert_with(|| plain.full_graph_probs());
             // (A 1-layer model has nothing to cache: three uncached passes.)
             let cache = (depth >= 2).then(|| Arc::new(ActivationCache::new(1 << 20)));

@@ -18,11 +18,10 @@
 //! `shard` writes a dataset as a partitioned on-disk graph store
 //! (`gsgcn_data::StoreDataset`); `train`/`eval`/`predict`/`serve` accept
 //! `--shards DIR` to run against it without regenerating (or fully
-//! loading) the dataset. `--graph-store mem|mmap` picks the store
-//! backend with flag > `GSGCN_GRAPH_STORE` env > default (`mem`)
-//! precedence: `mmap` keeps the resident set bounded by the
-//! `GSGCN_SHARD_CACHE` budget, `mem` materialises everything (the
-//! negative control for the RSS-capped CI smoke test). `train`,
+//! loading) the dataset. `--graph-store mmap` keeps the resident set
+//! bounded by the shard-cache budget, `mem` (the default) materialises
+//! everything (the negative control for the RSS-capped CI smoke test);
+//! without `--shards`, naming a backend is an error. `train`,
 //! `predict` and `eval --shards` report the kernel-measured peak RSS on
 //! exit; `eval --shards` and the `train --shards` summary also print the
 //! work of the stored evaluation (tiles and rows computed per layer,
@@ -42,13 +41,32 @@
 //! (`bf16 via amx|widen`); `--probe T` exits non-zero when the CPU
 //! lacks tier `T` (used by CI to skip unsupported tiers visibly).
 //!
+//! # Runtime settings
+//!
+//! The settings the libraries take as arguments are resolved once per
+//! command into a [`RuntimeConfig`], flag > environment > default:
+//!
+//! | setting | flag | environment | default |
+//! |---|---|---|---|
+//! | backend of a `--shards` store | `--graph-store` | `GSGCN_GRAPH_STORE` | `mem` |
+//! | mapped bytes per mmap store | — | `GSGCN_SHARD_CACHE` | 64 MiB |
+//! | activation cache (`predict`, `serve`) | `--cache-bytes` | `GSGCN_ACTIVATION_CACHE` | off |
+//! | sampler workers (`train`) | `--sampler-threads` | `GSGCN_SAMPLER_THREADS` | `auto` |
+//!
+//! A malformed value is an `error:` exit 1, as a bad flag is, and
+//! `train`/`eval`/`predict`/`serve` print the resolved values on a
+//! `runtime:` line. This is the only code that reads these variables.
+//!
 //! Argument parsing is hand-rolled (the workspace has no CLI dependency).
 //! Each subcommand lists the flags it accepts; any other flag is an
 //! `error: unknown flag` exit with usage help.
 
+use gsgcn::core::config::{auto_sampler_threads, parse_sampler_threads};
 use gsgcn::core::trainer::EvalSplit;
 use gsgcn::core::{GsGcnTrainer, TrainerConfig};
-use gsgcn::data::{presets, Dataset};
+use gsgcn::data::{presets, Dataset, StoreDataset};
+use gsgcn::graph::store::{parse_byte_size, DEFAULT_SHARD_CACHE_BYTES};
+use gsgcn::graph::StoreBackend;
 use gsgcn::nn::checkpoint::{CheckpointMeta, ModelWeights};
 use gsgcn::tensor::{gemm, precision, Precision};
 use std::collections::HashMap;
@@ -72,11 +90,13 @@ const USAGE: &str = "usage:
               [--sampler-threads N|auto] [--patience N] [--seed N] [--full]
               [--save PATH] [--shards DIR] [--graph-store <mem|mmap>]
               (--shards trains from a pre-sharded store dir instead of
-               generating the dataset; --graph-store picks the store
-               backend, flag > GSGCN_GRAPH_STORE env > mem)
+               generating the dataset; --graph-store picks that store's
+               backend, flag > GSGCN_GRAPH_STORE env > mem, and is an
+               error without --shards; GSGCN_SHARD_CACHE sets each mmap store's
+               mapped-byte budget, default 64MiB)
               (--sampler-threads: dedicated sampler workers overlapping
-               sampling with compute; default auto = min(2, cores/4),
-               0 = synchronous in-loop sampling)
+               sampling with compute, flag > GSGCN_SAMPLER_THREADS env >
+               auto = min(2, cores/4); 0 = synchronous in-loop sampling)
               (--precision <f32|bf16> on train/eval/predict/serve picks
                the activation storage precision, flag > GSGCN_PRECISION
                env > f32; bf16 stores activations at half width and trains
@@ -90,7 +110,8 @@ const USAGE: &str = "usage:
   gsgcn predict --load PATH --nodes N,N,.. [--probs] [--shards DIR]
               [--graph-store <mem|mmap>] [dataset overrides as for eval]
               — classify a node batch layer by layer on its frontier
-              through the batch engine; --probs prints full class rows
+              through the batch engine; --probs prints full class rows;
+              GSGCN_ACTIVATION_CACHE=SIZE attaches an activation cache
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--queue N] [--admission <block|shed>]
               [--protocol <line|binary>]
@@ -101,9 +122,9 @@ const USAGE: &str = "usage:
               `overloaded\\n` when admission sheds, `quit` to close);
               --protocol binary selects the pipelined length-prefixed
               framing (see gsgcn_serve docs).
-              SIZE accepts 64MiB/1GB/..; --cache-bytes 0 disables the
-              activation cache and overrides the GSGCN_ACTIVATION_CACHE
-              env default; accepts --shards/--graph-store as for predict
+              SIZE accepts 64MiB/1GB/..; --cache-bytes sizes the
+              activation cache, flag > GSGCN_ACTIVATION_CACHE env > off
+              (0 = off); accepts --shards/--graph-store as for predict
   gsgcn kernel [--probe <scalar|avx2|avx512>]";
 
 /// The flags each subcommand accepts (`None`: no such subcommand), as
@@ -228,17 +249,109 @@ fn load_dataset(flags: &HashMap<String, String>) -> Result<Dataset, String> {
     Ok(d)
 }
 
-/// Apply `--graph-store <mem|mmap>` with flag > env > default precedence:
-/// the flag simply wins by overwriting `GSGCN_GRAPH_STORE` before any
-/// store is built, so every downstream `from_parts_env`/`open` agrees.
-fn apply_graph_store_flag(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(v) = flags.get("graph-store") {
-        match v.to_lowercase().as_str() {
-            "mem" | "mmap" => std::env::set_var("GSGCN_GRAPH_STORE", v.to_lowercase()),
-            other => return Err(format!("bad --graph-store {other:?}: expected mem|mmap")),
+/// The settings the libraries take as arguments, resolved once per
+/// command (see "Runtime settings" in the module docs).
+struct RuntimeConfig {
+    store: StoreBackend,
+    shard_cache: usize,
+    /// Activation-cache bytes; 0 = off.
+    activation_cache: usize,
+    sampler_threads: usize,
+}
+
+impl RuntimeConfig {
+    fn resolve(flags: &HashMap<String, String>) -> Result<Self, String> {
+        let store = setting(flags, "graph-store", "GSGCN_GRAPH_STORE", None, |s| {
+            s.parse().map(Some)
+        })?;
+        if store.is_some() && !flags.contains_key("shards") {
+            let why = "a store backend needs --shards DIR; write one with `gsgcn shard`";
+            return Err(format!("--graph-store / GSGCN_GRAPH_STORE: {why}"));
+        }
+        let shard_cache = |s: &str| match parse_byte_size(s)? {
+            0 => Err("a 0-byte shard cache maps nothing".to_string()),
+            bytes => Ok(bytes),
+        };
+        Ok(RuntimeConfig {
+            store: store.unwrap_or_default(),
+            shard_cache: setting(
+                flags,
+                "",
+                "GSGCN_SHARD_CACHE",
+                DEFAULT_SHARD_CACHE_BYTES,
+                shard_cache,
+            )?,
+            activation_cache: setting(
+                flags,
+                "cache-bytes",
+                "GSGCN_ACTIVATION_CACHE",
+                0,
+                parse_byte_size,
+            )?,
+            sampler_threads: setting(
+                flags,
+                "sampler-threads",
+                "GSGCN_SAMPLER_THREADS",
+                auto_sampler_threads(),
+                parse_sampler_threads,
+            )?,
+        })
+    }
+
+    fn open_store_dataset(&self, dir: &str) -> Result<StoreDataset, String> {
+        StoreDataset::open_with(std::path::Path::new(dir), self.store, self.shard_cache)
+            .map_err(|e| format!("opening shard dir {dir:?}: {e}"))
+    }
+
+    /// `c` with the resolved activation cache attached, its rows in the
+    /// session's activation precision (bf16 serving halves bytes-per-row).
+    fn attach_cache(&self, c: gsgcn::serve::NodeClassifier) -> gsgcn::serve::NodeClassifier {
+        use gsgcn::serve::ActivationCache;
+        match self.activation_cache {
+            0 => c,
+            bytes => c.with_cache(Some(std::sync::Arc::new(ActivationCache::with_precision(
+                bytes,
+                precision::current(),
+            )))),
         }
     }
-    Ok(())
+}
+
+impl std::fmt::Display for RuntimeConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use gsgcn::metrics::mem::format_bytes;
+        let cache = match self.activation_cache {
+            0 => "off".to_string(),
+            bytes => format_bytes(bytes),
+        };
+        write!(
+            f,
+            "runtime: graph store {}, shard cache {}, activation cache {cache}, \
+             sampler threads {}",
+            self.store.name(),
+            format_bytes(self.shard_cache),
+            self.sampler_threads
+        )
+    }
+}
+
+/// One setting: `--flag` (`""`: none), else a non-empty `var`, else
+/// `default`; a value that does not parse is an error naming its source.
+fn setting<T>(
+    flags: &HashMap<String, String>,
+    flag: &str,
+    var: &str,
+    default: T,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let (source, raw) = match flags.get(flag) {
+        Some(v) => (format!("--{flag}"), v.clone()),
+        None => match std::env::var(var) {
+            Ok(v) if !v.trim().is_empty() => (var.to_string(), v),
+            _ => return Ok(default),
+        },
+    };
+    parse(raw.trim()).map_err(|e| format!("{source}: {e}"))
 }
 
 /// Apply `--precision <f32|bf16>` with flag > `GSGCN_PRECISION` env > f32
@@ -295,7 +408,10 @@ fn parse_hidden(flags: &HashMap<String, String>) -> Result<Vec<usize>, String> {
     }
 }
 
-fn build_config(flags: &HashMap<String, String>) -> Result<TrainerConfig, String> {
+fn build_config(
+    flags: &HashMap<String, String>,
+    rt: &RuntimeConfig,
+) -> Result<TrainerConfig, String> {
     let mut cfg = TrainerConfig {
         hidden_dims: parse_hidden(flags)?,
         ..TrainerConfig::default()
@@ -316,13 +432,7 @@ fn build_config(flags: &HashMap<String, String>) -> Result<TrainerConfig, String
     } else {
         cfg.threads
     };
-    // Pipelined sampling: flag > env (via TrainerConfig::default) > auto.
-    cfg.sampler_threads = match flags.get("sampler-threads") {
-        Some(spec) => gsgcn::core::config::parse_sampler_threads(spec)
-            .map_err(|e| format!("--sampler-threads: {e}"))?,
-        None if std::env::var_os("GSGCN_SAMPLER_THREADS").is_some() => cfg.sampler_threads,
-        None => gsgcn::core::config::auto_sampler_threads(),
-    };
+    cfg.sampler_threads = rt.sampler_threads;
     Ok(cfg)
 }
 
@@ -410,12 +520,13 @@ fn cmd_shard(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
+    let rt = RuntimeConfig::resolve(flags)?;
+    println!("{rt}");
     if let Some(dir) = flags.get("shards") {
-        return train_from_shards(flags, dir);
+        return train_from_shards(flags, &rt, dir);
     }
     let dataset = load_dataset(flags)?;
-    let cfg = build_config(flags)?;
+    let cfg = build_config(flags, &rt)?;
     println!(
         "training on {} (|V|={}, f={}, classes={}) — {} epochs, hidden {:?}",
         dataset.name,
@@ -456,10 +567,13 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
 /// store. On the `mmap` backend nothing is materialised — sampling and
 /// evaluation stream through the shard cache, so the resident set stays
 /// bounded regardless of graph size.
-fn train_from_shards(flags: &HashMap<String, String>, dir: &str) -> Result<(), String> {
-    let sd = gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-        .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?;
-    let cfg = build_config(flags)?;
+fn train_from_shards(
+    flags: &HashMap<String, String>,
+    rt: &RuntimeConfig,
+    dir: &str,
+) -> Result<(), String> {
+    let sd = rt.open_store_dataset(dir)?;
+    let cfg = build_config(flags, rt)?;
     println!(
         "training on sharded {} from {dir} (|V|={}, f={}, classes={}, backend {:?}, \
          {} shard{}, {} order) — {} epochs, hidden {:?}",
@@ -564,7 +678,13 @@ fn apply_checkpoint_meta(flags: &mut HashMap<String, String>, meta: &CheckpointM
 
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
+    // Evaluation never consumes training subgraphs: don't spin up sampler
+    // workers that would immediately fill their queue for nothing.
+    let rt = RuntimeConfig {
+        sampler_threads: 0,
+        ..RuntimeConfig::resolve(flags)?
+    };
+    println!("{rt}");
     let path = flags.get("load").ok_or("missing --load")?;
     let weights = ModelWeights::load(path).map_err(|e| format!("loading {path:?}: {e}"))?;
     let mut flags = flags.clone();
@@ -579,22 +699,16 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
             }
         }
     }
-    let mut cfg = build_config(&flags)?;
+    let mut cfg = build_config(&flags, &rt)?;
     cfg.epochs = 1;
-    // Evaluation never consumes training subgraphs: don't spin up sampler
-    // workers that would immediately fill their queue for nothing.
-    cfg.sampler_threads = 0;
     // The sharded store and the regenerated dataset are mutually
     // exclusive sources; a StoreDataset needs no provenance (its graph
     // is on disk, not regenerated).
-    let sd: Option<gsgcn::data::StoreDataset>;
+    let sd: Option<StoreDataset>;
     let dataset;
     let mut trainer = match flags.get("shards") {
         Some(dir) => {
-            sd = Some(
-                gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-                    .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?,
-            );
+            sd = Some(rt.open_store_dataset(dir)?);
             GsGcnTrainer::from_store(sd.as_ref().unwrap(), cfg)?
         }
         None => {
@@ -623,10 +737,12 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Shared by `predict`/`serve`: load a checkpoint, regenerate its
-/// training dataset (provenance-defaulted, as in `eval`) and assemble
-/// the serving classifier around the restored model.
+/// training dataset (provenance-defaulted, as in `eval`), assemble the
+/// serving classifier around the restored model and attach the resolved
+/// activation cache.
 fn build_classifier(
     flags: &HashMap<String, String>,
+    rt: &RuntimeConfig,
 ) -> Result<gsgcn::serve::NodeClassifier, String> {
     use gsgcn::nn::model::{GcnConfig, GcnModel, LossKind};
     use std::sync::Arc;
@@ -640,8 +756,7 @@ fn build_classifier(
     // `--shards DIR` serves straight from the on-disk store; otherwise
     // the training dataset is regenerated from checkpoint provenance.
     if let Some(dir) = flags.get("shards") {
-        let sd = gsgcn::data::StoreDataset::open(std::path::Path::new(dir))
-            .map_err(|e| format!("opening shard dir {dir:?}: {e}"))?;
+        let sd = rt.open_store_dataset(dir)?;
         let loss = match sd.task {
             gsgcn::data::TaskKind::MultiLabel => LossKind::SigmoidBce,
             gsgcn::data::TaskKind::SingleLabel => LossKind::SoftmaxCe,
@@ -673,7 +788,8 @@ fn build_classifier(
             model.num_layers(),
             sd.full.order().name(),
         );
-        return gsgcn::serve::NodeClassifier::from_store(Arc::new(model), Arc::clone(&sd.full));
+        let classifier = gsgcn::serve::NodeClassifier::from_store(Arc::new(model), sd.full)?;
+        return Ok(rt.attach_cache(classifier));
     }
     let dataset = load_dataset(&flags)?;
     let loss = match dataset.task {
@@ -698,11 +814,10 @@ fn build_classifier(
         dataset.num_classes(),
         model.num_layers(),
     );
-    gsgcn::serve::NodeClassifier::new(
-        Arc::new(model),
-        Arc::new(dataset.graph),
-        Arc::new(dataset.features),
-    )
+    let graph = Arc::new(dataset.graph);
+    let classifier =
+        gsgcn::serve::NodeClassifier::new(Arc::new(model), graph, Arc::new(dataset.features))?;
+    Ok(rt.attach_cache(classifier))
 }
 
 fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
@@ -710,11 +825,12 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     use std::sync::Arc;
 
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
+    let rt = RuntimeConfig::resolve(flags)?;
+    println!("{rt}");
     // Same id syntax as one TCP request line (commas and/or spaces).
     let nodes = gsgcn::serve::poll::parse_request(flags.get("nodes").ok_or("missing --nodes")?)
         .map_err(|e| format!("--nodes: {e}"))?;
-    let classifier = Arc::new(build_classifier(flags)?);
+    let classifier = Arc::new(build_classifier(flags, &rt)?);
     let want_probs = flags.contains_key("probs");
     let store = Arc::clone(classifier.store());
     // One-shot batch through the engine — the same path `serve` runs.
@@ -746,30 +862,13 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::poll::{EventFrontend, FrontendConfig, Protocol};
-    use gsgcn::serve::{cache, ActivationCache, AdmissionControl, BatchEngine, EngineConfig};
+    use gsgcn::serve::{AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
     apply_precision_flag(flags)?;
-    apply_graph_store_flag(flags)?;
-    // Cache budget policy (the GSGCN_KERNEL pattern): an explicit
-    // --cache-bytes wins over the GSGCN_ACTIVATION_CACHE env default,
-    // which `NodeClassifier::new` applies on its own.
-    let classifier = match flags.get("cache-bytes") {
-        None => build_classifier(flags)?,
-        Some(s) => {
-            let bytes = cache::parse_cache_budget(s).map_err(|e| format!("--cache-bytes: {e}"))?;
-            build_classifier(flags)?.with_cache(if bytes == 0 {
-                None
-            } else {
-                // Cached rows follow the resolved activation precision:
-                // bf16 serving halves cache bytes-per-row.
-                Some(Arc::new(ActivationCache::with_precision(
-                    bytes,
-                    precision::current(),
-                )))
-            })
-        }
-    };
+    let rt = RuntimeConfig::resolve(flags)?;
+    println!("{rt}");
+    let classifier = build_classifier(flags, &rt)?;
     let cache_note = match classifier.cache() {
         Some(c) => format!("activation cache {} bytes", c.budget_bytes()),
         None => "activation cache off".to_string(),

@@ -1,16 +1,45 @@
 //! The `gsgcn` binary's argument handling, driven as a child process.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-/// Run `gsgcn args…`, expect exit 1, and return its stderr.
-fn refused(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_gsgcn"))
-        .args(args)
+/// The variables the binary resolves its runtime settings from.
+const SETTINGS: [&str; 4] = [
+    "GSGCN_GRAPH_STORE",
+    "GSGCN_SHARD_CACHE",
+    "GSGCN_ACTIVATION_CACHE",
+    "GSGCN_SAMPLER_THREADS",
+];
+
+/// Run `gsgcn args…` with exactly `env` of the [`SETTINGS`] variables set.
+fn run(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_gsgcn"));
+    for var in SETTINGS {
+        cmd.env_remove(var);
+    }
+    cmd.args(args)
+        .envs(env.iter().copied())
         .output()
-        .expect("run gsgcn");
+        .expect("run gsgcn")
+}
+
+/// Run `gsgcn args…` under `env`, expect exit 1, and return its stderr.
+fn refused_with(args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = run(args, env);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(1), "{args:?} {env:?}: {stderr}");
     stderr
+}
+
+fn refused(args: &[&str]) -> String {
+    refused_with(args, &[])
+}
+
+/// A tiny training run, cheap enough to finish in a test, plus `extra`.
+fn tiny_train<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    "train --dataset ppi --vertices 100 --epochs 1 --eval-every 0 --hidden 8,8 --budget 50"
+        .split_whitespace()
+        .chain(extra.iter().copied())
+        .collect()
 }
 
 /// `--max-wait-us` named the coalescing window the engine no longer has:
@@ -54,6 +83,100 @@ fn unknown_flags_are_refused_by_name() {
             stderr.lines().next().unwrap_or_default(),
             format!("error: unknown flag {flag} for {cmd}"),
             "{stderr}"
+        );
+    }
+}
+
+/// A malformed setting is an `error:` exit 1 naming where it came from,
+/// as a bad flag is — not a warning and a default, and not a panic.
+#[test]
+fn malformed_settings_are_errors() {
+    for (var, value) in [
+        ("GSGCN_SHARD_CACHE", "garbage"),
+        ("GSGCN_SHARD_CACHE", "0"),
+        ("GSGCN_ACTIVATION_CACHE", "garbage"),
+        ("GSGCN_SAMPLER_THREADS", "two"),
+        ("GSGCN_GRAPH_STORE", "disk"),
+    ] {
+        let stderr = refused_with(&tiny_train(&[]), &[(var, value)]);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("error: {var}: ")),
+            "{var}={value}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
+    }
+    let stderr = refused(&["serve", "--load", "unused.gcn", "--cache-bytes", "lots"]);
+    assert!(stderr.starts_with("error: --cache-bytes: "), "{stderr}");
+}
+
+/// A store backend picks how a `--shards` store is opened; with no
+/// `--shards` there is nothing to open it for.
+#[test]
+fn graph_store_needs_shards() {
+    for (args, env) in [
+        (
+            &["train", "--dataset", "ppi", "--graph-store", "mmap"][..],
+            &[][..],
+        ),
+        (
+            &["serve", "--load", "unused.gcn", "--graph-store", "mem"][..],
+            &[][..],
+        ),
+        (
+            &["train", "--dataset", "ppi"][..],
+            &[("GSGCN_GRAPH_STORE", "mmap")][..],
+        ),
+    ] {
+        let stderr = refused_with(args, env);
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with("error:") && first.contains("`gsgcn shard`"),
+            "{args:?} {env:?}: {stderr}"
+        );
+    }
+}
+
+/// The resolved settings head the output: flag over environment over
+/// default.
+#[test]
+fn banner_prints_resolved_settings() {
+    for (flags, env, want) in [
+        (
+            &["--sampler-threads", "0"][..],
+            &[][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 0",
+        ),
+        (
+            &["--sampler-threads", "1"][..],
+            &[
+                ("GSGCN_SAMPLER_THREADS", "3"),
+                ("GSGCN_SHARD_CACHE", "2MiB"),
+                ("GSGCN_ACTIVATION_CACHE", "64KiB"),
+            ][..],
+            "runtime: graph store mem, shard cache 2.0 MiB, activation cache 64.0 KiB, \
+             sampler threads 1",
+        ),
+        (
+            &[][..],
+            &[("GSGCN_SAMPLER_THREADS", "2")][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 2",
+        ),
+    ] {
+        let args = tiny_train(flags);
+        let out = run(&args, env);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{args:?} {env:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            stdout.lines().next(),
+            Some(want),
+            "{args:?} {env:?}: {stdout}"
         );
     }
 }
