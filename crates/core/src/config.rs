@@ -27,13 +27,16 @@ pub struct TrainerConfig {
     /// Worker threads for ALL parallel stages (sampling, propagation,
     /// GEMM). `0` = rayon default.
     pub threads: usize,
-    /// Dedicated sampler worker threads for the pipelined trainer:
-    /// subgraph sampling runs on these threads concurrently with training
-    /// compute, hiding sampler latency behind the GEMMs. `0` disables the
-    /// pipeline and falls back to synchronous in-loop sampling (the
+    /// Dedicated sampler worker threads for the pipelined trainer: each
+    /// samples a subgraph and gathers its feature and label rows from the
+    /// training store concurrently with training compute, one subgraph
+    /// ahead per worker, hiding sampler latency and the (out-of-core)
+    /// row copy behind the GEMMs. Producer gathers pause while a stored
+    /// evaluation reads the full store. `0` disables the pipeline and
+    /// falls back to synchronous in-loop sampling and gathering (the
     /// reference path). Both paths consume subgraphs in the same
-    /// `(batch, instance)` ticket order with the same seeds, so the loss
-    /// trajectory is bit-identical for a fixed seed either way.
+    /// `(batch, instance)` ticket order with the same seeds and rows, so
+    /// the loss trajectory is bit-identical for a fixed seed either way.
     pub sampler_threads: usize,
     /// Evaluate validation F1 every this many epochs (0 = only at end).
     pub eval_every: usize,

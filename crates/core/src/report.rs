@@ -67,7 +67,9 @@ impl TrainReport {
     }
 
     /// Fraction of sampler wall-clock hidden behind compute (0 on the
-    /// synchronous path — there, sampling always stalls the trainer).
+    /// synchronous path — there, sampling always stalls the trainer). On
+    /// the pipelined path the sampler threads also gather each subgraph's
+    /// rows, so their gather seconds count here too.
     pub fn sampling_overlap_fraction(&self) -> f64 {
         self.breakdown.sampling_overlap_fraction()
     }
@@ -150,11 +152,14 @@ mod tests {
     #[test]
     fn summary_reports_overlap_when_pipelined() {
         let mut r = dummy();
+        // The consumer stalled 1 s; beside compute the producers sampled
+        // for 1 s and gathered rows for 2 s. No gather is left in Other.
         r.breakdown.add(Phase::Sampling, 1.0);
-        r.breakdown.add_hidden_sampling(1.0);
-        assert!((r.sampling_overlap_fraction() - 0.5).abs() < 1e-12);
+        r.breakdown.add_hidden_sampling(1.0 + 2.0);
+        assert!((r.sampling_overlap_fraction() - 0.75).abs() < 1e-12);
+        assert_eq!(r.breakdown.other_secs, 0.0);
         let s = r.summary();
-        assert!(s.contains("sampling overlap 50.0%"), "{s}");
+        assert!(s.contains("sampling overlap 75.0%"), "{s}");
     }
 
     #[test]

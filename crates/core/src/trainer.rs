@@ -2,9 +2,10 @@
 //!
 //! # Dataflow
 //!
-//! Per iteration the trainer consumes one ticketed subgraph, gathers its
-//! feature/label rows, and runs forward/backward/Adam. Where the subgraph
-//! comes from depends on [`TrainerConfig::sampler_threads`]:
+//! Per iteration the trainer takes one ticketed subgraph with its
+//! feature/label rows and runs forward/backward/Adam on them. Who samples
+//! the subgraph and gathers its rows depends on
+//! [`TrainerConfig::sampler_threads`]:
 //!
 //! ```text
 //! synchronous (sampler_threads = 0, the reference path):
@@ -14,20 +15,21 @@
 //!     pop → gather rows → train_step → pop → gather → train_step → …
 //!
 //! pipelined (sampler_threads = N ≥ 1):
-//!   sampler workers: claim ticket → sample subgraph → reorder buffer ─┐
-//!        (N dedicated OS threads, bounded queue, runs continuously)   │
-//!   consumer:  pop(next in ticket order) → gather rows → train_step ◄─┘
+//!   sampler workers: claim ticket → sample → gather rows → reorder buffer ─┐
+//!        (N dedicated OS threads, one subgraph ahead each, recycled rows)  │
+//!   consumer:  pop(next in ticket order, with its rows) → train_step ◄─────┘
 //!        (stalls only when the queue has not caught up)
 //! ```
 //!
 //! Both paths draw subgraphs from the same `(batch, instance)` ticket
-//! stream with the same seeds and consume them in the same order, so the
+//! stream with the same seeds, gather their rows with the same routine
+//! ([`SubgraphRows::gather`]) and consume them in the same order, so the
 //! loss trajectory is bit-identical for a fixed seed — pinned by
 //! `tests/pipeline_equivalence.rs`. The per-phase [`Breakdown`] accounts
 //! the difference instead: on the pipelined path `Phase::Sampling` is
-//! only the consumer's queue stall, and sampling wall-clock that ran
-//! hidden behind compute accumulates in
-//! [`Breakdown::sampling_hidden_secs`].
+//! only the consumer's queue stall, `Phase::Other` holds no gather, and
+//! the producers' sampling and gather wall-clock that ran hidden behind
+//! compute accumulates in [`Breakdown::sampling_hidden_secs`].
 
 use crate::config::TrainerConfig;
 use crate::report::{EpochStats, EvalStats, TrainReport};
@@ -41,7 +43,7 @@ use gsgcn_nn::model::{GcnConfig, GcnModel, InputAggregate, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::dashboard::DashboardSampler;
-use gsgcn_sampler::pipeline::{PipelineConfig, SamplerPipeline};
+use gsgcn_sampler::pipeline::{GatherPause, PipelineConfig, SamplerPipeline, SubgraphRows};
 use gsgcn_sampler::pool::SubgraphPool;
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,6 +96,49 @@ impl EvalSource<'_> {
 /// gets a (larger) tile: one root's frontier is irreducible.
 const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 
+/// Stored evaluation's turn at reading: while it lives, the pipeline's
+/// producers start no gather and the training store's rows are released;
+/// dropping it — on every exit, errors included — releases the full
+/// store's rows, then lets gathers resume. So the two stores are read in
+/// turns, never together: a resident peak of heap + one row budget
+/// instead of heap + two.
+struct EvalTurn<'t> {
+    full: &'t GraphStore,
+    /// Dropped after [`Drop::drop`] has released `full`'s rows.
+    _gathers: Option<GatherPause<'t>>,
+}
+
+impl<'t> EvalTurn<'t> {
+    fn take(
+        pipeline: Option<&'t SamplerPipeline>,
+        train: &GraphStore,
+        full: &'t GraphStore,
+    ) -> Self {
+        // Pause first: a gather still running would map training rows
+        // again after the release.
+        let gathers = pipeline.map(SamplerPipeline::pause_gathers);
+        train.release_rows();
+        EvalTurn {
+            full,
+            _gathers: gathers,
+        }
+    }
+}
+
+impl Drop for EvalTurn<'_> {
+    fn drop(&mut self) {
+        self.full.release_rows();
+    }
+}
+
+/// Whether `store` has no feature or label section mapped (a mem store
+/// maps none).
+fn rows_released(store: &GraphStore) -> bool {
+    store
+        .cache_stats()
+        .is_none_or(|s| s.features.resident == 0 && s.labels.resident == 0)
+}
+
 /// Trainer state: dataset view, model, sampler pool/pipeline, timers.
 pub struct GsGcnTrainer<'a> {
     source: EvalSource<'a>,
@@ -105,7 +150,8 @@ pub struct GsGcnTrainer<'a> {
     sampler: Arc<DashboardSampler>,
     pool: SubgraphPool,
     /// Producer–consumer sampling pipeline (`None` on the synchronous
-    /// path). Holds its own `Arc` clones of the sampler and training
+    /// path); its producers gather each subgraph's rows from the training
+    /// store. Holds its own `Arc` clones of the sampler and training
     /// store, so drop order is irrelevant; dropping the trainer joins
     /// the worker threads.
     pipeline: Option<SamplerPipeline>,
@@ -114,12 +160,13 @@ pub struct GsGcnTrainer<'a> {
     breakdown: Breakdown,
     train_secs: f64,
     epochs_run: usize,
-    /// Persistent per-iteration gather buffers (subgraph features/labels).
-    /// Subgraph sizes are bounded by the sampling budget, so these reach a
-    /// steady capacity after the first few iterations and the inner loop
-    /// stops allocating.
-    x_buf: gsgcn_tensor::DMatrix,
-    y_buf: gsgcn_tensor::DMatrix,
+    /// The rows of the subgraph being trained on. The synchronous path
+    /// gathers into it; the pipelined path swaps each delivered buffer in
+    /// and the previous one back to the producers. Subgraph sizes are
+    /// bounded by the sampling budget, so every buffer reaches a steady
+    /// capacity (pipelined: is allocated at it) and the loop stops
+    /// allocating.
+    rows: SubgraphRows,
     /// Persistent evaluation state: the inference workspace (activation
     /// ping-pong buffers, stored-path level buffers) plus the split's
     /// probability and label rows. Validation runs every `eval_every`
@@ -216,9 +263,10 @@ impl<'a> GsGcnTrainer<'a> {
         if self.pipeline.is_none() {
             return; // synchronous path: drop the pipeline, joining it
         }
-        pipeline.reset_with(
+        pipeline.reset_gathering(
             Arc::clone(&self.sampler),
             Arc::clone(&self.train_store),
+            self.cfg.sampler.budget,
             self.cfg.seed ^ 0x5A4B,
         );
         self.pipeline = Some(pipeline);
@@ -265,20 +313,27 @@ impl<'a> GsGcnTrainer<'a> {
         let sampler = Arc::new(DashboardSampler::new(cfg.sampler.clone()));
         let pool = SubgraphPool::new(cfg.p_inter, cfg.seed ^ 0x5A4B);
         let pipeline = if cfg.sampler_threads > 0 {
-            Some(SamplerPipeline::spawn(
+            Some(SamplerPipeline::spawn_gathering(
                 Arc::clone(&sampler),
                 Arc::clone(&train_store),
+                cfg.sampler.budget,
                 PipelineConfig {
                     workers: cfg.sampler_threads,
                     p_inter: cfg.p_inter,
                     base_seed: cfg.seed ^ 0x5A4B, // same stream as the pool
-                    capacity: 0,                  // default ~2·p_inter
+                    capacity: 0,                  // one subgraph ahead per worker
                 },
             ))
         } else {
             None
         };
 
+        // Pipelined, this buffer joins the producers' rotation at the first
+        // pop, so it is sized like theirs. The synchronous path grows it on
+        // first use: sized here, it raised the peak RSS of a process that
+        // trains and then serves by up to 20 MiB in a third of the runs.
+        let rows_now = pipeline.as_ref().map_or(0, |_| cfg.sampler.budget);
+        let rows = SubgraphRows::with_capacity(&train_store, rows_now);
         let thread_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.threads) // 0 = default
             .build()
@@ -296,8 +351,7 @@ impl<'a> GsGcnTrainer<'a> {
             breakdown: Breakdown::default(),
             train_secs: 0.0,
             epochs_run: 0,
-            x_buf: gsgcn_tensor::DMatrix::zeros(0, 0),
-            y_buf: gsgcn_tensor::DMatrix::zeros(0, 0),
+            rows,
             eval_ws: InferenceWorkspace::new(),
             eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
             eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
@@ -361,9 +415,11 @@ impl<'a> GsGcnTrainer<'a> {
     /// Run one training epoch; returns its statistics.
     ///
     /// On the pipelined path the only sampling cost paid here is the
-    /// queue stall (`Phase::Sampling`); the sampler wall-clock that
-    /// overlapped compute is added to the breakdown's hidden-sampling
-    /// account afterwards. Fails if a sampler worker panicked.
+    /// queue stall (`Phase::Sampling`): producers sampled and gathered
+    /// the rows, and their wall-clock that overlapped compute is added to
+    /// the breakdown's hidden-sampling account afterwards. Fails if a
+    /// gather fails (in its ticket's place on either path) or a sampler
+    /// worker panicked.
     pub fn train_epoch(&mut self) -> Result<EpochStats, String> {
         let iters = self.iterations_per_epoch();
         let mut loss_sum = 0.0f64;
@@ -374,11 +430,7 @@ impl<'a> GsGcnTrainer<'a> {
         // Snapshot overlap accounting: deltas over this epoch turn into
         // hidden-sampling seconds below.
         let stall_before = self.breakdown.sampling_secs;
-        let producer_before = self
-            .pipeline
-            .as_ref()
-            .map(|p| p.producer_sampling_secs())
-            .unwrap_or(0.0);
+        let producer_before = self.pipeline.as_ref().map_or(0.0, producer_secs);
 
         // Borrow-splitting: move fields we need inside the closure out of
         // `self` references explicitly.
@@ -388,38 +440,35 @@ impl<'a> GsGcnTrainer<'a> {
         let pipeline = &mut self.pipeline;
         let model = &mut self.model;
         let breakdown = &mut self.breakdown;
-        let x_buf = &mut self.x_buf;
-        let y_buf = &mut self.y_buf;
+        let rows = &mut self.rows;
 
         let run: Result<(), String> = self.thread_pool.install(|| {
             for _ in 0..iters {
-                // --- Sampling phase: next subgraph in ticket order.
+                // --- Next subgraph in ticket order with its rows (Alg. 1
+                // line 5) in reused buffers. Pipelined: a producer sampled
+                // and gathered it, and the pop is pure consumer stall.
                 // Synchronous: refill every p_inter iterations (Alg. 5
-                // lines 3–5, full stall). Pipelined: pop from the worker
-                // queue — elapsed time is pure consumer stall.
+                // lines 3–5, full stall), then gather here — on the mmap
+                // backend the out-of-core read through the shard cache.
                 let t0 = Instant::now();
-                let sub = match pipeline.as_mut() {
-                    Some(pipe) => pipe.pop().map_err(|e| e.to_string())?,
-                    None => pool.pop_or_refill(&**sampler, &**train_store),
+                let (sub, gather_secs) = match pipeline.as_mut() {
+                    Some(pipe) => {
+                        let sub = pipe.pop_gathered(rows)?;
+                        breakdown.add(Phase::Sampling, t0.elapsed().as_secs_f64());
+                        (sub, 0.0)
+                    }
+                    None => {
+                        let sub = pool.pop_or_refill(&**sampler, &**train_store);
+                        breakdown.add(Phase::Sampling, t0.elapsed().as_secs_f64());
+                        let t0 = Instant::now();
+                        rows.gather(train_store, &sub.origin)?;
+                        (sub, t0.elapsed().as_secs_f64())
+                    }
                 };
-                breakdown.add(Phase::Sampling, t0.elapsed().as_secs_f64());
-
-                // --- Gather subgraph rows (Alg. 1 line 5) into reused
-                // buffers — no per-iteration matrix allocation. On the
-                // mmap backend this is the out-of-core read: rows come
-                // through the shard cache.
-                let t0 = Instant::now();
-                train_store
-                    .gather_features_into(&sub.origin, x_buf)
-                    .map_err(|e| format!("feature gather from graph store failed: {e}"))?;
-                train_store
-                    .gather_labels_into(&sub.origin, y_buf)
-                    .map_err(|e| format!("label gather from graph store failed: {e}"))?;
-                let gather_secs = t0.elapsed().as_secs_f64();
 
                 // --- Forward/backward/update (Alg. 1 lines 6–13) ---
                 let t0 = Instant::now();
-                let step = model.train_step(&sub.graph, x_buf, y_buf);
+                let step = model.train_step(&sub.graph, &rows.features, &rows.labels);
                 let step_secs = t0.elapsed().as_secs_f64();
 
                 breakdown.add(Phase::FeatureProp, step.timings.feature_prop_secs);
@@ -441,11 +490,12 @@ impl<'a> GsGcnTrainer<'a> {
         });
         run?;
 
-        // Sampler wall-clock this epoch minus what the consumer actually
-        // waited is the time the pipeline hid behind compute. (Clamped:
-        // producers may still be mid-sample at the epoch boundary.)
+        // Producer wall-clock this epoch (sampling and gathers) minus what
+        // the consumer actually waited is the time the pipeline hid
+        // behind compute. (Clamped: producers may still be mid-sample at
+        // the epoch boundary.)
         if let Some(pipe) = &self.pipeline {
-            let produced = pipe.producer_sampling_secs() - producer_before;
+            let produced = producer_secs(pipe) - producer_before;
             let stalled = self.breakdown.sampling_secs - stall_before;
             self.breakdown
                 .add_hidden_sampling((produced - stalled).max(0.0));
@@ -499,7 +549,10 @@ impl<'a> GsGcnTrainer<'a> {
     ///   one-hop tile overlap is), memory is `levels × cap rows × width`,
     ///   and because a tile keeps every root's full neighbor list in
     ///   full-graph order the F1 **equals** the resident arm's on the
-    ///   same data, bit for bit. Nothing is cached across calls.
+    ///   same data, bit for bit. Nothing is cached across calls. The two
+    ///   stores are read in turns: the pipeline's gathers pause and the
+    ///   training store's rows are released first, and the full store's
+    ///   rows are released on every exit, an error's included.
     ///
     /// Either arm is allocation-free once warm. Fails only when the
     /// stored path cannot gather rows from the graph store.
@@ -547,13 +600,14 @@ impl<'a> GsGcnTrainer<'a> {
             }
             EvalSource::Stored(sd) => {
                 let full = &*sd.full;
-                // The two stores are read in turns, never together: drop
-                // the rows training left mapped before evaluation brings
-                // its own in, and evaluation's after it (a resident peak
-                // of heap + one row budget instead of heap + two).
-                self.train_store.release_rows();
+                let train_store = &*self.train_store;
+                let _turn = EvalTurn::take(self.pipeline.as_ref(), train_store, full);
                 let mut acc = f1::F1Accumulator::new(single);
                 let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
+                    debug_assert!(
+                        rows_released(train_store),
+                        "training rows mapped during stored evaluation"
+                    );
                     full.gather_labels_into(roots, eval_labels_split)?;
                     for i in 0..roots.len() {
                         acc.push_row(probs.row(i), eval_labels_split.row(i));
@@ -569,7 +623,6 @@ impl<'a> GsGcnTrainer<'a> {
                     .map_err(|e| {
                         format!("stored evaluation could not read the graph store: {e}")
                     })?;
-                full.release_rows();
                 self.eval_stats = Some(stats);
                 Ok(acc.f1())
             }
@@ -630,6 +683,11 @@ impl<'a> GsGcnTrainer<'a> {
     }
 }
 
+/// Seconds a pipeline's producers have spent sampling and gathering.
+fn producer_secs(pipe: &SamplerPipeline) -> f64 {
+    pipe.producer_sampling_secs() + pipe.producer_gather_secs()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -638,6 +696,34 @@ mod tests {
     fn quick_dataset() -> Dataset {
         // Small PPI-shaped dataset for fast trainer tests.
         presets::scale_spec(&presets::ppi_spec(), 600).generate(11)
+    }
+
+    /// A dataset spilled to a fresh temp dir, removed on drop.
+    struct Spilled {
+        dir: std::path::PathBuf,
+    }
+
+    impl Spilled {
+        fn new(d: &Dataset, tag: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!(
+                "gsgcn-trainer-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            d.spill_to_dir(&dir, 4).unwrap();
+            Spilled { dir }
+        }
+
+        /// Open on the mmap backend, `budget` mapped bytes per store.
+        fn open(&self, budget: usize) -> StoreDataset {
+            StoreDataset::open_with(&self.dir, gsgcn_graph::StoreBackend::Mmap, budget).unwrap()
+        }
+    }
+
+    impl Drop for Spilled {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
     }
 
     #[test]
@@ -811,11 +897,12 @@ mod tests {
             gsgcn_data::StoreDataset::open_with(&dir, gsgcn_graph::StoreBackend::Mmap, 1 << 20)
                 .unwrap()
         };
-        // Lose the shard of vertex 0, then validate only on vertices of
-        // other shards with a neighbor in it: a one-layer model reads
-        // their neighbor lists fine and fails gathering the lost rows.
+        // Lose the last shard, then validate only on vertices of other
+        // shards with a neighbor in it: a one-layer model reads their
+        // neighbor lists fine and fails gathering the lost rows — after
+        // the rows of the shards before it are mapped.
         let probe = open();
-        let lost = probe.full.shard_of(0).unwrap();
+        let lost = probe.full.num_shards() as u32 - 1;
         let in_lost = |v: u32| probe.full.shard_of(v) == Some(lost);
         let val: Vec<u32> = (0..d.graph.num_vertices() as u32)
             .filter(|&v| !in_lost(v) && d.graph.neighbors(v).iter().any(|&u| in_lost(u)))
@@ -836,9 +923,78 @@ mod tests {
         let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
         let err = t.try_evaluate(EvalSplit::Val).unwrap_err();
         assert!(err.contains("could not read the graph store"), "{err}");
+        // The failed evaluation released the full store's rows anyway.
+        let full = sd.full.cache_stats().expect("an mmap store");
+        assert_eq!((full.features.resident, full.labels.resident), (0, 0));
         drop(t);
         drop(sd);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Stored evaluation never finds a training row section mapped (the
+    /// debug assertion in its tile callback), at a starved and a roomy
+    /// budget, however many producers gather beside it: their gathers
+    /// pause while it reads the full store. The first evaluation starts
+    /// while the fresh producers are still sampling their first tickets,
+    /// so their gathers are due mid-evaluation.
+    #[test]
+    fn stored_evaluation_reads_the_stores_in_turns() {
+        let d = quick_dataset();
+        let spill = Spilled::new(&d, "turns");
+        for budget in [1 << 12, gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES] {
+            let sd = spill.open(budget);
+            for workers in [1, 2] {
+                let mut cfg = TrainerConfig::quick_test();
+                cfg.threads = 1;
+                cfg.epochs = 8;
+                cfg.eval_every = 1;
+                cfg.sampler_threads = workers;
+                let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
+                t.try_evaluate(EvalSplit::Val).unwrap();
+                t.train().unwrap();
+            }
+        }
+    }
+
+    /// A training gather that fails surfaces as an `Err` naming the
+    /// gather — in its ticket's place, so within the tickets already
+    /// gathered ahead — on either path, and the trainer still drops.
+    #[test]
+    fn training_gather_errors_surface_without_a_hang() {
+        use gsgcn_graph::store::shard::shard_file_name;
+        let d = quick_dataset();
+        for workers in [0, 1, 2] {
+            let spill = Spilled::new(&d, &format!("gather-error-{workers}"));
+            let sd = spill.open(gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES);
+            let mut cfg = TrainerConfig::quick_test();
+            cfg.sampler.budget = 100;
+            cfg.sampler.frontier_size = 20;
+            cfg.sampler_threads = workers;
+            let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
+            t.train_epoch().unwrap();
+            {
+                // Topology stays mapped, so sampling goes on; every later
+                // map of the shortened shard's rows fails. (Paused, so no
+                // gather maps the intact file in between.)
+                let _paused = t.sampler_pipeline().map(SamplerPipeline::pause_gathers);
+                sd.train.release_rows();
+                let shard = spill
+                    .dir
+                    .join(gsgcn_data::store_dataset::TRAIN_SUBDIR)
+                    .join(shard_file_name(0));
+                let len = std::fs::metadata(&shard).unwrap().len();
+                let file = std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&shard)
+                    .unwrap();
+                file.set_len(len - 8).unwrap();
+            }
+            let err = (0..2)
+                .find_map(|_| t.train_epoch().err())
+                .unwrap_or_else(|| panic!("{workers} workers: no gather error in two epochs"));
+            assert!(err.contains("gather from graph store failed"), "{err}");
+            drop(t);
+        }
     }
 
     #[test]
@@ -872,6 +1028,45 @@ mod tests {
 
         assert_eq!(own_a, shared_a, "sweep leg 1 diverged under pipeline reuse");
         assert_eq!(own_b, shared_b, "sweep leg 2 diverged under pipeline reuse");
+
+        // Stored legs over two different graphs: a reused pipeline that
+        // stopped gathering, or gathered from the first leg's store, fails.
+        let e = presets::scale_spec(&presets::ppi_spec(), 600).generate(12);
+        let (spill_d, spill_e) = (Spilled::new(&d, "sweep-d"), Spilled::new(&e, "sweep-e"));
+        let budget = gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES;
+        let (sd_d, sd_e) = (spill_d.open(budget), spill_e.open(budget));
+        let (own_a, _) = run(GsGcnTrainer::from_store(&sd_d, cfg_for(7)).unwrap());
+        let (own_b, _) = run(GsGcnTrainer::from_store(&sd_e, cfg_for(8)).unwrap());
+        let (shared_a, pipe) = run(GsGcnTrainer::from_store(&sd_d, cfg_for(7)).unwrap());
+        let pipe = pipe.expect("pipelined trainer must hold a pipeline");
+        let t = GsGcnTrainer::from_store_with_pipeline(&sd_e, cfg_for(8), pipe).unwrap();
+        let (shared_b, _) = run(t);
+        assert_eq!(
+            own_a, shared_a,
+            "stored sweep leg 1 diverged under pipeline reuse"
+        );
+        assert_eq!(
+            own_b, shared_b,
+            "stored sweep leg 2 diverged under pipeline reuse"
+        );
+    }
+
+    /// The pipelined breakdown counts the producers' gathers as hidden
+    /// producer time, never as the consumer's `Other`.
+    #[test]
+    fn pipelined_gathers_are_producer_time() {
+        let d = quick_dataset();
+        let mut cfg = TrainerConfig::quick_test();
+        cfg.sampler_threads = 1;
+        let mut t = GsGcnTrainer::new(&d, cfg).unwrap();
+        for _ in 0..2 {
+            t.train_epoch().unwrap();
+        }
+        let pipe = t.sampler_pipeline().unwrap();
+        let (sampled, gathered) = (pipe.producer_sampling_secs(), pipe.producer_gather_secs());
+        assert!(gathered > 0.0, "producers gathered nothing");
+        let b = t.breakdown();
+        assert!(b.sampling_hidden_secs <= sampled + gathered, "{b:?}");
     }
 
     /// An empty split scores 0 and replaces the previous evaluation's

@@ -1,5 +1,6 @@
 //! Pipelined sampling: dedicated producer threads overlap subgraph
-//! sampling with training compute.
+//! sampling — and, for the trainer, the gather of each subgraph's feature
+//! and label rows — with training compute.
 //!
 //! The synchronous path ([`crate::pool::SubgraphPool`]) stalls the whole
 //! compute pool every `p_inter` iterations while a refill batch is
@@ -28,13 +29,34 @@
 //! synchronous pool's pop order — batch-major, instance-minor — and hence
 //! the training-loss trajectory bit-identical for a fixed seed.
 //!
+//! # Gathering
+//!
+//! A pipeline spawned with [`SamplerPipeline::spawn_gathering`] also
+//! copies each sampled subgraph's feature and label rows out of a
+//! [`GraphStore`] ([`SubgraphRows::gather`], the same routine the
+//! synchronous trainer calls inline) into a recycled buffer, and delivers
+//! them with the subgraph, in ticket order:
+//! [`SamplerPipeline::pop_gathered`] swaps them into the consumer's
+//! buffer and takes the consumer's previous buffer back for the next
+//! gather. Buffers are sized to the sampler's vertex budget when they are
+//! made, at most `capacity` per generation, so the steady state allocates
+//! nothing. A failed gather is delivered in its ticket's place and
+//! returned by that pop. [`SamplerPipeline::pause_gathers`] holds gathers
+//! off (in-flight ones finish first) while the consumer reads another
+//! store. A pipeline spawned with [`SamplerPipeline::spawn`] delivers bare
+//! subgraphs.
+//!
 //! # Backpressure
 //!
 //! The buffer is bounded: `ready + in_flight < capacity` (default
-//! `2·p_inter`, see [`PipelineConfig::capacity`]). Workers that would
-//! overfill it park on a condvar until the consumer pops, so a fast
-//! sampler cannot run unboundedly ahead of a slow trainer (subgraphs are
-//! not free: budget-many vertices plus their edges each).
+//! `2·p_inter` bare, one subgraph per worker gathering; see
+//! [`PipelineConfig::capacity`]). Workers that would overfill it park on a
+//! condvar until the consumer pops, so a fast sampler cannot run
+//! unboundedly ahead of a slow trainer. Subgraphs are not free —
+//! budget-many vertices plus their edges each — and on a gathering
+//! pipeline the bound also covers the gathered rows: at most
+//! `capacity × budget rows × (f + classes) × 4 B` of them sit in the
+//! queue, plus one buffer the consumer trains on.
 //!
 //! # Shutdown protocol
 //!
@@ -57,7 +79,8 @@
 
 use crate::pool::Ticket;
 use crate::GraphSampler;
-use gsgcn_graph::{InducedSubgraph, Topology};
+use gsgcn_graph::{GraphStore, InducedSubgraph, Topology};
+use gsgcn_tensor::DMatrix;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,18 +98,56 @@ pub struct PipelineConfig {
     pub p_inter: usize,
     /// Base seed of the `(batch, instance)` seed scheme.
     pub base_seed: u64,
-    /// Backpressure bound on `ready + in-flight` subgraphs;
-    /// `0` selects the default `max(2·p_inter, workers)`.
+    /// Backpressure bound on `ready + in-flight` subgraphs; `0` selects
+    /// the default: `max(2·p_inter, workers)` for a bare pipeline,
+    /// `workers` (one subgraph ahead per worker) for a gathering one,
+    /// whose slots each hold a subgraph's rows.
     pub capacity: usize,
 }
 
 impl PipelineConfig {
-    fn effective_capacity(&self) -> usize {
-        if self.capacity == 0 {
-            (2 * self.p_inter).max(self.workers)
-        } else {
-            self.capacity
+    fn effective_capacity(&self, gathering: bool) -> usize {
+        match (self.capacity, gathering) {
+            (0, false) => (2 * self.p_inter).max(self.workers),
+            (0, true) => self.workers,
+            (capacity, _) => capacity,
         }
+    }
+}
+
+/// Feature and label rows of one subgraph: row `i` of each belongs to the
+/// subgraph's `origin[i]`.
+#[derive(Debug)]
+pub struct SubgraphRows {
+    pub features: DMatrix,
+    pub labels: DMatrix,
+}
+
+impl SubgraphRows {
+    /// Buffers for up to `max_rows` rows of `store`'s features and labels,
+    /// allocated at that size once, so gathers of any subgraph within the
+    /// sampler's vertex budget reuse them. A large zeroed allocation takes
+    /// fresh pages: rows no gather reaches do not become resident.
+    pub fn with_capacity(store: &GraphStore, max_rows: usize) -> Self {
+        SubgraphRows {
+            features: DMatrix::zeros(max_rows, store.feature_dim()),
+            labels: DMatrix::zeros(max_rows, store.label_dim()),
+        }
+    }
+
+    /// Gather the feature and label rows of `origin` from `store` into
+    /// these buffers, reusing their capacity (Alg. 1 line 5). The one
+    /// gather of a training step: a gathering pipeline's producers run
+    /// it, and the synchronous trainer calls it inline. On the mmap
+    /// backend this is the out-of-core read through the shard cache; the
+    /// error names the gather that failed.
+    pub fn gather(&mut self, store: &GraphStore, origin: &[u32]) -> Result<(), String> {
+        store
+            .gather_features_into(origin, &mut self.features)
+            .map_err(|e| format!("feature gather from graph store failed: {e}"))?;
+        store
+            .gather_labels_into(origin, &mut self.labels)
+            .map_err(|e| format!("label gather from graph store failed: {e}"))
     }
 }
 
@@ -115,6 +176,13 @@ impl std::error::Error for PipelinePoisoned {}
 /// the e2e harness still calls [`SamplerPipeline::set_on_ready`].
 pub type ReadyHook = Arc<dyn Fn(&[u32]) + Send + Sync>;
 
+/// What one ticket delivers: the subgraph and, on a gathering pipeline,
+/// its rows or the error of their gather.
+struct Delivery {
+    sub: InducedSubgraph,
+    rows: Option<Result<SubgraphRows, String>>,
+}
+
 /// Mutex-guarded pipeline state (see module docs for the protocol).
 struct State {
     /// Bumped by [`SamplerPipeline::reset_with`]; deliveries from tickets
@@ -124,8 +192,8 @@ struct State {
     next_ticket: u64,
     /// Next ticket sequence the consumer will release.
     next_out: u64,
-    /// Reorder buffer: finished subgraphs keyed on ticket sequence.
-    ready: BTreeMap<u64, InducedSubgraph>,
+    /// Reorder buffer: finished deliveries keyed on ticket sequence.
+    ready: BTreeMap<u64, Delivery>,
     /// Tickets claimed but not yet delivered to `ready`.
     in_flight: usize,
     /// Shutdown flag (drop or worker panic).
@@ -138,6 +206,17 @@ struct State {
     sampler: Arc<dyn GraphSampler + Send + Sync>,
     /// Graph of the current generation (workers clone at claim time).
     graph: Arc<dyn Topology + Send + Sync>,
+    /// Store the current generation gathers rows from and the most rows
+    /// one subgraph has (`None`: bare subgraphs; workers clone at claim
+    /// time).
+    rows_from: Option<(Arc<GraphStore>, usize)>,
+    /// Row buffers of the current generation back from the consumer, for
+    /// the next gathers.
+    free_rows: Vec<SubgraphRows>,
+    /// Live [`GatherPause`] guards: no gather starts while this is > 0.
+    gathers_paused: usize,
+    /// Producers inside a gather right now.
+    gathering: usize,
     /// Optional delivered-subgraph callback of the current generation.
     on_ready: Option<ReadyHook>,
 }
@@ -148,10 +227,16 @@ struct Shared {
     can_produce: Condvar,
     /// Signalled when a subgraph lands in `ready` or on shutdown/poison.
     can_consume: Condvar,
+    /// Signalled when the last pause lifts, when a gather ends while a
+    /// pause waits for it, and on shutdown.
+    gather_turn: Condvar,
     /// Total wall-clock nanoseconds workers spent inside the sampler,
     /// summed across threads (overlap accounting; see
     /// [`SamplerPipeline::producer_sampling_secs`]).
     sampling_nanos: AtomicU64,
+    /// Total wall-clock nanoseconds workers spent gathering rows, summed
+    /// across threads ([`SamplerPipeline::producer_gather_secs`]).
+    gather_nanos: AtomicU64,
     capacity: usize,
     p_inter: usize,
 }
@@ -162,6 +247,10 @@ impl Shared {
     /// consumer down with an opaque `PoisonError`.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        cv.wait(st).unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -176,8 +265,27 @@ pub struct SamplerPipeline {
     stall_secs: f64,
 }
 
+/// Holds a pipeline's gathers off while it lives; see
+/// [`SamplerPipeline::pause_gathers`].
+pub struct GatherPause<'a> {
+    shared: &'a Shared,
+}
+
+impl Drop for GatherPause<'_> {
+    fn drop(&mut self) {
+        let mut st = self.shared.lock();
+        st.gathers_paused -= 1;
+        let resume = st.gathers_paused == 0;
+        drop(st);
+        if resume {
+            self.shared.gather_turn.notify_all();
+        }
+    }
+}
+
 impl SamplerPipeline {
-    /// Spawn `cfg.workers` sampler threads over `sampler` × `graph`.
+    /// Spawn `cfg.workers` sampler threads over `sampler` × `graph`,
+    /// delivering bare subgraphs.
     ///
     /// The sampler and graph are shared by `Arc` because the workers are
     /// detached OS threads that outlive any single training call; both are
@@ -189,8 +297,35 @@ impl SamplerPipeline {
         S: GraphSampler + Send + Sync + 'static,
         G: Topology + Send + Sync + 'static,
     {
+        Self::start(sampler, graph, None, cfg)
+    }
+
+    /// Spawn `cfg.workers` sampler threads that sample from `store` and
+    /// gather each subgraph's feature and label rows from it too, into
+    /// buffers of `max_rows` rows (the sampler's vertex budget) allocated
+    /// once each; pop with [`Self::pop_gathered`]. See the module docs'
+    /// "Gathering".
+    pub fn spawn_gathering<S>(
+        sampler: Arc<S>,
+        store: Arc<GraphStore>,
+        max_rows: usize,
+        cfg: PipelineConfig,
+    ) -> Self
+    where
+        S: GraphSampler + Send + Sync + 'static,
+    {
+        Self::start(sampler, store.clone(), Some((store, max_rows)), cfg)
+    }
+
+    fn start(
+        sampler: Arc<dyn GraphSampler + Send + Sync>,
+        graph: Arc<dyn Topology + Send + Sync>,
+        rows_from: Option<(Arc<GraphStore>, usize)>,
+        cfg: PipelineConfig,
+    ) -> Self {
         assert!(cfg.workers >= 1, "pipeline needs at least one worker");
         assert!(cfg.p_inter >= 1, "p_inter must be ≥ 1");
+        let capacity = cfg.effective_capacity(rows_from.is_some());
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 generation: 0,
@@ -203,12 +338,18 @@ impl SamplerPipeline {
                 base_seed: cfg.base_seed,
                 sampler,
                 graph,
+                rows_from,
+                free_rows: Vec::new(),
+                gathers_paused: 0,
+                gathering: 0,
                 on_ready: None,
             }),
             can_produce: Condvar::new(),
             can_consume: Condvar::new(),
+            gather_turn: Condvar::new(),
             sampling_nanos: AtomicU64::new(0),
-            capacity: cfg.effective_capacity(),
+            gather_nanos: AtomicU64::new(0),
+            capacity,
             p_inter: cfg.p_inter,
         });
         let workers = (0..cfg.workers)
@@ -231,7 +372,9 @@ impl SamplerPipeline {
     /// Rewind the ticket stream over a (possibly new) sampler × graph ×
     /// seed, **reusing the existing worker threads** instead of joining
     /// and respawning them — the cheap way to run a hyper-parameter
-    /// sweep's `train()` calls over one pipeline.
+    /// sweep's `train()` calls over one pipeline. Afterwards the pipeline
+    /// delivers bare subgraphs; [`Self::reset_gathering`] is the gathering
+    /// counterpart.
     ///
     /// The generation counter makes this safe mid-stream: tickets claimed
     /// before the reset deliver into the void (their subgraphs are
@@ -249,6 +392,31 @@ impl SamplerPipeline {
         S: GraphSampler + Send + Sync + 'static,
         G: Topology + Send + Sync + 'static,
     {
+        self.reset(sampler, graph, None, base_seed);
+    }
+
+    /// [`Self::reset_with`] over `store`, gathering each subgraph's rows
+    /// from it as [`Self::spawn_gathering`] does — never from the store of
+    /// an earlier generation — into buffers of the new generation.
+    pub fn reset_gathering<S>(
+        &mut self,
+        sampler: Arc<S>,
+        store: Arc<GraphStore>,
+        max_rows: usize,
+        base_seed: u64,
+    ) where
+        S: GraphSampler + Send + Sync + 'static,
+    {
+        self.reset(sampler, store.clone(), Some((store, max_rows)), base_seed);
+    }
+
+    fn reset(
+        &mut self,
+        sampler: Arc<dyn GraphSampler + Send + Sync>,
+        graph: Arc<dyn Topology + Send + Sync>,
+        rows_from: Option<(Arc<GraphStore>, usize)>,
+        base_seed: u64,
+    ) {
         let mut st = self.shared.lock();
         if let Some(message) = &st.poisoned {
             panic!("cannot reset a poisoned pipeline: {message}");
@@ -257,9 +425,11 @@ impl SamplerPipeline {
         st.next_ticket = 0;
         st.next_out = 0;
         st.ready.clear();
+        st.free_rows.clear();
         st.base_seed = base_seed;
         st.sampler = sampler;
         st.graph = graph;
+        st.rows_from = rows_from;
         st.on_ready = None;
         drop(st);
         // `ready` just emptied: every parked producer has room again.
@@ -277,21 +447,60 @@ impl SamplerPipeline {
 
     /// Pop the next subgraph in ticket-sequence order, blocking until a
     /// worker delivers it. Returns [`PipelinePoisoned`] (forever after)
-    /// once any worker has panicked.
+    /// once any worker has panicked. On a gathering pipeline the rows
+    /// delivered with the subgraph go straight back to the producers.
     pub fn pop(&mut self) -> Result<InducedSubgraph, PipelinePoisoned> {
+        self.pop_with(|st, delivery| {
+            if let Some(Ok(rows)) = delivery.rows {
+                st.free_rows.push(rows);
+            }
+            delivery.sub
+        })
+    }
+
+    /// Pop the next subgraph of a gathering pipeline and swap its rows
+    /// into `rows`; the buffers `rows` held go back to the producers for
+    /// a later gather. Fails, in the failed ticket's place, with the
+    /// error of its gather; with [`PipelinePoisoned`]'s message once a
+    /// worker has panicked; and on a pipeline that does not gather.
+    pub fn pop_gathered(&mut self, rows: &mut SubgraphRows) -> Result<InducedSubgraph, String> {
+        let (sub, gathered) = self
+            .pop_with(|st, delivery| {
+                let gathered = match delivery.rows {
+                    Some(Ok(mut got)) => {
+                        std::mem::swap(rows, &mut got);
+                        st.free_rows.push(got);
+                        Ok(())
+                    }
+                    Some(Err(e)) => Err(e),
+                    None => Err("the sampler pipeline does not gather rows".to_string()),
+                };
+                (delivery.sub, gathered)
+            })
+            .map_err(|e| e.to_string())?;
+        gathered.map(|()| sub)
+    }
+
+    /// Wait for the next in-order delivery and hand it to `take` under
+    /// the state lock.
+    fn pop_with<T>(
+        &mut self,
+        take: impl FnOnce(&mut State, Delivery) -> T,
+    ) -> Result<T, PipelinePoisoned> {
         let t0 = Instant::now();
         let mut st = self.shared.lock();
         loop {
             let want = st.next_out;
-            if let Some(sub) = st.ready.remove(&want) {
+            if let Some(delivery) = st.ready.remove(&want) {
                 st.next_out += 1;
+                let out = take(&mut st, delivery);
                 drop(st);
                 // Exactly one capacity slot freed: wake one parked
                 // producer (shutdown/poison use notify_all separately).
                 self.shared.can_produce.notify_one();
                 self.popped += 1;
                 self.stall_secs += t0.elapsed().as_secs_f64();
-                return Ok(sub);
+                return Ok(out);
             }
             if let Some(message) = &st.poisoned {
                 let err = PipelinePoisoned {
@@ -301,11 +510,23 @@ impl SamplerPipeline {
                 self.stall_secs += t0.elapsed().as_secs_f64();
                 return Err(err);
             }
-            st = self
-                .shared
-                .can_consume
-                .wait(st)
-                .unwrap_or_else(|p| p.into_inner());
+            st = self.shared.wait(&self.shared.can_consume, st);
+        }
+    }
+
+    /// Hold off producer gathers until the returned guard drops: gathers
+    /// already running finish before this returns, and producers that
+    /// finish sampling meanwhile wait to gather (sampling itself goes on).
+    /// For a consumer that is about to read another store and must not
+    /// have this pipeline's store mapping rows at the same time.
+    pub fn pause_gathers(&self) -> GatherPause<'_> {
+        let mut st = self.shared.lock();
+        st.gathers_paused += 1;
+        while st.gathering > 0 {
+            st = self.shared.wait(&self.shared.gather_turn, st);
+        }
+        GatherPause {
+            shared: &self.shared,
         }
     }
 
@@ -320,17 +541,24 @@ impl SamplerPipeline {
     }
 
     /// Cumulative seconds the consumer spent blocked inside [`Self::pop`]
-    /// — the sampling time the pipeline failed to hide.
+    /// — the producer time the pipeline failed to hide.
     pub fn consumer_stall_secs(&self) -> f64 {
         self.stall_secs
     }
 
     /// Cumulative wall-clock seconds workers spent sampling, summed over
-    /// threads. `producer_sampling_secs() - consumer_stall_secs()` is the
-    /// sampling work hidden behind compute (clamped at 0: with more
-    /// workers than cores the sums can race ahead of consumer time).
+    /// threads (gathers excluded: [`Self::producer_gather_secs`]).
+    /// `producer_sampling_secs() - consumer_stall_secs()` is the sampling
+    /// work hidden behind compute (clamped at 0: with more workers than
+    /// cores the sums can race ahead of consumer time).
     pub fn producer_sampling_secs(&self) -> f64 {
         self.shared.sampling_nanos.load(Ordering::Relaxed) as f64 * 1e-9
+    }
+
+    /// Cumulative wall-clock seconds workers spent gathering rows, summed
+    /// over threads (0 on a bare pipeline).
+    pub fn producer_gather_secs(&self) -> f64 {
+        self.shared.gather_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
     /// Subgraphs currently buffered or being sampled (test/debug probe;
@@ -349,6 +577,7 @@ impl Drop for SamplerPipeline {
         }
         self.shared.can_produce.notify_all();
         self.shared.can_consume.notify_all();
+        self.shared.gather_turn.notify_all();
         for handle in self.workers.drain(..) {
             // Worker panics were already caught and parked in `poisoned`;
             // a join error here can only be a panic that escaped the
@@ -359,15 +588,16 @@ impl Drop for SamplerPipeline {
 }
 
 /// Producer loop: claim the next ticket (parking when the buffer is
-/// full), sample it outside the lock, deliver into the reorder buffer.
-/// Sampler, graph, seed and hook are snapshotted at claim time so a
-/// concurrent [`SamplerPipeline::reset_with`] can swap them without
-/// racing a mid-sample worker; the generation stamp makes the stale
-/// delivery detectable.
+/// full), sample it — and gather its rows, on a gathering pipeline —
+/// outside the lock, deliver into the reorder buffer. Sampler, graph,
+/// row store, seed and hook are snapshotted at claim time so a concurrent
+/// [`SamplerPipeline::reset_with`] can swap them without racing a
+/// mid-sample worker; the generation stamp makes the stale delivery
+/// detectable.
 fn worker_loop(shared: &Shared) {
     loop {
         // --- Claim phase (under lock, with backpressure) ---
-        let (generation, seq, seed, sampler, graph) = {
+        let (generation, seq, seed, sampler, graph, rows_from) = {
             let mut st = shared.lock();
             loop {
                 if st.stop {
@@ -376,10 +606,7 @@ fn worker_loop(shared: &Shared) {
                 if st.ready.len() + st.in_flight < shared.capacity {
                     break;
                 }
-                st = shared
-                    .can_produce
-                    .wait(st)
-                    .unwrap_or_else(|p| p.into_inner());
+                st = shared.wait(&shared.can_produce, st);
             }
             let seq = st.next_ticket;
             st.next_ticket += 1;
@@ -391,6 +618,7 @@ fn worker_loop(shared: &Shared) {
                 seed,
                 Arc::clone(&st.sampler),
                 Arc::clone(&st.graph),
+                st.rows_from.clone(),
             )
         };
 
@@ -401,11 +629,19 @@ fn worker_loop(shared: &Shared) {
             .sampling_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
+        // --- Gather phase (gathering pipelines; no lock held) ---
+        let result = match (result, rows_from) {
+            (Ok(sub), Some((store, max_rows))) => {
+                gather_rows(shared, generation, &store, max_rows, sub)
+            }
+            (result, _) => result.map(|sub| Delivery { sub, rows: None }),
+        };
+
         // --- Deliver phase ---
         let mut st = shared.lock();
         st.in_flight -= 1;
         match result {
-            Ok(sub) => {
+            Ok(delivery) => {
                 if st.generation == generation {
                     // Announce before insertion — under the state lock, so
                     // the hook hears the origin set strictly before any
@@ -413,16 +649,17 @@ fn worker_loop(shared: &Shared) {
                     // advisory: a panicking hook is dropped, never allowed
                     // to kill the worker (which would wedge `pop`).
                     if let Some(hook) = st.on_ready.clone() {
-                        if catch_unwind(AssertUnwindSafe(|| hook(&sub.origin))).is_err() {
+                        if catch_unwind(AssertUnwindSafe(|| hook(&delivery.sub.origin))).is_err() {
                             st.on_ready = None;
                         }
                     }
-                    st.ready.insert(seq, sub);
+                    st.ready.insert(seq, delivery);
                     drop(st);
                     shared.can_consume.notify_all();
                 } else {
-                    // Stale ticket from before a reset: the subgraph is
-                    // dropped, but its capacity slot frees a producer.
+                    // Stale ticket from before a reset: the subgraph and
+                    // its rows are dropped, but its capacity slot frees a
+                    // producer.
                     drop(st);
                     shared.can_produce.notify_one();
                 }
@@ -437,6 +674,59 @@ fn worker_loop(shared: &Shared) {
             }
         }
     }
+}
+
+/// Gather `sub`'s rows from `store` once no [`GatherPause`] is held, into
+/// a recycled buffer or, while the generation has fewer than `capacity`,
+/// a new one of `max_rows` rows. A ticket that went stale or a pipeline
+/// that stopped meanwhile delivers the bare subgraph: nobody will read
+/// its rows. A gather that panics is returned as the panic, like a
+/// sampler's.
+fn gather_rows(
+    shared: &Shared,
+    generation: u64,
+    store: &GraphStore,
+    max_rows: usize,
+    sub: InducedSubgraph,
+) -> std::thread::Result<Delivery> {
+    let mut rows = {
+        let mut st = shared.lock();
+        while st.gathers_paused > 0 && !st.stop {
+            st = shared.wait(&shared.gather_turn, st);
+        }
+        if st.stop || st.generation != generation {
+            return Ok(Delivery { sub, rows: None });
+        }
+        st.gathering += 1;
+        st.free_rows
+            .pop()
+            .unwrap_or_else(|| SubgraphRows::with_capacity(store, max_rows))
+    };
+    let t0 = Instant::now();
+    let gathered = catch_unwind(AssertUnwindSafe(|| rows.gather(store, &sub.origin)));
+    shared
+        .gather_nanos
+        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let mut st = shared.lock();
+    st.gathering -= 1;
+    let paused = st.gathers_paused > 0;
+    let rows = match gathered {
+        Ok(Ok(())) => Ok(Ok(rows)),
+        Ok(Err(e)) => {
+            st.free_rows.push(rows);
+            Ok(Err(e))
+        }
+        Err(payload) => Err(payload),
+    };
+    drop(st);
+    if paused {
+        // A pause may be waiting for this gather to end.
+        shared.gather_turn.notify_all();
+    }
+    rows.map(|rows| Delivery {
+        sub,
+        rows: Some(rows),
+    })
 }
 
 /// Best-effort stringification of a panic payload.
@@ -656,6 +946,119 @@ mod tests {
         // workers survive, and pops neither hang nor poison.
         for _ in 0..8 {
             pipe.pop().unwrap();
+        }
+    }
+
+    /// A ring whose vertex `v` has feature row `[v, v²]` and label row
+    /// `[v mod 3]`, behind the mem backend.
+    fn ring_store(n: usize) -> Arc<GraphStore> {
+        let features = DMatrix::from_fn(n, 2, |v, j| (v.pow(j as u32 + 1)) as f32);
+        let labels = DMatrix::from_fn(n, 1, |v, _| (v % 3) as f32);
+        Arc::new(GraphStore::mem(
+            Arc::new(ring(n)),
+            Some(Arc::new(features)),
+            Some(Arc::new(labels)),
+        ))
+    }
+
+    #[test]
+    fn gathering_pipeline_delivers_pool_order_with_their_rows() {
+        let store = ring_store(300);
+        let s = Arc::new(sampler());
+        let p_inter = 3;
+        let mut pool = SubgraphPool::new(p_inter, 42);
+        let reference: Vec<Vec<u32>> = (0..12)
+            .map(|_| pool.pop_or_refill(&*s, &*store).origin)
+            .collect();
+        let (gathered, last) = reference.split_at(11);
+        let mut want = SubgraphRows::with_capacity(&store, 25);
+        for workers in [1usize, 2] {
+            let cfg = cfg(workers, p_inter);
+            let mut pipe =
+                SamplerPipeline::spawn_gathering(Arc::clone(&s), Arc::clone(&store), 25, cfg);
+            let mut rows = SubgraphRows::with_capacity(&store, 25);
+            for origin in gathered {
+                let sub = pipe.pop_gathered(&mut rows).unwrap();
+                assert_eq!(&sub.origin, origin, "{workers} workers left pool order");
+                want.gather(&store, origin).unwrap();
+                assert_eq!(rows.features, want.features);
+                assert_eq!(rows.labels, want.labels);
+            }
+            assert!(pipe.producer_gather_secs() > 0.0);
+            // A bare pop still delivers the next subgraph in order.
+            assert_eq!(pipe.pop().unwrap().origin, last[0]);
+        }
+    }
+
+    #[test]
+    fn reset_gathering_gathers_from_the_new_store_only() {
+        let (old, new) = (ring_store(300), ring_store(400));
+        let s = Arc::new(sampler());
+        let mut pipe = SamplerPipeline::spawn(Arc::clone(&s), Arc::clone(&old), cfg(2, 2));
+        let mut rows = SubgraphRows::with_capacity(&old, 25);
+        assert!(pipe
+            .pop_gathered(&mut rows)
+            .unwrap_err()
+            .contains("does not gather"));
+        pipe.reset_gathering(Arc::clone(&s), Arc::clone(&new), 25, 42);
+        let mut pool = SubgraphPool::new(2, 42);
+        let mut want = SubgraphRows::with_capacity(&new, 25);
+        for _ in 0..6 {
+            let origin = pool.pop_or_refill(&*s, &*new).origin;
+            assert_eq!(pipe.pop_gathered(&mut rows).unwrap().origin, origin);
+            want.gather(&new, &origin).unwrap();
+            assert_eq!(rows.features, want.features);
+        }
+        // Back to bare subgraphs.
+        pipe.reset_with(Arc::clone(&s), Arc::clone(&old), 42);
+        assert!(pipe
+            .pop_gathered(&mut rows)
+            .unwrap_err()
+            .contains("does not gather"));
+    }
+
+    #[test]
+    fn failed_gathers_are_delivered_in_order_without_poisoning() {
+        // A store without feature rows: every gather fails.
+        let store = Arc::new(GraphStore::from_graph(Arc::new(ring(300))));
+        let s = Arc::new(sampler());
+        let mut pipe = SamplerPipeline::spawn_gathering(s, store, 25, cfg(2, 2));
+        let mut rows = SubgraphRows {
+            features: DMatrix::zeros(0, 0),
+            labels: DMatrix::zeros(0, 0),
+        };
+        for _ in 0..5 {
+            let err = pipe.pop_gathered(&mut rows).unwrap_err();
+            assert!(
+                err.starts_with("feature gather from graph store failed"),
+                "{err}"
+            );
+        }
+        assert_eq!(
+            pipe.popped(),
+            5,
+            "each failed ticket is consumed in its place"
+        );
+        pipe.pop()
+            .expect("a failed gather does not poison the pipeline");
+    }
+
+    #[test]
+    fn pause_gathers_holds_gathers_until_dropped() {
+        let store = ring_store(300);
+        let s = Arc::new(sampler());
+        let mut pipe = SamplerPipeline::spawn_gathering(s, Arc::clone(&store), 25, cfg(2, 2));
+        let mut rows = SubgraphRows::with_capacity(&store, 25);
+        pipe.pop_gathered(&mut rows).unwrap();
+        let pause = pipe.pause_gathers();
+        // In-flight gathers finished before the pause returned; no new
+        // one starts while it is held, though producers go on sampling.
+        let gathered = pipe.producer_gather_secs();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(pipe.producer_gather_secs(), gathered);
+        drop(pause);
+        for _ in 0..4 {
+            pipe.pop_gathered(&mut rows).unwrap();
         }
     }
 
