@@ -1,8 +1,8 @@
 //! Criterion end-to-end benchmark of one training iteration (sample →
 //! gather → forward → backward → Adam) — the unit whose scaling Fig. 3
 //! reports — plus the subgraph-extraction step alone and whole-epoch
-//! variants comparing the synchronous sampler path against the pipelined
-//! producer–consumer path (`BENCH_training.json` in CI).
+//! variants comparing the sampler pipeline without workers (inline
+//! sampling) against it with two (`BENCH_training.json` in CI).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
@@ -55,12 +55,12 @@ fn bench_training_iteration(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-epoch wall-clock: synchronous in-loop sampling vs the pipelined
-/// sampler with dedicated worker threads, on a sampling-heavy
+/// Whole-epoch wall-clock: the sampler pipeline without workers (inline
+/// sampling) vs with dedicated worker threads, on a sampling-heavy
 /// configuration (dense reddit-shaped graph, frontier sampler, modest
 /// hidden dims so sampling is a large fraction of the iteration).
 ///
-/// The two paths consume the identical subgraph stream, so any epoch-time
+/// The two consume the identical subgraph stream, so any epoch-time
 /// difference is pure overlap (or, on a single core, pipeline overhead).
 /// Each JSON record is tagged `sampler=synchronous|pipelined_<N>w`.
 fn bench_epoch_sync_vs_pipelined(c: &mut Criterion) {
@@ -113,73 +113,9 @@ fn bench_epoch_sync_vs_pipelined(c: &mut Criterion) {
     group.finish();
 }
 
-/// Back-to-back sweep `train()` calls: respawning sampler workers per
-/// trainer vs handing one pipeline down the sweep
-/// (`take_pipeline` → `new_with_pipeline`). The reused pipeline is
-/// rewound over each trainer's sampler × store × seed, so the subgraph
-/// streams are bit-identical — the delta is pure thread spawn/join and
-/// channel setup. Records are tagged `pipeline=respawn|reused`.
-fn bench_sweep_pipeline_reuse(c: &mut Criterion) {
-    gsgcn_bench::announce_kernel_tier();
-    let kernel = gsgcn_tensor::gemm::selected_tier().name();
-    let d = presets::ppi_scaled(3);
-    const SWEEP: u64 = 4;
-
-    let cfg_for = |seed: u64| {
-        let mut cfg = TrainerConfig::default();
-        cfg.sampler.frontier_size = 100;
-        cfg.sampler.budget = 400;
-        cfg.hidden_dims = vec![32];
-        cfg.epochs = 1;
-        cfg.eval_every = 0;
-        cfg.seed = seed;
-        cfg.sampler_threads = 2;
-        cfg
-    };
-
-    let mut group = c.benchmark_group("training");
-    group.sample_size(10);
-
-    criterion::set_json_tags([
-        ("kernel", kernel.to_string()),
-        ("pipeline", "respawn".to_string()),
-    ]);
-    group.bench_function("sweep4_pipeline_respawn", |b| {
-        b.iter(|| {
-            for s in 0..SWEEP {
-                let mut t = GsGcnTrainer::new(&d, cfg_for(7 + s)).expect("trainer");
-                black_box(t.train_epoch().expect("epoch"));
-            }
-        });
-    });
-
-    criterion::set_json_tags([
-        ("kernel", kernel.to_string()),
-        ("pipeline", "reused".to_string()),
-    ]);
-    group.bench_function("sweep4_pipeline_reused", |b| {
-        b.iter(|| {
-            let mut pipe = None;
-            for s in 0..SWEEP {
-                let cfg = cfg_for(7 + s);
-                let mut t = match pipe.take() {
-                    Some(p) => GsGcnTrainer::new_with_pipeline(&d, cfg, p).expect("trainer"),
-                    None => GsGcnTrainer::new(&d, cfg).expect("trainer"),
-                };
-                black_box(t.train_epoch().expect("epoch"));
-                pipe = t.take_pipeline();
-            }
-        });
-    });
-    criterion::set_json_tags([("kernel", kernel.to_string())]);
-
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_training_iteration,
-    bench_epoch_sync_vs_pipelined,
-    bench_sweep_pipeline_reuse
+    bench_epoch_sync_vs_pipelined
 );
 criterion_main!(benches);

@@ -27,16 +27,17 @@ pub struct TrainerConfig {
     /// Worker threads for ALL parallel stages (sampling, propagation,
     /// GEMM). `0` = rayon default.
     pub threads: usize,
-    /// Dedicated sampler worker threads for the pipelined trainer: each
+    /// Dedicated worker threads of the trainer's sampler pipeline: each
     /// samples a subgraph and gathers its feature and label rows from the
     /// training store concurrently with training compute, one subgraph
     /// ahead per worker, hiding sampler latency and the (out-of-core)
-    /// row copy behind the GEMMs. Producer gathers pause while a stored
-    /// evaluation reads the full store. `0` disables the pipeline and
-    /// falls back to synchronous in-loop sampling and gathering (the
-    /// reference path). Both paths consume subgraphs in the same
-    /// `(batch, instance)` ticket order with the same seeds and rows, so
-    /// the loss trajectory is bit-identical for a fixed seed either way.
+    /// row copy behind the GEMMs. Worker gathers pause while a stored
+    /// evaluation reads the full store. With `0` the same pipeline
+    /// samples each seed batch inline on the compute pool and gathers
+    /// each subgraph's rows on the training thread. Every worker count
+    /// consumes subgraphs in the same `(batch, instance)` ticket order
+    /// with the same seeds and rows, so the loss trajectory is
+    /// bit-identical for a fixed seed.
     pub sampler_threads: usize,
     /// Evaluate validation F1 every this many epochs (0 = only at end).
     pub eval_every: usize,
@@ -178,7 +179,7 @@ fn num_cpus_estimate() -> usize {
 /// The `auto` sampler-thread count: `min(2, cores/4)`. Sampling is far
 /// cheaper than training compute, so a couple of dedicated producers
 /// saturate the queue; on small machines (`cores < 4`) this yields `0` —
-/// the synchronous path — because there is no spare core to overlap on.
+/// inline sampling — because there is no spare core to overlap on.
 pub fn auto_sampler_threads() -> usize {
     (num_cpus_estimate() / 4).min(2)
 }

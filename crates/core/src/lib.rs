@@ -2,18 +2,18 @@
 //! training** (Algorithms 1 and 5).
 //!
 //! Per training iteration the trainer:
-//! 1. consumes the next pre-sampled subgraph in ticket order — either
-//!    popped from the synchronous pool (refilled with `p_inter` parallel
-//!    Dashboard frontier samplers when empty — inter-subgraph
-//!    parallelism, Sec. IV-C) or, with `sampler_threads > 0`, from the
-//!    pipelined sampler whose dedicated worker threads sample ahead
-//!    continuously so sampling overlaps compute (same subgraph stream,
-//!    bit-identical trajectory);
-//! 2. gathers the subgraph's feature and label rows (`H⁽⁰⁾[V_sub]`);
-//! 3. builds a *complete* GCN on the subgraph and runs forward, loss,
+//! 1. pops the next subgraph in ticket order from its one sampler
+//!    pipeline, with the subgraph's feature and label rows
+//!    (`H⁽⁰⁾[V_sub]`). With `sampler_threads > 0` dedicated worker
+//!    threads sample and gather ahead continuously, so both overlap
+//!    compute; with `0` the pop samples `p_inter` Dashboard frontier
+//!    instances in parallel whenever a seed batch runs out
+//!    (inter-subgraph parallelism, Sec. IV-C) and gathers the rows
+//!    inline. Same subgraph stream, bit-identical trajectory;
+//! 2. builds a *complete* GCN on the subgraph and runs forward, loss,
 //!    backward, Adam (intra-iteration parallelism: feature-partitioned
 //!    propagation, parallel GEMM);
-//! 4. records the per-phase wall-clock breakdown (sampling / feature
+//! 3. records the per-phase wall-clock breakdown (sampling / feature
 //!    propagation / weight application) that Fig. 3 reports.
 //!
 //! Work per epoch is `O(L·|V|·f·(f + d_GS))` — linear in depth and graph

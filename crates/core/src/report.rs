@@ -66,10 +66,10 @@ impl TrainReport {
         self.epochs.last().map(|e| e.mean_loss).unwrap_or(f32::NAN)
     }
 
-    /// Fraction of sampler wall-clock hidden behind compute (0 on the
-    /// synchronous path — there, sampling always stalls the trainer). On
-    /// the pipelined path the sampler threads also gather each subgraph's
-    /// rows, so their gather seconds count here too.
+    /// Fraction of sampler wall-clock hidden behind compute (0 without
+    /// sampler workers — there, sampling always stalls the trainer). The
+    /// workers also gather each subgraph's rows, so their gather seconds
+    /// count here too.
     pub fn sampling_overlap_fraction(&self) -> f64 {
         self.breakdown.sampling_overlap_fraction()
     }

@@ -2,34 +2,34 @@
 //!
 //! # Dataflow
 //!
-//! Per iteration the trainer takes one ticketed subgraph with its
-//! feature/label rows and runs forward/backward/Adam on them. Who samples
-//! the subgraph and gathers its rows depends on
-//! [`TrainerConfig::sampler_threads`]:
+//! Per iteration the trainer pops the next ticketed subgraph with its
+//! feature/label rows from its one [`SamplerPipeline`] and runs
+//! forward/backward/Adam on them. [`TrainerConfig::sampler_threads`] sets
+//! only where the pipeline samples and gathers:
 //!
 //! ```text
-//! synchronous (sampler_threads = 0, the reference path):
-//!   ┌────────────────────── every p_inter iterations ─────────────────────┐
-//!   │ pool.refill: p_inter parallel sampler instances  (compute stalls)   │
-//!   └──────────────────────────────────────────────────────────────────────┘
-//!     pop → gather rows → train_step → pop → gather → train_step → …
-//!
-//! pipelined (sampler_threads = N ≥ 1):
-//!   sampler workers: claim ticket → sample → gather rows → reorder buffer ─┐
-//!        (N dedicated OS threads, one subgraph ahead each, recycled rows)  │
-//!   consumer:  pop(next in ticket order, with its rows) → train_step ◄─────┘
-//!        (stalls only when the queue has not caught up)
+//! sampler workers (sampler_threads = N ≥ 1, dedicated OS threads):
+//!   claim ticket → sample → gather rows → reorder buffer ──────────────┐
+//!        (one subgraph ahead each, recycled row buffers)               │
+//! no workers (sampler_threads = 0):                                    │
+//!   pop finds its ticket missing → sample its seed batch: p_inter ─────┤
+//!        parallel instances on the compute pool (compute stalls)       │
+//!                                                                      │
+//! consumer: pop(next in ticket order) ◄─────────────────────────────────┘
+//!        → rows (swapped in; with no workers gathered here) → train_step
 //! ```
 //!
-//! Both paths draw subgraphs from the same `(batch, instance)` ticket
-//! stream with the same seeds, gather their rows with the same routine
-//! ([`SubgraphRows::gather`]) and consume them in the same order, so the
+//! Every worker count draws the same `(batch, instance)` ticket stream
+//! with the same seeds, gathers rows with the same routine
+//! ([`SubgraphRows::gather`]) and consumes them in ticket order, so the
 //! loss trajectory is bit-identical for a fixed seed — pinned by
 //! `tests/pipeline_equivalence.rs`. The per-phase [`Breakdown`] accounts
-//! the difference instead: on the pipelined path `Phase::Sampling` is
-//! only the consumer's queue stall, `Phase::Other` holds no gather, and
-//! the producers' sampling and gather wall-clock that ran hidden behind
-//! compute accumulates in [`Breakdown::sampling_hidden_secs`].
+//! the difference instead: `Phase::Sampling` is the time spent in the pop
+//! (the queue stall; with no workers, the inline sampling),
+//! `Phase::Other` holds the consumer's inline gathers (none with
+//! workers), and the workers' sampling and gather wall-clock that ran
+//! hidden behind compute accumulates in
+//! [`Breakdown::sampling_hidden_secs`].
 
 use crate::config::TrainerConfig;
 use crate::report::{EpochStats, EvalStats, TrainReport};
@@ -44,7 +44,6 @@ use gsgcn_nn::InferenceWorkspace;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::dashboard::DashboardSampler;
 use gsgcn_sampler::pipeline::{GatherPause, PipelineConfig, SamplerPipeline, SubgraphRows};
-use gsgcn_sampler::pool::SubgraphPool;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -97,7 +96,7 @@ impl EvalSource<'_> {
 const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 
 /// Stored evaluation's turn at reading: while it lives, the pipeline's
-/// producers start no gather and the training store's rows are released;
+/// workers start no gather and the training store's rows are released;
 /// dropping it — on every exit, errors included — releases the full
 /// store's rows, then lets gathers resume. So the two stores are read in
 /// turns, never together: a resident peak of heap + one row budget
@@ -105,18 +104,14 @@ const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 struct EvalTurn<'t> {
     full: &'t GraphStore,
     /// Dropped after [`Drop::drop`] has released `full`'s rows.
-    _gathers: Option<GatherPause<'t>>,
+    _gathers: GatherPause<'t>,
 }
 
 impl<'t> EvalTurn<'t> {
-    fn take(
-        pipeline: Option<&'t SamplerPipeline>,
-        train: &GraphStore,
-        full: &'t GraphStore,
-    ) -> Self {
+    fn take(pipeline: &'t SamplerPipeline, train: &GraphStore, full: &'t GraphStore) -> Self {
         // Pause first: a gather still running would map training rows
         // again after the release.
-        let gathers = pipeline.map(SamplerPipeline::pause_gathers);
+        let gathers = pipeline.pause_gathers();
         train.release_rows();
         EvalTurn {
             full,
@@ -139,7 +134,7 @@ fn rows_released(store: &GraphStore) -> bool {
         .is_none_or(|s| s.features.resident == 0 && s.labels.resident == 0)
 }
 
-/// Trainer state: dataset view, model, sampler pool/pipeline, timers.
+/// Trainer state: dataset view, model, sampler pipeline, timers.
 pub struct GsGcnTrainer<'a> {
     source: EvalSource<'a>,
     /// Store over the training-induced subgraph: a [`GraphStore::mem`]
@@ -147,24 +142,22 @@ pub struct GsGcnTrainer<'a> {
     /// [`StoreDataset`]'s training store on the stored one.
     train_store: Arc<GraphStore>,
     model: GcnModel,
-    sampler: Arc<DashboardSampler>,
-    pool: SubgraphPool,
-    /// Producer–consumer sampling pipeline (`None` on the synchronous
-    /// path); its producers gather each subgraph's rows from the training
-    /// store. Holds its own `Arc` clones of the sampler and training
-    /// store, so drop order is irrelevant; dropping the trainer joins
-    /// the worker threads.
-    pipeline: Option<SamplerPipeline>,
+    /// The sampling pipeline: samples the ticket stream and gathers each
+    /// subgraph's rows from the training store, on
+    /// `sampler_threads` workers or inline. Holds its own `Arc` clones of
+    /// the sampler and training store, so drop order is irrelevant;
+    /// dropping the trainer joins the worker threads.
+    pipeline: SamplerPipeline,
     cfg: TrainerConfig,
     thread_pool: rayon::ThreadPool,
     breakdown: Breakdown,
     train_secs: f64,
     epochs_run: usize,
-    /// The rows of the subgraph being trained on. The synchronous path
-    /// gathers into it; the pipelined path swaps each delivered buffer in
-    /// and the previous one back to the producers. Subgraph sizes are
+    /// The rows of the subgraph being trained on. With workers each
+    /// delivered buffer is swapped in and the previous one goes back to
+    /// them; without, the pipeline gathers into it. Subgraph sizes are
     /// bounded by the sampling budget, so every buffer reaches a steady
-    /// capacity (pipelined: is allocated at it) and the loop stops
+    /// capacity (with workers: is allocated at it) and the loop stops
     /// allocating.
     rows: SubgraphRows,
     /// Persistent evaluation state: the inference workspace (activation
@@ -220,58 +213,6 @@ impl<'a> GsGcnTrainer<'a> {
         Self::build(EvalSource::Stored(sd), Arc::clone(&sd.train), cfg)
     }
 
-    /// Like [`Self::new`], but reusing a pipeline taken from a previous
-    /// trainer ([`Self::take_pipeline`]) instead of spawning fresh worker
-    /// threads — the cheap way to run a hyper-parameter sweep's `train()`
-    /// calls back to back. The pipeline is rewound over this trainer's
-    /// sampler, store and seed, so the subgraph stream is bit-identical
-    /// to what a freshly spawned pipeline would produce. With
-    /// `sampler_threads == 0` the handed-in pipeline is simply dropped
-    /// (its workers join).
-    pub fn new_with_pipeline(
-        dataset: &'a Dataset,
-        cfg: TrainerConfig,
-        pipeline: SamplerPipeline,
-    ) -> Result<Self, String> {
-        let mut t = Self::new(dataset, cfg)?;
-        t.install_pipeline(pipeline);
-        Ok(t)
-    }
-
-    /// [`Self::from_store`] with a reused pipeline; see
-    /// [`Self::new_with_pipeline`].
-    pub fn from_store_with_pipeline(
-        sd: &'a StoreDataset,
-        cfg: TrainerConfig,
-        pipeline: SamplerPipeline,
-    ) -> Result<Self, String> {
-        let mut t = Self::from_store(sd, cfg)?;
-        t.install_pipeline(pipeline);
-        Ok(t)
-    }
-
-    /// Detach the sampling pipeline for reuse by the next trainer in a
-    /// sweep (`None` on the synchronous path). The trainer falls back to
-    /// synchronous sampling if trained further afterwards.
-    pub fn take_pipeline(&mut self) -> Option<SamplerPipeline> {
-        self.pipeline.take()
-    }
-
-    /// Replace the freshly spawned pipeline (if any) with a reused one,
-    /// rewound over this trainer's sampler × store × seed stream.
-    fn install_pipeline(&mut self, mut pipeline: SamplerPipeline) {
-        if self.pipeline.is_none() {
-            return; // synchronous path: drop the pipeline, joining it
-        }
-        pipeline.reset_gathering(
-            Arc::clone(&self.sampler),
-            Arc::clone(&self.train_store),
-            self.cfg.sampler.budget,
-            self.cfg.seed ^ 0x5A4B,
-        );
-        self.pipeline = Some(pipeline);
-    }
-
     fn build(
         source: EvalSource<'a>,
         train_store: Arc<GraphStore>,
@@ -310,29 +251,27 @@ impl<'a> GsGcnTrainer<'a> {
             FeaturePropagator::new(cfg.prop_mode.clone()),
         );
 
-        let sampler = Arc::new(DashboardSampler::new(cfg.sampler.clone()));
-        let pool = SubgraphPool::new(cfg.p_inter, cfg.seed ^ 0x5A4B);
-        let pipeline = if cfg.sampler_threads > 0 {
-            Some(SamplerPipeline::spawn_gathering(
-                Arc::clone(&sampler),
-                Arc::clone(&train_store),
-                cfg.sampler.budget,
-                PipelineConfig {
-                    workers: cfg.sampler_threads,
-                    p_inter: cfg.p_inter,
-                    base_seed: cfg.seed ^ 0x5A4B, // same stream as the pool
-                    capacity: 0,                  // one subgraph ahead per worker
-                },
-            ))
-        } else {
-            None
-        };
+        let pipeline = SamplerPipeline::spawn_gathering(
+            Arc::new(DashboardSampler::new(cfg.sampler.clone())),
+            Arc::clone(&train_store),
+            cfg.sampler.budget,
+            PipelineConfig {
+                workers: cfg.sampler_threads,
+                p_inter: cfg.p_inter,
+                base_seed: cfg.seed ^ 0x5A4B,
+                capacity: 0, // one subgraph ahead per worker
+            },
+        );
 
-        // Pipelined, this buffer joins the producers' rotation at the first
-        // pop, so it is sized like theirs. The synchronous path grows it on
-        // first use: sized here, it raised the peak RSS of a process that
-        // trains and then serves by up to 20 MiB in a third of the runs.
-        let rows_now = pipeline.as_ref().map_or(0, |_| cfg.sampler.budget);
+        // With workers this buffer joins their rotation at the first pop,
+        // so it is sized like theirs. Without, it grows on first use:
+        // sized here, it raised the peak RSS of a process that trains and
+        // then serves by up to 20 MiB in a third of the runs.
+        let rows_now = if cfg.sampler_threads > 0 {
+            cfg.sampler.budget
+        } else {
+            0
+        };
         let rows = SubgraphRows::with_capacity(&train_store, rows_now);
         let thread_pool = rayon::ThreadPoolBuilder::new()
             .num_threads(cfg.threads) // 0 = default
@@ -343,8 +282,6 @@ impl<'a> GsGcnTrainer<'a> {
             source,
             train_store,
             model,
-            sampler,
-            pool,
             pipeline,
             cfg,
             thread_pool,
@@ -384,10 +321,10 @@ impl<'a> GsGcnTrainer<'a> {
         &self.breakdown
     }
 
-    /// The sampling pipeline, when the pipelined path is active
-    /// (`sampler_threads > 0`). Exposes stall/overlap counters.
-    pub fn sampler_pipeline(&self) -> Option<&SamplerPipeline> {
-        self.pipeline.as_ref()
+    /// The sampling pipeline. Exposes stall, overlap and gather
+    /// counters.
+    pub fn sampler_pipeline(&self) -> &SamplerPipeline {
+        &self.pipeline
     }
 
     /// Tiles and rows computed per layer, feature rows gathered, input
@@ -414,12 +351,13 @@ impl<'a> GsGcnTrainer<'a> {
 
     /// Run one training epoch; returns its statistics.
     ///
-    /// On the pipelined path the only sampling cost paid here is the
-    /// queue stall (`Phase::Sampling`): producers sampled and gathered
-    /// the rows, and their wall-clock that overlapped compute is added to
-    /// the breakdown's hidden-sampling account afterwards. Fails if a
-    /// gather fails (in its ticket's place on either path) or a sampler
-    /// worker panicked.
+    /// The only sampling cost paid here is the time in the pop
+    /// (`Phase::Sampling`): the queue stall, or with no workers the
+    /// inline sampling. With workers the rows arrive gathered, and the
+    /// workers' wall-clock that overlapped compute is added to the
+    /// breakdown's hidden-sampling account afterwards; without, the
+    /// inline gather counts as `Phase::Other`. Fails if a gather fails
+    /// (in its ticket's place) or a sampler worker panicked.
     pub fn train_epoch(&mut self) -> Result<EpochStats, String> {
         let iters = self.iterations_per_epoch();
         let mut loss_sum = 0.0f64;
@@ -427,16 +365,14 @@ impl<'a> GsGcnTrainer<'a> {
         let mut edge_sum = 0usize;
         let epoch_start = Instant::now();
 
-        // Snapshot overlap accounting: deltas over this epoch turn into
-        // hidden-sampling seconds below.
-        let stall_before = self.breakdown.sampling_secs;
-        let producer_before = self.pipeline.as_ref().map_or(0.0, producer_secs);
+        // The pipeline's clocks, whose deltas over this epoch are its
+        // sampling and gather accounts below.
+        let stall_before = self.pipeline.consumer_stall_secs();
+        let gather_before = self.pipeline.consumer_gather_secs();
+        let producer_before = producer_secs(&self.pipeline);
 
         // Borrow-splitting: move fields we need inside the closure out of
         // `self` references explicitly.
-        let sampler = &self.sampler;
-        let train_store = &self.train_store;
-        let pool = &mut self.pool;
         let pipeline = &mut self.pipeline;
         let model = &mut self.model;
         let breakdown = &mut self.breakdown;
@@ -445,26 +381,11 @@ impl<'a> GsGcnTrainer<'a> {
         let run: Result<(), String> = self.thread_pool.install(|| {
             for _ in 0..iters {
                 // --- Next subgraph in ticket order with its rows (Alg. 1
-                // line 5) in reused buffers. Pipelined: a producer sampled
-                // and gathered it, and the pop is pure consumer stall.
-                // Synchronous: refill every p_inter iterations (Alg. 5
-                // lines 3–5, full stall), then gather here — on the mmap
-                // backend the out-of-core read through the shard cache.
-                let t0 = Instant::now();
-                let (sub, gather_secs) = match pipeline.as_mut() {
-                    Some(pipe) => {
-                        let sub = pipe.pop_gathered(rows)?;
-                        breakdown.add(Phase::Sampling, t0.elapsed().as_secs_f64());
-                        (sub, 0.0)
-                    }
-                    None => {
-                        let sub = pool.pop_or_refill(&**sampler, &**train_store);
-                        breakdown.add(Phase::Sampling, t0.elapsed().as_secs_f64());
-                        let t0 = Instant::now();
-                        rows.gather(train_store, &sub.origin)?;
-                        (sub, t0.elapsed().as_secs_f64())
-                    }
-                };
+                // line 5) in reused buffers: from a worker, or sampled
+                // (Alg. 5 lines 3–5, every p_inter iterations) and
+                // gathered inline — on the mmap backend the out-of-core
+                // read through the shard cache.
+                let sub = pipeline.pop_gathered(rows)?;
 
                 // --- Forward/backward/update (Alg. 1 lines 6–13) ---
                 let t0 = Instant::now();
@@ -475,11 +396,8 @@ impl<'a> GsGcnTrainer<'a> {
                 breakdown.add(Phase::WeightApp, step.timings.weight_app_secs);
                 breakdown.add(
                     Phase::Other,
-                    gather_secs
-                        + (step_secs
-                            - step.timings.feature_prop_secs
-                            - step.timings.weight_app_secs)
-                            .max(0.0),
+                    (step_secs - step.timings.feature_prop_secs - step.timings.weight_app_secs)
+                        .max(0.0),
                 );
 
                 loss_sum += step.loss as f64;
@@ -488,18 +406,22 @@ impl<'a> GsGcnTrainer<'a> {
             }
             Ok(())
         });
-        run?;
 
-        // Producer wall-clock this epoch (sampling and gathers) minus what
-        // the consumer actually waited is the time the pipeline hid
-        // behind compute. (Clamped: producers may still be mid-sample at
+        // Time in the pops is sampling (a worker stall, or the inline
+        // sampling); inline gathers are the consumer's `Other`. Worker
+        // wall-clock (sampling and gathers) minus what the consumer
+        // waited is the time the pipeline hid behind compute: none
+        // without workers. (Clamped: workers may still be mid-sample at
         // the epoch boundary.)
-        if let Some(pipe) = &self.pipeline {
-            let produced = producer_secs(pipe) - producer_before;
-            let stalled = self.breakdown.sampling_secs - stall_before;
-            self.breakdown
-                .add_hidden_sampling((produced - stalled).max(0.0));
-        }
+        let pipe = &self.pipeline;
+        let stalled = pipe.consumer_stall_secs() - stall_before;
+        let produced = producer_secs(pipe) - producer_before;
+        self.breakdown.add(Phase::Sampling, stalled);
+        let gathered = pipe.consumer_gather_secs() - gather_before;
+        self.breakdown.add(Phase::Other, gathered);
+        self.breakdown
+            .add_hidden_sampling((produced - stalled).max(0.0));
+        run?;
 
         let secs = epoch_start.elapsed().as_secs_f64();
         self.train_secs += secs;
@@ -601,7 +523,7 @@ impl<'a> GsGcnTrainer<'a> {
             EvalSource::Stored(sd) => {
                 let full = &*sd.full;
                 let train_store = &*self.train_store;
-                let _turn = EvalTurn::take(self.pipeline.as_ref(), train_store, full);
+                let _turn = EvalTurn::take(&self.pipeline, train_store, full);
                 let mut acc = f1::F1Accumulator::new(single);
                 let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
                     debug_assert!(
@@ -683,7 +605,7 @@ impl<'a> GsGcnTrainer<'a> {
     }
 }
 
-/// Seconds a pipeline's producers have spent sampling and gathering.
+/// Seconds a pipeline's workers have spent sampling and gathering.
 fn producer_secs(pipe: &SamplerPipeline) -> f64 {
     pipe.producer_sampling_secs() + pipe.producer_gather_secs()
 }
@@ -756,6 +678,14 @@ mod tests {
         assert!(t.breakdown().feature_prop_secs > 0.0);
         assert!(t.breakdown().weight_app_secs > 0.0);
         assert!(t.model().steps() as usize >= stats.batches);
+        // No workers: nothing hidden, and the consumer's inline gathers
+        // are its `Other` time.
+        let (b, pipe) = (t.breakdown(), t.sampler_pipeline());
+        assert_eq!(b.sampling_hidden_secs, 0.0);
+        assert_eq!(pipe.producer_sampling_secs(), 0.0);
+        assert_eq!(pipe.producer_gather_secs(), 0.0);
+        assert!(pipe.consumer_gather_secs() > 0.0);
+        assert!(b.other_secs >= pipe.consumer_gather_secs(), "{b:?}");
     }
 
     #[test]
@@ -958,7 +888,7 @@ mod tests {
 
     /// A training gather that fails surfaces as an `Err` naming the
     /// gather — in its ticket's place, so within the tickets already
-    /// gathered ahead — on either path, and the trainer still drops.
+    /// gathered ahead — at every worker count, and the trainer still drops.
     #[test]
     fn training_gather_errors_surface_without_a_hang() {
         use gsgcn_graph::store::shard::shard_file_name;
@@ -976,7 +906,7 @@ mod tests {
                 // Topology stays mapped, so sampling goes on; every later
                 // map of the shortened shard's rows fails. (Paused, so no
                 // gather maps the intact file in between.)
-                let _paused = t.sampler_pipeline().map(SamplerPipeline::pause_gathers);
+                let _paused = t.sampler_pipeline().pause_gathers();
                 sd.train.release_rows();
                 let shard = spill
                     .dir
@@ -997,60 +927,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_over_shared_pipeline_matches_owned_pipelines() {
-        let d = quick_dataset();
-        let cfg_for = |seed: u64| {
-            let mut cfg = TrainerConfig::quick_test();
-            cfg.epochs = 2;
-            cfg.sampler_threads = 1;
-            cfg.seed = seed;
-            cfg
-        };
-        let run = |mut t: GsGcnTrainer<'_>| -> (Vec<f32>, Option<SamplerPipeline>) {
-            let mut losses = Vec::new();
-            for _ in 0..2 {
-                losses.push(t.train_epoch().unwrap().mean_loss);
-            }
-            let pipe = t.take_pipeline();
-            (losses, pipe)
-        };
-
-        // Reference: each sweep point spawns its own pipeline.
-        let (own_a, _) = run(GsGcnTrainer::new(&d, cfg_for(7)).unwrap());
-        let (own_b, _) = run(GsGcnTrainer::new(&d, cfg_for(8)).unwrap());
-
-        // One pipeline threaded through the whole sweep.
-        let (shared_a, pipe) = run(GsGcnTrainer::new(&d, cfg_for(7)).unwrap());
-        let pipe = pipe.expect("pipelined trainer must hold a pipeline");
-        let (shared_b, pipe) = run(GsGcnTrainer::new_with_pipeline(&d, cfg_for(8), pipe).unwrap());
-        assert!(pipe.is_some(), "pipeline must survive the second leg");
-
-        assert_eq!(own_a, shared_a, "sweep leg 1 diverged under pipeline reuse");
-        assert_eq!(own_b, shared_b, "sweep leg 2 diverged under pipeline reuse");
-
-        // Stored legs over two different graphs: a reused pipeline that
-        // stopped gathering, or gathered from the first leg's store, fails.
-        let e = presets::scale_spec(&presets::ppi_spec(), 600).generate(12);
-        let (spill_d, spill_e) = (Spilled::new(&d, "sweep-d"), Spilled::new(&e, "sweep-e"));
-        let budget = gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES;
-        let (sd_d, sd_e) = (spill_d.open(budget), spill_e.open(budget));
-        let (own_a, _) = run(GsGcnTrainer::from_store(&sd_d, cfg_for(7)).unwrap());
-        let (own_b, _) = run(GsGcnTrainer::from_store(&sd_e, cfg_for(8)).unwrap());
-        let (shared_a, pipe) = run(GsGcnTrainer::from_store(&sd_d, cfg_for(7)).unwrap());
-        let pipe = pipe.expect("pipelined trainer must hold a pipeline");
-        let t = GsGcnTrainer::from_store_with_pipeline(&sd_e, cfg_for(8), pipe).unwrap();
-        let (shared_b, _) = run(t);
-        assert_eq!(
-            own_a, shared_a,
-            "stored sweep leg 1 diverged under pipeline reuse"
-        );
-        assert_eq!(
-            own_b, shared_b,
-            "stored sweep leg 2 diverged under pipeline reuse"
-        );
-    }
-
     /// The pipelined breakdown counts the producers' gathers as hidden
     /// producer time, never as the consumer's `Other`.
     #[test]
@@ -1062,9 +938,10 @@ mod tests {
         for _ in 0..2 {
             t.train_epoch().unwrap();
         }
-        let pipe = t.sampler_pipeline().unwrap();
+        let pipe = t.sampler_pipeline();
         let (sampled, gathered) = (pipe.producer_sampling_secs(), pipe.producer_gather_secs());
         assert!(gathered > 0.0, "producers gathered nothing");
+        assert_eq!(pipe.consumer_gather_secs(), 0.0, "the consumer gathered");
         let b = t.breakdown();
         assert!(b.sampling_hidden_secs <= sampled + gathered, "{b:?}");
     }

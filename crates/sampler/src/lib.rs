@@ -17,12 +17,15 @@
 //!   forest fire) for the "wider class of sampling algorithms" the paper
 //!   lists as future work.
 //! * [`pool`] — inter-subgraph parallelism: the shared `(batch, instance)`
-//!   ticketing/seeding core plus the synchronous pool that fills
-//!   `p_inter` independently sampled subgraphs at a time (Alg. 5,
-//!   lines 3–5).
-//! * [`pipeline`] — the pipelined producer–consumer path: dedicated
-//!   sampler worker threads continuously sample ticketed subgraphs into a
-//!   bounded, order-restoring queue so sampling overlaps training compute.
+//!   ticketing/seeding core, [`pool::sample_many`] (`p_inter`
+//!   independently seeded instances in parallel, Alg. 5 lines 3–5) and
+//!   the subgraph pool the benchmark harness still drives.
+//! * [`pipeline`] — how the trainer samples, at every worker count:
+//!   dedicated sampler worker threads continuously sample ticketed
+//!   subgraphs (and gather their rows) into a bounded, order-restoring
+//!   queue so sampling overlaps training compute; with no workers the
+//!   consumer samples each seed batch inline, through the same ticket
+//!   stream.
 //! * [`cost_model`] — the analytic cost of Eq. (2) and the Theorem 1
 //!   scalability bound.
 //!

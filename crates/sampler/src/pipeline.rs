@@ -1,50 +1,64 @@
-//! Pipelined sampling: dedicated producer threads overlap subgraph
-//! sampling — and, for the trainer, the gather of each subgraph's feature
-//! and label rows — with training compute.
+//! Pipelined sampling: producer threads overlap subgraph sampling — and,
+//! for the trainer, the gather of each subgraph's feature and label rows
+//! — with training compute; with no producer threads the consumer samples
+//! and gathers inline, through the same ticket stream.
 //!
-//! The synchronous path ([`crate::pool::SubgraphPool`]) stalls the whole
-//! compute pool every `p_inter` iterations while a refill batch is
-//! sampled, and the sampler sits idle the rest of the time. This module
-//! decouples the two: `N` dedicated OS threads continuously sample ahead
-//! of the consumer, so sampler latency hides behind compute (the paper's
-//! Alg. 5 decoupling, taken from "refill when empty" to a true
+//! Sampling every `p_inter` iterations on the compute thread stalls the
+//! whole compute pool while a seed batch is sampled, and the sampler sits
+//! idle the rest of the time. With `N ≥ 1` workers this module decouples
+//! the two: `N` dedicated OS threads continuously sample ahead of the
+//! consumer, so sampler latency hides behind compute (the paper's Alg. 5
+//! decoupling, taken from "refill when empty" to a true
 //! producer–consumer pipeline).
 //!
 //! # Ticketing and determinism
 //!
 //! Workers draw [`Ticket`]s — `(batch, instance)` pairs in ascending
 //! [`Ticket::sequence`] order — from a shared counter, and each subgraph
-//! is sampled with the same `base_seed ⊕ hash(batch, instance)` seed
-//! scheme as the synchronous pool. Ticket claiming is racy (whichever
-//! worker is free takes the next one) but the *seed* of a ticket is a pure
-//! function of its sequence number, so subgraph **contents** never depend
-//! on worker count or interleaving.
+//! is sampled with the `base_seed ⊕ hash(batch, instance)` seed scheme of
+//! [`crate::pool`]. Ticket claiming is racy (whichever worker is free
+//! takes the next one) but the *seed* of a ticket is a pure function of
+//! its sequence number, so subgraph **contents** never depend on worker
+//! count or interleaving.
 //!
 //! # Reorder buffer
 //!
 //! Workers finish out of order (sampling time varies per seed), so
 //! delivery goes through a small reorder buffer: a `BTreeMap` keyed on the
 //! ticket sequence. [`SamplerPipeline::pop`] only ever releases the next
-//! in-order sequence, which makes the consumed stream identical to the
-//! synchronous pool's pop order — batch-major, instance-minor — and hence
-//! the training-loss trajectory bit-identical for a fixed seed.
+//! in-order sequence, which makes the consumed stream batch-major,
+//! instance-minor for every worker count — the order of
+//! [`crate::pool::SubgraphPool`] — and hence the training-loss trajectory
+//! bit-identical for a fixed seed.
+//!
+//! # No workers
+//!
+//! A pipeline spawned with `workers = 0` starts no thread. When the next
+//! ticket is not in the reorder buffer, [`SamplerPipeline::pop`] samples
+//! that ticket's whole seed batch itself, `p_inter` instances in parallel
+//! on the caller's rayon pool ([`crate::pool::sample_many`], Alg. 5
+//! lines 3–5), delivers them into the reorder buffer and advances the
+//! same ticket counters, so the stream is the one the workers produce by
+//! construction. A gathering pipeline then gathers the popped subgraph's
+//! rows inline, on the consumer, with the same [`SubgraphRows::gather`]
+//! ([`SamplerPipeline::consumer_gather_secs`] counts that time). Nothing
+//! overlaps: the pop is sampling time, the gather is the consumer's.
 //!
 //! # Gathering
 //!
 //! A pipeline spawned with [`SamplerPipeline::spawn_gathering`] also
 //! copies each sampled subgraph's feature and label rows out of a
-//! [`GraphStore`] ([`SubgraphRows::gather`], the same routine the
-//! synchronous trainer calls inline) into a recycled buffer, and delivers
-//! them with the subgraph, in ticket order:
+//! [`GraphStore`] ([`SubgraphRows::gather`]) into a recycled buffer, and
+//! delivers them with the subgraph, in ticket order:
 //! [`SamplerPipeline::pop_gathered`] swaps them into the consumer's
 //! buffer and takes the consumer's previous buffer back for the next
 //! gather. Buffers are sized to the sampler's vertex budget when they are
-//! made, at most `capacity` per generation, so the steady state allocates
+//! made, at most `capacity` of them, so the steady state allocates
 //! nothing. A failed gather is delivered in its ticket's place and
-//! returned by that pop. [`SamplerPipeline::pause_gathers`] holds gathers
-//! off (in-flight ones finish first) while the consumer reads another
-//! store. A pipeline spawned with [`SamplerPipeline::spawn`] delivers bare
-//! subgraphs.
+//! returned by that pop. [`SamplerPipeline::pause_gathers`] holds the
+//! producers' gathers off (in-flight ones finish first) while the
+//! consumer reads another store. A pipeline spawned with
+//! [`SamplerPipeline::spawn`] delivers bare subgraphs.
 //!
 //! # Backpressure
 //!
@@ -56,7 +70,9 @@
 //! budget-many vertices plus their edges each — and on a gathering
 //! pipeline the bound also covers the gathered rows: at most
 //! `capacity × budget rows × (f + classes) × 4 B` of them sit in the
-//! queue, plus one buffer the consumer trains on.
+//! queue, plus one buffer the consumer trains on. With no workers
+//! `capacity` is ignored: the buffer holds the rest of one seed batch,
+//! and no rows.
 //!
 //! # Shutdown protocol
 //!
@@ -69,7 +85,7 @@
 //! vanishing: the panic message is parked in the shared state, `stop` is
 //! raised, and every subsequent [`SamplerPipeline::pop`] returns
 //! [`PipelinePoisoned`] rather than blocking on a subgraph that will never
-//! arrive.
+//! arrive. (With no workers a sampler panic unwinds out of `pop`.)
 //!
 //! Worker threads are dedicated `std::thread` spawns, *not* rayon tasks:
 //! nesting long-running sampler loops inside the compute pool would tie up
@@ -77,7 +93,7 @@
 //! ROADMAP), whereas OS threads just time-share with compute when cores
 //! are scarce and overlap fully when they are not.
 
-use crate::pool::Ticket;
+use crate::pool::{sample_many, Ticket};
 use crate::GraphSampler;
 use gsgcn_graph::{GraphStore, InducedSubgraph, Topology};
 use gsgcn_tensor::DMatrix;
@@ -91,17 +107,17 @@ use std::time::Instant;
 /// Configuration of a [`SamplerPipeline`].
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Dedicated sampler worker threads (≥ 1).
+    /// Dedicated sampler worker threads; `0` samples (and gathers) inline
+    /// on the consumer (module docs, "No workers").
     pub workers: usize,
-    /// Instances per seed batch (`p_inter`) — defines the ticket stream
-    /// shared with the synchronous pool.
+    /// Instances per seed batch (`p_inter`) — defines the ticket stream.
     pub p_inter: usize,
     /// Base seed of the `(batch, instance)` seed scheme.
     pub base_seed: u64,
     /// Backpressure bound on `ready + in-flight` subgraphs; `0` selects
     /// the default: `max(2·p_inter, workers)` for a bare pipeline,
     /// `workers` (one subgraph ahead per worker) for a gathering one,
-    /// whose slots each hold a subgraph's rows.
+    /// whose slots each hold a subgraph's rows. Ignored with no workers.
     pub capacity: usize,
 }
 
@@ -138,9 +154,9 @@ impl SubgraphRows {
     /// Gather the feature and label rows of `origin` from `store` into
     /// these buffers, reusing their capacity (Alg. 1 line 5). The one
     /// gather of a training step: a gathering pipeline's producers run
-    /// it, and the synchronous trainer calls it inline. On the mmap
-    /// backend this is the out-of-core read through the shard cache; the
-    /// error names the gather that failed.
+    /// it, or its consumer when there are none. On the mmap backend this
+    /// is the out-of-core read through the shard cache; the error names
+    /// the gather that failed.
     pub fn gather(&mut self, store: &GraphStore, origin: &[u32]) -> Result<(), String> {
         store
             .gather_features_into(origin, &mut self.features)
@@ -169,15 +185,15 @@ impl std::fmt::Display for PipelinePoisoned {
 
 impl std::error::Error for PipelinePoisoned {}
 
-/// Hook invoked by producer threads right after a subgraph lands in the
-/// reorder buffer — i.e. *ahead* of the consumer popping it. The argument
-/// is the subgraph's origin vertex set (advisory: must be cheap and must
-/// not panic). No production code installs one; the hook stays because
-/// the e2e harness still calls [`SamplerPipeline::set_on_ready`].
+/// Hook invoked right after a subgraph lands in the reorder buffer — i.e.
+/// *ahead* of the consumer popping it. The argument is the subgraph's
+/// origin vertex set (advisory: must be cheap and must not panic). No
+/// production code installs one; the hook stays because the e2e harness
+/// still calls [`SamplerPipeline::set_on_ready`].
 pub type ReadyHook = Arc<dyn Fn(&[u32]) + Send + Sync>;
 
-/// What one ticket delivers: the subgraph and, on a gathering pipeline,
-/// its rows or the error of their gather.
+/// What one ticket delivers: the subgraph and, when a producer gathered
+/// them, its rows or the error of their gather.
 struct Delivery {
     sub: InducedSubgraph,
     rows: Option<Result<SubgraphRows, String>>,
@@ -185,10 +201,7 @@ struct Delivery {
 
 /// Mutex-guarded pipeline state (see module docs for the protocol).
 struct State {
-    /// Bumped by [`SamplerPipeline::reset_with`]; deliveries from tickets
-    /// claimed under an older generation are dropped.
-    generation: u64,
-    /// Next ticket sequence a producer will claim.
+    /// Next ticket sequence to sample.
     next_ticket: u64,
     /// Next ticket sequence the consumer will release.
     next_out: u64,
@@ -200,24 +213,14 @@ struct State {
     stop: bool,
     /// Panic payload of the first worker that panicked.
     poisoned: Option<String>,
-    /// Base seed of the `(batch, instance)` seed scheme (per generation).
-    base_seed: u64,
-    /// Sampler of the current generation (workers clone at claim time).
-    sampler: Arc<dyn GraphSampler + Send + Sync>,
-    /// Graph of the current generation (workers clone at claim time).
-    graph: Arc<dyn Topology + Send + Sync>,
-    /// Store the current generation gathers rows from and the most rows
-    /// one subgraph has (`None`: bare subgraphs; workers clone at claim
-    /// time).
-    rows_from: Option<(Arc<GraphStore>, usize)>,
-    /// Row buffers of the current generation back from the consumer, for
-    /// the next gathers.
+    /// Row buffers back from the consumer, for the next gathers.
     free_rows: Vec<SubgraphRows>,
-    /// Live [`GatherPause`] guards: no gather starts while this is > 0.
+    /// Live [`GatherPause`] guards: no producer gather starts while this
+    /// is > 0.
     gathers_paused: usize,
     /// Producers inside a gather right now.
     gathering: usize,
-    /// Optional delivered-subgraph callback of the current generation.
+    /// Optional delivered-subgraph callback.
     on_ready: Option<ReadyHook>,
 }
 
@@ -239,6 +242,12 @@ struct Shared {
     gather_nanos: AtomicU64,
     capacity: usize,
     p_inter: usize,
+    base_seed: u64,
+    sampler: Arc<dyn GraphSampler + Send + Sync>,
+    graph: Arc<dyn Topology + Send + Sync>,
+    /// Store to gather rows from and the most rows one subgraph has
+    /// (`None`: bare subgraphs).
+    rows_from: Option<(Arc<GraphStore>, usize)>,
 }
 
 impl Shared {
@@ -252,17 +261,56 @@ impl Shared {
     fn wait<'a>(&self, cv: &Condvar, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         cv.wait(st).unwrap_or_else(|p| p.into_inner())
     }
+
+    /// Put ticket `seq`'s delivery into the reorder buffer, announcing
+    /// its origin set to the hook first — under the state lock, so the
+    /// hook hears it strictly before any pop can release the subgraph.
+    /// The hook is advisory: a panicking hook is dropped, never allowed to
+    /// kill a worker (which would wedge `pop`).
+    fn deliver(&self, st: &mut State, seq: u64, delivery: Delivery) {
+        if let Some(hook) = st.on_ready.clone() {
+            if catch_unwind(AssertUnwindSafe(|| hook(&delivery.sub.origin))).is_err() {
+                st.on_ready = None;
+            }
+        }
+        st.ready.insert(seq, delivery);
+    }
+
+    /// Sample the seed batch of the next ticket on the caller's rayon pool
+    /// and deliver it (module docs, "No workers"). Without workers every
+    /// sampled ticket is popped before the next batch is due, so the next
+    /// ticket opens its batch and the whole batch is the rest of it.
+    fn sample_inline(&self, st: &mut State) {
+        let ticket = Ticket::from_sequence(st.next_ticket, self.p_inter);
+        debug_assert_eq!(ticket.instance, 0, "inline sampling starts a batch");
+        let subs = sample_many(
+            &*self.sampler,
+            &*self.graph,
+            self.p_inter,
+            self.base_seed,
+            ticket.batch,
+        );
+        for sub in subs {
+            let seq = st.next_ticket;
+            st.next_ticket += 1;
+            self.deliver(st, seq, Delivery { sub, rows: None });
+        }
+    }
 }
 
-/// A running sampler pipeline: `workers` producer threads plus the
-/// consumer-side cursor and stall accounting. See the module docs.
+/// A running sampler pipeline: `workers` producer threads (possibly none)
+/// plus the consumer-side cursor and stall accounting. See the module
+/// docs.
 pub struct SamplerPipeline {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
     /// Subgraphs popped so far (consumer-side, for reporting).
     popped: u64,
-    /// Cumulative seconds the consumer spent blocked in [`Self::pop`].
+    /// Cumulative seconds the consumer spent blocked (or, with no
+    /// workers, sampling) in [`Self::pop`].
     stall_secs: f64,
+    /// Cumulative seconds the consumer spent gathering rows inline.
+    gather_secs: f64,
 }
 
 /// Holds a pipeline's gathers off while it lives; see
@@ -323,22 +371,15 @@ impl SamplerPipeline {
         rows_from: Option<(Arc<GraphStore>, usize)>,
         cfg: PipelineConfig,
     ) -> Self {
-        assert!(cfg.workers >= 1, "pipeline needs at least one worker");
         assert!(cfg.p_inter >= 1, "p_inter must be ≥ 1");
-        let capacity = cfg.effective_capacity(rows_from.is_some());
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                generation: 0,
                 next_ticket: 0,
                 next_out: 0,
                 ready: BTreeMap::new(),
                 in_flight: 0,
                 stop: false,
                 poisoned: None,
-                base_seed: cfg.base_seed,
-                sampler,
-                graph,
-                rows_from,
                 free_rows: Vec::new(),
                 gathers_paused: 0,
                 gathering: 0,
@@ -349,8 +390,12 @@ impl SamplerPipeline {
             gather_turn: Condvar::new(),
             sampling_nanos: AtomicU64::new(0),
             gather_nanos: AtomicU64::new(0),
-            capacity,
+            capacity: cfg.effective_capacity(rows_from.is_some()),
             p_inter: cfg.p_inter,
+            base_seed: cfg.base_seed,
+            sampler,
+            graph,
+            rows_from,
         });
         let workers = (0..cfg.workers)
             .map(|i| {
@@ -366,89 +411,23 @@ impl SamplerPipeline {
             workers,
             popped: 0,
             stall_secs: 0.0,
+            gather_secs: 0.0,
         }
     }
 
-    /// Rewind the ticket stream over a (possibly new) sampler × graph ×
-    /// seed, **reusing the existing worker threads** instead of joining
-    /// and respawning them — the cheap way to run a hyper-parameter
-    /// sweep's `train()` calls over one pipeline. Afterwards the pipeline
-    /// delivers bare subgraphs; [`Self::reset_gathering`] is the gathering
-    /// counterpart.
-    ///
-    /// The generation counter makes this safe mid-stream: tickets claimed
-    /// before the reset deliver into the void (their subgraphs are
-    /// dropped, never mixed into the new stream), so the consumed stream
-    /// after a reset is bit-identical to the one a freshly spawned
-    /// pipeline would produce. `p_inter` and capacity are fixed at spawn;
-    /// consumer-side counters (`popped`, stall/sampling times) keep
-    /// accumulating across generations.
-    ///
-    /// # Panics
-    /// Panics if the pipeline is poisoned — its workers are gone, so a
-    /// reset could never produce again.
-    pub fn reset_with<S, G>(&mut self, sampler: Arc<S>, graph: Arc<G>, base_seed: u64)
-    where
-        S: GraphSampler + Send + Sync + 'static,
-        G: Topology + Send + Sync + 'static,
-    {
-        self.reset(sampler, graph, None, base_seed);
-    }
-
-    /// [`Self::reset_with`] over `store`, gathering each subgraph's rows
-    /// from it as [`Self::spawn_gathering`] does — never from the store of
-    /// an earlier generation — into buffers of the new generation.
-    pub fn reset_gathering<S>(
-        &mut self,
-        sampler: Arc<S>,
-        store: Arc<GraphStore>,
-        max_rows: usize,
-        base_seed: u64,
-    ) where
-        S: GraphSampler + Send + Sync + 'static,
-    {
-        self.reset(sampler, store.clone(), Some((store, max_rows)), base_seed);
-    }
-
-    fn reset(
-        &mut self,
-        sampler: Arc<dyn GraphSampler + Send + Sync>,
-        graph: Arc<dyn Topology + Send + Sync>,
-        rows_from: Option<(Arc<GraphStore>, usize)>,
-        base_seed: u64,
-    ) {
-        let mut st = self.shared.lock();
-        if let Some(message) = &st.poisoned {
-            panic!("cannot reset a poisoned pipeline: {message}");
-        }
-        st.generation += 1;
-        st.next_ticket = 0;
-        st.next_out = 0;
-        st.ready.clear();
-        st.free_rows.clear();
-        st.base_seed = base_seed;
-        st.sampler = sampler;
-        st.graph = graph;
-        st.rows_from = rows_from;
-        st.on_ready = None;
-        drop(st);
-        // `ready` just emptied: every parked producer has room again.
-        self.shared.can_produce.notify_all();
-    }
-
-    /// Install (or clear) the delivered-subgraph hook for the current
-    /// generation. Producers call it with each subgraph's origin set the
-    /// moment the subgraph enters the reorder buffer — ahead of the
-    /// consumer. Cleared automatically by [`Self::reset_with`]. Kept for
-    /// the e2e harness; nothing in the library installs a hook.
+    /// Install (or clear) the delivered-subgraph hook. It hears each
+    /// subgraph's origin set the moment the subgraph enters the reorder
+    /// buffer — ahead of the consumer. Kept for the e2e harness; nothing
+    /// in the library installs a hook.
     pub fn set_on_ready(&self, hook: Option<ReadyHook>) {
         self.shared.lock().on_ready = hook;
     }
 
     /// Pop the next subgraph in ticket-sequence order, blocking until a
-    /// worker delivers it. Returns [`PipelinePoisoned`] (forever after)
-    /// once any worker has panicked. On a gathering pipeline the rows
-    /// delivered with the subgraph go straight back to the producers.
+    /// worker delivers it (with no workers: sampling its seed batch
+    /// first). Returns [`PipelinePoisoned`] (forever after) once any
+    /// worker has panicked. On a gathering pipeline the rows delivered
+    /// with the subgraph go straight back to the producers.
     pub fn pop(&mut self) -> Result<InducedSubgraph, PipelinePoisoned> {
         self.pop_with(|st, delivery| {
             if let Some(Ok(rows)) = delivery.rows {
@@ -458,31 +437,40 @@ impl SamplerPipeline {
         })
     }
 
-    /// Pop the next subgraph of a gathering pipeline and swap its rows
-    /// into `rows`; the buffers `rows` held go back to the producers for
-    /// a later gather. Fails, in the failed ticket's place, with the
-    /// error of its gather; with [`PipelinePoisoned`]'s message once a
-    /// worker has panicked; and on a pipeline that does not gather.
+    /// Pop the next subgraph of a gathering pipeline with its rows in
+    /// `rows`: a producer's buffers are swapped in, and the buffers `rows`
+    /// held go back to the producers for a later gather; with no workers
+    /// the rows are gathered into `rows` here. Fails, in the failed
+    /// ticket's place, with the error of its gather; with
+    /// [`PipelinePoisoned`]'s message once a worker has panicked; and on
+    /// a pipeline that does not gather.
     pub fn pop_gathered(&mut self, rows: &mut SubgraphRows) -> Result<InducedSubgraph, String> {
         let (sub, gathered) = self
             .pop_with(|st, delivery| {
-                let gathered = match delivery.rows {
-                    Some(Ok(mut got)) => {
+                let gathered = delivery.rows.map(|got| {
+                    got.map(|mut got| {
                         std::mem::swap(rows, &mut got);
                         st.free_rows.push(got);
-                        Ok(())
-                    }
-                    Some(Err(e)) => Err(e),
-                    None => Err("the sampler pipeline does not gather rows".to_string()),
-                };
+                    })
+                });
                 (delivery.sub, gathered)
             })
             .map_err(|e| e.to_string())?;
-        gathered.map(|()| sub)
+        match (gathered, &self.shared.rows_from) {
+            (Some(gathered), _) => gathered.map(|()| sub),
+            (None, Some((store, _))) => {
+                let t0 = Instant::now();
+                let gathered = rows.gather(store, &sub.origin);
+                self.gather_secs += t0.elapsed().as_secs_f64();
+                gathered.map(|()| sub)
+            }
+            (None, None) => Err("the sampler pipeline does not gather rows".to_string()),
+        }
     }
 
-    /// Wait for the next in-order delivery and hand it to `take` under
-    /// the state lock.
+    /// Wait for the next in-order delivery — sampling its batch first
+    /// when there are no workers — and hand it to `take` under the state
+    /// lock.
     fn pop_with<T>(
         &mut self,
         take: impl FnOnce(&mut State, Delivery) -> T,
@@ -510,7 +498,11 @@ impl SamplerPipeline {
                 self.stall_secs += t0.elapsed().as_secs_f64();
                 return Err(err);
             }
-            st = self.shared.wait(&self.shared.can_consume, st);
+            if self.workers.is_empty() {
+                self.shared.sample_inline(&mut st);
+            } else {
+                st = self.shared.wait(&self.shared.can_consume, st);
+            }
         }
     }
 
@@ -518,7 +510,8 @@ impl SamplerPipeline {
     /// already running finish before this returns, and producers that
     /// finish sampling meanwhile wait to gather (sampling itself goes on).
     /// For a consumer that is about to read another store and must not
-    /// have this pipeline's store mapping rows at the same time.
+    /// have this pipeline's store mapping rows at the same time. (With no
+    /// workers the only gathers are the consumer's own.)
     pub fn pause_gathers(&self) -> GatherPause<'_> {
         let mut st = self.shared.lock();
         st.gathers_paused += 1;
@@ -540,29 +533,36 @@ impl SamplerPipeline {
         self.workers.len()
     }
 
-    /// Cumulative seconds the consumer spent blocked inside [`Self::pop`]
-    /// — the producer time the pipeline failed to hide.
+    /// Cumulative seconds the consumer spent inside [`Self::pop`] —
+    /// blocked on the workers, or with none sampling — i.e. the sampling
+    /// time the pipeline failed to hide.
     pub fn consumer_stall_secs(&self) -> f64 {
         self.stall_secs
     }
 
+    /// Cumulative seconds [`Self::pop_gathered`] spent gathering rows on
+    /// the consumer (with no workers; 0 otherwise).
+    pub fn consumer_gather_secs(&self) -> f64 {
+        self.gather_secs
+    }
+
     /// Cumulative wall-clock seconds workers spent sampling, summed over
-    /// threads (gathers excluded: [`Self::producer_gather_secs`]).
-    /// `producer_sampling_secs() - consumer_stall_secs()` is the sampling
-    /// work hidden behind compute (clamped at 0: with more workers than
-    /// cores the sums can race ahead of consumer time).
+    /// threads (gathers excluded: [`Self::producer_gather_secs`]; 0 with
+    /// no workers). `producer_sampling_secs() - consumer_stall_secs()` is
+    /// the sampling work hidden behind compute (clamped at 0: with more
+    /// workers than cores the sums can race ahead of consumer time).
     pub fn producer_sampling_secs(&self) -> f64 {
         self.shared.sampling_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
     /// Cumulative wall-clock seconds workers spent gathering rows, summed
-    /// over threads (0 on a bare pipeline).
+    /// over threads (0 on a bare pipeline or with no workers).
     pub fn producer_gather_secs(&self) -> f64 {
         self.shared.gather_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
     /// Subgraphs currently buffered or being sampled (test/debug probe;
-    /// bounded by the configured capacity).
+    /// bounded by the configured capacity when there are workers).
     pub fn pending(&self) -> usize {
         let st = self.shared.lock();
         st.ready.len() + st.in_flight
@@ -589,15 +589,11 @@ impl Drop for SamplerPipeline {
 
 /// Producer loop: claim the next ticket (parking when the buffer is
 /// full), sample it — and gather its rows, on a gathering pipeline —
-/// outside the lock, deliver into the reorder buffer. Sampler, graph,
-/// row store, seed and hook are snapshotted at claim time so a concurrent
-/// [`SamplerPipeline::reset_with`] can swap them without racing a
-/// mid-sample worker; the generation stamp makes the stale delivery
-/// detectable.
+/// outside the lock, deliver into the reorder buffer.
 fn worker_loop(shared: &Shared) {
     loop {
         // --- Claim phase (under lock, with backpressure) ---
-        let (generation, seq, seed, sampler, graph, rows_from) = {
+        let seq = {
             let mut st = shared.lock();
             loop {
                 if st.stop {
@@ -611,29 +607,22 @@ fn worker_loop(shared: &Shared) {
             let seq = st.next_ticket;
             st.next_ticket += 1;
             st.in_flight += 1;
-            let seed = Ticket::from_sequence(seq, shared.p_inter).seed(st.base_seed);
-            (
-                st.generation,
-                seq,
-                seed,
-                Arc::clone(&st.sampler),
-                Arc::clone(&st.graph),
-                st.rows_from.clone(),
-            )
+            seq
         };
+        let seed = Ticket::from_sequence(seq, shared.p_inter).seed(shared.base_seed);
 
         // --- Sample phase (no lock held) ---
         let t0 = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| sampler.sample_subgraph(&*graph, seed)));
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            shared.sampler.sample_subgraph(&*shared.graph, seed)
+        }));
         shared
             .sampling_nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
 
         // --- Gather phase (gathering pipelines; no lock held) ---
-        let result = match (result, rows_from) {
-            (Ok(sub), Some((store, max_rows))) => {
-                gather_rows(shared, generation, &store, max_rows, sub)
-            }
+        let result = match (result, &shared.rows_from) {
+            (Ok(sub), Some((store, max_rows))) => gather_rows(shared, store, *max_rows, sub),
             (result, _) => result.map(|sub| Delivery { sub, rows: None }),
         };
 
@@ -642,27 +631,9 @@ fn worker_loop(shared: &Shared) {
         st.in_flight -= 1;
         match result {
             Ok(delivery) => {
-                if st.generation == generation {
-                    // Announce before insertion — under the state lock, so
-                    // the hook hears the origin set strictly before any
-                    // pop can release the subgraph. The hook is
-                    // advisory: a panicking hook is dropped, never allowed
-                    // to kill the worker (which would wedge `pop`).
-                    if let Some(hook) = st.on_ready.clone() {
-                        if catch_unwind(AssertUnwindSafe(|| hook(&delivery.sub.origin))).is_err() {
-                            st.on_ready = None;
-                        }
-                    }
-                    st.ready.insert(seq, delivery);
-                    drop(st);
-                    shared.can_consume.notify_all();
-                } else {
-                    // Stale ticket from before a reset: the subgraph and
-                    // its rows are dropped, but its capacity slot frees a
-                    // producer.
-                    drop(st);
-                    shared.can_produce.notify_one();
-                }
+                shared.deliver(&mut st, seq, delivery);
+                drop(st);
+                shared.can_consume.notify_all();
             }
             Err(payload) => {
                 st.poisoned.get_or_insert(panic_message(payload));
@@ -677,14 +648,12 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Gather `sub`'s rows from `store` once no [`GatherPause`] is held, into
-/// a recycled buffer or, while the generation has fewer than `capacity`,
-/// a new one of `max_rows` rows. A ticket that went stale or a pipeline
-/// that stopped meanwhile delivers the bare subgraph: nobody will read
-/// its rows. A gather that panics is returned as the panic, like a
-/// sampler's.
+/// a recycled buffer or, while fewer than `capacity` exist, a new one of
+/// `max_rows` rows. A pipeline that stopped meanwhile delivers the bare
+/// subgraph: nobody will read its rows. A gather that panics is returned
+/// as the panic, like a sampler's.
 fn gather_rows(
     shared: &Shared,
-    generation: u64,
     store: &GraphStore,
     max_rows: usize,
     sub: InducedSubgraph,
@@ -694,7 +663,7 @@ fn gather_rows(
         while st.gathers_paused > 0 && !st.stop {
             st = shared.wait(&shared.gather_turn, st);
         }
-        if st.stop || st.generation != generation {
+        if st.stop {
             return Ok(Delivery { sub, rows: None });
         }
         st.gathering += 1;
@@ -783,11 +752,17 @@ mod tests {
             .map(|_| pool.pop_or_refill(&*s, &*g).origin)
             .collect();
 
-        for workers in [1usize, 2, 4] {
+        for workers in [0usize, 1, 2, 4] {
             let mut pipe =
                 SamplerPipeline::spawn(Arc::clone(&s), Arc::clone(&g), cfg(workers, p_inter));
             let got: Vec<Vec<u32>> = (0..n_pops).map(|_| pipe.pop().unwrap().origin).collect();
             assert_eq!(got, reference, "{workers} workers diverged from pool order");
+            let mut rows = SubgraphRows {
+                features: DMatrix::zeros(0, 0),
+                labels: DMatrix::zeros(0, 0),
+            };
+            let err = pipe.pop_gathered(&mut rows).unwrap_err();
+            assert!(err.contains("does not gather"), "{err}");
         }
     }
 
@@ -873,44 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_with_matches_fresh_spawn_bit_for_bit() {
-        let g = Arc::new(ring(300));
-        let s = Arc::new(sampler());
-        let p_inter = 3;
-
-        // Reference streams from freshly spawned pipelines.
-        let fresh = |seed: u64, n: usize| -> Vec<Vec<u32>> {
-            let mut pipe = SamplerPipeline::spawn(
-                Arc::clone(&s),
-                Arc::clone(&g),
-                PipelineConfig {
-                    workers: 2,
-                    p_inter,
-                    base_seed: seed,
-                    capacity: 0,
-                },
-            );
-            (0..n).map(|_| pipe.pop().unwrap().origin).collect()
-        };
-        let want_a = fresh(42, 7);
-        let want_b = fresh(99, 7);
-
-        // One pipeline, reset between "train() calls": streams identical,
-        // including a reset taken mid-stream with subgraphs in flight.
-        let mut pipe = SamplerPipeline::spawn(Arc::clone(&s), Arc::clone(&g), cfg(2, p_inter));
-        pipe.reset_with(Arc::clone(&s), Arc::clone(&g), 42);
-        let got_a: Vec<Vec<u32>> = (0..7).map(|_| pipe.pop().unwrap().origin).collect();
-        assert_eq!(got_a, want_a, "first generation diverged");
-        pipe.reset_with(Arc::clone(&s), Arc::clone(&g), 99);
-        let got_b: Vec<Vec<u32>> = (0..7).map(|_| pipe.pop().unwrap().origin).collect();
-        assert_eq!(got_b, want_b, "post-reset generation diverged");
-        // And back again: no stale generation-0/1 subgraphs leak in.
-        pipe.reset_with(Arc::clone(&s), Arc::clone(&g), 42);
-        let again: Vec<Vec<u32>> = (0..7).map(|_| pipe.pop().unwrap().origin).collect();
-        assert_eq!(again, want_a, "third generation diverged");
-    }
-
-    #[test]
     fn on_ready_hook_sees_origins_ahead_of_pop() {
         let g = Arc::new(ring(300));
         let s = Arc::new(sampler());
@@ -972,7 +909,7 @@ mod tests {
             .collect();
         let (gathered, last) = reference.split_at(11);
         let mut want = SubgraphRows::with_capacity(&store, 25);
-        for workers in [1usize, 2] {
+        for workers in [0usize, 1, 2] {
             let cfg = cfg(workers, p_inter);
             let mut pipe =
                 SamplerPipeline::spawn_gathering(Arc::clone(&s), Arc::clone(&store), 25, cfg);
@@ -984,37 +921,12 @@ mod tests {
                 assert_eq!(rows.features, want.features);
                 assert_eq!(rows.labels, want.labels);
             }
-            assert!(pipe.producer_gather_secs() > 0.0);
+            // Producers gather when there are any; otherwise the consumer.
+            assert_eq!(pipe.producer_gather_secs() > 0.0, workers > 0);
+            assert_eq!(pipe.consumer_gather_secs() > 0.0, workers == 0);
             // A bare pop still delivers the next subgraph in order.
             assert_eq!(pipe.pop().unwrap().origin, last[0]);
         }
-    }
-
-    #[test]
-    fn reset_gathering_gathers_from_the_new_store_only() {
-        let (old, new) = (ring_store(300), ring_store(400));
-        let s = Arc::new(sampler());
-        let mut pipe = SamplerPipeline::spawn(Arc::clone(&s), Arc::clone(&old), cfg(2, 2));
-        let mut rows = SubgraphRows::with_capacity(&old, 25);
-        assert!(pipe
-            .pop_gathered(&mut rows)
-            .unwrap_err()
-            .contains("does not gather"));
-        pipe.reset_gathering(Arc::clone(&s), Arc::clone(&new), 25, 42);
-        let mut pool = SubgraphPool::new(2, 42);
-        let mut want = SubgraphRows::with_capacity(&new, 25);
-        for _ in 0..6 {
-            let origin = pool.pop_or_refill(&*s, &*new).origin;
-            assert_eq!(pipe.pop_gathered(&mut rows).unwrap().origin, origin);
-            want.gather(&new, &origin).unwrap();
-            assert_eq!(rows.features, want.features);
-        }
-        // Back to bare subgraphs.
-        pipe.reset_with(Arc::clone(&s), Arc::clone(&old), 42);
-        assert!(pipe
-            .pop_gathered(&mut rows)
-            .unwrap_err()
-            .contains("does not gather"));
     }
 
     #[test]
@@ -1022,25 +934,29 @@ mod tests {
         // A store without feature rows: every gather fails.
         let store = Arc::new(GraphStore::from_graph(Arc::new(ring(300))));
         let s = Arc::new(sampler());
-        let mut pipe = SamplerPipeline::spawn_gathering(s, store, 25, cfg(2, 2));
-        let mut rows = SubgraphRows {
-            features: DMatrix::zeros(0, 0),
-            labels: DMatrix::zeros(0, 0),
-        };
-        for _ in 0..5 {
-            let err = pipe.pop_gathered(&mut rows).unwrap_err();
-            assert!(
-                err.starts_with("feature gather from graph store failed"),
-                "{err}"
+        for workers in [0usize, 2] {
+            let cfg = cfg(workers, 2);
+            let mut pipe =
+                SamplerPipeline::spawn_gathering(Arc::clone(&s), Arc::clone(&store), 25, cfg);
+            let mut rows = SubgraphRows {
+                features: DMatrix::zeros(0, 0),
+                labels: DMatrix::zeros(0, 0),
+            };
+            for _ in 0..5 {
+                let err = pipe.pop_gathered(&mut rows).unwrap_err();
+                assert!(
+                    err.starts_with("feature gather from graph store failed"),
+                    "{workers} workers: {err}"
+                );
+            }
+            assert_eq!(
+                pipe.popped(),
+                5,
+                "each failed ticket is consumed in its place"
             );
+            pipe.pop()
+                .expect("a failed gather does not poison the pipeline");
         }
-        assert_eq!(
-            pipe.popped(),
-            5,
-            "each failed ticket is consumed in its place"
-        );
-        pipe.pop()
-            .expect("a failed gather does not poison the pipeline");
     }
 
     #[test]

@@ -1,18 +1,24 @@
 //! Inter-subgraph parallelism (Alg. 5, lines 3–5): the shared
-//! ticketing/seeding core plus the synchronous subgraph pool.
+//! ticketing/seeding core plus the subgraph pool.
 //!
 //! Sampling instances are mutually independent because the training-graph
 //! topology is fixed across iterations, so the scheduler launches
-//! `p_inter` samplers in parallel and fills a pool of subgraphs that the
-//! training loop later pops one per iteration.
+//! `p_inter` samplers in parallel ([`sample_many`]) and fills a pool of
+//! subgraphs that the training loop later pops one per iteration.
 //!
 //! Determinism: instance `i` of batch `b` uses seed
 //! `base_seed ⊕ hash(b, i)`, so the pool's *contents* depend only on the
 //! configuration — never on thread interleaving. The [`Ticket`] type is
-//! the single source of that `(batch, instance) ↔ seed` mapping; both this
-//! synchronous pool and the pipelined producer–consumer path
-//! ([`crate::pipeline`]) derive their seeds from it, which is what makes
-//! the two paths bit-identical for a fixed base seed.
+//! the single source of that `(batch, instance) ↔ seed` mapping; this
+//! pool and the sampler pipeline ([`crate::pipeline`]) derive their seeds
+//! from it, which is what makes their streams bit-identical for a fixed
+//! base seed.
+//!
+//! The trainer drives sampling through the pipeline only (with no worker
+//! threads it samples each batch inline, through [`sample_many`]).
+//! [`SubgraphPool`] remains because the e2e harness's traced training
+//! loop still drives it, and the pipeline's tests compare their streams
+//! against it; it goes once that loop drives the trainer's pipeline.
 
 use crate::rng::splitmix64;
 use crate::GraphSampler;
@@ -30,8 +36,9 @@ pub fn instance_seed(base_seed: u64, batch: u64, instance: u64) -> u64 {
 ///
 /// Tickets order the training stream: subgraphs are consumed in ascending
 /// [`Ticket::sequence`] order — batch-major, instance-minor — no matter
-/// which path (synchronous pool or pipelined workers) produced them, and
-/// [`Ticket::seed`] is the one place the per-instance RNG seed is derived.
+/// which source (the pool, pipeline workers, or a pipeline sampling
+/// inline) produced them, and [`Ticket::seed`] is the one place the
+/// per-instance RNG seed is derived.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Ticket {
     /// Refill batch (`b` in the seed scheme).
@@ -151,7 +158,9 @@ impl SubgraphPool {
 mod tests {
     use super::*;
     use crate::dashboard::{DashboardSampler, FrontierConfig};
+    use crate::pipeline::{PipelineConfig, SamplerPipeline};
     use gsgcn_graph::{CsrGraph, GraphBuilder};
+    use std::sync::Arc;
 
     fn ring(n: usize) -> CsrGraph {
         GraphBuilder::new(n)
@@ -191,29 +200,39 @@ mod tests {
 
     #[test]
     fn pool_contents_deterministic_across_thread_counts() {
-        let g = ring(300);
-        let s = sampler();
-        let run = |threads: usize| -> Vec<Vec<u32>> {
+        let g = Arc::new(ring(300));
+        let s = Arc::new(sampler());
+        // Pool order and, from a pipeline without workers (which samples
+        // its batches on the caller's pool), the same stream.
+        let run = |threads: usize| -> (Vec<Vec<u32>>, Vec<Vec<u32>>) {
             let tp = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
             tp.install(|| {
                 let mut pool = SubgraphPool::new(6, 42);
-                pool.refill(&s, &g);
-                (0..6)
-                    .map(|_| {
-                        let sub = pool.pop_or_refill(&s, &g);
-                        sub.origin
-                    })
-                    .collect()
+                pool.refill(&*s, &*g);
+                let pooled = (0..6)
+                    .map(|_| pool.pop_or_refill(&*s, &*g).origin)
+                    .collect();
+                let cfg = PipelineConfig {
+                    workers: 0,
+                    p_inter: 6,
+                    base_seed: 42,
+                    capacity: 0,
+                };
+                let mut pipe = SamplerPipeline::spawn(Arc::clone(&s), Arc::clone(&g), cfg);
+                let piped = (0..6).map(|_| pipe.pop().unwrap().origin).collect();
+                (pooled, piped)
             })
         };
+        let (pooled, piped) = run(4);
         assert_eq!(
             run(1),
-            run(4),
-            "pool contents must not depend on thread count"
+            (pooled.clone(), piped.clone()),
+            "pool and inline pipeline contents must not depend on thread count"
         );
+        assert_eq!(pooled, piped, "an inline pipeline left pool order");
     }
 
     #[test]
