@@ -24,20 +24,27 @@ pub struct TrainerConfig {
     pub epochs: usize,
     /// Sampler instances launched per pool refill (`p_inter`, Alg. 5).
     pub p_inter: usize,
-    /// Worker threads for ALL parallel stages (sampling, propagation,
-    /// GEMM). `0` = rayon default.
+    /// Compute threads: the trainer's rayon pool, which runs the training
+    /// step (aggregation, GEMMs, loss, Adam) and, with no sampler
+    /// workers, the inline sampling. `0` = one per core. Together with
+    /// [`Self::sampler_threads`] this is the trainer's thread budget.
+    /// Evaluation runs on all of it — `threads + sampler_threads` threads
+    /// — when both are set, since it leaves the workers idle; otherwise
+    /// on the compute pool (see the trainer module's *Threads*). No
+    /// thread count changes a result bit.
     pub threads: usize,
-    /// Dedicated worker threads of the trainer's sampler pipeline: each
-    /// samples a subgraph and gathers its feature and label rows from the
-    /// training store concurrently with training compute, one subgraph
-    /// ahead per worker, hiding sampler latency and the (out-of-core)
-    /// row copy behind the GEMMs. Worker gathers pause while a stored
-    /// evaluation reads the full store. With `0` the same pipeline
-    /// samples each seed batch inline on the compute pool and gathers
-    /// each subgraph's rows on the training thread. Every worker count
-    /// consumes subgraphs in the same `(batch, instance)` ticket order
-    /// with the same seeds and rows, so the loss trajectory is
-    /// bit-identical for a fixed seed.
+    /// Dedicated worker threads of the trainer's sampler pipeline, on top
+    /// of [`Self::threads`]: each samples a subgraph and gathers its
+    /// feature and label rows from the training store concurrently with
+    /// training compute, one subgraph ahead per worker, hiding sampler
+    /// latency and the (out-of-core) row copy behind the GEMMs. Worker
+    /// gathers pause while a stored evaluation reads the full store, and
+    /// with `threads > 0` evaluation takes the workers' cores. With `0`
+    /// the same pipeline samples each seed batch inline on the compute
+    /// pool and gathers each subgraph's rows on the training thread.
+    /// Every worker count consumes subgraphs in the same
+    /// `(batch, instance)` ticket order with the same seeds and rows, so
+    /// the loss trajectory is bit-identical for a fixed seed.
     pub sampler_threads: usize,
     /// Evaluate validation F1 every this many epochs (0 = only at end).
     pub eval_every: usize,
@@ -124,7 +131,7 @@ impl TrainerConfig {
         self
     }
 
-    /// Set the thread count for every parallel stage.
+    /// Set the compute thread count ([`Self::threads`]).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -30,6 +30,31 @@
 //! workers), and the workers' sampling and gather wall-clock that ran
 //! hidden behind compute accumulates in
 //! [`Breakdown::sampling_hidden_secs`].
+//!
+//! # Threads
+//!
+//! A trainer's thread budget is [`TrainerConfig::threads`] compute threads
+//! (`0`: one per core) plus [`TrainerConfig::sampler_threads`] sampler
+//! workers, and each phase runs on its share of it:
+//!
+//! ```text
+//! phase                           runs on
+//! training step (Alg. 1 6–13)     compute pool: `threads`
+//! sampling + gathers, workers     the `sampler_threads` worker threads
+//! sampling, no workers            compute pool (gathers: training thread)
+//! evaluation, both set            evaluation pool: `threads + sampler_threads`
+//! evaluation, otherwise           compute pool
+//! ```
+//!
+//! Evaluation may take the workers' cores because the workers are idle
+//! while it runs: a stored evaluation pauses their gathers, and on either
+//! arm each worker stops once it is one subgraph ahead. The GEMM and the
+//! fused aggregation give the same bits at every thread count, so the
+//! width changes no probability and no F1. The evaluation pool is not
+//! clamped to the machine's cores: its threads are the ones the trainer
+//! already keeps busy during training. With `threads = 0` the compute
+//! pool already spans every core, and with no workers no core is idle, so
+//! neither builds the second pool.
 
 use crate::config::TrainerConfig;
 use crate::report::{EpochStats, EvalStats, TrainReport};
@@ -149,7 +174,12 @@ pub struct GsGcnTrainer<'a> {
     /// dropping the trainer joins the worker threads.
     pipeline: SamplerPipeline,
     cfg: TrainerConfig,
+    /// The compute pool: `threads` wide (`0`: one thread per core).
     thread_pool: rayon::ThreadPool,
+    /// The evaluation pool, `threads + sampler_threads` wide, when both
+    /// are set: evaluation also takes the cores of the workers it leaves
+    /// idle. `None` evaluates on `thread_pool`.
+    eval_pool: Option<rayon::ThreadPool>,
     breakdown: Breakdown,
     train_secs: f64,
     epochs_run: usize,
@@ -273,10 +303,20 @@ impl<'a> GsGcnTrainer<'a> {
             0
         };
         let rows = SubgraphRows::with_capacity(&train_store, rows_now);
-        let thread_pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.threads) // 0 = default
-            .build()
-            .map_err(|e| format!("failed to build thread pool: {e}"))?;
+        let pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads) // 0 = default
+                .build()
+                .map_err(|e| format!("failed to build thread pool: {e}"))
+        };
+        let thread_pool = pool(cfg.threads)?;
+        // Not clamped to the machine's cores: these threads already run
+        // during training, as compute threads and sampler workers.
+        let eval_pool = if cfg.threads > 0 && cfg.sampler_threads > 0 {
+            Some(pool(cfg.threads + cfg.sampler_threads)?)
+        } else {
+            None
+        };
 
         Ok(GsGcnTrainer {
             source,
@@ -285,6 +325,7 @@ impl<'a> GsGcnTrainer<'a> {
             pipeline,
             cfg,
             thread_pool,
+            eval_pool,
             breakdown: Breakdown::default(),
             train_secs: 0.0,
             epochs_run: 0,
@@ -333,6 +374,16 @@ impl<'a> GsGcnTrainer<'a> {
     /// empty split, `None` before the first evaluation.
     pub fn last_eval_stats(&self) -> Option<&EvalStats> {
         self.eval_stats.as_ref()
+    }
+
+    /// Threads an evaluation runs on: `threads + sampler_threads` when
+    /// both are set, otherwise the compute pool's width (see the module
+    /// docs' *Threads*).
+    pub fn eval_threads(&self) -> usize {
+        self.eval_pool
+            .as_ref()
+            .unwrap_or(&self.thread_pool)
+            .current_num_threads()
     }
 
     /// Cumulative training seconds.
@@ -476,6 +527,12 @@ impl<'a> GsGcnTrainer<'a> {
     ///   training store's rows are released first, and the full store's
     ///   rows are released on every exit, an error's included.
     ///
+    /// Both arms run on [`Self::eval_threads`] threads: with sampler
+    /// workers and a fixed compute width, the workers' cores join the
+    /// compute threads, since the workers idle while evaluation runs (the
+    /// stored arm pauses their gathers; on either arm each stops one
+    /// subgraph ahead). The thread count changes no bit of the result.
+    ///
     /// Either arm is allocation-free once warm. Fails only when the
     /// stored path cannot gather rows from the graph store.
     pub fn try_evaluate(&mut self, split: EvalSplit) -> Result<f64, String> {
@@ -495,6 +552,7 @@ impl<'a> GsGcnTrainer<'a> {
             return Ok(0.0);
         }
         let single = self.source.task() == TaskKind::SingleLabel;
+        let pool = self.eval_pool.as_ref().unwrap_or(&self.thread_pool);
         let model = &self.model;
         let eval_ws = &mut self.eval_ws;
         let eval_probs_split = &mut self.eval_probs_split;
@@ -503,7 +561,7 @@ impl<'a> GsGcnTrainer<'a> {
             EvalSource::Resident(dataset) => {
                 let (g, x) = (&dataset.graph, &dataset.features);
                 let inputs = &mut self.eval_inputs;
-                let (f1, stats) = self.thread_pool.install(|| {
+                let (f1, stats) = pool.install(|| {
                     let t0 = Instant::now();
                     let fills = inputs.is_none();
                     let ax = inputs.get_or_insert_with(|| model.aggregate_input(g, x));
@@ -536,8 +594,7 @@ impl<'a> GsGcnTrainer<'a> {
                     }
                     Ok(())
                 };
-                let stats = self
-                    .thread_pool
+                let stats = pool
                     .install(|| {
                         let cap = EVAL_MAX_BALL_ROWS;
                         model.infer_probs_by_level(full, idx, cap, eval_ws, &mut score_tile)
@@ -884,6 +941,52 @@ mod tests {
                 t.train().unwrap();
             }
         }
+    }
+
+    /// Evaluation runs on the compute threads plus the sampler workers it
+    /// leaves idle, and that width changes no bit of any split's F1: on
+    /// the resident arm, and on the stored arm at a starved and at the
+    /// default budget, 0, 1 and 2 workers score alike.
+    #[test]
+    fn evaluation_width_changes_no_f1_bit() {
+        let d = quick_dataset();
+        let spill = Spilled::new(&d, "eval-width");
+        let stores =
+            [1 << 12, gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES].map(|b| spill.open(b));
+        let splits = [EvalSplit::Train, EvalSplit::Val, EvalSplit::Test];
+        let score = |mut t: GsGcnTrainer<'_>, workers: usize| {
+            assert_eq!(t.eval_threads(), 1 + workers);
+            // At the initial weights many probabilities sit near the
+            // threshold, so a changed bit would likely move the F1.
+            let initial = splits.map(|s| t.evaluate(s).to_bits());
+            t.train_epoch().unwrap();
+            (initial, splits.map(|s| t.evaluate(s).to_bits()))
+        };
+        let mut want = None;
+        for workers in [0, 1, 2] {
+            let mut cfg = TrainerConfig::quick_test();
+            cfg.threads = 1;
+            cfg.sampler_threads = workers;
+            let mut got = vec![score(GsGcnTrainer::new(&d, cfg.clone()).unwrap(), workers)];
+            for sd in &stores {
+                got.push(score(
+                    GsGcnTrainer::from_store(sd, cfg.clone()).unwrap(),
+                    workers,
+                ));
+            }
+            assert_eq!(
+                &got,
+                want.get_or_insert_with(|| got.clone()),
+                "{workers} workers"
+            );
+        }
+        // With one compute thread per core the compute pool already spans
+        // the machine: evaluation stays on it.
+        let mut cfg = TrainerConfig::quick_test();
+        cfg.sampler_threads = 1;
+        let t = GsGcnTrainer::new(&d, cfg).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(t.eval_threads(), cores);
     }
 
     /// A training gather that fails surfaces as an `Err` naming the

@@ -94,9 +94,13 @@ const USAGE: &str = "usage:
                backend, flag > GSGCN_GRAPH_STORE env > mem, and is an
                error without --shards; GSGCN_SHARD_CACHE sets each mmap store's
                mapped-byte budget, default 64MiB)
-              (--sampler-threads: dedicated sampler workers overlapping
-               sampling with compute, flag > GSGCN_SAMPLER_THREADS env >
-               auto = min(2, cores/4); 0 = synchronous in-loop sampling)
+              (--threads: compute threads of the training step, 0 = one
+               per core; --sampler-threads: worker threads that sample
+               the next subgraphs and gather their rows beside compute,
+               flag > GSGCN_SAMPLER_THREADS env > auto = min(2, cores/4),
+               0 = sample inline on the compute threads; with both set,
+               evaluation runs on threads + sampler-threads threads,
+               since it leaves the workers idle)
               (--precision <f32|bf16> on train/eval/predict/serve picks
                the activation storage precision, flag > GSGCN_PRECISION
                env > f32; bf16 stores activations at half width and trains
@@ -536,11 +540,8 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.epochs,
         cfg.hidden_dims
     );
-    match cfg.sampler_threads {
-        0 => println!("sampler: synchronous (in-loop refills)"),
-        n => println!("sampler: pipelined, {n} worker thread{}", plural(n)),
-    }
     let mut trainer = GsGcnTrainer::new(&dataset, cfg)?;
+    print_threads(&trainer);
     let report = trainer.train()?;
     println!("{}", report.summary());
     if let Some(path) = flags.get("save") {
@@ -561,6 +562,20 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     }
     print_peak_rss();
     Ok(())
+}
+
+/// The `sampler:` line of `train`, resident or `--shards`: where the
+/// pipeline samples and how many threads evaluation runs on.
+fn print_threads(trainer: &GsGcnTrainer<'_>) {
+    let eval = trainer.eval_threads();
+    let sampler = match trainer.config().sampler_threads {
+        0 => "inline (no worker threads)".to_string(),
+        n => format!("{n} worker thread{}", plural(n)),
+    };
+    println!(
+        "sampler: {sampler}; evaluation on {eval} thread{}",
+        plural(eval)
+    );
 }
 
 /// `gsgcn train --shards DIR`: train against a pre-sharded on-disk
@@ -589,6 +604,7 @@ fn train_from_shards(
         cfg.hidden_dims
     );
     let mut trainer = GsGcnTrainer::from_store(&sd, cfg)?;
+    print_threads(&trainer);
     let report = trainer.train()?;
     println!("{}", report.summary());
     print_cache_stats(&sd.full);

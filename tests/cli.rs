@@ -180,3 +180,62 @@ fn banner_prints_resolved_settings() {
         );
     }
 }
+
+/// `train` says where the sampler runs and how wide evaluation is, on the
+/// resident path and on `--shards`: evaluation takes the workers' cores
+/// when the compute width is fixed.
+#[test]
+fn train_banner_names_sampler_and_evaluation_threads() {
+    let dir = std::env::temp_dir().join(format!("gsgcn-cli-banner-{}", std::process::id()));
+    let dir_arg = dir.to_str().unwrap();
+    let shard = run(
+        &[
+            "shard",
+            "--dataset",
+            "ppi",
+            "--vertices",
+            "100",
+            "--out",
+            dir_arg,
+        ],
+        &[],
+    );
+    assert!(
+        shard.status.success(),
+        "{}",
+        String::from_utf8_lossy(&shard.stderr)
+    );
+    for (flags, want) in [
+        (
+            &["--threads", "1", "--sampler-threads", "0"][..],
+            "sampler: inline (no worker threads); evaluation on 1 thread",
+        ),
+        (
+            &["--threads", "1", "--sampler-threads", "1"][..],
+            "sampler: 1 worker thread; evaluation on 2 threads",
+        ),
+        (
+            &["--threads", "2", "--sampler-threads", "2"][..],
+            "sampler: 2 worker threads; evaluation on 4 threads",
+        ),
+    ] {
+        for shards in [None, Some(dir_arg)] {
+            let mut extra = flags.to_vec();
+            extra.extend(shards.map(|d| ["--shards", d]).into_iter().flatten());
+            let args = tiny_train(&extra);
+            let out = run(&args, &[]);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let lines: Vec<&str> = stdout
+                .lines()
+                .filter(|l| l.starts_with("sampler:"))
+                .collect();
+            assert_eq!(lines, [want], "{args:?}: {stdout}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
