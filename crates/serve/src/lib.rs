@@ -17,9 +17,10 @@
 //!  sockets                  front-end                          BatchEngine
 //!  ───────                  ─────────                          ───────────
 //!  conn ──┐   poll::EventFrontend (one thread)
-//!  conn ──┼─▶ nonblocking accept/read/write sweep
-//!  conn ──┘   per-conn state machine, pipelined replies
-//!        ▲    line OR length-prefixed binary protocol,
+//!  conn ──┼─▶ sweeps nonblocking conns while that makes progress,
+//!  conn ──┘   else blocks in poll(2): listener, conns, self-pipe
+//!        ▲    per-conn state machine, pipelined replies
+//!        │    line OR length-prefixed binary protocol,
 //!        │    idle eviction, max-conns bound
 //!        │         │ try_submit / try_take (never blocks)
 //!        │         ▼
@@ -49,6 +50,7 @@
 //!        │         │              byte budget, (node, version) keys)
 //!        │         ▼
 //!        └── ordered per-conn reply queue ◀─ per-request fulfillment
+//!             (the engine rings the self-pipe if the loop is parked)
 //!
 //!  shutdown: drop(engine) → stop flag → wake all → join workers;
 //!            queued-but-unserved requests fail with ShuttingDown.

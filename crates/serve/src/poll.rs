@@ -1,23 +1,62 @@
-//! Event-driven TCP front-end: one thread sweeping N nonblocking
-//! connections.
+//! Event-driven TCP front-end: one thread serving N nonblocking
+//! connections, blocking in `poll(2)` whenever it has nothing to do.
 //!
-//! The workspace is `std`-only (no epoll/kqueue binding to link), so
-//! readiness is discovered by a **sweep poller**: every connection is
-//! nonblocking, and one loop repeatedly attempts accept/read/write on
-//! all of them, parking with an adaptive backoff (50 µs doubling to
-//! 2 ms) whenever a full sweep makes no progress. Under load the loop
-//! never parks and behaves like a busy-polled reactor; idle, it costs a
-//! few wakeups per second. The sweep is a drop-in point for a real
-//! `Poller` should an OS binding ever land — connection state machines
-//! and protocol framing below are readiness-agnostic.
+//! # Readiness poller
+//!
+//! Every connection is nonblocking. The loop sweeps all of them —
+//! accept, then read / submit / resolve / write per connection, then
+//! cull — for as long as sweeps make progress; under load it never
+//! enters the kernel except for the socket calls themselves. A sweep that
+//! moves nothing blocks the thread in `poll(2)` on:
+//!
+//! * the listener (`POLLIN`: a connection to accept);
+//! * each connection that may still read (`POLLIN`) and each with
+//!   unwritten reply bytes (`POLLOUT`);
+//! * the read end of the front end's **self-pipe** (a Unix socket pair),
+//!   which the [`BatchEngine`] writes to when it fulfils a request this
+//!   front end submitted, or frees queue space that a deferred Block-mode
+//!   submit waits for, and which shutdown writes to as well.
+//!
+//! There is no periodic timer: the `poll` timeout is the earliest
+//! idle-eviction deadline among the idle connections, and infinite when
+//! no connection can expire. [`FrontendStats::waits`] counts the blocking
+//! waits and [`FrontendStats::wait_timeouts`] those that ended by timeout.
+//!
+//! # Wake protocol
+//!
+//! The engine must not pay a syscall per completion while the loop is
+//! busy, and must never leave the loop blocked on a completion it missed.
+//! The front end's `Wake` holds a completion `epoch` and a `parked`
+//! flag, both accessed `SeqCst`:
+//!
+//! 1. The loop reads `epoch` before each sweep.
+//! 2. After a sweep without progress it stores `parked = true`, then
+//!    reads `epoch` again; if it moved, it clears `parked` and sweeps
+//!    again instead of blocking.
+//! 3. The waker (the engine, after publishing a result or freeing queue
+//!    space; shutdown, after raising the stop flag) increments `epoch`,
+//!    then swaps `parked` to false, and writes one byte to the pipe only
+//!    if the swap flipped it from true.
+//!
+//! Steps 2 and 3 are a store-then-load on each side of two `SeqCst`
+//! locations, so one of them sees the other: either the loop's second
+//! read sees the new epoch (it sweeps again and finds the result), or the
+//! waker's swap sees `parked` and the byte makes `poll` return. A byte
+//! that arrives after the loop has already woken for another reason
+//! costs one extra sweep. The loop drains the pipe after every `poll`
+//! that reports it readable.
 //!
 //! Per connection the state machine is: read bytes → parse frames
-//! (line or binary protocol, see the crate docs) → `try_submit` to the
-//! [`BatchEngine`] (never blocking the sweep; a full Block-mode queue
-//! pauses *parsing* for that connection, which backpressures the socket
-//! instead) → poll in-flight requests with `try_take` → encode replies
-//! **in request order** → write. Clients may pipeline arbitrarily many
-//! requests up to `max_pipeline`.
+//! (line or binary protocol, see the crate docs) → submit to the
+//! [`BatchEngine`] without blocking (a full Block-mode queue pauses
+//! *parsing* for that connection, which backpressures the socket; the
+//! engine rings the pipe once a worker claims from the queue) → take
+//! answered requests with `try_take` → encode replies **in request
+//! order** → write. Clients may pipeline arbitrarily many requests up to
+//! `max_pipeline`.
+//!
+//! The front end is Unix-only: it names sockets to `poll(2)` by raw
+//! file descriptor.
 //!
 //! # Line protocol
 //!
@@ -46,7 +85,8 @@
 //! answered in order and flushed before the connection is dropped; only
 //! an incomplete binary frame is discarded. State lives in the `Conn`
 //! struct, not in a blocked reader thread, so there is no thread to
-//! leak. Shutdown joins the single loop thread.
+//! leak. Shutdown raises the stop flag, rings the pipe and joins the
+//! single loop thread.
 
 use crate::classifier::BatchClassify;
 use crate::engine::{BatchEngine, ResponseHandle, ServeError, TrySubmitError};
@@ -54,6 +94,8 @@ use crate::Prediction;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -145,6 +187,11 @@ pub struct FrontendStats {
     pub requests: AtomicU64,
     pub replies: AtomicU64,
     pub protocol_errors: AtomicU64,
+    /// Times the loop blocked in `poll(2)` after a sweep without progress.
+    pub waits: AtomicU64,
+    /// Blocking waits that ended by timeout (an idle-eviction deadline)
+    /// rather than by readiness or a wake-up.
+    pub wait_timeouts: AtomicU64,
 }
 
 /// Binary protocol framing (see the crate docs for the layout).
@@ -343,8 +390,9 @@ struct Conn {
     wpos: usize,
     pending: VecDeque<Pending>,
     /// A parsed request the engine had no room for (Block mode): retried
-    /// every sweep before any further parsing — per-connection ordering
-    /// is preserved and the socket backpressures.
+    /// on every sweep, the next one once the engine rings for freed queue
+    /// space, before any further parsing — per-connection ordering is
+    /// preserved and the socket backpressures.
     deferred: Option<(u64, Vec<u32>)>,
     last_activity: Instant,
     /// The peer stopped sending (`read → Ok(0)`): nothing more will
@@ -378,19 +426,83 @@ impl Conn {
     }
 }
 
-/// Handle to a running event front-end (accept + sweep on one thread).
+/// `poll(2)`, which `std` does not wrap.
+mod sys {
+    use std::os::fd::RawFd;
+
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: RawFd,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    pub const POLLIN: i16 = 0x1;
+    pub const POLLOUT: i16 = 0x4;
+
+    extern "C" {
+        pub fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout_ms: i32) -> i32;
+    }
+}
+
+/// The loop's doorbell: a completion epoch, a `parked` flag and a
+/// self-pipe, plus the stop flag that shutdown raises before ringing. See
+/// "Wake protocol" in the module docs for why every access is `SeqCst`
+/// and why no wake-up is lost.
+pub(crate) struct Wake {
+    epoch: AtomicU64,
+    parked: AtomicBool,
+    stop: AtomicBool,
+    tx: UnixStream,
+    rx: UnixStream,
+}
+
+impl Wake {
+    fn new() -> std::io::Result<Wake> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        Ok(Wake {
+            epoch: AtomicU64::new(0),
+            parked: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
+            tx,
+            rx,
+        })
+    }
+
+    /// Tell the loop something changed (protocol step 3): a syscall only
+    /// when the loop is parked in, or about to enter, `poll`.
+    pub(crate) fn wake(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            // A full socket buffer already holds bytes the loop will read,
+            // so a failed write loses nothing.
+            let _ = (&self.tx).write(&[1]);
+        }
+    }
+
+    /// Empty the pipe after `poll` reported it readable.
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+}
+
+/// Handle to a running event front-end (one loop thread: sweeps, and
+/// `poll(2)` between them).
 /// Dropping it stops and joins the loop; [`EventFrontend::join`] blocks
 /// until the loop exits on its own (listener error) — the CLI's serve
 /// loop.
 pub struct EventFrontend {
     local: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     stats: Arc<FrontendStats>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl EventFrontend {
-    /// Bind `addr` and start the sweep loop over `engine`.
+    /// Bind `addr` and start the serve loop over `engine`.
     pub fn spawn<C: BatchClassify>(
         engine: Arc<BatchEngine<C>>,
         addr: &str,
@@ -400,18 +512,18 @@ impl EventFrontend {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let wake = Arc::new(Wake::new()?);
         let stats = Arc::new(FrontendStats::default());
         let thread = {
-            let stop = Arc::clone(&stop);
+            let wake = Arc::clone(&wake);
             let stats = Arc::clone(&stats);
             std::thread::Builder::new()
                 .name("gsgcn-serve-poll".into())
-                .spawn(move || sweep_loop(&engine, &listener, cfg, &stop, &stats))?
+                .spawn(move || serve_loop(&engine, &listener, cfg, &wake, &stats))?
         };
         Ok(EventFrontend {
             local,
-            stop,
+            wake,
             stats,
             thread: Some(thread),
         })
@@ -427,7 +539,7 @@ impl EventFrontend {
         &self.stats
     }
 
-    /// Stop the sweep loop and join its thread.
+    /// Stop the serve loop and join its thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -441,7 +553,10 @@ impl EventFrontend {
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        // Raise the flag before ringing: a loop that sees the new epoch
+        // or the byte re-checks the flag before it blocks again.
+        self.wake.stop.store(true, Ordering::SeqCst);
+        self.wake.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -454,23 +569,19 @@ impl Drop for EventFrontend {
     }
 }
 
-/// Park times for a sweep that made no progress: escalate from 50 µs to
-/// 2 ms, reset on any progress. Keeps the idle loop at a handful of
-/// wakeups per millisecond-scale latency target without a kernel poller.
-const PARK_MIN: Duration = Duration::from_micros(50);
-const PARK_MAX: Duration = Duration::from_millis(2);
-
-fn sweep_loop<C: BatchClassify>(
+fn serve_loop<C: BatchClassify>(
     engine: &BatchEngine<C>,
     listener: &TcpListener,
     cfg: FrontendConfig,
-    stop: &AtomicBool,
+    wake: &Arc<Wake>,
     stats: &FrontendStats,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut park = PARK_MIN;
+    let mut fds: Vec<sys::PollFd> = Vec::new();
     let mut read_chunk = [0u8; 4096];
-    while !stop.load(Ordering::Acquire) {
+    while !wake.stop.load(Ordering::SeqCst) {
+        // Protocol step 1.
+        let epoch = wake.epoch.load(Ordering::SeqCst);
         let mut progress = false;
 
         // --- Accept phase (bounded per sweep for fairness) ---
@@ -499,7 +610,7 @@ fn sweep_loop<C: BatchClassify>(
 
         // --- Per-connection phases ---
         for conn in conns.iter_mut() {
-            progress |= step_conn(conn, engine, &cfg, stats, &mut read_chunk);
+            progress |= step_conn(conn, engine, &cfg, wake, stats, &mut read_chunk);
         }
 
         // --- Cull phase ---
@@ -516,14 +627,83 @@ fn sweep_loop<C: BatchClassify>(
             true
         });
         progress |= conns.len() != before;
-
         if progress {
-            park = PARK_MIN;
-        } else {
-            std::thread::sleep(park);
-            park = (park * 2).min(PARK_MAX);
+            continue;
+        }
+
+        // --- Wait phase (protocol step 2) ---
+        wake.parked.store(true, Ordering::SeqCst);
+        if wake.epoch.load(Ordering::SeqCst) != epoch {
+            wake.parked.store(false, Ordering::SeqCst);
+            continue;
+        }
+        fds.clear();
+        fds.push(poll_fd(listener.as_raw_fd(), sys::POLLIN));
+        fds.push(poll_fd(wake.rx.as_raw_fd(), sys::POLLIN));
+        for c in &conns {
+            let mut events = 0;
+            if !c.closing && !c.read_eof {
+                events |= sys::POLLIN;
+            }
+            if c.wpos < c.wbuf.len() {
+                events |= sys::POLLOUT;
+            }
+            // A connection waiting only on the engine is left out: a
+            // hang-up would otherwise wake the loop with nothing to do.
+            if events != 0 {
+                fds.push(poll_fd(c.stream.as_raw_fd(), events));
+            }
+        }
+        stats.waits.fetch_add(1, Ordering::Relaxed);
+        let timeout_ms = eviction_timeout_ms(&conns, idle_timeout);
+        // SAFETY: `fds` is a live, exclusively borrowed array of
+        // `fds.len()` `pollfd`-layout entries (`#[repr(C)]`, an int and
+        // two shorts); `poll` writes only their `revents`. The
+        // descriptors belong to `listener`, `wake` and `conns`, which all
+        // outlive the call.
+        let ready = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as _, timeout_ms) };
+        wake.parked.store(false, Ordering::SeqCst);
+        match ready {
+            0 => {
+                stats.wait_timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+            n if n > 0 => {
+                if fds[1].revents != 0 {
+                    wake.drain();
+                }
+            }
+            _ => {
+                if std::io::Error::last_os_error().kind() != ErrorKind::Interrupted {
+                    return; // `poll` itself failed: shut the front-end down
+                }
+            }
         }
     }
+}
+
+fn poll_fd(fd: RawFd, events: i16) -> sys::PollFd {
+    sys::PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
+}
+
+/// Milliseconds until the first idle connection is due for eviction,
+/// rounded up and one past it (eviction needs `elapsed > idle_timeout`);
+/// `-1` (no timeout) when nothing can expire, a deadline past what
+/// `Instant` can hold included.
+fn eviction_timeout_ms(conns: &[Conn], idle_timeout: Duration) -> i32 {
+    let Some(first) = conns
+        .iter()
+        .filter(|c| c.idle())
+        .filter_map(|c| c.last_activity.checked_add(idle_timeout))
+        .min()
+    else {
+        return -1;
+    };
+    let left = first.saturating_duration_since(Instant::now());
+    i32::try_from(left.as_micros().div_ceil(1000) + 1).unwrap_or(i32::MAX)
 }
 
 /// One sweep step of one connection; returns whether anything moved.
@@ -531,6 +711,7 @@ fn step_conn<C: BatchClassify>(
     conn: &mut Conn,
     engine: &BatchEngine<C>,
     cfg: &FrontendConfig,
+    wake: &Arc<Wake>,
     stats: &FrontendStats,
     chunk: &mut [u8],
 ) -> bool {
@@ -570,12 +751,12 @@ fn step_conn<C: BatchClassify>(
     // --- Submit phase: retry the deferred request, then parse more ---
     if let Some((id, nodes)) = conn.deferred.take() {
         // On false the queue is still full; submit() re-stashed the request.
-        if submit(conn, engine, id, nodes, stats) {
+        if submit(conn, engine, id, nodes, wake) {
             progress = true;
         }
     }
     if conn.deferred.is_none() && !conn.dead {
-        progress |= parse_input(conn, engine, cfg, stats);
+        progress |= parse_input(conn, engine, cfg, wake, stats);
     }
 
     // --- Resolve phase: drain answered requests in order ---
@@ -636,6 +817,7 @@ fn parse_input<C: BatchClassify>(
     conn: &mut Conn,
     engine: &BatchEngine<C>,
     cfg: &FrontendConfig,
+    wake: &Arc<Wake>,
     stats: &FrontendStats,
 ) -> bool {
     let mut progress = false;
@@ -667,7 +849,7 @@ fn parse_input<C: BatchClassify>(
                 match parse_request(line) {
                     Ok(nodes) => {
                         stats.requests.fetch_add(1, Ordering::Relaxed);
-                        submit(conn, engine, 0, nodes, stats);
+                        submit(conn, engine, 0, nodes, wake);
                     }
                     Err(e) => conn.pending.push_back(Pending::Ready {
                         id: 0,
@@ -684,7 +866,7 @@ fn parse_input<C: BatchClassify>(
                     consumed += used;
                     progress = true;
                     stats.requests.fetch_add(1, Ordering::Relaxed);
-                    submit(conn, engine, id, nodes, stats);
+                    submit(conn, engine, id, nodes, wake);
                 }
                 Err(e) => {
                     protocol_error(conn, cfg.protocol, &e, stats);
@@ -704,17 +886,18 @@ fn parse_input<C: BatchClassify>(
     progress
 }
 
-/// Submit one parsed request; on a full Block-mode queue the request is
-/// parked in `conn.deferred` (and `false` returned) so the sweep
-/// retries it before parsing anything newer.
+/// Submit one parsed request, asking the engine to ring `wake` when it
+/// is answered; on a full Block-mode queue the request is parked in
+/// `conn.deferred` (and `false` returned) so the loop retries it, once
+/// the engine rings for freed queue space, before parsing anything newer.
 fn submit<C: BatchClassify>(
     conn: &mut Conn,
     engine: &BatchEngine<C>,
     id: u64,
     nodes: Vec<u32>,
-    _stats: &FrontendStats,
+    wake: &Arc<Wake>,
 ) -> bool {
-    match engine.try_submit(nodes) {
+    match engine.try_submit_woken(nodes, wake) {
         Ok(handle) => {
             conn.pending.push_back(Pending::Waiting { id, handle });
             true

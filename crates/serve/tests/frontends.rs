@@ -1,6 +1,7 @@
 //! Front-end integration tests for the event-driven poller: line +
-//! binary protocols, pipelining, idle eviction, max-conns, shed
-//! admission, and the peer-stopped-sending (EOF) path.
+//! binary protocols, pipelining, idle eviction, max-conns, shed and
+//! block admission, the peer-stopped-sending (EOF) path, and the
+//! blocking wait: counted wake-ups, no timeouts, prompt shutdown.
 
 use gsgcn_graph::GraphBuilder;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
@@ -12,7 +13,7 @@ use gsgcn_serve::{
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn classifier() -> Arc<NodeClassifier> {
@@ -370,4 +371,185 @@ fn poll_answers_requests_that_arrive_with_the_fin() {
     assert!(buf.is_empty(), "bytes after the last reply: {buf:?}");
     assert_eq!(stream.read(&mut [0u8; 16]).unwrap(), 0, "should close");
     fe.shutdown();
+}
+
+/// Block admission through the front door: a one-slot queue behind a
+/// slow worker refuses most submits with `Full`, the connection's
+/// deferred request waits for the engine to ring the loop when a worker
+/// claims, and every pipelined request is answered, in order, without a
+/// single `poll` ending by timeout (nothing retries on a timer). Two
+/// requests submitted directly occupy the worker and the queue first, so
+/// the first claim that frees space for the front end answers none of
+/// its requests: only the space ring can wake the loop then.
+#[test]
+fn poll_block_admission_waits_for_the_engine_to_free_space() {
+    let c = classifier();
+    let eng = Arc::new(
+        BatchEngine::spawn(
+            Arc::new(SlowClassifier(Arc::clone(&c))),
+            EngineConfig {
+                workers: 1,
+                max_batch: 64,
+                max_wait: Duration::ZERO,
+                queue_capacity: 1,
+                admission: AdmissionControl::Block,
+            },
+        )
+        .unwrap(),
+    );
+    let cfg = FrontendConfig {
+        protocol: Protocol::Binary,
+        ..FrontendConfig::default()
+    };
+    let fe = EventFrontend::spawn(Arc::clone(&eng), "127.0.0.1:0", cfg).unwrap();
+    let mut stream = TcpStream::connect(fe.local_addr()).unwrap();
+
+    // The second submit returns once the worker has claimed the first.
+    let busy = eng.submit(vec![0]).unwrap();
+    let queued = eng.submit(vec![1]).unwrap();
+    // A lost wake-up fails the read instead of hanging the test.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = Vec::new();
+    for i in 0..16u64 {
+        wire::encode_request(i, &[(i * 5 % 24) as u32], &mut out);
+    }
+    stream.write_all(&out).unwrap();
+    let mut buf = Vec::new();
+    for want in 0..16u64 {
+        let (id, resp) = read_frame(&mut stream, &mut buf);
+        assert_eq!(id, want, "replies must come back in request order");
+        let wire::WireResponse::Ok(preds) = resp else {
+            panic!("unexpected response for id {id}: {resp:?}");
+        };
+        assert_eq!(preds.len(), 1);
+        assert_eq!(preds[0].node, (want * 5 % 24) as u32);
+    }
+    assert_eq!(busy.wait().unwrap()[0].node, 0);
+    assert_eq!(queued.wait().unwrap()[0].node, 1);
+    let stats = fe.stats();
+    assert!(
+        stats.waits.load(Ordering::Relaxed) > 0,
+        "the loop never blocked"
+    );
+    assert_eq!(stats.wait_timeouts.load(Ordering::Relaxed), 0);
+    fe.shutdown();
+}
+
+/// An idle front end with one open, idle connection blocks until
+/// something happens: a handful of waits over 300 ms (a loop parking on
+/// a 2 ms timer would count about 150).
+#[test]
+fn poll_idle_frontend_blocks_a_few_times() {
+    let eng = engine(classifier());
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
+    let _idle = TcpStream::connect(fe.local_addr()).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    let waits = fe.stats().waits.load(Ordering::Relaxed);
+    assert!(
+        (1..=4).contains(&waits),
+        "{waits} blocking waits while idle"
+    );
+    assert_eq!(fe.stats().wait_timeouts.load(Ordering::Relaxed), 0);
+    fe.shutdown();
+}
+
+/// An idle timeout too long for any deadline (`--idle-timeout-ms` takes
+/// any `u64`) means no connection ever expires; it must not take the loop
+/// down once a connection sits idle.
+#[test]
+fn poll_serves_with_an_unbounded_idle_timeout() {
+    let eng = engine(classifier());
+    let cfg = FrontendConfig {
+        idle_timeout: Duration::MAX,
+        ..FrontendConfig::default()
+    };
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", cfg).unwrap();
+    let stream = TcpStream::connect(fe.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    // The loop blocks with the connection idle before each request.
+    for node in [3, 4] {
+        writer.write_all(format!("{node}\n").as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with(&format!("ok {node}:")), "{line:?}");
+    }
+    fe.shutdown();
+}
+
+/// Answers every request at once, without a model.
+struct InstantClassifier;
+
+impl BatchClassify for InstantClassifier {
+    fn classify_into(
+        &self,
+        nodes: &[u32],
+        _ws: &mut ClassifyWorkspace,
+        out: &mut Vec<Prediction>,
+    ) -> Result<(), String> {
+        out.extend(nodes.iter().map(|&node| Prediction {
+            node,
+            labels: vec![0],
+            probs: vec![1.0],
+        }));
+        Ok(())
+    }
+    fn num_nodes(&self) -> usize {
+        1 << 20
+    }
+}
+
+/// Ping-pong: each reply is awaited before the next request goes out, so
+/// the loop blocks between almost every pair of events and every answer
+/// must reach it through an engine wake-up. A lost wake-up would leave
+/// the loop blocked until a timeout; none may happen.
+#[test]
+fn poll_ping_pong_never_waits_out_a_timeout() {
+    let eng =
+        Arc::new(BatchEngine::spawn(Arc::new(InstantClassifier), EngineConfig::default()).unwrap());
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
+
+    let stream = TcpStream::connect(fe.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    for i in 0..2000u32 {
+        writer.write_all(format!("{i}\n").as_bytes()).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line, format!("ok {i}:0:1.0000\n"));
+    }
+    let stats = fe.stats();
+    assert_eq!(stats.replies.load(Ordering::Relaxed), 2000);
+    assert_eq!(stats.wait_timeouts.load(Ordering::Relaxed), 0);
+    fe.shutdown();
+}
+
+/// Dropping a front end whose loop is blocked with no deadline (no
+/// connections) rings it awake and joins at once.
+#[test]
+fn poll_drop_wakes_a_blocked_loop() {
+    let eng = engine(classifier());
+    let fe = EventFrontend::spawn(eng, "127.0.0.1:0", FrontendConfig::default()).unwrap();
+    let t0 = Instant::now();
+    while fe.stats().waits.load(Ordering::Relaxed) == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "loop never blocked");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(fe);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(5))
+        .expect("dropping a blocked front end did not join");
 }
