@@ -43,9 +43,8 @@
 //! `cache_warm_*` sweep: latency follows the miss fraction). The
 //! headline sweep serves a depth-1 model — 1-hop query balls are the
 //! regime where batching wins an order of magnitude. Records are tagged
-//! `batch=`, `layers=`, the GEMM kernel tier and the session storage
-//! precision (`precision=` — run under `GSGCN_PRECISION=bf16` for
-//! half-width activation storage).
+//! `batch=`, `layers=`, the GEMM kernel tier and `precision=f32`: the
+//! models and the activation cache store f32 rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gsgcn_data::presets;
@@ -330,12 +329,7 @@ fn bench_cache_hit_sweep(c: &mut Criterion) {
     let _ = c;
     let classifier = serving_classifier(2);
     let n = classifier.num_nodes();
-    // The cache stores rows at the session precision, so a bf16 run
-    // measures the half-width-row hit path end to end.
-    let cache = Arc::new(ActivationCache::with_precision(
-        512 << 20,
-        gsgcn_tensor::precision::current(),
-    ));
+    let cache = Arc::new(ActivationCache::new(512 << 20));
     let classifier = Arc::new(
         Arc::try_unwrap(classifier)
             .ok()

@@ -21,7 +21,8 @@
 use std::time::Instant;
 
 /// The JSON tags every bench record should carry: the dispatched GEMM
-/// microkernel tier, the session storage precision, the compute pool's
+/// microkernel tier, the storage precision (f32; a group that measures
+/// bf16 storage overrides the tag), the compute pool's
 /// thread count and the commit the tree was built from (`-dirty` when it
 /// has uncommitted changes). Benches that set record-specific tags must
 /// extend this base (the shim's `set_json_tags` replaces tags wholesale)
@@ -46,10 +47,7 @@ pub fn base_tags() -> Vec<(String, String)> {
             "kernel".to_string(),
             gsgcn_tensor::gemm::selected_tier().name().to_string(),
         ),
-        (
-            "precision".to_string(),
-            gsgcn_tensor::precision::current().name().to_string(),
-        ),
+        ("precision".to_string(), "f32".to_string()),
         (
             "threads".to_string(),
             rayon::current_num_threads().to_string(),
@@ -59,9 +57,8 @@ pub fn base_tags() -> Vec<(String, String)> {
 }
 
 /// Print the dispatched GEMM microkernel tier (once per process) and tag
-/// all subsequent criterion JSON records with it plus the storage
-/// precision, so every bench artifact is attributable to an ISA and a
-/// precision. Call at the top of each criterion bench group; CI greps
+/// all subsequent criterion JSON records with it (see [`base_tags`]), so
+/// every bench artifact is attributable to an ISA and a precision. Call at the top of each criterion bench group; CI greps
 /// the line to attribute archived numbers.
 pub fn announce_kernel_tier() {
     static ONCE: std::sync::Once = std::sync::Once::new();
@@ -72,10 +69,9 @@ pub fn announce_kernel_tier() {
             .map(|t| t.name())
             .collect();
         println!(
-            "GEMM kernel tier: {} (available: {}), storing {}, bf16 via {}",
+            "GEMM kernel tier: {} (available: {}), bf16 via {}",
             selected.name(),
             available.join(", "),
-            gsgcn_tensor::precision::current().name(),
             gsgcn_tensor::gemm::bf16_engine(selected),
         );
         criterion::set_json_tags(base_tags());

@@ -69,6 +69,7 @@ use gsgcn_nn::InferenceWorkspace;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::dashboard::DashboardSampler;
 use gsgcn_sampler::pipeline::{GatherPause, PipelineConfig, SamplerPipeline, SubgraphRows};
+use gsgcn_tensor::Precision;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -204,8 +205,9 @@ pub struct GsGcnTrainer<'a> {
     /// ([`GcnModel::aggregate_input`]), computed by the first resident
     /// evaluation. It cannot go stale: `Â·X` does not depend on the
     /// weights, and the trainer borrows its [`Dataset`] immutably for its
-    /// whole life. A trainer evaluates in one precision (the process-wide
-    /// one), and `infer_probs_at_into` asserts the cache matches it.
+    /// whole life. It is stored in the model's precision, fixed when the
+    /// trainer is built ([`Self::with_precision`]), and
+    /// `infer_probs_at_into` asserts the cache matches it.
     eval_inputs: Option<InputAggregate>,
     /// Work and phase times of the last evaluation, either arm (zero work
     /// for an empty split; `None` before the first evaluation).
@@ -336,6 +338,15 @@ impl<'a> GsGcnTrainer<'a> {
             eval_inputs: None,
             eval_stats: None,
         })
+    }
+
+    /// Train and evaluate with activations stored in `precision` (the
+    /// model's initial precision otherwise; see
+    /// [`GcnModel::with_propagator`]).
+    pub fn with_precision(mut self, precision: Precision) -> Self {
+        self.model.set_precision(precision);
+        self.eval_inputs = None;
+        self
     }
 
     /// The effective configuration (after dataset-dependent clamping).

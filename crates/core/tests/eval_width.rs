@@ -3,22 +3,24 @@
 //! the same bits at every pool width: the level recursion at a row cap
 //! that cuts several tiles per level (the stored arm) and the resident
 //! forward over a kept `Â·X` (the resident arm), with wide features
-//! (Reddit: a few rows of `Â·X` kept) and narrow ones (PPI: all kept).
+//! (Reddit: a few rows of `Â·X` kept) and narrow ones (PPI: all kept), in
+//! both activation precisions.
 //! The pools are explicit, so the widths differ under `taskset -c 0` too.
 
 use gsgcn_data::{presets, Dataset};
 use gsgcn_graph::GraphStore;
 use gsgcn_nn::model::{GcnConfig, GcnModel, LevelStats, LossKind};
 use gsgcn_nn::InferenceWorkspace;
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::precision::ALL_PRECISIONS;
+use gsgcn_tensor::{DMatrix, Precision};
 use std::sync::Arc;
 
 /// Rows per level buffer: small enough that every level of these graphs
 /// takes several tiles.
 const CAP: usize = 96;
 
-fn model(d: &Dataset) -> GcnModel {
-    GcnModel::new(
+fn model(d: &Dataset, p: Precision) -> GcnModel {
+    let mut m = GcnModel::new(
         GcnConfig {
             in_dim: d.feature_dim(),
             hidden_dims: vec![32, 32],
@@ -27,7 +29,9 @@ fn model(d: &Dataset) -> GcnModel {
             ..GcnConfig::default()
         },
         5,
-    )
+    );
+    m.set_precision(p);
+    m
 }
 
 /// The work counts of a sweep; its seconds differ run to run.
@@ -78,9 +82,12 @@ fn at(model: &GcnModel, d: &Dataset, targets: &[u32]) -> (Vec<u32>, LevelStats) 
 
 #[test]
 fn evaluation_forwards_are_pool_width_invariant() {
-    for spec in [presets::ppi_spec(), presets::reddit_spec()] {
+    for (spec, p) in [presets::ppi_spec(), presets::reddit_spec()]
+        .into_iter()
+        .flat_map(|s| ALL_PRECISIONS.map(|p| (s.clone(), p)))
+    {
         let d = presets::scale_spec(&spec, 600).generate(17);
-        let model = model(&d);
+        let model = model(&d, p);
         let store = GraphStore::mem(
             Arc::new(d.graph.clone()),
             Some(Arc::new(d.features.clone())),
@@ -95,7 +102,7 @@ fn evaluation_forwards_are_pool_width_invariant() {
                 .unwrap();
             let got = pool.install(|| (by_level(&model, &store, roots), at(&model, &d, roots)));
             let ((tiles, level), (probs, resident)) = &got;
-            let what = format!("{} at {width} threads", d.name);
+            let what = format!("{} {p} at {width} threads", d.name);
             assert!(level.tiles.iter().all(|&t| t > 1), "{what}: {level:?}");
             assert!(resident.input_rows_aggregated > 0, "{what}: {resident:?}");
             let ((want_tiles, want_level), (want_probs, want_resident)) =

@@ -11,8 +11,8 @@ use gsgcn_graph::store::shard::write_store_ordered;
 use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_nn::InferenceWorkspace;
-use gsgcn_tensor::precision::with_precision;
-use gsgcn_tensor::{DMatrix, Precision};
+use gsgcn_tensor::precision::ALL_PRECISIONS;
+use gsgcn_tensor::DMatrix;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -122,7 +122,7 @@ proptest! {
         let g = Arc::new(graph_with_hub(n, &chords));
         let x = Arc::new(features(n, seed));
         let loss = if softmax { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
-        let m = model(depth, loss, seed ^ 0xBEEF);
+        let mut m = model(depth, loss, seed ^ 0xBEEF);
         // Random roots with duplicates, plus the hub and the isolated vertex.
         let mut roots: Vec<u32> = picks.iter().map(|&p| p % n as u32).collect();
         roots.extend([n as u32 - 2, n as u32 - 1, roots[0]]);
@@ -132,13 +132,13 @@ proptest! {
 
         let (stores, dirs) = stores(&g, &x, shards);
         let mut ws = InferenceWorkspace::new();
-        for precision in [Precision::F32, Precision::Bf16] {
+        for precision in ALL_PRECISIONS {
+            m.set_precision(precision);
             let mut full = DMatrix::zeros(0, 0);
-            with_precision(precision, || m.infer_probs_into(&g, &x, &mut ws, &mut full));
+            m.infer_probs_into(&g, &x, &mut ws, &mut full);
             for store in &stores {
                 for cap in [1, small_cap, usize::MAX] {
-                    let (rows, stats) =
-                        with_precision(precision, || by_level(&m, store, &roots, cap, &mut ws));
+                    let (rows, stats) = by_level(&m, store, &roots, cap, &mut ws);
                     prop_assert_eq!(rows.len(), distinct.len());
                     for &v in &distinct {
                         prop_assert_eq!(

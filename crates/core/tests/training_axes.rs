@@ -4,7 +4,7 @@
 //! the seed alone: the same on the resident dataset and on a spilled
 //! store — materialised in memory or memory-mapped, in natural and BFS
 //! placement, behind a starved and a roomy shard cache — and with 0 and 2
-//! sampler workers.
+//! sampler workers, in both activation precisions.
 //!
 //! The starved budget forces eviction churn on every epoch. The store's
 //! other consumers state the backend and order axes themselves:
@@ -17,6 +17,8 @@
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
 use gsgcn_data::{presets, StoreDataset};
 use gsgcn_graph::{StoreBackend, StoreOrder};
+use gsgcn_tensor::precision::ALL_PRECISIONS;
+use gsgcn_tensor::Precision;
 
 /// Far below one shard's feature bytes (600 × 602 f32 over 4 shards ≈
 /// 350 KiB each): every epoch maps and evicts row sections.
@@ -30,8 +32,10 @@ fn config(sampler_threads: usize) -> TrainerConfig {
     cfg
 }
 
-/// Per-epoch mean-loss bits and the final validation F1's bits.
-fn trajectory(mut t: GsGcnTrainer<'_>) -> (Vec<u32>, u64) {
+/// Per-epoch mean-loss bits and the final validation F1's bits, trained
+/// in `p`.
+fn trajectory(t: GsGcnTrainer<'_>, p: Precision) -> (Vec<u32>, u64) {
+    let mut t = t.with_precision(p);
     let report = t.train().unwrap();
     let losses = report
         .epochs
@@ -44,16 +48,20 @@ fn trajectory(mut t: GsGcnTrainer<'_>) -> (Vec<u32>, u64) {
 #[test]
 fn trajectory_is_invariant_to_store_order_budget_and_sampler_workers() {
     let d = presets::scale_spec(&presets::reddit_spec(), 600).generate(11);
-    let reference = trajectory(GsGcnTrainer::new(&d, config(0)).unwrap());
-    // Two epochs of the single-label fixture land mid-range, so equal F1
-    // bits say something.
-    let f1 = f64::from_bits(reference.1);
-    assert!(f1 > 0.0 && f1 < 1.0, "reference val F1 {f1}");
-    assert_eq!(
-        trajectory(GsGcnTrainer::new(&d, config(2)).unwrap()),
-        reference,
-        "resident, 2 sampler workers"
-    );
+    let references =
+        ALL_PRECISIONS.map(|p| trajectory(GsGcnTrainer::new(&d, config(0)).unwrap(), p));
+    assert_ne!(references[0], references[1], "bf16 trains like f32");
+    for (p, reference) in ALL_PRECISIONS.into_iter().zip(&references) {
+        // Two epochs of the single-label fixture land mid-range, so equal
+        // F1 bits say something.
+        let f1 = f64::from_bits(reference.1);
+        assert!(f1 > 0.0 && f1 < 1.0, "{p}: reference val F1 {f1}");
+        assert_eq!(
+            &trajectory(GsGcnTrainer::new(&d, config(2)).unwrap(), p),
+            reference,
+            "{p}: resident, 2 sampler workers"
+        );
+    }
 
     let root = std::env::temp_dir().join(format!("gsgcn-training-axes-{}", std::process::id()));
     let cases = [
@@ -69,11 +77,16 @@ fn trajectory_is_invariant_to_store_order_budget_and_sampler_workers() {
             d.spill_to_dir_ordered(&dir, 4, order).unwrap();
         }
         let sd = StoreDataset::open_with(&dir, backend, budget).unwrap();
-        for workers in [0, 2] {
-            let got = trajectory(GsGcnTrainer::from_store(&sd, config(workers)).unwrap());
+        for (workers, (p, reference)) in [0, 2].into_iter().flat_map(|w| {
+            ALL_PRECISIONS
+                .into_iter()
+                .zip(&references)
+                .map(move |r| (w, r))
+        }) {
+            let got = trajectory(GsGcnTrainer::from_store(&sd, config(workers)).unwrap(), p);
             assert_eq!(
-                got, reference,
-                "{backend:?} store, {order:?} order, {budget}-byte cache, \
+                &got, reference,
+                "{p}: {backend:?} store, {order:?} order, {budget}-byte cache, \
                  {workers} sampler workers"
             );
         }

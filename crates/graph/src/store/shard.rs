@@ -151,28 +151,14 @@ impl Fnv1a {
     }
 }
 
-/// Reinterpret a `u32` slice as raw little-endian file bytes.
+/// Reinterpret a slice as raw little-endian file bytes.
 ///
 /// The format is little-endian and the loader maps files back as typed
 /// slices, so writer and reader must agree on host byte order; the
 /// big-endian guard in [`write_store`] / [`ShardSection::map`] enforces it.
-fn u32s_as_bytes(v: &[u32]) -> &[u8] {
-    // Safety: u32 has no invalid byte patterns and the length is exact.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
-}
-
-fn u64s_as_bytes(v: &[u64]) -> &[u8] {
-    // Safety: as above.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
-}
-
-fn f32s_as_bytes(v: &[f32]) -> &[u8] {
-    // Safety: as above.
-    unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
-}
-
-fn u16s_as_bytes(v: &[u16]) -> &[u8] {
-    // Safety: as above.
+fn as_bytes<T: Plain>(v: &[T]) -> &[u8] {
+    // SAFETY: `T: Plain` has no padding, so every byte of the slice is
+    // initialised, and the length is exactly the slice's bytes.
     unsafe { std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(v)) }
 }
 
@@ -767,7 +753,7 @@ fn write_partitioned_ordered(
         header.extend_from_slice(&(f as u32).to_le_bytes());
         header.extend_from_slice(&(l as u32).to_le_bytes());
         w.put(&header)?;
-        w.put(u32s_as_bytes(members))?;
+        w.put(as_bytes(members))?;
         w.pad_to(layout.offsets_off)?;
         let mut offsets = Vec::with_capacity(k + 1);
         let mut acc = 0u64;
@@ -776,22 +762,22 @@ fn write_partitioned_ordered(
             acc += graph.degree(v) as u64;
             offsets.push(acc);
         }
-        w.put(u64s_as_bytes(&offsets))?;
+        w.put(as_bytes(&offsets))?;
         for &v in members {
-            w.put(u32s_as_bytes(graph.neighbors(v)))?;
+            w.put(as_bytes(graph.neighbors(v)))?;
         }
         w.pad_to(layout.feat_off)?;
         if let Some(m) = features {
             match feature_precision {
                 Precision::F32 => {
                     for &v in members {
-                        w.put(f32s_as_bytes(m.row(v as usize)))?;
+                        w.put(as_bytes(m.row(v as usize)))?;
                     }
                 }
                 Precision::Bf16 => {
                     for &v in members {
                         bf16::quantize_slice(m.row(v as usize), &mut qrow);
-                        w.put(u16s_as_bytes(bf16::to_bits_slice(&qrow)))?;
+                        w.put(as_bytes(bf16::to_bits_slice(&qrow)))?;
                     }
                 }
             }
@@ -799,7 +785,7 @@ fn write_partitioned_ordered(
         w.pad_to(layout.label_off)?;
         if let Some(m) = labels {
             for &v in members {
-                w.put(f32s_as_bytes(m.row(v as usize)))?;
+                w.put(as_bytes(m.row(v as usize)))?;
             }
         }
         let (written, checksum) = w.finish()?;
@@ -818,8 +804,8 @@ fn write_partitioned_ordered(
     index.extend_from_slice(&INDEX_MAGIC.to_le_bytes());
     index.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     index.extend_from_slice(&(n as u64).to_le_bytes());
-    index.extend_from_slice(u32s_as_bytes(&part_of));
-    index.extend_from_slice(u32s_as_bytes(&local_of));
+    index.extend_from_slice(as_bytes(&part_of));
+    index.extend_from_slice(as_bytes(&local_of));
     write_atomic(&dir.join(INDEX_FILE), &index)?;
 
     // Manifest last: its presence marks the store complete.
@@ -983,7 +969,8 @@ impl ShardShape {
     }
 }
 
-/// Element types a mapped section is viewed as.
+/// Element types a mapped section is viewed as, and a written one is
+/// viewed from ([`as_bytes`]).
 ///
 /// # Safety
 /// Implementors have no invalid bit patterns and no padding.

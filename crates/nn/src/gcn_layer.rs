@@ -33,15 +33,17 @@
 //! (`backward_into` with `d_in = None`): neither input-gradient GEMM
 //! runs, and `Z` comes from a spill-only aggregation pass.
 //!
-//! Under [`Precision::Bf16`] a training step is mixed precision end to
-//! end. The forward quantises the layer input once into a layer-owned
-//! bf16 buffer; both forward GEMMs and the weight-gradient GEMMs `Hᵀ·Z`
-//! and `Hᵀ·dH_self` multiply those bf16 panels, so the backward
-//! differentiates the values the forward multiplied. The f32 gradient
-//! operands round to bf16 as they are packed, and `dH_self·W_selfᵀ` runs
-//! on bf16 panels too. Accumulation, the master weights and Adam stay
-//! f32, and so does the fused `Z·W_neighᵀ`, whose spilled `Z` must stay
-//! f32.
+//! The layer stores activations in the precision it carries
+//! ([`GcnLayer::with_precision`], f32 by default; the unfused reference
+//! is f32 only). Under [`Precision::Bf16`] a training step is mixed
+//! precision end to end. The forward quantises the layer input once into
+//! a layer-owned bf16 buffer; both forward GEMMs and the weight-gradient
+//! GEMMs `Hᵀ·Z` and `Hᵀ·dH_self` multiply those bf16 panels, so the
+//! backward differentiates the values the forward multiplied. The f32
+//! gradient operands round to bf16 as they are packed, and
+//! `dH_self·W_selfᵀ` runs on bf16 panels too. Accumulation, the master
+//! weights and Adam stay f32, and so does the fused `Z·W_neighᵀ`, whose
+//! spilled `Z` must stay f32.
 //!
 //! The layer reports the wall-clock split between sparse feature
 //! propagation and dense weight application, feeding the Fig. 3
@@ -53,8 +55,7 @@ use gsgcn_prop::fused::{AggregatedRows, KeptRows};
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::gemm::{self, DensePack, Element, PackSource};
 use gsgcn_tensor::{
-    bf16, init, ops, precision, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, MatRef, Precision,
-    Rows,
+    bf16, init, ops, Bf16, Bf16MatRef, DMatrix, IndexedRows, MatMut, MatRef, Precision, Rows,
 };
 use std::time::Instant;
 
@@ -128,6 +129,8 @@ pub struct GcnLayer {
     pub activation: bool,
     /// Use the fused aggregate→GEMM pipeline (default).
     fused: bool,
+    /// The precision the fused path stores its input in.
+    pub(crate) precision: Precision,
     /// Unfused path only: `Â·H` of the last forward (consumed by backward
     /// for `dW_neigh`).
     aggregated: DMatrix,
@@ -167,6 +170,7 @@ impl GcnLayer {
             w_self: AdamParam::new(init::xavier_uniform(in_dim, half_dim, seed ^ 0x5EED)),
             activation,
             fused: true,
+            precision: Precision::F32,
             aggregated: DMatrix::zeros(0, 0),
             z_neigh: DMatrix::zeros(0, 0),
             input_bf16: Vec::new(),
@@ -189,6 +193,24 @@ impl GcnLayer {
     /// Whether this layer runs the fused aggregate→GEMM pipeline.
     pub fn fused(&self) -> bool {
         self.fused
+    }
+
+    /// Select the precision the fused path stores its input in (f32 by
+    /// default). A forward already run keeps the precision it recorded
+    /// for its backward.
+    pub fn with_precision(mut self, precision: Precision) -> Self {
+        self.precision = precision;
+        self
+    }
+
+    /// The precision this layer stores its input in: its own under the
+    /// fused path, f32 under the unfused reference.
+    pub fn precision(&self) -> Precision {
+        if self.fused {
+            self.precision
+        } else {
+            Precision::F32
+        }
     }
 
     pub fn in_dim(&self) -> usize {
@@ -232,7 +254,7 @@ impl GcnLayer {
     }
 
     /// The fused inference forward ([`GcnLayer::infer_rows_into`]):
-    /// [`GcnLayer::fused_halves`] over `h` as this thread's precision
+    /// [`GcnLayer::fused_halves`] over `h` as the layer's precision
     /// stores it. Under [`Precision::Bf16`] the input is quantised
     /// **once** into pooled scratch ([`with_bf16_rows`]; warm calls
     /// allocate nothing) and both GEMMs read the half-width rows. The
@@ -240,7 +262,7 @@ impl GcnLayer {
     /// one-off quantise pass is repaid immediately in row bandwidth.
     fn apply_fused(&self, g: &CsrGraph, h: &DMatrix, out: MatMut<'_>, prop: &FeaturePropagator) {
         debug_assert!(out.rows() <= h.rows() && out.cols() == self.out_dim());
-        if precision::current() == Precision::Bf16 {
+        if self.precision == Precision::Bf16 {
             with_bf16_rows(h, |qh| self.fused_halves(g, qh, out, prop));
         } else {
             self.fused_halves(g, h.view(), out, prop);
@@ -356,7 +378,7 @@ impl GcnLayer {
         out.ensure_shape(h.rows(), 2 * half);
 
         if self.fused {
-            let stored = precision::current();
+            let stored = self.precision;
             let t = match stored {
                 Precision::F32 => self.fused_halves(g, h.view(), out.view_mut(), prop),
                 Precision::Bf16 => {
@@ -471,8 +493,8 @@ impl GcnLayer {
     /// [`GcnLayer::own_grads`].
     ///
     /// The backward runs in the precision its forward stored the input
-    /// in, whatever [`precision::current`] says now (see the module docs
-    /// for what bf16 means here).
+    /// in, even if the layer's precision changed since (see the module
+    /// docs for what bf16 means here).
     ///
     /// Everything runs on reused buffers and strided views: the column
     /// split of `d_out` and the transposed operands are views the packed
@@ -670,6 +692,7 @@ mod tests {
     use super::*;
     use gsgcn_graph::GraphBuilder;
     use gsgcn_prop::propagator::{FeaturePropagator, PropMode};
+    use gsgcn_tensor::precision;
 
     fn square() -> CsrGraph {
         GraphBuilder::new(4)
@@ -712,14 +735,10 @@ mod tests {
 
     /// Full finite-difference gradient check through aggregation, weights,
     /// concat and ReLU — the critical correctness test for the layer.
-    /// Pinned to f32 storage: a finite difference through the quantised
-    /// forward would measure the rounding staircase, not the gradient.
+    /// On f32 storage: a finite difference through the quantised forward
+    /// would measure the rounding staircase, not the gradient.
     #[test]
     fn gradient_check_weights_and_input() {
-        precision::with_precision(Precision::F32, gradient_check_weights_and_input_body);
-    }
-
-    fn gradient_check_weights_and_input_body() {
         let g = square();
         let mut layer = GcnLayer::new(3, 2, true, 4);
         let h = DMatrix::from_fn(4, 3, |i, j| ((i * 7 + j * 3) % 11) as f32 * 0.15 - 0.6);
@@ -785,15 +804,11 @@ mod tests {
 
     /// The fused hot path must match the unfused reference composition —
     /// same weights, same inputs, forward activations, input gradients
-    /// and weight gradients all within fp tolerance. Pinned to f32
-    /// storage (the unfused reference has no bf16 path); the bf16 twin
-    /// below is tolerance-banded instead.
+    /// and weight gradients all within fp tolerance. On f32 storage (the
+    /// unfused reference has no bf16 path); the bf16 twin below is
+    /// tolerance-banded instead.
     #[test]
     fn fused_matches_unfused_reference() {
-        precision::with_precision(Precision::F32, fused_matches_unfused_reference_body);
-    }
-
-    fn fused_matches_unfused_reference_body() {
         let g = square();
         let h = DMatrix::from_fn(4, 5, |i, j| ((i * 5 + j) % 9) as f32 * 0.2 - 0.7);
         let p = prop();
@@ -822,13 +837,12 @@ mod tests {
         let h = DMatrix::from_fn(4, 5, |i, j| ((i * 5 + j) % 9) as f32 * 0.2 - 0.7);
         let p = prop();
         let layer = GcnLayer::new(5, 3, true, 9);
-        let f32_out = precision::with_precision(Precision::F32, || layer.infer(&g, &h, &p));
+        let f32_out = layer.infer(&g, &h, &p);
+        let layer = layer.with_precision(Precision::Bf16);
         let tol = precision::rel_tolerance(Precision::Bf16, 1, 5);
         let scale = f32_out.data().iter().fold(0f32, |s, &x| s.max(x.abs()));
         for tier in available_tiers() {
-            let bf16_out = with_tier(tier, || {
-                precision::with_precision(Precision::Bf16, || layer.infer(&g, &h, &p))
-            });
+            let bf16_out = with_tier(tier, || layer.infer(&g, &h, &p));
             for (b, r) in bf16_out.data().iter().zip(f32_out.data()) {
                 assert!(
                     (b - r).abs() <= tol * scale,
@@ -854,9 +868,9 @@ mod tests {
         })
     }
 
-    /// Forward then backward of a clone of `layer` (f32 unless the tier
-    /// and precision wrapping the call say otherwise), with or without an
-    /// input gradient: the weight gradients, `Z` and `d_in`.
+    /// Forward then backward of a clone of `layer` (on the tier wrapping
+    /// the call), with or without an input gradient: the weight
+    /// gradients, `Z` and `d_in`.
     fn step(
         layer: &GcnLayer,
         g: &CsrGraph,
@@ -888,11 +902,9 @@ mod tests {
             for tier in available_tiers() {
                 for p in precision::ALL_PRECISIONS {
                     let at = format!("fused={fused} tier {} {p}", tier.name());
-                    let run = |want_d_in| {
-                        with_tier(tier, || {
-                            precision::with_precision(p, || step(&layer, &g, &h, &d_out, want_d_in))
-                        })
-                    };
+                    let layer = layer.clone().with_precision(p);
+                    let run =
+                        |want_d_in| with_tier(tier, || step(&layer, &g, &h, &d_out, want_d_in));
                     let (with, z_with, d_in) = run(true);
                     let (without, z_without, none) = run(false);
                     assert!(d_in.is_some_and(|d| d.shape() == (n, f_in)) && none.is_none());
@@ -921,13 +933,11 @@ mod tests {
         let h = pattern(n, f_in, 2);
         let d_out = pattern(n, 2 * half, 3);
         let layer = GcnLayer::new(f_in, half, false, 12);
-        let (reference, _, _) =
-            precision::with_precision(Precision::F32, || step(&layer, &g, &h, &d_out, true));
+        let (reference, _, _) = step(&layer, &g, &h, &d_out, true);
+        let layer = layer.with_precision(Precision::Bf16);
         let tol = precision::rel_tolerance(Precision::Bf16, 1, n);
         for tier in available_tiers() {
-            let (got, _, _) = with_tier(tier, || {
-                precision::with_precision(Precision::Bf16, || step(&layer, &g, &h, &d_out, true))
-            });
+            let (got, _, _) = with_tier(tier, || step(&layer, &g, &h, &d_out, true));
             for (name, b, r) in [
                 ("dW_neigh", &got.d_w_neigh, &reference.d_w_neigh),
                 ("dW_self", &got.d_w_self, &reference.d_w_self),
@@ -947,7 +957,7 @@ mod tests {
     }
 
     /// The backward runs in the precision its forward recorded, not the
-    /// one current when it is called.
+    /// one the layer is set to when it is called.
     #[test]
     fn backward_follows_its_forward_precision() {
         let (n, f_in, half) = (40, 24, 9);
@@ -956,19 +966,18 @@ mod tests {
         let d_out = pattern(n, 2 * half, 6);
         let p = FeaturePropagator::default();
         let layer = GcnLayer::new(f_in, half, true, 13);
-        let in_one = |prec| precision::with_precision(prec, || step(&layer, &g, &h, &d_out, true));
+        let in_one = |prec| step(&layer.clone().with_precision(prec), &g, &h, &d_out, true);
         for (fwd, bwd) in [
             (Precision::Bf16, Precision::F32),
             (Precision::F32, Precision::Bf16),
         ] {
-            let mut l = layer.clone();
+            let mut l = layer.clone().with_precision(fwd);
             let mut out = DMatrix::zeros(0, 0);
-            precision::with_precision(fwd, || l.forward_into(&g, &h, &mut out, &p));
+            l.forward_into(&g, &h, &mut out, &p);
+            let mut l = l.with_precision(bwd);
             let mut d_pre = d_out.clone();
             let mut d_in = DMatrix::zeros(0, 0);
-            precision::with_precision(bwd, || {
-                l.backward_into(&g, &h, &out, &mut d_pre, Some(&mut d_in), &p)
-            });
+            l.backward_into(&g, &h, &out, &mut d_pre, Some(&mut d_in), &p);
             let (want, _, want_d_in) = in_one(fwd);
             let (other, _, _) = in_one(bwd);
             assert_eq!(l.own_grads().d_w_neigh, want.d_w_neigh, "{fwd} forward");

@@ -172,12 +172,6 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Whether `layer` stores its input as bf16 on this thread: a fused layer
-/// under [`Precision::Bf16`] (the unfused reference has no bf16 path).
-fn stores_bf16(layer: &GcnLayer) -> bool {
-    layer.fused() && precision::current() == Precision::Bf16
-}
-
 /// Kept rows of `Â·X`, layer 1's neighbor aggregate of one graph and
 /// feature matrix ([`GcnModel::aggregate_input`]), stored in the element
 /// layer 1 packs its input in ([`GcnModel::input_precision`]) — f32, or
@@ -256,7 +250,9 @@ impl GcnModel {
     }
 
     /// Build with an explicit propagation kernel (used by benches to
-    /// compare `PropMode`s inside full training).
+    /// compare `PropMode`s inside full training). The layers start in
+    /// [`precision::pinned`] — f32 unless the `e2e` benchmark harness,
+    /// its one setter, pinned another; [`Self::set_precision`] changes it.
     pub fn with_propagator(cfg: GcnConfig, seed: u64, prop: FeaturePropagator) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("invalid GcnConfig: {e}");
@@ -266,7 +262,8 @@ impl GcnModel {
         for (i, &h) in cfg.hidden_dims.iter().enumerate() {
             layers.push(
                 GcnLayer::new(in_dim, h / 2, true, seed ^ ((i as u64 + 1) * 0x9E37))
-                    .with_fused(cfg.fused),
+                    .with_fused(cfg.fused)
+                    .with_precision(precision::pinned()),
             );
             in_dim = h;
         }
@@ -300,6 +297,19 @@ impl GcnModel {
     /// The model configuration.
     pub fn config(&self) -> &GcnConfig {
         &self.cfg
+    }
+
+    /// The precision the GCN layers store activations in (the unfused
+    /// reference stores f32 whatever it is set to).
+    pub fn precision(&self) -> Precision {
+        self.layers[0].precision
+    }
+
+    /// Store activations in `precision` from the next forward on.
+    pub fn set_precision(&mut self, precision: Precision) {
+        for layer in &mut self.layers {
+            layer.precision = precision;
+        }
     }
 
     /// Adam steps taken so far.
@@ -733,16 +743,12 @@ impl GcnModel {
         self.apply_output_activation(out);
     }
 
-    /// The element layer 1 stores its input in on this thread: bf16 when
-    /// the fused layer runs under [`Precision::Bf16`], f32 otherwise (the
-    /// unfused reference has no bf16 path): the precision an
-    /// [`InputAggregate`] must be stored in.
+    /// The element layer 1 stores its input in: bf16 when the fused
+    /// layer runs under [`Precision::Bf16`], f32 otherwise (the unfused
+    /// reference has no bf16 path): the precision an [`InputAggregate`]
+    /// must be stored in.
     pub fn input_precision(&self) -> Precision {
-        if stores_bf16(&self.layers[0]) {
-            Precision::Bf16
-        } else {
-            Precision::F32
-        }
+        self.layers[0].precision()
     }
 
     /// The kept rows of `Â·X` for `(g, x)`, in [`Self::input_precision`],
@@ -850,7 +856,7 @@ impl GcnModel {
         if last > 0 {
             let layer = &self.layers[last];
             dst.ensure_shape(targets.len(), layer.out_dim());
-            if stores_bf16(layer) {
+            if layer.precision() == Precision::Bf16 {
                 with_bf16_rows(src, |qh| {
                     layer.infer_selected_into(g, qh, None, Some(targets), dst.view_mut())
                 });

@@ -137,7 +137,6 @@ fn train_step_with_dropout_is_allocation_free_after_first_iteration() {
 /// warm-up too, with and without dropout.
 #[test]
 fn bf16_train_step_is_allocation_free_after_first_iteration() {
-    use gsgcn_tensor::precision::with_precision;
     use gsgcn_tensor::Precision;
     let n = 64;
     let g = ring_graph(n);
@@ -151,15 +150,14 @@ fn bf16_train_step_is_allocation_free_after_first_iteration() {
     pool.install(|| {
         for dropout in [0.0, 0.3] {
             let mut model = GcnModel::new(cfg(8, dropout), 5);
-            with_precision(Precision::Bf16, || {
-                let warmup = allocs_during(&mut model, &g, &x, &y, 2);
-                assert!(warmup > 0, "warm-up should build the workspace");
-                let steady = allocs_during(&mut model, &g, &x, &y, 10);
-                assert_eq!(
-                    steady, 0,
-                    "bf16 train_step (dropout {dropout}) allocated {steady} matrices after warm-up"
-                );
-            });
+            model.set_precision(Precision::Bf16);
+            let warmup = allocs_during(&mut model, &g, &x, &y, 2);
+            assert!(warmup > 0, "warm-up should build the workspace");
+            let steady = allocs_during(&mut model, &g, &x, &y, 10);
+            assert_eq!(
+                steady, 0,
+                "bf16 train_step (dropout {dropout}) allocated {steady} matrices after warm-up"
+            );
         }
     });
 }
@@ -209,7 +207,7 @@ fn infer_into_is_allocation_free_after_warmup() {
 /// largest seen) a call scores.
 #[test]
 fn infer_probs_at_is_allocation_free_after_warmup() {
-    use gsgcn_tensor::precision::{with_precision, ALL_PRECISIONS};
+    use gsgcn_tensor::precision::ALL_PRECISIONS;
     let n = 64;
     let g = ring_graph(n);
     let x = DMatrix::from_fn(n, 8, |i, j| ((i * 7 + j) % 13) as f32 * 0.1 - 0.6);
@@ -224,27 +222,26 @@ fn infer_probs_at_is_allocation_free_after_warmup() {
             for fused in [true, false] {
                 let mut c = cfg(8, 0.0);
                 c.fused = fused;
-                let model = GcnModel::new(c, 42);
-                with_precision(precision, || {
-                    let ax = model.aggregate_input(&g, &x);
-                    let mut ws = InferenceWorkspace::new();
-                    let mut probs = DMatrix::zeros(0, 0);
+                let mut model = GcnModel::new(c, 42);
+                model.set_precision(precision);
+                let ax = model.aggregate_input(&g, &x);
+                let mut ws = InferenceWorkspace::new();
+                let mut probs = DMatrix::zeros(0, 0);
+                for targets in &splits {
+                    model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
+                }
+                let before = alloc::matrix_allocations();
+                for _ in 0..5 {
                     for targets in &splits {
                         model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
                     }
-                    let before = alloc::matrix_allocations();
-                    for _ in 0..5 {
-                        for targets in &splits {
-                            model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
-                        }
-                    }
-                    let steady = alloc::matrix_allocations() - before;
-                    assert_eq!(
-                        steady, 0,
-                        "infer_probs_at_into ({precision}, fused={fused}) allocated \
-                         {steady} matrices after warm-up"
-                    );
-                });
+                }
+                let steady = alloc::matrix_allocations() - before;
+                assert_eq!(
+                    steady, 0,
+                    "infer_probs_at_into ({precision}, fused={fused}) allocated \
+                     {steady} matrices after warm-up"
+                );
             }
         }
     });

@@ -68,18 +68,15 @@ proptest! {
         let d_out = mat(n, 2 * half, seed ^ 0xB);
         let prop = FeaturePropagator::default();
 
-        // Pinned to f32 storage: the unfused reference has no bf16 path,
-        // so this equivalence is exact only at full precision. (The
-        // override wraps the forward call inside the pool, where the
-        // precision is read.)
+        // On f32 storage (a new layer's default): the unfused reference
+        // has no bf16 path, so this equivalence is exact only at full
+        // precision.
         let run = |fused: bool, threads: usize| {
             let mut layer = GcnLayer::new(f_in, half, true, seed ^ 0xC).with_fused(fused);
             in_pool(threads, || {
-                precision::with_precision(Precision::F32, || {
-                    let (out, _) = layer.forward(&g, &h, &prop);
-                    let (d_in, grads, _) = layer.backward(&g, &d_out, &prop);
-                    (out, d_in, grads.d_w_neigh.clone(), grads.d_w_self.clone())
-                })
+                let (out, _) = layer.forward(&g, &h, &prop);
+                let (d_in, grads, _) = layer.backward(&g, &d_out, &prop);
+                (out, d_in, grads.d_w_neigh.clone(), grads.d_w_self.clone())
             })
         };
         let (of, df, wnf, wsf) = run(true, THREADS[ti]);
@@ -115,11 +112,9 @@ proptest! {
                 ..GcnConfig::default()
             };
             let mut m = GcnModel::new(cfg, seed ^ 0xE);
-            // Pinned to f32 storage — same rationale as the layer test.
+            // On f32 storage — same rationale as the layer test.
             in_pool(THREADS[ti], || {
-                precision::with_precision(Precision::F32, || {
-                    (0..4).map(|_| m.train_step(&g, &x, &y).loss).collect::<Vec<f32>>()
-                })
+                (0..4).map(|_| m.train_step(&g, &x, &y).loss).collect::<Vec<f32>>()
             })
         };
         let lf = run(true);
@@ -153,11 +148,10 @@ proptest! {
                 ..GcnConfig::default()
             };
             let mut m = GcnModel::new(cfg, seed ^ 0x10);
+            m.set_precision(p);
             in_pool(THREADS[ti], || {
                 gemm::with_tier(tier, || {
-                    precision::with_precision(p, || {
-                        (0..4).map(|_| m.train_step(&g, &x, &y).loss).collect::<Vec<f32>>()
-                    })
+                    (0..4).map(|_| m.train_step(&g, &x, &y).loss).collect::<Vec<f32>>()
                 })
             })
         };

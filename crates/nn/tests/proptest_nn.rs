@@ -6,7 +6,7 @@ use gsgcn_nn::adam::{AdamHyper, AdamParam};
 use gsgcn_nn::gcn_layer::GcnLayer;
 use gsgcn_nn::loss::{sigmoid_bce, softmax_ce};
 use gsgcn_prop::propagator::{FeaturePropagator, PropMode};
-use gsgcn_tensor::{precision, DMatrix, Precision};
+use gsgcn_tensor::DMatrix;
 use proptest::prelude::*;
 
 fn small_matrix(
@@ -108,11 +108,10 @@ proptest! {
     /// dimensions (the full chain: aggregate → weights → concat → ReLU).
     #[test]
     fn gcn_layer_gradient_random(n in 3usize..7, fin in 1usize..4, half in 1usize..3, seed in 0u64..1000) {
-        // Pinned to f32 storage: finite differences probe at a step size
-        // below bf16 granularity, so the quantized forward would drown
-        // the numeric gradient in rounding noise. (The precision is read
-        // on this thread, at the layer-forward call.)
-        precision::with_precision(Precision::F32, || gcn_layer_gradient_random_body(n, fin, half, seed))?;
+        // On f32 storage (a new layer's default): finite differences probe
+        // at a step size below bf16 granularity, so the quantized forward
+        // would drown the numeric gradient in rounding noise.
+        gcn_layer_gradient_random_body(n, fin, half, seed)?;
     }
 }
 

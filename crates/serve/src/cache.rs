@@ -38,8 +38,9 @@
 //! band (`gsgcn_tensor::precision::rel_tolerance`) since the final
 //! fused layer re-accumulates in f32 either way. The precision is fixed
 //! at construction — mixing would make hit bytes depend on insert
-//! history — and the `gsgcn` binary passes the session's resolved
-//! precision (`--precision` flag / `GSGCN_PRECISION` env).
+//! history. The `gsgcn` binary builds the cache in the precision it
+//! resolved from `--precision` or `GSGCN_PRECISION`, the one its model
+//! stores activations in.
 
 use gsgcn_tensor::{bf16, Bf16, DMatrix, Precision};
 use std::collections::{HashMap, VecDeque};

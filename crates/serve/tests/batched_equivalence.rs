@@ -17,7 +17,7 @@ use common::CACHE_AXES;
 use gsgcn_graph::{CsrGraph, GraphBuilder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::NodeClassifier;
-use gsgcn_tensor::{gemm, DMatrix};
+use gsgcn_tensor::{gemm, DMatrix, Precision};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -62,10 +62,16 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
-fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClassifier {
+fn classifier_for(
+    n: usize,
+    depth: usize,
+    loss: LossKind,
+    seed: u64,
+    p: Precision,
+) -> NodeClassifier {
     let g = rand_graph(n, 3 * n, seed);
     let x = mat(n, 5, seed ^ 0xF00D);
-    let model = GcnModel::new(
+    let mut model = GcnModel::new(
         GcnConfig {
             in_dim: 5,
             hidden_dims: vec![8; depth],
@@ -75,6 +81,7 @@ fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClas
         },
         seed ^ 0xBEEF,
     );
+    model.set_precision(p);
     NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x)).unwrap()
 }
 
@@ -102,29 +109,26 @@ proptest! {
             .collect();
 
         for axis in CACHE_AXES {
-            axis.run(|| -> Result<(), String> {
-                let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
-                let full = c.full_graph_probs();
-                for tier in gemm::available_tiers() {
-                    for pass in ["cold", "warm"] {
-                        let preds = gemm::with_tier(tier, || {
-                            in_pool(THREADS[ti], || c.classify(&batch).unwrap())
-                        });
-                        for p in &preds {
-                            let want = full.row(p.node as usize);
-                            for (k, (a, b)) in p.probs.iter().zip(want).enumerate() {
-                                prop_assert!(
-                                    (a - b).abs() < 1e-4,
-                                    "{axis:?} tier {} {pass} node {} class {k}: \
-                                     batched {a} vs full {b}",
-                                    tier.name(), p.node
-                                );
-                            }
+            let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed, axis.precision()));
+            let full = c.full_graph_probs();
+            for tier in gemm::available_tiers() {
+                for pass in ["cold", "warm"] {
+                    let preds = gemm::with_tier(tier, || {
+                        in_pool(THREADS[ti], || c.classify(&batch).unwrap())
+                    });
+                    for p in &preds {
+                        let want = full.row(p.node as usize);
+                        for (k, (a, b)) in p.probs.iter().zip(want).enumerate() {
+                            prop_assert!(
+                                (a - b).abs() < 1e-4,
+                                "{axis:?} tier {} {pass} node {} class {k}: \
+                                 batched {a} vs full {b}",
+                                tier.name(), p.node
+                            );
                         }
                     }
                 }
-                Ok(())
-            })?;
+            }
         }
     }
 
@@ -142,20 +146,17 @@ proptest! {
         let loss = if single { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
         let all: Vec<u32> = (0..n as u32).collect();
         for axis in CACHE_AXES {
-            axis.run(|| -> Result<(), String> {
-                let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
-                let full = c.full_graph_probs();
-                for pass in ["cold", "warm"] {
-                    for p in &c.classify(&all).unwrap() {
-                        prop_assert!(
-                            p.probs.as_slice() == full.row(p.node as usize),
-                            "{axis:?} {pass}: node {} not bit-identical on the identity batch",
-                            p.node
-                        );
-                    }
+            let c = axis.attach(classifier_for(n, DEPTHS[di], loss, seed, axis.precision()));
+            let full = c.full_graph_probs();
+            for pass in ["cold", "warm"] {
+                for p in &c.classify(&all).unwrap() {
+                    prop_assert!(
+                        p.probs.as_slice() == full.row(p.node as usize),
+                        "{axis:?} {pass}: node {} not bit-identical on the identity batch",
+                        p.node
+                    );
                 }
-                Ok(())
-            })?;
+            }
         }
     }
 
@@ -170,19 +171,16 @@ proptest! {
         let nodes: Vec<u32> = (0..n as u32).step_by(2).collect();
         let mid = nodes.len() / 2;
         for axis in CACHE_AXES {
-            axis.run(|| -> Result<(), String> {
-                let c = axis.attach(classifier_for(n, 2, LossKind::SoftmaxCe, seed));
-                let together = c.classify(&nodes).unwrap();
-                let mut split = c.classify(&nodes[..mid.max(1)]).unwrap();
-                split.extend(c.classify(&nodes[mid.max(1)..]).unwrap());
-                for (a, b) in together.iter().zip(&split) {
-                    prop_assert_eq!(a.node, b.node);
-                    for (x, y) in a.probs.iter().zip(&b.probs) {
-                        prop_assert!((x - y).abs() < 1e-4, "{axis:?} node {}: {x} vs {y}", a.node);
-                    }
+            let c = axis.attach(classifier_for(n, 2, LossKind::SoftmaxCe, seed, axis.precision()));
+            let together = c.classify(&nodes).unwrap();
+            let mut split = c.classify(&nodes[..mid.max(1)]).unwrap();
+            split.extend(c.classify(&nodes[mid.max(1)..]).unwrap());
+            for (a, b) in together.iter().zip(&split) {
+                prop_assert_eq!(a.node, b.node);
+                for (x, y) in a.probs.iter().zip(&b.probs) {
+                    prop_assert!((x - y).abs() < 1e-4, "{axis:?} node {}: {x} vs {y}", a.node);
                 }
-                Ok(())
-            })?;
+            }
         }
     }
 }

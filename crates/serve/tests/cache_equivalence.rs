@@ -44,7 +44,13 @@ fn rand_graph(n: usize, extra: usize, seed: u64) -> CsrGraph {
     GraphBuilder::new(n).add_edges(edges).build()
 }
 
-fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClassifier {
+fn classifier_for(
+    n: usize,
+    depth: usize,
+    loss: LossKind,
+    seed: u64,
+    p: Precision,
+) -> NodeClassifier {
     let g = rand_graph(n, 3 * n, seed);
     let x = DMatrix::from_fn(n, 5, |i, j| {
         ((seed as usize)
@@ -54,7 +60,7 @@ fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClas
             * 0.13
             - 1.0
     });
-    let model = GcnModel::new(
+    let mut model = GcnModel::new(
         GcnConfig {
             in_dim: 5,
             hidden_dims: vec![8; depth],
@@ -64,6 +70,7 @@ fn classifier_for(n: usize, depth: usize, loss: LossKind, seed: u64) -> NodeClas
         },
         seed ^ 0xBEEF,
     );
+    model.set_precision(p);
     NodeClassifier::new(Arc::new(model), Arc::new(g), Arc::new(x)).unwrap()
 }
 
@@ -94,22 +101,20 @@ proptest! {
     ) {
         let n = N_DIMS[ni];
         let loss = if single { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
-        let uncached = classifier_for(n, DEPTHS[di], loss, seed);
         let batch = batch_of(n, seed);
 
         for (axis, tier) in CACHE_AXES
             .into_iter()
             .flat_map(|axis| gemm::available_tiers().into_iter().map(move |tier| (axis, tier)))
         {
-            let cached = axis.attach(classifier_for(n, DEPTHS[di], loss, seed));
-            let (baseline, cold, warm) = axis.run(|| {
-                gemm::with_tier(tier, || {
-                    (
-                        uncached.classify(&batch).unwrap(),
-                        cached.classify(&batch).unwrap(),
-                        cached.classify(&batch).unwrap(),
-                    )
-                })
+            let uncached = classifier_for(n, DEPTHS[di], loss, seed, axis.precision());
+            let cached = axis.attach(classifier_for(n, DEPTHS[di], loss, seed, axis.precision()));
+            let (baseline, cold, warm) = gemm::with_tier(tier, || {
+                (
+                    uncached.classify(&batch).unwrap(),
+                    cached.classify(&batch).unwrap(),
+                    cached.classify(&batch).unwrap(),
+                )
             });
             if let Some(cache) = cached.cache() {
                 let probed = cache.stats();
@@ -149,10 +154,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let n = N_DIMS[ni];
-        let uncached = classifier_for(n, 2, LossKind::SoftmaxCe, seed);
+        let uncached = classifier_for(n, 2, LossKind::SoftmaxCe, seed, Precision::F32);
         // ~6 rows of 8 f32 across 1 shard: constant eviction churn.
         let cache = Arc::new(ActivationCache::with_shards(6 * (8 * 4 + 64), 1));
-        let cached = classifier_for(n, 2, LossKind::SoftmaxCe, seed)
+        let cached = classifier_for(n, 2, LossKind::SoftmaxCe, seed, Precision::F32)
             .with_cache(Some(Arc::clone(&cache)));
         for round in 0..6u64 {
             let batch = batch_of(n, seed.wrapping_add(round * 7919));
@@ -192,13 +197,13 @@ proptest! {
     ) {
         let n = N_DIMS[ni];
         let loss = if single { LossKind::SoftmaxCe } else { LossKind::SigmoidBce };
-        let uncached = classifier_for(n, DEPTHS[di], loss, seed);
+        let uncached = classifier_for(n, DEPTHS[di], loss, seed, Precision::F32);
         let storage = if bf16 { Precision::Bf16 } else { Precision::F32 };
         // Starved: room for about n/4 rows of 8 floats in one shard, less
         // than the frontier of a third of the vertices.
         let budget = if starved { (n / 4 + 1) * (8 * 4 + 64) } else { 8 << 20 };
         let cache = Arc::new(ActivationCache::with_shards_precision(budget, 1, storage));
-        let cached = classifier_for(n, DEPTHS[di], loss, seed)
+        let cached = classifier_for(n, DEPTHS[di], loss, seed, Precision::F32)
             .with_cache(Some(Arc::clone(&cache)));
         let band = precision::rel_tolerance(Precision::Bf16, 1, 8);
 
@@ -236,10 +241,10 @@ proptest! {
 #[test]
 fn version_bump_invalidates_and_rewarms() {
     let n = 40;
-    let uncached = classifier_for(n, 2, LossKind::SigmoidBce, 11);
+    let uncached = classifier_for(n, 2, LossKind::SigmoidBce, 11, Precision::F32);
     let cache = Arc::new(ActivationCache::new(8 << 20));
-    let cached =
-        classifier_for(n, 2, LossKind::SigmoidBce, 11).with_cache(Some(Arc::clone(&cache)));
+    let cached = classifier_for(n, 2, LossKind::SigmoidBce, 11, Precision::F32)
+        .with_cache(Some(Arc::clone(&cache)));
     let batch = batch_of(n, 11);
     let want = uncached.classify(&batch).unwrap();
 

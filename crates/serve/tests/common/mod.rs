@@ -5,12 +5,10 @@
 //! computed on every request), a starved 64 KiB cache (partial hits under
 //! eviction), a roomy 64 MiB one (all hits after the first touch), and a
 //! roomy one holding bf16 rows — quantised on insert, widened on gather,
-//! half the bytes per row — with the whole classify storing bf16.
-//! Cache rows follow the process precision (`precision::current()`), so
-//! under `GSGCN_PRECISION=bf16` the first three regimes store bf16 too.
+//! half the bytes per row — in front of a model storing bf16 too
+//! ([`CacheAxis::precision`]).
 
 use gsgcn_serve::{ActivationCache, NodeClassifier};
-use gsgcn_tensor::precision::{self, with_precision};
 use gsgcn_tensor::Precision;
 use std::sync::Arc;
 
@@ -30,27 +28,26 @@ pub const CACHE_AXES: [CacheAxis; 4] = [
 ];
 
 impl CacheAxis {
+    /// The precision this regime's model and cache rows store in.
+    pub fn precision(self) -> Precision {
+        match self {
+            CacheAxis::Bf16Rows => Precision::Bf16,
+            _ => Precision::F32,
+        }
+    }
+
     /// `c` with this regime's cache attached (a 1-layer model has no
     /// hidden rows to cache and stays uncached).
     pub fn attach(self, c: NodeClassifier) -> NodeClassifier {
-        let (bytes, rows) = match self {
+        let bytes = match self {
             CacheAxis::Off => return c,
-            CacheAxis::Starved => (64 << 10, precision::current()),
-            CacheAxis::Roomy => (64 << 20, precision::current()),
-            CacheAxis::Bf16Rows => (64 << 20, Precision::Bf16),
+            CacheAxis::Starved => 64 << 10,
+            CacheAxis::Roomy | CacheAxis::Bf16Rows => 64 << 20,
         };
         if c.hops() < 2 {
             return c;
         }
-        c.with_cache(Some(Arc::new(ActivationCache::with_precision(bytes, rows))))
-    }
-
-    /// Run `f` — baseline and cached classifies alike — at this regime's
-    /// storage precision.
-    pub fn run<R>(self, f: impl FnOnce() -> R) -> R {
-        match self {
-            CacheAxis::Bf16Rows => with_precision(Precision::Bf16, f),
-            _ => f(),
-        }
+        let cache = ActivationCache::with_precision(bytes, self.precision());
+        c.with_cache(Some(Arc::new(cache)))
     }
 }

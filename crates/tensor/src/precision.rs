@@ -1,5 +1,4 @@
-//! Storage-precision selection (`f32` vs `bf16`), following the
-//! `GSGCN_KERNEL` dispatch policy.
+//! Storage precision (`f32` vs `bf16`) of feature and activation bytes.
 //!
 //! Precision controls how feature/activation bytes are *stored* — GEMM
 //! panels, shard feature payloads, serving cache rows. Arithmetic always
@@ -12,22 +11,13 @@
 //! weight-gradient GEMMs multiply those bf16 panels, and the f32
 //! gradient operands round to bf16 as they are packed. The master
 //! weights, Adam's moments and every accumulation stay f32. A backward
-//! pass runs in the precision its forward recorded, not the one current
-//! when it is called.
+//! pass runs in the precision its forward recorded.
 //!
-//! Resolution order (the established env policy):
-//!
-//! 1. a thread-local override installed by [`with_precision`] (tests);
-//! 2. a process-wide value pinned by [`force_global`] (the CLI's
-//!    `--precision` flag — flag beats env);
-//! 3. the `GSGCN_PRECISION` environment variable (`f32`, `bf16`, `auto`/
-//!    unset → f32), resolved once; an unknown value **panics** — a
-//!    misconfigured precision matrix run must be loud, never a silent
-//!    f32 fallback;
-//! 4. [`Precision::F32`], the default — the f32 path stays bit-identical
-//!    to a build without this module.
+//! A precision is a value its owner carries: a GCN layer, a model, a
+//! trainer, a shard writer or an activation cache is built with one, and
+//! nothing here reads the environment. The one process-wide value,
+//! [`force_global`], is the initial precision of a newly built model.
 
-use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// How feature/activation bytes are stored on the hot paths.
@@ -72,49 +62,18 @@ impl std::fmt::Display for Precision {
 
 static GLOBAL: OnceLock<Precision> = OnceLock::new();
 
-/// Pin the process-wide precision (the CLI's `--precision` flag; flag >
-/// env). Must run before the first [`current`] resolves the global —
-/// afterwards the earlier value wins, and this returns it.
+/// Pin the process-wide precision that newly built models start in
+/// ([`pinned`]). The first call wins and later calls return its value.
+/// Its one caller is the `e2e` benchmark harness, whose workloads name a
+/// precision but spell out every field of the configs they build.
 pub fn force_global(p: Precision) -> Precision {
     *GLOBAL.get_or_init(|| p)
 }
 
-/// Resolve `GSGCN_PRECISION` (no flag override). Panics on an unknown
-/// value — misconfiguration must be loud.
-fn from_env() -> Precision {
-    match std::env::var("GSGCN_PRECISION") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => Precision::parse(&v)
-            .unwrap_or_else(|| panic!("GSGCN_PRECISION={v:?} — expected f32, bf16 or auto")),
-        _ => Precision::F32,
-    }
-}
-
-thread_local! {
-    /// Per-thread precision override (see [`with_precision`]).
-    static FORCED: Cell<Option<Precision>> = const { Cell::new(None) };
-}
-
-/// The precision the current thread's next forward pass will store at
-/// (its backward follows the forward).
-pub fn current() -> Precision {
-    FORCED
-        .get()
-        .unwrap_or_else(|| *GLOBAL.get_or_init(from_env))
-}
-
-/// Run `f` with this thread storing at `p`. Restored on exit (including
-/// unwind). Like [`crate::ukernel::with_tier`], the override must wrap
-/// the call that *reads* the precision (the layer forward), not a pool
-/// boundary around it.
-pub fn with_precision<R>(p: Precision, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Precision>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED.set(self.0);
-        }
-    }
-    let _restore = Restore(FORCED.replace(Some(p)));
-    f()
+/// The precision pinned by [`force_global`], [`Precision::F32`] unless
+/// pinned.
+pub fn pinned() -> Precision {
+    GLOBAL.get().copied().unwrap_or_default()
 }
 
 /// The per-element relative rounding bound of `p`'s storage: 0 for f32,
@@ -159,25 +118,6 @@ mod tests {
         }
         assert_eq!(Precision::parse("auto"), None);
         assert_eq!(Precision::parse("fp16"), None);
-    }
-
-    #[test]
-    fn with_precision_overrides_and_restores() {
-        let base = current();
-        with_precision(Precision::Bf16, || {
-            assert_eq!(current(), Precision::Bf16);
-            with_precision(Precision::F32, || assert_eq!(current(), Precision::F32));
-            assert_eq!(current(), Precision::Bf16);
-        });
-        assert_eq!(current(), base);
-    }
-
-    #[test]
-    fn with_precision_restores_on_panic() {
-        let base = current();
-        let r = std::panic::catch_unwind(|| with_precision(Precision::Bf16, || panic!("boom")));
-        assert!(r.is_err());
-        assert_eq!(current(), base);
     }
 
     #[test]

@@ -52,6 +52,7 @@
 //! | mapped bytes per mmap store | — | `GSGCN_SHARD_CACHE` | 64 MiB |
 //! | activation cache (`predict`, `serve`) | `--cache-bytes` | `GSGCN_ACTIVATION_CACHE` | off |
 //! | sampler workers (`train`) | `--sampler-threads` | `GSGCN_SAMPLER_THREADS` | `auto` |
+//! | activation storage precision | `--precision` | `GSGCN_PRECISION` | `f32` (= `auto`) |
 //!
 //! A malformed value is an `error:` exit 1, as a bad flag is, and
 //! `train`/`eval`/`predict`/`serve` print the resolved values on a
@@ -68,7 +69,7 @@ use gsgcn::data::{presets, Dataset, StoreDataset};
 use gsgcn::graph::store::{parse_byte_size, DEFAULT_SHARD_CACHE_BYTES};
 use gsgcn::graph::StoreBackend;
 use gsgcn::nn::checkpoint::{CheckpointMeta, ModelWeights};
-use gsgcn::tensor::{gemm, precision, Precision};
+use gsgcn::tensor::{gemm, Precision};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -101,9 +102,10 @@ const USAGE: &str = "usage:
                0 = sample inline on the compute threads; with both set,
                evaluation runs on threads + sampler-threads threads,
                since it leaves the workers idle)
-              (--precision <f32|bf16> on train/eval/predict/serve picks
+              (--precision <f32|bf16|auto> on train/eval/predict/serve picks
                the activation storage precision, flag > GSGCN_PRECISION
-               env > f32; bf16 stores activations at half width and trains
+               env > f32 (auto = f32); `kernel` reads the env only;
+               bf16 stores activations at half width and trains
                mixed precision — bf16 panels in the forward and backward
                GEMMs, f32 accumulation, f32 master weights and Adam)
   gsgcn eval  --load PATH [--dataset <name>] [--hidden A,B,..] [--seed N]
@@ -261,6 +263,8 @@ struct RuntimeConfig {
     /// Activation-cache bytes; 0 = off.
     activation_cache: usize,
     sampler_threads: usize,
+    /// Activation storage precision of the model and the activation cache.
+    precision: Precision,
 }
 
 impl RuntimeConfig {
@@ -299,6 +303,7 @@ impl RuntimeConfig {
                 auto_sampler_threads(),
                 parse_sampler_threads,
             )?,
+            precision: precision_setting(flags)?,
         })
     }
 
@@ -308,14 +313,14 @@ impl RuntimeConfig {
     }
 
     /// `c` with the resolved activation cache attached, its rows in the
-    /// session's activation precision (bf16 serving halves bytes-per-row).
+    /// resolved activation precision (bf16 serving halves bytes-per-row).
     fn attach_cache(&self, c: gsgcn::serve::NodeClassifier) -> gsgcn::serve::NodeClassifier {
         use gsgcn::serve::ActivationCache;
         match self.activation_cache {
             0 => c,
             bytes => c.with_cache(Some(std::sync::Arc::new(ActivationCache::with_precision(
                 bytes,
-                precision::current(),
+                self.precision,
             )))),
         }
     }
@@ -331,10 +336,11 @@ impl std::fmt::Display for RuntimeConfig {
         write!(
             f,
             "runtime: graph store {}, shard cache {}, activation cache {cache}, \
-             sampler threads {}",
+             sampler threads {}, precision {}",
             self.store.name(),
             format_bytes(self.shard_cache),
-            self.sampler_threads
+            self.sampler_threads,
+            self.precision
         )
     }
 }
@@ -358,23 +364,20 @@ fn setting<T>(
     parse(raw.trim()).map_err(|e| format!("{source}: {e}"))
 }
 
-/// Apply `--precision <f32|bf16>` with flag > `GSGCN_PRECISION` env > f32
-/// precedence. Must run before anything computes (the global precision
-/// latches on first read); a flag that loses that race is a bug, so it
-/// fails loudly instead of silently running at the wrong precision.
-fn apply_precision_flag(flags: &HashMap<String, String>) -> Result<(), String> {
-    let Some(spec) = flags.get("precision") else {
-        return Ok(());
-    };
-    let want = Precision::parse(spec)
-        .ok_or_else(|| format!("bad --precision {spec:?}: expected f32|bf16"))?;
-    let got = precision::force_global(want);
-    if got != want {
-        return Err(format!(
-            "--precision {want} requested but the session already latched {got}"
-        ));
-    }
-    Ok(())
+/// The activation storage precision: `--precision`, else
+/// `GSGCN_PRECISION`, else f32; `auto` is f32.
+fn precision_setting(flags: &HashMap<String, String>) -> Result<Precision, String> {
+    setting(
+        flags,
+        "precision",
+        "GSGCN_PRECISION",
+        Precision::F32,
+        |s| match Precision::parse(s) {
+            Some(p) => Ok(p),
+            None if s.eq_ignore_ascii_case("auto") => Ok(Precision::F32),
+            None => Err(format!("bad precision {s:?}: expected f32|bf16|auto")),
+        },
+    )
 }
 
 /// One-line shard-cache report printed by `train`/`eval`/`predict`
@@ -523,7 +526,6 @@ fn cmd_shard(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
-    apply_precision_flag(flags)?;
     let rt = RuntimeConfig::resolve(flags)?;
     println!("{rt}");
     if let Some(dir) = flags.get("shards") {
@@ -540,7 +542,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
         cfg.epochs,
         cfg.hidden_dims
     );
-    let mut trainer = GsGcnTrainer::new(&dataset, cfg)?;
+    let mut trainer = GsGcnTrainer::new(&dataset, cfg)?.with_precision(rt.precision);
     print_threads(&trainer);
     let report = trainer.train()?;
     println!("{}", report.summary());
@@ -603,7 +605,7 @@ fn train_from_shards(
         cfg.epochs,
         cfg.hidden_dims
     );
-    let mut trainer = GsGcnTrainer::from_store(&sd, cfg)?;
+    let mut trainer = GsGcnTrainer::from_store(&sd, cfg)?.with_precision(rt.precision);
     print_threads(&trainer);
     let report = trainer.train()?;
     println!("{}", report.summary());
@@ -693,7 +695,6 @@ fn apply_checkpoint_meta(flags: &mut HashMap<String, String>, meta: &CheckpointM
 }
 
 fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
-    apply_precision_flag(flags)?;
     // Evaluation never consumes training subgraphs: don't spin up sampler
     // workers that would immediately fill their queue for nothing.
     let rt = RuntimeConfig {
@@ -732,7 +733,8 @@ fn cmd_eval(flags: &HashMap<String, String>) -> Result<(), String> {
             dataset = load_dataset(&flags)?;
             GsGcnTrainer::new(&dataset, cfg)?
         }
-    };
+    }
+    .with_precision(rt.precision);
     trainer.import_weights(&weights)?;
     println!("loaded {} parameters from {path}", weights.num_params());
     for (name, split) in [
@@ -787,6 +789,7 @@ fn build_classifier(
         cfg.validate()?;
         let mut model = GcnModel::new(cfg, 1);
         model.import_weights(&weights)?;
+        model.set_precision(rt.precision);
         // A `mem` store is resident and has no shard cache.
         let shard_cache = match sd.full.cache_stats() {
             Some(stats) => gsgcn::metrics::mem::format_bytes(stats.budget_bytes),
@@ -822,6 +825,7 @@ fn build_classifier(
     cfg.validate()?;
     let mut model = GcnModel::new(cfg, 1);
     model.import_weights(&weights)?;
+    model.set_precision(rt.precision);
     println!(
         "loaded {} parameters from {path} — serving {} (|V|={}, {} classes, {}-hop queries)",
         weights.num_params(),
@@ -840,7 +844,6 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::{BatchEngine, EngineConfig};
     use std::sync::Arc;
 
-    apply_precision_flag(flags)?;
     let rt = RuntimeConfig::resolve(flags)?;
     println!("{rt}");
     // Same id syntax as one TCP request line (commas and/or spaces).
@@ -881,7 +884,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use gsgcn::serve::{AdmissionControl, BatchEngine, EngineConfig};
     use std::sync::Arc;
 
-    apply_precision_flag(flags)?;
     let rt = RuntimeConfig::resolve(flags)?;
     println!("{rt}");
     let classifier = build_classifier(flags, &rt)?;
@@ -971,7 +973,7 @@ fn cmd_kernel(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
     println!(
         "selected  {} (storing {})",
         gemm::selected_tier().name(),
-        precision::current()
+        precision_setting(flags)?
     );
     println!(
         "available {}",

@@ -3,11 +3,12 @@
 use std::process::{Command, Output};
 
 /// The variables the binary resolves its runtime settings from.
-const SETTINGS: [&str; 4] = [
+const SETTINGS: [&str; 5] = [
     "GSGCN_GRAPH_STORE",
     "GSGCN_SHARD_CACHE",
     "GSGCN_ACTIVATION_CACHE",
     "GSGCN_SAMPLER_THREADS",
+    "GSGCN_PRECISION",
 ];
 
 /// Run `gsgcn args…` with exactly `env` of the [`SETTINGS`] variables set.
@@ -97,6 +98,7 @@ fn malformed_settings_are_errors() {
         ("GSGCN_ACTIVATION_CACHE", "garbage"),
         ("GSGCN_SAMPLER_THREADS", "two"),
         ("GSGCN_GRAPH_STORE", "disk"),
+        ("GSGCN_PRECISION", "fp16"),
     ] {
         let stderr = refused_with(&tiny_train(&[]), &[(var, value)]);
         let first = stderr.lines().next().unwrap_or_default();
@@ -108,6 +110,8 @@ fn malformed_settings_are_errors() {
     }
     let stderr = refused(&["serve", "--load", "unused.gcn", "--cache-bytes", "lots"]);
     assert!(stderr.starts_with("error: --cache-bytes: "), "{stderr}");
+    let stderr = refused(&tiny_train(&["--precision", "fp16"]));
+    assert!(stderr.starts_with("error: --precision: "), "{stderr}");
 }
 
 /// A store backend picks how a `--shards` store is opened; with no
@@ -146,7 +150,7 @@ fn banner_prints_resolved_settings() {
             &["--sampler-threads", "0"][..],
             &[][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 0",
+             sampler threads 0, precision f32",
         ),
         (
             &["--sampler-threads", "1"][..],
@@ -156,13 +160,25 @@ fn banner_prints_resolved_settings() {
                 ("GSGCN_ACTIVATION_CACHE", "64KiB"),
             ][..],
             "runtime: graph store mem, shard cache 2.0 MiB, activation cache 64.0 KiB, \
-             sampler threads 1",
+             sampler threads 1, precision f32",
         ),
         (
             &[][..],
-            &[("GSGCN_SAMPLER_THREADS", "2")][..],
+            &[("GSGCN_SAMPLER_THREADS", "2"), ("GSGCN_PRECISION", "bf16")][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 2",
+             sampler threads 2, precision bf16",
+        ),
+        (
+            &["--sampler-threads", "0", "--precision", "auto"][..],
+            &[("GSGCN_PRECISION", "bf16")][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 0, precision f32",
+        ),
+        (
+            &["--sampler-threads", "0", "--precision", "bf16"][..],
+            &[("GSGCN_PRECISION", "auto")][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 0, precision bf16",
         ),
     ] {
         let args = tiny_train(flags);
@@ -179,6 +195,24 @@ fn banner_prints_resolved_settings() {
             "{args:?} {env:?}: {stdout}"
         );
     }
+}
+
+/// `gsgcn kernel` reports the precision `GSGCN_PRECISION` resolves to,
+/// by the same rule as the other commands, and refuses a bad value.
+#[test]
+fn kernel_reports_the_resolved_precision() {
+    for (value, want) in [("bf16", "bf16"), ("auto", "f32"), ("", "f32")] {
+        let out = run(&["kernel"], &[("GSGCN_PRECISION", value)]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{value:?}: {stdout}");
+        let first = stdout.lines().next().unwrap_or_default();
+        assert!(
+            first.ends_with(&format!("(storing {want})")),
+            "{value:?}: {stdout}"
+        );
+    }
+    let stderr = refused_with(&["kernel"], &[("GSGCN_PRECISION", "fp16")]);
+    assert!(stderr.starts_with("error: GSGCN_PRECISION: "), "{stderr}");
 }
 
 /// `train` says where the sampler runs and how wide evaluation is, on the
