@@ -13,7 +13,9 @@
 //!   **per microkernel tier** (`packed_scalar` / `packed_avx2` /
 //!   `packed_avx512`, whichever the CPU supports) so the explicit-SIMD
 //!   gain over the autovectorised fallback stays measured too (acceptance
-//!   target: avx512 ≥ 1.5× scalar on `8192×602·602×256`).
+//!   target: avx512 ≥ 1.5× scalar on `8192×602·602×256`). The `amx`
+//!   tier runs no f32 case of its own: its f32 kernel is avx512's, and
+//!   `packed_bf16` runs its tile unit wherever it is the selected tier.
 //!
 //! Run with `GSGCN_BENCH_JSON=BENCH_gemm.json` to archive the numbers;
 //! each record is tagged with the kernel tier that produced it.
@@ -82,8 +84,12 @@ fn bench_gemm_gcn_shapes(c: &mut Criterion) {
             },
         );
         // Every available microkernel tier on the forward shape: the
-        // explicit-SIMD vs autovec-fallback comparison CI archives.
-        for tier in gemm::available_tiers() {
+        // explicit-SIMD vs autovec-fallback comparison CI archives. The
+        // amx tier's f32 kernel is avx512's, so it is not run twice.
+        for tier in gemm::available_tiers()
+            .into_iter()
+            .filter(|&t| t != gemm::Tier::Amx)
+        {
             criterion::set_json_tags([("kernel", tier.name())]);
             group.bench_with_input(
                 BenchmarkId::new(format!("packed_{}", tier.name()), format!("{n}x{f}x{h}")),

@@ -4,7 +4,9 @@
 //! the seed alone: the same on the resident dataset and on a spilled
 //! store — materialised in memory or memory-mapped, in natural and BFS
 //! placement, behind a starved and a roomy shard cache — and with 0 and 2
-//! sampler workers, in both activation precisions.
+//! sampler workers, in both activation precisions. The GEMM kernel tier
+//! changes no f32 bit either, and in bf16 only the AMX tile unit's
+//! summation order moves the trajectory, inside the bf16 band.
 //!
 //! The starved budget forces eviction churn on every epoch. The store's
 //! other consumers state the backend and order axes themselves:
@@ -17,7 +19,8 @@
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
 use gsgcn_data::{presets, StoreDataset};
 use gsgcn_graph::{StoreBackend, StoreOrder};
-use gsgcn_tensor::precision::ALL_PRECISIONS;
+use gsgcn_tensor::gemm::{self, Tier};
+use gsgcn_tensor::precision::{self, ALL_PRECISIONS};
 use gsgcn_tensor::Precision;
 
 /// Far below one shard's feature bytes (600 × 602 f32 over 4 shards ≈
@@ -99,4 +102,47 @@ fn trajectory_is_invariant_to_store_order_budget_and_sampler_workers() {
         }
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+/// Every available kernel tier, in both precisions. One compute thread
+/// and no sampler workers issue every GEMM, evaluation included, on the
+/// test thread, where `with_tier` holds: with a wider pool its workers
+/// would run some on the default tier.
+#[test]
+fn trajectory_is_invariant_to_the_kernel_tier() {
+    let d = presets::scale_spec(&presets::reddit_spec(), 600).generate(11);
+    let cfg = TrainerConfig {
+        threads: 1,
+        ..config(0)
+    };
+    let run = |tier, p| {
+        gemm::with_tier(tier, || {
+            trajectory(GsGcnTrainer::new(&d, cfg.clone()).unwrap(), p)
+        })
+    };
+    // Two hidden layers and the classifier over the widest input.
+    let tol = precision::rel_tolerance(Precision::Bf16, 3, d.feature_dim());
+    for p in ALL_PRECISIONS {
+        let (ref_losses, ref_f1) = run(Tier::Scalar, p);
+        for tier in gemm::available_tiers() {
+            let at = format!("{p}: tier {}", tier.name());
+            let (losses, f1) = run(tier, p);
+            if p == Precision::F32 || tier != Tier::Amx {
+                assert_eq!((&losses, f1), (&ref_losses, ref_f1), "{at}");
+                continue;
+            }
+            for (got, want) in losses.iter().zip(&ref_losses) {
+                let (got, want) = (f32::from_bits(*got), f32::from_bits(*want));
+                assert!(
+                    (got - want).abs() <= tol * want.abs(),
+                    "{at}: loss {got} vs {want}"
+                );
+            }
+            let (got, want) = (f64::from_bits(f1), f64::from_bits(ref_f1));
+            assert!(
+                (got - want).abs() <= f64::from(tol),
+                "{at}: val F1 {got} vs {want}"
+            );
+        }
+    }
 }

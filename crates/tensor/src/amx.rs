@@ -8,16 +8,16 @@
 //! throughput rather than just bandwidth.
 //!
 //! This module is not a GEMM driver. The blocked driver in
-//! [`crate::gemm`] is one loop nest; when `Bf16::tiles` observes the
-//! avx512 tier with [`bf16_ready`], it picks the strategy this module
-//! serves — A blocks packed **row-major** (what `tileloadd` strides
+//! [`crate::gemm`] is one loop nest; at the `amx` kernel tier (available
+//! where AVX-512F and [`bf16_ready`] hold), `Bf16::tiles` picks the
+//! strategy this module serves — A blocks packed **row-major** (what `tileloadd` strides
 //! over), B packed in [`VNNI_W`]-column k-pair-interleaved panels, depth
 //! zero-padded to [`TILE_K`] — and calls [`tile_kernel_32x32`] per
 //! 32×32 block of C in place of a vector microkernel.
 //!
 //! The stable toolchain has no AMX intrinsics, so the tile configuration
 //! and the microkernel are inline assembly (the mnemonics are plain
-//! `asm!`; no unstable feature gates). Three pieces of process state are
+//! `asm!`; no unstable feature gates). Two pieces of process state are
 //! involved:
 //!
 //! * **Permission** — tile data is an XSAVE component the kernel hands
@@ -26,15 +26,12 @@
 //! * **Tile palette** — `ldtilecfg` is per thread; every rayon worker
 //!   that runs the microkernel calls [`ensure_thread_configured`] first.
 //!   All eight tiles are configured 16 rows × 64 bytes.
-//! * **Kill switch** — `GSGCN_AMX=0` disables the unit (bf16 panels stay
-//!   on the tier's widen kernel), for A/B measurement and for debugging.
 //!
 //! The microkernel accumulates entirely in tile registers across the
 //! whole `kc` depth. `tdpbf16ps` sums each 32-product group in its own
 //! order, so AMX results are tolerance-banded (`1e-5·scale`) against the
 //! widen kernels, which are bit-identical to each other — see the
-//! determinism table in `gemm.rs`; `ukernel::bf16_dot_native` is the
-//! predicate tests band on.
+//! determinism table in `gemm.rs`.
 
 /// Rows of C per tile-kernel call (two 16-row tiles).
 pub const TILE_M: usize = 32;
@@ -47,7 +44,7 @@ pub const TILE_K: usize = 32;
 /// micro-tile reads two consecutive panels.
 pub const VNNI_W: usize = 16;
 
-/// Whether the AMX-BF16 unit is present, permitted and not disabled.
+/// Whether the AMX-BF16 unit is present and permitted.
 ///
 /// First call performs CPUID feature checks and the one-time
 /// `arch_prctl` tile-data permission request; the verdict is cached.
@@ -56,15 +53,7 @@ pub fn bf16_ready() -> bool {
     {
         use std::sync::OnceLock;
         static READY: OnceLock<bool> = OnceLock::new();
-        *READY.get_or_init(|| {
-            if matches!(
-                std::env::var("GSGCN_AMX").as_deref(),
-                Ok("0") | Ok("off") | Ok("false")
-            ) {
-                return false;
-            }
-            cpu_has_amx_bf16() && request_tiledata_permission()
-        })
+        *READY.get_or_init(|| cpu_has_amx_bf16() && request_tiledata_permission())
     }
     #[cfg(not(target_arch = "x86_64"))]
     {

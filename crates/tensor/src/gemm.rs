@@ -43,12 +43,11 @@
 //!   ([`crate::ukernel`]): an explicit SIMD register tile (`8×48`
 //!   AVX-512F, `8×16` AVX2+FMA, `8×32` portable autovectorised, each
 //!   also at its narrower widths for tails — see below) over
-//!   `MR`-interleaved panels, or — for bf16 panels at the avx512 tier
-//!   when the AMX unit is ready — a `32×32` `tdpbf16ps` tile over
-//!   row-major A and VNNI B panels ([`crate::amx`]). The tier is
-//!   resolved once per process (`is_x86_feature_detected!`, overridable
-//!   with `GSGCN_KERNEL`); [`with_tier`] forces a tier per thread for
-//!   tests/benches. There is **no** zero-skip branch: the seed kernel's
+//!   `MR`-interleaved panels, or — for bf16 panels at the amx tier — a
+//!   `32×32` `tdpbf16ps` tile over row-major A and VNNI B panels
+//!   ([`crate::amx`]). The default tier is the best the CPU has, or the
+//!   one a binary pinned ([`pin_default_tier`]); [`with_tier`] forces a
+//!   tier per thread for tests/benches. There is **no** zero-skip branch: the seed kernel's
 //!   `if aik == 0.0 { continue; }` stalled the pipeline on every dense
 //!   activation element to optimise a case (exact zeros) that occurs
 //!   only for ReLU-sparse inputs, and even then saves nothing once the
@@ -107,8 +106,8 @@
 //! |---|---|---|
 //! | f32, any tier vs any tier | bit-identical | `tiers_are_bit_identical` |
 //! | f32, any thread count | bit-identical | `thread_count_invariance` (`tests/proptest_packed_gemm.rs`) |
-//! | bf16, vector tier vs vector tier (`GSGCN_AMX=0`, or below avx512) | bit-identical | `bf16_tiers_are_bit_identical` |
-//! | bf16, AMX vs widen | within `1e-5 · scale` (`scale` = largest entry of C; accumulation order only) | `bf16_tiers_are_bit_identical` (AMX arm, gated on [`bf16_dot_native`]) |
+//! | bf16, vector tier vs vector tier (every tier but `amx`) | bit-identical | `bf16_tiers_are_bit_identical` |
+//! | bf16, AMX vs widen | within `1e-5 · scale` (`scale` = largest entry of C; accumulation order only) | `bf16_tiers_are_bit_identical` (the `amx` tier's arm) |
 //! | bf16 vs f32 on unquantised operands | [`crate::precision::rel_tolerance`] | `bf16_result_within_tolerance_of_f32_path` |
 //! | f32 A rounded into bf16 panels vs A quantised first, either orientation | bit-identical, every engine | `f32_operand_on_bf16_panels_matches_its_quantised_copy` |
 //! | bf16 training gradients vs f32 (bf16 panels in forward and backward) | [`crate::precision::rel_tolerance`], depth 1 | `fused_bf16_gradients_within_tolerance` in `gsgcn-nn` `gcn_layer.rs` |
@@ -126,7 +125,7 @@ use rayon::prelude::*;
 // inspection/override API is re-exported here because this is the module
 // callers already import for everything GEMM.
 pub use crate::ukernel::{
-    available_tiers, best_available_tier, bf16_dot_native, bf16_engine, selected_tier, with_tier,
+    available_tiers, best_available_tier, bf16_engine, pin_default_tier, selected_tier, with_tier,
     Element, Tier, Tiles, ALL_TIERS,
 };
 
@@ -1372,7 +1371,7 @@ mod tests {
         let scale = reference.data().iter().fold(0f32, |s, &x| s.max(x.abs()));
         for tier in available_tiers() {
             let got = run(tier);
-            if bf16_dot_native(tier) {
+            if tier == Tier::Amx {
                 assert!(
                     got.max_abs_diff(&reference) <= 1e-5 * scale.max(1.0),
                     "AMX tier {} outside accumulation band",

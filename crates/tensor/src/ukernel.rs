@@ -2,10 +2,11 @@
 //!
 //! The packed GEMM in [`crate::gemm`] does all of its arithmetic inside an
 //! `MR×NR` register-tile microkernel. This module provides that microkernel
-//! at three explicitness tiers and picks one **at runtime**:
+//! at four tiers and picks one **at runtime**:
 //!
 //! | tier     | widths NR     | ISA            | implementation                          |
 //! |----------|---------------|----------------|-----------------------------------------|
+//! | `amx`    | as `avx512`; 32 for bf16 | AVX-512F + AMX-BF16 | the `avx512` f32 kernel; bf16 panels on the AMX tile unit (see below) |
 //! | `avx512` | 16 / 32 / 48  | AVX-512F       | `_mm512_fmadd_ps`, 8×{1,2,3} zmm accumulators |
 //! | `avx2`   | 8 / 16        | AVX2 + FMA     | `_mm256_fmadd_ps`, 8 ymm accumulators per pass (one 8×1 pass, or two 4×2 half-tiles) |
 //! | `scalar` | 8 / 16 / 24 / 32 | any         | virtual-vector form, LLVM autovectorised |
@@ -31,15 +32,12 @@
 //!
 //! # Dispatch
 //!
-//! The process-wide default tier is resolved **once** (first GEMM call)
-//! from the `GSGCN_KERNEL` environment variable:
-//!
-//! * `auto` (or unset) — best tier the CPU supports, probed with
-//!   `is_x86_feature_detected!`;
-//! * `scalar` / `avx2` / `avx512` — force that tier (panics with a clear
-//!   message if the CPU lacks the ISA — CI uses this to exercise fallback
-//!   kernels on capable runners);
-//! * anything else — panic (misconfiguration should be loud).
+//! The process-wide default tier is the best one the CPU supports
+//! ([`best_available_tier`]: `is_x86_feature_detected!`, and for `amx`
+//! the CPUID bits plus the tile-data permission), unless a binary pinned
+//! another with [`pin_default_tier`] before its first GEMM. The library
+//! reads no environment; the pin is the one channel that reaches pool,
+//! engine and sampler threads.
 //!
 //! [`with_tier`] overrides the tier for the current thread for the duration
 //! of a closure; the GEMM driver reads the selection on the *calling*
@@ -79,17 +77,17 @@
 //!
 //! The widen kernels only halve panel *bytes*; they issue the same FMAs
 //! as f32. The one unit on current parts where bf16 buys compute is the
-//! AMX tile multiplier ([`crate::amx`]), so at the top tier
+//! AMX tile multiplier ([`crate::amx`]), so at the `amx` tier
 //! [`Element::tiles`] hands the driver a different [`Tiles`] strategy
-//! for bf16 panels when it observes `tier == Avx512 &&
-//! amx::bf16_ready()`: row-major A blocks, 16-column k-pair-interleaved
+//! for bf16 panels: row-major A blocks, 16-column k-pair-interleaved
 //! (VNNI) B panels ([`pair_interleave_bf16_panels`]), depth padded to 32
 //! and a 32×32 micro-tile run by `tdpbf16ps`. It is a layout + micro-tile
-//! choice of the same driver, not another loop nest. `tdpbf16ps` sums
-//! each 32-product group before joining the f32 chain, so AMX results
-//! are tolerance-banded against the widen kernels ([`bf16_dot_native`]);
-//! [`bf16_engine`] names the unit a tier's bf16 panels run on (`amx` or
-//! `widen`), and `GSGCN_AMX=0` keeps them on the vector kernels.
+//! choice of the same driver, not another loop nest; f32 panels at the
+//! `amx` tier run the `avx512` kernel. `tdpbf16ps` sums each 32-product
+//! group before joining the f32 chain, so AMX results are
+//! tolerance-banded against the widen kernels; [`bf16_engine`] names
+//! the unit a tier's bf16 panels run on (`amx` or `widen`), and the
+//! `avx512` tier keeps them on the widen kernel.
 //!
 //! There is deliberately no AVX512-BF16 `vdpbf16ps` vector kernel: it
 //! issues on one port where the f32 FMA issues on two (measured slower
@@ -143,10 +141,13 @@ pub enum Tier {
     Avx2,
     /// Explicit AVX-512F kernel (`zmm`, 16 f32 lanes).
     Avx512,
+    /// The AVX-512F kernel for f32 panels and the AMX tile unit for bf16
+    /// panels (see "The AMX tile strategy" above).
+    Amx,
 }
 
 /// All tiers, in ascending preference order.
-pub const ALL_TIERS: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
+pub const ALL_TIERS: [Tier; 4] = [Tier::Scalar, Tier::Avx2, Tier::Avx512, Tier::Amx];
 
 impl Tier {
     /// The tier's `GSGCN_KERNEL` spelling.
@@ -155,6 +156,7 @@ impl Tier {
             Tier::Scalar => "scalar",
             Tier::Avx2 => "avx2",
             Tier::Avx512 => "avx512",
+            Tier::Amx => "amx",
         }
     }
 
@@ -165,16 +167,9 @@ impl Tier {
             "scalar" => Some(Tier::Scalar),
             "avx2" => Some(Tier::Avx2),
             "avx512" => Some(Tier::Avx512),
+            "amx" => Some(Tier::Amx),
             _ => None,
         }
-    }
-
-    /// Storage precisions this tier's dispatch row implements (every
-    /// tier carries both an f32 and a bf16-panel kernel). Listed by
-    /// `gsgcn kernel --probe` so archived bench records stay
-    /// attributable to a (tier, precision) pair.
-    pub fn precisions(self) -> &'static [&'static str] {
-        &["f32", "bf16"]
     }
 
     /// Whether this CPU can run the tier.
@@ -188,6 +183,8 @@ impl Tier {
             }
             #[cfg(target_arch = "x86_64")]
             Tier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Amx => Tier::Avx512.is_available() && amx::bf16_ready(),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -249,8 +246,7 @@ impl Kernel {
         assert!(acc.len() >= MR * nr);
         // SAFETY: panel/acc bounds checked above for the slot's width; the
         // function pointer is only ever one whose ISA was verified
-        // available (`kernel_for` guards the table, `with_tier`/env
-        // parsing assert availability).
+        // available (`kernel_for` guards the table).
         unsafe { (self.ukr[slot])(kc, a_panel.as_ptr(), b_panel.as_ptr(), acc.as_mut_ptr()) }
     }
 
@@ -278,8 +274,7 @@ impl Kernel {
 /// How the blocked driver tiles one packed block for a panel element on
 /// a kernel tier: the micro-tile extent, the C strip width, the depth
 /// padding, and which unit runs the micro-tile. Resolved once per GEMM
-/// by [`Element::tiles`] from what the process observes (tier, AMX
-/// readiness) — never from an option.
+/// by [`Element::tiles`] from the dispatched kernel tier.
 #[derive(Clone, Copy, Debug)]
 pub struct Tiles {
     /// Rows of C per micro-tile — the height of one packed A sub-panel.
@@ -467,7 +462,7 @@ impl Element for Bf16 {
     }
 
     fn tiles(kern: &Kernel) -> Tiles {
-        if bf16_dot_native(kern.tier) {
+        if kern.tier == Tier::Amx {
             AMX_TILES
         } else {
             Tiles::vector(kern)
@@ -505,8 +500,9 @@ impl Element for Bf16 {
             assert!(acc.len() >= amx::TILE_M * amx::TILE_N);
             amx::ensure_thread_configured();
             let (a, b) = (bf16::to_bits_slice(a), bf16::to_bits_slice(b));
-            // SAFETY: `tiles.amx` is only ever set by `Bf16::tiles` after
-            // `amx::bf16_ready()`, and this thread's palette was loaded
+            // SAFETY: `tiles.amx` is only ever set by `Bf16::tiles` for the
+            // amx tier, whose kernel `kernel_for` hands out only where
+            // `amx::bf16_ready()` holds, and this thread's palette was loaded
             // just above. `a` is 32 rows of `kd` elements (row stride
             // `2·kd` bytes), `b` is two consecutive VNNI panels of
             // `kd·VNNI_W` elements each, `acc` holds 32×32 f32 — all
@@ -671,20 +667,11 @@ pub(crate) fn pair_interleave_bf16_panels<E: Element>(
     }
 }
 
-/// Whether `tier` runs bf16 panels through the AMX tile unit
-/// (`tdpbf16ps`) on this CPU. The tile unit sums each 32-product group
-/// before joining the f32 chain, so its results are tolerance-banded
-/// against the widen kernels rather than bit-identical — this is the
-/// predicate tests band on.
-pub fn bf16_dot_native(tier: Tier) -> bool {
-    tier == Tier::Avx512 && amx::bf16_ready()
-}
-
 /// Short name of the unit `tier`'s bf16 panels run on: `amx` (the tile
-/// unit, engaged at the avx512 tier) or `widen` (register widening over
-/// the f32 FMA pipe). For probes, banners and bench attributions.
+/// unit, at the amx tier) or `widen` (register widening over
+/// the f32 FMA pipe). For banners and bench attributions.
 pub fn bf16_engine(tier: Tier) -> &'static str {
-    if bf16_dot_native(tier) {
+    if tier == Tier::Amx {
         "amx"
     } else {
         "widen"
@@ -718,8 +705,9 @@ static AVX2_KERNEL: Kernel = Kernel {
     ukr_bf16: &[ukr_avx2::<u16, 1>, ukr_avx2::<u16, 2>],
 };
 
+/// Also the amx tier's row: its f32 panels run these kernels.
 #[cfg(target_arch = "x86_64")]
-static AVX512_KERNEL: Kernel = Kernel {
+const AVX512_KERNEL: Kernel = Kernel {
     tier: Tier::Avx512,
     widths: &AVX512_WIDTHS,
     nc: 1008, // 21 × 48 — keeps strips full-width aligned, ≈1 MiB packed B
@@ -739,8 +727,8 @@ static AVX512_KERNEL: Kernel = Kernel {
 ///
 /// # Panics
 /// Panics if the CPU cannot run `tier` (callers gate on
-/// [`Tier::is_available`]; the env/`with_tier` paths check before ever
-/// naming a tier).
+/// [`Tier::is_available`]; [`pin_default_tier`] and [`with_tier`] check
+/// before ever naming a tier).
 pub(crate) fn kernel_for(tier: Tier) -> &'static Kernel {
     assert!(
         tier.is_available(),
@@ -753,6 +741,11 @@ pub(crate) fn kernel_for(tier: Tier) -> &'static Kernel {
         Tier::Avx2 => &AVX2_KERNEL,
         #[cfg(target_arch = "x86_64")]
         Tier::Avx512 => &AVX512_KERNEL,
+        #[cfg(target_arch = "x86_64")]
+        Tier::Amx => &Kernel {
+            tier: Tier::Amx,
+            ..AVX512_KERNEL
+        },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("non-scalar tier on non-x86_64"),
     }
@@ -772,28 +765,24 @@ pub fn available_tiers() -> Vec<Tier> {
     ALL_TIERS.into_iter().filter(|t| t.is_available()).collect()
 }
 
-/// The process-wide default tier: `GSGCN_KERNEL` if set, else the best
-/// available. Resolved once and cached.
+/// The process-wide default tier: the pinned one, else the best available.
+static DEFAULT: OnceLock<Tier> = OnceLock::new();
+
+/// Pin the process-wide default tier: GEMMs issued from any thread not
+/// inside [`with_tier`] dispatch to `tier`. Set once, before the first
+/// GEMM, by a binary resolving its runtime settings.
 ///
 /// # Panics
-/// First call panics on an unknown `GSGCN_KERNEL` value or a forced tier
-/// the CPU lacks — a forced-tier CI run must never silently fall back.
-pub fn default_tier() -> Tier {
-    static DEFAULT: OnceLock<Tier> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("GSGCN_KERNEL") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => {
-            let tier = Tier::parse(&v).unwrap_or_else(|| {
-                panic!("GSGCN_KERNEL={v:?} — expected scalar, avx2, avx512 or auto")
-            });
-            assert!(
-                tier.is_available(),
-                "GSGCN_KERNEL={v:?} but this CPU does not support the `{}` tier",
-                tier.name()
-            );
-            tier
-        }
-        _ => best_available_tier(),
-    })
+/// Panics if the CPU cannot run `tier`, or if the default was already
+/// resolved (pinned, or read by a GEMM) to another tier.
+pub fn pin_default_tier(tier: Tier) {
+    let resolved = *DEFAULT.get_or_init(|| kernel_for(tier).tier);
+    assert_eq!(
+        resolved,
+        tier,
+        "the default kernel tier is `{}`",
+        resolved.name()
+    );
 }
 
 thread_local! {
@@ -803,7 +792,9 @@ thread_local! {
 
 /// The tier the next GEMM issued from this thread will dispatch to.
 pub fn selected_tier() -> Tier {
-    FORCED.get().unwrap_or_else(default_tier)
+    FORCED
+        .get()
+        .unwrap_or_else(|| *DEFAULT.get_or_init(best_available_tier))
 }
 
 /// Run `f` with GEMMs issued **from this thread** dispatching to `tier`.
@@ -1315,7 +1306,7 @@ mod tests {
                     assert_eq!(t.widths, &[amx::TILE_N]);
                 }
             }
-            assert_eq!(Bf16::tiles(kern).amx, bf16_dot_native(tier));
+            assert_eq!(Bf16::tiles(kern).amx, tier == Tier::Amx);
         }
     }
 
@@ -1357,13 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn every_tier_lists_both_precisions() {
-        for t in ALL_TIERS {
-            assert_eq!(t.precisions(), &["f32", "bf16"]);
-        }
-    }
-
-    #[test]
     fn scalar_always_available_and_selected_tier_is_available() {
         assert!(Tier::Scalar.is_available());
         assert!(selected_tier().is_available());
@@ -1378,6 +1362,19 @@ mod tests {
         }
         assert_eq!(Tier::parse("auto"), None);
         assert_eq!(Tier::parse("neon"), None);
+    }
+
+    /// The default is set once: pinning the resolved tier again changes
+    /// nothing, pinning another panics and leaves it as it was.
+    #[test]
+    fn default_tier_is_pinned_once() {
+        let best = best_available_tier();
+        pin_default_tier(best);
+        assert_eq!(selected_tier(), best);
+        if best != Tier::Scalar {
+            assert!(std::panic::catch_unwind(|| pin_default_tier(Tier::Scalar)).is_err());
+            assert_eq!(selected_tier(), best);
+        }
     }
 
     #[test]

@@ -110,8 +110,8 @@ proptest! {
     /// produces results bit-identical to the scalar reference tier (the
     /// same FMA chain per C element at every tile width), for all three
     /// layouts (nn/nt/tn), at blocking-boundary shapes, under 1/2/4-thread
-    /// pools. `GSGCN_KERNEL` CI runs force one process-wide
-    /// tier; this property forces each in turn inside one process.
+    /// pools. The property forces each tier in turn inside one process,
+    /// so tier-1 covers every tier the CPU has.
     #[test]
     fn tier_equivalence_all_layouts((a, b) in edge_pair(), ti in 0..3usize) {
         let threads = [1usize, 2, 4][ti];

@@ -10,7 +10,7 @@
 //! gsgcn eval    --load model.gcn [--dataset ppi] [--hidden 128,128] [--seed 42]
 //! gsgcn predict --load model.gcn --nodes 3,17,204
 //! gsgcn serve   --load model.gcn [--addr 127.0.0.1:7878] [--workers 1]
-//! gsgcn kernel [--probe avx512]
+//! gsgcn kernel
 //! ```
 //!
 //! # Out-of-core operation
@@ -37,9 +37,9 @@
 //! front-end speaking the line protocol or a pipelined binary framing,
 //! with weighted admission control and an optional activation cache
 //! (see `gsgcn_serve`). `kernel` reports the GEMM microkernel tier
-//! dispatch and, per tier, the unit its bf16 panels run on
-//! (`bf16 via amx|widen`); `--probe T` exits non-zero when the CPU
-//! lacks tier `T` (used by CI to skip unsupported tiers visibly).
+//! `GSGCN_KERNEL` resolves to and the tiers this CPU has, with the unit
+//! each one's bf16 panels run on (`bf16:amx` on the AMX tile unit,
+//! plain `bf16` on the tier's widen kernel).
 //!
 //! # Runtime settings
 //!
@@ -53,10 +53,12 @@
 //! | activation cache (`predict`, `serve`) | `--cache-bytes` | `GSGCN_ACTIVATION_CACHE` | off |
 //! | sampler workers (`train`) | `--sampler-threads` | `GSGCN_SAMPLER_THREADS` | `auto` |
 //! | activation storage precision | `--precision` | `GSGCN_PRECISION` | `f32` (= `auto`) |
+//! | GEMM microkernel tier | — | `GSGCN_KERNEL` | `auto` (the best this CPU has) |
 //!
 //! A malformed value is an `error:` exit 1, as a bad flag is, and
 //! `train`/`eval`/`predict`/`serve` print the resolved values on a
 //! `runtime:` line. This is the only code that reads these variables.
+//! The kernel tier is pinned process-wide ([`gemm::pin_default_tier`]).
 //!
 //! Argument parsing is hand-rolled (the workspace has no CLI dependency).
 //! Each subcommand lists the flags it accepts; any other flag is an
@@ -69,7 +71,8 @@ use gsgcn::data::{presets, Dataset, StoreDataset};
 use gsgcn::graph::store::{parse_byte_size, DEFAULT_SHARD_CACHE_BYTES};
 use gsgcn::graph::StoreBackend;
 use gsgcn::nn::checkpoint::{CheckpointMeta, ModelWeights};
-use gsgcn::tensor::{gemm, Precision};
+use gsgcn::tensor::gemm::{self, Tier};
+use gsgcn::tensor::Precision;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -131,7 +134,9 @@ const USAGE: &str = "usage:
               SIZE accepts 64MiB/1GB/..; --cache-bytes sizes the
               activation cache, flag > GSGCN_ACTIVATION_CACHE env > off
               (0 = off); accepts --shards/--graph-store as for predict
-  gsgcn kernel [--probe <scalar|avx2|avx512>]";
+  gsgcn kernel — the GEMM kernel tier every command runs on, from
+              GSGCN_KERNEL=<scalar|avx2|avx512|amx|auto> (auto = the best
+              this CPU has), and the tiers this CPU has";
 
 /// The flags each subcommand accepts (`None`: no such subcommand), as
 /// `(flags taking a value, presence-only flags)`. A flag missing from its
@@ -163,7 +168,7 @@ fn accepted_flags(cmd: &str) -> Option<(&'static str, &'static str)> {
              idle-timeout-ms dataset vertices seed hidden shards graph-store precision",
             "full scaled",
         ),
-        "kernel" => ("probe", ""),
+        "kernel" => ("", ""),
         _ => return None,
     })
 }
@@ -265,6 +270,8 @@ struct RuntimeConfig {
     sampler_threads: usize,
     /// Activation storage precision of the model and the activation cache.
     precision: Precision,
+    /// The GEMM microkernel tier, pinned process-wide by [`Self::resolve`].
+    kernel: Tier,
 }
 
 impl RuntimeConfig {
@@ -280,6 +287,10 @@ impl RuntimeConfig {
             0 => Err("a 0-byte shard cache maps nothing".to_string()),
             bytes => Ok(bytes),
         };
+        let kernel = kernel_setting(flags)?;
+        // Before the first GEMM, so pool, engine and sampler threads all
+        // dispatch to it.
+        gemm::pin_default_tier(kernel);
         Ok(RuntimeConfig {
             store: store.unwrap_or_default(),
             shard_cache: setting(
@@ -304,6 +315,7 @@ impl RuntimeConfig {
                 parse_sampler_threads,
             )?,
             precision: precision_setting(flags)?,
+            kernel,
         })
     }
 
@@ -336,11 +348,12 @@ impl std::fmt::Display for RuntimeConfig {
         write!(
             f,
             "runtime: graph store {}, shard cache {}, activation cache {cache}, \
-             sampler threads {}, precision {}",
+             sampler threads {}, precision {}, kernel {}",
             self.store.name(),
             format_bytes(self.shard_cache),
             self.sampler_threads,
-            self.precision
+            self.precision,
+            self.kernel.name()
         )
     }
 }
@@ -378,6 +391,20 @@ fn precision_setting(flags: &HashMap<String, String>) -> Result<Precision, Strin
             None => Err(format!("bad precision {s:?}: expected f32|bf16|auto")),
         },
     )
+}
+
+/// The GEMM microkernel tier: `GSGCN_KERNEL`, else the best this CPU
+/// has (`auto`); a tier this CPU lacks is an error.
+fn kernel_setting(flags: &HashMap<String, String>) -> Result<Tier, String> {
+    let best = gemm::best_available_tier();
+    setting(flags, "", "GSGCN_KERNEL", best, |s| match Tier::parse(s) {
+        Some(t) if t.is_available() => Ok(t),
+        Some(t) => Err(format!("this CPU cannot run the {} kernel", t.name())),
+        None if s.eq_ignore_ascii_case("auto") => Ok(best),
+        None => Err(format!(
+            "bad kernel {s:?}: expected scalar|avx2|avx512|amx|auto"
+        )),
+    })
 }
 
 /// One-line shard-cache report printed by `train`/`eval`/`predict`
@@ -546,23 +573,34 @@ fn cmd_train(flags: &HashMap<String, String>) -> Result<(), String> {
     print_threads(&trainer);
     let report = trainer.train()?;
     println!("{}", report.summary());
-    if let Some(path) = flags.get("save") {
-        // Record the training-time dataset provenance: the datasets are
-        // synthetic (regenerated from name+seed), so a later `eval` must
-        // regenerate the *same* one or the F1 it reports is meaningless.
-        let meta = CheckpointMeta {
-            dataset: dataset.name.to_lowercase(),
-            seed: dataset_seed(flags)?,
-            full: flags.contains_key("full"),
-            hidden_dims: parse_hidden(flags)?,
-        };
-        let weights = trainer.model().export_weights().with_meta(meta);
-        weights
-            .save(path)
-            .map_err(|e| format!("saving {path:?}: {e}"))?;
-        println!("saved {} parameters to {path}", weights.num_params());
-    }
+    save_checkpoint(flags, &trainer, &dataset.name)?;
     print_peak_rss();
+    Ok(())
+}
+
+/// `--save PATH`: write the trained weights with the training-time
+/// dataset provenance. The datasets are synthetic (regenerated from
+/// name+seed), so a later `eval` must regenerate the *same* one or the
+/// F1 it reports is meaningless.
+fn save_checkpoint(
+    flags: &HashMap<String, String>,
+    trainer: &GsGcnTrainer<'_>,
+    dataset: &str,
+) -> Result<(), String> {
+    let Some(path) = flags.get("save") else {
+        return Ok(());
+    };
+    let meta = CheckpointMeta {
+        dataset: dataset.to_lowercase(),
+        seed: dataset_seed(flags)?,
+        full: flags.contains_key("full"),
+        hidden_dims: parse_hidden(flags)?,
+    };
+    let weights = trainer.model().export_weights().with_meta(meta);
+    weights
+        .save(path)
+        .map_err(|e| format!("saving {path:?}: {e}"))?;
+    println!("saved {} parameters to {path}", weights.num_params());
     Ok(())
 }
 
@@ -610,19 +648,7 @@ fn train_from_shards(
     let report = trainer.train()?;
     println!("{}", report.summary());
     print_cache_stats(&sd.full);
-    if let Some(path) = flags.get("save") {
-        let meta = CheckpointMeta {
-            dataset: sd.name.to_lowercase(),
-            seed: dataset_seed(flags)?,
-            full: flags.contains_key("full"),
-            hidden_dims: parse_hidden(flags)?,
-        };
-        let weights = trainer.model().export_weights().with_meta(meta);
-        weights
-            .save(path)
-            .map_err(|e| format!("saving {path:?}: {e}"))?;
-        println!("saved {} parameters to {path}", weights.num_params());
-    }
+    save_checkpoint(flags, &trainer, &sd.name)?;
     print_peak_rss();
     Ok(())
 }
@@ -948,49 +974,27 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Exit code for `kernel --probe` on a valid tier the CPU cannot run.
-/// Distinct from 1 (usage/parse/runtime errors) so CI can tell "skip this
-/// tier" apart from "the probe itself is broken" (which must fail the job).
-const PROBE_UNAVAILABLE: u8 = 2;
-
-/// Report (or probe, for CI) the GEMM microkernel tier dispatch.
-fn cmd_kernel(flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    if let Some(spec) = flags.get("probe") {
-        let tier = gemm::Tier::parse(spec)
-            .ok_or_else(|| format!("unknown kernel tier {spec:?} (scalar|avx2|avx512)"))?;
-        if tier.is_available() {
-            println!(
-                "{} available ({}; bf16 via {})",
-                tier.name(),
-                tier.precisions().join(", "),
-                gemm::bf16_engine(tier)
-            );
-            return Ok(ExitCode::SUCCESS);
-        }
-        eprintln!("kernel tier `{}` is not available on this CPU", tier.name());
-        return Ok(ExitCode::from(PROBE_UNAVAILABLE));
-    }
+/// Report the GEMM microkernel tier dispatch: the tier `GSGCN_KERNEL`
+/// resolves to, the precision `GSGCN_PRECISION` resolves to, and every
+/// tier this CPU has with the unit its bf16 panels run on.
+fn cmd_kernel(flags: &HashMap<String, String>) -> Result<(), String> {
     println!(
         "selected  {} (storing {})",
-        gemm::selected_tier().name(),
+        kernel_setting(flags)?.name(),
         precision_setting(flags)?
     );
     println!(
         "available {}",
         gemm::available_tiers()
             .iter()
-            .map(|t| {
-                let engine = gemm::bf16_engine(*t);
-                if engine == "widen" {
-                    format!("{}[{}]", t.name(), t.precisions().join(","))
-                } else {
-                    format!("{}[f32,bf16:{engine}]", t.name())
-                }
+            .map(|t| match gemm::bf16_engine(*t) {
+                "widen" => format!("{}[f32,bf16]", t.name()),
+                engine => format!("{}[f32,bf16:{engine}]", t.name()),
             })
             .collect::<Vec<_>>()
             .join(" ")
     );
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -1005,10 +1009,7 @@ fn main() -> ExitCode {
         Some(Err(e)) => Err(e),
         Some(Ok(flags)) => match cmd {
             "datasets" => cmd_datasets(),
-            "kernel" => match cmd_kernel(&flags) {
-                Ok(code) => return code,
-                Err(e) => Err(e),
-            },
+            "kernel" => cmd_kernel(&flags),
             "shard" => cmd_shard(&flags),
             "train" => cmd_train(&flags),
             "eval" => cmd_eval(&flags),

@@ -1,14 +1,16 @@
 //! The `gsgcn` binary's argument handling, driven as a child process.
 
+use gsgcn::tensor::gemm;
 use std::process::{Command, Output};
 
 /// The variables the binary resolves its runtime settings from.
-const SETTINGS: [&str; 5] = [
+const SETTINGS: [&str; 6] = [
     "GSGCN_GRAPH_STORE",
     "GSGCN_SHARD_CACHE",
     "GSGCN_ACTIVATION_CACHE",
     "GSGCN_SAMPLER_THREADS",
     "GSGCN_PRECISION",
+    "GSGCN_KERNEL",
 ];
 
 /// Run `gsgcn args…` with exactly `env` of the [`SETTINGS`] variables set.
@@ -89,9 +91,12 @@ fn unknown_flags_are_refused_by_name() {
 }
 
 /// A malformed setting is an `error:` exit 1 naming where it came from,
-/// as a bad flag is — not a warning and a default, and not a panic.
+/// as a bad flag is — not a warning and a default, and not a panic. It
+/// is refused before anything is printed. A kernel tier this CPU lacks
+/// is malformed here.
 #[test]
 fn malformed_settings_are_errors() {
+    let missing_tier = gemm::ALL_TIERS.into_iter().find(|t| !t.is_available());
     for (var, value) in [
         ("GSGCN_SHARD_CACHE", "garbage"),
         ("GSGCN_SHARD_CACHE", "0"),
@@ -99,8 +104,18 @@ fn malformed_settings_are_errors() {
         ("GSGCN_SAMPLER_THREADS", "two"),
         ("GSGCN_GRAPH_STORE", "disk"),
         ("GSGCN_PRECISION", "fp16"),
-    ] {
-        let stderr = refused_with(&tiny_train(&[]), &[(var, value)]);
+        ("GSGCN_KERNEL", "bogus"),
+    ]
+    .into_iter()
+    .chain(missing_tier.map(|t| ("GSGCN_KERNEL", t.name())))
+    {
+        let out = run(&tiny_train(&[]), &[(var, value)]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{var}={value}: printed before refusing"
+        );
         let first = stderr.lines().next().unwrap_or_default();
         assert!(
             first.starts_with(&format!("error: {var}: ")),
@@ -108,6 +123,11 @@ fn malformed_settings_are_errors() {
         );
         assert!(!stderr.contains("panicked"), "{var}={value}: {stderr}");
     }
+    let stderr = refused_with(&tiny_train(&[]), &[("GSGCN_KERNEL", "bogus")]);
+    assert_eq!(
+        stderr.lines().next(),
+        Some(r#"error: GSGCN_KERNEL: bad kernel "bogus": expected scalar|avx2|avx512|amx|auto"#)
+    );
     let stderr = refused(&["serve", "--load", "unused.gcn", "--cache-bytes", "lots"]);
     assert!(stderr.starts_with("error: --cache-bytes: "), "{stderr}");
     let stderr = refused(&tiny_train(&["--precision", "fp16"]));
@@ -142,15 +162,16 @@ fn graph_store_needs_shards() {
 }
 
 /// The resolved settings head the output: flag over environment over
-/// default.
+/// default. The kernel tier defaults to the best this CPU has.
 #[test]
 fn banner_prints_resolved_settings() {
+    let best = gemm::best_available_tier().name();
     for (flags, env, want) in [
         (
             &["--sampler-threads", "0"][..],
             &[][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 0, precision f32",
+             sampler threads 0, precision f32, kernel {best}",
         ),
         (
             &["--sampler-threads", "1"][..],
@@ -160,27 +181,40 @@ fn banner_prints_resolved_settings() {
                 ("GSGCN_ACTIVATION_CACHE", "64KiB"),
             ][..],
             "runtime: graph store mem, shard cache 2.0 MiB, activation cache 64.0 KiB, \
-             sampler threads 1, precision f32",
+             sampler threads 1, precision f32, kernel {best}",
         ),
         (
             &[][..],
             &[("GSGCN_SAMPLER_THREADS", "2"), ("GSGCN_PRECISION", "bf16")][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 2, precision bf16",
+             sampler threads 2, precision bf16, kernel {best}",
         ),
         (
             &["--sampler-threads", "0", "--precision", "auto"][..],
             &[("GSGCN_PRECISION", "bf16")][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 0, precision f32",
+             sampler threads 0, precision f32, kernel {best}",
         ),
         (
             &["--sampler-threads", "0", "--precision", "bf16"][..],
             &[("GSGCN_PRECISION", "auto")][..],
             "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
-             sampler threads 0, precision bf16",
+             sampler threads 0, precision bf16, kernel {best}",
+        ),
+        (
+            &["--sampler-threads", "0"][..],
+            &[("GSGCN_KERNEL", "scalar")][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 0, precision f32, kernel scalar",
+        ),
+        (
+            &["--sampler-threads", "0"][..],
+            &[("GSGCN_KERNEL", "auto")][..],
+            "runtime: graph store mem, shard cache 64.0 MiB, activation cache off, \
+             sampler threads 0, precision f32, kernel {best}",
         ),
     ] {
+        let want = want.replace("{best}", best);
         let args = tiny_train(flags);
         let out = run(&args, env);
         let stdout = String::from_utf8_lossy(&out.stdout);
@@ -191,7 +225,7 @@ fn banner_prints_resolved_settings() {
         );
         assert_eq!(
             stdout.lines().next(),
-            Some(want),
+            Some(want.as_str()),
             "{args:?} {env:?}: {stdout}"
         );
     }
@@ -213,6 +247,25 @@ fn kernel_reports_the_resolved_precision() {
     }
     let stderr = refused_with(&["kernel"], &[("GSGCN_PRECISION", "fp16")]);
     assert!(stderr.starts_with("error: GSGCN_PRECISION: "), "{stderr}");
+}
+
+/// `gsgcn kernel` reports the tier `GSGCN_KERNEL` resolves to and lists
+/// every tier this CPU has; only the `amx` tier runs bf16 on the AMX unit.
+#[test]
+fn kernel_reports_the_resolved_tier() {
+    let best = gemm::best_available_tier().name();
+    for (value, want) in [("scalar", "scalar"), ("", best)] {
+        let out = run(&["kernel"], &[("GSGCN_KERNEL", value)]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{value:?}: {stdout}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines[0], format!("selected  {want} (storing f32)"));
+        for t in gemm::ALL_TIERS {
+            let amx = if t == gemm::Tier::Amx { ":amx" } else { "" };
+            let listed = format!(" {}[f32,bf16{amx}]", t.name());
+            assert_eq!(lines[1].contains(&listed), t.is_available(), "{stdout}");
+        }
+    }
 }
 
 /// `train` says where the sampler runs and how wide evaluation is, on the
