@@ -542,7 +542,14 @@ impl<'a> GsGcnTrainer<'a> {
     /// workers and a fixed compute width, the workers' cores join the
     /// compute threads, since the workers idle while evaluation runs (the
     /// stored arm pauses their gathers; on either arm each stops one
-    /// subgraph ahead). The thread count changes no bit of the result.
+    /// subgraph ahead). On the stored arm that pool also carries the
+    /// level-0 feature gather and each tile's label gather, split by
+    /// shard sets ([`GraphStore::par_gather_features_into`]); the frontier
+    /// cuts run on the calling thread. The thread count changes no bit of
+    /// the result. A stored evaluation's [`EvalStats`] times every part
+    /// of it: `frontier_secs`, `gather_secs`, `infer_secs`, `score_secs`
+    /// (label gather and F1) and `turn_secs` (pausing the gathers and
+    /// releasing rows).
     ///
     /// Either arm is allocation-free once warm. Fails only when the
     /// stored path cannot gather rows from the graph store.
@@ -592,20 +599,22 @@ impl<'a> GsGcnTrainer<'a> {
             EvalSource::Stored(sd) => {
                 let full = &*sd.full;
                 let train_store = &*self.train_store;
-                let _turn = EvalTurn::take(&self.pipeline, train_store, full);
+                let t0 = Instant::now();
+                let turn = EvalTurn::take(&self.pipeline, train_store, full);
+                let mut turn_secs = t0.elapsed().as_secs_f64();
                 let mut acc = f1::F1Accumulator::new(single);
                 let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
                     debug_assert!(
                         rows_released(train_store),
                         "training rows mapped during stored evaluation"
                     );
-                    full.gather_labels_into(roots, eval_labels_split)?;
+                    full.par_gather_labels_into(roots, eval_labels_split)?;
                     for i in 0..roots.len() {
                         acc.push_row(probs.row(i), eval_labels_split.row(i));
                     }
                     Ok(())
                 };
-                let stats = pool
+                let mut stats = pool
                     .install(|| {
                         let cap = EVAL_MAX_BALL_ROWS;
                         model.infer_probs_by_level(full, idx, cap, eval_ws, &mut score_tile)
@@ -613,6 +622,10 @@ impl<'a> GsGcnTrainer<'a> {
                     .map_err(|e| {
                         format!("stored evaluation could not read the graph store: {e}")
                     })?;
+                let t0 = Instant::now();
+                drop(turn);
+                turn_secs += t0.elapsed().as_secs_f64();
+                stats.turn_secs = turn_secs;
                 self.eval_stats = Some(stats);
                 Ok(acc.f1())
             }
@@ -879,6 +892,37 @@ mod tests {
         assert_eq!(stats.tiles, vec![1, 1]);
         assert_eq!(stats.rows_computed[1], d.split.test.len());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every part of a stored evaluation is timed and nonzero, the turn
+    /// at the store included, and the parts sum to no more than the
+    /// wall-clock of the call around them.
+    #[test]
+    fn stored_evaluation_parts_add_up_to_at_most_the_wall() {
+        let d = quick_dataset();
+        let spilled = Spilled::new(&d, "parts");
+        let sd = spilled.open(1 << 20);
+        let mut cfg = TrainerConfig::quick_test();
+        cfg.threads = 1;
+        cfg.sampler_threads = 1;
+        let mut t = GsGcnTrainer::from_store(&sd, cfg).unwrap();
+        t.train_epoch().unwrap();
+        for split in [EvalSplit::Train, EvalSplit::Val, EvalSplit::Test] {
+            let t0 = Instant::now();
+            t.try_evaluate(split).unwrap();
+            let wall = t0.elapsed().as_secs_f64();
+            let s = t.last_eval_stats().unwrap();
+            let parts = [
+                s.frontier_secs,
+                s.gather_secs,
+                s.infer_secs,
+                s.score_secs,
+                s.turn_secs,
+            ];
+            assert!(parts.iter().all(|&p| p > 0.0), "{split:?}: {parts:?}");
+            let sum: f64 = parts.iter().sum();
+            assert!(sum <= wall, "{split:?}: {parts:?} sum past the wall {wall}");
+        }
     }
 
     #[test]

@@ -203,3 +203,39 @@ fn work_is_the_needed_sets_when_the_cap_covers_them() {
         );
     }
 }
+
+/// A cap well below the needed sets forces several tiles per level; the
+/// counts are pinned so that a change to how the cutter interns, groups
+/// or rolls back vertices cannot move a tile boundary unnoticed. Each
+/// store places vertices differently, so each has its own tiling.
+#[test]
+fn capped_tiles_are_pinned() {
+    let n = 300;
+    let chords: Vec<(u32, u32)> = (0..400u32).map(|i| (i * 7919, i * 104_729 + 13)).collect();
+    let g = Arc::new(graph_with_hub(n, &chords));
+    let x = Arc::new(features(n, 5));
+    let spill = |order| GraphStore::spill_to_temp(&g, Some(&x), None, order, 1 << 20).unwrap();
+    // (store, tiles per layer, rows computed per layer, rows gathered)
+    let pinned = [
+        (
+            GraphStore::mem(Arc::clone(&g), Some(Arc::clone(&x)), None),
+            [37, 7],
+            [291, 60],
+            1798,
+        ),
+        (spill(StoreOrder::Natural), [40, 7], [291, 60], 1852),
+        (spill(StoreOrder::Bfs), [34, 7], [288, 60], 1537),
+    ];
+    let roots: Vec<u32> = (0..60u32).map(|i| (i * 37) % n as u32).collect();
+    let m = model(2, LossKind::SigmoidBce, 23);
+    let mut ws = InferenceWorkspace::new();
+    for (store, tiles, rows_computed, rows_gathered) in &pinned {
+        for _ in 0..2 {
+            let (rows, stats) = by_level(&m, store, &roots, 48, &mut ws);
+            assert_eq!(rows.len(), roots.len());
+            let got = (stats.tiles, stats.rows_computed, stats.rows_gathered);
+            let want = (tiles.to_vec(), rows_computed.to_vec(), *rows_gathered);
+            assert_eq!(got, want, "{:?}/{:?}", store.backend(), store.order());
+        }
+    }
+}

@@ -61,7 +61,7 @@ pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use neighborhood::{
     capped_one_hop_frontier, l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall,
-    NeighborhoodBatch,
+    FrontierScratch, NeighborhoodBatch,
 };
 pub use store::{GraphStore, NeighborsRef, StoreBackend, StoreCacheStats, StoreOrder, Topology};
 pub use subgraph::{induced_subgraph, InducedSubgraph};

@@ -7,11 +7,18 @@
 //! materialises that ball: it recurses level by level over closed
 //! **one-hop** [`FrontierBall`]s — layer `ℓ` on a target list reads
 //! `H^{ℓ-1}` on the targets' frontier ball, which the same step one level
-//! down produces (`gsgcn_nn`'s level recursion; [`one_hop_frontier`] and
-//! its row-capped tile cutter [`capped_one_hop_frontier`] are the only
-//! extraction it needs). A ball keeps each root's full neighbor list in
-//! full-graph order, so every computed row matches the full-graph forward
-//! bit for bit.
+//! down produces (`gsgcn_nn`'s level recursion; the row-capped tile
+//! cutter [`FrontierScratch::capped`] is the only extraction it needs). A
+//! ball keeps each root's full neighbor list in full-graph order, so every
+//! computed row matches the full-graph forward bit for bit.
+//!
+//! The cutter relabels vertices through a dense `u32` table indexed by
+//! vertex id, as [`crate::subgraph`] does, held in a reusable
+//! [`FrontierScratch`]: the level driver and serving keep one per
+//! inference workspace, so a warm cut costs `O(ball + Σ root degrees)`
+//! (the table is cleared by walking the ball's own vertices, never all
+//! `n` entries). [`one_hop_frontier`] and [`capped_one_hop_frontier`] are
+//! the same cut on a fresh scratch, for one-off callers.
 //!
 //! The L-hop side — [`l_hop_ball`], [`l_hop_subgraph`] and the cone-pruned
 //! [`NeighborhoodBatch::layer_graphs`] — is the older formulation of the
@@ -29,8 +36,6 @@ use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
 use crate::store::Topology;
 use crate::subgraph::{induced_subgraph, InducedSubgraph};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// The induced subgraph of an L-hop ball plus the query-root positions
 /// and per-vertex root distances.
@@ -127,25 +132,20 @@ pub struct FrontierBall {
     pub root_locals: Vec<u32>,
 }
 
-/// Extract the [`FrontierBall`] of `roots` in `g`.
+/// Extract the [`FrontierBall`] of `roots` in `g` (a fresh
+/// [`FrontierScratch`]; see [`FrontierScratch::one_hop`]).
 ///
 /// # Panics
 /// Panics if any root id is out of range for `g`.
 pub fn one_hop_frontier<T: Topology + ?Sized>(g: &T, roots: &[u32]) -> FrontierBall {
-    capped_one_hop_frontier(g, roots, usize::MAX).0
+    FrontierScratch::new().one_hop(g, roots)
 }
 
 /// The [`FrontierBall`] of the longest prefix of `roots` whose closed
 /// one-hop frontier stays within `max_rows` rows, and the length of that
-/// prefix — the tile cutter of layer-at-a-time inference: walk a target
-/// list by calling this on the remaining suffix until nothing is left.
-///
-/// The ball is grown root by root in a single pass over the neighbor
-/// lists (no size probe): a root whose frontier would push the ball past
-/// the cap is rolled back and left for the next tile. The first root is
-/// always taken, so a hub whose own frontier exceeds `max_rows` yields a
-/// one-root tile larger than the cap rather than no progress; duplicates
-/// of an already-taken root add no rows and are always consumed.
+/// prefix, cut with a fresh [`FrontierScratch`] (see
+/// [`FrontierScratch::capped`]). The fresh scratch costs an `n`-entry
+/// table per call; callers that cut repeatedly keep one scratch.
 ///
 /// # Panics
 /// Panics if a visited root id is out of range for `g`.
@@ -154,126 +154,185 @@ pub fn capped_one_hop_frontier<T: Topology + ?Sized>(
     roots: &[u32],
     max_rows: usize,
 ) -> (FrontierBall, usize) {
-    const NOT_ROOT: u32 = u32::MAX;
-    let n = g.num_vertices();
-    // Vertices get provisional ids in discovery order (a root, then its
-    // neighbors, then the next root …); `rank[id]` is the root's position
-    // among the unique roots, or `NOT_ROOT`. The roots-first layout is a
-    // relabelling at the end, so the topology is read exactly once.
-    let mut disc = Discovery {
-        ids: HashMap::with_capacity_and_hasher(
-            roots.len().saturating_mul(4).min(max_rows),
-            BuildHasherDefault::default(),
-        ),
-        origin: Vec::with_capacity(roots.len().min(max_rows)),
-    };
-    let mut rank: Vec<u32> = Vec::new();
-    let mut num_roots = 0usize;
-    let mut root_locals = Vec::new();
-    let mut offsets = vec![0usize];
-    let mut adj: Vec<u32> = Vec::new();
-    for &r in roots {
-        assert!(
-            (r as usize) < n,
-            "root vertex {r} out of range for a {n}-vertex graph"
-        );
-        let (origin_mark, adj_mark) = (disc.origin.len(), adj.len());
-        let id = disc.intern(r) as usize;
-        rank.resize(disc.origin.len(), NOT_ROOT);
-        if rank[id] == NOT_ROOT {
-            adj.extend(g.neighbors_ref(r).iter().map(|&u| disc.intern(u)));
-            if disc.origin.len() > max_rows && num_roots > 0 {
-                disc.truncate(origin_mark);
-                rank.truncate(origin_mark);
-                adj.truncate(adj_mark);
-                break;
-            }
-            rank.resize(disc.origin.len(), NOT_ROOT);
-            rank[id] = num_roots as u32;
-            num_roots += 1;
-            offsets.push(adj.len());
-        }
-        root_locals.push(rank[id]);
-    }
-    // Relabel: roots keep their rank; frontier-only vertices follow,
-    // grouped by locality group (discovery order within one), so whoever
-    // reads the ball's rows next walks each shard once. `rank` becomes
-    // the provisional → final id map.
-    let mut frontier: Vec<u32> = (0..rank.len() as u32)
-        .filter(|&id| rank[id as usize] == NOT_ROOT)
-        .collect();
-    if g.num_locality_groups() > 1 {
-        frontier.sort_by_cached_key(|&id| g.locality_group(disc.origin[id as usize]));
-    }
-    for (k, &id) in frontier.iter().enumerate() {
-        rank[id as usize] = (num_roots + k) as u32;
-    }
-    let mut origin = vec![0u32; disc.origin.len()];
-    for (&v, &local) in disc.origin.iter().zip(&rank) {
-        origin[local as usize] = v;
-    }
-    for a in &mut adj {
-        *a = rank[*a as usize];
-    }
-    // Frontier rows are isolated: empty adjacency, same offset.
-    offsets.resize(origin.len() + 1, adj.len());
-    let used = root_locals.len();
-    let ball = FrontierBall {
-        graph: CsrGraph::from_raw(offsets, adj),
-        num_roots,
-        root_locals,
-        origin,
-    };
-    (ball, used)
+    FrontierScratch::new().capped(g, roots, max_rows)
 }
 
-/// Multiplicative (Fibonacci) hash of one `u32` vertex id. The ids are
-/// the graph's own, not attacker-chosen keys, so SipHash's flood
-/// resistance buys nothing here; the odd multiplier spreads consecutive
-/// ids over the high bits hashbrown takes its control byte from and the
-/// fold brings them down to the bucket-index bits.
-#[derive(Default)]
-struct VertexIdHasher(u64);
-
-impl Hasher for VertexIdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("keys are u32 vertex ids");
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        let h = u64::from(v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// Provisional (discovery-order) vertex ids of a frontier ball under
-/// construction.
-struct Discovery {
-    ids: HashMap<u32, u32, BuildHasherDefault<VertexIdHasher>>,
+/// Reusable state of the frontier tile cutter: a dense relabel table
+/// indexed by vertex id, as [`crate::subgraph`] relabels, plus the
+/// per-cut lists. The table is sized to the graph on first use and
+/// zeroed again after every cut by walking the ball's own vertices, so a
+/// warm cut costs `O(ball + Σ root degrees)`, never `O(n)`. Cheap to
+/// construct (empty); one scratch serves any sequence of graphs.
+#[derive(Clone, Debug, Default)]
+pub struct FrontierScratch {
+    /// `slot[v]` is 1 + the provisional (discovery-order) id of `v` while
+    /// `v` is in the ball under construction, 0 otherwise.
+    slot: Vec<u32>,
     /// Input-graph id of each provisional id.
-    origin: Vec<u32>,
+    disc: Vec<u32>,
+    /// Per provisional id: the root rank, or `NOT_ROOT`; after the
+    /// relabel, the final local id.
+    rank: Vec<u32>,
+    /// Per locality group: the frontier rows before it, for the counting
+    /// sort.
+    counts: Vec<usize>,
+    /// Set while a cut runs: a cut that panicked (an out-of-range root, an
+    /// unreadable shard) left `slot` dirty, and the next one clears it
+    /// whole — the serving engine keeps its workspace across a caught
+    /// panic.
+    dirty: bool,
 }
 
-impl Discovery {
-    /// Provisional id of `v`, assigning the next one on first sight.
-    fn intern(&mut self, v: u32) -> u32 {
-        let next = self.origin.len() as u32;
-        let id = *self.ids.entry(v).or_insert(next);
-        if id == next {
-            self.origin.push(v);
-        }
-        id
+const NOT_ROOT: u32 = u32::MAX;
+
+impl FrontierScratch {
+    /// An empty scratch; the relabel table grows on the first cut.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Forget every vertex discovered after the first `len`.
-    fn truncate(&mut self, len: usize) {
-        for v in self.origin.drain(len..) {
-            self.ids.remove(&v);
+    /// The [`FrontierBall`] of every root in `roots`.
+    ///
+    /// # Panics
+    /// Panics if any root id is out of range for `g`.
+    pub fn one_hop<T: Topology + ?Sized>(&mut self, g: &T, roots: &[u32]) -> FrontierBall {
+        self.capped(g, roots, usize::MAX).0
+    }
+
+    /// The [`FrontierBall`] of the longest prefix of `roots` whose closed
+    /// one-hop frontier stays within `max_rows` rows, and the length of
+    /// that prefix — the tile cutter of layer-at-a-time inference: walk a
+    /// target list by calling this on the remaining suffix until nothing
+    /// is left.
+    ///
+    /// The ball is grown root by root in a single pass over the neighbor
+    /// lists (no size probe): a root whose frontier would push the ball
+    /// past the cap is rolled back and left for the next tile. The first
+    /// root is always taken, so a hub whose own frontier exceeds
+    /// `max_rows` yields a one-root tile larger than the cap rather than
+    /// no progress; duplicates of an already-taken root add no rows and
+    /// are always consumed. Frontier rows follow the roots grouped by
+    /// [`Topology::locality_group`] (a stable counting sort: discovery
+    /// order within a group).
+    ///
+    /// # Panics
+    /// Panics if a visited root id is out of range for `g`.
+    pub fn capped<T: Topology + ?Sized>(
+        &mut self,
+        g: &T,
+        roots: &[u32],
+        max_rows: usize,
+    ) -> (FrontierBall, usize) {
+        let n = g.num_vertices();
+        if self.dirty || self.slot.len() < n {
+            self.slot = vec![0; n.max(self.slot.len())];
         }
+        self.dirty = true;
+        self.disc.clear();
+        self.rank.clear();
+        // Vertices get provisional ids in discovery order (a root, then its
+        // neighbors, then the next root …); `rank[id]` is the root's
+        // position among the unique roots, or `NOT_ROOT`. The roots-first
+        // layout is a relabelling at the end, so the topology is read
+        // exactly once.
+        let mut num_roots = 0usize;
+        let mut root_locals = Vec::new();
+        let mut offsets = vec![0usize];
+        let mut adj: Vec<u32> = Vec::new();
+        for &r in roots {
+            assert!(
+                (r as usize) < n,
+                "root vertex {r} out of range for a {n}-vertex graph"
+            );
+            let (disc_mark, adj_mark) = (self.disc.len(), adj.len());
+            let id = self.intern(r) as usize;
+            self.rank.resize(self.disc.len(), NOT_ROOT);
+            if self.rank[id] == NOT_ROOT {
+                for &u in g.neighbors_ref(r).iter() {
+                    let local = self.intern(u);
+                    adj.push(local);
+                }
+                if self.disc.len() > max_rows && num_roots > 0 {
+                    for &v in &self.disc[disc_mark..] {
+                        self.slot[v as usize] = 0;
+                    }
+                    self.disc.truncate(disc_mark);
+                    self.rank.truncate(disc_mark);
+                    adj.truncate(adj_mark);
+                    break;
+                }
+                self.rank.resize(self.disc.len(), NOT_ROOT);
+                self.rank[id] = num_roots as u32;
+                num_roots += 1;
+                offsets.push(adj.len());
+            }
+            root_locals.push(self.rank[id]);
+        }
+        let origin = self.relabel(g, num_roots);
+        for a in &mut adj {
+            *a = self.rank[*a as usize];
+        }
+        for &v in &self.disc {
+            self.slot[v as usize] = 0;
+        }
+        self.dirty = false;
+        // Frontier rows are isolated: empty adjacency, same offset.
+        offsets.resize(origin.len() + 1, adj.len());
+        let used = root_locals.len();
+        let ball = FrontierBall {
+            graph: CsrGraph::from_raw(offsets, adj),
+            num_roots,
+            root_locals,
+            origin,
+        };
+        (ball, used)
+    }
+
+    /// Provisional id of `v`, assigning the next one on first sight.
+    #[inline]
+    fn intern(&mut self, v: u32) -> u32 {
+        let slot = &mut self.slot[v as usize];
+        if *slot == 0 {
+            self.disc.push(v);
+            *slot = self.disc.len() as u32;
+        }
+        *slot - 1
+    }
+
+    /// Final layout: roots keep their rank; frontier-only vertices follow,
+    /// grouped by locality group in discovery order within one (a stable
+    /// counting sort), so whoever reads the ball's rows next walks each
+    /// shard once. Turns `rank` into the provisional → final id map and
+    /// returns the ball's `origin`.
+    fn relabel<T: Topology + ?Sized>(&mut self, g: &T, num_roots: usize) -> Vec<u32> {
+        let FrontierScratch {
+            disc, rank, counts, ..
+        } = self;
+        let groups = g.num_locality_groups();
+        let group = |id: usize| match groups {
+            1 => 0,
+            _ => g.locality_group(disc[id]) as usize,
+        };
+        counts.clear();
+        counts.resize(groups + 1, 0);
+        for id in (0..rank.len()).filter(|&id| rank[id] == NOT_ROOT) {
+            counts[group(id) + 1] += 1;
+        }
+        for k in 1..counts.len() {
+            counts[k] += counts[k - 1];
+        }
+        for id in 0..rank.len() {
+            if rank[id] == NOT_ROOT {
+                let at = &mut counts[group(id)];
+                rank[id] = (num_roots + *at) as u32;
+                *at += 1;
+            }
+        }
+        let mut origin = vec![0u32; disc.len()];
+        for (&v, &local) in disc.iter().zip(rank.iter()) {
+            origin[local as usize] = v;
+        }
+        origin
     }
 }
 
@@ -606,6 +665,18 @@ mod tests {
         let (all, used) = capped_one_hop_frontier(&g, &[0, 5, 0, 7], usize::MAX);
         assert_eq!(used, 4);
         assert_eq!(all, one_hop_frontier(&g, &[0, 5, 0, 7]));
+    }
+
+    #[test]
+    fn a_scratch_recovers_from_a_panicked_cut() {
+        let g = star_graph();
+        let mut scratch = FrontierScratch::new();
+        // Root 0 interns its whole star before the bad root panics.
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            scratch.one_hop(&g, &[0, 99]);
+        }));
+        assert!(bad.is_err());
+        assert_eq!(scratch.one_hop(&g, &[6, 0]), one_hop_frontier(&g, &[6, 0]));
     }
 
     #[test]

@@ -46,6 +46,7 @@ pub use shard::{
 
 use crate::csr::CsrGraph;
 use gsgcn_tensor::DMatrix;
+use rayon::prelude::*;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -494,32 +495,72 @@ impl GraphStore {
     }
 
     /// Gather feature rows for `nodes` into `out` (reshaped to
-    /// `nodes.len() × feature_dim`, rows aligned with `nodes`).
+    /// `nodes.len() × feature_dim`, rows aligned with `nodes`), on the
+    /// caller's thread.
     pub fn gather_features_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
-        match self {
-            GraphStore::Mem(m) => {
-                let f = m.features().ok_or_else(no_features)?;
-                f.gather_rows_into(nodes, out);
-                Ok(())
-            }
-            GraphStore::Mmap(m) if m.feature_dim() == 0 => Err(no_features()),
-            GraphStore::Mmap(m) => {
-                gather_mmap(m, nodes, out, SectionKind::Features, m.feature_dim())
-            }
-        }
+        self.gather_into(SectionKind::Features, nodes, out, 1)
     }
 
     /// Gather label rows for `nodes` into `out` (reshaped to
-    /// `nodes.len() × label_dim`, rows aligned with `nodes`).
+    /// `nodes.len() × label_dim`, rows aligned with `nodes`), on the
+    /// caller's thread.
     pub fn gather_labels_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
+        self.gather_into(SectionKind::Labels, nodes, out, 1)
+    }
+
+    /// [`Self::gather_features_into`] spread over the current rayon pool:
+    /// an mmap store splits the rows into as many disjoint **shard sets**
+    /// as the pool has threads, balanced by rows, and gathers the sets in
+    /// parallel, so each section is still mapped once per call and every
+    /// row gets the same bytes at any pool width. The mem backend is one
+    /// shard and gathers on the caller's thread.
+    pub fn par_gather_features_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
+        let parts = rayon::current_num_threads();
+        self.gather_into(SectionKind::Features, nodes, out, parts)
+    }
+
+    /// [`Self::gather_labels_into`] split by shard sets over the current
+    /// rayon pool, as [`Self::par_gather_features_into`].
+    pub fn par_gather_labels_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
+        let parts = rayon::current_num_threads();
+        self.gather_into(SectionKind::Labels, nodes, out, parts)
+    }
+
+    /// The row gathers: `kind` is features or labels; an mmap store splits
+    /// them into up to `parts` shard sets ([`gather_mmap`]).
+    fn gather_into(
+        &self,
+        kind: SectionKind,
+        nodes: &[u32],
+        out: &mut DMatrix,
+        parts: usize,
+    ) -> io::Result<()> {
+        let missing = || {
+            let msg = match kind {
+                SectionKind::Features => "store holds no feature rows (feature_dim = 0)",
+                _ => "store holds no label rows (label_dim = 0)",
+            };
+            io::Error::new(io::ErrorKind::InvalidInput, msg)
+        };
         match self {
             GraphStore::Mem(m) => {
-                let l = m.labels().ok_or_else(no_labels)?;
-                l.gather_rows_into(nodes, out);
+                let rows = match kind {
+                    SectionKind::Features => m.features(),
+                    _ => m.labels(),
+                };
+                rows.ok_or_else(missing)?.gather_rows_into(nodes, out);
                 Ok(())
             }
-            GraphStore::Mmap(m) if m.label_dim() == 0 => Err(no_labels()),
-            GraphStore::Mmap(m) => gather_mmap(m, nodes, out, SectionKind::Labels, m.label_dim()),
+            GraphStore::Mmap(m) => {
+                let width = match kind {
+                    SectionKind::Features => m.feature_dim(),
+                    _ => m.label_dim(),
+                };
+                if width == 0 {
+                    return Err(missing());
+                }
+                gather_mmap(m, nodes, out, kind, width, parts)
+            }
         }
     }
 
@@ -540,31 +581,21 @@ impl GraphStore {
     }
 }
 
-fn no_features() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        "store holds no feature rows (feature_dim = 0)",
-    )
-}
-
-fn no_labels() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        "store holds no label rows (label_dim = 0)",
-    )
-}
-
 /// Gather `width`-column rows from the `kind` (features or labels)
 /// sections, shard by shard: each shard's section is mapped once per call
 /// however scattered `nodes` is (a scrambled row order read in sequence
 /// would remap a section per shard change), and every row lands at its
-/// own position in `out`.
+/// own position in `out`. With `parts > 1` the shards are split into up
+/// to `parts` disjoint sets of about equal rows, gathered in parallel on
+/// the current rayon pool, each into its own rows of `out`; a section is
+/// still mapped once per call.
 fn gather_mmap(
     m: &MmapStore,
     nodes: &[u32],
     out: &mut DMatrix,
     kind: SectionKind,
     width: usize,
+    parts: usize,
 ) -> io::Result<()> {
     out.ensure_shape(nodes.len(), width);
     let mut by_shard: Vec<(u32, u32)> = nodes
@@ -573,11 +604,73 @@ fn gather_mmap(
         .map(|(i, &v)| (m.shard_of(v), i as u32))
         .collect();
     by_shard.sort_unstable();
-    for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+    let cuts = shard_sets(&by_shard, parts);
+    if cuts.len() <= 2 {
+        return copy_run(m, nodes, &by_shard, kind, |k, section, local| {
+            section.copy_row_into(local, out.row_mut(by_shard[k].1 as usize))
+        });
+    }
+    // `out`'s rows in `by_shard` order: each shard set owns a contiguous
+    // run of them.
+    let mut rows: Vec<Option<&mut [f32]>> =
+        out.data_mut().chunks_exact_mut(width).map(Some).collect();
+    let mut dst: Vec<&mut [f32]> = by_shard
+        .iter()
+        .map(|&(_, i)| rows[i as usize].take().expect("each position once"))
+        .collect();
+    let mut sets = Vec::with_capacity(cuts.len() - 1);
+    let (mut pairs, mut rest) = (&by_shard[..], &mut dst[..]);
+    for w in cuts.windows(2) {
+        let (run, more) = pairs.split_at(w[1] - w[0]);
+        let (rows, tail) = rest.split_at_mut(w[1] - w[0]);
+        sets.push((run, rows));
+        (pairs, rest) = (more, tail);
+    }
+    let done: Vec<io::Result<()>> = sets
+        .par_iter_mut()
+        .map(|(run, rows)| {
+            copy_run(m, nodes, run, kind, |k, section, local| {
+                section.copy_row_into(local, rows[k])
+            })
+        })
+        .collect();
+    done.into_iter().collect()
+}
+
+/// Boundaries (into shard-sorted `pairs`) of at most `parts` runs of
+/// whole shards with about `pairs.len() / parts` rows each: `[0, len]`
+/// when one run covers them.
+fn shard_sets(pairs: &[(u32, u32)], parts: usize) -> Vec<usize> {
+    let mut cuts = vec![0];
+    if parts > 1 {
+        let mut end = 0;
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            end += group.len();
+            if end < pairs.len() && end * parts >= cuts.len() * pairs.len() {
+                cuts.push(end);
+            }
+        }
+    }
+    cuts.push(pairs.len());
+    cuts
+}
+
+/// Copy the rows of `run` (`(shard, position)` pairs, shard-sorted) from
+/// the `kind` sections, mapping each shard's section once: `put(k,
+/// section, local)` copies pair `k`'s row, local id `local` of `section`.
+fn copy_run(
+    m: &MmapStore,
+    nodes: &[u32],
+    run: &[(u32, u32)],
+    kind: SectionKind,
+    mut put: impl FnMut(usize, &ShardSection, usize),
+) -> io::Result<()> {
+    let mut k = 0;
+    for group in run.chunk_by(|a, b| a.0 == b.0) {
         let section = m.section(group[0].0 as usize, kind)?;
         for &(_, i) in group {
-            let local = m.local_of(nodes[i as usize]) as usize;
-            section.copy_row_into(local, out.row_mut(i as usize));
+            put(k, &section, m.local_of(nodes[i as usize]) as usize);
+            k += 1;
         }
     }
     Ok(())
@@ -767,6 +860,57 @@ mod tests {
             .unwrap();
         assert_eq!(out.row(0), &[150.0, 151.0, 152.0]);
         assert_eq!(out.row(2), &[70.0, 71.0, 72.0]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The pool-split gathers give the serial gathers' rows at every pool
+    /// width, on a scrambled row list with repeats, and each call still
+    /// maps each shard's section once: the shard sets are disjoint.
+    #[test]
+    fn split_gathers_match_the_serial_ones_at_every_width() {
+        let g = two_communities();
+        let (dir, manifest) = spill(&g, 5);
+        let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
+        let nodes = [15, 0, 7, 8, 3, 12, 0, 9, 4, 11, 15, 1, 6, 13];
+        let shards: std::collections::BTreeSet<u32> =
+            nodes.iter().map(|&v| store.shard_of(v).unwrap()).collect();
+        assert!(
+            shards.len() >= 4,
+            "{} shards of {}",
+            shards.len(),
+            manifest.num_shards()
+        );
+        let (mut want, mut got) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));
+        let probes = || {
+            store
+                .cache_stats()
+                .map(|s| (s.hits + s.misses, s.misses))
+                .unwrap()
+        };
+        for width in 1..=4 {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            for labels in [false, true] {
+                if labels {
+                    store.gather_labels_into(&nodes, &mut want).unwrap();
+                } else {
+                    store.gather_features_into(&nodes, &mut want).unwrap();
+                }
+                store.release_rows();
+                let before = probes();
+                pool.install(|| match labels {
+                    true => store.par_gather_labels_into(&nodes, &mut got),
+                    false => store.par_gather_features_into(&nodes, &mut got),
+                })
+                .unwrap();
+                assert_eq!(got, want, "width {width}, labels {labels}");
+                let (probed, mapped) = probes();
+                let once = shards.len() as u64;
+                assert_eq!((probed - before.0, mapped - before.1), (once, once));
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,7 @@ use crate::dense::DenseLayer;
 use crate::gcn_layer::{with_bf16_rows, GcnLayer, KernelTimings};
 use crate::loss;
 use crate::workspace::InferenceWorkspace;
-use gsgcn_graph::{capped_one_hop_frontier, CsrGraph, FrontierBall, GraphStore};
+use gsgcn_graph::{CsrGraph, FrontierBall, FrontierScratch, GraphStore};
 use gsgcn_prop::fused::{AggregatedRows, KeptRows};
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_tensor::{ops, precision, Bf16, DMatrix, MatMut, Precision};
@@ -127,6 +127,13 @@ pub struct LevelStats {
     /// Seconds in the GCN layers, the head and the output activation
     /// (with a resident evaluation's `Â·X` fill, which is layer-1 work).
     pub infer_secs: f64,
+    /// Seconds in the level recursion's sink (a stored evaluation's label
+    /// gather and F1 scoring).
+    pub score_secs: f64,
+    /// Seconds a stored evaluation spent taking and handing back its turn
+    /// at the store: pausing the sampler's gathers and releasing the
+    /// training and full stores' rows (0 elsewhere).
+    pub turn_secs: f64,
 }
 
 impl LevelStats {
@@ -134,14 +141,17 @@ impl LevelStats {
     pub fn summary(&self) -> String {
         format!(
             "tiles/layer {:?}, rows computed/layer {:?}, {} feature rows gathered, \
-             {} input rows aggregated, frontier {:.3}s gather {:.3}s infer {:.3}s",
+             {} input rows aggregated, frontier {:.3}s gather {:.3}s infer {:.3}s \
+             score {:.3}s turn {:.3}s",
             self.tiles,
             self.rows_computed,
             self.rows_gathered,
             self.input_rows_aggregated,
             self.frontier_secs,
             self.gather_secs,
-            self.infer_secs
+            self.infer_secs,
+            self.score_secs,
+            self.turn_secs
         )
     }
 }
@@ -152,12 +162,19 @@ struct Sweep<'a> {
     /// Row cap of a frontier tile.
     max_rows: usize,
     agg: &'a mut DMatrix,
+    frontier: &'a mut FrontierScratch,
     stats: LevelStats,
 }
 
 impl<'a> Sweep<'a> {
     /// A sweep that runs GCN layers `1..=layers`.
-    fn new(store: &'a GraphStore, max_rows: usize, agg: &'a mut DMatrix, layers: usize) -> Self {
+    fn new(
+        store: &'a GraphStore,
+        max_rows: usize,
+        agg: &'a mut DMatrix,
+        frontier: &'a mut FrontierScratch,
+        layers: usize,
+    ) -> Self {
         let stats = LevelStats {
             tiles: vec![0; layers],
             rows_computed: vec![0; layers],
@@ -167,6 +184,7 @@ impl<'a> Sweep<'a> {
             store,
             max_rows,
             agg,
+            frontier,
             stats,
         }
     }
@@ -543,10 +561,11 @@ impl GcnModel {
     ///
     /// `H^ℓ` on a target list is computed one **tile** at a time: a tile
     /// is the longest run of targets whose closed one-hop frontier stays
-    /// within `max_rows` rows ([`capped_one_hop_frontier`]); `H^{ℓ-1}` on
+    /// within `max_rows` rows ([`FrontierScratch::capped`]); `H^{ℓ-1}` on
     /// the tile's frontier comes from the same procedure one level down
-    /// (level 0 is [`GraphStore::gather_features_into`]), and layer `ℓ`
-    /// then runs for the tile's root rows only. Targets are walked in
+    /// (level 0 is [`GraphStore::par_gather_features_into`], split by
+    /// shard sets over the pool this runs in), and layer `ℓ` then runs for
+    /// the tile's root rows only. Targets are walked in
     /// placement order — the roots sorted by internal id, every tile's
     /// frontier grouped by shard — so reads are shard-sequential. The top
     /// level streams each tile through the head into `sink(roots, probs)`:
@@ -560,8 +579,11 @@ impl GcnModel {
     ///   level — never an L-hop ball per root chunk.
     /// * **Memory**: one buffer per level of at most `max_rows` rows (a
     ///   single root whose own frontier is larger overshoots — it is
-    ///   irreducible), i.e. `≤ L · max_rows · max width` floats, held in
-    ///   `ws` and reused by the next call.
+    ///   irreducible), i.e. `≤ L · max_rows · max width` floats, plus the
+    ///   cutter's relabel table of one `u32` per store vertex, all held in
+    ///   `ws` and reused by the next call (the table is cleared per tile by
+    ///   walking the tile's own rows, so a warm call never touches all `n`
+    ///   entries).
     /// * **Exactness**: a frontier tile keeps each root's full neighbor
     ///   list in full-graph order, so a root row's aggregate, `D⁻¹`
     ///   scale and GEMM row are the same float operations in the same
@@ -586,11 +608,12 @@ impl GcnModel {
             pong,
             agg,
             levels,
+            frontier,
         } = ws;
         if levels.len() < depth {
             levels.resize_with(depth, || DMatrix::zeros(0, 0));
         }
-        let mut sweep = Sweep::new(store, max_rows, agg, depth);
+        let mut sweep = Sweep::new(store, max_rows, agg, frontier, depth);
         let t0 = Instant::now();
         let mut sorted = roots.to_vec();
         sorted.sort_by_cached_key(|&v| store.to_internal(v));
@@ -606,7 +629,9 @@ impl GcnModel {
             self.head.forward_into(ping, pong);
             self.apply_output_activation(pong);
             sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
             sink(&ball.origin[..ball.num_roots], pong)?;
+            sweep.stats.score_secs += t0.elapsed().as_secs_f64();
             rest = &rest[ball.num_roots..];
         }
         Ok(sweep.stats)
@@ -624,7 +649,7 @@ impl GcnModel {
         levels: &mut [DMatrix],
     ) -> io::Result<FrontierBall> {
         let t0 = Instant::now();
-        let (ball, used) = capped_one_hop_frontier(sweep.store, targets, sweep.max_rows);
+        let (ball, used) = sweep.frontier.capped(sweep.store, targets, sweep.max_rows);
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
         sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
         sweep.stats.tiles[level - 1] += 1;
@@ -667,7 +692,7 @@ impl GcnModel {
     ) -> io::Result<()> {
         if level == 0 {
             let t0 = Instant::now();
-            sweep.store.gather_features_into(targets, out)?;
+            sweep.store.par_gather_features_into(targets, out)?;
             sweep.stats.gather_secs += t0.elapsed().as_secs_f64();
             sweep.stats.rows_gathered += targets.len();
             return Ok(());
@@ -710,11 +735,16 @@ impl GcnModel {
         out: &mut DMatrix,
     ) -> io::Result<LevelStats> {
         let below = self.layers.len() - 1;
-        let InferenceWorkspace { agg, levels, .. } = ws;
+        let InferenceWorkspace {
+            agg,
+            levels,
+            frontier,
+            ..
+        } = ws;
         if levels.len() < below {
             levels.resize_with(below, || DMatrix::zeros(0, 0));
         }
-        let mut sweep = Sweep::new(store, usize::MAX, agg, below);
+        let mut sweep = Sweep::new(store, usize::MAX, agg, frontier, below);
         self.fill_level(&mut sweep, below, targets, &mut levels[..below], out)?;
         Ok(sweep.stats)
     }

@@ -11,12 +11,13 @@
 //! The workspace holds the activation **ping-pong pair** — layer `i`
 //! reads one buffer and writes the other, so an L-layer forward needs
 //! two buffers regardless of depth — plus the unfused path's aggregate
-//! scratch and the per-level tile buffers of layer-at-a-time inference
-//! over a store. Buffers are sized lazily by the first forward and reused
+//! scratch, the per-level tile buffers of layer-at-a-time inference
+//! over a store and the frontier cutter's relabel table. Buffers are sized lazily by the first forward and reused
 //! afterwards; as long as input shapes stay bounded (batched inference
 //! caps the subgraph size by construction), every warm call performs
 //! **zero matrix allocations** (pinned by `tests/alloc_regression.rs`).
 
+use gsgcn_graph::FrontierScratch;
 use gsgcn_tensor::DMatrix;
 
 /// Reusable scratch for [`crate::model::GcnModel::infer_logits_into`] /
@@ -38,6 +39,10 @@ pub struct InferenceWorkspace {
     /// entry point `infer_hidden_by_level`): `levels[ℓ]` holds `H^ℓ` on
     /// the frontier tile that layer `ℓ+1` is reading.
     pub(crate) levels: Vec<DMatrix>,
+    /// The frontier tile cutter's relabel table (one `u32` per vertex of
+    /// the largest graph cut so far) and lists, reused by every tile of
+    /// the level recursion and by serving's frontier ball.
+    pub(crate) frontier: FrontierScratch,
 }
 
 impl Default for InferenceWorkspace {
@@ -54,11 +59,20 @@ impl InferenceWorkspace {
             pong: DMatrix::zeros(0, 0),
             agg: DMatrix::zeros(0, 0),
             levels: Vec::new(),
+            frontier: FrontierScratch::new(),
         }
     }
 
-    /// Bytes currently held across the scratch buffers (capacity probe
-    /// for dashboards/tests).
+    /// The frontier tile cutter's scratch, for callers that cut a
+    /// [`gsgcn_graph::FrontierBall`] themselves before running the level
+    /// recursion on the same workspace (serving's classify path).
+    pub fn frontier(&mut self) -> &mut FrontierScratch {
+        &mut self.frontier
+    }
+
+    /// Bytes currently held across the matrix scratch buffers (capacity
+    /// probe for dashboards/tests; the frontier cutter's relabel table,
+    /// 4 bytes per vertex of the largest graph cut, is not counted).
     pub fn scratch_bytes(&self) -> usize {
         let level_floats: usize = self.levels.iter().map(|m| m.data().len()).sum();
         (self.ping.data().len() + self.pong.data().len() + self.agg.data().len() + level_floats)

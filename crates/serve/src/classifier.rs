@@ -39,7 +39,7 @@
 //! `tests/cold_work_bounds.rs`.
 
 use crate::cache::ActivationCache;
-use gsgcn_graph::{one_hop_frontier, CsrGraph, GraphStore, Topology};
+use gsgcn_graph::{CsrGraph, GraphStore, Topology};
 use gsgcn_nn::model::{GcnModel, LevelStats, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::DMatrix;
@@ -312,7 +312,7 @@ impl NodeClassifier {
             return Ok(());
         }
         self.validate_nodes(nodes)?;
-        let fb = one_hop_frontier(&*self.store, nodes);
+        let fb = ws.infer.frontier().one_hop(&*self.store, nodes);
         // Positions in `fb.origin` whose row the cache did not supply.
         let missing = match &self.cache {
             Some(cache) => cache.probe_rows(&fb.origin, self.model.hidden_width(), &mut ws.hidden),
