@@ -12,7 +12,8 @@
 //! `*_scaled(seed)` keeps the *shape* — average degree, degree skew,
 //! attribute width, class count, task kind — at a few thousand vertices
 //! so the complete benchmark suite runs in minutes. Experiments default
-//! to scaled; EXPERIMENTS.md records which size produced each number.
+//! to scaled; the `gsgcn::reproduce` module docs say which presets each
+//! experiment runs on and what the scaled sizes cannot show.
 
 use crate::dataset::{Dataset, Split, TaskKind};
 use crate::features::{class_features, FeatureSpec};

@@ -11,7 +11,7 @@
 //! * [`subgraph`] — parallel extraction of the *induced* subgraph on a
 //!   vertex set, the output side of the frontier sampler (Alg. 2, line 8).
 //! * [`neighborhood`] — one-hop [`FrontierBall`]s, cut to a row cap by
-//!   [`capped_one_hop_frontier`]: the tiles of layer-at-a-time inference
+//!   [`FrontierScratch::capped`]: the tiles of layer-at-a-time inference
 //!   over a store (serving and stored evaluation); and L-hop ball
 //!   extraction around a query node set, the reference formulation that
 //!   tests check it against (exact at the roots — see the module docs).
@@ -60,8 +60,7 @@ pub use bitset::BitSet;
 pub use builder::GraphBuilder;
 pub use csr::CsrGraph;
 pub use neighborhood::{
-    capped_one_hop_frontier, l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall,
-    FrontierScratch, NeighborhoodBatch,
+    l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall, FrontierScratch, NeighborhoodBatch,
 };
 pub use store::{GraphStore, NeighborsRef, StoreBackend, StoreCacheStats, StoreOrder, Topology};
 pub use subgraph::{induced_subgraph, InducedSubgraph};

@@ -17,8 +17,8 @@
 //! [`FrontierScratch`]: the level driver and serving keep one per
 //! inference workspace, so a warm cut costs `O(ball + Σ root degrees)`
 //! (the table is cleared by walking the ball's own vertices, never all
-//! `n` entries). [`one_hop_frontier`] and [`capped_one_hop_frontier`] are
-//! the same cut on a fresh scratch, for one-off callers.
+//! `n` entries). [`one_hop_frontier`] is the same cut on a fresh scratch,
+//! for one-off callers.
 //!
 //! The L-hop side — [`l_hop_ball`], [`l_hop_subgraph`] and the cone-pruned
 //! [`NeighborhoodBatch::layer_graphs`] — is the older formulation of the
@@ -139,22 +139,6 @@ pub struct FrontierBall {
 /// Panics if any root id is out of range for `g`.
 pub fn one_hop_frontier<T: Topology + ?Sized>(g: &T, roots: &[u32]) -> FrontierBall {
     FrontierScratch::new().one_hop(g, roots)
-}
-
-/// The [`FrontierBall`] of the longest prefix of `roots` whose closed
-/// one-hop frontier stays within `max_rows` rows, and the length of that
-/// prefix, cut with a fresh [`FrontierScratch`] (see
-/// [`FrontierScratch::capped`]). The fresh scratch costs an `n`-entry
-/// table per call; callers that cut repeatedly keep one scratch.
-///
-/// # Panics
-/// Panics if a visited root id is out of range for `g`.
-pub fn capped_one_hop_frontier<T: Topology + ?Sized>(
-    g: &T,
-    roots: &[u32],
-    max_rows: usize,
-) -> (FrontierBall, usize) {
-    FrontierScratch::new().capped(g, roots, max_rows)
 }
 
 /// Reusable state of the frontier tile cutter: a dense relabel table
@@ -627,12 +611,12 @@ mod tests {
         let g = path_graph();
         // Roots 0, 1, 2 grow the ball {0,1} → {0,1,2} → {0,1,2,3}: a cap
         // of 3 rows takes two roots and leaves the third for the next tile.
-        let (fb, used) = capped_one_hop_frontier(&g, &[0, 1, 2, 5], 3);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 1, 2, 5], 3);
         assert_eq!(used, 2);
         assert_eq!(fb, one_hop_frontier(&g, &[0, 1]));
         // The rolled-back root left nothing behind: the next tile starts
         // clean and is again a plain frontier ball of its prefix.
-        let (fb, used) = capped_one_hop_frontier(&g, &[2, 5], 3);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[2, 5], 3);
         assert_eq!(used, 1);
         assert_eq!(fb, one_hop_frontier(&g, &[2]));
     }
@@ -642,10 +626,10 @@ mod tests {
         let g = star_graph();
         // The hub's own frontier (6 rows) exceeds the cap: a one-root
         // tile larger than the cap, not an empty one.
-        let (fb, used) = capped_one_hop_frontier(&g, &[0, 6], 2);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 6], 2);
         assert_eq!((used, fb.num_roots, fb.origin.len()), (1, 1, 6));
         // A degree-0 root is a one-row tile.
-        let (fb, used) = capped_one_hop_frontier(&g, &[8], 1);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[8], 1);
         assert_eq!((used, fb.origin.as_slice()), (1, &[8u32][..]));
         assert_eq!(fb.graph.num_edges(), 0);
     }
@@ -655,14 +639,14 @@ mod tests {
         let g = star_graph();
         // 5 is first seen as a neighbor of 0, then becomes a root; the
         // duplicate 0 costs no rows. Ball = {0..=6}: exactly the cap.
-        let (fb, used) = capped_one_hop_frontier(&g, &[0, 5, 0, 7], 7);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 5, 0, 7], 7);
         assert_eq!(used, 3);
         assert_eq!(fb.num_roots, 2);
         assert_eq!(&fb.origin[..2], &[0, 5]);
         assert_eq!(fb.root_locals, vec![0, 1, 0]);
         assert_eq!(fb, one_hop_frontier(&g, &[0, 5, 0]));
         // An uncapped call is the plain frontier ball of every root.
-        let (all, used) = capped_one_hop_frontier(&g, &[0, 5, 0, 7], usize::MAX);
+        let (all, used) = FrontierScratch::new().capped(&g, &[0, 5, 0, 7], usize::MAX);
         assert_eq!(used, 4);
         assert_eq!(all, one_hop_frontier(&g, &[0, 5, 0, 7]));
     }

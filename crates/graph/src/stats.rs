@@ -5,7 +5,7 @@
 //! provides the measures we compare between the training graph and sampled
 //! subgraphs: degree distribution (histogram + moments), clustering
 //! coefficient, and connected components. These back both unit tests and
-//! the `sampler_explorer` example.
+//! the A3 subgraph statistics of `gsgcn reproduce a3`.
 
 use crate::csr::CsrGraph;
 use rayon::prelude::*;

@@ -1,4 +1,4 @@
-//! The frontier tile cutter (`capped_one_hop_frontier`, and
+//! The frontier tile cutter (`FrontierScratch::capped`, and
 //! `one_hop_frontier` as its uncapped case) against a plain `BTreeMap`
 //! reference that spells out its contract: which roots a tile takes, where
 //! it stops, and how its rows are laid out (unique roots first, then the
@@ -8,8 +8,8 @@
 //! leave every ball here equal.
 
 use gsgcn_graph::{
-    builder::from_edges, capped_one_hop_frontier, one_hop_frontier, CsrGraph, FrontierBall,
-    FrontierScratch, NeighborsRef, Topology,
+    builder::from_edges, one_hop_frontier, CsrGraph, FrontierBall, FrontierScratch, NeighborsRef,
+    Topology,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -150,12 +150,12 @@ proptest! {
             let mut rest = &roots[..];
             while !rest.is_empty() {
                 let (want, want_used) = reference(&grouped, rest, cap);
-                let (got, used) = capped_one_hop_frontier(&grouped, rest, cap);
+                let (got, used) = FrontierScratch::new().capped(&grouped, rest, cap);
                 prop_assert_eq!(&got, &want, "cap {} on {:?}", cap, rest);
                 prop_assert_eq!(used, want_used);
                 prop_assert!(used >= 1);
                 // Ungrouped, the same cut on the bare graph.
-                let (plain, _) = capped_one_hop_frontier(&grouped.g, rest, cap);
+                let (plain, _) = FrontierScratch::new().capped(&grouped.g, rest, cap);
                 prop_assert_eq!(plain, reference(&grouped.g, rest, cap).0);
                 rest = &rest[used..];
             }
@@ -195,7 +195,7 @@ proptest! {
             let mut rest = &roots[..];
             while !rest.is_empty() {
                 let (got, used) = scratch.capped(g, rest, cap);
-                prop_assert_eq!((got, used), capped_one_hop_frontier(g, rest, cap));
+                prop_assert_eq!((got, used), FrontierScratch::new().capped(g, rest, cap));
                 rest = &rest[used..];
             }
             prop_assert_eq!(scratch.one_hop(g, &roots), one_hop_frontier(g, &roots));

@@ -82,11 +82,15 @@ pub fn paper_threshold(baselines: &[&Curve]) -> f64 {
     a0 - 0.0025
 }
 
-/// Sec. VI-B speedup: best baseline time-to-threshold divided by the
-/// proposed method's time-to-threshold. `None` if either side never
-/// reaches the threshold.
+/// Sec. VI-B speedup: [`speedup_at`] the paper's threshold
+/// ([`paper_threshold`]).
 pub fn threshold_speedup(proposed: &Curve, baselines: &[&Curve]) -> Option<f64> {
-    let threshold = paper_threshold(baselines);
+    speedup_at(proposed, baselines, paper_threshold(baselines))
+}
+
+/// Best baseline time-to-`threshold` divided by the proposed method's
+/// time-to-`threshold`. `None` if either side never reaches it.
+pub fn speedup_at(proposed: &Curve, baselines: &[&Curve], threshold: f64) -> Option<f64> {
     let ours = proposed.time_to_reach(threshold)?;
     let theirs = baselines
         .iter()

@@ -914,15 +914,6 @@ impl GcnModel {
         }
     }
 
-    /// Inference: logits for every vertex of `g` (no dropout, no
-    /// caching). Allocating wrapper around
-    /// [`GcnModel::infer_logits_into`].
-    pub fn infer_logits(&self, g: &CsrGraph, x: &DMatrix) -> DMatrix {
-        let mut out = DMatrix::zeros(0, 0);
-        self.infer_logits_into(g, x, &mut InferenceWorkspace::new(), &mut out);
-        out
-    }
-
     /// Inference with the task's output activation applied (sigmoid
     /// probabilities or softmax distribution). Allocating wrapper around
     /// [`GcnModel::infer_probs_into`].
@@ -930,15 +921,6 @@ impl GcnModel {
         let mut out = DMatrix::zeros(0, 0);
         self.infer_probs_into(g, x, &mut InferenceWorkspace::new(), &mut out);
         out
-    }
-
-    /// Evaluate the loss on `(g, x, y)` without updating weights.
-    pub fn eval_loss(&self, g: &CsrGraph, x: &DMatrix, y: &DMatrix) -> f32 {
-        let logits = self.infer_logits(g, x);
-        match self.cfg.loss {
-            LossKind::SigmoidBce => loss::sigmoid_bce(&logits, y).0,
-            LossKind::SoftmaxCe => loss::softmax_ce(&logits, y).0,
-        }
     }
 }
 
@@ -983,6 +965,16 @@ mod tests {
         }
     }
 
+    /// The loss of `m` on `(g, x, y)` from a full-graph forward.
+    fn eval_loss(m: &GcnModel, g: &CsrGraph, x: &DMatrix, y: &DMatrix) -> f32 {
+        let mut logits = DMatrix::zeros(0, 0);
+        m.infer_logits_into(g, x, &mut InferenceWorkspace::new(), &mut logits);
+        match m.cfg.loss {
+            LossKind::SigmoidBce => loss::sigmoid_bce(&logits, y).0,
+            LossKind::SoftmaxCe => loss::softmax_ce(&logits, y).0,
+        }
+    }
+
     #[test]
     fn config_validation() {
         assert!(small_cfg(LossKind::SigmoidBce).validate().is_ok());
@@ -1012,11 +1004,11 @@ mod tests {
     fn training_fits_two_clusters_bce() {
         let (g, x, y) = two_cluster_graph();
         let mut m = GcnModel::new(small_cfg(LossKind::SigmoidBce), 7);
-        let before = m.eval_loss(&g, &x, &y);
+        let before = eval_loss(&m, &g, &x, &y);
         for _ in 0..150 {
             m.train_step(&g, &x, &y);
         }
-        let after = m.eval_loss(&g, &x, &y);
+        let after = eval_loss(&m, &g, &x, &y);
         assert!(after < before * 0.5, "loss {before} → {after}");
         // Predictions should match cluster labels.
         let probs = m.infer_probs(&g, &x);
@@ -1050,11 +1042,11 @@ mod tests {
         let mut cfg = small_cfg(LossKind::SigmoidBce);
         cfg.dropout = 0.2;
         let mut m = GcnModel::new(cfg, 9);
-        let before = m.eval_loss(&g, &x, &y);
+        let before = eval_loss(&m, &g, &x, &y);
         for _ in 0..200 {
             m.train_step(&g, &x, &y);
         }
-        let after = m.eval_loss(&g, &x, &y);
+        let after = eval_loss(&m, &g, &x, &y);
         assert!(after < before, "dropout run: {before} → {after}");
     }
 

@@ -3,8 +3,8 @@
 //! The paper's conclusion commits to "extend the parallel sampler
 //! implementation to support a wider class of sampling algorithms". These
 //! are the classic alternatives from the graph-sampling literature the
-//! frontier sampler is usually compared against; the `ablation_samplers`
-//! bench trains the GCN with each and compares accuracy.
+//! frontier sampler is usually compared against; `gsgcn reproduce a3`
+//! trains the GCN with each and compares accuracy.
 
 use crate::rng::Xorshift128Plus;
 use crate::GraphSampler;

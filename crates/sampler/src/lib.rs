@@ -55,7 +55,6 @@ pub mod naive;
 pub mod pipeline;
 pub mod pool;
 pub mod rng;
-pub mod weighted;
 
 use gsgcn_graph::{induced_subgraph, InducedSubgraph, Topology};
 

@@ -11,6 +11,8 @@
 //! gsgcn predict --load model.gcn --nodes 3,17,204
 //! gsgcn serve   --load model.gcn [--addr 127.0.0.1:7878] [--workers 1]
 //! gsgcn kernel
+//! gsgcn reproduce <table1|fig2|fig3|fig4|table2|a1|a2|a3|all> [--full] [--seed 42]
+//!                 [--max-cores N]
 //! ```
 //!
 //! # Out-of-core operation
@@ -39,7 +41,8 @@
 //! (see `gsgcn_serve`). `kernel` reports the GEMM microkernel tier
 //! `GSGCN_KERNEL` resolves to and the tiers this CPU has, with the unit
 //! each one's bf16 panels run on (`bf16:amx` on the AMX tile unit,
-//! plain `bf16` on the tier's widen kernel).
+//! plain `bf16` on the tier's widen kernel). `reproduce` runs the paper's
+//! experiments ([`gsgcn::reproduce`]).
 //!
 //! # Runtime settings
 //!
@@ -136,7 +139,12 @@ const USAGE: &str = "usage:
               (0 = off); accepts --shards/--graph-store as for predict
   gsgcn kernel — the GEMM kernel tier every command runs on, from
               GSGCN_KERNEL=<scalar|avx2|avx512|amx|auto> (auto = the best
-              this CPU has), and the tiers this CPU has";
+              this CPU has), and the tiers this CPU has
+  gsgcn reproduce <table1|fig2|fig3|fig4|table2|a1|a2|a3|all> [--full]
+              [--seed N] [--max-cores N]
+              — run the paper's experiments on the scaled presets (see the
+              gsgcn::reproduce docs); --full runs heavier configurations,
+              --max-cores caps the core sweep";
 
 /// The flags each subcommand accepts (`None`: no such subcommand), as
 /// `(flags taking a value, presence-only flags)`. A flag missing from its
@@ -169,6 +177,7 @@ fn accepted_flags(cmd: &str) -> Option<(&'static str, &'static str)> {
             "full scaled",
         ),
         "kernel" => ("", ""),
+        "reproduce" => ("seed max-cores", "full"),
         _ => return None,
     })
 }
@@ -997,19 +1006,38 @@ fn cmd_kernel(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
+/// Run the paper experiment `experiment` (or `all`).
+fn cmd_reproduce(experiment: Option<&str>, flags: &HashMap<String, String>) -> Result<(), String> {
+    let max_cores = flags.contains_key("max-cores");
+    let opts = gsgcn::reproduce::Options {
+        full: flags.contains_key("full"),
+        seed: dataset_seed(flags)?,
+        max_cores: max_cores.then(|| get(flags, "max-cores", 0)).transpose()?,
+    };
+    gsgcn::reproduce::run(experiment.ok_or("reproduce needs an experiment")?, &opts)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some((cmd, rest)) = args.split_first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let cmd = cmd.as_str();
-    let result = match accepted_flags(cmd).map(|accepted| parse_flags(cmd, accepted, &args[1..])) {
+    // `reproduce` names its experiment as the one positional argument.
+    let (experiment, rest) = match rest.split_first() {
+        Some((name, tail)) if cmd == "reproduce" && !name.starts_with("--") => {
+            (Some(name.as_str()), tail)
+        }
+        _ => (None, rest),
+    };
+    let result = match accepted_flags(cmd).map(|accepted| parse_flags(cmd, accepted, rest)) {
         None => Err(format!("unknown command {cmd:?}")),
         Some(Err(e)) => Err(e),
         Some(Ok(flags)) => match cmd {
             "datasets" => cmd_datasets(),
             "kernel" => cmd_kernel(&flags),
+            "reproduce" => cmd_reproduce(experiment, &flags),
             "shard" => cmd_shard(&flags),
             "train" => cmd_train(&flags),
             "eval" => cmd_eval(&flags),
