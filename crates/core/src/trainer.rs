@@ -117,8 +117,10 @@ impl EvalSource<'_> {
 /// [`GcnModel::infer_probs_by_level`]. Stored eval holds one such buffer
 /// per level, so its memory is `levels × cap rows × width` however large
 /// the graph or the split — 32 Ki rows ≈ 38 MiB of 300-dim f32 features
-/// at level 0. A single root whose own frontier exceeds the cap still
-/// gets a (larger) tile: one root's frontier is irreducible.
+/// at level 0, on a store without `Â·X` (with it, level 0 holds one
+/// block of layer 1's rows instead). A single root whose own frontier
+/// exceeds the cap still gets a (larger) tile: one root's frontier is
+/// irreducible.
 const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 
 /// Stored evaluation's turn at reading: while it lives, the pipeline's
@@ -152,12 +154,12 @@ impl Drop for EvalTurn<'_> {
     }
 }
 
-/// Whether `store` has no feature or label section mapped (a mem store
-/// maps none).
+/// Whether `store` has no row (feature, label, `agg`) section mapped (a
+/// mem store maps none).
 fn rows_released(store: &GraphStore) -> bool {
     store
         .cache_stats()
-        .is_none_or(|s| s.features.resident == 0 && s.labels.resident == 0)
+        .is_none_or(|s| s.features.resident + s.labels.resident + s.agg.resident == 0)
 }
 
 /// Trainer state: dataset view, model, sampler pipeline, timers.
@@ -533,7 +535,13 @@ impl<'a> GsGcnTrainer<'a> {
     ///   one-hop tile overlap is), memory is `levels × cap rows × width`,
     ///   and because a tile keeps every root's full neighbor list in
     ///   full-graph order the F1 **equals** the resident arm's on the
-    ///   same data, bit for bit. Nothing is cached across calls. The two
+    ///   same data, bit for bit. Nothing is cached across calls. When the
+    ///   full store holds `Â·X` (an f32 spill writes it) and layer 1 is
+    ///   fused f32, layer 1 cuts no tile and gathers no level-0 ball: it
+    ///   reads one `agg` and one feature row per level-1 vertex, in blocks,
+    ///   and runs only its GEMMs (`agg_rows_gathered` counts the rows).
+    ///   bf16 and unfused layers and stores without the section take the
+    ///   tiles, unchanged. The two
     ///   stores are read in turns: the pipeline's gathers pause and the
     ///   training store's rows are released first, and the full store's
     ///   rows are released on every exit, an error's included.
@@ -543,9 +551,10 @@ impl<'a> GsGcnTrainer<'a> {
     /// compute threads, since the workers idle while evaluation runs (the
     /// stored arm pauses their gathers; on either arm each stops one
     /// subgraph ahead). On the stored arm that pool also carries the
-    /// level-0 feature gather and each tile's label gather, split by
-    /// shard sets ([`GraphStore::par_gather_features_into`]); the frontier
-    /// cuts run on the calling thread. The thread count changes no bit of
+    /// row gathers — layer 1's `agg` and feature rows (or the level-0
+    /// ball) and each tile's labels — split by shard sets
+    /// ([`GraphStore::par_gather_features_into`]); the frontier cuts run
+    /// on the calling thread. The thread count changes no bit of
     /// the result. A stored evaluation's [`EvalStats`] times every part
     /// of it: `frontier_secs`, `gather_secs`, `infer_secs`, `score_secs`
     /// (label gather and F1) and `turn_secs` (pausing the gathers and
@@ -882,15 +891,22 @@ mod tests {
         assert_eq!(f1_res, f1_st);
         // Both arms report their work. The resident arm ran layer 1 on
         // every row and the last layer on the test rows, gathering
-        // nothing; the stored graph fits one tile per level, so its last
-        // layer also ran once per test vertex.
+        // nothing; the stored graph fits one tile at level 2, so its last
+        // layer also ran once per test vertex, and the spilled full store
+        // holds `Â·X`, so layer 1 cut no tile and read one `agg` and one
+        // feature row per row it computed.
         let res = stats_res.expect("resident evaluation records its work");
         let n = d.graph.num_vertices();
         assert_eq!(res.rows_computed, vec![n, d.split.test.len()]);
         assert_eq!(res.rows_gathered, 0);
         let stats = stats_st.expect("stored evaluation records its work");
-        assert_eq!(stats.tiles, vec![1, 1]);
+        assert_eq!(stats.tiles, vec![0, 1]);
         assert_eq!(stats.rows_computed[1], d.split.test.len());
+        let layer1 = stats.rows_computed[0];
+        assert_eq!(
+            (stats.rows_gathered, stats.agg_rows_gathered),
+            (layer1, layer1)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,17 +2,22 @@
 //! (`GcnModel::infer_probs_by_level`, the stored arm of
 //! `GsGcnTrainer::evaluate`) must reproduce the full-graph forward **bit
 //! for bit** — for every tiling the row cap can force, every store
-//! backend and placement order, and both activation
-//! precisions — and must do no more work than the needed sets when the
-//! cap covers them.
+//! backend and placement order, with and without the store's `Â·X`
+//! section, and both activation precisions — and must do no more work
+//! than the needed sets when the cap covers them.
 
+use gsgcn_core::trainer::EvalSplit;
+use gsgcn_core::{GsGcnTrainer, TrainerConfig};
+use gsgcn_data::store_dataset::{write_full_store, FULL_SUBDIR};
+use gsgcn_data::{presets, StoreDataset};
 use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::write_store_ordered;
+use gsgcn_graph::StoreBackend;
 use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::precision::ALL_PRECISIONS;
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -238,4 +243,165 @@ fn capped_tiles_are_pinned() {
             assert_eq!(got, want, "{:?}/{:?}", store.backend(), store.order());
         }
     }
+}
+
+/// The store-section axis: the same graph on mem and on mmap spills in
+/// natural and BFS order, each spill with and without `Â·X`.
+fn section_stores(
+    g: &Arc<CsrGraph>,
+    x: &Arc<DMatrix>,
+    shards: usize,
+) -> (Vec<GraphStore>, Vec<PathBuf>) {
+    let mut stores = vec![GraphStore::mem(Arc::clone(g), Some(Arc::clone(x)), None)];
+    let mut dirs = Vec::new();
+    for order in [StoreOrder::Natural, StoreOrder::Bfs] {
+        for with_agg in [false, true] {
+            let dir = fresh_dir();
+            if with_agg {
+                write_full_store(&dir, g, x, None, shards, order).unwrap();
+            } else {
+                write_store_ordered(&dir, g, Some(x), None, shards, order).unwrap();
+            }
+            stores.push(GraphStore::Mmap(MmapStore::open(&dir, 4096).unwrap()));
+            dirs.push(dir);
+        }
+    }
+    (stores, dirs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// With or without the store's `Â·X` section, on every backend and
+    /// order, at a cap that cuts the top level into several tiles and at
+    /// none: the level driver gives the full-graph forward's bits. On a
+    /// store with the section an f32 layer 1 cuts no tile and reads one
+    /// `agg` and one feature row per row it computes; everywhere else it
+    /// reads no `agg` row.
+    #[test]
+    fn stored_aggregate_is_bit_identical_to_the_full_graph_forward(
+        n in 8usize..40,
+        chords in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..60),
+        depth in 1usize..4,
+        shards in 1usize..7,
+        small_cap in 2usize..9,
+        picks in proptest::collection::vec(any::<u32>(), 1..24),
+        seed in any::<u64>(),
+    ) {
+        let g = Arc::new(graph_with_hub(n, &chords));
+        let x = Arc::new(features(n, seed));
+        let mut m = model(depth, LossKind::SigmoidBce, seed ^ 0xA66);
+        let mut roots: Vec<u32> = picks.iter().map(|&p| p % n as u32).collect();
+        roots.extend([n as u32 - 2, n as u32 - 1]);
+        let mut distinct = roots.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+
+        let (stores, dirs) = section_stores(&g, &x, shards);
+        let mut ws = InferenceWorkspace::new();
+        for precision in ALL_PRECISIONS {
+            m.set_precision(precision);
+            let mut full = DMatrix::zeros(0, 0);
+            m.infer_probs_into(&g, &x, &mut ws, &mut full);
+            for store in &stores {
+                let at = format!("{precision} on {:?}/{:?} agg {}", store.backend(), store.order(), store.has_agg());
+                for cap in [small_cap, usize::MAX] {
+                    let (rows, stats) = by_level(&m, store, &roots, cap, &mut ws);
+                    prop_assert_eq!(rows.len(), distinct.len());
+                    for &v in &distinct {
+                        prop_assert_eq!(&rows[&v][..], full.row(v as usize), "{} root {} cap {}", at, v, cap);
+                    }
+                    if cap == small_cap && distinct.len() > small_cap {
+                        prop_assert!(stats.tiles[depth - 1] > 1, "{} {:?}", at, stats);
+                    }
+                    let reads_agg = store.has_agg() && depth > 1 && precision == Precision::F32;
+                    if reads_agg {
+                        let layer1 = stats.rows_computed[0];
+                        prop_assert_eq!(stats.tiles[0], 0, "{}", at);
+                        prop_assert_eq!((stats.rows_gathered, stats.agg_rows_gathered), (layer1, layer1), "{}", at);
+                    } else {
+                        prop_assert_eq!(stats.agg_rows_gathered, 0, "{}", at);
+                        prop_assert!(stats.tiles[0] > 0, "{} {:?}", at, stats);
+                    }
+                }
+            }
+        }
+        drop(stores);
+        for dir in dirs {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}
+
+/// A spilled dataset's stored evaluation, counted: on the full store as
+/// written (with `Â·X`) layer 1 cuts no tile, gathers no level-0 ball and
+/// reads one `agg` row and one feature row per level-1 vertex — the
+/// one-hop ball of the split, since the split's level-2 tile fits the
+/// cap. The same full store rewritten without the section evaluates as
+/// before: the same F1 bits and rows per layer, with the level-1 tile cut
+/// and the level-0 ball gathered.
+#[test]
+fn stored_evaluation_reads_layer_one_from_the_stored_aggregate() {
+    let d = presets::scale_spec(&presets::ppi_spec(), 600).generate(29);
+    let spill = |tag: &str| {
+        let dir = fresh_dir().join(tag);
+        d.spill_to_dir_ordered(&dir, 4, StoreOrder::Bfs).unwrap();
+        dir
+    };
+    let (with, without) = (spill("agg"), spill("plain"));
+    // The section-less store: the same full graph, rows and placement.
+    write_store_ordered(
+        &without.join(FULL_SUBDIR),
+        &d.graph,
+        Some(&d.features),
+        Some(&d.labels),
+        4,
+        StoreOrder::Bfs,
+    )
+    .unwrap();
+    let open = |dir: &PathBuf| StoreDataset::open_with(dir, StoreBackend::Mmap, 1 << 20).unwrap();
+    let (sd_with, sd_without) = (open(&with), open(&without));
+    assert!(sd_with.full.has_agg() && !sd_without.full.has_agg());
+    let mut cfg = TrainerConfig::quick_test();
+    cfg.epochs = 1;
+    let evaluate = |sd: &StoreDataset| {
+        let mut t = GsGcnTrainer::from_store(sd, cfg.clone()).unwrap();
+        t.train_epoch().unwrap();
+        [EvalSplit::Val, EvalSplit::Test].map(|split| {
+            let f1 = t.try_evaluate(split).unwrap();
+            (f1.to_bits(), t.last_eval_stats().unwrap().clone())
+        })
+    };
+    let (got, before) = (evaluate(&sd_with), evaluate(&sd_without));
+    for (split, ((f1, stats), (f1_before, stats_before))) in [&d.split.val, &d.split.test]
+        .iter()
+        .zip(got.iter().zip(&before))
+    {
+        assert_eq!(f1, f1_before, "F1 bits");
+        assert_eq!(stats.rows_computed, stats_before.rows_computed);
+        let layer1 = l_hop_ball(&d.graph, split, 1).len();
+        assert_eq!(stats.tiles, vec![0, 1], "{}", stats.summary());
+        assert_eq!(
+            (
+                stats.rows_computed[0],
+                stats.rows_gathered,
+                stats.agg_rows_gathered
+            ),
+            (layer1, layer1, layer1),
+            "{}",
+            stats.summary()
+        );
+        assert!(stats
+            .summary()
+            .contains(&format!(", {layer1} agg rows gathered, ")));
+        assert_eq!(stats_before.tiles, vec![1, 1], "{}", stats_before.summary());
+        assert_eq!(stats_before.agg_rows_gathered, 0);
+        assert_eq!(
+            stats_before.rows_gathered,
+            l_hop_ball(&d.graph, split, 2).len()
+        );
+    }
+    drop((sd_with, sd_without));
+    std::fs::remove_dir_all(with.parent().unwrap()).ok();
+    std::fs::remove_dir_all(without.parent().unwrap()).ok();
 }

@@ -201,16 +201,6 @@ pub fn amazon_full(seed: u64) -> Dataset {
     amazon_spec().generate(seed)
 }
 
-/// All four scaled presets, in Table I order.
-pub fn all_scaled(seed: u64) -> Vec<Dataset> {
-    vec![
-        ppi_scaled(seed),
-        reddit_scaled(seed.wrapping_add(1)),
-        yelp_scaled(seed.wrapping_add(2)),
-        amazon_scaled(seed.wrapping_add(3)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,17 +260,6 @@ mod tests {
             s.max,
             s.mean
         );
-    }
-
-    #[test]
-    fn all_scaled_returns_four() {
-        let all = all_scaled(3);
-        assert_eq!(all.len(), 4);
-        let names: Vec<_> = all.iter().map(|d| d.name.as_str()).collect();
-        assert_eq!(names, vec!["PPI", "Reddit", "Yelp", "Amazon"]);
-        for d in &all {
-            assert!(d.validate().is_ok(), "{} invalid", d.name);
-        }
     }
 
     #[test]

@@ -5,10 +5,18 @@
 //!
 //! ```text
 //! <dir>/
-//!   full/          shard store of the full graph (+features +labels)
+//!   full/          shard store of the full graph (+features +labels, and
+//!                  `Â·X` rows when the features are f32)
 //!   train/         shard store of the training-induced view
 //!   dataset.gss    name, task kind, split, train-view origin map
 //! ```
+//!
+//! The full store of an f32 spill carries the `agg` section: each shard's
+//! rows of `Â·X`, layer 1's input aggregate over the full graph
+//! ([`write_full_store`]), so stored evaluation reads two rows per
+//! layer-1 vertex instead of aggregating its neighbours' feature rows.
+//! The training store never does: training aggregates over each sampled
+//! subgraph's own `Â_s`.
 //!
 //! The `train/` store holds the *induced training subgraph* — the same
 //! topology and gathered rows [`Dataset::train_view`] builds in memory —
@@ -19,9 +27,13 @@
 //! dataset.
 
 use crate::dataset::{Dataset, Split, TaskKind};
-use gsgcn_graph::store::{default_num_shards, write_store_with_precision, StoreBackend};
-use gsgcn_graph::{GraphStore, StoreOrder, Topology};
-use gsgcn_tensor::Precision;
+use gsgcn_graph::store::{
+    default_num_shards, write_store_with_agg, write_store_with_precision, StoreBackend,
+    StoreManifest,
+};
+use gsgcn_graph::{CsrGraph, GraphStore, StoreOrder, Topology};
+use gsgcn_prop::fused::AggregatedRows;
+use gsgcn_tensor::{DMatrix, Precision};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -65,7 +77,9 @@ impl Dataset {
     /// Spill with an explicit feature storage precision (`gsgcn shard
     /// --features bf16`): bf16 halves both stores' feature payload, at
     /// one bf16 rounding per feature element. Labels stay f32; gathers
-    /// widen rows back to f32 on read.
+    /// widen rows back to f32 on read. An f32 full store also carries
+    /// `Â·X` ([`write_full_store`]), doubling its feature bytes; a bf16
+    /// one does not.
     pub fn spill_to_dir_with_precision(
         &self,
         dir: &Path,
@@ -76,42 +90,80 @@ impl Dataset {
         std::fs::create_dir_all(dir)?;
         let full_dir = dir.join(FULL_SUBDIR);
         std::fs::create_dir_all(&full_dir)?;
-        let full_shards = if num_shards == 0 {
-            default_num_shards(self.graph.num_vertices())
-        } else {
-            num_shards
+        let shards = |n: usize| match num_shards {
+            0 => default_num_shards(n),
+            k => k,
         };
-        write_store_with_precision(
-            &full_dir,
-            &self.graph,
-            Some(&self.features),
-            Some(&self.labels),
-            full_shards,
-            order,
-            feature_precision,
-        )?;
-
-        let tv = self.train_view();
-        let train_dir = dir.join(TRAIN_SUBDIR);
-        std::fs::create_dir_all(&train_dir)?;
-        let train_shards = if num_shards == 0 {
-            default_num_shards(tv.graph.num_vertices())
-        } else {
-            num_shards
+        let write_full = || match feature_precision {
+            Precision::F32 => write_full_store(
+                &full_dir,
+                &self.graph,
+                &self.features,
+                Some(&self.labels),
+                shards(self.graph.num_vertices()),
+                order,
+            ),
+            Precision::Bf16 => write_store_with_precision(
+                &full_dir,
+                &self.graph,
+                Some(&self.features),
+                Some(&self.labels),
+                shards(self.graph.num_vertices()),
+                order,
+                feature_precision,
+            ),
         };
-        write_store_with_precision(
-            &train_dir,
-            &tv.graph,
-            Some(&*tv.features),
-            Some(&*tv.labels),
-            train_shards,
-            order,
-            feature_precision,
-        )?;
+        // The training store is written on a second thread while this one
+        // writes the full store: both writers spend most of their time in
+        // the serial checksum of their own files.
+        let write_train = || {
+            let tv = self.train_view();
+            let train_dir = dir.join(TRAIN_SUBDIR);
+            std::fs::create_dir_all(&train_dir)?;
+            write_store_with_precision(
+                &train_dir,
+                &tv.graph,
+                Some(&*tv.features),
+                Some(&*tv.labels),
+                shards(tv.graph.num_vertices()),
+                order,
+                feature_precision,
+            )?;
+            Ok::<_, io::Error>(tv.origin)
+        };
+        let (full, train) = std::thread::scope(|scope| {
+            let train = scope.spawn(write_train);
+            let full = write_full();
+            (full, train.join().expect("training store writer panicked"))
+        });
+        full?;
+        let train_origin = train?;
 
         // Metadata last: its presence certifies both stores are complete.
-        write_meta(dir, &self.name, self.task, &self.split, &tv.origin)
+        write_meta(dir, &self.name, self.task, &self.split, &train_origin)
     }
+}
+
+/// Write the shard store of a full graph with f32 `features`, optional
+/// `labels` and the `agg` section: each shard's rows of `Â·X` (`Â = D⁻¹A`
+/// of `graph`), computed as that shard is written by layer 1's own fused
+/// producer ([`AggregatedRows::spill_into`] at the shard's members, one
+/// row-parallel pass per chunk of a shard) — so every row is, bit for
+/// bit, the f32 panel row layer 1 would aggregate for that vertex.
+pub fn write_full_store(
+    dir: &Path,
+    graph: &CsrGraph,
+    features: &DMatrix,
+    labels: Option<&DMatrix>,
+    num_shards: usize,
+    order: StoreOrder,
+) -> io::Result<StoreManifest> {
+    let agg = |members: &[u32], out: &mut DMatrix| {
+        AggregatedRows::mean(graph, features.view())
+            .target_rows(members)
+            .spill_into(out)
+    };
+    write_store_with_agg(dir, graph, features, labels, num_shards, order, &agg)
 }
 
 /// A dataset whose graph/feature/label data lives behind [`GraphStore`]
@@ -346,7 +398,6 @@ fn read_meta(dir: &Path) -> io::Result<(String, TaskKind, Split, Vec<u32>)> {
 mod tests {
     use super::*;
     use crate::presets;
-    use gsgcn_tensor::DMatrix;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -434,6 +485,34 @@ mod tests {
             assert_eq!(sd.train_origin, d.train_view().origin);
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    /// An f32 spill's full store holds `Â·X` — bit for bit the rows layer
+    /// 1's producer spills for the whole graph, in every placement order —
+    /// and its training store does not; a bf16 spill holds none.
+    #[test]
+    fn full_store_carries_the_input_aggregate() {
+        let d = small_dataset();
+        let mut want = DMatrix::zeros(0, 0);
+        AggregatedRows::mean(&d.graph, d.features.view()).spill_into(&mut want);
+        let all: Vec<u32> = (0..d.graph.num_vertices() as u32).rev().collect();
+        for order in [StoreOrder::Natural, StoreOrder::Bfs] {
+            let dir = tmp_dir(&format!("agg-{}", order.name()));
+            d.spill_to_dir_ordered(&dir, 3, order).unwrap();
+            let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap();
+            assert!(sd.full.has_agg() && !sd.train.has_agg(), "{order:?}");
+            let (mut agg, mut x) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));
+            sd.full.par_gather_agg_into(&all, &mut agg, &mut x).unwrap();
+            assert_eq!(agg, want.gather_rows(&all), "{order:?}");
+            assert_eq!(x, d.features.gather_rows(&all), "{order:?}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        let dir = tmp_dir("agg-bf16");
+        d.spill_to_dir_with_precision(&dir, 3, StoreOrder::Natural, Precision::Bf16)
+            .unwrap();
+        let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap();
+        assert!(!sd.full.has_agg() && !sd.train.has_agg());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

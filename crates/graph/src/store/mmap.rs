@@ -6,11 +6,11 @@
 //! # Cache unit
 //!
 //! A cache entry is one [`SectionKind`] of one shard file: its topology
-//! (header, members, CSR offsets, adjacency), its feature rows or its
-//! label rows — the three byte ranges [`ShardLayout`](super::shard::ShardLayout)
-//! cuts a file into. Every reader wants exactly one of them: the sampler,
-//! subgraph induction and the frontier tiler read topology, a gather reads
-//! one kind of row. So a degree probe maps a shard's few-percent topology
+//! (header, members, CSR offsets, adjacency), its feature rows, its label
+//! rows or its `agg` rows — the byte ranges
+//! [`ShardLayout`](super::shard::ShardLayout) cuts a file into. Every
+//! reader wants exactly one of them: the sampler, subgraph induction and
+//! the frontier tiler read topology, a gather reads one kind of row. So a degree probe maps a shard's few-percent topology
 //! range, never its feature payload, and on a feature-dominated store the
 //! whole graph's topology fits a budget a fraction of the store's size.
 //! Nothing maps a whole shard file.
@@ -278,6 +278,10 @@ pub struct StoreCacheStats {
     pub topology: SectionStats,
     pub features: SectionStats,
     pub labels: SectionStats,
+    pub agg: SectionStats,
+    /// Whether the store carries the `agg` section (the summary lists
+    /// `agg` only then).
+    pub has_agg: bool,
     /// Shards in the store (the denominator of each kind's `resident`).
     pub num_shards: usize,
     /// The mapped-bytes budget the counters were collected under.
@@ -301,16 +305,19 @@ impl StoreCacheStats {
             SectionKind::Topology => &self.topology,
             SectionKind::Features => &self.features,
             SectionKind::Labels => &self.labels,
+            SectionKind::Agg => &self.agg,
         }
     }
 
     /// One-line human summary for CLI reports and banners: the counters,
     /// then what is mapped right now, e.g. `topology 12/12 · features
-    /// 3/12 · labels 4/12, 11.6 MiB of 12.0 MiB`.
+    /// 3/12 · labels 4/12, 11.6 MiB of 12.0 MiB` (plus `· agg 2/12` on a
+    /// store with the `agg` section).
     pub fn summary(&self) -> String {
         const MIB: f64 = (1 << 20) as f64;
         let mapped: Vec<String> = SectionKind::ALL
             .iter()
+            .filter(|&&k| k != SectionKind::Agg || self.has_agg)
             .map(|&k| format!("{} {}/{}", k.name(), self.of(k).resident, self.num_shards))
             .collect();
         format!(
@@ -347,7 +354,7 @@ impl Slot {
 }
 
 /// One shard of the store: what its file must look like, and the cache
-/// entries of its three sections.
+/// entries of its sections.
 struct Shard {
     /// Whether the shard file exists on disk (validated at open).
     present: bool,
@@ -609,7 +616,7 @@ impl StoreCore {
         for (stats, evictions) in by_kind.iter_mut().zip(&self.evictions) {
             stats.evictions = evictions.load(Ordering::Relaxed);
         }
-        let [topology, features, labels] = by_kind;
+        let [topology, features, labels, agg] = by_kind;
         StoreCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -623,6 +630,8 @@ impl StoreCore {
             topology,
             features,
             labels,
+            agg,
+            has_agg: self.manifest.has_agg,
             num_shards: self.shards.len(),
             budget_bytes: self.budget,
         }
@@ -846,7 +855,8 @@ impl MmapStore {
     }
 
     /// Pin the shards containing `nodes`: map **all** their sections now
-    /// and exempt them from eviction until [`Self::unpin_all`]. Used by
+    /// (`agg` only on a store that has it) and exempt them from eviction
+    /// until [`Self::unpin_all`]. Used by
     /// serving to keep the hot working set resident across queries.
     /// Returns how many shards were newly pinned.
     pub fn pin_nodes(&self, nodes: &[u32]) -> io::Result<usize> {
@@ -861,7 +871,12 @@ impl MmapStore {
                 continue;
             }
             let mut newly = false;
-            for kind in SectionKind::ALL {
+            // A store without the `agg` section has nothing there to pin.
+            let has_agg = self.core.manifest.has_agg;
+            for kind in SectionKind::ALL
+                .into_iter()
+                .filter(|&k| has_agg || k != SectionKind::Agg)
+            {
                 if !shard.sections[kind as usize]
                     .pinned
                     .swap(true, Ordering::Relaxed)
@@ -884,9 +899,9 @@ impl MmapStore {
         self.core.evict_to_budget(usize::MAX);
     }
 
-    /// Unmap every unpinned row (feature, label) section now; topology
-    /// stays. For a reader that knows it is about to go idle: its row
-    /// sections would otherwise sit mapped — and, once touched, resident —
+    /// Unmap every unpinned row (feature, label, `agg`) section now;
+    /// topology stays. For a reader that knows it is about to go idle: its
+    /// row sections would otherwise sit mapped — and, once touched, resident —
     /// until this store's *own* next loads push them out, however long
     /// that is.
     pub fn release_rows(&self) {

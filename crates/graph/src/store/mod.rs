@@ -11,7 +11,8 @@
 //! * [`MmapStore`] — CSR shards partitioned by the frontier
 //!   ([`bfs_partition`](crate::partition::bfs_partition)) partitioner,
 //!   written in the versioned on-disk format of [`shard`] and memory-mapped
-//!   on demand, **one section (topology / features / labels) at a time**,
+//!   on demand, **one section (topology / features / labels / `agg`) at a
+//!   time**,
 //!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]).
 //!   Training and serving a graph ≥10× physical RAM becomes a
 //!   cache-management problem instead of an OOM.
@@ -19,7 +20,9 @@
 //! Consumers read topology through the [`Topology`] trait (object-safe, so
 //! `&CsrGraph` coerces to `&dyn Topology` at existing call sites) and bulk
 //! rows through [`GraphStore::gather_features_into`] /
-//! [`GraphStore::gather_labels_into`]. Every read happens on the caller's
+//! [`GraphStore::gather_labels_into`] (and, on a store that carries layer
+//! 1's input aggregate, [`GraphStore::par_gather_agg_into`]). Every read
+//! happens on the caller's
 //! thread; an mmap gather visits its rows shard by shard, so each section
 //! it touches is mapped once per call however the rows are ordered.
 //!
@@ -40,8 +43,8 @@ pub use mem::MemStore;
 pub use mmap::{MmapStore, SectionStats, StoreCacheStats};
 pub use order::StoreOrder;
 pub use shard::{
-    verify_store, write_store, write_store_ordered, write_store_with_precision, SectionKind,
-    ShardSection, StoreManifest,
+    verify_store, write_store, write_store_ordered, write_store_with_agg,
+    write_store_with_precision, AggRows, SectionKind, ShardSection, StoreManifest,
 };
 
 use crate::csr::CsrGraph;
@@ -389,6 +392,15 @@ impl GraphStore {
         }
     }
 
+    /// Whether the store holds rows of `Â·X`, layer 1's input aggregate
+    /// (the `agg` section of [`write_store_with_agg`]; never for mem).
+    pub fn has_agg(&self) -> bool {
+        match self {
+            GraphStore::Mem(_) => false,
+            GraphStore::Mmap(m) => m.manifest().has_agg,
+        }
+    }
+
     /// Shard count (the mem backend is one implicit shard).
     pub fn num_shards(&self) -> usize {
         match self {
@@ -498,14 +510,14 @@ impl GraphStore {
     /// `nodes.len() × feature_dim`, rows aligned with `nodes`), on the
     /// caller's thread.
     pub fn gather_features_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
-        self.gather_into(SectionKind::Features, nodes, out, 1)
+        self.gather_into(nodes, &mut [(SectionKind::Features, out)], 1)
     }
 
     /// Gather label rows for `nodes` into `out` (reshaped to
     /// `nodes.len() × label_dim`, rows aligned with `nodes`), on the
     /// caller's thread.
     pub fn gather_labels_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
-        self.gather_into(SectionKind::Labels, nodes, out, 1)
+        self.gather_into(nodes, &mut [(SectionKind::Labels, out)], 1)
     }
 
     /// [`Self::gather_features_into`] spread over the current rayon pool:
@@ -516,50 +528,80 @@ impl GraphStore {
     /// shard and gathers on the caller's thread.
     pub fn par_gather_features_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
         let parts = rayon::current_num_threads();
-        self.gather_into(SectionKind::Features, nodes, out, parts)
+        self.gather_into(nodes, &mut [(SectionKind::Features, out)], parts)
     }
 
     /// [`Self::gather_labels_into`] split by shard sets over the current
     /// rayon pool, as [`Self::par_gather_features_into`].
     pub fn par_gather_labels_into(&self, nodes: &[u32], out: &mut DMatrix) -> io::Result<()> {
         let parts = rayon::current_num_threads();
-        self.gather_into(SectionKind::Labels, nodes, out, parts)
+        self.gather_into(nodes, &mut [(SectionKind::Labels, out)], parts)
     }
 
-    /// The row gathers: `kind` is features or labels; an mmap store splits
-    /// them into up to `parts` shard sets ([`gather_mmap`]).
+    /// Layer 1's stored input rows of `nodes`: rows of `Â·X` — the input
+    /// aggregate over the full graph, the `agg` section — into `agg` and
+    /// feature rows into `features` (each reshaped to `nodes.len() ×
+    /// feature_dim`, rows aligned with `nodes`). Both gathers are split by
+    /// the same shard sets as [`Self::par_gather_features_into`] and run
+    /// as one parallel batch over the current rayon pool, so two sections
+    /// of one shard are read at once even when every row lies in that
+    /// shard. Fails when the store has no `agg` section
+    /// ([`Self::has_agg`]).
+    pub fn par_gather_agg_into(
+        &self,
+        nodes: &[u32],
+        agg: &mut DMatrix,
+        features: &mut DMatrix,
+    ) -> io::Result<()> {
+        let parts = rayon::current_num_threads();
+        let outs = &mut [(SectionKind::Agg, agg), (SectionKind::Features, features)];
+        self.gather_into(nodes, outs, parts)
+    }
+
+    /// The row gathers: each `(kind, out)` pair (features, labels or
+    /// `agg`) gets its rows of `nodes`; an mmap store splits them into up
+    /// to `parts` shard sets per kind ([`gather_mmap`]).
     fn gather_into(
         &self,
-        kind: SectionKind,
         nodes: &[u32],
-        out: &mut DMatrix,
+        outs: &mut [(SectionKind, &mut DMatrix)],
         parts: usize,
     ) -> io::Result<()> {
-        let missing = || {
+        let missing = |kind| {
             let msg = match kind {
                 SectionKind::Features => "store holds no feature rows (feature_dim = 0)",
+                SectionKind::Agg => "store holds no agg rows (written without the section)",
                 _ => "store holds no label rows (label_dim = 0)",
             };
             io::Error::new(io::ErrorKind::InvalidInput, msg)
         };
         match self {
             GraphStore::Mem(m) => {
-                let rows = match kind {
-                    SectionKind::Features => m.features(),
-                    _ => m.labels(),
-                };
-                rows.ok_or_else(missing)?.gather_rows_into(nodes, out);
+                for (kind, out) in outs.iter_mut() {
+                    let rows = match kind {
+                        SectionKind::Features => m.features(),
+                        SectionKind::Labels => m.labels(),
+                        _ => None,
+                    };
+                    rows.ok_or_else(|| missing(*kind))?
+                        .gather_rows_into(nodes, out);
+                }
                 Ok(())
             }
             GraphStore::Mmap(m) => {
-                let width = match kind {
-                    SectionKind::Features => m.feature_dim(),
-                    _ => m.label_dim(),
-                };
-                if width == 0 {
-                    return Err(missing());
+                for (kind, out) in outs.iter_mut() {
+                    let width = match kind {
+                        SectionKind::Features => m.feature_dim(),
+                        SectionKind::Agg if m.manifest().has_agg => m.feature_dim(),
+                        SectionKind::Labels => m.label_dim(),
+                        _ => 0,
+                    };
+                    if width == 0 {
+                        return Err(missing(*kind));
+                    }
+                    out.ensure_shape(nodes.len(), width);
                 }
-                gather_mmap(m, nodes, out, kind, width, parts)
+                gather_mmap(m, nodes, outs, parts)
             }
         }
     }
@@ -581,23 +623,21 @@ impl GraphStore {
     }
 }
 
-/// Gather `width`-column rows from the `kind` (features or labels)
-/// sections, shard by shard: each shard's section is mapped once per call
-/// however scattered `nodes` is (a scrambled row order read in sequence
-/// would remap a section per shard change), and every row lands at its
-/// own position in `out`. With `parts > 1` the shards are split into up
-/// to `parts` disjoint sets of about equal rows, gathered in parallel on
-/// the current rayon pool, each into its own rows of `out`; a section is
-/// still mapped once per call.
+/// Gather each `(kind, out)` pair's rows (`out` already shaped
+/// `nodes.len() × width`) from the `kind` sections, shard by shard: each
+/// shard's section is mapped once per call however scattered `nodes` is (a
+/// scrambled row order read in sequence would remap a section per shard
+/// change), and every row lands at its own position in `out`. With
+/// `parts > 1` the shards are split into up to `parts` disjoint sets of
+/// about equal rows; every (kind, set) pair is one task, and the tasks run
+/// in parallel on the current rayon pool, each into its own rows of its
+/// `out`. A section is still mapped once per call.
 fn gather_mmap(
     m: &MmapStore,
     nodes: &[u32],
-    out: &mut DMatrix,
-    kind: SectionKind,
-    width: usize,
+    outs: &mut [(SectionKind, &mut DMatrix)],
     parts: usize,
 ) -> io::Result<()> {
-    out.ensure_shape(nodes.len(), width);
     let mut by_shard: Vec<(u32, u32)> = nodes
         .iter()
         .enumerate()
@@ -605,31 +645,31 @@ fn gather_mmap(
         .collect();
     by_shard.sort_unstable();
     let cuts = shard_sets(&by_shard, parts);
-    if cuts.len() <= 2 {
-        return copy_run(m, nodes, &by_shard, kind, |k, section, local| {
+    if cuts.len() <= 2 && outs.len() == 1 {
+        let (kind, out) = &mut outs[0];
+        return copy_run(m, nodes, &by_shard, *kind, |k, section, local| {
             section.copy_row_into(local, out.row_mut(by_shard[k].1 as usize))
         });
     }
-    // `out`'s rows in `by_shard` order: each shard set owns a contiguous
-    // run of them.
-    let mut rows: Vec<Option<&mut [f32]>> =
-        out.data_mut().chunks_exact_mut(width).map(Some).collect();
-    let mut dst: Vec<&mut [f32]> = by_shard
-        .iter()
-        .map(|&(_, i)| rows[i as usize].take().expect("each position once"))
-        .collect();
-    let mut sets = Vec::with_capacity(cuts.len() - 1);
-    let (mut pairs, mut rest) = (&by_shard[..], &mut dst[..]);
-    for w in cuts.windows(2) {
-        let (run, more) = pairs.split_at(w[1] - w[0]);
-        let (rows, tail) = rest.split_at_mut(w[1] - w[0]);
-        sets.push((run, rows));
-        (pairs, rest) = (more, tail);
+    let mut tasks = Vec::with_capacity(outs.len() * (cuts.len() - 1));
+    for (kind, out) in outs.iter_mut() {
+        let width = out.cols();
+        // `out`'s rows in `by_shard` order: each shard set owns a
+        // contiguous run of them.
+        let mut rows: Vec<Option<&mut [f32]>> =
+            out.data_mut().chunks_exact_mut(width).map(Some).collect();
+        let mut dst = by_shard
+            .iter()
+            .map(|&(_, i)| rows[i as usize].take().expect("each position once"));
+        for w in cuts.windows(2) {
+            let set: Vec<&mut [f32]> = dst.by_ref().take(w[1] - w[0]).collect();
+            tasks.push((*kind, &by_shard[w[0]..w[1]], set));
+        }
     }
-    let done: Vec<io::Result<()>> = sets
+    let done: Vec<io::Result<()>> = tasks
         .par_iter_mut()
-        .map(|(run, rows)| {
-            copy_run(m, nodes, run, kind, |k, section, local| {
+        .map(|(kind, run, rows)| {
+            copy_run(m, nodes, run, *kind, |k, section, local| {
                 section.copy_row_into(local, rows[k])
             })
         })
@@ -684,8 +724,9 @@ fn materialize_mmap(m: &MmapStore) -> io::Result<ResidentParts> {
     let mut adj = Vec::with_capacity(m.num_edges());
     let mut features = (f > 0).then(|| DMatrix::zeros(n, f));
     let mut labels = (l > 0).then(|| DMatrix::zeros(n, l));
-    // The current shard's sections, in `SectionKind` order (a zero-width
-    // row section maps nothing).
+    // The current shard's topology, feature and label sections (a
+    // zero-width row section maps nothing; `agg` is derived data and stays
+    // on disk).
     let mut cached: Option<(u32, [Arc<ShardSection>; 3])> = None;
     offsets.push(0usize);
     for v in 0..n as u32 {
@@ -693,7 +734,12 @@ fn materialize_mmap(m: &MmapStore) -> io::Result<ResidentParts> {
         let [topology, feature_rows, label_rows] = match &cached {
             Some((cur, s)) if *cur == sid => s,
             _ => {
-                let [t, f, l] = SectionKind::ALL.map(|kind| m.section(sid as usize, kind));
+                let kinds = [
+                    SectionKind::Topology,
+                    SectionKind::Features,
+                    SectionKind::Labels,
+                ];
+                let [t, f, l] = kinds.map(|kind| m.section(sid as usize, kind));
                 &cached.insert((sid, [t?, f?, l?])).1
             }
         };
@@ -940,10 +986,16 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// On a store with all four sections (its `agg` rows are stand-ins:
+    /// pinning does not read them).
     #[test]
     fn pinning_keeps_shards_resident() {
         let g = two_communities();
-        let (dir, _) = spill(&g, 4);
+        let dir = fresh_temp_dir().unwrap();
+        let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i * 10 + j) as f32);
+        let l = DMatrix::from_fn(g.num_vertices(), 2, |i, j| (i + j) as f32);
+        let agg = |members: &[u32], out: &mut DMatrix| f.gather_rows_into(members, out);
+        write_store_with_agg(&dir, &g, &f, Some(&l), 4, StoreOrder::Natural, &agg).unwrap();
         let store = GraphStore::open_with_budget(&dir, 1).unwrap();
         assert_eq!(store.pin_nodes(&[0]).unwrap(), 1, "one shard newly pinned");
         assert_eq!(store.pin_nodes(&[0]).unwrap(), 0, "already pinned");
@@ -984,6 +1036,10 @@ mod tests {
         assert_eq!(
             held.evictions,
             held.features.evictions + held.labels.evictions + held.topology.evictions
+        );
+        assert_eq!(
+            held.agg.evictions, 0,
+            "only the pinned shard's agg was read"
         );
         store.unpin_all();
         // With the pins gone the 1-byte budget applies to them too.
@@ -1406,6 +1462,99 @@ mod tests {
         );
         std::fs::remove_dir_all(&d32).unwrap();
         std::fs::remove_dir_all(&d16).unwrap();
+    }
+
+    /// A store written with the `agg` section marks it in the manifest,
+    /// verifies, and gathers the rows its writer was handed beside the
+    /// feature rows, in any order and at any pool width; without the
+    /// section the gather is an error, and a writer handed rows of the
+    /// wrong shape fails.
+    #[test]
+    fn agg_section_roundtrips_and_gathers() {
+        let g = two_communities();
+        let n = g.num_vertices();
+        let f = DMatrix::from_fn(n, 3, |i, j| (i * 10 + j) as f32);
+        let want = DMatrix::from_fn(n, 3, |i, j| -((i * 7 + j) as f32) * 0.5);
+        let rows = |members: &[u32], out: &mut DMatrix| want.gather_rows_into(members, out);
+        for order in [StoreOrder::Natural, StoreOrder::Bfs] {
+            let dir = fresh_temp_dir().unwrap();
+            let manifest = write_store_with_agg(&dir, &g, &f, None, 3, order, &rows).unwrap();
+            assert!(manifest.has_agg);
+            assert_eq!(StoreManifest::load(&dir).unwrap(), manifest);
+            assert!(verify_store(&dir).unwrap().is_empty());
+            let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
+            assert!(store.has_agg());
+            let nodes = [15, 0, 7, 8, 3, 12, 0, 9];
+            let (mut agg, mut x) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));
+            for width in 1..=3 {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(width)
+                    .build()
+                    .unwrap();
+                pool.install(|| store.par_gather_agg_into(&nodes, &mut agg, &mut x))
+                    .unwrap();
+                assert_eq!(agg, want.gather_rows(&nodes), "{order:?} width {width}");
+                assert_eq!(x, f.gather_rows(&nodes), "{order:?} width {width}");
+            }
+            let stats = store.cache_stats().unwrap();
+            assert_eq!(stats.agg.resident, 3, "{stats:?}");
+            assert!(
+                stats.summary().contains(" · agg 3/3, "),
+                "{}",
+                stats.summary()
+            );
+            // The store materializes without its derived rows.
+            let (back, feats, _) = store.materialize().unwrap();
+            assert_eq!((&*back, feats.as_deref()), (&g, Some(&f)));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        let (dir, manifest) = spill(&g, 2);
+        assert!(!manifest.has_agg);
+        let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
+        assert!(!store.has_agg());
+        let err = store
+            .par_gather_agg_into(&[0], &mut DMatrix::zeros(0, 0), &mut DMatrix::zeros(0, 0))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!store.cache_stats().unwrap().summary().contains("agg"));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let dir = fresh_temp_dir().unwrap();
+        let short = |m: &[u32], out: &mut DMatrix| want.gather_rows_into(&m[1..], out);
+        let err = write_store_with_agg(&dir, &g, &f, None, 2, StoreOrder::Natural, &short);
+        assert!(err.unwrap_err().to_string().contains("agg rows of shard 0"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The manifest's `agg` marker round-trips after the other trailing
+    /// sections, and a marker on a bf16 store is refused: its rows would
+    /// not be the f32 aggregate of the rows it stores.
+    #[test]
+    fn agg_marker_follows_the_other_sections() {
+        use gsgcn_tensor::Precision;
+        let mut m = StoreManifest {
+            n: 2,
+            num_edges: 2,
+            feature_dim: 3,
+            label_dim: 0,
+            shards: vec![shard::ShardInfo {
+                members: 2,
+                edges: 2,
+                file_len: 0,
+                checksum: 0,
+            }],
+            order: StoreOrder::Bfs,
+            rank: vec![1, 0],
+            feature_precision: Precision::F32,
+            has_agg: true,
+        };
+        assert_eq!(StoreManifest::from_bytes(m.to_bytes()).unwrap(), m);
+        m.has_agg = false;
+        let without = m.to_bytes();
+        m.has_agg = true;
+        assert_eq!(m.to_bytes().len(), without.len() + 8);
+        m.feature_precision = Precision::Bf16;
+        let err = StoreManifest::from_bytes(m.to_bytes()).unwrap_err();
+        assert!(err.to_string().contains("non-f32"), "{err}");
     }
 
     #[test]

@@ -25,12 +25,14 @@
 //! adj      [u32; e]       neighbor lists — GLOBAL ids (edges may cross shards)
 //! features [f32|bf16; k·f] row-major, aligned with `members`
 //! labels   [f32; k·l]     row-major, aligned with `members`
+//! agg      [f32; k·f]     optional: row-major `Â·X`, aligned with `members`
 //! ```
 //!
 //! Readers never map a whole file: header through `adj` is the *topology
-//! section*, `features` and `labels` are a section each
-//! ([`SectionKind`], cut at [`ShardLayout`]'s `feat_off` / `label_off`),
-//! and each is mapped, cached and evicted on its own ([`ShardSection`]).
+//! section*, `features`, `labels` and `agg` are a section each
+//! ([`SectionKind`], cut at [`ShardLayout`]'s `feat_off` / `label_off` /
+//! `agg_off`), and each is mapped, cached and evicted on its own
+//! ([`ShardSection`]).
 //!
 //! # Feature precision
 //!
@@ -42,6 +44,27 @@
 //! section ([`FEATPREC_MAGIC`]). Readers widen rows back to f32 on copy
 //! ([`ShardSection::copy_row_into`]); labels are always f32. f32
 //! stores remain byte-identical to pre-precision stores.
+//!
+//! # The `agg` section: layer 1's input aggregate
+//!
+//! Outside training, a GCN's first layer multiplies `Â·X` (`Â = D⁻¹A` of
+//! the full graph) — a constant of the stored graph and features. A store
+//! written by [`write_store_with_agg`] holds it as data: one more row
+//! section per shard, after the labels (8-aligned), with row `i` the
+//! aggregate of member `i` in f32, exactly the floats layer 1's fused
+//! producer packs for that vertex. The caller computes the rows (this
+//! crate has no aggregation kernel): the writer asks for them a shard at a
+//! time, in a few chunks computed on a thread beside the one that writes,
+//! so it never holds more than one shard's `agg` rows. Only
+//! f32-feature stores carry it. The manifest marks its presence with a
+//! trailing section ([`AGG_MAGIC`], after the ordering and precision
+//! sections); the shard header does not change, and the file length the
+//! manifest records covers the section. Compatibility: a store without
+//! the marker has no `agg` section — every store written before it
+//! existed, and every store [`write_store_ordered`] writes — and opens,
+//! trains, evaluates and serves exactly as before; older readers ignore
+//! the trailing marker but would reject the longer shard files, so the
+//! marker is what a reader must understand. The format version stays.
 //!
 //! # Placement orders and the manifest ordering section
 //!
@@ -108,6 +131,10 @@ pub const ORDER_MAGIC: u32 = 0x4753_4F52;
 /// [`ORDER_MAGIC`]: f32 stores stay byte-identical to pre-precision ones,
 /// and its absence means f32).
 pub const FEATPREC_MAGIC: u32 = 0x4753_4650;
+/// Magic of the optional manifest `agg` marker: `GSAG`. Written only for
+/// stores whose shards carry the `agg` section ([`write_store_with_agg`]);
+/// its absence means they do not.
+pub const AGG_MAGIC: u32 = 0x4753_4147;
 /// Shard-file magic: `GSHD`.
 pub const SHARD_MAGIC: u32 = 0x4753_4844;
 /// Index-file magic: `GSIX`.
@@ -211,6 +238,10 @@ pub struct StoreManifest {
     /// [`Precision::Bf16`] halves the feature payload and adds the
     /// trailing [`FEATPREC_MAGIC`] section. Labels are always f32.
     pub feature_precision: Precision,
+    /// Whether every shard carries the `agg` section (`Â·X` rows, f32).
+    /// `false` writes no manifest marker, so stores without the section
+    /// keep their historical bytes.
+    pub has_agg: bool,
 }
 
 /// On-disk code for a feature precision (shard header + manifest section).
@@ -284,6 +315,11 @@ impl StoreManifest {
         if self.feature_precision != Precision::F32 {
             buf.put_u32_le(FEATPREC_MAGIC);
             buf.put_u32_le(precision_code(self.feature_precision));
+        }
+        // Optional trailing `agg` marker, gated the same way.
+        if self.has_agg {
+            buf.put_u32_le(AGG_MAGIC);
+            buf.put_u32_le(0); // padding
         }
         buf.freeze()
     }
@@ -367,6 +403,11 @@ impl StoreManifest {
             } else {
                 Precision::F32
             };
+        // Optional `agg` marker (absent = no `agg` section).
+        let has_agg = data.remaining() >= 8 && data.clone().get_u32_le() == AGG_MAGIC;
+        if has_agg && feature_precision != Precision::F32 {
+            return Err(bad("manifest marks an agg section on a non-f32 store"));
+        }
         Ok(StoreManifest {
             n,
             num_edges,
@@ -376,6 +417,7 @@ impl StoreManifest {
             order,
             rank,
             feature_precision,
+            has_agg,
         })
     }
 
@@ -403,10 +445,10 @@ pub fn shard_file_name(i: usize) -> String {
     format!("shard_{i:04}.gss")
 }
 
-/// The three regions of a shard file that are mapped — and cached, and
-/// evicted — separately. Every reader touches exactly one: the sampler,
-/// induction and the frontier tiler read topology, gathers read one of the
-/// row sections.
+/// The regions of a shard file that are mapped — and cached, and evicted
+/// — separately. Every reader touches exactly one: the sampler, induction
+/// and the frontier tiler read topology, gathers read one of the row
+/// sections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SectionKind {
     /// Header, members, CSR offsets and adjacency.
@@ -415,14 +457,18 @@ pub enum SectionKind {
     Features = 1,
     /// Label rows.
     Labels = 2,
+    /// Rows of `Â·X`, layer 1's input aggregate (empty unless the store
+    /// was written with [`write_store_with_agg`]).
+    Agg = 3,
 }
 
 impl SectionKind {
     /// Every kind, in file order (index = discriminant).
-    pub const ALL: [SectionKind; 3] = [
+    pub const ALL: [SectionKind; 4] = [
         SectionKind::Topology,
         SectionKind::Features,
         SectionKind::Labels,
+        SectionKind::Agg,
     ];
 
     pub fn name(self) -> &'static str {
@@ -430,17 +476,19 @@ impl SectionKind {
             SectionKind::Topology => "topology",
             SectionKind::Features => "features",
             SectionKind::Labels => "labels",
+            SectionKind::Agg => "agg",
         }
     }
 }
 
 /// Byte offsets inside a shard file with `k` members, `e` edges, `f`
 /// feature columns and `l` label columns. Every offset is 8-aligned.
-/// `feat_off` and `label_off` are also the cut points between the three
-/// [`SectionKind`]s: topology is `[0, feat_off)` (header at 0, then
+/// `feat_off`, `label_off` and `agg_off` are also the cut points between
+/// the [`SectionKind`]s: topology is `[0, feat_off)` (header at 0, then
 /// `members_off`, `offsets_off`, `adj_off`, then padding), features are
-/// `[feat_off, label_off)` and labels `[label_off, file_len)`. A section
-/// with no columns is an empty range.
+/// `[feat_off, label_off)`, labels `[label_off, agg_off)` and `agg`
+/// `[agg_off, file_len)`. A section with no columns — `agg` on a store
+/// without it — is an empty range.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardLayout {
     pub members_off: usize,
@@ -448,26 +496,36 @@ pub struct ShardLayout {
     pub adj_off: usize,
     pub feat_off: usize,
     pub label_off: usize,
+    pub agg_off: usize,
     pub file_len: usize,
 }
 
 impl ShardLayout {
     /// Layout for a shard whose feature rows are stored at `fp` element
-    /// width (f32 = 4 bytes, bf16 = 2). Labels are always f32; sections
-    /// stay 8-byte aligned either way.
-    pub fn with_precision(k: usize, e: usize, f: usize, l: usize, fp: Precision) -> Self {
+    /// width (f32 = 4 bytes, bf16 = 2), with `k·f` f32 `agg` elements
+    /// after the labels when `agg` holds. Labels are always f32; sections
+    /// stay 8-byte aligned either way, and without `agg` the file ends
+    /// where the labels do.
+    pub fn new(k: usize, e: usize, f: usize, l: usize, fp: Precision, agg: bool) -> Self {
         let members_off = SHARD_HEADER_LEN;
         let offsets_off = align8(members_off + 4 * k);
         let adj_off = offsets_off + 8 * (k + 1);
         let feat_off = align8(adj_off + 4 * e);
         let label_off = align8(feat_off + feature_elem_size(fp) * k * f);
-        let file_len = label_off + 4 * k * l;
+        let label_end = label_off + 4 * k * l;
+        let (agg_off, file_len) = if agg {
+            let off = align8(label_end);
+            (off, off + 4 * k * f)
+        } else {
+            (label_end, label_end)
+        };
         ShardLayout {
             members_off,
             offsets_off,
             adj_off,
             feat_off,
             label_off,
+            agg_off,
             file_len,
         }
     }
@@ -477,7 +535,8 @@ impl ShardLayout {
         match kind {
             SectionKind::Topology => (0, self.feat_off),
             SectionKind::Features => (self.feat_off, self.label_off - self.feat_off),
-            SectionKind::Labels => (self.label_off, self.file_len - self.label_off),
+            SectionKind::Labels => (self.label_off, self.agg_off - self.label_off),
+            SectionKind::Agg => (self.agg_off, self.file_len - self.agg_off),
         }
     }
 }
@@ -606,21 +665,75 @@ pub fn write_store_with_precision(
     order: StoreOrder,
     feature_precision: Precision,
 ) -> io::Result<StoreManifest> {
+    let rows = StoreRows {
+        features,
+        labels,
+        feature_precision,
+        agg: None,
+    };
+    write_store_rows(dir, graph, rows, num_shards, order)
+}
+
+/// Computes `agg` rows for [`write_store_with_agg`]: called with some of
+/// a shard's members (global ids, in stored order), it reshapes `out` to
+/// `members.len() × feature_dim` and writes member `i`'s row of `Â·X`
+/// into row `i`. It runs on a thread of the writer's own, beside the one
+/// that writes the shard.
+pub type AggRows<'a> = &'a (dyn Fn(&[u32], &mut DMatrix) + Sync);
+
+/// Chunks one shard's `agg` rows are computed in: the writer checksums
+/// and writes chunk `c` while chunk `c + 1` is being computed (chunk 0
+/// while it writes the shard's other sections), and the chunks together
+/// hold one shard's rows.
+const AGG_CHUNKS: usize = 4;
+
+/// As [`write_store_ordered`] with f32 `features` and an `agg` section in
+/// every shard (see the module docs): `agg` is asked for each shard's rows
+/// in turn, a few chunks per shard, as that shard is written, into
+/// buffers reused shard to shard — at most one shard's rows exist at a
+/// time. The manifest gains the [`AGG_MAGIC`] marker.
+pub fn write_store_with_agg(
+    dir: &Path,
+    graph: &CsrGraph,
+    features: &DMatrix,
+    labels: Option<&DMatrix>,
+    num_shards: usize,
+    order: StoreOrder,
+    agg: AggRows<'_>,
+) -> io::Result<StoreManifest> {
+    let rows = StoreRows {
+        features: Some(features),
+        labels,
+        feature_precision: Precision::F32,
+        agg: Some(agg),
+    };
+    write_store_rows(dir, graph, rows, num_shards, order)
+}
+
+/// The per-vertex rows a writer stores beside the topology.
+#[derive(Clone, Copy)]
+struct StoreRows<'a> {
+    features: Option<&'a DMatrix>,
+    labels: Option<&'a DMatrix>,
+    feature_precision: Precision,
+    /// Set only with f32 features.
+    agg: Option<AggRows<'a>>,
+}
+
+fn write_store_rows(
+    dir: &Path,
+    graph: &CsrGraph,
+    rows: StoreRows<'_>,
+    num_shards: usize,
+    order: StoreOrder,
+) -> io::Result<StoreManifest> {
     endian_guard()?;
     let n = graph.num_vertices();
-    if let Some(f) = features {
-        if f.rows() != n {
+    for (what, m) in [("feature", rows.features), ("label", rows.labels)] {
+        if let Some(m) = m.filter(|m| m.rows() != n) {
             return Err(bad(format!(
-                "feature matrix has {} rows for a {n}-vertex graph",
-                f.rows()
-            )));
-        }
-    }
-    if let Some(l) = labels {
-        if l.rows() != n {
-            return Err(bad(format!(
-                "label matrix has {} rows for a {n}-vertex graph",
-                l.rows()
+                "{what} matrix has {} rows for a {n}-vertex graph",
+                m.rows()
             )));
         }
     }
@@ -629,27 +742,11 @@ pub fn write_store_with_precision(
     match order_rank(graph, order) {
         None => {
             let partition = crate::partition::bfs_partition(graph, p);
-            write_partitioned_ordered(
-                dir,
-                graph,
-                features,
-                labels,
-                &partition,
-                None,
-                feature_precision,
-            )
+            write_partitioned_ordered(dir, graph, rows, &partition, None)
         }
         Some(rank) => {
             let partition = partition_by_rank(&rank, p);
-            write_partitioned_ordered(
-                dir,
-                graph,
-                features,
-                labels,
-                &partition,
-                Some((order, rank)),
-                feature_precision,
-            )
+            write_partitioned_ordered(dir, graph, rows, &partition, Some((order, rank)))
         }
     }
 }
@@ -663,15 +760,13 @@ pub fn write_partitioned(
     labels: Option<&DMatrix>,
     partition: &VertexPartition,
 ) -> io::Result<StoreManifest> {
-    write_partitioned_ordered(
-        dir,
-        graph,
+    let rows = StoreRows {
         features,
         labels,
-        partition,
-        None,
-        Precision::F32,
-    )
+        feature_precision: Precision::F32,
+        agg: None,
+    };
+    write_partitioned_ordered(dir, graph, rows, partition, None)
 }
 
 /// The writer core: partition + optional `(order, rank)` placement
@@ -681,13 +776,17 @@ pub fn write_partitioned(
 fn write_partitioned_ordered(
     dir: &Path,
     graph: &CsrGraph,
-    features: Option<&DMatrix>,
-    labels: Option<&DMatrix>,
+    rows: StoreRows<'_>,
     partition: &VertexPartition,
     ordering: Option<(StoreOrder, Vec<u32>)>,
-    feature_precision: Precision,
 ) -> io::Result<StoreManifest> {
     endian_guard()?;
+    let StoreRows {
+        features,
+        labels,
+        feature_precision,
+        agg,
+    } = rows;
     // With no feature rows the precision is vacuous; normalise to f32 so
     // the store stays byte-identical to historical feature-less stores.
     let feature_precision = if features.is_none() {
@@ -695,6 +794,8 @@ fn write_partitioned_ordered(
     } else {
         feature_precision
     };
+    let agg = agg.filter(|_| features.is_some());
+    debug_assert!(agg.is_none() || feature_precision == Precision::F32);
     let n = graph.num_vertices();
     if partition.part.len() != n {
         return Err(bad("partition does not cover the graph's vertex set"));
@@ -734,61 +835,100 @@ fn write_partitioned_ordered(
 
     let mut shards = Vec::with_capacity(p);
     let mut qrow: Vec<bf16::Bf16> = vec![bf16::Bf16::ZERO; f];
+    // The chunk buffers of one shard's `agg` rows, reused shard to shard.
+    let mut agg_bufs: Vec<DMatrix> = Vec::new();
     for (sid, members) in members_of.iter().enumerate() {
         let k = members.len();
         let e: usize = members.iter().map(|&v| graph.degree(v)).sum();
-        let layout = ShardLayout::with_precision(k, e, f, l, feature_precision);
+        let layout = ShardLayout::new(k, e, f, l, feature_precision, agg.is_some());
         let path = dir.join(shard_file_name(sid));
         let tmp = tmp_sibling(&path);
-        let mut w = CheckedWriter::create(&tmp)?;
-        let mut header = Vec::with_capacity(SHARD_HEADER_LEN);
-        header.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&(sid as u32).to_le_bytes());
-        // Historically padding (always 0); now the feature-precision code.
-        // F32 writes 0, so f32 shards keep their pre-precision bytes.
-        header.extend_from_slice(&precision_code(feature_precision).to_le_bytes());
-        header.extend_from_slice(&(k as u64).to_le_bytes());
-        header.extend_from_slice(&(e as u64).to_le_bytes());
-        header.extend_from_slice(&(f as u32).to_le_bytes());
-        header.extend_from_slice(&(l as u32).to_le_bytes());
-        w.put(&header)?;
-        w.put(as_bytes(members))?;
-        w.pad_to(layout.offsets_off)?;
-        let mut offsets = Vec::with_capacity(k + 1);
-        let mut acc = 0u64;
-        offsets.push(0u64);
-        for &v in members {
-            acc += graph.degree(v) as u64;
-            offsets.push(acc);
-        }
-        w.put(as_bytes(&offsets))?;
-        for &v in members {
-            w.put(as_bytes(graph.neighbors(v)))?;
-        }
-        w.pad_to(layout.feat_off)?;
-        if let Some(m) = features {
-            match feature_precision {
-                Precision::F32 => {
-                    for &v in members {
-                        w.put(as_bytes(m.row(v as usize)))?;
+        let chunk_rows = k.div_ceil(AGG_CHUNKS).max(1);
+        let (written, checksum) = std::thread::scope(|scope| {
+            // A scoped thread fills the `agg` rows chunk by chunk while this
+            // one writes the other sections and then each finished chunk,
+            // so the aggregation's row reads overlap the checksum.
+            let (tx, rx) = std::sync::mpsc::channel();
+            if let Some(fill) = agg {
+                let mut spare = std::mem::take(&mut agg_bufs);
+                scope.spawn(move || {
+                    for ids in members.chunks(chunk_rows) {
+                        let mut buf = spare.pop().unwrap_or_else(|| DMatrix::zeros(0, 0));
+                        fill(ids, &mut buf);
+                        if tx.send(buf).is_err() {
+                            break;
+                        }
                     }
-                }
-                Precision::Bf16 => {
-                    for &v in members {
-                        bf16::quantize_slice(m.row(v as usize), &mut qrow);
-                        w.put(as_bytes(bf16::to_bits_slice(&qrow)))?;
-                    }
-                }
+                });
             }
-        }
-        w.pad_to(layout.label_off)?;
-        if let Some(m) = labels {
+            let mut w = CheckedWriter::create(&tmp)?;
+            let mut header = Vec::with_capacity(SHARD_HEADER_LEN);
+            header.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
+            header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            header.extend_from_slice(&(sid as u32).to_le_bytes());
+            // Historically padding (always 0); now the feature-precision
+            // code. F32 writes 0, so f32 shards keep their pre-precision
+            // bytes.
+            header.extend_from_slice(&precision_code(feature_precision).to_le_bytes());
+            header.extend_from_slice(&(k as u64).to_le_bytes());
+            header.extend_from_slice(&(e as u64).to_le_bytes());
+            header.extend_from_slice(&(f as u32).to_le_bytes());
+            header.extend_from_slice(&(l as u32).to_le_bytes());
+            w.put(&header)?;
+            w.put(as_bytes(members))?;
+            w.pad_to(layout.offsets_off)?;
+            let mut offsets = Vec::with_capacity(k + 1);
+            let mut acc = 0u64;
+            offsets.push(0u64);
             for &v in members {
-                w.put(as_bytes(m.row(v as usize)))?;
+                acc += graph.degree(v) as u64;
+                offsets.push(acc);
             }
-        }
-        let (written, checksum) = w.finish()?;
+            w.put(as_bytes(&offsets))?;
+            for &v in members {
+                w.put(as_bytes(graph.neighbors(v)))?;
+            }
+            w.pad_to(layout.feat_off)?;
+            if let Some(m) = features {
+                match feature_precision {
+                    Precision::F32 => {
+                        for &v in members {
+                            w.put(as_bytes(m.row(v as usize)))?;
+                        }
+                    }
+                    Precision::Bf16 => {
+                        for &v in members {
+                            bf16::quantize_slice(m.row(v as usize), &mut qrow);
+                            w.put(as_bytes(bf16::to_bits_slice(&qrow)))?;
+                        }
+                    }
+                }
+            }
+            w.pad_to(layout.label_off)?;
+            if let Some(m) = labels {
+                for &v in members {
+                    w.put(as_bytes(m.row(v as usize)))?;
+                }
+            }
+            if agg.is_some() {
+                w.pad_to(layout.agg_off)?;
+                let mut rows = 0;
+                for (ids, buf) in members.chunks(chunk_rows).zip(&rx) {
+                    rows += buf.rows();
+                    if buf.shape() != (ids.len(), f) {
+                        return Err(bad(format!(
+                            "agg rows of shard {sid} come in a {:?} chunk, expected ({}, {f})",
+                            buf.shape(),
+                            ids.len()
+                        )));
+                    }
+                    w.put(as_bytes(buf.data()))?;
+                    agg_bufs.push(buf);
+                }
+                debug_assert_eq!(rows, k, "every chunk of agg rows arrived");
+            }
+            w.finish()
+        })?;
         debug_assert_eq!(written, layout.file_len, "shard writer layout drift");
         std::fs::rename(&tmp, &path)?;
         shards.push(ShardInfo {
@@ -819,6 +959,7 @@ fn write_partitioned_ordered(
         order,
         rank,
         feature_precision,
+        has_agg: agg.is_some(),
     };
     manifest.save(dir)?;
     Ok(manifest)
@@ -872,6 +1013,8 @@ pub struct ShardShape {
     pub l: usize,
     /// Element type of the stored feature rows.
     pub fp: Precision,
+    /// Whether the shard carries the `agg` section (`k·f` f32 elements).
+    pub agg: bool,
     pub layout: ShardLayout,
 }
 
@@ -885,7 +1028,7 @@ impl ShardShape {
         let file_len = usize::try_from(info.file_len)
             .map_err(|_| ctx(format!("file length {} overflows", info.file_len)))?;
         let (f, l) = (manifest.feature_dim as usize, manifest.label_dim as usize);
-        let fp = manifest.feature_precision;
+        let (fp, agg) = (manifest.feature_precision, manifest.has_agg);
         // Bound the counts by the file length before the layout arithmetic
         // multiplies them: these are bytes read from disk.
         let fits = |count: u64, bytes_each: usize| {
@@ -894,14 +1037,15 @@ impl ShardShape {
                 .and_then(|c| c.checked_mul(bytes_each))
                 .is_some_and(|b| b <= file_len)
         };
-        if !fits(info.members, 12 + feature_elem_size(fp) * f + 4 * l) || !fits(info.edges, 4) {
+        let row_bytes = feature_elem_size(fp) * f + 4 * l + if agg { 4 * f } else { 0 };
+        if !fits(info.members, 12 + row_bytes) || !fits(info.edges, 4) {
             return Err(ctx(format!(
                 "k={} e={} cannot fit a {file_len}-byte file",
                 info.members, info.edges
             )));
         }
         let (k, e) = (info.members as usize, info.edges as usize);
-        let layout = ShardLayout::with_precision(k, e, f, l, fp);
+        let layout = ShardLayout::new(k, e, f, l, fp, agg);
         if layout.file_len != file_len {
             return Err(ctx(format!(
                 "k={k} e={e} f={f} l={l} imply {} bytes but {file_len} are recorded",
@@ -914,6 +1058,7 @@ impl ShardShape {
             f,
             l,
             fp,
+            agg,
             layout,
         })
     }
@@ -1120,7 +1265,8 @@ impl ShardSection {
     /// Copy member `local`'s row into `out` as f32. On a feature section
     /// that is its feature row, widened from the stored precision (memcpy
     /// for f32 shards, exact bf16→f32 widen for bf16 shards — widening
-    /// never rounds); on a label section its label row.
+    /// never rounds); on a label section its label row; on an `agg`
+    /// section its row of `Â·X`.
     pub fn copy_row_into(&self, local: usize, out: &mut [f32]) {
         assert!(
             local < self.shape.k,
@@ -1141,6 +1287,10 @@ impl ShardSection {
             (SectionKind::Labels, _) => {
                 let l = self.shape.l;
                 out.copy_from_slice(self.view(4 * local * l, l));
+            }
+            (SectionKind::Agg, _) => {
+                let f = self.shape.f;
+                out.copy_from_slice(self.view(4 * local * f, f));
             }
             (SectionKind::Topology, _) => panic!("row read from a topology section"),
         }

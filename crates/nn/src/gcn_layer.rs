@@ -231,7 +231,13 @@ impl GcnLayer {
     /// `out = σ?( [Â·H · W_neigh ‖ H · W_self] )`, writing each GEMM
     /// straight into its column half of `out` through strided views — the
     /// concat never exists as a copy. `out` is `h.rows() × 2·half`.
-    fn apply_weights(&self, aggregated: MatRef<'_>, h: MatRef<'_>, mut out: MatMut<'_>) {
+    ///
+    /// At f32 this is the fused layer's arithmetic too, row for row: given
+    /// the rows of `Â·H` the fused producer would pack (at `α = 1` they
+    /// are its panel rows), both GEMMs pack the same panels — which is why
+    /// the level driver may run layer 1 from a store's `Â·X` rows through
+    /// here.
+    pub(crate) fn apply_weights(&self, aggregated: MatRef<'_>, h: MatRef<'_>, mut out: MatMut<'_>) {
         let half = self.w_neigh.value.cols();
         debug_assert_eq!(out.shape(), (h.rows(), 2 * half));
         gemm::gemm_nn_v(

@@ -104,7 +104,10 @@ pub struct StepResult {
 /// and repeat across runs; when every level's needed set fits the row cap
 /// they are the work-efficient minimum — `rows_computed[ℓ-1] =
 /// |N_{L-ℓ}[roots]|` and `rows_gathered = |N_L[roots]|`, each (vertex,
-/// layer) pair computed once. A resident forward computes every row of
+/// layer) pair computed once. On a store that holds `Â·X` (and a fused
+/// f32 layer 1) layer 1 cuts no tile and reads two rows per vertex it
+/// computes: `tiles[0] = 0` and `rows_gathered = agg_rows_gathered =
+/// rows_computed[0]`. A resident forward computes every row of
 /// layers `1..L-1` and the targets' rows of layer `L` (one tile each) and
 /// gathers nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -115,6 +118,11 @@ pub struct LevelStats {
     pub rows_computed: Vec<usize>,
     /// Feature rows gathered from the store.
     pub rows_gathered: usize,
+    /// Rows of `Â·X` read from the store's `agg` section: one per layer-1
+    /// row computed when layer 1 runs from the stored aggregate, 0 when
+    /// it aggregates (a store without the section, a bf16 or unfused
+    /// layer 1, a depth-1 model, a resident forward).
+    pub agg_rows_gathered: usize,
     /// Rows of the input aggregate `Â·X` this sweep computed and kept
     /// ([`InputAggregate::kept_rows`]): all of them on the resident
     /// evaluation that fills a trainer's cache, 0 on every later one and
@@ -141,11 +149,12 @@ impl LevelStats {
     pub fn summary(&self) -> String {
         format!(
             "tiles/layer {:?}, rows computed/layer {:?}, {} feature rows gathered, \
-             {} input rows aggregated, frontier {:.3}s gather {:.3}s infer {:.3}s \
-             score {:.3}s turn {:.3}s",
+             {} agg rows gathered, {} input rows aggregated, frontier {:.3}s gather {:.3}s \
+             infer {:.3}s score {:.3}s turn {:.3}s",
             self.tiles,
             self.rows_computed,
             self.rows_gathered,
+            self.agg_rows_gathered,
             self.input_rows_aggregated,
             self.frontier_secs,
             self.gather_secs,
@@ -156,11 +165,19 @@ impl LevelStats {
     }
 }
 
+/// Layer-1 rows one step of the stored-aggregate path computes
+/// ([`GcnModel::fill_level`] on a store with `Â·X`): it gathers this many
+/// targets' `Â·X` and `X` rows (2 × 1.2 MB at 300 features) and runs both
+/// GEMMs on them, so layer 1's input never exists for the whole level.
+const AGG_BLOCK_ROWS: usize = 1024;
+
 /// What one sweep of the level recursion threads through every step.
 struct Sweep<'a> {
     store: &'a GraphStore,
     /// Row cap of a frontier tile.
     max_rows: usize,
+    /// The unfused layers' aggregate scratch, and the block's `Â·X` rows
+    /// on the stored-aggregate path.
     agg: &'a mut DMatrix,
     frontier: &'a mut FrontierScratch,
     stats: LevelStats,
@@ -572,18 +589,32 @@ impl GcnModel {
     /// external ids of the tile's roots and their probability rows, every
     /// distinct root exactly once, in placement order.
     ///
+    /// * **Layer 1 from stored `Â·X`**: when the store holds the `agg`
+    ///   section ([`GraphStore::has_agg`]) and layer 1 is fused and f32,
+    ///   level 1 cuts no tile and gathers no level-0 ball. It walks its
+    ///   targets in placement order in blocks of 1024 rows: one
+    ///   parallel gather of the block's `Â·X` and `X` rows
+    ///   ([`GraphStore::par_gather_agg_into`]), then layer 1's neighbour
+    ///   and self GEMMs on them. The stored rows are the f32 panel rows
+    ///   the fused producer would pack, so the result is the same bits. A
+    ///   bf16 or unfused layer 1, a depth-1 model and a store without the
+    ///   section take the tiles below.
     /// * **Work**: when a level's needed set fits `max_rows` it is one
     ///   tile, so every (vertex, layer) pair is computed once and every
     ///   feature row gathered once ([`LevelStats`]); otherwise only the
     ///   one-hop overlap between neighbouring tiles is recomputed, per
-    ///   level — never an L-hop ball per root chunk.
+    ///   level — never an L-hop ball per root chunk. On the stored-`Â·X`
+    ///   path layer 1 reads one `agg` and one feature row per row it
+    ///   computes and aggregates nothing.
     /// * **Memory**: one buffer per level of at most `max_rows` rows (a
     ///   single root whose own frontier is larger overshoots — it is
     ///   irreducible), i.e. `≤ L · max_rows · max width` floats, plus the
     ///   cutter's relabel table of one `u32` per store vertex, all held in
     ///   `ws` and reused by the next call (the table is cleared per tile by
     ///   walking the tile's own rows, so a warm call never touches all `n`
-    ///   entries).
+    ///   entries). On the stored-`Â·X` path the level-0 buffer and the
+    ///   `Â·X` scratch hold one block each (`2 · AGG_BLOCK_ROWS · f`
+    ///   floats) instead of a level-0 ball.
     /// * **Exactness**: a frontier tile keeps each root's full neighbor
     ///   list in full-graph order, so a root row's aggregate, `D⁻¹`
     ///   scale and GEMM row are the same float operations in the same
@@ -679,9 +710,11 @@ impl GcnModel {
     }
 
     /// Fill `out` with `H^level`, rows aligned with `targets` (distinct,
-    /// placement-ordered): a feature gather at level 0, above it one tile
-    /// after another, each writing its roots' run of rows. `lower` is
-    /// `levels[..level]`, the buffers of the levels beneath.
+    /// placement-ordered): a feature gather at level 0; at level 1 on a
+    /// store with `Â·X` ([`Self::reads_stored_aggregate`]) layer 1 over
+    /// blocks of stored rows; otherwise one tile after another, each
+    /// writing its roots' run of rows. `lower` is `levels[..level]`, the
+    /// buffers of the levels beneath.
     fn fill_level(
         &self,
         sweep: &mut Sweep<'_>,
@@ -690,6 +723,9 @@ impl GcnModel {
         lower: &mut [DMatrix],
         out: &mut DMatrix,
     ) -> io::Result<()> {
+        if level == 1 && self.reads_stored_aggregate(sweep.store) {
+            return self.fill_from_stored_aggregate(sweep, targets, &mut lower[0], out);
+        }
         if level == 0 {
             let t0 = Instant::now();
             sweep.store.par_gather_features_into(targets, out)?;
@@ -710,6 +746,46 @@ impl GcnModel {
         Ok(())
     }
 
+    /// Whether layer 1 runs from `store`'s `Â·X` rows: the store holds
+    /// them, and layer 1 is fused f32, whose neighbour panels are exactly
+    /// those rows (a bf16 layer rounds its aggregate, the unfused one is
+    /// the reference path).
+    fn reads_stored_aggregate(&self, store: &GraphStore) -> bool {
+        let first = &self.layers[0];
+        store.has_agg() && first.fused() && first.precision() == Precision::F32
+    }
+
+    /// `H^1` on `targets` into `out` from the store's `Â·X` and `X` rows,
+    /// [`AGG_BLOCK_ROWS`] targets at a time: gather both rows of a block
+    /// (`x` and the sweep's `agg` scratch hold them), then layer 1's two
+    /// GEMMs write the block's rows of `out`. No tile is cut and no
+    /// neighbour row is read.
+    fn fill_from_stored_aggregate(
+        &self,
+        sweep: &mut Sweep<'_>,
+        targets: &[u32],
+        x: &mut DMatrix,
+        out: &mut DMatrix,
+    ) -> io::Result<()> {
+        let first = &self.layers[0];
+        out.ensure_shape(targets.len(), first.out_dim());
+        let mut pos = 0;
+        for block in targets.chunks(AGG_BLOCK_ROWS) {
+            let t0 = Instant::now();
+            sweep.store.par_gather_agg_into(block, sweep.agg, x)?;
+            sweep.stats.gather_secs += t0.elapsed().as_secs_f64();
+            sweep.stats.rows_gathered += block.len();
+            sweep.stats.agg_rows_gathered += block.len();
+            let t0 = Instant::now();
+            let rows = out.view_rows_mut(pos, pos + block.len());
+            first.apply_weights(sweep.agg.view(), x.view(), rows);
+            sweep.stats.rows_computed[0] += block.len();
+            sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
+            pos += block.len();
+        }
+        Ok(())
+    }
+
     /// **The serving entry point of the level recursion**: `H^{L-1}` —
     /// the last GCN layer's input — on `targets` (distinct store ids),
     /// written to `out` with rows aligned to `targets`. The caller runs
@@ -723,8 +799,10 @@ impl GcnModel {
     /// `L-1-ℓ` hops of `targets` and each feature row within `L-1` hops is
     /// gathered once — `Σ_ℓ |N_{L-1-ℓ}[targets]|` rows computed,
     /// `|N_{L-1}[targets]|` rows gathered, over `targets` only, never an
-    /// L-hop ball pushed through every layer. For a 1-layer model it is the
-    /// feature gather. Rows are bit-identical to the full-graph forward's
+    /// L-hop ball pushed through every layer (on a store with `Â·X`, layer
+    /// 1 reads its own rows' `Â·X` and `X` instead, as in
+    /// `infer_probs_by_level`). For a 1-layer model it is the feature
+    /// gather. Rows are bit-identical to the full-graph forward's
     /// (the exactness argument on `infer_probs_by_level`). The returned
     /// [`LevelStats`] per-layer vectors cover layers `1..L`.
     pub fn infer_hidden_by_level(

@@ -33,11 +33,15 @@ pub struct InferenceWorkspace {
     pub(crate) pong: DMatrix,
     /// Unfused path only: the materialised aggregate `Â·H` of the
     /// current layer (the fused path streams it through pack scratch).
+    /// Layer-at-a-time inference over a store that holds `Â·X` also
+    /// gathers one block of those rows here.
     pub(crate) agg: DMatrix,
     /// Layer-at-a-time inference only
     /// ([`crate::model::GcnModel::infer_probs_by_level`] and the serving
     /// entry point `infer_hidden_by_level`): `levels[ℓ]` holds `H^ℓ` on
-    /// the frontier tile that layer `ℓ+1` is reading.
+    /// the frontier tile that layer `ℓ+1` is reading — or, on a store that
+    /// holds `Â·X`, `levels[0]` the feature rows of layer 1's current
+    /// block.
     pub(crate) levels: Vec<DMatrix>,
     /// The frontier tile cutter's relabel table (one `u32` per vertex of
     /// the largest graph cut so far) and lists, reused by every tile of

@@ -23,7 +23,9 @@
 //! `Z·Wᵀ` GEMM writes `Z` once on the way through instead of running a
 //! second aggregation pass. A backward pass that needs `Z` but not `Z·Wᵀ`
 //! (the input layer, whose input gradient nobody reads) runs
-//! [`AggregatedRows::spill_into`]: the same rows, no GEMM.
+//! [`AggregatedRows::spill_into`]: the same rows, no GEMM. Over target
+//! rows the same pass writes a shard's rows of `Â·X` for a store that
+//! keeps layer 1's input aggregate on disk.
 //!
 //! The logical rows are every vertex, the leading ones
 //! ([`AggregatedRows::first_rows`], frontier-ball roots) or an explicit
@@ -250,15 +252,16 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
     /// the neighbor sum times the destination scale, the same float
     /// operations as the spill — without a GEMM to ride on. One
     /// row-parallel pass that accumulates straight into `out`. This is
-    /// `Z = Âᵀ·dY` for a backward pass that needs `Z` but not `Z·Wᵀ`.
+    /// `Z = Âᵀ·dY` for a backward pass that needs `Z` but not `Z·Wᵀ`, and,
+    /// over [`AggregatedRows::target_rows`], a store shard's rows of `Â·X`:
+    /// at f32 those are the very panel rows a pack at `α = 1` places.
     ///
     /// # Panics
-    /// Panics if the producer was narrowed to target rows or given kept
-    /// rows.
+    /// Panics if the producer was given kept rows.
     pub fn spill_into(&self, out: &mut DMatrix) {
         assert!(
-            self.targets.is_none() && self.kept.is_none(),
-            "spill every row of a plain producer"
+            self.kept.is_none(),
+            "spill the rows of a producer without kept rows"
         );
         let cols = self.h.cols();
         out.ensure_shape(self.rows, cols);
@@ -268,8 +271,8 @@ impl<'a, H: Rows> AggregatedRows<'a, H> {
         out.data_mut()
             .par_chunks_mut(cols)
             .enumerate()
-            .for_each(|(v, dst)| {
-                let inv = self.sum_row(v, 0, dst);
+            .for_each(|(r, dst)| {
+                let inv = self.sum_row(self.vertex(r), 0, dst);
                 for d in dst {
                     *d *= inv;
                 }
@@ -549,6 +552,24 @@ mod tests {
                             let at_targets = producer.target_rows(&targets);
                             gemm::gemm_source_nn_v(1.0, &at_targets, w.view(), 0.0, ct.view_mut());
                             assert_eq!(ct, c.gather_rows(&targets), "{at} mean={mean} targets");
+                        }
+                        // Spilled at target rows, they are the rows of the
+                        // full spill; packed densely at α = 1 they give the
+                        // fused product's rows bit for bit.
+                        let mut rows = DMatrix::zeros(0, 0);
+                        src().target_rows(&targets).spill_into(&mut rows);
+                        assert_eq!(rows, agg.gather_rows(&targets), "{at} mean={mean}");
+                        if std::any::TypeId::of::<E>() == std::any::TypeId::of::<f32>() {
+                            let mut cd = DMatrix::filled(targets.len(), h, f32::NAN);
+                            let rows_src = gemm::DensePack::new(rows.view());
+                            gemm::gemm_source_nn_v::<f32, _>(
+                                1.0,
+                                &rows_src,
+                                w.view(),
+                                0.0,
+                                cd.view_mut(),
+                            );
+                            assert_eq!(cd, c.gather_rows(&targets), "{at} mean={mean} dense");
                         }
                     }
                     // Backward shape: Z = Âᵀ·H spilled while C += Z·Wᵀ

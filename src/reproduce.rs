@@ -229,6 +229,37 @@ fn min_secs(threads: usize, reps: usize, mut f: impl FnMut(u64) + Send) -> f64 {
     })
 }
 
+/// The speedup of `threads` workers over one on `f(rep)`: the median over
+/// `reps` pairs of a serial and a `threads`-wide run of the same rep,
+/// alternating which goes first, after one warm-up run of each. A burst
+/// of load on a shared box then lands on both runs of a pair instead of on
+/// one column's base.
+fn paired_speedup(threads: usize, reps: usize, f: impl Fn(u64) + Sync) -> f64 {
+    let pool = |n| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(n)
+            .build()
+            .expect("thread pool")
+    };
+    let (serial, wide) = (pool(1), pool(threads));
+    let run = |p: &rayon::ThreadPool, r| p.install(|| time(|| f(r)).1);
+    run(&serial, 0);
+    run(&wide, 0);
+    let mut ratios: Vec<f64> = (0..reps as u64)
+        .map(|r| {
+            if r % 2 == 0 {
+                let s = run(&serial, r);
+                s / run(&wide, r)
+            } else {
+                let w = run(&wide, r);
+                run(&serial, r) / w
+            }
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[reps / 2]
+}
+
 /// Run a closure inside a rayon pool of `threads` workers.
 pub(crate) fn with_threads<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
     rayon::ThreadPoolBuilder::new()
@@ -489,16 +520,22 @@ fn fig3(o: &Options) {
     println!("sampling a small fraction of total time; weight application the scaling bottleneck.");
 }
 
+/// Wall-clock seconds one Fig. 4 rep must take on one core: a dataset's
+/// batch doubles until it does, so a column's ratio is a measured speedup,
+/// not timer and scheduling noise on a few milliseconds of sampling.
+const FIG4_MIN_REP_SECS: f64 = 0.2;
+
 /// Part A: sampling speedup against `p_inter` with lane-batched probing
 /// (the paper's `p_intra = 8`). Part B: lane-batched over scalar probing,
 /// on the vertex-sampling phase alone (probing, invalidation and appends,
 /// the operations Alg. 4 vectorises; induced-subgraph extraction is the
-/// same in both modes). Each point samples a fixed batch, min of 3 after a
-/// warm-up; speedups are relative to `p_inter = 1`.
+/// same in both modes). A dataset's batch is sized by time
+/// ([`FIG4_MIN_REP_SECS`]); a Part A point is the median of serial /
+/// parallel rep pairs ([`paired_speedup`]), so the `p_inter = 1` column
+/// reads its own noise, ≈ 1.00x; Part B is min of 3 after a warm-up.
 fn fig4(o: &Options) {
     let datasets = datasets(o, &[0, 3]);
     let cores = core_sweep(o);
-    let batch = cores.last().unwrap() * 8;
     let reps = 3;
     let sampler = |d: &Dataset, probe_mode| {
         let budget = (d.split.train.len() / 2).clamp(200, 8000);
@@ -510,12 +547,12 @@ fn fig4(o: &Options) {
             probe_mode,
         })
     };
-    let subgraph_secs = |g: &CsrGraph, s: &DashboardSampler, p| {
-        min_secs(p, reps, |r| {
+    let speedup = |g: &CsrGraph, s: &DashboardSampler, batch: usize, p| {
+        paired_speedup(p, 2 * reps - 1, |r| {
             assert_eq!(sample_many(s, g, batch, o.seed + r, 0).len(), batch);
         })
     };
-    let vertex_secs = |g: &CsrGraph, s: &DashboardSampler, p| {
+    let vertex_secs = |g: &CsrGraph, s: &DashboardSampler, batch: usize, p| {
         min_secs(p, reps, |r| {
             let total: usize = (0..batch as u64)
                 .into_par_iter()
@@ -524,29 +561,53 @@ fn fig4(o: &Options) {
             assert!(total > 0);
         })
     };
+    // Each dataset's batch: from 8 subgraphs per core of the sweep's
+    // widest point, doubled until one serial rep of Fig. 4A's lane-batched
+    // sampling takes `FIG4_MIN_REP_SECS`. Fig. 4B reuses it.
+    let batches: Vec<usize> = datasets
+        .iter()
+        .map(|d| {
+            let (tv, s) = (d.train_view(), sampler(d, ProbeMode::Lanes));
+            let mut batch = cores.last().unwrap() * 8;
+            while with_threads(1, || {
+                time(|| sample_many(&s, &*tv.graph, batch, o.seed, 0)).1
+            }) < FIG4_MIN_REP_SECS
+            {
+                batch *= 2;
+            }
+            batch
+        })
+        .collect();
 
     header("Fig. 4A: sampling speedup vs p_inter (lane-batched probing)");
     println!("{:<10} {}", "dataset", columns(&cores));
-    for d in &datasets {
+    for (d, &batch) in datasets.iter().zip(&batches) {
         let (tv, s) = (d.train_view(), sampler(d, ProbeMode::Lanes));
-        let base = subgraph_secs(&tv.graph, &s, 1);
-        let row = ratios(
-            cores
-                .iter()
-                .map(|&c| base / subgraph_secs(&tv.graph, &s, c)),
-        );
+        let row = ratios(cores.iter().map(|&c| speedup(&tv.graph, &s, batch, c)));
         println!("{:<10}{row}", d.name);
     }
-    println!("(paper: near-linear to 20 cores, NUMA knee beyond; {batch} subgraphs per point, min of {reps})");
+    let sizes: Vec<String> = datasets
+        .iter()
+        .zip(&batches)
+        .map(|(d, b)| format!("{} {b}", d.name))
+        .collect();
+    println!(
+        "(paper: near-linear to 20 cores, NUMA knee beyond; subgraphs per point: {} — \
+         a serial rep ≥ {FIG4_MIN_REP_SECS} s; median of {} serial/parallel pairs)",
+        sizes.join(", "),
+        2 * reps - 1
+    );
 
     header("Fig. 4B: lane-batched (AVX analogue) gain over scalar probing (vertex phase)");
     let pinters: Vec<usize> = cores.iter().copied().filter(|&c| c > 1).collect();
     let pinters = if pinters.is_empty() { vec![1] } else { pinters };
     println!("{:<10} {:>8} {}", "dataset", "serial", columns(&pinters));
-    for d in &datasets {
+    for (d, &batch) in datasets.iter().zip(&batches) {
         let tv = d.train_view();
         let (scalar, lanes) = (sampler(d, ProbeMode::Scalar), sampler(d, ProbeMode::Lanes));
-        let gain = |p| vertex_secs(&tv.graph, &scalar, p) / vertex_secs(&tv.graph, &lanes, p);
+        let gain = |p| {
+            vertex_secs(&tv.graph, &scalar, batch, p) / vertex_secs(&tv.graph, &lanes, batch, p)
+        };
         let serial = gain(1);
         let row = ratios(pinters.iter().map(|&p| gain(p)));
         println!("{:<10} {serial:>7.2}x{row}", d.name);
