@@ -19,8 +19,8 @@
 //! new side won (`better` direction from `BENCHMARK.json`), with a verdict:
 //! `gain` (or `loss`) when the new side wins (loses) at least nine pairs in
 //! ten and the medians differ by more than the base IQR, `level`
-//! otherwise. A ratio survives the session-to-session drift of a shared
-//! box that absolute numbers do not.
+//! otherwise, and `few` under ten pairs. A ratio survives the
+//! session-to-session drift of a shared box that absolute numbers do not.
 //!
 //! A pair is excluded — listed, never dropped silently — when a side's
 //! run failed, or when its `probe.*` rows (the machine probes of a
@@ -45,8 +45,13 @@ const STALL_SHARE: f64 = 0.75;
 /// Share of pairs the new side must win (or lose) for a verdict.
 const VERDICT_WINS: f64 = 0.9;
 
+/// Pairs a verdict needs; fewer read `few`, whatever the wins.
+const VERDICT_PAIRS: usize = 10;
+
 // ---------------------------------------------------------------------------
-// JSON (the subset the harness prints and this tool writes)
+// JSON (the subset the harness prints and this tool writes). Its own copy,
+// not the harness's module: the harness sources change only with the
+// benchmark, and this tool must build whatever they become.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Debug, PartialEq)]
@@ -347,11 +352,15 @@ impl MetricStats {
         }
     }
 
-    /// `gain` / `loss` when one side wins at least [`VERDICT_WINS`] of the
-    /// pairs and the medians are further apart than the base IQR.
+    /// `gain` / `loss` when one side wins at least [`VERDICT_WINS`] of at
+    /// least [`VERDICT_PAIRS`] pairs and the medians are further apart
+    /// than the base IQR; `few` under that many pairs.
     fn verdict(&self) -> &'static str {
+        if self.n < VERDICT_PAIRS {
+            return "few";
+        }
         let apart = (self.new_median - self.base_median).abs() > self.base_iqr;
-        let share = |k: usize| self.n > 0 && k as f64 >= VERDICT_WINS * self.n as f64;
+        let share = |k: usize| k as f64 >= VERDICT_WINS * self.n as f64;
         match (apart, share(self.wins), share(self.losses)) {
             (true, true, _) => "gain",
             (true, _, true) => "loss",
@@ -739,10 +748,11 @@ mod tests {
         let s = MetricStats::of(&close, Better::Lower);
         assert_eq!(s.wins, 10);
         assert_eq!(s.verdict(), "level");
-        // Eight wins in ten is not enough.
+        // Eight wins in ten is not enough, and nine pairs are too few.
         let mut eight = pairs.clone();
         eight[0] = (100.0, 120.0);
         assert_eq!(MetricStats::of(&eight, Better::Lower).verdict(), "level");
+        assert_eq!(MetricStats::of(&pairs[1..], Better::Lower).verdict(), "few");
     }
 
     fn run(sha: &str, correct: bool, metrics: &[(&str, f64)]) -> Run {

@@ -303,8 +303,15 @@ proptest! {
             m.set_precision(precision);
             let mut full = DMatrix::zeros(0, 0);
             m.infer_probs_into(&g, &x, &mut ws, &mut full);
+            // The serving entry point runs the same levels: its `H^{L-1}`
+            // rows on every store are the mem store's.
+            let mut want_hidden = DMatrix::zeros(0, 0);
+            m.infer_hidden_by_level(&stores[0], &distinct, &mut ws, &mut want_hidden).unwrap();
             for store in &stores {
                 let at = format!("{precision} on {:?}/{:?} agg {}", store.backend(), store.order(), store.has_agg());
+                let mut hidden = DMatrix::zeros(0, 0);
+                m.infer_hidden_by_level(store, &distinct, &mut ws, &mut hidden).unwrap();
+                prop_assert_eq!(&hidden, &want_hidden, "{} serving rows", at);
                 for cap in [small_cap, usize::MAX] {
                     let (rows, stats) = by_level(&m, store, &roots, cap, &mut ws);
                     prop_assert_eq!(rows.len(), distinct.len());
