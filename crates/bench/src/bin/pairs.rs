@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! pairs BASE_E2E NEW_E2E --workload W --seed S --pairs N \
-//!       [--seconds T] [--trace 0|1] [--benchmark BENCHMARK.json] [--out BENCH_pairs.jsonl]
+//!       [--trace 0|1] [--benchmark BENCHMARK.json] [--out BENCH_pairs.jsonl]
 //! ```
 //!
 //! `BASE_E2E` and `NEW_E2E` are two built `e2e` binaries (the harness of
 //! `BENCHMARK.json`, e.g. `<checkout>/.bench_build/release/e2e`). Pair `i`
-//! runs both on the same workload and seed, base first when `i` is even
-//! and new first when it is odd, so a drift of the machine over the
+//! runs both on the same workload and seed for the benchmark's
+//! `run_seconds`, base first when `i` is even and new first when it is odd, so a drift of the machine over the
 //! session lands on both sides alike. Each child runs in the git work tree
 //! that holds its binary (its `tags` line then names that tree's commit)
 //! and its last standard-output line — the harness's JSON result — is the
@@ -23,7 +23,8 @@
 //! session-to-session drift of a shared box that absolute numbers do not.
 //!
 //! A pair is excluded — listed, never dropped silently — when a side's
-//! run failed, or when its `probe.*` rows (the machine probes of a
+//! run failed (it could not start, exited non-zero, printed no JSON result
+//! line or reported a failed check), or when its `probe.*` rows (the machine probes of a
 //! `--trace 1` run: stream bandwidth and FMA peak) read below
 //! [`STALL_SHARE`] of that probe's median over the invocation: the
 //! machine, not the code, was slow then. Untraced runs carry no probe
@@ -48,259 +49,21 @@ const VERDICT_WINS: f64 = 0.9;
 /// Pairs a verdict needs; fewer read `few`, whatever the wins.
 const VERDICT_PAIRS: usize = 10;
 
-// ---------------------------------------------------------------------------
-// JSON (the subset the harness prints and this tool writes). Its own copy,
-// not the harness's module: the harness sources change only with the
-// benchmark, and this tool must build whatever they become.
-// ---------------------------------------------------------------------------
+// The harness's own JSON and order-statistics modules, read as they are:
+// this tool parses whatever the harness prints, and its IQR is the one the
+// harness reports. The percentile helpers of `stats` go unused here.
+#[path = "e2e/src/json.rs"]
+mod json;
+#[allow(dead_code)]
+#[path = "e2e/src/stats.rs"]
+mod stats;
 
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
+use json::{obj, Json};
+use stats::{median, quartiles};
 
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn render(&self) -> String {
-        match self {
-            Json::Null => "null".into(),
-            Json::Bool(b) => b.to_string(),
-            Json::Num(x) if x.is_finite() => format!("{x}"),
-            Json::Num(_) => "null".into(),
-            Json::Str(s) => render_str(s),
-            Json::Arr(items) => {
-                let items: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", items.join(", "))
-            }
-            Json::Obj(fields) => {
-                let fields: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}: {}", render_str(k), v.render()))
-                    .collect();
-                format!("{{{}}}", fields.join(", "))
-            }
-        }
-    }
-}
-
-fn render_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn obj<K: Into<String>>(fields: impl IntoIterator<Item = (K, Json)>) -> Json {
-    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
-fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(format!("trailing bytes at {} in {text:?}", p.i));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, lit: &str) -> bool {
-        let hit = self.s[self.i..].starts_with(lit.as_bytes());
-        if hit {
-            self.i += lit.len();
-        }
-        hit
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.s.get(self.i) == Some(&c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.ws();
-        match self.s.get(self.i) {
-            Some(b'{') => {
-                self.i += 1;
-                let mut fields = Vec::new();
-                self.ws();
-                if self.eat("}") {
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    fields.push((key, self.value()?));
-                    self.ws();
-                    if self.eat("}") {
-                        return Ok(Json::Obj(fields));
-                    }
-                    self.expect(b',')?;
-                }
-            }
-            Some(b'[') => {
-                self.i += 1;
-                let mut items = Vec::new();
-                self.ws();
-                if self.eat("]") {
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.ws();
-                    if self.eat("]") {
-                        return Ok(Json::Arr(items));
-                    }
-                    self.expect(b',')?;
-                }
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            _ if self.eat("true") => Ok(Json::Bool(true)),
-            _ if self.eat("false") => Ok(Json::Bool(false)),
-            _ if self.eat("null") => Ok(Json::Null),
-            _ => {
-                let start = self.i;
-                while self
-                    .s
-                    .get(self.i)
-                    .is_some_and(|c| c.is_ascii_digit() || b"+-.eE".contains(c))
-                {
-                    self.i += 1;
-                }
-                let text = std::str::from_utf8(&self.s[start..self.i]).unwrap_or("");
-                text.parse()
-                    .map(Json::Num)
-                    .map_err(|_| format!("bad value at byte {start}"))
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = Vec::new();
-        loop {
-            let c = *self.s.get(self.i).ok_or("unterminated string")?;
-            self.i += 1;
-            match c {
-                b'"' => break,
-                b'\\' => {
-                    let e = *self.s.get(self.i).ok_or("unterminated escape")?;
-                    self.i += 1;
-                    let ch = match e {
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'u' => {
-                            let hex = self.s.get(self.i..self.i + 4).ok_or("short \\u escape")?;
-                            self.i += 4;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).unwrap_or(""), 16)
-                                    .map_err(|_| "bad \\u escape")?;
-                            char::from_u32(code).unwrap_or('\u{fffd}')
-                        }
-                        other => other as char,
-                    };
-                    let mut buf = [0u8; 4];
-                    out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                }
-                c => out.push(c),
-            }
-        }
-        String::from_utf8(out).map_err(|_| "string is not UTF-8".into())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Statistics
-// ---------------------------------------------------------------------------
-
-fn sorted(xs: &[f64]) -> Vec<f64> {
-    let mut s = xs.to_vec();
-    s.sort_by(f64::total_cmp);
-    s
-}
-
-/// Median (mean of the middle two for even counts); NaN for no samples.
-fn median(xs: &[f64]) -> f64 {
-    let s = sorted(xs);
-    match s.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => s[n / 2],
-        n => 0.5 * (s[n / 2 - 1] + s[n / 2]),
-    }
-}
-
-/// Third minus first quartile, the quartiles taken as the `e2e` harness
-/// takes them (Python's default exclusive method); 0 under two samples.
+/// Third minus first quartile (0 under two samples).
 fn iqr(xs: &[f64]) -> f64 {
-    let s = sorted(xs);
-    let n = s.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let q = |k: usize| {
-        let j = (k * (n + 1) / 4).clamp(1, n - 1);
-        let delta = (k * (n + 1)) as f64 / 4.0 - j as f64;
-        s[j - 1] + (s[j] - s[j - 1]) * delta
-    };
-    q(3) - q(1)
+    quartiles(xs).map_or(0.0, |(q1, q3)| q3 - q1)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -373,40 +136,53 @@ impl MetricStats {
 #[derive(Clone, Debug, Default, PartialEq)]
 struct Run {
     sha: String,
-    correct: bool,
+    /// Why the run cannot count — it did not start, exited non-zero,
+    /// printed no result line or reported a failed check — or `None`.
+    failed: Option<String>,
     metrics: BTreeMap<String, f64>,
 }
 
 impl Run {
+    /// A run that produced nothing to read.
+    fn failed(why: String) -> Run {
+        Run {
+            sha: "unknown".into(),
+            failed: Some(why),
+            metrics: BTreeMap::new(),
+        }
+    }
+
     /// Parse a child's standard output: the `tags {…}` line for the
-    /// commit, the last non-empty line for the result.
-    fn parse(stdout: &str) -> Result<Run, String> {
+    /// commit, the last non-empty line for the result. Output without a
+    /// JSON result line (a crash, a kill, a panic) is a failed run.
+    fn parse(stdout: &str) -> Run {
         let sha = stdout
             .lines()
             .find_map(|l| l.strip_prefix("tags "))
-            .and_then(|t| parse_json(t).ok())
-            .and_then(|t| t.get("git_sha").and_then(Json::str).map(String::from))
+            .and_then(|t| json::parse(t).ok())
+            .and_then(|t| t.get("git_sha").and_then(Json::as_str).map(String::from))
             .unwrap_or_else(|| "unknown".into());
-        let last = stdout
-            .lines()
-            .rev()
-            .find(|l| !l.trim().is_empty())
-            .ok_or("no output")?;
-        let result = parse_json(last)?;
-        let correct = result.get("correct") == Some(&Json::Bool(true));
+        let last = stdout.lines().rev().find(|l| !l.trim().is_empty());
+        let result = match last.map(json::parse) {
+            Some(Ok(result)) => result,
+            Some(Err(e)) => return Run::failed(format!("no JSON result line ({e})")),
+            None => return Run::failed("no output".into()),
+        };
+        let failed = (result.get("correct") != Some(&Json::Bool(true)))
+            .then(|| "reported a failed check".to_string());
         let mut metrics = BTreeMap::new();
-        if let Some(Json::Obj(fields)) = result.get("metrics") {
+        if let Some(fields) = result.get("metrics").and_then(Json::as_obj) {
             for (name, m) in fields {
-                if let Some(v) = m.get("value").and_then(Json::num) {
+                if let Some(v) = m.get("value").and_then(Json::as_f64) {
                     metrics.insert(name.clone(), v);
                 }
             }
         }
-        Ok(Run {
+        Run {
             sha,
-            correct,
+            failed,
             metrics,
-        })
+        }
     }
 
     /// The run's `probe.*` readings.
@@ -431,25 +207,25 @@ fn exclusions(pairs: &[(Run, Run)], better: &BTreeMap<String, Better>) -> Vec<(u
     let medians: BTreeMap<&str, f64> = by_probe.iter().map(|(k, v)| (*k, median(v))).collect();
     let mut out = Vec::new();
     for (i, (b, n)) in pairs.iter().enumerate() {
-        if !b.correct || !n.correct {
-            out.push((i, "a run reported a failed check".to_string()));
-            continue;
-        }
-        let stall = [("base", b), ("new", n)]
-            .into_iter()
-            .find_map(|(side, run)| {
+        let sides = [("base", b), ("new", n)];
+        let failed = sides
+            .iter()
+            .find_map(|(side, run)| Some(format!("{side} run failed: {}", run.failed.as_ref()?)));
+        let stall = || {
+            sides.iter().find_map(|(side, run)| {
                 run.probes()
                     .filter(|(k, _)| better.get(*k) == Some(&Better::Higher))
                     .find(|(k, v)| *v < STALL_SHARE * medians[k])
                     .map(|(k, v)| {
                         format!(
-                            "{side} {k} {v:.3} < {STALL_SHARE} × median {:.3}",
+                            "stall: {side} {k} {v:.3} < {STALL_SHARE} × median {:.3}",
                             medians[k]
                         )
                     })
-            });
-        if let Some(why) = stall {
-            out.push((i, format!("stall: {why}")));
+            })
+        };
+        if let Some(why) = failed.or_else(stall) {
+            out.push((i, why));
         }
     }
     out
@@ -466,15 +242,14 @@ struct Args {
     workload: String,
     seed: u64,
     pairs: usize,
-    seconds: f64,
     trace: u8,
     benchmark: PathBuf,
     out: PathBuf,
 }
 
 fn usage() -> String {
-    "usage: pairs BASE_E2E NEW_E2E --workload W --seed S --pairs N [--seconds T] \
-     [--trace 0|1] [--benchmark BENCHMARK.json] [--out BENCH_pairs.jsonl]"
+    "usage: pairs BASE_E2E NEW_E2E --workload W --seed S --pairs N [--trace 0|1] \
+     [--benchmark BENCHMARK.json] [--out BENCH_pairs.jsonl]"
         .into()
 }
 
@@ -502,7 +277,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     let workload = flags.remove("workload").ok_or_else(usage)?;
     let seed = num(flags.remove("seed"), "seed")?.ok_or_else(usage)? as u64;
     let pairs = num(flags.remove("pairs"), "pairs")?.ok_or_else(usage)? as usize;
-    let seconds = num(flags.remove("seconds"), "seconds")?.unwrap_or(15.0);
     let trace = num(flags.remove("trace"), "trace")?.unwrap_or(0.0) as u8;
     let benchmark = flags
         .remove("benchmark")
@@ -522,39 +296,41 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         workload,
         seed,
         pairs,
-        seconds,
         trace,
         benchmark: benchmark.into(),
         out: out.into(),
     })
 }
 
-/// Each metric's `better` direction, from `BENCHMARK.json`'s
-/// `end_to_end` and `per_layer` lists.
-fn directions(benchmark: &Path) -> Result<BTreeMap<String, Better>, String> {
+/// What a pair run needs of `BENCHMARK.json`: each metric's `better`
+/// direction (its `end_to_end` and `per_layer` lists) and the benchmark's
+/// `run_seconds`, the window every child runs for.
+fn read_benchmark(benchmark: &Path) -> Result<(BTreeMap<String, Better>, f64), String> {
     let text = std::fs::read_to_string(benchmark)
         .map_err(|e| format!("cannot read {}: {e}", benchmark.display()))?;
-    let spec = parse_json(&text)?;
-    let mut out = BTreeMap::new();
+    let spec = json::parse(&text)?;
+    let seconds = spec
+        .get("run_seconds")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| format!("{} has no run_seconds", benchmark.display()))?;
+    let mut better = BTreeMap::new();
     for list in ["end_to_end", "per_layer"] {
-        if let Some(Json::Arr(items)) = spec.get(list) {
-            for m in items {
-                let (Some(name), Some(better)) = (
-                    m.get("name").and_then(Json::str),
-                    m.get("better").and_then(Json::str),
-                ) else {
-                    continue;
-                };
-                let b = if better == "higher" {
-                    Better::Higher
-                } else {
-                    Better::Lower
-                };
-                out.insert(name.to_string(), b);
-            }
+        for m in spec.get(list).and_then(Json::as_arr).unwrap_or_default() {
+            let (Some(name), Some(dir)) = (
+                m.get("name").and_then(Json::as_str),
+                m.get("better").and_then(Json::as_str),
+            ) else {
+                continue;
+            };
+            let b = if dir == "higher" {
+                Better::Higher
+            } else {
+                Better::Lower
+            };
+            better.insert(name.to_string(), b);
         }
     }
-    Ok(out)
+    Ok((better, seconds))
 }
 
 /// The git work tree holding `bin` (the nearest ancestor with `.git`).
@@ -565,22 +341,26 @@ fn work_tree(bin: &Path) -> Option<PathBuf> {
         .map(Path::to_path_buf)
 }
 
-fn run_side(bin: &Path, a: &Args) -> Result<Run, String> {
+/// One child run; a child that cannot start or exits non-zero is a
+/// failed run, never an error that ends the invocation.
+fn run_side(bin: &Path, a: &Args, seconds: f64) -> Run {
     let mut cmd = Command::new(bin);
     cmd.args(["--workload", &a.workload])
         .args(["--seed", &a.seed.to_string()])
-        .args(["--seconds", &a.seconds.to_string()])
+        .args(["--seconds", &seconds.to_string()])
         .args(["--trace", &a.trace.to_string()]);
     if let Some(dir) = work_tree(bin) {
         cmd.current_dir(dir);
     }
-    let out = cmd
-        .output()
-        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
-    let mut run = Run::parse(&String::from_utf8_lossy(&out.stdout))
-        .map_err(|e| format!("{}: {e}", bin.display()))?;
-    run.correct &= out.status.success();
-    Ok(run)
+    let out = match cmd.output() {
+        Ok(out) => out,
+        Err(e) => return Run::failed(format!("cannot run {}: {e}", bin.display())),
+    };
+    let mut run = Run::parse(&String::from_utf8_lossy(&out.stdout));
+    if !out.status.success() {
+        run.failed = Some(format!("{} exited with {}", bin.display(), out.status));
+    }
+    run
 }
 
 fn main() {
@@ -595,15 +375,15 @@ fn main() {
 }
 
 fn run(a: &Args) -> Result<(), String> {
-    let better = directions(&a.benchmark)?;
+    let (better, seconds) = read_benchmark(&a.benchmark)?;
     let mut pairs = Vec::with_capacity(a.pairs);
     for i in 0..a.pairs {
         let (b, n) = if i % 2 == 0 {
-            let b = run_side(&a.base, a)?;
-            (b, run_side(&a.new, a)?)
+            let b = run_side(&a.base, a, seconds);
+            (b, run_side(&a.new, a, seconds))
         } else {
-            let n = run_side(&a.new, a)?;
-            (run_side(&a.base, a)?, n)
+            let n = run_side(&a.new, a, seconds);
+            (run_side(&a.base, a, seconds), n)
         };
         let first = if i % 2 == 0 { "base" } else { "new" };
         eprintln!("pair {}/{} done ({first} first)", i + 1, a.pairs);
@@ -631,7 +411,10 @@ fn run(a: &Args) -> Result<(), String> {
         "{:<36} {:>12} {:>12} {:>10} {:>8} {:>7} verdict",
         "metric", "base median", "new median", "base IQR", "ratio", "wins"
     );
-    let names: Vec<&String> = pairs[0].0.metrics.keys().collect();
+    let names: std::collections::BTreeSet<&String> = pairs
+        .iter()
+        .flat_map(|(b, n)| b.metrics.keys().chain(n.metrics.keys()))
+        .collect();
     let mut metrics = Vec::new();
     for name in names {
         let Some(&dir) = better.get(name.as_str()) else {
@@ -671,13 +454,18 @@ fn run(a: &Args) -> Result<(), String> {
             probes.entry(k).or_default().push(v);
         }
     }
+    // The first commit a side's runs name ("unknown" if none started).
+    let sha = |side: fn(&(Run, Run)) -> &Run| {
+        let known = pairs.iter().map(side).find(|r| r.sha != "unknown");
+        Json::Str(known.map_or("unknown", |r| &r.sha).to_string())
+    };
     let record = obj([
-        ("base_sha", Json::Str(pairs[0].0.sha.clone())),
-        ("new_sha", Json::Str(pairs[0].1.sha.clone())),
+        ("base_sha", sha(|p| &p.0)),
+        ("new_sha", sha(|p| &p.1)),
         ("workload", Json::Str(a.workload.clone())),
         ("seed", Json::Num(a.seed as f64)),
         ("pairs", Json::Num(a.pairs as f64)),
-        ("seconds", Json::Num(a.seconds)),
+        ("seconds", Json::Num(seconds)),
         ("trace", Json::Num(a.trace as f64)),
         (
             "excluded",
@@ -714,10 +502,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn median_and_iqr_on_fixed_samples() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), 2.5);
-        assert!(median(&[]).is_nan());
+    fn iqr_on_fixed_samples() {
         // Python: statistics.quantiles([1..=10], n=4) = [2.75, 5.5, 8.25].
         let xs: Vec<f64> = (1..=10).map(f64::from).collect();
         assert!((iqr(&xs) - 5.5).abs() < 1e-12);
@@ -755,13 +540,18 @@ mod tests {
         assert_eq!(MetricStats::of(&pairs[1..], Better::Lower).verdict(), "few");
     }
 
-    fn run(sha: &str, correct: bool, metrics: &[(&str, f64)]) -> Run {
+    fn run(sha: &str, metrics: &[(&str, f64)]) -> Run {
         Run {
             sha: sha.into(),
-            correct,
+            failed: None,
             metrics: metrics.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
         }
     }
+
+    const HARNESS_STDOUT: &str = "tags {\"workload\": \"train_ooc\", \"git_sha\": \"abc123\", \"seed\": 7}\n\
+        op_ms 1.0 ms\n\
+        {\"attempted\": 3, \"correct\": true, \"failed\": 0, \"metrics\": \
+        {\"op_ms\": {\"unit\": \"ms\", \"value\": 61.5}, \"quality\": {\"unit\": \"ratio\", \"value\": 6.2e-1}}}\n\n";
 
     #[test]
     fn stalled_and_failed_pairs_are_listed() {
@@ -770,57 +560,77 @@ mod tests {
             ("op_ms".to_string(), Better::Lower),
         ]
         .into();
-        let ok = |gbps: f64| run("a", true, &[("probe.stream_gbps", gbps), ("op_ms", 1.0)]);
+        let ok = |gbps: f64| run("a", &[("probe.stream_gbps", gbps), ("op_ms", 1.0)]);
+        let mut failed_check = run("a", &[("op_ms", 1.0)]);
+        failed_check.failed = Some("reported a failed check".into());
+        // A child that died before its result line: the stdout it left has
+        // the tags and a progress line, but no JSON.
+        let died = HARNESS_STDOUT
+            .lines()
+            .take(2)
+            .collect::<Vec<_>>()
+            .join("\n");
         let pairs = vec![
             (ok(10.0), ok(10.5)),
             (ok(9.8), ok(5.0)), // new side stalled
-            (run("a", false, &[("op_ms", 1.0)]), ok(10.0)),
+            (failed_check, ok(10.0)),
             (ok(10.1), ok(9.9)),
+            (ok(10.0), Run::parse(&died)),
+            (Run::failed("cannot run base: not found".into()), ok(10.2)),
         ];
         let ex = exclusions(&pairs, &better);
-        assert_eq!(ex.len(), 2, "{ex:?}");
-        assert_eq!(ex[0].0, 1);
+        let at: Vec<usize> = ex.iter().map(|e| e.0).collect();
+        assert_eq!(at, [1, 2, 4, 5], "{ex:?}");
         assert!(
             ex[0].1.starts_with("stall: new probe.stream_gbps 5.000"),
             "{}",
             ex[0].1
         );
-        assert_eq!(ex[1], (2, "a run reported a failed check".to_string()));
+        assert_eq!(ex[1].1, "base run failed: reported a failed check");
+        assert!(
+            ex[2].1.starts_with("new run failed: no JSON result line"),
+            "{}",
+            ex[2].1
+        );
+        assert_eq!(ex[3].1, "base run failed: cannot run base: not found");
         // Untraced runs have no probes: nothing is a stall.
-        let plain = vec![(
-            run("a", true, &[("op_ms", 1.0)]),
-            run("b", true, &[("op_ms", 2.0)]),
-        )];
+        let plain = vec![(run("a", &[("op_ms", 1.0)]), run("b", &[("op_ms", 2.0)]))];
         assert!(exclusions(&plain, &better).is_empty());
     }
 
     #[test]
     fn a_harness_output_parses_to_its_commit_and_metrics() {
-        let stdout = "tags {\"workload\": \"train_ooc\", \"git_sha\": \"abc123\", \"seed\": 7}\n\
-            op_ms 1.0 ms\n\
-            {\"attempted\": 3, \"correct\": true, \"failed\": 0, \"metrics\": \
-            {\"op_ms\": {\"unit\": \"ms\", \"value\": 61.5}, \"quality\": {\"unit\": \"ratio\", \"value\": 6.2e-1}}}\n\n";
-        let r = Run::parse(stdout).unwrap();
+        let r = Run::parse(HARNESS_STDOUT);
         assert_eq!(r.sha, "abc123");
-        assert!(r.correct);
+        assert_eq!(r.failed, None);
         assert_eq!(r.metrics["op_ms"], 61.5);
         assert_eq!(r.metrics["quality"], 0.62);
-        assert!(Run::parse("").is_err());
+        assert_eq!(Run::parse("").failed.as_deref(), Some("no output"));
+        let failing = HARNESS_STDOUT.replace("\"correct\": true", "\"correct\": false");
+        assert_eq!(
+            Run::parse(&failing).failed.as_deref(),
+            Some("reported a failed check")
+        );
     }
 
     #[test]
-    fn json_round_trips() {
-        let v = obj([
-            ("s", Json::Str("a \"q\" \\ \n".into())),
-            ("n", Json::Num(-1.5e-3)),
-            ("a", Json::Arr(vec![Json::Bool(true), Json::Null])),
-        ]);
-        assert_eq!(parse_json(&v.render()).unwrap(), v);
-        assert_eq!(
-            parse_json("{\"u\": \"\\u00e9\"}").unwrap().get("u"),
-            Some(&Json::Str("é".into()))
-        );
-        assert!(parse_json("{\"a\": 1} x").is_err());
+    fn the_run_length_is_the_benchmarks() {
+        let dir = std::env::temp_dir().join(format!("pairs-spec-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCHMARK.json");
+        std::fs::write(
+            &path,
+            r#"{"run_seconds": 12, "end_to_end": [{"name": "op_ms", "better": "lower"}],
+                "per_layer": [{"name": "probe.fma_gflops", "better": "higher"}]}"#,
+        )
+        .unwrap();
+        let (better, seconds) = read_benchmark(&path).unwrap();
+        assert_eq!(seconds, 12.0);
+        assert_eq!(better["op_ms"], Better::Lower);
+        assert_eq!(better["probe.fma_gflops"], Better::Higher);
+        std::fs::write(&path, r#"{"end_to_end": []}"#).unwrap();
+        assert!(read_benchmark(&path).unwrap_err().contains("run_seconds"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -830,11 +640,11 @@ mod tests {
             .map(String::from)
             .collect();
         let a = parse_args(&args).unwrap();
-        assert_eq!((a.seed, a.pairs, a.trace, a.seconds), (31, 10, 0, 15.0));
+        assert_eq!((a.seed, a.pairs, a.trace), (31, 10, 0));
         assert_eq!(a.out, PathBuf::from("BENCH_pairs.jsonl"));
         assert!(parse_args(&args[..4]).is_err());
         let mut bad = args.clone();
-        bad.extend(["--bogus".into(), "1".into()]);
-        assert!(parse_args(&bad).unwrap_err().contains("--bogus"));
+        bad.extend(["--seconds".into(), "5".into()]);
+        assert!(parse_args(&bad).unwrap_err().contains("--seconds"));
     }
 }

@@ -94,53 +94,42 @@ impl Dataset {
             0 => default_num_shards(n),
             k => k,
         };
-        let write_full = || match feature_precision {
+        let full_shards = shards(self.graph.num_vertices());
+        match feature_precision {
             Precision::F32 => write_full_store(
                 &full_dir,
                 &self.graph,
                 &self.features,
                 Some(&self.labels),
-                shards(self.graph.num_vertices()),
+                full_shards,
                 order,
-            ),
+            )?,
             Precision::Bf16 => write_store_with_precision(
                 &full_dir,
                 &self.graph,
                 Some(&self.features),
                 Some(&self.labels),
-                shards(self.graph.num_vertices()),
+                full_shards,
                 order,
                 feature_precision,
-            ),
+            )?,
         };
-        // The training store is written on a second thread while this one
-        // writes the full store: both writers spend most of their time in
-        // the serial checksum of their own files.
-        let write_train = || {
-            let tv = self.train_view();
-            let train_dir = dir.join(TRAIN_SUBDIR);
-            std::fs::create_dir_all(&train_dir)?;
-            write_store_with_precision(
-                &train_dir,
-                &tv.graph,
-                Some(&*tv.features),
-                Some(&*tv.labels),
-                shards(tv.graph.num_vertices()),
-                order,
-                feature_precision,
-            )?;
-            Ok::<_, io::Error>(tv.origin)
-        };
-        let (full, train) = std::thread::scope(|scope| {
-            let train = scope.spawn(write_train);
-            let full = write_full();
-            (full, train.join().expect("training store writer panicked"))
-        });
-        full?;
-        let train_origin = train?;
+
+        let tv = self.train_view();
+        let train_dir = dir.join(TRAIN_SUBDIR);
+        std::fs::create_dir_all(&train_dir)?;
+        write_store_with_precision(
+            &train_dir,
+            &tv.graph,
+            Some(&*tv.features),
+            Some(&*tv.labels),
+            shards(tv.graph.num_vertices()),
+            order,
+            feature_precision,
+        )?;
 
         // Metadata last: its presence certifies both stores are complete.
-        write_meta(dir, &self.name, self.task, &self.split, &train_origin)
+        write_meta(dir, &self.name, self.task, &self.split, &tv.origin)
     }
 }
 
@@ -148,8 +137,8 @@ impl Dataset {
 /// `labels` and the `agg` section: each shard's rows of `Â·X` (`Â = D⁻¹A`
 /// of `graph`), computed as that shard is written by layer 1's own fused
 /// producer ([`AggregatedRows::spill_into`] at the shard's members, one
-/// row-parallel pass per chunk of a shard) — so every row is, bit for
-/// bit, the f32 panel row layer 1 would aggregate for that vertex.
+/// row-parallel pass per shard) — so every row is, bit for bit, the f32
+/// panel row layer 1 would aggregate for that vertex.
 pub fn write_full_store(
     dir: &Path,
     graph: &CsrGraph,

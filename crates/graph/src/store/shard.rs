@@ -54,8 +54,8 @@
 //! aggregate of member `i` in f32, exactly the floats layer 1's fused
 //! producer packs for that vertex. The caller computes the rows (this
 //! crate has no aggregation kernel): the writer asks for them a shard at a
-//! time, in a few chunks computed on a thread beside the one that writes,
-//! so it never holds more than one shard's `agg` rows. Only
+//! time, as it writes that shard, so it never holds more than one shard's
+//! `agg` rows. Only
 //! f32-feature stores carry it. The manifest marks its presence with a
 //! trailing section ([`AGG_MAGIC`], after the ordering and precision
 //! sections); the shard header does not change, and the file length the
@@ -674,24 +674,17 @@ pub fn write_store_with_precision(
     write_store_rows(dir, graph, rows, num_shards, order)
 }
 
-/// Computes `agg` rows for [`write_store_with_agg`]: called with some of
-/// a shard's members (global ids, in stored order), it reshapes `out` to
+/// Computes `agg` rows for [`write_store_with_agg`]: called with one
+/// shard's members (global ids, in stored order), it reshapes `out` to
 /// `members.len() × feature_dim` and writes member `i`'s row of `Â·X`
-/// into row `i`. It runs on a thread of the writer's own, beside the one
-/// that writes the shard.
-pub type AggRows<'a> = &'a (dyn Fn(&[u32], &mut DMatrix) + Sync);
-
-/// Chunks one shard's `agg` rows are computed in: the writer checksums
-/// and writes chunk `c` while chunk `c + 1` is being computed (chunk 0
-/// while it writes the shard's other sections), and the chunks together
-/// hold one shard's rows.
-const AGG_CHUNKS: usize = 4;
+/// into row `i`.
+pub type AggRows<'a> = &'a dyn Fn(&[u32], &mut DMatrix);
 
 /// As [`write_store_ordered`] with f32 `features` and an `agg` section in
 /// every shard (see the module docs): `agg` is asked for each shard's rows
-/// in turn, a few chunks per shard, as that shard is written, into
-/// buffers reused shard to shard — at most one shard's rows exist at a
-/// time. The manifest gains the [`AGG_MAGIC`] marker.
+/// in turn, as that shard is written, into one buffer reused shard to
+/// shard — at most one shard's rows exist at a time. The manifest gains
+/// the [`AGG_MAGIC`] marker.
 pub fn write_store_with_agg(
     dir: &Path,
     graph: &CsrGraph,
@@ -835,100 +828,74 @@ fn write_partitioned_ordered(
 
     let mut shards = Vec::with_capacity(p);
     let mut qrow: Vec<bf16::Bf16> = vec![bf16::Bf16::ZERO; f];
-    // The chunk buffers of one shard's `agg` rows, reused shard to shard.
-    let mut agg_bufs: Vec<DMatrix> = Vec::new();
+    // One shard's `agg` rows, reused shard to shard.
+    let mut agg_rows = DMatrix::zeros(0, 0);
     for (sid, members) in members_of.iter().enumerate() {
         let k = members.len();
         let e: usize = members.iter().map(|&v| graph.degree(v)).sum();
         let layout = ShardLayout::new(k, e, f, l, feature_precision, agg.is_some());
         let path = dir.join(shard_file_name(sid));
         let tmp = tmp_sibling(&path);
-        let chunk_rows = k.div_ceil(AGG_CHUNKS).max(1);
-        let (written, checksum) = std::thread::scope(|scope| {
-            // A scoped thread fills the `agg` rows chunk by chunk while this
-            // one writes the other sections and then each finished chunk,
-            // so the aggregation's row reads overlap the checksum.
-            let (tx, rx) = std::sync::mpsc::channel();
-            if let Some(fill) = agg {
-                let mut spare = std::mem::take(&mut agg_bufs);
-                scope.spawn(move || {
-                    for ids in members.chunks(chunk_rows) {
-                        let mut buf = spare.pop().unwrap_or_else(|| DMatrix::zeros(0, 0));
-                        fill(ids, &mut buf);
-                        if tx.send(buf).is_err() {
-                            break;
-                        }
+        let mut w = CheckedWriter::create(&tmp)?;
+        let mut header = Vec::with_capacity(SHARD_HEADER_LEN);
+        header.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
+        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header.extend_from_slice(&(sid as u32).to_le_bytes());
+        // Historically padding (always 0); now the feature-precision code.
+        // F32 writes 0, so f32 shards keep their pre-precision bytes.
+        header.extend_from_slice(&precision_code(feature_precision).to_le_bytes());
+        header.extend_from_slice(&(k as u64).to_le_bytes());
+        header.extend_from_slice(&(e as u64).to_le_bytes());
+        header.extend_from_slice(&(f as u32).to_le_bytes());
+        header.extend_from_slice(&(l as u32).to_le_bytes());
+        w.put(&header)?;
+        w.put(as_bytes(members))?;
+        w.pad_to(layout.offsets_off)?;
+        let mut offsets = Vec::with_capacity(k + 1);
+        let mut acc = 0u64;
+        offsets.push(0u64);
+        for &v in members {
+            acc += graph.degree(v) as u64;
+            offsets.push(acc);
+        }
+        w.put(as_bytes(&offsets))?;
+        for &v in members {
+            w.put(as_bytes(graph.neighbors(v)))?;
+        }
+        w.pad_to(layout.feat_off)?;
+        if let Some(m) = features {
+            match feature_precision {
+                Precision::F32 => {
+                    for &v in members {
+                        w.put(as_bytes(m.row(v as usize)))?;
                     }
-                });
+                }
+                Precision::Bf16 => {
+                    for &v in members {
+                        bf16::quantize_slice(m.row(v as usize), &mut qrow);
+                        w.put(as_bytes(bf16::to_bits_slice(&qrow)))?;
+                    }
+                }
             }
-            let mut w = CheckedWriter::create(&tmp)?;
-            let mut header = Vec::with_capacity(SHARD_HEADER_LEN);
-            header.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
-            header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            header.extend_from_slice(&(sid as u32).to_le_bytes());
-            // Historically padding (always 0); now the feature-precision
-            // code. F32 writes 0, so f32 shards keep their pre-precision
-            // bytes.
-            header.extend_from_slice(&precision_code(feature_precision).to_le_bytes());
-            header.extend_from_slice(&(k as u64).to_le_bytes());
-            header.extend_from_slice(&(e as u64).to_le_bytes());
-            header.extend_from_slice(&(f as u32).to_le_bytes());
-            header.extend_from_slice(&(l as u32).to_le_bytes());
-            w.put(&header)?;
-            w.put(as_bytes(members))?;
-            w.pad_to(layout.offsets_off)?;
-            let mut offsets = Vec::with_capacity(k + 1);
-            let mut acc = 0u64;
-            offsets.push(0u64);
+        }
+        w.pad_to(layout.label_off)?;
+        if let Some(m) = labels {
             for &v in members {
-                acc += graph.degree(v) as u64;
-                offsets.push(acc);
+                w.put(as_bytes(m.row(v as usize)))?;
             }
-            w.put(as_bytes(&offsets))?;
-            for &v in members {
-                w.put(as_bytes(graph.neighbors(v)))?;
+        }
+        if let Some(fill) = agg {
+            fill(members, &mut agg_rows);
+            if agg_rows.shape() != (k, f) {
+                return Err(bad(format!(
+                    "agg rows of shard {sid} come as {:?}, expected ({k}, {f})",
+                    agg_rows.shape()
+                )));
             }
-            w.pad_to(layout.feat_off)?;
-            if let Some(m) = features {
-                match feature_precision {
-                    Precision::F32 => {
-                        for &v in members {
-                            w.put(as_bytes(m.row(v as usize)))?;
-                        }
-                    }
-                    Precision::Bf16 => {
-                        for &v in members {
-                            bf16::quantize_slice(m.row(v as usize), &mut qrow);
-                            w.put(as_bytes(bf16::to_bits_slice(&qrow)))?;
-                        }
-                    }
-                }
-            }
-            w.pad_to(layout.label_off)?;
-            if let Some(m) = labels {
-                for &v in members {
-                    w.put(as_bytes(m.row(v as usize)))?;
-                }
-            }
-            if agg.is_some() {
-                w.pad_to(layout.agg_off)?;
-                let mut rows = 0;
-                for (ids, buf) in members.chunks(chunk_rows).zip(&rx) {
-                    rows += buf.rows();
-                    if buf.shape() != (ids.len(), f) {
-                        return Err(bad(format!(
-                            "agg rows of shard {sid} come in a {:?} chunk, expected ({}, {f})",
-                            buf.shape(),
-                            ids.len()
-                        )));
-                    }
-                    w.put(as_bytes(buf.data()))?;
-                    agg_bufs.push(buf);
-                }
-                debug_assert_eq!(rows, k, "every chunk of agg rows arrived");
-            }
-            w.finish()
-        })?;
+            w.pad_to(layout.agg_off)?;
+            w.put(as_bytes(agg_rows.data()))?;
+        }
+        let (written, checksum) = w.finish()?;
         debug_assert_eq!(written, layout.file_len, "shard writer layout drift");
         std::fs::rename(&tmp, &path)?;
         shards.push(ShardInfo {
