@@ -95,7 +95,7 @@ impl Dataset {
             k => k,
         };
         let full_shards = shards(self.graph.num_vertices());
-        match feature_precision {
+        let write_full = || match feature_precision {
             Precision::F32 => write_full_store(
                 &full_dir,
                 &self.graph,
@@ -103,7 +103,7 @@ impl Dataset {
                 Some(&self.labels),
                 full_shards,
                 order,
-            )?,
+            ),
             Precision::Bf16 => write_store_with_precision(
                 &full_dir,
                 &self.graph,
@@ -112,21 +112,34 @@ impl Dataset {
                 full_shards,
                 order,
                 feature_precision,
-            )?,
+            ),
         };
 
         let tv = self.train_view();
         let train_dir = dir.join(TRAIN_SUBDIR);
         std::fs::create_dir_all(&train_dir)?;
-        write_store_with_precision(
-            &train_dir,
-            &tv.graph,
-            Some(&*tv.features),
-            Some(&*tv.labels),
-            shards(tv.graph.num_vertices()),
-            order,
-            feature_precision,
-        )?;
+        let write_train = || {
+            write_store_with_precision(
+                &train_dir,
+                &tv.graph,
+                Some(&*tv.features),
+                Some(&*tv.labels),
+                shards(tv.graph.num_vertices()),
+                order,
+                feature_precision,
+            )
+        };
+        // The training store is written on a second thread while this one
+        // writes the full store: each writer spends most of its time in the
+        // serial checksum of its own files, and the full store's `agg` rows
+        // would otherwise add theirs to the spill's wall time.
+        let (full, train) = std::thread::scope(|scope| {
+            let train = scope.spawn(write_train);
+            let full = write_full();
+            (full, train.join().expect("training store writer panicked"))
+        });
+        full?;
+        train?;
 
         // Metadata last: its presence certifies both stores are complete.
         write_meta(dir, &self.name, self.task, &self.split, &tv.origin)
