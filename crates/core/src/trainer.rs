@@ -561,7 +561,8 @@ impl<'a> GsGcnTrainer<'a> {
     /// releasing rows).
     ///
     /// Either arm is allocation-free once warm. Fails only when the
-    /// stored path cannot gather rows from the graph store.
+    /// stored path cannot read the graph store: a topology section its
+    /// frontier cut needs or a row section it gathers.
     pub fn try_evaluate(&mut self, split: EvalSplit) -> Result<f64, String> {
         let s = self.source.split();
         let idx: &[u32] = match split {
@@ -1099,6 +1100,37 @@ mod tests {
             assert!(err.contains("gather from graph store failed"), "{err}");
             drop(t);
         }
+    }
+
+    /// A topology section that cannot be mapped fails a stored
+    /// evaluation with an `Err` from the level driver's cut, not a panic:
+    /// the full store's shard holding the first validation root is
+    /// shortened after `open`, before anything of it was mapped.
+    #[test]
+    fn stored_evaluation_reports_unreadable_topology_as_an_error() {
+        use gsgcn_graph::store::shard::shard_file_name;
+        let d = quick_dataset();
+        let spill = Spilled::new(&d, "topology-error");
+        let sd = spill.open(gsgcn_graph::store::DEFAULT_SHARD_CACHE_BYTES);
+        let mut t = GsGcnTrainer::from_store(&sd, TrainerConfig::quick_test()).unwrap();
+        let sid = sd.full.shard_of(sd.split.val[0]).unwrap() as usize;
+        assert_eq!(sd.full.cache_stats().unwrap().topology.resident, 0);
+        let shard = spill
+            .dir
+            .join(gsgcn_data::store_dataset::FULL_SUBDIR)
+            .join(shard_file_name(sid));
+        let len = std::fs::metadata(&shard).unwrap().len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&shard)
+            .unwrap();
+        file.set_len(len - 8).unwrap();
+        for _ in 0..2 {
+            let err = t.try_evaluate(EvalSplit::Val).unwrap_err();
+            assert!(err.contains("could not read the graph store"), "{err}");
+            assert!(err.contains("truncated"), "{err}");
+        }
+        drop(t);
     }
 
     /// The pipelined breakdown counts the producers' gathers as hidden

@@ -434,7 +434,7 @@ mod tests {
         // Full-store topology and rows match the resident dataset bit-for-bit.
         for v in 0..d.graph.num_vertices() as u32 {
             assert_eq!(
-                sd.full.neighbors_ref(v).to_vec(),
+                sd.full.view().neighbors(v).to_vec(),
                 d.graph.neighbors(v).to_vec(),
                 "vertex {v} adjacency"
             );
@@ -452,7 +452,7 @@ mod tests {
         assert_eq!(sd.train.num_vertices(), tv.graph.num_vertices());
         for v in 0..tv.graph.num_vertices() as u32 {
             assert_eq!(
-                sd.train.neighbors_ref(v).to_vec(),
+                sd.train.view().neighbors(v).to_vec(),
                 tv.graph.neighbors(v).to_vec(),
                 "train vertex {v} adjacency"
             );
@@ -473,7 +473,7 @@ mod tests {
             // Same user-facing numbering: adjacency and rows unchanged.
             for v in 0..d.graph.num_vertices() as u32 {
                 assert_eq!(
-                    sd.full.neighbors_ref(v).to_vec(),
+                    sd.full.view().neighbors(v).to_vec(),
                     d.graph.neighbors(v).to_vec(),
                     "{order:?} vertex {v}"
                 );

@@ -27,7 +27,8 @@
 //!   shards behind a CLOCK cache with a bounded mapped-byte budget
 //!   ([`store::MmapStore`]), chosen by whoever builds the store.
 //!   Consumers read topology through the object-safe [`Topology`] trait,
-//!   which [`CsrGraph`] also implements — out-of-core access is a backend
+//!   which [`CsrGraph`] also implements, one [`TopoView`] per walk —
+//!   out-of-core access is a backend
 //!   swap, not an API fork. See the `store` module docs for the shard
 //!   format spec, cache policy and consistency rules.
 //!
@@ -62,5 +63,5 @@ pub use csr::CsrGraph;
 pub use neighborhood::{
     l_hop_ball, l_hop_subgraph, one_hop_frontier, FrontierBall, FrontierScratch, NeighborhoodBatch,
 };
-pub use store::{GraphStore, NeighborsRef, StoreBackend, StoreCacheStats, StoreOrder, Topology};
+pub use store::{GraphStore, StoreBackend, StoreCacheStats, StoreOrder, TopoView, Topology};
 pub use subgraph::{induced_subgraph, InducedSubgraph};

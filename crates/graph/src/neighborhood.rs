@@ -36,6 +36,7 @@ use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
 use crate::store::Topology;
 use crate::subgraph::{induced_subgraph, InducedSubgraph};
+use std::io;
 
 /// The induced subgraph of an L-hop ball plus the query-root positions
 /// and per-vertex root distances.
@@ -136,9 +137,12 @@ pub struct FrontierBall {
 /// [`FrontierScratch`]; see [`FrontierScratch::one_hop`]).
 ///
 /// # Panics
-/// Panics if any root id is out of range for `g`.
+/// Panics if any root id is out of range for `g`, or if a root's shard
+/// cannot be read (a resident graph never fails).
 pub fn one_hop_frontier<T: Topology + ?Sized>(g: &T, roots: &[u32]) -> FrontierBall {
-    FrontierScratch::new().one_hop(g, roots)
+    FrontierScratch::new()
+        .one_hop(g, roots)
+        .unwrap_or_else(|e| panic!("frontier ball: {e}"))
 }
 
 /// Reusable state of the frontier tile cutter: a dense relabel table
@@ -160,10 +164,10 @@ pub struct FrontierScratch {
     /// Per locality group: the frontier rows before it, for the counting
     /// sort.
     counts: Vec<usize>,
-    /// Set while a cut runs: a cut that panicked (an out-of-range root, an
-    /// unreadable shard) left `slot` dirty, and the next one clears it
-    /// whole — the serving engine keeps its workspace across a caught
-    /// panic.
+    /// Set while a cut runs: a cut that panicked (an out-of-range root) or
+    /// failed (an unreadable shard) left `slot` dirty, and the next one
+    /// clears it whole — the serving engine keeps its workspace across a
+    /// caught panic.
     dirty: bool,
 }
 
@@ -175,12 +179,17 @@ impl FrontierScratch {
         Self::default()
     }
 
-    /// The [`FrontierBall`] of every root in `roots`.
+    /// The [`FrontierBall`] of every root in `roots`; fails as
+    /// [`Self::capped`].
     ///
     /// # Panics
     /// Panics if any root id is out of range for `g`.
-    pub fn one_hop<T: Topology + ?Sized>(&mut self, g: &T, roots: &[u32]) -> FrontierBall {
-        self.capped(g, roots, usize::MAX).0
+    pub fn one_hop<T: Topology + ?Sized>(
+        &mut self,
+        g: &T,
+        roots: &[u32],
+    ) -> io::Result<FrontierBall> {
+        Ok(self.capped(g, roots, usize::MAX)?.0)
     }
 
     /// The [`FrontierBall`] of the longest prefix of `roots` whose closed
@@ -197,7 +206,12 @@ impl FrontierScratch {
     /// no progress; duplicates of an already-taken root add no rows and
     /// are always consumed. Frontier rows follow the roots grouped by
     /// [`Topology::locality_group`] (a stable counting sort: discovery
-    /// order within a group).
+    /// order within a group). The cut reads through one
+    /// [`TopoView`](crate::TopoView).
+    ///
+    /// Fails when a root's shard cannot be read
+    /// ([`TopoView::try_neighbors`](crate::TopoView::try_neighbors)); the
+    /// scratch stays usable.
     ///
     /// # Panics
     /// Panics if a visited root id is out of range for `g`.
@@ -206,7 +220,8 @@ impl FrontierScratch {
         g: &T,
         roots: &[u32],
         max_rows: usize,
-    ) -> (FrontierBall, usize) {
+    ) -> io::Result<(FrontierBall, usize)> {
+        let view = g.view();
         let n = g.num_vertices();
         if self.dirty || self.slot.len() < n {
             self.slot = vec![0; n.max(self.slot.len())];
@@ -232,7 +247,7 @@ impl FrontierScratch {
             let id = self.intern(r) as usize;
             self.rank.resize(self.disc.len(), NOT_ROOT);
             if self.rank[id] == NOT_ROOT {
-                for &u in g.neighbors_ref(r).iter() {
+                for &u in view.try_neighbors(r)? {
                     let local = self.intern(u);
                     adj.push(local);
                 }
@@ -269,7 +284,7 @@ impl FrontierScratch {
             root_locals,
             origin,
         };
-        (ball, used)
+        Ok((ball, used))
     }
 
     /// Provisional id of `v`, assigning the next one on first sight.
@@ -356,6 +371,7 @@ fn bfs_distances(g: &CsrGraph, roots: &[u32]) -> Vec<u32> {
 /// # Panics
 /// Panics if any root id is out of range for `g`.
 pub fn l_hop_ball<T: Topology + ?Sized>(g: &T, roots: &[u32], hops: usize) -> Vec<u32> {
+    let g = g.view();
     let n = g.num_vertices();
     let mut visited = BitSet::new(n);
     let mut frontier: Vec<u32> = Vec::with_capacity(roots.len());
@@ -371,7 +387,7 @@ pub fn l_hop_ball<T: Topology + ?Sized>(g: &T, roots: &[u32], hops: usize) -> Ve
     let mut next = Vec::new();
     for _ in 0..hops {
         for &v in &frontier {
-            for &u in g.neighbors_ref(v).iter() {
+            for &u in g.neighbors(v) {
                 if visited.insert(u as usize) {
                     next.push(u);
                 }
@@ -611,12 +627,12 @@ mod tests {
         let g = path_graph();
         // Roots 0, 1, 2 grow the ball {0,1} → {0,1,2} → {0,1,2,3}: a cap
         // of 3 rows takes two roots and leaves the third for the next tile.
-        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 1, 2, 5], 3);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 1, 2, 5], 3).unwrap();
         assert_eq!(used, 2);
         assert_eq!(fb, one_hop_frontier(&g, &[0, 1]));
         // The rolled-back root left nothing behind: the next tile starts
         // clean and is again a plain frontier ball of its prefix.
-        let (fb, used) = FrontierScratch::new().capped(&g, &[2, 5], 3);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[2, 5], 3).unwrap();
         assert_eq!(used, 1);
         assert_eq!(fb, one_hop_frontier(&g, &[2]));
     }
@@ -626,10 +642,10 @@ mod tests {
         let g = star_graph();
         // The hub's own frontier (6 rows) exceeds the cap: a one-root
         // tile larger than the cap, not an empty one.
-        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 6], 2);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 6], 2).unwrap();
         assert_eq!((used, fb.num_roots, fb.origin.len()), (1, 1, 6));
         // A degree-0 root is a one-row tile.
-        let (fb, used) = FrontierScratch::new().capped(&g, &[8], 1);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[8], 1).unwrap();
         assert_eq!((used, fb.origin.as_slice()), (1, &[8u32][..]));
         assert_eq!(fb.graph.num_edges(), 0);
     }
@@ -639,14 +655,16 @@ mod tests {
         let g = star_graph();
         // 5 is first seen as a neighbor of 0, then becomes a root; the
         // duplicate 0 costs no rows. Ball = {0..=6}: exactly the cap.
-        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 5, 0, 7], 7);
+        let (fb, used) = FrontierScratch::new().capped(&g, &[0, 5, 0, 7], 7).unwrap();
         assert_eq!(used, 3);
         assert_eq!(fb.num_roots, 2);
         assert_eq!(&fb.origin[..2], &[0, 5]);
         assert_eq!(fb.root_locals, vec![0, 1, 0]);
         assert_eq!(fb, one_hop_frontier(&g, &[0, 5, 0]));
         // An uncapped call is the plain frontier ball of every root.
-        let (all, used) = FrontierScratch::new().capped(&g, &[0, 5, 0, 7], usize::MAX);
+        let (all, used) = FrontierScratch::new()
+            .capped(&g, &[0, 5, 0, 7], usize::MAX)
+            .unwrap();
         assert_eq!(used, 4);
         assert_eq!(all, one_hop_frontier(&g, &[0, 5, 0, 7]));
     }
@@ -657,10 +675,13 @@ mod tests {
         let mut scratch = FrontierScratch::new();
         // Root 0 interns its whole star before the bad root panics.
         let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            scratch.one_hop(&g, &[0, 99]);
+            scratch.one_hop(&g, &[0, 99]).unwrap();
         }));
         assert!(bad.is_err());
-        assert_eq!(scratch.one_hop(&g, &[6, 0]), one_hop_frontier(&g, &[6, 0]));
+        assert_eq!(
+            scratch.one_hop(&g, &[6, 0]).unwrap(),
+            one_hop_frontier(&g, &[6, 0])
+        );
     }
 
     #[test]

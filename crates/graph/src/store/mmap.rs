@@ -10,8 +10,9 @@
 //! rows or its `agg` rows — the byte ranges
 //! [`ShardLayout`](super::shard::ShardLayout) cuts a file into. Every
 //! reader wants exactly one of them: the sampler, subgraph induction and
-//! the frontier tiler read topology, a gather reads one kind of row. So a degree probe maps a shard's few-percent topology
-//! range, never its feature payload, and on a feature-dominated store the
+//! the frontier tiler read topology, a gather reads one kind of row. So a
+//! degree read maps a shard's few-percent topology range, never its
+//! feature payload, and on a feature-dominated store the
 //! whole graph's topology fits a budget a fraction of the store's size.
 //! Nothing maps a whole shard file.
 //!
@@ -32,7 +33,10 @@
 //! row sections before topology sections (see
 //! [`StoreCore::evict_to_budget`]): as long as the store's topology plus
 //! the row sections being loaded fit the budget, topology is never
-//! evicted.
+//! evicted. A section evicted while a reader still holds it (a gather, a
+//! topology view) stays mapped, uncharged, until that reader drops it: a
+//! walk can keep up to one topology section per shard mapped past the
+//! budget for as long as it runs.
 //!
 //! Why bound *mapped* bytes rather than resident bytes: the out-of-core CI
 //! smoke asserts the RSS cap with `ulimit -v`, which limits the address
@@ -44,8 +48,9 @@
 //! `section()` hands out `Arc<ShardSection>`. Eviction only drops the
 //! cache's own `Arc`; the munmap runs when the **last** reader drops
 //! theirs, so a reader never observes a partially unmapped (or remapped)
-//! section — a `NeighborsRef` held across the eviction of its topology
-//! section keeps reading the same bytes. Sections are independent
+//! section — a topology view ([`TopoView`]) that fetched a section keeps
+//! reading the same bytes after the cache evicts it, until the view
+//! drops. Sections are independent
 //! mappings of disjoint ranges (give or take a shared, read-only lead-in
 //! page), so evicting one kind of a shard never disturbs a reader of
 //! another. Validation is split by what can change: the file's length is
@@ -59,20 +64,24 @@
 //! One reader path: every section read is [`StoreCore::get`] on the
 //! caller's thread — a hit hands out the mapped section, a miss maps it
 //! there and then and runs the CLOCK sweep — and no thread of the store's
-//! own pages anything in. Page faults land on the reader either way (a
-//! map touches no page), so the cache's job is only to bound mappings and
-//! to keep the ones readers return to. The cache's only exemption from the
-//! hand is the pin: [`MmapStore::pin_nodes`] holds every section of a
+//! own pages anything in. A gather calls it once per section it reads; a
+//! topology view once per shard, on the walk's first touch of it, and
+//! then reads the section it holds without a lock. Page faults land on
+//! the reader either way (a map touches no page), so the cache's job is
+//! only to bound mappings and to keep the ones readers return to. The
+//! cache's only exemption from the hand is the pin:
+//! [`MmapStore::pin_nodes`] holds every section of a
 //! shard mapped until [`MmapStore::unpin_all`].
 
 use super::shard::{
     shard_file_name, SectionKind, ShardSection, ShardShape, StoreManifest, FORMAT_VERSION,
     INDEX_FILE, INDEX_HEADER_LEN, INDEX_MAGIC,
 };
+use super::{scan_capped_mean_degree, TopoView, View};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A read-only mapping of one byte range of a file (unix: `mmap(2)`;
 /// elsewhere: a heap copy so the store still functions, without the
@@ -209,6 +218,7 @@ impl Mapping {
 
     /// The requested byte range (without the page lead-in).
     #[cfg(unix)]
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         if self.map_len == 0 {
             return &[];
@@ -221,6 +231,7 @@ impl Mapping {
     }
 
     #[cfg(not(unix))]
+    #[inline]
     pub fn bytes(&self) -> &[u8] {
         &self.buf
     }
@@ -251,7 +262,13 @@ pub struct SectionStats {
 }
 
 /// Counters exported by [`MmapStore::cache_stats`]. A *probe* is one
-/// request for one section of one shard.
+/// request for one section of one shard: a row gather makes one per
+/// section it reads, a pin one per section it pins, and a topology view
+/// ([`TopoView`]) one per shard on its walk's first touch of that shard —
+/// never one per vertex read. So `hits + misses`
+/// counts walks × shards touched plus gathered sections, and a low hit
+/// rate with `topology evictions` 0 means row sections cycling, not
+/// topology.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreCacheStats {
     /// Probes answered from an already-mapped section.
@@ -466,9 +483,7 @@ struct StoreCore {
     misses: AtomicU64,
     /// Evictions per [`SectionKind`].
     evictions: [AtomicU64; KINDS],
-    /// `(cap, d_eff)` memo for `Topology::capped_mean_degree` — the scan
-    /// touches every shard, which a bounded cache must never repeat per
-    /// sampler batch.
+    /// `(cap, d_eff)` memo of [`MmapStore::capped_mean_degree`].
     mean_degree_memo: Mutex<Vec<(u32, f64)>>,
 }
 
@@ -638,6 +653,35 @@ impl StoreCore {
     }
 }
 
+/// The mmap side of a [`TopoView`]: each shard's topology section,
+/// fetched through [`StoreCore::get`] on the walk's first touch of the
+/// shard (the outcome, error included, is kept for the view's life) and
+/// read lock-free after that.
+pub(super) struct ShardTopology<'a> {
+    core: &'a StoreCore,
+    sections: Box<[OnceLock<io::Result<Arc<ShardSection>>>]>,
+}
+
+impl ShardTopology<'_> {
+    pub(super) fn num_vertices(&self) -> usize {
+        self.core.num_vertices()
+    }
+
+    /// The neighbor list of `v`, or why its shard cannot be mapped.
+    #[inline]
+    pub(super) fn neighbors(&self, v: u32) -> io::Result<&[u32]> {
+        let sid = self.core.shard_of(v) as usize;
+        let Some(slot) = self.sections.get(sid) else {
+            // A corrupt index: `get` fails, naming the shard id.
+            return self.core.get(sid, SectionKind::Topology).map(|_| &[][..]);
+        };
+        match slot.get_or_init(|| self.core.get(sid, SectionKind::Topology)) {
+            Ok(section) => Ok(section.neighbors(self.core.index.local_of(v) as usize)),
+            Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
+        }
+    }
+}
+
 /// A shard store opened for memory-mapped access. See the module docs.
 pub struct MmapStore {
     /// Boxed: the core is large and `GraphStore` holds the store inline.
@@ -765,26 +809,20 @@ impl MmapStore {
         self.core.shards.len()
     }
 
-    /// Memoized `d_eff` for `cap`, if a scan already ran on this store.
-    pub fn cached_mean_degree(&self, cap: u32) -> Option<f64> {
-        let memo = self
-            .core
-            .mean_degree_memo
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        memo.iter().find(|&&(c, _)| c == cap).map(|&(_, d)| d)
-    }
-
-    /// Record the result of a `capped_mean_degree` scan for `cap`.
-    pub fn store_mean_degree(&self, cap: u32, d_eff: f64) {
-        let mut memo = self
-            .core
-            .mean_degree_memo
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if !memo.iter().any(|&(c, _)| c == cap) {
-            memo.push((cap, d_eff));
+    /// [`Topology::capped_mean_degree`](super::Topology::capped_mean_degree),
+    /// memoized per `cap`: the scan reads every vertex, and the sampler
+    /// asks once per subgraph.
+    pub fn capped_mean_degree(&self, cap: u32) -> f64 {
+        let memo = || {
+            let memo = self.core.mean_degree_memo.lock();
+            memo.unwrap_or_else(|p| p.into_inner())
+        };
+        if let Some(&(_, d)) = memo().iter().find(|&&(c, _)| c == cap) {
+            return d;
         }
+        let d = scan_capped_mean_degree(&self.view(), cap);
+        memo().push((cap, d));
+        d
     }
 
     /// Mapped-bytes budget.
@@ -843,15 +881,12 @@ impl MmapStore {
         self.core.get(sid, kind)
     }
 
-    /// The topology section of the shard holding vertex `v`, plus `v`'s
-    /// local slot in it.
-    #[inline]
-    pub fn topology_for(&self, v: u32) -> io::Result<(Arc<ShardSection>, usize)> {
-        let sid = self.shard_of(v) as usize;
-        Ok((
-            self.core.get(sid, SectionKind::Topology)?,
-            self.local_of(v) as usize,
-        ))
+    /// A topology view for one walk, no shard fetched yet.
+    pub(super) fn view(&self) -> TopoView<'_> {
+        TopoView(View::Shards(ShardTopology {
+            core: &self.core,
+            sections: (0..self.num_shards()).map(|_| OnceLock::new()).collect(),
+        }))
     }
 
     /// Pin the shards containing `nodes`: map **all** their sections now

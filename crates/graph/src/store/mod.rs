@@ -18,7 +18,8 @@
 //!   cache-management problem instead of an OOM.
 //!
 //! Consumers read topology through the [`Topology`] trait (object-safe, so
-//! `&CsrGraph` coerces to `&dyn Topology` at existing call sites) and bulk
+//! `&CsrGraph` coerces to `&dyn Topology` at existing call sites), one
+//! [`TopoView`] per walk, and bulk
 //! rows through [`GraphStore::gather_features_into`] /
 //! [`GraphStore::gather_labels_into`] (and, on a store that carries layer
 //! 1's input aggregate, [`GraphStore::par_gather_agg_into`]). Every read
@@ -65,6 +66,10 @@ pub type ResidentParts = (Arc<CsrGraph>, Option<Arc<DMatrix>>, Option<Arc<DMatri
 /// samplers and extractors take `&dyn Topology`, and `&CsrGraph` coerces
 /// implicitly, so pre-store call sites compile unchanged.
 ///
+/// Vertex reads go through a [`TopoView`]: a walker (a sampled subgraph,
+/// an induction, a frontier cut, a ball) takes one with [`Self::view`]
+/// and reads every degree and neighbor list through it.
+///
 /// Determinism contract: both implementations expose the *same* vertex
 /// ids, degrees and neighbor orderings for the same graph — the shard
 /// format stores neighbor lists verbatim — so anything derived from
@@ -77,33 +82,16 @@ pub trait Topology: Sync {
     /// Number of directed edges.
     fn num_edges(&self) -> usize;
 
-    /// Out-degree of vertex `v`.
-    fn degree(&self, v: u32) -> usize;
-
-    /// The `k`-th neighbor of `v` (0-based, `k < degree(v)`).
-    fn neighbor(&self, v: u32, k: usize) -> u32;
-
-    /// The full neighbor list of `v`. The guard keeps the backing shard
-    /// mapped for its lifetime (see [`NeighborsRef`]).
-    fn neighbors_ref(&self, v: u32) -> NeighborsRef<'_>;
-
-    /// Average degree `|E| / |V|`.
-    fn avg_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / self.num_vertices() as f64
-        }
-    }
+    /// A read handle for one walk (see [`TopoView`]).
+    fn view(&self) -> TopoView<'_>;
 
     /// Mean of `clamp(degree(v), 1, cap)` over all vertices — the
     /// effective average degree the frontier sampler sizes its dashboard
     /// with. The default scans every vertex on each call; shard-backed
-    /// topologies memoize it, because out of core the sweep is both
-    /// O(|V|) per batch and a cache-flooding access pattern that evicts
-    /// the batch's own working set.
+    /// topologies memoize it, because the scan is O(|V|) and the sampler
+    /// asks once per subgraph.
     fn capped_mean_degree(&self, cap: u32) -> f64 {
-        scan_capped_mean_degree(self, cap)
+        scan_capped_mean_degree(&self.view(), cap)
     }
 
     /// Locality group (physical shard) of vertex `v`; `0` everywhere
@@ -120,21 +108,13 @@ pub trait Topology: Sync {
     fn num_locality_groups(&self) -> usize {
         1
     }
-
-    /// Escape hatch: the resident CSR, when this topology has one.
-    /// Readers needing raw `offsets()`/`adjacency()` slices (e.g. the
-    /// uniform edge sampler) take this fast path and fall back to
-    /// per-vertex access otherwise.
-    fn as_csr(&self) -> Option<&CsrGraph> {
-        None
-    }
 }
 
 /// The [`Topology::capped_mean_degree`] scan, summed in ascending vertex
 /// order. Overrides must preserve this exact order and arithmetic —
 /// samplers size their tables from the result, so a last-ulp difference
 /// between backends would fork otherwise bit-identical trajectories.
-pub fn scan_capped_mean_degree<T: Topology + ?Sized>(g: &T, cap: u32) -> f64 {
+pub fn scan_capped_mean_degree(g: &TopoView<'_>, cap: u32) -> f64 {
     let n = g.num_vertices();
     if n == 0 {
         return 0.0;
@@ -145,32 +125,98 @@ pub fn scan_capped_mean_degree<T: Topology + ?Sized>(g: &T, cap: u32) -> f64 {
     total / n as f64
 }
 
-/// A borrowed neighbor list: either a plain slice into a resident CSR or
-/// a slice into a shard's mapped topology section, with the `Arc` keeping
-/// the mapping alive — which is exactly why eviction can never pull pages
-/// out from under a reader.
-pub enum NeighborsRef<'a> {
-    /// Slice into resident memory.
-    Slice(&'a [u32]),
-    /// Slice `start..start+len` of the adjacency in a shard's mapped
-    /// topology section.
-    Shard {
-        shard: Arc<ShardSection>,
-        start: usize,
-        len: usize,
-    },
+/// One walk's read handle on a [`Topology`]: degrees and neighbor lists
+/// as plain slice reads.
+///
+/// Over a resident CSR the view is the CSR. Over an mmap store it holds
+/// one slot per shard, filled with the shard's topology section on the
+/// walk's first touch of that shard — the view's only locking call and
+/// its only cache probe (one hit or miss per shard per view, never per
+/// vertex read). The view keeps each section it holds mapped until it
+/// drops, even if the cache evicts its own handle meanwhile, so a walk's
+/// reads never fault and never remap; the cache's budget bounds what it
+/// keeps between walks. `Sync`: parallel readers share one view, and a
+/// shard's first touch still counts once.
+///
+/// A shard that cannot be mapped fails its first touch: [`Self::try_neighbors`]
+/// returns the error, the other readers panic with it.
+pub struct TopoView<'a>(View<'a>);
+
+enum View<'a> {
+    Csr(&'a CsrGraph),
+    Shards(mmap::ShardTopology<'a>),
 }
 
-impl std::ops::Deref for NeighborsRef<'_> {
-    type Target = [u32];
+impl<'a> TopoView<'a> {
+    /// A view over a resident CSR.
+    pub fn csr(g: &'a CsrGraph) -> Self {
+        TopoView(View::Csr(g))
+    }
 
-    #[inline]
-    fn deref(&self) -> &[u32] {
-        match self {
-            NeighborsRef::Slice(s) => s,
-            NeighborsRef::Shard { shard, start, len } => &shard.adj()[*start..*start + *len],
+    /// The resident CSR behind the view, when there is one — for readers
+    /// that want its raw `offsets()` / `adjacency()` slices.
+    pub fn as_csr(&self) -> Option<&'a CsrGraph> {
+        match self.0 {
+            View::Csr(g) => Some(g),
+            View::Shards(_) => None,
         }
     }
+
+    /// Number of vertices `|V|`.
+    pub fn num_vertices(&self) -> usize {
+        match &self.0 {
+            View::Csr(g) => g.num_vertices(),
+            View::Shards(s) => s.num_vertices(),
+        }
+    }
+
+    /// The neighbor list of `v`, or why `v`'s shard cannot be read.
+    #[inline]
+    pub fn try_neighbors(&self, v: u32) -> io::Result<&[u32]> {
+        match &self.0 {
+            View::Csr(g) => Ok(g.neighbors(v)),
+            View::Shards(s) => s.neighbors(v),
+        }
+    }
+
+    /// The neighbor list of `v`.
+    ///
+    /// # Panics
+    /// Panics if `v`'s shard cannot be read (see [`Self::try_neighbors`]).
+    #[inline]
+    pub fn neighbors(&self, v: u32) -> &[u32] {
+        self.try_neighbors(v).unwrap_or_else(|e| unreadable(v, e))
+    }
+
+    /// Out-degree of `v` (panics as [`Self::neighbors`]).
+    #[inline]
+    pub fn degree(&self, v: u32) -> usize {
+        // The CSR arms skip the fallible path: on a resident graph it
+        // doubles the sampler's per-pop cost.
+        match &self.0 {
+            View::Csr(g) => g.degree(v),
+            View::Shards(_) => self.neighbors(v).len(),
+        }
+    }
+
+    /// The `k`-th neighbor of `v`, `k < degree(v)` (panics as
+    /// [`Self::neighbors`]).
+    #[inline]
+    pub fn neighbor(&self, v: u32, k: usize) -> u32 {
+        match &self.0 {
+            View::Csr(g) => g.neighbor(v, k),
+            View::Shards(_) => self.neighbors(v)[k],
+        }
+    }
+}
+
+/// Walkers without an error channel stop loudly: a vertex whose shard
+/// cannot be served is a caller bug (validate with
+/// [`GraphStore::contains`] first) or a vanished or corrupt file, never
+/// a wrong answer.
+#[cold]
+fn unreadable(v: u32, e: io::Error) -> ! {
+    panic!("graph store cannot serve vertex {v}: {e}")
 }
 
 impl Topology for CsrGraph {
@@ -185,23 +231,8 @@ impl Topology for CsrGraph {
     }
 
     #[inline]
-    fn degree(&self, v: u32) -> usize {
-        CsrGraph::degree(self, v)
-    }
-
-    #[inline]
-    fn neighbor(&self, v: u32, k: usize) -> u32 {
-        CsrGraph::neighbor(self, v, k)
-    }
-
-    #[inline]
-    fn neighbors_ref(&self, v: u32) -> NeighborsRef<'_> {
-        NeighborsRef::Slice(self.neighbors(v))
-    }
-
-    #[inline]
-    fn as_csr(&self) -> Option<&CsrGraph> {
-        Some(self)
+    fn view(&self) -> TopoView<'_> {
+        TopoView::csr(self)
     }
 }
 
@@ -775,50 +806,17 @@ impl Topology for GraphStore {
         }
     }
 
-    fn degree(&self, v: u32) -> usize {
+    fn view(&self) -> TopoView<'_> {
         match self {
-            GraphStore::Mem(m) => m.graph().degree(v),
-            GraphStore::Mmap(m) => {
-                let (shard, local) = expect_topology(m, v);
-                shard.degree(local)
-            }
-        }
-    }
-
-    fn neighbor(&self, v: u32, k: usize) -> u32 {
-        match self {
-            GraphStore::Mem(m) => m.graph().neighbor(v, k),
-            GraphStore::Mmap(m) => {
-                let (shard, local) = expect_topology(m, v);
-                shard.neighbor(local, k)
-            }
-        }
-    }
-
-    fn neighbors_ref(&self, v: u32) -> NeighborsRef<'_> {
-        match self {
-            GraphStore::Mem(m) => NeighborsRef::Slice(m.graph().neighbors(v)),
-            GraphStore::Mmap(m) => {
-                let (shard, local) = expect_topology(m, v);
-                let (start, len) = shard.adj_range(local);
-                NeighborsRef::Shard { shard, start, len }
-            }
+            GraphStore::Mem(m) => TopoView::csr(m.graph()),
+            GraphStore::Mmap(m) => m.view(),
         }
     }
 
     fn capped_mean_degree(&self, cap: u32) -> f64 {
         match self {
-            GraphStore::Mem(m) => scan_capped_mean_degree(m.graph().as_ref(), cap),
-            GraphStore::Mmap(m) => {
-                if let Some(d) = m.cached_mean_degree(cap) {
-                    return d;
-                }
-                // Same helper (and thus the same summation order) as the
-                // trait default — the memo only skips repeat scans.
-                let d = scan_capped_mean_degree(self, cap);
-                m.store_mean_degree(cap, d);
-                d
-            }
+            GraphStore::Mem(_) => scan_capped_mean_degree(&self.view(), cap),
+            GraphStore::Mmap(m) => m.capped_mean_degree(cap),
         }
     }
 
@@ -830,30 +828,7 @@ impl Topology for GraphStore {
     }
 
     fn num_locality_groups(&self) -> usize {
-        match self {
-            GraphStore::Mem(_) => 1,
-            GraphStore::Mmap(m) => m.num_shards(),
-        }
-    }
-
-    fn as_csr(&self) -> Option<&CsrGraph> {
-        match self {
-            GraphStore::Mem(m) => Some(m.graph()),
-            GraphStore::Mmap(_) => None,
-        }
-    }
-}
-
-/// Topology reads have no error channel; a vertex whose shard cannot be
-/// served is a caller bug (validate with [`GraphStore::contains`] first)
-/// or a vanished/corrupt file — both must be loud, not a wrong answer.
-fn expect_topology(m: &MmapStore, v: u32) -> (Arc<ShardSection>, usize) {
-    match m.topology_for(v) {
-        Ok(pair) => pair,
-        Err(e) => panic!(
-            "graph store cannot serve vertex {v} (shard {}): {e}",
-            m.shard_of(v)
-        ),
+        self.num_shards()
     }
 }
 
@@ -893,11 +868,12 @@ mod tests {
         let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
         assert_eq!(Topology::num_vertices(&store), g.num_vertices());
         assert_eq!(Topology::num_edges(&store), g.num_edges());
+        let view = store.view();
         for v in 0..g.num_vertices() as u32 {
-            assert_eq!(Topology::degree(&store, v), g.degree(v));
-            assert_eq!(&*store.neighbors_ref(v), g.neighbors(v), "vertex {v}");
+            assert_eq!(view.degree(v), g.degree(v));
+            assert_eq!(view.neighbors(v), g.neighbors(v), "vertex {v}");
             for k in 0..g.degree(v) {
-                assert_eq!(Topology::neighbor(&store, v, k), g.neighbor(v, k));
+                assert_eq!(view.neighbor(v, k), g.neighbor(v, k));
             }
         }
         let mut out = DMatrix::zeros(0, 0);
@@ -979,7 +955,7 @@ mod tests {
         // Budget of 1 byte: every cross-shard hop forces an eviction.
         let store = GraphStore::open_with_budget(&dir, 1).unwrap();
         for v in 0..g.num_vertices() as u32 {
-            assert_eq!(&*store.neighbors_ref(v), g.neighbors(v));
+            assert_eq!(store.view().neighbors(v), g.neighbors(v));
         }
         let stats = store.cache_stats().unwrap();
         assert!(stats.evictions > 0, "{stats:?}");
@@ -1016,7 +992,7 @@ mod tests {
         let all: Vec<u32> = (0..g.num_vertices() as u32).collect();
         let mut rows = DMatrix::zeros(0, 0);
         for &v in &all {
-            let _ = store.neighbors_ref(v);
+            store.view().neighbors(v);
         }
         store.gather_features_into(&all, &mut rows).unwrap();
         store.gather_labels_into(&all, &mut rows).unwrap();
@@ -1056,7 +1032,7 @@ mod tests {
         let all: Vec<u32> = (0..16).collect();
         let mut rows = DMatrix::zeros(0, 0);
         for &v in &all {
-            let _ = store.neighbors_ref(v);
+            store.view().neighbors(v);
         }
         store.gather_features_into(&all, &mut rows).unwrap();
         store.gather_labels_into(&all, &mut rows).unwrap();
@@ -1204,8 +1180,12 @@ mod tests {
         let (dir, manifest) = spill(&g, 4);
         let total: u64 = manifest.shards.iter().map(|s| s.file_len).sum();
         let store = GraphStore::open_with_budget(&dir, 2 * total as usize).unwrap();
-        for v in 0..16u32 {
-            let _ = store.neighbors_ref(v);
+        // Two walks over every vertex: each view probes each shard once.
+        for _ in 0..2 {
+            let view = store.view();
+            for v in 0..16u32 {
+                view.neighbors(v);
+            }
         }
         let mut rows = DMatrix::zeros(0, 0);
         store.gather_features_into(&[0], &mut rows).unwrap();
@@ -1225,7 +1205,7 @@ mod tests {
             "{line}"
         );
         assert!(
-            line.starts_with("hits 12 misses 5 evictions 0 (70.6% hit rate, "),
+            line.starts_with("hits 4 misses 5 evictions 0 (44.4% hit rate, "),
             "{line}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1240,7 +1220,7 @@ mod tests {
         let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
         assert_eq!(store.num_shards(), 8);
         for v in 0..3u32 {
-            assert_eq!(&*store.neighbors_ref(v), g.neighbors(v));
+            assert_eq!(store.view().neighbors(v), g.neighbors(v));
         }
         assert!(store
             .gather_features_into(&[0], &mut DMatrix::zeros(0, 0))
@@ -1294,7 +1274,7 @@ mod tests {
             }
             // Observational identity: topology and rows are unchanged.
             for v in 0..g.num_vertices() as u32 {
-                assert_eq!(&*store.neighbors_ref(v), g.neighbors(v), "{order:?} v{v}");
+                assert_eq!(store.view().neighbors(v), g.neighbors(v), "{order:?} v{v}");
             }
             let mut out = DMatrix::zeros(0, 0);
             store

@@ -1193,40 +1193,15 @@ impl ShardSection {
         unsafe { std::slice::from_raw_parts(bytes.as_ptr() as *const T, count) }
     }
 
-    fn offsets(&self) -> &[u64] {
-        self.expect_kind(SectionKind::Topology);
-        self.view(self.shape.layout.offsets_off, self.shape.k + 1)
-    }
-
-    /// Full adjacency (global ids). Topology sections only.
-    pub fn adj(&self) -> &[u32] {
-        self.expect_kind(SectionKind::Topology);
-        self.view(self.shape.layout.adj_off, self.shape.e)
-    }
-
-    /// `(start, len)` of member `local`'s neighbor list within [`Self::adj`].
-    pub fn adj_range(&self, local: usize) -> (usize, usize) {
-        let off = self.offsets();
-        let start = off[local] as usize;
-        (start, off[local + 1] as usize - start)
-    }
-
-    /// Degree of member `local`.
-    pub fn degree(&self, local: usize) -> usize {
-        self.adj_range(local).1
-    }
-
-    /// The `j`-th neighbor (global id) of member `local`.
-    pub fn neighbor(&self, local: usize, j: usize) -> u32 {
-        let (start, len) = self.adj_range(local);
-        debug_assert!(j < len);
-        self.adj()[start + j]
-    }
-
-    /// Neighbor list (global ids) of member `local`.
+    /// Neighbor list (global ids) of member `local`. Topology sections
+    /// only.
+    #[inline]
     pub fn neighbors(&self, local: usize) -> &[u32] {
-        let (start, len) = self.adj_range(local);
-        &self.adj()[start..start + len]
+        self.expect_kind(SectionKind::Topology);
+        let layout = &self.shape.layout;
+        let offsets: &[u64] = self.view(layout.offsets_off, self.shape.k + 1);
+        let (start, end) = (offsets[local] as usize, offsets[local + 1] as usize);
+        &self.view::<u32>(layout.adj_off, self.shape.e)[start..end]
     }
 
     /// Copy member `local`'s row into `out` as f32. On a feature section

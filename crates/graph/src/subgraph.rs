@@ -7,9 +7,9 @@
 //! parallel over the (sorted) vertex set and runs every training iteration,
 //! so it must be cheap: one bitset build + one counting pass + one fill
 //! pass, all `O(Σ_{v∈V_sub} deg(v))`. The passes are the same for a
-//! resident and a shard-backed topology: a shard store keeps its topology
-//! sections mapped, so scattered probes are hits and need no per-shard
-//! visiting order.
+//! resident and a shard-backed topology: both read through one
+//! [`TopoView`](crate::TopoView), which fetches each shard's topology
+//! once, so scattered reads need no per-shard visiting order.
 
 use crate::bitset::BitSet;
 use crate::csr::CsrGraph;
@@ -47,8 +47,9 @@ impl InducedSubgraph {
 /// Generic over [`Topology`] so the same extraction runs against a
 /// resident `CsrGraph` or a shard-backed `GraphStore` (including via
 /// `&dyn Topology`) — the output is bit-identical either way because both
-/// expose the same neighbor order.
+/// expose the same neighbor order. Both passes read through one view.
 pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> InducedSubgraph {
+    let g = g.view();
     let mut origin: Vec<u32> = vertices.to_vec();
     origin.sort_unstable();
     origin.dedup();
@@ -69,7 +70,7 @@ pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> Induce
     let counts: Vec<usize> = origin
         .par_iter()
         .map(|&v| {
-            g.neighbors_ref(v)
+            g.neighbors(v)
                 .iter()
                 .filter(|&&u| member.contains(u as usize))
                 .count()
@@ -99,7 +100,7 @@ pub fn induced_subgraph<T: Topology + ?Sized>(g: &T, vertices: &[u32]) -> Induce
             .zip(origin.par_iter())
             .for_each(|(out, &v)| {
                 let mut k = 0;
-                for &u in g.neighbors_ref(v).iter() {
+                for &u in g.neighbors(v) {
                     if member.contains(u as usize) {
                         out[k] = relabel[u as usize];
                         k += 1;

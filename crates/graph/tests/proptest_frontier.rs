@@ -8,7 +8,7 @@
 //! leave every ball here equal.
 
 use gsgcn_graph::{
-    builder::from_edges, one_hop_frontier, CsrGraph, FrontierBall, FrontierScratch, NeighborsRef,
+    builder::from_edges, one_hop_frontier, CsrGraph, FrontierBall, FrontierScratch, TopoView,
     Topology,
 };
 use proptest::prelude::*;
@@ -31,16 +31,8 @@ impl Topology for Grouped {
         self.g.num_edges()
     }
 
-    fn degree(&self, v: u32) -> usize {
-        self.g.degree(v)
-    }
-
-    fn neighbor(&self, v: u32, k: usize) -> u32 {
-        self.g.neighbor(v, k)
-    }
-
-    fn neighbors_ref(&self, v: u32) -> NeighborsRef<'_> {
-        NeighborsRef::Slice(self.g.neighbors(v))
+    fn view(&self) -> TopoView<'_> {
+        TopoView::csr(&self.g)
     }
 
     fn locality_group(&self, v: u32) -> u32 {
@@ -67,7 +59,7 @@ fn reference<T: Topology + ?Sized>(g: &T, roots: &[u32], max_rows: usize) -> (Fr
         }
         let mut added: Vec<u32> = Vec::new();
         let mut fresh = BTreeSet::new();
-        for v in std::iter::once(r).chain(g.neighbors_ref(r).iter().copied()) {
+        for v in std::iter::once(r).chain(g.view().neighbors(r).iter().copied()) {
             if !seen.contains_key(&v) && fresh.insert(v) {
                 added.push(v);
             }
@@ -100,7 +92,7 @@ fn reference<T: Topology + ?Sized>(g: &T, roots: &[u32], max_rows: usize) -> (Fr
     let mut offsets = vec![0usize];
     let mut adj = Vec::new();
     for &r in &unique {
-        adj.extend(g.neighbors_ref(r).iter().map(|u| local[u]));
+        adj.extend(g.view().neighbors(r).iter().map(|u| local[u]));
         offsets.push(adj.len());
     }
     offsets.resize(origin.len() + 1, adj.len());
@@ -150,12 +142,12 @@ proptest! {
             let mut rest = &roots[..];
             while !rest.is_empty() {
                 let (want, want_used) = reference(&grouped, rest, cap);
-                let (got, used) = FrontierScratch::new().capped(&grouped, rest, cap);
+                let (got, used) = FrontierScratch::new().capped(&grouped, rest, cap).unwrap();
                 prop_assert_eq!(&got, &want, "cap {} on {:?}", cap, rest);
                 prop_assert_eq!(used, want_used);
                 prop_assert!(used >= 1);
                 // Ungrouped, the same cut on the bare graph.
-                let (plain, _) = FrontierScratch::new().capped(&grouped.g, rest, cap);
+                let (plain, _) = FrontierScratch::new().capped(&grouped.g, rest, cap).unwrap();
                 prop_assert_eq!(plain, reference(&grouped.g, rest, cap).0);
                 rest = &rest[used..];
             }
@@ -194,11 +186,11 @@ proptest! {
             let cap = [1, small, usize::MAX][cap];
             let mut rest = &roots[..];
             while !rest.is_empty() {
-                let (got, used) = scratch.capped(g, rest, cap);
-                prop_assert_eq!((got, used), FrontierScratch::new().capped(g, rest, cap));
+                let (got, used) = scratch.capped(g, rest, cap).unwrap();
+                prop_assert_eq!((got, used), FrontierScratch::new().capped(g, rest, cap).unwrap());
                 rest = &rest[used..];
             }
-            prop_assert_eq!(scratch.one_hop(g, &roots), one_hop_frontier(g, &roots));
+            prop_assert_eq!(scratch.one_hop(g, &roots).unwrap(), one_hop_frontier(g, &roots));
         }
     }
 }

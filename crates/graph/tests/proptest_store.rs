@@ -127,12 +127,14 @@ proptest! {
 
         prop_assert_eq!(Topology::num_vertices(&store), n);
         prop_assert_eq!(Topology::num_edges(&store), g.num_edges());
+        let view = store.view();
         for v in 0..n as u32 {
             prop_assert!(store.contains(v));
             prop_assert!(store.shard_of(v).is_some());
-            prop_assert_eq!(Topology::degree(&store, v), g.degree(v));
-            prop_assert_eq!(&*store.neighbors_ref(v), g.neighbors(v), "vertex {}", v);
+            prop_assert_eq!(view.degree(v), g.degree(v));
+            prop_assert_eq!(view.neighbors(v), g.neighbors(v), "vertex {}", v);
         }
+        drop(view);
 
         // Bit-identical L-hop balls from a few pseudo-random root sets.
         for hops in 1..=3usize {
@@ -189,18 +191,18 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A `NeighborsRef` keeps reading the same bytes after the cache has
-    /// evicted (and unmapped its own handle on) the topology section it
-    /// points into.
+    /// A view keeps reading the same bytes after the cache has evicted
+    /// (and unmapped its own handle on) a topology section the view holds.
     #[test]
-    fn neighbors_ref_survives_eviction_of_its_section((g, shards, _) in store_case(), pick in any::<u64>()) {
+    fn view_survives_eviction_of_its_section((g, shards, _) in store_case(), pick in any::<u64>()) {
         prop_assume!(shards >= 2);
         let n = g.num_vertices();
         let dir = fresh_dir();
         write_store(&dir, &g, Some(&feature_rows(n, 5)), None, shards).unwrap();
         let store = GraphStore::open_with_budget(&dir, 1).unwrap();
         let v = (pick % n as u64) as u32;
-        let held = store.neighbors_ref(v);
+        let view = store.view();
+        let held = view.neighbors(v);
         // A one-byte budget evicts v's section as soon as any other
         // section loads; walk every other shard's topology and rows.
         let before = store.cache_stats().unwrap().topology.evictions;
@@ -208,14 +210,17 @@ proptest! {
             .filter(|&u| store.shard_of(u) != store.shard_of(v))
             .collect();
         prop_assume!(!others.is_empty());
+        let walk = store.view();
         for &u in &others {
-            prop_assert_eq!(&*store.neighbors_ref(u), g.neighbors(u));
+            prop_assert_eq!(walk.neighbors(u), g.neighbors(u));
         }
+        drop(walk);
         let mut rows = DMatrix::zeros(0, 0);
         store.gather_features_into(&others, &mut rows).unwrap();
         prop_assert!(store.cache_stats().unwrap().topology.evictions > before);
-        prop_assert_eq!(&*held, g.neighbors(v), "held list changed under eviction");
-        drop(held);
+        prop_assert_eq!(held, g.neighbors(v), "held list changed under eviction");
+        prop_assert_eq!(view.neighbors(v), g.neighbors(v));
+        drop(view);
         drop(store);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -245,6 +250,7 @@ proptest! {
         // A degree-then-neighbor random walk: the sampler's access
         // pattern (the graph is a ring plus chords: no dead ends).
         let walk = |s: &GraphStore| -> Vec<u32> {
+            let s = s.view();
             let mut x = seed | 1;
             let mut v = (x % n as u64) as u32;
             (0..400)
@@ -252,8 +258,8 @@ proptest! {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    let deg = Topology::degree(s, v);
-                    v = Topology::neighbor(s, v, (x % deg as u64) as usize);
+                    let deg = s.degree(v);
+                    v = s.neighbor(v, (x % deg as u64) as usize);
                     v
                 })
                 .collect()
@@ -367,11 +373,13 @@ proptest! {
             let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
             prop_assert_eq!(store.order(), order);
 
+            let view = store.view();
             for v in 0..n as u32 {
                 prop_assert_eq!(store.to_external(store.to_internal(v)), v);
-                prop_assert_eq!(Topology::degree(&store, v), g.degree(v));
-                prop_assert_eq!(&*store.neighbors_ref(v), g.neighbors(v), "{:?} vertex {}", order, v);
+                prop_assert_eq!(view.degree(v), g.degree(v));
+                prop_assert_eq!(view.neighbors(v), g.neighbors(v), "{:?} vertex {}", order, v);
             }
+            drop(view);
 
             let roots: Vec<u32> = (0..4u64)
                 .map(|k| ((root_seed.wrapping_mul(2654435761).wrapping_add(k * 97)) % n as u64) as u32)

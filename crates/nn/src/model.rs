@@ -622,7 +622,8 @@ impl GcnModel {
     ///   by induction over the levels the output is **bit-identical**,
     ///   for any tiling, store order, backend and [`Precision`] storage.
     ///
-    /// Fails only on a store gather error or a `sink` error.
+    /// Fails only on a store read error (a topology section or a row
+    /// section that cannot be mapped) or a `sink` error.
     ///
     /// [`Precision`]: gsgcn_tensor::Precision
     pub fn infer_probs_by_level(
@@ -680,7 +681,9 @@ impl GcnModel {
         levels: &mut [DMatrix],
     ) -> io::Result<FrontierBall> {
         let t0 = Instant::now();
-        let (ball, used) = sweep.frontier.capped(sweep.store, targets, sweep.max_rows);
+        let (ball, used) = sweep
+            .frontier
+            .capped(sweep.store, targets, sweep.max_rows)?;
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
         sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
         sweep.stats.tiles[level - 1] += 1;

@@ -55,6 +55,7 @@ impl GraphSampler for UniformEdgeSampler {
         // identical mapping from a degree prefix sum plus `neighbor()`
         // (the prefix sums equal the CSR offsets by construction, so both
         // paths are bit-identical for a fixed seed).
+        let g = g.view();
         let csr = g.as_csr();
         let fallback_offsets: Option<Vec<usize>> = if csr.is_none() {
             let mut off = Vec::with_capacity(n + 1);
@@ -119,6 +120,7 @@ impl GraphSampler for RandomWalkSampler {
         assert!(self.walkers >= 1);
         let n = g.num_vertices();
         let budget = self.budget.min(n);
+        let g = g.view();
         let mut rng = Xorshift128Plus::new(seed);
         let starts = rng.sample_distinct(n, self.walkers.min(n));
         let mut pos = starts.clone();
@@ -175,6 +177,7 @@ impl GraphSampler for ForestFireSampler {
         assert!((0.0..1.0).contains(&self.burn_prob));
         let n = g.num_vertices();
         let budget = self.budget.min(n);
+        let g = g.view();
         let mut rng = Xorshift128Plus::new(seed);
         let mut burned = BitSet::new(n);
         let mut out = Vec::with_capacity(budget);

@@ -32,7 +32,7 @@
 
 use crate::rng::{LaneRng, Xorshift128Plus, LANES};
 use crate::GraphSampler;
-use gsgcn_graph::{BitSet, Topology};
+use gsgcn_graph::{BitSet, TopoView, Topology};
 
 /// Invalid-slot sentinel (paper's `INV`).
 const INV: u32 = u32::MAX;
@@ -399,18 +399,18 @@ impl DashboardSampler {
         let cap = self.cfg.degree_cap.unwrap_or(u32::MAX);
         // Effective average degree after capping — sizes the table.
         // Shard-backed topologies memoize the scan (see
-        // `Topology::capped_mean_degree`); repeating it per batch would
-        // flood a bounded shard cache.
+        // `Topology::capped_mean_degree`): it is O(|V|), and repeating it
+        // per batch would cost more than the batch.
         let d_eff = g.capped_mean_degree(cap);
+        let view = g.view();
 
         let mut scalar_rng = Xorshift128Plus::new(seed);
         let mut lane_rng = LaneRng::new(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
         let mut db = Dashboard::new(m, d_eff, self.cfg.eta, cap);
 
         // Alg. 3 lines 4–15: initial frontier, uniform without replacement.
-        // Degrees are read in draw order: a shard store keeps its topology
-        // sections mapped whenever the budget holds them, so scattered
-        // probes hit.
+        // Degrees are read in draw order: the view fetches each shard's
+        // topology once, so scattered reads cost no store probe.
         let frontier0 = scalar_rng.sample_distinct(n_total, m);
         let mut in_vsub = BitSet::new(n_total);
         let mut vsub: Vec<u32> = Vec::with_capacity(budget);
@@ -418,7 +418,7 @@ impl DashboardSampler {
             if in_vsub.insert(v as usize) {
                 vsub.push(v);
             }
-            let deg = g.degree(v);
+            let deg = view.degree(v);
             if deg > 0 {
                 db.add_to_frontier(v, deg);
             }
@@ -435,7 +435,7 @@ impl DashboardSampler {
                 let fresh = scalar_rng.sample_distinct(n_total, m.min(n_total));
                 let mut any = false;
                 for v in fresh {
-                    let deg = g.degree(v);
+                    let deg = view.degree(v);
                     if deg > 0 {
                         db.add_to_frontier(v, deg);
                         any = true;
@@ -453,13 +453,13 @@ impl DashboardSampler {
                 db.pop_frontier_entry(&mut scalar_rng, &mut lane_rng, self.cfg.probe_mode);
             debug_assert!(deg > 0);
             // Alg. 2 line 5: uniform random neighbor of the popped vertex.
-            let mut vnew = g.neighbor(vpop, scalar_rng.next_range(deg));
-            let mut deg_new = g.degree(vnew);
+            let mut vnew = view.neighbor(vpop, scalar_rng.next_range(deg));
+            let mut deg_new = view.degree(vnew);
             // Documented deviation: redraw when the replacement is isolated.
             if deg_new == 0 {
                 db.stats.isolated_redraws += 1;
-                vnew = frontier_redraw(g, &mut scalar_rng);
-                deg_new = g.degree(vnew);
+                vnew = frontier_redraw(&view, &mut scalar_rng);
+                deg_new = view.degree(vnew);
             }
             db.add_to_frontier(vnew, deg_new);
             if in_vsub.insert(vpop as usize) {
@@ -474,7 +474,7 @@ impl DashboardSampler {
 
 /// Draw a uniform random vertex with degree ≥ 1 (bounded retries, then a
 /// linear fallback scan).
-fn frontier_redraw(g: &dyn Topology, rng: &mut Xorshift128Plus) -> u32 {
+fn frontier_redraw(g: &TopoView<'_>, rng: &mut Xorshift128Plus) -> u32 {
     let n = g.num_vertices();
     for _ in 0..64 {
         let v = rng.next_range(n) as u32;

@@ -66,8 +66,9 @@ use gsgcn_graph::{induced_subgraph, InducedSubgraph, Topology};
 ///
 /// Topology is read through `&dyn Topology` so the same sampler runs
 /// against a resident `CsrGraph` or a shard-backed `GraphStore` (a
-/// `&CsrGraph` coerces implicitly at every call site). Both backends
-/// expose identical neighbor order, so sampled vertex sets are
+/// `&CsrGraph` coerces implicitly at every call site); a sampler takes one
+/// [`Topology::view`] per sample and reads every vertex through it. Both
+/// backends expose identical neighbor order, so sampled vertex sets are
 /// bit-identical for a fixed seed regardless of where the graph lives.
 pub trait GraphSampler: Sync {
     /// Sample a vertex set (deduplicated, unsorted order unspecified).

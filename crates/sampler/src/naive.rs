@@ -43,6 +43,7 @@ impl GraphSampler for NaiveFrontierSampler {
         let m = self.frontier_size.min(n_total);
         let budget = self.budget.min(n_total);
         let cap = self.degree_cap.unwrap_or(u32::MAX) as usize;
+        let g = g.view();
         let weight = |v: u32| g.degree(v).min(cap) as f64;
 
         let mut rng = Xorshift128Plus::new(seed);

@@ -1,12 +1,15 @@
 //! Work bounds of the frontier sampler over a shard store, stated as
 //! counts the store itself keeps (probes, misses, evictions, mapped
-//! bytes) — never as time: what a pop may cost in store reads, and what a
-//! feature-dominated store may cost the sampler in mappings.
+//! bytes) — never as time: what a walk (a sampled subgraph, an induction,
+//! a frontier cut) may cost in store probes, and what a feature-dominated
+//! store may cost the sampler in mappings.
 
 use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::{write_store_ordered, ShardShape};
 use gsgcn_graph::store::{SectionKind, StoreManifest};
-use gsgcn_graph::{induced_subgraph, CsrGraph, GraphBuilder, GraphStore, StoreOrder, Topology};
+use gsgcn_graph::{
+    induced_subgraph, CsrGraph, FrontierScratch, GraphBuilder, GraphStore, StoreOrder, Topology,
+};
 use gsgcn_sampler::dashboard::{DashboardSampler, FrontierConfig};
 use gsgcn_sampler::GraphSampler;
 use gsgcn_tensor::DMatrix;
@@ -74,11 +77,12 @@ fn sampler() -> DashboardSampler {
 }
 
 /// Topology fits the budget, rows do not: however many batches are
-/// sampled, induced and gathered, each topology section is mapped exactly
-/// once and never evicted, a pop costs exactly two store reads, and a
-/// gather maps each row section at most once whatever its row order.
+/// sampled, induced, cut and gathered, each topology section is mapped
+/// exactly once and never evicted, a walk probes each shard at most once
+/// (one view per walk, never a probe per vertex read), and a gather maps
+/// each row section at most once whatever its row order.
 #[test]
-fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
+fn resident_topology_is_mapped_once_and_a_walk_probes_each_shard_once() {
     let (dir, g, manifest) = spill("resident");
     let topology: usize = section_lens(&manifest, SectionKind::Topology).iter().sum();
     let features = section_lens(&manifest, SectionKind::Features);
@@ -89,19 +93,22 @@ fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
     assert!(budget < topology + features.iter().sum::<usize>() / 2);
     let store = GraphStore::Mmap(MmapStore::open(&dir, budget).unwrap());
     let stats = || store.cache_stats().unwrap();
+    let probes = |s: &gsgcn_graph::StoreCacheStats| s.hits + s.misses;
 
     // The sampler sizes its table from a degree scan the store memoizes;
     // run it first so the counts below are the per-batch work alone. It
-    // reads every vertex once: one cold miss per topology section.
+    // reads every vertex through one view: one cold miss per topology
+    // section and nothing else.
     let d_eff = store.capped_mean_degree(u32::MAX);
     assert!((4.0..=6.0).contains(&d_eff));
     let cold = stats();
     assert_eq!(cold.misses, SHARDS as u64);
-    assert_eq!(cold.hits + cold.misses, N as u64);
+    assert_eq!(probes(&cold), SHARDS as u64);
     assert_eq!(cold.topology.resident, SHARDS);
 
     let s = sampler();
     let (mut x, mut y) = (DMatrix::zeros(0, 0), DMatrix::zeros(0, 0));
+    let mut scratch = FrontierScratch::new();
     let mut row_misses = 0;
     for seed in 0..8u64 {
         let before = stats();
@@ -109,19 +116,51 @@ fn resident_topology_is_mapped_once_and_a_pop_reads_twice() {
         let sampled = stats();
         assert_eq!(run.isolated_redraws, 0);
         assert_eq!(verts, s.sample_with_stats(&g, seed).0, "seed {seed}");
-        // Frontier init reads m degrees; every pop reads one neighbor and
-        // one degree. All of them hit.
-        let reads = (sampled.hits + sampled.misses) - (before.hits + before.misses);
-        assert_eq!(reads, 40 + 2 * run.pops as u64, "seed {seed}: {run:?}");
+        // The frontier init reads m degrees and every pop a neighbor and
+        // a degree, all through one view: at most one probe per shard,
+        // and all of them hit.
+        let reads = probes(&sampled) - probes(&before);
+        assert!(
+            reads <= SHARDS as u64,
+            "seed {seed}: {reads} probes, {run:?}"
+        );
         assert_eq!(sampled.misses, before.misses, "seed {seed}");
 
         let sub = induced_subgraph(&store, &verts);
         assert_eq!(sub.graph, induced_subgraph(&g, &verts).graph);
         let induced = stats();
+        // Both parallel passes share one view.
+        let reads = probes(&induced) - probes(&sampled);
+        assert!(
+            reads <= SHARDS as u64,
+            "seed {seed}: induction probed {reads}"
+        );
         assert_eq!(
             induced.misses, before.misses,
             "induction re-mapped topology"
         );
+
+        // A frontier cut reads its roots' neighbor lists: one probe per
+        // shard among the roots it takes.
+        let roots = scrambled(&verts, seed ^ 0x5eed);
+        let (ball, used) = scratch.capped(&store, &roots, 200).unwrap();
+        // The store groups frontier rows by shard, the resident graph does
+        // not: the cut takes the same roots.
+        let (want, want_used) = FrontierScratch::new().capped(&g, &roots, 200).unwrap();
+        assert_eq!(used, want_used, "seed {seed}");
+        assert_eq!(ball.origin[..used], want.origin[..used], "seed {seed}");
+        let touched: std::collections::BTreeSet<u32> = roots[..used]
+            .iter()
+            .map(|&v| store.shard_of(v).unwrap())
+            .collect();
+        let cut = stats();
+        assert_eq!(
+            probes(&cut) - probes(&induced),
+            touched.len() as u64,
+            "seed {seed}: a cut of {used} roots"
+        );
+        assert_eq!(cut.misses, before.misses, "the cut re-mapped topology");
+        let induced = cut;
 
         // Gathered in a scrambled order (as `train_ooc`'s relabelled ids
         // arrive), each call still maps each (shard, kind) section at

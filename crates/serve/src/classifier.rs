@@ -243,23 +243,6 @@ impl NodeClassifier {
         &self.store
     }
 
-    /// Pin the shards holding `nodes` (plus their one-hop frontiers)
-    /// resident, exempt from cache eviction, until
-    /// [`GraphStore::unpin_all`]. A no-op returning 0 on the `mem`
-    /// backend. Use for a known-hot working set so serving never faults
-    /// its roots back in.
-    pub fn pin_hot(&self, nodes: &[u32]) -> std::io::Result<usize> {
-        let mut ball: Vec<u32> = Vec::with_capacity(nodes.len() * 4);
-        for &v in nodes {
-            if !self.store.contains(v) {
-                continue;
-            }
-            ball.push(v);
-            ball.extend_from_slice(&self.store.neighbors_ref(v));
-        }
-        self.store.pin_nodes(&ball)
-    }
-
     /// Check every requested node is servable. Distinguishes ids beyond
     /// the graph from ids whose **shard is not loaded** (a partial
     /// store deployment): either way the request fails cleanly with a
@@ -297,7 +280,8 @@ impl NodeClassifier {
     /// Classify a batch of nodes, appending one [`Prediction`] per
     /// requested node (request order, duplicates included) to `out`.
     /// Fails — rather than panics — on out-of-range ids, so
-    /// network-facing callers can reject bad requests cheaply.
+    /// network-facing callers can reject bad requests cheaply, and on a
+    /// shard the store cannot read (its topology or its rows).
     ///
     /// See the module docs: `acts^{L-1}` on the roots' 1-hop frontier
     /// ball comes from the activation cache where it is resident and from
@@ -312,7 +296,11 @@ impl NodeClassifier {
             return Ok(());
         }
         self.validate_nodes(nodes)?;
-        let fb = ws.infer.frontier().one_hop(&*self.store, nodes);
+        let fb = ws
+            .infer
+            .frontier()
+            .one_hop(&*self.store, nodes)
+            .map_err(|e| format!("topology read from graph store failed: {e}"))?;
         // Positions in `fb.origin` whose row the cache did not supply.
         let missing = match &self.cache {
             Some(cache) => cache.probe_rows(&fb.origin, self.model.hidden_width(), &mut ws.hidden),
@@ -535,6 +523,35 @@ mod tests {
         let c = fixture(LossKind::SoftmaxCe);
         let err = c.classify(&[0, 99]).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// A cold batch whose roots' topology section cannot be mapped fails
+    /// with an error, not a panic, and so does the next one on the same
+    /// workspace.
+    #[test]
+    fn unreadable_topology_fails_the_batch() {
+        use gsgcn_graph::store::shard::shard_file_name;
+        use gsgcn_graph::StoreOrder;
+        let (model, g, x) = fixture_parts(LossKind::SoftmaxCe);
+        let store = GraphStore::spill_to_temp(&g, Some(&x), None, StoreOrder::Natural, 1 << 20);
+        let store = Arc::new(store.unwrap());
+        let c = NodeClassifier::from_store(model, Arc::clone(&store)).unwrap();
+        let m = store.as_mmap().unwrap();
+        let shard = m.dir().join(shard_file_name(m.shard_of(3) as usize));
+        let len = std::fs::metadata(&shard).unwrap().len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&shard)
+            .unwrap();
+        file.set_len(len - 8).unwrap();
+        let mut ws = ClassifyWorkspace::new();
+        for _ in 0..2 {
+            let err = c.classify_into(&[3], &mut ws, &mut Vec::new()).unwrap_err();
+            assert!(
+                err.contains("topology read") && err.contains("truncated"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
