@@ -540,8 +540,10 @@ impl<'a> GsGcnTrainer<'a> {
     ///   fused f32, layer 1 cuts no tile and gathers no level-0 ball: it
     ///   reads one `agg` and one feature row per level-1 vertex, in blocks,
     ///   and runs only its GEMMs (`agg_rows_gathered` counts the rows).
-    ///   bf16 and unfused layers and stores without the section take the
-    ///   tiles, unchanged. The two
+    ///   On a `mem`-backed store such a layer 1 reads the resident graph
+    ///   and features in place instead: no tile, no rows gathered.
+    ///   bf16 and unfused layers and mmap stores without the section take
+    ///   the tiles, unchanged. The two
     ///   stores are read in turns: the pipeline's gathers pause and the
     ///   training store's rows are released first, and the full store's
     ///   rows are released on every exit, an error's included.

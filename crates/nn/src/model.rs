@@ -107,16 +107,19 @@ pub struct StepResult {
 /// layer) pair computed once. On a store that holds `Â·X` (and a fused
 /// f32 layer 1) layer 1 cuts no tile and reads two rows per vertex it
 /// computes: `tiles[0] = 0` and `rows_gathered = agg_rows_gathered =
-/// rows_computed[0]`. A resident forward computes every row of
-/// layers `1..L-1` and the targets' rows of layer `L` (one tile each) and
-/// gathers nothing.
+/// rows_computed[0]`. On a mem store such a layer 1 reads `X` in place:
+/// `tiles[0] = 0` and `rows_gathered = 0`. A resident forward computes
+/// every row of layers `1..L-1` and the targets' rows of layer `L` (one
+/// tile each) and gathers nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelStats {
     /// Frontier tiles cut per layer.
     pub tiles: Vec<usize>,
     /// Output rows computed per layer.
     pub rows_computed: Vec<usize>,
-    /// Feature rows gathered from the store.
+    /// Feature rows gathered from the store: the level-0 ball, or one row
+    /// per layer-1 row on the stored-`Â·X` path; 0 when layer 1 reads a
+    /// mem store's `X` in place and on a resident forward.
     pub rows_gathered: usize,
     /// Rows of `Â·X` read from the store's `agg` section: one per layer-1
     /// row computed when layer 1 runs from the stored aggregate, 0 when
@@ -589,23 +592,33 @@ impl GcnModel {
     /// external ids of the tile's roots and their probability rows, every
     /// distinct root exactly once, in placement order.
     ///
-    /// * **Layer 1 from stored `Â·X`**: when the store holds the `agg`
-    ///   section ([`GraphStore::has_agg`]) and layer 1 is fused and f32,
-    ///   level 1 cuts no tile and gathers no level-0 ball. It walks its
-    ///   targets in placement order in blocks of 1024 rows: one
-    ///   parallel gather of the block's `Â·X` and `X` rows
-    ///   ([`GraphStore::par_gather_agg_into`]), then layer 1's neighbour
-    ///   and self GEMMs on them. The stored rows are the f32 panel rows
-    ///   the fused producer would pack, so the result is the same bits. A
-    ///   bf16 or unfused layer 1, a depth-1 model and a store without the
-    ///   section take the tiles below.
+    /// * **Layer 1's three input sources**: when layer 1 is fused and
+    ///   f32 and below the top level, level 1 cuts no tile and gathers no
+    ///   level-0 ball wherever the store lets it read its input directly.
+    ///   - *Stored `Â·X`*: a store holding the `agg` section
+    ///     ([`GraphStore::has_agg`]) is walked in placement order in
+    ///     blocks of 1024 rows: one parallel gather of the block's `Â·X`
+    ///     and `X` rows ([`GraphStore::par_gather_agg_into`]), then layer
+    ///     1's neighbour and self GEMMs on them. The stored rows are the
+    ///     f32 panel rows the fused producer would pack.
+    ///   - *Resident `X` in place*: on a mem store holding features,
+    ///     layer 1's fused producer restricted to the targets reads the
+    ///     store's own CSR and feature matrix, where each neighbour row
+    ///     already lies: no feature row is copied.
+    ///   - *A level-0 ball*: everywhere else (a bf16 or unfused layer 1,
+    ///     a depth-1 model, an mmap store without the section) level 1
+    ///     is cut into tiles like any level, and each tile's frontier
+    ///     rows of `X` are gathered into the level-0 buffer.
+    ///
+    ///   All three give the same bits.
     /// * **Work**: when a level's needed set fits `max_rows` it is one
     ///   tile, so every (vertex, layer) pair is computed once and every
     ///   feature row gathered once ([`LevelStats`]); otherwise only the
     ///   one-hop overlap between neighbouring tiles is recomputed, per
     ///   level — never an L-hop ball per root chunk. On the stored-`Â·X`
     ///   path layer 1 reads one `agg` and one feature row per row it
-    ///   computes and aggregates nothing.
+    ///   computes and aggregates nothing; in place on a mem store it
+    ///   gathers nothing.
     /// * **Memory**: one buffer per level of at most `max_rows` rows (a
     ///   single root whose own frontier is larger overshoots — it is
     ///   irreducible), i.e. `≤ L · max_rows · max width` floats, plus the
@@ -614,7 +627,8 @@ impl GcnModel {
     ///   walking the tile's own rows, so a warm call never touches all `n`
     ///   entries). On the stored-`Â·X` path the level-0 buffer and the
     ///   `Â·X` scratch hold one block each (`2 · AGG_BLOCK_ROWS · f`
-    ///   floats) instead of a level-0 ball.
+    ///   floats) instead of a level-0 ball; in place on a mem store the
+    ///   level-0 buffer is not touched at all.
     /// * **Exactness**: a frontier tile keeps each root's full neighbor
     ///   list in full-graph order, so a root row's aggregate, `D⁻¹`
     ///   scale and GEMM row are the same float operations in the same
@@ -715,9 +729,11 @@ impl GcnModel {
     /// Fill `out` with `H^level`, rows aligned with `targets` (distinct,
     /// placement-ordered): a feature gather at level 0; at level 1 on a
     /// store with `Â·X` ([`Self::reads_stored_aggregate`]) layer 1 over
-    /// blocks of stored rows; otherwise one tile after another, each
-    /// writing its roots' run of rows. `lower` is `levels[..level]`, the
-    /// buffers of the levels beneath.
+    /// blocks of stored rows, and on a resident store
+    /// ([`Self::resident_input`]) layer 1 over the store's own graph and
+    /// features; otherwise one tile after another, each writing its
+    /// roots' run of rows. `lower` is `levels[..level]`, the buffers of
+    /// the levels beneath.
     fn fill_level(
         &self,
         sweep: &mut Sweep<'_>,
@@ -726,8 +742,14 @@ impl GcnModel {
         lower: &mut [DMatrix],
         out: &mut DMatrix,
     ) -> io::Result<()> {
-        if level == 1 && self.reads_stored_aggregate(sweep.store) {
-            return self.fill_from_stored_aggregate(sweep, targets, &mut lower[0], out);
+        if level == 1 {
+            if self.reads_stored_aggregate(sweep.store) {
+                return self.fill_from_stored_aggregate(sweep, targets, &mut lower[0], out);
+            }
+            if let Some((g, x)) = self.resident_input(sweep.store) {
+                self.fill_in_place(sweep, g, x, targets, out);
+                return Ok(());
+            }
         }
         if level == 0 {
             let t0 = Instant::now();
@@ -754,8 +776,46 @@ impl GcnModel {
     /// those rows (a bf16 layer rounds its aggregate, the unfused one is
     /// the reference path).
     fn reads_stored_aggregate(&self, store: &GraphStore) -> bool {
+        store.has_agg() && self.first_layer_is_fused_f32()
+    }
+
+    /// The graph and features layer 1 reads in place: `store` is resident
+    /// and holds features, and layer 1 is fused f32 (as for
+    /// [`Self::reads_stored_aggregate`]; a bf16 layer would need `X`
+    /// rounded whole, the unfused one is the reference path).
+    fn resident_input<'s>(&self, store: &'s GraphStore) -> Option<(&'s CsrGraph, &'s DMatrix)> {
+        if !self.first_layer_is_fused_f32() {
+            return None;
+        }
+        let mem = store.as_mem()?;
+        Some((mem.graph(), mem.features()?))
+    }
+
+    fn first_layer_is_fused_f32(&self) -> bool {
         let first = &self.layers[0];
-        store.has_agg() && first.fused() && first.precision() == Precision::F32
+        first.fused() && first.precision() == Precision::F32
+    }
+
+    /// `H^1` on `targets` into `out` straight from a resident store's CSR
+    /// `g` and features `x`: layer 1's fused producer restricted to the
+    /// targets ([`GcnLayer::infer_selected_into`]) sums each target's
+    /// neighbour rows where they lie in `x` and packs its own row from
+    /// there too, so no tile is cut and no feature row is copied. Each
+    /// row is the full-graph forward's, bit for bit.
+    fn fill_in_place(
+        &self,
+        sweep: &mut Sweep<'_>,
+        g: &CsrGraph,
+        x: &DMatrix,
+        targets: &[u32],
+        out: &mut DMatrix,
+    ) {
+        let t0 = Instant::now();
+        let first = &self.layers[0];
+        out.ensure_shape(targets.len(), first.out_dim());
+        first.infer_selected_into(g, x.view(), None, Some(targets), out.view_mut());
+        sweep.stats.rows_computed[0] += targets.len();
+        sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
     }
 
     /// `H^1` on `targets` into `out` from the store's `Â·X` and `X` rows,
@@ -802,12 +862,13 @@ impl GcnModel {
     /// `L-1-ℓ` hops of `targets` and each feature row within `L-1` hops is
     /// gathered once — `Σ_ℓ |N_{L-1-ℓ}[targets]|` rows computed,
     /// `|N_{L-1}[targets]|` rows gathered, over `targets` only, never an
-    /// L-hop ball pushed through every layer (on a store with `Â·X`, layer
-    /// 1 reads its own rows' `Â·X` and `X` instead, as in
-    /// `infer_probs_by_level`). For a 1-layer model it is the feature
-    /// gather. Rows are bit-identical to the full-graph forward's
-    /// (the exactness argument on `infer_probs_by_level`). The returned
-    /// [`LevelStats`] per-layer vectors cover layers `1..L`.
+    /// L-hop ball pushed through every layer. Where a fused f32 layer 1
+    /// reads its input directly (as in `infer_probs_by_level`) it gathers
+    /// only its own rows' `Â·X` and `X` on a store with `Â·X`, and nothing
+    /// on a mem store, whose `X` it reads in place. For a 1-layer model it
+    /// is the feature gather. Rows are bit-identical to the full-graph
+    /// forward's (the exactness argument on `infer_probs_by_level`). The
+    /// returned [`LevelStats`] per-layer vectors cover layers `1..L`.
     pub fn infer_hidden_by_level(
         &self,
         store: &GraphStore,

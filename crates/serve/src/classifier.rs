@@ -11,6 +11,12 @@
 //! same order as in the full-graph forward, so the values read off at the
 //! roots are bit-identical to it.
 //!
+//! On a `mem` store (a deeper-than-one model with a fused f32 layer 1)
+//! layer 1 reads the store's resident graph and feature matrix in place:
+//! a cold request cuts no level-1 tile and gathers no feature row
+//! (`LevelStats::rows_gathered` is 0). A bf16 or unfused layer 1 and every
+//! mmap store without `Â·X` still gather the level-0 ball.
+//!
 //! # One path, at whatever hit rate the cache gives
 //!
 //! Every classification is: extract the roots' closed 1-hop
@@ -215,16 +221,14 @@ impl NodeClassifier {
         })
     }
 
-    /// Replace the activation cache (`None` disables caching). Ignored
-    /// with a warning for single-layer models, whose final hop already
-    /// reads the feature matrix directly.
+    /// Replace the activation cache (`None` disables caching). A
+    /// single-layer model stays uncached whatever is passed — its final
+    /// hop already reads the feature matrix directly, so there are no
+    /// hidden rows to cache — and [`Self::cache`] then returns `None`;
+    /// nothing is printed, a caller that wants to warn checks
+    /// [`Self::hops`].
     pub fn with_cache(mut self, cache: Option<Arc<ActivationCache>>) -> Self {
-        if cache.is_some() && self.model.num_layers() < 2 {
-            eprintln!("warning: activation cache ignored for a 1-layer model");
-            self.cache = None;
-        } else {
-            self.cache = cache;
-        }
+        self.cache = cache.filter(|_| self.model.num_layers() >= 2);
         self
     }
 

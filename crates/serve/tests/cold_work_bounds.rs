@@ -6,6 +6,8 @@
 //! already hold. The counts come from the level recursion's own
 //! `LevelStats` (`ClassifyWorkspace::last_level_stats`) and are compared
 //! with independently extracted `l_hop_ball`s, on both store backends.
+//! On a mem store a fused f32 layer 1 reads the store's graph and
+//! features in place: it cuts no level-1 tile and gathers no feature row.
 
 use gsgcn_graph::{
     l_hop_ball, one_hop_frontier, CsrGraph, GraphBuilder, GraphStore, StoreBackend, StoreOrder,
@@ -13,7 +15,7 @@ use gsgcn_graph::{
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_serve::{ActivationCache, ClassifyWorkspace, NodeClassifier};
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use std::sync::Arc;
 
 const N: usize = 240;
@@ -39,21 +41,25 @@ struct Fixture {
     store: Arc<GraphStore>,
 }
 
+fn config(depth: usize) -> GcnConfig {
+    GcnConfig {
+        in_dim: 6,
+        hidden_dims: vec![8; depth],
+        num_classes: 3,
+        loss: LossKind::SoftmaxCe,
+        ..GcnConfig::default()
+    }
+}
+
 fn fixture(depth: usize, backend: StoreBackend) -> Fixture {
+    fixture_for(Arc::new(GcnModel::new(config(depth), 29)), backend)
+}
+
+fn fixture_for(model: Arc<GcnModel>, backend: StoreBackend) -> Fixture {
     let graph = Arc::new(fixture_graph());
     let x = Arc::new(DMatrix::from_fn(N, 6, |i, j| {
         ((i * 131 + j * 37) % 17) as f32 * 0.13 - 1.0
     }));
-    let model = Arc::new(GcnModel::new(
-        GcnConfig {
-            in_dim: 6,
-            hidden_dims: vec![8; depth],
-            num_classes: 3,
-            loss: LossKind::SoftmaxCe,
-            ..GcnConfig::default()
-        },
-        29,
-    ));
     let store = match backend {
         StoreBackend::Mem => GraphStore::mem(Arc::clone(&graph), Some(x), None),
         StoreBackend::Mmap => {
@@ -78,18 +84,34 @@ impl Fixture {
     fn ball(&self, ids: &[u32], hops: usize) -> usize {
         l_hop_ball(&*self.graph, ids, hops).len()
     }
+
+    /// Whether layer 1 reads the mem store's `X` in place: a model deeper
+    /// than one whose layer 1 is fused f32, on a mem store.
+    fn reads_x_in_place(&self) -> bool {
+        self.store.backend() == StoreBackend::Mem
+            && self.model.num_layers() > 1
+            && self.model.config().fused
+            && self.model.input_precision() == Precision::F32
+    }
 }
 
 /// Assert that the last classify through `ws` computed `H^{L-1}` on
 /// exactly the closed `reach`-hop ball of `ids` and nothing it did not
 /// need below that: layer `ℓ < L` on the rows `L-1-ℓ` hops further out,
-/// feature rows `L-1` hops further out, one tile per level.
+/// feature rows `L-1` hops further out, one tile per level — or, where
+/// layer 1 reads `X` in place ([`Fixture::reads_x_in_place`]), no level-1
+/// tile and no feature row gathered.
 fn assert_minimal_work(f: &Fixture, ws: &ClassifyWorkspace, ids: &[u32], reach: usize, what: &str) {
     let depth = f.model.num_layers();
     let stats = ws
         .last_level_stats()
         .unwrap_or_else(|| panic!("{what}: the level recursion was not entered"));
-    assert_eq!(stats.tiles, vec![1; depth - 1], "{what}: tiles per layer");
+    let in_place = f.reads_x_in_place();
+    let mut tiles = vec![1; depth - 1];
+    if in_place {
+        tiles[0] = 0;
+    }
+    assert_eq!(stats.tiles, tiles, "{what}: tiles per layer");
     for layer in 1..depth {
         let hops = reach + depth - 1 - layer;
         let (got, want) = (stats.rows_computed[layer - 1], f.ball(ids, hops));
@@ -102,7 +124,8 @@ fn assert_minimal_work(f: &Fixture, ws: &ClassifyWorkspace, ids: &[u32], reach: 
         );
     }
     let hops = reach + depth - 1;
-    let (got, want) = (stats.rows_gathered, f.ball(ids, hops));
+    let want = if in_place { 0 } else { f.ball(ids, hops) };
+    let got = stats.rows_gathered;
     assert_eq!(
         got,
         want,
@@ -192,6 +215,83 @@ fn partial_hit_computes_only_the_missing_rows() {
                 (warm.hits - probed.hits, warm.misses - probed.misses),
                 (origin.len() as u64, 0),
                 "{what}: (hits, misses) of the fully resident probe"
+            );
+        }
+    }
+}
+
+/// The probability rows of `preds`, as bits.
+fn prob_bits(preds: &[gsgcn_serve::Prediction]) -> Vec<(u32, Vec<u32>)> {
+    preds
+        .iter()
+        .map(|p| (p.node, p.probs.iter().map(|x| x.to_bits()).collect()))
+        .collect()
+}
+
+/// Layer 1's routing on a mem store. A fused f32 layer 1 reads the
+/// store's graph and features in place — no level-1 tile, no feature row
+/// gathered — and answers bit-identically to the same model on an mmap
+/// spill (which holds no `Â·X`, so its layer 1 cuts a tile and gathers
+/// the ball) and to the full-graph forward. A bf16 or an unfused layer 1
+/// on the same mem store still cuts its level-1 tile and gathers the
+/// ball.
+#[test]
+fn mem_store_layer_one_reads_features_in_place() {
+    for depth in 2..=3 {
+        let mut bf16 = GcnModel::new(config(depth), 29);
+        bf16.set_precision(Precision::Bf16);
+        let unfused = GcnModel::new(
+            GcnConfig {
+                fused: false,
+                ..config(depth)
+            },
+            29,
+        );
+        let models = [
+            ("f32 fused", GcnModel::new(config(depth), 29)),
+            ("bf16", bf16),
+            ("unfused", unfused),
+        ];
+        for (name, model) in models {
+            let model = Arc::new(model);
+            let f = fixture_for(Arc::clone(&model), StoreBackend::Mem);
+            let what = format!("mem depth {depth}, {name}");
+            let c = f.classifier(None);
+            let mut ws = ClassifyWorkspace::new();
+            let mut got = Vec::new();
+            c.classify_into(&ROOTS, &mut ws, &mut got).unwrap();
+            assert_eq!(f.reads_x_in_place(), name == "f32 fused", "{what}");
+            // Pins the routing: no level-1 tile and nothing gathered for
+            // the f32 fused model, one tile and the whole ball otherwise.
+            assert_minimal_work(&f, &ws, &ROOTS, 1, &what);
+
+            let full = c.full_graph_probs();
+            let want: Vec<(u32, Vec<u32>)> = got
+                .iter()
+                .map(|p| {
+                    let row = full.row(p.node as usize);
+                    (p.node, row.iter().map(|x| x.to_bits()).collect())
+                })
+                .collect();
+            assert_eq!(
+                prob_bits(&got),
+                want,
+                "{what}: against the full-graph forward"
+            );
+
+            let spill = fixture_for(model, StoreBackend::Mmap);
+            assert!(!spill.store.has_agg());
+            let mut spill_ws = ClassifyWorkspace::new();
+            let mut spilled = Vec::new();
+            spill
+                .classifier(None)
+                .classify_into(&ROOTS, &mut spill_ws, &mut spilled)
+                .unwrap();
+            assert_minimal_work(&spill, &spill_ws, &ROOTS, 1, &format!("{what}, spilled"));
+            assert_eq!(
+                prob_bits(&got),
+                prob_bits(&spilled),
+                "{what}: against the mmap spill"
             );
         }
     }

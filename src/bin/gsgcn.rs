@@ -335,10 +335,16 @@ impl RuntimeConfig {
 
     /// `c` with the resolved activation cache attached, its rows in the
     /// resolved activation precision (bf16 serving halves bytes-per-row).
+    /// A 1-layer model has no hidden rows to cache: the cache is left off
+    /// with a warning.
     fn attach_cache(&self, c: gsgcn::serve::NodeClassifier) -> gsgcn::serve::NodeClassifier {
         use gsgcn::serve::ActivationCache;
         match self.activation_cache {
             0 => c,
+            _ if c.hops() < 2 => {
+                eprintln!("warning: activation cache ignored for a 1-layer model");
+                c
+            }
             bytes => c.with_cache(Some(std::sync::Arc::new(ActivationCache::with_precision(
                 bytes,
                 self.precision,

@@ -326,3 +326,39 @@ fn train_banner_names_sampler_and_evaluation_threads() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A 1-layer model has no hidden rows to cache: the binary leaves the
+/// activation cache off and says so on stderr; a deeper model takes the
+/// cache without a word.
+#[test]
+fn predict_warns_when_the_cache_cannot_apply() {
+    let dir = std::env::temp_dir().join(format!("gsgcn-cli-cache-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (hidden, warns) in [("8", true), ("8,8", false)] {
+        let model = dir.join(format!("{}-layer.gcn", hidden.split(',').count()));
+        let model = model.to_str().unwrap();
+        let args: Vec<&str> = "train --dataset ppi --vertices 100 --epochs 1 --eval-every 0 \
+                               --budget 50 --hidden"
+            .split_whitespace()
+            .chain([hidden, "--save", model])
+            .collect();
+        let trained = run(&args, &[]);
+        assert!(
+            trained.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&trained.stderr)
+        );
+        let out = run(
+            &["predict", "--load", model, "--nodes", "1,2"],
+            &[("GSGCN_ACTIVATION_CACHE", "64KiB")],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "--hidden {hidden}: {stderr}");
+        assert_eq!(
+            stderr.contains("warning: activation cache ignored for a 1-layer model"),
+            warns,
+            "--hidden {hidden}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
