@@ -32,9 +32,12 @@
 //!
 //! Every invocation appends one JSON record to `--out` (default
 //! `BENCH_pairs.jsonl`): the two commits, workload, seed, pair count,
-//! exclusions, per-metric statistics and the probe medians.
+//! exclusions, per-metric statistics and the probe medians. Each
+//! end-to-end metric also carries its per-pair `base` and `new` values in
+//! pair order, excluded pairs left out, so a bimodal metric can be read
+//! from the record.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -302,10 +305,19 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     })
 }
 
-/// What a pair run needs of `BENCHMARK.json`: each metric's `better`
-/// direction (its `end_to_end` and `per_layer` lists) and the benchmark's
-/// `run_seconds`, the window every child runs for.
-fn read_benchmark(benchmark: &Path) -> Result<(BTreeMap<String, Better>, f64), String> {
+/// What a pair run needs of `BENCHMARK.json`.
+#[derive(Debug)]
+struct Benchmark {
+    /// Each metric's `better` direction (its `end_to_end` and `per_layer`
+    /// lists).
+    better: BTreeMap<String, Better>,
+    /// The names of the `end_to_end` list.
+    end_to_end: BTreeSet<String>,
+    /// `run_seconds`, the window every child runs for.
+    seconds: f64,
+}
+
+fn read_benchmark(benchmark: &Path) -> Result<Benchmark, String> {
     let text = std::fs::read_to_string(benchmark)
         .map_err(|e| format!("cannot read {}: {e}", benchmark.display()))?;
     let spec = json::parse(&text)?;
@@ -314,6 +326,7 @@ fn read_benchmark(benchmark: &Path) -> Result<(BTreeMap<String, Better>, f64), S
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("{} has no run_seconds", benchmark.display()))?;
     let mut better = BTreeMap::new();
+    let mut end_to_end = BTreeSet::new();
     for list in ["end_to_end", "per_layer"] {
         for m in spec.get(list).and_then(Json::as_arr).unwrap_or_default() {
             let (Some(name), Some(dir)) = (
@@ -328,9 +341,16 @@ fn read_benchmark(benchmark: &Path) -> Result<(BTreeMap<String, Better>, f64), S
                 Better::Lower
             };
             better.insert(name.to_string(), b);
+            if list == "end_to_end" {
+                end_to_end.insert(name.to_string());
+            }
         }
     }
-    Ok((better, seconds))
+    Ok(Benchmark {
+        better,
+        end_to_end,
+        seconds,
+    })
 }
 
 /// The git work tree holding `bin` (the nearest ancestor with `.git`).
@@ -363,6 +383,36 @@ fn run_side(bin: &Path, a: &Args, seconds: f64) -> Run {
     run
 }
 
+/// One metric's `(base, new)` values over the kept pairs, in pair order;
+/// a pair where either side lacks the metric is left out.
+fn metric_values(kept: &[&(Run, Run)], name: &str) -> Vec<(f64, f64)> {
+    kept.iter()
+        .filter_map(|(b, n)| Some((*b.metrics.get(name)?, *n.metrics.get(name)?)))
+        .collect()
+}
+
+/// One metric's entry in the record: its statistics and, for an
+/// end-to-end metric, the per-pair `base` and `new` values of `values`.
+fn metric_record(s: &MetricStats, values: &[(f64, f64)], end_to_end: bool) -> Json {
+    let mut fields = vec![
+        ("base_median", Json::Num(s.base_median)),
+        ("new_median", Json::Num(s.new_median)),
+        ("base_iqr", Json::Num(s.base_iqr)),
+        ("ratio_median", Json::Num(s.ratio_median)),
+        ("wins", Json::Num(s.wins as f64)),
+        ("n", Json::Num(s.n as f64)),
+        ("verdict", Json::Str(s.verdict().into())),
+    ];
+    if end_to_end {
+        let side = |pick: fn(&(f64, f64)) -> f64| {
+            Json::Arr(values.iter().map(|p| Json::Num(pick(p))).collect())
+        };
+        fields.push(("base", side(|p| p.0)));
+        fields.push(("new", side(|p| p.1)));
+    }
+    obj(fields)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&args).and_then(|a| run(&a)) {
@@ -375,7 +425,11 @@ fn main() {
 }
 
 fn run(a: &Args) -> Result<(), String> {
-    let (better, seconds) = read_benchmark(&a.benchmark)?;
+    let Benchmark {
+        better,
+        end_to_end,
+        seconds,
+    } = read_benchmark(&a.benchmark)?;
     let mut pairs = Vec::with_capacity(a.pairs);
     for i in 0..a.pairs {
         let (b, n) = if i % 2 == 0 {
@@ -420,10 +474,7 @@ fn run(a: &Args) -> Result<(), String> {
         let Some(&dir) = better.get(name.as_str()) else {
             continue;
         };
-        let values: Vec<(f64, f64)> = kept
-            .iter()
-            .filter_map(|(b, n)| Some((*b.metrics.get(name)?, *n.metrics.get(name)?)))
-            .collect();
+        let values = metric_values(&kept, name);
         let s = MetricStats::of(&values, dir);
         println!(
             "{name:<36} {:>12.4} {:>12.4} {:>10.4} {:>8.3} {:>3}/{:<3} {}",
@@ -435,18 +486,8 @@ fn run(a: &Args) -> Result<(), String> {
             s.n,
             s.verdict()
         );
-        metrics.push((
-            name.clone(),
-            obj([
-                ("base_median", Json::Num(s.base_median)),
-                ("new_median", Json::Num(s.new_median)),
-                ("base_iqr", Json::Num(s.base_iqr)),
-                ("ratio_median", Json::Num(s.ratio_median)),
-                ("wins", Json::Num(s.wins as f64)),
-                ("n", Json::Num(s.n as f64)),
-                ("verdict", Json::Str(s.verdict().into())),
-            ]),
-        ));
+        let record = metric_record(&s, &values, end_to_end.contains(name));
+        metrics.push((name.clone(), record));
     }
     let mut probes: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for (b, n) in &pairs {
@@ -598,6 +639,41 @@ mod tests {
         assert!(exclusions(&plain, &better).is_empty());
     }
 
+    /// An end-to-end metric's entry lists the kept pairs' values in pair
+    /// order on each side; an excluded pair's values are not among them,
+    /// and a per-layer metric's entry has no per-pair values.
+    #[test]
+    fn the_record_carries_each_end_to_end_metrics_pair_values() {
+        let pairs = vec![
+            (run("a", &[("op_ms", 10.0)]), run("b", &[("op_ms", 8.0)])),
+            (run("a", &[("op_ms", 30.0)]), Run::failed("crashed".into())),
+            (run("a", &[("op_ms", 12.0)]), run("b", &[("op_ms", 7.5)])),
+            (run("a", &[("op_ms", 11.0)]), run("b", &[("op_ms", 15.0)])),
+        ];
+        let better = [("op_ms".to_string(), Better::Lower)].into();
+        let excluded = exclusions(&pairs, &better);
+        assert_eq!(excluded.len(), 1);
+        let kept: Vec<&(Run, Run)> = pairs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !excluded.iter().any(|(j, _)| j == i))
+            .map(|(_, p)| p)
+            .collect();
+        let values = metric_values(&kept, "op_ms");
+        assert_eq!(values, [(10.0, 8.0), (12.0, 7.5), (11.0, 15.0)]);
+        let s = MetricStats::of(&values, Better::Lower);
+        let back = json::parse(&metric_record(&s, &values, true).render()).unwrap();
+        let side = |k: &str| -> Vec<f64> {
+            let arr = back.get(k).and_then(Json::as_arr).unwrap();
+            arr.iter().map(|v| v.as_f64().unwrap()).collect()
+        };
+        assert_eq!(side("base"), [10.0, 12.0, 11.0]);
+        assert_eq!(side("new"), [8.0, 7.5, 15.0]);
+        assert_eq!(back.get("wins").and_then(Json::as_f64), Some(2.0));
+        let per_layer = metric_record(&s, &values, false);
+        assert!(per_layer.get("base").is_none() && per_layer.get("new").is_none());
+    }
+
     #[test]
     fn a_harness_output_parses_to_its_commit_and_metrics() {
         let r = Run::parse(HARNESS_STDOUT);
@@ -624,10 +700,11 @@ mod tests {
                 "per_layer": [{"name": "probe.fma_gflops", "better": "higher"}]}"#,
         )
         .unwrap();
-        let (better, seconds) = read_benchmark(&path).unwrap();
-        assert_eq!(seconds, 12.0);
-        assert_eq!(better["op_ms"], Better::Lower);
-        assert_eq!(better["probe.fma_gflops"], Better::Higher);
+        let spec = read_benchmark(&path).unwrap();
+        assert_eq!(spec.seconds, 12.0);
+        assert_eq!(spec.better["op_ms"], Better::Lower);
+        assert_eq!(spec.better["probe.fma_gflops"], Better::Higher);
+        assert_eq!(Vec::from_iter(&spec.end_to_end), ["op_ms"]);
         std::fs::write(&path, r#"{"end_to_end": []}"#).unwrap();
         assert!(read_benchmark(&path).unwrap_err().contains("run_seconds"));
         std::fs::remove_dir_all(&dir).unwrap();

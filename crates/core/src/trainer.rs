@@ -707,6 +707,7 @@ fn producer_secs(pipe: &SamplerPipeline) -> f64 {
 mod tests {
     use super::*;
     use gsgcn_data::presets;
+    use gsgcn_graph::StoreOrder;
 
     fn quick_dataset() -> Dataset {
         // Small PPI-shaped dataset for fast trainer tests.
@@ -725,7 +726,8 @@ mod tests {
                 std::process::id(),
                 std::thread::current().id()
             ));
-            d.spill_to_dir(&dir, 4).unwrap();
+            d.spill_to_dir_ordered(&dir, 4, StoreOrder::Natural)
+                .unwrap();
             Spilled { dir }
         }
 
@@ -863,7 +865,8 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        d.spill_to_dir(&dir, 4).unwrap();
+        d.spill_to_dir_ordered(&dir, 4, StoreOrder::Natural)
+            .unwrap();
         let sd = gsgcn_data::StoreDataset::open_with(
             &dir,
             gsgcn_graph::StoreBackend::Mmap,
@@ -953,7 +956,8 @@ mod tests {
             std::process::id(),
             std::thread::current().id()
         ));
-        d.spill_to_dir(&dir, 4).unwrap();
+        d.spill_to_dir_ordered(&dir, 4, StoreOrder::Natural)
+            .unwrap();
         let open = || {
             gsgcn_data::StoreDataset::open_with(&dir, gsgcn_graph::StoreBackend::Mmap, 1 << 20)
                 .unwrap()

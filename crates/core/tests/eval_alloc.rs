@@ -13,6 +13,7 @@
 use gsgcn_core::trainer::EvalSplit;
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
 use gsgcn_data::presets;
+use gsgcn_graph::StoreOrder;
 use gsgcn_tensor::{alloc, precision::ALL_PRECISIONS};
 
 #[test]
@@ -52,7 +53,8 @@ fn evaluate_is_allocation_free_after_warmup() {
 fn stored_evaluate_is_allocation_free_after_warmup() {
     let d = presets::scale_spec(&presets::ppi_spec(), 600).generate(11);
     let dir = std::env::temp_dir().join(format!("gsgcn-eval-alloc-{}", std::process::id()));
-    d.spill_to_dir(&dir, 4).unwrap();
+    d.spill_to_dir_ordered(&dir, 4, StoreOrder::Natural)
+        .unwrap();
     let sd = gsgcn_data::StoreDataset::open_with(&dir, gsgcn_graph::StoreBackend::Mmap, 1 << 20)
         .unwrap();
     for p in ALL_PRECISIONS {

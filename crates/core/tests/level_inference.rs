@@ -11,7 +11,7 @@ use gsgcn_core::{GsGcnTrainer, TrainerConfig};
 use gsgcn_data::store_dataset::{write_full_store, FULL_SUBDIR};
 use gsgcn_data::{presets, StoreDataset};
 use gsgcn_graph::store::mmap::MmapStore;
-use gsgcn_graph::store::shard::write_store_ordered;
+use gsgcn_graph::store::shard::write_store_with_precision;
 use gsgcn_graph::StoreBackend;
 use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
@@ -80,7 +80,7 @@ fn stores(g: &Arc<CsrGraph>, x: &Arc<DMatrix>, shards: usize) -> (Vec<GraphStore
     let mut dirs = Vec::new();
     for order in [StoreOrder::Natural, StoreOrder::Bfs, StoreOrder::Degree] {
         let dir = fresh_dir();
-        write_store_ordered(&dir, g, Some(x), None, shards, order).unwrap();
+        write_store_with_precision(&dir, g, Some(x), None, shards, order, Precision::F32).unwrap();
         stores.push(GraphStore::Mmap(MmapStore::open(&dir, 4096).unwrap()));
         dirs.push(dir);
     }
@@ -287,7 +287,8 @@ fn section_stores(
             if with_agg {
                 write_full_store(&dir, g, x, None, shards, order).unwrap();
             } else {
-                write_store_ordered(&dir, g, Some(x), None, shards, order).unwrap();
+                write_store_with_precision(&dir, g, Some(x), None, shards, order, Precision::F32)
+                    .unwrap();
             }
             stores.push(GraphStore::Mmap(MmapStore::open(&dir, 4096).unwrap()));
             dirs.push(dir);
@@ -388,13 +389,14 @@ fn stored_evaluation_reads_layer_one_from_the_stored_aggregate() {
     };
     let (with, without) = (spill("agg"), spill("plain"));
     // The section-less store: the same full graph, rows and placement.
-    write_store_ordered(
+    write_store_with_precision(
         &without.join(FULL_SUBDIR),
         &d.graph,
         Some(&d.features),
         Some(&d.labels),
         4,
         StoreOrder::Bfs,
+        Precision::F32,
     )
     .unwrap();
     let open = |dir: &PathBuf| StoreDataset::open_with(dir, StoreBackend::Mmap, 1 << 20).unwrap();

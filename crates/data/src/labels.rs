@@ -80,15 +80,6 @@ pub fn single_label(community: &[u32], classes: usize, flip_prob: f64, seed: u64
     y
 }
 
-/// Per-class positive frequencies (column means) — used by tests and by
-/// dataset statistics.
-pub fn class_frequencies(y: &DMatrix) -> Vec<f64> {
-    let n = y.rows().max(1) as f64;
-    (0..y.cols())
-        .map(|c| (0..y.rows()).map(|i| y.get(i, c) as f64).sum::<f64>() / n)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,11 +159,9 @@ mod tests {
     fn frequencies_sum_matches() {
         let comm = communities(100, 2);
         let y = single_label(&comm, 4, 0.0, 5);
-        let f = class_frequencies(&y);
-        assert!(
-            (f.iter().sum::<f64>() - 1.0).abs() < 1e-9,
-            "one-hot rows sum to 1"
-        );
+        // The per-class frequencies (column means) sum to 1: one-hot rows.
+        let total: f32 = y.data().iter().sum();
+        assert_eq!(total, 100.0, "one-hot rows sum to 1");
     }
 
     #[test]

@@ -50,21 +50,15 @@ pub const FULL_SUBDIR: &str = "full";
 pub const TRAIN_SUBDIR: &str = "train";
 
 impl Dataset {
-    /// Spill this dataset to `dir` as two shard stores plus metadata,
-    /// in natural (vertex-id) placement order.
+    /// Spill this dataset to `dir` as two shard stores plus metadata, in
+    /// placement order `order` (`gsgcn shard --order`).
     ///
     /// `num_shards = 0` picks the size-based default per store. Existing
-    /// store files in `dir` are overwritten.
-    pub fn spill_to_dir(&self, dir: &Path, num_shards: usize) -> io::Result<()> {
-        self.spill_to_dir_ordered(dir, num_shards, StoreOrder::Natural)
-    }
-
-    /// Spill with an explicit placement order (`gsgcn shard --order`).
-    ///
-    /// Both the full and the train store are laid out in `order`; vertex
-    /// ids in the metadata (splits, train origins) stay in the user's
-    /// numbering — translation happens once at the store boundary, so
-    /// results are bit-identical across orders.
+    /// store files in `dir` are overwritten. Both the full and the train
+    /// store are laid out in `order`; vertex ids in the metadata (splits,
+    /// train origins) stay in the user's numbering — translation happens
+    /// once at the store boundary, so results are bit-identical across
+    /// orders.
     pub fn spill_to_dir_ordered(
         &self,
         dir: &Path,
@@ -170,7 +164,7 @@ pub fn write_full_store(
 
 /// A dataset whose graph/feature/label data lives behind [`GraphStore`]
 /// backends instead of resident matrices. Opened from a directory written
-/// by [`Dataset::spill_to_dir`].
+/// by [`Dataset::spill_to_dir_ordered`].
 #[derive(Debug)]
 pub struct StoreDataset {
     /// Dataset name (for reports).
@@ -245,24 +239,6 @@ impl StoreDataset {
     /// Number of target classes.
     pub fn num_classes(&self) -> usize {
         self.full.label_dim()
-    }
-
-    /// Materialize back into a fully-resident [`Dataset`] (the in-memory
-    /// fallback path; defeats the purpose of the store for large graphs).
-    pub fn to_dataset(&self) -> io::Result<Dataset> {
-        let (graph, features, labels) = self.full.materialize()?;
-        let features = features
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "store holds no features"))?;
-        let labels = labels
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "store holds no labels"))?;
-        Ok(Dataset {
-            name: self.name.clone(),
-            graph: Arc::try_unwrap(graph).unwrap_or_else(|a| (*a).clone()),
-            features: Arc::try_unwrap(features).unwrap_or_else(|a| (*a).clone()),
-            labels: Arc::try_unwrap(labels).unwrap_or_else(|a| (*a).clone()),
-            task: self.task,
-            split: self.split.clone(),
-        })
     }
 }
 
@@ -421,7 +397,8 @@ mod tests {
     fn spill_and_reopen_mmap_roundtrips() {
         let d = small_dataset();
         let dir = tmp_dir("roundtrip");
-        d.spill_to_dir(&dir, 4).unwrap();
+        d.spill_to_dir_ordered(&dir, 4, StoreOrder::Natural)
+            .unwrap();
         let sd = StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).unwrap();
 
         assert_eq!(sd.name, d.name);
@@ -521,14 +498,14 @@ mod tests {
     fn mem_backend_materializes_and_matches() {
         let d = small_dataset();
         let dir = tmp_dir("membackend");
-        d.spill_to_dir(&dir, 3).unwrap();
+        d.spill_to_dir_ordered(&dir, 3, StoreOrder::Natural)
+            .unwrap();
         let sd = StoreDataset::open_with(&dir, StoreBackend::Mem, 1 << 20).unwrap();
         assert_eq!(sd.full.backend(), StoreBackend::Mem);
-        let rd = sd.to_dataset().unwrap();
-        assert_eq!(rd.graph, d.graph);
-        assert_eq!(rd.features.data(), d.features.data());
-        assert_eq!(rd.labels.data(), d.labels.data());
-        assert!(rd.validate().is_ok());
+        let (graph, features, labels) = sd.full.materialize().unwrap();
+        assert_eq!(*graph, d.graph);
+        assert_eq!(features.unwrap().data(), d.features.data());
+        assert_eq!(labels.unwrap().data(), d.labels.data());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -538,7 +515,8 @@ mod tests {
         let dir = tmp_dir("badmeta");
         assert!(StoreDataset::open_with(&dir, StoreBackend::Mmap, 1 << 20).is_err());
 
-        d.spill_to_dir(&dir, 2).unwrap();
+        d.spill_to_dir_ordered(&dir, 2, StoreOrder::Natural)
+            .unwrap();
         let meta = dir.join(META_FILE);
         let len = std::fs::metadata(&meta).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&meta).unwrap();

@@ -77,11 +77,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of edges currently staged (before dedup/closure).
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalise into a [`CsrGraph`]: closure, sort, dedup, CSR assembly.
     pub fn build(self) -> CsrGraph {
         let GraphBuilder {

@@ -85,14 +85,6 @@ impl CsrGraph {
         }
     }
 
-    /// Maximum degree over all vertices.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices() as u32)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The sorted adjacency list of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
@@ -154,12 +146,6 @@ impl CsrGraph {
             .map(|v| (self.offsets[v + 1] - self.offsets[v]) as u32)
             .collect()
     }
-
-    /// Approximate in-memory footprint in bytes (arrays only).
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<usize>()
-            + self.adj.len() * std::mem::size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +167,6 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbor(1, 1), 2);
         assert!((g.avg_degree() - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(g.max_degree(), 2);
     }
 
     #[test]
@@ -207,7 +192,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 5);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.avg_degree(), 0.0);
-        assert_eq!(g.max_degree(), 0);
         assert!(g.is_symmetric());
     }
 

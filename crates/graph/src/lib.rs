@@ -21,7 +21,6 @@
 //! * [`partition`] — vertex partitioners used by the 2-D partitioned
 //!   propagation ablation (Theorem 2 compares against graph partitioning)
 //!   and by the shard writer (BFS-grown locality-aware shards).
-//! * [`io`] — text edge-list and compact binary (de)serialisation.
 //! * [`store`] — the [`GraphStore`] abstraction over *where the graph
 //!   lives*: fully resident ([`store::MemStore`]) or memory-mapped CSR
 //!   shards behind a CLOCK cache with a bounded mapped-byte budget
@@ -50,7 +49,6 @@
 pub mod bitset;
 pub mod builder;
 pub mod csr;
-pub mod io;
 pub mod neighborhood;
 pub mod partition;
 pub mod stats;

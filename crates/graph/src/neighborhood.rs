@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(batch.sub.origin, vec![0, 1, 2, 3, 4]);
         assert_eq!(batch.root_locals, vec![3, 1, 3]);
         for (&local, &orig) in batch.root_locals.iter().zip(&[3u32, 1, 3]) {
-            assert_eq!(batch.sub.to_original(local), orig);
+            assert_eq!(batch.sub.origin[local as usize], orig);
         }
     }
 

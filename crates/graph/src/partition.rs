@@ -4,8 +4,7 @@
 //! is a 2-approximation of the communication-minimal 2-D scheme, so the
 //! production propagation kernel never partitions the graph. These
 //! partitioners exist to *implement the alternative* — the `P > 1` schemes
-//! the theorem compares against — for the partitioning ablation bench, and
-//! to measure the replication factor `γ_P = |V_src^{(i)}| / |V|`.
+//! the theorem compares against — for the partitioning ablation bench.
 
 use crate::csr::CsrGraph;
 
@@ -85,49 +84,6 @@ pub fn bfs_partition(g: &CsrGraph, p: usize) -> VertexPartition {
     VertexPartition { part, num_parts: p }
 }
 
-/// Replication factor `γ_P`: the average over partitions of
-/// `|V_src^{(i)}|/|V|`, where `V_src^{(i)}` is the set of vertices sending
-/// features into partition `i` (including the partition's own vertices via
-/// self-connections, Sec. V-B).
-pub fn replication_factor(g: &CsrGraph, partition: &VertexPartition) -> f64 {
-    let n = g.num_vertices();
-    if n == 0 {
-        return 0.0;
-    }
-    let p = partition.num_parts;
-    let mut total_src = 0usize;
-    let mut seen = vec![u32::MAX; n]; // last partition that counted v
-    for i in 0..p as u32 {
-        let mut count = 0usize;
-        for v in 0..n as u32 {
-            if partition.part[v as usize] != i {
-                continue;
-            }
-            // v itself is a source (self-connection).
-            if seen[v as usize] != i {
-                seen[v as usize] = i;
-                count += 1;
-            }
-            for &u in g.neighbors(v) {
-                if seen[u as usize] != i {
-                    seen[u as usize] = i;
-                    count += 1;
-                }
-            }
-        }
-        total_src += count;
-    }
-    total_src as f64 / (n as f64 * p as f64)
-}
-
-/// Number of cut edges (endpoints in different parts), counted per
-/// directed edge.
-pub fn edge_cut(g: &CsrGraph, partition: &VertexPartition) -> usize {
-    g.edges()
-        .filter(|&(u, v)| partition.part[u as usize] != partition.part[v as usize])
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,33 +131,9 @@ mod tests {
         // expect (1 − 1/P)·2n = 36.
         let g = ring(24);
         let p = bfs_partition(&g, 4);
-        assert!(edge_cut(&g, &p) <= 32);
-    }
-
-    #[test]
-    fn replication_factor_bounds() {
-        let g = ring(16);
-        for parts in [1, 2, 4] {
-            let p = range_partition(16, parts);
-            let gamma = replication_factor(&g, &p);
-            assert!(
-                gamma >= 1.0 / parts as f64 - 1e-9 && gamma <= 1.0 + 1e-9,
-                "gamma {gamma} out of bounds for P={parts}"
-            );
-        }
-    }
-
-    #[test]
-    fn replication_factor_single_part_is_one() {
-        let g = ring(8);
-        let p = range_partition(8, 1);
-        assert!((replication_factor(&g, &p) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edge_cut_zero_for_single_part() {
-        let g = ring(8);
-        let p = range_partition(8, 1);
-        assert_eq!(edge_cut(&g, &p), 0);
+        let cut = g
+            .edges()
+            .filter(|&(u, v)| p.part[u as usize] != p.part[v as usize]);
+        assert!(cut.count() <= 32);
     }
 }

@@ -44,12 +44,12 @@ pub use mem::MemStore;
 pub use mmap::{MmapStore, SectionStats, StoreCacheStats};
 pub use order::StoreOrder;
 pub use shard::{
-    verify_store, write_store, write_store_ordered, write_store_with_agg,
-    write_store_with_precision, AggRows, SectionKind, ShardSection, StoreManifest,
+    verify_store, write_store_with_agg, write_store_with_precision, AggRows, SectionKind,
+    ShardSection, StoreManifest,
 };
 
 use crate::csr::CsrGraph;
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use rayon::prelude::*;
 use std::io;
 use std::path::Path;
@@ -356,11 +356,6 @@ impl GraphStore {
         GraphStore::Mem(MemStore::new(graph, features, labels))
     }
 
-    /// Fully-resident store over a bare graph (no features/labels).
-    pub fn from_graph(graph: Arc<CsrGraph>) -> GraphStore {
-        GraphStore::mem(graph, None, None)
-    }
-
     /// Open an on-disk shard store with an explicit mapped-bytes budget.
     pub fn open_with_budget(dir: &Path, budget: usize) -> io::Result<GraphStore> {
         Ok(GraphStore::Mmap(MmapStore::open(dir, budget)?))
@@ -379,7 +374,7 @@ impl GraphStore {
     ) -> io::Result<GraphStore> {
         let dir = fresh_temp_dir()?;
         let shards = default_num_shards(graph.num_vertices());
-        shard::write_store_ordered(&dir, graph, features, labels, shards, order)?;
+        write_store_with_precision(&dir, graph, features, labels, shards, order, Precision::F32)?;
         let mut store = MmapStore::open(&dir, budget)?;
         store.set_remove_on_drop();
         Ok(GraphStore::Mmap(store))
@@ -856,7 +851,9 @@ mod tests {
         let dir = fresh_temp_dir().unwrap();
         let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i * 10 + j) as f32);
         let l = DMatrix::from_fn(g.num_vertices(), 2, |i, j| (i + j) as f32);
-        let manifest = write_store(&dir, g, Some(&f), Some(&l), shards).unwrap();
+        let (order, f32) = (StoreOrder::Natural, Precision::F32);
+        let manifest =
+            write_store_with_precision(&dir, g, Some(&f), Some(&l), shards, order, f32).unwrap();
         (dir, manifest)
     }
 
@@ -882,6 +879,10 @@ mod tests {
             .unwrap();
         assert_eq!(out.row(0), &[150.0, 151.0, 152.0]);
         assert_eq!(out.row(2), &[70.0, 71.0, 72.0]);
+        // Natural stores report identity translation.
+        assert_eq!(store.order(), StoreOrder::Natural);
+        assert_eq!(store.to_internal(13), 13);
+        assert_eq!(store.to_external(13), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1216,7 +1217,8 @@ mod tests {
         // More shards than vertices: trailing shards are empty.
         let g = from_edges(3, &[(0, 1), (1, 2)]);
         let dir = fresh_temp_dir().unwrap();
-        write_store(&dir, &g, None, None, 8).unwrap();
+        write_store_with_precision(&dir, &g, None, None, 8, StoreOrder::Natural, Precision::F32)
+            .unwrap();
         let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
         assert_eq!(store.num_shards(), 8);
         for v in 0..3u32 {
@@ -1251,7 +1253,9 @@ mod tests {
         let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i * 10 + j) as f32);
         for order in [StoreOrder::Bfs, StoreOrder::Degree] {
             let dir = fresh_temp_dir().unwrap();
-            let manifest = shard::write_store_ordered(&dir, &g, Some(&f), None, 4, order).unwrap();
+            let manifest =
+                write_store_with_precision(&dir, &g, Some(&f), None, 4, order, Precision::F32)
+                    .unwrap();
             assert_eq!(manifest.order, order);
             assert_eq!(manifest.rank.len(), g.num_vertices());
             let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
@@ -1285,72 +1289,6 @@ mod tests {
             assert!(verify_store(&dir).unwrap().is_empty());
             std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn natural_order_is_byte_identical_to_legacy_writer() {
-        let g = two_communities();
-        let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i + j) as f32);
-        let d1 = fresh_temp_dir().unwrap();
-        let d2 = fresh_temp_dir().unwrap();
-        write_store(&d1, &g, Some(&f), None, 3).unwrap();
-        shard::write_store_ordered(&d2, &g, Some(&f), None, 3, StoreOrder::Natural).unwrap();
-        for name in [shard::MANIFEST_FILE, shard::INDEX_FILE] {
-            assert_eq!(
-                std::fs::read(d1.join(name)).unwrap(),
-                std::fs::read(d2.join(name)).unwrap(),
-                "{name} differs between legacy and natural-order writers"
-            );
-        }
-        for sid in 0..3 {
-            let name = shard::shard_file_name(sid);
-            assert_eq!(
-                std::fs::read(d1.join(&name)).unwrap(),
-                std::fs::read(d2.join(&name)).unwrap(),
-                "{name} differs"
-            );
-        }
-        // Natural stores report identity translation.
-        let store = GraphStore::open_with_budget(&d1, 1 << 20).unwrap();
-        assert_eq!(store.order(), StoreOrder::Natural);
-        assert_eq!(store.to_internal(13), 13);
-        assert_eq!(store.to_external(13), 13);
-        std::fs::remove_dir_all(&d1).unwrap();
-        std::fs::remove_dir_all(&d2).unwrap();
-    }
-
-    #[test]
-    fn f32_precision_writer_is_byte_identical_to_legacy() {
-        use gsgcn_tensor::Precision;
-        let g = two_communities();
-        let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i + j) as f32 * 0.37);
-        let d1 = fresh_temp_dir().unwrap();
-        let d2 = fresh_temp_dir().unwrap();
-        write_store(&d1, &g, Some(&f), None, 3).unwrap();
-        shard::write_store_with_precision(
-            &d2,
-            &g,
-            Some(&f),
-            None,
-            3,
-            StoreOrder::Natural,
-            Precision::F32,
-        )
-        .unwrap();
-        let mut names = vec![
-            shard::MANIFEST_FILE.to_string(),
-            shard::INDEX_FILE.to_string(),
-        ];
-        names.extend((0..3).map(shard::shard_file_name));
-        for name in names {
-            assert_eq!(
-                std::fs::read(d1.join(&name)).unwrap(),
-                std::fs::read(d2.join(&name)).unwrap(),
-                "{name} differs between legacy and f32-precision writers"
-            );
-        }
-        std::fs::remove_dir_all(&d1).unwrap();
-        std::fs::remove_dir_all(&d2).unwrap();
     }
 
     #[test]
@@ -1420,8 +1358,17 @@ mod tests {
         let f = DMatrix::from_fn(n, f_dim, |i, j| (i * f_dim + j) as f32 * 0.01);
         let d32 = fresh_temp_dir().unwrap();
         let d16 = fresh_temp_dir().unwrap();
-        let m32 = write_store(&d32, &g, Some(&f), None, 3).unwrap();
-        let m16 = shard::write_store_with_precision(
+        let m32 = write_store_with_precision(
+            &d32,
+            &g,
+            Some(&f),
+            None,
+            3,
+            StoreOrder::Natural,
+            Precision::F32,
+        )
+        .unwrap();
+        let m16 = write_store_with_precision(
             &d16,
             &g,
             Some(&f),

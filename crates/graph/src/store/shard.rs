@@ -61,7 +61,7 @@
 //! sections); the shard header does not change, and the file length the
 //! manifest records covers the section. Compatibility: a store without
 //! the marker has no `agg` section — every store written before it
-//! existed, and every store [`write_store_ordered`] writes — and opens,
+//! existed, and every store [`write_store_with_precision`] writes — and opens,
 //! trains, evaluates and serves exactly as before; older readers ignore
 //! the trailing marker but would reject the longer shard files, so the
 //! marker is what a reader must understand. The format version stays.
@@ -182,7 +182,7 @@ impl Fnv1a {
 ///
 /// The format is little-endian and the loader maps files back as typed
 /// slices, so writer and reader must agree on host byte order; the
-/// big-endian guard in [`write_store`] / [`ShardSection::map`] enforces it.
+/// big-endian guard in [`write_store_with_precision`] / [`ShardSection::map`] enforces it.
 fn as_bytes<T: Plain>(v: &[T]) -> &[u8] {
     // SAFETY: `T: Plain` has no padding, so every byte of the slice is
     // initialised, and the length is exactly the slice's bytes.
@@ -601,61 +601,23 @@ impl CheckedWriter {
 }
 
 /// Write a complete shard store for `graph` (plus optional per-vertex
-/// feature/label rows) under `dir`, partitioned into `num_shards` parts by
-/// the frontier (BFS-grown) partitioner. Returns the manifest.
+/// feature/label rows) under `dir` in `num_shards` parts. Returns the
+/// manifest.
 ///
-/// `num_shards` may exceed the vertex count; trailing shards are then
-/// empty, which the loader handles. Existing store files in `dir` are
-/// overwritten.
-pub fn write_store(
-    dir: &Path,
-    graph: &CsrGraph,
-    features: Option<&DMatrix>,
-    labels: Option<&DMatrix>,
-    num_shards: usize,
-) -> io::Result<StoreManifest> {
-    write_store_ordered(
-        dir,
-        graph,
-        features,
-        labels,
-        num_shards,
-        StoreOrder::Natural,
-    )
-}
-
-/// As [`write_store`] with an explicit placement order. `Natural` keeps
-/// the historical BFS-grown partition with members ascending — stores it
-/// writes are byte-identical to pre-order ones. `Bfs`/`Degree` compute a
-/// rank permutation ([`order_rank`]), cut it into contiguous-rank shards
-/// and store members in rank order, recording the permutation in the
-/// manifest's ordering section.
-pub fn write_store_ordered(
-    dir: &Path,
-    graph: &CsrGraph,
-    features: Option<&DMatrix>,
-    labels: Option<&DMatrix>,
-    num_shards: usize,
-    order: StoreOrder,
-) -> io::Result<StoreManifest> {
-    write_store_with_precision(
-        dir,
-        graph,
-        features,
-        labels,
-        num_shards,
-        order,
-        Precision::F32,
-    )
-}
-
-/// As [`write_store_ordered`] with an explicit feature storage precision.
-/// [`Precision::F32`] stores features verbatim (byte-identical to
-/// [`write_store_ordered`]); [`Precision::Bf16`] rounds each feature
-/// element to bf16 (round-to-nearest-even), halving the feature payload of
-/// every shard. Labels are always stored as f32. Readers widen bf16 rows
-/// back to f32 on gather, so downstream code sees f32 either way — rows
-/// just carry bf16 rounding.
+/// `order` places the vertices: `Natural` keeps the historical BFS-grown
+/// partition ([`bfs_partition`](crate::partition::bfs_partition)) with
+/// members ascending; `Bfs`/`Degree` compute a rank permutation
+/// ([`order_rank`]), cut it into contiguous-rank shards and store members
+/// in rank order, recording the permutation in the manifest's ordering
+/// section. `num_shards` may exceed the vertex count; trailing shards are
+/// then empty, which the loader handles. Existing store files in `dir`
+/// are overwritten.
+///
+/// [`Precision::F32`] stores features verbatim; [`Precision::Bf16`]
+/// rounds each feature element to bf16 (round-to-nearest-even), halving
+/// the feature payload of every shard. Labels are always stored as f32.
+/// Readers widen bf16 rows back to f32 on gather, so downstream code sees
+/// f32 either way — rows just carry bf16 rounding.
 pub fn write_store_with_precision(
     dir: &Path,
     graph: &CsrGraph,
@@ -680,11 +642,11 @@ pub fn write_store_with_precision(
 /// into row `i`.
 pub type AggRows<'a> = &'a dyn Fn(&[u32], &mut DMatrix);
 
-/// As [`write_store_ordered`] with f32 `features` and an `agg` section in
-/// every shard (see the module docs): `agg` is asked for each shard's rows
-/// in turn, as that shard is written, into one buffer reused shard to
-/// shard — at most one shard's rows exist at a time. The manifest gains
-/// the [`AGG_MAGIC`] marker.
+/// As [`write_store_with_precision`] with f32 `features` and an `agg`
+/// section in every shard (see the module docs): `agg` is asked for each
+/// shard's rows in turn, as that shard is written, into one buffer reused
+/// shard to shard — at most one shard's rows exist at a time. The
+/// manifest gains the [`AGG_MAGIC`] marker.
 pub fn write_store_with_agg(
     dir: &Path,
     graph: &CsrGraph,
@@ -742,24 +704,6 @@ fn write_store_rows(
             write_partitioned_ordered(dir, graph, rows, &partition, Some((order, rank)))
         }
     }
-}
-
-/// As [`write_store`] but with a caller-supplied partition (must cover
-/// exactly the graph's vertices).
-pub fn write_partitioned(
-    dir: &Path,
-    graph: &CsrGraph,
-    features: Option<&DMatrix>,
-    labels: Option<&DMatrix>,
-    partition: &VertexPartition,
-) -> io::Result<StoreManifest> {
-    let rows = StoreRows {
-        features,
-        labels,
-        feature_precision: Precision::F32,
-        agg: None,
-    };
-    write_partitioned_ordered(dir, graph, rows, partition, None)
 }
 
 /// The writer core: partition + optional `(order, rank)` placement

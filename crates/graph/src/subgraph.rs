@@ -30,12 +30,6 @@ impl InducedSubgraph {
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
     }
-
-    /// Map a subgraph-local id back to the original graph id.
-    #[inline]
-    pub fn to_original(&self, local: u32) -> u32 {
-        self.origin[local as usize]
-    }
 }
 
 /// Extract the subgraph of `g` induced by `vertices`.
@@ -177,8 +171,7 @@ mod tests {
     fn to_original_mapping() {
         let g = sample_graph();
         let sub = induced_subgraph(&g, &[5, 2]);
-        assert_eq!(sub.to_original(0), 2);
-        assert_eq!(sub.to_original(1), 5);
+        assert_eq!(sub.origin, vec![2, 5]);
     }
 
     #[test]

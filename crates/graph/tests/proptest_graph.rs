@@ -63,11 +63,8 @@ proptest! {
             }
         }
         prop_assert_eq!(sub.graph.num_edges(), expect);
-        // Mapping is sorted + correct.
+        // Mapping is sorted.
         prop_assert!(sub.origin.windows(2).all(|w| w[0] < w[1]));
-        for (local, &orig) in sub.origin.iter().enumerate() {
-            prop_assert_eq!(sub.to_original(local as u32), orig);
-        }
         // Every subgraph edge exists in the original.
         for (u, v) in sub.graph.edges() {
             prop_assert!(g.has_edge(sub.origin[u as usize], sub.origin[v as usize]));
@@ -105,15 +102,6 @@ proptest! {
         from_iter.sort_unstable();
         expect.sort_unstable();
         prop_assert_eq!(from_iter, expect);
-    }
-
-    /// Binary I/O round-trips arbitrary graphs.
-    #[test]
-    fn binary_io_roundtrip((n, edges) in edges_strategy(40)) {
-        let g = from_edges(n, &edges);
-        let bytes = gsgcn_graph::io::to_bytes(&g);
-        let back = gsgcn_graph::io::from_bytes(bytes).unwrap();
-        prop_assert_eq!(g, back);
     }
 
     /// Directed builder preserves exactly the deduplicated edge set.

@@ -6,11 +6,11 @@
 
 use gsgcn_graph::builder::from_edges;
 use gsgcn_graph::store::shard::{
-    shard_file_name, verify_store, write_store, write_store_ordered, ShardShape,
+    shard_file_name, verify_store, write_store_with_precision, ShardShape,
 };
 use gsgcn_graph::store::{SectionKind, StoreManifest};
 use gsgcn_graph::{l_hop_ball, CsrGraph, GraphStore, StoreOrder, Topology};
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,7 +122,15 @@ proptest! {
         let f = with_features.then(|| feature_rows(n, 5));
         let l = with_labels.then(|| label_rows(n, 2));
         let dir = fresh_dir();
-        let manifest = write_store(&dir, &g, f.as_ref(), l.as_ref(), shards).unwrap();
+        let manifest = write_store_with_precision(
+            &dir,
+            &g,
+            f.as_ref(),
+            l.as_ref(),
+            shards,
+            StoreOrder::Natural,
+            Precision::F32,
+        ).unwrap();
         let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
 
         prop_assert_eq!(Topology::num_vertices(&store), n);
@@ -198,7 +206,16 @@ proptest! {
         prop_assume!(shards >= 2);
         let n = g.num_vertices();
         let dir = fresh_dir();
-        write_store(&dir, &g, Some(&feature_rows(n, 5)), None, shards).unwrap();
+        write_store_with_precision(
+            &dir,
+            &g,
+            Some(&feature_rows(n,
+            5)),
+            None,
+            shards,
+            StoreOrder::Natural,
+            Precision::F32,
+        ).unwrap();
         let store = GraphStore::open_with_budget(&dir, 1).unwrap();
         let v = (pick % n as u64) as u32;
         let view = store.view();
@@ -238,8 +255,15 @@ proptest! {
         let f = feature_rows(n, 5);
         let l = label_rows(n, 2);
         let dir = fresh_dir();
-        let manifest =
-            write_store_ordered(&dir, &g, Some(&f), Some(&l), shards, StoreOrder::Bfs).unwrap();
+        let manifest = write_store_with_precision(
+            &dir,
+            &g,
+            Some(&f),
+            Some(&l),
+            shards,
+            StoreOrder::Bfs,
+            Precision::F32,
+        ).unwrap();
         let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
         let mem = GraphStore::mem(
             std::sync::Arc::new(g.clone()),
@@ -305,7 +329,15 @@ proptest! {
         let n = g.num_vertices();
         let f = feature_rows(n, 3);
         let dir = fresh_dir();
-        let manifest = write_store(&dir, &g, Some(&f), None, shards).unwrap();
+        let manifest = write_store_with_precision(
+            &dir,
+            &g,
+            Some(&f),
+            None,
+            shards,
+            StoreOrder::Natural,
+            Precision::F32,
+        ).unwrap();
         let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
         let (graph, feats, labels) = store.materialize().unwrap();
         prop_assert_eq!(&*graph, &g);
@@ -322,7 +354,15 @@ proptest! {
         let n = g.num_vertices();
         let f = feature_rows(n, 3);
         let dir = fresh_dir();
-        let manifest = write_store(&dir, &g, Some(&f), None, shards).unwrap();
+        let manifest = write_store_with_precision(
+            &dir,
+            &g,
+            Some(&f),
+            None,
+            shards,
+            StoreOrder::Natural,
+            Precision::F32,
+        ).unwrap();
         let sid = (pick % manifest.shards.len() as u64) as usize;
         let file_len = manifest.shards[sid].file_len;
         prop_assume!(file_len > 0);
@@ -344,7 +384,15 @@ proptest! {
         let n = g.num_vertices();
         let f = feature_rows(n, 3);
         let dir = fresh_dir();
-        let manifest = write_store(&dir, &g, Some(&f), None, shards).unwrap();
+        let manifest = write_store_with_precision(
+            &dir,
+            &g,
+            Some(&f),
+            None,
+            shards,
+            StoreOrder::Natural,
+            Precision::F32,
+        ).unwrap();
         let sid = (pick % manifest.shards.len() as u64) as usize;
         let path = dir.join(shard_file_name(sid));
         let mut bytes = std::fs::read(&path).unwrap();
@@ -368,7 +416,15 @@ proptest! {
         let f = feature_rows(n, 5);
         for order in [StoreOrder::Bfs, StoreOrder::Degree] {
             let dir = fresh_dir();
-            let manifest = write_store_ordered(&dir, &g, Some(&f), None, shards, order).unwrap();
+            let manifest = write_store_with_precision(
+                &dir,
+                &g,
+                Some(&f),
+                None,
+                shards,
+                order,
+                Precision::F32,
+            ).unwrap();
             prop_assert!(verify_store(&dir).unwrap().is_empty());
             let store = GraphStore::open_with_budget(&dir, budget.bytes(&manifest)).unwrap();
             prop_assert_eq!(store.order(), order);

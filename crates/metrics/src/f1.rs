@@ -121,36 +121,6 @@ pub fn f1_micro(pred: &DMatrix, target: &DMatrix) -> f64 {
     pooled.f1()
 }
 
-/// Macro-averaged F1: mean of per-class F1 scores.
-pub fn f1_macro(pred: &DMatrix, target: &DMatrix) -> f64 {
-    let per = per_class_confusion(pred, target);
-    if per.is_empty() {
-        return 0.0;
-    }
-    per.iter().map(|c| c.f1()).sum::<f64>() / per.len() as f64
-}
-
-/// Row-level accuracy: fraction of rows whose predictions match exactly
-/// (for single-label this is ordinary classification accuracy).
-pub fn accuracy(pred: &DMatrix, target: &DMatrix) -> f64 {
-    assert_eq!(pred.shape(), target.shape());
-    if pred.rows() == 0 {
-        return 0.0;
-    }
-    let mut hit = 0usize;
-    for i in 0..pred.rows() {
-        let ok = pred
-            .row(i)
-            .iter()
-            .zip(target.row(i))
-            .all(|(&p, &t)| (p > 0.5) == (t > 0.5));
-        if ok {
-            hit += 1;
-        }
-    }
-    hit as f64 / pred.rows() as f64
-}
-
 /// Streaming micro-F1 accumulator: feed probability/target row pairs in
 /// any order — full matrices at once, or chunk by chunk as an out-of-core
 /// evaluation produces them — and read the pooled F1 at the end. The
@@ -211,11 +181,6 @@ impl F1Accumulator {
         self.rows
     }
 
-    /// Pooled confusion counts so far.
-    pub fn confusion(&self) -> Confusion {
-        self.pooled
-    }
-
     /// Micro-averaged F1 of everything folded so far.
     pub fn f1(&self) -> f64 {
         self.pooled.f1()
@@ -245,8 +210,6 @@ mod tests {
     fn confusion_perfect_prediction() {
         let y = DMatrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
         assert_eq!(f1_micro(&y, &y), 1.0);
-        assert_eq!(f1_macro(&y, &y), 1.0);
-        assert_eq!(accuracy(&y, &y), 1.0);
     }
 
     #[test]
@@ -254,7 +217,6 @@ mod tests {
         let p = DMatrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 0.0]);
         let t = DMatrix::from_vec(2, 2, vec![0.0, 1.0, 0.0, 1.0]);
         assert_eq!(f1_micro(&p, &t), 0.0);
-        assert_eq!(accuracy(&p, &t), 0.0);
     }
 
     #[test]
@@ -266,15 +228,6 @@ mod tests {
         let p = DMatrix::from_vec(3, 2, vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0]);
         let t = DMatrix::from_vec(3, 2, vec![1.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
         assert!((f1_micro(&p, &t) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn macro_f1_hand_computed() {
-        // Same data: class0 F1 = 2·(1/2·1)/(1/2+1) = 2/3;
-        // class1: P=1, R=2/3 → F1 = 4/5. Macro = (2/3 + 4/5)/2 = 11/15.
-        let p = DMatrix::from_vec(3, 2, vec![1.0, 0.0, 1.0, 1.0, 0.0, 1.0]);
-        let t = DMatrix::from_vec(3, 2, vec![1.0, 1.0, 0.0, 1.0, 0.0, 1.0]);
-        assert!((f1_macro(&p, &t) - 11.0 / 15.0).abs() < 1e-12);
     }
 
     #[test]
@@ -295,7 +248,6 @@ mod tests {
     #[test]
     fn empty_predictions_degenerate() {
         let e = DMatrix::zeros(0, 3);
-        assert_eq!(accuracy(&e, &e), 0.0);
         assert_eq!(f1_micro(&e, &e), 0.0);
     }
 

@@ -1,8 +1,8 @@
 //! Evaluation metrics and timing instrumentation.
 //!
-//! * [`f1`] — F1-micro / F1-macro (the paper's accuracy metric, Fig. 2)
-//!   for multi-label (0.5-thresholded sigmoid) and single-label (argmax)
-//!   predictions, plus plain accuracy.
+//! * [`f1`] — F1-micro (the paper's accuracy metric, Fig. 2) for
+//!   multi-label (0.5-thresholded sigmoid) and single-label (argmax)
+//!   predictions.
 //! * [`timing`] — the per-phase execution-time breakdown of Fig. 3
 //!   (sampling / feature propagation / weight application) and speedup
 //!   helpers.

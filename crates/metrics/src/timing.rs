@@ -120,15 +120,6 @@ impl Breakdown {
         }
     }
 
-    /// Merge another breakdown into this one.
-    pub fn merge(&mut self, other: &Breakdown) {
-        self.sampling_secs += other.sampling_secs;
-        self.feature_prop_secs += other.feature_prop_secs;
-        self.weight_app_secs += other.weight_app_secs;
-        self.other_secs += other.other_secs;
-        self.sampling_hidden_secs += other.sampling_hidden_secs;
-    }
-
     /// One-line report: `Sampling 12.3% | Feat 45.6% | Weight 40.0% | ...`,
     /// with the sampling-overlap percentage appended when any sampling ran
     /// hidden behind compute.
@@ -228,21 +219,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         assert!(b.feature_prop_secs >= 0.004, "{}", b.feature_prop_secs);
-    }
-
-    #[test]
-    fn merge_combines() {
-        let mut a = Breakdown::default();
-        a.add(Phase::Sampling, 1.0);
-        a.add_hidden_sampling(0.5);
-        let mut b = Breakdown::default();
-        b.add(Phase::Sampling, 2.0);
-        b.add(Phase::Other, 1.0);
-        b.add_hidden_sampling(1.5);
-        a.merge(&b);
-        assert_eq!(a.sampling_secs, 3.0);
-        assert_eq!(a.other_secs, 1.0);
-        assert_eq!(a.sampling_hidden_secs, 2.0);
     }
 
     #[test]

@@ -150,7 +150,7 @@ pub struct GcnLayer {
     fwd: Option<Precision>,
     /// Scratch for `dH_neigh·W_neighᵀ` in the unfused backward.
     d_agg: DMatrix,
-    /// Persistent weight-gradient buffers (see [`GcnLayer::own_grads`]).
+    /// Persistent weight-gradient buffers (see [`GcnLayer::apply_own_grads`]).
     grads: GcnLayerGrads,
     cache: Option<ForwardCache>,
 }
@@ -495,8 +495,7 @@ impl GcnLayer {
     /// gradient nobody reads — no input-gradient GEMM runs; the weight
     /// gradients are bit-identical either way. Weight gradients land in
     /// the layer's persistent buffers — apply them with
-    /// [`GcnLayer::apply_own_grads`] or read them via
-    /// [`GcnLayer::own_grads`].
+    /// [`GcnLayer::apply_own_grads`].
     ///
     /// The backward runs in the precision its forward stored the input
     /// in, even if the layer's precision changed since (see the module
@@ -603,11 +602,6 @@ impl GcnLayer {
         );
         self.cache = Some(cache);
         (d_in, self.grads.clone(), t)
-    }
-
-    /// The weight gradients of the last backward pass.
-    pub fn own_grads(&self) -> &GcnLayerGrads {
-        &self.grads
     }
 
     /// Apply Adam updates from the layer's own gradient buffers (the
@@ -891,7 +885,7 @@ mod tests {
         let mut d_pre = d_out.clone();
         let mut d_in = want_d_in.then(|| DMatrix::zeros(0, 0));
         layer.backward_into(g, h, &out, &mut d_pre, d_in.as_mut(), &p);
-        (layer.own_grads().clone(), layer.z_neigh.clone(), d_in)
+        (layer.grads.clone(), layer.z_neigh.clone(), d_in)
     }
 
     /// Skipping the input gradient changes no weight gradient and no `Z`
@@ -986,14 +980,10 @@ mod tests {
             l.backward_into(&g, &h, &out, &mut d_pre, Some(&mut d_in), &p);
             let (want, _, want_d_in) = in_one(fwd);
             let (other, _, _) = in_one(bwd);
-            assert_eq!(l.own_grads().d_w_neigh, want.d_w_neigh, "{fwd} forward");
-            assert_eq!(l.own_grads().d_w_self, want.d_w_self, "{fwd} forward");
+            assert_eq!(l.grads.d_w_neigh, want.d_w_neigh, "{fwd} forward");
+            assert_eq!(l.grads.d_w_self, want.d_w_self, "{fwd} forward");
             assert_eq!(Some(d_in), want_d_in, "{fwd} forward: d_in");
-            assert_ne!(
-                l.own_grads().d_w_self,
-                other.d_w_self,
-                "{bwd} is not what ran"
-            );
+            assert_ne!(l.grads.d_w_self, other.d_w_self, "{bwd} is not what ran");
         }
     }
 

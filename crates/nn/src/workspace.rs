@@ -74,13 +74,4 @@ impl InferenceWorkspace {
     pub fn frontier(&mut self) -> &mut FrontierScratch {
         &mut self.frontier
     }
-
-    /// Bytes currently held across the matrix scratch buffers (capacity
-    /// probe for dashboards/tests; the frontier cutter's relabel table,
-    /// 4 bytes per vertex of the largest graph cut, is not counted).
-    pub fn scratch_bytes(&self) -> usize {
-        let level_floats: usize = self.levels.iter().map(|m| m.data().len()).sum();
-        (self.ping.data().len() + self.pong.data().len() + self.agg.data().len() + level_floats)
-            * std::mem::size_of::<f32>()
-    }
 }

@@ -230,21 +230,11 @@ impl Dashboard {
     }
 
     /// Pop one frontier vertex with probability proportional to its slot
-    /// count (para_POP_FRONTIER, Alg. 4 lines 1–17). Returns the vertex.
+    /// count (para_POP_FRONTIER, Alg. 4 lines 1–17). Returns the vertex and
+    /// the `deg` it was [added](Self::add_to_frontier) with.
     ///
     /// # Panics
     /// Panics if the frontier is empty (no live slots).
-    pub fn pop_frontier(
-        &mut self,
-        scalar_rng: &mut Xorshift128Plus,
-        lane_rng: &mut LaneRng,
-        mode: ProbeMode,
-    ) -> u32 {
-        self.pop_frontier_entry(scalar_rng, lane_rng, mode).0
-    }
-
-    /// As [`Self::pop_frontier`], also returning the `deg` the popped
-    /// vertex was [added](Self::add_to_frontier) with.
     pub fn pop_frontier_entry(
         &mut self,
         scalar_rng: &mut Xorshift128Plus,
@@ -547,10 +537,14 @@ mod tests {
         assert_eq!(db.live_vertices(), 2);
         let mut srng = Xorshift128Plus::new(1);
         let mut lrng = LaneRng::new(1);
-        let v1 = db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Scalar);
+        let v1 = db
+            .pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Scalar)
+            .0;
         assert!(v1 == 7 || v1 == 9);
         db.check_invariants();
-        let v2 = db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Lanes);
+        let v2 = db
+            .pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Lanes)
+            .0;
         assert_ne!(v1, v2);
         assert_eq!(db.live_slots(), 0);
         db.check_invariants();
@@ -562,7 +556,7 @@ mod tests {
         let mut db = Dashboard::new(2, 3.0, 2.0, u32::MAX);
         let mut srng = Xorshift128Plus::new(1);
         let mut lrng = LaneRng::new(1);
-        db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Scalar);
+        db.pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Scalar);
     }
 
     #[test]
@@ -573,7 +567,9 @@ mod tests {
         for v in 0..4u32 {
             db.add_to_frontier(v, 2 + v as usize);
         }
-        let popped = db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Scalar);
+        let popped = db
+            .pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Scalar)
+            .0;
         let live_before = db.live_slots();
         db.cleanup();
         db.check_invariants();
@@ -583,7 +579,10 @@ mod tests {
         assert_eq!(db.live_vertices(), 3);
         let mut remaining: Vec<u32> = Vec::new();
         while db.live_slots() > 0 {
-            remaining.push(db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Scalar));
+            remaining.push(
+                db.pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Scalar)
+                    .0,
+            );
         }
         remaining.sort_unstable();
         let expect: Vec<u32> = (0..4).filter(|&v| v != popped).collect();
@@ -696,7 +695,11 @@ mod tests {
             }
             let mut srng = Xorshift128Plus::new(seed as u64);
             let mut lrng = LaneRng::new(seed as u64 + 1);
-            if db.pop_frontier(&mut srng, &mut lrng, ProbeMode::Lanes) == 0 {
+            if db
+                .pop_frontier_entry(&mut srng, &mut lrng, ProbeMode::Lanes)
+                .0
+                == 0
+            {
                 hub_first += 1;
             }
         }

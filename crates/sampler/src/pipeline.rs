@@ -932,7 +932,7 @@ mod tests {
     #[test]
     fn failed_gathers_are_delivered_in_order_without_poisoning() {
         // A store without feature rows: every gather fails.
-        let store = Arc::new(GraphStore::from_graph(Arc::new(ring(300))));
+        let store = Arc::new(GraphStore::mem(Arc::new(ring(300)), None, None));
         let s = Arc::new(sampler());
         for workers in [0usize, 2] {
             let cfg = cfg(workers, 2);

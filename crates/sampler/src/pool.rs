@@ -57,12 +57,6 @@ impl Ticket {
         }
     }
 
-    /// Position of this ticket in the consumption order (inverse of
-    /// [`Ticket::from_sequence`]).
-    pub fn sequence(self, p_inter: usize) -> u64 {
-        self.batch * p_inter as u64 + self.instance
-    }
-
     /// The sampler seed for this ticket (the `base_seed ⊕ hash(b, i)`
     /// scheme shared by both sampling paths).
     pub fn seed(self, base_seed: u64) -> u64 {
@@ -241,7 +235,8 @@ mod tests {
             for seq in 0..40u64 {
                 let t = Ticket::from_sequence(seq, p_inter);
                 assert!(t.instance < p_inter as u64);
-                assert_eq!(t.sequence(p_inter), seq, "p_inter {p_inter} seq {seq}");
+                let back = t.batch * p_inter as u64 + t.instance;
+                assert_eq!(back, seq, "p_inter {p_inter} seq {seq}");
             }
         }
     }

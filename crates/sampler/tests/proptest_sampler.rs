@@ -48,8 +48,8 @@ proptest! {
                 *live.entry(next_vertex).or_insert(0) += 1;
                 next_vertex += 1;
             } else if op < 9 {
-                let v = db.pop_frontier(&mut srng, &mut lrng,
-                    if op == 6 { ProbeMode::Scalar } else { ProbeMode::Lanes });
+                let mode = if op == 6 { ProbeMode::Scalar } else { ProbeMode::Lanes };
+                let (v, _) = db.pop_frontier_entry(&mut srng, &mut lrng, mode);
                 let c = live.get_mut(&v).expect("popped vertex must be live");
                 *c -= 1;
                 if *c == 0 { live.remove(&v); }
@@ -193,7 +193,9 @@ proptest! {
             SEQ.fetch_add(1, Ordering::Relaxed),
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        gsgcn_graph::store::shard::write_store(&dir, &g, None, None, shards).unwrap();
+        let (order, f32) = (gsgcn_graph::StoreOrder::Natural, gsgcn_tensor::Precision::F32);
+        gsgcn_graph::store::shard::write_store_with_precision(&dir, &g, None, None, shards, order, f32)
+            .unwrap();
         let store = gsgcn_graph::GraphStore::open_with_budget(&dir, 4 * 1024).unwrap();
         let budget = 16.min(g.num_vertices());
         let s = DashboardSampler::new(FrontierConfig {

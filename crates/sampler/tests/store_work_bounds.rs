@@ -5,14 +5,14 @@
 //! store may cost the sampler in mappings.
 
 use gsgcn_graph::store::mmap::MmapStore;
-use gsgcn_graph::store::shard::{write_store_ordered, ShardShape};
+use gsgcn_graph::store::shard::{write_store_with_precision, ShardShape};
 use gsgcn_graph::store::{SectionKind, StoreManifest};
 use gsgcn_graph::{
     induced_subgraph, CsrGraph, FrontierScratch, GraphBuilder, GraphStore, StoreOrder, Topology,
 };
 use gsgcn_sampler::dashboard::{DashboardSampler, FrontierConfig};
 use gsgcn_sampler::GraphSampler;
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use std::path::PathBuf;
 
 const N: usize = 1200;
@@ -40,8 +40,16 @@ fn spill(tag: &str) -> (PathBuf, CsrGraph, StoreManifest) {
     std::fs::create_dir_all(&dir).unwrap();
     let f = DMatrix::from_fn(N, FEATURE_DIM, |i, j| (i * 31 + j) as f32);
     let l = DMatrix::from_fn(N, LABEL_DIM, |i, j| (i + j) as f32);
-    let manifest =
-        write_store_ordered(&dir, &g, Some(&f), Some(&l), SHARDS, StoreOrder::Bfs).unwrap();
+    let manifest = write_store_with_precision(
+        &dir,
+        &g,
+        Some(&f),
+        Some(&l),
+        SHARDS,
+        StoreOrder::Bfs,
+        Precision::F32,
+    )
+    .unwrap();
     (dir, g, manifest)
 }
 

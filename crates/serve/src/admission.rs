@@ -20,8 +20,9 @@
 //! explicit `overloaded` reply instead of blocking the submitter, and
 //! workers claim the maximum-weight *fitting* request instead of the
 //! head. p99 under 2× offered load is then bounded by the queue bound ×
-//! batch time rather than growing without limit (measured in
-//! `BENCH_serving.json`'s `overload` records).
+//! batch time rather than growing without limit (measured by the
+//! serving bench's `overload` records, which CI uploads as the
+//! `BENCH_serving.json` artifact).
 //!
 //! Weights are time-varying, so no static order (heap or search tree)
 //! survives; with the queue bounded (default 1024) an O(Q) scan at

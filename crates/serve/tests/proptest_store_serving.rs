@@ -12,11 +12,11 @@
 //! root and a root whose only neighbour is itself.
 
 use gsgcn_graph::store::mmap::MmapStore;
-use gsgcn_graph::store::shard::write_store_ordered;
+use gsgcn_graph::store::shard::write_store_with_precision;
 use gsgcn_graph::{CsrGraph, GraphBuilder, GraphStore, StoreOrder};
 use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
 use gsgcn_serve::{ActivationCache, ClassifyWorkspace, NodeClassifier};
-use gsgcn_tensor::DMatrix;
+use gsgcn_tensor::{DMatrix, Precision};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -131,7 +131,7 @@ proptest! {
                 "gsgcn-serve-proptest-{}-{seed:x}-{}", std::process::id(), dirs.len()
             ));
             std::fs::create_dir_all(&dir).unwrap();
-            write_store_ordered(&dir, &g, Some(&x), None, shards, order).unwrap();
+            write_store_with_precision(&dir, &g, Some(&x), None, shards, order, Precision::F32).unwrap();
             let store = MmapStore::open(&dir, 4096).unwrap();
             stores.push((name, GraphStore::Mmap(store)));
             dirs.push(dir);

@@ -751,7 +751,7 @@ fn scale_c(c: &mut MatMut<'_>, beta: f32) {
 // Reference and baseline kernels
 // ---------------------------------------------------------------------------
 
-/// Naive triple-loop reference, used by tests and benches as ground truth.
+/// Naive triple-loop reference, used by tests as ground truth.
 pub fn matmul_reference(a: &DMatrix, b: &DMatrix) -> DMatrix {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();

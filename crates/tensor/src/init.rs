@@ -21,17 +21,6 @@ pub fn uniform(rows: usize, cols: usize, lo: f32, hi: f32, seed: u64) -> DMatrix
     DMatrix::from_fn(rows, cols, |_, _| rng.random_range(lo..hi))
 }
 
-/// Standard Gaussian scaled by `std`.
-pub fn gaussian(rows: usize, cols: usize, std: f32, seed: u64) -> DMatrix {
-    let mut rng = StdRng::seed_from_u64(seed);
-    DMatrix::from_fn(rows, cols, |_, _| {
-        // Box–Muller from two uniforms; avoids a rand_distr dependency.
-        let u1: f32 = rng.random_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.random_range(0.0..1.0);
-        std * (-2.0 * u1.ln()).sqrt() * (std::f32::consts::TAU * u2).cos()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,27 +35,12 @@ mod tests {
         let limit = (6.0f32 / 50.0).sqrt();
         assert!(a.data().iter().all(|&x| x.abs() <= limit));
         // Not degenerate.
-        assert!(a.frobenius_norm() > 0.0);
+        assert!(a.data().iter().any(|&x| x != 0.0));
     }
 
     #[test]
     fn uniform_range() {
         let m = uniform(10, 10, -2.0, 3.0, 1);
         assert!(m.data().iter().all(|&x| (-2.0..3.0).contains(&x)));
-    }
-
-    #[test]
-    fn gaussian_moments() {
-        let m = gaussian(100, 100, 2.0, 7);
-        let mean = m.data().iter().sum::<f32>() / 10_000.0;
-        let var = m
-            .data()
-            .iter()
-            .map(|&x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / 10_000.0;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.4, "var {var}");
-        assert!(m.all_finite());
     }
 }

@@ -236,24 +236,6 @@ pub fn softmax_rows_inplace(m: &mut DMatrix) {
     });
 }
 
-/// `a += b` elementwise.
-pub fn add_assign(a: &mut DMatrix, b: &DMatrix) {
-    assert_eq!(a.shape(), b.shape());
-    a.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
-        .for_each(|(x, &y)| *x += y);
-}
-
-/// `a += alpha * b` (axpy).
-pub fn axpy(a: &mut DMatrix, alpha: f32, b: &DMatrix) {
-    assert_eq!(a.shape(), b.shape());
-    a.data_mut()
-        .par_iter_mut()
-        .zip(b.data().par_iter())
-        .for_each(|(x, &y)| *x = y.mul_add(alpha, *x));
-}
-
 /// `a *= alpha`.
 pub fn scale(a: &mut DMatrix, alpha: f32) {
     a.data_mut().par_iter_mut().for_each(|x| *x *= alpha);
@@ -302,18 +284,11 @@ pub fn split_cols(m: &DMatrix, fl: usize) -> (DMatrix, DMatrix) {
 }
 
 /// Inverted-dropout forward: zero each element with probability `p` and
-/// scale survivors by `1/(1-p)`. The mask is returned for the backward
-/// pass. `rng_stream` seeds a counter-based generator so the mask is
-/// deterministic per call site.
-pub fn dropout_inplace(m: &mut DMatrix, p: f32, rng_stream: u64) -> Vec<bool> {
-    let mut mask = Vec::new();
-    dropout_inplace_with(m, p, rng_stream, &mut mask);
-    mask
-}
-
-/// Buffer-reusing variant of [`dropout_inplace`]: the mask is written into
-/// `mask` (resized as needed), so a warm training loop reuses one mask
-/// buffer per layer instead of allocating each step.
+/// scale survivors by `1/(1-p)`. The mask for the backward pass is written
+/// into `mask` (resized as needed), so a warm training loop reuses one
+/// mask buffer per layer instead of allocating each step. `rng_stream`
+/// seeds a counter-based generator so the mask is deterministic per call
+/// site.
 pub fn dropout_inplace_with(m: &mut DMatrix, p: f32, rng_stream: u64, mask: &mut Vec<bool>) {
     assert!((0.0..1.0).contains(&p), "dropout p must be in [0,1)");
     if p == 0.0 {
@@ -407,13 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn add_axpy_scale() {
-        let mut a = DMatrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let b = DMatrix::from_vec(1, 2, vec![10.0, 20.0]);
-        add_assign(&mut a, &b);
-        assert_eq!(a.data(), &[11.0, 22.0]);
-        axpy(&mut a, 0.5, &b);
-        assert_eq!(a.data(), &[16.0, 32.0]);
+    fn scale_multiplies() {
+        let mut a = DMatrix::from_vec(1, 2, vec![16.0, 32.0]);
         scale(&mut a, 2.0);
         assert_eq!(a.data(), &[32.0, 64.0]);
     }
@@ -446,8 +416,9 @@ mod tests {
     fn dropout_deterministic_and_scaled() {
         let mut a = DMatrix::filled(10, 10, 1.0);
         let mut b = DMatrix::filled(10, 10, 1.0);
-        let ma = dropout_inplace(&mut a, 0.5, 7);
-        let mb = dropout_inplace(&mut b, 0.5, 7);
+        let (mut ma, mut mb) = (Vec::new(), Vec::new());
+        dropout_inplace_with(&mut a, 0.5, 7, &mut ma);
+        dropout_inplace_with(&mut b, 0.5, 7, &mut mb);
         assert_eq!(ma, mb);
         assert_eq!(a, b);
         // Survivors scaled by 2.0.
@@ -462,7 +433,8 @@ mod tests {
     #[test]
     fn dropout_zero_p_is_identity() {
         let mut a = DMatrix::filled(2, 2, 3.0);
-        let mask = dropout_inplace(&mut a, 0.0, 1);
+        let mut mask = Vec::new();
+        dropout_inplace_with(&mut a, 0.0, 1, &mut mask);
         assert!(mask.iter().all(|&k| k));
         assert_eq!(a, DMatrix::filled(2, 2, 3.0));
     }
@@ -470,7 +442,8 @@ mod tests {
     #[test]
     fn dropout_backward_applies_mask() {
         let mut fwd = DMatrix::filled(1, 4, 1.0);
-        let mask = dropout_inplace(&mut fwd, 0.25, 3);
+        let mut mask = Vec::new();
+        dropout_inplace_with(&mut fwd, 0.25, 3, &mut mask);
         let mut g = DMatrix::filled(1, 4, 1.0);
         dropout_backward_inplace(&mut g, &mask, 0.25);
         for (gv, &keep) in g.data().iter().zip(&mask) {

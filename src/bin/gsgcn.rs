@@ -122,7 +122,8 @@ const USAGE: &str = "usage:
   gsgcn predict --load PATH --nodes N,N,.. [--probs] [--shards DIR]
               [--graph-store <mem|mmap>] [dataset overrides as for eval]
               — classify a node batch layer by layer on its frontier
-              through the batch engine; --probs prints full class rows;
+              through the batch engine; --probs prints full class rows,
+              each probability in its shortest round-trip form;
               GSGCN_ACTIVATION_CACHE=SIZE attaches an activation cache
   gsgcn serve --load PATH [--addr HOST:PORT] [--workers N] [--max-batch N]
               [--queue N] [--admission <block|shed>]
@@ -908,7 +909,7 @@ fn cmd_predict(flags: &HashMap<String, String>) -> Result<(), String> {
             let row = p
                 .probs
                 .iter()
-                .map(|x| format!("{x:.4}"))
+                .map(|x| format!("{x}"))
                 .collect::<Vec<_>>()
                 .join(" ");
             print!("  probs [{row}]");

@@ -362,3 +362,87 @@ fn predict_warns_when_the_cache_cannot_apply() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `predict --probs` prints each probability in its shortest round-trip
+/// form, so a CLI diff pins bits: every printed value parses back to the
+/// bits `NodeClassifier::classify` gives in-process on the same
+/// checkpoint and regenerated dataset.
+#[test]
+fn predict_probs_round_trip_to_the_classifier_bits() {
+    use gsgcn::data::presets;
+    use gsgcn::nn::checkpoint::ModelWeights;
+    use gsgcn::nn::model::{GcnConfig, GcnModel, LossKind};
+    use gsgcn::serve::NodeClassifier;
+    use std::sync::Arc;
+
+    let dir = std::env::temp_dir().join(format!("gsgcn-cli-probs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("model.gcn");
+    let model_path = model_path.to_str().unwrap();
+    let trained = run(&tiny_train(&["--save", model_path]), &[]);
+    assert!(
+        trained.status.success(),
+        "{}",
+        String::from_utf8_lossy(&trained.stderr)
+    );
+    let nodes = [3u32, 17, 42, 99];
+    let out = run(
+        &[
+            "predict",
+            "--load",
+            model_path,
+            "--vertices",
+            "100",
+            "--nodes",
+            "3,17,42,99",
+            "--probs",
+        ],
+        &[],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let printed: Vec<(u32, Vec<f32>)> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("node"))
+        .map(|l| {
+            let node = l.split_whitespace().next().unwrap().parse().unwrap();
+            let row = l.split("probs [").nth(1).unwrap().trim_end_matches(']');
+            let probs = row.split(' ').map(|x| x.parse().unwrap()).collect();
+            (node, probs)
+        })
+        .collect();
+
+    // The binary's own reconstruction: `tiny_train`'s dataset (ppi scaled
+    // to 100 vertices, the default seed 42) and hidden sizes, f32.
+    let dataset = presets::scale_spec(&presets::ppi_spec(), 100).generate(42);
+    let cfg = GcnConfig {
+        in_dim: dataset.feature_dim(),
+        hidden_dims: vec![8, 8],
+        num_classes: dataset.num_classes(),
+        loss: LossKind::SigmoidBce,
+        ..GcnConfig::default()
+    };
+    let mut model = GcnModel::new(cfg, 1);
+    model
+        .import_weights(&ModelWeights::load(model_path).unwrap())
+        .unwrap();
+    let classifier = NodeClassifier::new(
+        Arc::new(model),
+        Arc::new(dataset.graph),
+        Arc::new(dataset.features),
+    )
+    .unwrap();
+    let want = classifier.classify(&nodes).unwrap();
+
+    assert_eq!(printed.len(), nodes.len(), "{stdout}");
+    for ((node, probs), p) in printed.iter().zip(&want) {
+        assert_eq!(*node, p.node);
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(probs), bits(&p.probs), "node {node}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
