@@ -48,7 +48,7 @@
 //!
 //! Evaluation may take the workers' cores because the workers are idle
 //! while it runs: a stored evaluation pauses their gathers, and on either
-//! arm each worker stops once it is one subgraph ahead. The GEMM and the
+//! source each worker stops once it is one subgraph ahead. The GEMM and the
 //! fused aggregation give the same bits at every thread count, so the
 //! width changes no probability and no F1. The evaluation pool is not
 //! clamped to the machine's cores: its threads are the ones the trainer
@@ -64,12 +64,13 @@ use gsgcn_graph::{GraphStore, Topology};
 use gsgcn_metrics::convergence::Curve;
 use gsgcn_metrics::f1;
 use gsgcn_metrics::timing::{Breakdown, Phase};
-use gsgcn_nn::model::{GcnConfig, GcnModel, InputAggregate, LossKind};
+use gsgcn_nn::model::{GcnConfig, GcnModel, InputAggregate, LevelSource, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_prop::propagator::FeaturePropagator;
 use gsgcn_sampler::dashboard::DashboardSampler;
 use gsgcn_sampler::pipeline::{GatherPause, PipelineConfig, SamplerPipeline, SubgraphRows};
-use gsgcn_tensor::Precision;
+use gsgcn_tensor::{DMatrix, Precision};
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -82,45 +83,76 @@ pub enum EvalSplit {
 }
 
 /// Where the evaluation graph lives: fully resident ([`Dataset`]) or in
-/// a sharded on-disk store ([`StoreDataset`]). Training always reads
-/// through a [`GraphStore`]; only evaluation branches on this.
+/// a sharded on-disk store ([`StoreDataset`]), read as a [`LevelSource`].
 enum EvalSource<'a> {
     Resident(&'a Dataset),
     Stored(&'a StoreDataset),
 }
 
 impl EvalSource<'_> {
-    fn name(&self) -> &str {
+    /// The dataset's name, task and split.
+    fn meta(&self) -> (&str, TaskKind, &Split) {
         match self {
-            EvalSource::Resident(d) => &d.name,
-            EvalSource::Stored(sd) => &sd.name,
+            EvalSource::Resident(d) => (&d.name, d.task, &d.split),
+            EvalSource::Stored(sd) => (&sd.name, sd.task, &sd.split),
         }
     }
 
-    fn task(&self) -> TaskKind {
+    /// The level recursion's source and row cap. Resident data runs
+    /// uncapped with `input`, the trainer's kept `Â·X`: the cap bounds
+    /// stored memory only, and resident data already holds every row.
+    fn level_source<'s>(&'s self, input: Option<&'s InputAggregate>) -> (LevelSource<'s>, usize) {
         match self {
-            EvalSource::Resident(d) => d.task,
-            EvalSource::Stored(sd) => sd.task,
+            EvalSource::Resident(d) => {
+                let (graph, features) = (&d.graph, &d.features);
+                (
+                    LevelSource::Resident {
+                        graph,
+                        features,
+                        input,
+                    },
+                    usize::MAX,
+                )
+            }
+            EvalSource::Stored(sd) => (LevelSource::Store(&sd.full), EVAL_MAX_BALL_ROWS),
         }
     }
 
-    fn split(&self) -> &Split {
+    /// Fill `inputs` with `model`'s kept rows of `Â·X` on the first
+    /// resident evaluation of a model deeper than one layer (a depth-1
+    /// model's only layer is the top level, which never reads them).
+    /// Returns the rows kept by this call.
+    fn fill_input(&self, model: &GcnModel, inputs: &mut Option<InputAggregate>) -> usize {
         match self {
-            EvalSource::Resident(d) => &d.split,
-            EvalSource::Stored(sd) => &sd.split,
+            EvalSource::Resident(d) if inputs.is_none() && model.num_layers() > 1 => inputs
+                .insert(model.aggregate_input(&d.graph, &d.features))
+                .kept_rows(),
+            _ => 0,
+        }
+    }
+
+    /// The label rows of `roots` into `out`, rows aligned.
+    fn gather_labels_into(&self, roots: &[u32], out: &mut DMatrix) -> io::Result<()> {
+        match self {
+            EvalSource::Resident(d) => {
+                d.labels.gather_rows_into(roots, out);
+                Ok(())
+            }
+            EvalSource::Stored(sd) => sd.full.par_gather_labels_into(roots, out),
         }
     }
 }
 
-/// Rows per level buffer of the stored evaluation path: the cap on one
-/// frontier tile (a tile's roots plus their one-hop frontier) in
+/// Rows per level buffer of a stored evaluation: the cap on one frontier
+/// tile (a tile's roots plus their one-hop frontier) in
 /// [`GcnModel::infer_probs_by_level`]. Stored eval holds one such buffer
 /// per level, so its memory is `levels × cap rows × width` however large
 /// the graph or the split — 32 Ki rows ≈ 38 MiB of 300-dim f32 features
 /// at level 0, on a store without `Â·X` (with it, level 0 holds one
 /// block of layer 1's rows instead). A single root whose own frontier
 /// exceeds the cap still gets a (larger) tile: one root's frontier is
-/// irreducible.
+/// irreducible. Resident evaluation runs uncapped: its data already holds
+/// all `n` rows.
 const EVAL_MAX_BALL_ROWS: usize = 32 * 1024;
 
 /// Stored evaluation's turn at reading: while it lives, the pipeline's
@@ -136,15 +168,19 @@ struct EvalTurn<'t> {
 }
 
 impl<'t> EvalTurn<'t> {
-    fn take(pipeline: &'t SamplerPipeline, train: &GraphStore, full: &'t GraphStore) -> Self {
+    /// The turn of a stored evaluation; a resident one takes none.
+    fn take(pipe: &'t SamplerPipeline, train: &GraphStore, on: &EvalSource<'t>) -> Option<Self> {
+        let EvalSource::Stored(sd) = on else {
+            return None;
+        };
         // Pause first: a gather still running would map training rows
         // again after the release.
-        let gathers = pipeline.pause_gathers();
+        let gathers = pipe.pause_gathers();
         train.release_rows();
-        EvalTurn {
-            full,
+        Some(EvalTurn {
+            full: &sd.full,
             _gathers: gathers,
-        }
+        })
     }
 }
 
@@ -193,26 +229,24 @@ pub struct GsGcnTrainer<'a> {
     /// capacity (with workers: is allocated at it) and the loop stops
     /// allocating.
     rows: SubgraphRows,
-    /// Persistent evaluation state: the inference workspace (activation
-    /// ping-pong buffers, stored-path level buffers) plus the split's
-    /// probability and label rows. Validation runs every `eval_every`
-    /// epochs, so without reuse it dominated the allocation churn of a
-    /// training run; with it, [`GsGcnTrainer::evaluate`] performs zero
-    /// matrix allocations once warm on either arm (pinned by
-    /// `tests/eval_alloc.rs`).
+    /// Persistent evaluation state: the inference workspace (level
+    /// buffers and the frontier cutter's table) plus a tile's label rows.
+    /// Validation runs every `eval_every` epochs, so without reuse it
+    /// dominated the allocation churn of a training run; with it,
+    /// [`GsGcnTrainer::evaluate`] performs zero matrix allocations once
+    /// warm on either source (pinned by `tests/eval_alloc.rs`).
     eval_ws: InferenceWorkspace,
-    eval_probs_split: gsgcn_tensor::DMatrix,
-    eval_labels_split: gsgcn_tensor::DMatrix,
-    /// Resident arm only: the kept rows of `Â·X` of the evaluation graph
-    /// ([`GcnModel::aggregate_input`]), computed by the first resident
-    /// evaluation. It cannot go stale: `Â·X` does not depend on the
-    /// weights, and the trainer borrows its [`Dataset`] immutably for its
-    /// whole life. It is stored in the model's precision, fixed when the
-    /// trainer is built ([`Self::with_precision`]), and
-    /// `infer_probs_at_into` asserts the cache matches it.
+    eval_labels_split: DMatrix,
+    /// Resident datasets of models deeper than one layer only: the kept
+    /// rows of `Â·X` of the evaluation graph
+    /// ([`GcnModel::aggregate_input`]), computed by the first evaluation.
+    /// It cannot go stale: `Â·X` does not depend on the weights, and the
+    /// trainer borrows its [`Dataset`] immutably for its whole life. It is
+    /// stored in the model's precision, fixed when the trainer is built
+    /// ([`Self::with_precision`] drops it).
     eval_inputs: Option<InputAggregate>,
-    /// Work and phase times of the last evaluation, either arm (zero work
-    /// for an empty split; `None` before the first evaluation).
+    /// Work and phase times of the last evaluation, either source (zero
+    /// work for an empty split; `None` before the first evaluation).
     eval_stats: Option<EvalStats>,
 }
 
@@ -265,7 +299,7 @@ impl<'a> GsGcnTrainer<'a> {
             cfg.sampler.frontier_size = (cfg.sampler.budget / 2).max(1);
         }
 
-        let loss = match source.task() {
+        let loss = match source.meta().1 {
             TaskKind::MultiLabel => LossKind::SigmoidBce,
             TaskKind::SingleLabel => LossKind::SoftmaxCe,
         };
@@ -335,8 +369,7 @@ impl<'a> GsGcnTrainer<'a> {
             epochs_run: 0,
             rows,
             eval_ws: InferenceWorkspace::new(),
-            eval_probs_split: gsgcn_tensor::DMatrix::zeros(0, 0),
-            eval_labels_split: gsgcn_tensor::DMatrix::zeros(0, 0),
+            eval_labels_split: DMatrix::zeros(0, 0),
             eval_inputs: None,
             eval_stats: None,
         })
@@ -383,7 +416,7 @@ impl<'a> GsGcnTrainer<'a> {
 
     /// Tiles and rows computed per layer, feature rows gathered, input
     /// rows aggregated and phase seconds of the last evaluation, on
-    /// either arm (see [`Self::try_evaluate`]); all-zero work after an
+    /// either source (see [`Self::try_evaluate`]); all-zero work after an
     /// empty split, `None` before the first evaluation.
     pub fn last_eval_stats(&self) -> Option<&EvalStats> {
         self.eval_stats.as_ref()
@@ -501,147 +534,98 @@ impl<'a> GsGcnTrainer<'a> {
         Ok(stats)
     }
 
-    /// [`Self::try_evaluate`], panicking when the stored path cannot read
-    /// the graph store.
+    /// [`Self::try_evaluate`], panicking when a stored evaluation cannot
+    /// read the graph store.
     pub fn evaluate(&mut self, split: EvalSplit) -> f64 {
         self.try_evaluate(split).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Inference + F1-micro on the chosen split. Either arm computes the
-    /// split's probabilities bit-identical to the full-graph forward
-    /// ([`GcnModel::infer_probs_into`]) and records its work in
-    /// [`Self::last_eval_stats`]; an empty split scores 0 and records zero
-    /// work.
+    /// Inference + F1-micro on the chosen split. Both sources run the
+    /// level recursion ([`GcnModel::infer_probs_by_level`]), layer at a
+    /// time over one-hop frontier tiles, so the split's probabilities are
+    /// bit-identical to the full-graph forward
+    /// ([`GcnModel::infer_probs_into`]) and the F1 is the same bits on
+    /// either source; each tile's rows feed a tile-order-free
+    /// [`f1::F1Accumulator`] over the source's labels, and the work lands
+    /// in [`Self::last_eval_stats`]. An empty split scores 0 and records
+    /// zero work.
     ///
-    /// * Resident datasets ([`GcnModel::infer_probs_at_into`]): layer 1's
-    ///   neighbor GEMM packs rows of `Â·X` from a per-trainer cache and
-    ///   aggregates only the rows the cache lacks. The first evaluation
-    ///   fills the cache with one row-parallel pass
-    ///   (`input_rows_aggregated` = the rows kept on that call, 0 after);
-    ///   it never goes stale because `Â·X` does not depend on the weights
-    ///   and the dataset is borrowed immutably. The cache keeps the
-    ///   highest-degree rows, as many as fit the bytes of the `n`-row
-    ///   last-layer output and probability matrix this arm no longer
-    ///   allocates, so it costs no more memory than it frees. Layers
-    ///   `2..L-1` run on all `n` rows and layer `L` plus the head on the
-    ///   split's rows only: `[n, …, n, |split|]` rows, no feature copy.
-    /// * Stored datasets: the full graph may not fit in RAM, so the
-    ///   forward runs **layer at a time over one-hop frontier tiles**
-    ///   ([`GcnModel::infer_probs_by_level`]) of at most
-    ///   [`EVAL_MAX_BALL_ROWS`] rows, read through the shard cache in
-    ///   placement order; each tile's root rows feed a tile-order-free
-    ///   [`f1::F1Accumulator`]. No vertex's layer output is computed
-    ///   twice while a level's needed set fits the cap (beyond it only
-    ///   one-hop tile overlap is), memory is `levels × cap rows × width`,
-    ///   and because a tile keeps every root's full neighbor list in
-    ///   full-graph order the F1 **equals** the resident arm's on the
-    ///   same data, bit for bit. Nothing is cached across calls. When the
-    ///   full store holds `Â·X` (an f32 spill writes it) and layer 1 is
-    ///   fused f32, layer 1 cuts no tile and gathers no level-0 ball: it
-    ///   reads one `agg` and one feature row per level-1 vertex, in blocks,
-    ///   and runs only its GEMMs (`agg_rows_gathered` counts the rows).
-    ///   On a `mem`-backed store such a layer 1 reads the resident graph
-    ///   and features in place instead: no tile, no rows gathered.
-    ///   bf16 and unfused layers and mmap stores without the section take
-    ///   the tiles, unchanged. The two
-    ///   stores are read in turns: the pipeline's gathers pause and the
-    ///   training store's rows are released first, and the full store's
-    ///   rows are released on every exit, an error's included.
+    /// * Resident datasets: one uncapped tile per level, and layer 1 reads
+    ///   the graph and features in place ([`LevelSource::Resident`]),
+    ///   packing rows of `Â·X` from a per-trainer cache that the first
+    ///   evaluation fills in one row-parallel pass
+    ///   (`input_rows_aggregated`). It never goes stale: `Â·X` does not
+    ///   depend on the weights and the dataset is borrowed immutably.
+    /// * Stored datasets: tiles of at most [`EVAL_MAX_BALL_ROWS`] rows,
+    ///   read through the shard cache in placement order, so memory is
+    ///   `levels × cap rows × width`; nothing is cached across calls. An
+    ///   f32 spill's full store holds `Â·X`, which a fused f32 layer 1
+    ///   reads in blocks instead of cutting level-1 tiles. The two stores
+    ///   are read in turns: the pipeline's gathers pause and the training
+    ///   store's rows are released first, and the full store's rows are
+    ///   released on every exit, an error's included (`turn_secs`).
     ///
-    /// Both arms run on [`Self::eval_threads`] threads: with sampler
-    /// workers and a fixed compute width, the workers' cores join the
-    /// compute threads, since the workers idle while evaluation runs (the
-    /// stored arm pauses their gathers; on either arm each stops one
-    /// subgraph ahead). On the stored arm that pool also carries the
-    /// row gathers — layer 1's `agg` and feature rows (or the level-0
-    /// ball) and each tile's labels — split by shard sets
-    /// ([`GraphStore::par_gather_features_into`]); the frontier cuts run
-    /// on the calling thread. The thread count changes no bit of
-    /// the result. A stored evaluation's [`EvalStats`] times every part
-    /// of it: `frontier_secs`, `gather_secs`, `infer_secs`, `score_secs`
-    /// (label gather and F1) and `turn_secs` (pausing the gathers and
-    /// releasing rows).
+    /// Evaluation runs on [`Self::eval_threads`] threads: the sampler
+    /// workers idle meanwhile (paused, or one subgraph ahead), so their
+    /// cores join the compute threads, also for a store's row gathers,
+    /// split by shard sets; the frontier cuts run on the calling thread.
+    /// The thread count changes no bit of the result.
     ///
-    /// Either arm is allocation-free once warm. Fails only when the
-    /// stored path cannot read the graph store: a topology section its
-    /// frontier cut needs or a row section it gathers.
+    /// Allocation-free once warm. Fails only when a stored evaluation
+    /// cannot read the graph store: a topology section its frontier cut
+    /// needs or a row section it gathers.
     pub fn try_evaluate(&mut self, split: EvalSplit) -> Result<f64, String> {
-        let s = self.source.split();
+        let (_, task, s) = self.source.meta();
         let idx: &[u32] = match split {
             EvalSplit::Train => &s.train,
             EvalSplit::Val => &s.val,
             EvalSplit::Test => &s.test,
         };
         if idx.is_empty() {
-            let layers = self.model.num_layers();
-            self.eval_stats = Some(EvalStats {
-                tiles: vec![0; layers],
-                rows_computed: vec![0; layers],
-                ..EvalStats::default()
-            });
+            self.eval_stats = Some(EvalStats::zero(self.model.num_layers()));
             return Ok(0.0);
         }
-        let single = self.source.task() == TaskKind::SingleLabel;
+        let single = task == TaskKind::SingleLabel;
         let pool = self.eval_pool.as_ref().unwrap_or(&self.thread_pool);
-        let model = &self.model;
-        let eval_ws = &mut self.eval_ws;
-        let eval_probs_split = &mut self.eval_probs_split;
-        let eval_labels_split = &mut self.eval_labels_split;
-        match self.source {
-            EvalSource::Resident(dataset) => {
-                let (g, x) = (&dataset.graph, &dataset.features);
-                let inputs = &mut self.eval_inputs;
-                let (f1, stats) = pool.install(|| {
-                    let t0 = Instant::now();
-                    let fills = inputs.is_none();
-                    let ax = inputs.get_or_insert_with(|| model.aggregate_input(g, x));
-                    let filled = if fills { ax.kept_rows() } else { 0 };
-                    let fill_secs = t0.elapsed().as_secs_f64();
-                    let mut stats =
-                        model.infer_probs_at_into(g, x, ax, idx, eval_ws, eval_probs_split);
-                    stats.input_rows_aggregated = filled;
-                    stats.infer_secs += fill_secs;
-                    dataset.labels.gather_rows_into(idx, eval_labels_split);
-                    let f1 = f1::f1_micro_from_probs(eval_probs_split, eval_labels_split, single);
-                    (f1, stats)
-                });
-                self.eval_stats = Some(stats);
-                Ok(f1)
+        let (source, model) = (&self.source, &self.model);
+        let (eval_ws, labels) = (&mut self.eval_ws, &mut self.eval_labels_split);
+        let train_store = &*self.train_store;
+        let t0 = Instant::now();
+        let turn = EvalTurn::take(&self.pipeline, train_store, source);
+        let take_secs = t0.elapsed().as_secs_f64();
+        let mut acc = f1::F1Accumulator::new(single);
+        let mut score_tile = |roots: &[u32], probs: &DMatrix| {
+            debug_assert!(
+                rows_released(train_store),
+                "training rows mapped during stored evaluation"
+            );
+            source.gather_labels_into(roots, labels)?;
+            for i in 0..roots.len() {
+                acc.push_row(probs.row(i), labels.row(i));
             }
-            EvalSource::Stored(sd) => {
-                let full = &*sd.full;
-                let train_store = &*self.train_store;
+            Ok(())
+        };
+        let inputs = &mut self.eval_inputs;
+        let mut stats = pool
+            .install(|| {
                 let t0 = Instant::now();
-                let turn = EvalTurn::take(&self.pipeline, train_store, full);
-                let mut turn_secs = t0.elapsed().as_secs_f64();
-                let mut acc = f1::F1Accumulator::new(single);
-                let mut score_tile = |roots: &[u32], probs: &gsgcn_tensor::DMatrix| {
-                    debug_assert!(
-                        rows_released(train_store),
-                        "training rows mapped during stored evaluation"
-                    );
-                    full.par_gather_labels_into(roots, eval_labels_split)?;
-                    for i in 0..roots.len() {
-                        acc.push_row(probs.row(i), eval_labels_split.row(i));
-                    }
-                    Ok(())
-                };
-                let mut stats = pool
-                    .install(|| {
-                        let cap = EVAL_MAX_BALL_ROWS;
-                        model.infer_probs_by_level(full, idx, cap, eval_ws, &mut score_tile)
-                    })
-                    .map_err(|e| {
-                        format!("stored evaluation could not read the graph store: {e}")
-                    })?;
-                let t0 = Instant::now();
-                drop(turn);
-                turn_secs += t0.elapsed().as_secs_f64();
-                stats.turn_secs = turn_secs;
-                self.eval_stats = Some(stats);
-                Ok(acc.f1())
-            }
+                let filled = source.fill_input(model, inputs);
+                let fill_secs = t0.elapsed().as_secs_f64();
+                let (level_source, cap) = source.level_source(inputs.as_ref());
+                let mut stats =
+                    model.infer_probs_by_level(level_source, idx, cap, eval_ws, &mut score_tile)?;
+                stats.input_rows_aggregated = filled;
+                stats.infer_secs += fill_secs;
+                io::Result::Ok(stats)
+            })
+            .map_err(|e| format!("evaluation could not read the graph store: {e}"))?;
+        if let Some(turn) = turn {
+            let t0 = Instant::now();
+            drop(turn);
+            stats.turn_secs = take_secs + t0.elapsed().as_secs_f64();
         }
+        self.eval_stats = Some(stats);
+        Ok(acc.f1())
     }
 
     /// Run the configured number of epochs, recording the Fig. 2 curve
@@ -649,7 +633,7 @@ impl<'a> GsGcnTrainer<'a> {
     /// again to continue training.
     pub fn train(&mut self) -> Result<TrainReport, String> {
         let mut epochs = Vec::with_capacity(self.cfg.epochs);
-        let mut curve = Curve::new(format!("gsgcn-{}", self.source.name()));
+        let mut curve = Curve::new(format!("gsgcn-{}", self.source.meta().0));
         let mut best_f1 = f64::NEG_INFINITY;
         let mut evals_since_best = 0usize;
         // (model step count, val F1) of the latest in-loop validation.
@@ -895,20 +879,20 @@ mod tests {
         // Stored eval runs layer at a time over frontier tiles whose
         // root rows repeat the full-graph float operations exactly.
         assert_eq!(f1_res, f1_st);
-        // Both arms report their work. The resident arm ran layer 1 on
-        // every row and the last layer on the test rows, gathering
-        // nothing; the stored graph fits one tile at level 2, so its last
-        // layer also ran once per test vertex, and the spilled full store
-        // holds `Â·X`, so layer 1 cut no tile and read one `agg` and one
-        // feature row per row it computed.
+        // Both sources report the same recursion's work: the test split
+        // fits one tile at level 2, so the last layer ran once per test
+        // vertex and layer 1 once per vertex of its one-hop ball, with no
+        // level-1 tile. The resident dataset's layer 1 read `X` in place,
+        // gathering nothing; the spilled full store holds `Â·X`, so its
+        // layer 1 read one `agg` and one feature row per row it computed.
         let res = stats_res.expect("resident evaluation records its work");
-        let n = d.graph.num_vertices();
-        assert_eq!(res.rows_computed, vec![n, d.split.test.len()]);
-        assert_eq!(res.rows_gathered, 0);
         let stats = stats_st.expect("stored evaluation records its work");
-        assert_eq!(stats.tiles, vec![0, 1]);
-        assert_eq!(stats.rows_computed[1], d.split.test.len());
-        let layer1 = stats.rows_computed[0];
+        let layer1 = gsgcn_graph::l_hop_ball(&d.graph, &d.split.test, 1).len();
+        for s in [&res, &stats] {
+            assert_eq!(s.tiles, vec![0, 1]);
+            assert_eq!(s.rows_computed, vec![layer1, d.split.test.len()]);
+        }
+        assert_eq!((res.rows_gathered, res.agg_rows_gathered), (0, 0));
         assert_eq!(
             (stats.rows_gathered, stats.agg_rows_gathered),
             (layer1, layer1)

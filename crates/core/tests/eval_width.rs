@@ -1,15 +1,15 @@
 //! `GsGcnTrainer` evaluates on a pool as wide as its compute threads plus
-//! its sampler workers. That is sound only if the evaluation forwards give
-//! the same bits at every pool width: the level recursion at a row cap
-//! that cuts several tiles per level (the stored arm) and the resident
-//! forward over a kept `Â·X` (the resident arm), with wide features
-//! (Reddit: a few rows of `Â·X` kept) and narrow ones (PPI: all kept), in
-//! both activation precisions.
+//! its sampler workers. That is sound only if the level recursion gives
+//! the same bits at every pool width: on a store at a row cap that cuts
+//! several tiles per level (as stored evaluation does), and uncapped over
+//! a resident source with its kept `Â·X` (as resident evaluation does),
+//! with wide features (Reddit: a few rows of `Â·X` kept) and narrow ones
+//! (PPI: all kept), in both activation precisions.
 //! The pools are explicit, so the widths differ under `taskset -c 0` too.
 
 use gsgcn_data::{presets, Dataset};
 use gsgcn_graph::GraphStore;
-use gsgcn_nn::model::{GcnConfig, GcnModel, LevelStats, LossKind};
+use gsgcn_nn::model::{GcnConfig, GcnModel, LevelSource, LevelStats, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::precision::ALL_PRECISIONS;
 use gsgcn_tensor::{DMatrix, Precision};
@@ -53,9 +53,9 @@ fn bits(m: &DMatrix) -> Vec<u32> {
 
 type Sweep = (Vec<(Vec<u32>, Vec<u32>)>, LevelStats);
 
-/// The level recursion over `store` at `roots`: each tile's roots and
-/// probability bits, in sink order, and the work.
-fn by_level(model: &GcnModel, store: &GraphStore, roots: &[u32]) -> Sweep {
+/// The level recursion over `source` at `roots` with row cap `cap`: each
+/// tile's roots and probability bits, in sink order, and the work.
+fn by_level(model: &GcnModel, source: LevelSource<'_>, roots: &[u32], cap: usize) -> Sweep {
     let mut ws = InferenceWorkspace::new();
     let mut tiles = Vec::new();
     let mut sink = |r: &[u32], p: &DMatrix| {
@@ -63,21 +63,24 @@ fn by_level(model: &GcnModel, store: &GraphStore, roots: &[u32]) -> Sweep {
         Ok(())
     };
     let stats = model
-        .infer_probs_by_level(store, roots, CAP, &mut ws, &mut sink)
+        .infer_probs_by_level(source, roots, cap, &mut ws, &mut sink)
         .unwrap();
     (tiles, stats)
 }
 
-/// The resident forward at `targets`, `Â·X` included: probability bits
-/// and work.
-fn at(model: &GcnModel, d: &Dataset, targets: &[u32]) -> (Vec<u32>, LevelStats) {
-    let (g, x) = (&d.graph, &d.features);
-    let ax = model.aggregate_input(g, x);
-    let mut ws = InferenceWorkspace::new();
-    let mut probs = DMatrix::zeros(0, 0);
-    let mut stats = model.infer_probs_at_into(g, x, &ax, targets, &mut ws, &mut probs);
+/// Resident evaluation's sweep at `roots`, its `Â·X` fill included.
+fn resident(model: &GcnModel, d: &Dataset, roots: &[u32]) -> Sweep {
+    let (graph, features) = (&d.graph, &d.features);
+    let ax = model.aggregate_input(graph, features);
+    let input = Some(&ax);
+    let source = LevelSource::Resident {
+        graph,
+        features,
+        input,
+    };
+    let (tiles, mut stats) = by_level(model, source, roots, usize::MAX);
     stats.input_rows_aggregated = ax.kept_rows();
-    (bits(&probs), stats)
+    (tiles, stats)
 }
 
 #[test]
@@ -94,13 +97,16 @@ fn evaluation_forwards_are_pool_width_invariant() {
             None,
         );
         let roots = &d.split.val;
-        let mut want: Option<(Sweep, (Vec<u32>, LevelStats))> = None;
+        let mut want: Option<(Sweep, Sweep)> = None;
         for width in [1, 2, 3] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(width)
                 .build()
                 .unwrap();
-            let got = pool.install(|| (by_level(&model, &store, roots), at(&model, &d, roots)));
+            let got = pool.install(|| {
+                let stored = by_level(&model, (&store).into(), roots, CAP);
+                (stored, resident(&model, &d, roots))
+            });
             let ((tiles, level), (probs, resident)) = &got;
             let what = format!("{} {p} at {width} threads", d.name);
             // An f32 layer 1 reads the mem store's `X` in place and cuts
@@ -109,6 +115,9 @@ fn evaluation_forwards_are_pool_width_invariant() {
             let (untiled, tiled) = level.tiles.split_at(in_place);
             let cut = untiled.iter().all(|&t| t == 0) && tiled.iter().all(|&t| t > 1);
             assert!(cut, "{what}: {level:?}");
+            // Resident evaluation reads `X` in place with its kept `Â·X`
+            // at either precision: one uncapped tile, at the top level.
+            assert_eq!(resident.tiles, vec![0, 1], "{what}");
             assert!(resident.input_rows_aggregated > 0, "{what}: {resident:?}");
             let ((want_tiles, want_level), (want_probs, want_resident)) =
                 want.get_or_insert_with(|| got.clone());

@@ -1,20 +1,23 @@
 //! Layer-at-a-time inference over frontier tiles
-//! (`GcnModel::infer_probs_by_level`, the stored arm of
+//! (`GcnModel::infer_probs_by_level`, the one evaluation path of
 //! `GsGcnTrainer::evaluate`) must reproduce the full-graph forward **bit
-//! for bit** — for every tiling the row cap can force, every store
+//! for bit** — for every tiling the row cap can force, every source (a
+//! resident graph with and without its kept `Â·X` rows, every store
 //! backend and placement order, with and without the store's `Â·X`
-//! section, and both activation precisions — and must do no more work
-//! than the needed sets when the cap covers them.
+//! section), both activation precisions, fused and unfused, and through
+//! the trainer before and after training and `import_weights` — and must
+//! do no more work than the needed sets when the cap covers them.
 
 use gsgcn_core::trainer::EvalSplit;
 use gsgcn_core::{GsGcnTrainer, TrainerConfig};
+use gsgcn_data::dataset::TaskKind;
 use gsgcn_data::store_dataset::{write_full_store, FULL_SUBDIR};
-use gsgcn_data::{presets, StoreDataset};
+use gsgcn_data::{presets, Dataset, StoreDataset};
 use gsgcn_graph::store::mmap::MmapStore;
 use gsgcn_graph::store::shard::write_store_with_precision;
-use gsgcn_graph::StoreBackend;
-use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreOrder};
-use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
+use gsgcn_graph::{l_hop_ball, CsrGraph, GraphBuilder, GraphStore, StoreBackend, StoreOrder};
+use gsgcn_metrics::f1;
+use gsgcn_nn::model::{GcnConfig, GcnModel, LevelSource, LevelStats, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::precision::ALL_PRECISIONS;
 use gsgcn_tensor::{DMatrix, Precision};
@@ -87,26 +90,44 @@ fn stores(g: &Arc<CsrGraph>, x: &Arc<DMatrix>, shards: usize) -> (Vec<GraphStore
     (stores, dirs)
 }
 
-/// Whether layer 1 reads the resident store's graph and features in
-/// place — no level-1 tile, no level-0 gather: a mem store under a
-/// deeper-than-one model whose fused layer 1 runs in f32 (every model
-/// here is fused).
-fn reads_x_in_place(store: &GraphStore, depth: usize, precision: Precision) -> bool {
-    store.backend() == StoreBackend::Mem && depth > 1 && precision == Precision::F32
+/// Whether layer 1 reads a resident source's graph and features in
+/// place — no level-1 tile, no level-0 gather: under a deeper-than-one
+/// model, with the source's kept `Â·X` rows at any precision, without
+/// them when the fused layer 1 runs in f32 (every model here is fused).
+fn reads_x_in_place(source: LevelSource<'_>, depth: usize, precision: Precision) -> bool {
+    match source {
+        LevelSource::Resident { input, .. } => {
+            depth > 1 && (input.is_some() || precision == Precision::F32)
+        }
+        LevelSource::Store(_) => false,
+    }
+}
+
+/// What a source is, for failure messages.
+fn describe(source: LevelSource<'_>) -> String {
+    match source {
+        LevelSource::Store(store) => format!(
+            "{:?}/{:?} agg {}",
+            store.backend(),
+            store.order(),
+            store.has_agg()
+        ),
+        LevelSource::Resident { input, .. } => format!("resident, Â·X {}", input.is_some()),
+    }
 }
 
 /// Run the level driver and collect `root → probability row`, checking
 /// that no root is reported twice.
 fn by_level(
     m: &GcnModel,
-    store: &GraphStore,
+    source: LevelSource<'_>,
     roots: &[u32],
     cap: usize,
     ws: &mut InferenceWorkspace,
-) -> (HashMap<u32, Vec<f32>>, gsgcn_nn::model::LevelStats) {
+) -> (HashMap<u32, Vec<f32>>, LevelStats) {
     let mut rows = HashMap::new();
     let stats = m
-        .infer_probs_by_level(store, roots, cap, ws, &mut |tile, probs| {
+        .infer_probs_by_level(source, roots, cap, ws, &mut |tile, probs| {
             assert_eq!(probs.rows(), tile.len());
             for (i, &v) in tile.iter().enumerate() {
                 let fresh = rows.insert(v, probs.row(i).to_vec()).is_none();
@@ -149,23 +170,27 @@ proptest! {
             m.set_precision(precision);
             let mut full = DMatrix::zeros(0, 0);
             m.infer_probs_into(&g, &x, &mut ws, &mut full);
-            for store in &stores {
+            // Every store, and the resident graph with its kept `Â·X`.
+            let ax = m.aggregate_input(&g, &x);
+            let resident = LevelSource::Resident { graph: &g, features: &x, input: Some(&ax) };
+            let sources = stores.iter().map(LevelSource::from).chain([resident]);
+            for source in sources {
                 for cap in [1, small_cap, usize::MAX] {
-                    let (rows, stats) = by_level(&m, store, &roots, cap, &mut ws);
+                    let (rows, stats) = by_level(&m, source, &roots, cap, &mut ws);
                     prop_assert_eq!(rows.len(), distinct.len());
                     for &v in &distinct {
                         prop_assert_eq!(
                             &rows[&v][..],
                             full.row(v as usize),
-                            "{} root {} cap {} on {:?}/{:?}",
-                            precision, v, cap, store.backend(), store.order()
+                            "{} root {} cap {} on {}",
+                            precision, v, cap, describe(source)
                         );
                     }
                     prop_assert_eq!(stats.rows_computed[depth - 1], distinct.len());
                     if cap == 1 {
                         // One root per tile, at every level — but layer 1
-                        // on a mem store, which reads `X` in place.
-                        let in_place = reads_x_in_place(store, depth, precision);
+                        // on a resident source, which reads `X` in place.
+                        let in_place = reads_x_in_place(source, depth, precision);
                         let tiled = usize::from(in_place);
                         prop_assert_eq!(&stats.tiles[tiled..], &stats.rows_computed[tiled..]);
                         if in_place {
@@ -186,8 +211,9 @@ proptest! {
 /// work-efficient: one tile per level, layer `ℓ` computes exactly the
 /// `(L-ℓ)`-hop ball of the roots, and every feature row of the L-hop
 /// ball is gathered once — counts that repeat run to run, on either
-/// backend and in either placement order. On the mem store a deeper
-/// model's layer 1 reads `X` in place: no level-1 tile, no rows gathered.
+/// backend and in either placement order. On the mem store (a resident
+/// source) a deeper model's layer 1 reads `X` in place: no level-1 tile,
+/// no rows gathered.
 #[test]
 fn work_is_the_needed_sets_when_the_cap_covers_them() {
     let n = 600;
@@ -204,8 +230,8 @@ fn work_is_the_needed_sets_when_the_cap_covers_them() {
     let mut ws = InferenceWorkspace::new();
     for (store, depth) in stores.iter().flat_map(|s| (1..=3).map(move |d| (s, d))) {
         let m = model(depth, LossKind::SigmoidBce, 17);
-        let (_, stats) = by_level(&m, store, &roots, n, &mut ws);
-        let in_place = reads_x_in_place(store, depth, m.precision());
+        let (_, stats) = by_level(&m, store.into(), &roots, n, &mut ws);
+        let in_place = reads_x_in_place(store.into(), depth, m.precision());
         let mut tiles = vec![1; depth];
         if in_place {
             tiles[0] = 0;
@@ -226,7 +252,7 @@ fn work_is_the_needed_sets_when_the_cap_covers_them() {
             l_hop_ball(&*g, &roots, depth).len()
         };
         assert_eq!(stats.rows_gathered, gathered);
-        let (_, again) = by_level(&m, store, &roots, n, &mut ws);
+        let (_, again) = by_level(&m, store.into(), &roots, n, &mut ws);
         assert_eq!(
             (again.tiles, again.rows_computed, again.rows_gathered),
             (stats.tiles, stats.rows_computed, stats.rows_gathered)
@@ -255,15 +281,15 @@ fn capped_tiles_are_pinned() {
             [291, 60],
             0,
         ),
-        (spill(StoreOrder::Natural), [40, 7], [291, 60], 1852),
-        (spill(StoreOrder::Bfs), [34, 7], [288, 60], 1537),
+        (spill(StoreOrder::Natural), [40, 7], [291, 60], 1886),
+        (spill(StoreOrder::Bfs), [35, 7], [288, 60], 1565),
     ];
     let roots: Vec<u32> = (0..60u32).map(|i| (i * 37) % n as u32).collect();
     let m = model(2, LossKind::SigmoidBce, 23);
     let mut ws = InferenceWorkspace::new();
     for (store, tiles, rows_computed, rows_gathered) in &pinned {
         for _ in 0..2 {
-            let (rows, stats) = by_level(&m, store, &roots, 48, &mut ws);
+            let (rows, stats) = by_level(&m, store.into(), &roots, 48, &mut ws);
             assert_eq!(rows.len(), roots.len());
             let got = (stats.tiles, stats.rows_computed, stats.rows_gathered);
             let want = (tiles.to_vec(), rows_computed.to_vec(), *rows_gathered);
@@ -335,14 +361,15 @@ proptest! {
             // The serving entry point runs the same levels: its `H^{L-1}`
             // rows on every store are the mem store's.
             let mut want_hidden = DMatrix::zeros(0, 0);
-            m.infer_hidden_by_level(&stores[0], &distinct, &mut ws, &mut want_hidden).unwrap();
+            m.infer_hidden_by_level((&stores[0]).into(), &distinct, &mut ws, &mut want_hidden).unwrap();
             for store in &stores {
-                let at = format!("{precision} on {:?}/{:?} agg {}", store.backend(), store.order(), store.has_agg());
+                let source = LevelSource::from(store);
+                let at = format!("{precision} on {}", describe(source));
                 let mut hidden = DMatrix::zeros(0, 0);
-                m.infer_hidden_by_level(store, &distinct, &mut ws, &mut hidden).unwrap();
+                m.infer_hidden_by_level(source, &distinct, &mut ws, &mut hidden).unwrap();
                 prop_assert_eq!(&hidden, &want_hidden, "{} serving rows", at);
                 for cap in [small_cap, usize::MAX] {
-                    let (rows, stats) = by_level(&m, store, &roots, cap, &mut ws);
+                    let (rows, stats) = by_level(&m, source, &roots, cap, &mut ws);
                     prop_assert_eq!(rows.len(), distinct.len());
                     for &v in &distinct {
                         prop_assert_eq!(&rows[&v][..], full.row(v as usize), "{} root {} cap {}", at, v, cap);
@@ -355,7 +382,7 @@ proptest! {
                         let layer1 = stats.rows_computed[0];
                         prop_assert_eq!(stats.tiles[0], 0, "{}", at);
                         prop_assert_eq!((stats.rows_gathered, stats.agg_rows_gathered), (layer1, layer1), "{}", at);
-                    } else if reads_x_in_place(store, depth, precision) {
+                    } else if reads_x_in_place(source, depth, precision) {
                         prop_assert_eq!(stats.agg_rows_gathered, 0, "{}", at);
                         prop_assert_eq!((stats.tiles[0], stats.rows_gathered), (0, 0), "{}", at);
                     } else {
@@ -444,4 +471,154 @@ fn stored_evaluation_reads_layer_one_from_the_stored_aggregate() {
     drop((sd_with, sd_without));
     std::fs::remove_dir_all(with.parent().unwrap()).ok();
     std::fs::remove_dir_all(without.parent().unwrap()).ok();
+}
+
+fn trainer(d: &Dataset, depth: usize, fused: bool, seed: u64, p: Precision) -> GsGcnTrainer<'_> {
+    let mut cfg = TrainerConfig::quick_test();
+    cfg.hidden_dims = vec![16; depth];
+    cfg.fused = fused;
+    cfg.seed = seed;
+    GsGcnTrainer::new(d, cfg).unwrap().with_precision(p)
+}
+
+fn splits(d: &Dataset) -> [(EvalSplit, &Vec<u32>); 3] {
+    [
+        (EvalSplit::Train, &d.split.train),
+        (EvalSplit::Val, &d.split.val),
+        (EvalSplit::Test, &d.split.test),
+    ]
+}
+
+/// The work of one uncapped sweep over a resident source with `Â·X` at
+/// `roots`: layer 1 in place (no tile) below the top level, one tile per
+/// level above it, layer `ℓ` on the `(L-ℓ)`-hop ball of the roots, and
+/// feature rows gathered only by a depth-1 model, whose one layer is the
+/// top level.
+fn resident_work(d: &Dataset, depth: usize, roots: &[u32]) -> (Vec<usize>, Vec<usize>, usize) {
+    let mut tiles = vec![1; depth];
+    if depth > 1 {
+        tiles[0] = 0;
+    }
+    let rows = (1..=depth)
+        .map(|layer| l_hop_ball(&d.graph, roots, depth - layer).len())
+        .collect();
+    let gathered = if depth == 1 {
+        l_hop_ball(&d.graph, roots, 1).len()
+    } else {
+        0
+    };
+    (tiles, rows, gathered)
+}
+
+/// Hold the level recursion over the resident source — the model's split
+/// rows and the trainer's F1 on every split — to the full-graph forward.
+/// `filled` says whether this trainer has computed its `Â·X` yet.
+fn check_resident(t: &mut GsGcnTrainer<'_>, d: &Dataset, filled: &mut bool, at: &str) {
+    let (g, x) = (&d.graph, &d.features);
+    let depth = t.model().num_layers();
+    let precision = t.model().precision();
+    let mut ws = InferenceWorkspace::new();
+    let mut full = DMatrix::zeros(0, 0);
+
+    // Model level: the split's rows, plus a repeated and an out-of-order
+    // target, equal the full forward's rows.
+    let model = t.model();
+    model.infer_probs_into(g, x, &mut ws, &mut full);
+    let ax = model.aggregate_input(g, x);
+    let source = LevelSource::Resident {
+        graph: g,
+        features: x,
+        input: Some(&ax),
+    };
+    for (split, idx) in splits(d) {
+        let at = format!("{at} {precision} {split:?} depth {depth}");
+        let mut targets = idx.clone();
+        targets.extend([idx[0], 0, idx[0]]);
+        let (rows, stats) = by_level(model, source, &targets, usize::MAX, &mut ws);
+        assert_eq!(rows.len(), l_hop_ball(g, &targets, 0).len(), "{at}");
+        for (&v, row) in &rows {
+            assert_eq!(&row[..], full.row(v as usize), "{at}: vertex {v}");
+        }
+        let work = (stats.tiles, stats.rows_computed, stats.rows_gathered);
+        assert_eq!(work, resident_work(d, depth, &targets), "{at}");
+    }
+
+    // Trainer level: the F1 of exactly the full forward's split rows.
+    let single = d.task == TaskKind::SingleLabel;
+    let kept = if depth > 1 { ax.kept_rows() } else { 0 };
+    for (split, idx) in splits(d) {
+        let at = format!("{at} {precision} {split:?} depth {depth}");
+        let want =
+            f1::f1_micro_from_probs(&full.gather_rows(idx), &d.labels.gather_rows(idx), single);
+        assert_eq!(t.evaluate(split), want, "{at}");
+        let stats = t.last_eval_stats().expect("resident evaluation reports");
+        let work = (stats.tiles.clone(), stats.rows_computed.clone());
+        let (tiles, rows, gathered) = resident_work(d, depth, idx);
+        assert_eq!(work, (tiles, rows), "{at}");
+        assert_eq!(stats.rows_gathered, gathered, "{at}");
+        assert_eq!((stats.agg_rows_gathered, stats.turn_secs), (0, 0.0), "{at}");
+        // The first evaluation of the trainer fills its `Â·X`; none after.
+        let fill = if *filled { 0 } else { kept };
+        assert_eq!(stats.input_rows_aggregated, fill, "{at}: Â·X fills");
+        *filled = true;
+    }
+}
+
+fn run_resident(d: &Dataset, depth: usize, fused: bool, p: Precision) {
+    let mut t = trainer(d, depth, fused, 42, p);
+    let mut filled = false;
+    check_resident(&mut t, d, &mut filled, "untrained");
+    for _ in 0..2 {
+        t.train_epoch().unwrap();
+    }
+    check_resident(&mut t, d, &mut filled, "trained");
+    let mut other = trainer(d, depth, fused, 7, p);
+    other.train_epoch().unwrap();
+    t.import_weights(&other.model().export_weights()).unwrap();
+    check_resident(&mut t, d, &mut filled, "imported");
+}
+
+/// Kept rows of `Â·X` under `fused`, in `p`.
+fn kept_rows(d: &Dataset, fused: bool, p: Precision) -> usize {
+    let t = trainer(d, 2, fused, 42, p);
+    t.model().aggregate_input(&d.graph, &d.features).kept_rows()
+}
+
+/// Resident evaluation through the trainer, multi-label: depths 1–3,
+/// fused and unfused, both precisions, every row of `Â·X` kept.
+#[test]
+fn resident_evaluation_is_bit_identical_multi_label() {
+    let d = presets::scale_spec(&presets::ppi_spec(), 300).generate(5);
+    for (fused, p) in [true, false]
+        .into_iter()
+        .flat_map(|f| ALL_PRECISIONS.map(|p| (f, p)))
+    {
+        // Narrow features: the last layer's freed rows hold all of `Â·X`.
+        assert_eq!(kept_rows(&d, fused, p), d.graph.num_vertices());
+        for depth in 1..=3 {
+            run_resident(&d, depth, fused, p);
+        }
+    }
+}
+
+/// Resident evaluation through the trainer, single-label: depths 1–2,
+/// fused and unfused, both precisions, only some rows of `Â·X` kept.
+#[test]
+fn resident_evaluation_is_bit_identical_single_label() {
+    let d = presets::scale_spec(&presets::reddit_spec(), 300).generate(9);
+    assert_eq!(d.task, TaskKind::SingleLabel);
+    for (fused, p) in [true, false]
+        .into_iter()
+        .flat_map(|f| ALL_PRECISIONS.map(|p| (f, p)))
+    {
+        // Wide features: only some rows are kept, the rest aggregated.
+        let kept = kept_rows(&d, fused, p);
+        assert!(
+            0 < kept && kept < d.graph.num_vertices(),
+            "{p}: kept {kept}"
+        );
+        for depth in 1..=2 {
+            run_resident(&d, depth, fused, p);
+        }
+    }
 }

@@ -106,7 +106,7 @@ impl NeighborhoodBatch {
 /// The closed 1-hop ball of a root set, laid out for **one GCN layer on
 /// the root rows**: unique roots occupy local rows `0..num_roots` (in
 /// first-appearance order), frontier-only vertices follow (grouped by
-/// [`Topology::locality_group`], discovery order within a group), and
+/// [`Topology::locality_group`], ascending vertex id within a group), and
 /// the ball graph keeps adjacency *only on the root rows* (frontier rows
 /// are isolated — their aggregates are never consumed).
 ///
@@ -164,6 +164,8 @@ pub struct FrontierScratch {
     /// Per locality group: the frontier rows before it, for the counting
     /// sort.
     counts: Vec<usize>,
+    /// The cut's frontier-only vertices, sorted by id before grouping.
+    frontier: Vec<u32>,
     /// Set while a cut runs: a cut that panicked (an out-of-range root) or
     /// failed (an unreadable shard) left `slot` dirty, and the next one
     /// clears it whole — the serving engine keeps its workspace across a
@@ -205,8 +207,9 @@ impl FrontierScratch {
     /// `max_rows` yields a one-root tile larger than the cap rather than
     /// no progress; duplicates of an already-taken root add no rows and
     /// are always consumed. Frontier rows follow the roots grouped by
-    /// [`Topology::locality_group`] (a stable counting sort: discovery
-    /// order within a group). The cut reads through one
+    /// [`Topology::locality_group`], in ascending vertex id within a
+    /// group, so the level below reads each group's rows in id order. The
+    /// cut reads through one
     /// [`TopoView`](crate::TopoView).
     ///
     /// Fails when a root's shard cannot be read
@@ -299,36 +302,39 @@ impl FrontierScratch {
     }
 
     /// Final layout: roots keep their rank; frontier-only vertices follow,
-    /// grouped by locality group in discovery order within one (a stable
-    /// counting sort), so whoever reads the ball's rows next walks each
-    /// shard once. Turns `rank` into the provisional → final id map and
-    /// returns the ball's `origin`.
+    /// grouped by locality group in ascending id within one (sorted by id,
+    /// then a stable counting sort by group), so whoever reads the ball's
+    /// rows next walks each shard once, in id order. Turns `rank` into the
+    /// provisional → final id map and returns the ball's `origin`.
     fn relabel<T: Topology + ?Sized>(&mut self, g: &T, num_roots: usize) -> Vec<u32> {
-        let FrontierScratch {
-            disc, rank, counts, ..
-        } = self;
+        self.frontier.clear();
+        for (&v, &r) in self.disc.iter().zip(&self.rank) {
+            if r == NOT_ROOT {
+                self.frontier.push(v);
+            }
+        }
+        self.frontier.sort_unstable();
         let groups = g.num_locality_groups();
-        let group = |id: usize| match groups {
+        let group = |v: u32| match groups {
             1 => 0,
-            _ => g.locality_group(disc[id]) as usize,
+            _ => g.locality_group(v) as usize,
         };
+        let counts = &mut self.counts;
         counts.clear();
         counts.resize(groups + 1, 0);
-        for id in (0..rank.len()).filter(|&id| rank[id] == NOT_ROOT) {
-            counts[group(id) + 1] += 1;
+        for &v in &self.frontier {
+            counts[group(v) + 1] += 1;
         }
         for k in 1..counts.len() {
             counts[k] += counts[k - 1];
         }
-        for id in 0..rank.len() {
-            if rank[id] == NOT_ROOT {
-                let at = &mut counts[group(id)];
-                rank[id] = (num_roots + *at) as u32;
-                *at += 1;
-            }
+        for &v in &self.frontier {
+            let at = &mut counts[group(v)];
+            self.rank[self.slot[v as usize] as usize - 1] = (num_roots + *at) as u32;
+            *at += 1;
         }
-        let mut origin = vec![0u32; disc.len()];
-        for (&v, &local) in disc.iter().zip(rank.iter()) {
+        let mut origin = vec![0u32; self.disc.len()];
+        for (&v, &local) in self.disc.iter().zip(&self.rank) {
             origin[local as usize] = v;
         }
         origin

@@ -2,7 +2,7 @@
 //! `one_hop_frontier` as its uncapped case) against a plain `BTreeMap`
 //! reference that spells out its contract: which roots a tile takes, where
 //! it stops, and how its rows are laid out (unique roots first, then the
-//! frontier grouped by locality group in discovery order). Stored
+//! frontier grouped by locality group in ascending id). Stored
 //! evaluation and serving both inherit their tile boundaries and row
 //! order from it, so any change to how it interns or groups vertices must
 //! leave every ball here equal.
@@ -46,9 +46,8 @@ impl Topology for Grouped {
 
 /// The cutter's contract, written for clarity rather than speed.
 fn reference<T: Topology + ?Sized>(g: &T, roots: &[u32], max_rows: usize) -> (FrontierBall, usize) {
-    // Vertex → discovery position; a root's own row is discovered before
-    // its neighbors.
-    let mut seen: BTreeMap<u32, usize> = BTreeMap::new();
+    // Every vertex of the ball so far.
+    let mut seen: BTreeSet<u32> = BTreeSet::new();
     let mut rank: BTreeMap<u32, u32> = BTreeMap::new();
     let mut unique: Vec<u32> = Vec::new();
     let mut root_locals = Vec::new();
@@ -57,32 +56,25 @@ fn reference<T: Topology + ?Sized>(g: &T, roots: &[u32], max_rows: usize) -> (Fr
             root_locals.push(k);
             continue;
         }
-        let mut added: Vec<u32> = Vec::new();
-        let mut fresh = BTreeSet::new();
-        for v in std::iter::once(r).chain(g.view().neighbors(r).iter().copied()) {
-            if !seen.contains_key(&v) && fresh.insert(v) {
-                added.push(v);
-            }
-        }
+        let added: BTreeSet<u32> = std::iter::once(r)
+            .chain(g.view().neighbors(r).iter().copied())
+            .filter(|v| !seen.contains(v))
+            .collect();
         if seen.len() + added.len() > max_rows && !unique.is_empty() {
             break;
         }
-        for v in added {
-            let at = seen.len();
-            seen.insert(v, at);
-        }
+        seen.extend(added);
         rank.insert(r, unique.len() as u32);
         root_locals.push(unique.len() as u32);
         unique.push(r);
     }
-    let mut frontier: Vec<(usize, u32)> = seen
+    let mut frontier: Vec<(u32, u32)> = seen
         .iter()
-        .filter(|(v, _)| !rank.contains_key(v))
-        .map(|(&v, &at)| (at, v))
+        .filter(|v| !rank.contains_key(v))
+        .map(|&v| (g.locality_group(v), v))
         .collect();
     frontier.sort_unstable();
-    let mut frontier: Vec<u32> = frontier.into_iter().map(|(_, v)| v).collect();
-    frontier.sort_by_key(|&v| g.locality_group(v)); // stable: discovery order within a group
+    let frontier: Vec<u32> = frontier.into_iter().map(|(_, v)| v).collect();
     let origin: Vec<u32> = unique.iter().chain(&frontier).copied().collect();
     let local: BTreeMap<u32, u32> = origin
         .iter()
@@ -154,6 +146,25 @@ proptest! {
         }
         let whole = reference(&grouped, &roots, usize::MAX).0;
         prop_assert_eq!(one_hop_frontier(&grouped, &roots), whole);
+    }
+
+    /// A cut of a plain CSR graph (one locality group) lists its frontier
+    /// rows in strictly ascending vertex id.
+    #[test]
+    fn a_csr_frontier_is_strictly_ascending(
+        (n, edges, _group, _groups, roots, small) in case(),
+    ) {
+        let g = from_edges(n, &edges);
+        for cap in [small, usize::MAX] {
+            let (ball, _) = FrontierScratch::new().capped(&g, &roots, cap).unwrap();
+            let frontier = &ball.origin[ball.num_roots..];
+            prop_assert!(
+                frontier.windows(2).all(|w| w[0] < w[1]),
+                "cap {} frontier {:?}",
+                cap,
+                frontier
+            );
+        }
     }
 
     /// One scratch drives a sequence of cuts — different root sets, tiles

@@ -16,13 +16,13 @@
 //!   immutable model serves many threads allocation-free
 //!   (`GcnModel::{infer_logits_into, infer_probs_into}`); it also holds
 //!   the level buffers of `GcnModel::infer_probs_by_level`, the
-//!   work-efficient layer-at-a-time forward over a `GraphStore` that
-//!   does not fit in memory, and of `infer_hidden_by_level`, the same
-//!   recursion as `gsgcn-serve` enters it. A resident graph scored again
-//!   and again goes through `GcnModel::infer_probs_at_into` instead:
-//!   layer 1 packing the rows of `Â·X` computed once
-//!   (`GcnModel::aggregate_input`) instead of re-aggregating them, the
-//!   last layer and the head on the scored rows only.
+//!   work-efficient layer-at-a-time forward that every evaluation runs,
+//!   and of `infer_hidden_by_level`, the same recursion as `gsgcn-serve`
+//!   enters it. Both read a `LevelSource`: a `GraphStore` that need not
+//!   fit in memory, or a borrowed resident graph and feature matrix whose
+//!   layer 1 reads them in place — for a graph scored again and again,
+//!   packing the rows of `Â·X` computed once (`GcnModel::aggregate_input`)
+//!   instead of re-aggregating them.
 //!
 //! Everything is deterministic given the seeds in [`model::GcnConfig`].
 //!

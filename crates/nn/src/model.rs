@@ -97,9 +97,8 @@ pub struct StepResult {
     pub timings: KernelTimings,
 }
 
-/// Work and time of one inference sweep: the level recursion
-/// ([`GcnModel::infer_probs_by_level`] / [`GcnModel::infer_hidden_by_level`])
-/// or a resident evaluation's forward ([`GcnModel::infer_probs_at_into`]).
+/// Work and time of one sweep of the level recursion
+/// ([`GcnModel::infer_probs_by_level`] / [`GcnModel::infer_hidden_by_level`]).
 /// Index `ℓ-1` of the per-layer vectors is GCN layer `ℓ`. The counts are exact
 /// and repeat across runs; when every level's needed set fits the row cap
 /// they are the work-efficient minimum — `rows_computed[ℓ-1] =
@@ -107,29 +106,27 @@ pub struct StepResult {
 /// layer) pair computed once. On a store that holds `Â·X` (and a fused
 /// f32 layer 1) layer 1 cuts no tile and reads two rows per vertex it
 /// computes: `tiles[0] = 0` and `rows_gathered = agg_rows_gathered =
-/// rows_computed[0]`. On a mem store such a layer 1 reads `X` in place:
-/// `tiles[0] = 0` and `rows_gathered = 0`. A resident forward computes
-/// every row of layers `1..L-1` and the targets' rows of layer `L` (one
-/// tile each) and gathers nothing.
+/// rows_computed[0]`. Where layer 1 reads a resident `X` in place
+/// ([`LevelSource::Resident`]) it cuts no tile and gathers nothing:
+/// `tiles[0] = 0` and `rows_gathered = 0`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelStats {
     /// Frontier tiles cut per layer.
     pub tiles: Vec<usize>,
     /// Output rows computed per layer.
     pub rows_computed: Vec<usize>,
-    /// Feature rows gathered from the store: the level-0 ball, or one row
-    /// per layer-1 row on the stored-`Â·X` path; 0 when layer 1 reads a
-    /// mem store's `X` in place and on a resident forward.
+    /// Feature rows gathered from the source: the level-0 ball, or one
+    /// row per layer-1 row on the stored-`Â·X` path; 0 when layer 1 reads
+    /// a resident `X` in place.
     pub rows_gathered: usize,
     /// Rows of `Â·X` read from the store's `agg` section: one per layer-1
     /// row computed when layer 1 runs from the stored aggregate, 0 when
-    /// it aggregates (a store without the section, a bf16 or unfused
-    /// layer 1, a depth-1 model, a resident forward).
+    /// it aggregates (a resident source, a store without the section, a
+    /// bf16 or unfused layer 1, a depth-1 model).
     pub agg_rows_gathered: usize,
-    /// Rows of the input aggregate `Â·X` this sweep computed and kept
+    /// Rows of the input aggregate `Â·X` computed and kept for this sweep
     /// ([`InputAggregate::kept_rows`]): all of them on the resident
-    /// evaluation that fills a trainer's cache, 0 on every later one and
-    /// on the level recursion.
+    /// evaluation that fills a trainer's cache, 0 on every later one.
     pub input_rows_aggregated: usize,
     /// Seconds ordering targets and extracting frontier tiles.
     pub frontier_secs: f64,
@@ -148,6 +145,15 @@ pub struct LevelStats {
 }
 
 impl LevelStats {
+    /// No work yet, over `layers` GCN layers.
+    pub fn zero(layers: usize) -> Self {
+        LevelStats {
+            tiles: vec![0; layers],
+            rows_computed: vec![0; layers],
+            ..LevelStats::default()
+        }
+    }
+
     /// One-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -174,9 +180,74 @@ impl LevelStats {
 /// GEMMs on them, so layer 1's input never exists for the whole level.
 const AGG_BLOCK_ROWS: usize = 1024;
 
+/// Where the level recursion reads the graph and layer 1's input.
+#[derive(Clone, Copy, Debug)]
+pub enum LevelSource<'a> {
+    /// A store, read through its topology and row gathers.
+    Store(&'a GraphStore),
+    /// A borrowed resident graph and its features, which layer 1 reads in
+    /// place: with `input` ([`GcnModel::aggregate_input`] of these, in
+    /// the model's current precision) at any layer 1, without it only
+    /// under a fused f32 one (any other would round all of `X` per call).
+    Resident {
+        graph: &'a CsrGraph,
+        features: &'a DMatrix,
+        input: Option<&'a InputAggregate>,
+    },
+}
+
+/// A mem store that holds features is read as [`LevelSource::Resident`]
+/// (without `Â·X`); every other store as [`LevelSource::Store`].
+impl<'a> From<&'a GraphStore> for LevelSource<'a> {
+    fn from(store: &'a GraphStore) -> Self {
+        match store.as_mem().map(|m| (m.graph(), m.features())) {
+            Some((graph, Some(features))) => LevelSource::Resident {
+                graph,
+                features,
+                input: None,
+            },
+            _ => LevelSource::Store(store),
+        }
+    }
+}
+
+impl LevelSource<'_> {
+    /// The placement id roots are ordered by.
+    fn to_internal(self, v: u32) -> u32 {
+        match self {
+            LevelSource::Store(store) => store.to_internal(v),
+            LevelSource::Resident { .. } => v,
+        }
+    }
+
+    /// The next tile off the front of `targets` ([`FrontierScratch::capped`]).
+    fn cut(
+        self,
+        frontier: &mut FrontierScratch,
+        targets: &[u32],
+        max_rows: usize,
+    ) -> io::Result<(FrontierBall, usize)> {
+        match self {
+            LevelSource::Store(store) => frontier.capped(store, targets, max_rows),
+            LevelSource::Resident { graph, .. } => frontier.capped(graph, targets, max_rows),
+        }
+    }
+
+    /// The feature rows of `targets` into `out`, rows aligned.
+    fn gather_features_into(self, targets: &[u32], out: &mut DMatrix) -> io::Result<()> {
+        match self {
+            LevelSource::Store(store) => store.par_gather_features_into(targets, out),
+            LevelSource::Resident { features, .. } => {
+                features.gather_rows_into(targets, out);
+                Ok(())
+            }
+        }
+    }
+}
+
 /// What one sweep of the level recursion threads through every step.
 struct Sweep<'a> {
-    store: &'a GraphStore,
+    source: LevelSource<'a>,
     /// Row cap of a frontier tile.
     max_rows: usize,
     /// The unfused layers' aggregate scratch, and the block's `Â·X` rows
@@ -189,23 +260,18 @@ struct Sweep<'a> {
 impl<'a> Sweep<'a> {
     /// A sweep that runs GCN layers `1..=layers`.
     fn new(
-        store: &'a GraphStore,
+        source: LevelSource<'a>,
         max_rows: usize,
         agg: &'a mut DMatrix,
         frontier: &'a mut FrontierScratch,
         layers: usize,
     ) -> Self {
-        let stats = LevelStats {
-            tiles: vec![0; layers],
-            rows_computed: vec![0; layers],
-            ..LevelStats::default()
-        };
         Sweep {
-            store,
+            source,
             max_rows,
             agg,
             frontier,
-            stats,
+            stats: LevelStats::zero(layers),
         }
     }
 }
@@ -216,9 +282,9 @@ impl<'a> Sweep<'a> {
 /// under bf16 the values the fused pack rounds to. `Â·X` depends on the
 /// graph and the features only, never on the weights, so a caller that
 /// scores the same graph again and again computes these rows once and
-/// every later forward ([`GcnModel::infer_probs_at_into`]) packs them into
-/// layer 1's neighbor GEMM instead of re-gathering their neighbors'
-/// feature rows.
+/// every later sweep over a [`LevelSource::Resident`] holding them packs
+/// them into layer 1's neighbor GEMM instead of re-gathering their
+/// neighbors' feature rows.
 #[derive(Clone, Debug)]
 pub struct InputAggregate {
     data: AggregateData,
@@ -231,14 +297,6 @@ enum AggregateData {
 }
 
 impl InputAggregate {
-    /// The element the aggregate is stored in.
-    pub fn precision(&self) -> Precision {
-        match self.data {
-            AggregateData::F32(_) => Precision::F32,
-            AggregateData::Bf16(_) => Precision::Bf16,
-        }
-    }
-
     /// Number of vertices whose row is kept.
     pub fn kept_rows(&self) -> usize {
         match &self.data {
@@ -575,40 +633,39 @@ impl GcnModel {
         self.apply_output_activation(out);
     }
 
-    /// **Layer-at-a-time inference over a store**: probabilities for
-    /// `roots` without materialising the graph, any n-row matrix, or an
-    /// L-hop ball.
+    /// **Layer-at-a-time inference**: probabilities for `roots` from a
+    /// store or a resident graph ([`LevelSource`]) without materialising
+    /// the graph, any n-row matrix, or an L-hop ball.
     ///
     /// `H^ℓ` on a target list is computed one **tile** at a time: a tile
     /// is the longest run of targets whose closed one-hop frontier stays
     /// within `max_rows` rows ([`FrontierScratch::capped`]); `H^{ℓ-1}` on
     /// the tile's frontier comes from the same procedure one level down
-    /// (level 0 is [`GraphStore::par_gather_features_into`], split by
-    /// shard sets over the pool this runs in), and layer `ℓ` then runs for
-    /// the tile's root rows only. Targets are walked in
-    /// placement order — the roots sorted by internal id, every tile's
-    /// frontier grouped by shard — so reads are shard-sequential. The top
+    /// (level 0 is a feature gather, on a store
+    /// [`GraphStore::par_gather_features_into`] over the pool this runs
+    /// in), and layer `ℓ` then runs for the tile's root rows only. Targets
+    /// are walked in placement order — the roots sorted by internal id,
+    /// every tile's frontier grouped by shard, in id order — so reads are
+    /// shard-sequential. The top
     /// level streams each tile through the head into `sink(roots, probs)`:
     /// external ids of the tile's roots and their probability rows, every
     /// distinct root exactly once, in placement order.
     ///
-    /// * **Layer 1's three input sources**: when layer 1 is fused and
-    ///   f32 and below the top level, level 1 cuts no tile and gathers no
-    ///   level-0 ball wherever the store lets it read its input directly.
-    ///   - *Stored `Â·X`*: a store holding the `agg` section
-    ///     ([`GraphStore::has_agg`]) is walked in placement order in
-    ///     blocks of 1024 rows: one parallel gather of the block's `Â·X`
-    ///     and `X` rows ([`GraphStore::par_gather_agg_into`]), then layer
-    ///     1's neighbour and self GEMMs on them. The stored rows are the
-    ///     f32 panel rows the fused producer would pack.
-    ///   - *Resident `X` in place*: on a mem store holding features,
-    ///     layer 1's fused producer restricted to the targets reads the
-    ///     store's own CSR and feature matrix, where each neighbour row
-    ///     already lies: no feature row is copied.
-    ///   - *A level-0 ball*: everywhere else (a bf16 or unfused layer 1,
-    ///     a depth-1 model, an mmap store without the section) level 1
-    ///     is cut into tiles like any level, and each tile's frontier
-    ///     rows of `X` are gathered into the level-0 buffer.
+    /// * **Layer 1's three input sources**: below the top level, level 1
+    ///   cuts no tile and gathers no level-0 ball wherever the source lets
+    ///   it read its input directly.
+    ///   - *Stored `Â·X`*: under a fused f32 layer 1, a store holding the
+    ///     `agg` section ([`GraphStore::has_agg`]) is walked in placement
+    ///     order in blocks of 1024 rows: one parallel gather of the block's
+    ///     `Â·X` and `X` rows ([`GraphStore::par_gather_agg_into`]), then
+    ///     layer 1's neighbour and self GEMMs on them.
+    ///   - *Resident `X` in place*: layer 1's producer restricted to the
+    ///     targets reads a [`LevelSource::Resident`]'s own CSR and feature
+    ///     matrix, packing its kept `Â·X` rows (under bf16 it rounds `X`
+    ///     whole once per call): no feature row is copied.
+    ///   - *A level-0 ball*: everywhere else level 1 is cut into tiles
+    ///     like any level, and each tile's frontier rows of `X` are
+    ///     gathered into the level-0 buffer.
     ///
     ///   All three give the same bits.
     /// * **Work**: when a level's needed set fits `max_rows` it is one
@@ -617,24 +674,24 @@ impl GcnModel {
     ///   one-hop overlap between neighbouring tiles is recomputed, per
     ///   level — never an L-hop ball per root chunk. On the stored-`Â·X`
     ///   path layer 1 reads one `agg` and one feature row per row it
-    ///   computes and aggregates nothing; in place on a mem store it
-    ///   gathers nothing.
+    ///   computes and aggregates nothing; in place it gathers nothing.
     /// * **Memory**: one buffer per level of at most `max_rows` rows (a
     ///   single root whose own frontier is larger overshoots — it is
     ///   irreducible), i.e. `≤ L · max_rows · max width` floats, plus the
-    ///   cutter's relabel table of one `u32` per store vertex, all held in
-    ///   `ws` and reused by the next call (the table is cleared per tile by
-    ///   walking the tile's own rows, so a warm call never touches all `n`
-    ///   entries). On the stored-`Â·X` path the level-0 buffer and the
+    ///   cutter's relabel table of one `u32` per source vertex, all held
+    ///   in `ws` and reused by the next call (the table is cleared per tile
+    ///   by walking the tile's own rows, so a warm call never touches all
+    ///   `n` entries). On the stored-`Â·X` path the level-0 buffer and the
     ///   `Â·X` scratch hold one block each (`2 · AGG_BLOCK_ROWS · f`
-    ///   floats) instead of a level-0 ball; in place on a mem store the
-    ///   level-0 buffer is not touched at all.
+    ///   floats) instead of a level-0 ball; in place the level-0 buffer is
+    ///   not touched at all.
     /// * **Exactness**: a frontier tile keeps each root's full neighbor
     ///   list in full-graph order, so a root row's aggregate, `D⁻¹`
     ///   scale and GEMM row are the same float operations in the same
     ///   order as in [`GcnModel::infer_probs_into`] on the whole graph;
     ///   by induction over the levels the output is **bit-identical**,
-    ///   for any tiling, store order, backend and [`Precision`] storage.
+    ///   for any tiling, source, store order, backend and [`Precision`]
+    ///   storage.
     ///
     /// Fails only on a store read error (a topology section or a row
     /// section that cannot be mapped) or a `sink` error.
@@ -642,7 +699,7 @@ impl GcnModel {
     /// [`Precision`]: gsgcn_tensor::Precision
     pub fn infer_probs_by_level(
         &self,
-        store: &GraphStore,
+        source: LevelSource<'_>,
         roots: &[u32],
         max_rows: usize,
         ws: &mut InferenceWorkspace,
@@ -659,10 +716,10 @@ impl GcnModel {
         if levels.len() < depth {
             levels.resize_with(depth, || DMatrix::zeros(0, 0));
         }
-        let mut sweep = Sweep::new(store, max_rows, agg, frontier, depth);
+        let mut sweep = Sweep::new(source, max_rows, agg, frontier, depth);
         let t0 = Instant::now();
         let mut sorted = roots.to_vec();
-        sorted.sort_by_cached_key(|&v| store.to_internal(v));
+        sorted.sort_by_cached_key(|&v| source.to_internal(v));
         sorted.dedup();
         sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
 
@@ -695,9 +752,7 @@ impl GcnModel {
         levels: &mut [DMatrix],
     ) -> io::Result<FrontierBall> {
         let t0 = Instant::now();
-        let (ball, used) = sweep
-            .frontier
-            .capped(sweep.store, targets, sweep.max_rows)?;
+        let (ball, used) = sweep.source.cut(sweep.frontier, targets, sweep.max_rows)?;
         assert_eq!(used, ball.num_roots, "tile targets must be distinct");
         sweep.stats.frontier_secs += t0.elapsed().as_secs_f64();
         sweep.stats.tiles[level - 1] += 1;
@@ -727,13 +782,11 @@ impl GcnModel {
     }
 
     /// Fill `out` with `H^level`, rows aligned with `targets` (distinct,
-    /// placement-ordered): a feature gather at level 0; at level 1 on a
-    /// store with `Â·X` ([`Self::reads_stored_aggregate`]) layer 1 over
-    /// blocks of stored rows, and on a resident store
-    /// ([`Self::resident_input`]) layer 1 over the store's own graph and
-    /// features; otherwise one tile after another, each writing its
-    /// roots' run of rows. `lower` is `levels[..level]`, the buffers of
-    /// the levels beneath.
+    /// placement-ordered): a feature gather at level 0; at level 1 from a
+    /// store's `Â·X` blocks or a resident source's graph and features in
+    /// place, where layer 1 can; otherwise one tile after another, each
+    /// writing its roots' run of rows. `lower` is `levels[..level]`, the
+    /// buffers of the levels beneath.
     fn fill_level(
         &self,
         sweep: &mut Sweep<'_>,
@@ -742,18 +795,29 @@ impl GcnModel {
         lower: &mut [DMatrix],
         out: &mut DMatrix,
     ) -> io::Result<()> {
-        if level == 1 {
-            if self.reads_stored_aggregate(sweep.store) {
-                return self.fill_from_stored_aggregate(sweep, targets, &mut lower[0], out);
+        // Only a fused f32 layer 1 packs the stored `Â·X` rows as they are
+        // and reads `X` unrounded (the unfused one is the reference path).
+        let fused_f32 = || {
+            let first = &self.layers[0];
+            first.fused() && first.precision() == Precision::F32
+        };
+        match sweep.source {
+            LevelSource::Store(store) if level == 1 && store.has_agg() && fused_f32() => {
+                return self.fill_from_stored_aggregate(sweep, store, targets, &mut lower[0], out);
             }
-            if let Some((g, x)) = self.resident_input(sweep.store) {
-                self.fill_in_place(sweep, g, x, targets, out);
+            LevelSource::Resident {
+                graph,
+                features,
+                input,
+            } if level == 1 && (input.is_some() || fused_f32()) => {
+                self.fill_in_place(sweep, graph, features, input, targets, out);
                 return Ok(());
             }
+            _ => {}
         }
         if level == 0 {
             let t0 = Instant::now();
-            sweep.store.par_gather_features_into(targets, out)?;
+            sweep.source.gather_features_into(targets, out)?;
             sweep.stats.gather_secs += t0.elapsed().as_secs_f64();
             sweep.stats.rows_gathered += targets.len();
             return Ok(());
@@ -771,49 +835,35 @@ impl GcnModel {
         Ok(())
     }
 
-    /// Whether layer 1 runs from `store`'s `Â·X` rows: the store holds
-    /// them, and layer 1 is fused f32, whose neighbour panels are exactly
-    /// those rows (a bf16 layer rounds its aggregate, the unfused one is
-    /// the reference path).
-    fn reads_stored_aggregate(&self, store: &GraphStore) -> bool {
-        store.has_agg() && self.first_layer_is_fused_f32()
-    }
-
-    /// The graph and features layer 1 reads in place: `store` is resident
-    /// and holds features, and layer 1 is fused f32 (as for
-    /// [`Self::reads_stored_aggregate`]; a bf16 layer would need `X`
-    /// rounded whole, the unfused one is the reference path).
-    fn resident_input<'s>(&self, store: &'s GraphStore) -> Option<(&'s CsrGraph, &'s DMatrix)> {
-        if !self.first_layer_is_fused_f32() {
-            return None;
-        }
-        let mem = store.as_mem()?;
-        Some((mem.graph(), mem.features()?))
-    }
-
-    fn first_layer_is_fused_f32(&self) -> bool {
-        let first = &self.layers[0];
-        first.fused() && first.precision() == Precision::F32
-    }
-
-    /// `H^1` on `targets` into `out` straight from a resident store's CSR
-    /// `g` and features `x`: layer 1's fused producer restricted to the
-    /// targets ([`GcnLayer::infer_selected_into`]) sums each target's
-    /// neighbour rows where they lie in `x` and packs its own row from
-    /// there too, so no tile is cut and no feature row is copied. Each
-    /// row is the full-graph forward's, bit for bit.
+    /// `H^1` on `targets` into `out` straight from a resident CSR `g` and
+    /// features `x`: layer 1's producer restricted to the targets
+    /// ([`GcnLayer::infer_selected_into`]) packs the rows `input` keeps,
+    /// sums each other target's neighbour rows where they lie in `x` (in
+    /// `input`'s precision) and packs its own row from there too, so no
+    /// tile is cut and no feature row is copied. Each row is the
+    /// full-graph forward's, bit for bit.
     fn fill_in_place(
         &self,
         sweep: &mut Sweep<'_>,
         g: &CsrGraph,
         x: &DMatrix,
+        input: Option<&InputAggregate>,
         targets: &[u32],
         out: &mut DMatrix,
     ) {
         let t0 = Instant::now();
         let first = &self.layers[0];
         out.ensure_shape(targets.len(), first.out_dim());
-        first.infer_selected_into(g, x.view(), None, Some(targets), out.view_mut());
+        let rows = out.view_mut();
+        match input.map(|ax| &ax.data) {
+            None => first.infer_selected_into(g, x.view(), None, Some(targets), rows),
+            Some(AggregateData::F32(kept)) => {
+                first.infer_selected_into(g, x.view(), Some(kept), Some(targets), rows)
+            }
+            Some(AggregateData::Bf16(kept)) => with_bf16_rows(x, |qx| {
+                first.infer_selected_into(g, qx, Some(kept), Some(targets), rows)
+            }),
+        }
         sweep.stats.rows_computed[0] += targets.len();
         sweep.stats.infer_secs += t0.elapsed().as_secs_f64();
     }
@@ -826,6 +876,7 @@ impl GcnModel {
     fn fill_from_stored_aggregate(
         &self,
         sweep: &mut Sweep<'_>,
+        store: &GraphStore,
         targets: &[u32],
         x: &mut DMatrix,
         out: &mut DMatrix,
@@ -835,7 +886,7 @@ impl GcnModel {
         let mut pos = 0;
         for block in targets.chunks(AGG_BLOCK_ROWS) {
             let t0 = Instant::now();
-            sweep.store.par_gather_agg_into(block, sweep.agg, x)?;
+            store.par_gather_agg_into(block, sweep.agg, x)?;
             sweep.stats.gather_secs += t0.elapsed().as_secs_f64();
             sweep.stats.rows_gathered += block.len();
             sweep.stats.agg_rows_gathered += block.len();
@@ -862,16 +913,16 @@ impl GcnModel {
     /// `L-1-ℓ` hops of `targets` and each feature row within `L-1` hops is
     /// gathered once — `Σ_ℓ |N_{L-1-ℓ}[targets]|` rows computed,
     /// `|N_{L-1}[targets]|` rows gathered, over `targets` only, never an
-    /// L-hop ball pushed through every layer. Where a fused f32 layer 1
-    /// reads its input directly (as in `infer_probs_by_level`) it gathers
-    /// only its own rows' `Â·X` and `X` on a store with `Â·X`, and nothing
-    /// on a mem store, whose `X` it reads in place. For a 1-layer model it
-    /// is the feature gather. Rows are bit-identical to the full-graph
+    /// L-hop ball pushed through every layer. Where layer 1 reads its
+    /// input directly (as in `infer_probs_by_level`) it gathers only its
+    /// own rows' `Â·X` and `X` on a store with `Â·X`, and nothing on a
+    /// resident source, whose `X` it reads in place. For a 1-layer model
+    /// it is the feature gather. Rows are bit-identical to the full-graph
     /// forward's (the exactness argument on `infer_probs_by_level`). The
     /// returned [`LevelStats`] per-layer vectors cover layers `1..L`.
     pub fn infer_hidden_by_level(
         &self,
-        store: &GraphStore,
+        source: LevelSource<'_>,
         targets: &[u32],
         ws: &mut InferenceWorkspace,
         out: &mut DMatrix,
@@ -886,7 +937,7 @@ impl GcnModel {
         if levels.len() < below {
             levels.resize_with(below, || DMatrix::zeros(0, 0));
         }
-        let mut sweep = Sweep::new(store, usize::MAX, agg, frontier, below);
+        let mut sweep = Sweep::new(source, usize::MAX, agg, frontier, below);
         self.fill_level(&mut sweep, below, targets, &mut levels[..below], out)?;
         Ok(sweep.stats)
     }
@@ -918,25 +969,25 @@ impl GcnModel {
     /// The element layer 1 stores its input in: bf16 when the fused
     /// layer runs under [`Precision::Bf16`], f32 otherwise (the unfused
     /// reference has no bf16 path): the precision an [`InputAggregate`]
-    /// must be stored in.
+    /// is stored in.
     pub fn input_precision(&self) -> Precision {
         self.layers[0].precision()
     }
 
     /// The kept rows of `Â·X` for `(g, x)`, in [`Self::input_precision`],
-    /// for [`Self::infer_probs_at_into`]. Layer 1's own aggregation
-    /// producer computes them in one row-parallel pass
+    /// for a [`LevelSource::Resident`] over `(g, x)`. Layer 1's own
+    /// aggregation producer computes them in one row-parallel pass
     /// ([`AggregatedRows::keep`]), so they are exactly the elements layer
     /// 1's pack places; under bf16 it aggregates `x` rounded to bf16
     /// (pooled scratch) with no f32 `n × f` temporary.
     ///
     /// Which rows: at most the bytes of the `n`-row last-layer activation
-    /// and probability matrix that the full-graph forward allocates and
-    /// `infer_probs_at_into` does not — so a resident evaluation holds no
-    /// more memory than the forward it replaces — taken from the
-    /// highest-degree vertices down, because a row's aggregation gathers
-    /// `deg(v)` feature rows and those rows save the most gathers per
-    /// byte. Features narrower than that budget are kept whole.
+    /// and probability matrix that a full-graph forward allocates and the
+    /// level recursion does not — so a resident evaluation holds no more
+    /// memory than that forward would — taken from the highest-degree
+    /// vertices down, because a row's aggregation gathers `deg(v)` feature
+    /// rows and those rows save the most gathers per byte. Features
+    /// narrower than that budget are kept whole.
     pub fn aggregate_input(&self, g: &CsrGraph, x: &DMatrix) -> InputAggregate {
         let (n, f) = x.shape();
         assert_eq!(n, g.num_vertices(), "feature/vertex mismatch");
@@ -963,90 +1014,6 @@ impl GcnModel {
             })),
         };
         InputAggregate { data }
-    }
-
-    /// **Resident evaluation**: the probabilities of the full-graph
-    /// forward on `(g, x)` at `targets` (rows aligned with `targets`,
-    /// repeats allowed), given `ax` = [`Self::aggregate_input`]`(g, x)`
-    /// computed in [`Self::input_precision`].
-    ///
-    /// * Layer 1 runs on every row; its neighbor GEMM packs the rows `ax`
-    ///   keeps and aggregates only the others.
-    /// * Layers `2..L-1` run on every row — layer `L` may read any.
-    /// * Layer `L`, the head and the output activation run on the
-    ///   targets' rows only: the fused producer aggregates just those rows
-    ///   and the self half packs them straight out of `H^{L-1}`
-    ///   ([`gsgcn_tensor::IndexedRows`]) — no frontier extraction, no
-    ///   gather of the hidden state, no `n`-row probability matrix.
-    ///
-    /// The rows are **bit-identical** to [`Self::infer_probs_into`]'s rows
-    /// at `targets`: a kept row is the very panel row layer 1's producer
-    /// would pack, and every GEMM row accumulates independently of which
-    /// other rows are present. The returned [`LevelStats`] counts
-    /// `[n, …, n, |targets|]` rows (one tile per layer) and times the call
-    /// as `infer_secs`. Warm calls perform zero matrix allocations.
-    pub fn infer_probs_at_into(
-        &self,
-        g: &CsrGraph,
-        x: &DMatrix,
-        ax: &InputAggregate,
-        targets: &[u32],
-        ws: &mut InferenceWorkspace,
-        out: &mut DMatrix,
-    ) -> LevelStats {
-        let t0 = Instant::now();
-        let n = g.num_vertices();
-        let last = self.layers.len() - 1;
-        assert_eq!(x.rows(), n, "feature/vertex mismatch");
-        assert_eq!(
-            ax.precision(),
-            self.input_precision(),
-            "aggregate stored in another precision than layer 1 packs"
-        );
-        let InferenceWorkspace {
-            ping, pong, agg, ..
-        } = ws;
-        // Layer 1 from the kept aggregate — at depth 1 it is the last layer.
-        let first = &self.layers[0];
-        let first_targets = (last == 0).then_some(targets);
-        ping.ensure_shape(first_targets.map_or(n, <[u32]>::len), first.out_dim());
-        match &ax.data {
-            AggregateData::F32(kept) => {
-                first.infer_selected_into(g, x.view(), Some(kept), first_targets, ping.view_mut())
-            }
-            AggregateData::Bf16(kept) => with_bf16_rows(x, |qx| {
-                first.infer_selected_into(g, qx, Some(kept), first_targets, ping.view_mut())
-            }),
-        }
-        // Layers 2..L-1 on every row, ping-ponging.
-        let (mut src, mut dst) = (ping, pong);
-        for layer in self.layers.iter().take(last).skip(1) {
-            layer.infer_into(g, src, dst, agg, &self.prop);
-            std::mem::swap(&mut src, &mut dst);
-        }
-        // Layer L on the targets, over its input as the layer stores it.
-        if last > 0 {
-            let layer = &self.layers[last];
-            dst.ensure_shape(targets.len(), layer.out_dim());
-            if layer.precision() == Precision::Bf16 {
-                with_bf16_rows(src, |qh| {
-                    layer.infer_selected_into(g, qh, None, Some(targets), dst.view_mut())
-                });
-            } else {
-                layer.infer_selected_into(g, src.view(), None, Some(targets), dst.view_mut());
-            }
-            std::mem::swap(&mut src, &mut dst);
-        }
-        self.head.forward_into(src, out);
-        self.apply_output_activation(out);
-        let mut rows_computed = vec![n; last + 1];
-        rows_computed[last] = targets.len();
-        LevelStats {
-            tiles: vec![1; last + 1],
-            rows_computed,
-            infer_secs: t0.elapsed().as_secs_f64(),
-            ..LevelStats::default()
-        }
     }
 
     fn apply_output_activation(&self, out: &mut DMatrix) {

@@ -41,8 +41,8 @@ pub struct InferenceWorkspace {
     /// entry point `infer_hidden_by_level`): `levels[ℓ]` holds `H^ℓ` on
     /// the frontier tile that layer `ℓ+1` is reading — or, on a store that
     /// holds `Â·X`, `levels[0]` the feature rows of layer 1's current
-    /// block. On a mem store whose layer 1 reads `X` in place `levels[0]`
-    /// is never filled.
+    /// block. Where layer 1 reads a resident `X` in place `levels[0]` is
+    /// never filled.
     pub(crate) levels: Vec<DMatrix>,
     /// The frontier tile cutter's relabel table (one `u32` per vertex of
     /// the largest graph cut so far) and lists, reused by every tile of

@@ -14,7 +14,7 @@
 
 use gsgcn_graph::{CsrGraph, GraphBuilder};
 use gsgcn_nn::adam::AdamHyper;
-use gsgcn_nn::model::{GcnConfig, GcnModel, LossKind};
+use gsgcn_nn::model::{GcnConfig, GcnModel, LevelSource, LossKind};
 use gsgcn_nn::InferenceWorkspace;
 use gsgcn_tensor::{alloc, DMatrix};
 
@@ -201,12 +201,12 @@ fn infer_into_is_allocation_free_after_warmup() {
     });
 }
 
-/// Resident evaluation (`infer_probs_at_into` over a precomputed `Â·X`)
-/// is allocation-free once the workspace is warm — in both layer-1
-/// input precisions, fused and unfused, whichever target set (up to the
-/// largest seen) a call scores.
+/// Resident evaluation (the level recursion over a resident source with
+/// a precomputed `Â·X`, uncapped) is allocation-free once the workspace
+/// is warm — in both layer-1 input precisions, fused and unfused,
+/// whichever target set (up to the largest seen) a call scores.
 #[test]
-fn infer_probs_at_is_allocation_free_after_warmup() {
+fn resident_level_inference_is_allocation_free_after_warmup() {
     use gsgcn_tensor::precision::ALL_PRECISIONS;
     let n = 64;
     let g = ring_graph(n);
@@ -225,21 +225,31 @@ fn infer_probs_at_is_allocation_free_after_warmup() {
                 let mut model = GcnModel::new(c, 42);
                 model.set_precision(precision);
                 let ax = model.aggregate_input(&g, &x);
+                let source = LevelSource::Resident {
+                    graph: &g,
+                    features: &x,
+                    input: Some(&ax),
+                };
                 let mut ws = InferenceWorkspace::new();
-                let mut probs = DMatrix::zeros(0, 0);
+                let mut score = |targets: &[u32]| {
+                    let mut sink = |_: &[u32], _: &DMatrix| Ok(());
+                    model
+                        .infer_probs_by_level(source, targets, usize::MAX, &mut ws, &mut sink)
+                        .unwrap();
+                };
                 for targets in &splits {
-                    model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
+                    score(targets);
                 }
                 let before = alloc::matrix_allocations();
                 for _ in 0..5 {
                     for targets in &splits {
-                        model.infer_probs_at_into(&g, &x, &ax, targets, &mut ws, &mut probs);
+                        score(targets);
                     }
                 }
                 let steady = alloc::matrix_allocations() - before;
                 assert_eq!(
                     steady, 0,
-                    "infer_probs_at_into ({precision}, fused={fused}) allocated \
+                    "resident level inference ({precision}, fused={fused}) allocated \
                      {steady} matrices after warm-up"
                 );
             }

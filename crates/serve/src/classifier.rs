@@ -348,7 +348,7 @@ impl NodeClassifier {
     ) -> Result<LevelStats, String> {
         let stats = self
             .model
-            .infer_hidden_by_level(&self.store, ids, infer, rows)
+            .infer_hidden_by_level(self.store.as_ref().into(), ids, infer, rows)
             .map_err(|e| format!("feature read from graph store failed: {e}"))?;
         if let Some(cache) = &self.cache {
             cache.insert_rows(ids, rows);

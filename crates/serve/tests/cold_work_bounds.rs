@@ -167,7 +167,7 @@ fn partial_hit_computes_only_the_missing_rows() {
             let mut rows = DMatrix::zeros(0, 0);
             f.model
                 .infer_hidden_by_level(
-                    &f.store,
+                    f.store.as_ref().into(),
                     &resident,
                     &mut InferenceWorkspace::new(),
                     &mut rows,
