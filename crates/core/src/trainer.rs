@@ -1006,9 +1006,9 @@ mod tests {
     }
 
     /// Evaluation runs on the compute threads plus the sampler workers it
-    /// leaves idle, and that width changes no bit of any split's F1: on
-    /// the resident arm, and on the stored arm at a starved and at the
-    /// default budget, 0, 1 and 2 workers score alike.
+    /// leaves idle, and that width changes no bit of any split's F1: on a
+    /// resident dataset, and on a store at a starved and at the default
+    /// budget, 0, 1 and 2 workers score alike.
     #[test]
     fn evaluation_width_changes_no_f1_bit() {
         let d = quick_dataset();

@@ -6,8 +6,8 @@
 //! buffers with a streaming F1, so once warm it must perform **zero**
 //! matrix allocations — measured with the thread-local counter in
 //! `gsgcn_tensor::alloc`, on a 1-thread trainer so every allocation is
-//! attributed to the measuring thread. The same holds for the stored
-//! (out-of-core) arm and its level buffers, in both activation
+//! attributed to the measuring thread. The same holds over a stored
+//! (out-of-core) dataset and its level buffers, in both activation
 //! precisions.
 
 use gsgcn_core::trainer::EvalSplit;
@@ -46,7 +46,7 @@ fn evaluate_is_allocation_free_after_warmup() {
     }
 }
 
-/// The stored arm — layer-at-a-time inference over frontier tiles read
+/// Stored evaluation — layer-at-a-time inference over frontier tiles read
 /// through mmap shards — runs on the same workspace (its level buffers
 /// included): zero matrix allocations once every split has sized them.
 #[test]
