@@ -6,8 +6,12 @@
 //! short resident training, the F1 bits of a resident and of a stored
 //! evaluation (a spilled full store that carries `Â·X`) of every split,
 //! and the probability bits `NodeClassifier` answers for 64 nodes on a mem
-//! store and on an mmap store. The parts are hashed separately, dataset
-//! first, so a mismatch names the first layer that moved.
+//! store and on an mmap store. Two more parts read stores in the `natural`
+//! placement order: the losses of a training from a natural spill behind a
+//! 4 KiB shard cache, and the answers on a natural temp spill without
+//! `Â·X`, whose layer 1 cuts level-0 tiles through the placement map. The
+//! parts are hashed separately, dataset first, so a mismatch names the
+//! first layer that moved.
 //!
 //! A change that reorders an accumulation on purpose updates the
 //! constants and states the old and new values in its change log; a
@@ -16,19 +20,21 @@
 use gsgcn::core::trainer::EvalSplit;
 use gsgcn::core::{GsGcnTrainer, TrainerConfig};
 use gsgcn::data::{presets, Dataset, StoreDataset};
-use gsgcn::graph::{StoreBackend, StoreOrder};
+use gsgcn::graph::{GraphStore, StoreBackend, StoreOrder};
 use gsgcn::nn::model::GcnModel;
 use gsgcn::serve::NodeClassifier;
 use gsgcn::tensor::{DMatrix, Precision};
 use std::sync::Arc;
 
 /// `(part, FNV-1a 64 of its bits)`, in the order the parts are built.
-const FINGERPRINT: [(&str, u64); 5] = [
+const FINGERPRINT: [(&str, u64); 7] = [
     ("dataset", 0xbfa9c0411499f988),
     ("training losses", 0x74f71395c60064c9),
     ("resident F1", 0xdccaf58190f07031),
     ("stored F1", 0xdccaf58190f07031),
     ("serving probabilities", 0x9eaa13b02a89490d),
+    ("natural store training losses", 0x74f71395c60064c9),
+    ("natural store serving probabilities", 0xe8b64e5d76f33188),
 ];
 
 /// FNV-1a over 32-bit words, so no hasher's version can move it.
@@ -166,6 +172,36 @@ fn the_f32_system_fingerprint_holds() {
     drop(mmap);
     drop(sd);
     std::fs::remove_dir_all(&dir).ok();
+
+    let natural_dir = dir.with_extension("natural");
+    d.spill_to_dir_ordered(&natural_dir, 4, StoreOrder::Natural)
+        .unwrap();
+    let natural = StoreDataset::open_with(&natural_dir, StoreBackend::Mmap, 4 << 10).unwrap();
+    let mut natural_trainer = GsGcnTrainer::from_store(&natural, config())
+        .unwrap()
+        .with_precision(Precision::F32);
+    let mut natural_losses = Fnv::new();
+    for _ in 0..3 {
+        natural_losses.f32s(&[natural_trainer.train_epoch().unwrap().mean_loss]);
+    }
+    got.push(natural_losses.0);
+    drop(natural_trainer);
+    drop(natural);
+    std::fs::remove_dir_all(&natural_dir).ok();
+
+    let store = GraphStore::spill_to_temp(
+        &d.graph,
+        Some(&d.features),
+        None,
+        StoreOrder::Natural,
+        4 << 10,
+    )
+    .unwrap();
+    assert!(!store.has_agg());
+    let natural_mmap = NodeClassifier::from_store(Arc::clone(&model), Arc::new(store)).unwrap();
+    let mut natural_serving = Fnv::new();
+    hash_answers(&mut natural_serving, &natural_mmap, &nodes);
+    got.push(natural_serving.0);
     let now: Vec<String> = FINGERPRINT
         .iter()
         .zip(&got)
