@@ -3,8 +3,9 @@
 //!
 //! Three variants run, each against its own spill of the same graph:
 //!
-//! * `mmap_natural` — mmap backend, natural (identity) shard order. The
-//!   out-of-core baseline every PR before the locality work shipped.
+//! * `mmap_natural` — mmap backend, natural shard order (BFS-grown
+//!   parts, members in id order). The out-of-core baseline every PR
+//!   before the locality work shipped.
 //! * `mmap_bfs` — mmap backend, BFS shard order. The tuned out-of-core
 //!   path.
 //! * `mem` — fully materialized store (order is irrelevant once

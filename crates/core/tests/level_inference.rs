@@ -281,7 +281,7 @@ fn capped_tiles_are_pinned() {
             [291, 60],
             0,
         ),
-        (spill(StoreOrder::Natural), [40, 7], [291, 60], 1886),
+        (spill(StoreOrder::Natural), [34, 7], [280, 60], 1539),
         (spill(StoreOrder::Bfs), [35, 7], [288, 60], 1565),
     ];
     let roots: Vec<u32> = (0..60u32).map(|i| (i * 37) % n as u32).collect();

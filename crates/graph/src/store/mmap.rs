@@ -6,7 +6,7 @@
 //! # Cache unit
 //!
 //! A cache entry is one [`SectionKind`] of one shard file: its topology
-//! (header, members, CSR offsets, adjacency), its feature rows, its label
+//! (header, CSR offsets, adjacency), its feature rows, its label
 //! rows or its `agg` rows — the byte ranges
 //! [`ShardLayout`](super::shard::ShardLayout) cuts a file into. Every
 //! reader wants exactly one of them: the sampler, subgraph induction and
@@ -73,9 +73,9 @@
 //! [`MmapStore::pin_nodes`] holds every section of a
 //! shard mapped until [`MmapStore::unpin_all`].
 
+use super::order::invert;
 use super::shard::{
-    shard_file_name, SectionKind, ShardSection, ShardShape, StoreManifest, FORMAT_VERSION,
-    INDEX_FILE, INDEX_HEADER_LEN, INDEX_MAGIC,
+    shard_file_name, shard_width, SectionKind, ShardSection, ShardShape, StoreManifest,
 };
 use super::{scan_capped_mean_degree, TopoView, View};
 use std::io;
@@ -157,11 +157,6 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Map the first `len` bytes of `file` read-only.
-    pub fn map(file: &std::fs::File, len: usize) -> io::Result<Mapping> {
-        Self::map_range(file, 0, len)
-    }
-
     /// Map bytes `[offset, offset + len)` of `file` read-only. The caller
     /// has checked the range against the file's length; a range past the
     /// end of the file would map but fault on access.
@@ -382,77 +377,6 @@ struct Shard {
     sections: [Slot; KINDS],
 }
 
-/// The global → (shard, local) index, itself memory-mapped (it is the one
-/// O(n) structure the store keeps "resident"; 8 bytes per vertex, charged
-/// as fixed overhead rather than against the shard budget).
-struct IndexView {
-    map: Mapping,
-    n: usize,
-}
-
-impl IndexView {
-    fn open(dir: &Path, n: usize) -> io::Result<IndexView> {
-        let path = dir.join(INDEX_FILE);
-        let bad = |msg: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("store index {}: {msg}", path.display()),
-            )
-        };
-        let file = std::fs::File::open(&path).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("opening store index {}: {e}", path.display()),
-            )
-        })?;
-        let len = file.metadata()?.len() as usize;
-        let expect = INDEX_HEADER_LEN + 8 * n;
-        if len != expect {
-            return Err(bad(format!(
-                "file is {len} bytes, expected {expect} for n={n} (truncated or stale)"
-            )));
-        }
-        let map = Mapping::map(&file, len)?;
-        let b = map.bytes();
-        let magic = u32::from_le_bytes(b[0..4].try_into().unwrap());
-        let version = u32::from_le_bytes(b[4..8].try_into().unwrap());
-        let stored_n = u64::from_le_bytes(b[8..16].try_into().unwrap()) as usize;
-        if magic != INDEX_MAGIC {
-            return Err(bad("bad magic".into()));
-        }
-        if version != FORMAT_VERSION {
-            return Err(bad(format!(
-                "format version {version}, this build reads v{FORMAT_VERSION}"
-            )));
-        }
-        if stored_n != n {
-            return Err(bad(format!(
-                "index covers {stored_n} vertices, manifest says {n}"
-            )));
-        }
-        Ok(IndexView { map, n })
-    }
-
-    #[inline]
-    fn entry(&self, base: usize, v: u32) -> u32 {
-        let off = base + 4 * v as usize;
-        let b = &self.map.bytes()[off..off + 4];
-        u32::from_le_bytes(b.try_into().unwrap())
-    }
-
-    #[inline]
-    fn part_of(&self, v: u32) -> u32 {
-        debug_assert!((v as usize) < self.n);
-        self.entry(INDEX_HEADER_LEN, v)
-    }
-
-    #[inline]
-    fn local_of(&self, v: u32) -> u32 {
-        debug_assert!((v as usize) < self.n);
-        self.entry(INDEX_HEADER_LEN + 4 * self.n, v)
-    }
-}
-
 /// Entries per shard in the cache: one per [`SectionKind`].
 const KINDS: usize = SectionKind::ALL.len();
 
@@ -463,15 +387,16 @@ fn entry_of(sid: usize, kind: SectionKind) -> usize {
     sid * KINDS + kind as usize
 }
 
-/// The cache state behind an opened store: manifest, index, cache entries
-/// and every counter.
+/// The cache state behind an opened store: manifest, placement, cache
+/// entries and every counter.
 struct StoreCore {
     dir: PathBuf,
+    /// Holds the placement map, `rank` (external → internal id).
     manifest: StoreManifest,
-    /// Inverse of `manifest.rank` (internal id → external vertex);
-    /// empty for natural stores (identity).
+    /// Inverse of `manifest.rank` (internal id → external vertex).
     unrank: Vec<u32>,
-    index: IndexView,
+    /// Ranks per shard ([`shard_width`]).
+    width: usize,
     shards: Vec<Shard>,
     /// Mapped-bytes budget the CLOCK hand enforces (best effort: a single
     /// section larger than the budget still loads — the alternative is
@@ -497,9 +422,13 @@ impl StoreCore {
         self.shards.len() * KINDS
     }
 
+    /// `(shard, slot in the shard)` of vertex `v`: its rank cut by the
+    /// shard width. The manifest's validation makes the shard id in range.
     #[inline]
-    fn shard_of(&self, v: u32) -> u32 {
-        self.index.part_of(v)
+    fn place(&self, v: u32) -> (usize, usize) {
+        let r = self.manifest.rank[v as usize] as usize;
+        let sid = r / self.width;
+        (sid, r - sid * self.width)
     }
 
     /// The slot and kind behind entry id `i`.
@@ -670,13 +599,9 @@ impl ShardTopology<'_> {
     /// The neighbor list of `v`, or why its shard cannot be mapped.
     #[inline]
     pub(super) fn neighbors(&self, v: u32) -> io::Result<&[u32]> {
-        let sid = self.core.shard_of(v) as usize;
-        let Some(slot) = self.sections.get(sid) else {
-            // A corrupt index: `get` fails, naming the shard id.
-            return self.core.get(sid, SectionKind::Topology).map(|_| &[][..]);
-        };
-        match slot.get_or_init(|| self.core.get(sid, SectionKind::Topology)) {
-            Ok(section) => Ok(section.neighbors(self.core.index.local_of(v) as usize)),
+        let (sid, local) = self.core.place(v);
+        match self.sections[sid].get_or_init(|| self.core.get(sid, SectionKind::Topology)) {
+            Ok(section) => Ok(section.neighbors(local)),
             Err(e) => Err(io::Error::new(e.kind(), e.to_string())),
         }
     }
@@ -695,15 +620,13 @@ pub struct MmapStore {
 impl MmapStore {
     /// Open the store written under `dir`, bounding mapped section bytes
     /// by `budget` (bytes).
-    /// Eagerly validates the manifest (including that each shard's counts
-    /// add up to its recorded length), the index and every *present* shard
-    /// file's length — truncation fails here, not at first access. Shard
-    /// headers are checked on the first read of each shard. Missing shard
-    /// files leave their shard unavailable.
+    /// Eagerly validates the manifest (its rank cut and permutation, and
+    /// that each shard's counts add up to its recorded length) and every
+    /// *present* shard file's length — truncation fails here, not at first
+    /// access. Shard headers are checked on the first read of each shard.
+    /// Missing shard files leave their shard unavailable.
     pub fn open(dir: &Path, budget: usize) -> io::Result<MmapStore> {
         let manifest = StoreManifest::load(dir)?;
-        let n = manifest.n as usize;
-        let index = IndexView::open(dir, n)?;
         let mut shards = Vec::with_capacity(manifest.num_shards());
         for (sid, info) in manifest.shards.iter().enumerate() {
             let shape = ShardShape::from_manifest(&manifest, sid)?;
@@ -734,18 +657,11 @@ impl MmapStore {
                 sections: Default::default(),
             });
         }
-        let mut unrank = Vec::new();
-        if !manifest.rank.is_empty() {
-            unrank = vec![0u32; n];
-            for (v, &r) in manifest.rank.iter().enumerate() {
-                unrank[r as usize] = v as u32;
-            }
-        }
         let core = Box::new(StoreCore {
             dir: dir.to_path_buf(),
+            width: shard_width(manifest.n as usize, manifest.num_shards()),
+            unrank: invert(&manifest.rank),
             manifest,
-            unrank,
-            index,
             shards,
             budget: budget.max(1),
             mapped: AtomicUsize::new(0),
@@ -835,34 +751,29 @@ impl MmapStore {
         self.core.manifest.order
     }
 
-    /// Internal (placement) id of external vertex `v` (identity for
-    /// natural stores).
+    /// Internal (placement) id of external vertex `v`: its rank.
     #[inline]
     pub fn to_internal(&self, v: u32) -> u32 {
-        self.core.manifest.to_internal(v)
+        self.core.manifest.rank[v as usize]
     }
 
     /// External vertex of internal (placement) id `i` — the inverse of
     /// [`Self::to_internal`].
     #[inline]
     pub fn to_external(&self, i: u32) -> u32 {
-        if self.core.unrank.is_empty() {
-            i
-        } else {
-            self.core.unrank[i as usize]
-        }
+        self.core.unrank[i as usize]
     }
 
     /// Shard id of vertex `v`.
     #[inline]
     pub fn shard_of(&self, v: u32) -> u32 {
-        self.core.shard_of(v)
+        self.core.place(v).0 as u32
     }
 
-    /// Shard-local slot of vertex `v`.
+    /// `(shard, slot in the shard)` of vertex `v`.
     #[inline]
-    pub fn local_of(&self, v: u32) -> u32 {
-        self.core.index.local_of(v)
+    pub(super) fn place(&self, v: u32) -> (usize, usize) {
+        self.core.place(v)
     }
 
     /// Whether `v` is a valid vertex **and** its shard file is present.

@@ -8,9 +8,9 @@
 //! * [`MemStore`] — the existing fully-resident `Arc<CsrGraph>` (plus
 //!   optional feature/label matrices). Zero new indirection on the hot
 //!   paths: readers that can see a CSR get the actual slices.
-//! * [`MmapStore`] — CSR shards partitioned by the frontier
-//!   ([`bfs_partition`](crate::partition::bfs_partition)) partitioner,
-//!   written in the versioned on-disk format of [`shard`] and memory-mapped
+//! * [`MmapStore`] — CSR shards, each a contiguous range of a placement
+//!   rank ([`order`]), written in the versioned on-disk format of [`shard`]
+//!   and memory-mapped
 //!   on demand, **one section (topology / features / labels / `agg`) at a
 //!   time**,
 //!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]).
@@ -490,7 +490,8 @@ impl GraphStore {
         }
     }
 
-    /// Placement order of the backing store (mem is trivially natural).
+    /// Placement order of the backing store (mem reports natural; it
+    /// places nothing).
     pub fn order(&self) -> StoreOrder {
         match self {
             GraphStore::Mem(_) => StoreOrder::Natural,
@@ -498,8 +499,8 @@ impl GraphStore {
         }
     }
 
-    /// Internal (placement) id of external vertex `v`. Identity for the
-    /// mem backend and natural-order stores; every public API — the CLI's
+    /// Internal (placement) id of external vertex `v`: its rank in the
+    /// store's order, identity for the mem backend. Every public API — the CLI's
     /// `--nodes`, the serve protocol, labels, eval splits — speaks
     /// external ids, and this is the one boundary where they translate.
     #[inline]
@@ -735,7 +736,7 @@ fn copy_run(
     for group in run.chunk_by(|a, b| a.0 == b.0) {
         let section = m.section(group[0].0 as usize, kind)?;
         for &(_, i) in group {
-            put(k, &section, m.local_of(nodes[i as usize]) as usize);
+            put(k, &section, m.place(nodes[i as usize]).1);
             k += 1;
         }
     }
@@ -753,10 +754,10 @@ fn materialize_mmap(m: &MmapStore) -> io::Result<ResidentParts> {
     // The current shard's topology, feature and label sections (a
     // zero-width row section maps nothing; `agg` is derived data and stays
     // on disk).
-    let mut cached: Option<(u32, [Arc<ShardSection>; 3])> = None;
+    let mut cached: Option<(usize, [Arc<ShardSection>; 3])> = None;
     offsets.push(0usize);
     for v in 0..n as u32 {
-        let sid = m.shard_of(v);
+        let (sid, local) = m.place(v);
         let [topology, feature_rows, label_rows] = match &cached {
             Some((cur, s)) if *cur == sid => s,
             _ => {
@@ -765,11 +766,10 @@ fn materialize_mmap(m: &MmapStore) -> io::Result<ResidentParts> {
                     SectionKind::Features,
                     SectionKind::Labels,
                 ];
-                let [t, f, l] = kinds.map(|kind| m.section(sid as usize, kind));
+                let [t, f, l] = kinds.map(|kind| m.section(sid, kind));
                 &cached.insert((sid, [t?, f?, l?])).1
             }
         };
-        let local = m.local_of(v) as usize;
         adj.extend_from_slice(topology.neighbors(local));
         offsets.push(adj.len());
         if let Some(mat) = &mut features {
@@ -879,10 +879,11 @@ mod tests {
             .unwrap();
         assert_eq!(out.row(0), &[150.0, 151.0, 152.0]);
         assert_eq!(out.row(2), &[70.0, 71.0, 72.0]);
-        // Natural stores report identity translation.
+        // A natural store is ranked too: 13 lies in the second clique's
+        // part, the second shard, and translates both ways.
         assert_eq!(store.order(), StoreOrder::Natural);
-        assert_eq!(store.to_internal(13), 13);
-        assert_eq!(store.to_external(13), 13);
+        assert_eq!(store.to_internal(13) / 8, store.shard_of(13).unwrap());
+        assert_eq!(store.to_external(store.to_internal(13)), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1251,28 +1252,40 @@ mod tests {
     fn ordered_store_roundtrips_manifest_and_translation() {
         let g = two_communities();
         let f = DMatrix::from_fn(g.num_vertices(), 3, |i, j| (i * 10 + j) as f32);
-        for order in [StoreOrder::Bfs, StoreOrder::Degree] {
+        for order in [StoreOrder::Natural, StoreOrder::Bfs, StoreOrder::Degree] {
             let dir = fresh_temp_dir().unwrap();
             let manifest =
-                write_store_with_precision(&dir, &g, Some(&f), None, 4, order, Precision::F32)
+                write_store_with_precision(&dir, &g, Some(&f), None, 3, order, Precision::F32)
                     .unwrap();
             assert_eq!(manifest.order, order);
             assert_eq!(manifest.rank.len(), g.num_vertices());
+            assert_eq!(StoreManifest::load(&dir).unwrap(), manifest);
+            // The store directory holds the manifest and the shards only.
+            let mut files: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            files.sort();
+            assert_eq!(
+                files,
+                [
+                    "manifest.gss",
+                    "shard_0000.gss",
+                    "shard_0001.gss",
+                    "shard_0002.gss"
+                ]
+            );
+            // Shards are the contiguous rank cut: ⌈16/3⌉ = 6 ranks each.
+            let members: Vec<u64> = manifest.shards.iter().map(|s| s.members).collect();
+            assert_eq!(members, [6, 6, 4]);
             let store = GraphStore::open_with_budget(&dir, 1 << 20).unwrap();
             assert_eq!(store.order(), order);
-            // The recorded mapping is a permutation consistent with the
-            // physical layout: internal id = shard base + local slot.
-            let m = store.as_mmap().unwrap();
-            let mut base = vec![0u32; m.num_shards()];
-            for sid in 1..m.num_shards() {
-                base[sid] = base[sid - 1] + m.manifest().shards[sid - 1].members as u32;
-            }
             for v in 0..g.num_vertices() as u32 {
                 let internal = store.to_internal(v);
                 assert_eq!(store.to_external(internal), v);
                 assert_eq!(
-                    internal,
-                    base[m.shard_of(v) as usize] + m.local_of(v),
+                    internal / 6,
+                    store.shard_of(v).unwrap(),
                     "vertex {v} placement disagrees with the manifest rank"
                 );
             }
@@ -1312,7 +1325,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(manifest.feature_precision, Precision::Bf16);
-        // The manifest round-trips the precision through its GSFP section.
+        // The manifest round-trips the precision.
         assert_eq!(
             StoreManifest::load(&dir).unwrap().feature_precision,
             Precision::Bf16
@@ -1452,13 +1465,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The manifest's `agg` marker round-trips after the other trailing
-    /// sections, and a marker on a bf16 store is refused: its rows would
-    /// not be the f32 aggregate of the rows it stores.
-    #[test]
-    fn agg_marker_follows_the_other_sections() {
-        use gsgcn_tensor::Precision;
-        let mut m = StoreManifest {
+    /// A two-vertex manifest of one shard with every field set.
+    fn small_manifest() -> StoreManifest {
+        StoreManifest {
             n: 2,
             num_edges: 2,
             feature_dim: 3,
@@ -1473,15 +1482,78 @@ mod tests {
             rank: vec![1, 0],
             feature_precision: Precision::F32,
             has_agg: true,
-        };
+        }
+    }
+
+    fn invalid(bytes: Vec<u8>) -> String {
+        let err = StoreManifest::from_bytes(bytes.into()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        err.to_string()
+    }
+
+    /// Every field round-trips, an `agg` flag on a bf16 store is refused
+    /// (its rows would not be the f32 aggregate of the rows it stores), and
+    /// so is a byte past the rank.
+    #[test]
+    fn manifest_roundtrips_its_fixed_fields() {
+        let mut m = small_manifest();
         assert_eq!(StoreManifest::from_bytes(m.to_bytes()).unwrap(), m);
-        m.has_agg = false;
-        let without = m.to_bytes();
-        m.has_agg = true;
-        assert_eq!(m.to_bytes().len(), without.len() + 8);
+        let mut longer = m.to_bytes().to_vec();
+        longer.push(0);
+        invalid(longer);
         m.feature_precision = Precision::Bf16;
-        let err = StoreManifest::from_bytes(m.to_bytes()).unwrap_err();
-        assert!(err.to_string().contains("non-f32"), "{err}");
+        assert!(invalid(m.to_bytes().to_vec()).contains("non-f32"));
+        m.has_agg = false;
+        assert_eq!(StoreManifest::from_bytes(m.to_bytes()).unwrap(), m);
+    }
+
+    /// Lengths read from disk are checked before they size anything: a
+    /// rank of `2^62` entries overflows `4·n`, and shard counts that wrap
+    /// when summed are not the rank cut.
+    #[test]
+    fn manifest_with_hostile_lengths_is_invalid_data() {
+        let mut m = small_manifest();
+        m.n = 1 << 62;
+        assert!(invalid(m.to_bytes().to_vec()).contains("expected more than memory holds"));
+        let mut m = small_manifest();
+        m.n = 4;
+        m.rank = vec![0, 1, 2, 3];
+        m.shards.push(m.shards[0]);
+        (m.shards[0].members, m.shards[1].members) = (u64::MAX, 5);
+        assert!(invalid(m.to_bytes().to_vec()).contains("shard 0 records"));
+    }
+
+    /// A manifest whose shard counts are not `min(w, n − sid·w)`, a rank
+    /// that is not a permutation, and a v1 store each fail
+    /// [`GraphStore::open_with_budget`] with `InvalidData`.
+    #[test]
+    fn open_refuses_a_manifest_that_is_not_the_rank_cut() {
+        let g = two_communities();
+        let (dir, manifest) = spill(&g, 3);
+        let open = |m: &StoreManifest| {
+            m.save(&dir).unwrap();
+            let err = GraphStore::open_with_budget(&dir, 1 << 20).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            err.to_string()
+        };
+        let mut m = manifest.clone();
+        (m.shards[0].members, m.shards[2].members) = (5, 5);
+        assert!(open(&m).contains("shard 0 records 5 members"));
+        let mut m = manifest.clone();
+        m.rank[3] = m.rank[4];
+        assert!(open(&m).contains("not a permutation"));
+        let mut m = manifest.clone();
+        m.rank[0] = 16;
+        assert!(open(&m).contains("not a permutation"));
+        let mut v1 = manifest.to_bytes().to_vec();
+        v1[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(dir.join(shard::MANIFEST_FILE), &v1).unwrap();
+        let err = GraphStore::open_with_budget(&dir, 1 << 20).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("re-shard"), "{err}");
+        manifest.save(&dir).unwrap();
+        assert!(GraphStore::open_with_budget(&dir, 1 << 20).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

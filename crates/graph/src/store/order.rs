@@ -3,35 +3,36 @@
 //! The shard writer places vertices into shards; *which* vertices share a
 //! shard decides how many shards an L-hop ball touches and therefore what
 //! an out-of-core gather costs under an undersized cache. This module
-//! computes the placement permutation:
+//! computes the placement permutation, `rank[v]` — the position of vertex
+//! `v` in the chosen order:
 //!
-//! * [`StoreOrder::Natural`] — identity. The writer keeps its historical
-//!   behavior (BFS-grown partition, members ascending by id) and the
-//!   manifest carries no ordering section, so natural stores are
-//!   byte-identical to stores written before orders existed.
+//! * [`StoreOrder::Natural`] — the position in the concatenated
+//!   [`bfs_partition`] parts, members ascending by id within a part. Every
+//!   part but the last holds exactly `⌈n/P⌉` vertices, so each part is one
+//!   shard.
 //! * [`StoreOrder::Bfs`] — breadth-first from a maximum-degree root per
 //!   component. Neighbors get adjacent ranks, so the contiguous-rank
 //!   shard cut keeps L-hop balls inside few shards.
 //! * [`StoreOrder::Degree`] — degree-descending. Cheap (one sort), groups
 //!   the hubs most gathers touch into the same few shards.
 //!
-//! The order is purely a *placement* permutation: vertex ids on disk
-//! (members, adjacency, the CLI/serve protocol) stay in user numbering,
-//! and the global → (shard, local) index resolves reads exactly as
-//! before. `rank[v]` — the position of vertex `v` in the chosen order —
-//! is recorded in the manifest so
+//! The rank is the store's one placement map. Shard `sid` holds the rank
+//! range `[sid·w, (sid+1)·w)`, `w = ⌈n/P⌉`, in rank order, and the
+//! manifest records `rank`, so a read of `v` resolves its shard as
+//! `rank[v] / w` and its slot in the shard as `rank[v] mod w`. Vertex ids
+//! on disk (adjacency, the CLI/serve protocol) stay in user numbering;
 //! [`GraphStore::to_internal`](super::GraphStore::to_internal) /
-//! [`to_external`](super::GraphStore::to_external) can translate at the
-//! store boundary; no read path depends on it, which is why loss/F1 are
+//! [`to_external`](super::GraphStore::to_external) translate at the store
+//! boundary. No answer depends on the order, which is why loss/F1 are
 //! bit-identical across orders by construction.
 
 use crate::csr::CsrGraph;
-use crate::partition::VertexPartition;
+use crate::partition::bfs_partition;
 
 /// Which placement order the shard writer uses. See the module docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreOrder {
-    /// Identity placement (the historical writer; no manifest section).
+    /// [`bfs_partition`] parts in sequence, members ascending.
     #[default]
     Natural,
     /// BFS from a max-degree root per component.
@@ -50,7 +51,7 @@ impl StoreOrder {
         }
     }
 
-    /// On-disk tag in the manifest ordering section.
+    /// On-disk tag in the manifest.
     pub(crate) fn code(self) -> u32 {
         match self {
             StoreOrder::Natural => 0,
@@ -84,15 +85,33 @@ impl std::str::FromStr for StoreOrder {
     }
 }
 
-/// `rank[v]` = position of vertex `v` under `order`, or `None` for
-/// [`StoreOrder::Natural`] (identity — the writer takes its historical
-/// path and writes no ordering section).
-pub fn order_rank(graph: &CsrGraph, order: StoreOrder) -> Option<Vec<u32>> {
+/// `rank[v]` = position of vertex `v` under `order`, for a store of `p`
+/// shards (only `natural` depends on `p`).
+pub fn order_rank(graph: &CsrGraph, order: StoreOrder, p: usize) -> Vec<u32> {
     match order {
-        StoreOrder::Natural => None,
-        StoreOrder::Bfs => Some(bfs_rank(graph)),
-        StoreOrder::Degree => Some(degree_rank(graph)),
+        StoreOrder::Natural => natural_rank(graph, p),
+        StoreOrder::Bfs => bfs_rank(graph),
+        StoreOrder::Degree => degree_rank(graph),
     }
+}
+
+/// The inverse of a permutation: `inverse[perm[i]] = i`.
+pub(crate) fn invert(perm: &[u32]) -> Vec<u32> {
+    let mut inverse = vec![0u32; perm.len()];
+    for (i, &x) in perm.iter().enumerate() {
+        inverse[x as usize] = i as u32;
+    }
+    inverse
+}
+
+/// Position in the concatenated [`bfs_partition`] parts, members ascending
+/// by id within a part.
+fn natural_rank(graph: &CsrGraph, p: usize) -> Vec<u32> {
+    let part = bfs_partition(graph, p).part;
+    let mut verts: Vec<u32> = (0..graph.num_vertices() as u32).collect();
+    // Stable: ids stay ascending within a part.
+    verts.sort_by_key(|&v| part[v as usize]);
+    invert(&verts)
 }
 
 /// Vertices sorted degree-descending, ties broken by ascending id (both
@@ -104,11 +123,7 @@ fn by_degree_desc(graph: &CsrGraph) -> Vec<u32> {
 }
 
 fn degree_rank(graph: &CsrGraph) -> Vec<u32> {
-    let mut rank = vec![0u32; graph.num_vertices()];
-    for (r, &v) in by_degree_desc(graph).iter().enumerate() {
-        rank[v as usize] = r as u32;
-    }
-    rank
+    invert(&by_degree_desc(graph))
 }
 
 /// BFS order: each component is traversed breadth-first from its
@@ -139,20 +154,6 @@ fn bfs_rank(graph: &CsrGraph) -> Vec<u32> {
     }
     debug_assert_eq!(next as usize, n);
     rank
-}
-
-/// Cut a rank permutation into `p` contiguous rank ranges: part of `v` is
-/// `rank[v] / ⌈n/p⌉`. Equal-sized parts (last may be short), and because
-/// ranks of close-by vertices are close, each part is a locality cluster.
-pub fn partition_by_rank(rank: &[u32], p: usize) -> VertexPartition {
-    assert!(p >= 1);
-    let n = rank.len();
-    let target = n.div_ceil(p).max(1);
-    let part = rank
-        .iter()
-        .map(|&r| ((r as usize / target) as u32).min(p as u32 - 1))
-        .collect();
-    VertexPartition { part, num_parts: p }
 }
 
 #[cfg(test)]
@@ -194,15 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn natural_is_identity() {
+    fn natural_rank_concatenates_the_bfs_parts() {
         let g = star_plus_path();
-        assert!(order_rank(&g, StoreOrder::Natural).is_none());
+        let rank = order_rank(&g, StoreOrder::Natural, 3);
+        assert!(is_permutation(&rank));
+        // Parts of 3: the BFS from 0 takes 0, its hub 3 and 1; then 2, 4
+        // and the next component's seed 5; then 6 and 7.
+        let part = bfs_partition(&g, 3).part;
+        assert_eq!(part, vec![0, 0, 1, 0, 1, 1, 2, 2]);
+        assert_eq!(rank, vec![0, 1, 3, 2, 4, 5, 6, 7]);
+        // One part: the identity.
+        let one = order_rank(&g, StoreOrder::Natural, 1);
+        assert_eq!(one, (0..8).collect::<Vec<u32>>());
     }
 
     #[test]
     fn bfs_starts_at_max_degree_root_per_component() {
         let g = star_plus_path();
-        let rank = order_rank(&g, StoreOrder::Bfs).unwrap();
+        let rank = order_rank(&g, StoreOrder::Bfs, 1);
         assert!(is_permutation(&rank));
         // Hub first, then its neighbors in adjacency order.
         assert_eq!(rank[3], 0);
@@ -217,7 +227,7 @@ mod tests {
     #[test]
     fn degree_rank_is_degree_sorted() {
         let g = star_plus_path();
-        let rank = order_rank(&g, StoreOrder::Degree).unwrap();
+        let rank = order_rank(&g, StoreOrder::Degree, 1);
         assert!(is_permutation(&rank));
         assert_eq!(rank[3], 0); // degree 4
         assert_eq!(rank[6], 1); // degree 2
@@ -226,34 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn rank_partition_is_contiguous_and_balanced() {
-        let g = from_edges(10, &[(0, 1), (2, 3)]);
-        let rank: Vec<u32> = (0..10).rev().collect(); // reverse order
-        let p = partition_by_rank(&rank, 3);
-        assert_eq!(p.sizes(), vec![4, 4, 2]);
-        // Part of v follows rank, not id.
-        assert_eq!(p.part[9], 0);
-        assert_eq!(p.part[0], 2);
-        // More parts than vertices still yields a valid partition.
-        let q = partition_by_rank(&rank, 20);
-        assert_eq!(q.num_parts, 20);
-        assert!(q.part.iter().all(|&x| (x as usize) < 20));
-        let _ = g;
-    }
-
-    #[test]
     fn bfs_keeps_ring_neighbors_in_same_part() {
         let n = 64;
         let edges: Vec<_> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
         let g = from_edges(n, &edges);
-        let rank = order_rank(&g, StoreOrder::Bfs).unwrap();
-        let p = partition_by_rank(&rank, 4);
+        let rank = order_rank(&g, StoreOrder::Bfs, 4);
+        // Four shards of 16 contiguous ranks each.
+        let part = |v: u32| rank[v as usize] / 16;
         // A BFS of a ring expands two arcs; each part is at most two
         // rank-contiguous arcs, so the cut is tiny compared to random.
-        let cut = g
-            .edges()
-            .filter(|&(u, v)| p.part[u as usize] != p.part[v as usize])
-            .count();
+        let cut = g.edges().filter(|&(u, v)| part(u) != part(v)).count();
         assert!(cut <= 16, "ring cut {cut} too high for a BFS order");
     }
 }

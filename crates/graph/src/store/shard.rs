@@ -6,26 +6,32 @@
 //!
 //! ```text
 //! store/
-//! ├── manifest.gss      store-wide header + per-shard sizes/checksums
-//! ├── index.gss         part_of[u32; n] ++ local_of[u32; n]
-//! ├── shard_0000.gss    one partition's CSR slice + feature/label rows
+//! ├── manifest.gss      store-wide header + per-shard sizes/checksums + rank
+//! ├── shard_0000.gss    one rank range's CSR slice + feature/label rows
 //! └── shard_0001.gss    …
 //! ```
 //!
 //! Every file starts with a 4-byte magic and a format version; all integers
 //! and floats are little-endian, and sections inside a shard are 8-byte
 //! aligned so the loader can hand out typed slices straight from the
-//! mapping. One shard file holds, for the `k` member vertices of one
-//! partition part:
+//! mapping. The manifest is fixed-layout:
+//!
+//! ```text
+//! header  magic, version, n, edges, shards, f, l, order, feat-precision, agg
+//! shards  [members, edges, file_len, checksum; shards]
+//! rank    [u32; n]        placement of each vertex (see Placement below)
+//! ```
+//!
+//! One shard file holds, for the `k` member vertices of one rank range, in
+//! rank order:
 //!
 //! ```text
 //! header   magic, version, shard id, feat-precision, k, e, feature_dim, label_dim
-//! members  [u32; k]       global vertex ids
 //! offsets  [u64; k+1]     shard-local CSR offsets
 //! adj      [u32; e]       neighbor lists — GLOBAL ids (edges may cross shards)
-//! features [f32|bf16; k·f] row-major, aligned with `members`
-//! labels   [f32; k·l]     row-major, aligned with `members`
-//! agg      [f32; k·f]     optional: row-major `Â·X`, aligned with `members`
+//! features [f32|bf16; k·f] row-major, one row per member
+//! labels   [f32; k·l]     row-major, one row per member
+//! agg      [f32; k·f]     only with the manifest's agg flag: rows of `Â·X`
 //! ```
 //!
 //! Readers never map a whole file: header through `adj` is the *topology
@@ -36,14 +42,10 @@
 //!
 //! # Feature precision
 //!
-//! Feature rows are stored as f32 (the historical layout) or bf16
-//! ([`write_store_with_precision`]), halving the feature payload. The
-//! element type lives in the shard header's precision slot — the u32 at
-//! offset 12 that was always-zero padding before, so pre-precision shards
-//! decode as f32 — and, for non-f32 stores, in a trailing manifest
-//! section ([`FEATPREC_MAGIC`]). Readers widen rows back to f32 on copy
-//! ([`ShardSection::copy_row_into`]); labels are always f32. f32
-//! stores remain byte-identical to pre-precision stores.
+//! Feature rows are stored as f32 or bf16 ([`write_store_with_precision`]),
+//! halving the feature payload. The element type is recorded in the shard
+//! header and in the manifest. Readers widen rows back to f32 on copy
+//! ([`ShardSection::copy_row_into`]); labels are always f32.
 //!
 //! # The `agg` section: layer 1's input aggregate
 //!
@@ -55,47 +57,35 @@
 //! producer packs for that vertex. The caller computes the rows (this
 //! crate has no aggregation kernel): the writer asks for them a shard at a
 //! time, as it writes that shard, so it never holds more than one shard's
-//! `agg` rows. Only
-//! f32-feature stores carry it. The manifest marks its presence with a
-//! trailing section ([`AGG_MAGIC`], after the ordering and precision
-//! sections); the shard header does not change, and the file length the
-//! manifest records covers the section. Compatibility: a store without
-//! the marker has no `agg` section — every store written before it
-//! existed, and every store [`write_store_with_precision`] writes — and opens,
-//! trains, evaluates and serves exactly as before; older readers ignore
-//! the trailing marker but would reject the longer shard files, so the
-//! marker is what a reader must understand. The format version stays.
+//! `agg` rows. Only f32-feature stores carry it, and the manifest's `agg`
+//! flag says whether the shards do.
 //!
-//! # Placement orders and the manifest ordering section
+//! # Placement
 //!
-//! Which vertices share a shard — and in what sequence inside it — is the
-//! *placement order* (see [`super::order`]):
+//! The manifest's `rank` is the one placement map: shard `sid` holds the
+//! vertices of ranks `[sid·w, (sid+1)·w)`, `w = ⌈n/P⌉` (at least 1), in
+//! rank order, so vertex `v` is member `rank[v] − sid·w` of shard
+//! `rank[v] / w`. The placement *order* decides the rank (see
+//! [`super::order`]):
 //!
-//! * `natural` (default): the historical layout — a
-//!   [`bfs_partition`](crate::partition::bfs_partition) part per shard,
-//!   members ascending by global id. The manifest carries **no** ordering
-//!   section, so natural stores are byte-identical to stores written
-//!   before orders existed, and pre-order stores read back as natural.
-//! * `bfs` / `degree`: a rank permutation is computed
-//!   ([`super::order::order_rank`]), shard membership is contiguous rank
-//!   ranges, members are stored in rank order, and the manifest gains a
-//!   trailing section (`ORDER_MAGIC`, order code, `n`, `rank[u32; n]`)
-//!   recording the old↔new mapping. Old readers ignore trailing manifest
-//!   bytes, so the format version is unchanged.
+//! * `natural` (default): the [`bfs_partition`](crate::partition::bfs_partition)
+//!   parts in sequence, members ascending by id within a part.
+//! * `bfs` / `degree`: breadth-first from max-degree roots, or
+//!   degree-descending ([`super::order::order_rank`]).
 //!
 //! All ids **on disk stay global (user numbering)** regardless of order:
-//! adjacency, members, the CLI/serve protocol and eval splits never
-//! translate. The order only decides *placement*, which is why answers
-//! are bit-identical across orders while the shards an L-hop ball
-//! touches (and therefore out-of-core gather cost) differ.
+//! adjacency, the CLI/serve protocol and eval splits never translate. The
+//! order only decides *placement*, which is why answers are bit-identical
+//! across orders while the shards an L-hop ball touches (and therefore
+//! out-of-core gather cost) differ.
 //!
 //! Choosing an order: `bfs` is the right default for training and
 //! ball-shaped serving reads — neighbors get adjacent ranks, so L-hop
 //! balls stay within few shards. `degree` is the cheap alternative (one
 //! sort, no traversal) that concentrates the hub vertices most gathers
 //! touch; prefer it when shard-write time dominates (huge graphs,
-//! re-shard pipelines). `natural` exists for byte-stable reproduction of
-//! pre-order stores.
+//! re-shard pipelines). `natural` keeps the BFS-grown partition with
+//! members in id order.
 //!
 //! Consistency rules (the crash-safety contract pinned by
 //! `proptest_store.rs`):
@@ -105,6 +95,11 @@
 //!   name.
 //! * The manifest is written **last**; a directory without a valid
 //!   manifest is not a store and fails to open loudly.
+//! * The manifest is validated whole when it is read: shard `sid` must
+//!   record `min(w, n − sid·w)` members (0 past the end), `rank` must be a
+//!   permutation of `0..n`, and nothing may follow it. A store of another
+//!   format version — every store written before the rank became the only
+//!   placement record is v1 — is refused; re-shard it with `gsgcn shard`.
 //! * The manifest records every shard's exact file length and FNV-1a
 //!   checksum. [`open`](super::GraphStore::open) eagerly stats every
 //!   present shard file against the recorded length, so truncation is a
@@ -114,9 +109,8 @@
 //!   serving a slice of the graph); reads of its vertices fail per-request
 //!   (`GraphStore::contains` is the membership probe).
 
-use super::order::{order_rank, partition_by_rank, StoreOrder};
+use super::order::{invert, order_rank, StoreOrder};
 use crate::csr::CsrGraph;
-use crate::partition::VertexPartition;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use gsgcn_tensor::{bf16, DMatrix, Precision};
 use std::io::{self, Read, Write};
@@ -124,28 +118,15 @@ use std::path::{Path, PathBuf};
 
 /// Manifest magic: `GSTR` (gsgcn store).
 pub const MANIFEST_MAGIC: u32 = 0x4753_5452;
-/// Magic of the optional manifest ordering section: `GSOR`.
-pub const ORDER_MAGIC: u32 = 0x4753_4F52;
-/// Magic of the optional manifest feature-precision section: `GSFP`.
-/// Written only for non-f32 stores (same trailing-section gating as
-/// [`ORDER_MAGIC`]: f32 stores stay byte-identical to pre-precision ones,
-/// and its absence means f32).
-pub const FEATPREC_MAGIC: u32 = 0x4753_4650;
-/// Magic of the optional manifest `agg` marker: `GSAG`. Written only for
-/// stores whose shards carry the `agg` section ([`write_store_with_agg`]);
-/// its absence means they do not.
-pub const AGG_MAGIC: u32 = 0x4753_4147;
 /// Shard-file magic: `GSHD`.
 pub const SHARD_MAGIC: u32 = 0x4753_4844;
-/// Index-file magic: `GSIX`.
-pub const INDEX_MAGIC: u32 = 0x4753_4958;
 /// Format version; bump on any layout change.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed shard-file header length in bytes.
 pub const SHARD_HEADER_LEN: usize = 40;
-/// Fixed index-file header length in bytes.
-pub const INDEX_HEADER_LEN: usize = 16;
+/// Fixed manifest header length in bytes.
+const MANIFEST_HEADER_LEN: usize = 48;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -225,28 +206,19 @@ pub struct StoreManifest {
     pub label_dim: u32,
     /// One entry per shard, shard id = position.
     pub shards: Vec<ShardInfo>,
-    /// Placement order the store was written with (see
-    /// [`super::order`]). [`StoreOrder::Natural`] writes no manifest
-    /// section, so natural stores are byte-identical to pre-order ones.
+    /// Placement order the store was written with (see [`super::order`]).
     pub order: StoreOrder,
-    /// `rank[v]` = position of vertex `v` in `order`; empty for
-    /// [`StoreOrder::Natural`] (identity). This is the old↔new mapping:
-    /// internal id of `v` is `rank[v]`.
+    /// `rank[v]` = position of vertex `v` in `order`, the internal
+    /// (placement) id of `v`: shard `rank[v] / w`, slot `rank[v] mod w`
+    /// ([`shard_width`]).
     pub rank: Vec<u32>,
-    /// Element type of the stored feature rows. [`Precision::F32`] writes
-    /// no manifest section (byte-identical to pre-precision stores);
-    /// [`Precision::Bf16`] halves the feature payload and adds the
-    /// trailing [`FEATPREC_MAGIC`] section. Labels are always f32.
+    /// Element type of the stored feature rows. Labels are always f32.
     pub feature_precision: Precision,
     /// Whether every shard carries the `agg` section (`Â·X` rows, f32).
-    /// `false` writes no manifest marker, so stores without the section
-    /// keep their historical bytes.
     pub has_agg: bool,
 }
 
-/// On-disk code for a feature precision (shard header + manifest section).
-/// 0 is f32 so pre-precision shard headers (which wrote 0 padding in the
-/// slot) read back correctly.
+/// On-disk code for a feature precision (shard header + manifest).
 pub(crate) fn precision_code(p: Precision) -> u32 {
     match p {
         Precision::F32 => 0,
@@ -262,29 +234,20 @@ pub(crate) fn precision_from_code(code: u32) -> Option<Precision> {
     }
 }
 
+/// Ranks per shard, `w = ⌈n/P⌉` (at least 1): shard `sid` holds ranks
+/// `[sid·w, (sid+1)·w)`.
+pub(crate) fn shard_width(n: usize, num_shards: usize) -> usize {
+    n.div_ceil(num_shards).max(1)
+}
+
 impl StoreManifest {
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
 
-    /// Internal (placement) id of external vertex `v`: its rank in the
-    /// store's order, identity for natural stores.
-    #[inline]
-    pub fn to_internal(&self, v: u32) -> u32 {
-        if self.rank.is_empty() {
-            v
-        } else {
-            self.rank[v as usize]
-        }
-    }
-
     pub fn to_bytes(&self) -> Bytes {
-        let order_extra = if self.order == StoreOrder::Natural {
-            0
-        } else {
-            16 + 4 * self.rank.len()
-        };
-        let mut buf = BytesMut::with_capacity(32 + self.shards.len() * 32 + order_extra);
+        let len = MANIFEST_HEADER_LEN + 32 * self.shards.len() + 4 * self.rank.len();
+        let mut buf = BytesMut::with_capacity(len);
         buf.put_u32_le(MANIFEST_MAGIC);
         buf.put_u32_le(FORMAT_VERSION);
         buf.put_u64_le(self.n);
@@ -292,40 +255,27 @@ impl StoreManifest {
         buf.put_u32_le(self.shards.len() as u32);
         buf.put_u32_le(self.feature_dim);
         buf.put_u32_le(self.label_dim);
-        buf.put_u32_le(0); // padding
+        buf.put_u32_le(self.order.code());
+        buf.put_u32_le(precision_code(self.feature_precision));
+        buf.put_u32_le(self.has_agg as u32);
         for s in &self.shards {
             buf.put_u64_le(s.members);
             buf.put_u64_le(s.edges);
             buf.put_u64_le(s.file_len);
             buf.put_u64_le(s.checksum);
         }
-        // Optional trailing ordering section. Readers that predate it
-        // ignore trailing bytes, and its absence means natural order, so
-        // the format version does not need to change.
-        if self.order != StoreOrder::Natural {
-            buf.put_u32_le(ORDER_MAGIC);
-            buf.put_u32_le(self.order.code());
-            buf.put_u64_le(self.rank.len() as u64);
-            for &r in &self.rank {
-                buf.put_u32_le(r);
-            }
-        }
-        // Optional trailing feature-precision section, gated the same way:
-        // absent means f32, so f32 manifests keep their historical bytes.
-        if self.feature_precision != Precision::F32 {
-            buf.put_u32_le(FEATPREC_MAGIC);
-            buf.put_u32_le(precision_code(self.feature_precision));
-        }
-        // Optional trailing `agg` marker, gated the same way.
-        if self.has_agg {
-            buf.put_u32_le(AGG_MAGIC);
-            buf.put_u32_le(0); // padding
+        for &r in &self.rank {
+            buf.put_u32_le(r);
         }
         buf.freeze()
     }
 
+    /// Parse and validate a manifest: every count is bounded by the bytes
+    /// that hold it before anything is allocated, the shard member counts
+    /// must be the contiguous rank cut, and `rank` a permutation. Any
+    /// other content is [`InvalidData`](io::ErrorKind::InvalidData).
     pub fn from_bytes(mut data: Bytes) -> io::Result<Self> {
-        if data.remaining() < 36 {
+        if data.remaining() < 8 {
             return Err(bad("truncated store manifest header"));
         }
         if data.get_u32_le() != MANIFEST_MAGIC {
@@ -334,82 +284,82 @@ impl StoreManifest {
         let version = data.get_u32_le();
         if version != FORMAT_VERSION {
             return Err(bad(format!(
-                "unsupported store format version {version} (this build reads v{FORMAT_VERSION})"
+                "unsupported store format version {version} (this build reads \
+                 v{FORMAT_VERSION}); re-shard the graph with `gsgcn shard`"
             )));
+        }
+        if data.remaining() < MANIFEST_HEADER_LEN - 8 {
+            return Err(bad("truncated store manifest header"));
         }
         let n = data.get_u64_le();
         let num_edges = data.get_u64_le();
         let num_shards = data.get_u32_le() as usize;
         let feature_dim = data.get_u32_le();
         let label_dim = data.get_u32_le();
-        let _pad = data.get_u32_le();
-        if data.remaining() < num_shards * 32 {
-            return Err(bad("truncated store manifest shard table"));
+        let order_code = data.get_u32_le();
+        let order = StoreOrder::from_code(order_code)
+            .ok_or_else(|| bad(format!("manifest: unknown placement order {order_code}")))?;
+        let precision = data.get_u32_le();
+        let feature_precision = precision_from_code(precision).ok_or_else(|| {
+            bad(format!(
+                "manifest: unknown feature-precision code {precision}"
+            ))
+        })?;
+        let has_agg = match data.get_u32_le() {
+            0 => false,
+            1 => true,
+            flag => return Err(bad(format!("manifest: agg flag {flag} is neither 0 nor 1"))),
+        };
+        if has_agg && feature_precision != Precision::F32 {
+            return Err(bad("manifest marks an agg section on a non-f32 store"));
         }
+        if num_shards == 0 {
+            return Err(bad("manifest records no shards"));
+        }
+        // The shard table and the rank must fill the rest exactly.
+        let expect = usize::try_from(n)
+            .ok()
+            .and_then(|n| n.checked_mul(4))
+            .and_then(|rank| rank.checked_add(num_shards.checked_mul(32)?));
+        if expect != Some(data.remaining()) {
+            return Err(bad(format!(
+                "manifest of {num_shards} shards and n={n} is {} bytes after its header, \
+                 expected {}",
+                data.remaining(),
+                expect.map_or("more than memory holds".into(), |b| b.to_string()),
+            )));
+        }
+        let n = n as usize;
+        let w = shard_width(n, num_shards);
         let mut shards = Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            shards.push(ShardInfo {
+        for sid in 0..num_shards {
+            let info = ShardInfo {
                 members: data.get_u64_le(),
                 edges: data.get_u64_le(),
                 file_len: data.get_u64_le(),
                 checksum: data.get_u64_le(),
-            });
-        }
-        let total: u64 = shards.iter().map(|s| s.members).sum();
-        if total != n {
-            return Err(bad(format!(
-                "manifest inconsistent: shard member counts sum to {total}, expected n={n}"
-            )));
-        }
-        // Optional ordering section (absent in pre-order stores = natural).
-        let (order, rank) = if data.remaining() >= 16 && data.clone().get_u32_le() == ORDER_MAGIC {
-            let _magic = data.get_u32_le();
-            let code = data.get_u32_le();
-            let order = StoreOrder::from_code(code)
-                .ok_or_else(|| bad(format!("manifest ordering section: unknown order {code}")))?;
-            let len = data.get_u64_le() as usize;
-            if len != n as usize {
+            };
+            let want = n.saturating_sub(sid.saturating_mul(w)).min(w);
+            if info.members != want as u64 {
                 return Err(bad(format!(
-                    "manifest ordering section covers {len} vertices, expected n={n}"
+                    "manifest inconsistent: shard {sid} records {} members, the rank cut \
+                     of n={n} into {num_shards} shards gives it {want}",
+                    info.members
                 )));
             }
-            if data.remaining() < 4 * len {
-                return Err(bad("truncated manifest ordering section"));
+            shards.push(info);
+        }
+        let mut rank = Vec::with_capacity(n);
+        let mut seen = vec![false; n];
+        for _ in 0..n {
+            let r = data.get_u32_le() as usize;
+            if r >= n || std::mem::replace(&mut seen[r], true) {
+                return Err(bad("manifest rank is not a permutation"));
             }
-            let mut rank = Vec::with_capacity(len);
-            let mut seen = vec![false; len];
-            for _ in 0..len {
-                let r = data.get_u32_le();
-                if (r as usize) >= len || seen[r as usize] {
-                    return Err(bad("manifest ordering section is not a permutation"));
-                }
-                seen[r as usize] = true;
-                rank.push(r);
-            }
-            (order, rank)
-        } else {
-            (StoreOrder::Natural, Vec::new())
-        };
-        // Optional feature-precision section (absent = f32).
-        let feature_precision =
-            if data.remaining() >= 8 && data.clone().get_u32_le() == FEATPREC_MAGIC {
-                let _magic = data.get_u32_le();
-                let code = data.get_u32_le();
-                precision_from_code(code).ok_or_else(|| {
-                    bad(format!(
-                        "manifest feature-precision section: unknown precision code {code}"
-                    ))
-                })?
-            } else {
-                Precision::F32
-            };
-        // Optional `agg` marker (absent = no `agg` section).
-        let has_agg = data.remaining() >= 8 && data.clone().get_u32_le() == AGG_MAGIC;
-        if has_agg && feature_precision != Precision::F32 {
-            return Err(bad("manifest marks an agg section on a non-f32 store"));
+            rank.push(r as u32);
         }
         Ok(StoreManifest {
-            n,
+            n: n as u64,
             num_edges,
             feature_dim,
             label_dim,
@@ -438,7 +388,6 @@ impl StoreManifest {
 }
 
 pub const MANIFEST_FILE: &str = "manifest.gss";
-pub const INDEX_FILE: &str = "index.gss";
 
 /// File name of shard `i`.
 pub fn shard_file_name(i: usize) -> String {
@@ -451,7 +400,7 @@ pub fn shard_file_name(i: usize) -> String {
 /// sections.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SectionKind {
-    /// Header, members, CSR offsets and adjacency.
+    /// Header, CSR offsets and adjacency.
     Topology = 0,
     /// Feature rows.
     Features = 1,
@@ -485,13 +434,12 @@ impl SectionKind {
 /// feature columns and `l` label columns. Every offset is 8-aligned.
 /// `feat_off`, `label_off` and `agg_off` are also the cut points between
 /// the [`SectionKind`]s: topology is `[0, feat_off)` (header at 0, then
-/// `members_off`, `offsets_off`, `adj_off`, then padding), features are
+/// `offsets_off`, `adj_off`, then padding), features are
 /// `[feat_off, label_off)`, labels `[label_off, agg_off)` and `agg`
 /// `[agg_off, file_len)`. A section with no columns — `agg` on a store
 /// without it — is an empty range.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardLayout {
-    pub members_off: usize,
     pub offsets_off: usize,
     pub adj_off: usize,
     pub feat_off: usize,
@@ -507,8 +455,7 @@ impl ShardLayout {
     /// stay 8-byte aligned either way, and without `agg` the file ends
     /// where the labels do.
     pub fn new(k: usize, e: usize, f: usize, l: usize, fp: Precision, agg: bool) -> Self {
-        let members_off = SHARD_HEADER_LEN;
-        let offsets_off = align8(members_off + 4 * k);
+        let offsets_off = SHARD_HEADER_LEN;
         let adj_off = offsets_off + 8 * (k + 1);
         let feat_off = align8(adj_off + 4 * e);
         let label_off = align8(feat_off + feature_elem_size(fp) * k * f);
@@ -520,7 +467,6 @@ impl ShardLayout {
             (label_end, label_end)
         };
         ShardLayout {
-            members_off,
             offsets_off,
             adj_off,
             feat_off,
@@ -604,12 +550,9 @@ impl CheckedWriter {
 /// feature/label rows) under `dir` in `num_shards` parts. Returns the
 /// manifest.
 ///
-/// `order` places the vertices: `Natural` keeps the historical BFS-grown
-/// partition ([`bfs_partition`](crate::partition::bfs_partition)) with
-/// members ascending; `Bfs`/`Degree` compute a rank permutation
-/// ([`order_rank`]), cut it into contiguous-rank shards and store members
-/// in rank order, recording the permutation in the manifest's ordering
-/// section. `num_shards` may exceed the vertex count; trailing shards are
+/// `order` ranks the vertices ([`order_rank`]); shard `sid` stores the
+/// ranks `[sid·w, (sid+1)·w)` in rank order, and the manifest records the
+/// rank. `num_shards` may exceed the vertex count; trailing shards are
 /// then empty, which the loader handles. Existing store files in `dir`
 /// are overwritten.
 ///
@@ -646,7 +589,7 @@ pub type AggRows<'a> = &'a dyn Fn(&[u32], &mut DMatrix);
 /// section in every shard (see the module docs): `agg` is asked for each
 /// shard's rows in turn, as that shard is written, into one buffer reused
 /// shard to shard — at most one shard's rows exist at a time. The
-/// manifest gains the [`AGG_MAGIC`] marker.
+/// manifest's `agg` flag is set.
 pub fn write_store_with_agg(
     dir: &Path,
     graph: &CsrGraph,
@@ -683,8 +626,14 @@ fn write_store_rows(
     order: StoreOrder,
 ) -> io::Result<StoreManifest> {
     endian_guard()?;
+    let StoreRows {
+        features,
+        labels,
+        feature_precision,
+        agg,
+    } = rows;
     let n = graph.num_vertices();
-    for (what, m) in [("feature", rows.features), ("label", rows.labels)] {
+    for (what, m) in [("feature", features), ("label", labels)] {
         if let Some(m) = m.filter(|m| m.rows() != n) {
             return Err(bad(format!(
                 "{what} matrix has {} rows for a {n}-vertex graph",
@@ -692,40 +641,7 @@ fn write_store_rows(
             )));
         }
     }
-    std::fs::create_dir_all(dir)?;
-    let p = num_shards.max(1);
-    match order_rank(graph, order) {
-        None => {
-            let partition = crate::partition::bfs_partition(graph, p);
-            write_partitioned_ordered(dir, graph, rows, &partition, None)
-        }
-        Some(rank) => {
-            let partition = partition_by_rank(&rank, p);
-            write_partitioned_ordered(dir, graph, rows, &partition, Some((order, rank)))
-        }
-    }
-}
-
-/// The writer core: partition + optional `(order, rank)` placement
-/// permutation. Without a rank, members are ascending global ids (the
-/// historical layout); with one, members are stored in rank order and
-/// the manifest records the ordering section.
-fn write_partitioned_ordered(
-    dir: &Path,
-    graph: &CsrGraph,
-    rows: StoreRows<'_>,
-    partition: &VertexPartition,
-    ordering: Option<(StoreOrder, Vec<u32>)>,
-) -> io::Result<StoreManifest> {
-    endian_guard()?;
-    let StoreRows {
-        features,
-        labels,
-        feature_precision,
-        agg,
-    } = rows;
-    // With no feature rows the precision is vacuous; normalise to f32 so
-    // the store stays byte-identical to historical feature-less stores.
+    // With no feature rows the precision is vacuous; normalise to f32.
     let feature_precision = if features.is_none() {
         Precision::F32
     } else {
@@ -733,48 +649,21 @@ fn write_partitioned_ordered(
     };
     let agg = agg.filter(|_| features.is_some());
     debug_assert!(agg.is_none() || feature_precision == Precision::F32);
-    let n = graph.num_vertices();
-    if partition.part.len() != n {
-        return Err(bad("partition does not cover the graph's vertex set"));
-    }
-    if let Some((_, rank)) = &ordering {
-        if rank.len() != n {
-            return Err(bad("placement rank does not cover the graph's vertex set"));
-        }
-    }
-    let p = partition.num_parts.max(1);
+    std::fs::create_dir_all(dir)?;
+    let p = num_shards.max(1);
     let f = features.map_or(0, |m| m.cols());
     let l = labels.map_or(0, |m| m.cols());
 
-    // Shard member lists: ascending global id without an order, rank
-    // order with one (readers resolve via the index either way).
-    let mut members_of = vec![Vec::new(); p];
-    for v in 0..n {
-        let s = partition.part[v];
-        debug_assert!((s as usize) < p, "partition id out of range");
-        members_of[s as usize].push(v as u32);
-    }
-    if let Some((_, rank)) = &ordering {
-        for members in &mut members_of {
-            members.sort_by_key(|&v| rank[v as usize]);
-        }
-    }
-
-    // Global → (shard, local) index, derived from the member lists.
-    let mut part_of = vec![0u32; n];
-    let mut local_of = vec![0u32; n];
-    for (sid, members) in members_of.iter().enumerate() {
-        for (local, &v) in members.iter().enumerate() {
-            part_of[v as usize] = sid as u32;
-            local_of[v as usize] = local as u32;
-        }
-    }
+    let rank = order_rank(graph, order, p);
+    let unrank = invert(&rank);
+    let width = shard_width(n, p);
 
     let mut shards = Vec::with_capacity(p);
     let mut qrow: Vec<bf16::Bf16> = vec![bf16::Bf16::ZERO; f];
     // One shard's `agg` rows, reused shard to shard.
     let mut agg_rows = DMatrix::zeros(0, 0);
-    for (sid, members) in members_of.iter().enumerate() {
+    for sid in 0..p {
+        let members = &unrank[(sid * width).min(n)..((sid + 1) * width).min(n)];
         let k = members.len();
         let e: usize = members.iter().map(|&v| graph.degree(v)).sum();
         let layout = ShardLayout::new(k, e, f, l, feature_precision, agg.is_some());
@@ -785,16 +674,12 @@ fn write_partitioned_ordered(
         header.extend_from_slice(&SHARD_MAGIC.to_le_bytes());
         header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         header.extend_from_slice(&(sid as u32).to_le_bytes());
-        // Historically padding (always 0); now the feature-precision code.
-        // F32 writes 0, so f32 shards keep their pre-precision bytes.
         header.extend_from_slice(&precision_code(feature_precision).to_le_bytes());
         header.extend_from_slice(&(k as u64).to_le_bytes());
         header.extend_from_slice(&(e as u64).to_le_bytes());
         header.extend_from_slice(&(f as u32).to_le_bytes());
         header.extend_from_slice(&(l as u32).to_le_bytes());
         w.put(&header)?;
-        w.put(as_bytes(members))?;
-        w.pad_to(layout.offsets_off)?;
         let mut offsets = Vec::with_capacity(k + 1);
         let mut acc = 0u64;
         offsets.push(0u64);
@@ -850,17 +735,7 @@ fn write_partitioned_ordered(
         });
     }
 
-    // Index file: header ++ part_of ++ local_of.
-    let mut index = Vec::with_capacity(INDEX_HEADER_LEN + 8 * n);
-    index.extend_from_slice(&INDEX_MAGIC.to_le_bytes());
-    index.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    index.extend_from_slice(&(n as u64).to_le_bytes());
-    index.extend_from_slice(as_bytes(&part_of));
-    index.extend_from_slice(as_bytes(&local_of));
-    write_atomic(&dir.join(INDEX_FILE), &index)?;
-
     // Manifest last: its presence marks the store complete.
-    let (order, rank) = ordering.unwrap_or((StoreOrder::Natural, Vec::new()));
     let manifest = StoreManifest {
         n: n as u64,
         num_edges: graph.num_edges() as u64,
@@ -949,7 +824,7 @@ impl ShardShape {
                 .is_some_and(|b| b <= file_len)
         };
         let row_bytes = feature_elem_size(fp) * f + 4 * l + if agg { 4 * f } else { 0 };
-        if !fits(info.members, 12 + row_bytes) || !fits(info.edges, 4) {
+        if !fits(info.members, 8 + row_bytes) || !fits(info.edges, 4) {
             return Err(ctx(format!(
                 "k={} e={} cannot fit a {file_len}-byte file",
                 info.members, info.edges
@@ -1001,8 +876,6 @@ impl ShardShape {
         if id != shard_id {
             return Err(ctx(format!("header says shard {id}, expected {shard_id}")));
         }
-        // The one-time padding slot carries the feature-precision code;
-        // pre-precision shards wrote 0 there, which decodes to f32.
         let prec_code = header.get_u32_le();
         let fp = precision_from_code(prec_code).ok_or_else(|| {
             ctx(format!(

@@ -5,6 +5,7 @@
 //! silently different data.
 
 use gsgcn_graph::builder::from_edges;
+use gsgcn_graph::partition::bfs_partition;
 use gsgcn_graph::store::shard::{
     shard_file_name, verify_store, write_store_with_precision, ShardShape,
 };
@@ -58,22 +59,25 @@ impl Budget {
     }
 }
 
-/// Strategy: a connected-ish random graph (ring + random chords) so
-/// L-hop balls actually grow, plus a shard count that forces boundary
-/// vertices (down to one-vertex shards) and a cache budget placed at one
-/// of the section-size boundaries ([`Budget`]; resolve it against the
-/// written store with [`Budget::bytes`]), so eviction churn of every
-/// flavour is part of the case mix.
+/// Strategy: a random graph — in three cases of four a ring plus random
+/// chords, so L-hop balls actually grow; otherwise the chords alone, so
+/// components and isolated vertices meet the partitioner — plus a shard
+/// count that forces boundary vertices (down to one-vertex shards) and a
+/// cache budget placed at one of the section-size boundaries ([`Budget`];
+/// resolve it against the written store with [`Budget::bytes`]), so
+/// eviction churn of every flavour is part of the case mix.
 fn store_case() -> impl Strategy<Value = (CsrGraph, usize, Budget)> {
     (
         3usize..48,
         proptest::collection::vec((0u32..48, 0u32..48), 0..96),
         1usize..9,
         0usize..BUDGETS.len(),
+        0u8..4,
     )
-        .prop_map(|(n, extra, shards, budget)| {
+        .prop_map(|(n, extra, shards, budget, ring)| {
+            let ring_len = if ring > 0 { n as u32 } else { 0 };
             let mut edges: Vec<(u32, u32)> =
-                (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
+                (0..ring_len).map(|i| (i, (i + 1) % n as u32)).collect();
             edges.extend(
                 extra
                     .into_iter()
@@ -135,10 +139,13 @@ proptest! {
 
         prop_assert_eq!(Topology::num_vertices(&store), n);
         prop_assert_eq!(Topology::num_edges(&store), g.num_edges());
+        // Each natural shard is one `bfs_partition` part, however many
+        // components the graph has.
+        let parts = bfs_partition(&g, shards).part;
         let view = store.view();
         for v in 0..n as u32 {
             prop_assert!(store.contains(v));
-            prop_assert!(store.shard_of(v).is_some());
+            prop_assert_eq!(store.shard_of(v), Some(parts[v as usize]));
             prop_assert_eq!(view.degree(v), g.degree(v));
             prop_assert_eq!(view.neighbors(v), g.neighbors(v), "vertex {}", v);
         }
@@ -272,7 +279,8 @@ proptest! {
         );
 
         // A degree-then-neighbor random walk: the sampler's access
-        // pattern (the graph is a ring plus chords: no dead ends).
+        // pattern. A vertex without neighbors restarts the walk at a
+        // random vertex.
         let walk = |s: &GraphStore| -> Vec<u32> {
             let s = s.view();
             let mut x = seed | 1;
@@ -282,8 +290,10 @@ proptest! {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
-                    let deg = s.degree(v);
-                    v = s.neighbor(v, (x % deg as u64) as usize);
+                    v = match s.degree(v) {
+                        0 => (x % n as u64) as u32,
+                        deg => s.neighbor(v, (x % deg as u64) as usize),
+                    };
                     v
                 })
                 .collect()
