@@ -10,10 +10,9 @@
 //!   paths: readers that can see a CSR get the actual slices.
 //! * [`MmapStore`] — CSR shards, each a contiguous range of a placement
 //!   rank ([`order`]), written in the versioned on-disk format of [`shard`]
-//!   and memory-mapped
-//!   on demand, **one section (topology / features / labels / `agg`) at a
-//!   time**,
-//!   behind a CLOCK cache with a **mapped-bytes budget** ([`mmap`]).
+//!   and memory-mapped on demand, **one section (topology / features /
+//!   labels / `agg`) at a time**, behind a CLOCK cache with a
+//!   **mapped-bytes budget** ([`mmap`]).
 //!   Training and serving a graph ≥10× physical RAM becomes a
 //!   cache-management problem instead of an OOM.
 //!
@@ -500,8 +499,8 @@ impl GraphStore {
     }
 
     /// Internal (placement) id of external vertex `v`: its rank in the
-    /// store's order, identity for the mem backend. Every public API — the CLI's
-    /// `--nodes`, the serve protocol, labels, eval splits — speaks
+    /// store's order, identity for the mem backend. Every public API — the
+    /// CLI's `--nodes`, the serve protocol, labels, eval splits — speaks
     /// external ids, and this is the one boundary where they translate.
     #[inline]
     pub fn to_internal(&self, v: u32) -> u32 {
@@ -880,9 +879,10 @@ mod tests {
         assert_eq!(out.row(0), &[150.0, 151.0, 152.0]);
         assert_eq!(out.row(2), &[70.0, 71.0, 72.0]);
         // A natural store is ranked too: 13 lies in the second clique's
-        // part, the second shard, and translates both ways.
+        // part, the second shard of 8 ranks, and translates both ways.
         assert_eq!(store.order(), StoreOrder::Natural);
-        assert_eq!(store.to_internal(13) / 8, store.shard_of(13).unwrap());
+        assert_eq!(store.shard_of(13), Some(1));
+        assert_eq!(store.to_internal(13) / 8, 1);
         assert_eq!(store.to_external(store.to_internal(13)), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
