@@ -236,6 +236,31 @@ mod tests {
     }
 
     #[test]
+    fn rank_partition_is_contiguous_and_balanced() {
+        use crate::store::shard::shard_width;
+        let rank: Vec<u32> = (0..10).rev().collect(); // reverse order
+        let w = shard_width(rank.len(), 3);
+        let part: Vec<u32> = rank.iter().map(|&r| r / w as u32).collect();
+        let mut sizes = vec![0; 3];
+        for &s in &part {
+            sizes[s as usize] += 1;
+        }
+        assert_eq!(sizes, vec![4, 4, 2]);
+        // Part of v follows rank, not id.
+        assert_eq!(part[9], 0);
+        assert_eq!(part[0], 2);
+        // More parts than vertices still yields a valid partition.
+        let w = shard_width(rank.len(), 20);
+        assert!(rank.iter().all(|&r| ((r as usize) / w) < 20));
+        // The natural cut is the bfs_partition parts themselves.
+        let g = star_plus_path();
+        let rank = order_rank(&g, StoreOrder::Natural, 3);
+        let w = shard_width(g.num_vertices(), 3) as u32;
+        let cut: Vec<u32> = rank.iter().map(|&r| r / w).collect();
+        assert_eq!(cut, bfs_partition(&g, 3).part);
+    }
+
+    #[test]
     fn bfs_keeps_ring_neighbors_in_same_part() {
         let n = 64;
         let edges: Vec<_> = (0..n as u32).map(|i| (i, (i + 1) % n as u32)).collect();
