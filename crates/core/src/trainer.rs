@@ -248,6 +248,37 @@ pub struct GsGcnTrainer<'a> {
     /// Work and phase times of the last evaluation, either source (zero
     /// work for an empty split; `None` before the first evaluation).
     eval_stats: Option<EvalStats>,
+    /// Declared last, so it drops after every buffer above has been freed.
+    _release: ReleaseFreePages,
+}
+
+/// Hands the heap's free pages back to the kernel when dropped.
+///
+/// A trainer's workspaces (the training view's rows, the sampler's
+/// subgraph buffers, `Â·X`) are the largest short-lived heap blocks in the
+/// workspace. Once glibc has freed one mapped block, its sliding mmap
+/// threshold puts blocks of that size on the `brk` heap, and one small
+/// allocation made above them while the trainer lived (a copy of the
+/// model's weights, say) keeps all of them resident after the trainer is
+/// gone. Whether a process carries the trainer's peak into what it does
+/// next then depends on where that allocation landed. `malloc_trim(0)`
+/// releases the free pages wherever they lie.
+struct ReleaseFreePages;
+
+impl Drop for ReleaseFreePages {
+    fn drop(&mut self) {
+        #[cfg(all(target_os = "linux", target_env = "gnu"))]
+        {
+            extern "C" {
+                fn malloc_trim(pad: usize) -> i32;
+            }
+            // SAFETY: `malloc_trim` takes the allocator's own locks and
+            // only returns free pages; no live allocation is touched.
+            unsafe {
+                malloc_trim(0);
+            }
+        }
+    }
 }
 
 impl<'a> GsGcnTrainer<'a> {
@@ -372,6 +403,7 @@ impl<'a> GsGcnTrainer<'a> {
             eval_labels_split: DMatrix::zeros(0, 0),
             eval_inputs: None,
             eval_stats: None,
+            _release: ReleaseFreePages,
         })
     }
 
